@@ -183,7 +183,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 let mut stats = JoinStats::default();
                 reach_strand
-                    .fire_batch(&store, &triggers, &mut stats, &mut scratch, &mut out)
+                    .fire_batch(&store, &triggers, &mut stats, &mut scratch, &mut out, None)
                     .unwrap();
                 assert_eq!(out.all().len(), 640);
                 out.all().len()

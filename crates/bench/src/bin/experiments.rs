@@ -176,10 +176,10 @@ fn json_number(text: &str, field: &str) -> Option<f64> {
 }
 
 /// Run the micro join bench, optionally writing JSON and gating against a
-/// committed baseline: the job fails when the indexed per-trigger probe
-/// path or the key-grouped probe path is more than 2x slower than the
-/// baseline's (the grouped gate is what keeps probe sharing from silently
-/// degrading back to one lookup per trigger).
+/// committed baseline: the job fails when the key-grouped batch probe path
+/// (uniform or duplicate-key) or the coalesced node-delivery path is more
+/// than 2x slower than the baseline's (the grouped gate is what keeps probe
+/// sharing from silently degrading back to one lookup per trigger).
 fn run_micro(options: &Options) {
     let result = micro_runtime();
     println!("{}", result.render());
@@ -191,7 +191,6 @@ fn run_micro(options: &Options) {
         let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("reading {path}: {e}"));
         let mut failed = false;
         for (field, measured) in [
-            ("indexed_batch_us_per_trigger", result.indexed_batch_us),
             ("indexed_grouped_us_per_trigger", result.indexed_grouped_us),
             ("dup_grouped_us_per_trigger", result.dup_grouped_us),
             (

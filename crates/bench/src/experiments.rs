@@ -1653,11 +1653,10 @@ pub fn adversity(scale: Scale, seed: u64) -> AdversityResult {
 /// Wall-clock measurements of the runtime's join hot path: one strand
 /// probing a `relation_size`-tuple relation with `matches_per_probe`
 /// matches per trigger, fired tuple-at-a-time (`fire_counted`), in a delta
-/// batch without and with key-grouped probe sharing, and tuple-at-a-time
-/// without the index (full scan) — plus a **duplicate-key** trigger set
-/// (Zipf-ish key frequencies, the shape path-exploration and flooding
-/// batches actually have) fired through both batch paths, which is where
-/// grouping's one-probe-per-distinct-key amortization shows.
+/// batch (key-grouped probe sharing), and tuple-at-a-time without the
+/// index (full scan) — plus a **duplicate-key** trigger set (Zipf-ish key
+/// frequencies, the shape path-exploration and flooding batches actually
+/// have) fired through the batch path.
 #[derive(Debug, Clone)]
 pub struct MicroRuntimeResult {
     /// Stored tuples in the probed relation.
@@ -1670,19 +1669,14 @@ pub struct MicroRuntimeResult {
     pub iters: usize,
     /// Tuple-at-a-time firing through the index, µs per trigger.
     pub indexed_fire_us: f64,
-    /// Batch-delta firing through the index with one probe per trigger
-    /// (the ungrouped PR 4 path), µs per trigger.
-    pub indexed_batch_us: f64,
-    /// Batch-delta firing with key-grouped probe sharing (the default
-    /// engine path), µs per trigger, same uniform workload.
+    /// Batch-delta firing with key-grouped probe sharing (the engine
+    /// path), µs per trigger, same uniform workload.
     pub indexed_grouped_us: f64,
     /// Tuple-at-a-time firing without the index (full scan), µs per
     /// trigger.
     pub scan_fire_us: f64,
     /// Distinct probe keys in the duplicate-key trigger set.
     pub dup_distinct_keys: usize,
-    /// Ungrouped batch firing on the duplicate-key workload, µs/trigger.
-    pub dup_batch_us: f64,
     /// Grouped batch firing on the duplicate-key workload, µs/trigger.
     pub dup_grouped_us: f64,
     /// Full node delivery path, one `receive` + `process` per trigger (the
@@ -1694,16 +1688,9 @@ pub struct MicroRuntimeResult {
 }
 
 impl MicroRuntimeResult {
-    /// Speedup of (ungrouped) batch-delta over tuple-at-a-time on the
-    /// indexed path.
+    /// Speedup of batch-delta over tuple-at-a-time on the indexed path.
     pub fn batch_speedup(&self) -> f64 {
-        self.indexed_fire_us / self.indexed_batch_us.max(f64::MIN_POSITIVE)
-    }
-
-    /// Speedup of key-grouped probe sharing over per-trigger probing on
-    /// the duplicate-key workload.
-    pub fn grouping_speedup(&self) -> f64 {
-        self.dup_batch_us / self.dup_grouped_us.max(f64::MIN_POSITIVE)
+        self.indexed_fire_us / self.indexed_grouped_us.max(f64::MIN_POSITIVE)
     }
 
     /// Speedup of the indexed probe over the full scan (tuple-at-a-time).
@@ -1734,23 +1721,12 @@ impl MicroRuntimeResult {
         let _ = writeln!(
             out,
             "{:<34} {:>14.3}",
-            "indexed, batch per-trigger probes", self.indexed_batch_us
-        );
-        let _ = writeln!(
-            out,
-            "{:<34} {:>14.3}",
             "indexed, batch grouped probes", self.indexed_grouped_us
         );
         let _ = writeln!(
             out,
             "{:<34} {:>14.3}",
             "scan, tuple-at-a-time", self.scan_fire_us
-        );
-        let _ = writeln!(
-            out,
-            "{:<34} {:>14.3}",
-            format!("dup-key ({} keys), per-trigger", self.dup_distinct_keys),
-            self.dup_batch_us
         );
         let _ = writeln!(
             out,
@@ -1769,11 +1745,6 @@ impl MicroRuntimeResult {
             "node delivery, coalesced", self.delivery_coalesced_us
         );
         let _ = writeln!(out, "batch speedup: {:.2}x", self.batch_speedup());
-        let _ = writeln!(
-            out,
-            "grouping speedup (dup keys): {:.2}x",
-            self.grouping_speedup()
-        );
         let _ = writeln!(
             out,
             "indexed vs scan: {:.2}x",
@@ -1803,11 +1774,6 @@ impl MicroRuntimeResult {
         );
         let _ = writeln!(
             out,
-            "  \"indexed_batch_us_per_trigger\": {:.4},",
-            self.indexed_batch_us
-        );
-        let _ = writeln!(
-            out,
             "  \"indexed_grouped_us_per_trigger\": {:.4},",
             self.indexed_grouped_us
         );
@@ -1817,11 +1783,6 @@ impl MicroRuntimeResult {
             self.scan_fire_us
         );
         let _ = writeln!(out, "  \"dup_distinct_keys\": {},", self.dup_distinct_keys);
-        let _ = writeln!(
-            out,
-            "  \"dup_batch_us_per_trigger\": {:.4},",
-            self.dup_batch_us
-        );
         let _ = writeln!(
             out,
             "  \"dup_grouped_us_per_trigger\": {:.4},",
@@ -1843,11 +1804,6 @@ impl MicroRuntimeResult {
             self.coalescing_speedup()
         );
         let _ = writeln!(out, "  \"batch_speedup\": {:.4},", self.batch_speedup());
-        let _ = writeln!(
-            out,
-            "  \"grouping_speedup\": {:.4},",
-            self.grouping_speedup()
-        );
         let _ = writeln!(
             out,
             "  \"indexed_vs_scan_speedup\": {:.4}",
@@ -1942,7 +1898,7 @@ pub fn micro_runtime() -> MicroRuntimeResult {
 
     let mut scratch = BatchScratch::default();
     let mut out = BatchOutput::default();
-    let mut time_batch = |store: &Store, deltas: &[TupleDelta], grouped: bool| -> f64 {
+    let mut time_batch = |store: &Store, deltas: &[TupleDelta]| -> f64 {
         let batch: Vec<BatchTrigger> = deltas
             .iter()
             .map(|delta| BatchTrigger {
@@ -1952,15 +1908,9 @@ pub fn micro_runtime() -> MicroRuntimeResult {
             .collect();
         let mut stats = JoinStats::default();
         let mut fire = |out: &mut BatchOutput| {
-            if grouped {
-                strand
-                    .fire_batch(store, &batch, &mut stats, &mut scratch, out)
-                    .unwrap();
-            } else {
-                strand
-                    .fire_batch_ungrouped(store, &batch, &mut stats, &mut scratch, out)
-                    .unwrap();
-            }
+            strand
+                .fire_batch(store, &batch, &mut stats, &mut scratch, out, None)
+                .unwrap();
             assert_eq!(out.all().len(), MATCHES * BATCH);
         };
         fire(&mut out); // warmup
@@ -1971,8 +1921,7 @@ pub fn micro_runtime() -> MicroRuntimeResult {
         start.elapsed().as_secs_f64() * 1e6 / (ITERS * BATCH) as f64
     };
 
-    let indexed_batch_us = time_batch(&indexed, &triggers, false);
-    let indexed_grouped_us = time_batch(&indexed, &triggers, true);
+    let indexed_grouped_us = time_batch(&indexed, &triggers);
 
     // The duplicate-key workload: every destination key 1..=1000 has
     // exactly MATCHES incoming links, and the 256 triggers probe a
@@ -2019,8 +1968,7 @@ pub fn micro_runtime() -> MicroRuntimeResult {
             )
         })
         .collect();
-    let dup_batch_us = time_batch(&dup_store, &dup_triggers, false);
-    let dup_grouped_us = time_batch(&dup_store, &dup_triggers, true);
+    let dup_grouped_us = time_batch(&dup_store, &dup_triggers);
 
     // The delivery-path comparison: the same uniform trigger stream pushed
     // through a full NodeEngine — store clock, PSN queue, outbound routing,
@@ -2090,11 +2038,9 @@ pub fn micro_runtime() -> MicroRuntimeResult {
         batch_size: BATCH,
         iters: ITERS,
         indexed_fire_us,
-        indexed_batch_us,
         indexed_grouped_us,
         scan_fire_us,
         dup_distinct_keys,
-        dup_batch_us,
         dup_grouped_us,
         delivery_per_event_us,
         delivery_coalesced_us,
@@ -2180,11 +2126,6 @@ impl BatchVectorizationResult {
         );
         let _ = writeln!(
             out,
-            "    \"indexed_batch_us_per_trigger\": {:.4},",
-            self.micro.indexed_batch_us
-        );
-        let _ = writeln!(
-            out,
             "    \"indexed_grouped_us_per_trigger\": {:.4},",
             self.micro.indexed_grouped_us
         );
@@ -2195,23 +2136,13 @@ impl BatchVectorizationResult {
         );
         let _ = writeln!(
             out,
-            "    \"dup_batch_us_per_trigger\": {:.4},",
-            self.micro.dup_batch_us
-        );
-        let _ = writeln!(
-            out,
             "    \"dup_grouped_us_per_trigger\": {:.4},",
             self.micro.dup_grouped_us
         );
         let _ = writeln!(
             out,
-            "    \"batch_speedup\": {:.4},",
+            "    \"batch_speedup\": {:.4}",
             self.micro.batch_speedup()
-        );
-        let _ = writeln!(
-            out,
-            "    \"grouping_speedup\": {:.4}",
-            self.micro.grouping_speedup()
         );
         let _ = writeln!(out, "  }},");
         let _ = writeln!(out, "  \"scaling\": {{");
@@ -2515,27 +2446,22 @@ mod tests {
             batch_size: 256,
             iters: 40,
             indexed_fire_us: 9.0,
-            indexed_batch_us: 4.5,
             indexed_grouped_us: 3.0,
             scan_fire_us: 120.0,
             dup_distinct_keys: 30,
-            dup_batch_us: 4.0,
             dup_grouped_us: 2.0,
             delivery_per_event_us: 6.0,
             delivery_coalesced_us: 1.5,
         };
-        assert!((micro.batch_speedup() - 2.0).abs() < 1e-9);
-        assert!((micro.grouping_speedup() - 2.0).abs() < 1e-9);
+        assert!((micro.batch_speedup() - 3.0).abs() < 1e-9);
         assert!((micro.coalescing_speedup() - 4.0).abs() < 1e-9);
         let json = micro.to_json();
         assert!(json.contains("\"bench\": \"micro_runtime\""));
         assert!(json.contains("\"delivery_per_event_us_per_trigger\": 6.0000"));
         assert!(json.contains("\"delivery_coalesced_us_per_trigger\": 1.5000"));
-        assert!(json.contains("\"indexed_batch_us_per_trigger\": 4.5000"));
         assert!(json.contains("\"indexed_grouped_us_per_trigger\": 3.0000"));
         assert!(json.contains("\"dup_grouped_us_per_trigger\": 2.0000"));
-        assert!(json.contains("\"batch_speedup\": 2.0000"));
-        assert!(json.contains("\"grouping_speedup\": 2.0000"));
+        assert!(json.contains("\"batch_speedup\": 3.0000"));
         assert!(!micro.render().is_empty());
 
         let scaling = parallel_scaling(Scale::Small, &[2]);

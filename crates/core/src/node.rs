@@ -1,16 +1,13 @@
 //! A single node's engine: the per-node half of the P2 dataflow.
 //!
-//! Every network node runs the same plan over its own store. Tuples arrive
-//! either from local base-data changes or from the network; insertions are
-//! processed with pipelined semi-naive evaluation (one tuple at a time,
-//! timestamp-guarded joins), and derivations whose location specifier names
-//! another node are handed back to the distributed engine to be sent along
-//! the corresponding link. Deletions take the DRed path instead
-//! (`ndlog_runtime::dred`): any tuple actually removed from the local
-//! store seeds an over-delete of its local downstream closure — shipping
-//! deletion derivations headed at other nodes — followed by re-derivation
-//! of the survivors, so retractions stay exact whatever the derivation
-//! counts say.
+//! Every network node runs the same plan over its own store. The engine is
+//! a wrapper over `ndlog_runtime::fixpoint` — the local loop the
+//! centralized evaluator also runs (pipelined semi-naive insertions, DRed
+//! deletions, aggregate views, soft-state clock) — plus what a node adds:
+//! derivations whose location specifier names another node are handed back
+//! to the distributed engine to be sent along the corresponding link
+//! (deletion derivations of a DRed over-delete included), changes to
+//! tracked relations are logged, and a crashed node loses its state.
 //!
 //! The node also implements the per-node halves of the paper's
 //! optimizations:
@@ -34,13 +31,12 @@ use crate::plan::QueryPlan;
 use ndlog_lang::aggsel::AggSelectionSpec;
 use ndlog_net::sim::SimTime;
 use ndlog_net::NodeAddr;
-use ndlog_runtime::batch::{BatchOutput, BatchScratch, BatchTrigger};
-use ndlog_runtime::dred;
-use ndlog_runtime::strand::{Derivation, JoinStats};
+use ndlog_runtime::fixpoint::{LocalFixpoint, SiteHook};
 use ndlog_runtime::{
-    AggregateView, CompiledStrand, DeltaTap, EvalError, EvalStats, Sign, Store, Tuple, TupleDelta,
+    AggregateView, CompiledStrand, DeltaTap, EvalError, EvalStats, Sign, Store, Strategy, Tuple,
+    TupleDelta,
 };
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Per-node configuration (shared by all nodes in an experiment except for
@@ -87,45 +83,115 @@ pub struct ProcessOutput {
 
 /// The per-node engine.
 pub struct NodeEngine {
+    fixpoint: LocalFixpoint,
+    site: NodeSite,
+}
+
+/// What this node adds to the local loop: the [`SiteHook`] the fixpoint
+/// driver calls back into.
+struct NodeSite {
     addr: NodeAddr,
     config: NodeConfig,
-    store: Store,
-    strands: Arc<Vec<CompiledStrand>>,
-    views: Vec<AggregateView>,
     /// (selection, index of the aggregate view that tracks its groups).
     selections: Vec<(AggSelectionSpec, usize)>,
-    /// Insert-only work queue: applied deltas whose strands have not fired.
-    queue: VecDeque<(TupleDelta, u64)>,
-    /// Tuples actually removed from the store (arriving deletions whose
-    /// count reached zero, replacement old-halves, soft-state expiries),
-    /// awaiting the next DRed over-delete/re-derive pass.
-    pending_deletes: Vec<TupleDelta>,
     /// Outbound deltas held for periodic flush / message sharing.
     held: Vec<(NodeAddr, TupleDelta)>,
-    changes: Vec<ResultChange>,
+    /// What the current processing step has produced so far.
+    output: ProcessOutput,
     /// Count of insertions pruned by aggregate selections.
     pruned: u64,
-    /// Cumulative evaluation statistics (probe/scan/tuples-examined
-    /// counters and processed-delta counts) for computation-overhead
-    /// reporting.
-    stats: EvalStats,
-    /// Reusable flat buffers for batch-delta strand firing.
-    scratch: BatchScratch,
-    batch_out: BatchOutput,
-    /// Probe signatures shared by two or more strands (across *all* of
-    /// this node's query plans). Non-empty arms a per-round cross-rule
-    /// probe cache, so one round's distinct `(relation, cols, key)`
-    /// lookups execute once no matter how many strands share them (see
-    /// `ndlog_runtime::subplan`).
-    shared_sigs: Vec<(String, Vec<usize>)>,
-    /// Live-query hook: records visibility transitions of subscribed
-    /// relations at this node (see `ndlog_runtime::tap`).
-    tap: DeltaTap,
     /// Pool of reusable wire-payload buffers: delivered payloads are
     /// recycled here after ingestion and the outbound path rents from it,
     /// so message buffers circulate instead of being reallocated (see
     /// `crate::exec::arena`).
     arena: DeltaArena,
+}
+
+impl SiteHook for NodeSite {
+    fn site(&self) -> Option<NodeAddr> {
+        Some(self.addr)
+    }
+
+    /// Aggregate-selection pruning: drop insertions that cannot improve
+    /// their group's aggregate.
+    fn admit(&mut self, store: &Store, views: &[AggregateView], delta: &TupleDelta) -> bool {
+        if !self.config.aggregate_selections || delta.sign != Sign::Insert {
+            return true;
+        }
+        let Some((sel, view_idx)) = self.selection_entry(&delta.relation) else {
+            return true;
+        };
+        let (Some(candidate), Some(current)) = (
+            delta.tuple.get(sel.value_col).and_then(|v| v.as_f64()),
+            views[*view_idx]
+                .current_for(&delta.tuple)
+                .and_then(|v| v.as_f64()),
+        ) else {
+            return true;
+        };
+        if sel.is_better(candidate, current) {
+            return true;
+        }
+        self.pruned += 1;
+        // A re-announcement of the reigning best tuple is "not strictly
+        // better" too, but it must still reach the store, as the duplicate
+        // insertion it is, so its soft-state expiry moves forward;
+        // everything else is pruned outright.
+        store
+            .relation(&delta.relation)
+            .is_some_and(|r| r.contains(&delta.tuple))
+    }
+
+    /// Send a derivation headed at another node along its link, honoring
+    /// the blocked-relation set and the hold-for-flush buffers.
+    fn ship(&mut self, dest: NodeAddr, delta: TupleDelta) {
+        if self.config.blocked_relations.contains(&delta.relation) {
+            return;
+        }
+        let hold_for_sharing = self.config.sharing_delay.is_some();
+        let hold_for_periodic =
+            self.config.periodic_flush.is_some() && self.selection_for(&delta.relation).is_some();
+        if hold_for_sharing || hold_for_periodic {
+            self.held.push((dest, delta));
+            self.output.request_flush = true;
+        } else {
+            self.output
+                .outbound
+                .entry(dest)
+                .or_insert_with(|| self.arena.rent())
+                .push(delta);
+        }
+    }
+
+    fn changed(&mut self, delta: &TupleDelta) {
+        if self.config.tracked_relations.contains(&delta.relation) {
+            self.output.changes.push(ResultChange {
+                relation: delta.relation.clone(),
+                tuple: delta.tuple.clone(),
+                sign: delta.sign,
+            });
+        }
+    }
+}
+
+impl NodeSite {
+    fn selection_entry(&self, relation: &str) -> Option<&(AggSelectionSpec, usize)> {
+        self.selections
+            .iter()
+            .find(|(sel, _)| sel.relation == relation)
+    }
+
+    fn selection_for(&self, relation: &str) -> Option<&AggSelectionSpec> {
+        self.selection_entry(relation).map(|(sel, _)| sel)
+    }
+
+    fn group_key(&self, delta: &TupleDelta) -> Option<Vec<ndlog_lang::Value>> {
+        let sel = self.selection_for(&delta.relation)?;
+        if sel.group_cols.iter().any(|&c| delta.tuple.get(c).is_none()) {
+            return None;
+        }
+        Some(delta.tuple.project(&sel.group_cols))
+    }
 }
 
 impl NodeEngine {
@@ -147,15 +213,6 @@ impl NodeEngine {
                 views.push(AggregateView::from_rule(rule)?);
             }
         }
-        // Build every secondary index the shared strands' probe plans and
-        // the views' guard checks declare, once per node at construction
-        // time.
-        store.declare_indexes(strands.iter());
-        for view in &views {
-            for (relation, cols) in view.index_requirements() {
-                store.declare_index(&relation, &cols);
-            }
-        }
         for plan in plans {
             for sel in &plan.selections {
                 let Some(view_idx) = views
@@ -170,57 +227,49 @@ impl NodeEngine {
                 selections.push((sel.clone(), view_idx));
             }
         }
-        let shared_sigs = ndlog_runtime::subplan::shared_signatures(&strands);
         Ok(NodeEngine {
-            addr,
-            config,
-            store,
-            strands,
-            views,
-            selections,
-            queue: VecDeque::new(),
-            pending_deletes: Vec::new(),
-            held: Vec::new(),
-            changes: Vec::new(),
-            pruned: 0,
-            stats: EvalStats::default(),
-            scratch: BatchScratch::default(),
-            batch_out: BatchOutput::default(),
-            shared_sigs,
-            tap: DeltaTap::new(),
-            arena: DeltaArena::default(),
+            fixpoint: LocalFixpoint::new(store, strands, views),
+            site: NodeSite {
+                addr,
+                config,
+                selections,
+                held: Vec::new(),
+                output: ProcessOutput::default(),
+                pruned: 0,
+                arena: DeltaArena::default(),
+            },
         })
     }
 
     /// This node's address.
     pub fn addr(&self) -> NodeAddr {
-        self.addr
+        self.site.addr
     }
 
     /// The live-query delta tap for this node.
     pub fn tap(&self) -> &DeltaTap {
-        &self.tap
+        self.fixpoint.tap()
     }
 
     /// Mutable access to the delta tap (subscribe/unsubscribe relations).
     pub fn tap_mut(&mut self) -> &mut DeltaTap {
-        &mut self.tap
+        self.fixpoint.tap_mut()
     }
 
     /// Take the visibility transitions recorded at this node since the
     /// last drain, in store order.
     pub fn drain_tap(&mut self) -> Vec<TupleDelta> {
-        self.tap.drain()
+        self.fixpoint.tap_mut().drain()
     }
 
     /// The node's store (for inspection).
     pub fn store(&self) -> &Store {
-        &self.store
+        self.fixpoint.store()
     }
 
     /// Number of insertions pruned by aggregate selections so far.
     pub fn pruned(&self) -> u64 {
-        self.pruned
+        self.site.pruned
     }
 
     /// Cumulative evaluation statistics: processed deltas, derivations, and
@@ -232,17 +281,17 @@ impl NodeEngine {
     /// deterministic for a given event order, so they participate in the
     /// bitwise-identity checks across executor thread counts.
     pub fn eval_stats(&self) -> EvalStats {
-        self.stats
+        self.fixpoint.stats()
     }
 
     /// Whether the node has unprocessed work queued.
     pub fn has_pending(&self) -> bool {
-        !self.queue.is_empty() || !self.pending_deletes.is_empty()
+        self.fixpoint.has_pending()
     }
 
     /// Advance the node's logical clock (for soft-state expiry).
     pub fn set_time(&mut self, now_micros: u64) {
-        self.store.set_time(now_micros);
+        self.fixpoint.set_time(now_micros);
     }
 
     /// Accept deltas arriving from the network (or from local base-data
@@ -254,23 +303,22 @@ impl NodeEngine {
     pub fn receive(&mut self, mut deltas: Vec<TupleDelta>) {
         let payload_len = deltas.len();
         for delta in deltas.drain(..) {
-            self.ingest(delta);
+            self.fixpoint.ingest(delta, &mut self.site);
         }
-        self.arena.recycle(payload_len, deltas);
+        self.site.arena.recycle(payload_len, deltas);
     }
 
     /// This node's wire-buffer pool counters (meaningful summed across all
     /// nodes — buffers rent at senders and recycle at receivers).
     pub fn arena_stats(&self) -> ArenaStats {
-        self.arena.stats()
+        self.site.arena.stats()
     }
 
     /// Expire soft-state tuples; the expired tuples seed the next DRed
     /// pass (they are already removed from the store, and an expiry is
     /// authoritative — never re-derived).
     pub fn expire_soft_state(&mut self, now_micros: u64) {
-        let deltas = self.store.expire(now_micros);
-        self.pending_deletes.extend(deltas);
+        self.fixpoint.expire_soft_state(now_micros);
     }
 
     /// Crash the node: all volatile state — stored tuples, aggregate-view
@@ -281,28 +329,17 @@ impl NodeEngine {
     /// numbers and the logical clock survive (a rejoining node must not
     /// travel back in time). Returns the tracked-relation retractions.
     pub fn crash_reset(&mut self) -> Vec<ResultChange> {
-        let names: Vec<String> = self.store.relation_names().map(str::to_string).collect();
+        let names: Vec<String> = self.store().relation_names().map(str::to_string).collect();
         for name in names {
-            for tuple in self.store.tuples(&name) {
+            for tuple in self.store().tuples(&name) {
                 let delta = TupleDelta::delete(name.clone(), tuple);
-                self.tap.record(&delta);
-                if self.config.tracked_relations.contains(&name) {
-                    self.changes.push(ResultChange {
-                        relation: name.clone(),
-                        tuple: delta.tuple.clone(),
-                        sign: Sign::Delete,
-                    });
-                }
+                self.fixpoint.tap_mut().record(&delta);
+                self.site.changed(&delta);
             }
         }
-        self.store.clear_tuples();
-        self.queue.clear();
-        self.pending_deletes.clear();
-        self.held.clear();
-        for view in &mut self.views {
-            view.reset();
-        }
-        std::mem::take(&mut self.changes)
+        self.fixpoint.clear();
+        self.site.held.clear();
+        std::mem::take(&mut self.site.output.changes)
     }
 
     /// Queue every stored tuple for re-firing with its original stored
@@ -315,15 +352,15 @@ impl NodeEngine {
     /// repair traffic a soft-state refresh cycle pays, and what heals
     /// receivers that lost the original message.
     pub fn refresh_refire(&mut self) {
-        let names: Vec<String> = self.store.relation_names().map(str::to_string).collect();
+        let names: Vec<String> = self.store().relation_names().map(str::to_string).collect();
         for name in names {
-            let entries: Vec<(Tuple, u64)> = match self.store.relation(&name) {
+            let entries: Vec<(Tuple, u64)> = match self.store().relation(&name) {
                 Some(rel) => rel.iter().map(|s| (s.tuple.clone(), s.seq)).collect(),
                 None => continue,
             };
             for (tuple, seq) in entries {
-                self.queue
-                    .push_back((TupleDelta::insert(name.clone(), tuple), seq));
+                self.fixpoint
+                    .enqueue(TupleDelta::insert(name.clone(), tuple), seq);
             }
         }
     }
@@ -331,364 +368,27 @@ impl NodeEngine {
     /// Returns the current aggregate value governing a selection relation
     /// group, if any (used by tests).
     pub fn current_best(&self, relation: &str, tuple: &Tuple) -> Option<ndlog_lang::Value> {
-        self.selections
-            .iter()
-            .find(|(sel, _)| sel.relation == relation)
-            .and_then(|(_, idx)| self.views[*idx].current_for(tuple))
+        self.site
+            .selection_entry(relation)
+            .and_then(|(_, idx)| self.fixpoint.views()[*idx].current_for(tuple))
     }
 
-    /// Apply a delta to the local store, with aggregate-selection pruning,
-    /// view maintenance and change tracking; queue whatever changed.
-    fn ingest(&mut self, delta: TupleDelta) {
-        // Aggregate-selection pruning: drop insertions that cannot improve
-        // their group's aggregate.
-        if self.config.aggregate_selections && delta.sign == Sign::Insert {
-            if let Some((sel, view_idx)) = self
-                .selections
-                .iter()
-                .find(|(sel, _)| sel.relation == delta.relation)
-            {
-                if let (Some(candidate), Some(current)) = (
-                    delta.tuple.get(sel.value_col).and_then(|v| v.as_f64()),
-                    self.views[*view_idx]
-                        .current_for(&delta.tuple)
-                        .and_then(|v| v.as_f64()),
-                ) {
-                    if !sel.is_better(candidate, current) {
-                        // A re-announcement of the reigning best tuple is
-                        // "not strictly better" too, but it must still
-                        // reach the store so its soft-state expiry moves
-                        // forward (the Duplicate outcome propagates
-                        // nothing); everything else is pruned outright.
-                        if self
-                            .store
-                            .relation(&delta.relation)
-                            .is_some_and(|r| r.contains(&delta.tuple))
-                        {
-                            self.store.apply(&delta);
-                            self.refresh_view_outputs(&delta);
-                        }
-                        self.pruned += 1;
-                        return;
-                    }
-                }
-            }
-        }
-
-        let effect = self.store.apply(&delta);
-        let seq = effect.seq;
-        // A duplicate insertion (nothing to propagate) still re-exercised
-        // the derivations downstream of this tuple; aggregate-view outputs
-        // emit nothing when the best is unchanged, so their soft-state
-        // expiry has to be moved forward here.
-        if delta.sign == Sign::Insert && effect.propagate.is_empty() {
-            self.refresh_view_outputs(&delta);
-        }
-        for prop in effect.propagate {
-            if prop.sign == Sign::Delete {
-                // An actual removal (count reached zero, or the old half
-                // of a replacement): seed the next DRed pass instead of
-                // cascading by count. The views are not fed — the pass
-                // rebuilds the affected groups from the store.
-                self.pending_deletes.push(prop);
-                continue;
-            }
-            self.after_store_change(prop, seq);
-        }
-    }
-
-    /// Bookkeeping after a real insertion: tracking, view maintenance,
-    /// queueing.
-    /// A duplicate insertion of a view's source tuple keeps that group's
-    /// aggregate derivable, so the group's current output tuple must have
-    /// its soft-state expiry refreshed along with the source — the view
-    /// itself emits nothing while the best is unchanged. Only outputs
-    /// still present in the store are touched (a bare store insert here
-    /// would bypass the tracking/queueing bookkeeping).
-    fn refresh_view_outputs(&mut self, delta: &TupleDelta) {
-        for view in &self.views {
-            if view.source_relation() != delta.relation {
-                continue;
-            }
-            let Some(key) = view.group_key(&delta.tuple) else {
-                continue;
-            };
-            let Some(best) = view.current_output(&key) else {
-                continue;
-            };
-            if self
-                .store
-                .relation(view.head_relation())
-                .is_some_and(|r| r.contains(best))
-            {
-                self.store
-                    .apply(&TupleDelta::insert(view.head_relation(), best.clone()));
-            }
-        }
-    }
-
-    fn after_store_change(&mut self, delta: TupleDelta, seq: u64) {
-        // A propagated insert is a 0 → >0 visibility transition.
-        self.tap.record(&delta);
-        if self.config.tracked_relations.contains(&delta.relation) {
-            self.changes.push(ResultChange {
-                relation: delta.relation.clone(),
-                tuple: delta.tuple.clone(),
-                sign: delta.sign,
-            });
-        }
-        // Feed aggregate views; their outputs are local (aggregate rules
-        // are local rules) and are ingested recursively.
-        let mut view_outputs = Vec::new();
-        for view in &mut self.views {
-            if view.source_relation() == delta.relation {
-                view_outputs.extend(view.apply(&self.store, &delta));
-            }
-        }
-        self.queue.push_back((delta, seq));
-        for out in view_outputs {
-            self.ingest(out);
-        }
-    }
-
-    /// Send a derivation headed at another node along its link, honoring
-    /// the blocked-relation set and the hold-for-flush buffers.
-    fn route_remote(
-        &mut self,
-        dest: NodeAddr,
-        delta: TupleDelta,
-        outbound: &mut BTreeMap<NodeAddr, Vec<TupleDelta>>,
-        request_flush: &mut bool,
-    ) {
-        if self.config.blocked_relations.contains(&delta.relation) {
-            return;
-        }
-        let hold_for_sharing = self.config.sharing_delay.is_some();
-        let hold_for_periodic = self.config.periodic_flush.is_some()
-            && self
-                .selections
-                .iter()
-                .any(|(sel, _)| sel.relation == delta.relation);
-        if hold_for_sharing || hold_for_periodic {
-            self.held.push((dest, delta));
-            *request_flush = true;
-        } else {
-            outbound
-                .entry(dest)
-                .or_insert_with(|| self.arena.rent())
-                .push(delta);
-        }
-    }
-
-    /// Run one DRed pass over the pending removals: over-delete the local
-    /// downstream closure (shipping deletion derivations headed at other
-    /// nodes), rebuild the pinned aggregate groups, and re-ingest the
-    /// surviving derivations. Remote over-deletions may over-approximate;
-    /// the re-derive cascade re-ships the insertions that still hold, so
-    /// the net effect at every receiver is exact.
-    fn run_dred(
-        &mut self,
-        outbound: &mut BTreeMap<NodeAddr, Vec<TupleDelta>>,
-        request_flush: &mut bool,
-    ) -> Result<(), EvalError> {
-        let seeds = std::mem::take(&mut self.pending_deletes);
-        let mut joins = JoinStats::default();
-        let mut marking = dred::over_delete(
-            &mut self.store,
-            &self.strands,
-            &self.views,
-            seeds,
-            Some(self.addr),
-            &mut joins,
-        )?;
-        // Each removal is one processed delta, and a tracked-relation
-        // change the result log must see.
-        self.stats.iterations += marking.removed.len();
-        self.stats.tuples_processed += marking.removed.len();
-        for delta in &marking.removed {
-            // Every marked tuple actually left the store; re-derived
-            // survivors come back through `ingest` as inserts.
-            self.tap.record(delta);
-            if self.config.tracked_relations.contains(&delta.relation) {
-                self.changes.push(ResultChange {
-                    relation: delta.relation.clone(),
-                    tuple: delta.tuple.clone(),
-                    sign: Sign::Delete,
-                });
-            }
-        }
-        for (dest, delta) in std::mem::take(&mut marking.remote) {
-            self.route_remote(dest, delta, outbound, request_flush);
-        }
-        let mut inserts: Vec<TupleDelta> = Vec::new();
-        for (view_idx, key) in &marking.dirty_groups {
-            inserts.extend(self.views[*view_idx].rebuild_group(&self.store, key, &mut joins));
-        }
-        for candidate in marking.rederive_candidates() {
-            inserts.extend(dred::rederive_inserts(
-                &self.store,
-                &self.strands,
-                candidate,
-                &mut joins,
-            )?);
-        }
-        self.stats.derivations += inserts.len();
-        self.stats.absorb_joins(joins);
-        for delta in inserts {
-            debug_assert_eq!(delta.sign, Sign::Insert);
-            self.ingest(delta);
-        }
-        Ok(())
-    }
-
-    /// Run queued work to a local fixpoint, producing outbound messages and
-    /// tracked-relation changes. Pending removals are drained first (and
-    /// whenever an insertion cascade causes further removals), so every
-    /// retraction is handled by a DRed pass before dependent insertions
-    /// fire.
-    ///
-    /// The queue is consumed in **delta batches**: every currently queued
-    /// insertion fires against one store snapshot through the strands'
-    /// slot-compiled batch plans (flat reusable buffers, no per-environment
-    /// allocation), and the precomputed derivations are then routed/ingested
-    /// trigger by trigger in the exact tuple-at-a-time order. Firing
-    /// before sibling ingests is PSN-exact — sibling derivations carry
-    /// timestamps above every batch trigger's visibility limit — and any
-    /// mid-batch removal invalidates the batch remainder, which returns to
-    /// the queue front and re-fires after the DRed pass.
+    /// Run queued work to a local fixpoint (pipelined semi-naive, consumed
+    /// in delta batches — see `ndlog_runtime::fixpoint`), producing
+    /// outbound messages and tracked-relation changes.
     pub fn process(&mut self) -> Result<ProcessOutput, EvalError> {
-        let mut outbound: BTreeMap<NodeAddr, Vec<TupleDelta>> = BTreeMap::new();
-        let mut request_flush = false;
-
-        loop {
-            if !self.pending_deletes.is_empty() {
-                self.run_dred(&mut outbound, &mut request_flush)?;
-                continue;
-            }
-            if self.queue.is_empty() {
-                break;
-            }
-            let round: Vec<(TupleDelta, u64)> = self.queue.drain(..).collect();
-            let mut per_trigger = self.fire_batch_round(&round)?;
-            let mut consumed = round.len();
-            for (i, derived) in per_trigger.iter_mut().enumerate() {
-                self.stats.iterations += 1;
-                self.stats.tuples_processed += 1;
-                self.stats.derivations += derived.len();
-                for derivation in derived.drain(..) {
-                    match derivation.location {
-                        Some(dest) if dest != self.addr => {
-                            self.route_remote(
-                                dest,
-                                derivation.delta,
-                                &mut outbound,
-                                &mut request_flush,
-                            );
-                        }
-                        _ => {
-                            // Local derivation (or location-free test
-                            // program).
-                            self.ingest(derivation.delta);
-                        }
-                    }
-                }
-                if !self.pending_deletes.is_empty() {
-                    consumed = i + 1;
-                    break;
-                }
-            }
-            // A mid-batch removal invalidates the remaining precomputed
-            // firings: their triggers return to the queue front (still
-            // ahead of any derivation ingested above) and re-fire against
-            // the post-DRed store on the next loop turn.
-            for entry in round.into_iter().skip(consumed).rev() {
-                self.queue.push_front(entry);
-            }
-        }
-
-        Ok(ProcessOutput {
-            outbound,
-            changes: std::mem::take(&mut self.changes),
-            request_flush,
-        })
-    }
-
-    /// Fire every strand over a batch of applied-but-unfired insertion
-    /// deltas against the current store snapshot, returning each trigger's
-    /// derivations in the order the tuple-at-a-time loop would route them
-    /// (strands in declaration order per trigger). Triggers whose tuple a
-    /// DRed pass has since over-deleted (or a replacement vacated) yield
-    /// nothing: the consequences are moot, and a re-derived tuple fires
-    /// through its own queued insert. That status cannot change mid-batch,
-    /// because any removal interrupts the batch for a DRed pass before the
-    /// next trigger is consumed.
-    fn fire_batch_round(
-        &mut self,
-        round: &[(TupleDelta, u64)],
-    ) -> Result<Vec<Vec<Derivation>>, EvalError> {
-        let mut per_trigger: Vec<Vec<Derivation>> = round.iter().map(|_| Vec::new()).collect();
-        let live: Vec<bool> = round
-            .iter()
-            .map(|(delta, _)| {
-                debug_assert_eq!(delta.sign, Sign::Insert);
-                self.store
-                    .relation(&delta.relation)
-                    .is_some_and(|r| r.contains(&delta.tuple))
-            })
-            .collect();
-        let mut joins = JoinStats::default();
-        // Arm the cross-rule probe cache for this round when the plans
-        // share probe signatures: every strand fires against this one
-        // store snapshot (ingestion happens after the round), so cached
-        // candidate sets stay valid for exactly the cache's lifetime.
-        let mut cache = (!self.shared_sigs.is_empty())
-            .then(|| ndlog_runtime::subplan::ProbeCache::new(&self.shared_sigs));
-        let mut triggers: Vec<BatchTrigger> = Vec::new();
-        let mut indices: Vec<usize> = Vec::new();
-        for strand in self.strands.iter() {
-            triggers.clear();
-            indices.clear();
-            for (i, (delta, seq)) in round.iter().enumerate() {
-                if live[i] && strand.trigger_relation() == delta.relation {
-                    triggers.push(BatchTrigger {
-                        delta,
-                        seq_limit: *seq,
-                    });
-                    indices.push(i);
-                }
-            }
-            if triggers.is_empty() {
-                continue;
-            }
-            match cache.as_mut() {
-                Some(cache) => strand.fire_batch_shared(
-                    &self.store,
-                    &triggers,
-                    &mut joins,
-                    &mut self.scratch,
-                    &mut self.batch_out,
-                    cache,
-                )?,
-                None => strand.fire_batch(
-                    &self.store,
-                    &triggers,
-                    &mut joins,
-                    &mut self.scratch,
-                    &mut self.batch_out,
-                )?,
-            }
-            self.batch_out
-                .drain_into(|local, derivation| per_trigger[indices[local]].push(derivation));
-        }
-        self.stats.absorb_joins(joins);
-        Ok(per_trigger)
+        self.fixpoint.run(Strategy::Pipelined, &mut self.site)?;
+        Ok(std::mem::take(&mut self.site.output))
     }
 
     /// The flush interval currently in effect (sharing delay takes
     /// precedence over the periodic-selection interval when both are set,
     /// since it is the shorter-lived buffer in the paper's experiments).
     pub fn flush_interval(&self) -> Option<SimTime> {
-        self.config.sharing_delay.or(self.config.periodic_flush)
+        self.site
+            .config
+            .sharing_delay
+            .or(self.site.config.periodic_flush)
     }
 
     /// Flush held outbound tuples.
@@ -702,12 +402,13 @@ impl NodeEngine {
     /// *moved* out of the held buffer into arena-rented wire buffers — the
     /// flush tail allocates no tuples and clones no deltas.
     pub fn flush(&mut self) -> BTreeMap<NodeAddr, Vec<TupleDelta>> {
-        let held = std::mem::take(&mut self.held);
+        let site = &mut self.site;
+        let held = std::mem::take(&mut site.held);
         // Group keys that contain any deletion are exempt from deduplication.
         let mut has_delete: BTreeSet<(NodeAddr, String, Vec<ndlog_lang::Value>)> = BTreeSet::new();
         for (dest, delta) in &held {
             if delta.sign == Sign::Delete {
-                if let Some(key) = self.group_key(delta) {
+                if let Some(key) = site.group_key(delta) {
                     has_delete.insert((*dest, delta.relation.clone(), key));
                 }
             }
@@ -718,15 +419,11 @@ impl NodeEngine {
         let mut best: BTreeMap<(NodeAddr, String, Vec<ndlog_lang::Value>), (usize, f64)> =
             BTreeMap::new();
         for (idx, (dest, delta)) in held.iter().enumerate() {
-            let Some(sel) = self.selection_for(&delta.relation) else {
-                verbatim[idx] = true;
-                continue;
-            };
-            if delta.sign == Sign::Delete {
-                verbatim[idx] = true;
-                continue;
-            }
-            let Some(key) = self.group_key(delta) else {
+            let (Some(sel), Sign::Insert, Some(key)) = (
+                site.selection_for(&delta.relation),
+                delta.sign,
+                site.group_key(delta),
+            ) else {
                 verbatim[idx] = true;
                 continue;
             };
@@ -752,26 +449,11 @@ impl NodeEngine {
         for (idx, (dest, delta)) in held.into_iter().enumerate() {
             if verbatim[idx] || winners.contains(&idx) {
                 out.entry(dest)
-                    .or_insert_with(|| self.arena.rent())
+                    .or_insert_with(|| site.arena.rent())
                     .push(delta);
             }
         }
         out
-    }
-
-    fn selection_for(&self, relation: &str) -> Option<&AggSelectionSpec> {
-        self.selections
-            .iter()
-            .find(|(sel, _)| sel.relation == relation)
-            .map(|(sel, _)| sel)
-    }
-
-    fn group_key(&self, delta: &TupleDelta) -> Option<Vec<ndlog_lang::Value>> {
-        let sel = self.selection_for(&delta.relation)?;
-        if sel.group_cols.iter().any(|&c| delta.tuple.get(c).is_none()) {
-            return None;
-        }
-        Some(delta.tuple.project(&sel.group_cols))
     }
 }
 
@@ -870,6 +552,12 @@ mod tests {
         node.process().unwrap();
         assert_eq!(node.store().count("path"), 2);
         assert_eq!(node.pruned(), 0);
+        assert_eq!(node.eval_stats().redundant_derivations, 0);
+        // A second arrival of a stored path is a duplicate insertion.
+        node.receive(vec![TupleDelta::insert("path", path(1, 5.0))]);
+        node.process().unwrap();
+        assert_eq!(node.store().count("path"), 2);
+        assert_eq!(node.eval_stats().redundant_derivations, 1);
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!
 //! Real delta batches are key-skewed: path exploration and flooding
 //! dissemination hand a strand hundreds of triggers that probe the same
-//! join key. The default (grouped) probe stage therefore partitions the
+//! join key. The probe stage therefore partitions the
 //! surviving rows by probe-key value — first-occurrence order, so the
 //! grouping is deterministic and independent of interner id assignment —
 //! executes **one** index lookup per distinct key
@@ -31,8 +31,8 @@
 //! guarantees every residual `CheckSlot` refers to a slot bound by an
 //! earlier column of the same atom (any slot bound by an earlier stage is
 //! part of the probe key), so two rows with equal keys accept exactly the
-//! same candidates. The ungrouped stage (one lookup per row) survives as
-//! the differential reference.
+//! same candidates. A stage with a single surviving row has nothing to
+//! share and takes the per-row arm (one plain lookup) instead.
 //!
 //! # Equivalence contract
 //!
@@ -44,10 +44,10 @@
 //! nested tuple-at-a-time loops would have produced them. Join statistics
 //! are identical in *logical* terms — one logical probe (or scan) and the
 //! full bucket's `tuples_examined` are recorded per environment per atom,
-//! exactly like the tuple path, whether or not probes are grouped. Only
-//! `distinct_probes` (the bucket lookups actually executed) differs:
-//! grouped firing reports one per distinct key per atom, the ungrouped
-//! and tuple paths one per environment. The only other caller-visible
+//! exactly like the tuple path. Only `distinct_probes` (the bucket
+//! lookups actually executed) differs: batch firing reports one per
+//! distinct key per atom, the tuple path one per environment. The only
+//! other caller-visible
 //! divergence is *error selection* when several triggers of one batch
 //! fail: stages run batch-wide, so the first error in stage order may
 //! belong to a later trigger than the first error in trigger order (the
@@ -644,11 +644,10 @@ fn apply_ops(ops: &[BindOp], tuple: &Tuple, row: &mut [Option<Value>]) -> bool {
 }
 
 impl BatchPlan {
-    /// Drain a whole batch of trigger deltas through the compiled stages.
-    /// `grouped` selects key-grouped probe sharing (one index lookup per
-    /// distinct probe key per atom — the default) or the per-row reference
-    /// probing kept for differential testing. See the module docs for the
-    /// equivalence contract with the tuple-at-a-time `fire` path.
+    /// Drain a whole batch of trigger deltas through the compiled stages,
+    /// with key-grouped probe sharing (one index lookup per distinct probe
+    /// key per atom). See the module docs for the equivalence contract
+    /// with the tuple-at-a-time `fire` path.
     ///
     /// `cache`, when armed, extends the sharing across rules: grouped
     /// probe stages whose `(relation, cols)` signature the cache carries
@@ -658,7 +657,6 @@ impl BatchPlan {
     /// the per-event distributed workload fires mostly one-delta batches,
     /// and those are exactly the probes cross-rule sharing answers for
     /// free.
-    #[allow(clippy::too_many_arguments)] // hot path: flat args beat a param struct here
     pub(crate) fn fire_batch<'r>(
         &self,
         store: &'r Store,
@@ -666,7 +664,6 @@ impl BatchPlan {
         stats: &mut JoinStats,
         scratch: &mut BatchScratch,
         out: &mut BatchOutput,
-        grouped: bool,
         mut cache: Option<&mut ProbeCache<'r>>,
     ) -> Result<(), EvalError> {
         out.clear();
@@ -739,7 +736,7 @@ impl BatchPlan {
                     // one-delta batch. A cross-rule cache overrides this:
                     // single rows then take the grouped arm so their
                     // probes share with other strands of the round.
-                    let share = (grouped && origins.len() > 1) || cache.is_some();
+                    let share = origins.len() > 1 || cache.is_some();
                     if let (Some(stored), true) = (stored, share) {
                         group_and_probe(
                             stored,
@@ -782,7 +779,7 @@ impl BatchPlan {
                             }
                         }
                     } else if let Some(stored) = stored {
-                        // Ungrouped reference: one lookup per row.
+                        // The single-row fast path: one plain lookup.
                         for r in 0..origins.len() {
                             let origin = origins[r];
                             let row = &rows[r * width..(r + 1) * width];
@@ -886,7 +883,7 @@ impl BatchPlan {
                 ..
             } = &mut *scratch;
             let stored = store.relation(relation);
-            let share = (grouped && origins.len() > 1) || cache.is_some();
+            let share = origins.len() > 1 || cache.is_some();
             if origins.is_empty() {
                 // Nothing survived the earlier stages.
             } else if let (Some(stored), true) = (stored, share) {

@@ -238,7 +238,7 @@ pub fn over_delete(
             if triggers.is_empty() {
                 continue;
             }
-            strand.fire_batch(store, &triggers, stats, &mut scratch, &mut batch_out)?;
+            strand.fire_batch(store, &triggers, stats, &mut scratch, &mut batch_out, None)?;
             batch_out.drain_into(|_, derivation| match (self_addr, derivation.location) {
                 (Some(me), Some(dest)) if dest != me => {
                     remote.push((dest, derivation.delta));
@@ -297,7 +297,9 @@ pub fn over_delete(
 /// pins the trigger columns recorded by the planner
 /// ([`CompiledStrand::rederive_requirement`]), so candidate triggers come
 /// from an index probe when any column is pinned, and only derivations
-/// landing in the vacated key are kept.
+/// landing in the vacated key are kept. Each candidate fires as a
+/// one-trigger batch through the strand's slot-compiled plan (the caller's
+/// reusable buffers), whose join statistics equal the interpreter's.
 ///
 /// Derivations restored further downstream are *not* this function's job:
 /// the caller ingests the returned insertions through the normal pipelined
@@ -307,6 +309,8 @@ pub fn rederive_inserts(
     strands: &[CompiledStrand],
     deleted: &TupleDelta,
     stats: &mut JoinStats,
+    scratch: &mut BatchScratch,
+    batch_out: &mut BatchOutput,
 ) -> Result<Vec<TupleDelta>, EvalError> {
     let Some(relation) = store.relation(&deleted.relation) else {
         return Ok(Vec::new());
@@ -378,17 +382,19 @@ pub fn rederive_inserts(
             vals.len(),
             "pinned columns are key-var trigger columns"
         );
-        let candidates: Vec<Tuple> = trigger_relation
+        let candidates: Vec<TupleDelta> = trigger_relation
             .lookup(&cols, &vals, u64::MAX, stats)
-            .map(|s| s.tuple.clone())
+            .map(|s| TupleDelta::insert(strand.trigger_relation(), s.tuple.clone()))
             .collect();
-        for tuple in candidates {
-            let trigger = TupleDelta::insert(strand.trigger_relation().to_string(), tuple);
-            for derivation in strand.fire_counted(store, &trigger, u64::MAX, stats)? {
+        for delta in &candidates {
+            let seq_limit = u64::MAX;
+            let trigger = [BatchTrigger { delta, seq_limit }];
+            strand.fire_batch(store, &trigger, stats, scratch, batch_out, None)?;
+            batch_out.drain_into(|_, derivation| {
                 if schema.key_of(&derivation.delta.tuple) == key {
                     out.push(derivation.delta);
                 }
-            }
+            });
         }
     }
     Ok(out)
@@ -413,6 +419,16 @@ mod tests {
             .collect();
         store.declare_indexes(strands.iter());
         (store, strands)
+    }
+
+    /// [`rederive_inserts`] with throwaway statistics and buffers.
+    fn rederive(
+        store: &Store,
+        strands: &[CompiledStrand],
+        deleted: &TupleDelta,
+    ) -> Vec<TupleDelta> {
+        let (mut stats, mut scratch, mut out) = Default::default();
+        rederive_inserts(store, strands, deleted, &mut stats, &mut scratch, &mut out).unwrap()
     }
 
     const REACH: &str = r#"
@@ -536,8 +552,7 @@ mod tests {
         }
         store.apply(&TupleDelta::insert("reach", edge(1, 2)));
         let deleted = TupleDelta::delete("reach", edge(0, 2));
-        let mut stats = JoinStats::default();
-        let inserts = rederive_inserts(&store, &strands, &deleted, &mut stats).unwrap();
+        let inserts = rederive(&store, &strands, &deleted);
         // rc1 re-derives it from edge(0,2); rc2 from edge(0,1) + reach(1,2).
         assert_eq!(inserts.len(), 2);
         assert!(inserts
@@ -549,8 +564,7 @@ mod tests {
     fn rederive_finds_nothing_for_unsupported_tuples() {
         let (store, strands) = setup(REACH);
         let deleted = TupleDelta::delete("reach", edge(3, 4));
-        let mut stats = JoinStats::default();
-        let inserts = rederive_inserts(&store, &strands, &deleted, &mut stats).unwrap();
+        let inserts = rederive(&store, &strands, &deleted);
         assert!(inserts.is_empty());
     }
 
@@ -560,17 +574,9 @@ mod tests {
         // tuples.
         let (mut store, strands) = setup("r1 out(@S, 7) :- q(@S).");
         store.apply(&TupleDelta::insert("q", Tuple::new(vec![addr(0)])));
-        let mut stats = JoinStats::default();
         let hit = TupleDelta::delete("out", Tuple::new(vec![addr(0), Value::Int(7)]));
-        assert_eq!(
-            rederive_inserts(&store, &strands, &hit, &mut stats)
-                .unwrap()
-                .len(),
-            1
-        );
+        assert_eq!(rederive(&store, &strands, &hit).len(), 1);
         let miss = TupleDelta::delete("out", Tuple::new(vec![addr(0), Value::Int(8)]));
-        assert!(rederive_inserts(&store, &strands, &miss, &mut stats)
-            .unwrap()
-            .is_empty());
+        assert!(rederive(&store, &strands, &miss).is_empty());
     }
 }

@@ -83,8 +83,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JoinStats {
     /// Binding environments answered by an index probe (per trigger per
-    /// atom — identical across grouped, ungrouped and tuple-at-a-time
-    /// evaluation).
+    /// atom — identical across batch and tuple-at-a-time firing).
     pub logical_probes: usize,
     /// Bucket lookups actually executed. Equal to `logical_probes` on the
     /// tuple-at-a-time path; `≤ logical_probes` on the key-grouped batch

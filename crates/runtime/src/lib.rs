@@ -35,31 +35,32 @@
 //! * [`dred`] — DRed-style two-phase deletion maintenance (over-delete the
 //!   downstream closure in batched waves, then re-derive survivors), the
 //!   count-agnostic path every actual tuple removal takes;
-//! * [`evaluator`] — the three centralized evaluation strategies of
-//!   Section 3: semi-naive (SN, Algorithm 1), buffered semi-naive (BSN) and
-//!   pipelined semi-naive (PSN, Algorithm 3), with derivation statistics
-//!   used to validate Theorems 1 and 2.
+//! * [`fixpoint`] — the one local fixpoint driver: insert queue → batch
+//!   fire → DRed on removal → aggregate views → tap, on a soft-state
+//!   clock, with the three evaluation strategies of Section 3 —
+//!   semi-naive (SN, Algorithm 1), buffered semi-naive (BSN) and pipelined
+//!   semi-naive (PSN, Algorithm 3) — as its round policies, and the
+//!   derivation statistics used to validate Theorems 1 and 2;
+//! * [`evaluator`] — the centralized wrapper over [`fixpoint`].
 //!
-//! The distributed engine (`ndlog-core`) composes these pieces per node and
+//! The distributed engine (`ndlog-core`) wraps the same driver per node and
 //! adds the network, optimizations and update handling.
 //!
 //! # Performance
 //!
 //! The join hot path is benchmarked by `experiments micro` (release mode;
 //! CI runs it as a smoke step gated at 2× against the committed
-//! `BENCH_micro_runtime.json`, covering both the per-trigger and the
-//! grouped probe paths): a strand probing a 10⁴-tuple relation with 10
-//! matches per trigger, fired 256 triggers at a time over one store
-//! snapshot. The timed paths are the indexed tuple-at-a-time reference
-//! (`CompiledStrand::fire_counted`), the indexed batch-delta path without
-//! and with key-grouped probe sharing (`fire_batch_ungrouped` /
-//! `fire_batch`), the unindexed full scan, and a **duplicate-key**
-//! trigger set with Zipf-ish key frequencies fired through both batch
-//! paths. The methodology is deliberately simple: a fixed deterministic
-//! workload, one warmup pass, then a fixed number of timed passes,
-//! reported as µs per trigger.
+//! `BENCH_micro_runtime.json`): a strand probing a 10⁴-tuple relation
+//! with 10 matches per trigger, fired 256 triggers at a time over one
+//! store snapshot. The timed paths are the indexed tuple-at-a-time
+//! interpreter (`CompiledStrand::fire_counted`), the indexed batch-delta
+//! path (`CompiledStrand::fire_batch`), the unindexed full scan, and a
+//! **duplicate-key** trigger set with Zipf-ish key frequencies fired
+//! through the batch path. The methodology is deliberately simple: a
+//! fixed deterministic workload, one warmup pass, then a fixed number of
+//! timed passes, reported as µs per trigger.
 //!
-//! Two optimizations stack on the batch path:
+//! Three optimizations stack on the batch path:
 //!
 //! * **Key-grouped probe sharing** ([`batch`]): a delta batch's rows are
 //!   partitioned by probe-key value per body atom, each distinct key is
@@ -107,20 +108,21 @@
 //!
 //! Probe accounting is two-counter ([`index::JoinStats`]):
 //! `logical_probes` counts per binding environment (identical across
-//! grouped, ungrouped and tuple-at-a-time evaluation — what differential
-//! tests compare) and `distinct_probes` counts bucket lookups actually
-//! executed (`≤ logical` under grouping; both deterministic, so they
-//! participate in the cross-thread bitwise-identity checks). Batch firing
-//! is semantics-identical to tuple-at-a-time — `tests/properties.rs`
-//! proves stores identical and statistics equal (grouped ≡ ungrouped on
-//! every logical counter; equal modulo documented probe accounting vs the
-//! tuple loop), which the [`evaluator`] docs define precisely.
+//! batch and tuple-at-a-time firing of the same triggers against the same
+//! store — what differential tests compare) and `distinct_probes` counts
+//! bucket lookups actually executed (`≤ logical` under grouping; both
+//! deterministic, so they participate in the cross-thread
+//! bitwise-identity checks). Batch evaluation is semantics-identical to
+//! the tuple-at-a-time reference mode — `tests/properties.rs` proves
+//! stores identical and statistics equal modulo the probe accounting
+//! that [`Evaluator::set_batching`] documents.
 
 pub mod aggview;
 pub mod batch;
 pub mod dred;
 pub mod evaluator;
 pub mod expr;
+pub mod fixpoint;
 pub mod index;
 pub mod intern;
 pub mod relation;

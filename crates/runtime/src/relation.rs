@@ -370,8 +370,8 @@ impl Relation {
     /// (`distinct_probes += 1`) while the per-environment accounting is
     /// preserved via the multiplier (`logical_probes`/`scans` and
     /// `tuples_examined` grow by `members`× exactly as `members` separate
-    /// [`Relation::lookup`] calls would), so grouped and ungrouped
-    /// evaluation report identical logical counters.
+    /// [`Relation::lookup`] calls would), so grouped and per-trigger
+    /// probing report identical logical counters.
     pub fn lookup_n<'r, 'b>(
         &'r self,
         cols: &'b [usize],

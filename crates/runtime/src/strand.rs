@@ -293,63 +293,29 @@ impl CompiledStrand {
     /// `tuples_examined`); only `distinct_probes` shrinks to the number of
     /// bucket lookups actually executed. See the [`crate::batch`] module
     /// docs for the exact equivalence contract.
-    pub fn fire_batch(
-        &self,
-        store: &Store,
-        triggers: &[crate::batch::BatchTrigger],
-        stats: &mut JoinStats,
-        scratch: &mut crate::batch::BatchScratch,
-        out: &mut crate::batch::BatchOutput,
-    ) -> Result<(), EvalError> {
-        debug_assert!(triggers
-            .iter()
-            .all(|t| t.delta.relation == self.rule.trigger_relation));
-        self.batch
-            .fire_batch(store, triggers, stats, scratch, out, true, None)
-    }
-
-    /// [`CompiledStrand::fire_batch`] with a cross-rule probe cache
-    /// ([`crate::subplan`]): probe stages whose `(relation, cols)`
-    /// signature is armed in `cache` fetch their candidates through it,
-    /// so a `(relation, cols, key)` bucket lookup executes once per round
-    /// no matter how many strands share it. Derivations and the logical
-    /// join statistics are identical to [`CompiledStrand::fire_batch`];
-    /// only `distinct_probes` shrinks further (cache hits execute no
-    /// lookup), and single-trigger batches also take the grouped arm so
-    /// their probes participate in the sharing.
-    pub fn fire_batch_shared<'r>(
+    ///
+    /// With a cross-rule probe `cache` ([`crate::subplan`]), probe stages
+    /// whose `(relation, cols)` signature is armed in it fetch their
+    /// candidates through it, so a `(relation, cols, key)` bucket lookup
+    /// executes once per round no matter how many strands share it.
+    /// Derivations and the logical join statistics are unchanged; only
+    /// `distinct_probes` shrinks further (cache hits execute no lookup),
+    /// and single-trigger batches also take the grouped arm so their
+    /// probes participate in the sharing.
+    pub fn fire_batch<'r>(
         &self,
         store: &'r Store,
         triggers: &[crate::batch::BatchTrigger],
         stats: &mut JoinStats,
         scratch: &mut crate::batch::BatchScratch,
         out: &mut crate::batch::BatchOutput,
-        cache: &mut crate::subplan::ProbeCache<'r>,
+        cache: Option<&mut crate::subplan::ProbeCache<'r>>,
     ) -> Result<(), EvalError> {
         debug_assert!(triggers
             .iter()
             .all(|t| t.delta.relation == self.rule.trigger_relation));
         self.batch
-            .fire_batch(store, triggers, stats, scratch, out, true, Some(cache))
-    }
-
-    /// [`CompiledStrand::fire_batch`] without probe grouping: one index
-    /// lookup per trigger per atom, exactly the PR 4 batch path. Kept as
-    /// the differential reference — its `JoinStats` (including
-    /// `distinct_probes`) equal the tuple-at-a-time path's exactly.
-    pub fn fire_batch_ungrouped(
-        &self,
-        store: &Store,
-        triggers: &[crate::batch::BatchTrigger],
-        stats: &mut JoinStats,
-        scratch: &mut crate::batch::BatchScratch,
-        out: &mut crate::batch::BatchOutput,
-    ) -> Result<(), EvalError> {
-        debug_assert!(triggers
-            .iter()
-            .all(|t| t.delta.relation == self.rule.trigger_relation));
-        self.batch
-            .fire_batch(store, triggers, stats, scratch, out, false, None)
+            .fire_batch(store, triggers, stats, scratch, out, cache)
     }
 }
 
@@ -874,7 +840,14 @@ mod tests {
         let mut scratch = BatchScratch::default();
         let mut out = BatchOutput::default();
         link_strand
-            .fire_batch(&store, &triggers, &mut batch_stats, &mut scratch, &mut out)
+            .fire_batch(
+                &store,
+                &triggers,
+                &mut batch_stats,
+                &mut scratch,
+                &mut out,
+                None,
+            )
             .unwrap();
 
         let mut tuple_stats = JoinStats::default();
@@ -900,26 +873,6 @@ mod tests {
             "four triggers over two distinct keys probe twice"
         );
 
-        // The ungrouped batch path matches the tuple path's JoinStats
-        // bit-for-bit, derivations included.
-        let mut ungrouped_stats = JoinStats::default();
-        let mut ungrouped_out = BatchOutput::default();
-        link_strand
-            .fire_batch_ungrouped(
-                &store,
-                &triggers,
-                &mut ungrouped_stats,
-                &mut scratch,
-                &mut ungrouped_out,
-            )
-            .unwrap();
-        assert_eq!(
-            ungrouped_stats, tuple_stats,
-            "ungrouped accounting diverges"
-        );
-        for i in 0..deltas.len() {
-            assert_eq!(out.for_trigger(i), ungrouped_out.for_trigger(i));
-        }
         assert!(!out.for_trigger(0).is_empty());
         // Trigger 0 extends all 10 stored paths; trigger 1 (from node 7)
         // extends 9 — the cycle filter drops path(1, 7).
@@ -971,7 +924,7 @@ mod tests {
         let mut scratch = BatchScratch::default();
         let mut out = BatchOutput::default();
         link_strand
-            .fire_batch(&store, &triggers, &mut stats, &mut scratch, &mut out)
+            .fire_batch(&store, &triggers, &mut stats, &mut scratch, &mut out, None)
             .unwrap();
         assert_eq!(
             stats.distinct_probes, 1,
@@ -1000,7 +953,7 @@ mod tests {
         let mut scratch = BatchScratch::default();
         let mut out = BatchOutput::default();
         assert!(matches!(
-            strands[0].fire_batch(&store, &triggers, &mut stats, &mut scratch, &mut out),
+            strands[0].fire_batch(&store, &triggers, &mut stats, &mut scratch, &mut out, None),
             Err(EvalError::UnboundVariable(v)) if v == "X"
         ));
     }

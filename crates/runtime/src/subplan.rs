@@ -64,8 +64,7 @@ struct CachedProbe<'r> {
 
 /// A per-round cross-rule probe cache. Created fresh for each evaluation
 /// round (its borrows are tied to that round's frozen store) and passed
-/// to [`CompiledStrand::fire_batch_shared`] for every strand fired in the
-/// round.
+/// to [`CompiledStrand::fire_batch`] for every strand fired in the round.
 pub struct ProbeCache<'r> {
     /// The armed signatures, from [`shared_signatures`]. Probes outside
     /// this list bypass the cache entirely (linear scan: the list is a

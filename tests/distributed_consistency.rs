@@ -247,6 +247,13 @@ fn parallel_execution_is_deterministic_across_seeds_and_topologies() {
             };
 
             let sequential = run(1);
+            // Every overlay here has cycles, so some tuple is derived along
+            // two routes: nodes must count those duplicate insertions (the
+            // count is part of the `EvalStats` compared below).
+            assert!(
+                sequential.computation_stats().redundant_derivations > 0,
+                "topology {name}, seed {seed:#x}: no duplicate insertion counted"
+            );
             for threads in [2, 4] {
                 let parallel = run(threads);
                 check_bitwise_identical(&sequential, &parallel).unwrap_or_else(|e| {

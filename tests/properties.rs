@@ -8,13 +8,20 @@
 //! * aggregate views always equal a from-scratch recomputation of the
 //!   aggregate over their inputs;
 //! * parsing is stable under pretty-printing (display → parse round-trip);
-//! * link-restricted programs localize to single-site rule bodies.
+//! * link-restricted programs localize to single-site rule bodies;
+//! * the centralized evaluator and a single node engine — the two wrappers
+//!   over the one local fixpoint driver — agree on stores and statistics.
 
+use ndlog_core::{plan, NodeConfig, NodeEngine};
 use ndlog_lang::localize::{is_localized, localize};
 use ndlog_lang::{parse_program, programs, Value};
-use ndlog_runtime::{AggregateView, Evaluator, Strategy as EvalStrategy, Tuple, TupleDelta};
+use ndlog_net::NodeAddr;
+use ndlog_runtime::{
+    AggregateView, EvalStats, Evaluator, Strategy as EvalStrategy, Tuple, TupleDelta,
+};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// A random directed edge list over `n` nodes (no self-loops).
 fn edges_strategy(max_nodes: u32, max_edges: usize) -> impl Strategy<Value = Vec<(u32, u32, u8)>> {
@@ -208,27 +215,24 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Batch-delta evaluation — with and without key-grouped probe
-    /// sharing — is semantics-identical to the tuple-at-a-time reference
-    /// loop for every strategy: identical stores (tuples with their
-    /// derivation counts, timestamps and expiries) and identical
-    /// `EvalStats` *modulo probe-count accounting* against the tuple loop.
-    /// The probe counters (`logical_probes`, `distinct_probes`, `scans`,
-    /// `tuples_examined`) are deliberately excluded from the batch-vs-tuple
-    /// comparison: a batch fires every queued delta against one store
-    /// snapshot — buckets are probed before, rather than after, sibling
-    /// insertions that the PSN visibility limit would hide either way —
-    /// and a batch invalidated by a mid-batch removal re-fires its
-    /// remainder, re-counting those probes. Between the grouped and
-    /// ungrouped batch runs, however, the batches are identical, so every
-    /// *logical* counter (`logical_probes`, `scans`, `tuples_examined`)
-    /// must match exactly; grouping may only shrink `distinct_probes`
-    /// (`distinct ≤ logical` everywhere, with equality on the ungrouped
-    /// run). Everything else (iterations, processed tuples, derivations,
-    /// redundant derivations) must match exactly across all three modes,
-    /// as must the final stores down to sequence numbers.
+    /// Batch-delta evaluation (key-grouped probe sharing) is
+    /// semantics-identical to the tuple-at-a-time reference mode for every
+    /// strategy: identical stores (tuples with their derivation counts,
+    /// timestamps and expiries) and identical `EvalStats` *modulo
+    /// probe-count accounting* against the tuple mode. The probe counters
+    /// (`logical_probes`, `distinct_probes`, `scans`, `tuples_examined`)
+    /// are deliberately excluded from the batch-vs-tuple comparison: a
+    /// batch fires every queued delta against one store snapshot — buckets
+    /// are probed before, rather than after, sibling insertions that the
+    /// PSN visibility limit would hide either way — and a batch
+    /// invalidated by a mid-batch removal re-fires its remainder,
+    /// re-counting those probes; grouping may only shrink
+    /// `distinct_probes` (`distinct ≤ logical` everywhere). Everything
+    /// else (iterations, processed tuples, derivations, redundant
+    /// derivations) must match exactly across both modes, as must the
+    /// final stores down to sequence numbers.
     #[test]
-    fn grouped_and_ungrouped_batches_match_tuple_at_a_time(
+    fn grouped_batches_match_tuple_at_a_time(
         edges in edges_strategy(6, 10),
         updates in prop::collection::vec((0u32..6, 0u32..6, 1u8..6u8, prop::bool::ANY), 0..6),
     ) {
@@ -238,10 +242,9 @@ proptest! {
             EvalStrategy::Buffered { batch: 2 },
             EvalStrategy::Pipelined,
         ] {
-            let run = |batching: bool, grouping: bool| {
+            let run = |batching: bool| {
                 let mut eval = Evaluator::new(&program).unwrap();
                 eval.set_batching(batching);
-                eval.set_probe_grouping(grouping);
                 for &(a, b, c) in &edges {
                     eval.insert_fact("link", link(a, b, f64::from(c)));
                     eval.insert_fact("link", link(b, a, f64::from(c)));
@@ -262,24 +265,9 @@ proptest! {
                 }
                 (eval, stats)
             };
-            let (grouped, grouped_stats) = run(true, true);
-            let (ungrouped, ungrouped_stats) = run(true, false);
-            let (reference, reference_stats) = run(false, true);
+            let (grouped, grouped_stats) = run(true);
+            let (reference, reference_stats) = run(false);
 
-            // Grouped vs ungrouped batches: identical logical probe
-            // accounting, grouping only shrinks the executed lookups.
-            prop_assert_eq!(
-                grouped_stats.logical_probes, ungrouped_stats.logical_probes,
-                "{:?}: logical probe counts diverge under grouping", strategy
-            );
-            prop_assert_eq!(
-                grouped_stats.scans, ungrouped_stats.scans,
-                "{:?}: scan counts diverge under grouping", strategy
-            );
-            prop_assert_eq!(
-                grouped_stats.tuples_examined, ungrouped_stats.tuples_examined,
-                "{:?}: tuples-examined diverge under grouping", strategy
-            );
             prop_assert!(
                 grouped_stats.distinct_probes <= grouped_stats.logical_probes,
                 "{:?}: distinct probes exceed logical", strategy
@@ -289,10 +277,7 @@ proptest! {
                 "{:?}: tuple-path distinct probes exceed logical", strategy
             );
 
-            for (label, this, this_stats) in [
-                ("ungrouped batch", &ungrouped, &ungrouped_stats),
-                ("tuple-at-a-time", &reference, &reference_stats),
-            ] {
+            for (label, this, this_stats) in [("tuple-at-a-time", &reference, &reference_stats)] {
                 prop_assert_eq!(
                     grouped_stats.iterations, this_stats.iterations,
                     "{:?}/{}: iteration counts diverge", strategy, label
@@ -336,6 +321,90 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+
+    /// The centralized `Evaluator` (PSN) and a single default-config
+    /// `NodeEngine` are wrappers over the same local fixpoint driver: fed
+    /// the same delta bursts on the same clock — a keyed soft-state
+    /// relation (replacements, expiry), a hard-state projection, a `min<>`
+    /// aggregate view with a soft-state output and a join on it — they
+    /// end with identical stores (tuples, derivation counts, timestamps,
+    /// expiries) and identical `EvalStats`, duplicate-insertion count and
+    /// refreshed view-output expiries included.
+    #[test]
+    fn evaluator_and_single_node_engine_agree(
+        bursts in prop::collection::vec(
+            prop::collection::vec((0u32..4, 1u8..6u8, prop::bool::ANY), 1..6),
+            1..6,
+        ),
+    ) {
+        let program = parse_program(
+            r#"
+            materialize(obs, keys(1,2), ttl(3)).
+            materialize(best, keys(1), ttl(3)).
+            materialize(seen, keys(1,2)).
+            r1 seen(@S, K) :- obs(@S, K, C).
+            r2 best(@S, min<C>) :- obs(@S, K, C).
+            r3 argbest(@S, K, C) :- best(@S, C), obs(@S, K, C).
+            "#,
+        )
+        .unwrap();
+        let query_plan = plan(&program).unwrap();
+        let mut eval = Evaluator::new(&query_plan.program).unwrap();
+        let mut node = NodeEngine::new(
+            NodeAddr(0),
+            std::slice::from_ref(&query_plan),
+            Arc::new(query_plan.strands.clone()),
+            NodeConfig::default(),
+        )
+        .unwrap();
+
+        let obs = |k: u32, c: u8| {
+            Tuple::new(vec![
+                Value::addr(0u32),
+                Value::Int(i64::from(k)),
+                Value::Int(i64::from(c)),
+            ])
+        };
+        // Bursts arrive 1 s apart, so a tuple some burst re-inserts keeps
+        // having its 3 s TTL refreshed; the last step is a lone 2 s jump
+        // that expires whatever the final burst did not refresh.
+        let steps = bursts
+            .iter()
+            .map(|burst| (1_000_000u64, burst.as_slice()))
+            .chain([(2_000_000u64, &[][..])]);
+        let mut eval_stats = EvalStats::default();
+        let mut now = 0u64;
+        for (advance, burst) in steps {
+            now += advance;
+            let deltas: Vec<TupleDelta> = burst
+                .iter()
+                .map(|&(k, c, insert)| {
+                    if insert {
+                        TupleDelta::insert("obs", obs(k, c))
+                    } else {
+                        TupleDelta::delete("obs", obs(k, c))
+                    }
+                })
+                .collect();
+            eval.set_time(now);
+            eval.expire_soft_state(now);
+            eval_stats += eval.update_batch(deltas.clone()).unwrap();
+            node.set_time(now);
+            node.expire_soft_state(now);
+            node.receive(deltas);
+            node.process().unwrap();
+        }
+
+        prop_assert_eq!(eval_stats, node.eval_stats());
+        prop_assert_eq!(eval.store().current_seq(), node.store().current_seq());
+        let names: Vec<&str> = eval.store().relation_names().collect();
+        prop_assert_eq!(&names, &node.store().relation_names().collect::<Vec<_>>());
+        for name in names {
+            let a: Vec<_> = eval.store().relation(name).unwrap().iter().collect();
+            let b: Vec<_> = node.store().relation(name).unwrap().iter().collect();
+            prop_assert_eq!(a, b, "relation {} diverges", name);
         }
     }
 }
