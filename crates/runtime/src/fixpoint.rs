@@ -394,6 +394,7 @@ impl LocalFixpoint {
             self.drain_deletions(hook)?;
             if round.is_empty() {
                 if self.queue.is_empty() {
+                    debug_assert_eq!(self.store.check_invariants(), Ok(()));
                     return Ok(());
                 }
                 let take = strategy.round_size(self.queue.len());

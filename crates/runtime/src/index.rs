@@ -11,8 +11,8 @@
 //!   concrete values (a *bound-column signature*, the same notion index-
 //!   driven homomorphism search uses for conceptual-graph matching);
 //! * a [`SecondaryIndex`] maps each distinct projection of a relation onto
-//!   that signature to a [`Bucket`] holding the matching tuples, so a
-//!   probe touches exactly the matching tuples;
+//!   that signature to a bucket of the matching rows, so a probe touches
+//!   exactly the matching tuples;
 //! * [`crate::relation::Relation`] maintains its indexes incrementally on
 //!   insert, key-replacement, deletion and soft-state expiry, and answers
 //!   [`crate::relation::Relation::probe`] in O(matches).
@@ -21,39 +21,31 @@
 //! engines collect every compiled strand's signatures up front), never per
 //! join.
 //!
-//! # Interned keys, columnar buckets
+//! # Id keys, slot buckets
 //!
-//! Bucket keys are **interned**: a projection is mapped through the global
-//! [`crate::intern`] table to a fixed-size `[ValueId]`, so maintaining or
-//! probing an index hashes and compares `u32` ids instead of whole values
-//! (a path-vector column no longer walks its list per index operation),
-//! and the bucket map never clones projected `Value`s. Probe keys use the
-//! read-only [`crate::intern::lookup`] path: a never-interned probe value
-//! cannot match any stored tuple, so the probe answers "empty" without
-//! growing the table.
+//! An index stores no value and no tuple. A bucket key is the projection
+//! of a row's column ids (the relation's dictionary, [`crate::intern`])
+//! onto the signature, and a bucket is a `Vec<u32>` of the relation's slab
+//! slots: filing, unfiling and probing hash and compare `u32`s, and a probe
+//! hit is one slab access away from its `StoredTuple`. A probe value with
+//! no id is stored in no row, so the probe answers "empty" without
+//! touching the index. A bucket that loses its last slot is dropped with
+//! its key, which is what lets the dictionary free an id when the last row
+//! holding it goes.
 //!
-//! Each [`Bucket`] is **columnar** (struct-of-arrays): parallel arrays of
-//! the member tuples' shared `Arc<[Value]>` primary keys (one allocation
-//! per stored tuple, reference-bumped into every index — kept only for
-//! deterministic ordering and materialization), their storage timestamps,
-//! and their full column values as contiguous per-column `ValueId` arrays.
-//! Visibility (`seq <= seq_limit`) and residual-column filtering therefore
-//! walk dense `u64`/`u32` arrays; only the surviving candidates pay the
-//! primary-key map lookup that materializes the stored tuple. The arrays
-//! are sorted by primary-key *value* (never by id), so probe results
-//! iterate in deterministic order and simulation runs stay bit-for-bit
-//! reproducible. Buckets accumulating tuples of differing arities (only
-//! possible in hand-built test stores) degrade to key/seq arrays with
-//! value-compared residuals.
+//! # Bucket order is by key value
 //!
-//! Maintenance of a columnar bucket is O(bucket size) per insert/remove
-//! (sorted `Vec` splicing across the parallel arrays) versus the old
-//! `BTreeSet`'s O(log n) — a deliberate trade: probe-side dense walks
-//! dominate maintenance in every measured workload, and real buckets are
-//! match sets (tens to hundreds of entries), not whole relations. A
-//! relation bulk-loading millions of tuples under one projection would
-//! want a hybrid (tree beyond a size threshold) — noted as a follow-on
-//! in the ROADMAP.
+//! The slots of a bucket are kept in the order of their rows' primary-key
+//! *values* — the order a `BTreeMap<Vec<Value>, _>` over the relation would
+//! give — never in id or slot order. Probe order decides the order strands
+//! derive tuples in, hence which of two same-key derivations lands first,
+//! which message carries what, and every deterministic count the
+//! differential tests and the benchmark compare; ids and slots depend on
+//! insertion and deletion history, which differs between the centralized
+//! evaluator, a node engine and a from-scratch oracle holding the same
+//! tuples. The relation supplies the position of a new row by binary
+//! search over the bucket (O(log n) key comparisons, O(n) `u32` shifting);
+//! removal finds the slot by scanning the `u32`s.
 //!
 //! # Probe accounting
 //!
@@ -67,10 +59,8 @@
 //! logical_probes` there; the tuple-at-a-time path performs one lookup per
 //! environment, so the two counters coincide.
 
-use crate::intern::{self, ValueId};
-use ndlog_lang::Value;
+use crate::intern::{FxBuild, ValueId};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// Join-level counters accumulated while firing strands: how many joins
 /// went through an index probe vs. a scan, how many bucket lookups were
@@ -142,133 +132,16 @@ impl IndexSignature {
     }
 }
 
-/// A bucket: the tuples sharing one projection, stored columnar
-/// (struct-of-arrays) in deterministic primary-key-value order. See the
-/// module docs for the layout.
-#[derive(Debug, Clone)]
-pub struct Bucket {
-    /// Shared primary keys, sorted by value (deterministic probe order).
-    keys: Vec<Arc<[Value]>>,
-    /// Parallel: the storage timestamp of each member tuple, for dense
-    /// visibility filtering.
-    seqs: Vec<u64>,
-    /// Columnar member payload: `cols[c][i]` is the interned id of column
-    /// `c` of member `i`. Empty once the bucket has degraded (mixed
-    /// arities).
-    cols: Vec<Vec<ValueId>>,
-    /// Whether `cols` is authoritative. A bucket degrades permanently when
-    /// tuples of differing arities are filed under it (hand-built test
-    /// stores only); residual filtering then falls back to comparing
-    /// materialized values.
-    columnar: bool,
-}
-
-impl Default for Bucket {
-    /// An empty bucket, columnar until proven mixed-arity.
-    fn default() -> Self {
-        Bucket {
-            keys: Vec::new(),
-            seqs: Vec::new(),
-            cols: Vec::new(),
-            columnar: true,
-        }
-    }
-}
-
-impl Bucket {
-    /// Number of member tuples.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Whether the bucket has no members.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// The member primary keys in deterministic (value-sorted) order.
-    pub fn keys(&self) -> impl Iterator<Item = &Arc<[Value]>> {
-        self.keys.iter()
-    }
-
-    /// The member primary key at `i`.
-    pub fn key(&self, i: usize) -> &Arc<[Value]> {
-        &self.keys[i]
-    }
-
-    /// The storage timestamp of member `i`.
-    pub fn seq(&self, i: usize) -> u64 {
-        self.seqs[i]
-    }
-
-    /// Whether the columnar payload is authoritative (uniform arity).
-    pub fn is_columnar(&self) -> bool {
-        self.columnar
-    }
-
-    /// The member arity when columnar.
-    pub fn arity(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// The dense id column `c`, parallel to `keys` (columnar buckets only).
-    pub fn column(&self, c: usize) -> Option<&[ValueId]> {
-        self.cols.get(c).map(Vec::as_slice)
-    }
-
-    /// File a member under its primary key, keeping the arrays sorted.
-    /// Returns false when the key is already present (idempotent add).
-    fn insert(&mut self, primary_key: Arc<[Value]>, tuple_ids: &[ValueId], seq: u64) -> bool {
-        let pos = match self
-            .keys
-            .binary_search_by(|k| k.as_ref().cmp(primary_key.as_ref()))
-        {
-            Ok(_) => return false,
-            Err(pos) => pos,
-        };
-        if self.columnar {
-            if self.keys.is_empty() {
-                self.cols = vec![Vec::new(); tuple_ids.len()];
-            } else if tuple_ids.len() != self.cols.len() {
-                // Mixed arities: degrade to key/seq arrays for good.
-                self.cols.clear();
-                self.columnar = false;
-            }
-        }
-        self.keys.insert(pos, primary_key);
-        self.seqs.insert(pos, seq);
-        if self.columnar {
-            for (c, col) in self.cols.iter_mut().enumerate() {
-                col.insert(pos, tuple_ids[c]);
-            }
-        }
-        true
-    }
-
-    /// Remove the member with this primary key. Returns whether it was
-    /// present.
-    fn remove(&mut self, primary_key: &[Value]) -> bool {
-        let Ok(pos) = self.keys.binary_search_by(|k| k.as_ref().cmp(primary_key)) else {
-            return false;
-        };
-        self.keys.remove(pos);
-        self.seqs.remove(pos);
-        for col in &mut self.cols {
-            col.remove(pos);
-        }
-        true
-    }
-}
-
-/// A hash index from an interned bound-column projection to the columnar
-/// bucket of tuples carrying it.
+/// A hash index from the id projection of a bound-column signature to the
+/// slab slots of the rows carrying it, each bucket in primary-key value
+/// order (see the module docs).
 #[derive(Debug, Clone)]
 pub struct SecondaryIndex {
     signature: IndexSignature,
-    buckets: HashMap<Box<[ValueId]>, Bucket>,
-    /// Total number of (projection, primary-key) entries, for accounting.
+    buckets: HashMap<Box<[ValueId]>, Vec<u32>, FxBuild>,
+    /// Total number of filed slots, for accounting.
     entries: usize,
-    /// Reusable id scratch for the maintenance (write) path.
+    /// Reusable projection buffer of the maintenance (write) path.
     scratch: Vec<ValueId>,
 }
 
@@ -277,7 +150,7 @@ impl SecondaryIndex {
     pub fn new(signature: IndexSignature) -> Self {
         SecondaryIndex {
             signature,
-            buckets: HashMap::new(),
+            buckets: HashMap::default(),
             entries: 0,
             scratch: Vec::new(),
         }
@@ -288,7 +161,7 @@ impl SecondaryIndex {
         &self.signature
     }
 
-    /// Number of (projection, primary-key) entries currently indexed.
+    /// Number of rows currently filed.
     pub fn len(&self) -> usize {
         self.entries
     }
@@ -298,118 +171,110 @@ impl SecondaryIndex {
         self.entries == 0
     }
 
-    /// Register a stored tuple under its (shared) primary key. `tuple_ids`
-    /// are the interned ids of *all* the tuple's columns (the relation
-    /// interns each stored tuple once and shares the ids across its
-    /// indexes); the bucket key is the projection onto this index's
-    /// signature, and the full ids become the bucket's columnar payload.
-    /// Tuples lacking a signature column (shorter arity) are skipped —
-    /// they stay unindexed and unreachable by probes on this signature,
-    /// matching residual-scan semantics.
-    pub fn add(&mut self, tuple_ids: &[ValueId], primary_key: Arc<[Value]>, seq: u64) {
-        self.scratch.clear();
-        for &c in self.signature.columns() {
-            match tuple_ids.get(c) {
-                Some(&id) => self.scratch.push(id),
-                None => return,
-            }
-        }
-        let bucket = self
-            .buckets
-            .entry(self.scratch.as_slice().into())
-            .or_default();
-        if bucket.insert(primary_key, tuple_ids, seq) {
-            self.entries += 1;
-        }
-    }
-
-    /// Remove a stored tuple's projection entry. Returns whether an entry
-    /// was actually removed (false indicates the index was already
-    /// consistent, e.g. a stale-deletion no-op). Resolves the projection
-    /// read-only: a projection containing a never-interned value cannot
-    /// have an entry, so removals never grow the intern table.
-    pub fn remove(&mut self, projection: &[&Value], primary_key: &[Value]) -> bool {
-        if !intern::lookup_refs_into(projection, &mut self.scratch) {
-            return false;
-        }
-        let Some(bucket) = self.buckets.get_mut(self.scratch.as_slice()) else {
-            return false;
-        };
-        let removed = bucket.remove(primary_key);
-        if removed {
-            self.entries -= 1;
-            if bucket.is_empty() {
-                self.buckets.remove(self.scratch.as_slice());
-            }
-        }
-        removed
-    }
-
-    /// The primary keys whose tuples project to `key_values`, in
-    /// deterministic (sorted) order. Empty when no tuple matches.
-    pub fn probe<'i>(&'i self, key_values: &[Value]) -> impl Iterator<Item = &'i Arc<[Value]>> {
-        self.bucket(key_values).into_iter().flat_map(Bucket::keys)
-    }
-
-    /// The bucket for one projection, if any — the eager form of
-    /// [`SecondaryIndex::probe`], used when the caller needs an iterator
-    /// that borrows only the index (not the probe key). Probe values are
-    /// resolved through the read-only interner path (one lock per probe,
-    /// a reusable thread-local id buffer, no allocation), so a
-    /// never-stored value answers `None` without growing the intern table.
-    pub fn bucket(&self, key_values: &[Value]) -> Option<&Bucket> {
-        thread_local! {
-            static PROBE_IDS: std::cell::RefCell<Vec<ValueId>> =
-                const { std::cell::RefCell::new(Vec::new()) };
-        }
-        PROBE_IDS.with(|ids| {
-            let mut ids = ids.borrow_mut();
-            if !intern::lookup_into(key_values, &mut ids) {
-                return None;
-            }
-            self.buckets.get(ids.as_slice())
-        })
-    }
-
     /// Number of distinct projections (buckets).
     pub fn bucket_count(&self) -> usize {
         self.buckets.len()
     }
 
-    /// Number of primary keys filed under one projection (0 when absent):
-    /// the tuples a probe on `key_values` examines.
-    pub fn bucket_size(&self, key_values: &[Value]) -> usize {
-        self.bucket(key_values).map_or(0, Bucket::len)
+    /// Project a row's ids onto the signature into `scratch`; false when
+    /// the row lacks a signature column.
+    fn project(&mut self, row_ids: &[ValueId]) -> bool {
+        self.scratch.clear();
+        for &c in self.signature.columns() {
+            match row_ids.get(c) {
+                Some(&id) => self.scratch.push(id),
+                None => return false,
+            }
+        }
+        true
+    }
+
+    /// File the row in `slot` under the projection of its ids. `place`
+    /// tells where in the bucket's key-value order the row belongs. Rows
+    /// lacking a signature column (shorter arity) are skipped — they stay
+    /// unindexed and unreachable by probes on this signature, matching
+    /// residual-scan semantics.
+    pub(crate) fn file(
+        &mut self,
+        row_ids: &[ValueId],
+        slot: u32,
+        place: impl FnOnce(&[u32]) -> usize,
+    ) {
+        if !self.project(row_ids) {
+            return;
+        }
+        match self.buckets.get_mut(self.scratch.as_slice()) {
+            Some(bucket) => {
+                debug_assert!(!bucket.contains(&slot), "slot {slot} filed twice");
+                bucket.insert(place(bucket), slot);
+            }
+            None => {
+                self.buckets
+                    .insert(self.scratch.as_slice().into(), vec![slot]);
+            }
+        }
+        self.entries += 1;
+    }
+
+    /// Unfile the row in `slot`, dropping its bucket when that empties.
+    /// Returns whether the slot was filed.
+    pub(crate) fn unfile(&mut self, row_ids: &[ValueId], slot: u32) -> bool {
+        if !self.project(row_ids) {
+            return false;
+        }
+        let Some(bucket) = self.buckets.get_mut(self.scratch.as_slice()) else {
+            return false;
+        };
+        let Some(pos) = bucket.iter().position(|&s| s == slot) else {
+            return false;
+        };
+        bucket.remove(pos);
+        self.entries -= 1;
+        if bucket.is_empty() {
+            self.buckets.remove(self.scratch.as_slice());
+        }
+        true
+    }
+
+    /// The slots whose rows project to `key` (the ids of the signature
+    /// columns, in signature order), in primary-key value order; empty
+    /// when no row does.
+    pub fn bucket(&self, key: &[ValueId]) -> &[u32] {
+        self.buckets.get(key).map_or(&[], Vec::as_slice)
+    }
+
+    /// Every `(projection, bucket)` pair, in no particular order.
+    pub(crate) fn buckets(&self) -> impl Iterator<Item = (&[ValueId], &[u32])> {
+        self.buckets.iter().map(|(k, b)| (&**k, b.as_slice()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuple::Tuple;
+    use crate::intern::Dictionary;
+    use ndlog_lang::Value;
 
-    fn vals(xs: &[i64]) -> Vec<Value> {
-        xs.iter().map(|&x| Value::Int(x)).collect()
+    /// Rows are numbered by their slot and ordered by it too, so `place`
+    /// is a plain binary search over the slots.
+    fn file(idx: &mut SecondaryIndex, dict: &mut Dictionary, row: &[i64], slot: u32) {
+        let values: Vec<Value> = row.iter().map(|&x| Value::Int(x)).collect();
+        let ids = dict.acquire_all(&values);
+        idx.file(&ids, slot, |b| b.partition_point(|&s| s < slot));
     }
 
-    fn key(xs: &[i64]) -> Arc<[Value]> {
-        vals(xs).into()
+    fn unfile(idx: &mut SecondaryIndex, dict: &Dictionary, row: &[i64], slot: u32) -> bool {
+        let values: Vec<Value> = row.iter().map(|&x| Value::Int(x)).collect();
+        let ids = dict.lookup_all(values.iter()).expect("row was filed");
+        idx.unfile(&ids, slot)
     }
 
-    /// File `tuple` (which doubles as its own primary key, as in keyless
-    /// relations) with a synthetic seq.
-    fn add(idx: &mut SecondaryIndex, tuple: &[i64], seq: u64) {
-        let t = Tuple::new(vals(tuple));
-        let refs: Vec<&Value> = t.values().iter().collect();
-        let mut ids = Vec::new();
-        intern::intern_into(&refs, &mut ids);
-        idx.add(&ids, key(tuple), seq);
-    }
-
-    fn remove(idx: &mut SecondaryIndex, tuple: &[i64]) -> bool {
-        let t = vals(tuple);
-        let proj: Vec<&Value> = idx.signature().columns().iter().map(|&c| &t[c]).collect();
-        idx.remove(&proj, &t)
+    fn probe<'i>(idx: &'i SecondaryIndex, dict: &Dictionary, key: &[i64]) -> &'i [u32] {
+        let values: Vec<Value> = key.iter().map(|&x| Value::Int(x)).collect();
+        match dict.lookup_all(values.iter()) {
+            Some(ids) => idx.bucket(&ids),
+            None => &[],
+        }
     }
 
     #[test]
@@ -422,92 +287,62 @@ mod tests {
     }
 
     #[test]
-    fn add_probe_remove_roundtrip() {
+    fn signature_coverage() {
+        let sig = IndexSignature::new(&[0, 2]);
+        assert!(sig.is_covered_by(&[0, 1, 2]));
+        assert!(sig.is_covered_by(&[0, 2]));
+        assert!(!sig.is_covered_by(&[0, 1]));
+        assert!(!sig.is_covered_by(&[2]));
+    }
+
+    #[test]
+    fn file_probe_unfile_roundtrip() {
+        let mut dict = Dictionary::default();
         let mut idx = SecondaryIndex::new(IndexSignature::new(&[0]));
-        add(&mut idx, &[1, 10], 1);
-        add(&mut idx, &[1, 20], 2);
-        add(&mut idx, &[2, 30], 3);
+        file(&mut idx, &mut dict, &[1, 20], 1);
+        file(&mut idx, &mut dict, &[1, 10], 0);
+        file(&mut idx, &mut dict, &[2, 30], 2);
         assert_eq!(idx.len(), 3);
         assert_eq!(idx.bucket_count(), 2);
+        assert_eq!(probe(&idx, &dict, &[1]), &[0, 1], "in `place` order");
+        assert!(probe(&idx, &dict, &[9]).is_empty());
 
-        let hits: Vec<&[Value]> = idx.probe(&vals(&[1])).map(|k| k.as_ref()).collect();
-        assert_eq!(hits, vec![&vals(&[1, 10])[..], &vals(&[1, 20])[..]]);
-        assert_eq!(idx.probe(&vals(&[9])).count(), 0);
-
-        assert!(remove(&mut idx, &[1, 10]));
-        assert!(!remove(&mut idx, &[1, 10]), "double remove is a no-op");
-        assert_eq!(idx.probe(&vals(&[1])).count(), 1);
-        assert!(remove(&mut idx, &[1, 20]));
+        assert!(unfile(&mut idx, &dict, &[1, 10], 0));
+        assert!(
+            !unfile(&mut idx, &dict, &[1, 10], 0),
+            "double unfile is a no-op"
+        );
+        assert_eq!(probe(&idx, &dict, &[1]), &[1]);
+        assert!(unfile(&mut idx, &dict, &[1, 20], 1));
         assert_eq!(idx.bucket_count(), 1, "empty buckets are dropped");
-        assert!(remove(&mut idx, &[2, 30]));
+        assert!(unfile(&mut idx, &dict, &[2, 30], 2));
         assert!(idx.is_empty());
+        assert_eq!(idx.buckets().count(), 0);
     }
 
     #[test]
-    fn duplicate_add_is_idempotent() {
-        let mut idx = SecondaryIndex::new(IndexSignature::new(&[1]));
-        add(&mut idx, &[0, 5], 1);
-        add(&mut idx, &[0, 5], 2);
-        assert_eq!(idx.len(), 1);
-        let bucket = idx.bucket(&vals(&[5])).unwrap();
-        assert_eq!(bucket.seq(0), 1, "the original entry keeps its seq");
+    fn composite_signature_keys_on_every_column() {
+        let mut dict = Dictionary::default();
+        let mut idx = SecondaryIndex::new(IndexSignature::new(&[2, 0]));
+        file(&mut idx, &mut dict, &[1, 5, 7], 0);
+        file(&mut idx, &mut dict, &[1, 6, 7], 1);
+        file(&mut idx, &mut dict, &[1, 6, 8], 2);
+        assert_eq!(probe(&idx, &dict, &[1, 7]), &[0, 1]);
+        assert_eq!(probe(&idx, &dict, &[1, 8]), &[2]);
+        assert!(
+            probe(&idx, &dict, &[7, 1]).is_empty(),
+            "signature column order"
+        );
     }
 
     #[test]
-    fn buckets_are_columnar_and_carry_seqs() {
-        let mut idx = SecondaryIndex::new(IndexSignature::new(&[1]));
-        add(&mut idx, &[7, 3, 40], 11);
-        add(&mut idx, &[5, 3, 30], 12);
-        let bucket = idx.bucket(&vals(&[3])).unwrap();
-        assert!(bucket.is_columnar());
-        assert_eq!(bucket.arity(), 3);
-        assert_eq!(bucket.len(), 2);
-        // Members sort by primary-key value: [5,3,30] before [7,3,40].
-        assert_eq!(bucket.key(0).as_ref(), &vals(&[5, 3, 30])[..]);
-        assert_eq!(bucket.seq(0), 12);
-        assert_eq!(bucket.seq(1), 11);
-        // The dense columns are parallel to the keys and resolve back to
-        // the stored values.
-        let col2 = bucket.column(2).unwrap();
-        assert_eq!(col2.len(), 2);
-        assert_eq!(intern::resolve(col2[0]), Value::Int(30));
-        assert_eq!(intern::resolve(col2[1]), Value::Int(40));
-        assert!(bucket.column(3).is_none());
-    }
-
-    #[test]
-    fn mixed_arity_bucket_degrades_but_stays_correct() {
-        let mut idx = SecondaryIndex::new(IndexSignature::new(&[0]));
-        add(&mut idx, &[9, 1], 1);
-        add(&mut idx, &[9, 1, 2], 2);
-        let bucket = idx.bucket(&vals(&[9])).unwrap();
-        assert!(!bucket.is_columnar(), "mixed arities degrade the bucket");
-        assert_eq!(bucket.len(), 2);
-        let hits: Vec<&[Value]> = idx.probe(&vals(&[9])).map(|k| k.as_ref()).collect();
-        assert_eq!(hits.len(), 2);
-        assert!(remove(&mut idx, &[9, 1]));
-        assert!(remove(&mut idx, &[9, 1, 2]));
-        assert!(idx.is_empty());
-    }
-
-    #[test]
-    fn short_tuples_stay_unindexed() {
+    fn short_rows_stay_unindexed() {
+        let mut dict = Dictionary::default();
         let mut idx = SecondaryIndex::new(IndexSignature::new(&[2]));
-        add(&mut idx, &[1], 1);
-        assert!(idx.is_empty(), "tuples lacking the column are skipped");
-        add(&mut idx, &[1, 2, 3], 2);
+        file(&mut idx, &mut dict, &[1], 0);
+        assert!(idx.is_empty(), "rows lacking the column are skipped");
+        assert!(!unfile(&mut idx, &dict, &[1], 0));
+        file(&mut idx, &mut dict, &[1, 2, 3], 1);
         assert_eq!(idx.len(), 1);
-    }
-
-    #[test]
-    fn never_interned_probe_value_is_an_empty_bucket() {
-        let mut idx = SecondaryIndex::new(IndexSignature::new(&[0]));
-        add(&mut idx, &[3, 1], 1);
-        // A value that was never stored anywhere cannot match; the probe
-        // must answer without interning it.
-        let novel = Value::str("index-test-never-stored-77ab");
-        assert!(idx.bucket(std::slice::from_ref(&novel)).is_none());
-        assert_eq!(idx.bucket_size(std::slice::from_ref(&novel)), 0);
-        assert_eq!(crate::intern::lookup(&novel), None);
     }
 }

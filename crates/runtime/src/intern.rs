@@ -1,59 +1,52 @@
-//! A global, thread-safe [`Value`] interner.
+//! The relation-local [`Value`] dictionary.
 //!
-//! Secondary-index maintenance used to clone every bound-column projection
-//! into an owned `Vec<Value>` bucket key, and every bucket lookup hashed
-//! and compared whole values — for path vectors that means walking an
-//! entire list per index operation. The interner collapses each distinct
-//! value to a fixed-size [`ValueId`] once, so index buckets hash and
-//! compare `u32`s instead of values (see [`crate::index`]).
+//! Every [`crate::relation::Relation`] owns one `Dictionary` mapping each
+//! distinct value stored in any of its columns to a fixed-size
+//! [`ValueId`]. A stored row keeps its column ids beside its tuple, the
+//! primary index and every secondary-index bucket are keyed by ids, and the
+//! hot paths — duplicate detection, membership tests, bucket lookups,
+//! residual filtering — hash and compare `u32`s: a path-vector column is
+//! hashed once when its tuple is interned and never walked again.
 //!
 //! # Semantics
 //!
-//! Id equality is exactly [`Value`] equality: two values intern to the same
-//! id if and only if `a == b`. Note that `Value`'s equality conflates
-//! numerically equal integers and floats (`Int(3) == Float(3.0)`), so both
-//! intern to one id — precisely the behaviour hash-map bucket keys had
-//! before interning, which is what keeps probes on mixed-numeric keys
-//! finding their tuples. `resolve` returns a value equal (in that same
-//! sense) to every value that interned to the id.
+//! Id equality is exactly [`Value`] equality *within one relation*: two
+//! values map to the same id if and only if `a == b`. `Value`'s equality
+//! conflates numerically equal integers and floats
+//! (`Int(3) == Float(3.0)`), so both map to one id — which is what keeps a
+//! probe with an integer key finding a tuple stored with a float. Ids of
+//! different relations are unrelated.
+//!
+//! # Lifetime
+//!
+//! The dictionary tracks stored data, not history. Each id carries a
+//! reference count — one per row column holding it — and the id, with its
+//! map entry, is freed when the last such row is released, then reused for
+//! the next new value. That is safe because a row is unfiled from the
+//! primary index and from every bucket before its ids are released, and
+//! empty buckets are dropped, so no key mentioning a freed id survives.
+//! Read paths (`Dictionary::lookup`) never add an entry: a value without
+//! an id is stored in no row, so the probe answers "no match".
+//!
+//! There is no process-global state and no lock: a dictionary belongs to
+//! its relation, is mutated only through `&mut Relation`, and is dropped
+//! with the engine that owns the store.
 //!
 //! # Determinism
 //!
-//! Ids are assigned in first-intern order, so they are **stable within a
-//! run** (an id never changes or is reused) but carry no meaning across
-//! runs and no relationship to `Value`'s ordering. Nothing ordered by ids
-//! is ever externally observable: ids key hash maps only, while every
-//! iteration order the engines expose (stored tuples, probe results) is
-//! still governed by `Value`/primary-key order. Concurrent interning from
-//! multiple executor threads may assign ids in different orders on
-//! different runs without affecting any result — which is why the parallel
-//! engine stays bit-for-bit identical to the sequential one.
-//!
-//! # Lifetime and leak policy
-//!
-//! Interned values are never freed: the table lives for the process and
-//! grows with the set of distinct values **ever stored in any column of
-//! an indexed relation** — since the columnar buckets of
-//! [`crate::index`] carry per-column id arrays, the relation write path
-//! ([`intern_all_into`]) interns whole tuples, not just the
-//! index-signature projections. Under churn workloads that is the
-//! cumulative history, not the currently stored data, so a
-//! very-long-running engine minting fresh values every burst (unique
-//! costs, fresh path vectors) trades memory for the id fast path (an
-//! explicit, documented trade; epoch-based reclamation is a possible
-//! follow-on). To
-//! keep transient values from growing the table, every non-storing path —
-//! probe keys *and* index removals — uses [`lookup`] (read-only): a value
-//! that was never interned cannot match any indexed tuple, so a miss
-//! simply means "no bucket".
+//! Ids and slab slots depend on insertion history and carry no relation to
+//! `Value`'s ordering. Nothing ordered by them is observable: they key
+//! hash maps only, and every iteration order the engines expose is by
+//! primary-key *value* (see [`crate::index`]). The maps use `FxHasher`,
+//! a fixed-seed multiply-rotate hasher, so two runs of one input build
+//! identical tables and take the same time.
 
 use ndlog_lang::Value;
 use std::collections::HashMap;
-use std::sync::{OnceLock, RwLock};
+use std::hash::{BuildHasherDefault, Hasher};
 
-/// A fixed-size handle to an interned [`Value`]. Id equality is `Value`
-/// equality (see the module docs for the numeric-conflation caveat).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// A fixed-size handle to a value of one relation's dictionary.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ValueId(u32);
 
 impl ValueId {
@@ -63,233 +56,321 @@ impl ValueId {
     }
 }
 
-#[derive(Default)]
-struct Inner {
-    ids: HashMap<Value, u32>,
-    values: Vec<Value>,
+/// Fx-style hasher: one rotate-xor-multiply per word, no seed. The
+/// multiply is folded (high half xored into the low half), because a plain
+/// one only carries upwards: a float's bit pattern ends in zeros, and so
+/// would its hash, while the table takes its bucket from the low bits.
+///
+/// No seed also means no defence against values crafted to collide, which
+/// the randomly seeded default hasher gave the interner this replaces.
+/// Simulated engines hash values they derived themselves; `ndlog serve`
+/// stores what its clients send, and bounding what one client can cost is
+/// the serve item of the ROADMAP.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct FxHasher(u64);
+
+/// Build-hasher of the id-keyed maps.
+pub(crate) type FxBuild = BuildHasherDefault<FxHasher>;
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        let wide = u128::from(self.0.rotate_left(5) ^ word) * 0x51_7c_c1_b7_27_22_0a_95;
+        self.0 = (wide as u64) ^ ((wide >> 64) as u64);
+    }
 }
 
-fn table() -> &'static RwLock<Inner> {
-    static TABLE: OnceLock<RwLock<Inner>> = OnceLock::new();
-    TABLE.get_or_init(|| RwLock::new(Inner::default()))
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.add(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+    fn write_u8(&mut self, v: u8) {
+        self.add(u64::from(v));
+    }
+    fn write_u32(&mut self, v: u32) {
+        self.add(u64::from(v));
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.add(v);
+    }
+    fn write_usize(&mut self, v: usize) {
+        self.add(v as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
-/// Intern a value, assigning a fresh id on first sight. Idempotent and
-/// thread-safe; the common re-intern case takes only a read lock.
-pub fn intern(value: &Value) -> ValueId {
-    {
-        let inner = table().read().expect("interner lock");
-        if let Some(&id) = inner.ids.get(value) {
+/// The ids of one tuple or probe key, on the stack up to
+/// [`IdBuf::INLINE`] columns.
+#[derive(Debug, Clone)]
+pub(crate) enum IdBuf {
+    Inline(usize, [ValueId; IdBuf::INLINE]),
+    Heap(Vec<ValueId>),
+}
+
+impl IdBuf {
+    const INLINE: usize = 8;
+
+    /// An empty buffer able to take `n` ids.
+    fn with_capacity(n: usize) -> Self {
+        if n <= Self::INLINE {
+            IdBuf::Inline(0, [ValueId::default(); Self::INLINE])
+        } else {
+            IdBuf::Heap(Vec::with_capacity(n))
+        }
+    }
+
+    /// Append an id (within the capacity asked for).
+    fn push(&mut self, id: ValueId) {
+        match self {
+            IdBuf::Inline(len, ids) => {
+                ids[*len] = id;
+                *len += 1;
+            }
+            IdBuf::Heap(ids) => ids.push(id),
+        }
+    }
+
+    /// The ids an iterator yields.
+    pub(crate) fn collect(ids: impl ExactSizeIterator<Item = ValueId>) -> Self {
+        let mut buf = Self::with_capacity(ids.len());
+        ids.for_each(|id| buf.push(id));
+        buf
+    }
+}
+
+impl std::ops::Deref for IdBuf {
+    type Target = [ValueId];
+    fn deref(&self) -> &[ValueId] {
+        match self {
+            IdBuf::Inline(len, ids) => &ids[..*len],
+            IdBuf::Heap(ids) => ids,
+        }
+    }
+}
+
+/// One relation's `Value → ValueId` map with per-id reference counts.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Dictionary {
+    ids: HashMap<Value, u32, FxBuild>,
+    /// Row columns holding each id; 0 = the id is on the free list.
+    refs: Vec<u32>,
+    free: Vec<u32>,
+}
+
+impl Dictionary {
+    /// Number of distinct values currently held.
+    pub(crate) fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    /// Ids assigned so far, held or free: the high-water mark of `len`.
+    pub(crate) fn id_space(&self) -> usize {
+        self.refs.len()
+    }
+
+    /// The id of a held value; `None` means no stored row carries it.
+    pub(crate) fn lookup(&self, value: &Value) -> Option<ValueId> {
+        self.ids.get(value).copied().map(ValueId)
+    }
+
+    /// [`Dictionary::lookup`] over a whole tuple or key; `None` as soon as
+    /// one value has no id.
+    pub(crate) fn lookup_all<'v>(
+        &self,
+        values: impl ExactSizeIterator<Item = &'v Value>,
+    ) -> Option<IdBuf> {
+        let mut ids = IdBuf::with_capacity(values.len());
+        for value in values {
+            ids.push(self.lookup(value)?);
+        }
+        Some(ids)
+    }
+
+    /// The id of `value`, assigned on first sight, with one more reference.
+    pub(crate) fn acquire(&mut self, value: &Value) -> ValueId {
+        if let Some(&id) = self.ids.get(value) {
+            self.refs[id as usize] += 1;
             return ValueId(id);
         }
+        let id = self.free.pop().unwrap_or_else(|| {
+            self.refs.push(0);
+            u32::try_from(self.refs.len() - 1).expect("dictionary overflow")
+        });
+        self.refs[id as usize] = 1;
+        self.ids.insert(value.clone(), id);
+        ValueId(id)
     }
-    let mut inner = table().write().expect("interner lock");
-    if let Some(&id) = inner.ids.get(value) {
-        return ValueId(id);
+
+    /// [`Dictionary::acquire`] every column of a tuple.
+    pub(crate) fn acquire_all(&mut self, values: &[Value]) -> IdBuf {
+        IdBuf::collect(values.iter().map(|value| self.acquire(value)))
     }
-    let id = u32::try_from(inner.values.len()).expect("interner overflow");
-    inner.values.push(value.clone());
-    inner.ids.insert(value.clone(), id);
-    ValueId(id)
-}
 
-/// Read-only lookup: the id of a previously interned value, or `None` when
-/// the value has never been interned (in which case no indexed tuple can
-/// carry it). Probe paths use this so transient probe keys never grow the
-/// table.
-pub fn lookup(value: &Value) -> Option<ValueId> {
-    table()
-        .read()
-        .expect("interner lock")
-        .ids
-        .get(value)
-        .copied()
-        .map(ValueId)
-}
-
-/// The value an id stands for (a clone; values are cheap to clone). When
-/// several `Value`-equal representations interned to the id (e.g. `Int(3)`
-/// and `Float(3.0)`), this returns the first one seen.
-pub fn resolve(id: ValueId) -> Value {
-    table().read().expect("interner lock").values[id.0 as usize].clone()
-}
-
-/// Intern every value of a projection into `out` (cleared first). The
-/// write path of index maintenance: stored values must always have ids.
-/// One read lock covers the whole key; only genuinely new values pay a
-/// write-lock round trip.
-pub fn intern_into(values: &[&Value], out: &mut Vec<ValueId>) {
-    out.clear();
-    out.reserve(values.len());
-    {
-        let inner = table().read().expect("interner lock");
-        for v in values {
-            match inner.ids.get(*v) {
-                Some(&id) => out.push(ValueId(id)),
-                None => break,
+    /// Drop one reference per column of a tuple; an id nobody holds any
+    /// more is freed with its map entry. `ids` must be what
+    /// [`Dictionary::acquire_all`] returned for `values`.
+    pub(crate) fn release_all(&mut self, values: &[Value], ids: &[ValueId]) {
+        debug_assert_eq!(values.len(), ids.len());
+        for (value, id) in values.iter().zip(ids) {
+            let refs = &mut self.refs[id.0 as usize];
+            *refs -= 1;
+            if *refs == 0 {
+                self.ids.remove(value);
+                self.free.push(id.0);
             }
         }
     }
-    for v in &values[out.len()..] {
-        out.push(intern(v));
-    }
-}
 
-/// Owned-slice variant of [`intern_into`], for the relation write path
-/// that interns every column of a stored tuple once and shares the ids
-/// across its indexes.
-pub fn intern_all_into(values: &[Value], out: &mut Vec<ValueId>) {
-    out.clear();
-    out.reserve(values.len());
-    {
-        let inner = table().read().expect("interner lock");
-        for v in values {
-            match inner.ids.get(v) {
-                Some(&id) => out.push(ValueId(id)),
-                None => break,
-            }
+    /// Check the map against the reference counts: `held[id]` is the number
+    /// of row columns the owner found holding `id`, each of which it has
+    /// looked up here, for every id in [`Dictionary::id_space`].
+    pub(crate) fn check(&self, held: &[u32]) -> Result<(), String> {
+        if let Some(id) = (0..self.refs.len()).find(|&id| held.get(id) != Some(&self.refs[id])) {
+            let (refs, seen) = (self.refs[id], held.get(id));
+            return Err(format!(
+                "id {id}: refcount {refs}, {seen:?} columns hold it"
+            ));
         }
-    }
-    for v in &values[out.len()..] {
-        out.push(intern(v));
-    }
-}
-
-/// Look up every value of a probe key into `out` (cleared first), under a
-/// single read lock. Returns false — leaving `out` incomplete — as soon
-/// as any value has no id, meaning the probe cannot match anything.
-pub fn lookup_into(values: &[Value], out: &mut Vec<ValueId>) -> bool {
-    out.clear();
-    out.reserve(values.len());
-    let inner = table().read().expect("interner lock");
-    for v in values {
-        match inner.ids.get(v) {
-            Some(&id) => out.push(ValueId(id)),
-            None => return false,
+        let held = held.iter().filter(|&&columns| columns > 0).count();
+        let free = &self.free;
+        if held != self.ids.len()
+            || held + free.len() != self.refs.len()
+            || free.iter().any(|&id| self.refs[id as usize] > 0)
+        {
+            let (entries, ids) = (self.ids.len(), self.refs.len());
+            return Err(format!(
+                "{entries} entries, {held} held ids, free {free:?} of {ids}"
+            ));
         }
+        Ok(())
     }
-    true
-}
-
-/// Borrowed-projection variant of [`lookup_into`], for callers that hold
-/// `&Value`s (index removal).
-pub fn lookup_refs_into(values: &[&Value], out: &mut Vec<ValueId>) -> bool {
-    out.clear();
-    out.reserve(values.len());
-    let inner = table().read().expect("interner lock");
-    for v in values {
-        match inner.ids.get(*v) {
-            Some(&id) => out.push(ValueId(id)),
-            None => return false,
-        }
-    }
-    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ndlog_net::NodeAddr;
+    use std::hash::{BuildHasher, Hash};
 
     #[test]
-    fn ids_are_stable_and_equality_mirrors_value_equality() {
-        let a = intern(&Value::Int(42));
-        let b = intern(&Value::Int(42));
-        assert_eq!(a, b, "re-interning returns the same id");
-        let c = intern(&Value::Int(43));
-        assert_ne!(a, c);
-        // Numeric conflation: Int(3) == Float(3.0) => same id, matching the
-        // pre-interning bucket-key semantics.
-        let i3 = intern(&Value::Int(3));
-        let f3 = intern(&Value::Float(3.0));
-        assert_eq!(i3, f3);
-        assert_ne!(i3, intern(&Value::Float(3.5)));
+    fn id_equality_mirrors_value_equality() {
+        let mut d = Dictionary::default();
+        let a = d.acquire(&Value::Int(42));
+        assert_eq!(d.acquire(&Value::Int(42)), a, "same value, same id");
+        assert_ne!(d.acquire(&Value::Int(43)), a);
+        // Numeric conflation: Int(3) == Float(3.0) => one id.
+        let i3 = d.acquire(&Value::Int(3));
+        assert_eq!(d.acquire(&Value::Float(3.0)), i3);
+        assert_ne!(d.acquire(&Value::Float(3.5)), i3);
+        d.check(&[2, 1, 2, 1]).expect("42 twice, 43, 3 twice, 3.5");
     }
 
     #[test]
-    fn round_trips_are_lossless_under_value_equality() {
+    fn every_kind_of_value_round_trips() {
         let samples = vec![
             Value::Addr(NodeAddr(7)),
             Value::Int(-9),
             Value::Float(2.5),
             Value::Float(-0.0),
+            Value::Float(f64::NAN),
             Value::Bool(true),
             Value::str("a string"),
             Value::list(vec![Value::addr(1u32), Value::addr(2u32), Value::Int(5)]),
             Value::nil(),
         ];
-        for v in &samples {
-            let id = intern(v);
-            assert_eq!(&resolve(id), v, "round-trip of {v}");
-            assert_eq!(lookup(v), Some(id));
+        let mut d = Dictionary::default();
+        let ids = d.acquire_all(&samples);
+        assert_eq!(d.len(), samples.len(), "all distinct");
+        for (v, id) in samples.iter().zip(ids.iter()) {
+            assert_eq!(d.lookup(v), Some(*id), "lookup of {v}");
         }
-        // Index keys rely on total_cmp float ordering: distinct bit
-        // patterns that compare unequal get distinct ids, and NaN (equal to
-        // itself under total_cmp) round-trips consistently too.
-        let nan = Value::Float(f64::NAN);
-        let nan_id = intern(&nan);
-        assert_eq!(intern(&Value::Float(f64::NAN)), nan_id);
-        assert_eq!(resolve(nan_id), nan);
-        assert_ne!(nan_id, intern(&Value::Float(0.0)));
+        assert_eq!(d.lookup_all(samples.iter()).as_deref(), Some(&ids[..]));
     }
 
     #[test]
-    fn lookup_never_grows_the_table() {
-        let novel = Value::str("never-interned-probe-key-3f1a");
-        assert_eq!(lookup(&novel), None);
-        assert_eq!(lookup(&novel), None, "lookup must not intern");
-        let id = intern(&novel);
-        assert_eq!(lookup(&novel), Some(id));
+    fn lookup_never_adds_an_entry() {
+        let mut d = Dictionary::default();
+        let novel = Value::str("never stored");
+        assert_eq!(d.lookup(&novel), None);
+        assert_eq!(d.len(), 0, "lookup must not intern");
+        let known = Value::Int(1);
+        d.acquire(&known);
+        assert!(d.lookup_all([&known, &novel].into_iter()).is_none());
+        assert_eq!(d.len(), 1);
     }
 
     #[test]
-    fn lookup_into_fails_fast_on_unknown_values() {
-        let known = Value::Int(1_001);
-        intern(&known);
-        let mut out = Vec::new();
-        assert!(!lookup_into(
-            &[known.clone(), Value::str("unknown-9b2c")],
-            &mut out
-        ));
-        assert!(lookup_into(std::slice::from_ref(&known), &mut out));
-        assert_eq!(out.len(), 1);
+    fn last_release_frees_the_id_for_reuse() {
+        let mut d = Dictionary::default();
+        let row = vec![Value::Int(1), Value::str("x"), Value::Int(1)];
+        let ids = d.acquire_all(&row);
+        assert_eq!(d.len(), 2);
+        d.check(&[2, 1]).expect("one reference per column");
+        let again = d.acquire_all(&row);
+        d.release_all(&row, &again);
+        assert_eq!(d.len(), 2, "the first row still holds both values");
+        d.release_all(&row, &ids);
+        assert_eq!(d.len(), 0);
+        assert_eq!(d.lookup(&Value::Int(1)), None);
+        d.check(&[0, 0]).unwrap();
+        // Freed ids are handed out again: the table does not grow.
+        let reused = d.acquire_all(&[Value::str("y"), Value::Int(2)]);
+        assert!(reused.iter().all(|id| id.raw() < 2));
+        d.check(&[1, 1]).unwrap();
     }
 
     #[test]
-    fn concurrent_interning_yields_stable_ids_within_a_run() {
-        // Four threads race to intern the same 64 values plus a private
-        // set each; every thread must observe identical ids for the shared
-        // values, and re-interning after the race must return them again.
-        let shared: Vec<Value> = (0..64)
-            .map(|i| {
-                Value::list(vec![
-                    Value::Int(i),
-                    Value::str(format!("shared-{i}")),
-                    Value::addr(i as u32),
-                ])
-            })
-            .collect();
-        let mut handles = Vec::new();
-        for t in 0..4u32 {
-            let shared = shared.clone();
-            handles.push(std::thread::spawn(move || {
-                let mut seen = Vec::with_capacity(shared.len());
-                for (i, v) in shared.iter().enumerate() {
-                    seen.push(intern(v));
-                    // Private values interleave the shared interning.
-                    intern(&Value::str(format!("private-{t}-{i}")));
-                }
-                seen
-            }));
-        }
-        let per_thread: Vec<Vec<ValueId>> =
-            handles.into_iter().map(|h| h.join().unwrap()).collect();
-        for ids in &per_thread[1..] {
-            assert_eq!(ids, &per_thread[0], "threads disagree on shared ids");
-        }
-        for (v, &id) in shared.iter().zip(&per_thread[0]) {
-            assert_eq!(intern(v), id, "ids must be stable for the whole run");
-            assert_eq!(resolve(id), *v);
-        }
+    fn long_tuples_spill_to_the_heap() {
+        let mut d = Dictionary::default();
+        let wide: Vec<Value> = (0..20).map(Value::Int).collect();
+        let ids = d.acquire_all(&wide);
+        assert_eq!(ids.len(), 20);
+        assert!(matches!(ids, IdBuf::Heap(_)));
+        assert!(matches!(d.acquire_all(&wide[..8]), IdBuf::Inline(8, _)));
+    }
+
+    #[test]
+    fn dictionaries_share_nothing() {
+        // Two relations' dictionaries number their values independently,
+        // and dropping one leaves the other intact: no global table.
+        let (mut a, mut b) = (Dictionary::default(), Dictionary::default());
+        let x = Value::str("x");
+        b.acquire(&Value::Int(0));
+        let in_a = a.acquire(&x);
+        let in_b = b.acquire(&x);
+        assert_eq!(in_a.raw(), 0);
+        assert_eq!(in_b.raw(), 1);
+        drop(a);
+        assert_eq!(b.lookup(&x), Some(in_b));
+    }
+
+    #[test]
+    fn hasher_is_seedless_and_spreads_float_bit_patterns() {
+        let hash = |v: &Value| FxBuild::default().hash_one(v);
+        assert_eq!(hash(&Value::Int(3)), hash(&Value::Float(3.0)));
+        assert_eq!(hash(&Value::str("abc")), hash(&Value::str("abc")));
+        // Small integers hash through their f64 bits, whose low 32+ bits
+        // are zero: the bits the table uses — the low ones for the bucket,
+        // the top seven for the tag — must still vary.
+        let distinct = |part: fn(u64) -> u64| {
+            let parts: std::collections::BTreeSet<u64> =
+                (0..256).map(|i| part(hash(&Value::Int(i)))).collect();
+            parts.len()
+        };
+        assert!(distinct(|h| h & 0xff) > 128);
+        assert!(distinct(|h| h >> 57) > 64);
+        let mut h = FxHasher::default();
+        [1u32, 2, 3].hash(&mut h);
+        assert_ne!(h.finish(), 0);
     }
 }

@@ -8,20 +8,21 @@
 //!   (path-vector construction, membership tests, arithmetic);
 //! * [`relation`] — stored relations with primary keys, derivation counts
 //!   (the count algorithm for deletions), per-tuple timestamps and optional
-//!   soft-state TTLs;
-//! * [`intern`] — the global thread-safe [`Value`](ndlog_lang::Value)
-//!   interner behind the index layer: ids are stable for the life of the
-//!   process (interned values are deliberately never freed — the distinct-
-//!   value set is bounded by the stored data, and probe keys use a
-//!   read-only lookup that cannot grow the table), id equality is exactly
-//!   value equality, and because nothing observable is ever ordered by id,
-//!   concurrent interning from executor threads cannot perturb results —
-//!   the determinism guarantee the parallel engine relies on;
+//!   soft-state TTLs; each tuple is stored once, in a slab slot, and the
+//!   primary index, every secondary-index bucket and the cached key order
+//!   refer to it by slot;
+//! * [`intern`] — the relation-local [`Value`](ndlog_lang::Value)
+//!   dictionary behind that layout: id equality is exactly value equality,
+//!   ids are reference counted and freed with the last row holding them
+//!   (the dictionary tracks stored data, not history), there is no global
+//!   table and no lock, and because nothing observable is ever ordered by
+//!   id or slot, results do not depend on insertion history or thread
+//!   schedule — the determinism guarantee the parallel engine relies on;
 //! * [`index`] — secondary hash indexes over bound-column signatures,
 //!   maintained incrementally so joins probe in O(matches) instead of
-//!   scanning; bucket keys are interned `ValueId`s and bucket entries are
-//!   shared `Arc` primary keys, so index maintenance hashes fixed-size ids
-//!   instead of cloning values;
+//!   scanning; bucket keys are id projections and bucket entries are slab
+//!   slots in primary-key value order, so index maintenance hashes and
+//!   moves `u32`s and never clones a value;
 //! * [`store`] — a node's collection of relations, built from a program's
 //!   `materialize` declarations;
 //! * [`strand`] — compiled rule strands (the unit of execution in P2's
@@ -69,11 +70,17 @@
 //!   group member through offset ranges into a flat match buffer. Real
 //!   workloads (path exploration, flooding) are heavily key-skewed, so
 //!   this removes most bucket lookups and candidate materializations.
-//! * **Columnar index buckets** ([`index`]): each bucket stores its
-//!   member tuples struct-of-arrays — value-sorted shared `Arc<[Value]>`
-//!   primary keys, a dense seq array, and contiguous per-column `ValueId`
-//!   arrays — so visibility and residual filtering walk dense `u64`/`u32`
-//!   arrays and only surviving candidates pay the primary-key map lookup.
+//! * **Slot buckets over a slab** ([`relation`], [`index`]): a stored
+//!   tuple lives once, in a slab slot beside the dictionary ids of its
+//!   columns; the primary index maps the key columns' ids to the slot and
+//!   a bucket is a `Vec<u32>` of slots, so insertion, duplicate detection,
+//!   membership, deletion and residual filtering hash and compare `u32`s,
+//!   and a probe hit is one slab access from its `StoredTuple`. Buckets
+//!   and ordered reads keep primary-key *value* order — never id or slot
+//!   order, which depend on history — so probe order, derivation order
+//!   and every deterministic count are those of an ordered map; the order
+//!   of a whole relation is a sorted slot list cached until the next
+//!   membership change.
 //! * **Cross-rule shared subplans** ([`subplan`]): planning fingerprints
 //!   every join stage's probe as a `(relation, bound-column signature)`
 //!   with [`subplan::shared_signatures`]; when two or more stages across

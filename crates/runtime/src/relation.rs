@@ -15,31 +15,54 @@
 //! * an optional **expiry time** for soft-state tables (Section 4.2):
 //!   tuples must be refreshed before their TTL elapses or they are deleted.
 //!
-//! Relations additionally maintain **secondary hash indexes** (declared
-//! once per program from the compiled strands' bound-column signatures, see
-//! [`crate::index`]): every mutation — insertion, key replacement, deletion,
-//! expiry — updates the indexes incrementally, and
-//! [`Relation::probe`] answers an equality lookup in O(matches) instead of
-//! the O(|relation|) of [`Relation::scan_match`]. When several declared
-//! signatures can serve a lookup, [`Relation::lookup`] makes a cost-based
-//! choice: the candidate binding the most columns wins, with the smallest
-//! bucket estimate breaking ties and signature order breaking exact ties
-//! (so the choice never depends on index declaration order), and any
-//! leftover bound columns enforced residually. Buckets are columnar (see
-//! [`crate::index`]): visibility and residual filtering walk dense
-//! seq/`ValueId` arrays, and only surviving candidates pay the primary-key
-//! map lookup that materializes the stored tuple. [`Relation::lookup_n`]
+//! # Layout: one row, one slot
+//!
+//! A stored tuple lives once, in a slab: a `Vec` of rows addressed by a
+//! `u32` slot, freed slots reused through a free list. A row is its
+//! [`StoredTuple`] plus the ids of its columns in the relation's own value
+//! dictionary ([`crate::intern`]). Everything else refers to the row
+//! by slot:
+//!
+//! * the **primary index** is a hash map from the ids of the key columns
+//!   to the slot, so insertion, duplicate detection, membership and
+//!   deletion hash and compare `u32`s — no key is cloned, no path vector
+//!   compared element by element;
+//! * every **secondary index** ([`crate::index`], declared once per program
+//!   from the compiled strands' bound-column signatures) maps an id
+//!   projection to a bucket of slots, maintained on every mutation —
+//!   insertion, key replacement, deletion, expiry — so
+//!   [`Relation::probe`] answers an equality lookup in O(matches) instead
+//!   of the O(|relation|) of [`Relation::scan_match`];
+//! * **ordered reads** — [`Relation::iter`], [`Relation::scan_match`], the
+//!   scan arm of [`Relation::lookup`], [`Relation::expire`] — walk a list
+//!   of slots sorted by primary-key value, built on first use and kept
+//!   until the next membership change, so a relation that stopped changing
+//!   is sorted once; [`Relation::iter_unordered`] is the borrow for readers
+//!   that filter first and order their own result.
+//!
+//! Observable order is always primary-key *value* order — the order a
+//! `BTreeMap<Vec<Value>, _>` gives — in ordered reads and inside every
+//! bucket alike; ids and slots depend on history and are never exposed
+//! (see [`crate::index`] for why that matters).
+//!
+//! When several declared signatures can serve a lookup,
+//! [`Relation::lookup`] makes a cost-based choice: the candidate binding
+//! the most columns wins, with the smallest bucket breaking ties and
+//! signature order breaking exact ties (so the choice never depends on
+//! index declaration order), and any leftover bound columns enforced
+//! residually by comparing the candidate row's ids. [`Relation::lookup_n`]
 //! is the grouped-probe entry point: one bucket lookup answers `members`
 //! same-key environments, with the per-environment (`logical`) accounting
 //! preserved via a multiplier.
 
-use crate::index::{Bucket, IndexSignature, JoinStats, SecondaryIndex};
-use crate::intern::{self, ValueId};
+use crate::index::{IndexSignature, JoinStats, SecondaryIndex};
+use crate::intern::{Dictionary, FxBuild, IdBuf, ValueId};
 use crate::tuple::Tuple;
 use ndlog_lang::Value;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// Schema of a stored relation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -123,20 +146,29 @@ pub enum DeleteOutcome {
     NotFound,
 }
 
-/// A stored relation.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One slab entry: a stored tuple and the dictionary ids of its columns.
+#[derive(Debug, Clone)]
+struct Row {
+    stored: StoredTuple,
+    ids: Box<[ValueId]>,
+}
+
+/// A stored relation (see the module docs for the layout).
+#[derive(Debug, Clone)]
 pub struct Relation {
     schema: RelationSchema,
-    tuples: BTreeMap<Vec<Value>, StoredTuple>,
+    /// The values of every stored column, by id, reference counted.
+    dict: Dictionary,
+    /// The slab: `rows[slot]` is `None` while the slot is on `free`.
+    rows: Vec<Option<Row>>,
+    free: Vec<u32>,
+    /// Ids of the key columns → slot.
+    primary: HashMap<Box<[ValueId]>, u32, FxBuild>,
     /// Secondary indexes, one per declared bound-column signature.
-    /// Derivable state: skipped by serialization; the engine re-declares
-    /// every signature at construction time.
-    #[serde(skip)]
     indexes: Vec<SecondaryIndex>,
-    /// Reusable scratch for the index write path: each stored tuple's
-    /// columns are interned once here and the ids shared by every index.
-    #[serde(skip)]
-    id_scratch: Vec<ValueId>,
+    /// The live slots in primary-key value order, built on first ordered
+    /// read and dropped by the next membership change.
+    order: OnceLock<Vec<u32>>,
     /// Derivation counts folded away by primary-key replacements. While
     /// this is zero the count algorithm is exact for tuples of this
     /// relation; once it is positive a count-trusting deletion could leave
@@ -148,14 +180,39 @@ pub struct Relation {
     lossy_replacements: u64,
 }
 
+/// The primary-key columns of a row — of its values or of its ids: the
+/// declared ones in declaration order, or every column when none is.
+fn key_of<'a, T>(key_columns: &'a [usize], row: &'a [T]) -> impl ExactSizeIterator<Item = &'a T> {
+    let n = if key_columns.is_empty() {
+        row.len()
+    } else {
+        key_columns.len()
+    };
+    (0..n).map(move |i| &row[key_columns.get(i).copied().unwrap_or(i)])
+}
+
+/// Compare two rows by primary key, as `key_of(a).cmp(&key_of(b))` on the
+/// schema would.
+fn cmp_rows(key_columns: &[usize], a: &Row, b: &Row) -> Ordering {
+    let (a, b) = (a.stored.tuple.values(), b.stored.tuple.values());
+    key_of(key_columns, a).cmp(key_of(key_columns, b))
+}
+
+fn live(rows: &[Option<Row>], slot: u32) -> &Row {
+    rows[slot as usize].as_ref().expect("slot is live")
+}
+
 impl Relation {
     /// Create an empty relation.
     pub fn new(schema: RelationSchema) -> Self {
         Relation {
             schema,
-            tuples: BTreeMap::new(),
+            dict: Dictionary::default(),
+            rows: Vec::new(),
+            free: Vec::new(),
+            primary: HashMap::default(),
             indexes: Vec::new(),
-            id_scratch: Vec::new(),
+            order: OnceLock::new(),
             lossy_replacements: 0,
         }
     }
@@ -167,34 +224,102 @@ impl Relation {
 
     /// Number of stored tuples.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.primary.len()
     }
 
     /// Whether the relation is empty.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.primary.is_empty()
+    }
+
+    /// Number of distinct values the relation's dictionary holds: the
+    /// values of the tuples stored now, not of every tuple ever stored.
+    pub fn dictionary_len(&self) -> usize {
+        self.dict.len()
+    }
+
+    /// The slot holding the tuple with `tuple`'s primary key. Read-only:
+    /// only the key columns are looked up, and a key value without an id
+    /// means no such row.
+    fn slot_by_key_of(&self, tuple: &Tuple) -> Option<u32> {
+        let key = key_of(&self.schema.key_columns, tuple.values());
+        self.primary.get(&*self.dict.lookup_all(key)?).copied()
+    }
+
+    /// The slot holding exactly `tuple`. With an all-columns key the key
+    /// match is the identity; otherwise the non-key columns are compared
+    /// (a pointer comparison when `tuple` is a clone of the stored one).
+    fn slot_of(&self, tuple: &Tuple) -> Option<u32> {
+        self.slot_by_key_of(tuple).filter(|&slot| {
+            self.schema.key_columns.is_empty() || live(&self.rows, slot).stored.tuple == *tuple
+        })
     }
 
     /// Whether an identical tuple is stored.
     pub fn contains(&self, tuple: &Tuple) -> bool {
-        self.tuples
-            .get(&self.schema.key_of(tuple))
-            .is_some_and(|s| &s.tuple == tuple)
+        self.slot_of(tuple).is_some()
     }
 
     /// The stored tuple with the same primary key as `tuple`, if any.
     pub fn get_by_key_of(&self, tuple: &Tuple) -> Option<&StoredTuple> {
-        self.tuples.get(&self.schema.key_of(tuple))
+        self.slot_by_key_of(tuple)
+            .map(|slot| &live(&self.rows, slot).stored)
     }
 
     /// Look up by an explicit key.
     pub fn get(&self, key: &[Value]) -> Option<&StoredTuple> {
-        self.tuples.get(key)
+        let slot = *self.primary.get(&*self.dict.lookup_all(key.iter())?)?;
+        Some(&live(&self.rows, slot).stored)
+    }
+
+    /// Compare the rows in two live slots by primary key.
+    fn cmp_slots(&self, a: u32, b: u32) -> Ordering {
+        let key = &self.schema.key_columns;
+        cmp_rows(key, live(&self.rows, a), live(&self.rows, b))
+    }
+
+    /// The live slots in primary-key value order.
+    fn ordered(&self) -> &[u32] {
+        self.order.get_or_init(|| {
+            let mut slots: Vec<u32> = self.primary.values().copied().collect();
+            slots.sort_unstable_by(|&a, &b| self.cmp_slots(a, b));
+            slots
+        })
     }
 
     /// Iterate over stored tuples in key order (deterministic).
     pub fn iter(&self) -> impl Iterator<Item = &StoredTuple> {
-        self.tuples.values()
+        self.matches(self.ordered(), std::iter::empty(), u64::MAX)
+    }
+
+    /// Iterate over stored tuples in no particular order, without sorting
+    /// anything: for readers that filter first and order the survivors.
+    pub fn iter_unordered(&self) -> impl Iterator<Item = &StoredTuple> {
+        self.rows.iter().flatten().map(|row| &row.stored)
+    }
+
+    /// Walk `slots`, yielding the rows visible at or before `seq_limit`
+    /// that carry `bound`'s value in each of its columns. The values are
+    /// resolved to ids once, here, and candidates are compared by id; a
+    /// value without an id is stored in no row and rules every slot out.
+    fn matches<'r, 'b>(
+        &'r self,
+        mut slots: &'r [u32],
+        bound: impl Iterator<Item = (usize, &'b Value)>,
+        seq_limit: u64,
+    ) -> Matches<'r> {
+        let residual: Option<Vec<(usize, ValueId)>> = bound
+            .map(|(col, value)| Some((col, self.dict.lookup(value)?)))
+            .collect();
+        if residual.is_none() {
+            slots = &[];
+        }
+        Matches {
+            rows: &self.rows,
+            slots: slots.iter(),
+            seq_limit,
+            residual: residual.unwrap_or_default(),
+        }
     }
 
     /// Iterate over tuples matching equality constraints on the given
@@ -202,17 +327,13 @@ impl Relation {
     ///
     /// This is the residual full-scan path; joins with bound columns should
     /// go through [`Relation::probe`] instead.
-    pub fn scan_match<'r, 'b>(
+    pub fn scan_match<'r>(
         &'r self,
-        bound: &'b [(usize, Value)],
+        bound: &[(usize, Value)],
         seq_limit: u64,
-    ) -> impl Iterator<Item = &'r StoredTuple> + use<'r, 'b> {
-        self.tuples.values().filter(move |s| {
-            s.seq <= seq_limit
-                && bound
-                    .iter()
-                    .all(|(col, val)| s.tuple.get(*col) == Some(val))
-        })
+    ) -> impl Iterator<Item = &'r StoredTuple> + use<'r> {
+        let bound = bound.iter().map(|(col, value)| (*col, value));
+        self.matches(self.ordered(), bound, seq_limit)
     }
 
     /// Ensure a secondary index exists for the given bound-column
@@ -225,9 +346,9 @@ impl Relation {
             return false;
         }
         let mut index = SecondaryIndex::new(signature);
-        for (key, stored) in &self.tuples {
-            intern::intern_all_into(stored.tuple.values(), &mut self.id_scratch);
-            index.add(&self.id_scratch, key.as_slice().into(), stored.seq);
+        // Filing in key order makes every bucket an append.
+        for &slot in self.ordered() {
+            index.file(&live(&self.rows, slot).ids, slot, <[u32]>::len);
         }
         self.indexes.push(index);
         true
@@ -256,12 +377,12 @@ impl Relation {
     ///
     /// Returns `None` when no index with that signature exists — the
     /// caller falls back to [`Relation::scan_match`].
-    pub fn probe<'r, 'b>(
+    pub fn probe<'r>(
         &'r self,
         cols: &[usize],
-        key: &'b [Value],
+        key: &[Value],
         seq_limit: u64,
-    ) -> Option<impl Iterator<Item = &'r StoredTuple> + use<'r, 'b>> {
+    ) -> Option<impl Iterator<Item = &'r StoredTuple> + use<'r>> {
         debug_assert!(
             cols.windows(2).all(|w| w[0] < w[1]),
             "probe columns must be sorted"
@@ -270,97 +391,71 @@ impl Relation {
             .indexes
             .iter()
             .find(|i| i.signature().columns() == cols)?;
-        Some(index.probe(key).filter_map(move |primary_key| {
-            self.tuples
-                .get(primary_key.as_ref())
-                .filter(|s| s.seq <= seq_limit)
-        }))
+        let bucket = self.probe_bucket(index, cols, key);
+        Some(self.matches(bucket, std::iter::empty(), seq_limit))
+    }
+
+    /// The bucket of `index` a lookup binding `cols` to `key` probes
+    /// (`index`'s signature must be covered by `cols`). A probe value
+    /// without an id is stored in no row: the bucket is empty.
+    fn probe_bucket<'r>(
+        &self,
+        index: &'r SecondaryIndex,
+        cols: &[usize],
+        key: &[Value],
+    ) -> &'r [u32] {
+        let sig = index.signature().columns().iter();
+        let bound = sig.map(|c| &key[cols.binary_search(c).expect("covered signature")]);
+        match self.dict.lookup_all(bound) {
+            Some(ids) => index.bucket(&ids),
+            None => &[],
+        }
     }
 
     /// Choose the cheapest declared index that can serve an equality
     /// lookup on `cols`/`key`: among the indexes whose signature is a
     /// subset of the bound columns, pick the most selective one — most
     /// bound columns first, smallest bucket (estimated matches) as the
-    /// tie-breaker. Returns the index together with the probe key
-    /// projected onto its signature. Exact ties (same bound-column count
-    /// *and* same bucket estimate) resolve by signature order — a property
-    /// of the indexes themselves, never of the order they happened to be
-    /// declared in — so the choice is deterministic across engines even
-    /// when construction paths declare the same signatures differently.
+    /// tie-breaker. Returns the index together with the bucket the key
+    /// selects in it. Exact ties (same bound-column count *and* same
+    /// bucket size) resolve by signature order — a property of the indexes
+    /// themselves, never of the order they happened to be declared in — so
+    /// the choice is deterministic across engines even when construction
+    /// paths declare the same signatures differently.
     ///
-    /// This runs once per join environment, so the common case — one
-    /// finalist, usually an exact signature match — is kept allocation-
-    /// light: losing candidates are rejected on signature length alone,
-    /// and probe keys are projected (and bucket sizes hashed) only for the
-    /// finalists with the longest covered signature.
-    fn best_index(&self, cols: &[usize], key: &[Value]) -> Option<(&SecondaryIndex, Vec<Value>)> {
-        // Pass 1 (no allocation): the longest covered signature length and
-        // how many candidates reach it.
-        let mut max_len = 0;
-        let mut finalists = 0;
-        for index in &self.indexes {
-            let sig = index.signature();
-            let len = sig.columns().len();
-            if len < max_len || !sig.is_covered_by(cols) {
-                continue;
-            }
-            if len > max_len {
-                max_len = len;
-                finalists = 1;
-            } else {
-                finalists += 1;
-            }
-        }
-        if max_len == 0 {
-            return None;
-        }
-        // Pass 2: project probe keys for the finalists only; with several,
-        // the smallest bucket wins (signature order breaks exact ties).
-        let mut best: Option<(&SecondaryIndex, Vec<Value>, usize)> = None;
-        for index in &self.indexes {
-            let sig = index.signature();
-            if sig.columns().len() != max_len || !sig.is_covered_by(cols) {
-                continue;
-            }
-            let subkey: Vec<Value> = sig
-                .columns()
-                .iter()
-                .map(|c| {
-                    let pos = cols.binary_search(c).expect("covered signature");
-                    key[pos].clone()
-                })
-                .collect();
-            if finalists == 1 {
-                return Some((index, subkey));
-            }
-            let bucket = index.bucket_size(&subkey);
-            match &best {
-                Some((current, _, current_bucket))
-                    if (*current_bucket, current.signature()) <= (bucket, sig) => {}
-                _ => best = Some((index, subkey, bucket)),
-            }
-        }
-        best.map(|(index, subkey, _)| (index, subkey))
+    /// This runs once per join environment: losing candidates are rejected
+    /// on signature length alone, and only the finalists with the longest
+    /// covered signature — usually one, an exact match — look their bucket
+    /// up.
+    fn best_index(&self, cols: &[usize], key: &[Value]) -> Option<(&SecondaryIndex, &[u32])> {
+        let covered = |index: &&SecondaryIndex| index.signature().is_covered_by(cols);
+        let width = |index: &SecondaryIndex| index.signature().columns().len();
+        let widest = self.indexes.iter().filter(covered).map(width).max()?;
+        self.indexes
+            .iter()
+            .filter(|index| width(index) == widest && covered(index))
+            .map(|index| (index, self.probe_bucket(index, cols, key)))
+            .min_by_key(|(index, bucket)| (bucket.len(), index.signature()))
     }
 
     /// The single access-path chooser behind every join: a *cost-based*
     /// choice among the declared indexes. Any index whose signature is a
     /// subset of `cols` (sorted, with `key` holding the bound values in
     /// the same order) can serve the lookup; the most selective candidate
-    /// wins (most bound columns, then smallest bucket estimate, then
-    /// signature order — see [`Relation::best_index`]), with the
-    /// signature-leftover columns checked residually on each probed tuple.
-    /// Only when no index covers any bound column does the lookup fall
-    /// back to an equivalent residual scan — `cols` may be empty for a
-    /// genuine cross product. The chosen path and the tuples examined are
-    /// recorded in `stats` up front; iteration is lazy.
-    pub fn lookup<'r, 'b>(
+    /// wins (most bound columns, then smallest bucket, then signature
+    /// order — see [`Relation::best_index`]), with the signature-leftover
+    /// columns checked residually on each probed row. Only when no index
+    /// covers any bound column does the lookup fall back to an equivalent
+    /// residual scan — `cols` may be empty for a genuine cross product.
+    /// The chosen path and the tuples examined are recorded in `stats` up
+    /// front; iteration is lazy.
+    pub fn lookup<'r>(
         &'r self,
-        cols: &'b [usize],
-        key: &'b [Value],
+        cols: &[usize],
+        key: &[Value],
         seq_limit: u64,
         stats: &mut JoinStats,
-    ) -> impl Iterator<Item = &'r StoredTuple> + use<'r, 'b> {
+    ) -> impl Iterator<Item = &'r StoredTuple> + use<'r> {
         self.lookup_n(cols, key, seq_limit, 1, stats)
     }
 
@@ -372,59 +467,33 @@ impl Relation {
     /// `tuples_examined` grow by `members`× exactly as `members` separate
     /// [`Relation::lookup`] calls would), so grouped and per-trigger
     /// probing report identical logical counters.
-    pub fn lookup_n<'r, 'b>(
+    pub fn lookup_n<'r>(
         &'r self,
-        cols: &'b [usize],
-        key: &'b [Value],
+        cols: &[usize],
+        key: &[Value],
         seq_limit: u64,
         members: usize,
         stats: &mut JoinStats,
-    ) -> impl Iterator<Item = &'r StoredTuple> + use<'r, 'b> {
+    ) -> impl Iterator<Item = &'r StoredTuple> + use<'r> {
         debug_assert!(members >= 1, "a lookup serves at least one environment");
-        let index = if cols.is_empty() {
-            None
-        } else {
-            self.best_index(cols, key)
-        };
-        match index {
-            Some((index, subkey)) => {
-                let bucket = index.bucket(&subkey);
+        // The slots to walk and the bound columns they already satisfy;
+        // the rest are enforced residually (none for an exact-signature
+        // match, all of them for a scan).
+        let (slots, satisfied) = match self.best_index(cols, key) {
+            Some((index, bucket)) => {
                 stats.logical_probes += members;
                 stats.distinct_probes += 1;
-                stats.tuples_examined += bucket.map_or(0, Bucket::len) * members;
-                // Bound columns the chosen signature does not cover are
-                // enforced residually (empty for an exact-signature match).
-                // The residual column set is projected once per lookup —
-                // borrowing the caller's key values — never per candidate,
-                // and compiled to dense id comparisons when the bucket is
-                // columnar.
-                let residual: Vec<(usize, &Value)> = cols
-                    .iter()
-                    .copied()
-                    .zip(key.iter())
-                    .filter(|(c, _)| !index.signature().columns().contains(c))
-                    .collect();
-                let (bucket, check) = compile_residual(bucket, residual);
-                AccessPath::Probe(ProbeIter {
-                    tuples: &self.tuples,
-                    bucket,
-                    pos: 0,
-                    seq_limit,
-                    check,
-                })
+                (bucket, index.signature().columns())
             }
             None => {
                 stats.scans += members;
-                stats.tuples_examined += self.len() * members;
-                let bound: Vec<(usize, &Value)> = cols.iter().copied().zip(key.iter()).collect();
-                AccessPath::Scan(self.tuples.values().filter(move |s| {
-                    s.seq <= seq_limit
-                        && bound
-                            .iter()
-                            .all(|(col, val)| s.tuple.get(*col) == Some(val))
-                }))
+                (self.ordered(), &[][..])
             }
-        }
+        };
+        stats.tuples_examined += slots.len() * members;
+        let residual = cols.iter().copied().zip(key);
+        let residual = residual.filter(|(col, _)| !satisfied.contains(col));
+        self.matches(slots, residual, seq_limit)
     }
 
     /// Existence variant of [`Relation::lookup`]: whether any tuple visible
@@ -442,27 +511,25 @@ impl Relation {
         self.lossy_replacements
     }
 
-    /// Register a newly stored tuple in every index. The tuple's columns
-    /// are interned once (into the reusable scratch) and the ids shared by
-    /// every index's columnar bucket; the primary key is allocated as one
-    /// shared `Arc` and reference-bumped per index.
-    fn index_add(&mut self, key: &[Value], tuple: &Tuple, seq: u64) {
-        if self.indexes.is_empty() {
-            return;
-        }
-        let shared: Arc<[Value]> = key.into();
-        intern::intern_all_into(tuple.values(), &mut self.id_scratch);
+    /// File the row in `slot` in every index, at its place in each
+    /// bucket's primary-key value order.
+    fn file(&mut self, slot: u32) {
+        let (rows, key) = (&self.rows, &self.schema.key_columns);
+        let row = live(rows, slot);
         for index in &mut self.indexes {
-            index.add(&self.id_scratch, Arc::clone(&shared), seq);
+            index.file(&row.ids, slot, |bucket| {
+                bucket.partition_point(|&other| {
+                    cmp_rows(key, live(rows, other), row) == Ordering::Less
+                })
+            });
         }
     }
 
-    /// Remove a no-longer-stored tuple from every index.
-    fn index_remove(&mut self, key: &[Value], tuple: &Tuple) {
+    /// Unfile the row in `slot` from every index.
+    fn unfile(&mut self, slot: u32) {
+        let row = live(&self.rows, slot);
         for index in &mut self.indexes {
-            if let Some(projection) = project_checked(tuple, index.signature().columns()) {
-                index.remove(&projection, key);
-            }
+            index.unfile(&row.ids, slot);
         }
     }
 
@@ -473,219 +540,208 @@ impl Relation {
     /// state). Re-inserting an identical tuple refreshes its expiry —
     /// exactly the soft-state refresh behaviour of Section 4.2.
     pub fn insert(&mut self, tuple: Tuple, seq: u64, now_micros: u64) -> InsertOutcome {
-        let key = self.schema.key_of(&tuple);
         let expires_at = self.schema.ttl_micros.map(|ttl| now_micros + ttl);
-        // Single keyed lookup; tuple clones below are cheap (Arc bump).
-        let replaced = match self.tuples.get_mut(&key) {
-            Some(existing) if existing.tuple == tuple => {
-                // Duplicate derivation: count bump and soft-state refresh,
-                // indexes untouched.
-                existing.count += 1;
-                if expires_at.is_some() {
-                    existing.expires_at = expires_at;
-                }
-                return InsertOutcome::Duplicate;
-            }
-            Some(existing) => {
-                // Primary-key replacement, in place.
-                self.lossy_replacements += existing.count;
-                let old = std::mem::replace(&mut existing.tuple, tuple.clone());
-                existing.count = 1;
-                existing.seq = seq;
-                existing.expires_at = expires_at;
-                Some(old)
-            }
-            None => None,
+        // The one interning of this tuple.
+        let ids = self.dict.acquire_all(tuple.values());
+        let key = IdBuf::collect(key_of(&self.schema.key_columns, &ids).copied());
+        let fresh = |tuple| StoredTuple {
+            tuple,
+            count: 1,
+            seq,
+            expires_at,
         };
-        match replaced {
-            Some(old) => {
-                self.index_remove(&key, &old);
-                self.index_add(&key, &tuple, seq);
-                InsertOutcome::Replaced(old)
+        let Some(&slot) = self.primary.get(&*key) else {
+            let row = Some(Row {
+                stored: fresh(tuple),
+                ids: (*ids).into(),
+            });
+            let slot = match self.free.pop() {
+                Some(slot) => {
+                    self.rows[slot as usize] = row;
+                    slot
+                }
+                None => {
+                    self.rows.push(row);
+                    u32::try_from(self.rows.len() - 1).expect("relation overflow")
+                }
+            };
+            self.primary.insert((*key).into(), slot);
+            self.order.take();
+            self.file(slot);
+            return InsertOutcome::New;
+        };
+        let existing = self.rows[slot as usize].as_mut().expect("slot is live");
+        if *existing.ids == *ids {
+            // Duplicate derivation: count bump and soft-state refresh,
+            // indexes untouched, the ids just acquired handed back.
+            existing.stored.count += 1;
+            if expires_at.is_some() {
+                existing.stored.expires_at = expires_at;
             }
-            None => {
-                self.index_add(&key, &tuple, seq);
-                self.tuples.insert(
-                    key,
-                    StoredTuple {
-                        tuple,
-                        count: 1,
-                        seq,
-                        expires_at,
-                    },
-                );
-                InsertOutcome::New
-            }
+            self.dict.release_all(tuple.values(), &ids);
+            return InsertOutcome::Duplicate;
         }
+        // Primary-key replacement, in the same slot: the key ids, hence
+        // the primary entry and the slot's place in key order, stay.
+        self.lossy_replacements += existing.stored.count;
+        self.unfile(slot);
+        let existing = self.rows[slot as usize].as_mut().expect("slot is live");
+        let old = std::mem::replace(&mut existing.stored, fresh(tuple)).tuple;
+        let old_ids = std::mem::replace(&mut existing.ids, (*ids).into());
+        self.file(slot);
+        self.dict.release_all(old.values(), &old_ids);
+        InsertOutcome::Replaced(old)
+    }
+
+    /// Take the row in `slot` out of the slab, the primary index, every
+    /// bucket and the dictionary.
+    fn evict(&mut self, slot: u32) -> Tuple {
+        self.unfile(slot);
+        let row = self.rows[slot as usize].take().expect("slot is live");
+        let key = IdBuf::collect(key_of(&self.schema.key_columns, &row.ids).copied());
+        self.primary.remove(&*key);
+        self.dict.release_all(row.stored.tuple.values(), &row.ids);
+        self.free.push(slot);
+        self.order.take();
+        row.stored.tuple
     }
 
     /// Delete (one derivation of) a tuple.
     pub fn delete(&mut self, tuple: &Tuple) -> DeleteOutcome {
-        let key = self.schema.key_of(tuple);
-        let outcome = match self.tuples.get_mut(&key) {
-            Some(existing) if &existing.tuple == tuple => {
-                if existing.count > 1 {
-                    existing.count -= 1;
-                    DeleteOutcome::Decremented
-                } else {
-                    self.tuples.remove(&key);
-                    DeleteOutcome::Removed
-                }
-            }
-            _ => DeleteOutcome::NotFound,
+        let Some(slot) = self.slot_of(tuple) else {
+            return DeleteOutcome::NotFound;
         };
-        if outcome == DeleteOutcome::Removed {
-            self.index_remove(&key, tuple);
+        let existing = self.rows[slot as usize].as_mut().expect("slot is live");
+        if existing.stored.count > 1 {
+            existing.stored.count -= 1;
+            DeleteOutcome::Decremented
+        } else {
+            self.evict(slot);
+            DeleteOutcome::Removed
         }
-        outcome
     }
 
     /// Remove a tuple outright regardless of its derivation count (used
     /// when a primary-key replacement cascades).
     pub fn remove(&mut self, tuple: &Tuple) -> bool {
-        let key = self.schema.key_of(tuple);
-        match self.tuples.get(&key) {
-            Some(existing) if &existing.tuple == tuple => {
-                self.tuples.remove(&key);
-                self.index_remove(&key, tuple);
-                true
-            }
-            _ => false,
-        }
+        let Some(slot) = self.slot_of(tuple) else {
+            return false;
+        };
+        self.evict(slot);
+        true
     }
 
     /// Remove all tuples whose soft-state lifetime has elapsed, returning
-    /// them.
+    /// them in primary-key order. Hard-state relations hold no expiry time
+    /// and are not walked; a soft-state one is walked in slab order, and
+    /// only the expired rows are sorted.
     pub fn expire(&mut self, now_micros: u64) -> Vec<Tuple> {
-        let expired: Vec<Vec<Value>> = self
-            .tuples
-            .iter()
-            .filter(|(_, s)| s.expires_at.is_some_and(|t| t <= now_micros))
-            .map(|(k, _)| k.clone())
+        if self.schema.ttl_micros.is_none() {
+            return Vec::new();
+        }
+        let due = |row: &Row| row.stored.expires_at.is_some_and(|t| t <= now_micros);
+        let mut expired: Vec<u32> = (0u32..)
+            .zip(&self.rows)
+            .filter(|(_, row)| row.as_ref().is_some_and(due))
+            .map(|(slot, _)| slot)
             .collect();
-        let mut out = Vec::with_capacity(expired.len());
-        for key in expired {
-            if let Some(stored) = self.tuples.remove(&key) {
-                self.index_remove(&key, &stored.tuple);
-                out.push(stored.tuple);
-            }
-        }
-        out
+        expired.sort_unstable_by(|&a, &b| self.cmp_slots(a, b));
+        expired.into_iter().map(|slot| self.evict(slot)).collect()
     }
-}
 
-/// Two-armed iterator behind [`Relation::lookup`]: an index probe or a
-/// residual scan, chosen once per lookup.
-enum AccessPath<'r, 'b, S> {
-    Probe(ProbeIter<'r, 'b>),
-    Scan(S),
-}
-
-impl<'r, 'b, S> Iterator for AccessPath<'r, 'b, S>
-where
-    S: Iterator<Item = &'r StoredTuple>,
-{
-    type Item = &'r StoredTuple;
-    fn next(&mut self) -> Option<&'r StoredTuple> {
-        match self {
-            AccessPath::Probe(p) => p.next(),
-            AccessPath::Scan(s) => s.next(),
-        }
-    }
-}
-
-/// How residual bound columns are enforced while walking a bucket.
-enum Residual<'b> {
-    /// Dense comparison against the bucket's columnar `ValueId` arrays.
-    Ids(Vec<(usize, ValueId)>),
-    /// Value comparison against the materialized tuple (degraded bucket).
-    Values(Vec<(usize, &'b Value)>),
-}
-
-/// Compile the residual column set against the bucket's layout. Returns
-/// `(None, _)` when no candidate can possibly match: a residual value that
-/// was never interned cannot equal any value stored in a columnar bucket
-/// (every stored column is interned on insert), and a residual column
-/// beyond the bucket's uniform arity matches nothing either.
-fn compile_residual<'r, 'b>(
-    bucket: Option<&'r Bucket>,
-    residual: Vec<(usize, &'b Value)>,
-) -> (Option<&'r Bucket>, Residual<'b>) {
-    match bucket {
-        Some(b) if b.is_columnar() && !residual.is_empty() => {
-            let mut ids = Vec::with_capacity(residual.len());
-            for (c, v) in &residual {
-                let resolved = if *c < b.arity() {
-                    intern::lookup(v)
-                } else {
-                    None
-                };
-                match resolved {
-                    Some(id) => ids.push((*c, id)),
-                    None => return (None, Residual::Ids(Vec::new())),
-                }
-            }
-            (Some(b), Residual::Ids(ids))
-        }
-        Some(b) if b.is_columnar() => (Some(b), Residual::Ids(Vec::new())),
-        other => (other, Residual::Values(residual)),
-    }
-}
-
-/// The probe arm of [`AccessPath`]: walk the bucket's dense seq/id arrays,
-/// materializing (via the shared primary key) only the candidates that
-/// survive visibility and residual filtering.
-struct ProbeIter<'r, 'b> {
-    tuples: &'r BTreeMap<Vec<Value>, StoredTuple>,
-    bucket: Option<&'r Bucket>,
-    pos: usize,
-    seq_limit: u64,
-    check: Residual<'b>,
-}
-
-impl<'r, 'b> Iterator for ProbeIter<'r, 'b> {
-    type Item = &'r StoredTuple;
-    fn next(&mut self) -> Option<&'r StoredTuple> {
-        let bucket = self.bucket?;
-        while self.pos < bucket.len() {
-            let i = self.pos;
-            self.pos += 1;
-            if bucket.seq(i) > self.seq_limit {
-                continue;
-            }
-            match &self.check {
-                Residual::Ids(ids) => {
-                    if ids
+    /// Check that slab, primary index, buckets, cached order and
+    /// dictionary reference counts describe the same set of rows. For
+    /// tests and debug assertions: O(stored data).
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let ensure = |holds: bool, what: &dyn Fn() -> String| {
+            let name = &self.schema.name;
+            (holds.then_some(())).ok_or_else(|| format!("relation {name}: {}", what()))
+        };
+        let row_in = |slot: u32| self.rows.get(slot as usize).and_then(Option::as_ref);
+        let ascending = |slots: &[u32]| {
+            let ordered = |w: &[u32]| self.cmp_slots(w[0], w[1]) == Ordering::Less;
+            slots.iter().all(|&s| row_in(s).is_some()) && slots.windows(2).all(ordered)
+        };
+        let rows = self.rows.iter().flatten().count();
+        let slab = rows == self.primary.len()
+            && rows + self.free.len() == self.rows.len()
+            && self.free.iter().all(|&slot| row_in(slot).is_none());
+        ensure(slab, &|| {
+            let (keys, free, slots) = (self.primary.len(), &self.free, self.rows.len());
+            format!("slab: {rows} rows, {keys} keys, free {free:?} of {slots} slots")
+        })?;
+        let mut held = vec![0u32; self.dict.id_space()];
+        for (key, &slot) in &self.primary {
+            let sound = row_in(slot).is_some_and(|row| {
+                let values = row.stored.tuple.values();
+                row.stored.count > 0
+                    && key_of(&self.schema.key_columns, &row.ids).eq(key.iter())
+                    && values.len() == row.ids.len()
+                    && values
                         .iter()
-                        .all(|&(c, id)| bucket.column(c).is_some_and(|col| col[i] == id))
-                    {
-                        if let Some(stored) = self.tuples.get(bucket.key(i).as_ref()) {
-                            return Some(stored);
-                        }
-                    }
-                }
-                Residual::Values(vals) => {
-                    if let Some(stored) = self.tuples.get(bucket.key(i).as_ref()) {
-                        if vals.iter().all(|(c, v)| stored.tuple.get(*c) == Some(*v)) {
-                            return Some(stored);
-                        }
-                    }
-                }
+                        .zip(row.ids.iter())
+                        .all(|(value, id)| self.dict.lookup(value) == Some(*id))
+            });
+            ensure(sound, &|| {
+                format!("slot {slot} under key {key:?} holds {:?}", row_in(slot))
+            })?;
+            for id in live(&self.rows, slot).ids.iter() {
+                held[id.raw() as usize] += 1;
             }
         }
-        None
+        self.dict
+            .check(&held)
+            .or_else(|what| ensure(false, &|| format!("dictionary: {what}")))?;
+        for index in &self.indexes {
+            let sig = index.signature().columns();
+            let covers = |row: &&Row| sig.iter().all(|&c| c < row.ids.len());
+            let mut filed = 0;
+            for (key, bucket) in index.buckets() {
+                let projects = |&slot: &u32| {
+                    let row = row_in(slot).filter(covers);
+                    row.is_some_and(|row| sig.iter().map(|&c| &row.ids[c]).eq(key))
+                };
+                let sound = !bucket.is_empty() && bucket.iter().all(projects) && ascending(bucket);
+                ensure(sound, &|| {
+                    format!("index {sig:?}: bucket {key:?} holds {bucket:?}")
+                })?;
+                filed += bucket.len();
+            }
+            let indexable = self.rows.iter().flatten().filter(covers).count();
+            ensure(filed == indexable && filed == index.len(), &|| {
+                let counted = index.len();
+                format!("index {sig:?}: {filed} filed, {counted} counted, {indexable} rows")
+            })?;
+        }
+        let order = self.order.get();
+        let fresh = order.is_none_or(|order| order.len() == rows && ascending(order));
+        ensure(fresh, &|| format!("cached order is stale: {order:?}"))
     }
 }
 
-/// Project a tuple onto index columns (borrowed — the values are already
-/// interned, never cloned), returning `None` if any column is out of
-/// range (possible when heterogeneous arities share a relation name in
-/// hand-built test stores; such tuples simply stay unindexed and
-/// unreachable by probes on that signature).
-fn project_checked<'t>(tuple: &'t Tuple, cols: &[usize]) -> Option<Vec<&'t Value>> {
-    cols.iter()
-        .map(|&c| tuple.get(c))
-        .collect::<Option<Vec<&Value>>>()
+/// The iterator behind every filtered read: walk a bucket — or, for a
+/// scan, the whole relation in key order — yielding the rows that are
+/// visible and whose ids pass the residual columns.
+struct Matches<'r> {
+    rows: &'r [Option<Row>],
+    slots: std::slice::Iter<'r, u32>,
+    seq_limit: u64,
+    residual: Vec<(usize, ValueId)>,
+}
+
+impl<'r> Iterator for Matches<'r> {
+    type Item = &'r StoredTuple;
+    fn next(&mut self) -> Option<&'r StoredTuple> {
+        let (rows, seq_limit, residual) = (self.rows, self.seq_limit, &self.residual);
+        self.slots
+            .by_ref()
+            .map(|&slot| live(rows, slot))
+            .find(|row| {
+                row.stored.seq <= seq_limit
+                    && residual.iter().all(|&(c, id)| row.ids.get(c) == Some(&id))
+            })
+            .map(|row| &row.stored)
+    }
 }
 
 #[cfg(test)]
@@ -1095,6 +1151,217 @@ mod tests {
         assert_eq!(probed(&r, &[2], &[3], u64::MAX), vec![t(&[1, 2, 3])]);
         r.remove(&t(&[1]));
         assert_eq!(r.len(), 1);
+    }
+
+    fn path_tuple(i: i64) -> Tuple {
+        let hops = (0..6).map(|h| Value::addr((i + h) as u32)).collect();
+        Tuple::new(vec![
+            Value::addr((i % 7) as u32),
+            Value::Int(i),
+            Value::list(hops),
+        ])
+    }
+
+    #[test]
+    fn dictionary_tracks_stored_data_not_history() {
+        let mut r = Relation::new(RelationSchema::new("path").with_keys(vec![0, 1]));
+        r.ensure_index(&[0]);
+        r.insert(path_tuple(-1), 1, 0);
+        let start = r.dictionary_len();
+        assert_eq!(start, 3);
+        for i in 0..10_000 {
+            assert_eq!(r.insert(path_tuple(i), i as u64 + 2, 0), InsertOutcome::New);
+        }
+        assert!(r.dictionary_len() > 10_000, "every path vector is distinct");
+        for i in 0..10_000 {
+            // Half by the count algorithm, half outright.
+            if i % 2 == 0 {
+                assert_eq!(r.delete(&path_tuple(i)), DeleteOutcome::Removed);
+            } else {
+                assert!(r.remove(&path_tuple(i)));
+            }
+        }
+        assert_eq!(r.dictionary_len(), start, "released ids are freed");
+        assert_eq!(r.len(), 1);
+        r.check_invariants().unwrap();
+        // Freed slots and ids are handed out again: a second wave of the
+        // same size grows neither the slab nor the id space.
+        let (slots, ids) = (r.rows.len(), r.dict.id_space());
+        for i in 0..10_000 {
+            r.insert(path_tuple(i + 20_000), i as u64 + 20_000, 0);
+        }
+        assert_eq!(r.rows.len(), slots);
+        assert_eq!(r.dict.id_space(), ids);
+        r.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn replacement_releases_the_old_values_and_keeps_the_slot() {
+        let mut r = keyed_relation();
+        r.ensure_index(&[1]);
+        r.insert(t(&[1, 10]), 1, 0);
+        let slot = r.slot_of(&t(&[1, 10])).unwrap();
+        assert!(matches!(
+            r.insert(t(&[1, 20]), 2, 0),
+            InsertOutcome::Replaced(_)
+        ));
+        assert_eq!(r.slot_of(&t(&[1, 20])), Some(slot));
+        assert_eq!(r.dictionary_len(), 2, "10 went with the old tuple");
+        assert_eq!(r.dict.lookup(&Value::Int(10)), None);
+        r.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn relations_share_no_dictionary() {
+        // Two engines' worth of relations: building one leaves the other's
+        // dictionary empty, dropping it leaves nothing behind to look at.
+        let mut a = keyed_relation();
+        let b = keyed_relation();
+        a.insert(t(&[1, 10]), 1, 0);
+        assert_eq!(a.dictionary_len(), 2);
+        assert_eq!(b.dictionary_len(), 0);
+        assert!(!b.contains(&t(&[1, 10])));
+        drop(a);
+        let mut c = keyed_relation();
+        c.insert(t(&[5, 50]), 1, 0);
+        assert_eq!(c.dict.lookup(&Value::Int(5)).map(ValueId::raw), Some(0));
+    }
+
+    #[test]
+    fn int_and_float_keys_are_one_key() {
+        let mut r = keyed_relation();
+        r.ensure_index(&[0]);
+        let float_key = Tuple::new(vec![Value::Float(3.0), Value::Int(1)]);
+        assert_eq!(r.insert(t(&[3, 1]), 1, 0), InsertOutcome::New);
+        assert_eq!(r.insert(float_key.clone(), 2, 0), InsertOutcome::Duplicate);
+        assert!(r.contains(&float_key));
+        assert_eq!(r.get(&[Value::Float(3.0)]).unwrap().tuple, t(&[3, 1]));
+        let mut stats = JoinStats::default();
+        let hits: Vec<_> = r
+            .lookup(&[0], &[Value::Float(3.0)], u64::MAX, &mut stats)
+            .collect();
+        assert_eq!(hits.len(), 1, "a float probe finds the integer key");
+        assert_eq!(r.delete(&float_key), DeleteOutcome::Decremented);
+        assert_eq!(r.delete(&float_key), DeleteOutcome::Removed);
+        assert!(r.is_empty());
+    }
+
+    #[test]
+    fn order_follows_the_declared_key_columns_not_the_tuple() {
+        // Keyed on (col 2, col 0), in that order: iteration and bucket
+        // order are by the projected key, whatever the column positions.
+        let mut r = Relation::new(RelationSchema::new("r").with_keys(vec![2, 0]));
+        r.ensure_index(&[1]);
+        for (i, row) in [[5, 0, 1], [1, 0, 2], [9, 0, 1], [2, 0, 0]]
+            .iter()
+            .enumerate()
+        {
+            r.insert(t(row), i as u64 + 1, 0);
+        }
+        let by_key = vec![t(&[2, 0, 0]), t(&[5, 0, 1]), t(&[9, 0, 1]), t(&[1, 0, 2])];
+        let iterated: Vec<Tuple> = r.iter().map(|s| s.tuple.clone()).collect();
+        assert_eq!(iterated, by_key);
+        assert_eq!(probed(&r, &[1], &[0], u64::MAX), by_key);
+        // An index declared after the data files in the same order.
+        r.ensure_index(&[1, 2]);
+        assert_eq!(
+            probed(&r, &[1, 2], &[0, 1], u64::MAX),
+            vec![t(&[5, 0, 1]), t(&[9, 0, 1])]
+        );
+        r.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn ordered_reads_sort_once_per_membership_change() {
+        let mut r = keyed_relation();
+        for i in [3, 1, 2] {
+            r.insert(t(&[i, 0]), i as u64, 0);
+        }
+        assert!(r.order.get().is_none(), "nothing sorted before a read");
+        assert_eq!(r.iter().count(), 3);
+        assert!(r.order.get().is_some());
+        // Count bumps and replacements keep keys, slots and the order.
+        r.insert(t(&[1, 0]), 4, 0);
+        r.insert(t(&[2, 9]), 5, 0);
+        assert_eq!(r.delete(&t(&[1, 0])), DeleteOutcome::Decremented);
+        assert!(r.order.get().is_some());
+        let keys: Vec<_> = r.iter().map(|s| s.tuple.get(0).cloned()).collect();
+        assert_eq!(
+            keys,
+            vec![
+                Some(Value::Int(1)),
+                Some(Value::Int(2)),
+                Some(Value::Int(3))
+            ]
+        );
+        // Membership changes drop it.
+        r.insert(t(&[0, 0]), 6, 0);
+        assert!(r.order.get().is_none());
+        assert_eq!(r.iter().next().unwrap().tuple, t(&[0, 0]));
+        r.remove(&t(&[3, 0]));
+        assert!(r.order.get().is_none());
+        assert_eq!(r.iter_unordered().count(), 3);
+        assert!(r.order.get().is_none(), "unordered reads sort nothing");
+    }
+
+    #[test]
+    fn probe_value_nobody_stores_is_a_probe_of_nothing() {
+        let mut r = Relation::new(RelationSchema::new("r"));
+        r.ensure_index(&[0]);
+        for i in 0..6 {
+            r.insert(t(&[i % 2, i]), i as u64 + 1, 0);
+        }
+        // Absent from the dictionary altogether: still one logical and one
+        // distinct probe, nothing examined, and no id is assigned.
+        let before = r.dictionary_len();
+        let mut stats = JoinStats::default();
+        assert!(lookup_all(&r, &[0], &[77], &mut stats).is_empty());
+        assert_eq!((stats.logical_probes, stats.distinct_probes), (1, 1));
+        assert_eq!((stats.scans, stats.tuples_examined), (0, 0));
+        assert_eq!(r.dictionary_len(), before);
+        // Absent only in the residual column: the bucket is examined.
+        let mut stats = JoinStats::default();
+        assert!(lookup_all(&r, &[0, 1], &[1, 77], &mut stats).is_empty());
+        assert_eq!((stats.logical_probes, stats.tuples_examined), (1, 3));
+        // Stored in the residual column, but of another bucket's row.
+        let mut stats = JoinStats::default();
+        assert!(lookup_all(&r, &[0, 1], &[1, 2], &mut stats).is_empty());
+        assert_eq!(stats.tuples_examined, 3);
+        // A residual column beyond the rows' arity matches nothing.
+        assert!(lookup_all(&r, &[0, 5], &[1, 1], &mut stats).is_empty());
+    }
+
+    #[test]
+    fn check_invariants_names_what_broke() {
+        let mut r = keyed_relation();
+        r.ensure_index(&[1]);
+        for i in 0..4 {
+            r.insert(t(&[i, i % 2]), i as u64 + 1, 0);
+        }
+        r.iter().count();
+        r.check_invariants().unwrap();
+        let mut stale_order = r.clone();
+        stale_order.order = OnceLock::from(vec![0, 1, 2]);
+        let err = stale_order.check_invariants().unwrap_err();
+        assert!(err.contains("relation r: cached order"), "{err}");
+        let mut leaked_row = r.clone();
+        leaked_row.free.push(0);
+        assert!(leaked_row.check_invariants().is_err());
+        let mut lost_reference = r.clone();
+        let row = lost_reference.rows[0].clone().unwrap();
+        lost_reference
+            .dict
+            .release_all(row.stored.tuple.values(), &row.ids);
+        let err = lost_reference.check_invariants().unwrap_err();
+        assert!(
+            err.contains("dictionary") || err.contains("is not id"),
+            "{err}"
+        );
+        let mut unfiled = r.clone();
+        let ids = unfiled.rows[1].as_ref().unwrap().ids.clone();
+        unfiled.indexes[0].unfile(&ids, 1);
+        let err = unfiled.check_invariants().unwrap_err();
+        assert!(err.contains("index [1]"), "{err}");
     }
 
     #[test]

@@ -162,10 +162,11 @@ impl Store {
     pub fn apply(&mut self, delta: &TupleDelta) -> ApplyEffect {
         let now = self.now_micros;
         let seq = self.fresh_seq();
-        let relation = self
-            .relations
-            .entry(delta.relation.clone())
-            .or_insert_with(|| Relation::new(RelationSchema::new(delta.relation.clone())));
+        // The name is cloned only to create a relation on first sight.
+        let relation = match self.relations.get_mut(&delta.relation) {
+            Some(relation) => relation,
+            None => self.ensure(RelationSchema::new(delta.relation.clone())),
+        };
         match delta.sign {
             Sign::Insert => match relation.insert(delta.tuple.clone(), seq, now) {
                 InsertOutcome::New => ApplyEffect {
@@ -230,6 +231,14 @@ impl Store {
             }
             *rel = fresh;
         }
+    }
+
+    /// Check every relation's storage invariants
+    /// ([`Relation::check_invariants`]); O(stored data).
+    pub fn check_invariants(&self) -> Result<(), String> {
+        self.relations
+            .values()
+            .try_for_each(Relation::check_invariants)
     }
 
     /// All tuples of a relation (empty if the relation does not exist),

@@ -415,12 +415,16 @@ impl Core {
     }
 
     fn query(&self, atom: &Atom) -> Result<Response, ServeError> {
-        let mut rows: Vec<Tuple> = self
-            .eval
-            .results(&atom.name)
-            .into_iter()
-            .filter(|t| atom_matches(atom, t))
-            .collect();
+        // Filter in storage order and sort only the matches: the stored
+        // order is by primary key, the reply's by whole tuple.
+        let mut rows: Vec<Tuple> = match self.eval.store().relation(&atom.name) {
+            Some(relation) => relation
+                .iter_unordered()
+                .filter(|stored| atom_matches(atom, &stored.tuple))
+                .map(|stored| stored.tuple.clone())
+                .collect(),
+            None => Vec::new(),
+        };
         rows.sort();
         Ok(Response::Rows {
             relation: atom.name.clone(),
