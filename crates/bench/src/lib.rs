@@ -11,11 +11,16 @@
 //! | 13 | incremental evaluation under bursty updates (10 s interval) | [`experiments::incremental_updates`] |
 //! | 14 | incremental evaluation under interleaved 2 s / 8 s bursts | [`experiments::incremental_updates_interleaved`] |
 //!
+//! Beyond the paper, [`experiments::adversity`] runs a loss × crash-wave
+//! grid healed by soft-state refresh and judges every cell against
+//! Dijkstra and 1/2-thread bitwise identity.
+//!
 //! Every experiment can run at [`testbed::Scale::Paper`] (the 100-node
 //! Emulab-style transit-stub overlay) or [`testbed::Scale::Small`] (a
-//! 14-node topology used by tests and Criterion benches so they finish
-//! quickly). The `experiments` binary prints each figure's series as a
-//! table; `EXPERIMENTS.md` records a paper-vs-measured comparison.
+//! 14-node topology used by tests and CI so they finish quickly). The
+//! `experiments` binary prints each figure's series as a deterministic
+//! table on stdout. Nothing here reads a clock: wall-clock performance is
+//! measured by the standalone `benchmark/` package (`BENCHMARK.json`).
 
 pub mod experiments;
 pub mod testbed;

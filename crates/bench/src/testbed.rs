@@ -22,24 +22,14 @@ use ndlog_runtime::{EvalError, Tuple};
 pub enum Scale {
     /// The paper's 100-node setup.
     Paper,
-    /// A 14-node setup for tests and Criterion benches.
+    /// A 14-node setup for tests and CI: every figure in about a second.
     Small,
-    /// A 52-node setup for CI smoke runs: big enough to exercise the
-    /// epoch executor across several transit domains, small enough to
-    /// finish all-pairs in seconds.
+    /// A 52-node setup: several transit domains, all-pairs in seconds.
     Medium,
     /// A 264-node setup (8 transit nodes, 4 stubs per transit, 8 nodes per
-    /// stub) used by the parallel-scaling bench, where per-epoch work must
-    /// be large enough to amortize thread dispatch.
+    /// stub): the largest overlay on which the all-pairs figures finish
+    /// in minutes.
     Large,
-    /// A 1010-node setup. All-pairs is infeasible here; the scaling bench
-    /// drives it with a Zipf-skewed traffic matrix of source-routing
-    /// (magic) queries instead.
-    OneK,
-    /// A 4016-node setup for multicore hardware (not run in CI).
-    FourK,
-    /// A 10100-node setup for multicore hardware (not run in CI).
-    TenK,
 }
 
 impl Scale {
@@ -55,9 +45,6 @@ impl Scale {
                 nodes_per_stub: 8,
                 ..TransitStubConfig::paper()
             },
-            Scale::OneK => TransitStubConfig::one_k(),
-            Scale::FourK => TransitStubConfig::four_k(),
-            Scale::TenK => TransitStubConfig::ten_k(),
         }
     }
 
@@ -68,34 +55,18 @@ impl Scale {
             "small" | "test" => Some(Scale::Small),
             "medium" | "52" => Some(Scale::Medium),
             "large" | "264" => Some(Scale::Large),
-            "1k" | "onek" | "1010" => Some(Scale::OneK),
-            "4k" | "fourk" | "4016" => Some(Scale::FourK),
-            "10k" | "tenk" | "10100" => Some(Scale::TenK),
             _ => None,
         }
     }
 
-    /// A lowercase label for reports and JSON output.
+    /// A lowercase label for reports.
     pub fn label(self) -> &'static str {
         match self {
             Scale::Paper => "paper",
             Scale::Small => "small",
             Scale::Medium => "medium",
             Scale::Large => "large",
-            Scale::OneK => "1k",
-            Scale::FourK => "4k",
-            Scale::TenK => "10k",
         }
-    }
-
-    /// Whether all-pairs workloads are feasible at this scale; larger
-    /// scales are driven by bounded query sets (a traffic matrix of
-    /// source-routing queries) instead of `n * (n - 1)` results.
-    pub fn all_pairs_feasible(self) -> bool {
-        matches!(
-            self,
-            Scale::Paper | Scale::Small | Scale::Medium | Scale::Large
-        )
     }
 }
 
@@ -153,28 +124,17 @@ impl Testbed {
     }
 
     /// The shortest-path plan for a metric (relations suffixed per metric),
-    /// with the full optimizer pipeline.
-    pub fn shortest_path_plan(metric: Metric) -> QueryPlan {
-        Self::shortest_path_plan_with(metric, PassSet::ALL)
-    }
-
-    /// The shortest-path plan for a metric, built through the optimizer
-    /// pipeline at the given pass level. The canonical program has no magic
-    /// opportunities; its pipeline normalizes bodies link-first (idempotent
-    /// on the canonical rule order), so `off` and `all` agree here — the
-    /// point is that every experiment's plan flows through the same
-    /// `optimize()` entry as the magic figures.
-    pub fn shortest_path_plan_with(metric: Metric, passes: PassSet) -> QueryPlan {
+    /// built through the optimizer pipeline at the given pass level. The
+    /// canonical program has no magic opportunities; its pipeline
+    /// normalizes bodies link-first (idempotent on the canonical rule
+    /// order), so `off` and `all` agree here — the point is that every
+    /// experiment's plan flows through the same `optimize()` entry as the
+    /// magic figures.
+    pub fn shortest_path_plan(metric: Metric, passes: PassSet) -> QueryPlan {
         let program = programs::shortest_path(Self::metric_suffix(metric));
         let pipeline = Pipeline::new(Vec::new(), Some(BodyOrder::LinkFirst)).with_passes(passes);
         let optimized = optimize(&program, &pipeline).expect("canonical program optimizes");
         plan(&optimized.program).expect("canonical program plans")
-    }
-
-    /// The source-routing (magic, top-down) plan used by the Figure 11
-    /// experiment (unsuffixed relations), fully optimized.
-    pub fn source_routing_plan() -> QueryPlan {
-        Self::source_routing_setup(PassSet::ALL).plan
     }
 
     /// The Figure 11 source-routing query compiled through the optimizer
@@ -258,23 +218,9 @@ mod tests {
         assert_eq!(Scale::parse("small"), Some(Scale::Small));
         assert_eq!(Scale::parse("medium"), Some(Scale::Medium));
         assert_eq!(Scale::parse("large"), Some(Scale::Large));
-        assert_eq!(Scale::parse("1k"), Some(Scale::OneK));
-        assert_eq!(Scale::parse("4k"), Some(Scale::FourK));
-        assert_eq!(Scale::parse("10k"), Some(Scale::TenK));
+        assert_eq!(Scale::parse("1k"), None);
         assert_eq!(Scale::parse("bogus"), None);
         assert_eq!(Scale::Large.label(), "large");
-        assert_eq!(Scale::OneK.label(), "1k");
-    }
-
-    #[test]
-    fn big_scales_are_not_all_pairs() {
-        assert!(Scale::Large.all_pairs_feasible());
-        assert!(Scale::Medium.all_pairs_feasible());
-        assert!(!Scale::OneK.all_pairs_feasible());
-        assert!(!Scale::TenK.all_pairs_feasible());
-        assert_eq!(Scale::OneK.transit_stub().total_nodes(), 1010);
-        assert_eq!(Scale::FourK.transit_stub().total_nodes(), 4016);
-        assert_eq!(Scale::TenK.transit_stub().total_nodes(), 10100);
     }
 
     #[test]
@@ -335,7 +281,7 @@ mod tests {
     #[test]
     fn small_distributed_run_converges() {
         let tb = Testbed::new(Scale::Small);
-        let plan = Testbed::shortest_path_plan(Metric::HopCount);
+        let plan = Testbed::shortest_path_plan(Metric::HopCount, PassSet::ALL);
         let mut config = EngineConfig::default();
         config.node.aggregate_selections = true;
         let mut engine = tb.engine(&[plan], config);

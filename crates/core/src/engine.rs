@@ -24,10 +24,9 @@
 //! that many OS threads; with 1 thread the same dispatch runs inline on
 //! the caller. Either way a run is bit-for-bit identical across thread
 //! counts. Consecutive same-node deliveries within an epoch are merged
-//! into one receive batch by default
-//! ([`EngineConfig::coalesce_deliveries`]), and the wire payload buffers
-//! circulate through per-node arenas ([`crate::exec::arena`]) instead of
-//! being reallocated per message.
+//! into one receive batch, and the wire payload buffers circulate through
+//! per-node arenas ([`crate::exec::arena`]) instead of being reallocated
+//! per message.
 
 use crate::exec::{
     outbound_batches, result_records, ArenaStats, EpochExecutor, NodeAction, NodeTask,
@@ -71,11 +70,9 @@ pub struct EngineConfig {
     /// many OS threads per epoch; results are bit-for-bit identical at
     /// every thread count (see [`crate::exec`]).
     pub parallelism: usize,
-    /// Merge consecutive same-node deliveries within an epoch into one
-    /// receive batch (default `true`). Coalescing is a different — wider-
-    /// batched — evaluation schedule than per-event delivery, so traffic
-    /// traces differ between the two settings; within either setting,
-    /// results are thread-count invariant (see [`crate::exec::executor`]).
+    /// Per-event delivery when `false`: the differential-test oracle of
+    /// `tests/coalescing.rs`; no production caller sets this.
+    #[doc(hidden)]
     pub coalesce_deliveries: bool,
     /// Deterministic fault plan attached to the simulator (loss, jitter,
     /// duplication, partitions, crash/rejoin waves). `None` keeps the

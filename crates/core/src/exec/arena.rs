@@ -29,7 +29,8 @@
 //! recycled capacity, which sums to the real net backing capacity the
 //! pools ever had to create (growth of a pooled buffer *within* a rent
 //! shows up in its next recycle). Their ratio is the buffer-churn
-//! reduction reported by the scaling bench.
+//! reduction; the benchmark reports the two as `core.arena_demand_bytes`
+//! and `core.arena_allocated_bytes`.
 
 use ndlog_runtime::TupleDelta;
 

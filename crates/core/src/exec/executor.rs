@@ -25,7 +25,7 @@
 //!    stolen nodes — `receive` → `set_time` → `expire_soft_state` →
 //!    `process` for deliveries, `flush` for flush timers — recording one
 //!    [`EpochOutcome`] per task *without* touching any shared mutable
-//!    state. With **delivery coalescing** (the default), a run of
+//!    state. Under **delivery coalescing**, a run of
 //!    consecutive deliveries to the same node is merged into one receive
 //!    batch: every payload is ingested, then a single
 //!    `set_time`/`expire_soft_state`/`process` runs at the run's *last*
@@ -64,11 +64,11 @@
 //! before any lane runs — it never depends on lane assignment or timing.
 //! Coalescing *is* a different evaluation schedule than per-event delivery
 //! (a merged batch processes at its last member's timestamp, so sends
-//! merge and traffic traces differ between the two modes), which is why it
-//! is a mode on the executor rather than an always-on rewrite: within
-//! either mode, any thread count is bit-for-bit identical to the same mode
-//! at `threads = 1`, and both modes reach the same fixpoint on the result
-//! relations (see the `coalescing` integration test).
+//! merge and traffic traces differ between the two). The per-event
+//! schedule survives only as a test oracle: under either schedule any
+//! thread count is bit-for-bit identical to `threads = 1`, and both reach
+//! the same fixpoint on the result relations (see the `coalescing`
+//! integration test).
 //!
 //! On an evaluation error the guarantee is narrower (see [`EpochResult`]):
 //! the error surfaced is the one the sequential loop would have hit first,
@@ -252,8 +252,6 @@ impl EpochExecutor {
     /// pool), which exercises the same queue/steal/merge path and is
     /// useful for differential testing. `sharing_enabled` selects the
     /// wire-size accounting used to pre-serialize outbound batches.
-    /// Delivery coalescing defaults to on; [`EpochExecutor::coalescing`]
-    /// turns it off.
     pub fn new(threads: usize, sharing_enabled: bool) -> EpochExecutor {
         let threads = threads.max(1);
         EpochExecutor {
@@ -264,7 +262,10 @@ impl EpochExecutor {
         }
     }
 
-    /// Enable or disable delivery coalescing (builder-style).
+    /// Per-event delivery when `false`: the differential-test oracle
+    /// behind `EngineConfig::coalesce_deliveries`; no production caller
+    /// passes `false`.
+    #[doc(hidden)]
     pub fn coalescing(mut self, on: bool) -> EpochExecutor {
         self.coalesce = on;
         self

@@ -17,12 +17,10 @@
 //! | [`sharing`] | opportunistic message sharing (Section 5.2) |
 //! | [`caching`] | query-result caching support for magic queries (Section 5.2) |
 //! | [`updates`] | bursty update workloads (Section 4 / Section 6.5) |
-//! | [`costmodel`] | cost-based planning: live store statistics ([`costmodel::StatsCatalog`]) ranking join orders by estimated tuples examined, plus neighborhood-function TD/BU/hybrid radius splits (Section 5.3) |
 //! | [`consistency`] | helpers to check distributed results against the centralized evaluator (Theorem 4) |
 
 pub mod caching;
 pub mod consistency;
-pub mod costmodel;
 pub mod engine;
 pub mod exec;
 pub mod node;
@@ -30,7 +28,6 @@ pub mod plan;
 pub mod sharing;
 pub mod updates;
 
-pub use costmodel::{JoinAtom, RankedOrder, StatsCatalog};
 pub use engine::{
     ConvergenceReport, DeliveryStats, DistributedEngine, EngineConfig, FaultRepairReport,
     RefreshConfig, RunReport,

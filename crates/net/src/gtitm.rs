@@ -70,105 +70,10 @@ impl TransitStubConfig {
         }
     }
 
-    /// A ~1k-node configuration: 10 transit nodes, 5 stubs per transit,
-    /// 20 nodes per stub (1010 nodes total).
-    pub fn one_k() -> Self {
-        TransitStubConfig {
-            transit_nodes: 10,
-            stubs_per_transit: 5,
-            nodes_per_stub: 20,
-            ..Self::paper()
-        }
-    }
-
-    /// A ~4k-node configuration: 16 transit nodes, 10 stubs per transit,
-    /// 25 nodes per stub (4016 nodes total).
-    pub fn four_k() -> Self {
-        TransitStubConfig {
-            transit_nodes: 16,
-            stubs_per_transit: 10,
-            nodes_per_stub: 25,
-            ..Self::paper()
-        }
-    }
-
-    /// A ~10k-node configuration: 20 transit nodes, 12 stubs per transit,
-    /// 42 nodes per stub (10100 nodes total).
-    pub fn ten_k() -> Self {
-        TransitStubConfig {
-            transit_nodes: 20,
-            stubs_per_transit: 12,
-            nodes_per_stub: 42,
-            ..Self::paper()
-        }
-    }
-
     /// Total number of nodes this configuration generates.
     pub fn total_nodes(&self) -> usize {
         self.transit_nodes + self.transit_nodes * self.stubs_per_transit * self.nodes_per_stub
     }
-}
-
-/// One source→destination demand in a traffic matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct TrafficFlow {
-    /// The querying node.
-    pub src: NodeAddr,
-    /// The destination the query targets.
-    pub dst: NodeAddr,
-}
-
-/// Draw a Zipf-skewed traffic matrix over `nodes`: both endpoints of each
-/// flow are sampled from a Zipf distribution with the given `exponent`
-/// over the node list's rank order (rank 0 is hottest), mirroring the
-/// skewed popularity of real overlay workloads — a few hot destinations
-/// attract most queries. Self-flows and duplicate (src, dst) pairs are
-/// rejected, so the result is a set of at most `flows` distinct demands
-/// (fewer only when the node list is too small to supply them).
-pub fn zipf_traffic_matrix(
-    nodes: &[NodeAddr],
-    flows: usize,
-    exponent: f64,
-    seed: u64,
-) -> Vec<TrafficFlow> {
-    if nodes.len() < 2 {
-        return Vec::new();
-    }
-    // Inverse-CDF sampling over the (finite) Zipf weights 1 / (rank+1)^s.
-    let weights: Vec<f64> = (0..nodes.len())
-        .map(|rank| 1.0 / ((rank + 1) as f64).powf(exponent))
-        .collect();
-    let total: f64 = weights.iter().sum();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let draw = |rng: &mut StdRng| -> NodeAddr {
-        let mut target = rng.random_range(0.0..total);
-        for (rank, w) in weights.iter().enumerate() {
-            if target < *w {
-                return nodes[rank];
-            }
-            target -= w;
-        }
-        nodes[nodes.len() - 1]
-    };
-    let mut seen = std::collections::BTreeSet::new();
-    let mut out = Vec::with_capacity(flows);
-    // Rejection sampling with an attempt cap so tiny node lists cannot
-    // spin forever once every distinct pair is taken.
-    let mut attempts = 0usize;
-    let max_attempts = flows.saturating_mul(64).max(1024);
-    while out.len() < flows && attempts < max_attempts {
-        attempts += 1;
-        let src = draw(&mut rng);
-        let dst = draw(&mut rng);
-        if src == dst {
-            continue;
-        }
-        let flow = TrafficFlow { src, dst };
-        if seen.insert(flow) {
-            out.push(flow);
-        }
-    }
-    out
 }
 
 /// The generated transit-stub topology together with the node roles.
@@ -334,56 +239,11 @@ mod tests {
     }
 
     #[test]
-    fn scale_presets_hit_their_node_counts() {
+    fn medium_preset_hits_its_node_count() {
         assert_eq!(TransitStubConfig::medium().total_nodes(), 52);
-        assert_eq!(TransitStubConfig::one_k().total_nodes(), 1010);
-        assert_eq!(TransitStubConfig::four_k().total_nodes(), 4016);
-        assert_eq!(TransitStubConfig::ten_k().total_nodes(), 10100);
-        // Generating the two smaller presets stays cheap enough to check
-        // connectivity here; 4k/10k are exercised by the scaling bench.
         let medium = generate(&TransitStubConfig::medium());
         assert_eq!(medium.topology.node_count(), 52);
         assert!(medium.topology.is_connected());
-        let one_k = generate(&TransitStubConfig::one_k());
-        assert_eq!(one_k.topology.node_count(), 1010);
-        assert!(one_k.topology.is_connected());
-    }
-
-    #[test]
-    fn zipf_traffic_is_skewed_deterministic_and_duplicate_free() {
-        let nodes: Vec<NodeAddr> = (0..100).map(NodeAddr).collect();
-        let flows = zipf_traffic_matrix(&nodes, 200, 1.0, 42);
-        assert_eq!(flows.len(), 200);
-        let distinct: std::collections::BTreeSet<_> = flows.iter().copied().collect();
-        assert_eq!(distinct.len(), flows.len(), "no duplicate pairs");
-        assert!(flows.iter().all(|f| f.src != f.dst), "no self-flows");
-        assert_eq!(
-            zipf_traffic_matrix(&nodes, 200, 1.0, 42),
-            flows,
-            "same seed, same matrix"
-        );
-        // Skew: the hottest decile of ranks participates in far more flow
-        // endpoints than the coldest decile.
-        let endpoint_hits = |lo: u32, hi: u32| {
-            flows
-                .iter()
-                .flat_map(|f| [f.src, f.dst])
-                .filter(|a| (lo..hi).contains(&a.0))
-                .count()
-        };
-        assert!(endpoint_hits(0, 10) > 4 * endpoint_hits(90, 100));
-    }
-
-    #[test]
-    fn zipf_traffic_degenerate_inputs() {
-        assert!(zipf_traffic_matrix(&[], 10, 1.0, 1).is_empty());
-        assert!(zipf_traffic_matrix(&[NodeAddr(0)], 10, 1.0, 1).is_empty());
-        // Two nodes admit only two distinct ordered pairs; the attempt cap
-        // keeps the request for more from spinning.
-        let two = [NodeAddr(0), NodeAddr(1)];
-        let flows = zipf_traffic_matrix(&two, 10, 1.0, 1);
-        assert!(flows.len() <= 2);
-        assert!(!flows.is_empty());
     }
 
     #[test]

@@ -324,36 +324,6 @@ impl Topology {
         dist
     }
 
-    /// The neighborhood function N(x, r): number of distinct nodes within
-    /// `r` hops of `x` (Section 5.3 of the paper). `N(x, 0) == 1` when the
-    /// node exists.
-    pub fn neighborhood(&self, node: NodeAddr, radius: usize) -> usize {
-        if !self.contains(node) {
-            return 0;
-        }
-        let mut seen = vec![false; self.node_count as usize];
-        seen[node.index()] = true;
-        let mut frontier = vec![node];
-        let mut count = 1;
-        for _ in 0..radius {
-            let mut next = Vec::new();
-            for n in frontier {
-                for nb in self.neighbors(n) {
-                    if !seen[nb.index()] {
-                        seen[nb.index()] = true;
-                        count += 1;
-                        next.push(nb);
-                    }
-                }
-            }
-            if next.is_empty() {
-                break;
-            }
-            frontier = next;
-        }
-        count
-    }
-
     /// Hop-count distance between two nodes (BFS). `None` if unreachable.
     pub fn hop_distance(&self, a: NodeAddr, b: NodeAddr) -> Option<usize> {
         if !self.contains(a) || !self.contains(b) {
@@ -483,21 +453,6 @@ mod tests {
             .unwrap();
         let d = t.shortest_distances(NodeAddr(0), Metric::HopCount);
         assert!(d[2].is_infinite());
-    }
-
-    #[test]
-    fn neighborhood_function() {
-        // Path graph 0 - 1 - 2 - 3
-        let mut t = Topology::with_nodes(4);
-        let m = LinkMetrics::uniform();
-        t.add_link(NodeAddr(0), NodeAddr(1), m).unwrap();
-        t.add_link(NodeAddr(1), NodeAddr(2), m).unwrap();
-        t.add_link(NodeAddr(2), NodeAddr(3), m).unwrap();
-        assert_eq!(t.neighborhood(NodeAddr(0), 0), 1);
-        assert_eq!(t.neighborhood(NodeAddr(0), 1), 2);
-        assert_eq!(t.neighborhood(NodeAddr(0), 2), 3);
-        assert_eq!(t.neighborhood(NodeAddr(0), 10), 4);
-        assert_eq!(t.neighborhood(NodeAddr(1), 1), 3);
     }
 
     #[test]

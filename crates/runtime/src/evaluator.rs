@@ -108,15 +108,9 @@ impl Evaluator {
         self.fixpoint.tap_mut().drain()
     }
 
-    /// Toggle batch-delta evaluation (on by default). The tuple-at-a-time
-    /// mode survives as the reference implementation: a run with batching
-    /// off produces the identical store and statistics except for
-    /// probe-count accounting — a batch fires every queued delta against
-    /// one store snapshot, so `tuples_examined` can differ (buckets probed
-    /// before, rather than after, a sibling delta's insertions are
-    /// PSN-invisible either way but still counted), and a batch invalidated
-    /// by a mid-batch removal re-fires its remainder, re-counting those
-    /// probes. See `tests/properties.rs` for the differential property.
+    /// Tuple-at-a-time evaluation when `false`: the differential-test
+    /// oracle of `tests/properties.rs`; no production caller sets this.
+    #[doc(hidden)]
     pub fn set_batching(&mut self, on: bool) {
         self.fixpoint.batching = on;
     }

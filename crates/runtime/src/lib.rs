@@ -49,17 +49,15 @@
 //!
 //! # Performance
 //!
-//! The join hot path is benchmarked by `experiments micro` (release mode;
-//! CI runs it as a smoke step gated at 2× against the committed
-//! `BENCH_micro_runtime.json`): a strand probing a 10⁴-tuple relation
-//! with 10 matches per trigger, fired 256 triggers at a time over one
-//! store snapshot. The timed paths are the indexed tuple-at-a-time
-//! interpreter (`CompiledStrand::fire_counted`), the indexed batch-delta
-//! path (`CompiledStrand::fire_batch`), the unindexed full scan, and a
-//! **duplicate-key** trigger set with Zipf-ish key frequencies fired
-//! through the batch path. The methodology is deliberately simple: a
-//! fixed deterministic workload, one warmup pass, then a fixed number of
-//! timed passes, reported as µs per trigger.
+//! Nothing in this crate reads a clock. Time is measured from outside by
+//! the standalone `benchmark/` package (`BENCHMARK.json`), whose traced
+//! run reports this layer as `runtime.*` (`scans`, `logical_probes`,
+//! `distinct_probes`, `tuples_examined` among them) on all four
+//! workloads. That the access paths are the intended ones is pinned
+//! by exact counts, not by timing: `strand.rs`'s unit tests assert
+//! `scans == 0` on the probe plan, "four triggers over two distinct keys
+//! probe twice" and `shared_key_batch_probes_the_index_exactly_once`;
+//! `tests/indexed_joins.rs` asserts the same of the distributed engine.
 //!
 //! Three optimizations stack on the batch path:
 //!
@@ -93,25 +91,22 @@
 //!   counter is unchanged.
 //!
 //! Two more optimizations live a layer up, in the distributed engine
-//! (`ndlog-core`), but exist to feed this crate's batch path and are
-//! measured by the same micro bench:
+//! (`ndlog-core`), but exist to feed this crate's batch path:
 //!
 //! * **Epoch delivery coalescing** (`ndlog-core`'s `exec` module): the
 //!   epoch executor merges consecutive same-node message deliveries into
 //!   one receive batch, so a node ingests every payload of the run and
 //!   calls `process` once — handing [`batch`] one wide delta batch
-//!   instead of many single-delta batches. The micro bench times both
-//!   schedules through a full node engine (store clock, PSN queue,
-//!   outbound routing) as `delivery_per_event_us_per_trigger` vs
-//!   `delivery_coalesced_us_per_trigger`; the coalesced figure is part
-//!   of the CI 2× gate.
+//!   instead of many single-delta batches. `tests/coalescing.rs` checks
+//!   it against per-event delivery; the benchmark reports the achieved
+//!   width as `core.receive_batch_width`.
 //! * **Wire-buffer arenas** (`ndlog-core`'s `exec::arena` module): the
 //!   `Vec<TupleDelta>` payload buffers that carry deltas between nodes
 //!   circulate through a per-node pool — rented at the send path,
 //!   recycled when the receiver drains them — so steady-state messaging
-//!   reuses buffers instead of allocating per message. The scaling
-//!   report accounts demanded vs actually-allocated buffer bytes and
-//!   prints the reduction factor.
+//!   reuses buffers instead of allocating per message. The benchmark
+//!   reports demanded vs actually-allocated buffer bytes as
+//!   `core.arena_demand_bytes` / `core.arena_allocated_bytes`.
 //!
 //! Probe accounting is two-counter ([`index::JoinStats`]):
 //! `logical_probes` counts per binding environment (identical across
@@ -120,9 +115,14 @@
 //! bucket lookups actually executed (`≤ logical` under grouping; both
 //! deterministic, so they participate in the cross-thread
 //! bitwise-identity checks). Batch evaluation is semantics-identical to
-//! the tuple-at-a-time reference mode — `tests/properties.rs` proves
-//! stores identical and statistics equal modulo the probe accounting
-//! that [`Evaluator::set_batching`] documents.
+//! tuple-at-a-time firing, which survives only as the oracle of
+//! `tests/properties.rs`: stores are identical and statistics equal
+//! except for probe accounting — a batch fires every queued delta against
+//! one store snapshot, so `tuples_examined` can differ (buckets probed
+//! before, rather than after, a sibling delta's insertions are
+//! PSN-invisible either way but still counted), and a batch invalidated
+//! by a mid-batch removal re-fires its remainder, re-counting those
+//! probes.
 
 pub mod aggview;
 pub mod batch;

@@ -1,22 +1,20 @@
-//! The `ndlog` command: interactive shell, network service, CI smoke
-//! test and throughput bench over the shared session layer.
+//! The `ndlog` command: interactive shell, network service and CI smoke
+//! test over the shared session layer.
 
 use ndlog_serve::client::ScriptClient;
-use ndlog_serve::{bench, repl, service, Service};
+use ndlog_serve::{repl, service, Service};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: ndlog <command> [options]
+const USAGE: &str = "usage: ndlog <command> [options]
 
 commands:
   repl  [--program FILE]                 interactive shell
   serve --listen ADDR [--program FILE]   TCP line-protocol service
-  smoke [--verbose]                      scripted end-to-end TCP session (CI)
-  bench [--sessions 1,2,4] [--batches N] [--json PATH] [--baseline PATH]
-                                         multi-session update throughput"
-    );
+  smoke [--verbose]                      scripted end-to-end TCP session (CI)";
+
+fn usage() -> ! {
+    eprintln!("{USAGE}");
     std::process::exit(2)
 }
 
@@ -75,7 +73,7 @@ fn main() {
             }
             println!("smoke OK");
         }
-        Some("bench") => run_bench(&args),
+        Some("--help" | "-h") => println!("{USAGE}"),
         _ => usage(),
     }
 }
@@ -186,71 +184,4 @@ fn smoke(verbose: bool) -> Result<(), String> {
     step(&mut client, verbose, ".quit")?;
     server.shutdown();
     Ok(())
-}
-
-fn run_bench(args: &[String]) {
-    let sessions: Vec<usize> = flag_value(args, "--sessions")
-        .unwrap_or("1,2,4")
-        .split(',')
-        .map(|s| s.trim().parse().unwrap_or_else(|_| usage()))
-        .collect();
-    let batches: usize = flag_value(args, "--batches")
-        .unwrap_or("50")
-        .parse()
-        .unwrap_or_else(|_| usage());
-
-    let result = bench::service_throughput(&sessions, batches);
-    for run in &result.runs {
-        println!(
-            "sessions={:<3} updates={:<6} elapsed={:.3}s throughput={:.0} updates/s (monitor saw {} deltas)",
-            run.sessions, run.updates, run.elapsed_seconds, run.updates_per_sec, run.monitor_deltas
-        );
-    }
-    let json = result.to_json();
-    if let Some(path) = flag_value(args, "--json") {
-        std::fs::write(path, &json).unwrap_or_else(|e| {
-            eprintln!("ndlog: cannot write {path}: {e}");
-            std::process::exit(1)
-        });
-        println!("wrote {path}");
-    }
-    if let Some(path) = flag_value(args, "--baseline") {
-        let baseline = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("ndlog: cannot read baseline {path}: {e}");
-            std::process::exit(1)
-        });
-        let committed = json_number(&baseline, "min_updates_per_sec").unwrap_or_else(|| {
-            eprintln!("ndlog: no min_updates_per_sec in {path}");
-            std::process::exit(1)
-        });
-        let measured = result.min_updates_per_sec();
-        // Generous slack: CI machines vary, regressions we care about are
-        // integer-factor collapses, not noise.
-        let floor = committed / 4.0;
-        if measured < floor {
-            eprintln!(
-                "bench gate FAILED: measured {measured:.1} updates/s < floor {floor:.1} \
-                 (baseline {committed:.1} / 4)"
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "bench gate OK: measured {measured:.1} updates/s >= floor {floor:.1} \
-             (baseline {committed:.1} / 4)"
-        );
-    }
-}
-
-/// Pull `"field": <number>` out of a JSON text (the repo is offline and
-/// has no JSON parser; mirrors the bench harness's convention).
-fn json_number(text: &str, field: &str) -> Option<f64> {
-    let needle = format!("\"{field}\":");
-    let start = text.find(&needle)? + needle.len();
-    let rest = text[start..].trim_start();
-    let end = rest
-        .find(|c: char| {
-            !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E' || c == '+')
-        })
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }

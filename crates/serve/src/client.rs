@@ -1,7 +1,7 @@
-//! A scripted line-protocol client, used by the CI smoke test, the
-//! throughput bench and the integration tests. Not a general-purpose
-//! client library: it drives one command at a time and stashes any
-//! asynchronous `delta` lines it encounters along the way.
+//! A scripted line-protocol client, used by the CI smoke test and the
+//! integration tests. Not a general-purpose client library: it drives one
+//! command at a time and stashes any asynchronous `delta` lines it
+//! encounters along the way.
 
 use crate::protocol;
 use std::io::{BufRead, BufReader, Write};

@@ -58,10 +58,10 @@
 //!
 //! `ndlog smoke` runs a scripted end-to-end TCP session (load program,
 //! update, query, subscribe, observe a retraction, dump, quit) and exits
-//! non-zero on any mismatch — CI runs it on every push. `ndlog bench`
-//! measures multi-session update throughput ([`bench`]).
+//! non-zero on any mismatch — CI runs it on every push. Service
+//! performance is measured by the `serve_mixed` workload of the
+//! standalone `benchmark/` package.
 
-pub mod bench;
 pub mod client;
 pub mod error;
 pub mod protocol;

@@ -346,8 +346,8 @@ impl Session {
     }
 
     /// Commit a pre-built delta batch (one epoch), bypassing the text
-    /// dialect. The concurrency tests and the bench drive the engine this
-    /// way; it is exactly what an `Update` command does after parsing.
+    /// dialect. The concurrency tests and `benchmark/` drive the engine
+    /// this way; it is exactly what an `Update` command does after parsing.
     pub fn apply_batch(&self, deltas: Vec<TupleDelta>) -> Result<Response, ServeError> {
         self.service.core.lock().unwrap().commit(self.id, deltas)
     }

@@ -182,10 +182,13 @@ fn bursty_updates_converge_to_the_final_state() {
 /// burst, which exercises deletions and rederivation.
 #[test]
 fn parallel_execution_is_deterministic_across_seeds_and_topologies() {
-    // (name, transit-stub shape, overlay neighbors) — a denser and a
-    // sparser topology, regenerated per seed.
-    let topologies: [(&str, TransitStubConfig, usize); 2] = [
-        ("small", TransitStubConfig::small(), 4),
+    // (name, transit-stub shape, overlay neighbors, seeds) — a denser and
+    // a sparser topology, regenerated per seed, and a 52-node one spanning
+    // several transit domains, held to one seed to keep debug runs short.
+    const SEEDS: [u64; 3] = [0xc0ffee, 1, 42];
+    let topologies: [(&str, TransitStubConfig, usize, &[u64]); 3] = [
+        ("small", TransitStubConfig::small(), 4, &SEEDS),
+        ("medium", TransitStubConfig::medium(), 4, &SEEDS[..1]),
         (
             "sparse",
             TransitStubConfig {
@@ -195,10 +198,11 @@ fn parallel_execution_is_deterministic_across_seeds_and_topologies() {
                 ..TransitStubConfig::paper()
             },
             2,
+            &SEEDS,
         ),
     ];
-    for (name, ts_config, neighbors) in topologies {
-        for seed in [0xc0ffee_u64, 1, 42] {
+    for (name, ts_config, neighbors, seeds) in topologies {
+        for &seed in seeds {
             let ts = generate(&ts_config);
             let overlay_config = OverlayConfig {
                 neighbors_per_node: neighbors,
