@@ -40,7 +40,7 @@ use ndlog_net::sim::{ms, to_seconds, SimTime};
 use ndlog_net::stats::NetStats;
 use ndlog_net::topology::Topology;
 use ndlog_net::{FaultPlan, FaultStats, Message, NodeAddr, SimConfig, Simulator};
-use ndlog_runtime::{EvalError, EvalStats, Sign, Tuple, TupleDelta};
+use ndlog_runtime::{EvalBuffers, EvalError, EvalStats, RelName, Sign, Tuple, TupleDelta};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -170,8 +170,8 @@ pub struct ResultRecord {
     pub time: SimTime,
     /// Node at which the result is stored.
     pub node: NodeAddr,
-    /// Relation name.
-    pub relation: String,
+    /// Relation name, shared with the delta that caused the change.
+    pub relation: RelName,
     /// The tuple.
     pub tuple: Tuple,
     /// Insertion or deletion.
@@ -238,6 +238,9 @@ pub struct DistributedEngine {
     max_seconds: f64,
     /// Drives the epoch event loop (inline at 1 thread, pooled above).
     executor: EpochExecutor,
+    /// The evaluation buffers of the sequential inject path (the epoch
+    /// loop's belong to the executor's lanes).
+    buffers: EvalBuffers,
     /// Delivery-coalescing mode, kept for executor rebuilds.
     coalesce: bool,
     delivery_stats: DeliveryStats,
@@ -253,7 +256,7 @@ pub struct DistributedEngine {
     refresh_reannounced: u64,
     /// Insert deltas the fault plan dropped in flight, for the repair
     /// report.
-    dropped_inserts: Vec<(NodeAddr, String, Tuple)>,
+    dropped_inserts: Vec<(NodeAddr, RelName, Tuple)>,
 }
 
 impl DistributedEngine {
@@ -303,6 +306,7 @@ impl DistributedEngine {
             max_seconds: config.max_seconds,
             executor: EpochExecutor::new(config.parallelism, sharing_enabled)
                 .coalescing(config.coalesce_deliveries),
+            buffers: EvalBuffers::default(),
             coalesce: config.coalesce_deliveries,
             delivery_stats: DeliveryStats::default(),
             seeds: BTreeMap::new(),
@@ -365,7 +369,7 @@ impl DistributedEngine {
     /// destination now — i.e. were healed by a refresh re-send (or an
     /// equivalent re-derivation) as the paper's soft-state story promises.
     pub fn fault_repair_report(&self) -> FaultRepairReport {
-        let distinct: BTreeSet<&(NodeAddr, String, Tuple)> = self.dropped_inserts.iter().collect();
+        let distinct: BTreeSet<&(NodeAddr, RelName, Tuple)> = self.dropped_inserts.iter().collect();
         let repaired = distinct
             .iter()
             .filter(|(dest, relation, tuple)| {
@@ -519,7 +523,7 @@ impl DistributedEngine {
             let node = self.nodes.get_mut(&addr).expect("known node");
             node.set_time(now);
             node.expire_soft_state(now);
-            node.process()?
+            node.process_with(&mut self.buffers)?
         };
         self.apply_effects(
             addr,

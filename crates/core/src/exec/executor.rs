@@ -25,7 +25,11 @@
 //!    stolen nodes — `receive` → `set_time` → `expire_soft_state` →
 //!    `process` for deliveries, `flush` for flush timers — recording one
 //!    [`EpochOutcome`] per task *without* touching any shared mutable
-//!    state. Under **delivery coalescing**, a run of
+//!    state. Every node a lane evaluates is processed in that lane's own
+//!    [`EvalBuffers`], which the executor keeps for its lifetime: the
+//!    buffers' high-water mark is paid once per lane, not once per node,
+//!    and since they carry capacity only, never state, which lane ran
+//!    which node stays unobservable. Under **delivery coalescing**, a run of
 //!    consecutive deliveries to the same node is merged into one receive
 //!    batch: every payload is ingested, then a single
 //!    `set_time`/`expire_soft_state`/`process` runs at the run's *last*
@@ -82,8 +86,9 @@ use crate::node::{NodeEngine, ResultChange};
 use crate::sharing;
 use ndlog_net::sim::SimTime;
 use ndlog_net::NodeAddr;
-use ndlog_runtime::{EvalError, TupleDelta};
+use ndlog_runtime::{EvalBuffers, EvalError, TupleDelta};
 use std::collections::BTreeMap;
+use std::sync::Mutex;
 
 /// What an epoch event asks a node to do.
 #[derive(Debug)]
@@ -237,6 +242,10 @@ pub struct EpochResult {
 pub struct EpochExecutor {
     pool: Option<WorkerPool>,
     threads: usize,
+    /// One set of evaluation buffers per lane, reused across every node
+    /// and epoch the lane drains. Each lock is taken once per epoch, by the
+    /// one job of that lane.
+    lane_buffers: Vec<Mutex<EvalBuffers>>,
     /// Message-sharing mode of the owning engine, needed to pre-compute
     /// outbound wire sizes in the lanes.
     sharing_enabled: bool,
@@ -257,6 +266,7 @@ impl EpochExecutor {
         EpochExecutor {
             pool: (threads > 1).then(|| WorkerPool::new(threads - 1)),
             threads,
+            lane_buffers: (0..threads).map(|_| Mutex::default()).collect(),
             sharing_enabled,
             coalesce: true,
         }
@@ -319,22 +329,27 @@ impl EpochExecutor {
         let sharing = self.sharing_enabled;
         let coalesce = self.coalesce;
         let mut results: Vec<LaneResult> = (0..lanes).map(|_| LaneResult::default()).collect();
+        let queue = &queue;
+        let run_lane = |slot: &mut LaneResult, buffers: &Mutex<EvalBuffers>| {
+            let mut buffers = buffers
+                .lock()
+                .expect("an earlier epoch's lane panicked mid-evaluation");
+            *slot = drain_lane(queue, sharing, coalesce, &mut buffers);
+        };
         match &self.pool {
             Some(pool) => {
-                let queue = &queue;
                 let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = results
                     .iter_mut()
-                    .map(|slot| {
+                    .zip(&self.lane_buffers)
+                    .map(|(slot, buffers)| {
                         let job: Box<dyn FnOnce() + Send + '_> =
-                            Box::new(move || *slot = drain_lane(queue, sharing, coalesce));
+                            Box::new(move || run_lane(slot, buffers));
                         job
                     })
                     .collect();
                 pool.scope(jobs);
             }
-            None => {
-                results[0] = drain_lane(&queue, sharing, coalesce);
-            }
+            None => run_lane(&mut results[0], &self.lane_buffers[0]),
         }
 
         // Deterministic merge: interleave all lanes' outcomes back into
@@ -400,6 +415,7 @@ fn drain_lane(
     queue: &WorkQueue<(&mut NodeEngine, Vec<NodeTask>)>,
     sharing_enabled: bool,
     coalesce: bool,
+    buffers: &mut EvalBuffers,
 ) -> LaneResult {
     let mut lane = LaneResult::default();
     'nodes: while let Some((node, tasks)) = queue.pop() {
@@ -433,7 +449,7 @@ fn drain_lane(
                     }
                     node.set_time(time);
                     node.expire_soft_state(time);
-                    match node.process() {
+                    match node.process_with(buffers) {
                         Ok(output) => lane.outcomes.push(EpochOutcome {
                             time,
                             seq,
@@ -484,7 +500,7 @@ fn drain_lane(
                     node.expire_soft_state(task.time);
                     node.receive(seeds);
                     node.refresh_refire();
-                    match node.process() {
+                    match node.process_with(buffers) {
                         Ok(output) => lane.outcomes.push(EpochOutcome {
                             time: task.time,
                             seq: task.seq,
@@ -604,6 +620,53 @@ mod tests {
         let baseline = run(1);
         assert_eq!(run(2), baseline);
         assert_eq!(run(4), baseline);
+    }
+
+    #[test]
+    fn one_lane_draining_two_nodes_equals_two_single_node_epochs() {
+        // Node 0 gets a wide receive batch, node 1 a narrow one. With one
+        // thread, one lane evaluates both back to back in the same
+        // buffers; run apart, each node gets an executor — and buffers —
+        // of its own. The buffers carry capacity only, so the two must
+        // agree on everything: effects, stores, statistics.
+        let tasks = |node: u32| {
+            let fan_out = if node == 0 { 1..6 } else { 2..3 };
+            let payload: Vec<TupleDelta> = fan_out.map(|d| link(node, d, 1.0)).collect();
+            vec![NodeTask {
+                time: 1000,
+                seq: u64::from(node),
+                node: NodeAddr(node),
+                action: NodeAction::Deliver(payload),
+            }]
+        };
+        let observe = |outcomes: &[EpochOutcome], nodes: &BTreeMap<NodeAddr, NodeEngine>| {
+            let effects: Vec<_> = outcomes
+                .iter()
+                .map(|o| (o.seq, o.node, o.records.clone(), o.sends.clone()))
+                .collect();
+            let stores: Vec<_> = nodes
+                .values()
+                .map(|n| (n.store().tuples("path"), n.eval_stats()))
+                .collect();
+            (effects, stores)
+        };
+
+        let mut together = make_nodes(2);
+        let both: Vec<NodeTask> = tasks(0).into_iter().chain(tasks(1)).collect();
+        let result = EpochExecutor::new(1, false).run_epoch(&mut together, both);
+        assert!(result.error.is_none());
+        let (effects, stores) = observe(&result.outcomes, &together);
+
+        let mut apart = make_nodes(2);
+        let mut outcomes = Vec::new();
+        for node in 0..2 {
+            let result = EpochExecutor::new(1, false).run_epoch(&mut apart, tasks(node));
+            assert!(result.error.is_none());
+            outcomes.extend(result.outcomes);
+        }
+        assert_eq!((effects, stores), observe(&outcomes, &apart));
+        assert_eq!(together[&NodeAddr(0)].store().count("path"), 5);
+        assert_eq!(together[&NodeAddr(1)].store().count("path"), 1);
     }
 
     #[test]

@@ -28,6 +28,14 @@
 //! `parallelism = 1`: same stores, same statistics, same message trace
 //! (see the determinism contract in [`executor`]).
 //!
+//! The lanes also own the memory evaluation runs in: a node engine keeps
+//! its state and nothing else, and each lane lends the one
+//! `ndlog_runtime::EvalBuffers` it holds for the executor's lifetime to
+//! every node it drains, in every epoch ([`executor`]). The buffers grow to
+//! the widest batch a lane has seen and carry capacity only, so their cost
+//! is per lane — not per simulated node, of which one process hosts
+//! hundreds — and lane assignment stays unobservable.
+//!
 //! Two allocation-level optimizations ride on the same structure without
 //! weakening that contract. *Delivery coalescing* merges each run of
 //! consecutive same-node deliveries within an epoch into one receive

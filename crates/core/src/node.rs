@@ -33,8 +33,8 @@ use ndlog_net::sim::SimTime;
 use ndlog_net::NodeAddr;
 use ndlog_runtime::fixpoint::{LocalFixpoint, SiteHook};
 use ndlog_runtime::{
-    AggregateView, CompiledStrand, DeltaTap, EvalError, EvalStats, Sign, Store, Strategy, Tuple,
-    TupleDelta,
+    AggregateView, CompiledStrand, DeltaTap, EvalBuffers, EvalError, EvalStats, RelName, Sign,
+    Store, Strategy, Tuple, TupleDelta,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -62,8 +62,8 @@ pub struct NodeConfig {
 /// A change to a tracked relation, reported to the distributed engine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResultChange {
-    /// Relation name.
-    pub relation: String,
+    /// Relation name, shared with the delta that caused the change.
+    pub relation: RelName,
     /// The tuple that was inserted or deleted.
     pub tuple: Tuple,
     /// Insertion or deletion.
@@ -145,7 +145,7 @@ impl SiteHook for NodeSite {
     /// Send a derivation headed at another node along its link, honoring
     /// the blocked-relation set and the hold-for-flush buffers.
     fn ship(&mut self, dest: NodeAddr, delta: TupleDelta) {
-        if self.config.blocked_relations.contains(&delta.relation) {
+        if self.config.blocked_relations.contains(&*delta.relation) {
             return;
         }
         let hold_for_sharing = self.config.sharing_delay.is_some();
@@ -164,7 +164,7 @@ impl SiteHook for NodeSite {
     }
 
     fn changed(&mut self, delta: &TupleDelta) {
-        if self.config.tracked_relations.contains(&delta.relation) {
+        if self.config.tracked_relations.contains(&*delta.relation) {
             self.output.changes.push(ResultChange {
                 relation: delta.relation.clone(),
                 tuple: delta.tuple.clone(),
@@ -217,7 +217,7 @@ impl NodeEngine {
             for sel in &plan.selections {
                 let Some(view_idx) = views
                     .iter()
-                    .position(|v| v.head_relation() == sel.aggregate_relation)
+                    .position(|v| *v.head_relation() == sel.aggregate_relation)
                 else {
                     return Err(format!(
                         "aggregate selection on {} has no matching aggregate view",
@@ -329,7 +329,7 @@ impl NodeEngine {
     /// numbers and the logical clock survive (a rejoining node must not
     /// travel back in time). Returns the tracked-relation retractions.
     pub fn crash_reset(&mut self) -> Vec<ResultChange> {
-        let names: Vec<String> = self.store().relation_names().map(str::to_string).collect();
+        let names: Vec<RelName> = self.store().relation_names().map(RelName::from).collect();
         for name in names {
             for tuple in self.store().tuples(&name) {
                 let delta = TupleDelta::delete(name.clone(), tuple);
@@ -352,7 +352,7 @@ impl NodeEngine {
     /// repair traffic a soft-state refresh cycle pays, and what heals
     /// receivers that lost the original message.
     pub fn refresh_refire(&mut self) {
-        let names: Vec<String> = self.store().relation_names().map(str::to_string).collect();
+        let names: Vec<RelName> = self.store().relation_names().map(RelName::from).collect();
         for name in names {
             let entries: Vec<(Tuple, u64)> = match self.store().relation(&name) {
                 Some(rel) => rel.iter().map(|s| (s.tuple.clone(), s.seq)).collect(),
@@ -375,9 +375,20 @@ impl NodeEngine {
 
     /// Run queued work to a local fixpoint (pipelined semi-naive, consumed
     /// in delta batches — see `ndlog_runtime::fixpoint`), producing
-    /// outbound messages and tracked-relation changes.
+    /// outbound messages and tracked-relation changes. The one-shot form
+    /// of [`NodeEngine::process_with`]: evaluates in buffers of its own and
+    /// drops them.
     pub fn process(&mut self) -> Result<ProcessOutput, EvalError> {
-        self.fixpoint.run(Strategy::Pipelined, &mut self.site)?;
+        self.process_with(&mut EvalBuffers::default())
+    }
+
+    /// [`NodeEngine::process`] in the caller's evaluation buffers. A node
+    /// owns none: whoever drives many nodes — an executor lane, the
+    /// engine's inject path — keeps one set and lends it to each in turn,
+    /// and gets it back holding capacity only.
+    pub fn process_with(&mut self, buffers: &mut EvalBuffers) -> Result<ProcessOutput, EvalError> {
+        self.fixpoint
+            .run(Strategy::Pipelined, &mut self.site, buffers)?;
         Ok(std::mem::take(&mut self.site.output))
     }
 
@@ -405,7 +416,7 @@ impl NodeEngine {
         let site = &mut self.site;
         let held = std::mem::take(&mut site.held);
         // Group keys that contain any deletion are exempt from deduplication.
-        let mut has_delete: BTreeSet<(NodeAddr, String, Vec<ndlog_lang::Value>)> = BTreeSet::new();
+        let mut has_delete: BTreeSet<(NodeAddr, RelName, Vec<ndlog_lang::Value>)> = BTreeSet::new();
         for (dest, delta) in &held {
             if delta.sign == Sign::Delete {
                 if let Some(key) = site.group_key(delta) {
@@ -416,7 +427,7 @@ impl NodeEngine {
         // Decide each entry's fate: sent verbatim, or competing for best
         // insertion per (dest, relation, group).
         let mut verbatim = vec![false; held.len()];
-        let mut best: BTreeMap<(NodeAddr, String, Vec<ndlog_lang::Value>), (usize, f64)> =
+        let mut best: BTreeMap<(NodeAddr, RelName, Vec<ndlog_lang::Value>), (usize, f64)> =
             BTreeMap::new();
         for (idx, (dest, delta)) in held.iter().enumerate() {
             let (Some(sel), Sign::Insert, Some(key)) = (

@@ -26,8 +26,9 @@ pub enum Value {
     Str(Arc<str>),
     /// A boolean.
     Bool(bool),
-    /// A list of values, e.g. a path vector.
-    List(Arc<Vec<Value>>),
+    /// A list of values, e.g. a path vector: header and elements in one
+    /// allocation.
+    List(Arc<[Value]>),
 }
 
 impl Value {
@@ -38,12 +39,12 @@ impl Value {
 
     /// Build a list value.
     pub fn list(items: Vec<Value>) -> Value {
-        Value::List(Arc::new(items))
+        Value::List(items.into())
     }
 
     /// The empty list (`nil` in the paper's syntax).
     pub fn nil() -> Value {
-        Value::List(Arc::new(Vec::new()))
+        Value::List(Arc::from([]))
     }
 
     /// Build an address value.
@@ -125,9 +126,25 @@ impl Value {
     }
 }
 
+/// Exactly the relation `self.cmp(other) == Ordering::Equal`, decided
+/// without walking what cannot differ: a list shared by reference count is
+/// equal to itself, lists of unequal length are not equal. Numbers compare
+/// as [`Ord::cmp`] compares them — two integers as integers, anything
+/// involving a float by `f64::total_cmp` — so `Int(3) == Float(3.0)`,
+/// `-0.0 != 0.0` and a NaN equals only its own bit pattern.
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+        use Value::*;
+        match (self, other) {
+            (Addr(a), Addr(b)) => a == b,
+            (Int(a), Int(b)) => a == b,
+            (Float(a), Float(b)) => a.total_cmp(b).is_eq(),
+            (Int(a), Float(b)) | (Float(b), Int(a)) => (*a as f64).total_cmp(b).is_eq(),
+            (Str(a), Str(b)) => Arc::ptr_eq(a, b) || a == b,
+            (Bool(a), Bool(b)) => a == b,
+            (List(a), List(b)) => Arc::ptr_eq(a, b) || a[..] == b[..],
+            _ => false,
+        }
     }
 }
 impl Eq for Value {}

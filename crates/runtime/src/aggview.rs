@@ -29,15 +29,17 @@
 use crate::expr::Bindings;
 use crate::store::Store;
 use crate::strand::bind_atom;
-use crate::tuple::{Sign, Tuple, TupleDelta};
+use crate::tuple::{RelName, Sign, Tuple, TupleDelta};
 use ndlog_lang::{AggFunc, Atom, Literal, Rule, Term, Value};
 use std::collections::BTreeMap;
 
 /// How each head field of the aggregate rule is produced.
 #[derive(Debug, Clone, PartialEq)]
 enum HeadField {
-    /// Copied from this column of the source relation (a group-by field).
-    Group(usize),
+    /// A group-by field: copied from a column of the source relation. The
+    /// n-th `Group` field of the template is the n-th field of the group
+    /// key (`group_cols` lists the same columns in the same order).
+    Group,
     /// The aggregate value itself.
     AggValue,
     /// A constant.
@@ -48,7 +50,8 @@ enum HeadField {
 #[derive(Debug, Clone)]
 pub struct AggregateView {
     rule_label: String,
-    head_relation: String,
+    /// Held once; every output delta shares it.
+    head_relation: RelName,
     source_relation: String,
     func: AggFunc,
     value_col: usize,
@@ -87,6 +90,38 @@ impl GroupState {
             }
         }
     }
+}
+
+/// Call `f` with the fields of `tuple` at `cols` — a group key — as one
+/// slice: on the stack for the usual ≤ 8 group columns, so looking a group
+/// up allocates nothing. `None` when the tuple is too short to project
+/// (heterogeneous hand-built stores).
+fn with_group_key<R>(cols: &[usize], tuple: &Tuple, f: impl FnOnce(Option<&[Value]>) -> R) -> R {
+    const UNSET: Value = Value::Bool(false);
+    let fields = || cols.iter().map(|&c| tuple.get(c).cloned());
+    let mut inline = [UNSET; 8];
+    if cols.len() > inline.len() {
+        return f(fields().collect::<Option<Vec<Value>>>().as_deref());
+    }
+    for (slot, field) in inline.iter_mut().zip(fields()) {
+        match field {
+            Some(value) => *slot = value,
+            None => return f(None),
+        }
+    }
+    f(Some(&inline[..cols.len()]))
+}
+
+/// Instantiate a head template for a group: one allocation, of exactly
+/// the tuple's size.
+fn head_tuple(template: &[HeadField], key: &[Value], agg_value: &Value) -> Tuple {
+    let mut key = key.iter();
+    let field = |f: &HeadField| match f {
+        HeadField::Group => key.next().expect("one key field per group column").clone(),
+        HeadField::AggValue => agg_value.clone(),
+        HeadField::Const(c) => c.clone(),
+    };
+    template.iter().map(field).collect()
 }
 
 impl AggregateView {
@@ -157,13 +192,13 @@ impl AggregateView {
                         )
                     })?;
                     group_cols.push(col);
-                    head_template.push(HeadField::Group(col));
+                    head_template.push(HeadField::Group);
                 }
             }
         }
         Ok(AggregateView {
             rule_label: rule.label.clone(),
-            head_relation: rule.head.name.clone(),
+            head_relation: rule.head.name.as_str().into(),
             source_relation: source.name.clone(),
             func: agg.func,
             value_col,
@@ -180,8 +215,9 @@ impl AggregateView {
         &self.source_relation
     }
 
-    /// The relation this view derives.
-    pub fn head_relation(&self) -> &str {
+    /// The relation this view derives: the shared name its output deltas
+    /// carry.
+    pub fn head_relation(&self) -> &RelName {
         &self.head_relation
     }
 
@@ -208,17 +244,25 @@ impl AggregateView {
 
     /// Current aggregate value for the group a source tuple belongs to.
     pub fn current_for(&self, source_tuple: &Tuple) -> Option<Value> {
-        let key = source_tuple.project(&self.group_cols);
-        self.groups.get(&key).and_then(|g| g.aggregate(self.func))
+        with_group_key(&self.group_cols, source_tuple, |key| {
+            self.groups.get(key?)?.aggregate(self.func)
+        })
+    }
+
+    /// The head tuple currently derived for the group a source tuple
+    /// belongs to, if any.
+    pub fn current_output_for(&self, source_tuple: &Tuple) -> Option<&Tuple> {
+        with_group_key(&self.group_cols, source_tuple, |key| {
+            self.current_output(key?)
+        })
     }
 
     /// The group key a source tuple belongs to, or `None` when the tuple
     /// is too short to project (heterogeneous hand-built stores).
     pub fn group_key(&self, source_tuple: &Tuple) -> Option<Vec<Value>> {
-        self.group_cols
-            .iter()
-            .map(|&c| source_tuple.get(c).cloned())
-            .collect()
+        with_group_key(&self.group_cols, source_tuple, |key| {
+            key.map(<[Value]>::to_vec)
+        })
     }
 
     /// The head tuple currently derived for a group, if any.
@@ -233,20 +277,15 @@ impl AggregateView {
         if head_tuple.arity() != self.head_template.len() {
             return None;
         }
-        let mut by_col: BTreeMap<usize, &Value> = BTreeMap::new();
-        for (pos, field) in self.head_template.iter().enumerate() {
+        let mut key = Vec::with_capacity(self.group_cols.len());
+        for (field, value) in self.head_template.iter().zip(head_tuple.values()) {
             match field {
-                HeadField::Group(col) => {
-                    by_col.insert(*col, head_tuple.get(pos)?);
-                }
-                HeadField::Const(c) if Some(c) != head_tuple.get(pos) => return None,
+                HeadField::Group => key.push(value.clone()),
+                HeadField::Const(c) if c != value => return None,
                 _ => {}
             }
         }
-        self.group_cols
-            .iter()
-            .map(|c| by_col.get(c).map(|&v| v.clone()))
-            .collect()
+        Some(key)
     }
 
     /// Rebuild one group's state from the tuples currently stored in the
@@ -278,13 +317,16 @@ impl AggregateView {
             }
             let cols: Vec<usize> = bound.keys().copied().collect();
             let vals: Vec<Value> = bound.values().cloned().collect();
-            let matches: Vec<Tuple> = relation
-                .lookup(&cols, &vals, u64::MAX, stats)
-                .filter(|s| self.group_key(&s.tuple).as_deref() == Some(key))
-                .map(|s| s.tuple.clone())
-                .collect();
-            for tuple in matches {
-                if !self.guards_satisfied(store, &tuple) {
+            let in_group = |tuple: &Tuple| {
+                let fields = self.group_cols.iter().map(|&c| tuple.get(c));
+                fields.eq(key.iter().map(Some))
+            };
+            for stored in relation.lookup(&cols, &vals, u64::MAX, stats) {
+                let tuple = &stored.tuple;
+                if !in_group(tuple) {
+                    continue;
+                }
+                if !self.guards_satisfied(store, tuple) {
                     continue;
                 }
                 let Some(value) = tuple.get(self.value_col).cloned() else {
@@ -294,7 +336,9 @@ impl AggregateView {
                 state.total += 1;
             }
         }
-        let new_head = state.aggregate(self.func).map(|v| self.head_tuple(key, &v));
+        let new_head = state
+            .aggregate(self.func)
+            .map(|v| head_tuple(&self.head_template, key, &v));
         state.current = new_head.clone();
         if state.total == 0 {
             self.groups.remove(key);
@@ -302,25 +346,6 @@ impl AggregateView {
             self.groups.insert(key.to_vec(), state);
         }
         new_head.map(|t| TupleDelta::insert(self.head_relation.clone(), t))
-    }
-
-    fn head_tuple(&self, key: &[Value], agg_value: &Value) -> Tuple {
-        // `key` holds the group values in `group_cols` order; map source
-        // column -> value for template instantiation.
-        let mut by_col: BTreeMap<usize, &Value> = BTreeMap::new();
-        for (col, val) in self.group_cols.iter().zip(key.iter()) {
-            by_col.insert(*col, val);
-        }
-        let values = self
-            .head_template
-            .iter()
-            .map(|f| match f {
-                HeadField::Group(col) => (*by_col.get(col).expect("group value present")).clone(),
-                HeadField::AggValue => agg_value.clone(),
-                HeadField::Const(c) => c.clone(),
-            })
-            .collect();
-        Tuple::new(values)
     }
 
     /// The (relation, bound-column signature) pairs this view probes:
@@ -409,57 +434,68 @@ impl AggregateView {
         if !self.guards_satisfied(store, &delta.tuple) {
             return Vec::new();
         }
-        let Some(value) = delta.tuple.get(self.value_col).cloned() else {
+        let Some(value) = delta.tuple.get(self.value_col) else {
             return Vec::new();
         };
-        let key = delta.tuple.project(&self.group_cols);
-        let group = self.groups.entry(key.clone()).or_default();
-
-        match delta.sign {
-            Sign::Insert => {
-                *group.multiset.entry(value).or_insert(0) += 1;
-                group.total += 1;
+        // The key is projected on the stack; only a group's first tuple
+        // copies it into the map.
+        let AggregateView {
+            groups,
+            group_cols,
+            head_template,
+            head_relation,
+            func,
+            ..
+        } = self;
+        with_group_key(group_cols, &delta.tuple, |key| {
+            let Some(key) = key else {
+                return Vec::new();
+            };
+            if delta.sign == Sign::Insert && !groups.contains_key(key) {
+                groups.insert(key.to_vec(), GroupState::default());
             }
-            Sign::Delete => {
-                match group.multiset.get_mut(&value) {
-                    Some(n) if *n > 1 => {
-                        *n -= 1;
-                        group.total -= 1;
+            // Deleting from a group we never saw (its insertions were
+            // pruned by an aggregate selection): ignore.
+            let Some(group) = groups.get_mut(key) else {
+                return Vec::new();
+            };
+            match delta.sign {
+                Sign::Insert => {
+                    match group.multiset.get_mut(value) {
+                        Some(n) => *n += 1,
+                        None => {
+                            group.multiset.insert(value.clone(), 1);
+                        }
                     }
-                    Some(_) => {
-                        group.multiset.remove(&value);
-                        group.total -= 1;
+                    group.total += 1;
+                }
+                Sign::Delete => {
+                    match group.multiset.get_mut(value) {
+                        Some(n) if *n > 1 => *n -= 1,
+                        Some(_) => {
+                            group.multiset.remove(value);
+                        }
+                        // Deleting a value we never saw: ignore.
+                        None => return Vec::new(),
                     }
-                    // Deleting a value we never saw (e.g. its insertion was
-                    // pruned by an aggregate selection): ignore.
-                    None => return Vec::new(),
+                    group.total -= 1;
                 }
             }
-        }
 
-        let new_value = group.aggregate(self.func);
-        let old_head = group.current.clone();
-        let new_head = new_value.map(|v| self.head_tuple(&key, &v));
-
-        let mut out = Vec::new();
-        if old_head == new_head {
-            return out;
-        }
-        if let Some(old) = old_head {
-            out.push(TupleDelta::delete(self.head_relation.clone(), old));
-        }
-        if let Some(new) = new_head.clone() {
-            out.push(TupleDelta::insert(self.head_relation.clone(), new));
-        }
-        // Update (or drop) the group state.
-        if let Some(g) = self.groups.get_mut(&key) {
-            if g.total == 0 {
-                self.groups.remove(&key);
-            } else {
-                g.current = new_head;
+            let new_head = group
+                .aggregate(*func)
+                .map(|v| head_tuple(head_template, key, &v));
+            if group.current == new_head {
+                return Vec::new();
             }
-        }
-        out
+            let old_head = std::mem::replace(&mut group.current, new_head.clone());
+            if group.total == 0 {
+                groups.remove(key);
+            }
+            let retract = old_head.map(|old| TupleDelta::delete(head_relation.clone(), old));
+            let assert = new_head.map(|new| TupleDelta::insert(head_relation.clone(), new));
+            retract.into_iter().chain(assert).collect()
+        })
     }
 }
 
@@ -643,6 +679,48 @@ mod tests {
             reject("a x(@S, D, min<C>) :- p(@S, C).").is_err(),
             "head variable missing from source"
         );
+    }
+
+    #[test]
+    fn group_keys_of_any_width_find_their_group() {
+        // Up to eight group columns are looked up from the stack, more from
+        // a vector; a tuple too short to project belongs to no group.
+        let wide = |v: i64, c: i64| {
+            let mut fields = vec![Value::addr(0u32)];
+            fields.extend((1..9).map(|i| Value::Int(i * v)));
+            fields.push(Value::Int(c));
+            Tuple::new(fields)
+        };
+        let mut nine = view("w x(@A,B,C,D,E,F,G,H,I,min<V>) :- p(@A,B,C,D,E,F,G,H,I,V).");
+        let mut two = sp_cost_view();
+        let store = Store::new();
+        for (v, c) in [(1, 7), (2, 9), (1, 4)] {
+            nine.apply(&store, &TupleDelta::insert("p", wide(v, c)));
+        }
+        assert_eq!(nine.group_count(), 2);
+        assert_eq!(nine.current_for(&wide(1, 0)), Some(Value::Int(4)));
+        assert_eq!(nine.current_for(&wide(2, 0)), Some(Value::Int(9)));
+        assert_eq!(nine.current_for(&wide(3, 0)), None);
+        let key = nine.group_key(&wide(2, 0)).unwrap();
+        assert_eq!(key.len(), 9);
+        assert_eq!(
+            nine.current_output(&key),
+            nine.current_output_for(&wide(2, 5))
+        );
+        assert_eq!(
+            nine.output_group_key(nine.current_output(&key).unwrap()),
+            Some(key)
+        );
+
+        two.apply(&store, &TupleDelta::insert("path", path(0, 1, 1, 5.0)));
+        let short = Tuple::new(vec![Value::addr(0u32)]);
+        assert_eq!(two.group_key(&short), None);
+        assert_eq!(two.current_for(&short), None);
+        assert_eq!(two.current_output_for(&short), None);
+        assert!(two
+            .apply(&store, &TupleDelta::insert("path", short))
+            .is_empty());
+        assert_eq!(two.group_count(), 1);
     }
 
     #[test]

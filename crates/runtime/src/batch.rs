@@ -10,9 +10,24 @@
 //! fixed **slot**, terms and expressions are rewritten to slot references,
 //! and at run time a whole batch of trigger deltas is drained through the
 //! rule's stages using two flat column buffers (`current` / `next` rows of
-//! `width` slots each) owned by a reusable [`BatchScratch`]. Extending an
+//! `width` slots each) of a reusable [`BatchScratch`]. Extending an
 //! environment is a row copy into the arena; no per-environment `Vec`,
 //! map or `String` is ever allocated.
+//!
+//! # Who owns the buffers
+//!
+//! Nobody who evaluates: the row arenas, the output buffer and the
+//! per-round vectors of the fixpoint loop are one [`EvalBuffers`] value
+//! that [`crate::fixpoint::LocalFixpoint::run`] *borrows* for the length of
+//! a run. The owner is whoever drives evaluation and outlives a run — an
+//! executor lane of `ndlog-core` (one value serves every node and epoch
+//! the lane drains), the centralized [`crate::Evaluator`], the distributed
+//! engine's sequential inject path. A process hosting hundreds of node
+//! engines therefore keeps as many high-water-mark buffers as it has
+//! lanes, not as it has nodes. The buffers carry capacity only: a firing
+//! leaves its scratch empty and its output is drained by whoever asked for
+//! it, on success and on error alike, so which buffers a run was lent is
+//! unobservable.
 //!
 //! # Key-grouped probe sharing
 //!
@@ -56,11 +71,12 @@
 
 use crate::expr::{eval_binop, eval_builtin, EvalError};
 use crate::index::JoinStats;
+use crate::intern::FxBuild;
 use crate::relation::StoredTuple;
 use crate::store::Store;
 use crate::strand::{Derivation, ProbePlan};
 use crate::subplan::ProbeCache;
-use crate::tuple::{Tuple, TupleDelta};
+use crate::tuple::{RelName, Sign, Tuple, TupleDelta};
 use ndlog_lang::seminaive::DeltaRule;
 use ndlog_lang::{Atom, Expr, Literal, Term, Value};
 use std::collections::{BTreeMap, HashMap};
@@ -183,14 +199,16 @@ pub struct BatchPlan {
     /// `Some` iff the last stage is a probe: the head re-expressed against
     /// (pre-final row, candidate), enabling final-stage fusion.
     fused_head: Option<Vec<FusedSource>>,
-    head_relation: String,
+    /// The head relation's name, held once: every derivation clones it by
+    /// reference count.
+    head_relation: RelName,
 }
 
 /// Reusable flat buffers for batch firing: environment rows (`width`
 /// slots per row, `Option<Value>` so unbound slots are explicit), the
 /// trigger index each row descends from, a probe-key scratch, and the
 /// key-grouping buffers of the shared-probe stage. One scratch serves any
-/// number of strands and batches; buffers only grow.
+/// number of strands, batches and stores; buffers only grow.
 #[derive(Debug, Default)]
 pub struct BatchScratch {
     rows: Vec<Option<Value>>,
@@ -202,15 +220,34 @@ pub struct BatchScratch {
     group_of: Vec<u32>,
     /// Per group: its member count (the `lookup_n` multiplier).
     group_sizes: Vec<u32>,
-    /// Probe key → group index. Group numbering is first-occurrence order
-    /// and every observable is addressed through it, so nothing depends
-    /// on hashing or iteration order.
-    group_map: HashMap<Box<[Value]>, u32>,
+    /// Probe key → group index, under the crate's seedless hasher so two
+    /// runs of one input build the same table. Group numbering is
+    /// first-occurrence order and every observable is addressed through
+    /// it, so nothing depends on hashing or iteration order — which pass 2
+    /// of [`group_and_probe`] relies on when it walks the map.
+    group_map: HashMap<Box<[Value]>, u32, FxBuild>,
     /// Per group: the `(start, end)` range of its shared match set in the
     /// flat match buffer.
     group_ranges: Vec<(u32, u32)>,
     /// Reusable row for the once-per-candidate residual check.
     probe_row: Vec<Option<Value>>,
+    /// The fields of the head tuple being projected; drained into the
+    /// tuple's one allocation.
+    head: Vec<Value>,
+}
+
+impl BatchScratch {
+    /// Drop every value a firing left behind, keeping the capacity.
+    fn clear(&mut self) {
+        self.rows.clear();
+        self.origins.clear();
+        self.next_rows.clear();
+        self.next_origins.clear();
+        self.key.clear();
+        self.group_map.clear();
+        self.probe_row.clear();
+        self.head.clear();
+    }
 }
 
 /// The derivations of one batch, grouped by trigger.
@@ -221,11 +258,45 @@ pub struct BatchOutput {
     offsets: Vec<usize>,
 }
 
+/// The buffers a fixpoint run evaluates in, lent to it by whoever drives
+/// evaluation (see the module docs): the row arenas and output buffer of
+/// batch firing plus the per-round vectors of the fixpoint loop. Capacity
+/// only, never state.
+#[derive(Debug, Default)]
+pub struct EvalBuffers {
+    pub(crate) scratch: BatchScratch,
+    pub(crate) out: BatchOutput,
+    /// Per trigger of the round being fired: its derivations over every
+    /// strand, in firing order. The inner vectors are drained as the round
+    /// is consumed and keep their capacity for the next one.
+    pub(crate) per_trigger: Vec<Vec<Derivation>>,
+    /// Per trigger of the round: is its tuple still stored?
+    pub(crate) live: Vec<bool>,
+    /// Per trigger of one strand's batch: its position in the round.
+    pub(crate) indices: Vec<usize>,
+}
+
 impl BatchOutput {
     /// Clear for reuse.
     pub fn clear(&mut self) {
         self.derivations.clear();
         self.offsets.clear();
+    }
+
+    /// Append the derivation of the head tuple whose fields are in `head`:
+    /// they are drained into the tuple's one allocation, of exactly their
+    /// size, and the relation's name is shared.
+    fn push(&mut self, head: &mut Vec<Value>, relation: &RelName, sign: Sign) {
+        let tuple: Tuple = head.drain(..).collect();
+        let location = tuple.location();
+        self.derivations.push(Derivation {
+            delta: TupleDelta {
+                relation: relation.clone(),
+                tuple,
+                sign,
+            },
+            location,
+        });
     }
 
     /// The derivations of trigger `i`, in firing order.
@@ -381,7 +452,7 @@ pub(crate) fn compile(rule: &DeltaRule, plans: &[Option<ProbePlan>]) -> BatchPla
         stages,
         head,
         fused_head,
-        head_relation: rule.rule.head.name.clone(),
+        head_relation: rule.rule.head.name.as_str().into(),
     }
 }
 
@@ -467,6 +538,16 @@ fn eval_slot(expr: &SlotExpr, row: &[Option<Value>]) -> Result<Value, EvalError>
             let rv = eval_slot(r, row)?;
             eval_binop(*op, &lv, &rv)
         }
+        // Every builtin takes one or two arguments: evaluate them into a
+        // fixed array, not a vector.
+        SlotExpr::Call(name, args) if args.len() <= 2 => {
+            const UNSET: Value = Value::Bool(false);
+            let mut vals = [UNSET; 2];
+            for (val, a) in vals.iter_mut().zip(args) {
+                *val = eval_slot(a, row)?;
+            }
+            eval_builtin(name, &vals[..args.len()])
+        }
         SlotExpr::Call(name, args) => {
             let mut vals = Vec::with_capacity(args.len());
             for a in args {
@@ -541,7 +622,7 @@ fn group_and_probe<'r>(
     key_buf: &mut Vec<Value>,
     group_of: &mut Vec<u32>,
     group_sizes: &mut Vec<u32>,
-    group_map: &mut HashMap<Box<[Value]>, u32>,
+    group_map: &mut HashMap<Box<[Value]>, u32, FxBuild>,
     group_ranges: &mut Vec<(u32, u32)>,
     probe_row: &mut Vec<Option<Value>>,
     group_matches: &mut Vec<&'r StoredTuple>,
@@ -644,6 +725,11 @@ fn apply_ops(ops: &[BindOp], tuple: &Tuple, row: &mut [Option<Value>]) -> bool {
 }
 
 impl BatchPlan {
+    /// The head relation's shared name.
+    pub(crate) fn head_relation(&self) -> &RelName {
+        &self.head_relation
+    }
+
     /// Drain a whole batch of trigger deltas through the compiled stages,
     /// with key-grouped probe sharing (one index lookup per distinct probe
     /// key per atom). See the module docs for the equivalence contract
@@ -664,12 +750,30 @@ impl BatchPlan {
         stats: &mut JoinStats,
         scratch: &mut BatchScratch,
         out: &mut BatchOutput,
-        mut cache: Option<&mut ProbeCache<'r>>,
+        cache: Option<&mut ProbeCache<'r>>,
     ) -> Result<(), EvalError> {
         out.clear();
+        let result = self.fire_rows(store, triggers, stats, scratch, out, cache);
+        // Only capacity outlives a firing: the scratch is handed back
+        // empty, and so is the output of a failed one.
+        scratch.clear();
+        if result.is_err() {
+            out.clear();
+        }
+        result
+    }
+
+    /// [`BatchPlan::fire_batch`] over an empty scratch and output.
+    fn fire_rows<'r>(
+        &self,
+        store: &'r Store,
+        triggers: &[BatchTrigger],
+        stats: &mut JoinStats,
+        scratch: &mut BatchScratch,
+        out: &mut BatchOutput,
+        mut cache: Option<&mut ProbeCache<'r>>,
+    ) -> Result<(), EvalError> {
         let width = self.width;
-        scratch.rows.clear();
-        scratch.origins.clear();
         // The shared match buffer of grouped probe stages: group `g`'s
         // matches live at `group_ranges[g]`. Borrows the store, so it
         // cannot live in the reusable scratch; it reaches steady-state
@@ -724,6 +828,7 @@ impl BatchPlan {
                         group_map,
                         group_ranges,
                         probe_row,
+                        ..
                     } = &mut *scratch;
                     next_rows.clear();
                     next_origins.clear();
@@ -880,6 +985,7 @@ impl BatchPlan {
                 group_map,
                 group_ranges,
                 probe_row,
+                head,
                 ..
             } = &mut *scratch;
             let stored = store.relation(relation);
@@ -928,6 +1034,7 @@ impl BatchPlan {
                             origin,
                             triggers,
                             &mut next_trigger,
+                            head,
                             out,
                         )?;
                     }
@@ -953,6 +1060,7 @@ impl BatchPlan {
                                 origin,
                                 triggers,
                                 &mut next_trigger,
+                                head,
                                 out,
                             )?;
                         }
@@ -963,18 +1071,23 @@ impl BatchPlan {
             // Unfused tail (the last stage is an assignment or filter, or
             // the rule has no non-trigger stages): project the head for
             // every surviving row.
-            for r in 0..scratch.origins.len() {
-                let origin = scratch.origins[r] as usize;
+            let BatchScratch {
+                rows,
+                origins,
+                head,
+                ..
+            } = &mut *scratch;
+            for (r, &origin) in origins.iter().enumerate() {
+                let origin = origin as usize;
                 while next_trigger <= origin {
                     out.offsets.push(out.derivations.len());
                     next_trigger += 1;
                 }
-                let row = &scratch.rows[r * width..(r + 1) * width];
-                let mut values = Vec::with_capacity(self.head.len());
+                let row = &rows[r * width..(r + 1) * width];
                 for source in &self.head {
                     match source {
-                        HeadSource::Const(c) => values.push(c.clone()),
-                        HeadSource::Slot(slot, name) => values.push(
+                        HeadSource::Const(c) => head.push(c.clone()),
+                        HeadSource::Slot(slot, name) => head.push(
                             row[*slot]
                                 .clone()
                                 .ok_or_else(|| EvalError::UnboundVariable(name.clone()))?,
@@ -991,16 +1104,7 @@ impl BatchPlan {
                         }
                     }
                 }
-                let tuple = Tuple::new(values);
-                let location = tuple.location();
-                out.derivations.push(Derivation {
-                    delta: TupleDelta {
-                        relation: self.head_relation.clone(),
-                        tuple,
-                        sign: triggers[origin].delta.sign,
-                    },
-                    location,
-                });
+                out.push(head, &self.head_relation, triggers[origin].delta.sign);
             }
         }
         while next_trigger <= triggers.len() {
@@ -1016,29 +1120,29 @@ impl BatchPlan {
 #[allow(clippy::too_many_arguments)]
 fn emit_fused(
     sources: &[FusedSource],
-    head_relation: &str,
+    head_relation: &RelName,
     row: &[Option<Value>],
     candidate: &StoredTuple,
     origin: usize,
     triggers: &[BatchTrigger],
     next_trigger: &mut usize,
+    head: &mut Vec<Value>,
     out: &mut BatchOutput,
 ) -> Result<(), EvalError> {
     while *next_trigger <= origin {
         out.offsets.push(out.derivations.len());
         *next_trigger += 1;
     }
-    let mut values = Vec::with_capacity(sources.len());
     for source in sources {
         match source {
-            FusedSource::Const(c) => values.push(c.clone()),
-            FusedSource::Row(slot, name) => values.push(
+            FusedSource::Const(c) => head.push(c.clone()),
+            FusedSource::Row(slot, name) => head.push(
                 row[*slot]
                     .clone()
                     .ok_or_else(|| EvalError::UnboundVariable(name.clone()))?,
             ),
             FusedSource::Cand(col) => {
-                values.push(candidate.tuple.get(*col).expect("arity checked").clone())
+                head.push(candidate.tuple.get(*col).expect("arity checked").clone())
             }
             FusedSource::Unbound(name) => return Err(EvalError::UnboundVariable(name.clone())),
             FusedSource::Aggregate => {
@@ -1048,15 +1152,162 @@ fn emit_fused(
             }
         }
     }
-    let tuple = Tuple::new(values);
-    let location = tuple.location();
-    out.derivations.push(Derivation {
-        delta: TupleDelta {
-            relation: head_relation.to_string(),
-            tuple,
-            sign: triggers[origin].delta.sign,
-        },
-        location,
-    });
+    out.push(head, head_relation, triggers[origin].delta.sign);
     Ok(())
+}
+
+#[cfg(test)]
+impl EvalBuffers {
+    /// Whether nothing but capacity is left in the buffers.
+    pub(crate) fn holds_only_capacity(&self) -> bool {
+        let BatchScratch {
+            rows,
+            origins,
+            next_rows,
+            next_origins,
+            key,
+            group_map,
+            probe_row,
+            head,
+            ..
+        } = &self.scratch;
+        rows.is_empty()
+            && origins.is_empty()
+            && next_rows.is_empty()
+            && next_origins.is_empty()
+            && key.is_empty()
+            && group_map.is_empty()
+            && probe_row.is_empty()
+            && head.is_empty()
+            && self.out.derivations.is_empty()
+            && self.per_trigger.iter().all(Vec::is_empty)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::strand::CompiledStrand;
+    use ndlog_lang::parse_program;
+    use ndlog_lang::seminaive::delta_rewrite_full;
+
+    fn addr(i: u32) -> Value {
+        Value::addr(i)
+    }
+
+    /// A store with its indexes and the strand `trigger` fires.
+    fn setup(src: &str, trigger: &str) -> (Store, CompiledStrand) {
+        let program = parse_program(src).unwrap();
+        let mut store = Store::for_program(&program);
+        let strands: Vec<CompiledStrand> = delta_rewrite_full(&program)
+            .into_iter()
+            .map(CompiledStrand::new)
+            .collect();
+        store.declare_indexes(strands.iter());
+        let strand = strands
+            .into_iter()
+            .find(|s| s.trigger_relation() == trigger)
+            .unwrap();
+        (store, strand)
+    }
+
+    type Fired = (Result<Vec<Vec<Derivation>>, EvalError>, JoinStats);
+
+    /// One firing in `buffers`, its output drained per trigger.
+    fn fire(
+        store: &Store,
+        strand: &CompiledStrand,
+        deltas: &[TupleDelta],
+        buffers: &mut EvalBuffers,
+    ) -> Fired {
+        let triggers: Vec<BatchTrigger> = deltas
+            .iter()
+            .map(|delta| BatchTrigger {
+                delta,
+                seq_limit: u64::MAX,
+            })
+            .collect();
+        let mut stats = JoinStats::default();
+        let EvalBuffers { scratch, out, .. } = buffers;
+        let result = strand
+            .fire_batch(store, &triggers, &mut stats, scratch, out, None)
+            .map(|()| {
+                let mut per_trigger = vec![Vec::new(); deltas.len()];
+                out.drain_into(|i, derivation| per_trigger[i].push(derivation));
+                per_trigger
+            });
+        (result, stats)
+    }
+
+    #[test]
+    fn lent_buffers_leak_nothing_between_firings() {
+        // Three strands of different row widths over three stores: an
+        // eleven-slot join with filter and assignments (unfused head), a
+        // two-slot join that is its own last stage (fused head), and one
+        // whose head projection fails.
+        let (mut wide_store, wide) = setup(
+            "sp2 path(@S,@D,@Z,P,C) :- #link(@S,@Z,C1), path(@Z,@D,@Z2,P2,C2),
+                 f_member(P2, S) == 0, C := C1 + C2, P := f_cons(S, P2).",
+            "link",
+        );
+        for d in 2..12u32 {
+            let path = vec![
+                addr(1),
+                addr(d),
+                addr(d),
+                Value::list(vec![addr(1), addr(d)]),
+                Value::Int(3),
+            ];
+            wide_store.apply(&TupleDelta::insert("path", Tuple::new(path)));
+        }
+        let link = |s: u32, z: u32| {
+            TupleDelta::insert("link", Tuple::new(vec![addr(s), addr(z), Value::Int(4)]))
+        };
+        let wide_batch: Vec<TupleDelta> = (0..6).map(|s| link(20 + s, 1 + s % 2)).collect();
+
+        let (mut narrow_store, narrow) = setup("j1 out(@S, V) :- probe(@S), big(@S, V).", "probe");
+        for i in 0..9u32 {
+            let big = Tuple::new(vec![addr(i % 3), Value::Int(i64::from(i))]);
+            narrow_store.apply(&TupleDelta::insert("big", big));
+        }
+        let probe = |s: u32| TupleDelta::insert("probe", Tuple::new(vec![addr(s)]));
+        let narrow_batch = [probe(0), probe(7), probe(2), probe(0)];
+
+        let (failing_store, failing) = setup("r1 out(@S, X) :- q(@S, C).", "q");
+        let failing_batch = [
+            TupleDelta::insert("q", Tuple::new(vec![addr(0), Value::Int(1)])),
+            TupleDelta::insert("q", Tuple::new(vec![addr(1), Value::Int(2)])),
+        ];
+
+        let firings: [(&Store, &CompiledStrand, &[TupleDelta]); 6] = [
+            (&wide_store, &wide, &wide_batch),
+            (&narrow_store, &narrow, &narrow_batch),
+            (&failing_store, &failing, &failing_batch),
+            (&narrow_store, &narrow, &narrow_batch),
+            (&failing_store, &failing, &failing_batch),
+            (&wide_store, &wide, &wide_batch),
+        ];
+        let mut lent = EvalBuffers::default();
+        for (i, (store, strand, deltas)) in firings.into_iter().enumerate() {
+            let through_lent = fire(store, strand, deltas, &mut lent);
+            let through_fresh = fire(store, strand, deltas, &mut EvalBuffers::default());
+            assert_eq!(through_lent, through_fresh, "firing {i}");
+            assert!(lent.holds_only_capacity(), "firing {i} left values behind");
+            let (result, _) = through_lent;
+            assert_eq!(
+                result.is_err(),
+                std::ptr::eq(strand, &failing),
+                "firing {i}"
+            );
+        }
+        // The inputs do exercise the joins: ten paths leave node 1, none
+        // node 2; three `big` tuples per stored address.
+        let (derived, stats) = fire(&wide_store, &wide, &wide_batch, &mut lent);
+        let derived: Vec<usize> = derived.unwrap().iter().map(Vec::len).collect();
+        assert_eq!(derived, [10, 0, 10, 0, 10, 0]);
+        assert_eq!((stats.logical_probes, stats.distinct_probes), (6, 2));
+        let (derived, _) = fire(&narrow_store, &narrow, &narrow_batch, &mut lent);
+        let derived: Vec<usize> = derived.unwrap().iter().map(Vec::len).collect();
+        assert_eq!(derived, [3, 0, 3, 3]);
+    }
 }

@@ -50,7 +50,7 @@ use crate::expr::EvalError;
 use crate::index::JoinStats;
 use crate::store::Store;
 use crate::strand::CompiledStrand;
-use crate::tuple::{Sign, Tuple, TupleDelta};
+use crate::tuple::{RelName, Sign, Tuple, TupleDelta};
 use ndlog_lang::{Literal, Term, Value};
 use ndlog_net::NodeAddr;
 use std::collections::{BTreeMap, BTreeSet};
@@ -87,9 +87,9 @@ impl Marking {
 /// closure frontier.
 fn mark(
     store: &Store,
-    relation: String,
+    relation: RelName,
     tuple: Tuple,
-    marked: &mut BTreeSet<(String, Tuple)>,
+    marked: &mut BTreeSet<(RelName, Tuple)>,
     order: &mut Vec<TupleDelta>,
     frontier: &mut Vec<TupleDelta>,
 ) {
@@ -137,6 +137,8 @@ fn mark(
 /// `self_addr` is the evaluating node in distributed mode: derivations
 /// located elsewhere are collected in [`Marking::remote`] instead of being
 /// marked. Pass `None` in the centralized evaluator (everything is local).
+/// The waves fire through the caller's reusable buffers.
+#[allow(clippy::too_many_arguments)]
 pub fn over_delete(
     store: &mut Store,
     strands: &[CompiledStrand],
@@ -144,8 +146,10 @@ pub fn over_delete(
     seeds: Vec<TupleDelta>,
     self_addr: Option<NodeAddr>,
     stats: &mut JoinStats,
+    scratch: &mut BatchScratch,
+    batch_out: &mut BatchOutput,
 ) -> Result<Marking, EvalError> {
-    let mut marked: BTreeSet<(String, Tuple)> = BTreeSet::new();
+    let mut marked: BTreeSet<(RelName, Tuple)> = BTreeSet::new();
     let mut order: Vec<TupleDelta> = Vec::new();
     let mut frontier: Vec<TupleDelta> = Vec::new();
     for seed in seeds {
@@ -165,7 +169,7 @@ pub fn over_delete(
     // winner — stay as they are.
     let now = store.now_micros();
     let seq = store.current_seq();
-    let mut temporarily_restored: Vec<(String, Tuple)> = Vec::new();
+    let mut temporarily_restored: Vec<(RelName, Tuple)> = Vec::new();
     for delta in &order {
         let Some(relation) = store.relation_mut(&delta.relation) else {
             continue;
@@ -187,8 +191,6 @@ pub fn over_delete(
     // The two wave buffers ping-pong: each iteration recycles the previous
     // wave's allocation for the next frontier instead of growing a fresh
     // `Vec` per wave.
-    let mut scratch = BatchScratch::default();
-    let mut batch_out = BatchOutput::default();
     let mut wave: Vec<TupleDelta> = Vec::new();
     while !frontier.is_empty() {
         wave.clear();
@@ -203,7 +205,7 @@ pub fn over_delete(
                         if let Some(out) = view.current_output(&key).cloned() {
                             mark(
                                 store,
-                                view.head_relation().to_string(),
+                                view.head_relation().clone(),
                                 out,
                                 &mut marked,
                                 &mut order,
@@ -217,7 +219,7 @@ pub fn over_delete(
                 // aggregate output retracted by a strand-derived deletion
                 // in an exotic program) also dirties its group, so the
                 // rebuild reconciles the view's notion of "current".
-                if view.head_relation() == delta.relation {
+                if *view.head_relation() == delta.relation {
                     if let Some(key) = view.output_group_key(&delta.tuple) {
                         dirty.insert((view_idx, key));
                     }
@@ -238,7 +240,7 @@ pub fn over_delete(
             if triggers.is_empty() {
                 continue;
             }
-            strand.fire_batch(store, &triggers, stats, &mut scratch, &mut batch_out, None)?;
+            strand.fire_batch(store, &triggers, stats, scratch, batch_out, None)?;
             batch_out.drain_into(|_, derivation| match (self_addr, derivation.location) {
                 (Some(me), Some(dest)) if dest != me => {
                     remote.push((dest, derivation.delta));
@@ -382,9 +384,10 @@ pub fn rederive_inserts(
             vals.len(),
             "pinned columns are key-var trigger columns"
         );
+        let trigger_name = RelName::from(strand.trigger_relation());
         let candidates: Vec<TupleDelta> = trigger_relation
             .lookup(&cols, &vals, u64::MAX, stats)
-            .map(|s| TupleDelta::insert(strand.trigger_relation(), s.tuple.clone()))
+            .map(|s| TupleDelta::insert(trigger_name.clone(), s.tuple.clone()))
             .collect();
         for delta in &candidates {
             let seq_limit = u64::MAX;
@@ -460,12 +463,14 @@ mod tests {
             vec![TupleDelta::delete("edge", edge(1, 2))],
             None,
             &mut stats,
+            &mut Default::default(),
+            &mut Default::default(),
         )
         .unwrap();
         let marked: BTreeSet<(String, Tuple)> = marking
             .rederive_candidates()
             .iter()
-            .map(|d| (d.relation.clone(), d.tuple.clone()))
+            .map(|d| (d.relation.to_string(), d.tuple.clone()))
             .collect();
         assert!(marked.contains(&("reach".to_string(), edge(1, 2))));
         assert!(marked.contains(&("reach".to_string(), edge(0, 2))));
@@ -493,6 +498,8 @@ mod tests {
             vec![TupleDelta::delete("edge", edge(0, 1))],
             None,
             &mut stats,
+            &mut Default::default(),
+            &mut Default::default(),
         )
         .unwrap();
         assert_eq!(marking.rederive_candidates().len(), 1);
@@ -529,6 +536,8 @@ mod tests {
             ],
             None,
             &mut stats,
+            &mut Default::default(),
+            &mut Default::default(),
         )
         .unwrap();
         assert!(

@@ -17,6 +17,7 @@
 //!    eventual-consistency argument (Theorem 3).
 
 use crate::aggview::AggregateView;
+use crate::batch::EvalBuffers;
 use crate::expr::EvalError;
 use crate::fixpoint::{LocalFixpoint, SiteHook};
 use crate::store::Store;
@@ -49,6 +50,8 @@ impl SiteHook for Centralized {
 /// A single-node NDlog evaluator.
 pub struct Evaluator {
     fixpoint: LocalFixpoint,
+    /// The buffers every run of this one engine evaluates in.
+    buffers: EvalBuffers,
     /// Facts declared in the program, loaded at construction.
     base_facts: Vec<TupleDelta>,
 }
@@ -88,6 +91,7 @@ impl Evaluator {
 
         Ok(Evaluator {
             fixpoint: LocalFixpoint::new(Store::for_program(program), Arc::new(strands), views),
+            buffers: EvalBuffers::default(),
             base_facts,
         })
     }
@@ -149,8 +153,7 @@ impl Evaluator {
     /// Buffer a base fact for the next [`Evaluator::run`] (does not run
     /// evaluation).
     pub fn insert_fact(&mut self, relation: &str, tuple: Tuple) {
-        self.base_facts
-            .push(TupleDelta::insert(relation.to_string(), tuple));
+        self.base_facts.push(TupleDelta::insert(relation, tuple));
     }
 
     /// Run the program to fixpoint from the currently loaded base facts.
@@ -187,7 +190,8 @@ impl Evaluator {
         for delta in external {
             self.fixpoint.ingest(delta, &mut Centralized);
         }
-        self.fixpoint.run(strategy, &mut Centralized)?;
+        self.fixpoint
+            .run(strategy, &mut Centralized, &mut self.buffers)?;
         Ok(self.fixpoint.stats() - before)
     }
 }
@@ -434,6 +438,36 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_run_hands_its_buffers_back_empty() {
+        // The head variable X is never bound: firing the strand fails
+        // after the rows of both triggers were built.
+        let program = parse_program("r1 out(@S, X) :- q(@S, C).").unwrap();
+        let mut failing = Evaluator::new(&program).unwrap();
+        for i in 0..2u32 {
+            failing.insert_fact("q", Tuple::new(vec![addr(i), Value::Int(1)]));
+        }
+        assert!(matches!(
+            failing.run(Strategy::SemiNaive),
+            Err(EvalError::UnboundVariable(v)) if v == "X"
+        ));
+        assert!(failing.buffers.holds_only_capacity());
+
+        // An engine lent those buffers next evaluates exactly like one
+        // with buffers of its own.
+        let run = |buffers: EvalBuffers| {
+            let mut eval = Evaluator::new(&programs::shortest_path("")).unwrap();
+            eval.buffers = buffers;
+            load_figure2_links(&mut eval, "link");
+            let stats = eval.run(Strategy::Pipelined).unwrap();
+            assert!(eval.buffers.holds_only_capacity());
+            (eval.results("shortestPath"), eval.results("path"), stats)
+        };
+        let lent = run(std::mem::take(&mut failing.buffers));
+        assert_eq!(lent, run(EvalBuffers::default()));
+        assert_eq!(lent.0.len(), 12);
+    }
+
+    #[test]
     fn bound_joins_examine_o_matches_not_o_n() {
         // A 1000-tuple `big` relation joined on a bound column: the probe
         // plan must examine only the matching tuples, not the whole
@@ -646,7 +680,7 @@ mod tests {
     fn replay(events: &[TupleDelta]) -> BTreeSet<(String, Tuple)> {
         let mut set = BTreeSet::new();
         for event in events {
-            let key = (event.relation.clone(), event.tuple.clone());
+            let key = (event.relation.to_string(), event.tuple.clone());
             match event.sign {
                 Sign::Insert => assert!(set.insert(key), "double insert of {event}"),
                 Sign::Delete => assert!(set.remove(&key), "retract of absent {event}"),

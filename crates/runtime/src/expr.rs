@@ -9,6 +9,7 @@
 use ndlog_lang::{BinOp, Expr, Value};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::iter::once;
 
 /// Variable bindings accumulated while evaluating a rule body.
 pub type Bindings = BTreeMap<String, Value>;
@@ -146,7 +147,7 @@ fn numeric_pair(op: BinOp, l: &Value, r: &Value) -> Result<(f64, f64), EvalError
 
 /// Evaluate a builtin function. Builtin names may be written with or
 /// without the `f_` prefix.
-pub fn eval_builtin(name: &str, args: &[Value]) -> Result<Value, EvalError> {
+pub fn eval_builtin<'a>(name: &str, args: &'a [Value]) -> Result<Value, EvalError> {
     let short = name.strip_prefix("f_").unwrap_or(name);
     let arity = |expected: usize| -> Result<(), EvalError> {
         if args.len() == expected {
@@ -159,34 +160,32 @@ pub fn eval_builtin(name: &str, args: &[Value]) -> Result<Value, EvalError> {
             })
         }
     };
-    let as_list = |v: &Value| -> Result<Vec<Value>, EvalError> {
-        v.as_list()
-            .map(<[Value]>::to_vec)
-            .ok_or(EvalError::TypeMismatch {
-                context: format!("{name} expects a list argument"),
-            })
+    // Lists are read in place; the error string exists only on failure.
+    let as_list = |v: &'a Value| {
+        v.as_list().ok_or_else(|| EvalError::TypeMismatch {
+            context: format!("{name} expects a list argument"),
+        })
     };
+    // Every list a builtin builds is collected from an iterator of known
+    // length: one allocation of exactly the result's size.
     match short {
         // f_cons(x, list) -> [x | list]
         "cons" | "concatPath" => {
             arity(2)?;
-            let mut out = vec![args[0].clone()];
-            out.extend(as_list(&args[1])?);
-            Ok(Value::list(out))
+            let tail = as_list(&args[1])?.iter().cloned();
+            Ok(Value::List(once(args[0].clone()).chain(tail).collect()))
         }
         // f_append(list, x) -> list ++ [x]
         "append" => {
             arity(2)?;
-            let mut out = as_list(&args[0])?;
-            out.push(args[1].clone());
-            Ok(Value::list(out))
+            let init = as_list(&args[0])?.iter().cloned();
+            Ok(Value::List(init.chain(once(args[1].clone())).collect()))
         }
         // f_concat(list, list) -> list ++ list
         "concat" => {
             arity(2)?;
-            let mut out = as_list(&args[0])?;
-            out.extend(as_list(&args[1])?);
-            Ok(Value::list(out))
+            let (front, back) = (as_list(&args[0])?, as_list(&args[1])?);
+            Ok(Value::List(front.iter().chain(back).cloned().collect()))
         }
         // f_member(list, x) -> 1 if x in list else 0
         "member" => {
@@ -202,21 +201,17 @@ pub fn eval_builtin(name: &str, args: &[Value]) -> Result<Value, EvalError> {
         // f_first(list) / f_last(list)
         "first" => {
             arity(1)?;
-            as_list(&args[0])?
-                .first()
-                .cloned()
-                .ok_or(EvalError::TypeMismatch {
-                    context: "f_first of empty list".into(),
-                })
+            let first = as_list(&args[0])?.first().cloned();
+            first.ok_or_else(|| EvalError::TypeMismatch {
+                context: "f_first of empty list".into(),
+            })
         }
         "last" => {
             arity(1)?;
-            as_list(&args[0])?
-                .last()
-                .cloned()
-                .ok_or(EvalError::TypeMismatch {
-                    context: "f_last of empty list".into(),
-                })
+            let last = as_list(&args[0])?.last().cloned();
+            last.ok_or_else(|| EvalError::TypeMismatch {
+                context: "f_last of empty list".into(),
+            })
         }
         // f_min(a, b) / f_max(a, b) on scalars
         "min" => {

@@ -23,7 +23,8 @@
 //! The queue is consumed in **rounds**, whose size and iteration
 //! accounting are the [`Strategy`]: every trigger of a round fires against
 //! one store snapshot through the strands' slot-compiled batch plans (flat
-//! reusable buffers, no per-environment allocation), and the precomputed
+//! reusable buffers lent by the caller of [`LocalFixpoint::run`], no
+//! per-environment allocation), and the precomputed
 //! derivations are then routed/ingested trigger by trigger in the exact
 //! tuple-at-a-time order. Every strategy restricts a trigger's joins to
 //! tuples applied before it (its own store timestamp). That is the
@@ -36,12 +37,20 @@
 //! before its siblings' derivations are applied is PSN-exact: those
 //! derivations carry timestamps above every round trigger's visibility
 //! limit, so the joins could not have seen them anyway.
+//!
+//! The driver owns a site's *state* — store, views, queue, pending
+//! deletions, tap, statistics — and none of the buffers evaluation runs
+//! in: [`LocalFixpoint::run`] borrows an [`EvalBuffers`] from whoever
+//! drives it (an executor lane, the centralized evaluator, the engine's
+//! inject path; see [`crate::batch`]) and hands it back holding capacity
+//! only, so a process hosting hundreds of sites keeps one set of
+//! high-water-mark buffers per lane, not per site.
 
 use crate::aggview::AggregateView;
-use crate::batch::{BatchOutput, BatchScratch, BatchTrigger};
+use crate::batch::{BatchTrigger, EvalBuffers};
 use crate::dred;
 use crate::expr::EvalError;
-use crate::store::Store;
+use crate::store::{ApplyEffect, Change, Store};
 use crate::strand::{CompiledStrand, Derivation, JoinStats};
 use crate::subplan::ProbeCache;
 use crate::tap::DeltaTap;
@@ -195,9 +204,6 @@ pub struct LocalFixpoint {
     tap: DeltaTap,
     /// Cumulative evaluation statistics.
     stats: EvalStats,
-    /// Reusable flat buffers for batch-delta strand firing.
-    scratch: BatchScratch,
-    batch_out: BatchOutput,
     /// Probe signatures shared by two or more strands
     /// ([`crate::subplan::shared_signatures`], computed once at plan
     /// time). Non-empty arms a per-round cross-rule [`ProbeCache`], so each
@@ -234,8 +240,6 @@ impl LocalFixpoint {
             pending_deletes: Vec::new(),
             tap: DeltaTap::new(),
             stats: EvalStats::default(),
-            scratch: BatchScratch::default(),
-            batch_out: BatchOutput::default(),
             shared_sigs,
             batching: true,
         }
@@ -317,40 +321,51 @@ impl LocalFixpoint {
     /// reached zero and the old halves of replacements) become pending
     /// deletions instead; the views are *not* fed deletions — the DRed
     /// pass rebuilds the affected groups from the store (group pinning).
+    /// The delta is moved to where it ends up, never copied.
     pub fn ingest<H: SiteHook>(&mut self, delta: TupleDelta, hook: &mut H) {
         if !hook.admit(&self.store, &self.views, &delta) {
             return;
         }
-        let effect = self.store.apply(&delta);
-        if delta.sign == Sign::Insert && effect.propagate.is_empty() {
-            // A duplicate insertion is absorbed by the count algorithm,
-            // but it still re-exercised the derivations downstream of this
-            // tuple; aggregate-view outputs emit nothing when the best is
-            // unchanged, so their soft-state expiry is moved forward here.
-            self.stats.redundant_derivations += 1;
-            self.refresh_view_outputs(&delta);
-        }
-        for prop in effect.propagate {
-            if prop.sign == Sign::Delete {
-                self.pending_deletes.push(prop);
-                continue;
-            }
-            // A propagated insert is a 0 → >0 visibility transition.
-            self.tap.record(&prop);
-            hook.changed(&prop);
-            // Aggregate views react to every real insertion of their
-            // source; their outputs are local (aggregate rules are local
-            // rules) and are ingested recursively.
-            let mut view_outputs = Vec::new();
-            for view in &mut self.views {
-                if view.source_relation() == prop.relation {
-                    view_outputs.extend(view.apply(&self.store, &prop));
+        let ApplyEffect { change, seq } = self.store.apply(&delta);
+        match change {
+            Change::Nothing => {
+                if delta.sign == Sign::Insert {
+                    // A duplicate insertion is absorbed by the count
+                    // algorithm, but it still re-exercised the derivations
+                    // downstream of this tuple; aggregate-view outputs emit
+                    // nothing when the best is unchanged, so their
+                    // soft-state expiry is moved forward here.
+                    self.stats.redundant_derivations += 1;
+                    self.refresh_view_outputs(&delta);
                 }
             }
-            self.queue.push_back((prop, effect.seq));
-            for out in view_outputs {
-                self.ingest(out, hook);
+            Change::Removed => self.pending_deletes.push(delta),
+            Change::Inserted => self.inserted(delta, seq, hook),
+            Change::Replaced(old) => {
+                let old = TupleDelta::delete(delta.relation.clone(), old);
+                self.pending_deletes.push(old);
+                self.inserted(delta, seq, hook);
             }
+        }
+    }
+
+    /// A 0 → >0 visibility transition: `delta`'s tuple entered the store
+    /// with timestamp `seq`.
+    fn inserted<H: SiteHook>(&mut self, delta: TupleDelta, seq: u64, hook: &mut H) {
+        self.tap.record(&delta);
+        hook.changed(&delta);
+        // Aggregate views react to every real insertion of their source;
+        // their outputs are local (aggregate rules are local rules) and are
+        // ingested recursively.
+        let mut view_outputs = Vec::new();
+        for view in &mut self.views {
+            if view.source_relation() == delta.relation {
+                view_outputs.extend(view.apply(&self.store, &delta));
+            }
+        }
+        self.queue.push_back((delta, seq));
+        for out in view_outputs {
+            self.ingest(out, hook);
         }
     }
 
@@ -365,10 +380,7 @@ impl LocalFixpoint {
             if view.source_relation() != delta.relation {
                 continue;
             }
-            let Some(key) = view.group_key(&delta.tuple) else {
-                continue;
-            };
-            let Some(best) = view.current_output(&key) else {
+            let Some(best) = view.current_output_for(&delta.tuple) else {
                 continue;
             };
             if self
@@ -376,8 +388,8 @@ impl LocalFixpoint {
                 .relation(view.head_relation())
                 .is_some_and(|r| r.contains(best))
             {
-                self.store
-                    .apply(&TupleDelta::insert(view.head_relation(), best.clone()));
+                let refresh = TupleDelta::insert(view.head_relation().clone(), best.clone());
+                self.store.apply(&refresh);
             }
         }
     }
@@ -385,13 +397,19 @@ impl LocalFixpoint {
     /// Run queued work to a local fixpoint. Pending removals are drained
     /// first (and whenever an insertion cascade causes further removals),
     /// so every retraction is handled by a DRed pass before dependent
-    /// insertions fire.
-    pub fn run<H: SiteHook>(&mut self, strategy: Strategy, hook: &mut H) -> Result<(), EvalError> {
+    /// insertions fire. Evaluation happens in `buffers`, which the caller
+    /// lends for the run and gets back empty, whatever the outcome.
+    pub fn run<H: SiteHook>(
+        &mut self,
+        strategy: Strategy,
+        hook: &mut H,
+        buffers: &mut EvalBuffers,
+    ) -> Result<(), EvalError> {
         let pipelined = strategy == Strategy::Pipelined;
         // The unconsumed part of the current SN/BSN iteration.
         let mut round: Vec<(TupleDelta, u64)> = Vec::new();
         loop {
-            self.drain_deletions(hook)?;
+            self.drain_deletions(hook, buffers)?;
             if round.is_empty() {
                 if self.queue.is_empty() {
                     debug_assert_eq!(self.store.check_invariants(), Ok(()));
@@ -403,15 +421,16 @@ impl LocalFixpoint {
                     self.stats.iterations += 1;
                 }
             }
+            let fired = self.fire_batch_round(&round, buffers)?;
             let mut consumed = 0;
-            for derived in self.fire_batch_round(&round)? {
+            for derived in &mut buffers.per_trigger[..fired] {
                 consumed += 1;
                 if pipelined {
                     self.stats.iterations += 1;
                 }
                 self.stats.tuples_processed += 1;
                 self.stats.derivations += derived.len();
-                for derivation in derived {
+                for derivation in derived.drain(..) {
                     match (hook.site(), derivation.location) {
                         (Some(me), Some(dest)) if dest != me => hook.ship(dest, derivation.delta),
                         _ => self.ingest(derivation.delta, hook),
@@ -426,6 +445,10 @@ impl LocalFixpoint {
                     break;
                 }
             }
+            // What the interruption left unconsumed is stale.
+            buffers.per_trigger[consumed..fired]
+                .iter_mut()
+                .for_each(Vec::clear);
             round.drain(..consumed);
             if pipelined {
                 // PSN has no iteration boundary: unconsumed triggers
@@ -442,13 +465,13 @@ impl LocalFixpoint {
     }
 
     /// Compute the derivations of a prefix of `round` (applied-but-unfired
-    /// insertion deltas), per trigger, in exactly the order the
-    /// tuple-at-a-time loop ingests them (strands in declaration order per
-    /// trigger). Every trigger joins with its own apply timestamp as the
-    /// visibility limit. Triggers whose tuple is no longer stored —
-    /// over-deleted or replaced since being queued — yield nothing: the
-    /// consequences are moot, and a re-derived tuple fires through its own
-    /// queued insert.
+    /// insertion deltas) into `buffers.per_trigger`, per trigger, in
+    /// exactly the order the tuple-at-a-time loop ingests them (strands in
+    /// declaration order per trigger), and return the prefix's length.
+    /// Every trigger joins with its own apply timestamp as the visibility
+    /// limit. Triggers whose tuple is no longer stored — over-deleted or
+    /// replaced since being queued — yield nothing: the consequences are
+    /// moot, and a re-derived tuple fires through its own queued insert.
     ///
     /// The prefix is the whole round, fired against one store snapshot
     /// through the batch plans — except in the tuple-at-a-time reference
@@ -458,29 +481,42 @@ impl LocalFixpoint {
     fn fire_batch_round(
         &mut self,
         round: &[(TupleDelta, u64)],
-    ) -> Result<Vec<Vec<Derivation>>, EvalError> {
+        buffers: &mut EvalBuffers,
+    ) -> Result<usize, EvalError> {
         let mut joins = JoinStats::default();
-        let per_trigger = if self.batching {
-            self.fire_batched(round, &mut joins)?
+        let fired = if self.batching { round.len() } else { 1 };
+        if buffers.per_trigger.len() < fired {
+            buffers.per_trigger.resize_with(fired, Vec::new);
+        }
+        let result = if self.batching {
+            self.fire_batched(round, &mut joins, buffers)
         } else {
-            let (delta, seq) = &round[0];
-            let mut derived = Vec::new();
-            if self.is_stored(delta) {
-                for strand in self.strands.iter() {
-                    if strand.trigger_relation() == delta.relation {
-                        derived.extend(strand.fire_counted(
-                            &self.store,
-                            delta,
-                            *seq,
-                            &mut joins,
-                        )?);
-                    }
+            self.fire_head(&round[0], &mut joins, &mut buffers.per_trigger[0])
+        };
+        match result {
+            Ok(()) => self.stats.absorb_joins(joins),
+            // A failed firing hands the buffers back empty too.
+            Err(_) => buffers.per_trigger[..fired].iter_mut().for_each(Vec::clear),
+        }
+        result.map(|()| fired)
+    }
+
+    /// The tuple-at-a-time reference: fire one trigger through the
+    /// interpreter.
+    fn fire_head(
+        &self,
+        (delta, seq): &(TupleDelta, u64),
+        joins: &mut JoinStats,
+        derived: &mut Vec<Derivation>,
+    ) -> Result<(), EvalError> {
+        if self.is_stored(delta) {
+            for strand in self.strands.iter() {
+                if strand.trigger_relation() == delta.relation {
+                    derived.extend(strand.fire_counted(&self.store, delta, *seq, joins)?);
                 }
             }
-            vec![derived]
-        };
-        self.stats.absorb_joins(joins);
-        Ok(per_trigger)
+        }
+        Ok(())
     }
 
     fn is_stored(&self, delta: &TupleDelta) -> bool {
@@ -495,15 +531,20 @@ impl LocalFixpoint {
     /// mid-round, because any removal interrupts the round for a DRed pass
     /// before the next trigger is consumed.
     fn fire_batched(
-        &mut self,
+        &self,
         round: &[(TupleDelta, u64)],
         joins: &mut JoinStats,
-    ) -> Result<Vec<Vec<Derivation>>, EvalError> {
-        let mut per_trigger: Vec<Vec<Derivation>> = round.iter().map(|_| Vec::new()).collect();
-        let live: Vec<bool> = round
-            .iter()
-            .map(|(delta, _)| self.is_stored(delta))
-            .collect();
+        buffers: &mut EvalBuffers,
+    ) -> Result<(), EvalError> {
+        let EvalBuffers {
+            scratch,
+            out,
+            per_trigger,
+            live,
+            indices,
+        } = buffers;
+        live.clear();
+        live.extend(round.iter().map(|(delta, _)| self.is_stored(delta)));
         // Arm the cross-rule probe cache for this round when the plan
         // found shared signatures: the store is frozen until every strand
         // of the round has fired (ingestion happens after the round), so
@@ -511,7 +552,6 @@ impl LocalFixpoint {
         // lifetime.
         let mut cache = (!self.shared_sigs.is_empty()).then(|| ProbeCache::new(&self.shared_sigs));
         let mut triggers: Vec<BatchTrigger> = Vec::new();
-        let mut indices: Vec<usize> = Vec::new();
         for strand in self.strands.iter() {
             triggers.clear();
             indices.clear();
@@ -527,18 +567,10 @@ impl LocalFixpoint {
             if triggers.is_empty() {
                 continue;
             }
-            strand.fire_batch(
-                &self.store,
-                &triggers,
-                joins,
-                &mut self.scratch,
-                &mut self.batch_out,
-                cache.as_mut(),
-            )?;
-            self.batch_out
-                .drain_into(|local, derivation| per_trigger[indices[local]].push(derivation));
+            strand.fire_batch(&self.store, &triggers, joins, scratch, out, cache.as_mut())?;
+            out.drain_into(|local, derivation| per_trigger[indices[local]].push(derivation));
         }
-        Ok(per_trigger)
+        Ok(())
     }
 
     /// Run DRed passes until no removal is pending: over-delete the local
@@ -549,7 +581,11 @@ impl LocalFixpoint {
     /// Remote over-deletions may over-approximate; the re-derive cascade
     /// re-ships the insertions that still hold, so the net effect at every
     /// receiver is exact.
-    fn drain_deletions<H: SiteHook>(&mut self, hook: &mut H) -> Result<(), EvalError> {
+    fn drain_deletions<H: SiteHook>(
+        &mut self,
+        hook: &mut H,
+        buffers: &mut EvalBuffers,
+    ) -> Result<(), EvalError> {
         while !self.pending_deletes.is_empty() {
             let seeds = std::mem::take(&mut self.pending_deletes);
             let mut joins = JoinStats::default();
@@ -560,6 +596,8 @@ impl LocalFixpoint {
                 seeds,
                 hook.site(),
                 &mut joins,
+                &mut buffers.scratch,
+                &mut buffers.out,
             )?;
             // Each removal is one processed delta (and one PSN-style
             // iteration): the DRed counterpart of popping a deletion off
@@ -590,8 +628,8 @@ impl LocalFixpoint {
                     &self.strands,
                     candidate,
                     &mut joins,
-                    &mut self.scratch,
-                    &mut self.batch_out,
+                    &mut buffers.scratch,
+                    &mut buffers.out,
                 )?);
             }
             self.stats.derivations += inserts.len();

@@ -25,7 +25,9 @@
 //!
 //! An index stores no value and no tuple. A bucket key is the projection
 //! of a row's column ids (the relation's dictionary, [`crate::intern`])
-//! onto the signature, and a bucket is a `Vec<u32>` of the relation's slab
+//! onto the signature — held inline in the map entry for the usual ≤ 8
+//! columns, no allocation of its own — and a bucket is a `Vec<u32>` of the
+//! relation's slab
 //! slots: filing, unfiling and probing hash and compare `u32`s, and a probe
 //! hit is one slab access away from its `StoredTuple`. A probe value with
 //! no id is stored in no row, so the probe answers "empty" without
@@ -59,7 +61,7 @@
 //! logical_probes` there; the tuple-at-a-time path performs one lookup per
 //! environment, so the two counters coincide.
 
-use crate::intern::{FxBuild, ValueId};
+use crate::intern::{FxBuild, IdBuf, ValueId};
 use std::collections::HashMap;
 
 /// Join-level counters accumulated while firing strands: how many joins
@@ -138,11 +140,9 @@ impl IndexSignature {
 #[derive(Debug, Clone)]
 pub struct SecondaryIndex {
     signature: IndexSignature,
-    buckets: HashMap<Box<[ValueId]>, Vec<u32>, FxBuild>,
+    buckets: HashMap<IdBuf, Vec<u32>, FxBuild>,
     /// Total number of filed slots, for accounting.
     entries: usize,
-    /// Reusable projection buffer of the maintenance (write) path.
-    scratch: Vec<ValueId>,
 }
 
 impl SecondaryIndex {
@@ -152,7 +152,6 @@ impl SecondaryIndex {
             signature,
             buckets: HashMap::default(),
             entries: 0,
-            scratch: Vec::new(),
         }
     }
 
@@ -176,17 +175,12 @@ impl SecondaryIndex {
         self.buckets.len()
     }
 
-    /// Project a row's ids onto the signature into `scratch`; false when
-    /// the row lacks a signature column.
-    fn project(&mut self, row_ids: &[ValueId]) -> bool {
-        self.scratch.clear();
-        for &c in self.signature.columns() {
-            match row_ids.get(c) {
-                Some(&id) => self.scratch.push(id),
-                None => return false,
-            }
-        }
-        true
+    /// Project a row's ids onto the signature; `None` when the row lacks
+    /// a signature column (the columns are sorted: the last is the widest).
+    fn project(&self, row_ids: &[ValueId]) -> Option<IdBuf> {
+        let cols = self.signature.columns();
+        let covered = cols.last().is_none_or(|&widest| widest < row_ids.len());
+        covered.then(|| IdBuf::collect(cols.iter().map(|&c| row_ids[c])))
     }
 
     /// File the row in `slot` under the projection of its ids. `place`
@@ -200,17 +194,16 @@ impl SecondaryIndex {
         slot: u32,
         place: impl FnOnce(&[u32]) -> usize,
     ) {
-        if !self.project(row_ids) {
+        let Some(key) = self.project(row_ids) else {
             return;
-        }
-        match self.buckets.get_mut(self.scratch.as_slice()) {
+        };
+        match self.buckets.get_mut(&*key) {
             Some(bucket) => {
                 debug_assert!(!bucket.contains(&slot), "slot {slot} filed twice");
                 bucket.insert(place(bucket), slot);
             }
             None => {
-                self.buckets
-                    .insert(self.scratch.as_slice().into(), vec![slot]);
+                self.buckets.insert(key, vec![slot]);
             }
         }
         self.entries += 1;
@@ -219,10 +212,10 @@ impl SecondaryIndex {
     /// Unfile the row in `slot`, dropping its bucket when that empties.
     /// Returns whether the slot was filed.
     pub(crate) fn unfile(&mut self, row_ids: &[ValueId], slot: u32) -> bool {
-        if !self.project(row_ids) {
+        let Some(key) = self.project(row_ids) else {
             return false;
-        }
-        let Some(bucket) = self.buckets.get_mut(self.scratch.as_slice()) else {
+        };
+        let Some(bucket) = self.buckets.get_mut(&*key) else {
             return false;
         };
         let Some(pos) = bucket.iter().position(|&s| s == slot) else {
@@ -231,7 +224,7 @@ impl SecondaryIndex {
         bucket.remove(pos);
         self.entries -= 1;
         if bucket.is_empty() {
-            self.buckets.remove(self.scratch.as_slice());
+            self.buckets.remove(&*key);
         }
         true
     }

@@ -109,11 +109,14 @@ impl Hasher for FxHasher {
     }
 }
 
-/// The ids of one tuple or probe key, on the stack up to
-/// [`IdBuf::INLINE`] columns.
+/// The ids of one tuple or key, inline up to [`IdBuf::INLINE`] columns:
+/// a stored row's column ids, the primary index's and every bucket's key,
+/// and the transient projections of the lookup paths. Only a wider tuple
+/// costs an allocation of its own. Compares and hashes as the `[ValueId]`
+/// it holds, so an id-keyed map is probed with a plain slice.
 #[derive(Debug, Clone)]
 pub(crate) enum IdBuf {
-    Inline(usize, [ValueId; IdBuf::INLINE]),
+    Inline(u8, [ValueId; IdBuf::INLINE]),
     Heap(Vec<ValueId>),
 }
 
@@ -133,7 +136,7 @@ impl IdBuf {
     fn push(&mut self, id: ValueId) {
         match self {
             IdBuf::Inline(len, ids) => {
-                ids[*len] = id;
+                ids[usize::from(*len)] = id;
                 *len += 1;
             }
             IdBuf::Heap(ids) => ids.push(id),
@@ -152,9 +155,29 @@ impl std::ops::Deref for IdBuf {
     type Target = [ValueId];
     fn deref(&self) -> &[ValueId] {
         match self {
-            IdBuf::Inline(len, ids) => &ids[..*len],
+            IdBuf::Inline(len, ids) => &ids[..usize::from(*len)],
             IdBuf::Heap(ids) => ids,
         }
+    }
+}
+
+impl std::borrow::Borrow<[ValueId]> for IdBuf {
+    fn borrow(&self) -> &[ValueId] {
+        self
+    }
+}
+
+impl PartialEq for IdBuf {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for IdBuf {}
+
+impl std::hash::Hash for IdBuf {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
     }
 }
 

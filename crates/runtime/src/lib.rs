@@ -29,7 +29,8 @@
 //!   dataflow, Figures 3 and 5) and their firing logic;
 //! * [`batch`] — batch-delta evaluation: slot-compiled strand plans fired
 //!   over whole delta batches through flat reusable buffers, the
-//!   allocation-free twin of the tuple-at-a-time path;
+//!   allocation-free twin of the tuple-at-a-time path; the buffers are one
+//!   [`EvalBuffers`] value that a run borrows from whoever drives it;
 //! * [`aggview`] — incremental maintenance of aggregate rules
 //!   (`min<C>`-style heads) with O(log n) deletion handling and
 //!   group-level pinning/rebuild for the DRed pass;
@@ -58,6 +59,24 @@
 //! `scans == 0` on the probe plan, "four triggers over two distinct keys
 //! probe twice" and `shared_key_batch_probes_the_index_exactly_once`;
 //! `tests/indexed_joins.rs` asserts the same of the distributed engine.
+//!
+//! **Who owns what.** A site's [`fixpoint::LocalFixpoint`] owns its state —
+//! store, views, queue — and no evaluation buffer:
+//! [`fixpoint::LocalFixpoint::run`] borrows an [`EvalBuffers`] (row
+//! arenas, output buffer, per-round vectors) from its driver and hands it
+//! back holding capacity only. The drivers are the [`Evaluator`] (one
+//! engine, one set), each executor lane of `ndlog-core` (one set for every
+//! node and epoch the lane drains) and the distributed engine's inject
+//! path, so a process hosting hundreds of node engines pays the buffers'
+//! high-water mark once per lane, not once per node — at 150 nodes that
+//! was half the live heap. A tuple is one allocation
+//! ([`Tuple`] and list values are `Arc<[Value]>`, built at their exact
+//! size where they are constructed), a stored row adds none (column ids
+//! and index keys sit inline for ≤ 8 columns), and a relation's name is a
+//! shared [`RelName`] that strands and views hold once and deltas clone by
+//! reference count. `tests/alloc_budget.rs` holds the resulting allocator
+//! calls per derivation and live allocations and bytes per stored tuple to
+//! budgets, as exact counts.
 //!
 //! Three optimizations stack on the batch path:
 //!
@@ -140,7 +159,7 @@ pub mod tap;
 pub mod tuple;
 
 pub use aggview::AggregateView;
-pub use batch::{BatchOutput, BatchScratch, BatchTrigger};
+pub use batch::{BatchOutput, BatchScratch, BatchTrigger, EvalBuffers};
 pub use evaluator::{EvalStats, Evaluator, Strategy};
 pub use expr::{Bindings, EvalError};
 pub use index::{IndexSignature, SecondaryIndex};
@@ -150,4 +169,4 @@ pub use store::Store;
 pub use strand::{ColumnSource, CompiledStrand, Derivation, JoinStats, ProbePlan};
 pub use subplan::{shared_signatures, ProbeCache};
 pub use tap::DeltaTap;
-pub use tuple::{Sign, Tuple, TupleDelta};
+pub use tuple::{RelName, Sign, Tuple, TupleDelta};

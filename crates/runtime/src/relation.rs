@@ -20,13 +20,15 @@
 //! A stored tuple lives once, in a slab: a `Vec` of rows addressed by a
 //! `u32` slot, freed slots reused through a free list. A row is its
 //! [`StoredTuple`] plus the ids of its columns in the relation's own value
-//! dictionary ([`crate::intern`]). Everything else refers to the row
-//! by slot:
+//! dictionary ([`crate::intern`]), held inline in the slot: beyond the
+//! tuple itself — one allocation, fields and reference count together — a
+//! stored row of the usual ≤ 8 columns carries no allocation of its own.
+//! Everything else refers to the row by slot:
 //!
-//! * the **primary index** is a hash map from the ids of the key columns
-//!   to the slot, so insertion, duplicate detection, membership and
-//!   deletion hash and compare `u32`s — no key is cloned, no path vector
-//!   compared element by element;
+//! * the **primary index** is a hash map from the ids of the key columns,
+//!   inline in the map entry, to the slot, so insertion, duplicate
+//!   detection, membership and deletion hash and compare `u32`s — no key
+//!   is cloned or boxed, no path vector compared element by element;
 //! * every **secondary index** ([`crate::index`], declared once per program
 //!   from the compiled strands' bound-column signatures) maps an id
 //!   projection to a bucket of slots, maintained on every mutation —
@@ -146,11 +148,12 @@ pub enum DeleteOutcome {
     NotFound,
 }
 
-/// One slab entry: a stored tuple and the dictionary ids of its columns.
+/// One slab entry: a stored tuple and the dictionary ids of its columns,
+/// inline in the slot.
 #[derive(Debug, Clone)]
 struct Row {
     stored: StoredTuple,
-    ids: Box<[ValueId]>,
+    ids: IdBuf,
 }
 
 /// A stored relation (see the module docs for the layout).
@@ -162,8 +165,8 @@ pub struct Relation {
     /// The slab: `rows[slot]` is `None` while the slot is on `free`.
     rows: Vec<Option<Row>>,
     free: Vec<u32>,
-    /// Ids of the key columns → slot.
-    primary: HashMap<Box<[ValueId]>, u32, FxBuild>,
+    /// Ids of the key columns (inline in the entry) → slot.
+    primary: HashMap<IdBuf, u32, FxBuild>,
     /// Secondary indexes, one per declared bound-column signature.
     indexes: Vec<SecondaryIndex>,
     /// The live slots in primary-key value order, built on first ordered
@@ -553,7 +556,7 @@ impl Relation {
         let Some(&slot) = self.primary.get(&*key) else {
             let row = Some(Row {
                 stored: fresh(tuple),
-                ids: (*ids).into(),
+                ids,
             });
             let slot = match self.free.pop() {
                 Some(slot) => {
@@ -565,7 +568,7 @@ impl Relation {
                     u32::try_from(self.rows.len() - 1).expect("relation overflow")
                 }
             };
-            self.primary.insert((*key).into(), slot);
+            self.primary.insert(key, slot);
             self.order.take();
             self.file(slot);
             return InsertOutcome::New;
@@ -587,7 +590,7 @@ impl Relation {
         self.unfile(slot);
         let existing = self.rows[slot as usize].as_mut().expect("slot is live");
         let old = std::mem::replace(&mut existing.stored, fresh(tuple)).tuple;
-        let old_ids = std::mem::replace(&mut existing.ids, (*ids).into());
+        let old_ids = std::mem::replace(&mut existing.ids, ids);
         self.file(slot);
         self.dict.release_all(old.values(), &old_ids);
         InsertOutcome::Replaced(old)

@@ -2,7 +2,7 @@
 //! program reads and writes at one network node.
 
 use crate::relation::{DeleteOutcome, InsertOutcome, Relation, RelationSchema};
-use crate::tuple::{Sign, Tuple, TupleDelta};
+use crate::tuple::{RelName, Sign, Tuple, TupleDelta};
 use ndlog_lang::Program;
 use std::collections::BTreeMap;
 
@@ -15,16 +15,32 @@ pub struct Store {
     now_micros: u64,
 }
 
-/// The effect of applying a delta to the store: the deltas that should be
-/// propagated further (possibly empty), plus the timestamp assigned to the
-/// applied tuple (used as the join visibility limit when firing strands).
+/// The effect of applying a delta to the store: what changed, plus the
+/// timestamp assigned to the applied tuple (used as the join visibility
+/// limit when firing strands).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ApplyEffect {
-    /// Deltas to propagate (e.g. a primary-key replacement propagates a
-    /// deletion of the old tuple and an insertion of the new one).
-    pub propagate: Vec<TupleDelta>,
+    /// What the caller has to propagate further.
+    pub change: Change,
     /// The timestamp of the applied tuple.
     pub seq: u64,
+}
+
+/// How applying a delta changed which tuples are visible.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Change {
+    /// Nothing to propagate: a duplicate derivation or a stale deletion —
+    /// that is how the count algorithm suppresses redundant downstream
+    /// work.
+    Nothing,
+    /// The delta's tuple is new: propagate the delta itself.
+    Inserted,
+    /// The delta's tuple lost its last derivation and left the store:
+    /// propagate the delta itself.
+    Removed,
+    /// The delta's tuple replaced this tuple under its primary key:
+    /// propagate a deletion of the old tuple, then the delta itself.
+    Replaced(Tuple),
 }
 
 impl Store {
@@ -155,47 +171,29 @@ impl Store {
 
     /// Apply a signed delta to the store, creating the relation on demand.
     ///
-    /// Returns the deltas to propagate further (empty for duplicate
-    /// derivations and stale deletions — that is how the count algorithm
-    /// suppresses redundant downstream work) plus the timestamp to use as
-    /// the join visibility limit when firing strands off this delta.
+    /// Returns what changed — the caller owns the delta and propagates it
+    /// itself, nothing is copied here — plus the timestamp to use as the
+    /// join visibility limit when firing strands off this delta.
     pub fn apply(&mut self, delta: &TupleDelta) -> ApplyEffect {
         let now = self.now_micros;
         let seq = self.fresh_seq();
-        // The name is cloned only to create a relation on first sight.
-        let relation = match self.relations.get_mut(&delta.relation) {
+        // The name is copied only to create a relation on first sight.
+        let relation = match self.relations.get_mut(&*delta.relation) {
             Some(relation) => relation,
-            None => self.ensure(RelationSchema::new(delta.relation.clone())),
+            None => self.ensure(RelationSchema::new(&*delta.relation)),
         };
-        match delta.sign {
+        let change = match delta.sign {
             Sign::Insert => match relation.insert(delta.tuple.clone(), seq, now) {
-                InsertOutcome::New => ApplyEffect {
-                    propagate: vec![delta.clone()],
-                    seq,
-                },
-                InsertOutcome::Duplicate => ApplyEffect {
-                    propagate: Vec::new(),
-                    seq,
-                },
-                InsertOutcome::Replaced(old) => ApplyEffect {
-                    propagate: vec![
-                        TupleDelta::delete(delta.relation.clone(), old),
-                        delta.clone(),
-                    ],
-                    seq,
-                },
+                InsertOutcome::New => Change::Inserted,
+                InsertOutcome::Duplicate => Change::Nothing,
+                InsertOutcome::Replaced(old) => Change::Replaced(old),
             },
             Sign::Delete => match relation.delete(&delta.tuple) {
-                DeleteOutcome::Removed => ApplyEffect {
-                    propagate: vec![delta.clone()],
-                    seq,
-                },
-                DeleteOutcome::Decremented | DeleteOutcome::NotFound => ApplyEffect {
-                    propagate: Vec::new(),
-                    seq,
-                },
+                DeleteOutcome::Removed => Change::Removed,
+                DeleteOutcome::Decremented | DeleteOutcome::NotFound => Change::Nothing,
             },
-        }
+        };
+        ApplyEffect { change, seq }
     }
 
     /// Expire soft-state tuples across all relations, returning the
@@ -205,8 +203,11 @@ impl Store {
         self.set_time(now_micros);
         let mut out = Vec::new();
         for (name, rel) in &mut self.relations {
-            for tuple in rel.expire(now_micros) {
-                out.push(TupleDelta::delete(name.clone(), tuple));
+            let expired = rel.expire(now_micros);
+            if !expired.is_empty() {
+                let name = RelName::from(name);
+                let retract = |tuple| TupleDelta::delete(name.clone(), tuple);
+                out.extend(expired.into_iter().map(retract));
             }
         }
         out
@@ -294,16 +295,20 @@ mod tests {
         let mut store = Store::new();
         let d = TupleDelta::insert("r", t(&[1, 2]));
         let e1 = store.apply(&d);
-        assert_eq!(e1.propagate, vec![d.clone()]);
+        assert_eq!(e1.change, Change::Inserted);
         let e2 = store.apply(&d);
-        assert!(e2.propagate.is_empty(), "duplicate derivation is absorbed");
+        assert_eq!(
+            e2.change,
+            Change::Nothing,
+            "duplicate derivation is absorbed"
+        );
         assert!(e2.seq > e1.seq);
 
         let del = TupleDelta::delete("r", t(&[1, 2]));
         let e3 = store.apply(&del);
-        assert!(e3.propagate.is_empty(), "count drops from 2 to 1");
+        assert_eq!(e3.change, Change::Nothing, "count drops from 2 to 1");
         let e4 = store.apply(&del);
-        assert_eq!(e4.propagate, vec![del.clone()]);
+        assert_eq!(e4.change, Change::Removed);
         assert_eq!(store.count("r"), 0);
     }
 
@@ -313,9 +318,7 @@ mod tests {
         store.ensure(RelationSchema::new("best").with_keys(vec![0]));
         store.apply(&TupleDelta::insert("best", t(&[1, 10])));
         let effect = store.apply(&TupleDelta::insert("best", t(&[1, 5])));
-        assert_eq!(effect.propagate.len(), 2);
-        assert_eq!(effect.propagate[0], TupleDelta::delete("best", t(&[1, 10])));
-        assert_eq!(effect.propagate[1], TupleDelta::insert("best", t(&[1, 5])));
+        assert_eq!(effect.change, Change::Replaced(t(&[1, 10])));
         assert_eq!(store.tuples("best"), vec![t(&[1, 5])]);
     }
 
@@ -323,7 +326,7 @@ mod tests {
     fn deleting_missing_tuple_is_silent() {
         let mut store = Store::new();
         let e = store.apply(&TupleDelta::delete("r", t(&[9])));
-        assert!(e.propagate.is_empty());
+        assert_eq!(e.change, Change::Nothing);
     }
 
     #[test]

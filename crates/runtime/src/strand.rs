@@ -272,7 +272,7 @@ impl CompiledStrand {
             let location = tuple.location();
             out.push(Derivation {
                 delta: TupleDelta {
-                    relation: rule.head.name.clone(),
+                    relation: self.batch.head_relation().clone(),
                     tuple,
                     sign: trigger.sign,
                 },

@@ -28,6 +28,7 @@
 //! armed runs stay bitwise deterministic across executor thread counts.
 
 use crate::index::JoinStats;
+use crate::intern::FxBuild;
 use crate::relation::{Relation, StoredTuple};
 use crate::strand::CompiledStrand;
 use ndlog_lang::Value;
@@ -69,19 +70,21 @@ pub struct ProbeCache<'r> {
     /// The armed signatures, from [`shared_signatures`]. Probes outside
     /// this list bypass the cache entirely (linear scan: the list is a
     /// handful of entries and the comparison allocates nothing).
-    sigs: Vec<(String, Vec<usize>)>,
-    /// Per signature: probe key → cached candidates.
-    entries: Vec<HashMap<Box<[Value]>, CachedProbe<'r>>>,
+    sigs: &'r [(String, Vec<usize>)],
+    /// Per signature: probe key → cached candidates, under the crate's
+    /// seedless hasher. The maps are only ever probed by key, never
+    /// walked, so their order is unobservable.
+    entries: Vec<HashMap<Box<[Value]>, CachedProbe<'r>, FxBuild>>,
     hits: usize,
     misses: usize,
 }
 
 impl<'r> ProbeCache<'r> {
     /// A cache armed for the given shared signatures.
-    pub fn new(shared: &[(String, Vec<usize>)]) -> ProbeCache<'r> {
+    pub fn new(shared: &'r [(String, Vec<usize>)]) -> ProbeCache<'r> {
         ProbeCache {
-            sigs: shared.to_vec(),
-            entries: (0..shared.len()).map(|_| HashMap::new()).collect(),
+            sigs: shared,
+            entries: shared.iter().map(|_| HashMap::default()).collect(),
             hits: 0,
             misses: 0,
         }

@@ -64,7 +64,7 @@ impl DeltaTap {
     /// two points where a tuple actually enters or leaves the store).
     #[inline]
     pub fn record(&mut self, delta: &TupleDelta) {
-        if !self.relations.is_empty() && self.relations.contains(&delta.relation) {
+        if !self.relations.is_empty() && self.relations.contains(&*delta.relation) {
             self.events.push(delta.clone());
         }
     }

@@ -1,4 +1,4 @@
-//! Tuples and signed tuple deltas.
+//! Tuples, relation names and signed tuple deltas.
 
 use ndlog_lang::Value;
 use ndlog_net::NodeAddr;
@@ -6,45 +6,44 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
 
-/// An immutable tuple of values. Cloning is cheap (reference counted).
+/// An immutable tuple of values: reference count and fields in one
+/// allocation. Cloning is cheap (reference counted).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct Tuple {
-    values: Arc<Vec<Value>>,
-}
+pub struct Tuple(Arc<[Value]>);
 
 impl Tuple {
-    /// Build a tuple from values.
+    /// Build a tuple from values. The fields are copied out of the vector;
+    /// a construction site that knows its fields' count collects an
+    /// iterator instead ([`FromIterator`]) and allocates once.
     pub fn new(values: Vec<Value>) -> Tuple {
-        Tuple {
-            values: Arc::new(values),
-        }
+        Tuple(values.into())
     }
 
     /// Number of fields.
     pub fn arity(&self) -> usize {
-        self.values.len()
+        self.0.len()
     }
 
     /// The field at `idx`, if present.
     pub fn get(&self, idx: usize) -> Option<&Value> {
-        self.values.get(idx)
+        self.0.get(idx)
     }
 
     /// All fields.
     pub fn values(&self) -> &[Value] {
-        &self.values
+        &self.0
     }
 
     /// The tuple's location: its first field interpreted as an address
     /// (NDlog location specifiers are always the first attribute).
     pub fn location(&self) -> Option<NodeAddr> {
-        self.values.first().and_then(Value::as_addr)
+        self.0.first().and_then(Value::as_addr)
     }
 
     /// Project the fields at `cols` into a new vector (used for primary
     /// keys and group-by keys). Panics if a column is out of range.
     pub fn project(&self, cols: &[usize]) -> Vec<Value> {
-        cols.iter().map(|&c| self.values[c].clone()).collect()
+        cols.iter().map(|&c| self.0[c].clone()).collect()
     }
 
     /// Project the fields at `cols` into a caller-provided buffer, so hot
@@ -55,7 +54,7 @@ impl Tuple {
         out.clear();
         out.reserve(cols.len());
         for &c in cols {
-            match self.values.get(c) {
+            match self.0.get(c) {
                 Some(v) => out.push(v.clone()),
                 None => return false,
             }
@@ -65,7 +64,7 @@ impl Tuple {
 
     /// Approximate wire size in bytes, for communication accounting.
     pub fn wire_size(&self) -> usize {
-        2 + self.values.iter().map(Value::wire_size).sum::<usize>()
+        2 + self.0.iter().map(Value::wire_size).sum::<usize>()
     }
 }
 
@@ -75,16 +74,99 @@ impl From<Vec<Value>> for Tuple {
     }
 }
 
+/// Collecting an iterator that knows its exact length (a mapped slice, a
+/// drained vector, a chain of those) makes the tuple's one allocation and
+/// nothing else.
+impl FromIterator<Value> for Tuple {
+    fn from_iter<I: IntoIterator<Item = Value>>(values: I) -> Self {
+        Tuple(values.into_iter().collect())
+    }
+}
+
 impl fmt::Display for Tuple {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "(")?;
-        for (i, v) in self.values.iter().enumerate() {
+        for (i, v) in self.0.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
             write!(f, "{v}")?;
         }
         write!(f, ")")
+    }
+}
+
+/// A relation's name, shared: strands and aggregate views hold the name of
+/// the relation they derive once, and every delta they produce — on the
+/// queue, on the wire, in the result log — clones it by reference count.
+/// Reads, compares, orders and hashes as the `str` it holds.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+pub struct RelName(Arc<str>);
+
+impl std::ops::Deref for RelName {
+    type Target = str;
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<&str> for RelName {
+    fn from(name: &str) -> Self {
+        RelName(name.into())
+    }
+}
+
+impl From<String> for RelName {
+    fn from(name: String) -> Self {
+        RelName(name.into())
+    }
+}
+
+impl From<&String> for RelName {
+    fn from(name: &String) -> Self {
+        RelName(name.as_str().into())
+    }
+}
+
+impl PartialEq<str> for RelName {
+    fn eq(&self, other: &str) -> bool {
+        *self.0 == *other
+    }
+}
+
+impl PartialEq<&str> for RelName {
+    fn eq(&self, other: &&str) -> bool {
+        *self.0 == **other
+    }
+}
+
+impl PartialEq<String> for RelName {
+    fn eq(&self, other: &String) -> bool {
+        *self.0 == **other
+    }
+}
+
+impl PartialEq<RelName> for &str {
+    fn eq(&self, other: &RelName) -> bool {
+        **self == *other.0
+    }
+}
+
+impl PartialEq<RelName> for String {
+    fn eq(&self, other: &RelName) -> bool {
+        **self == *other.0
+    }
+}
+
+impl fmt::Debug for RelName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
+impl fmt::Display for RelName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
     }
 }
 
@@ -120,7 +202,7 @@ impl Sign {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TupleDelta {
     /// Relation name.
-    pub relation: String,
+    pub relation: RelName,
     /// The tuple being inserted or deleted.
     pub tuple: Tuple,
     /// Insert or delete.
@@ -129,7 +211,7 @@ pub struct TupleDelta {
 
 impl TupleDelta {
     /// An insertion delta.
-    pub fn insert(relation: impl Into<String>, tuple: Tuple) -> TupleDelta {
+    pub fn insert(relation: impl Into<RelName>, tuple: Tuple) -> TupleDelta {
         TupleDelta {
             relation: relation.into(),
             tuple,
@@ -138,7 +220,7 @@ impl TupleDelta {
     }
 
     /// A deletion delta.
-    pub fn delete(relation: impl Into<String>, tuple: Tuple) -> TupleDelta {
+    pub fn delete(relation: impl Into<RelName>, tuple: Tuple) -> TupleDelta {
         TupleDelta {
             relation: relation.into(),
             tuple,

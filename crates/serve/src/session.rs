@@ -35,7 +35,7 @@ use ndlog_lang::interactive::{
 };
 use ndlog_lang::optimizer::{optimize, Pipeline};
 use ndlog_lang::{parse_command, parse_program, Value};
-use ndlog_runtime::{Evaluator, Strategy, Tuple, TupleDelta};
+use ndlog_runtime::{Evaluator, RelName, Strategy, Tuple, TupleDelta};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
@@ -590,11 +590,13 @@ impl Core {
             .collect();
         snapshot.sort();
         let count = snapshot.len();
+        // One shared name for the whole snapshot.
+        let name = RelName::from(&relation);
         for tuple in snapshot {
             sink.deliver(&DeltaEvent {
                 subscription: id,
                 epoch: self.epoch,
-                delta: TupleDelta::insert(relation.clone(), tuple),
+                delta: TupleDelta::insert(name.clone(), tuple),
             });
         }
         self.subs.push(Subscription {

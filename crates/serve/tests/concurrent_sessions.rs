@@ -125,7 +125,7 @@ fn interleaved_sessions_equal_sequential_replay() {
     // and replays to exactly the final subscribed relation.
     let mut visible = std::collections::BTreeSet::new();
     for event in sink.drain() {
-        let key = (event.delta.relation.clone(), event.delta.tuple.clone());
+        let key = (event.delta.relation.to_string(), event.delta.tuple.clone());
         match event.delta.sign {
             ndlog_runtime::Sign::Insert => {
                 assert!(visible.insert(key), "double insert: {}", event.delta)

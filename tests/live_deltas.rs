@@ -83,7 +83,7 @@ fn burst(rng: &mut StdRng, base: &mut BTreeMap<(u32, u32), f64>) -> Vec<(bool, u
 /// enforcing strict per-tuple alternation.
 fn replay_into(replica: &mut BTreeSet<(String, Tuple)>, events: Vec<TupleDelta>, context: &str) {
     for event in events {
-        let key = (event.relation.clone(), event.tuple.clone());
+        let key = (event.relation.to_string(), event.tuple.clone());
         match event.sign {
             Sign::Insert => assert!(
                 replica.insert(key),

@@ -10,7 +10,9 @@
 //! * parsing is stable under pretty-printing (display → parse round-trip);
 //! * link-restricted programs localize to single-site rule bodies;
 //! * the centralized evaluator and a single node engine — the two wrappers
-//!   over the one local fixpoint driver — agree on stores and statistics.
+//!   over the one local fixpoint driver — agree on stores and statistics;
+//! * `Value` equality is the relation its ordering decides, and equal
+//!   values hash alike.
 
 use ndlog_core::{plan, NodeConfig, NodeEngine};
 use ndlog_lang::localize::{is_localized, localize};
@@ -209,6 +211,91 @@ proptest! {
                 .collect()
         };
         prop_assert_eq!(run(&program), run(&localized));
+    }
+}
+
+/// Decode one value from generated bytes. The leaves come from a small pool
+/// in which the hard cases of numeric equality abound — an integer and the
+/// float of the same value, both zeros, two NaN bit patterns, integers
+/// past 2^53 that one float stands for — beside the other types; the
+/// remaining codes open a list of up to three decoded values.
+fn decode_value(codes: &mut impl Iterator<Item = u8>, depth: u32) -> Value {
+    let code = codes.next().unwrap_or(0);
+    match code % 20 {
+        0 => Value::Int(0),
+        1 => Value::Float(0.0),
+        2 => Value::Float(-0.0),
+        3 => Value::Int(3),
+        4 => Value::Float(3.0),
+        5 => Value::Float(3.5),
+        6 => Value::Float(f64::NAN),
+        7 => Value::Float(f64::from_bits(f64::NAN.to_bits() | 1)),
+        8 => Value::Int(1 << 53),
+        9 => Value::Int((1 << 53) + 1),
+        10 => Value::Float((1u64 << 53) as f64),
+        11 => Value::addr(3u32),
+        12 => Value::str("3"),
+        13 => Value::str(""),
+        14 => Value::Bool(true),
+        15 => Value::Int(-3),
+        _ if depth == 0 => Value::nil(),
+        _ => Value::list(
+            (0..code % 4)
+                .map(|_| decode_value(codes, depth - 1))
+                .collect(),
+        ),
+    }
+}
+
+/// The same value spelled differently where `Value` equality allows it:
+/// integers a float represents exactly become that float, all the way down.
+fn respell(value: &Value) -> Value {
+    match value {
+        Value::Int(i) if (*i as f64) as i64 == *i => Value::Float(*i as f64),
+        Value::List(items) => Value::list(items.iter().map(respell).collect()),
+        other => other.clone(),
+    }
+}
+
+fn hash_of(value: &Value) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut hasher = std::collections::hash_map::DefaultHasher::new();
+    value.hash(&mut hasher);
+    hasher.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `a == b ⇔ a.cmp(&b) == Equal ⇒ hash(a) == hash(b)`: equality has an
+    /// implementation of its own (shared lists and unequal lengths are
+    /// decided without a walk) and must stay the relation the total order
+    /// defines — against an unrelated value, a structurally equal rebuild
+    /// (other allocations), a clone (the same allocations) and a
+    /// respelling (integers as floats).
+    #[test]
+    fn value_equality_is_what_the_ordering_decides(
+        left in prop::collection::vec(0u8..=255, 1..24),
+        right in prop::collection::vec(0u8..=255, 1..24),
+    ) {
+        let a = decode_value(&mut left.iter().copied(), 3);
+        let others = [
+            decode_value(&mut right.iter().copied(), 3),
+            decode_value(&mut left.iter().copied(), 3),
+            a.clone(),
+            respell(&a),
+        ];
+        for b in &others {
+            let equal = a.cmp(b) == std::cmp::Ordering::Equal;
+            prop_assert_eq!(a == *b, equal, "{} vs {}", a, b);
+            prop_assert_eq!(*b == a, equal, "{} vs {}", b, a);
+            if equal {
+                prop_assert_eq!(hash_of(&a), hash_of(b), "{} vs {}", a, b);
+            }
+        }
+        // A clone and a rebuild are equal whatever they hold, NaNs included.
+        prop_assert_eq!(&a, &others[1]);
+        prop_assert_eq!(&a, &others[2]);
     }
 }
 
