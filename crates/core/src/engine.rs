@@ -28,10 +28,8 @@
 //! per-node arenas ([`crate::exec::arena`]) instead of being reallocated
 //! per message.
 
-use crate::exec::{
-    outbound_batches, result_records, ArenaStats, EpochExecutor, NodeAction, NodeTask,
-    OutboundBatch,
-};
+use crate::exec::executor::node_step;
+use crate::exec::{ArenaStats, EpochExecutor, EpochOutcome, NodeAction, NodeTask, OutboundBatch};
 use crate::node::{NodeConfig, NodeEngine};
 use crate::plan::QueryPlan;
 use crate::updates::LinkUpdate;
@@ -510,49 +508,40 @@ impl DistributedEngine {
         }
     }
 
-    /// Process a node to its local fixpoint and ship its outbound batches.
-    ///
-    /// Mirrors `exec::executor::drain_lane` exactly (clock advance, then
-    /// soft-state expiry, then processing, then effect pre-serialization
-    /// through the shared `result_records` / `outbound_batches` helpers) —
-    /// the two must stay in lockstep for parallel runs to be bit-identical
-    /// to sequential ones.
+    /// Process a node to its local fixpoint at the current simulation time
+    /// and ship its outbound batches: the clock advance and soft-state
+    /// expiry of a delivery, then the node step every epoch lane runs
+    /// ([`node_step`]), so parallel runs stay bit-identical to sequential
+    /// ones.
     fn process_node(&mut self, addr: NodeAddr) -> Result<(), EvalError> {
         let now = self.sim.now();
-        let output = {
-            let node = self.nodes.get_mut(&addr).expect("known node");
-            node.set_time(now);
-            node.expire_soft_state(now);
-            node.process_with(&mut self.buffers)?
-        };
-        self.apply_effects(
-            addr,
-            result_records(addr, now, output.changes),
-            outbound_batches(self.sharing_enabled, output.outbound),
-            output.request_flush,
-            false,
-        );
+        let node = self.nodes.get_mut(&addr).expect("known node");
+        node.set_time(now);
+        node.expire_soft_state(now);
+        // An injection is no simulator event, so it has no sequence number.
+        let outcome = node_step(node, now, 0, self.sharing_enabled, &mut self.buffers)?;
+        self.apply_effects(outcome);
         Ok(())
     }
 
     /// Apply one event's externally visible effects to the engine-side
     /// state: pending-flush bookkeeping, result recording, outbound sends
     /// and flush-timer scheduling. This is the *single* implementation
-    /// shared by the sequential event loop (via [`Self::process_node`] and
-    /// the flush-timer arm) and the epoch replay, so the two execution
-    /// modes cannot drift apart and break the bit-for-bit determinism
-    /// contract. The effects arrive pre-serialized (timestamped records,
-    /// pre-sized batches) — in epoch mode they were rendered concurrently
-    /// inside the executor lanes, so this serial tail only appends and
-    /// pushes.
-    fn apply_effects(
-        &mut self,
-        node: NodeAddr,
-        mut records: Vec<ResultRecord>,
-        sends: Vec<OutboundBatch>,
-        request_flush: bool,
-        was_flush: bool,
-    ) {
+    /// shared by the sequential inject path (via [`Self::process_node`])
+    /// and the epoch replay, so the two execution modes cannot drift apart
+    /// and break the bit-for-bit determinism contract. The effects arrive
+    /// pre-serialized (timestamped records, pre-sized batches) — in epoch
+    /// mode they were rendered concurrently inside the executor lanes, so
+    /// this serial tail only appends and pushes.
+    fn apply_effects(&mut self, outcome: EpochOutcome) {
+        let EpochOutcome {
+            node,
+            mut records,
+            sends,
+            request_flush,
+            was_flush,
+            ..
+        } = outcome;
         if was_flush {
             self.flush_pending.remove(&node);
         }
@@ -726,13 +715,7 @@ impl DistributedEngine {
             self.delivery_stats.receive_batches += result.receive_batches;
             for outcome in result.outcomes {
                 self.sim.advance_to(outcome.time);
-                self.apply_effects(
-                    outcome.node,
-                    outcome.records,
-                    outcome.sends,
-                    outcome.request_flush,
-                    outcome.was_flush,
-                );
+                self.apply_effects(outcome);
             }
             if let Some(error) = result.error {
                 // The effects preceding the failing event were replayed

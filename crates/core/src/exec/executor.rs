@@ -212,6 +212,32 @@ struct FailedAt {
     error: EvalError,
 }
 
+/// One node step: run `node`'s queued work to its local fixpoint in the
+/// caller's buffers and pre-serialize what it produced as the outcome of
+/// the event at `(time, seq)`. The single implementation behind every
+/// delivery and refresh an epoch lane evaluates and behind the engine's
+/// sequential inject path, so the three cannot drift apart. The caller has
+/// already fed the node (`receive`) and advanced its clock, in the order
+/// its kind of event prescribes.
+pub(crate) fn node_step(
+    node: &mut NodeEngine,
+    time: SimTime,
+    seq: u64,
+    sharing_enabled: bool,
+    buffers: &mut EvalBuffers,
+) -> Result<EpochOutcome, EvalError> {
+    let output = node.process_with(buffers)?;
+    Ok(EpochOutcome {
+        time,
+        seq,
+        node: node.addr(),
+        records: result_records(node.addr(), time, output.changes),
+        sends: outbound_batches(sharing_enabled, output.outbound),
+        request_flush: output.request_flush,
+        was_flush: false,
+    })
+}
+
 /// What one epoch produced: the merged outcomes to replay, and the first
 /// evaluation error (by event order) if any task failed.
 ///
@@ -358,29 +384,28 @@ impl EpochExecutor {
         // first — and keep only the outcomes that precede it, so the driver
         // replays exactly the effects the sequential loop would have
         // applied before failing.
-        let mut outcomes = Vec::new();
-        let mut first_error: Option<FailedAt> = None;
-        let mut deliveries = 0u64;
-        let mut receive_batches = 0u64;
+        let mut merged = LaneResult::default();
         for lane in results {
-            outcomes.extend(lane.outcomes);
-            deliveries += lane.deliveries;
-            receive_batches += lane.receive_batches;
+            merged.outcomes.extend(lane.outcomes);
+            merged.deliveries += lane.deliveries;
+            merged.receive_batches += lane.receive_batches;
             if let Some(failed) = lane.error {
-                match &first_error {
-                    Some(existing)
-                        if (existing.time, existing.seq) <= (failed.time, failed.seq) => {}
-                    _ => first_error = Some(failed),
-                }
+                merged.fail(failed.time, failed.seq, failed.error);
             }
         }
+        let LaneResult {
+            mut outcomes,
+            error,
+            deliveries,
+            receive_batches,
+        } = merged;
         outcomes.sort_unstable_by_key(|o| (o.time, o.seq));
-        if let Some(failed) = &first_error {
+        if let Some(failed) = &error {
             outcomes.retain(|o| (o.time, o.seq) < (failed.time, failed.seq));
         }
         EpochResult {
             outcomes,
-            error: first_error.map(|f| f.error),
+            error: error.map(|f| f.error),
             deliveries,
             receive_batches,
         }
@@ -398,6 +423,18 @@ struct LaneResult {
     error: Option<FailedAt>,
     deliveries: u64,
     receive_batches: u64,
+}
+
+impl LaneResult {
+    /// Record the failure of the event at `(time, seq)`, keeping the
+    /// earliest by event order — the one the sequential loop would have
+    /// hit first.
+    fn fail(&mut self, time: SimTime, seq: u64, error: EvalError) {
+        let earlier = |kept: &FailedAt| (kept.time, kept.seq) <= (time, seq);
+        if !self.error.as_ref().is_some_and(earlier) {
+            self.error = Some(FailedAt { time, seq, error });
+        }
+    }
 }
 
 /// One lane's share of an epoch: steal per-node work items from the shared
@@ -449,24 +486,10 @@ fn drain_lane(
                     }
                     node.set_time(time);
                     node.expire_soft_state(time);
-                    match node.process_with(buffers) {
-                        Ok(output) => lane.outcomes.push(EpochOutcome {
-                            time,
-                            seq,
-                            node: task.node,
-                            records: result_records(task.node, time, output.changes),
-                            sends: outbound_batches(sharing_enabled, output.outbound),
-                            request_flush: output.request_flush,
-                            was_flush: false,
-                        }),
+                    match node_step(node, time, seq, sharing_enabled, buffers) {
+                        Ok(outcome) => lane.outcomes.push(outcome),
                         Err(error) => {
-                            let failed = FailedAt { time, seq, error };
-                            match &lane.error {
-                                Some(existing)
-                                    if (existing.time, existing.seq)
-                                        <= (failed.time, failed.seq) => {}
-                                _ => lane.error = Some(failed),
-                            }
+                            lane.fail(time, seq, error);
                             continue 'nodes;
                         }
                     }
@@ -500,28 +523,10 @@ fn drain_lane(
                     node.expire_soft_state(task.time);
                     node.receive(seeds);
                     node.refresh_refire();
-                    match node.process_with(buffers) {
-                        Ok(output) => lane.outcomes.push(EpochOutcome {
-                            time: task.time,
-                            seq: task.seq,
-                            node: task.node,
-                            records: result_records(task.node, task.time, output.changes),
-                            sends: outbound_batches(sharing_enabled, output.outbound),
-                            request_flush: output.request_flush,
-                            was_flush: false,
-                        }),
+                    match node_step(node, task.time, task.seq, sharing_enabled, buffers) {
+                        Ok(outcome) => lane.outcomes.push(outcome),
                         Err(error) => {
-                            let failed = FailedAt {
-                                time: task.time,
-                                seq: task.seq,
-                                error,
-                            };
-                            match &lane.error {
-                                Some(existing)
-                                    if (existing.time, existing.seq)
-                                        <= (failed.time, failed.seq) => {}
-                                _ => lane.error = Some(failed),
-                            }
+                            lane.fail(task.time, task.seq, error);
                             continue 'nodes;
                         }
                     }

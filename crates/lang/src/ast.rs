@@ -200,21 +200,6 @@ impl BinOp {
             BinOp::Or => "||",
         }
     }
-
-    /// Whether the operator yields a boolean.
-    pub fn is_comparison(&self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq
-                | BinOp::Ne
-                | BinOp::Lt
-                | BinOp::Le
-                | BinOp::Gt
-                | BinOp::Ge
-                | BinOp::And
-                | BinOp::Or
-        )
-    }
 }
 
 /// Expressions used in assignments and filters.

@@ -94,11 +94,6 @@ impl PassSet {
             (true, true) => "all",
         }
     }
-
-    /// True when no pass is enabled.
-    pub fn is_off(&self) -> bool {
-        !self.magic && !self.reorder
-    }
 }
 
 /// One magic-sets rewrite: restrict `relation`'s recursion by a magic

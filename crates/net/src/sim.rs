@@ -197,12 +197,6 @@ impl<P: Clone> Simulator<P> {
         &self.topology
     }
 
-    /// Mutable access to the graph (used by dynamic-network experiments to
-    /// change link costs mid-run).
-    pub fn topology_mut(&mut self) -> &mut Topology {
-        &mut self.topology
-    }
-
     /// Accumulated traffic statistics.
     pub fn stats(&self) -> &NetStats {
         &self.stats

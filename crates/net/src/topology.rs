@@ -224,11 +224,6 @@ impl Topology {
         self.links.get(&Self::canonical(a, b))
     }
 
-    /// Mutable metrics of the link between `a` and `b`, if it exists.
-    pub fn link_mut(&mut self, a: NodeAddr, b: NodeAddr) -> Option<&mut LinkMetrics> {
-        self.links.get_mut(&Self::canonical(a, b))
-    }
-
     /// Whether a link between `a` and `b` exists.
     pub fn has_link(&self, a: NodeAddr, b: NodeAddr) -> bool {
         self.links.contains_key(&Self::canonical(a, b))
@@ -322,37 +317,6 @@ impl Topology {
             }
         }
         dist
-    }
-
-    /// Hop-count distance between two nodes (BFS). `None` if unreachable.
-    pub fn hop_distance(&self, a: NodeAddr, b: NodeAddr) -> Option<usize> {
-        if !self.contains(a) || !self.contains(b) {
-            return None;
-        }
-        if a == b {
-            return Some(0);
-        }
-        let mut seen = vec![false; self.node_count as usize];
-        seen[a.index()] = true;
-        let mut frontier = vec![a];
-        let mut hops = 0;
-        while !frontier.is_empty() {
-            hops += 1;
-            let mut next = Vec::new();
-            for n in frontier {
-                for nb in self.neighbors(n) {
-                    if nb == b {
-                        return Some(hops);
-                    }
-                    if !seen[nb.index()] {
-                        seen[nb.index()] = true;
-                        next.push(nb);
-                    }
-                }
-            }
-            frontier = next;
-        }
-        None
     }
 }
 
@@ -453,17 +417,6 @@ mod tests {
             .unwrap();
         let d = t.shortest_distances(NodeAddr(0), Metric::HopCount);
         assert!(d[2].is_infinite());
-    }
-
-    #[test]
-    fn hop_distance() {
-        let mut t = Topology::with_nodes(4);
-        let m = LinkMetrics::uniform();
-        t.add_link(NodeAddr(0), NodeAddr(1), m).unwrap();
-        t.add_link(NodeAddr(1), NodeAddr(2), m).unwrap();
-        assert_eq!(t.hop_distance(NodeAddr(0), NodeAddr(0)), Some(0));
-        assert_eq!(t.hop_distance(NodeAddr(0), NodeAddr(2)), Some(2));
-        assert_eq!(t.hop_distance(NodeAddr(0), NodeAddr(3)), None);
     }
 
     #[test]

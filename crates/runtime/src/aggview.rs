@@ -9,16 +9,26 @@
 //! are not executed as join strands; instead they are maintained as
 //! incremental aggregate views, following the techniques of Ramakrishnan et
 //! al. for incremental evaluation of queries with aggregation (Section 3.3
-//! and Section 4 of the paper). Each group keeps an ordered multiset of its
-//! input values so that
+//! and Section 4 of the paper), over the tables the node already stores. A
+//! view keeps what it emits, not what it reads: per group, the head tuple
+//! currently derived for it and nothing else. The group's inputs live once,
+//! in the store.
 //!
-//! * an insertion updates the aggregate in O(log n), and
-//! * a deletion re-derives the aggregate in O(log n) time and O(n) space —
-//!   the complexity quoted in the paper for min/max re-evaluation,
+//! * An insertion ([`AggregateView::apply`]) combines the new value with
+//!   the group's current aggregate — `min`/`max` by [`Value`]'s order,
+//!   `count` + 1 — in O(log n) for the group lookup; `sum` re-folds the
+//!   group from the store, so it is a function of the group's stored
+//!   contents, not of arrival order.
+//! * A deletion cannot be handed to a view. The DRed pass ([`crate::dred`])
+//!   that removes source tuples from the store records the groups they
+//!   belonged to, and [`AggregateView::rebuild_group`] — the one fold over
+//!   the store, an index probe on the group columns — recomputes each such
+//!   group from its surviving inputs.
 //!
-//! emitting a deletion of the old aggregate tuple and an insertion of the
-//! new one whenever the value actually changes (which is what lets the
-//! downstream `shortestPath` rule react to improvements and retractions).
+//! An insertion that changes a group's aggregate emits a deletion of the
+//! old aggregate tuple and an insertion of the new one (which is what lets
+//! the downstream `shortestPath` rule react to improvements); a rebuild
+//! emits the insertion alone, the pass having retracted the old output.
 //!
 //! Extra body atoms (e.g. the `magicDst(@D)` literal in rule SP3-SD) act as
 //! *guards*: a source delta only feeds the aggregate when the guard atoms
@@ -27,9 +37,10 @@
 //! do not replay previously-skipped source tuples.
 
 use crate::expr::Bindings;
+use crate::index::JoinStats;
 use crate::store::Store;
 use crate::strand::bind_atom;
-use crate::tuple::{RelName, Sign, Tuple, TupleDelta};
+use crate::tuple::{RelName, Tuple, TupleDelta};
 use ndlog_lang::{AggFunc, Atom, Literal, Rule, Term, Value};
 use std::collections::BTreeMap;
 
@@ -57,59 +68,63 @@ pub struct AggregateView {
     value_col: usize,
     group_cols: Vec<usize>,
     head_template: Vec<HeadField>,
+    /// The head position of the aggregate value.
+    agg_pos: usize,
     source_atom: Atom,
     guards: Vec<Atom>,
-    groups: BTreeMap<Vec<Value>, GroupState>,
+    /// Group key → the head tuple currently derived for the group.
+    groups: BTreeMap<Vec<Value>, Tuple>,
 }
 
-#[derive(Debug, Clone, Default)]
-struct GroupState {
-    /// value -> multiplicity.
-    multiset: BTreeMap<Value, usize>,
-    /// Total number of contributing tuples.
-    total: usize,
-    /// The head tuple currently derived for this group, if any.
-    current: Option<Tuple>,
-}
-
-impl GroupState {
-    fn aggregate(&self, func: AggFunc) -> Option<Value> {
-        if self.total == 0 {
-            return None;
-        }
-        match func {
-            AggFunc::Min => self.multiset.keys().next().cloned(),
-            AggFunc::Max => self.multiset.keys().next_back().cloned(),
-            AggFunc::Count => Some(Value::Int(self.total as i64)),
-            AggFunc::Sum => {
-                let mut sum = 0.0;
-                for (v, n) in &self.multiset {
-                    sum += v.as_f64().unwrap_or(0.0) * *n as f64;
-                }
-                Some(Value::Float(sum))
-            }
-        }
+/// The aggregate of a group with aggregate `current` (`None`: no inputs
+/// yet) and one more input `value`. `min`/`max` keep the reigning value on
+/// ties, so which of two equal-ordered values (`3` and `3.0`) a group
+/// shows is the first one folded in.
+fn combine(func: AggFunc, current: Option<&Value>, value: &Value) -> Value {
+    match (func, current) {
+        (AggFunc::Min, Some(best)) if best <= value => best.clone(),
+        (AggFunc::Max, Some(best)) if best >= value => best.clone(),
+        (AggFunc::Min | AggFunc::Max, _) => value.clone(),
+        (AggFunc::Count, _) => Value::Int(current.and_then(Value::as_int).unwrap_or(0) + 1),
+        (AggFunc::Sum, _) => Value::Float(
+            current.and_then(Value::as_f64).unwrap_or(0.0) + value.as_f64().unwrap_or(0.0),
+        ),
     }
 }
 
-/// Call `f` with the fields of `tuple` at `cols` — a group key — as one
+/// The fields of a tuple at the group columns — a group key — as one
 /// slice: on the stack for the usual ≤ 8 group columns, so looking a group
-/// up allocates nothing. `None` when the tuple is too short to project
-/// (heterogeneous hand-built stores).
-fn with_group_key<R>(cols: &[usize], tuple: &Tuple, f: impl FnOnce(Option<&[Value]>) -> R) -> R {
-    const UNSET: Value = Value::Bool(false);
-    let fields = || cols.iter().map(|&c| tuple.get(c).cloned());
-    let mut inline = [UNSET; 8];
-    if cols.len() > inline.len() {
-        return f(fields().collect::<Option<Vec<Value>>>().as_deref());
+/// up allocates nothing.
+enum GroupKey {
+    Inline([Value; 8], usize),
+    Heap(Vec<Value>),
+}
+
+impl GroupKey {
+    /// `None` when the tuple is too short to project (heterogeneous
+    /// hand-built stores).
+    fn of(cols: &[usize], tuple: &Tuple) -> Option<GroupKey> {
+        const UNSET: Value = Value::Bool(false);
+        let mut fields = cols.iter().map(|&c| tuple.get(c).cloned());
+        if cols.len() > 8 {
+            return fields.collect::<Option<_>>().map(GroupKey::Heap);
+        }
+        let mut inline = [UNSET; 8];
+        for (slot, field) in inline.iter_mut().zip(&mut fields) {
+            *slot = field?;
+        }
+        Some(GroupKey::Inline(inline, cols.len()))
     }
-    for (slot, field) in inline.iter_mut().zip(fields()) {
-        match field {
-            Some(value) => *slot = value,
-            None => return f(None),
+}
+
+impl std::ops::Deref for GroupKey {
+    type Target = [Value];
+    fn deref(&self) -> &[Value] {
+        match self {
+            GroupKey::Inline(fields, len) => &fields[..*len],
+            GroupKey::Heap(fields) => fields,
         }
     }
-    f(Some(&inline[..cols.len()]))
 }
 
 /// Instantiate a head template for a group: one allocation, of exactly
@@ -204,6 +219,7 @@ impl AggregateView {
             value_col,
             group_cols,
             head_template,
+            agg_pos: agg_positions[0],
             source_atom: source,
             guards,
             groups: BTreeMap::new(),
@@ -244,30 +260,25 @@ impl AggregateView {
 
     /// Current aggregate value for the group a source tuple belongs to.
     pub fn current_for(&self, source_tuple: &Tuple) -> Option<Value> {
-        with_group_key(&self.group_cols, source_tuple, |key| {
-            self.groups.get(key?)?.aggregate(self.func)
-        })
+        let output = self.current_output_for(source_tuple)?;
+        output.get(self.agg_pos).cloned()
     }
 
     /// The head tuple currently derived for the group a source tuple
     /// belongs to, if any.
     pub fn current_output_for(&self, source_tuple: &Tuple) -> Option<&Tuple> {
-        with_group_key(&self.group_cols, source_tuple, |key| {
-            self.current_output(key?)
-        })
+        self.current_output(&GroupKey::of(&self.group_cols, source_tuple)?)
     }
 
     /// The group key a source tuple belongs to, or `None` when the tuple
     /// is too short to project (heterogeneous hand-built stores).
     pub fn group_key(&self, source_tuple: &Tuple) -> Option<Vec<Value>> {
-        with_group_key(&self.group_cols, source_tuple, |key| {
-            key.map(<[Value]>::to_vec)
-        })
+        GroupKey::of(&self.group_cols, source_tuple).map(|key| key.to_vec())
     }
 
     /// The head tuple currently derived for a group, if any.
     pub fn current_output(&self, key: &[Value]) -> Option<&Tuple> {
-        self.groups.get(key)?.current.as_ref()
+        self.groups.get(key)
     }
 
     /// Map a head (output) tuple back to its group key, or `None` when the
@@ -288,64 +299,54 @@ impl AggregateView {
         Some(key)
     }
 
-    /// Rebuild one group's state from the tuples currently stored in the
-    /// source relation — the re-derive half of the DRed pass's group
-    /// pinning. The over-delete phase leaves the view untouched while it
-    /// removes source tuples (and the group's head output) from the store;
-    /// this recomputes the multiset from scratch over the surviving source
-    /// tuples (guards included), installs the new aggregate as the group's
-    /// current output, and returns it as an insertion delta for the caller
-    /// to ingest (the old output is already gone from the store). Returns
-    /// `None` when the group has no surviving inputs.
-    ///
-    /// Rebuilding from the store — rather than patching the multiset —
-    /// also heals any drift the multiset accumulated while derivation
-    /// counts were inexact.
+    /// The aggregate of one group over the tuples currently stored in the
+    /// source relation (guards included); `None` when the group has no
+    /// stored input.
+    fn fold_group(&self, store: &Store, key: &[Value], stats: &mut JoinStats) -> Option<Value> {
+        let relation = store.relation(&self.source_relation)?;
+        // Probe on the (sorted, deduplicated) group columns; verify the
+        // full group key residually to cover repeated group variables.
+        let mut bound: BTreeMap<usize, Value> = BTreeMap::new();
+        for (col, val) in self.group_cols.iter().zip(key.iter()) {
+            bound.entry(*col).or_insert_with(|| val.clone());
+        }
+        let cols: Vec<usize> = bound.keys().copied().collect();
+        let vals: Vec<Value> = bound.values().cloned().collect();
+        let in_group = |tuple: &Tuple| {
+            let fields = self.group_cols.iter().map(|&c| tuple.get(c));
+            fields.eq(key.iter().map(Some))
+        };
+        relation
+            .lookup(&cols, &vals, u64::MAX, stats)
+            .map(|stored| &stored.tuple)
+            .filter(|tuple| in_group(tuple) && self.guards_satisfied(store, tuple))
+            .filter_map(|tuple| tuple.get(self.value_col))
+            .fold(None, |aggregate, value| {
+                Some(combine(self.func, aggregate.as_ref(), value))
+            })
+    }
+
+    /// Recompute one group from the store and install the result as its
+    /// current output — how deletions reach a view. The DRed pass
+    /// ([`crate::dred`]) removes source tuples (and the group's head
+    /// output) from the store without telling the view, then calls this
+    /// for every group it touched; the new aggregate is returned as an
+    /// insertion delta for the caller to ingest (the old output is already
+    /// gone from the store). Returns `None`, and forgets the group, when
+    /// no input survives.
     pub fn rebuild_group(
         &mut self,
         store: &Store,
         key: &[Value],
-        stats: &mut crate::index::JoinStats,
+        stats: &mut JoinStats,
     ) -> Option<TupleDelta> {
-        let mut state = GroupState::default();
-        if let Some(relation) = store.relation(&self.source_relation) {
-            // Probe on the (sorted, deduplicated) group columns; verify the
-            // full group key residually to cover repeated group variables.
-            let mut bound: BTreeMap<usize, Value> = BTreeMap::new();
-            for (col, val) in self.group_cols.iter().zip(key.iter()) {
-                bound.entry(*col).or_insert_with(|| val.clone());
-            }
-            let cols: Vec<usize> = bound.keys().copied().collect();
-            let vals: Vec<Value> = bound.values().cloned().collect();
-            let in_group = |tuple: &Tuple| {
-                let fields = self.group_cols.iter().map(|&c| tuple.get(c));
-                fields.eq(key.iter().map(Some))
-            };
-            for stored in relation.lookup(&cols, &vals, u64::MAX, stats) {
-                let tuple = &stored.tuple;
-                if !in_group(tuple) {
-                    continue;
-                }
-                if !self.guards_satisfied(store, tuple) {
-                    continue;
-                }
-                let Some(value) = tuple.get(self.value_col).cloned() else {
-                    continue;
-                };
-                *state.multiset.entry(value).or_insert(0) += 1;
-                state.total += 1;
-            }
-        }
-        let new_head = state
-            .aggregate(self.func)
-            .map(|v| head_tuple(&self.head_template, key, &v));
-        state.current = new_head.clone();
-        if state.total == 0 {
-            self.groups.remove(key);
-        } else {
-            self.groups.insert(key.to_vec(), state);
-        }
-        new_head.map(|t| TupleDelta::insert(self.head_relation.clone(), t))
+        let aggregate = self.fold_group(store, key, stats);
+        let head = aggregate.map(|v| head_tuple(&self.head_template, key, &v));
+        match &head {
+            Some(head) => self.groups.insert(key.to_vec(), head.clone()),
+            None => self.groups.remove(key),
+        };
+        head.map(|t| TupleDelta::insert(self.head_relation.clone(), t))
     }
 
     /// The (relation, bound-column signature) pairs this view probes:
@@ -426,82 +427,49 @@ impl AggregateView {
         })
     }
 
-    /// Apply a source delta, returning the head deltas to propagate.
-    pub fn apply(&mut self, store: &Store, delta: &TupleDelta) -> Vec<TupleDelta> {
-        if delta.relation != self.source_relation {
+    /// Feed the view a tuple that has just entered the store's `relation`,
+    /// returning the head deltas to propagate: nothing while the group's
+    /// aggregate is unchanged, otherwise the retraction of its old output
+    /// (if it had one) and the assertion of the new.
+    pub fn apply(&mut self, store: &Store, relation: &str, inserted: &Tuple) -> Vec<TupleDelta> {
+        if relation != self.source_relation || !self.guards_satisfied(store, inserted) {
             return Vec::new();
         }
-        if !self.guards_satisfied(store, &delta.tuple) {
-            return Vec::new();
-        }
-        let Some(value) = delta.tuple.get(self.value_col) else {
+        let Some(value) = inserted.get(self.value_col) else {
             return Vec::new();
         };
-        // The key is projected on the stack; only a group's first tuple
-        // copies it into the map.
-        let AggregateView {
-            groups,
-            group_cols,
-            head_template,
-            head_relation,
-            func,
-            ..
-        } = self;
-        with_group_key(group_cols, &delta.tuple, |key| {
-            let Some(key) = key else {
-                return Vec::new();
-            };
-            if delta.sign == Sign::Insert && !groups.contains_key(key) {
-                groups.insert(key.to_vec(), GroupState::default());
+        let Some(key) = GroupKey::of(&self.group_cols, inserted) else {
+            return Vec::new();
+        };
+        let old_head = self.groups.get(&*key);
+        let aggregate = match self.func {
+            // Float addition does not commute with arrival order.
+            AggFunc::Sum => self.fold_group(store, &key, &mut JoinStats::default()),
+            func => {
+                let current = old_head.and_then(|head| head.get(self.agg_pos));
+                Some(combine(func, current, value))
             }
-            // Deleting from a group we never saw (its insertions were
-            // pruned by an aggregate selection): ignore.
-            let Some(group) = groups.get_mut(key) else {
-                return Vec::new();
-            };
-            match delta.sign {
-                Sign::Insert => {
-                    match group.multiset.get_mut(value) {
-                        Some(n) => *n += 1,
-                        None => {
-                            group.multiset.insert(value.clone(), 1);
-                        }
-                    }
-                    group.total += 1;
-                }
-                Sign::Delete => {
-                    match group.multiset.get_mut(value) {
-                        Some(n) if *n > 1 => *n -= 1,
-                        Some(_) => {
-                            group.multiset.remove(value);
-                        }
-                        // Deleting a value we never saw: ignore.
-                        None => return Vec::new(),
-                    }
-                    group.total -= 1;
-                }
-            }
-
-            let new_head = group
-                .aggregate(*func)
-                .map(|v| head_tuple(head_template, key, &v));
-            if group.current == new_head {
-                return Vec::new();
-            }
-            let old_head = std::mem::replace(&mut group.current, new_head.clone());
-            if group.total == 0 {
-                groups.remove(key);
-            }
-            let retract = old_head.map(|old| TupleDelta::delete(head_relation.clone(), old));
-            let assert = new_head.map(|new| TupleDelta::insert(head_relation.clone(), new));
-            retract.into_iter().chain(assert).collect()
-        })
+        };
+        let new_head = aggregate.map(|v| head_tuple(&self.head_template, &key, &v));
+        if old_head == new_head.as_ref() {
+            return Vec::new();
+        }
+        // Only a group's first tuple copies the key into the map.
+        let old_head = match (self.groups.get_mut(&*key), &new_head) {
+            (Some(head), Some(new)) => Some(std::mem::replace(head, new.clone())),
+            (None, Some(new)) => self.groups.insert(key.to_vec(), new.clone()),
+            (_, None) => self.groups.remove(&*key),
+        };
+        let retract = old_head.map(|old| TupleDelta::delete(self.head_relation.clone(), old));
+        let assert = new_head.map(|new| TupleDelta::insert(self.head_relation.clone(), new));
+        retract.into_iter().chain(assert).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tuple::Sign;
     use ndlog_lang::parse_program;
 
     fn view(src: &str) -> AggregateView {
@@ -523,22 +491,38 @@ mod tests {
         ])
     }
 
+    /// The path production takes for an insertion: the tuple enters the
+    /// store, then the view.
+    fn insert(store: &mut Store, v: &mut AggregateView, tuple: Tuple) -> Vec<TupleDelta> {
+        let relation = v.source_relation().to_string();
+        store.apply(&TupleDelta::insert(relation.as_str(), tuple.clone()));
+        v.apply(store, &relation, &tuple)
+    }
+
+    /// ... and for a removal: the tuple leaves the store, then its group is
+    /// rebuilt from what is left.
+    fn remove(store: &mut Store, v: &mut AggregateView, tuple: Tuple) -> Option<TupleDelta> {
+        store.apply(&TupleDelta::delete(v.source_relation(), tuple.clone()));
+        let key = v.group_key(&tuple).unwrap();
+        v.rebuild_group(store, &key, &mut JoinStats::default())
+    }
+
     #[test]
     fn min_improves_and_emits_replacement() {
         let mut v = sp_cost_view();
         let store = Store::new();
-        let out = v.apply(&store, &TupleDelta::insert("path", path(0, 1, 1, 5.0)));
+        let out = v.apply(&store, "path", &path(0, 1, 1, 5.0));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].sign, Sign::Insert);
         assert_eq!(out[0].relation, "spCost");
         assert_eq!(out[0].tuple.get(2), Some(&Value::Float(5.0)));
 
         // A worse path does not change the aggregate.
-        let out = v.apply(&store, &TupleDelta::insert("path", path(0, 1, 2, 9.0)));
+        let out = v.apply(&store, "path", &path(0, 1, 2, 9.0));
         assert!(out.is_empty());
 
         // A better path retracts the old aggregate and asserts the new one.
-        let out = v.apply(&store, &TupleDelta::insert("path", path(0, 1, 3, 2.0)));
+        let out = v.apply(&store, "path", &path(0, 1, 3, 2.0));
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].sign, Sign::Delete);
         assert_eq!(out[0].tuple.get(2), Some(&Value::Float(5.0)));
@@ -551,40 +535,42 @@ mod tests {
     #[test]
     fn deletion_rederives_from_remaining_inputs() {
         let mut v = sp_cost_view();
-        let store = Store::new();
-        v.apply(&store, &TupleDelta::insert("path", path(0, 1, 1, 5.0)));
-        v.apply(&store, &TupleDelta::insert("path", path(0, 1, 2, 2.0)));
-        // Deleting the best path falls back to the next best (O(log n)).
-        let out = v.apply(&store, &TupleDelta::delete("path", path(0, 1, 2, 2.0)));
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[1].tuple.get(2), Some(&Value::Float(5.0)));
+        let mut store = Store::new();
+        insert(&mut store, &mut v, path(0, 1, 1, 5.0));
+        insert(&mut store, &mut v, path(0, 1, 2, 2.0));
+        assert_eq!(v.current_for(&path(0, 1, 1, 0.0)), Some(Value::Float(2.0)));
+        // Deleting the best path falls back to the next best.
+        let out = remove(&mut store, &mut v, path(0, 1, 2, 2.0)).unwrap();
+        assert_eq!(out.sign, Sign::Insert);
+        assert_eq!(out.tuple.get(2), Some(&Value::Float(5.0)));
+        assert_eq!(v.current_for(&path(0, 1, 1, 0.0)), Some(Value::Float(5.0)));
         // Deleting the last input retracts the aggregate entirely.
-        let out = v.apply(&store, &TupleDelta::delete("path", path(0, 1, 1, 5.0)));
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].sign, Sign::Delete);
+        assert_eq!(remove(&mut store, &mut v, path(0, 1, 1, 5.0)), None);
+        assert_eq!(v.current_for(&path(0, 1, 1, 0.0)), None);
         assert_eq!(v.group_count(), 0);
     }
 
     #[test]
     fn duplicate_values_are_multiset_counted() {
         let mut v = sp_cost_view();
-        let store = Store::new();
-        v.apply(&store, &TupleDelta::insert("path", path(0, 1, 1, 3.0)));
-        v.apply(&store, &TupleDelta::insert("path", path(0, 1, 2, 3.0)));
+        let mut store = Store::new();
+        insert(&mut store, &mut v, path(0, 1, 1, 3.0));
+        insert(&mut store, &mut v, path(0, 1, 2, 3.0));
+        let before = v.current_output_for(&path(0, 1, 1, 0.0)).cloned();
         // Removing one of the two cost-3 paths keeps the aggregate at 3.
-        let out = v.apply(&store, &TupleDelta::delete("path", path(0, 1, 1, 3.0)));
-        assert!(out.is_empty());
-        let out = v.apply(&store, &TupleDelta::delete("path", path(0, 1, 2, 3.0)));
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].sign, Sign::Delete);
+        let out = remove(&mut store, &mut v, path(0, 1, 1, 3.0));
+        assert_eq!(out.map(|d| d.tuple), before);
+        assert_eq!(v.current_for(&path(0, 1, 1, 0.0)), Some(Value::Float(3.0)));
+        assert_eq!(remove(&mut store, &mut v, path(0, 1, 2, 3.0)), None);
+        assert_eq!(v.group_count(), 0);
     }
 
     #[test]
     fn groups_are_independent() {
         let mut v = sp_cost_view();
         let store = Store::new();
-        let a = v.apply(&store, &TupleDelta::insert("path", path(0, 1, 1, 5.0)));
-        let b = v.apply(&store, &TupleDelta::insert("path", path(0, 2, 1, 7.0)));
+        let a = v.apply(&store, "path", &path(0, 1, 1, 5.0));
+        let b = v.apply(&store, "path", &path(0, 2, 1, 7.0));
         assert_eq!(a.len(), 1);
         assert_eq!(b.len(), 1);
         assert_eq!(v.group_count(), 2);
@@ -594,10 +580,11 @@ mod tests {
     #[test]
     fn deleting_unseen_value_is_ignored() {
         let mut v = sp_cost_view();
-        let store = Store::new();
-        v.apply(&store, &TupleDelta::insert("path", path(0, 1, 1, 5.0)));
-        let out = v.apply(&store, &TupleDelta::delete("path", path(0, 1, 9, 4.0)));
-        assert!(out.is_empty());
+        let mut store = Store::new();
+        let best = insert(&mut store, &mut v, path(0, 1, 1, 5.0));
+        // A tuple the store never held leaves the group as it was.
+        let out = remove(&mut store, &mut v, path(0, 1, 9, 4.0));
+        assert_eq!(out.as_ref(), best.last());
         assert_eq!(v.current_for(&path(0, 1, 1, 0.0)), Some(Value::Float(5.0)));
     }
 
@@ -606,19 +593,21 @@ mod tests {
         let store = Store::new();
         let mut vmax = view("m best(@S, max<C>) :- obs(@S, C).");
         let obs = |s: u32, c: i64| Tuple::new(vec![Value::addr(s), Value::Int(c)]);
-        vmax.apply(&store, &TupleDelta::insert("obs", obs(0, 3)));
-        let out = vmax.apply(&store, &TupleDelta::insert("obs", obs(0, 9)));
+        vmax.apply(&store, "obs", &obs(0, 3));
+        let out = vmax.apply(&store, "obs", &obs(0, 9));
         assert_eq!(out[1].tuple.get(1), Some(&Value::Int(9)));
 
         let mut vcount = view("c deg(@S, count<D>) :- edge(@S, @D).");
         let edge = |s: u32, d: u32| Tuple::new(vec![Value::addr(s), Value::addr(d)]);
-        vcount.apply(&store, &TupleDelta::insert("edge", edge(0, 1)));
-        let out = vcount.apply(&store, &TupleDelta::insert("edge", edge(0, 2)));
+        vcount.apply(&store, "edge", &edge(0, 1));
+        let out = vcount.apply(&store, "edge", &edge(0, 2));
         assert_eq!(out[1].tuple.get(1), Some(&Value::Int(2)));
 
+        // A sum is folded from the store, so its inputs go there first.
+        let mut store = store;
         let mut vsum = view("s total(@S, sum<C>) :- obs(@S, C).");
-        vsum.apply(&store, &TupleDelta::insert("obs", obs(0, 3)));
-        let out = vsum.apply(&store, &TupleDelta::insert("obs", obs(0, 4)));
+        insert(&mut store, &mut vsum, obs(0, 3));
+        let out = insert(&mut store, &mut vsum, obs(0, 4));
         assert_eq!(out[1].tuple.get(1), Some(&Value::Float(7.0)));
     }
 
@@ -640,20 +629,16 @@ mod tests {
             ])
         };
         // No magicDst entry: the delta is filtered out.
-        assert!(v
-            .apply(&store, &TupleDelta::insert("pathDst", pd(1, 0, 4.0)))
-            .is_empty());
+        assert!(v.apply(&store, "pathDst", &pd(1, 0, 4.0)).is_empty());
         // Seed the magic table for destination 1 and retry.
         store.apply(&TupleDelta::insert(
             "magicDst",
             Tuple::new(vec![Value::addr(1u32)]),
         ));
-        let out = v.apply(&store, &TupleDelta::insert("pathDst", pd(1, 0, 4.0)));
+        let out = v.apply(&store, "pathDst", &pd(1, 0, 4.0));
         assert_eq!(out.len(), 1);
         // A different destination still has no magic entry.
-        assert!(v
-            .apply(&store, &TupleDelta::insert("pathDst", pd(2, 0, 4.0)))
-            .is_empty());
+        assert!(v.apply(&store, "pathDst", &pd(2, 0, 4.0)).is_empty());
     }
 
     #[test]
@@ -695,7 +680,7 @@ mod tests {
         let mut two = sp_cost_view();
         let store = Store::new();
         for (v, c) in [(1, 7), (2, 9), (1, 4)] {
-            nine.apply(&store, &TupleDelta::insert("p", wide(v, c)));
+            nine.apply(&store, "p", &wide(v, c));
         }
         assert_eq!(nine.group_count(), 2);
         assert_eq!(nine.current_for(&wide(1, 0)), Some(Value::Int(4)));
@@ -712,14 +697,12 @@ mod tests {
             Some(key)
         );
 
-        two.apply(&store, &TupleDelta::insert("path", path(0, 1, 1, 5.0)));
+        two.apply(&store, "path", &path(0, 1, 1, 5.0));
         let short = Tuple::new(vec![Value::addr(0u32)]);
         assert_eq!(two.group_key(&short), None);
         assert_eq!(two.current_for(&short), None);
         assert_eq!(two.current_output_for(&short), None);
-        assert!(two
-            .apply(&store, &TupleDelta::insert("path", short))
-            .is_empty());
+        assert!(two.apply(&store, "path", &short).is_empty());
         assert_eq!(two.group_count(), 1);
     }
 
@@ -727,7 +710,7 @@ mod tests {
     fn other_relations_are_ignored() {
         let mut v = sp_cost_view();
         let store = Store::new();
-        let out = v.apply(&store, &TupleDelta::insert("link", path(0, 1, 1, 5.0)));
+        let out = v.apply(&store, "link", &path(0, 1, 1, 5.0));
         assert!(out.is_empty());
     }
 }

@@ -9,10 +9,10 @@
 //! vectorized alternative: at compile time every variable of a rule gets a
 //! fixed **slot**, terms and expressions are rewritten to slot references,
 //! and at run time a whole batch of trigger deltas is drained through the
-//! rule's stages using two flat column buffers (`current` / `next` rows of
-//! `width` slots each) of a reusable [`BatchScratch`]. Extending an
-//! environment is a row copy into the arena; no per-environment `Vec`,
-//! map or `String` is ever allocated.
+//! rule's stages using two flat row arenas (`rows` / `next`, `width` slots
+//! per row) of a reusable [`BatchScratch`]. Extending an environment is a
+//! row copy into the arena; no per-environment `Vec`, map or `String` is
+//! ever allocated.
 //!
 //! # Who owns the buffers
 //!
@@ -29,25 +29,43 @@
 //! it, on success and on error alike, so which buffers a run was lent is
 //! unobservable.
 //!
-//! # Key-grouped probe sharing
+//! # One probe routine, two sinks
 //!
-//! Real delta batches are key-skewed: path exploration and flooding
-//! dissemination hand a strand hundreds of triggers that probe the same
-//! join key. The probe stage therefore partitions the
-//! surviving rows by probe-key value — first-occurrence order, so the
-//! grouping is deterministic and independent of interner id assignment —
-//! executes **one** index lookup per distinct key
-//! ([`crate::relation::Relation::lookup_n`]), runs the member-independent
-//! residual checks once per candidate, and broadcasts the shared match
-//! set to every group member through offset ranges into a flat match
-//! buffer (each member only re-applies the slot *binds* and its own
-//! `seq_limit` visibility filter). This is sound because a probe stage's
-//! match set depends only on the probe key and the candidate: compilation
-//! guarantees every residual `CheckSlot` refers to a slot bound by an
-//! earlier column of the same atom (any slot bound by an earlier stage is
-//! part of the probe key), so two rows with equal keys accept exactly the
-//! same candidates. A stage with a single surviving row has nothing to
-//! share and takes the per-row arm (one plain lookup) instead.
+//! Every join of every strand goes through [`ProbeStage::probe`] — the one
+//! place that looks a relation up, and so the one place a probe timer or a
+//! change to probing has to touch. It finds each row's candidates, applies
+//! the row's trigger's `seq_limit`, and hands every surviving `(row,
+//! origin, candidate)` — row-major, candidates in lookup order — to a
+//! monomorphized *sink*. A probe followed by further stages gets the sink
+//! that appends the extended row to the next arena. A probe that is its
+//! rule's last stage (the common single-join shape) gets the sink that
+//! projects the head tuple straight from `(row, candidate)`, so no output
+//! arena is materialized for it: the head template reads each column from
+//! the row or from the candidate ([`HeadSource`]), and a rule whose last
+//! stage is not a probe projects through the same template with no
+//! candidate columns in it.
+//!
+//! The routine has two arms and picks between them from what it can
+//! observe, never from an option. Real delta batches are key-skewed: path
+//! exploration and flooding dissemination hand a strand hundreds of
+//! triggers that probe the same join key. With more than one row — or with
+//! a cross-rule [`ProbeCache`] armed, which is where a lone row's probe can
+//! still be shared with other strands of the round — the rows are
+//! partitioned by probe-key value (first-occurrence order, so the grouping
+//! is deterministic), **one** lookup runs per distinct key
+//! ([`crate::relation::Relation::lookup_n`], or the cache), the residual
+//! checks run once per candidate, and the shared match set is broadcast to
+//! every member through offset ranges into a flat match buffer. This is
+//! sound because a probe stage's match set depends only on the probe key
+//! and the candidate: any slot bound by an earlier stage is part of the
+//! probe key, so all that is left to check is the candidate's arity and,
+//! for a variable the atom repeats, that two of the candidate's own
+//! columns agree ([`ProbeStage::same`]) — two rows with equal keys accept
+//! exactly the same candidates. A lone row without a cache has nothing to
+//! share and its grouped accounting (one logical, one distinct probe)
+//! would equal a plain lookup's exactly, so it takes one plain lookup and
+//! skips the grouping — the per-event distributed workload fires mostly
+//! one-delta batches.
 //!
 //! # Equivalence contract
 //!
@@ -74,7 +92,7 @@ use crate::index::JoinStats;
 use crate::intern::FxBuild;
 use crate::relation::StoredTuple;
 use crate::store::Store;
-use crate::strand::{Derivation, ProbePlan};
+use crate::strand::{ColumnSource, Derivation, ProbePlan};
 use crate::subplan::ProbeCache;
 use crate::tuple::{RelName, Sign, Tuple, TupleDelta};
 use ndlog_lang::seminaive::DeltaRule;
@@ -105,8 +123,8 @@ enum BindOp {
     CheckConst(usize, Value),
     /// The column binds a fresh slot.
     Bind(usize, usize),
-    /// The column must equal an already-bound slot (bound by an earlier
-    /// stage, or by an earlier column of this very atom).
+    /// The column must equal a slot bound by an earlier column of this
+    /// very atom.
     CheckSlot(usize, usize),
 }
 
@@ -124,38 +142,54 @@ enum SlotExpr {
     Call(String, Vec<SlotExpr>),
 }
 
-/// A head column source.
+/// A head column source: where [`BatchPlan::emit`] reads the column from.
 #[derive(Debug, Clone, PartialEq)]
 enum HeadSource {
     Const(Value),
-    Slot(usize, String),
+    /// A slot of the row; the name survives only for the unbound-variable
+    /// error message.
+    Row(usize, String),
+    /// A column of the candidate of the rule's last stage, a probe, for
+    /// the slots that stage binds. Rules whose last stage is not a probe
+    /// have none.
+    Cand(usize),
     Unbound(String),
     /// Aggregate head terms are maintained by `AggregateView`, never fired
     /// through strands; raise the same error the tuple path does.
     Aggregate,
 }
 
+/// A non-trigger body atom, slot-compiled.
+#[derive(Debug, Clone, PartialEq)]
+struct ProbeStage {
+    relation: String,
+    /// Sorted bound columns to probe on (empty = full scan); mirrors the
+    /// strand's [`ProbePlan`].
+    cols: Vec<usize>,
+    /// Value per probe column, parallel to `cols`.
+    key: Vec<SlotSource>,
+    /// Expected candidate arity.
+    arity: usize,
+    /// What the probe key leaves of the atom (the relation's lookup
+    /// enforces every probed column, so re-checking them per candidate
+    /// would be redundant work the tuple path still performs): the
+    /// `(column, slot)` pairs that bind the atom's fresh variables …
+    binds: Vec<(usize, usize)>,
+    /// … and, for a variable the atom repeats, the `(column, column)`
+    /// pairs a candidate must hold equal values in. Any slot bound by an
+    /// earlier stage is part of the probe key, so whether a candidate
+    /// joins depends on the key and the candidate alone — never on the
+    /// row that asks.
+    same: Vec<(usize, usize)>,
+    /// The atom mentions an aggregate term: no candidate can match
+    /// (exactly `bind_atom`'s behaviour).
+    reject_all: bool,
+}
+
 /// A non-trigger body literal, slot-compiled.
 #[derive(Debug, Clone, PartialEq)]
 enum Stage {
-    Probe {
-        relation: String,
-        /// Sorted bound columns to probe on (empty = full scan); mirrors
-        /// the strand's [`ProbePlan`].
-        cols: Vec<usize>,
-        /// Value per probe column, parallel to `cols`.
-        key: Vec<SlotSource>,
-        /// Expected candidate arity.
-        arity: usize,
-        /// Residual column ops — only the columns the probe key does *not*
-        /// already guarantee ([`crate::relation::Relation::lookup`]
-        /// enforces every probed column, so re-checking them per candidate
-        /// would be redundant work the tuple path still performs).
-        ops: Vec<BindOp>,
-        /// The atom mentions an aggregate term: no candidate can match
-        /// (exactly `bind_atom`'s behaviour).
-        reject_all: bool,
-    },
+    Probe(ProbeStage),
     Assign {
         slot: usize,
         /// Statically known: is the slot already bound when this stage
@@ -164,23 +198,6 @@ enum Stage {
         expr: SlotExpr,
     },
     Filter(SlotExpr),
-}
-
-/// A head column source for the **fused** final stage: when a rule's last
-/// stage is its probe (the common single-join shape), the surviving
-/// `(member row, candidate)` pairs project their head tuples directly, so
-/// no output row arena is ever materialized for that stage. Each head
-/// column reads either from the pre-final row or from the candidate tuple
-/// (for slots the final atom's `Bind` ops would have written).
-#[derive(Debug, Clone, PartialEq)]
-enum FusedSource {
-    Const(Value),
-    /// Read from a slot bound before the final stage.
-    Row(usize, String),
-    /// Read from a column of the final probe's candidate tuple.
-    Cand(usize),
-    Unbound(String),
-    Aggregate,
 }
 
 /// A slot-compiled rule strand.
@@ -194,59 +211,134 @@ pub struct BatchPlan {
     trigger_ops: Vec<BindOp>,
     /// The trigger atom mentions an aggregate term: nothing can bind.
     trigger_rejects: bool,
+    /// In body order. When the last one is a probe, it projects the head
+    /// itself and `head` reads that probe's candidate.
     stages: Vec<Stage>,
     head: Vec<HeadSource>,
-    /// `Some` iff the last stage is a probe: the head re-expressed against
-    /// (pre-final row, candidate), enabling final-stage fusion.
-    fused_head: Option<Vec<FusedSource>>,
     /// The head relation's name, held once: every derivation clones it by
     /// reference count.
     head_relation: RelName,
 }
 
-/// Reusable flat buffers for batch firing: environment rows (`width`
-/// slots per row, `Option<Value>` so unbound slots are explicit), the
-/// trigger index each row descends from, a probe-key scratch, and the
-/// key-grouping buffers of the shared-probe stage. One scratch serves any
-/// number of strands, batches and stores; buffers only grow.
+/// A row arena: binding environments of `width` slots each (`Option<Value>`
+/// so unbound slots are explicit) and the trigger index each row descends
+/// from. Rows stay in ascending origin order throughout a firing.
 #[derive(Debug, Default)]
-pub struct BatchScratch {
-    rows: Vec<Option<Value>>,
+struct Rows {
+    width: usize,
+    slots: Vec<Option<Value>>,
     origins: Vec<u32>,
-    next_rows: Vec<Option<Value>>,
-    next_origins: Vec<u32>,
+}
+
+impl Rows {
+    fn len(&self) -> usize {
+        self.origins.len()
+    }
+
+    fn clear(&mut self) {
+        self.slots.clear();
+        self.origins.clear();
+    }
+
+    /// Row `r` and the trigger it descends from.
+    fn get(&self, r: usize) -> (&[Option<Value>], u32) {
+        let row = &self.slots[r * self.width..(r + 1) * self.width];
+        (row, self.origins[r])
+    }
+
+    /// Append a copy of `row`, returned for the caller to bind into.
+    fn push(&mut self, row: &[Option<Value>], origin: u32) -> &mut [Option<Value>] {
+        let start = self.slots.len();
+        self.slots.extend_from_slice(row);
+        self.origins.push(origin);
+        &mut self.slots[start..]
+    }
+
+    /// Keep the rows `keep` accepts (it may bind into them), in order.
+    fn retain(
+        &mut self,
+        mut keep: impl FnMut(&mut [Option<Value>]) -> Result<bool, EvalError>,
+    ) -> Result<(), EvalError> {
+        let width = self.width;
+        let mut kept = 0usize;
+        for r in 0..self.origins.len() {
+            if keep(&mut self.slots[r * width..(r + 1) * width])? {
+                if kept != r {
+                    let (dst, src) = self.slots.split_at_mut(r * width);
+                    dst[kept * width..(kept + 1) * width].clone_from_slice(&src[..width]);
+                    self.origins[kept] = self.origins[r];
+                }
+                kept += 1;
+            }
+        }
+        self.slots.truncate(kept * width);
+        self.origins.truncate(kept);
+        Ok(())
+    }
+}
+
+/// The key-grouping buffers of the probe routine's shared arm.
+#[derive(Debug, Default)]
+struct KeyGroups {
+    /// The probe key being resolved.
     key: Vec<Value>,
-    /// Per row: the probe-key group it belongs to (grouped stages only).
+    /// Per row: the probe-key group it belongs to.
     group_of: Vec<u32>,
-    /// Per group: its member count (the `lookup_n` multiplier).
-    group_sizes: Vec<u32>,
+    /// Per group: its member count (the lookup's multiplier).
+    sizes: Vec<u32>,
     /// Probe key → group index, under the crate's seedless hasher so two
     /// runs of one input build the same table. Group numbering is
     /// first-occurrence order and every observable is addressed through
-    /// it, so nothing depends on hashing or iteration order — which pass 2
-    /// of [`group_and_probe`] relies on when it walks the map.
-    group_map: HashMap<Box<[Value]>, u32, FxBuild>,
+    /// it, so nothing depends on hashing or iteration order — which
+    /// [`ProbeStage::probe`] relies on when it walks the map.
+    map: HashMap<Box<[Value]>, u32, FxBuild>,
     /// Per group: the `(start, end)` range of its shared match set in the
     /// flat match buffer.
-    group_ranges: Vec<(u32, u32)>,
-    /// Reusable row for the once-per-candidate residual check.
-    probe_row: Vec<Option<Value>>,
-    /// The fields of the head tuple being projected; drained into the
-    /// tuple's one allocation.
-    head: Vec<Value>,
+    ranges: Vec<(u32, u32)>,
+}
+
+impl KeyGroups {
+    /// Partition `rows` by probe-key value, numbering the groups in
+    /// first-occurrence order (the hash map is only a dedup aid).
+    fn partition(&mut self, key: &[SlotSource], rows: &Rows) {
+        self.group_of.clear();
+        self.sizes.clear();
+        self.map.clear();
+        for r in 0..rows.len() {
+            build_probe_key(key, rows.get(r).0, &mut self.key);
+            let g = match self.map.get(self.key.as_slice()) {
+                Some(&g) => g,
+                None => {
+                    let g = u32::try_from(self.sizes.len()).expect("group count fits u32");
+                    self.map.insert(self.key.as_slice().into(), g);
+                    self.sizes.push(0);
+                    g
+                }
+            };
+            self.sizes[g as usize] += 1;
+            self.group_of.push(g);
+        }
+    }
+}
+
+/// Reusable flat buffers for batch firing: the two row arenas the stages
+/// ping-pong between and the key-grouping buffers of the probe routine.
+/// One scratch serves any number of strands, batches and stores; buffers
+/// only grow.
+#[derive(Debug, Default)]
+pub struct BatchScratch {
+    rows: Rows,
+    next: Rows,
+    groups: KeyGroups,
 }
 
 impl BatchScratch {
     /// Drop every value a firing left behind, keeping the capacity.
     fn clear(&mut self) {
         self.rows.clear();
-        self.origins.clear();
-        self.next_rows.clear();
-        self.next_origins.clear();
-        self.key.clear();
-        self.group_map.clear();
-        self.probe_row.clear();
-        self.head.clear();
+        self.next.clear();
+        self.groups.key.clear();
+        self.groups.map.clear();
     }
 }
 
@@ -256,6 +348,9 @@ pub struct BatchOutput {
     derivations: Vec<Derivation>,
     /// `offsets[i]..offsets[i + 1]` bounds trigger `i`'s derivations.
     offsets: Vec<usize>,
+    /// The fields of the head tuple being projected; drained into the
+    /// tuple's one allocation.
+    fields: Vec<Value>,
 }
 
 /// The buffers a fixpoint run evaluates in, lent to it by whoever drives
@@ -281,13 +376,23 @@ impl BatchOutput {
     pub fn clear(&mut self) {
         self.derivations.clear();
         self.offsets.clear();
+        self.fields.clear();
     }
 
-    /// Append the derivation of the head tuple whose fields are in `head`:
-    /// they are drained into the tuple's one allocation, of exactly their
-    /// size, and the relation's name is shared.
-    fn push(&mut self, head: &mut Vec<Value>, relation: &RelName, sign: Sign) {
-        let tuple: Tuple = head.drain(..).collect();
+    /// Record where the derivations of every trigger up to `trigger`
+    /// start: the ones not seen yet start here (rows arrive in ascending
+    /// trigger order).
+    fn start_through(&mut self, trigger: usize) {
+        while self.offsets.len() <= trigger {
+            self.offsets.push(self.derivations.len());
+        }
+    }
+
+    /// Append the derivation of the head tuple whose fields are in
+    /// `fields`: they are drained into the tuple's one allocation, of
+    /// exactly their size, and the relation's name is shared.
+    fn push(&mut self, relation: &RelName, sign: Sign) {
+        let tuple: Tuple = self.fields.drain(..).collect();
         let location = tuple.location();
         self.derivations.push(Derivation {
             delta: TupleDelta {
@@ -361,10 +466,8 @@ pub(crate) fn compile(rule: &DeltaRule, plans: &[Option<ProbePlan>]) -> BatchPla
                         plan.sources
                             .iter()
                             .map(|src| match src {
-                                crate::strand::ColumnSource::Const(c) => {
-                                    SlotSource::Const(c.clone())
-                                }
-                                crate::strand::ColumnSource::Var(name) => {
+                                ColumnSource::Const(c) => SlotSource::Const(c.clone()),
+                                ColumnSource::Var(name) => {
                                     SlotSource::Slot(*slots.get(name).expect("plan vars are bound"))
                                 }
                             })
@@ -373,14 +476,27 @@ pub(crate) fn compile(rule: &DeltaRule, plans: &[Option<ProbePlan>]) -> BatchPla
                     None => (Vec::new(), Vec::new()),
                 };
                 let (ops, reject_all) = compile_atom_ops(atom, &cols, &mut slots, &mut slot_of);
-                stages.push(Stage::Probe {
+                let (mut binds, mut same) = (Vec::new(), Vec::new());
+                for op in ops {
+                    match op {
+                        BindOp::Bind(col, slot) => binds.push((col, slot)),
+                        BindOp::CheckSlot(col, slot) => {
+                            let bound = binds.iter().find(|(_, s)| *s == slot);
+                            let (first, _) = bound.expect("bound by an earlier column of the atom");
+                            same.push((col, *first));
+                        }
+                        BindOp::CheckConst(..) => unreachable!("constants are probed columns"),
+                    }
+                }
+                stages.push(Stage::Probe(ProbeStage {
                     relation: atom.name.clone(),
                     cols,
                     key,
                     arity: atom.arity(),
-                    ops,
+                    binds,
+                    same,
                     reject_all,
-                });
+                }));
             }
             Literal::Assign(assign) => {
                 let prebound = slots.contains_key(&assign.var);
@@ -398,6 +514,15 @@ pub(crate) fn compile(rule: &DeltaRule, plans: &[Option<ProbePlan>]) -> BatchPla
         }
     }
 
+    // When the last stage is a probe, its binds are the only writes
+    // between the rows it reads and head projection, so a head column is
+    // either "read the row" or "read the candidate" (a bind only ever
+    // targets a slot no earlier stage bound, so the mapping is
+    // unambiguous).
+    let cand_col_of_slot: BTreeMap<usize, usize> = match stages.last() {
+        Some(Stage::Probe(probe)) => probe.binds.iter().map(|&(col, slot)| (slot, col)).collect(),
+        _ => BTreeMap::new(),
+    };
     let head: Vec<HeadSource> = rule
         .rule
         .head
@@ -406,43 +531,15 @@ pub(crate) fn compile(rule: &DeltaRule, plans: &[Option<ProbePlan>]) -> BatchPla
         .map(|term| match term {
             Term::Const(c) => HeadSource::Const(c.clone()),
             Term::Var(v) => match slots.get(&v.name) {
-                Some(&s) => HeadSource::Slot(s, v.name.clone()),
+                Some(s) => match cand_col_of_slot.get(s) {
+                    Some(&col) => HeadSource::Cand(col),
+                    None => HeadSource::Row(*s, v.name.clone()),
+                },
                 None => HeadSource::Unbound(v.name.clone()),
             },
             Term::Agg(_) => HeadSource::Aggregate,
         })
         .collect();
-
-    // Final-stage fusion: when the last stage is a probe, its `Bind` ops
-    // are the only writes between the pre-final rows and head projection,
-    // so every head column can be re-expressed as "read the row" or "read
-    // the candidate" (a `Bind` only ever targets a slot no earlier stage
-    // bound, so the mapping is unambiguous).
-    let fused_head = match stages.last() {
-        Some(Stage::Probe { ops, .. }) => {
-            let col_of_slot: BTreeMap<usize, usize> = ops
-                .iter()
-                .filter_map(|op| match op {
-                    BindOp::Bind(col, slot) => Some((*slot, *col)),
-                    _ => None,
-                })
-                .collect();
-            Some(
-                head.iter()
-                    .map(|source| match source {
-                        HeadSource::Const(c) => FusedSource::Const(c.clone()),
-                        HeadSource::Slot(s, name) => match col_of_slot.get(s) {
-                            Some(&col) => FusedSource::Cand(col),
-                            None => FusedSource::Row(*s, name.clone()),
-                        },
-                        HeadSource::Unbound(name) => FusedSource::Unbound(name.clone()),
-                        HeadSource::Aggregate => FusedSource::Aggregate,
-                    })
-                    .collect(),
-            )
-        }
-        _ => None,
-    };
 
     BatchPlan {
         width: slots.len(),
@@ -451,7 +548,6 @@ pub(crate) fn compile(rule: &DeltaRule, plans: &[Option<ProbePlan>]) -> BatchPla
         trigger_rejects,
         stages,
         head,
-        fused_head,
         head_relation: rule.rule.head.name.as_str().into(),
     }
 }
@@ -582,127 +678,10 @@ fn build_probe_key(key: &[SlotSource], row: &[Option<Value>], out: &mut Vec<Valu
     }
 }
 
-/// Passes 1 and 2 of a grouped probe stage, shared by the mid-stage arm
-/// and the fused final stage (only their pass 3 — row materialization vs
-/// direct head projection — differs).
-///
-/// Pass 1 partitions the rows by probe-key value, numbering groups in
-/// first-occurrence order (deterministic; the hash map is only a dedup
-/// aid). Pass 2 performs one [`crate::relation::Relation::lookup_n`] per
-/// distinct key — which preserves the per-member logical accounting via
-/// the group-size multiplier — runs the member-independent residual
-/// checks once per candidate, and collects each group's shared match set
-/// into the flat `group_matches` buffer at `group_ranges[g]`. The
-/// visibility filter is deferred to pass 3 because members may carry
-/// different `seq_limit`s. The map's iteration order only decides where
-/// each group's span lands in the buffer; every observable (stat sums,
-/// the span each `group_ranges[g]` addresses, within-group candidate
-/// order) is independent of it.
-///
-/// When a cross-rule [`ProbeCache`] is armed and carries this stage's
-/// `(relation, cols)` signature, pass 2 serves each distinct key through
-/// the cache instead of probing the relation directly: the raw candidate
-/// set is fetched once per round across every strand sharing the
-/// signature, and the stage-specific arity/residual filtering still runs
-/// here per candidate (see [`crate::subplan`] for the soundness and
-/// statistics contract).
-#[allow(clippy::too_many_arguments)]
-fn group_and_probe<'r>(
-    stored: &'r crate::relation::Relation,
-    relation: &str,
-    width: usize,
-    rows: &[Option<Value>],
-    origins: &[u32],
-    key: &[SlotSource],
-    cols: &[usize],
-    arity: usize,
-    ops: &[BindOp],
-    reject_all: bool,
-    stats: &mut JoinStats,
-    key_buf: &mut Vec<Value>,
-    group_of: &mut Vec<u32>,
-    group_sizes: &mut Vec<u32>,
-    group_map: &mut HashMap<Box<[Value]>, u32, FxBuild>,
-    group_ranges: &mut Vec<(u32, u32)>,
-    probe_row: &mut Vec<Option<Value>>,
-    group_matches: &mut Vec<&'r StoredTuple>,
-    mut cache: Option<&mut ProbeCache<'r>>,
-) {
-    group_of.clear();
-    group_sizes.clear();
-    group_map.clear();
-    for r in 0..origins.len() {
-        let row = &rows[r * width..(r + 1) * width];
-        build_probe_key(key, row, key_buf);
-        let g = match group_map.get(key_buf.as_slice()) {
-            Some(&g) => g,
-            None => {
-                let g = u32::try_from(group_sizes.len()).expect("group count fits u32");
-                group_map.insert(key_buf.as_slice().into(), g);
-                group_sizes.push(0);
-                g
-            }
-        };
-        group_sizes[g as usize] += 1;
-        group_of.push(g);
-    }
-    group_matches.clear();
-    group_ranges.clear();
-    group_ranges.resize(group_sizes.len(), (0, 0));
-    probe_row.clear();
-    probe_row.resize(width, None);
-    for (gkey, &g) in group_map.iter() {
-        let members = group_sizes[g as usize] as usize;
-        let start = group_matches.len();
-        let cached = match cache.as_deref_mut() {
-            Some(c) => c.probe(stored, relation, cols, gkey, members, stats),
-            None => None,
-        };
-        if let Some(candidates) = cached {
-            for &candidate in candidates {
-                if reject_all || candidate.tuple.arity() != arity {
-                    continue;
-                }
-                if apply_ops(ops, &candidate.tuple, probe_row) {
-                    group_matches.push(candidate);
-                }
-            }
-        } else {
-            for candidate in stored.lookup_n(cols, gkey, u64::MAX, members, stats) {
-                // An aggregate-term atom rejects every candidate, but the
-                // lookup above still runs so the probe accounting matches
-                // `bind_atom`'s tuple path exactly.
-                if reject_all || candidate.tuple.arity() != arity {
-                    continue;
-                }
-                if apply_ops(ops, &candidate.tuple, probe_row) {
-                    group_matches.push(candidate);
-                }
-            }
-        }
-        group_ranges[g as usize] = (
-            u32::try_from(start).expect("match buffer fits u32"),
-            u32::try_from(group_matches.len()).expect("match buffer fits u32"),
-        );
-    }
-}
-
-/// Apply only the `Bind` half of an atom's residual ops: used by the
-/// grouped-probe broadcast, where the candidate has already passed the
-/// member-independent checks once for its whole group and each member row
-/// only needs the fresh slot values written in.
-fn apply_binds(ops: &[BindOp], tuple: &Tuple, row: &mut [Option<Value>]) {
-    for op in ops {
-        if let BindOp::Bind(col, slot) = op {
-            row[*slot] = Some(tuple.get(*col).expect("arity checked").clone());
-        }
-    }
-}
-
-/// Apply an atom's residual ops to a candidate tuple against a row whose
-/// new slots may be written in place. Ops run in column order, so a
-/// within-atom repeated variable's check sees the bind from an earlier
-/// column of the same candidate. Returns false on the first mismatch.
+/// Apply the trigger atom's ops to a delta tuple against a blank row whose
+/// slots are written in place. Ops run in column order, so a within-atom
+/// repeated variable's check sees the bind from an earlier column of the
+/// same tuple. Returns false on the first mismatch.
 fn apply_ops(ops: &[BindOp], tuple: &Tuple, row: &mut [Option<Value>]) -> bool {
     for op in ops {
         match op {
@@ -724,6 +703,125 @@ fn apply_ops(ops: &[BindOp], tuple: &Tuple, row: &mut [Option<Value>]) -> bool {
     true
 }
 
+/// What the stages of one firing share: the store and triggers they read,
+/// the statistics they report to, the cross-rule probe cache if one is
+/// armed, and the match buffer of the probe routine's shared arm.
+struct Firing<'a, 'r> {
+    store: &'r Store,
+    triggers: &'a [BatchTrigger<'a>],
+    stats: &'a mut JoinStats,
+    cache: Option<&'a mut ProbeCache<'r>>,
+    /// Group `g`'s matches live at `KeyGroups::ranges[g]`. Borrows the
+    /// store, so it cannot live in the reusable scratch; it reaches
+    /// steady-state capacity after the first probe stage.
+    matches: Vec<&'r StoredTuple>,
+}
+
+impl ProbeStage {
+    /// Whether a raw candidate of the lookup joins, whichever row asks. An
+    /// aggregate-term atom rejects every candidate — after its lookup ran,
+    /// so the probe accounting matches `bind_atom`'s tuple path exactly.
+    fn accepts(&self, candidate: &StoredTuple) -> bool {
+        let fields = candidate.tuple.values();
+        !self.reject_all
+            && fields.len() == self.arity
+            && self.same.iter().all(|&(a, b)| fields[a] == fields[b])
+    }
+
+    /// The one probe loop (see the module docs): hand `sink` every `(row,
+    /// origin, candidate)` of `rows` that joins and is visible at the
+    /// origin's `seq_limit`, row-major, candidates in lookup order — the
+    /// order per-row probing produces, whichever arm runs. A relation the
+    /// store does not hold joins nothing.
+    ///
+    /// In the shared arm, each distinct key's lookup runs at unrestricted
+    /// visibility on behalf of all its members (the multiplier keeps the
+    /// per-member logical accounting) and the visibility filter is applied
+    /// per member afterwards, because members may carry different
+    /// `seq_limit`s. When the armed [`ProbeCache`] carries this stage's
+    /// `(relation, cols)` signature the raw candidates come through it —
+    /// one real lookup per distinct key per *round* instead of per strand
+    /// — and the stage-specific arity and residual checks still run here
+    /// (see [`crate::subplan`] for the soundness and statistics contract).
+    /// The map's iteration order only decides where each group's span
+    /// lands in the match buffer; every observable (stat sums, the span
+    /// each `ranges[g]` addresses, within-group candidate order) is
+    /// independent of it.
+    fn probe<'r>(
+        &self,
+        rows: &Rows,
+        groups: &mut KeyGroups,
+        firing: &mut Firing<'_, 'r>,
+        mut sink: impl FnMut(&[Option<Value>], u32, &'r StoredTuple) -> Result<(), EvalError>,
+    ) -> Result<(), EvalError> {
+        let Firing {
+            store,
+            triggers,
+            stats,
+            cache,
+            matches,
+        } = firing;
+        let Some(stored) = store.relation(&self.relation) else {
+            return Ok(());
+        };
+        if rows.len() == 0 {
+            return Ok(());
+        }
+        if rows.len() == 1 && cache.is_none() {
+            let (row, origin) = rows.get(0);
+            build_probe_key(&self.key, row, &mut groups.key);
+            let seq_limit = triggers[origin as usize].seq_limit;
+            for candidate in stored.lookup(&self.cols, &groups.key, seq_limit, stats) {
+                if self.accepts(candidate) {
+                    sink(row, origin, candidate)?;
+                }
+            }
+            return Ok(());
+        }
+        groups.partition(&self.key, rows);
+        let KeyGroups {
+            group_of,
+            sizes,
+            map,
+            ranges,
+            ..
+        } = groups;
+        matches.clear();
+        ranges.clear();
+        ranges.resize(sizes.len(), (0, 0));
+        for (key, &g) in map.iter() {
+            let members = sizes[g as usize] as usize;
+            let start = matches.len();
+            let cached = match cache.as_deref_mut() {
+                Some(c) => c.probe(stored, &self.relation, &self.cols, key, members, stats),
+                None => None,
+            };
+            match cached {
+                Some(raw) => matches.extend(raw.iter().copied().filter(|c| self.accepts(c))),
+                None => {
+                    let raw = stored.lookup_n(&self.cols, key, u64::MAX, members, stats);
+                    matches.extend(raw.filter(|c| self.accepts(c)));
+                }
+            }
+            ranges[g as usize] = (
+                u32::try_from(start).expect("match buffer fits u32"),
+                u32::try_from(matches.len()).expect("match buffer fits u32"),
+            );
+        }
+        for (r, &g) in group_of.iter().enumerate() {
+            let (row, origin) = rows.get(r);
+            let seq_limit = triggers[origin as usize].seq_limit;
+            let (start, end) = ranges[g as usize];
+            for &candidate in &matches[start as usize..end as usize] {
+                if candidate.seq <= seq_limit {
+                    sink(row, origin, candidate)?;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
 impl BatchPlan {
     /// The head relation's shared name.
     pub(crate) fn head_relation(&self) -> &RelName {
@@ -735,14 +833,13 @@ impl BatchPlan {
     /// key per atom). See the module docs for the equivalence contract
     /// with the tuple-at-a-time `fire` path.
     ///
-    /// `cache`, when armed, extends the sharing across rules: grouped
-    /// probe stages whose `(relation, cols)` signature the cache carries
-    /// fetch their raw candidates through it, one real lookup per
-    /// distinct key per *round* instead of per strand ([`crate::subplan`]).
-    /// A cache also routes single-row batches through the grouped arm —
-    /// the per-event distributed workload fires mostly one-delta batches,
-    /// and those are exactly the probes cross-rule sharing answers for
-    /// free.
+    /// `cache`, when armed, extends the sharing across rules: probe stages
+    /// whose `(relation, cols)` signature the cache carries fetch their
+    /// raw candidates through it, one real lookup per distinct key per
+    /// *round* instead of per strand ([`crate::subplan`]) — single-row
+    /// batches included, which are most of what the per-event distributed
+    /// workload fires and exactly the probes cross-rule sharing answers
+    /// for free.
     pub(crate) fn fire_batch<'r>(
         &self,
         store: &'r Store,
@@ -753,7 +850,14 @@ impl BatchPlan {
         cache: Option<&mut ProbeCache<'r>>,
     ) -> Result<(), EvalError> {
         out.clear();
-        let result = self.fire_rows(store, triggers, stats, scratch, out, cache);
+        let firing = Firing {
+            store,
+            triggers,
+            stats,
+            cache,
+            matches: Vec::new(),
+        };
+        let result = self.fire_rows(firing, scratch, out);
         // Only capacity outlives a firing: the scratch is handed back
         // empty, and so is the output of a failed one.
         scratch.clear();
@@ -764,21 +868,17 @@ impl BatchPlan {
     }
 
     /// [`BatchPlan::fire_batch`] over an empty scratch and output.
-    fn fire_rows<'r>(
+    fn fire_rows(
         &self,
-        store: &'r Store,
-        triggers: &[BatchTrigger],
-        stats: &mut JoinStats,
+        mut firing: Firing,
         scratch: &mut BatchScratch,
         out: &mut BatchOutput,
-        mut cache: Option<&mut ProbeCache<'r>>,
     ) -> Result<(), EvalError> {
+        let BatchScratch { rows, next, groups } = scratch;
+        let triggers = firing.triggers;
         let width = self.width;
-        // The shared match buffer of grouped probe stages: group `g`'s
-        // matches live at `group_ranges[g]`. Borrows the store, so it
-        // cannot live in the reusable scratch; it reaches steady-state
-        // capacity after the first stage.
-        let mut group_matches: Vec<&StoredTuple> = Vec::new();
+        rows.width = width;
+        next.width = width;
 
         // Bind the trigger atom against every delta tuple of the batch.
         if !self.trigger_rejects {
@@ -786,400 +886,116 @@ impl BatchPlan {
                 if trigger.delta.tuple.arity() != self.trigger_arity {
                     continue;
                 }
-                let start = scratch.rows.len();
-                scratch.rows.resize(start + width, None);
+                let start = rows.slots.len();
+                rows.slots.resize(start + width, None);
                 if apply_ops(
                     &self.trigger_ops,
                     &trigger.delta.tuple,
-                    &mut scratch.rows[start..],
+                    &mut rows.slots[start..],
                 ) {
-                    scratch.origins.push(i as u32);
+                    rows.origins.push(i as u32);
                 } else {
-                    scratch.rows.truncate(start);
+                    rows.slots.truncate(start);
                 }
             }
         }
 
-        // Process the stages in body order over the whole row set. When
-        // the last stage is a probe it is *fused* with head projection
-        // (see below) and excluded here.
-        let stage_limit = self.stages.len() - usize::from(self.fused_head.is_some());
-        for stage in &self.stages[..stage_limit] {
-            if scratch.origins.is_empty() {
-                break;
-            }
+        // Process the stages in body order over the whole row set; a
+        // probe that comes last projects the head itself.
+        let (mid, last) = match self.stages.split_last() {
+            Some((Stage::Probe(probe), mid)) => (mid, Some(probe)),
+            _ => (&self.stages[..], None),
+        };
+        for stage in mid {
             match stage {
-                Stage::Probe {
-                    relation,
-                    cols,
-                    key,
-                    arity,
-                    ops,
-                    reject_all,
-                } => {
-                    let BatchScratch {
-                        rows,
-                        origins,
-                        next_rows,
-                        next_origins,
-                        key: key_buf,
-                        group_of,
-                        group_sizes,
-                        group_map,
-                        group_ranges,
-                        probe_row,
-                        ..
-                    } = &mut *scratch;
-                    next_rows.clear();
-                    next_origins.clear();
-                    let stored = store.relation(relation);
-                    // A single row cannot share anything within the
-                    // batch, and its grouped accounting (one logical, one
-                    // distinct probe) equals the per-row arm's exactly —
-                    // skip the grouping machinery, which the per-event
-                    // distributed workload would otherwise pay on every
-                    // one-delta batch. A cross-rule cache overrides this:
-                    // single rows then take the grouped arm so their
-                    // probes share with other strands of the round.
-                    let share = origins.len() > 1 || cache.is_some();
-                    if let (Some(stored), true) = (stored, share) {
-                        group_and_probe(
-                            stored,
-                            relation,
-                            width,
-                            rows,
-                            origins,
-                            key,
-                            cols,
-                            *arity,
-                            ops,
-                            *reject_all,
-                            stats,
-                            key_buf,
-                            group_of,
-                            group_sizes,
-                            group_map,
-                            group_ranges,
-                            probe_row,
-                            &mut group_matches,
-                            cache.as_deref_mut(),
-                        );
-                        // Pass 3: broadcast each group's match set to its
-                        // members, in row order — the output is bit-equal
-                        // to per-row probing (same candidates, same order,
-                        // rows still grouped by ascending origin).
-                        for r in 0..origins.len() {
-                            let origin = origins[r];
-                            let row = &rows[r * width..(r + 1) * width];
-                            let seq_limit = triggers[origin as usize].seq_limit;
-                            let (mstart, mend) = group_ranges[group_of[r] as usize];
-                            for candidate in &group_matches[mstart as usize..mend as usize] {
-                                if candidate.seq > seq_limit {
-                                    continue;
-                                }
-                                let start = next_rows.len();
-                                next_rows.extend_from_slice(row);
-                                apply_binds(ops, &candidate.tuple, &mut next_rows[start..]);
-                                next_origins.push(origin);
-                            }
+                Stage::Probe(probe) => {
+                    next.clear();
+                    probe.probe(rows, groups, &mut firing, |row, origin, candidate| {
+                        let extended = next.push(row, origin);
+                        for &(col, slot) in &probe.binds {
+                            extended[slot] = Some(candidate.tuple.values()[col].clone());
                         }
-                    } else if let Some(stored) = stored {
-                        // The single-row fast path: one plain lookup.
-                        for r in 0..origins.len() {
-                            let origin = origins[r];
-                            let row = &rows[r * width..(r + 1) * width];
-                            build_probe_key(key, row, key_buf);
-                            let seq_limit = triggers[origin as usize].seq_limit;
-                            for candidate in stored.lookup(cols, key_buf, seq_limit, stats) {
-                                if *reject_all || candidate.tuple.arity() != *arity {
-                                    continue;
-                                }
-                                let start = next_rows.len();
-                                next_rows.extend_from_slice(row);
-                                if apply_ops(ops, &candidate.tuple, &mut next_rows[start..]) {
-                                    next_origins.push(origin);
-                                } else {
-                                    next_rows.truncate(start);
-                                }
-                            }
-                        }
-                    }
-                    std::mem::swap(rows, next_rows);
-                    std::mem::swap(origins, next_origins);
+                        Ok(())
+                    })?;
+                    std::mem::swap(rows, next);
                 }
                 Stage::Assign {
                     slot,
                     prebound,
                     expr,
-                } => {
-                    let mut keep = 0usize;
-                    for r in 0..scratch.origins.len() {
-                        let row = &mut scratch.rows[r * width..(r + 1) * width];
-                        let value = eval_slot(expr, row)?;
-                        let kept = if *prebound {
-                            row[*slot].as_ref() == Some(&value)
-                        } else {
-                            row[*slot] = Some(value);
-                            true
-                        };
-                        if kept {
-                            if keep != r {
-                                let (dst, src) = scratch.rows.split_at_mut(r * width);
-                                dst[keep * width..(keep + 1) * width]
-                                    .clone_from_slice(&src[..width]);
-                                scratch.origins[keep] = scratch.origins[r];
-                            }
-                            keep += 1;
-                        }
+                } => rows.retain(|row| {
+                    let value = eval_slot(expr, row)?;
+                    if *prebound {
+                        return Ok(row[*slot].as_ref() == Some(&value));
                     }
-                    scratch.rows.truncate(keep * width);
-                    scratch.origins.truncate(keep);
-                }
-                Stage::Filter(expr) => {
-                    let mut keep = 0usize;
-                    for r in 0..scratch.origins.len() {
-                        let row = &scratch.rows[r * width..(r + 1) * width];
-                        if eval_slot_bool(expr, row)? {
-                            if keep != r {
-                                let (dst, src) = scratch.rows.split_at_mut(r * width);
-                                dst[keep * width..(keep + 1) * width]
-                                    .clone_from_slice(&src[..width]);
-                                scratch.origins[keep] = scratch.origins[r];
-                            }
-                            keep += 1;
-                        }
-                    }
-                    scratch.rows.truncate(keep * width);
-                    scratch.origins.truncate(keep);
+                    row[*slot] = Some(value);
+                    Ok(true)
+                })?,
+                Stage::Filter(expr) => rows.retain(|row| eval_slot_bool(expr, row))?,
+            }
+        }
+        match last {
+            Some(probe) => probe.probe(rows, groups, &mut firing, |row, origin, candidate| {
+                self.emit(row, candidate.tuple.values(), origin, triggers, out)
+            })?,
+            None => {
+                for r in 0..rows.len() {
+                    let (row, origin) = rows.get(r);
+                    self.emit(row, &[], origin, triggers, out)?;
                 }
             }
         }
-
-        // Emit the derivations, recording per-trigger group boundaries
-        // (rows are processed in ascending-origin order throughout).
-        let mut next_trigger = 0usize;
-        if let (
-            Some(fused_head),
-            Some(Stage::Probe {
-                relation,
-                cols,
-                key,
-                arity,
-                ops,
-                reject_all,
-            }),
-        ) = (self.fused_head.as_ref(), self.stages.last())
-        {
-            // Fused final stage: the probe machinery is the same as the
-            // mid-stage arm above, but every surviving (row, candidate)
-            // pair projects its head tuple directly instead of copying
-            // into an output row arena — emission order (row-major,
-            // candidates in lookup order) is identical to running the
-            // stage and then projecting.
-            let BatchScratch {
-                rows,
-                origins,
-                key: key_buf,
-                group_of,
-                group_sizes,
-                group_map,
-                group_ranges,
-                probe_row,
-                head,
-                ..
-            } = &mut *scratch;
-            let stored = store.relation(relation);
-            let share = origins.len() > 1 || cache.is_some();
-            if origins.is_empty() {
-                // Nothing survived the earlier stages.
-            } else if let (Some(stored), true) = (stored, share) {
-                // Same single-row fast path as the mid-stage arm: one row
-                // groups trivially, so it takes the per-row arm below —
-                // unless a cross-rule cache is armed (see above).
-                group_and_probe(
-                    stored,
-                    relation,
-                    width,
-                    rows,
-                    origins,
-                    key,
-                    cols,
-                    *arity,
-                    ops,
-                    *reject_all,
-                    stats,
-                    key_buf,
-                    group_of,
-                    group_sizes,
-                    group_map,
-                    group_ranges,
-                    probe_row,
-                    &mut group_matches,
-                    cache,
-                );
-                for r in 0..origins.len() {
-                    let origin = origins[r] as usize;
-                    let row = &rows[r * width..(r + 1) * width];
-                    let seq_limit = triggers[origin].seq_limit;
-                    let (mstart, mend) = group_ranges[group_of[r] as usize];
-                    for candidate in &group_matches[mstart as usize..mend as usize] {
-                        if candidate.seq > seq_limit {
-                            continue;
-                        }
-                        emit_fused(
-                            fused_head,
-                            &self.head_relation,
-                            row,
-                            candidate,
-                            origin,
-                            triggers,
-                            &mut next_trigger,
-                            head,
-                            out,
-                        )?;
-                    }
-                }
-            } else if let Some(stored) = stored {
-                probe_row.clear();
-                probe_row.resize(width, None);
-                for r in 0..origins.len() {
-                    let origin = origins[r] as usize;
-                    let row = &rows[r * width..(r + 1) * width];
-                    build_probe_key(key, row, key_buf);
-                    let seq_limit = triggers[origin].seq_limit;
-                    for candidate in stored.lookup(cols, key_buf, seq_limit, stats) {
-                        if *reject_all || candidate.tuple.arity() != *arity {
-                            continue;
-                        }
-                        if apply_ops(ops, &candidate.tuple, probe_row) {
-                            emit_fused(
-                                fused_head,
-                                &self.head_relation,
-                                row,
-                                candidate,
-                                origin,
-                                triggers,
-                                &mut next_trigger,
-                                head,
-                                out,
-                            )?;
-                        }
-                    }
-                }
-            }
-        } else {
-            // Unfused tail (the last stage is an assignment or filter, or
-            // the rule has no non-trigger stages): project the head for
-            // every surviving row.
-            let BatchScratch {
-                rows,
-                origins,
-                head,
-                ..
-            } = &mut *scratch;
-            for (r, &origin) in origins.iter().enumerate() {
-                let origin = origin as usize;
-                while next_trigger <= origin {
-                    out.offsets.push(out.derivations.len());
-                    next_trigger += 1;
-                }
-                let row = &rows[r * width..(r + 1) * width];
-                for source in &self.head {
-                    match source {
-                        HeadSource::Const(c) => head.push(c.clone()),
-                        HeadSource::Slot(slot, name) => head.push(
-                            row[*slot]
-                                .clone()
-                                .ok_or_else(|| EvalError::UnboundVariable(name.clone()))?,
-                        ),
-                        HeadSource::Unbound(name) => {
-                            return Err(EvalError::UnboundVariable(name.clone()))
-                        }
-                        HeadSource::Aggregate => {
-                            return Err(EvalError::TypeMismatch {
-                                context:
-                                    "aggregate heads are maintained by AggregateView, not strands"
-                                        .into(),
-                            })
-                        }
-                    }
-                }
-                out.push(head, &self.head_relation, triggers[origin].delta.sign);
-            }
-        }
-        while next_trigger <= triggers.len() {
-            out.offsets.push(out.derivations.len());
-            next_trigger += 1;
-        }
+        out.start_through(triggers.len());
         Ok(())
     }
-}
 
-/// Project one fused (row, candidate) pair into a head derivation,
-/// maintaining the per-trigger offset bookkeeping.
-#[allow(clippy::too_many_arguments)]
-fn emit_fused(
-    sources: &[FusedSource],
-    head_relation: &RelName,
-    row: &[Option<Value>],
-    candidate: &StoredTuple,
-    origin: usize,
-    triggers: &[BatchTrigger],
-    next_trigger: &mut usize,
-    head: &mut Vec<Value>,
-    out: &mut BatchOutput,
-) -> Result<(), EvalError> {
-    while *next_trigger <= origin {
-        out.offsets.push(out.derivations.len());
-        *next_trigger += 1;
-    }
-    for source in sources {
-        match source {
-            FusedSource::Const(c) => head.push(c.clone()),
-            FusedSource::Row(slot, name) => head.push(
-                row[*slot]
+    /// Project one head derivation from a surviving row and — when the
+    /// rule's last stage is a probe — that probe's candidate, under the
+    /// sign of the trigger the row descends from.
+    fn emit(
+        &self,
+        row: &[Option<Value>],
+        candidate: &[Value],
+        origin: u32,
+        triggers: &[BatchTrigger],
+        out: &mut BatchOutput,
+    ) -> Result<(), EvalError> {
+        let origin = origin as usize;
+        out.start_through(origin);
+        for source in &self.head {
+            out.fields.push(match source {
+                HeadSource::Const(c) => c.clone(),
+                HeadSource::Row(slot, name) => row[*slot]
                     .clone()
                     .ok_or_else(|| EvalError::UnboundVariable(name.clone()))?,
-            ),
-            FusedSource::Cand(col) => {
-                head.push(candidate.tuple.get(*col).expect("arity checked").clone())
-            }
-            FusedSource::Unbound(name) => return Err(EvalError::UnboundVariable(name.clone())),
-            FusedSource::Aggregate => {
-                return Err(EvalError::TypeMismatch {
-                    context: "aggregate heads are maintained by AggregateView, not strands".into(),
-                })
-            }
+                HeadSource::Cand(col) => candidate[*col].clone(),
+                HeadSource::Unbound(name) => return Err(EvalError::UnboundVariable(name.clone())),
+                HeadSource::Aggregate => {
+                    return Err(EvalError::TypeMismatch {
+                        context: "aggregate heads are maintained by AggregateView, not strands"
+                            .into(),
+                    })
+                }
+            });
         }
+        out.push(&self.head_relation, triggers[origin].delta.sign);
+        Ok(())
     }
-    out.push(head, head_relation, triggers[origin].delta.sign);
-    Ok(())
 }
 
 #[cfg(test)]
 impl EvalBuffers {
     /// Whether nothing but capacity is left in the buffers.
     pub(crate) fn holds_only_capacity(&self) -> bool {
-        let BatchScratch {
-            rows,
-            origins,
-            next_rows,
-            next_origins,
-            key,
-            group_map,
-            probe_row,
-            head,
-            ..
-        } = &self.scratch;
-        rows.is_empty()
-            && origins.is_empty()
-            && next_rows.is_empty()
-            && next_origins.is_empty()
-            && key.is_empty()
-            && group_map.is_empty()
-            && probe_row.is_empty()
-            && head.is_empty()
+        let BatchScratch { rows, next, groups } = &self.scratch;
+        rows.slots.is_empty()
+            && rows.origins.is_empty()
+            && next.slots.is_empty()
+            && next.origins.is_empty()
+            && groups.key.is_empty()
+            && groups.map.is_empty()
             && self.out.derivations.is_empty()
+            && self.out.fields.is_empty()
             && self.per_trigger.iter().all(Vec::is_empty)
     }
 }

@@ -45,7 +45,7 @@
 //! a locally stored, locally derived tuple is locally re-derivable.
 
 use crate::aggview::AggregateView;
-use crate::batch::{BatchOutput, BatchScratch, BatchTrigger};
+use crate::batch::{BatchTrigger, EvalBuffers};
 use crate::expr::EvalError;
 use crate::index::JoinStats;
 use crate::store::Store;
@@ -131,14 +131,13 @@ fn mark(
 /// Aggregate views are pinned for the duration: when a marked tuple feeds
 /// a view, the group's *current* output is marked (so downstream joins
 /// still retract against the not-yet-advanced aggregate) and the group is
-/// recorded as dirty for the rebuild in phase 2; the view's multiset is
-/// not touched here.
+/// recorded as dirty for the rebuild in phase 2. A view holds nothing but
+/// those outputs, and a deletion reaches it only as that rebuild.
 ///
 /// `self_addr` is the evaluating node in distributed mode: derivations
 /// located elsewhere are collected in [`Marking::remote`] instead of being
 /// marked. Pass `None` in the centralized evaluator (everything is local).
 /// The waves fire through the caller's reusable buffers.
-#[allow(clippy::too_many_arguments)]
 pub fn over_delete(
     store: &mut Store,
     strands: &[CompiledStrand],
@@ -146,9 +145,9 @@ pub fn over_delete(
     seeds: Vec<TupleDelta>,
     self_addr: Option<NodeAddr>,
     stats: &mut JoinStats,
-    scratch: &mut BatchScratch,
-    batch_out: &mut BatchOutput,
+    buffers: &mut EvalBuffers,
 ) -> Result<Marking, EvalError> {
+    let EvalBuffers { scratch, out, .. } = buffers;
     let mut marked: BTreeSet<(RelName, Tuple)> = BTreeSet::new();
     let mut order: Vec<TupleDelta> = Vec::new();
     let mut frontier: Vec<TupleDelta> = Vec::new();
@@ -240,8 +239,8 @@ pub fn over_delete(
             if triggers.is_empty() {
                 continue;
             }
-            strand.fire_batch(store, &triggers, stats, scratch, batch_out, None)?;
-            batch_out.drain_into(|_, derivation| match (self_addr, derivation.location) {
+            strand.fire_batch(store, &triggers, stats, scratch, out, None)?;
+            out.drain_into(|_, derivation| match (self_addr, derivation.location) {
                 (Some(me), Some(dest)) if dest != me => {
                     remote.push((dest, derivation.delta));
                 }
@@ -311,9 +310,9 @@ pub fn rederive_inserts(
     strands: &[CompiledStrand],
     deleted: &TupleDelta,
     stats: &mut JoinStats,
-    scratch: &mut BatchScratch,
-    batch_out: &mut BatchOutput,
+    buffers: &mut EvalBuffers,
 ) -> Result<Vec<TupleDelta>, EvalError> {
+    let EvalBuffers { scratch, out, .. } = buffers;
     let Some(relation) = store.relation(&deleted.relation) else {
         return Ok(Vec::new());
     };
@@ -326,7 +325,7 @@ pub fn rederive_inserts(
         return Ok(Vec::new());
     }
     let key_cols = crate::store::effective_key_columns(Some(relation), deleted.tuple.arity());
-    let mut out = Vec::new();
+    let mut inserts = Vec::new();
     let mut rules_seen: BTreeSet<&str> = BTreeSet::new();
     for strand in strands {
         if strand.head_relation() != deleted.relation || !rules_seen.insert(strand.rule_label()) {
@@ -392,15 +391,15 @@ pub fn rederive_inserts(
         for delta in &candidates {
             let seq_limit = u64::MAX;
             let trigger = [BatchTrigger { delta, seq_limit }];
-            strand.fire_batch(store, &trigger, stats, scratch, batch_out, None)?;
-            batch_out.drain_into(|_, derivation| {
+            strand.fire_batch(store, &trigger, stats, scratch, out, None)?;
+            out.drain_into(|_, derivation| {
                 if schema.key_of(&derivation.delta.tuple) == key {
-                    out.push(derivation.delta);
+                    inserts.push(derivation.delta);
                 }
             });
         }
     }
-    Ok(out)
+    Ok(inserts)
 }
 
 #[cfg(test)]
@@ -430,8 +429,8 @@ mod tests {
         strands: &[CompiledStrand],
         deleted: &TupleDelta,
     ) -> Vec<TupleDelta> {
-        let (mut stats, mut scratch, mut out) = Default::default();
-        rederive_inserts(store, strands, deleted, &mut stats, &mut scratch, &mut out).unwrap()
+        let (mut stats, mut buffers) = Default::default();
+        rederive_inserts(store, strands, deleted, &mut stats, &mut buffers).unwrap()
     }
 
     const REACH: &str = r#"
@@ -463,7 +462,6 @@ mod tests {
             vec![TupleDelta::delete("edge", edge(1, 2))],
             None,
             &mut stats,
-            &mut Default::default(),
             &mut Default::default(),
         )
         .unwrap();
@@ -498,7 +496,6 @@ mod tests {
             vec![TupleDelta::delete("edge", edge(0, 1))],
             None,
             &mut stats,
-            &mut Default::default(),
             &mut Default::default(),
         )
         .unwrap();
@@ -536,7 +533,6 @@ mod tests {
             ],
             None,
             &mut stats,
-            &mut Default::default(),
             &mut Default::default(),
         )
         .unwrap();

@@ -359,9 +359,7 @@ impl LocalFixpoint {
         // ingested recursively.
         let mut view_outputs = Vec::new();
         for view in &mut self.views {
-            if view.source_relation() == delta.relation {
-                view_outputs.extend(view.apply(&self.store, &delta));
-            }
+            view_outputs.extend(view.apply(&self.store, &delta.relation, &delta.tuple));
         }
         self.queue.push_back((delta, seq));
         for out in view_outputs {
@@ -596,8 +594,7 @@ impl LocalFixpoint {
                 seeds,
                 hook.site(),
                 &mut joins,
-                &mut buffers.scratch,
-                &mut buffers.out,
+                buffers,
             )?;
             // Each removal is one processed delta (and one PSN-style
             // iteration): the DRed counterpart of popping a deletion off
@@ -628,8 +625,7 @@ impl LocalFixpoint {
                     &self.strands,
                     candidate,
                     &mut joins,
-                    &mut buffers.scratch,
-                    &mut buffers.out,
+                    buffers,
                 )?);
             }
             self.stats.derivations += inserts.len();

@@ -29,11 +29,13 @@
 //!   dataflow, Figures 3 and 5) and their firing logic;
 //! * [`batch`] — batch-delta evaluation: slot-compiled strand plans fired
 //!   over whole delta batches through flat reusable buffers, the
-//!   allocation-free twin of the tuple-at-a-time path; the buffers are one
+//!   allocation-free twin of the tuple-at-a-time path; every join goes
+//!   through its one probe routine, and the buffers are one
 //!   [`EvalBuffers`] value that a run borrows from whoever drives it;
 //! * [`aggview`] — incremental maintenance of aggregate rules
-//!   (`min<C>`-style heads) with O(log n) deletion handling and
-//!   group-level pinning/rebuild for the DRed pass;
+//!   (`min<C>`-style heads): a view holds each group's current output and
+//!   nothing else, combines insertions into it, and is rebuilt per group
+//!   from the store by the DRed pass, which is how deletions reach it;
 //! * [`dred`] — DRed-style two-phase deletion maintenance (over-delete the
 //!   downstream closure in batched waves, then re-derive survivors), the
 //!   count-agnostic path every actual tuple removal takes;
@@ -87,6 +89,10 @@
 //!   group member through offset ranges into a flat match buffer. Real
 //!   workloads (path exploration, flooding) are heavily key-skewed, so
 //!   this removes most bucket lookups and candidate materializations.
+//!   One routine does all probing — the shared arm above, a plain lookup
+//!   for a lone row, chosen from the batch and the armed cache, never by
+//!   an option — and feeds either the next row arena or, for a rule's
+//!   last stage, head projection.
 //! * **Slot buckets over a slab** ([`relation`], [`index`]): a stored
 //!   tuple lives once, in a slab slot beside the dictionary ids of its
 //!   columns; the primary index maps the key columns' ids to the slot and
@@ -142,6 +148,10 @@
 //! PSN-invisible either way but still counted), and a batch invalidated
 //! by a mid-batch removal re-fires its remainder, re-counting those
 //! probes.
+
+// A helper that needs more than seven arguments is missing a struct; an
+// `allow` cannot wave it through.
+#![forbid(clippy::too_many_arguments)]
 
 pub mod aggview;
 pub mod batch;

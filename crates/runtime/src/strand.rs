@@ -788,98 +788,356 @@ mod tests {
         );
     }
 
-    #[test]
-    fn fire_batch_matches_fire_per_trigger() {
-        use crate::batch::{BatchOutput, BatchScratch, BatchTrigger};
-        let (mut store, strands) = setup(TWO_HOP);
-        store.declare_indexes(strands.iter());
-        for d in 2..12u32 {
-            store.apply(&TupleDelta::insert(
-                "path",
-                Tuple::new(vec![
+    /// One row of the differential table of
+    /// [`fire_batch_matches_fire_per_trigger`].
+    struct Case {
+        shape: &'static str,
+        rule: &'static str,
+        /// The relation whose deltas fire the strand under test.
+        trigger: &'static str,
+        /// The stored tuples, applied in order: their timestamps are 1, 2, …
+        /// `None` builds a store that lacks the probed relation altogether.
+        stored: Option<Vec<(&'static str, Tuple)>>,
+        /// The batch: sign, trigger tuple, visibility limit. Its first
+        /// trigger alone is the one-trigger batch.
+        batch: Vec<(crate::tuple::Sign, Tuple, u64)>,
+        /// Distinct (probe stage, key) pairs the one-trigger batch and the
+        /// whole batch look up in an index — what `distinct_probes` must
+        /// read, cache or no cache.
+        keys: [usize; 2],
+        /// Derivations per trigger of the whole batch.
+        derived: Vec<usize>,
+    }
+
+    fn int(i: i64) -> Value {
+        Value::Int(i)
+    }
+
+    fn tuple(fields: &[Value]) -> Tuple {
+        Tuple::new(fields.to_vec())
+    }
+
+    fn cases() -> Vec<Case> {
+        use crate::tuple::Sign::{Delete, Insert};
+        const ALL: u64 = u64::MAX;
+        // t(@S, K, W): three rows under key (0, 1) — the last of them the
+        // newest row of all — and one under (0, 2).
+        let t = || {
+            vec![
+                ("t", tuple(&[addr(0), int(1), int(100)])),
+                ("t", tuple(&[addr(0), int(1), int(101)])),
+                ("t", tuple(&[addr(0), int(2), int(200)])),
+                ("t", tuple(&[addr(0), int(1), int(102)])),
+            ]
+        };
+        let q = |s: u32, k: i64, v: i64| tuple(&[addr(s), int(k), int(v)]);
+        // Four triggers over the two keys (0, 1) and (0, 2), both signs,
+        // two of them blind to the rows stored after the second.
+        let over_t = || {
+            vec![
+                (Insert, q(0, 1, 10), ALL),
+                (Delete, q(0, 2, 20), ALL),
+                (Insert, q(0, 1, 11), 2),
+                (Delete, q(0, 2, 21), 2),
+            ]
+        };
+        let two_hop_paths = (2..12u32)
+            .map(|d| {
+                let path = [
                     addr(1),
                     addr(d),
                     addr(d),
                     Value::list(vec![addr(1), addr(d)]),
-                    Value::Int(3),
-                ]),
-            ));
-        }
-        let link_strand = strands
-            .iter()
-            .find(|s| s.trigger_relation() == "link")
-            .unwrap();
-        // A matching insert, a deletion, a dead-end link and a filtered
-        // (cycle-closing) one, each with its own visibility limit.
-        let deltas = [
-            (
-                TupleDelta::insert("link", Tuple::new(vec![addr(0), addr(1), Value::Int(4)])),
-                u64::MAX,
-            ),
-            (
-                TupleDelta::delete("link", Tuple::new(vec![addr(7), addr(1), Value::Int(9)])),
-                u64::MAX,
-            ),
-            (
-                TupleDelta::insert("link", Tuple::new(vec![addr(0), addr(99), Value::Int(1)])),
-                u64::MAX,
-            ),
-            (
-                TupleDelta::insert("link", Tuple::new(vec![addr(0), addr(1), Value::Int(4)])),
-                5,
-            ),
-        ];
-        let triggers: Vec<BatchTrigger> = deltas
-            .iter()
-            .map(|(delta, seq_limit)| BatchTrigger {
-                delta,
-                seq_limit: *seq_limit,
+                    int(3),
+                ];
+                ("path", tuple(&path))
             })
             .collect();
-        let mut batch_stats = JoinStats::default();
-        let mut scratch = BatchScratch::default();
-        let mut out = BatchOutput::default();
-        link_strand
-            .fire_batch(
-                &store,
-                &triggers,
-                &mut batch_stats,
-                &mut scratch,
-                &mut out,
-                None,
-            )
-            .unwrap();
+        let link = |s: u32, z: u32, c: i64| tuple(&[addr(s), addr(z), int(c)]);
+        vec![
+            Case {
+                // A matching insert, a deletion, a dead-end link and a
+                // repeat of the first that sees only the five oldest
+                // paths; the cycle filter drops path(1, 7) for node 7.
+                shape: "probe, filter, two fresh assignments",
+                rule: TWO_HOP,
+                trigger: "link",
+                stored: Some(two_hop_paths),
+                batch: vec![
+                    (Insert, link(0, 1, 4), ALL),
+                    (Delete, link(7, 1, 9), ALL),
+                    (Insert, link(0, 99, 1), ALL),
+                    (Insert, link(0, 1, 4), 5),
+                ],
+                keys: [1, 2],
+                derived: vec![10, 9, 0, 5],
+            },
+            Case {
+                shape: "no non-trigger literal",
+                rule: "r1 out(@S, V) :- q(@S, K, V).",
+                trigger: "q",
+                stored: Some(Vec::new()),
+                batch: vec![
+                    (Insert, q(0, 1, 10), ALL),
+                    (Delete, q(0, 2, 20), 3),
+                    (Insert, q(1, 1, 30), 0),
+                ],
+                keys: [0, 0],
+                derived: vec![1, 1, 1],
+            },
+            Case {
+                shape: "last literal a probe",
+                rule: "r1 out(@S, K, W) :- q(@S, K, V), t(@S, K, W).",
+                trigger: "q",
+                stored: Some(t()),
+                batch: over_t(),
+                keys: [1, 2],
+                derived: vec![3, 1, 2, 0],
+            },
+            Case {
+                shape: "probe then filter",
+                rule: "r1 out(@S, W) :- q(@S, K, V), t(@S, K, W), W > V.",
+                trigger: "q",
+                stored: Some(t()),
+                batch: vec![
+                    (Insert, q(0, 1, 100), ALL),
+                    (Delete, q(0, 2, 500), ALL),
+                    (Insert, q(0, 1, 0), 2),
+                    (Delete, q(0, 2, 0), 3),
+                ],
+                keys: [1, 2],
+                derived: vec![2, 0, 2, 1],
+            },
+            Case {
+                shape: "probe then fresh assignment",
+                rule: "r1 out(@S, X) :- q(@S, K, V), t(@S, K, W), X := W + V.",
+                trigger: "q",
+                stored: Some(t()),
+                batch: over_t(),
+                keys: [1, 2],
+                derived: vec![3, 1, 2, 0],
+            },
+            Case {
+                shape: "probe then pre-bound assignment",
+                rule: "r1 out(@S, W) :- q(@S, K, V), t(@S, K, W), V := W + 1.",
+                trigger: "q",
+                stored: Some(t()),
+                batch: vec![
+                    (Insert, q(0, 1, 102), ALL),
+                    (Delete, q(0, 2, 201), ALL),
+                    (Insert, q(0, 1, 103), 2),
+                    (Insert, q(0, 1, 101), 2),
+                ],
+                keys: [1, 2],
+                derived: vec![1, 1, 0, 1],
+            },
+            Case {
+                // The second probe's keys are the first one's matches:
+                // W = 100, 101, 102 for key 1 and 200 for key 2, whichever
+                // trigger reached them.
+                shape: "two probes",
+                rule: "r1 out(@S, W, U) :- q(@S, K, V), t(@S, K, W), u(@S, W, U).",
+                trigger: "q",
+                stored: Some({
+                    let mut stored = t();
+                    for (w, u) in [(100, 7), (101, 8), (200, 9), (100, 6)] {
+                        stored.push(("u", tuple(&[addr(0), int(w), int(u)])));
+                    }
+                    stored
+                }),
+                batch: vec![
+                    (Insert, q(0, 1, 0), ALL),
+                    (Delete, q(0, 2, 0), ALL),
+                    (Insert, q(0, 1, 1), 6),
+                    (Delete, q(0, 2, 1), 3),
+                ],
+                keys: [1 + 3, 2 + 4],
+                derived: vec![3, 1, 2, 0],
+            },
+            Case {
+                shape: "within-atom repeated variable",
+                rule: "r1 out(@S, W) :- q(@S, K, V), t(@S, W, W).",
+                trigger: "q",
+                stored: Some(vec![
+                    ("t", tuple(&[addr(0), int(5), int(5)])),
+                    ("t", tuple(&[addr(0), int(5), int(6)])),
+                    ("t", tuple(&[addr(0), int(7), int(7)])),
+                    ("t", tuple(&[addr(1), int(8), int(8)])),
+                ]),
+                batch: vec![
+                    (Insert, q(0, 1, 0), ALL),
+                    (Delete, q(1, 1, 0), ALL),
+                    (Insert, q(0, 2, 0), 1),
+                    (Delete, q(1, 2, 0), 3),
+                ],
+                keys: [1, 2],
+                derived: vec![2, 1, 1, 0],
+            },
+            Case {
+                // A constant in the probed atom is part of the probe key;
+                // one in the trigger atom is checked against the delta.
+                shape: "constant column",
+                rule: "r1 out(@S, W) :- q(@S, K, 0), t(@S, 1, W).",
+                trigger: "q",
+                stored: Some({
+                    let mut stored = t();
+                    stored.push(("t", tuple(&[addr(1), int(1), int(300)])));
+                    stored
+                }),
+                batch: vec![
+                    (Insert, q(0, 9, 0), ALL),
+                    (Delete, q(1, 9, 0), ALL),
+                    (Insert, q(0, 8, 0), 2),
+                    (Delete, q(1, 8, 0), 4),
+                    (Insert, q(0, 9, 1), ALL),
+                ],
+                keys: [1, 2],
+                derived: vec![3, 1, 2, 0, 0],
+            },
+            Case {
+                // Nothing can match an aggregate term, but the lookups
+                // still run and are counted.
+                shape: "aggregate-term atom",
+                rule: "r1 out(@S, K) :- q(@S, K, V), t(@S, K, min<W>).",
+                trigger: "q",
+                stored: Some(t()),
+                batch: over_t(),
+                keys: [1, 2],
+                derived: vec![0, 0, 0, 0],
+            },
+            Case {
+                shape: "probe of an undeclared relation",
+                rule: "r1 out(@S, W) :- q(@S, K, V), missing(@S, K, W).",
+                trigger: "q",
+                stored: None,
+                batch: over_t(),
+                keys: [0, 0],
+                derived: vec![0, 0, 0, 0],
+            },
+            Case {
+                // No bound column, no probe plan: every row scans.
+                shape: "atom with no bound column",
+                rule: "r1 out(@S, @B) :- q(@S, K, V), right(@B).",
+                trigger: "q",
+                stored: Some(
+                    (100..103u32)
+                        .map(|b| ("right", tuple(&[addr(b)])))
+                        .collect(),
+                ),
+                batch: vec![
+                    (Insert, q(0, 1, 0), ALL),
+                    (Delete, q(1, 1, 0), ALL),
+                    (Insert, q(0, 2, 0), 2),
+                    (Delete, q(1, 2, 0), 0),
+                ],
+                keys: [0, 0],
+                derived: vec![3, 3, 2, 0],
+            },
+        ]
+    }
 
-        let mut tuple_stats = JoinStats::default();
-        for (i, (delta, seq_limit)) in deltas.iter().enumerate() {
-            let reference = link_strand
-                .fire_counted(&store, delta, *seq_limit, &mut tuple_stats)
+    /// Every arm of the batch path's one probe loop against the
+    /// interpreter: each rule shape, as a one-trigger batch (a lone row
+    /// takes one plain lookup) and as a batch over two keys with mixed
+    /// signs and visibility limits (the key-grouped arm), without a
+    /// cross-rule cache and with one armed for everything the strand
+    /// probes (the grouped arm even for a lone row), all through one lent
+    /// set of buffers.
+    #[test]
+    fn fire_batch_matches_fire_per_trigger() {
+        use crate::batch::{BatchTrigger, EvalBuffers};
+        use crate::subplan::ProbeCache;
+        let mut lent = EvalBuffers::default();
+        for case in cases() {
+            let shape = case.shape;
+            let (mut store, strands) = setup(case.rule);
+            if case.stored.is_some() {
+                store.declare_indexes(strands.iter());
+            } else {
+                // Declaring the strand's indexes would declare the relation.
+                store = Store::new();
+                store.ensure(RelationSchema::new(case.trigger));
+            }
+            for (relation, tuple) in case.stored.into_iter().flatten() {
+                store.apply(&TupleDelta::insert(relation, tuple));
+            }
+            let strand = strands
+                .iter()
+                .find(|s| s.trigger_relation() == case.trigger)
                 .unwrap();
-            assert_eq!(
-                out.for_trigger(i),
-                &reference[..],
-                "trigger {i} derivations diverge"
-            );
-        }
-        // Grouped firing preserves the logical accounting exactly; only
-        // the executed bucket lookups shrink (three of the four triggers
-        // share the probe key Z = 1).
-        assert_eq!(batch_stats.logical_probes, tuple_stats.logical_probes);
-        assert_eq!(batch_stats.scans, tuple_stats.scans);
-        assert_eq!(batch_stats.tuples_examined, tuple_stats.tuples_examined);
-        assert_eq!(tuple_stats.distinct_probes, tuple_stats.logical_probes);
-        assert_eq!(
-            batch_stats.distinct_probes, 2,
-            "four triggers over two distinct keys probe twice"
-        );
+            let deltas: Vec<(TupleDelta, u64)> = case
+                .batch
+                .into_iter()
+                .map(|(sign, tuple, seq_limit)| {
+                    let relation = case.trigger.into();
+                    let delta = TupleDelta {
+                        relation,
+                        tuple,
+                        sign,
+                    };
+                    (delta, seq_limit)
+                })
+                .collect();
+            let armed = strand.index_requirements();
 
-        assert!(!out.for_trigger(0).is_empty());
-        // Trigger 0 extends all 10 stored paths; trigger 1 (from node 7)
-        // extends 9 — the cycle filter drops path(1, 7).
-        assert_eq!(out.for_trigger(0).len(), 10);
-        assert_eq!(out.for_trigger(1).len(), 9);
-        assert!(out.for_trigger(2).is_empty(), "dead-end link joins nothing");
-        assert_eq!(out.for_trigger(3).len(), 5, "seq limit hides newer paths");
+            for (batch, keys) in [(&deltas[..1], case.keys[0]), (&deltas[..], case.keys[1])] {
+                // The interpreter, one trigger at a time.
+                let mut reference_stats = JoinStats::default();
+                let reference: Vec<Vec<Derivation>> = batch
+                    .iter()
+                    .map(|(delta, seq_limit)| {
+                        strand
+                            .fire_counted(&store, delta, *seq_limit, &mut reference_stats)
+                            .unwrap()
+                    })
+                    .collect();
+                let derived: Vec<usize> = reference.iter().map(Vec::len).collect();
+                assert_eq!(derived, case.derived[..batch.len()], "{shape}");
+                assert_eq!(
+                    reference_stats.distinct_probes, reference_stats.logical_probes,
+                    "{shape}: tuple-at-a-time probes are never shared"
+                );
+
+                let triggers: Vec<BatchTrigger> = batch
+                    .iter()
+                    .map(|(delta, seq_limit)| BatchTrigger {
+                        delta,
+                        seq_limit: *seq_limit,
+                    })
+                    .collect();
+                for cached in [false, true] {
+                    let what = format!("{shape}, {} trigger(s), cache: {cached}", batch.len());
+                    let mut cache = cached.then(|| ProbeCache::new(&armed));
+                    // A second firing through the same cache finds every
+                    // key already fetched.
+                    for firing in 0..1 + usize::from(cached) {
+                        let mut stats = JoinStats::default();
+                        let EvalBuffers { scratch, out, .. } = &mut lent;
+                        strand
+                            .fire_batch(&store, &triggers, &mut stats, scratch, out, cache.as_mut())
+                            .unwrap();
+                        for (i, expected) in reference.iter().enumerate() {
+                            assert_eq!(out.for_trigger(i), &expected[..], "{what}, trigger {i}");
+                        }
+                        out.drain_into(|_, _| ());
+                        assert!(lent.holds_only_capacity(), "{what}");
+                        // Grouped firing preserves the logical accounting
+                        // exactly; only the executed lookups shrink.
+                        assert_eq!(
+                            stats.logical_probes, reference_stats.logical_probes,
+                            "{what}"
+                        );
+                        assert_eq!(stats.scans, reference_stats.scans, "{what}");
+                        assert_eq!(
+                            stats.tuples_examined, reference_stats.tuples_examined,
+                            "{what}"
+                        );
+                        let executed = if firing == 0 { keys } else { 0 };
+                        assert_eq!(stats.distinct_probes, executed, "{what}, firing {firing}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -46,22 +46,6 @@ impl Tuple {
         cols.iter().map(|&c| self.0[c].clone()).collect()
     }
 
-    /// Project the fields at `cols` into a caller-provided buffer, so hot
-    /// paths (index maintenance, repeated probe-key construction) can reuse
-    /// one allocation across calls. Returns false — leaving `out` in an
-    /// unspecified state — if any column is out of range.
-    pub fn project_into(&self, cols: &[usize], out: &mut Vec<Value>) -> bool {
-        out.clear();
-        out.reserve(cols.len());
-        for &c in cols {
-            match self.0.get(c) {
-                Some(v) => out.push(v.clone()),
-                None => return false,
-            }
-        }
-        true
-    }
-
     /// Approximate wire size in bytes, for communication accounting.
     pub fn wire_size(&self) -> usize {
         2 + self.0.iter().map(Value::wire_size).sum::<usize>()
