@@ -724,4 +724,55 @@ mod tests {
         assert_eq!(node.store().count("ping"), 0);
         assert_eq!(node.store().count("alive"), 0, "derived tuple retracted");
     }
+
+    /// Every secondary index a node declares for `program`, per relation.
+    fn declared_indexes(program: &ndlog_lang::Program) -> Vec<(String, Vec<Vec<usize>>)> {
+        let plan = plan(program).unwrap();
+        let strands = Arc::new(plan.strands.clone());
+        let node = NodeEngine::new(NodeAddr(0), &[plan], strands, NodeConfig::default()).unwrap();
+        let store = node.store();
+        let indexed = store.relation_names().filter_map(|name| {
+            let relation = store.relation(name).unwrap();
+            let mut sigs: Vec<Vec<usize>> = relation
+                .index_signatures()
+                .map(|sig| sig.columns().to_vec())
+                .collect();
+            sigs.sort();
+            (!sigs.is_empty()).then(|| (name.to_string(), sigs))
+        });
+        indexed.collect()
+    }
+
+    #[test]
+    fn declared_indexes_are_exactly_what_the_plans_probe() {
+        // Every index is one a forward strand or a re-derivation plan
+        // probes; an index costs every node memory and every insert a
+        // bucket update, so a signature appearing here or leaving is a
+        // decision. `path[0,1,4]` / `route[0,1,3]` are sp4's / dv4's join
+        // on (S, D, C); `link[0,1,2]` is sp1's / dv1's re-derivation, every
+        // column bound by the key.
+        let sigs = |sets: &[(&str, &[&[usize]])]| -> Vec<(String, Vec<Vec<usize>>)> {
+            let cols = |set: &[&[usize]]| set.iter().map(|sig| sig.to_vec()).collect();
+            let named = sets.iter().map(|(name, set)| (name.to_string(), cols(set)));
+            named.collect()
+        };
+        assert_eq!(
+            declared_indexes(&programs::shortest_path("")),
+            sigs(&[
+                ("link", &[&[0], &[0, 1], &[0, 1, 2], &[1]]),
+                ("path", &[&[0], &[0, 1], &[0, 1, 4]]),
+                ("path_sp2_xd", &[&[0, 1]]),
+                ("spCost", &[&[0, 1], &[0, 1, 2]]),
+            ])
+        );
+        assert_eq!(
+            declared_indexes(&programs::distance_vector("", 2)),
+            sigs(&[
+                ("bestCost", &[&[0, 1], &[0, 1, 2]]),
+                ("link", &[&[0], &[0, 1], &[0, 1, 2]]),
+                ("route", &[&[0], &[0, 1], &[0, 1, 3]]),
+                ("route_dv2_xd", &[&[0, 1]]),
+            ])
+        );
+    }
 }

@@ -8,7 +8,8 @@
 //! 3. split off **aggregate rules** (maintained as incremental views) from
 //!    join rules;
 //! 4. apply the **semi-naive delta rewrite** to the join rules and compile
-//!    each delta rule into a [`CompiledStrand`];
+//!    each delta rule into a [`CompiledStrand`], plus one key-bound
+//!    re-derivation plan per rule for the DRed deletion pass;
 //! 5. infer **aggregate selections** (Section 5.1.1) so the engine can
 //!    prune non-improving tuples when the optimization is enabled.
 //!
@@ -17,7 +18,6 @@
 
 use ndlog_lang::aggsel::{infer_aggregate_selections, AggSelectionSpec};
 use ndlog_lang::localize::localize;
-use ndlog_lang::seminaive::delta_rewrite_full;
 use ndlog_lang::validate::validate_strict;
 use ndlog_lang::{LangError, Program, Rule};
 use ndlog_runtime::CompiledStrand;
@@ -29,7 +29,8 @@ pub struct QueryPlan {
     pub name: String,
     /// The localized program (table declarations, rules, queries).
     pub program: Program,
-    /// Compiled strands for the non-aggregate rules.
+    /// Compiled strands for the non-aggregate rules: the delta rewrite's,
+    /// then one re-derivation plan per rule.
     pub strands: Vec<CompiledStrand>,
     /// Aggregate rules, maintained as incremental views per node.
     pub aggregate_rules: Vec<Rule>,
@@ -72,10 +73,7 @@ pub fn plan(program: &Program) -> Result<QueryPlan, LangError> {
 
     let mut join_program = localized.clone();
     join_program.rules = join_rules;
-    let strands = delta_rewrite_full(&join_program)
-        .into_iter()
-        .map(CompiledStrand::new)
-        .collect();
+    let strands = CompiledStrand::compile_program(&join_program);
 
     let selections = infer_aggregate_selections(&localized);
 

@@ -29,7 +29,7 @@
 //! positions the classic SN algorithm would restrict to "old" tuples, which
 //! the non-pipelined evaluator uses.
 
-use crate::ast::{Literal, Program, Rule, Term};
+use crate::ast::{Literal, Program, Rule};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -50,12 +50,6 @@ pub struct DeltaRule {
     /// iteration's deltas): the recursive predicates to the left of the
     /// trigger.
     pub older_only: Vec<usize>,
-    /// Trigger-atom columns (ascending) whose variables also appear in the
-    /// head. Binding a concrete head tuple pins these trigger columns, so
-    /// re-derivation (the DRed maintenance pass) can probe the trigger
-    /// relation instead of scanning it. Empty when the head shares no
-    /// variable with the trigger atom.
-    pub head_bound_trigger_cols: Vec<usize>,
 }
 
 /// Generate rule strands for a program.
@@ -93,26 +87,12 @@ pub fn delta_rewrite(program: &Program, dynamic: &BTreeSet<String>) -> Vec<Delta
                     _ => None,
                 })
                 .collect();
-            // Which trigger columns a concrete head tuple pins down: the
-            // columns whose variables the head mentions directly.
-            let head_vars: BTreeSet<&str> =
-                rule.head.args.iter().filter_map(Term::var_name).collect();
-            let head_bound_trigger_cols: Vec<usize> = atom
-                .args
-                .iter()
-                .enumerate()
-                .filter_map(|(col, term)| match term {
-                    Term::Var(v) if head_vars.contains(v.name.as_str()) => Some(col),
-                    _ => None,
-                })
-                .collect();
             out.push(DeltaRule {
                 rule: rule.clone(),
                 trigger: idx,
                 trigger_relation: atom.name.clone(),
                 strand_id: format!("{}-{}", rule.label, strand_no),
                 older_only,
-                head_bound_trigger_cols,
             });
         }
     }
@@ -211,26 +191,6 @@ mod tests {
         assert!(triggers.contains("path_sp2_xd"));
         assert!(triggers.contains("path"));
         assert!(triggers.contains("link"));
-    }
-
-    #[test]
-    fn head_bound_trigger_cols_pin_rederivation_probes() {
-        let p = parse_program(SP).unwrap();
-        let strands = delta_rewrite_full(&p);
-        // sp2 triggered by link(@S,@Z,C1): the head path(@S,@D,@Z,P,C)
-        // mentions S and Z — trigger columns 0 and 1 — but not C1.
-        let sp2_link = strands
-            .iter()
-            .find(|s| s.rule.label == "sp2" && s.trigger_relation == "link")
-            .unwrap();
-        assert_eq!(sp2_link.head_bound_trigger_cols, vec![0, 1]);
-        // sp4 triggered by spCost(@S,@D,C): every trigger column appears in
-        // the head shortestPath(@S,@D,P,C).
-        let sp4_spc = strands
-            .iter()
-            .find(|s| s.rule.label == "sp4" && s.trigger_relation == "spCost")
-            .unwrap();
-        assert_eq!(sp4_spc.head_bound_trigger_cols, vec![0, 1, 2]);
     }
 
     #[test]

@@ -371,6 +371,50 @@ pub struct EvalBuffers {
     pub(crate) indices: Vec<usize>,
 }
 
+impl EvalBuffers {
+    /// Fire each of `strands` over its share of `round` — the triggers of
+    /// its trigger relation that the caller marked in `self.live` — as one
+    /// batch against one store snapshot, and scatter the derivations into
+    /// `self.per_trigger` by position in `round`: per trigger, strands in
+    /// the given order, exactly what firing the triggers one at a time
+    /// yields. A failed round hands the buffers back empty.
+    pub(crate) fn fire_round<'r, 'a>(
+        &mut self,
+        store: &'r Store,
+        strands: impl Iterator<Item = &'a crate::strand::CompiledStrand>,
+        round: impl Iterator<Item = BatchTrigger<'a>> + Clone,
+        stats: &mut JoinStats,
+        mut cache: Option<ProbeCache<'r>>,
+    ) -> Result<(), EvalError> {
+        let fired = self.live.len();
+        if self.per_trigger.len() < fired {
+            self.per_trigger.resize_with(fired, Vec::new);
+        }
+        let mut triggers: Vec<BatchTrigger> = Vec::new();
+        for strand in strands {
+            triggers.clear();
+            self.indices.clear();
+            for (i, trigger) in round.clone().enumerate() {
+                if self.live[i] && strand.trigger_relation() == trigger.delta.relation {
+                    triggers.push(trigger);
+                    self.indices.push(i);
+                }
+            }
+            if triggers.is_empty() {
+                continue;
+            }
+            let (scratch, out) = (&mut self.scratch, &mut self.out);
+            if let Err(e) = strand.fire_batch(store, &triggers, stats, scratch, out, cache.as_mut())
+            {
+                self.per_trigger[..fired].iter_mut().for_each(Vec::clear);
+                return Err(e);
+            }
+            out.drain_into(|local, d| self.per_trigger[self.indices[local]].push(d));
+        }
+        Ok(())
+    }
+}
+
 impl BatchOutput {
     /// Clear for reuse.
     pub fn clear(&mut self) {

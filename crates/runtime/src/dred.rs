@@ -24,13 +24,26 @@
 //!    groups are **pinned**: the views are not updated, so a cascade
 //!    cannot race past a pending retraction (the group's current output is
 //!    marked as-is and the group is recorded as dirty instead).
-//! 2. **Re-derive** ([`rederive_inserts`] plus
-//!    [`crate::aggview::AggregateView::rebuild_group`]): each over-deleted
-//!    tuple that still has a derivation over the post-removal store is
-//!    re-inserted, and each dirty aggregate group is rebuilt from the
-//!    stored source tuples. The re-insertions then cascade through the
-//!    normal (pipelined) insert path, which restores any remaining
-//!    downstream survivors.
+//! 2. **Re-derive** ([`rederive`] plus
+//!    [`crate::aggview::AggregateView::rebuild_group`]): each primary key
+//!    an over-deleted tuple vacated is refilled with whatever still derives
+//!    into it over the post-removal store, and each dirty aggregate group
+//!    is rebuilt from the stored source tuples. The re-insertions then
+//!    cascade through the normal (pipelined) insert path, which restores
+//!    any remaining downstream survivors.
+//!
+//! Re-derivation is DRed's own rule — the rule semi-joined with the
+//! over-deleted tuple — compiled, not interpreted: every rule has one
+//! **key-bound re-derivation plan** ([`rederivation_plan`]), an ordinary
+//! [`CompiledStrand`] triggered by a tuple of the rule's *own head
+//! relation*, whose key columns bind the head's key variables before the
+//! body runs. The plans are compiled once per program next to the forward
+//! strands and shared by every site running it, and a pass fires all of
+//! its candidates through them as one batch per rule, so a join probes on
+//! the bound key (`route` on `(Z, D)`, not every route stored at `Z`) and
+//! candidates with equal probe keys share one lookup. Work is proportional
+//! to what can land in the vacated keys, not to what the rule derives from
+//! the relations those tuples came from.
 //!
 //! Over-deletion may over-approximate (it marks tuples that are still
 //! derivable); that is by design — phase 2 restores them — and is what
@@ -51,9 +64,10 @@ use crate::index::JoinStats;
 use crate::store::Store;
 use crate::strand::CompiledStrand;
 use crate::tuple::{RelName, Sign, Tuple, TupleDelta};
-use ndlog_lang::{Literal, Term, Value};
+use ndlog_lang::seminaive::DeltaRule;
+use ndlog_lang::{Atom, Literal, Program, Rule, Term, Value};
 use ndlog_net::NodeAddr;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// The result of the over-delete phase.
 #[derive(Debug, Default)]
@@ -226,7 +240,7 @@ pub fn over_delete(
             }
         }
         // One over-delete step through every strand, wave-batched.
-        for strand in strands {
+        for strand in strands.iter().filter(|s| !s.is_rederivation()) {
             triggers.clear();
             triggers.extend(
                 wave.iter()
@@ -278,9 +292,51 @@ pub fn over_delete(
     })
 }
 
-/// Phase 2 (per tuple): every one-step derivation filling the primary key
-/// an over-deleted tuple vacated, from the current (post-removal) store,
-/// as insertion deltas.
+/// The key-bound re-derivation plan of `rule`: the rule itself behind a
+/// synthetic trigger atom over its own head relation, whose key columns
+/// (every column, for a relation without declared keys) carry the head's
+/// terms and whose other columns carry fresh variables. Firing it with an
+/// over-deleted tuple binds the head's key variables before the body runs,
+/// so the body's joins probe on them — DRed's re-derivation rule, a
+/// semi-join of the rule with the over-deleted tuple — and a head constant,
+/// a head variable repeated across key columns or an assignment to a key
+/// variable becomes the trigger atom's or the assignment's ordinary
+/// equality check. Every derivation lands in the trigger's key; the
+/// non-key columns are free, so a different value may win it. The key is
+/// `program`'s declaration of the head relation — the schema
+/// [`Store::add_program`] gives it unless an earlier program declared the
+/// relation otherwise, which concurrent programs must not.
+pub fn rederivation_plan(program: &Program, rule: &Rule) -> CompiledStrand {
+    let head = &rule.head;
+    let keys = program
+        .table_decl(&head.name)
+        .map_or(&[][..], |decl| &decl.key_columns);
+    let bound = |(col, term): (usize, &Term)| {
+        if keys.is_empty() || keys.contains(&col) {
+            term.clone()
+        } else {
+            // Not a name the parser can produce.
+            Term::var(format!("?{col}"))
+        }
+    };
+    let trigger = Atom::new(
+        &head.name,
+        head.args.iter().enumerate().map(bound).collect(),
+    );
+    let body = std::iter::once(Literal::Atom(trigger)).chain(rule.body.iter().cloned());
+    let rederive = DeltaRule {
+        rule: Rule::new(&rule.label, head.clone(), body.collect()),
+        trigger: 0,
+        trigger_relation: head.name.clone(),
+        strand_id: format!("{}-rederive", rule.label),
+        older_only: Vec::new(),
+    };
+    CompiledStrand::compile(rederive, true)
+}
+
+/// Phase 2: every one-step derivation filling a primary key that one of
+/// the over-deleted `candidates` vacated, from the current (post-removal)
+/// store, as insertion deltas — per candidate, rules in program order.
 ///
 /// Re-derivation is keyed, not tuple-exact, because P2's key-update
 /// semantics make the *key* the unit of materialization: when the stored
@@ -290,122 +346,45 @@ pub fn over_delete(
 /// degenerates to exact re-derivation. A key still occupied (the deletion
 /// was the old half of a replacement) is left alone: the new tuple won it.
 ///
-/// For each rule deriving the tuple's relation (one strand per rule
-/// suffices — every derivation of a rule is reproduced by firing any one
-/// of its strands with each stored trigger tuple), the head's key columns
-/// are bound to the vacated key; rules whose constant head columns or
-/// repeated head variables cannot produce it are skipped. The bound key
-/// pins the trigger columns recorded by the planner
-/// ([`CompiledStrand::rederive_requirement`]), so candidate triggers come
-/// from an index probe when any column is pinned, and only derivations
-/// landing in the vacated key are kept. Each candidate fires as a
-/// one-trigger batch through the strand's slot-compiled plan (the caller's
-/// reusable buffers), whose join statistics equal the interpreter's.
+/// All candidates of a relation fire through each of its rules'
+/// [`rederivation_plan`]s (the re-derivation plans among `strands`) as one
+/// batch, so candidates that probe the same join key share the lookup.
 ///
 /// Derivations restored further downstream are *not* this function's job:
 /// the caller ingests the returned insertions through the normal pipelined
 /// path, whose cascade re-derives any remaining over-deleted survivors.
-pub fn rederive_inserts(
+pub fn rederive(
     store: &Store,
     strands: &[CompiledStrand],
-    deleted: &TupleDelta,
+    candidates: &[TupleDelta],
     stats: &mut JoinStats,
     buffers: &mut EvalBuffers,
 ) -> Result<Vec<TupleDelta>, EvalError> {
-    let EvalBuffers { scratch, out, .. } = buffers;
-    let Some(relation) = store.relation(&deleted.relation) else {
-        return Ok(Vec::new());
+    let vacant = |candidate: &TupleDelta| {
+        let relation = store.relation(&candidate.relation);
+        relation.is_some_and(|r| r.get_by_key_of(&candidate.tuple).is_none())
     };
-    let schema = relation.schema();
-    let key = schema.key_of(&deleted.tuple);
-    if relation.get(&key).is_some() {
-        // The key is already occupied (the deletion was the old half of a
-        // replacement, or an earlier candidate refilled it): nothing to
-        // restore.
-        return Ok(Vec::new());
-    }
-    let key_cols = crate::store::effective_key_columns(Some(relation), deleted.tuple.arity());
-    let mut inserts = Vec::new();
-    let mut rules_seen: BTreeSet<&str> = BTreeSet::new();
-    for strand in strands {
-        if strand.head_relation() != deleted.relation || !rules_seen.insert(strand.rule_label()) {
-            continue;
-        }
-        let rule = &strand.delta_rule().rule;
-        let Some(Literal::Atom(trigger_atom)) = rule.body.get(strand.delta_rule().trigger) else {
-            continue;
-        };
-        // Bind the head's key columns to the vacated key; constant
-        // mismatches and conflicting repeated variables rule the rule out.
-        let mut bound_vars: BTreeMap<&str, &Value> = BTreeMap::new();
-        let mut feasible = true;
-        for (pos, &col) in key_cols.iter().enumerate() {
-            let value = &key[pos];
-            match rule.head.args.get(col) {
-                Some(Term::Const(c)) if c != value => {
-                    feasible = false;
-                    break;
-                }
-                Some(Term::Var(v)) => match bound_vars.get(v.name.as_str()) {
-                    Some(existing) if *existing != value => {
-                        feasible = false;
-                        break;
-                    }
-                    _ => {
-                        bound_vars.insert(v.name.as_str(), value);
-                    }
-                },
-                _ => {}
-            }
-        }
-        if !feasible {
-            continue;
-        }
-        let Some(trigger_relation) = store.relation(strand.trigger_relation()) else {
-            continue;
-        };
-        // The pinned trigger columns come from the same planner metadata
-        // the store used to declare the re-derivation index, so the probed
-        // signature always matches a declared one.
-        let cols = strand
-            .rederive_requirement(&key_cols)
-            .map(|(_, cols)| cols)
-            .unwrap_or_default();
-        let vals: Vec<Value> = cols
-            .iter()
-            .filter_map(|&col| match trigger_atom.args.get(col) {
-                Some(Term::Var(v)) => bound_vars.get(v.name.as_str()).map(|&val| val.clone()),
-                _ => None,
-            })
-            .collect();
-        debug_assert_eq!(
-            cols.len(),
-            vals.len(),
-            "pinned columns are key-var trigger columns"
-        );
-        let trigger_name = RelName::from(strand.trigger_relation());
-        let candidates: Vec<TupleDelta> = trigger_relation
-            .lookup(&cols, &vals, u64::MAX, stats)
-            .map(|s| TupleDelta::insert(trigger_name.clone(), s.tuple.clone()))
-            .collect();
-        for delta in &candidates {
-            let seq_limit = u64::MAX;
-            let trigger = [BatchTrigger { delta, seq_limit }];
-            strand.fire_batch(store, &trigger, stats, scratch, out, None)?;
-            out.drain_into(|_, derivation| {
-                if schema.key_of(&derivation.delta.tuple) == key {
-                    inserts.push(derivation.delta);
-                }
-            });
-        }
-    }
-    Ok(inserts)
+    buffers.live.clear();
+    buffers.live.extend(candidates.iter().map(vacant));
+    let plans = strands.iter().filter(|s| s.is_rederivation());
+    let round = candidates.iter().map(|delta| BatchTrigger {
+        delta,
+        seq_limit: u64::MAX,
+    });
+    buffers.fire_round(store, plans, round, stats, None)?;
+    let derived = buffers.per_trigger[..candidates.len()].iter_mut();
+    let restored = derived
+        .flat_map(|derived| derived.drain(..))
+        .map(|d| TupleDelta {
+            sign: Sign::Insert,
+            ..d.delta
+        });
+    Ok(restored.collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ndlog_lang::seminaive::delta_rewrite_full;
     use ndlog_lang::{parse_program, Value};
 
     fn addr(i: u32) -> Value {
@@ -415,22 +394,33 @@ mod tests {
     fn setup(src: &str) -> (Store, Vec<CompiledStrand>) {
         let program = parse_program(src).unwrap();
         let mut store = Store::for_program(&program);
-        let strands: Vec<CompiledStrand> = delta_rewrite_full(&program)
-            .into_iter()
-            .map(CompiledStrand::new)
-            .collect();
+        let strands = CompiledStrand::compile_program(&program);
         store.declare_indexes(strands.iter());
         (store, strands)
     }
 
-    /// [`rederive_inserts`] with throwaway statistics and buffers.
-    fn rederive(
+    /// [`rederive`] over insertion-free candidates, with throwaway buffers:
+    /// the restored tuples in order, and the join statistics.
+    fn rederived(
         store: &Store,
         strands: &[CompiledStrand],
-        deleted: &TupleDelta,
-    ) -> Vec<TupleDelta> {
-        let (mut stats, mut buffers) = Default::default();
-        rederive_inserts(store, strands, deleted, &mut stats, &mut buffers).unwrap()
+        candidates: &[(&str, Tuple)],
+    ) -> (Vec<Tuple>, JoinStats) {
+        let (mut stats, mut buffers) = <(JoinStats, EvalBuffers)>::default();
+        let candidates: Vec<TupleDelta> = candidates
+            .iter()
+            .map(|(relation, tuple)| TupleDelta::delete(*relation, tuple.clone()))
+            .collect();
+        let inserts = rederive(store, strands, &candidates, &mut stats, &mut buffers).unwrap();
+        assert!(buffers.holds_only_capacity());
+        for (insert, _) in inserts.iter().zip(&candidates) {
+            assert_eq!(insert.sign, Sign::Insert);
+        }
+        (inserts.into_iter().map(|d| d.tuple).collect(), stats)
+    }
+
+    fn ints(vals: &[i64]) -> Tuple {
+        Tuple::new(vals.iter().map(|&v| Value::Int(v)).collect())
     }
 
     const REACH: &str = r#"
@@ -548,7 +538,7 @@ mod tests {
     }
 
     #[test]
-    fn rederive_restores_alternatively_supported_tuples() {
+    fn keyless_head_binds_every_column() {
         let (mut store, strands) = setup(REACH);
         // Two independent supports for reach(0,2): edge(0,2) directly and
         // edge(0,1) + reach(1,2).
@@ -556,32 +546,97 @@ mod tests {
             store.apply(&TupleDelta::insert("edge", edge(a, b)));
         }
         store.apply(&TupleDelta::insert("reach", edge(1, 2)));
-        let deleted = TupleDelta::delete("reach", edge(0, 2));
-        let inserts = rederive(&store, &strands, &deleted);
         // rc1 re-derives it from edge(0,2); rc2 from edge(0,1) + reach(1,2).
-        assert_eq!(inserts.len(), 2);
-        assert!(inserts
-            .iter()
-            .all(|d| d.relation == "reach" && d.tuple == edge(0, 2)));
+        let (restored, stats) = rederived(&store, &strands, &[("reach", edge(0, 2))]);
+        assert_eq!(restored, vec![edge(0, 2), edge(0, 2)]);
+        // Every join is a probe on the bound head columns: rc1's edge on
+        // (S, D), rc2's edge on (S) and, for both edges out of 0, reach on
+        // (Z, D).
+        assert_eq!((stats.logical_probes, stats.scans), (4, 0));
+        // Nothing supports reach(3,4).
+        let (restored, _) = rederived(&store, &strands, &[("reach", edge(3, 4))]);
+        assert!(restored.is_empty());
     }
 
     #[test]
-    fn rederive_finds_nothing_for_unsupported_tuples() {
-        let (store, strands) = setup(REACH);
-        let deleted = TupleDelta::delete("reach", edge(3, 4));
-        let inserts = rederive(&store, &strands, &deleted);
-        assert!(inserts.is_empty());
-    }
-
-    #[test]
-    fn rederive_skips_infeasible_rules() {
-        // A rule with a constant head column can only produce matching
-        // tuples.
+    fn constant_in_a_head_key_column_is_checked() {
         let (mut store, strands) = setup("r1 out(@S, 7) :- q(@S).");
         store.apply(&TupleDelta::insert("q", Tuple::new(vec![addr(0)])));
-        let hit = TupleDelta::delete("out", Tuple::new(vec![addr(0), Value::Int(7)]));
-        assert_eq!(rederive(&store, &strands, &hit).len(), 1);
-        let miss = TupleDelta::delete("out", Tuple::new(vec![addr(0), Value::Int(8)]));
-        assert!(rederive(&store, &strands, &miss).is_empty());
+        let hit = Tuple::new(vec![addr(0), Value::Int(7)]);
+        let miss = Tuple::new(vec![addr(0), Value::Int(8)]);
+        let (restored, _) = rederived(&store, &strands, &[("out", miss), ("out", hit.clone())]);
+        assert_eq!(restored, vec![hit]);
+    }
+
+    #[test]
+    fn head_variable_repeated_across_key_columns_is_checked() {
+        let (mut store, strands) =
+            setup("materialize(twice, keys(1,2)). r1 twice(@S, S, C) :- q(@S, C).");
+        store.apply(&TupleDelta::insert("q", ints(&[1, 7])));
+        store.apply(&TupleDelta::insert("q", ints(&[2, 9])));
+        // (1, 2) is a key the rule cannot produce; (1, 1) is refilled with
+        // what q holds now, not with the over-deleted value.
+        let candidates = [("twice", ints(&[1, 2, 7])), ("twice", ints(&[1, 1, 5]))];
+        let (restored, _) = rederived(&store, &strands, &candidates);
+        assert_eq!(restored, vec![ints(&[1, 1, 7])]);
+    }
+
+    #[test]
+    fn key_column_produced_by_an_assignment_is_checked() {
+        let (mut store, strands) =
+            setup("materialize(out, keys(1,2)). r1 out(@S, H, C) :- q(@S, C), H := C + 1.");
+        store.apply(&TupleDelta::insert("q", ints(&[1, 5])));
+        store.apply(&TupleDelta::insert("q", ints(&[1, 9])));
+        // Only q(1, 5) computes the vacated H = 6.
+        let (restored, _) = rederived(&store, &strands, &[("out", ints(&[1, 6, 5]))]);
+        assert_eq!(restored, vec![ints(&[1, 6, 5])]);
+        let (restored, _) = rederived(&store, &strands, &[("out", ints(&[1, 7, 5]))]);
+        assert!(restored.is_empty());
+    }
+
+    const BEST: &str = "materialize(best, keys(1)). r1 best(@S, C) :- q(@S, C).";
+
+    #[test]
+    fn occupied_key_is_skipped() {
+        let (mut store, strands) = setup(BEST);
+        store.apply(&TupleDelta::insert("q", ints(&[1, 5])));
+        // The key went to a new winner: the old value stays out although
+        // q(1, 5) still derives it.
+        store.apply(&TupleDelta::insert("best", ints(&[1, 3])));
+        let (restored, stats) = rederived(&store, &strands, &[("best", ints(&[1, 5]))]);
+        assert!(restored.is_empty());
+        assert_eq!(
+            stats,
+            JoinStats::default(),
+            "a skipped candidate fires nothing"
+        );
+    }
+
+    #[test]
+    fn a_different_value_may_win_a_vacated_key() {
+        let (mut store, strands) = setup(BEST);
+        store.apply(&TupleDelta::insert("q", ints(&[1, 7])));
+        store.apply(&TupleDelta::insert("q", ints(&[2, 8])));
+        let (restored, _) = rederived(&store, &strands, &[("best", ints(&[1, 5]))]);
+        assert_eq!(restored, vec![ints(&[1, 7])]);
+    }
+
+    #[test]
+    fn candidates_of_one_batch_share_a_probe() {
+        let (mut store, strands) = setup(REACH);
+        for (a, b) in [(0u32, 1u32), (1, 2), (1, 3)] {
+            store.apply(&TupleDelta::insert("edge", edge(a, b)));
+            store.apply(&TupleDelta::insert("reach", edge(a, b)));
+        }
+        // reach(0,2), reach(0,3) and the underivable reach(0,4) all probe
+        // edge on S = 0 in rc2: one lookup answers the three of them, and
+        // the restored tuples come back in candidate order.
+        let candidates = [(0, 3), (0, 4), (0, 2)].map(|(a, b)| ("reach", edge(a, b)));
+        let (restored, stats) = rederived(&store, &strands, &candidates);
+        assert_eq!(restored, vec![edge(0, 3), edge(0, 2)]);
+        // Per candidate: rc1's edge on (S, D), rc2's edge on (S) and reach
+        // on (Z, D).
+        assert_eq!((stats.logical_probes, stats.scans), (9, 0));
+        assert_eq!(stats.distinct_probes, 3 + 1 + 3);
     }
 }

@@ -23,7 +23,6 @@ use crate::fixpoint::{LocalFixpoint, SiteHook};
 use crate::store::Store;
 use crate::strand::CompiledStrand;
 use crate::tuple::{Tuple, TupleDelta};
-use ndlog_lang::seminaive::delta_rewrite_full;
 use ndlog_lang::{Program, Rule};
 use ndlog_net::NodeAddr;
 use std::sync::Arc;
@@ -68,10 +67,7 @@ impl Evaluator {
 
         let mut plain_program = program.clone();
         plain_program.rules = plain_rules;
-        let strands: Vec<CompiledStrand> = delta_rewrite_full(&plain_program)
-            .into_iter()
-            .map(CompiledStrand::new)
-            .collect();
+        let strands = CompiledStrand::compile_program(&plain_program);
 
         let mut views = Vec::new();
         for rule in &agg_rules {

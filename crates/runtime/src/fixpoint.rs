@@ -21,7 +21,7 @@
 //! from-scratch evaluation for *any* initial strategy.
 //!
 //! The queue is consumed in **rounds**, whose size and iteration
-//! accounting are the [`Strategy`]: every trigger of a round fires against
+//! accounting are the [`Strategy`]: the triggers of a round fire against
 //! one store snapshot through the strands' slot-compiled batch plans (flat
 //! reusable buffers lent by the caller of [`LocalFixpoint::run`], no
 //! per-environment allocation), and the precomputed
@@ -38,6 +38,22 @@
 //! derivations carry timestamps above every round trigger's visibility
 //! limit, so the joins could not have seen them anyway.
 //!
+//! Firing ahead of consumption is a bet that no removal comes first: a
+//! primary-key replacement among the ingested derivations interrupts the
+//! round for a DRed pass, and what was fired beyond the interrupting
+//! trigger is discarded and fired again against the post-pass store. So the
+//! loop fires a **look-ahead prefix** of the round, sized by what it
+//! observes — one rule for SN, BSN and PSN: the whole round until a
+//! removal interrupts one; from then on as many triggers as the
+//! interrupted round consumed, doubling after every prefix consumed whole.
+//! A prefix is at most twice what the loop last got through, so the
+//! firings a run discards are bounded by a constant times the triggers it
+//! consumes; firing the whole queue ahead made a bulk load, whose
+//! `bestCost`-style keyed winners are replaced all the way through,
+//! quadratic in its size. Which triggers share a batch is all the
+//! look-ahead changes: derivations, their order and the store are those of
+//! the tuple-at-a-time loop for every prefix size.
+//!
 //! The driver owns a site's *state* — store, views, queue, pending
 //! deletions, tap, statistics — and none of the buffers evaluation runs
 //! in: [`LocalFixpoint::run`] borrows an [`EvalBuffers`] from whoever
@@ -51,7 +67,7 @@ use crate::batch::{BatchTrigger, EvalBuffers};
 use crate::dred;
 use crate::expr::EvalError;
 use crate::store::{ApplyEffect, Change, Store};
-use crate::strand::{CompiledStrand, Derivation, JoinStats};
+use crate::strand::{CompiledStrand, JoinStats};
 use crate::subplan::ProbeCache;
 use crate::tap::DeltaTap;
 use crate::tuple::{Sign, TupleDelta};
@@ -78,23 +94,33 @@ pub enum Strategy {
 }
 
 impl Strategy {
-    /// How many of the `queued` triggers the next round takes.
-    fn round_size(self, queued: usize) -> usize {
+    /// How many of the `queued` triggers the next round takes, when the
+    /// loop fires `ahead` of them at a time. An SN/BSN round is an
+    /// iteration whatever is fired ahead; PSN has no iteration boundary, so
+    /// its round is what it fires.
+    fn round_size(self, queued: usize, ahead: usize) -> usize {
         match self {
             Strategy::Buffered { batch } => queued.min(batch.max(1)),
-            Strategy::SemiNaive | Strategy::Pipelined => queued,
+            Strategy::SemiNaive => queued,
+            Strategy::Pipelined => queued.min(ahead),
         }
     }
 }
 
 /// Statistics of an evaluation run.
 ///
-/// One counting rule for every site: `iterations` and `tuples_processed`
-/// are counted when work is *consumed* — once per trigger taken off the
-/// queue (per round instead, for `iterations` under SN/BSN) and once per
-/// tuple a DRed pass removes — never when a delta is enqueued, so a
-/// trigger that a crash wipes from the queue is not counted and one that a
-/// refresh re-queues is counted again.
+/// One counting rule for every site: `iterations`, `tuples_processed` and
+/// the derivation counters are counted when work is *consumed* — once per
+/// trigger taken off the queue (per round instead, for `iterations` under
+/// SN/BSN) and once per tuple a DRed pass removes — never when a delta is
+/// enqueued, so a trigger that a crash wipes from the queue is not counted
+/// and one that a refresh re-queues is counted again.
+///
+/// The four join counters are counted when a join *runs*, which includes
+/// the look-ahead firings a removal then discarded (see the module docs):
+/// they measure work done, not work used. The excess is bounded — a
+/// look-ahead prefix is at most twice the triggers the loop last consumed
+/// without interruption — and deterministic for a given input.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
     /// Number of iterations (SN/BSN) or processed tuples (PSN); tuples
@@ -404,22 +430,28 @@ impl LocalFixpoint {
         buffers: &mut EvalBuffers,
     ) -> Result<(), EvalError> {
         let pipelined = strategy == Strategy::Pipelined;
-        // The unconsumed part of the current SN/BSN iteration.
+        // The current round and how much of it has been consumed.
         let mut round: Vec<(TupleDelta, u64)> = Vec::new();
+        let mut done = 0;
+        // How many triggers fire ahead of consumption (see the module docs).
+        let mut ahead = usize::MAX;
         loop {
             self.drain_deletions(hook, buffers)?;
-            if round.is_empty() {
+            if done == round.len() {
+                round.clear();
+                done = 0;
                 if self.queue.is_empty() {
                     debug_assert_eq!(self.store.check_invariants(), Ok(()));
                     return Ok(());
                 }
-                let take = strategy.round_size(self.queue.len());
+                let take = strategy.round_size(self.queue.len(), ahead);
                 round.extend(self.queue.drain(..take));
                 if !pipelined {
                     self.stats.iterations += 1;
                 }
             }
-            let fired = self.fire_batch_round(&round, buffers)?;
+            let end = round.len().min(done.saturating_add(ahead));
+            let fired = self.fire_batch_round(&round[done..end], buffers)?;
             let mut consumed = 0;
             for derived in &mut buffers.per_trigger[..fired] {
                 consumed += 1;
@@ -447,33 +479,38 @@ impl LocalFixpoint {
             buffers.per_trigger[consumed..fired]
                 .iter_mut()
                 .for_each(Vec::clear);
-            round.drain(..consumed);
+            done += consumed;
+            ahead = if self.pending_deletes.is_empty() {
+                ahead.saturating_mul(2)
+            } else {
+                consumed
+            };
             if pipelined {
-                // PSN has no iteration boundary: unconsumed triggers
-                // return to the queue front — still ahead of the
-                // derivations ingested above — and the next round takes
-                // them together with everything queued since. Under SN/BSN
-                // they stay in `round`, so the *remainder of this
-                // iteration* re-fires without starting a new one early.
-                for entry in round.drain(..).rev() {
+                // Unconsumed triggers return to the queue front — still
+                // ahead of the derivations ingested above — and the next
+                // round takes them together with what was queued since.
+                // Under SN/BSN they stay in `round`, so the *remainder of
+                // this iteration* re-fires without starting a new one
+                // early.
+                for entry in round.drain(done..).rev() {
                     self.queue.push_front(entry);
                 }
             }
         }
     }
 
-    /// Compute the derivations of a prefix of `round` (applied-but-unfired
-    /// insertion deltas) into `buffers.per_trigger`, per trigger, in
-    /// exactly the order the tuple-at-a-time loop ingests them (strands in
-    /// declaration order per trigger), and return the prefix's length.
-    /// Every trigger joins with its own apply timestamp as the visibility
-    /// limit. Triggers whose tuple is no longer stored — over-deleted or
-    /// replaced since being queued — yield nothing: the consequences are
-    /// moot, and a re-derived tuple fires through its own queued insert.
+    /// Compute the derivations of `round` (applied-but-unfired insertion
+    /// deltas) into `buffers.per_trigger`, per trigger, in exactly the
+    /// order the tuple-at-a-time loop ingests them (strands in declaration
+    /// order per trigger), and return how many triggers fired. Every
+    /// trigger joins with its own apply timestamp as the visibility limit.
+    /// Triggers whose tuple is no longer stored — over-deleted or replaced
+    /// since being queued — yield nothing: the consequences are moot, and
+    /// a re-derived tuple fires through its own queued insert.
     ///
-    /// The prefix is the whole round, fired against one store snapshot
-    /// through the batch plans — except in the tuple-at-a-time reference
-    /// mode, where only the head trigger fires, through the
+    /// All of `round` fires against one store snapshot through the batch
+    /// plans — except in the tuple-at-a-time reference mode, where only
+    /// the head trigger fires, through the
     /// [`CompiledStrand::fire_counted`] interpreter, so the caller ingests
     /// its derivations before the next trigger sees the store.
     fn fire_batch_round(
@@ -482,39 +519,49 @@ impl LocalFixpoint {
         buffers: &mut EvalBuffers,
     ) -> Result<usize, EvalError> {
         let mut joins = JoinStats::default();
-        let fired = if self.batching { round.len() } else { 1 };
-        if buffers.per_trigger.len() < fired {
-            buffers.per_trigger.resize_with(fired, Vec::new);
-        }
-        let result = if self.batching {
-            self.fire_batched(round, &mut joins, buffers)
+        let forward = self.strands.iter().filter(|s| !s.is_rederivation());
+        let fired = if self.batching {
+            // Whether a trigger is still stored cannot change mid-round:
+            // any removal interrupts the round for a DRed pass before the
+            // next trigger is consumed.
+            buffers.live.clear();
+            let stored = round.iter().map(|(delta, _)| self.is_stored(delta));
+            buffers.live.extend(stored);
+            // Arm the cross-rule probe cache for this round when the plan
+            // found shared signatures: the store is frozen until every
+            // strand of the round has fired (ingestion happens after the
+            // round), so cached candidate sets stay valid for exactly the
+            // cache's lifetime.
+            let cache = (!self.shared_sigs.is_empty()).then(|| ProbeCache::new(&self.shared_sigs));
+            let triggers = round.iter().map(|(delta, seq)| BatchTrigger {
+                delta,
+                seq_limit: *seq,
+            });
+            buffers.fire_round(&self.store, forward, triggers, &mut joins, cache)?;
+            round.len()
         } else {
-            self.fire_head(&round[0], &mut joins, &mut buffers.per_trigger[0])
-        };
-        match result {
-            Ok(()) => self.stats.absorb_joins(joins),
-            // A failed firing hands the buffers back empty too.
-            Err(_) => buffers.per_trigger[..fired].iter_mut().for_each(Vec::clear),
-        }
-        result.map(|()| fired)
-    }
-
-    /// The tuple-at-a-time reference: fire one trigger through the
-    /// interpreter.
-    fn fire_head(
-        &self,
-        (delta, seq): &(TupleDelta, u64),
-        joins: &mut JoinStats,
-        derived: &mut Vec<Derivation>,
-    ) -> Result<(), EvalError> {
-        if self.is_stored(delta) {
-            for strand in self.strands.iter() {
-                if strand.trigger_relation() == delta.relation {
-                    derived.extend(strand.fire_counted(&self.store, delta, *seq, joins)?);
+            let (delta, seq) = &round[0];
+            if buffers.per_trigger.is_empty() {
+                buffers.per_trigger.push(Vec::new());
+            }
+            let derived = &mut buffers.per_trigger[0];
+            let triggered = forward.filter(|s| s.trigger_relation() == delta.relation);
+            if self.is_stored(delta) {
+                for strand in triggered {
+                    match strand.fire_counted(&self.store, delta, *seq, &mut joins) {
+                        Ok(fired) => derived.extend(fired),
+                        // A failed firing hands the buffers back empty too.
+                        Err(e) => {
+                            derived.clear();
+                            return Err(e);
+                        }
+                    }
                 }
             }
-        }
-        Ok(())
+            1
+        };
+        self.stats.absorb_joins(joins);
+        Ok(fired)
     }
 
     fn is_stored(&self, delta: &TupleDelta) -> bool {
@@ -522,53 +569,6 @@ impl LocalFixpoint {
         self.store
             .relation(&delta.relation)
             .is_some_and(|r| r.contains(&delta.tuple))
-    }
-
-    /// Fire every strand over the whole round through the slot-compiled
-    /// batch plans. Whether a trigger is still stored cannot change
-    /// mid-round, because any removal interrupts the round for a DRed pass
-    /// before the next trigger is consumed.
-    fn fire_batched(
-        &self,
-        round: &[(TupleDelta, u64)],
-        joins: &mut JoinStats,
-        buffers: &mut EvalBuffers,
-    ) -> Result<(), EvalError> {
-        let EvalBuffers {
-            scratch,
-            out,
-            per_trigger,
-            live,
-            indices,
-        } = buffers;
-        live.clear();
-        live.extend(round.iter().map(|(delta, _)| self.is_stored(delta)));
-        // Arm the cross-rule probe cache for this round when the plan
-        // found shared signatures: the store is frozen until every strand
-        // of the round has fired (ingestion happens after the round), so
-        // cached candidate sets stay valid for exactly the cache's
-        // lifetime.
-        let mut cache = (!self.shared_sigs.is_empty()).then(|| ProbeCache::new(&self.shared_sigs));
-        let mut triggers: Vec<BatchTrigger> = Vec::new();
-        for strand in self.strands.iter() {
-            triggers.clear();
-            indices.clear();
-            for (i, (delta, seq)) in round.iter().enumerate() {
-                if live[i] && strand.trigger_relation() == delta.relation {
-                    triggers.push(BatchTrigger {
-                        delta,
-                        seq_limit: *seq,
-                    });
-                    indices.push(i);
-                }
-            }
-            if triggers.is_empty() {
-                continue;
-            }
-            strand.fire_batch(&self.store, &triggers, joins, scratch, out, cache.as_mut())?;
-            out.drain_into(|local, derivation| per_trigger[indices[local]].push(derivation));
-        }
-        Ok(())
     }
 
     /// Run DRed passes until no removal is pending: over-delete the local
@@ -617,17 +617,15 @@ impl LocalFixpoint {
             for (view_idx, key) in &marking.dirty_groups {
                 inserts.extend(self.views[*view_idx].rebuild_group(&self.store, key, &mut joins));
             }
-            // One-step re-derivation of each over-deleted tuple; survivors
+            // One-step re-derivation of the over-deleted tuples; survivors
             // restored further downstream come from the insert cascade.
-            for candidate in marking.rederive_candidates() {
-                inserts.extend(dred::rederive_inserts(
-                    &self.store,
-                    &self.strands,
-                    candidate,
-                    &mut joins,
-                    buffers,
-                )?);
-            }
+            inserts.extend(dred::rederive(
+                &self.store,
+                &self.strands,
+                marking.rederive_candidates(),
+                &mut joins,
+                buffers,
+            )?);
             self.stats.derivations += inserts.len();
             self.stats.absorb_joins(joins);
             for delta in inserts {

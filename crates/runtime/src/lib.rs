@@ -37,10 +37,12 @@
 //!   nothing else, combines insertions into it, and is rebuilt per group
 //!   from the store by the DRed pass, which is how deletions reach it;
 //! * [`dred`] — DRed-style two-phase deletion maintenance (over-delete the
-//!   downstream closure in batched waves, then re-derive survivors), the
-//!   count-agnostic path every actual tuple removal takes;
+//!   downstream closure in batched waves, then refill the vacated keys
+//!   through each rule's key-bound re-derivation plan, one batch per
+//!   rule), the count-agnostic path every actual tuple removal takes;
 //! * [`fixpoint`] — the one local fixpoint driver: insert queue → batch
-//!   fire → DRed on removal → aggregate views → tap, on a soft-state
+//!   fire, a look-ahead prefix at a time → DRed on removal → aggregate
+//!   views → tap, on a soft-state
 //!   clock, with the three evaluation strategies of Section 3 —
 //!   semi-naive (SN, Algorithm 1), buffered semi-naive (BSN) and pipelined
 //!   semi-naive (PSN, Algorithm 3) — as its round policies, and the

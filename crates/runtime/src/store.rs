@@ -104,26 +104,15 @@ impl Store {
             .ensure_index(cols);
     }
 
-    /// Declare every index a set of compiled strands requires: the join
-    /// probe plans' signatures, plus the trigger-side signatures that DRed
-    /// re-derivation probes when it pins a strand's head to an
-    /// over-deleted tuple's primary key (see
-    /// [`crate::dred::rederive_inserts`]). A keyless head relation is
-    /// keyed on all of its columns, so its requirement binds every
-    /// head-mentioned trigger column.
+    /// Declare every index a set of compiled strands requires: the
+    /// signatures their join probe plans probe (a re-derivation plan's
+    /// among them, so DRed passes probe too).
     pub fn declare_indexes<'a>(
         &mut self,
         strands: impl IntoIterator<Item = &'a crate::strand::CompiledStrand>,
     ) {
         for strand in strands {
             for (relation, cols) in strand.index_requirements() {
-                self.declare_index(&relation, &cols);
-            }
-            let key_cols = effective_key_columns(
-                self.relation(strand.head_relation()),
-                strand.delta_rule().rule.head.arity(),
-            );
-            if let Some((relation, cols)) = strand.rederive_requirement(&key_cols) {
                 self.declare_index(&relation, &cols);
             }
         }
@@ -254,16 +243,6 @@ impl Store {
     /// Number of tuples in a relation (0 if absent).
     pub fn count(&self, relation: &str) -> usize {
         self.relations.get(relation).map_or(0, Relation::len)
-    }
-}
-
-/// The columns an over-deleted tuple's primary key binds: the declared key
-/// columns, or every column when the relation is keyed on all attributes
-/// (or does not exist yet at declaration time).
-pub(crate) fn effective_key_columns(relation: Option<&Relation>, arity: usize) -> Vec<usize> {
-    match relation {
-        Some(r) if !r.schema().key_columns.is_empty() => r.schema().key_columns.clone(),
-        _ => (0..arity).collect(),
     }
 }
 

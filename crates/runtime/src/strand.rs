@@ -33,8 +33,8 @@
 use crate::expr::{eval, eval_bool, Bindings, EvalError};
 use crate::store::Store;
 use crate::tuple::{Tuple, TupleDelta};
-use ndlog_lang::seminaive::DeltaRule;
-use ndlog_lang::{Atom, Literal, Term, Value};
+use ndlog_lang::seminaive::{delta_rewrite_full, DeltaRule};
+use ndlog_lang::{Atom, Literal, Program, Term, Value};
 use ndlog_net::NodeAddr;
 use std::collections::BTreeSet;
 
@@ -86,6 +86,10 @@ pub struct CompiledStrand {
     /// The slot-compiled twin of the rule, used by the batch-delta path
     /// ([`CompiledStrand::fire_batch`]).
     batch: crate::batch::BatchPlan,
+    /// A key-bound re-derivation plan ([`crate::dred::rederivation_plan`]):
+    /// fired by DRed passes with over-deleted tuples of its own head
+    /// relation, never by a delta of its trigger relation.
+    rederives: bool,
 }
 
 impl CompiledStrand {
@@ -93,9 +97,37 @@ impl CompiledStrand {
     /// non-trigger body atom and a slot-compiled batch plan over the same
     /// plans.
     pub fn new(rule: DeltaRule) -> Self {
+        Self::compile(rule, false)
+    }
+
+    pub(crate) fn compile(rule: DeltaRule, rederives: bool) -> Self {
         let plans = compile_probe_plans(&rule);
         let batch = crate::batch::compile(&rule, &plans);
-        CompiledStrand { rule, plans, batch }
+        CompiledStrand {
+            rule,
+            plans,
+            batch,
+            rederives,
+        }
+    }
+
+    /// Everything that fires for `program`'s rules (none of them
+    /// aggregate-headed): the strands of the full delta rewrite, then one
+    /// re-derivation plan per rule. Compiled once per program; every site
+    /// running it shares the result.
+    pub fn compile_program(program: &Program) -> Vec<CompiledStrand> {
+        let forward = delta_rewrite_full(program)
+            .into_iter()
+            .map(CompiledStrand::new);
+        let rules = program.rules.iter().filter(|rule| !rule.is_fact());
+        let rederive = rules.map(|rule| crate::dred::rederivation_plan(program, rule));
+        forward.chain(rederive).collect()
+    }
+
+    /// Whether this is a re-derivation plan, not a strand of the delta
+    /// rewrite.
+    pub fn is_rederivation(&self) -> bool {
+        self.rederives
     }
 
     /// The probe plans, parallel to the rule's body literals (useful for
@@ -118,43 +150,6 @@ impl CompiledStrand {
         out
     }
 
-    /// The (trigger relation, bound-column signature) that DRed
-    /// re-derivation ([`crate::dred::rederive_inserts`]) probes when the
-    /// head relation's primary key lives in `head_key_columns`: the
-    /// trigger-atom columns pinned by binding those head columns. The
-    /// candidates come from the planner's precomputed
-    /// `DeltaRule::head_bound_trigger_cols`; this narrows them to the
-    /// columns whose variables the key actually mentions. `None` when the
-    /// key binds no trigger column (re-derivation then falls back to a
-    /// scan of the trigger relation).
-    pub fn rederive_requirement(&self, head_key_columns: &[usize]) -> Option<(String, Vec<usize>)> {
-        let head = &self.rule.rule.head;
-        let mut key_vars: BTreeSet<&str> = BTreeSet::new();
-        for &col in head_key_columns {
-            if let Some(Term::Var(v)) = head.args.get(col) {
-                key_vars.insert(v.name.as_str());
-            }
-        }
-        let Some(Literal::Atom(trigger_atom)) = self.rule.rule.body.get(self.rule.trigger) else {
-            return None;
-        };
-        let cols: Vec<usize> = self
-            .rule
-            .head_bound_trigger_cols
-            .iter()
-            .copied()
-            .filter(|&col| {
-                matches!(trigger_atom.args.get(col),
-                    Some(Term::Var(v)) if key_vars.contains(v.name.as_str()))
-            })
-            .collect();
-        if cols.is_empty() {
-            None
-        } else {
-            Some((self.rule.trigger_relation.clone(), cols))
-        }
-    }
-
     /// The strand identifier (e.g. `sp2b-1`).
     pub fn id(&self) -> &str {
         &self.rule.strand_id
@@ -173,11 +168,6 @@ impl CompiledStrand {
     /// The head relation this strand derives.
     pub fn head_relation(&self) -> &str {
         &self.rule.rule.head.name
-    }
-
-    /// The underlying delta rule.
-    pub fn delta_rule(&self) -> &DeltaRule {
-        &self.rule
     }
 
     /// Fire the strand with a trigger delta.

@@ -38,10 +38,10 @@ use std::collections::{BTreeMap, HashMap};
 /// signature)` probed by two or more of the given strands' stages (or
 /// twice within one strand). Engines arm a [`ProbeCache`] per round only
 /// when this is non-empty, so programs without cross-rule sharing pay
-/// nothing.
+/// nothing. Re-derivation plans do not count: a DRed pass arms no cache.
 pub fn shared_signatures(strands: &[CompiledStrand]) -> Vec<(String, Vec<usize>)> {
     let mut counts: BTreeMap<(String, Vec<usize>), usize> = BTreeMap::new();
-    for strand in strands {
+    for strand in strands.iter().filter(|s| !s.is_rederivation()) {
         for sig in strand.index_requirements() {
             *counts.entry(sig).or_insert(0) += 1;
         }

@@ -10,8 +10,8 @@
 
 use crate::protocol;
 use crate::session::{DeltaEvent, EventSink, Response, Service};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -101,6 +101,19 @@ pub fn start(service: Arc<Service>, addr: impl ToSocketAddrs) -> std::io::Result
 /// process exit.
 const IDLE_READ_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(300);
 
+/// The longest request line a peer may send, terminator included. A longer
+/// one is answered with `err` and its connection closed: the line buffer is
+/// the one allocation whose size a peer chooses.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Read the next request line into `line` (cleared first), stopping one
+/// byte past [`MAX_LINE_BYTES`]; returns how many bytes were read.
+fn read_request(reader: &mut impl BufRead, line: &mut Vec<u8>) -> std::io::Result<usize> {
+    line.clear();
+    let cap = u64::try_from(MAX_LINE_BYTES).expect("the limit fits u64") + 1;
+    reader.take(cap).read_until(b'\n', line)
+}
+
 fn serve_connection(service: Arc<Service>, stream: TcpStream) -> std::io::Result<()> {
     // Responses are small request/reply lines; Nagle + delayed ACK would
     // add ~40ms to every round trip.
@@ -120,11 +133,26 @@ fn serve_connection(service: Arc<Service>, stream: TcpStream) -> std::io::Result
             w.flush()?;
         }
         let mut reader = BufReader::new(stream);
-        let mut line = String::new();
+        let mut line = Vec::new();
         loop {
-            line.clear();
-            match reader.read_line(&mut line) {
+            match read_request(&mut reader, &mut line) {
                 Ok(0) => return Ok(false), // EOF: client vanished.
+                Ok(n) if n > MAX_LINE_BYTES => {
+                    let mut w = write.lock().unwrap();
+                    let refusal = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+                    let refusal = protocol::format_error(&crate::ServeError::new(refusal));
+                    writeln!(w, "{refusal}")?;
+                    w.flush()?;
+                    // Hang up and reap the session, then discard what the
+                    // peer still has in flight: closing over unread input
+                    // resets the connection, which can take the reply
+                    // with it.
+                    w.shutdown(Shutdown::Write)?;
+                    drop(w);
+                    session.close();
+                    let _ = std::io::copy(&mut reader, &mut std::io::sink());
+                    return Ok(false);
+                }
                 Ok(_) => {}
                 // The idle timeout fired: treat the silent peer as gone.
                 Err(e)
@@ -137,6 +165,8 @@ fn serve_connection(service: Arc<Service>, stream: TcpStream) -> std::io::Result
                 }
                 Err(e) => return Err(e),
             }
+            let line = std::str::from_utf8(&line)
+                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?;
             // Execute WITHOUT holding the write lock (lock hierarchy).
             let result = session.execute_line(line.trim_end_matches(['\r', '\n']));
             let quitting = matches!(result, Ok(Response::Quit));
@@ -164,4 +194,26 @@ fn serve_connection(service: Arc<Service>, stream: TcpStream) -> std::io::Result
         session.close();
     }
     outcome.map(|_| ())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn request_reads_stop_one_byte_past_the_limit() {
+        // A peer that never sends a newline: the read returns, and the
+        // buffer holds what was read and no more than doubling leaves.
+        let mut endless = BufReader::new(std::io::repeat(b'a'));
+        let mut line = b"stale".to_vec();
+        let n = read_request(&mut endless, &mut line).unwrap();
+        assert_eq!((n, line.len()), (MAX_LINE_BYTES + 1, MAX_LINE_BYTES + 1));
+        assert!(line.capacity() <= 2 * (MAX_LINE_BYTES + 1));
+        // Lines within the limit come through whole, one at a time.
+        let mut two = BufReader::new(&b"+p(1).\n.quit\n"[..]);
+        assert_eq!(read_request(&mut two, &mut line).unwrap(), 7);
+        assert_eq!(line, b"+p(1).\n");
+        assert_eq!(read_request(&mut two, &mut line).unwrap(), 6);
+        assert_eq!(read_request(&mut two, &mut line).unwrap(), 0);
+    }
 }

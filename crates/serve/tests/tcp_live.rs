@@ -150,3 +150,41 @@ fn tcp_dump_matches_in_process_fingerprint() {
     other.send(".quit").unwrap();
     server.shutdown();
 }
+
+#[test]
+fn oversized_line_is_refused_and_only_its_connection_closes() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    let (_svc, server) = start_figure2();
+    let mut bystander = ScriptClient::connect(server.addr()).unwrap();
+
+    let mut flood = std::net::TcpStream::connect(server.addr()).unwrap();
+    let mut replies = BufReader::new(flood.try_clone().unwrap());
+    let mut line = String::new();
+    replies.read_line(&mut line).unwrap();
+    assert!(line.starts_with("hello "), "{line:?}");
+    // 2 MiB and no newline; the server reads all of it without keeping it.
+    let chunk = [b'a'; 1 << 16];
+    for _ in 0..32 {
+        flood.write_all(&chunk).unwrap();
+    }
+    line.clear();
+    replies.read_line(&mut line).unwrap();
+    let limit = service::MAX_LINE_BYTES.to_string();
+    assert!(
+        line.starts_with("err ") && line.contains(&limit),
+        "{line:?}"
+    );
+    let mut rest = Vec::new();
+    replies.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "the server hung up after the refusal");
+
+    // Everyone else keeps committing.
+    let reply = bystander
+        .send("+link[(@n5,@n0,1.0),(@n0,@n5,1.0)].")
+        .unwrap();
+    assert!(reply.ok, "{}", reply.message);
+    let reply = bystander.send("?- shortestPath(@n5, @n3, _, _).").unwrap();
+    assert!(reply.ok && reply.payload.len() == 1, "{reply:?}");
+    bystander.send(".quit").unwrap();
+    server.shutdown();
+}

@@ -46,9 +46,10 @@ fn main() {
     // 3. Plan: localization (Algorithm 2), semi-naive strands, aggregate
     //    views and aggregate selections.
     let plan = plan(&program).expect("the program plans");
+    let rederive = plan.strands.iter().filter(|s| s.is_rederivation()).count();
     println!(
-        "planned {} rule strands, {} aggregate view(s)",
-        plan.strands.len(),
+        "planned {} rule strands, {rederive} re-derivation plan(s), {} aggregate view(s)",
+        plan.strands.len() - rederive,
         plan.aggregate_rules.len()
     );
 
