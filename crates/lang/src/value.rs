@@ -213,7 +213,11 @@ impl fmt::Display for Value {
             Value::Int(i) => write!(f, "{i}"),
             Value::Float(x) => {
                 if x.fract() == 0.0 && x.abs() < 1e15 {
-                    write!(f, "{:.1}", x)
+                    // What `{:.1}` prints, without its exact-mode decimal
+                    // expansion: an integral float this small is exactly
+                    // an integer, so the digits are the integer's.
+                    let sign = if x.is_sign_negative() { "-" } else { "" };
+                    write!(f, "{sign}{}.0", x.abs() as u64)
                 } else {
                     write!(f, "{x}")
                 }

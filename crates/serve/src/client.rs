@@ -86,8 +86,9 @@ impl ScriptClient {
     /// Send one command line and read its reply. `delta` pushes that
     /// arrive in between are stashed (see [`ScriptClient::take_deltas`]).
     pub fn send(&mut self, command: &str) -> std::io::Result<Reply> {
-        writeln!(self.write, "{command}")?;
-        self.write.flush()?;
+        // One write, one packet: the socket is unbuffered and has
+        // `TCP_NODELAY` set.
+        self.write.write_all(format!("{command}\n").as_bytes())?;
         let mut payload = Vec::new();
         let mut line = String::new();
         loop {

@@ -54,7 +54,10 @@
 //! same dialect to many clients at once; see [`protocol`] for the wire
 //! format and [`client::ScriptClient`] for a scripted driver. All
 //! sessions commit into one engine in a global epoch order, and each
-//! subscriber receives every matching delta in commit order.
+//! subscriber receives every matching delta in commit order — a commit's
+//! deltas as one frame, one socket write, made after the engine lock is
+//! released; a subscriber that stops reading is hung up on
+//! ([`service::MAX_BACKLOG_BYTES`]), not waited for.
 //!
 //! `ndlog smoke` runs a scripted end-to-end TCP session (load program,
 //! update, query, subscribe, observe a retraction, dump, quit) and exits

@@ -16,17 +16,27 @@
 //! | `bye`                         | `.quit` acknowledged; server closes         |
 //!
 //! Live-query events are pushed asynchronously as
-//! `delta <sub-id> <epoch> <±rel(args)>` lines and may appear between a
-//! command's payload lines (they are produced by *other* sessions'
-//! commits); clients must treat any `delta ` line as out-of-band.
+//! `delta <sub-id> <epoch> <±rel(args)>` lines (they are produced by
+//! *other* sessions' commits); clients must treat any `delta ` line as
+//! out-of-band. The server writes whole *frames*: the `delta` lines one
+//! commit owes a subscription arrive contiguous and in commit order, and
+//! never inside another frame — a reply's payload lines and terminator
+//! are one frame too, so a `delta` line can precede or follow a reply but
+//! not split it.
 //! Embedded newlines in `err`/`info` text are escaped as `\n` so the
 //! line framing survives multi-line caret snippets.
 
 use crate::session::{DeltaEvent, Response};
+use std::fmt::Write;
 
 /// Escape a message onto one line (`\` → `\\`, newline → `\n`).
 pub fn escape(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
+    escape_into(&mut out, text);
+    out
+}
+
+fn escape_into(out: &mut String, text: &str) {
     for c in text.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -34,7 +44,6 @@ pub fn escape(text: &str) -> String {
             _ => out.push(c),
         }
     }
-    out
 }
 
 /// Undo [`escape`].
@@ -55,63 +64,99 @@ pub fn unescape(text: &str) -> String {
     out
 }
 
-/// Render a successful response as its wire lines (payload lines then the
-/// terminator).
-pub fn format_response(resp: &Response) -> Vec<String> {
+// The writers below append whole lines, `\n` included, to a buffer the
+// connection owns and reuses: a frame is rendered once, in place, and no
+// line is a `String` of its own. Writing into a `String` cannot fail,
+// hence the discarded `fmt::Result`s.
+
+/// Append a successful response's wire lines (payload lines then the
+/// terminator) to `out`.
+pub fn write_response(out: &mut String, resp: &Response) {
     match resp {
-        Response::Empty => vec!["ok".to_string()],
+        Response::Empty => out.push_str("ok\n"),
         Response::Ok(text) => {
-            let mut lines: Vec<String> =
-                text.lines().skip(1).map(|l| format!("info {l}")).collect();
-            let first = text.lines().next().unwrap_or("");
-            lines.push(format!("ok {}", escape(first)));
-            lines
+            let mut lines = text.lines();
+            let first = lines.next().unwrap_or("");
+            for line in lines {
+                let _ = writeln!(out, "info {line}");
+            }
+            out.push_str("ok ");
+            escape_into(out, first);
+            out.push('\n');
         }
         Response::Rows {
             relation,
             rows,
             epoch,
         } => {
-            let mut lines: Vec<String> =
-                rows.iter().map(|t| format!("row {relation}{t}")).collect();
-            lines.push(format!("ok {} row(s); epoch {epoch}", rows.len()));
-            lines
+            for row in rows {
+                let _ = writeln!(out, "row {relation}{row}");
+            }
+            let _ = writeln!(out, "ok {} row(s); epoch {epoch}", rows.len());
         }
         Response::Subscribed {
             id,
             relation,
             snapshot,
             epoch,
-        } => vec![
-            format!("sub {id} {relation}"),
-            format!(
+        } => {
+            let _ = writeln!(out, "sub {id} {relation}");
+            let _ = writeln!(
+                out,
                 "ok subscribed {relation} as #{id}; {snapshot} tuple(s) in snapshot; epoch {epoch}"
-            ),
-        ],
-        Response::Dump { rows, epoch } => {
-            let mut lines: Vec<String> = rows
-                .iter()
-                .map(|(rel, count, tuple)| format!("dump {rel} {count} {tuple}"))
-                .collect();
-            lines.push(format!("ok {} stored tuple(s); epoch {epoch}", rows.len()));
-            lines
+            );
         }
-        Response::Quit => vec!["bye".to_string()],
+        Response::Dump { rows, epoch } => {
+            for (rel, count, tuple) in rows {
+                let _ = writeln!(out, "dump {rel} {count} {tuple}");
+            }
+            let _ = writeln!(out, "ok {} stored tuple(s); epoch {epoch}", rows.len());
+        }
+        Response::Quit => out.push_str("bye\n"),
     }
 }
 
-/// Render an error terminator line.
-pub fn format_error(err: &crate::ServeError) -> String {
-    format!("err {}", escape(&err.to_string()))
+/// Append an error terminator line to `out`.
+pub fn write_error(out: &mut String, err: &crate::ServeError) {
+    out.push_str("err ");
+    escape_into(out, &err.to_string());
+    out.push('\n');
 }
 
-/// Render an asynchronous live-query event line. The delta itself prints
-/// as `+rel(args)` / `-rel(args)` (the runtime's signed-tuple `Display`).
-pub fn format_event(event: &DeltaEvent) -> String {
-    format!(
+/// Append an asynchronous live-query event line to `out`. The delta itself
+/// prints as `+rel(args)` / `-rel(args)` (the runtime's signed-tuple
+/// `Display`).
+pub fn write_event(out: &mut String, event: &DeltaEvent) {
+    let _ = writeln!(
+        out,
         "delta {} {} {}",
         event.subscription, event.epoch, event.delta
-    )
+    );
+}
+
+/// One line a writer appended, without its terminator.
+fn single_line(write: impl FnOnce(&mut String)) -> String {
+    let mut line = String::new();
+    write(&mut line);
+    line.pop();
+    line
+}
+
+/// [`write_response`]'s lines, one `String` each, terminators stripped.
+pub fn format_response(resp: &Response) -> Vec<String> {
+    let mut out = String::new();
+    write_response(&mut out, resp);
+    out.split_terminator('\n').map(str::to_string).collect()
+}
+
+/// [`write_error`]'s line, terminator stripped.
+pub fn format_error(err: &crate::ServeError) -> String {
+    single_line(|out| write_error(out, err))
+}
+
+/// [`write_event`]'s line, terminator stripped.
+pub fn format_event(event: &DeltaEvent) -> String {
+    single_line(|out| write_event(out, event))
 }
 
 #[cfg(test)]
@@ -167,5 +212,68 @@ mod tests {
             ),
         };
         assert_eq!(format_event(&event), "delta 2 7 -link(@n0, @n2, 1.0)");
+    }
+
+    #[test]
+    fn wrappers_return_exactly_the_lines_the_writers_append() {
+        let tuple = || {
+            Tuple::new(vec![
+                Value::addr(0u32),
+                Value::Str("two\nlines \\ slash".into()),
+                Value::Float(5.0),
+            ])
+        };
+        let responses = [
+            Response::Empty,
+            Response::Ok(String::new()),
+            Response::Ok("first \\ line\nsecond\nthird".to_string()),
+            Response::Rows {
+                relation: "link".to_string(),
+                rows: vec![tuple(), tuple()],
+                epoch: 3,
+            },
+            Response::Rows {
+                relation: "link".to_string(),
+                rows: Vec::new(),
+                epoch: 0,
+            },
+            Response::Subscribed {
+                id: 4,
+                relation: "link".to_string(),
+                snapshot: 2,
+                epoch: 9,
+            },
+            Response::Dump {
+                rows: vec![("link".to_string(), 2, tuple())],
+                epoch: 1,
+            },
+            Response::Quit,
+        ];
+        // One buffer for everything, as a connection uses it: each writer
+        // appends, none disturbs what is already there.
+        let mut out = String::new();
+        for resp in &responses {
+            let before = out.len();
+            write_response(&mut out, resp);
+            assert_eq!(out[before..], format_response(resp).join("\n") + "\n");
+        }
+        for delta in [
+            TupleDelta::insert("link", tuple()),
+            TupleDelta::delete("link", tuple()),
+        ] {
+            let event = DeltaEvent {
+                subscription: 1,
+                epoch: 2,
+                delta,
+            };
+            let before = out.len();
+            write_event(&mut out, &event);
+            assert_eq!(out[before..], format_event(&event) + "\n");
+        }
+        let err = crate::ServeError::new("line one\n  ^ here \\".to_string());
+        let before = out.len();
+        write_error(&mut out, &err);
+        assert_eq!(out[before..], format_error(&err) + "\n");
+        assert_eq!(format_error(&err), "err line one\\n  ^ here \\\\");
     }
 }

@@ -9,14 +9,26 @@
 
 use crate::session::{DeltaEvent, EventSink, Response, Service};
 use std::io::{BufRead, Write};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-/// A sink that prints live deltas to stdout.
-struct StdoutSink;
+/// A sink that prints live deltas to stdout: rendered when delivered,
+/// printed — stdout locked once for the lot — when flushed.
+#[derive(Default)]
+struct StdoutSink {
+    lines: Mutex<String>,
+}
 
 impl EventSink for StdoutSink {
-    fn deliver(&self, event: &DeltaEvent) {
-        println!("{}", crate::protocol::format_event(event));
+    fn deliver(&self, events: &[DeltaEvent]) {
+        let mut lines = self.lines.lock().expect("rendering does not panic");
+        for event in events {
+            crate::protocol::write_event(&mut lines, event);
+        }
+    }
+
+    fn flush(&self) {
+        let lines = std::mem::take(&mut *self.lines.lock().expect("rendering does not panic"));
+        print!("{lines}");
     }
 }
 
@@ -72,7 +84,7 @@ pub fn run_on(
     input: impl BufRead,
     mut output: impl Write,
 ) -> std::io::Result<()> {
-    let session = service.open_session(Arc::new(StdoutSink));
+    let session = service.open_session(Arc::new(StdoutSink::default()));
     let mut buffer = String::new();
     write!(output, "ndlog> ")?;
     output.flush()?;

@@ -15,9 +15,12 @@
 //! insert events at the current epoch, then the exact insert/retract
 //! stream produced by the incremental maintenance machinery (the
 //! [`DeltaTap`](ndlog_runtime::DeltaTap) visibility transitions), tagged
-//! with the epoch that produced them. Events are delivered while the
-//! engine lock is held, so every subscriber observes deltas in commit
-//! order.
+//! with the epoch that produced them. Everything one commit owes one
+//! subscription — a *frame* — is handed to its sink in one
+//! [`EventSink::deliver`] call while the engine lock is held, so every
+//! subscriber's frames queue up in commit order; the sinks a command
+//! touched are then [`EventSink::flush`]ed after the lock is released, so
+//! nothing that can block — a socket, a pipe — ever runs under it.
 //!
 //! **Commit log.** Every committed batch is appended to a log. This gives
 //! the concurrency tests their oracle (replaying the log sequentially
@@ -54,20 +57,29 @@ pub struct DeltaEvent {
 }
 
 /// Where a session's live-query events go (a TCP connection, stdout, a
-/// collecting buffer in tests). Delivery happens under the engine lock:
-/// implementations must not call back into the service.
+/// collecting buffer in tests).
 pub trait EventSink: Send + Sync {
-    /// Deliver one event. Errors are the sink's problem (a dead TCP peer
-    /// just stops seeing deltas; the session is reaped when its reader
-    /// returns EOF).
-    fn deliver(&self, event: &DeltaEvent);
+    /// Take one frame: the events one commit (or one subscribe snapshot,
+    /// one program change) produced for one subscription, in order. Called
+    /// under the engine lock and in commit order, so an implementation must
+    /// only *queue*: it must not block, and must not call back into the
+    /// service. Errors are the sink's problem (a dead TCP peer just stops
+    /// seeing deltas; the session is reaped when its reader returns EOF).
+    fn deliver(&self, events: &[DeltaEvent]);
+
+    /// Push out what [`deliver`](EventSink::deliver) queued. Called once
+    /// per delivered frame, after the engine lock is released, on the
+    /// thread whose command produced the frame; this is where a sink may
+    /// block. Frames other commits queued in the meantime may go out with
+    /// it, in the order they were delivered.
+    fn flush(&self) {}
 }
 
 /// A sink that discards events.
 pub struct NullSink;
 
 impl EventSink for NullSink {
-    fn deliver(&self, _event: &DeltaEvent) {}
+    fn deliver(&self, _events: &[DeltaEvent]) {}
 }
 
 /// A sink that buffers events for later inspection (tests, examples).
@@ -89,8 +101,8 @@ impl CollectSink {
 }
 
 impl EventSink for CollectSink {
-    fn deliver(&self, event: &DeltaEvent) {
-        self.events.lock().unwrap().push(event.clone());
+    fn deliver(&self, events: &[DeltaEvent]) {
+        self.events.lock().unwrap().extend_from_slice(events);
     }
 }
 
@@ -168,6 +180,10 @@ struct Core {
     epoch: u64,
     commits: Vec<CommittedBatch>,
     subs: Vec<Subscription>,
+    /// The sinks the command in progress delivered a frame to. Whoever
+    /// holds the lock takes the list with it and flushes them once the
+    /// lock is released (see [`Session::execute`]).
+    touched: Vec<Arc<dyn EventSink>>,
     next_sub: u64,
     next_session: u64,
 }
@@ -237,6 +253,7 @@ impl Service {
                 epoch: 0,
                 commits: Vec::new(),
                 subs: Vec::new(),
+                touched: Vec::new(),
                 next_sub: 1,
                 next_session: 1,
             }),
@@ -313,9 +330,27 @@ impl Session {
         }
     }
 
+    /// Run `command` under the engine lock, then — the lock released —
+    /// flush every sink it delivered a frame to. No sink is ever written
+    /// under the lock, so a peer that stops reading cannot hold it.
+    fn locked<T>(&self, command: impl FnOnce(&mut Core) -> T) -> T {
+        let (result, touched) = {
+            let mut core = self.service.core.lock().unwrap();
+            let result = command(&mut core);
+            (result, std::mem::take(&mut core.touched))
+        };
+        for sink in touched {
+            sink.flush();
+        }
+        result
+    }
+
     /// Execute one parsed command.
     pub fn execute(&self, cmd: Command) -> Result<Response, ServeError> {
-        let mut core = self.service.core.lock().unwrap();
+        self.locked(|core| self.run(core, cmd))
+    }
+
+    fn run(&self, core: &mut Core, cmd: Command) -> Result<Response, ServeError> {
         match cmd {
             Command::Update(update) => core.apply_update(self.id, update),
             Command::Query(atom) => core.query(&atom),
@@ -349,7 +384,7 @@ impl Session {
     /// dialect. The concurrency tests and `benchmark/` drive the engine
     /// this way; it is exactly what an `Update` command does after parsing.
     pub fn apply_batch(&self, deltas: Vec<TupleDelta>) -> Result<Response, ServeError> {
-        self.service.core.lock().unwrap().commit(self.id, deltas)
+        self.locked(|core| core.commit(self.id, deltas))
     }
 
     /// Close the session: drop its subscriptions.
@@ -386,30 +421,36 @@ impl Core {
             epoch: self.epoch,
             deltas,
         });
-        self.flush_deltas();
+        // The tap's recorded visibility transitions, in store order.
+        let deltas = self.eval.drain_tap();
+        self.deliver_frames(&deltas);
         Ok(Response::Ok(format!(
             "applied {n} update(s); epoch {}; {} derivation(s)",
             self.epoch, stats.derivations
         )))
     }
 
-    /// Route the tap's recorded visibility transitions to the matching
-    /// subscribers, in store order. Runs under the engine lock, so every
-    /// subscriber sees deltas in commit order.
-    fn flush_deltas(&mut self) {
-        let events = self.eval.drain_tap();
-        if events.is_empty() {
-            return;
-        }
-        for delta in &events {
-            for sub in &self.subs {
-                if sub.relation == delta.relation && filter_matches(&sub.filter, &delta.tuple) {
-                    sub.sink.deliver(&DeltaEvent {
+    /// Hand every subscription the frame `deltas` holds for it: its
+    /// matching deltas at the current epoch, in order, in one `deliver`
+    /// call. Runs under the engine lock, so every sink is handed its frames
+    /// in commit order; the sinks are flushed by whoever releases the lock.
+    fn deliver_frames(&mut self, deltas: &[TupleDelta]) {
+        let mut frame = Vec::new();
+        for sub in &self.subs {
+            frame.extend(
+                deltas
+                    .iter()
+                    .filter(|d| sub.relation == d.relation && filter_matches(&sub.filter, &d.tuple))
+                    .map(|delta| DeltaEvent {
                         subscription: sub.id,
                         epoch: self.epoch,
                         delta: delta.clone(),
-                    });
-                }
+                    }),
+            );
+            if !frame.is_empty() {
+                sub.sink.deliver(&frame);
+                self.touched.push(Arc::clone(&sub.sink));
+                frame.clear();
             }
         }
     }
@@ -527,25 +568,15 @@ impl Core {
         self.program = program;
         self.epoch += 1;
         let after = self.subscribed_visible();
-        for (relation, tuple) in before.difference(&after) {
-            self.deliver_diff(TupleDelta::delete(relation.clone(), tuple.clone()));
-        }
-        for (relation, tuple) in after.difference(&before) {
-            self.deliver_diff(TupleDelta::insert(relation.clone(), tuple.clone()));
-        }
+        let retracted = before
+            .difference(&after)
+            .map(|(relation, tuple)| TupleDelta::delete(relation.clone(), tuple.clone()));
+        let inserted = after
+            .difference(&before)
+            .map(|(relation, tuple)| TupleDelta::insert(relation.clone(), tuple.clone()));
+        let diff: Vec<TupleDelta> = retracted.chain(inserted).collect();
+        self.deliver_frames(&diff);
         Ok(Response::Ok(format!("{what}; epoch {}", self.epoch)))
-    }
-
-    fn deliver_diff(&self, delta: TupleDelta) {
-        for sub in &self.subs {
-            if sub.relation == delta.relation && filter_matches(&sub.filter, &delta.tuple) {
-                sub.sink.deliver(&DeltaEvent {
-                    subscription: sub.id,
-                    epoch: self.epoch,
-                    delta: delta.clone(),
-                });
-            }
-        }
     }
 
     fn subscribed_visible(&self) -> BTreeSet<(String, Tuple)> {
@@ -590,14 +621,19 @@ impl Core {
             .collect();
         snapshot.sort();
         let count = snapshot.len();
-        // One shared name for the whole snapshot.
+        // One shared name for the whole snapshot, and one frame.
         let name = RelName::from(&relation);
-        for tuple in snapshot {
-            sink.deliver(&DeltaEvent {
+        let frame: Vec<DeltaEvent> = snapshot
+            .into_iter()
+            .map(|tuple| DeltaEvent {
                 subscription: id,
                 epoch: self.epoch,
                 delta: TupleDelta::insert(name.clone(), tuple),
-            });
+            })
+            .collect();
+        if !frame.is_empty() {
+            sink.deliver(&frame);
+            self.touched.push(Arc::clone(&sink));
         }
         self.subs.push(Subscription {
             id,

@@ -11,7 +11,7 @@
 use ndlog::lang::{programs, Value};
 use ndlog::runtime::{Sign, Tuple, TupleDelta};
 use ndlog::serve::{DeltaEvent, EventSink, NullSink, Service};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 const NAMES: [&str; 5] = ["a", "b", "c", "d", "e"];
 
@@ -27,28 +27,35 @@ fn name(value: &Value) -> String {
     }
 }
 
-/// Print each delta as it happens, as a routing-table narration.
-struct Narrator;
+/// Narrate each delta as a routing-table change: a frame is rendered when
+/// it is delivered (under the engine lock, where a sink must only queue)
+/// and printed when it is flushed.
+#[derive(Default)]
+struct Narrator {
+    lines: Mutex<String>,
+}
 
 impl EventSink for Narrator {
-    fn deliver(&self, event: &DeltaEvent) {
-        let t = &event.delta.tuple;
-        let (src, dst) = (name(t.get(0).unwrap()), name(t.get(1).unwrap()));
-        let cost = t.get(3).unwrap();
-        match event.delta.sign {
-            Sign::Insert => {
-                println!(
-                    "  [epoch {}] + route {src} -> {dst} at cost {cost}",
-                    event.epoch
-                )
-            }
-            Sign::Delete => {
-                println!(
-                    "  [epoch {}] - route {src} -> {dst} (was cost {cost})",
-                    event.epoch
-                )
-            }
+    fn deliver(&self, events: &[DeltaEvent]) {
+        let mut lines = self.lines.lock().unwrap();
+        for event in events {
+            let t = &event.delta.tuple;
+            let (src, dst) = (name(t.get(0).unwrap()), name(t.get(1).unwrap()));
+            let cost = t.get(3).unwrap();
+            let epoch = event.epoch;
+            *lines += &match event.delta.sign {
+                Sign::Insert => {
+                    format!("  [epoch {epoch}] + route {src} -> {dst} at cost {cost}\n")
+                }
+                Sign::Delete => {
+                    format!("  [epoch {epoch}] - route {src} -> {dst} (was cost {cost})\n")
+                }
+            };
         }
+    }
+
+    fn flush(&self) {
+        print!("{}", std::mem::take(&mut *self.lines.lock().unwrap()));
     }
 }
 
@@ -84,7 +91,7 @@ fn main() {
     operator.apply_batch(seed).expect("base graph applies");
 
     println!("subscribing to shortestPath from node a:");
-    let monitor = service.open_session(Arc::new(Narrator));
+    let monitor = service.open_session(Arc::new(Narrator::default()));
     monitor
         .execute_line(".subscribe shortestPath(@n0, _, _, _)")
         .expect("subscribe");

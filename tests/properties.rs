@@ -12,7 +12,8 @@
 //! * the centralized evaluator and a single node engine — the two wrappers
 //!   over the one local fixpoint driver — agree on stores and statistics;
 //! * `Value` equality is the relation its ordering decides, and equal
-//!   values hash alike.
+//!   values hash alike;
+//! * an integral `Float` prints byte-for-byte what `{:.1}` prints.
 
 use ndlog_core::{plan, NodeConfig, NodeEngine};
 use ndlog_lang::localize::{is_localized, localize};
@@ -321,6 +322,32 @@ proptest! {
         // A clone and a rebuild are equal whatever they hold, NaNs included.
         prop_assert_eq!(&a, &others[1]);
         prop_assert_eq!(&a, &others[2]);
+    }
+
+    /// An integral `Float` below 1e15 prints through integer formatting,
+    /// and the text must be what `{:.1}` printed before: every link and
+    /// route cost on the wire is one. Everything else — fractions, 1e15
+    /// and beyond (2^53 ± 1 included), NaN, the infinities — still prints
+    /// as `{x}` does.
+    #[test]
+    fn integral_floats_print_as_they_always_did(
+        magnitude in 0u64..1_000_000_000_000_000,
+        bits in 0u64..=u64::MAX,
+    ) {
+        let edge = [0.0, 1.0, 1e15 - 1.0];
+        for x in edge.into_iter().chain([magnitude as f64]).flat_map(|x| [x, -x]) {
+            prop_assert_eq!(Value::Float(x).to_string(), format!("{x:.1}"));
+        }
+        let two_53 = 9_007_199_254_740_992.0_f64;
+        let other = [
+            0.5, 1e15 - 0.5, 1e15, two_53 - 1.0, two_53 + 1.0, 1e300,
+            f64::MIN_POSITIVE, f64::NAN, f64::INFINITY, f64::from_bits(bits),
+        ];
+        for x in other.into_iter().flat_map(|x| [x, -x]) {
+            if x.fract() != 0.0 || x.abs() >= 1e15 || x.is_nan() {
+                prop_assert_eq!(Value::Float(x).to_string(), format!("{x}"));
+            }
+        }
     }
 }
 
