@@ -26,11 +26,21 @@
 //! doubling series 4 + 8 + … + next_pow2(n) backing allocations
 //! ([`unpooled_alloc_bytes`]), accounted when the payload is recycled.
 //! [`ArenaStats::allocated_bytes`] telescopes rented-out capacity against
-//! recycled capacity, which sums to the real net backing capacity the
-//! pools ever had to create (growth of a pooled buffer *within* a rent
-//! shows up in its next recycle). Their ratio is the buffer-churn
-//! reduction; the benchmark reports the two as `core.arena_demand_bytes`
-//! and `core.arena_allocated_bytes`.
+//! recycled capacity, which sums to the backing capacity the buffers end
+//! up with (growth of a pooled buffer *within* a rent shows up in its next
+//! recycle). Their ratio is the buffer-churn reduction; the benchmark
+//! reports the two as `core.arena_demand_bytes` and
+//! `core.arena_allocated_bytes`.
+//!
+//! A buffer goes back to the pool no larger than twice the payload it just
+//! carried ([`DeltaArena::recycle`]). Payload sizes are mixed — a burst of
+//! 30 deltas, then a trickle of 13 — and most buffers spend their life not
+//! in a pool but in the simulator's queue, as a message in flight: a pool
+//! of high-water-mark buffers means every queued message holds the largest
+//! payload its buffer ever carried. Recycled capacity is recorded after the
+//! shrink, so the telescoped sum stays exactly Σ over distinct buffers of
+//! their final capacity; what a shrunken buffer grows again on a later,
+//! larger rent is allocator traffic that sum does not see.
 
 use ndlog_runtime::TupleDelta;
 
@@ -85,10 +95,12 @@ pub struct ArenaStats {
 }
 
 impl ArenaStats {
-    /// Net new backing capacity the pools created. Each buffer's rents
+    /// Backing capacity the buffers were left with. Each buffer's rents
     /// subtract the capacity it came back with last time, so the sum
     /// telescopes to Σ over distinct buffers of their final capacity —
-    /// the buffer memory actually allocated.
+    /// the buffer memory in existence, not the allocator traffic behind it
+    /// (a buffer shrunk at one recycle and regrown on a later rent counts
+    /// once, at the size it ended with).
     pub fn allocated_bytes(&self) -> u64 {
         self.recycled_capacity_bytes
             .saturating_sub(self.rented_capacity_bytes)
@@ -141,15 +153,18 @@ impl DeltaArena {
         }
     }
 
-    /// Return a payload buffer to the pool. `payload_len` is the number
-    /// of deltas the buffer carried over the wire (receivers drain the
-    /// buffer before returning it, so the length cannot be read off the
-    /// buffer itself here) — it is what the demand accounting records.
+    /// Return a payload buffer to the pool, shrunk to at most twice the
+    /// payload it carried. `payload_len` is the number of deltas the
+    /// buffer carried over the wire (receivers drain the buffer before
+    /// returning it, so the length cannot be read off the buffer itself
+    /// here) — it is what the demand accounting records, and what the next
+    /// payload through this buffer is sized by.
     pub fn recycle(&mut self, payload_len: usize, mut buf: Vec<TupleDelta>) {
         self.stats.demand_bytes += unpooled_alloc_bytes(payload_len);
+        buf.clear();
+        buf.shrink_to(2 * payload_len);
         self.stats.recycled_capacity_bytes += capacity_bytes(&buf);
         if buf.capacity() > 0 && self.free.len() < MAX_POOLED {
-            buf.clear();
             self.free.push(buf);
         }
     }
@@ -206,6 +221,30 @@ mod tests {
         assert_eq!(stats.demand_bytes, 2 * unpooled_alloc_bytes(8));
         assert_eq!(unpooled_alloc_bytes(8), 12 * DELTA_BYTES);
         assert!(stats.reduction_factor() > 1.0);
+    }
+
+    #[test]
+    fn a_recycled_buffer_is_at_most_twice_its_payload() {
+        let mut arena = DeltaArena::default();
+        let mut buf = arena.rent();
+        buf.extend((0..30).map(delta));
+        arena.recycle(30, buf);
+        // The 30-slot buffer carries 13 deltas next: it returns with room
+        // for 26, and the accounting follows it down.
+        let mut buf = arena.rent();
+        assert!(buf.capacity() >= 30);
+        buf.extend((0..13).map(delta));
+        arena.recycle(13, buf);
+        let buf = arena.rent();
+        assert!((13..=26).contains(&buf.capacity()), "{}", buf.capacity());
+        let final_capacity = capacity_bytes(&buf);
+        arena.recycle(13, buf);
+        assert_eq!(arena.stats().allocated_bytes(), final_capacity);
+        // A buffer within twice its payload is left alone.
+        let buf = arena.rent();
+        let before = buf.capacity();
+        arena.recycle(before / 2, buf);
+        assert_eq!(arena.rent().capacity(), before);
     }
 
     #[test]

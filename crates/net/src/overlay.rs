@@ -77,6 +77,10 @@ impl Overlay {
         let n = underlay.node_count();
         assert!(n >= 2, "overlay requires at least two nodes");
         let k = config.neighbors_per_node.min(n - 1);
+        // Underlay latency distances, computed lazily per source over one
+        // adjacency list.
+        let latencies = underlay.weights(Metric::Latency);
+        let mut latency_cache: Vec<Option<Vec<f64>>> = vec![None; n];
 
         for attempt in 0..32u64 {
             let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(attempt));
@@ -92,14 +96,10 @@ impl Overlay {
                     chosen.insert(key);
                 }
             }
-            // Precompute underlay latency distances lazily per source.
-            let mut latency_cache: Vec<Option<Vec<f64>>> = vec![None; n];
             for (a, b) in chosen {
-                if latency_cache[a.index()].is_none() {
-                    latency_cache[a.index()] =
-                        Some(underlay.shortest_distances(a, Metric::Latency));
-                }
-                let lat = latency_cache[a.index()].as_ref().unwrap()[b.index()];
+                let from_a =
+                    latency_cache[a.index()].get_or_insert_with(|| latencies.shortest_distances(a));
+                let lat = from_a[b.index()];
                 let lat = if lat.is_finite() { lat } else { 1000.0 };
                 let metrics = LinkMetrics {
                     latency_ms: lat,
@@ -194,6 +194,25 @@ mod tests {
         for l in overlay.links() {
             let d = ts.topology.shortest_distances(l.src, Metric::Latency);
             assert!((l.metrics.latency_ms - d[l.dst.index()]).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn overlay_latencies_are_the_underlay_shortest_distances() {
+        for config in [TransitStubConfig::paper(), TransitStubConfig::medium()] {
+            let underlay = generate(&config).topology;
+            let overlay = Overlay::random_neighbors(&underlay, &OverlayConfig::default());
+            let mut compared = 0;
+            for source in underlay.nodes() {
+                let reference = underlay.shortest_distances(source, Metric::Latency);
+                for (a, b, metrics) in overlay.graph.links().filter(|l| l.0 == source) {
+                    let expected = reference[b.index()];
+                    assert!(expected.is_finite(), "{a} cannot reach {b}");
+                    assert_eq!(metrics.latency_ms.to_bits(), expected.to_bits(), "{a}-{b}");
+                    compared += 1;
+                }
+            }
+            assert_eq!(compared, overlay.graph.link_count());
         }
     }
 

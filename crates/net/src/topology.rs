@@ -8,6 +8,7 @@
 
 use crate::address::NodeAddr;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::fmt;
 
@@ -268,51 +269,69 @@ impl Topology {
         count == self.node_count as usize
     }
 
+    /// The links weighed by `metric` as one flat adjacency list: what a
+    /// caller running Dijkstra from many sources builds once.
+    pub fn weights(&self, metric: Metric) -> LinkWeights {
+        let n = self.node_count as usize;
+        let mut offsets = vec![0; n + 1];
+        for &(a, b) in self.links.keys() {
+            offsets[a.index() + 1] += 1;
+            offsets[b.index() + 1] += 1;
+        }
+        for i in 0..n {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut next = offsets.clone();
+        let mut edges = vec![(0, 0.0); offsets[n]];
+        for (&(a, b), metrics) in &self.links {
+            for (from, to) in [(a.index(), b.index()), (b.index(), a.index())] {
+                edges[next[from]] = (to, metrics.get(metric));
+                next[from] += 1;
+            }
+        }
+        LinkWeights { offsets, edges }
+    }
+
     /// Single-source shortest-path distances over a given metric
     /// (Dijkstra). Returns a vector indexed by node, `f64::INFINITY` for
     /// unreachable nodes.
     pub fn shortest_distances(&self, source: NodeAddr, metric: Metric) -> Vec<f64> {
-        let n = self.node_count as usize;
+        self.weights(metric).shortest_distances(source)
+    }
+}
+
+/// A topology's links under one metric ([`Topology::weights`]): node `i`'s
+/// neighbours and the weights of the links to them are
+/// `edges[offsets[i]..offsets[i + 1]]`, so relaxing an edge reads a slice
+/// instead of looking a node pair up in an ordered map.
+#[derive(Debug, Clone)]
+pub struct LinkWeights {
+    offsets: Vec<usize>,
+    edges: Vec<(usize, f64)>,
+}
+
+impl LinkWeights {
+    /// [`Topology::shortest_distances`] from `source`.
+    pub fn shortest_distances(&self, source: NodeAddr) -> Vec<f64> {
+        let n = self.offsets.len() - 1;
         let mut dist = vec![f64::INFINITY; n];
-        if !self.contains(source) {
+        if source.index() >= n {
             return dist;
         }
         dist[source.index()] = 0.0;
-        // Max-heap on Reverse of ordered-by-bits distance; f64 distances are
-        // non-negative so bit ordering matches numeric ordering.
-        #[derive(PartialEq)]
-        struct Entry(f64, NodeAddr);
-        impl Eq for Entry {}
-        impl Ord for Entry {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                // Reverse order: smallest distance first.
-                other
-                    .0
-                    .partial_cmp(&self.0)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then_with(|| other.1.cmp(&self.1))
-            }
-        }
-        impl PartialOrd for Entry {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        let mut heap = BinaryHeap::new();
-        heap.push(Entry(0.0, source));
-        while let Some(Entry(d, node)) = heap.pop() {
-            if d > dist[node.index()] {
+        // Distances are non-negative, so their bit patterns order as they
+        // do; ties pop in node order.
+        let mut heap = BinaryHeap::from([Reverse((0.0f64.to_bits(), source.index()))]);
+        while let Some(Reverse((d, node))) = heap.pop() {
+            let d = f64::from_bits(d);
+            if d > dist[node] {
                 continue;
             }
-            for nb in self.neighbors(node) {
-                let w = self
-                    .link(node, nb)
-                    .map(|m| m.get(metric))
-                    .unwrap_or(f64::INFINITY);
-                let nd = d + w;
-                if nd < dist[nb.index()] {
-                    dist[nb.index()] = nd;
-                    heap.push(Entry(nd, nb));
+            for &(nb, weight) in &self.edges[self.offsets[node]..self.offsets[node + 1]] {
+                let nd = d + weight;
+                if nd < dist[nb] {
+                    dist[nb] = nd;
+                    heap.push(Reverse((nd.to_bits(), nb)));
                 }
             }
         }
@@ -417,6 +436,36 @@ mod tests {
             .unwrap();
         let d = t.shortest_distances(NodeAddr(0), Metric::HopCount);
         assert!(d[2].is_infinite());
+    }
+
+    #[test]
+    fn dijkstra_is_the_fixed_point_of_relaxing_every_link() {
+        // An oracle that shares nothing with the adjacency list: relax
+        // every link through `neighbors` / `link` until nothing moves.
+        let t = crate::gtitm::generate(&crate::gtitm::TransitStubConfig::medium()).topology;
+        for metric in Metric::ALL {
+            let source = NodeAddr(3);
+            let mut want = vec![f64::INFINITY; t.node_count()];
+            want[source.index()] = 0.0;
+            let mut moved = true;
+            while std::mem::take(&mut moved) {
+                for a in t.nodes() {
+                    for b in t.neighbors(a) {
+                        let through = want[a.index()] + t.link(a, b).unwrap().get(metric);
+                        if through < want[b.index()] {
+                            want[b.index()] = through;
+                            moved = true;
+                        }
+                    }
+                }
+            }
+            let got = t.shortest_distances(source, metric);
+            let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{metric}");
+        }
+        let nowhere = NodeAddr(t.node_count() as u32);
+        let from_nowhere = t.shortest_distances(nowhere, Metric::Latency);
+        assert!(from_nowhere.iter().all(|d| d.is_infinite()));
     }
 
     #[test]

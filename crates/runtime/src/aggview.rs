@@ -16,9 +16,10 @@
 //!
 //! * An insertion ([`AggregateView::apply`]) combines the new value with
 //!   the group's current aggregate — `min`/`max` by [`Value`]'s order,
-//!   `count` + 1 — in O(log n) for the group lookup; `sum` re-folds the
-//!   group from the store, so it is a function of the group's stored
-//!   contents, not of arrival order.
+//!   `count` + 1 — after one hash lookup of the group, made on the source
+//!   tuple's group columns where they lie; `sum` re-folds the group from
+//!   the store, so it is a function of the group's stored contents, not of
+//!   arrival order.
 //! * A deletion cannot be handed to a view. The DRed pass ([`crate::dred`])
 //!   that removes source tuples from the store records the groups they
 //!   belonged to, and [`AggregateView::rebuild_group`] — the one fold over
@@ -38,11 +39,14 @@
 
 use crate::expr::Bindings;
 use crate::index::JoinStats;
+use crate::intern::FxBuild;
 use crate::store::Store;
 use crate::strand::bind_atom;
 use crate::tuple::{RelName, Tuple, TupleDelta};
 use ndlog_lang::{AggFunc, Atom, Literal, Rule, Term, Value};
-use std::collections::BTreeMap;
+use std::borrow::Borrow;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{Hash, Hasher};
 
 /// How each head field of the aggregate rule is produced.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,8 +76,9 @@ pub struct AggregateView {
     agg_pos: usize,
     source_atom: Atom,
     guards: Vec<Atom>,
-    /// Group key → the head tuple currently derived for the group.
-    groups: BTreeMap<Vec<Value>, Tuple>,
+    /// Group key → the head tuple currently derived for the group. Never
+    /// iterated: nothing observable depends on its order.
+    groups: HashMap<GroupKey, Tuple, FxBuild>,
 }
 
 /// The aggregate of a group with aggregate `current` (`None`: no inputs
@@ -92,44 +97,95 @@ fn combine(func: AggFunc, current: Option<&Value>, value: &Value) -> Value {
     }
 }
 
-/// The fields of a tuple at the group columns — a group key — as one
-/// slice: on the stack for the usual ≤ 8 group columns, so looking a group
-/// up allocates nothing.
-enum GroupKey {
-    Inline([Value; 8], usize),
-    Heap(Vec<Value>),
+/// A group key, wherever its fields lie: in the map, in a caller's slice,
+/// or still in the group columns of a source tuple. The map hashes and
+/// compares the three alike, so looking a group up builds nothing.
+trait GroupFields {
+    fn len(&self) -> usize;
+    fn field(&self, i: usize) -> &Value;
 }
 
-impl GroupKey {
-    /// `None` when the tuple is too short to project (heterogeneous
-    /// hand-built stores).
-    fn of(cols: &[usize], tuple: &Tuple) -> Option<GroupKey> {
-        const UNSET: Value = Value::Bool(false);
-        let mut fields = cols.iter().map(|&c| tuple.get(c).cloned());
-        if cols.len() > 8 {
-            return fields.collect::<Option<_>>().map(GroupKey::Heap);
-        }
-        let mut inline = [UNSET; 8];
-        for (slot, field) in inline.iter_mut().zip(&mut fields) {
-            *slot = field?;
-        }
-        Some(GroupKey::Inline(inline, cols.len()))
+impl<'a> dyn GroupFields + 'a {
+    fn iter(&self) -> impl Iterator<Item = &Value> {
+        (0..self.len()).map(|i| self.field(i))
     }
 }
 
-impl std::ops::Deref for GroupKey {
-    type Target = [Value];
-    fn deref(&self) -> &[Value] {
-        match self {
-            GroupKey::Inline(fields, len) => &fields[..*len],
-            GroupKey::Heap(fields) => fields,
-        }
+impl Hash for dyn GroupFields + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.iter().for_each(|field| field.hash(state));
+    }
+}
+
+impl PartialEq for dyn GroupFields + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for dyn GroupFields + '_ {}
+
+/// The key the map holds a group under.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct GroupKey(Vec<Value>);
+
+impl<'a> Borrow<dyn GroupFields + 'a> for GroupKey {
+    fn borrow(&self) -> &(dyn GroupFields + 'a) {
+        self
+    }
+}
+
+impl Hash for GroupKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self as &dyn GroupFields).hash(state);
+    }
+}
+
+impl GroupFields for GroupKey {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    fn field(&self, i: usize) -> &Value {
+        &self.0[i]
+    }
+}
+
+impl GroupFields for &[Value] {
+    fn len(&self) -> usize {
+        <[Value]>::len(self)
+    }
+    fn field(&self, i: usize) -> &Value {
+        &self[i]
+    }
+}
+
+/// The group key of a source tuple, read off its columns.
+struct Projected<'a> {
+    cols: &'a [usize],
+    tuple: &'a Tuple,
+}
+
+impl<'a> Projected<'a> {
+    /// `None` when the tuple is too short to project (heterogeneous
+    /// hand-built stores).
+    fn of(cols: &'a [usize], tuple: &'a Tuple) -> Option<Self> {
+        let covered = cols.iter().all(|&c| c < tuple.arity());
+        covered.then_some(Projected { cols, tuple })
+    }
+}
+
+impl GroupFields for Projected<'_> {
+    fn len(&self) -> usize {
+        self.cols.len()
+    }
+    fn field(&self, i: usize) -> &Value {
+        &self.tuple.values()[self.cols[i]]
     }
 }
 
 /// Instantiate a head template for a group: one allocation, of exactly
 /// the tuple's size.
-fn head_tuple(template: &[HeadField], key: &[Value], agg_value: &Value) -> Tuple {
+fn head_tuple(template: &[HeadField], key: &dyn GroupFields, agg_value: &Value) -> Tuple {
     let mut key = key.iter();
     let field = |f: &HeadField| match f {
         HeadField::Group => key.next().expect("one key field per group column").clone(),
@@ -222,7 +278,7 @@ impl AggregateView {
             agg_pos: agg_positions[0],
             source_atom: source,
             guards,
-            groups: BTreeMap::new(),
+            groups: HashMap::default(),
         })
     }
 
@@ -267,18 +323,20 @@ impl AggregateView {
     /// The head tuple currently derived for the group a source tuple
     /// belongs to, if any.
     pub fn current_output_for(&self, source_tuple: &Tuple) -> Option<&Tuple> {
-        self.current_output(&GroupKey::of(&self.group_cols, source_tuple)?)
+        let key = Projected::of(&self.group_cols, source_tuple)?;
+        self.groups.get(&key as &dyn GroupFields)
     }
 
     /// The group key a source tuple belongs to, or `None` when the tuple
     /// is too short to project (heterogeneous hand-built stores).
     pub fn group_key(&self, source_tuple: &Tuple) -> Option<Vec<Value>> {
-        GroupKey::of(&self.group_cols, source_tuple).map(|key| key.to_vec())
+        let key = Projected::of(&self.group_cols, source_tuple)?;
+        Some((&key as &dyn GroupFields).iter().cloned().collect())
     }
 
     /// The head tuple currently derived for a group, if any.
     pub fn current_output(&self, key: &[Value]) -> Option<&Tuple> {
-        self.groups.get(key)
+        self.groups.get(&key as &dyn GroupFields)
     }
 
     /// Map a head (output) tuple back to its group key, or `None` when the
@@ -341,10 +399,10 @@ impl AggregateView {
         stats: &mut JoinStats,
     ) -> Option<TupleDelta> {
         let aggregate = self.fold_group(store, key, stats);
-        let head = aggregate.map(|v| head_tuple(&self.head_template, key, &v));
+        let head = aggregate.map(|v| head_tuple(&self.head_template, &key, &v));
         match &head {
-            Some(head) => self.groups.insert(key.to_vec(), head.clone()),
-            None => self.groups.remove(key),
+            Some(head) => self.groups.insert(GroupKey(key.to_vec()), head.clone()),
+            None => self.groups.remove(&key as &dyn GroupFields),
         };
         head.map(|t| TupleDelta::insert(self.head_relation.clone(), t))
     }
@@ -438,27 +496,34 @@ impl AggregateView {
         let Some(value) = inserted.get(self.value_col) else {
             return Vec::new();
         };
-        let Some(key) = GroupKey::of(&self.group_cols, inserted) else {
+        let Some(key) = Projected::of(&self.group_cols, inserted) else {
             return Vec::new();
         };
-        let old_head = self.groups.get(&*key);
+        let key: &dyn GroupFields = &key;
+        let old_head = self.groups.get(key);
         let aggregate = match self.func {
             // Float addition does not commute with arrival order.
-            AggFunc::Sum => self.fold_group(store, &key, &mut JoinStats::default()),
+            AggFunc::Sum => {
+                let key: Vec<Value> = key.iter().cloned().collect();
+                self.fold_group(store, &key, &mut JoinStats::default())
+            }
             func => {
                 let current = old_head.and_then(|head| head.get(self.agg_pos));
                 Some(combine(func, current, value))
             }
         };
-        let new_head = aggregate.map(|v| head_tuple(&self.head_template, &key, &v));
+        let new_head = aggregate.map(|v| head_tuple(&self.head_template, key, &v));
         if old_head == new_head.as_ref() {
             return Vec::new();
         }
         // Only a group's first tuple copies the key into the map.
-        let old_head = match (self.groups.get_mut(&*key), &new_head) {
+        let old_head = match (self.groups.get_mut(key), &new_head) {
             (Some(head), Some(new)) => Some(std::mem::replace(head, new.clone())),
-            (None, Some(new)) => self.groups.insert(key.to_vec(), new.clone()),
-            (_, None) => self.groups.remove(&*key),
+            (None, Some(new)) => {
+                let key = GroupKey(key.iter().cloned().collect());
+                self.groups.insert(key, new.clone())
+            }
+            (_, None) => self.groups.remove(key),
         };
         let retract = old_head.map(|old| TupleDelta::delete(self.head_relation.clone(), old));
         let assert = new_head.map(|new| TupleDelta::insert(self.head_relation.clone(), new));
@@ -668,8 +733,8 @@ mod tests {
 
     #[test]
     fn group_keys_of_any_width_find_their_group() {
-        // Up to eight group columns are looked up from the stack, more from
-        // a vector; a tuple too short to project belongs to no group.
+        // A group is looked up on the source tuple's own columns, however
+        // many; a tuple too short to project belongs to no group.
         let wide = |v: i64, c: i64| {
             let mut fields = vec![Value::addr(0u32)];
             fields.extend((1..9).map(|i| Value::Int(i * v)));

@@ -1,4 +1,5 @@
-//! Secondary hash indexes over stored relations.
+//! Slot tables: the primary index and the secondary hash indexes of a
+//! stored relation.
 //!
 //! The P2 dataflow fires a rule strand once per arriving delta and joins it
 //! against the *stored* tables of the other body predicates. Without
@@ -10,44 +11,55 @@
 //! * an [`IndexSignature`] names a set of columns that a join binds to
 //!   concrete values (a *bound-column signature*, the same notion index-
 //!   driven homomorphism search uses for conceptual-graph matching);
-//! * a [`SecondaryIndex`] maps each distinct projection of a relation onto
-//!   that signature to a bucket of the matching rows, so a probe touches
-//!   exactly the matching tuples;
-//! * [`crate::relation::Relation`] maintains its indexes incrementally on
+//! * a `SlotTable` files each row of a relation under one projection of its
+//!   column ids — the primary key for the primary index, a signature's
+//!   columns for a secondary index — so a probe touches exactly the rows
+//!   carrying the probed projection;
+//! * [`crate::relation::Relation`] maintains its tables incrementally on
 //!   insert, key-replacement, deletion and soft-state expiry, and answers
 //!   [`crate::relation::Relation::probe`] in O(matches).
 //!
-//! Indexes are declared once per program (the evaluator and the per-node
-//! engines collect every compiled strand's signatures up front), never per
-//! join.
+//! Secondary indexes are declared once per program (the evaluator and the
+//! per-node engines collect every compiled strand's signatures up front),
+//! never per join. A signature that binds the relation's whole primary key
+//! is never built: the primary index already finds the one row it could
+//! hold (see [`crate::relation`]).
 //!
-//! # Id keys, slot buckets
+//! # Fingerprint → slots, verified against the slab
 //!
-//! An index stores no value and no tuple. A bucket key is the projection
-//! of a row's column ids (the relation's dictionary, [`crate::intern`])
-//! onto the signature — held inline in the map entry for the usual ≤ 8
-//! columns, no allocation of its own — and a bucket is a `Vec<u32>` of the
-//! relation's slab
-//! slots: filing, unfiling and probing hash and compare `u32`s, and a probe
-//! hit is one slab access away from its `StoredTuple`. A probe value with
-//! no id is stored in no row, so the probe answers "empty" without
-//! touching the index. A bucket that loses its last slot is dropped with
-//! its key, which is what lets the dictionary free an id when the last row
-//! holding it goes.
+//! A table stores no value, no tuple and no id. It maps the 64-bit Fx
+//! fingerprint of a projection ([`crate::intern::fingerprint`]) to the slab
+//! slots of the rows carrying it: a lone slot sits inline in the 16-byte
+//! map entry — every primary entry, and every one-row bucket — and only a
+//! fingerprint shared by several rows owns a vector. The projection itself
+//! is written down once, in the `ids` the slab row already holds, and every
+//! hit is checked against it: the table's operations take a `same`
+//! predicate telling whether the row in a slot carries the projection being
+//! filed or probed. Two projections with one fingerprint therefore share a
+//! map entry but never an answer — their slots form separate contiguous
+//! *runs* in the entry's vector, a probe returns the one run whose rows
+//! pass `same`, and a collision costs a comparison. Because runs are
+//! contiguous, a vector whose first and last rows pass `same` is one run:
+//! the usual, collision-free probe reads two rows however long its bucket.
 //!
-//! # Bucket order is by key value
+//! A run that loses its last slot is gone with it — nothing of a departed
+//! row stays behind in any table, which is what lets the dictionary free an
+//! id when the last row holding it goes.
 //!
-//! The slots of a bucket are kept in the order of their rows' primary-key
+//! # Run order is by key value
+//!
+//! The slots of a run are kept in the order of their rows' primary-key
 //! *values* — the order a `BTreeMap<Vec<Value>, _>` over the relation would
 //! give — never in id or slot order. Probe order decides the order strands
 //! derive tuples in, hence which of two same-key derivations lands first,
 //! which message carries what, and every deterministic count the
-//! differential tests and the benchmark compare; ids and slots depend on
-//! insertion and deletion history, which differs between the centralized
-//! evaluator, a node engine and a from-scratch oracle holding the same
-//! tuples. The relation supplies the position of a new row by binary
-//! search over the bucket (O(log n) key comparisons, O(n) `u32` shifting);
-//! removal finds the slot by scanning the `u32`s.
+//! differential tests and the benchmark compare; ids, slots and
+//! fingerprint collisions depend on insertion and deletion history, which
+//! differs between the centralized evaluator, a node engine and a
+//! from-scratch oracle holding the same tuples. The relation supplies the
+//! position of a new row by binary search over its run (O(log n) key
+//! comparisons, O(n) `u32` shifting); removal finds the slot by scanning
+//! the `u32`s. The order of the runs sharing a vector is never observed.
 //!
 //! # Probe accounting
 //!
@@ -61,8 +73,11 @@
 //! logical_probes` there; the tuple-at-a-time path performs one lookup per
 //! environment, so the two counters coincide.
 
-use crate::intern::{FxBuild, IdBuf, ValueId};
+use crate::intern::{table_bytes, Prehashed};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
+use std::ops::Range;
 
 /// Join-level counters accumulated while firing strands: how many joins
 /// went through an index probe vs. a scan, how many bucket lookups were
@@ -134,139 +149,276 @@ impl IndexSignature {
     }
 }
 
-/// A hash index from the id projection of a bound-column signature to the
-/// slab slots of the rows carrying it, each bucket in primary-key value
-/// order (see the module docs).
-#[derive(Debug, Clone)]
-pub struct SecondaryIndex {
-    signature: IndexSignature,
-    buckets: HashMap<IdBuf, Vec<u32>, FxBuild>,
-    /// Total number of filed slots, for accounting.
-    entries: usize,
+/// What a fingerprint maps to: the one slot filed under it, or the index
+/// in [`SlotTable::spill`] of the vector holding the two or more that are.
+#[derive(Debug, Clone, Copy)]
+enum Slots {
+    One(u32),
+    Many(u32),
 }
 
-impl SecondaryIndex {
-    /// An empty index over the given signature.
-    pub fn new(signature: IndexSignature) -> Self {
-        SecondaryIndex {
-            signature,
-            buckets: HashMap::default(),
-            entries: 0,
-        }
-    }
+/// A hash table from the fingerprint of an id projection to the slab slots
+/// of the rows carrying it, each run in primary-key value order (see the
+/// module docs). The table never sees an id: `same(slot)` tells whether the
+/// row in `slot` carries the projection an operation is about.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SlotTable {
+    map: HashMap<u64, Slots, BuildHasherDefault<Prehashed>>,
+    /// The slot vectors of the fingerprints filing several rows.
+    spill: Vec<Vec<u32>>,
+    /// Vacated positions of `spill`, each holding an empty vector.
+    spill_free: Vec<u32>,
+    /// Filed slots.
+    entries: usize,
+    /// Distinct projections filed (a fingerprint may serve several).
+    runs: usize,
+}
 
-    /// The signature this index serves.
-    pub fn signature(&self) -> &IndexSignature {
-        &self.signature
+/// The part of `slots` that is the run `same` recognizes: empty, at the
+/// end, when there is none.
+fn run_in(slots: &[u32], same: impl Fn(u32) -> bool) -> Range<usize> {
+    let (Some(&first), Some(&last)) = (slots.first(), slots.last()) else {
+        return 0..0;
+    };
+    // Runs are contiguous: both ends in the run means all of it is.
+    if same(first) && same(last) {
+        return 0..slots.len();
     }
+    let Some(start) = slots.iter().position(|&slot| same(slot)) else {
+        return slots.len()..slots.len();
+    };
+    let len = slots[start..]
+        .iter()
+        .take_while(|&&slot| same(slot))
+        .count();
+    start..start + len
+}
 
-    /// Number of rows currently filed.
-    pub fn len(&self) -> usize {
+impl SlotTable {
+    /// Number of slots filed.
+    pub(crate) fn len(&self) -> usize {
         self.entries
     }
 
-    /// Whether the index holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries == 0
+    /// Number of distinct projections filed.
+    pub(crate) fn run_count(&self) -> usize {
+        self.runs
     }
 
-    /// Number of distinct projections (buckets).
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
+    /// Heap bytes of the map and the slot vectors, from their capacities.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let vectors = self.spill.iter().map(|slots| slots.capacity() * 4);
+        table_bytes(&self.map)
+            + self.spill.capacity() * std::mem::size_of::<Vec<u32>>()
+            + vectors.sum::<usize>()
+            + self.spill_free.capacity() * 4
     }
 
-    /// Project a row's ids onto the signature; `None` when the row lacks
-    /// a signature column (the columns are sorted: the last is the widest).
-    fn project(&self, row_ids: &[ValueId]) -> Option<IdBuf> {
-        let cols = self.signature.columns();
-        let covered = cols.last().is_none_or(|&widest| widest < row_ids.len());
-        covered.then(|| IdBuf::collect(cols.iter().map(|&c| row_ids[c])))
+    /// Every slot filed under `fingerprint`, whatever its projection.
+    fn filed_under(&self, fingerprint: u64) -> &[u32] {
+        match self.map.get(&fingerprint) {
+            None => &[],
+            Some(Slots::One(slot)) => std::slice::from_ref(slot),
+            Some(&Slots::Many(at)) => &self.spill[at as usize],
+        }
     }
 
-    /// File the row in `slot` under the projection of its ids. `place`
-    /// tells where in the bucket's key-value order the row belongs. Rows
-    /// lacking a signature column (shorter arity) are skipped — they stay
-    /// unindexed and unreachable by probes on this signature, matching
-    /// residual-scan semantics.
+    /// The slots whose rows carry the projection `same` recognizes, in
+    /// primary-key value order; empty when no row does.
+    pub(crate) fn run(&self, fingerprint: u64, same: impl Fn(u32) -> bool) -> &[u32] {
+        let slots = self.filed_under(fingerprint);
+        &slots[run_in(slots, same)]
+    }
+
+    /// File `slot` under `fingerprint`, in the run `same` recognizes — at
+    /// the position `place` gives it in that run's key-value order — or as
+    /// a new run of its own.
     pub(crate) fn file(
         &mut self,
-        row_ids: &[ValueId],
+        fingerprint: u64,
         slot: u32,
+        same: impl Fn(u32) -> bool,
         place: impl FnOnce(&[u32]) -> usize,
     ) {
-        let Some(key) = self.project(row_ids) else {
-            return;
-        };
-        match self.buckets.get_mut(&*key) {
-            Some(bucket) => {
-                debug_assert!(!bucket.contains(&slot), "slot {slot} filed twice");
-                bucket.insert(place(bucket), slot);
-            }
-            None => {
-                self.buckets.insert(key, vec![slot]);
-            }
-        }
         self.entries += 1;
+        let mut entry = match self.map.entry(fingerprint) {
+            Entry::Vacant(vacant) => {
+                vacant.insert(Slots::One(slot));
+                self.runs += 1;
+                return;
+            }
+            Entry::Occupied(entry) => entry,
+        };
+        let at = match *entry.get() {
+            Slots::Many(at) => at,
+            Slots::One(other) => {
+                let at = self.spill_free.pop().unwrap_or_else(|| {
+                    self.spill.push(Vec::new());
+                    u32::try_from(self.spill.len() - 1).expect("relation overflow")
+                });
+                self.spill[at as usize].push(other);
+                entry.insert(Slots::Many(at));
+                at
+            }
+        };
+        let slots = &mut self.spill[at as usize];
+        debug_assert!(!slots.contains(&slot), "slot {slot} filed twice");
+        let run = run_in(slots, same);
+        if run.is_empty() {
+            self.runs += 1;
+        }
+        let at = run.start + place(&slots[run]);
+        slots.insert(at, slot);
     }
 
-    /// Unfile the row in `slot`, dropping its bucket when that empties.
-    /// Returns whether the slot was filed.
-    pub(crate) fn unfile(&mut self, row_ids: &[ValueId], slot: u32) -> bool {
-        let Some(key) = self.project(row_ids) else {
+    /// Unfile `slot` from under `fingerprint`; `same` recognizes the other
+    /// rows of its run. Returns whether the slot was filed.
+    pub(crate) fn unfile(
+        &mut self,
+        fingerprint: u64,
+        slot: u32,
+        same: impl Fn(u32) -> bool,
+    ) -> bool {
+        let Entry::Occupied(mut entry) = self.map.entry(fingerprint) else {
             return false;
         };
-        let Some(bucket) = self.buckets.get_mut(&*key) else {
-            return false;
-        };
-        let Some(pos) = bucket.iter().position(|&s| s == slot) else {
-            return false;
-        };
-        bucket.remove(pos);
-        self.entries -= 1;
-        if bucket.is_empty() {
-            self.buckets.remove(&*key);
+        match *entry.get() {
+            Slots::One(only) if only != slot => return false,
+            Slots::One(_) => {
+                entry.remove();
+                self.runs -= 1;
+            }
+            Slots::Many(at) => {
+                let slots = &mut self.spill[at as usize];
+                let Some(pos) = slots.iter().position(|&s| s == slot) else {
+                    return false;
+                };
+                slots.remove(pos);
+                // Its run is contiguous: gone unless a neighbour is of it.
+                let before = pos.checked_sub(1).map(|i| slots[i]);
+                if !before.into_iter().chain(slots.get(pos).copied()).any(same) {
+                    self.runs -= 1;
+                }
+                if let [last] = slots[..] {
+                    // Back inline; the vector's block goes with it.
+                    self.spill[at as usize] = Vec::new();
+                    self.spill_free.push(at);
+                    entry.insert(Slots::One(last));
+                }
+            }
         }
+        self.entries -= 1;
         true
     }
 
-    /// The slots whose rows project to `key` (the ids of the signature
-    /// columns, in signature order), in primary-key value order; empty
-    /// when no row does.
-    pub fn bucket(&self, key: &[ValueId]) -> &[u32] {
-        self.buckets.get(key).map_or(&[], Vec::as_slice)
+    /// Check the table's own bookkeeping and hand every fingerprint's slots
+    /// to `check_runs`, which returns how many runs they form (or what is
+    /// wrong with them). For [`crate::relation::Relation::check_invariants`].
+    pub(crate) fn check(
+        &self,
+        mut check_runs: impl FnMut(u64, &[u32]) -> Result<usize, String>,
+    ) -> Result<(), String> {
+        let (mut entries, mut runs, mut spilled) = (0, 0, 0);
+        for (&fingerprint, slots) in &self.map {
+            let filed = self.filed_under(fingerprint);
+            if let Slots::Many(at) = slots {
+                spilled += 1;
+                // (A vacated vector is empty, so this covers the free list.)
+                if filed.len() < 2 {
+                    return Err(format!("spilled vector {at} holds {filed:?}"));
+                }
+            }
+            entries += filed.len();
+            runs += check_runs(fingerprint, filed)?;
+        }
+        let vacant = |&at: &u32| self.spill.get(at as usize).is_some_and(Vec::is_empty);
+        if (entries, runs) != (self.entries, self.runs)
+            || spilled + self.spill_free.len() != self.spill.len()
+            || !self.spill_free.iter().all(vacant)
+        {
+            let (counted, counted_runs) = (self.entries, self.runs);
+            let (vectors, free) = (self.spill.len(), &self.spill_free);
+            return Err(format!(
+                "{entries} slots in {runs} runs filed, {counted} in {counted_runs} counted; \
+                 {spilled} of {vectors} vectors in use, free {free:?}"
+            ));
+        }
+        Ok(())
     }
+}
 
-    /// Every `(projection, bucket)` pair, in no particular order.
-    pub(crate) fn buckets(&self) -> impl Iterator<Item = (&[ValueId], &[u32])> {
-        self.buckets.iter().map(|(k, b)| (&**k, b.as_slice()))
-    }
+/// A secondary index: the rows of a relation filed by their projection
+/// onto a bound-column signature.
+#[derive(Debug, Clone)]
+pub(crate) struct SecondaryIndex {
+    pub(crate) signature: IndexSignature,
+    pub(crate) table: SlotTable,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::intern::Dictionary;
-    use ndlog_lang::Value;
 
-    /// Rows are numbered by their slot and ordered by it too, so `place`
-    /// is a plain binary search over the slots.
-    fn file(idx: &mut SecondaryIndex, dict: &mut Dictionary, row: &[i64], slot: u32) {
-        let values: Vec<Value> = row.iter().map(|&x| Value::Int(x)).collect();
-        let ids = dict.acquire_all(&values);
-        idx.file(&ids, slot, |b| b.partition_point(|&s| s < slot));
+    /// Rows are `(projection, key)` pairs numbered by slot; a row's
+    /// fingerprint is its projection modulo `classes`, so tests choose
+    /// which projections collide.
+    struct Rows {
+        rows: Vec<(u64, u64)>,
+        classes: u64,
+        table: SlotTable,
     }
 
-    fn unfile(idx: &mut SecondaryIndex, dict: &Dictionary, row: &[i64], slot: u32) -> bool {
-        let values: Vec<Value> = row.iter().map(|&x| Value::Int(x)).collect();
-        let ids = dict.lookup_all(values.iter()).expect("row was filed");
-        idx.unfile(&ids, slot)
-    }
+    impl Rows {
+        fn new(classes: u64) -> Self {
+            let (rows, table) = (Vec::new(), SlotTable::default());
+            Rows {
+                rows,
+                classes,
+                table,
+            }
+        }
 
-    fn probe<'i>(idx: &'i SecondaryIndex, dict: &Dictionary, key: &[i64]) -> &'i [u32] {
-        let values: Vec<Value> = key.iter().map(|&x| Value::Int(x)).collect();
-        match dict.lookup_all(values.iter()) {
-            Some(ids) => idx.bucket(&ids),
-            None => &[],
+        fn file(&mut self, projection: u64, key: u64) -> u32 {
+            let slot = self.rows.len() as u32;
+            self.rows.push((projection, key));
+            let rows = &self.rows;
+            self.table.file(
+                projection % self.classes,
+                slot,
+                |other| rows[other as usize].0 == projection,
+                |run| run.partition_point(|&other| rows[other as usize].1 < key),
+            );
+            slot
+        }
+
+        fn unfile(&mut self, slot: u32) -> bool {
+            let (rows, projection) = (&self.rows, self.rows[slot as usize].0);
+            let same = |other: u32| rows[other as usize].0 == projection;
+            self.table.unfile(projection % self.classes, slot, same)
+        }
+
+        fn probe(&self, projection: u64) -> &[u32] {
+            let same = |slot: u32| self.rows[slot as usize].0 == projection;
+            self.table.run(projection % self.classes, same)
+        }
+
+        /// Runs are contiguous, each in key order, and the counters agree.
+        fn check(&self) {
+            let check = self.table.check(|fingerprint, slots| {
+                let row = |slot: &u32| self.rows[*slot as usize];
+                let mut runs: Vec<u64> = slots.iter().map(|s| row(s).0).collect();
+                assert!(runs.iter().all(|p| p % self.classes == fingerprint));
+                assert!(slots
+                    .windows(2)
+                    .all(|w| row(&w[0]).0 != row(&w[1]).0 || row(&w[0]).1 < row(&w[1]).1));
+                runs.dedup();
+                let contiguous = runs.len();
+                runs.sort_unstable();
+                runs.dedup();
+                assert_eq!(runs.len(), contiguous, "a run is split: {slots:?}");
+                Ok(contiguous)
+            });
+            check.unwrap();
         }
     }
 
@@ -290,52 +442,72 @@ mod tests {
 
     #[test]
     fn file_probe_unfile_roundtrip() {
-        let mut dict = Dictionary::default();
-        let mut idx = SecondaryIndex::new(IndexSignature::new(&[0]));
-        file(&mut idx, &mut dict, &[1, 20], 1);
-        file(&mut idx, &mut dict, &[1, 10], 0);
-        file(&mut idx, &mut dict, &[2, 30], 2);
-        assert_eq!(idx.len(), 3);
-        assert_eq!(idx.bucket_count(), 2);
-        assert_eq!(probe(&idx, &dict, &[1]), &[0, 1], "in `place` order");
-        assert!(probe(&idx, &dict, &[9]).is_empty());
+        let mut t = Rows::new(u64::MAX);
+        let late = t.file(1, 20);
+        let early = t.file(1, 10);
+        let other = t.file(2, 30);
+        assert_eq!((t.table.len(), t.table.run_count()), (3, 2));
+        assert_eq!(t.probe(1), &[early, late], "in `place` order");
+        assert_eq!(t.probe(2), &[other]);
+        assert!(t.probe(9).is_empty());
+        t.check();
 
-        assert!(unfile(&mut idx, &dict, &[1, 10], 0));
-        assert!(
-            !unfile(&mut idx, &dict, &[1, 10], 0),
-            "double unfile is a no-op"
-        );
-        assert_eq!(probe(&idx, &dict, &[1]), &[1]);
-        assert!(unfile(&mut idx, &dict, &[1, 20], 1));
-        assert_eq!(idx.bucket_count(), 1, "empty buckets are dropped");
-        assert!(unfile(&mut idx, &dict, &[2, 30], 2));
-        assert!(idx.is_empty());
-        assert_eq!(idx.buckets().count(), 0);
+        assert!(t.unfile(early));
+        assert!(!t.unfile(early), "double unfile is a no-op");
+        assert_eq!(t.probe(1), &[late]);
+        assert!(t.unfile(late));
+        assert_eq!(t.table.run_count(), 1, "empty runs are dropped");
+        assert!(t.unfile(other));
+        assert_eq!((t.table.len(), t.table.run_count()), (0, 0));
+        assert!(t.table.map.is_empty());
+        t.check();
     }
 
     #[test]
-    fn composite_signature_keys_on_every_column() {
-        let mut dict = Dictionary::default();
-        let mut idx = SecondaryIndex::new(IndexSignature::new(&[2, 0]));
-        file(&mut idx, &mut dict, &[1, 5, 7], 0);
-        file(&mut idx, &mut dict, &[1, 6, 7], 1);
-        file(&mut idx, &mut dict, &[1, 6, 8], 2);
-        assert_eq!(probe(&idx, &dict, &[1, 7]), &[0, 1]);
-        assert_eq!(probe(&idx, &dict, &[1, 8]), &[2]);
-        assert!(
-            probe(&idx, &dict, &[7, 1]).is_empty(),
-            "signature column order"
-        );
+    fn a_lone_slot_owns_no_vector_and_a_shrunken_bucket_gives_its_back() {
+        let mut t = Rows::new(u64::MAX);
+        let slots: Vec<u32> = (0..3).map(|key| t.file(7, key)).collect();
+        t.file(8, 0);
+        assert_eq!(t.table.spill.len(), 1, "only the shared fingerprint spills");
+        assert!(t.unfile(slots[0]) && t.unfile(slots[2]));
+        assert_eq!(t.probe(7), &[slots[1]]);
+        assert!(t.table.spill[0].capacity() == 0 && t.table.spill_free == [0]);
+        t.check();
+        // The vacated position is the next one used.
+        t.file(8, 1);
+        assert_eq!(t.table.spill.len(), 1);
+        assert!(t.table.spill_free.is_empty());
+        t.check();
     }
 
     #[test]
-    fn short_rows_stay_unindexed() {
-        let mut dict = Dictionary::default();
-        let mut idx = SecondaryIndex::new(IndexSignature::new(&[2]));
-        file(&mut idx, &mut dict, &[1], 0);
-        assert!(idx.is_empty(), "rows lacking the column are skipped");
-        assert!(!unfile(&mut idx, &dict, &[1], 0));
-        file(&mut idx, &mut dict, &[1, 2, 3], 1);
-        assert_eq!(idx.len(), 1);
+    fn colliding_projections_keep_separate_runs() {
+        // Three fingerprints for many projections, down to one for all.
+        for classes in [3, 1] {
+            let mut t = Rows::new(classes);
+            let mut filed = Vec::new();
+            for i in 0..40u64 {
+                // Keys arrive out of order within each projection.
+                filed.push(t.file(i % 7, (i * 13) % 40));
+                t.check();
+            }
+            assert_eq!((t.table.len(), t.table.run_count()), (40, 7));
+            for projection in 0..7 {
+                let run = t.probe(projection);
+                assert_eq!(run.len(), 40 / 7 + usize::from(projection < 40 % 7));
+                assert!(run.iter().all(|&s| t.rows[s as usize].0 == projection));
+                assert!(run
+                    .windows(2)
+                    .all(|w| t.rows[w[0] as usize].1 < t.rows[w[1] as usize].1));
+            }
+            assert!(t.probe(7).is_empty(), "a colliding stranger finds nothing");
+            for (i, slot) in filed.into_iter().enumerate() {
+                assert!(t.unfile(slot));
+                t.check();
+                assert_eq!(t.table.len(), 39 - i);
+            }
+            assert_eq!(t.table.run_count(), 0);
+            assert!(t.table.map.is_empty());
+        }
     }
 }

@@ -2,8 +2,10 @@
 //!
 //! Every [`crate::relation::Relation`] owns one `Dictionary` mapping each
 //! distinct value stored in any of its columns to a fixed-size
-//! [`ValueId`]. A stored row keeps its column ids beside its tuple, the
-//! primary index and every secondary-index bucket are keyed by ids, and the
+//! [`ValueId`]. A stored row keeps its column ids beside its tuple — the
+//! only place a key's or a projection's ids are ever written down — and the
+//! primary index and every secondary index file the row's slot under the
+//! 64-bit [`fingerprint`] of the ids they project ([`crate::index`]). The
 //! hot paths — duplicate detection, membership tests, bucket lookups,
 //! residual filtering — hash and compare `u32`s: a path-vector column is
 //! hashed once when its tuple is interned and never walked again.
@@ -23,8 +25,9 @@
 //! reference count — one per row column holding it — and the id, with its
 //! map entry, is freed when the last such row is released, then reused for
 //! the next new value. That is safe because a row is unfiled from the
-//! primary index and from every bucket before its ids are released, and
-//! empty buckets are dropped, so no key mentioning a freed id survives.
+//! primary index and from every secondary index before its ids are
+//! released, and the index tables hold slots, never ids: the only copies of
+//! an id are in the rows that count as its references.
 //! Read paths (`Dictionary::lookup`) never add an entry: a value without
 //! an id is stored in no row, so the probe answers "no match".
 //!
@@ -35,11 +38,12 @@
 //! # Determinism
 //!
 //! Ids and slab slots depend on insertion history and carry no relation to
-//! `Value`'s ordering. Nothing ordered by them is observable: they key
-//! hash maps only, and every iteration order the engines expose is by
-//! primary-key *value* (see [`crate::index`]). The maps use `FxHasher`,
-//! a fixed-seed multiply-rotate hasher, so two runs of one input build
-//! identical tables and take the same time.
+//! `Value`'s ordering. Nothing ordered by them is observable: they are
+//! hashed and compared for equality only, and every iteration order the
+//! engines expose is by primary-key *value* (see [`crate::index`]). The
+//! dictionary map and the fingerprints use `FxHasher`, a fixed-seed
+//! multiply-rotate hasher, so two runs of one input build identical tables
+//! and take the same time.
 
 use ndlog_lang::Value;
 use std::collections::HashMap;
@@ -109,11 +113,48 @@ impl Hasher for FxHasher {
     }
 }
 
+/// The 64-bit Fx fingerprint of an id projection: what the primary index
+/// and every secondary index file a row's slot under. Two projections can
+/// share one — every table hit is verified against the ids of the row in
+/// the slab — so a collision costs a comparison, never a wrong answer.
+pub(crate) fn fingerprint(ids: impl Iterator<Item = ValueId>) -> u64 {
+    let mut hasher = FxHasher::default();
+    ids.for_each(|id| hasher.write_u32(id.0));
+    hasher.finish()
+}
+
+/// Hasher of the fingerprint-keyed tables: the key is a hash already.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("fingerprint tables are keyed by u64");
+    }
+    fn write_u64(&mut self, fingerprint: u64) {
+        self.0 = fingerprint;
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Heap bytes of a hash table, from its capacity: one control byte and one
+/// entry per bucket, buckets a power of two at most 7/8 full.
+pub(crate) fn table_bytes<K, V, S>(map: &HashMap<K, V, S>) -> usize {
+    match map.capacity() {
+        0 => 0,
+        capacity => {
+            let buckets = (capacity * 8).div_ceil(7).next_power_of_two();
+            buckets * (std::mem::size_of::<(K, V)>() + 1)
+        }
+    }
+}
+
 /// The ids of one tuple or key, inline up to [`IdBuf::INLINE`] columns:
-/// a stored row's column ids, the primary index's and every bucket's key,
-/// and the transient projections of the lookup paths. Only a wider tuple
-/// costs an allocation of its own. Compares and hashes as the `[ValueId]`
-/// it holds, so an id-keyed map is probed with a plain slice.
+/// a stored row's column ids and the transient projections of the lookup
+/// paths (no table keeps one). Only a wider tuple costs an allocation of
+/// its own. Dereferences to the `[ValueId]` it holds.
 #[derive(Debug, Clone)]
 pub(crate) enum IdBuf {
     Inline(u8, [ValueId; IdBuf::INLINE]),
@@ -161,26 +202,6 @@ impl std::ops::Deref for IdBuf {
     }
 }
 
-impl std::borrow::Borrow<[ValueId]> for IdBuf {
-    fn borrow(&self) -> &[ValueId] {
-        self
-    }
-}
-
-impl PartialEq for IdBuf {
-    fn eq(&self, other: &Self) -> bool {
-        **self == **other
-    }
-}
-
-impl Eq for IdBuf {}
-
-impl std::hash::Hash for IdBuf {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        (**self).hash(state);
-    }
-}
-
 /// One relation's `Value → ValueId` map with per-id reference counts.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Dictionary {
@@ -194,6 +215,13 @@ impl Dictionary {
     /// Number of distinct values currently held.
     pub(crate) fn len(&self) -> usize {
         self.ids.len()
+    }
+
+    /// Heap bytes of the map, the reference counts and the free list, from
+    /// their capacities. The values themselves are shared with the stored
+    /// tuples and counted with neither.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        table_bytes(&self.ids) + (self.refs.capacity() + self.free.capacity()) * 4
     }
 
     /// Ids assigned so far, held or free: the high-water mark of `len`.

@@ -9,8 +9,9 @@
 //! * [`relation`] — stored relations with primary keys, derivation counts
 //!   (the count algorithm for deletions), per-tuple timestamps and optional
 //!   soft-state TTLs; each tuple is stored once, in a slab slot, and the
-//!   primary index, every secondary-index bucket and the cached key order
-//!   refer to it by slot;
+//!   primary index, every secondary index and the cached key order refer
+//!   to it by slot; a lookup that binds the whole primary key is answered
+//!   by the primary index, and no secondary index is built for it;
 //! * [`intern`] — the relation-local [`Value`](ndlog_lang::Value)
 //!   dictionary behind that layout: id equality is exactly value equality,
 //!   ids are reference counted and freed with the last row holding them
@@ -18,11 +19,13 @@
 //!   table and no lock, and because nothing observable is ever ordered by
 //!   id or slot, results do not depend on insertion history or thread
 //!   schedule — the determinism guarantee the parallel engine relies on;
-//! * [`index`] — secondary hash indexes over bound-column signatures,
-//!   maintained incrementally so joins probe in O(matches) instead of
-//!   scanning; bucket keys are id projections and bucket entries are slab
-//!   slots in primary-key value order, so index maintenance hashes and
-//!   moves `u32`s and never clones a value;
+//! * [`index`] — the one table type behind the primary index and the
+//!   secondary hash indexes over bound-column signatures, maintained
+//!   incrementally so joins probe in O(matches) instead of scanning: the
+//!   fingerprint of an id projection maps to slab slots in primary-key
+//!   value order, a lone slot inline, every hit verified against the ids
+//!   the slab row holds, so index maintenance hashes and moves `u32`s,
+//!   stores no key and never clones a value;
 //! * [`store`] — a node's collection of relations, built from a program's
 //!   `materialize` declarations;
 //! * [`strand`] — compiled rule strands (the unit of execution in P2's
@@ -76,7 +79,8 @@
 //! was half the live heap. A tuple is one allocation
 //! ([`Tuple`] and list values are `Arc<[Value]>`, built at their exact
 //! size where they are constructed), a stored row adds none (column ids
-//! and index keys sit inline for ≤ 8 columns), and a relation's name is a
+//! sit inline for ≤ 8 columns, and a row alone under its fingerprint sits
+//! inline in every table that files it), and a relation's name is a
 //! shared [`RelName`] that strands and views hold once and deltas clone by
 //! reference count. `tests/alloc_budget.rs` holds the resulting allocator
 //! calls per derivation and live allocations and bytes per stored tuple to
@@ -95,17 +99,18 @@
 //!   for a lone row, chosen from the batch and the armed cache, never by
 //!   an option — and feeds either the next row arena or, for a rule's
 //!   last stage, head projection.
-//! * **Slot buckets over a slab** ([`relation`], [`index`]): a stored
+//! * **Slot tables over a slab** ([`relation`], [`index`]): a stored
 //!   tuple lives once, in a slab slot beside the dictionary ids of its
-//!   columns; the primary index maps the key columns' ids to the slot and
-//!   a bucket is a `Vec<u32>` of slots, so insertion, duplicate detection,
-//!   membership, deletion and residual filtering hash and compare `u32`s,
-//!   and a probe hit is one slab access from its `StoredTuple`. Buckets
-//!   and ordered reads keep primary-key *value* order — never id or slot
-//!   order, which depend on history — so probe order, derivation order
-//!   and every deterministic count are those of an ordered map; the order
-//!   of a whole relation is a sorted slot list cached until the next
-//!   membership change.
+//!   columns; the primary index files the slot under the fingerprint of
+//!   the key columns' ids and a secondary index under that of its
+//!   signature's, a bucket being the slot itself or a `Vec<u32>` of slots,
+//!   so insertion, duplicate detection, membership, deletion and residual
+//!   filtering hash and compare `u32`s, and a probe hit is one slab access
+//!   from its `StoredTuple`. Buckets and ordered reads keep primary-key
+//!   *value* order — never id, slot or fingerprint order, which depend on
+//!   history — so probe order, derivation order and every deterministic
+//!   count are those of an ordered map; the order of a whole relation is a
+//!   sorted slot list cached until the next membership change.
 //! * **Cross-rule shared subplans** ([`subplan`]): planning fingerprints
 //!   every join stage's probe as a `(relation, bound-column signature)`
 //!   with [`subplan::shared_signatures`]; when two or more stages across
@@ -174,9 +179,9 @@ pub use aggview::AggregateView;
 pub use batch::{BatchOutput, BatchScratch, BatchTrigger, EvalBuffers};
 pub use evaluator::{EvalStats, Evaluator, Strategy};
 pub use expr::{Bindings, EvalError};
-pub use index::{IndexSignature, SecondaryIndex};
+pub use index::IndexSignature;
 pub use intern::ValueId;
-pub use relation::{InsertOutcome, Relation, RelationSchema};
+pub use relation::{HeapBytes, InsertOutcome, Relation, RelationSchema};
 pub use store::Store;
 pub use strand::{ColumnSource, CompiledStrand, Derivation, JoinStats, ProbePlan};
 pub use subplan::{shared_signatures, ProbeCache};

@@ -23,18 +23,21 @@
 //! dictionary ([`crate::intern`]), held inline in the slot: beyond the
 //! tuple itself — one allocation, fields and reference count together — a
 //! stored row of the usual ≤ 8 columns carries no allocation of its own.
-//! Everything else refers to the row by slot:
+//! Those ids are the only copy of the row's key and of every projection of
+//! it. Everything else refers to the row by slot:
 //!
-//! * the **primary index** is a hash map from the ids of the key columns,
-//!   inline in the map entry, to the slot, so insertion, duplicate
-//!   detection, membership and deletion hash and compare `u32`s — no key
-//!   is cloned or boxed, no path vector compared element by element;
-//! * every **secondary index** ([`crate::index`], declared once per program
-//!   from the compiled strands' bound-column signatures) maps an id
-//!   projection to a bucket of slots, maintained on every mutation —
-//!   insertion, key replacement, deletion, expiry — so
-//!   [`Relation::probe`] answers an equality lookup in O(matches) instead
-//!   of the O(|relation|) of [`Relation::scan_match`];
+//! * the **primary index** and every **secondary index** are one kind of
+//!   table ([`crate::index`]): the 64-bit fingerprint of an id projection —
+//!   the key columns', a declared bound-column signature's — maps to the
+//!   slots of the rows carrying it, a lone slot inline in the 16-byte
+//!   entry, and every hit is verified against the ids in the slab row. So
+//!   insertion, duplicate detection, membership, deletion and probing hash
+//!   and compare `u32`s — no key is cloned, boxed or stored twice, no path
+//!   vector compared element by element — and two projections sharing a
+//!   fingerprint cost a comparison, never a wrong answer. The tables are
+//!   maintained on every mutation — insertion, key replacement, deletion,
+//!   expiry — so [`Relation::probe`] answers an equality lookup in
+//!   O(matches) instead of the O(|relation|) of [`Relation::scan_match`];
 //! * **ordered reads** — [`Relation::iter`], [`Relation::scan_match`], the
 //!   scan arm of [`Relation::lookup`], [`Relation::expire`] — walk a list
 //!   of slots sorted by primary-key value, built on first use and kept
@@ -44,10 +47,26 @@
 //!
 //! Observable order is always primary-key *value* order — the order a
 //! `BTreeMap<Vec<Value>, _>` gives — in ordered reads and inside every
-//! bucket alike; ids and slots depend on history and are never exposed
-//! (see [`crate::index`] for why that matters).
+//! bucket alike; ids, slots and fingerprints depend on history and are
+//! never exposed (see [`crate::index`] for why that matters).
 //!
-//! When several declared signatures can serve a lookup,
+//! # Access paths
+//!
+//! The data model stores one tuple per primary key, so a lookup whose bound
+//! columns include the whole key can match one row at most, and the primary
+//! index finds it: [`Relation::lookup`] resolves the key columns' values,
+//! takes the one slot filed under them and checks the leftover bound
+//! columns on that row's ids. "The whole key" is the declared key columns;
+//! a relation that declares none keys each row by all of its columns,
+//! however many it has, and its lookups all take the path below. A
+//! key-bound lookup is accounted exactly as the probe of a secondary index
+//! on its bound columns would be (one probe, the row examined if that
+//! index's bucket would have held it), and [`Relation::ensure_index`]
+//! builds nothing for a signature that binds the whole key:
+//! [`Relation::index_signatures`] lists the secondary indexes that exist,
+//! not every signature the plans declared.
+//!
+//! For any other lookup, when several declared signatures can serve it,
 //! [`Relation::lookup`] makes a cost-based choice: the candidate binding
 //! the most columns wins, with the smallest bucket breaking ties and
 //! signature order breaking exact ties (so the choice never depends on
@@ -56,14 +75,16 @@
 //! is the grouped-probe entry point: one bucket lookup answers `members`
 //! same-key environments, with the per-environment (`logical`) accounting
 //! preserved via a multiplier.
+//!
+//! [`Relation::heap_bytes`] reports what the slab, the primary index, each
+//! secondary index and the dictionary hold, from their capacities.
 
-use crate::index::{IndexSignature, JoinStats, SecondaryIndex};
-use crate::intern::{Dictionary, FxBuild, IdBuf, ValueId};
+use crate::index::{IndexSignature, JoinStats, SecondaryIndex, SlotTable};
+use crate::intern::{fingerprint, Dictionary, IdBuf, ValueId};
 use crate::tuple::Tuple;
 use ndlog_lang::Value;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// Schema of a stored relation.
@@ -165,10 +186,14 @@ pub struct Relation {
     /// The slab: `rows[slot]` is `None` while the slot is on `free`.
     rows: Vec<Option<Row>>,
     free: Vec<u32>,
-    /// Ids of the key columns (inline in the entry) → slot.
-    primary: HashMap<IdBuf, u32, FxBuild>,
-    /// Secondary indexes, one per declared bound-column signature.
+    /// Every row filed by the ids of its key columns: runs of one slot.
+    primary: SlotTable,
+    /// Secondary indexes, one per declared bound-column signature that
+    /// does not bind the whole primary key.
     indexes: Vec<SecondaryIndex>,
+    /// What a fingerprint goes through before it reaches a table: the
+    /// identity, except under [`Relation::with_fingerprints`].
+    squash: fn(u64) -> u64,
     /// The live slots in primary-key value order, built on first ordered
     /// read and dropped by the next membership change.
     order: OnceLock<Vec<u32>>,
@@ -205,16 +230,52 @@ fn live(rows: &[Option<Row>], slot: u32) -> &Row {
     rows[slot as usize].as_ref().expect("slot is live")
 }
 
+/// Whether the row in `slot` has exactly `key` as the ids of its key
+/// columns: the verification behind every primary-index hit.
+fn has_key(rows: &[Option<Row>], key_columns: &[usize], slot: u32, key: &[ValueId]) -> bool {
+    key_of(key_columns, &live(rows, slot).ids).eq(key)
+}
+
+/// The ids of a row at the columns of a signature it covers.
+fn project<'a>(
+    cols: &'a [usize],
+    ids: &'a [ValueId],
+) -> impl ExactSizeIterator<Item = ValueId> + 'a {
+    cols.iter().map(|&c| ids[c])
+}
+
+/// Whether the row in `slot` — filed in the index on `cols`, so covering
+/// them — carries `projection` in those columns: the verification behind
+/// every secondary-index hit.
+fn projects_as(
+    rows: &[Option<Row>],
+    cols: &[usize],
+    slot: u32,
+    projection: impl Iterator<Item = ValueId>,
+) -> bool {
+    project(cols, &live(rows, slot).ids).eq(projection)
+}
+
 impl Relation {
     /// Create an empty relation.
     pub fn new(schema: RelationSchema) -> Self {
+        Self::with_fingerprints(schema, |fingerprint| fingerprint)
+    }
+
+    /// An empty relation whose tables file under `squash(fingerprint)`: a
+    /// degenerate `squash` (`|_| 0`) makes every projection collide, which
+    /// is how tests show that answers, order and counts never depend on
+    /// fingerprints being distinct.
+    #[doc(hidden)]
+    pub fn with_fingerprints(schema: RelationSchema, squash: fn(u64) -> u64) -> Self {
         Relation {
             schema,
             dict: Dictionary::default(),
             rows: Vec::new(),
             free: Vec::new(),
-            primary: HashMap::default(),
+            primary: SlotTable::default(),
             indexes: Vec::new(),
+            squash,
             order: OnceLock::new(),
             lossy_replacements: 0,
         }
@@ -232,7 +293,7 @@ impl Relation {
 
     /// Whether the relation is empty.
     pub fn is_empty(&self) -> bool {
-        self.primary.is_empty()
+        self.primary.len() == 0
     }
 
     /// Number of distinct values the relation's dictionary holds: the
@@ -241,12 +302,28 @@ impl Relation {
         self.dict.len()
     }
 
-    /// The slot holding the tuple with `tuple`'s primary key. Read-only:
-    /// only the key columns are looked up, and a key value without an id
-    /// means no such row.
+    /// What the tables file a projection under.
+    fn fingerprint(&self, ids: impl Iterator<Item = ValueId>) -> u64 {
+        (self.squash)(fingerprint(ids))
+    }
+
+    /// The primary index's run — one slot or none — for the key whose
+    /// values `key` yields. Read-only: a key value without an id means no
+    /// such row.
+    fn key_run<'v>(&self, key: impl ExactSizeIterator<Item = &'v Value>) -> &[u32] {
+        let Some(key) = self.dict.lookup_all(key) else {
+            return &[];
+        };
+        let (rows, key_columns) = (&self.rows, &self.schema.key_columns);
+        let same = |slot| has_key(rows, key_columns, slot, &key);
+        self.primary
+            .run(self.fingerprint(key.iter().copied()), same)
+    }
+
+    /// The slot holding the tuple with `tuple`'s primary key.
     fn slot_by_key_of(&self, tuple: &Tuple) -> Option<u32> {
         let key = key_of(&self.schema.key_columns, tuple.values());
-        self.primary.get(&*self.dict.lookup_all(key)?).copied()
+        self.key_run(key).first().copied()
     }
 
     /// The slot holding exactly `tuple`. With an all-columns key the key
@@ -271,7 +348,7 @@ impl Relation {
 
     /// Look up by an explicit key.
     pub fn get(&self, key: &[Value]) -> Option<&StoredTuple> {
-        let slot = *self.primary.get(&*self.dict.lookup_all(key.iter())?)?;
+        let slot = *self.key_run(key.iter()).first()?;
         Some(&live(&self.rows, slot).stored)
     }
 
@@ -284,7 +361,11 @@ impl Relation {
     /// The live slots in primary-key value order.
     fn ordered(&self) -> &[u32] {
         self.order.get_or_init(|| {
-            let mut slots: Vec<u32> = self.primary.values().copied().collect();
+            let slots = (0u32..).zip(&self.rows);
+            let mut slots: Vec<u32> = slots
+                .filter(|(_, row)| row.is_some())
+                .map(|s| s.0)
+                .collect();
             slots.sort_unstable_by(|&a, &b| self.cmp_slots(a, b));
             slots
         })
@@ -339,27 +420,47 @@ impl Relation {
         self.matches(self.ordered(), bound, seq_limit)
     }
 
+    /// Whether binding `cols` (sorted, deduplicated) binds the primary key
+    /// of every stored row, so that the primary index answers the lookup:
+    /// the relation declares key columns and they are all among `cols`.
+    /// (Without declared key columns a row is keyed by all of its columns,
+    /// and no set of columns is known to be all of every row's.)
+    fn binds_key(&self, cols: &[usize]) -> bool {
+        let key = &self.schema.key_columns;
+        !key.is_empty() && key.iter().all(|c| cols.binary_search(c).is_ok())
+    }
+
     /// Ensure a secondary index exists for the given bound-column
     /// signature, backfilling it from the stored tuples. Returns true if a
-    /// new index was built. Empty signatures (no bound columns) and
-    /// duplicates are ignored.
+    /// new index was built. Empty signatures (no bound columns), duplicates
+    /// and signatures binding the whole primary key — the primary index
+    /// serves those, see [`Relation::lookup`] — are ignored.
     pub fn ensure_index(&mut self, cols: &[usize]) -> bool {
         let signature = IndexSignature::new(cols);
-        if signature.is_empty() || self.indexes.iter().any(|i| i.signature() == &signature) {
+        if signature.is_empty()
+            || self.binds_key(signature.columns())
+            || self.indexes.iter().any(|i| i.signature == signature)
+        {
             return false;
         }
-        let mut index = SecondaryIndex::new(signature);
-        // Filing in key order makes every bucket an append.
+        let mut table = SlotTable::default();
+        // Filing in key order makes every run an append.
         for &slot in self.ordered() {
-            index.file(&live(&self.rows, slot).ids, slot, <[u32]>::len);
+            if let Some((fingerprint, same)) =
+                filing(&self.rows, self.squash, signature.columns(), slot)
+            {
+                table.file(fingerprint, slot, same, <[u32]>::len);
+            }
         }
-        self.indexes.push(index);
+        self.indexes.push(SecondaryIndex { signature, table });
         true
     }
 
-    /// The bound-column signatures this relation is indexed on.
+    /// The bound-column signatures this relation keeps a secondary index
+    /// on. Declared signatures that bind the whole primary key are not
+    /// among them: [`Relation::ensure_index`] builds nothing for those.
     pub fn index_signatures(&self) -> impl Iterator<Item = &IndexSignature> {
-        self.indexes.iter().map(SecondaryIndex::signature)
+        self.indexes.iter().map(|index| &index.signature)
     }
 
     /// Live statistics for every secondary index:
@@ -370,16 +471,39 @@ impl Relation {
     pub fn index_stats(&self) -> impl Iterator<Item = (&IndexSignature, usize, usize)> {
         self.indexes
             .iter()
-            .map(|ix| (ix.signature(), ix.bucket_count(), ix.len()))
+            .map(|ix| (&ix.signature, ix.table.run_count(), ix.table.len()))
     }
 
-    /// Probe the index on `cols` (which must be sorted and deduplicated,
-    /// with `key` holding the bound values in the same order) for tuples
-    /// visible at or before `seq_limit`, in deterministic primary-key
-    /// order.
+    /// Heap bytes the relation's own structures hold, by component, from
+    /// their capacities (see [`HeapBytes`]).
+    pub fn heap_bytes(&self) -> HeapBytes {
+        let wide = |row: &Row| match &row.ids {
+            IdBuf::Inline(..) => 0,
+            IdBuf::Heap(ids) => ids.capacity() * std::mem::size_of::<ValueId>(),
+        };
+        let order = self.order.get().map_or(0, Vec::capacity);
+        let secondary = self.indexes.iter();
+        HeapBytes {
+            slab: self.rows.capacity() * std::mem::size_of::<Option<Row>>()
+                + self.rows.iter().flatten().map(wide).sum::<usize>()
+                + (self.free.capacity() + order) * 4,
+            primary: self.primary.heap_bytes(),
+            secondary: secondary
+                .map(|index| (index.signature.clone(), index.table.heap_bytes()))
+                .collect(),
+            dictionary: self.dict.heap_bytes(),
+        }
+    }
+
+    /// Probe the relation on `cols` (which must be sorted and
+    /// deduplicated, with `key` holding the bound values in the same
+    /// order) for tuples visible at or before `seq_limit`, in deterministic
+    /// primary-key order: through the primary index when `cols` bind the
+    /// whole primary key, else through the secondary index on exactly
+    /// `cols`.
     ///
-    /// Returns `None` when no index with that signature exists — the
-    /// caller falls back to [`Relation::scan_match`].
+    /// Returns `None` when neither exists — the caller falls back to
+    /// [`Relation::scan_match`].
     pub fn probe<'r>(
         &'r self,
         cols: &[usize],
@@ -390,29 +514,60 @@ impl Relation {
             cols.windows(2).all(|w| w[0] < w[1]),
             "probe columns must be sorted"
         );
-        let index = self
-            .indexes
-            .iter()
-            .find(|i| i.signature().columns() == cols)?;
-        let bucket = self.probe_bucket(index, cols, key);
-        Some(self.matches(bucket, std::iter::empty(), seq_limit))
+        let run = if self.binds_key(cols) {
+            self.key_probe(cols, key)
+        } else {
+            let mut indexes = self.indexes.iter();
+            let index = indexes.find(|index| index.signature.columns() == cols)?;
+            self.probe_bucket(index, cols, key)
+        };
+        Some(self.matches(run, std::iter::empty(), seq_limit))
+    }
+
+    /// What the index on exactly `cols` would hold for `key`, had
+    /// [`Relation::ensure_index`] built one although `cols` bind the whole
+    /// primary key: the one row the primary index finds under the key
+    /// columns' values, if it carries the rest of `key` too.
+    fn key_probe(&self, cols: &[usize], key: &[Value]) -> &[u32] {
+        let key_columns = &self.schema.key_columns;
+        let at = |c: &usize| &key[cols.binary_search(c).expect("bound key column")];
+        let run = self.key_run(key_columns.iter().map(at));
+        let Some(&slot) = run.first() else {
+            return &[];
+        };
+        let ids = &live(&self.rows, slot).ids;
+        let leftover = |col: &usize| !key_columns.contains(col);
+        let carried = |(&col, value): (&usize, &Value)| {
+            let held = ids.get(col);
+            held.is_some_and(|&id| self.dict.lookup(value) == Some(id))
+        };
+        let bound = cols.iter().zip(key);
+        if bound.filter(|(col, _)| leftover(col)).all(carried) {
+            run
+        } else {
+            &[]
+        }
     }
 
     /// The bucket of `index` a lookup binding `cols` to `key` probes
     /// (`index`'s signature must be covered by `cols`). A probe value
     /// without an id is stored in no row: the bucket is empty.
     fn probe_bucket<'r>(
-        &self,
+        &'r self,
         index: &'r SecondaryIndex,
         cols: &[usize],
         key: &[Value],
     ) -> &'r [u32] {
-        let sig = index.signature().columns().iter();
-        let bound = sig.map(|c| &key[cols.binary_search(c).expect("covered signature")]);
-        match self.dict.lookup_all(bound) {
-            Some(ids) => index.bucket(&ids),
-            None => &[],
-        }
+        let sig = index.signature.columns();
+        let bound = sig
+            .iter()
+            .map(|c| &key[cols.binary_search(c).expect("covered signature")]);
+        let Some(ids) = self.dict.lookup_all(bound) else {
+            return &[];
+        };
+        let same = |slot| projects_as(&self.rows, sig, slot, ids.iter().copied());
+        let fingerprint = self.fingerprint(ids.iter().copied());
+        index.table.run(fingerprint, same)
     }
 
     /// Choose the cheapest declared index that can serve an equality
@@ -431,27 +586,32 @@ impl Relation {
     /// covered signature — usually one, an exact match — look their bucket
     /// up.
     fn best_index(&self, cols: &[usize], key: &[Value]) -> Option<(&SecondaryIndex, &[u32])> {
-        let covered = |index: &&SecondaryIndex| index.signature().is_covered_by(cols);
-        let width = |index: &SecondaryIndex| index.signature().columns().len();
+        let covered = |index: &&SecondaryIndex| index.signature.is_covered_by(cols);
+        let width = |index: &SecondaryIndex| index.signature.columns().len();
         let widest = self.indexes.iter().filter(covered).map(width).max()?;
         self.indexes
             .iter()
             .filter(|index| width(index) == widest && covered(index))
             .map(|index| (index, self.probe_bucket(index, cols, key)))
-            .min_by_key(|(index, bucket)| (bucket.len(), index.signature()))
+            .min_by_key(|(index, bucket)| (bucket.len(), &index.signature))
     }
 
-    /// The single access-path chooser behind every join: a *cost-based*
-    /// choice among the declared indexes. Any index whose signature is a
-    /// subset of `cols` (sorted, with `key` holding the bound values in
-    /// the same order) can serve the lookup; the most selective candidate
-    /// wins (most bound columns, then smallest bucket, then signature
-    /// order — see [`Relation::best_index`]), with the signature-leftover
-    /// columns checked residually on each probed row. Only when no index
-    /// covers any bound column does the lookup fall back to an equivalent
-    /// residual scan — `cols` may be empty for a genuine cross product.
-    /// The chosen path and the tuples examined are recorded in `stats` up
-    /// front; iteration is lazy.
+    /// The single access-path chooser behind every join. A lookup whose
+    /// `cols` (sorted, with `key` holding the bound values in the same
+    /// order) bind the whole primary key goes to the primary index: it
+    /// finds the one row with that key and checks the leftover bound
+    /// columns on it, and is accounted exactly as the probe of an index on
+    /// `cols` it stands in for — one probe, the row examined if that
+    /// index's bucket would have held it. Any other lookup is a
+    /// *cost-based* choice among the declared indexes: any index whose
+    /// signature is a subset of `cols` can serve it; the most selective
+    /// candidate wins (most bound columns, then smallest bucket, then
+    /// signature order — see [`Relation::best_index`]), with the
+    /// signature-leftover columns checked residually on each probed row.
+    /// Only when no index covers any bound column does the lookup fall
+    /// back to an equivalent residual scan — `cols` may be empty for a
+    /// genuine cross product. The chosen path and the tuples examined are
+    /// recorded in `stats` up front; iteration is lazy.
     pub fn lookup<'r>(
         &'r self,
         cols: &[usize],
@@ -480,13 +640,19 @@ impl Relation {
     ) -> impl Iterator<Item = &'r StoredTuple> + use<'r> {
         debug_assert!(members >= 1, "a lookup serves at least one environment");
         // The slots to walk and the bound columns they already satisfy;
-        // the rest are enforced residually (none for an exact-signature
-        // match, all of them for a scan).
-        let (slots, satisfied) = match self.best_index(cols, key) {
-            Some((index, bucket)) => {
+        // the rest are enforced residually (none for a key probe or an
+        // exact-signature match, all of them for a scan).
+        let probed = if self.binds_key(cols) {
+            Some((self.key_probe(cols, key), cols))
+        } else {
+            let best = self.best_index(cols, key);
+            best.map(|(index, bucket)| (bucket, index.signature.columns()))
+        };
+        let (slots, satisfied) = match probed {
+            Some(probed) => {
                 stats.logical_probes += members;
                 stats.distinct_probes += 1;
-                (bucket, index.signature().columns())
+                probed
             }
             None => {
                 stats.scans += members;
@@ -514,25 +680,26 @@ impl Relation {
         self.lossy_replacements
     }
 
-    /// File the row in `slot` in every index, at its place in each
-    /// bucket's primary-key value order.
+    /// File the row in `slot` in every secondary index, at its place in
+    /// each run's primary-key value order.
     fn file(&mut self, slot: u32) {
-        let (rows, key) = (&self.rows, &self.schema.key_columns);
+        let (rows, key, squash) = (&self.rows, &self.schema.key_columns, self.squash);
         let row = live(rows, slot);
-        for index in &mut self.indexes {
-            index.file(&row.ids, slot, |bucket| {
-                bucket.partition_point(|&other| {
-                    cmp_rows(key, live(rows, other), row) == Ordering::Less
-                })
-            });
+        let before = |&other: &u32| cmp_rows(key, live(rows, other), row) == Ordering::Less;
+        for SecondaryIndex { signature, table } in &mut self.indexes {
+            if let Some((fingerprint, same)) = filing(rows, squash, signature.columns(), slot) {
+                table.file(fingerprint, slot, same, |run| run.partition_point(before));
+            }
         }
     }
 
-    /// Unfile the row in `slot` from every index.
+    /// Unfile the row in `slot` from every secondary index.
     fn unfile(&mut self, slot: u32) {
-        let row = live(&self.rows, slot);
-        for index in &mut self.indexes {
-            index.unfile(&row.ids, slot);
+        let (rows, squash) = (&self.rows, self.squash);
+        for SecondaryIndex { signature, table } in &mut self.indexes {
+            if let Some((fingerprint, same)) = filing(rows, squash, signature.columns(), slot) {
+                table.unfile(fingerprint, slot, same);
+            }
         }
     }
 
@@ -546,14 +713,17 @@ impl Relation {
         let expires_at = self.schema.ttl_micros.map(|ttl| now_micros + ttl);
         // The one interning of this tuple.
         let ids = self.dict.acquire_all(tuple.values());
-        let key = IdBuf::collect(key_of(&self.schema.key_columns, &ids).copied());
+        let key_columns = &self.schema.key_columns;
+        let key = IdBuf::collect(key_of(key_columns, &ids).copied());
+        let filed_under = self.fingerprint(key.iter().copied());
         let fresh = |tuple| StoredTuple {
             tuple,
             count: 1,
             seq,
             expires_at,
         };
-        let Some(&slot) = self.primary.get(&*key) else {
+        let same = |slot| has_key(&self.rows, key_columns, slot, &key);
+        let Some(&slot) = self.primary.run(filed_under, same).first() else {
             let row = Some(Row {
                 stored: fresh(tuple),
                 ids,
@@ -568,7 +738,9 @@ impl Relation {
                     u32::try_from(self.rows.len() - 1).expect("relation overflow")
                 }
             };
-            self.primary.insert(key, slot);
+            // A key no row has: a run of its own, wherever it lands.
+            self.primary
+                .file(filed_under, slot, |_| false, <[u32]>::len);
             self.order.take();
             self.file(slot);
             return InsertOutcome::New;
@@ -597,12 +769,13 @@ impl Relation {
     }
 
     /// Take the row in `slot` out of the slab, the primary index, every
-    /// bucket and the dictionary.
+    /// secondary index and the dictionary.
     fn evict(&mut self, slot: u32) -> Tuple {
         self.unfile(slot);
         let row = self.rows[slot as usize].take().expect("slot is live");
-        let key = IdBuf::collect(key_of(&self.schema.key_columns, &row.ids).copied());
-        self.primary.remove(&*key);
+        let key = key_of(&self.schema.key_columns, &row.ids).copied();
+        // Runs of the primary index are one slot: no neighbour to ask.
+        self.primary.unfile(self.fingerprint(key), slot, |_| false);
         self.dict.release_all(row.stored.tuple.values(), &row.ids);
         self.free.push(slot);
         self.order.take();
@@ -652,9 +825,10 @@ impl Relation {
         expired.into_iter().map(|slot| self.evict(slot)).collect()
     }
 
-    /// Check that slab, primary index, buckets, cached order and
-    /// dictionary reference counts describe the same set of rows. For
-    /// tests and debug assertions: O(stored data).
+    /// Check that slab, primary index, secondary indexes, cached order and
+    /// dictionary reference counts describe the same set of rows, and that
+    /// every table files each row under its fingerprint, runs contiguous
+    /// and in key order. For tests and debug assertions: O(stored data).
     pub fn check_invariants(&self) -> Result<(), String> {
         let ensure = |holds: bool, what: &dyn Fn() -> String| {
             let name = &self.schema.name;
@@ -674,51 +848,123 @@ impl Relation {
             format!("slab: {rows} rows, {keys} keys, free {free:?} of {slots} slots")
         })?;
         let mut held = vec![0u32; self.dict.id_space()];
-        for (key, &slot) in &self.primary {
-            let sound = row_in(slot).is_some_and(|row| {
-                let values = row.stored.tuple.values();
-                row.stored.count > 0
-                    && key_of(&self.schema.key_columns, &row.ids).eq(key.iter())
-                    && values.len() == row.ids.len()
-                    && values
-                        .iter()
-                        .zip(row.ids.iter())
-                        .all(|(value, id)| self.dict.lookup(value) == Some(*id))
-            });
-            ensure(sound, &|| {
-                format!("slot {slot} under key {key:?} holds {:?}", row_in(slot))
-            })?;
-            for id in live(&self.rows, slot).ids.iter() {
+        for row in self.rows.iter().flatten() {
+            let values = row.stored.tuple.values();
+            let sound = row.stored.count > 0
+                && values.len() == row.ids.len()
+                && values
+                    .iter()
+                    .zip(row.ids.iter())
+                    .all(|(value, id)| self.dict.lookup(value) == Some(*id));
+            ensure(sound, &|| format!("row {row:?}"))?;
+            for id in row.ids.iter() {
                 held[id.raw() as usize] += 1;
             }
         }
         self.dict
             .check(&held)
             .or_else(|what| ensure(false, &|| format!("dictionary: {what}")))?;
-        for index in &self.indexes {
-            let sig = index.signature().columns();
-            let covers = |row: &&Row| sig.iter().all(|&c| c < row.ids.len());
-            let mut filed = 0;
-            for (key, bucket) in index.buckets() {
-                let projects = |&slot: &u32| {
-                    let row = row_in(slot).filter(covers);
-                    row.is_some_and(|row| sig.iter().map(|&c| &row.ids[c]).eq(key))
-                };
-                let sound = !bucket.is_empty() && bucket.iter().all(projects) && ascending(bucket);
-                ensure(sound, &|| {
-                    format!("index {sig:?}: bucket {key:?} holds {bucket:?}")
-                })?;
-                filed += bucket.len();
+        // A table files every row covering `cols` under the fingerprint of
+        // its projection, same projections side by side in key order.
+        let check_table = |table: &SlotTable, cols: &dyn Fn(&Row) -> Option<IdBuf>| {
+            let filable = self.rows.iter().flatten().filter(|row| cols(row).is_some());
+            if table.len() != filable.count() {
+                return Err(format!("{} rows filed", table.len()));
             }
-            let indexable = self.rows.iter().flatten().filter(covers).count();
-            ensure(filed == indexable && filed == index.len(), &|| {
-                let counted = index.len();
-                format!("index {sig:?}: {filed} filed, {counted} counted, {indexable} rows")
+            table.check(|filed_under, slots| {
+                let projection = |&slot: &u32| row_in(slot).and_then(cols);
+                let same = |a: &u32, b: &u32| projection(a).as_deref() == projection(b).as_deref();
+                let at_home = |ids: IdBuf| self.fingerprint(ids.iter().copied()) == filed_under;
+                let sound =
+                    |run: &[u32]| projection(&run[0]).is_some_and(at_home) && ascending(run);
+                let count = slots.chunk_by(same).count();
+                // One projection in two runs takes a third between them.
+                let split = count > 2 && {
+                    let mut runs: Vec<IdBuf> = slots
+                        .chunk_by(same)
+                        .map(|run| projection(&run[0]))
+                        .collect::<Option<_>>()
+                        .unwrap_or_default();
+                    runs.sort_unstable_by(|a, b| a[..].cmp(&b[..]));
+                    runs.windows(2).any(|w| *w[0] == *w[1])
+                };
+                if slots.chunk_by(same).all(sound) && !split {
+                    Ok(count)
+                } else {
+                    Err(format!("fingerprint {filed_under:#x} files {slots:?}"))
+                }
+            })
+        };
+        let key = |row: &Row| {
+            Some(IdBuf::collect(
+                key_of(&self.schema.key_columns, &row.ids).copied(),
+            ))
+        };
+        check_table(&self.primary, &key)
+            .and_then(|()| {
+                let lone = self.primary.run_count() == self.primary.len();
+                lone.then_some(())
+                    .ok_or_else(|| "two rows share a key".to_string())
+            })
+            .or_else(|what| ensure(false, &|| format!("primary index: {what}")))?;
+        for SecondaryIndex { signature, table } in &self.indexes {
+            let sig = signature.columns();
+            let projection = |row: &Row| {
+                let covered = sig.iter().all(|&c| c < row.ids.len());
+                covered.then(|| IdBuf::collect(project(sig, &row.ids)))
+            };
+            check_table(table, &projection)
+                .or_else(|what| ensure(false, &|| format!("index {sig:?}: {what}")))?;
+            ensure(!self.binds_key(sig), &|| {
+                format!("index {sig:?} binds the whole primary key")
             })?;
         }
         let order = self.order.get();
         let fresh = order.is_none_or(|order| order.len() == rows && ascending(order));
         ensure(fresh, &|| format!("cached order is stale: {order:?}"))
+    }
+}
+
+/// Under what fingerprint, and beside which rows, the row in `slot` is
+/// filed in the index on `cols`: `None` when the row lacks a signature
+/// column (shorter arity) — it stays unindexed and unreachable by probes on
+/// this signature, matching residual-scan semantics.
+fn filing<'a>(
+    rows: &'a [Option<Row>],
+    squash: fn(u64) -> u64,
+    cols: &'a [usize],
+    slot: u32,
+) -> Option<(u64, impl Fn(u32) -> bool + 'a)> {
+    let ids = &live(rows, slot).ids;
+    // The columns are sorted: the last is the widest.
+    let covered = cols.last().is_some_and(|&widest| widest < ids.len());
+    let filed_under = || squash(fingerprint(project(cols, ids)));
+    let same = move |other| projects_as(rows, cols, other, project(cols, ids));
+    covered.then(|| (filed_under(), same))
+}
+
+/// Heap bytes held by a relation's own structures, by component, computed
+/// from capacities. The tuples themselves (one allocation each, shared
+/// with the deltas that carried them) and the values the dictionary maps
+/// are not the relation's to count.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct HeapBytes {
+    /// The slab of rows with their inline ids, the ids of rows wider than
+    /// eight columns, the free list and the cached key order.
+    pub slab: usize,
+    /// The primary index.
+    pub primary: usize,
+    /// Each secondary index.
+    pub secondary: Vec<(IndexSignature, usize)>,
+    /// The value dictionary's map, reference counts and free list.
+    pub dictionary: usize,
+}
+
+impl HeapBytes {
+    /// All components together.
+    pub fn total(&self) -> usize {
+        let secondary = self.secondary.iter().map(|(_, bytes)| bytes);
+        self.slab + self.primary + self.dictionary + secondary.sum::<usize>()
     }
 }
 
@@ -1105,11 +1351,81 @@ mod tests {
         for r in [build(0, 1), build(1, 0)] {
             let (chosen, _) = r.best_index(&[0, 1], &key).expect("candidates exist");
             assert_eq!(
-                chosen.signature().columns(),
+                chosen.signature.columns(),
                 &[0],
                 "exact ties resolve to the smaller signature"
             );
         }
+    }
+
+    #[test]
+    fn key_bound_lookups_go_through_the_primary_index() {
+        let mut r = Relation::new(RelationSchema::new("r").with_keys(vec![1, 0]));
+        // Both bind the whole key: nothing to build.
+        assert!(!r.ensure_index(&[0, 1]));
+        assert!(!r.ensure_index(&[0, 1, 2]));
+        assert!(r.ensure_index(&[0]));
+        assert_eq!(r.index_signatures().count(), 1);
+        for i in 0..12 {
+            r.insert(t(&[i % 3, i, i % 2]), i as u64 + 1, 0);
+        }
+        // Exactly the key: one probe, the one row examined.
+        let mut stats = JoinStats::default();
+        assert_eq!(
+            lookup_all(&r, &[0, 1], &[1, 7], &mut stats),
+            [t(&[1, 7, 1])]
+        );
+        let one_probe = JoinStats {
+            logical_probes: 1,
+            distinct_probes: 1,
+            scans: 0,
+            tuples_examined: 1,
+        };
+        assert_eq!(stats, one_probe);
+        // The key and a column that matches, then one that does not: the
+        // index on all three would not have held the row, nothing examined.
+        let mut stats = JoinStats::default();
+        assert_eq!(lookup_all(&r, &[0, 1, 2], &[1, 7, 1], &mut stats).len(), 1);
+        assert_eq!(stats, one_probe);
+        let mut stats = JoinStats::default();
+        assert!(lookup_all(&r, &[0, 1, 2], &[1, 7, 0], &mut stats).is_empty());
+        assert!(lookup_all(&r, &[0, 1, 2], &[1, 7, 99], &mut stats).is_empty());
+        assert!(lookup_all(&r, &[0, 1, 5], &[1, 7, 1], &mut stats).is_empty());
+        assert!(lookup_all(&r, &[0, 1], &[2, 7], &mut stats).is_empty());
+        assert_eq!((stats.logical_probes, stats.tuples_examined), (4, 0));
+        // Grouped, invisible, and through `probe`.
+        let key = [Value::Int(1), Value::Int(7)];
+        let mut stats = JoinStats::default();
+        assert_eq!(r.lookup_n(&[0, 1], &key, 3, 4, &mut stats).count(), 0);
+        assert_eq!((stats.logical_probes, stats.distinct_probes), (4, 1));
+        assert_eq!(stats.tuples_examined, 4, "examined, then hidden by seq");
+        assert_eq!(probed(&r, &[0, 1], &[1, 7], u64::MAX), [t(&[1, 7, 1])]);
+        assert!(r.probe(&[1], &[Value::Int(7)], u64::MAX).is_none());
+    }
+
+    #[test]
+    fn heap_bytes_name_every_component() {
+        let mut r = keyed_relation();
+        r.ensure_index(&[1]);
+        assert_eq!(r.heap_bytes().total(), 0, "nothing stored, nothing held");
+        for i in 0..100 {
+            r.insert(t(&[i, i % 10]), i as u64 + 1, 0);
+        }
+        let heap = r.heap_bytes();
+        assert!(heap.slab >= 100 * std::mem::size_of::<Option<Row>>());
+        // A hundred lone slots: 16 bytes and a control byte each, at most
+        // 7/8 full; ten buckets of ten own a vector each.
+        assert!(heap.primary >= 100 * 17 && heap.primary <= 256 * 17);
+        let [(signature, bytes)] = &heap.secondary[..] else {
+            panic!("one secondary index: {heap:?}");
+        };
+        assert_eq!(signature.columns(), &[1]);
+        assert!(*bytes >= 10 * (17 + 24 + 40), "{bytes}");
+        assert!(heap.dictionary > 0);
+        assert_eq!(
+            heap.total(),
+            heap.slab + heap.primary + bytes + heap.dictionary
+        );
     }
 
     #[test]
@@ -1152,8 +1468,27 @@ mod tests {
         r.insert(t(&[1]), 1, 0);
         r.insert(t(&[1, 2, 3]), 2, 0);
         assert_eq!(probed(&r, &[2], &[3], u64::MAX), vec![t(&[1, 2, 3])]);
+        let filed = |r: &Relation| r.index_stats().map(|(_, _, n)| n).sum::<usize>();
+        assert_eq!(filed(&r), 1, "rows lacking the column are skipped");
         r.remove(&t(&[1]));
-        assert_eq!(r.len(), 1);
+        assert_eq!((r.len(), filed(&r)), (1, 1));
+        r.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn composite_signature_keys_on_every_column() {
+        let mut r = Relation::new(RelationSchema::new("r"));
+        assert!(r.ensure_index(&[2, 0]), "declared in any column order");
+        for (i, row) in [[1, 5, 7], [1, 6, 7], [1, 6, 8]].iter().enumerate() {
+            r.insert(t(row), i as u64 + 1, 0);
+        }
+        let both = vec![t(&[1, 5, 7]), t(&[1, 6, 7])];
+        assert_eq!(probed(&r, &[0, 2], &[1, 7], u64::MAX), both);
+        assert_eq!(probed(&r, &[0, 2], &[1, 8], u64::MAX), [t(&[1, 6, 8])]);
+        assert!(
+            probed(&r, &[0, 2], &[7, 1], u64::MAX).is_empty(),
+            "values follow the sorted signature's column order"
+        );
     }
 
     fn path_tuple(i: i64) -> Tuple {
@@ -1361,10 +1696,17 @@ mod tests {
             "{err}"
         );
         let mut unfiled = r.clone();
-        let ids = unfiled.rows[1].as_ref().unwrap().ids.clone();
-        unfiled.indexes[0].unfile(&ids, 1);
+        let (fingerprint, same) = filing(&r.rows, r.squash, &[1], 1).unwrap();
+        assert!(unfiled.indexes[0].table.unfile(fingerprint, 1, same));
         let err = unfiled.check_invariants().unwrap_err();
         assert!(err.contains("index [1]"), "{err}");
+        let mut misfiled = r.clone();
+        let (_, same) = filing(&r.rows, r.squash, &[1], 1).unwrap();
+        assert!(misfiled.indexes[0].table.unfile(fingerprint, 1, same));
+        let table = &mut misfiled.indexes[0].table;
+        table.file(fingerprint ^ 1, 1, |_| false, <[u32]>::len);
+        let err = misfiled.check_invariants().unwrap_err();
+        assert!(err.contains("index [1]: fingerprint"), "{err}");
     }
 
     #[test]

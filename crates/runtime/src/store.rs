@@ -1,7 +1,7 @@
 //! A node's table store: the collection of relations a (localized) NDlog
 //! program reads and writes at one network node.
 
-use crate::relation::{DeleteOutcome, InsertOutcome, Relation, RelationSchema};
+use crate::relation::{DeleteOutcome, HeapBytes, InsertOutcome, Relation, RelationSchema};
 use crate::tuple::{RelName, Sign, Tuple, TupleDelta};
 use ndlog_lang::Program;
 use std::collections::BTreeMap;
@@ -98,7 +98,9 @@ impl Store {
     /// a default schema if needed). Called once per program with every
     /// bound-column signature the compiled strands probe, so the indexes
     /// exist before any tuple arrives and are maintained incrementally
-    /// from then on.
+    /// from then on. A signature binding the relation's whole primary key
+    /// builds nothing: the primary index serves it
+    /// ([`Relation::ensure_index`]).
     pub fn declare_index(&mut self, relation: &str, cols: &[usize]) {
         self.ensure(RelationSchema::new(relation))
             .ensure_index(cols);
@@ -221,6 +223,13 @@ impl Store {
             }
             *rel = fresh;
         }
+    }
+
+    /// Heap bytes each relation's own structures hold, by component
+    /// ([`Relation::heap_bytes`]), in relation-name order.
+    pub fn heap_bytes(&self) -> impl Iterator<Item = (&str, HeapBytes)> {
+        let relations = self.relations.iter();
+        relations.map(|(name, relation)| (name.as_str(), relation.heap_bytes()))
     }
 
     /// Check every relation's storage invariants

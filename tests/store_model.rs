@@ -6,13 +6,24 @@
 //! way — a `BTreeMap<Vec<Value>, StoredTuple>` and linear scans. After
 //! every step the two must agree on the operation's outcome, on `iter()`
 //! order, on every keyed read, and on the result order **and** the
-//! `JoinStats` of `lookup_n` for a spread of probes; and the relation's own
-//! `check_invariants()` (slab ↔ primary index ↔ buckets ↔ cached order ↔
-//! dictionary reference counts) must hold.
+//! `JoinStats` of `lookup_n` for a spread of probes — random ones, and ones
+//! aimed at the primary key: exactly the key, the key plus a column whose
+//! value matches or not, every column of a keyless relation (an ordinary
+//! index probe: only declared key columns send a lookup to the primary
+//! index); and the
+//! relation's own `check_invariants()` (slab ↔ primary index ↔ secondary
+//! indexes ↔ cached order ↔ dictionary reference counts) must hold.
 //!
 //! The value pool is small and mixes `Int(3)` with `Float(3.0)` (one key
 //! to the engine), lists, strings and addresses, so sequences are dense in
 //! duplicates, replacements and id reuse.
+//!
+//! Every sequence — all 24 seeds of every shape, and the long runs — runs
+//! three times: with the relation's tables filing rows under their real
+//! fingerprints, under one of three, and under one fingerprint for
+//! everything (`Relation::with_fingerprints`). A table hit is verified
+//! against the ids of the row in the slab, so a collision may cost a
+//! comparison and must never change an answer, an order or a count.
 
 use ndlog_lang::Value;
 use ndlog_runtime::relation::{DeleteOutcome, StoredTuple};
@@ -56,6 +67,14 @@ impl Model {
         }
     }
 
+    /// Whether binding `cols` binds the declared primary key: the relation
+    /// then answers as an index on exactly `cols` would, through its
+    /// primary index, and builds no such index.
+    fn binds_key(&self, cols: &[usize]) -> bool {
+        let key = &self.schema.key_columns;
+        !key.is_empty() && key.iter().all(|c| cols.contains(c))
+    }
+
     fn delete(&mut self, tuple: &Tuple, outright: bool) -> DeleteOutcome {
         let key = self.schema.key_of(tuple);
         match self.rows.get_mut(&key) {
@@ -79,7 +98,8 @@ impl Model {
         expired
     }
 
-    /// `Relation::lookup_n` by the book: the covered signature binding the
+    /// `Relation::lookup_n` by the book: the index on exactly `cols` when
+    /// they bind the primary key, else the covered signature binding the
     /// most columns, then the smallest bucket, then signature order; the
     /// bucket found by scanning.
     fn lookup_n(
@@ -99,11 +119,15 @@ impl Model {
         let covered = |sig: &&Vec<usize>| sig.iter().all(|c| cols.contains(c));
         let widest = self.signatures.iter().filter(covered).map(Vec::len).max();
         let bucket_of = |sig: &Vec<usize>| self.rows.values().filter(|r| bound(sig, r)).count();
-        let chosen = self
-            .signatures
-            .iter()
-            .filter(|sig| covered(sig) && Some(sig.len()) == widest)
-            .min_by_key(|sig| (bucket_of(sig), (*sig).clone()));
+        let exact = cols.to_vec();
+        let chosen = if self.binds_key(cols) {
+            Some(&exact)
+        } else {
+            self.signatures
+                .iter()
+                .filter(|sig| covered(sig) && Some(sig.len()) == widest)
+                .min_by_key(|sig| (bucket_of(sig), (*sig).clone()))
+        };
         match chosen {
             Some(sig) => {
                 stats.logical_probes += members;
@@ -124,7 +148,8 @@ impl Model {
 struct Shape {
     schema: RelationSchema,
     arities: &'static [usize],
-    /// Signatures declared before any tuple arrives.
+    /// Signatures declared before any tuple arrives; the ones binding the
+    /// whole primary key build nothing.
     declared: &'static [&'static [usize]],
 }
 
@@ -133,7 +158,7 @@ fn shapes() -> Vec<Shape> {
         Shape {
             schema: RelationSchema::new("keyless"),
             arities: &[3],
-            declared: &[&[0], &[1, 2]],
+            declared: &[&[0], &[1, 2], &[0, 1, 2]],
         },
         Shape {
             schema: RelationSchema::new("keyed").with_keys(vec![0]),
@@ -156,6 +181,11 @@ fn shapes() -> Vec<Shape> {
             schema: RelationSchema::new("mixed_arity"),
             arities: &[1, 2, 3],
             declared: &[&[1], &[2]],
+        },
+        Shape {
+            schema: RelationSchema::new("two_column_key").with_keys(vec![1, 0]),
+            arities: &[3, 4],
+            declared: &[&[0, 1], &[0, 1, 2], &[0], &[2]],
         },
     ]
 }
@@ -286,42 +316,86 @@ fn compare_reads(rng: &mut StdRng, relation: &Relation, model: &Model, context: 
                 }
             })
             .collect();
-        let seq_limit = if rng.random_bool(0.5) {
-            u64::MAX
-        } else {
-            rng.random_range(0..200u64)
-        };
-        let members = rng.random_range(1..4usize);
-        let (mut got_stats, mut want_stats) = (JoinStats::default(), JoinStats::default());
-        let got = relation.lookup_n(&cols, &key, seq_limit, members, &mut got_stats);
-        let want = model.lookup_n(&cols, &key, seq_limit, members, &mut want_stats);
-        let probe = format!("{context}: lookup_n({cols:?}, {key:?}, {seq_limit}, {members})");
-        assert_eq!(repr(got), repr(want.iter().copied()), "{probe}: rows");
-        assert_eq!(got_stats, want_stats, "{probe}: stats");
-        assert_eq!(
-            relation.contains_match(&cols, &key, seq_limit),
-            !want.is_empty(),
-            "{probe}: contains_match"
-        );
-        let bound: Vec<(usize, Value)> = cols.iter().copied().zip(key.iter().cloned()).collect();
-        assert_eq!(
-            repr(relation.scan_match(&bound, seq_limit)),
-            repr(want.iter().copied()),
-            "{probe}: scan_match"
-        );
-        match relation.probe(&cols, &key, seq_limit) {
-            Some(hits) => {
-                assert!(model.signatures.contains(&cols), "{probe}: no such index");
-                assert_eq!(repr(hits), repr(want.iter().copied()), "{probe}: probe");
-            }
-            None => assert!(!model.signatures.contains(&cols), "{probe}: index ignored"),
+        compare_lookup(rng, relation, model, context, &cols, &key);
+    }
+    // Joins binding the primary key: the columns of the key — every column
+    // of a stored row when the schema declares none — sometimes with one
+    // more, the values those of a stored row, one of them sometimes not.
+    for _ in 0..3 {
+        let mut cols = model.schema.key_columns.clone();
+        if cols.is_empty() {
+            cols = (0..shape_arity).collect();
         }
+        if rng.random_bool(0.5) {
+            cols.push(rng.random_range(0..4usize));
+        }
+        cols.sort_unstable();
+        cols.dedup();
+        let row = stored(rng, model);
+        let key: Vec<Value> = cols
+            .iter()
+            .map(|&c| match row.as_ref().and_then(|t| t.get(c)) {
+                Some(held) if rng.random_bool(0.8) => held.clone(),
+                _ => value(rng),
+            })
+            .collect();
+        compare_lookup(rng, relation, model, context, &cols, &key);
     }
 }
 
-fn run_sequence(seed: u64, shape: &Shape, steps: usize) {
+/// One lookup through every entry point, compared between the two.
+fn compare_lookup(
+    rng: &mut StdRng,
+    relation: &Relation,
+    model: &Model,
+    context: &str,
+    cols: &[usize],
+    key: &[Value],
+) {
+    let seq_limit = if rng.random_bool(0.5) {
+        u64::MAX
+    } else {
+        rng.random_range(0..200u64)
+    };
+    let members = rng.random_range(1..4usize);
+    let (mut got_stats, mut want_stats) = (JoinStats::default(), JoinStats::default());
+    let got = relation.lookup_n(cols, key, seq_limit, members, &mut got_stats);
+    let want = model.lookup_n(cols, key, seq_limit, members, &mut want_stats);
+    let probe = format!("{context}: lookup_n({cols:?}, {key:?}, {seq_limit}, {members})");
+    assert_eq!(repr(got), repr(want.iter().copied()), "{probe}: rows");
+    assert_eq!(got_stats, want_stats, "{probe}: stats");
+    assert_eq!(
+        relation.contains_match(cols, key, seq_limit),
+        !want.is_empty(),
+        "{probe}: contains_match"
+    );
+    let bound: Vec<(usize, Value)> = cols.iter().copied().zip(key.iter().cloned()).collect();
+    assert_eq!(
+        repr(relation.scan_match(&bound, seq_limit)),
+        repr(want.iter().copied()),
+        "{probe}: scan_match"
+    );
+    let indexed = model.signatures.contains(cols) || model.binds_key(cols);
+    match relation.probe(cols, key, seq_limit) {
+        Some(hits) => {
+            assert!(indexed, "{probe}: no such index");
+            assert_eq!(repr(hits), repr(want.iter().copied()), "{probe}: probe");
+        }
+        None => assert!(!indexed, "{probe}: index ignored"),
+    }
+}
+
+/// What a relation's tables file a fingerprint under: itself, one of
+/// three, the same for all.
+const SQUASHES: [fn(u64) -> u64; 3] = [
+    |fingerprint| fingerprint,
+    |fingerprint| fingerprint % 3,
+    |_| 0,
+];
+
+fn run_sequence(seed: u64, shape: &Shape, steps: usize, squash: fn(u64) -> u64) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut relation = Relation::new(shape.schema.clone());
+    let mut relation = Relation::with_fingerprints(shape.schema.clone(), squash);
     let mut model = Model {
         schema: shape.schema.clone(),
         rows: BTreeMap::new(),
@@ -329,8 +403,11 @@ fn run_sequence(seed: u64, shape: &Shape, steps: usize) {
         lossy: 0,
     };
     for cols in shape.declared {
-        assert!(relation.ensure_index(cols));
-        model.signatures.insert(cols.to_vec());
+        let built = !model.binds_key(cols);
+        assert_eq!(relation.ensure_index(cols), built, "index {cols:?}");
+        if built {
+            model.signatures.insert(cols.to_vec());
+        }
     }
     let mut now = 0u64;
     for step in 0..steps {
@@ -391,7 +468,9 @@ fn run_sequence(seed: u64, shape: &Shape, steps: usize) {
                 let mut normalized = cols.clone();
                 normalized.sort_unstable();
                 normalized.dedup();
-                let fresh = !normalized.is_empty() && model.signatures.insert(normalized);
+                let fresh = !normalized.is_empty()
+                    && !model.binds_key(&normalized)
+                    && model.signatures.insert(normalized);
                 assert_eq!(
                     relation.ensure_index(&cols),
                     fresh,
@@ -415,7 +494,9 @@ fn run_sequence(seed: u64, shape: &Shape, steps: usize) {
 fn relation_agrees_with_the_reference_model() {
     for shape in shapes() {
         for seed in 0..24 {
-            run_sequence(seed, &shape, 160);
+            for squash in SQUASHES {
+                run_sequence(seed, &shape, 160, squash);
+            }
         }
     }
 }
@@ -425,6 +506,9 @@ fn long_sequences_reuse_slots_and_ids() {
     // Fewer, longer runs: many generations of rows through the same slots
     // and ids, with the occasional expiry wiping the soft-state relation.
     for shape in shapes() {
-        run_sequence(1_000 + shape.arities.len() as u64, &shape, 1_500);
+        let seed = 1_000 + shape.arities.len() as u64;
+        for squash in SQUASHES {
+            run_sequence(seed, &shape, 1_500, squash);
+        }
     }
 }
