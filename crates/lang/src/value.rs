@@ -4,13 +4,26 @@
 //! numbers, strings, booleans and lists (used for path vectors such as
 //! `[a, b, d]` in the shortest-path query). Values need a total order and a
 //! hash so they can serve as primary-key components and join keys; floating
-//! point values are ordered with `f64::total_cmp`.
+//! point values are ordered with `f64::total_cmp`, and an integer and a float
+//! compare by their exact numeric values.
+//!
+//! A list is a [`List`]: a persistent chain of reference-counted nodes, each
+//! adding one element at the front or at the back of the list it shares, and
+//! caching the length, the wire size and a content hash of what it heads. So
+//! `f_cons` / `f_append` allocate one node whatever the path's length, and a
+//! path and every one-hop extension of it share all but one node. Sharing is
+//! safe because nothing mutates a node once it is built: a `Value` is
+//! immutable, and a node's cached fields describe its own chain only.
+
+mod list;
+
+pub use list::{Iter, List};
 
 use ndlog_net::NodeAddr;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 /// A single NDlog field value.
@@ -26,9 +39,8 @@ pub enum Value {
     Str(Arc<str>),
     /// A boolean.
     Bool(bool),
-    /// A list of values, e.g. a path vector: header and elements in one
-    /// allocation.
-    List(Arc<[Value]>),
+    /// A list of values, e.g. a path vector: one pointer to a shared chain.
+    List(List),
 }
 
 impl Value {
@@ -42,9 +54,9 @@ impl Value {
         Value::List(items.into())
     }
 
-    /// The empty list (`nil` in the paper's syntax).
+    /// The empty list (`nil` in the paper's syntax); allocates nothing.
     pub fn nil() -> Value {
-        Value::List(Arc::from([]))
+        Value::List(List::nil())
     }
 
     /// Build an address value.
@@ -86,7 +98,7 @@ impl Value {
     }
 
     /// The list inside, if this is a list.
-    pub fn as_list(&self) -> Option<&[Value]> {
+    pub fn as_list(&self) -> Option<&List> {
         match self {
             Value::List(l) => Some(l),
             _ => None,
@@ -113,7 +125,7 @@ impl Value {
 
     /// Approximate serialized size in bytes, used for message-size
     /// accounting in the simulator (the paper reports communication
-    /// overhead in bytes).
+    /// overhead in bytes). A list's is cached: O(1).
     pub fn wire_size(&self) -> usize {
         match self {
             Value::Addr(_) => 4,
@@ -121,16 +133,55 @@ impl Value {
             Value::Float(_) => 8,
             Value::Bool(_) => 1,
             Value::Str(s) => 2 + s.len(),
-            Value::List(l) => 2 + l.iter().map(Value::wire_size).sum::<usize>(),
+            Value::List(l) => l.wire_size(),
         }
     }
 }
 
+/// `Int(i)` against `Float(x)` by exact numeric value, placed where
+/// `f64::total_cmp` places `x` among floats: `-0.0` just below zero, positive
+/// NaNs above everything, negative ones below. Converting `i` to `f64`
+/// instead would round above 2⁵³ and make `Int(2⁵³ + 1)` equal to the float
+/// `2⁵³` that `Int(2⁵³)` also equals.
+fn cmp_int_float(i: i64, x: f64) -> Ordering {
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    if x.is_nan() {
+        return if x.is_sign_negative() {
+            Ordering::Greater
+        } else {
+            Ordering::Less
+        };
+    }
+    if x == 0.0 && x.is_sign_negative() {
+        return if i >= 0 {
+            Ordering::Greater
+        } else {
+            Ordering::Less
+        };
+    }
+    if x >= TWO_63 {
+        return Ordering::Less;
+    }
+    if x < -TWO_63 {
+        return Ordering::Greater;
+    }
+    // `x` is in i64's range, so its integral part converts exactly.
+    let fraction = x.fract();
+    i.cmp(&(x.trunc() as i64)).then(if fraction > 0.0 {
+        Ordering::Less
+    } else if fraction < 0.0 {
+        Ordering::Greater
+    } else {
+        Ordering::Equal
+    })
+}
+
 /// Exactly the relation `self.cmp(other) == Ordering::Equal`, decided
 /// without walking what cannot differ: a list shared by reference count is
-/// equal to itself, lists of unequal length are not equal. Numbers compare
-/// as [`Ord::cmp`] compares them — two integers as integers, anything
-/// involving a float by `f64::total_cmp` — so `Int(3) == Float(3.0)`,
+/// equal to itself, lists of unequal length or content hash are not equal.
+/// Numbers compare as [`Ord::cmp`] compares them — two integers as
+/// integers, two floats by `f64::total_cmp`, an integer and a float by exact
+/// value — so `Int(3) == Float(3.0)`, `Int(2⁵³ + 1) != Float(2⁵³)`,
 /// `-0.0 != 0.0` and a NaN equals only its own bit pattern.
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
@@ -139,10 +190,10 @@ impl PartialEq for Value {
             (Addr(a), Addr(b)) => a == b,
             (Int(a), Int(b)) => a == b,
             (Float(a), Float(b)) => a.total_cmp(b).is_eq(),
-            (Int(a), Float(b)) | (Float(b), Int(a)) => (*a as f64).total_cmp(b).is_eq(),
+            (Int(a), Float(b)) | (Float(b), Int(a)) => cmp_int_float(*a, *b).is_eq(),
             (Str(a), Str(b)) => Arc::ptr_eq(a, b) || a == b,
             (Bool(a), Bool(b)) => a == b,
-            (List(a), List(b)) => Arc::ptr_eq(a, b) || a[..] == b[..],
+            (List(a), List(b)) => a == b,
             _ => false,
         }
     }
@@ -156,8 +207,8 @@ impl Ord for Value {
             (Addr(a), Addr(b)) => a.cmp(b),
             (Int(a), Int(b)) => a.cmp(b),
             (Float(a), Float(b)) => a.total_cmp(b),
-            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
-            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
+            (Int(a), Float(b)) => cmp_int_float(*a, *b),
+            (Float(a), Int(b)) => cmp_int_float(*b, *a).reverse(),
             (Str(a), Str(b)) => a.cmp(b),
             (Bool(a), Bool(b)) => a.cmp(b),
             (List(a), List(b)) => a.cmp(b),
@@ -178,8 +229,9 @@ impl Hash for Value {
                 0u8.hash(state);
                 a.hash(state);
             }
-            // Ints and floats that are numerically equal must hash equally;
-            // hash through the f64 bit pattern of the numeric value.
+            // Ints and floats that are equal must hash equally; hash through
+            // the f64 bit pattern of the numeric value (an integer equal to a
+            // float converts to exactly that float).
             Value::Int(i) => {
                 1u8.hash(state);
                 (*i as f64).to_bits().hash(state);
@@ -196,11 +248,10 @@ impl Hash for Value {
                 3u8.hash(state);
                 b.hash(state);
             }
+            // The cached content hash: O(1), whatever the length.
             Value::List(l) => {
                 4u8.hash(state);
-                for v in l.iter() {
-                    v.hash(state);
-                }
+                l.hash(state);
             }
         }
     }
@@ -224,16 +275,7 @@ impl fmt::Display for Value {
             }
             Value::Str(s) => write!(f, "{s:?}"),
             Value::Bool(b) => write!(f, "{b}"),
-            Value::List(l) => {
-                write!(f, "[")?;
-                for (i, v) in l.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ", ")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                write!(f, "]")
-            }
+            Value::List(l) => write!(f, "{l}"),
         }
     }
 }
@@ -264,10 +306,66 @@ impl From<&str> for Value {
     }
 }
 
+/// Fx-style hasher: one rotate-xor-multiply per word, no seed. The
+/// multiply is folded (high half xored into the low half), because a plain
+/// one only carries upwards: a float's bit pattern ends in zeros, and so
+/// would its hash, while a table takes its bucket from the low bits.
+///
+/// It digests list elements into [`List`]'s content hash, and the runtime's
+/// relation dictionaries and fingerprint tables hash with it, so two runs of
+/// one input build identical tables and take the same time. No seed also
+/// means no defence against values crafted to collide: simulated engines
+/// hash values they derived themselves; `ndlog serve` stores what its
+/// clients send, and bounding what one client can cost is the serve item of
+/// the ROADMAP.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FxHasher(u64);
+
+/// Build-hasher of [`FxHasher`]s.
+pub type FxBuild = BuildHasherDefault<FxHasher>;
+
+impl FxHasher {
+    fn add(&mut self, word: u64) {
+        let wide = u128::from(self.0.rotate_left(5) ^ word) * 0x51_7c_c1_b7_27_22_0a_95;
+        self.0 = (wide as u64) ^ ((wide >> 64) as u64);
+    }
+}
+
+impl Hasher for FxHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut chunks = bytes.chunks_exact(8);
+        for chunk in &mut chunks {
+            self.add(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
+        }
+        let rest = chunks.remainder();
+        if !rest.is_empty() {
+            let mut word = [0u8; 8];
+            word[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+    fn write_u8(&mut self, v: u8) {
+        self.add(u64::from(v));
+    }
+    fn write_u32(&mut self, v: u32) {
+        self.add(u64::from(v));
+    }
+    fn write_u64(&mut self, v: u64) {
+        self.add(v);
+    }
+    fn write_usize(&mut self, v: usize) {
+        self.add(v as u64);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::hash_map::DefaultHasher;
+    use std::hash::BuildHasher;
 
     fn hash_of(v: &Value) -> u64 {
         let mut h = DefaultHasher::new();
@@ -282,6 +380,76 @@ mod tests {
         assert_ne!(Value::Int(3), Value::Float(3.5));
         assert!(Value::Int(2) < Value::Float(2.5));
         assert!(Value::Float(2.5) < Value::Int(3));
+        assert!(Value::Int(-3) < Value::Float(-2.5));
+        assert!(Value::Float(-3.5) < Value::Int(-3));
+        assert_eq!(Value::Int(0), Value::Float(0.0));
+        assert_ne!(Value::Int(0), Value::Float(-0.0));
+        assert!(Value::Float(-0.0) < Value::Int(0));
+        assert!(Value::Int(-1) < Value::Float(-0.0));
+        assert_ne!(Value::Float(0.0), Value::Float(-0.0));
+        assert!(Value::Int(i64::MAX) < Value::Float(f64::INFINITY));
+        assert!(Value::Float(f64::NAN) > Value::Int(i64::MAX));
+        assert!(Value::Float(-f64::NAN) < Value::Int(i64::MIN));
+        assert_ne!(Value::Float(f64::NAN), Value::Int(0));
+    }
+
+    /// Around 2⁵³ (where `i64 as f64` starts rounding) and at ±2⁶³ (where
+    /// `f64 as i64` saturates), equality is an equivalence — reflexive,
+    /// symmetric, transitive — the order agrees with it and is transitive,
+    /// and equal values hash equally under both hashers.
+    #[test]
+    fn int_float_equality_is_exact_at_the_edges() {
+        let two_53 = 1i64 << 53;
+        let two_63 = 9_223_372_036_854_775_808.0_f64;
+        assert_ne!(Value::Int(two_53 + 1), Value::Float(two_53 as f64));
+        assert_eq!(Value::Int(two_53), Value::Float(two_53 as f64));
+        assert!(Value::Int(two_53 + 1) > Value::Float(two_53 as f64));
+        assert!(Value::Int(two_53 - 1) < Value::Float(two_53 as f64));
+        assert_ne!(Value::Int(i64::MAX), Value::Float(two_63));
+        assert!(Value::Int(i64::MAX) < Value::Float(two_63));
+        assert_eq!(Value::Int(i64::MIN), Value::Float(-two_63));
+        assert!(Value::Int(i64::MIN + 1) > Value::Float(-two_63));
+        assert!(Value::Int(i64::MIN) > Value::Float(-two_63 * 2.0));
+
+        let mut values = Vec::new();
+        for base in [two_53, -two_53, i64::MAX, i64::MIN] {
+            for delta in [-2i64, -1, 0, 1, 2] {
+                if let Some(i) = base.checked_add(delta) {
+                    values.push(Value::Int(i));
+                    values.push(Value::Float(i as f64));
+                }
+            }
+        }
+        values.extend([
+            Value::Float(two_63),
+            Value::Float(-two_63),
+            Value::Float(two_53 as f64 + 2.0),
+            Value::Float(f64::from_bits((two_53 as f64).to_bits() - 1)),
+            Value::Float(0.5),
+            Value::Float(-0.0),
+            Value::Int(0),
+        ]);
+        let fx = |v: &Value| FxBuild::default().hash_one(v);
+        for a in &values {
+            assert_eq!(a, a);
+            for b in &values {
+                let ab = a.cmp(b);
+                assert_eq!(ab, b.cmp(a).reverse(), "{a:?} vs {b:?}");
+                assert_eq!(a == b, ab.is_eq(), "{a:?} vs {b:?}");
+                if a == b {
+                    assert_eq!(hash_of(a), hash_of(b), "{a:?} vs {b:?}");
+                    assert_eq!(fx(a), fx(b), "{a:?} vs {b:?}");
+                }
+                for c in &values {
+                    if a == b && b == c {
+                        assert_eq!(a, c, "{a:?} = {b:?} = {c:?}");
+                    }
+                    if ab.is_le() && b <= c {
+                        assert!(a <= c, "{a:?} <= {b:?} <= {c:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

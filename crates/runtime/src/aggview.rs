@@ -11,8 +11,9 @@
 //! al. for incremental evaluation of queries with aggregation (Section 3.3
 //! and Section 4 of the paper), over the tables the node already stores. A
 //! view keeps what it emits, not what it reads: per group, the head tuple
-//! currently derived for it and nothing else. The group's inputs live once,
-//! in the store.
+//! currently derived for it and nothing else — the tuple is also the
+//! group's key, hashed and compared on its fields but the aggregate. The
+//! group's inputs live once, in the store.
 //!
 //! * An insertion ([`AggregateView::apply`]) combines the new value with
 //!   the group's current aggregate — `min`/`max` by [`Value`]'s order,
@@ -45,18 +46,16 @@ use crate::strand::bind_atom;
 use crate::tuple::{RelName, Tuple, TupleDelta};
 use ndlog_lang::{AggFunc, Atom, Literal, Rule, Term, Value};
 use std::borrow::Borrow;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashSet};
 use std::hash::{Hash, Hasher};
 
-/// How each head field of the aggregate rule is produced.
+/// A head field other than the aggregate: what identifies a group. The
+/// group-by fields, and constants, which every output of the view shares.
 #[derive(Debug, Clone, PartialEq)]
-enum HeadField {
-    /// A group-by field: copied from a column of the source relation. The
-    /// n-th `Group` field of the template is the n-th field of the group
-    /// key (`group_cols` lists the same columns in the same order).
-    Group,
-    /// The aggregate value itself.
-    AggValue,
+enum KeyField {
+    /// The `index`-th group-by field, copied from source column `col`
+    /// (`group_cols[index] == col`).
+    Group { col: usize, index: usize },
     /// A constant.
     Const(Value),
 }
@@ -71,14 +70,17 @@ pub struct AggregateView {
     func: AggFunc,
     value_col: usize,
     group_cols: Vec<usize>,
-    head_template: Vec<HeadField>,
+    /// The head fields but the aggregate, in head order.
+    key_fields: Vec<KeyField>,
     /// The head position of the aggregate value.
     agg_pos: usize,
     source_atom: Atom,
     guards: Vec<Atom>,
-    /// Group key → the head tuple currently derived for the group. Never
-    /// iterated: nothing observable depends on its order.
-    groups: HashMap<GroupKey, Tuple, FxBuild>,
+    /// The head tuple currently derived for each group, hashed and compared
+    /// on its fields but the aggregate: the group's key is the output
+    /// itself, not a copy of it. Never iterated: nothing observable depends
+    /// on its order.
+    groups: HashSet<Head, FxBuild>,
 }
 
 /// The aggregate of a group with aggregate `current` (`None`: no inputs
@@ -97,9 +99,10 @@ fn combine(func: AggFunc, current: Option<&Value>, value: &Value) -> Value {
     }
 }
 
-/// A group key, wherever its fields lie: in the map, in a caller's slice,
-/// or still in the group columns of a source tuple. The map hashes and
-/// compares the three alike, so looking a group up builds nothing.
+/// A group's identity — a view's head fields but the aggregate, in head
+/// order — wherever those fields lie: in a stored head tuple, in the
+/// columns of a source tuple, or in a caller's group-by key. The map hashes
+/// and compares the three alike, so looking a group up builds nothing.
 trait GroupFields {
     fn len(&self) -> usize;
     fn field(&self, i: usize) -> &Value;
@@ -125,74 +128,113 @@ impl PartialEq for dyn GroupFields + '_ {
 
 impl Eq for dyn GroupFields + '_ {}
 
-/// The key the map holds a group under.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct GroupKey(Vec<Value>);
+/// What the map holds: a group's current head tuple, and where in it the
+/// aggregate lies. The position is the view's `agg_pos` in every entry — 8
+/// bytes per group that a `std` set makes each entry carry, since its `Hash`
+/// and `Eq` see the entry alone, not the view.
+#[derive(Debug, Clone)]
+struct Head {
+    tuple: Tuple,
+    agg_pos: usize,
+}
 
-impl<'a> Borrow<dyn GroupFields + 'a> for GroupKey {
+impl GroupFields for Head {
+    fn len(&self) -> usize {
+        self.tuple.arity() - 1
+    }
+    fn field(&self, i: usize) -> &Value {
+        &self.tuple.values()[i + usize::from(i >= self.agg_pos)]
+    }
+}
+
+impl<'a> Borrow<dyn GroupFields + 'a> for Head {
     fn borrow(&self) -> &(dyn GroupFields + 'a) {
         self
     }
 }
 
-impl Hash for GroupKey {
+impl Hash for Head {
     fn hash<H: Hasher>(&self, state: &mut H) {
         (self as &dyn GroupFields).hash(state);
     }
 }
 
-impl GroupFields for GroupKey {
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-    fn field(&self, i: usize) -> &Value {
-        &self.0[i]
+impl PartialEq for Head {
+    fn eq(&self, other: &Self) -> bool {
+        (self as &dyn GroupFields) == (other as &dyn GroupFields)
     }
 }
 
-impl GroupFields for &[Value] {
-    fn len(&self) -> usize {
-        <[Value]>::len(self)
-    }
-    fn field(&self, i: usize) -> &Value {
-        &self[i]
-    }
-}
+impl Eq for Head {}
 
-/// The group key of a source tuple, read off its columns.
+/// The group of a source tuple, read off its columns.
 struct Projected<'a> {
-    cols: &'a [usize],
+    fields: &'a [KeyField],
     tuple: &'a Tuple,
 }
 
 impl<'a> Projected<'a> {
     /// `None` when the tuple is too short to project (heterogeneous
     /// hand-built stores).
-    fn of(cols: &'a [usize], tuple: &'a Tuple) -> Option<Self> {
-        let covered = cols.iter().all(|&c| c < tuple.arity());
-        covered.then_some(Projected { cols, tuple })
+    fn of(fields: &'a [KeyField], tuple: &'a Tuple) -> Option<Self> {
+        let covered = fields.iter().all(|field| match field {
+            KeyField::Group { col, .. } => *col < tuple.arity(),
+            KeyField::Const(_) => true,
+        });
+        covered.then_some(Projected { fields, tuple })
     }
 }
 
 impl GroupFields for Projected<'_> {
     fn len(&self) -> usize {
-        self.cols.len()
+        self.fields.len()
     }
     fn field(&self, i: usize) -> &Value {
-        &self.tuple.values()[self.cols[i]]
+        match &self.fields[i] {
+            KeyField::Group { col, .. } => &self.tuple.values()[*col],
+            KeyField::Const(c) => c,
+        }
     }
 }
 
-/// Instantiate a head template for a group: one allocation, of exactly
-/// the tuple's size.
-fn head_tuple(template: &[HeadField], key: &dyn GroupFields, agg_value: &Value) -> Tuple {
-    let mut key = key.iter();
-    let field = |f: &HeadField| match f {
-        HeadField::Group => key.next().expect("one key field per group column").clone(),
-        HeadField::AggValue => agg_value.clone(),
-        HeadField::Const(c) => c.clone(),
+/// A group named by its group-by fields alone.
+struct ByKey<'a> {
+    fields: &'a [KeyField],
+    key: &'a [Value],
+}
+
+impl<'a> ByKey<'a> {
+    /// `None` when `key` has not one value per group-by field.
+    fn of(fields: &'a [KeyField], key: &'a [Value]) -> Option<Self> {
+        let groups = fields
+            .iter()
+            .filter(|field| matches!(field, KeyField::Group { .. }))
+            .count();
+        (key.len() == groups).then_some(ByKey { fields, key })
+    }
+}
+
+impl GroupFields for ByKey<'_> {
+    fn len(&self) -> usize {
+        self.fields.len()
+    }
+    fn field(&self, i: usize) -> &Value {
+        match &self.fields[i] {
+            KeyField::Group { index, .. } => &self.key[*index],
+            KeyField::Const(c) => c,
+        }
+    }
+}
+
+/// The head tuple of a group with aggregate `agg_value`: one allocation,
+/// of exactly the tuple's size.
+fn head_tuple(agg_pos: usize, group: &dyn GroupFields, agg_value: &Value) -> Tuple {
+    let field = |i: usize| match i.cmp(&agg_pos) {
+        std::cmp::Ordering::Less => group.field(i).clone(),
+        std::cmp::Ordering::Equal => agg_value.clone(),
+        std::cmp::Ordering::Greater => group.field(i - 1).clone(),
     };
-    template.iter().map(field).collect()
+    (0..=group.len()).map(field).collect()
 }
 
 impl AggregateView {
@@ -249,12 +291,12 @@ impl AggregateView {
             )
         })?;
 
-        let mut head_template = Vec::with_capacity(rule.head.arity());
+        let mut key_fields = Vec::with_capacity(rule.head.arity() - 1);
         let mut group_cols = Vec::new();
         for term in &rule.head.args {
             match term {
-                Term::Agg(_) => head_template.push(HeadField::AggValue),
-                Term::Const(c) => head_template.push(HeadField::Const(c.clone())),
+                Term::Agg(_) => {}
+                Term::Const(c) => key_fields.push(KeyField::Const(c.clone())),
                 Term::Var(v) => {
                     let col = col_of(&v.name).ok_or_else(|| {
                         format!(
@@ -262,8 +304,9 @@ impl AggregateView {
                             rule.label, v.name
                         )
                     })?;
+                    let index = group_cols.len();
                     group_cols.push(col);
-                    head_template.push(HeadField::Group);
+                    key_fields.push(KeyField::Group { col, index });
                 }
             }
         }
@@ -274,11 +317,11 @@ impl AggregateView {
             func: agg.func,
             value_col,
             group_cols,
-            head_template,
+            key_fields,
             agg_pos: agg_positions[0],
             source_atom: source,
             guards,
-            groups: HashMap::default(),
+            groups: HashSet::default(),
         })
     }
 
@@ -323,35 +366,39 @@ impl AggregateView {
     /// The head tuple currently derived for the group a source tuple
     /// belongs to, if any.
     pub fn current_output_for(&self, source_tuple: &Tuple) -> Option<&Tuple> {
-        let key = Projected::of(&self.group_cols, source_tuple)?;
-        self.groups.get(&key as &dyn GroupFields)
+        let group = Projected::of(&self.key_fields, source_tuple)?;
+        let head = self.groups.get(&group as &dyn GroupFields)?;
+        Some(&head.tuple)
     }
 
     /// The group key a source tuple belongs to, or `None` when the tuple
     /// is too short to project (heterogeneous hand-built stores).
     pub fn group_key(&self, source_tuple: &Tuple) -> Option<Vec<Value>> {
-        let key = Projected::of(&self.group_cols, source_tuple)?;
-        Some((&key as &dyn GroupFields).iter().cloned().collect())
+        Projected::of(&self.key_fields, source_tuple)?;
+        Some(source_tuple.project(&self.group_cols))
     }
 
     /// The head tuple currently derived for a group, if any.
     pub fn current_output(&self, key: &[Value]) -> Option<&Tuple> {
-        self.groups.get(&key as &dyn GroupFields)
+        let group = ByKey::of(&self.key_fields, key)?;
+        let head = self.groups.get(&group as &dyn GroupFields)?;
+        Some(&head.tuple)
     }
 
     /// Map a head (output) tuple back to its group key, or `None` when the
     /// tuple cannot be an output of this view (wrong arity or mismatched
     /// constants).
     pub fn output_group_key(&self, head_tuple: &Tuple) -> Option<Vec<Value>> {
-        if head_tuple.arity() != self.head_template.len() {
+        if head_tuple.arity() != self.key_fields.len() + 1 {
             return None;
         }
         let mut key = Vec::with_capacity(self.group_cols.len());
-        for (field, value) in self.head_template.iter().zip(head_tuple.values()) {
+        for (i, field) in self.key_fields.iter().enumerate() {
+            let value = &head_tuple.values()[i + usize::from(i >= self.agg_pos)];
             match field {
-                HeadField::Group => key.push(value.clone()),
-                HeadField::Const(c) if c != value => return None,
-                _ => {}
+                KeyField::Group { .. } => key.push(value.clone()),
+                KeyField::Const(c) if c != value => return None,
+                KeyField::Const(_) => {}
             }
         }
         Some(key)
@@ -399,12 +446,18 @@ impl AggregateView {
         stats: &mut JoinStats,
     ) -> Option<TupleDelta> {
         let aggregate = self.fold_group(store, key, stats);
-        let head = aggregate.map(|v| head_tuple(&self.head_template, &key, &v));
-        match &head {
-            Some(head) => self.groups.insert(GroupKey(key.to_vec()), head.clone()),
-            None => self.groups.remove(&key as &dyn GroupFields),
+        let group = ByKey::of(&self.key_fields, key)?;
+        let group: &dyn GroupFields = &group;
+        let Some(aggregate) = aggregate else {
+            self.groups.remove(group);
+            return None;
         };
-        head.map(|t| TupleDelta::insert(self.head_relation.clone(), t))
+        let tuple = head_tuple(self.agg_pos, group, &aggregate);
+        self.groups.replace(Head {
+            tuple: tuple.clone(),
+            agg_pos: self.agg_pos,
+        });
+        Some(TupleDelta::insert(self.head_relation.clone(), tuple))
     }
 
     /// The (relation, bound-column signature) pairs this view probes:
@@ -496,15 +549,15 @@ impl AggregateView {
         let Some(value) = inserted.get(self.value_col) else {
             return Vec::new();
         };
-        let Some(key) = Projected::of(&self.group_cols, inserted) else {
+        let Some(group) = Projected::of(&self.key_fields, inserted) else {
             return Vec::new();
         };
-        let key: &dyn GroupFields = &key;
-        let old_head = self.groups.get(key);
+        let group: &dyn GroupFields = &group;
+        let old_head = self.groups.get(group).map(|head| &head.tuple);
         let aggregate = match self.func {
             // Float addition does not commute with arrival order.
             AggFunc::Sum => {
-                let key: Vec<Value> = key.iter().cloned().collect();
+                let key = inserted.project(&self.group_cols);
                 self.fold_group(store, &key, &mut JoinStats::default())
             }
             func => {
@@ -512,19 +565,18 @@ impl AggregateView {
                 Some(combine(func, current, value))
             }
         };
-        let new_head = aggregate.map(|v| head_tuple(&self.head_template, key, &v));
+        let new_head = aggregate.map(|v| head_tuple(self.agg_pos, group, &v));
         if old_head == new_head.as_ref() {
             return Vec::new();
         }
-        // Only a group's first tuple copies the key into the map.
-        let old_head = match (self.groups.get_mut(key), &new_head) {
-            (Some(head), Some(new)) => Some(std::mem::replace(head, new.clone())),
-            (None, Some(new)) => {
-                let key = GroupKey(key.iter().cloned().collect());
-                self.groups.insert(key, new.clone())
-            }
-            (_, None) => self.groups.remove(key),
+        let old_head = match &new_head {
+            Some(new) => self.groups.replace(Head {
+                tuple: new.clone(),
+                agg_pos: self.agg_pos,
+            }),
+            None => self.groups.take(group),
         };
+        let old_head = old_head.map(|head| head.tuple);
         let retract = old_head.map(|old| TupleDelta::delete(self.head_relation.clone(), old));
         let assert = new_head.map(|new| TupleDelta::insert(self.head_relation.clone(), new));
         retract.into_iter().chain(assert).collect()

@@ -9,7 +9,6 @@
 use ndlog_lang::{BinOp, Expr, Value};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::iter::once;
 
 /// Variable bindings accumulated while evaluating a rule body.
 pub type Bindings = BTreeMap<String, Value>;
@@ -166,26 +165,23 @@ pub fn eval_builtin<'a>(name: &str, args: &'a [Value]) -> Result<Value, EvalErro
             context: format!("{name} expects a list argument"),
         })
     };
-    // Every list a builtin builds is collected from an iterator of known
-    // length: one allocation of exactly the result's size.
+    // A list a builtin builds shares the list it extends: one node per
+    // element added, whatever the length.
     match short {
         // f_cons(x, list) -> [x | list]
         "cons" | "concatPath" => {
             arity(2)?;
-            let tail = as_list(&args[1])?.iter().cloned();
-            Ok(Value::List(once(args[0].clone()).chain(tail).collect()))
+            Ok(Value::List(as_list(&args[1])?.cons(args[0].clone())))
         }
         // f_append(list, x) -> list ++ [x]
         "append" => {
             arity(2)?;
-            let init = as_list(&args[0])?.iter().cloned();
-            Ok(Value::List(init.chain(once(args[1].clone())).collect()))
+            Ok(Value::List(as_list(&args[0])?.snoc(args[1].clone())))
         }
         // f_concat(list, list) -> list ++ list
         "concat" => {
             arity(2)?;
-            let (front, back) = (as_list(&args[0])?, as_list(&args[1])?);
-            Ok(Value::List(front.iter().chain(back).cloned().collect()))
+            Ok(Value::List(as_list(&args[0])?.concat(as_list(&args[1])?)))
         }
         // f_member(list, x) -> 1 if x in list else 0
         "member" => {
@@ -377,7 +373,7 @@ mod tests {
         let e = Expr::call("f_cons", vec![Expr::var("S"), Expr::var("P2")]);
         let v = eval(&e, &b).unwrap();
         assert_eq!(v.as_list().unwrap().len(), 3);
-        assert_eq!(v.as_list().unwrap()[0], Value::addr(1u32));
+        assert_eq!(v.as_list().unwrap().first(), Some(&Value::addr(1u32)));
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! primary index and every secondary index file the row's slot under the
 //! 64-bit [`fingerprint`] of the ids they project ([`crate::index`]). The
 //! hot paths — duplicate detection, membership tests, bucket lookups,
-//! residual filtering — hash and compare `u32`s: a path-vector column is
-//! hashed once when its tuple is interned and never walked again.
+//! residual filtering — hash and compare `u32`s. Interning a path-vector
+//! column is O(1) too: a list caches its hash, and its equality with the
+//! entry it finds stops at the tail the two share.
 //!
 //! # Semantics
 //!
@@ -41,13 +42,14 @@
 //! `Value`'s ordering. Nothing ordered by them is observable: they are
 //! hashed and compared for equality only, and every iteration order the
 //! engines expose is by primary-key *value* (see [`crate::index`]). The
-//! dictionary map and the fingerprints use `FxHasher`, a fixed-seed
-//! multiply-rotate hasher, so two runs of one input build identical tables
-//! and take the same time.
+//! dictionary map and the fingerprints use `FxHasher`
+//! ([`ndlog_lang::value::FxHasher`]), a seedless multiply-rotate hasher, so
+//! two runs of one input build identical tables and take the same time.
 
+pub(crate) use ndlog_lang::value::{FxBuild, FxHasher};
 use ndlog_lang::Value;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::Hasher;
 
 /// A fixed-size handle to a value of one relation's dictionary.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -56,59 +58,6 @@ pub struct ValueId(u32);
 impl ValueId {
     /// The raw id (useful for diagnostics).
     pub fn raw(self) -> u32 {
-        self.0
-    }
-}
-
-/// Fx-style hasher: one rotate-xor-multiply per word, no seed. The
-/// multiply is folded (high half xored into the low half), because a plain
-/// one only carries upwards: a float's bit pattern ends in zeros, and so
-/// would its hash, while the table takes its bucket from the low bits.
-///
-/// No seed also means no defence against values crafted to collide, which
-/// the randomly seeded default hasher gave the interner this replaces.
-/// Simulated engines hash values they derived themselves; `ndlog serve`
-/// stores what its clients send, and bounding what one client can cost is
-/// the serve item of the ROADMAP.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct FxHasher(u64);
-
-/// Build-hasher of the id-keyed maps.
-pub(crate) type FxBuild = BuildHasherDefault<FxHasher>;
-
-impl FxHasher {
-    fn add(&mut self, word: u64) {
-        let wide = u128::from(self.0.rotate_left(5) ^ word) * 0x51_7c_c1_b7_27_22_0a_95;
-        self.0 = (wide as u64) ^ ((wide >> 64) as u64);
-    }
-}
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.add(u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")));
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut word = [0u8; 8];
-            word[..rest.len()].copy_from_slice(rest);
-            self.add(u64::from_le_bytes(word));
-        }
-    }
-    fn write_u8(&mut self, v: u8) {
-        self.add(u64::from(v));
-    }
-    fn write_u32(&mut self, v: u32) {
-        self.add(u64::from(v));
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.add(v);
-    }
-    fn write_usize(&mut self, v: usize) {
-        self.add(v as u64);
-    }
-    fn finish(&self) -> u64 {
         self.0
     }
 }

@@ -77,14 +77,16 @@
 //! path, so a process hosting hundreds of node engines pays the buffers'
 //! high-water mark once per lane, not once per node — at 150 nodes that
 //! was half the live heap. A tuple is one allocation
-//! ([`Tuple`] and list values are `Arc<[Value]>`, built at their exact
-//! size where they are constructed), a stored row adds none (column ids
-//! sit inline for ≤ 8 columns, and a row alone under its fingerprint sits
-//! inline in every table that files it), and a relation's name is a
-//! shared [`RelName`] that strands and views hold once and deltas clone by
-//! reference count. `tests/alloc_budget.rs` holds the resulting allocator
-//! calls per derivation and live allocations and bytes per stored tuple to
-//! budgets, as exact counts.
+//! ([`Tuple`] is an `Arc<[Value]>`, built at its exact size where it is
+//! constructed), extending a list value is one more (a path vector shares
+//! its tail with the path it extends: `ndlog_lang::value::List`), a stored
+//! row adds none (column ids sit inline for ≤ 8 columns, and a row alone
+//! under its fingerprint sits inline in every table that files it), and a
+//! relation's name is a shared [`RelName`] that strands and views hold once
+//! and deltas clone by reference count. `tests/alloc_budget.rs` holds the
+//! resulting allocator calls and requested bytes per derivation, and live
+//! allocations, live bytes and peak live bytes per stored tuple to budgets,
+//! as exact counts.
 //!
 //! Three optimizations stack on the batch path:
 //!

@@ -965,6 +965,58 @@ mod tests {
             .is_err());
     }
 
+    /// A list literal as long as a request line allows — ≈ 500 k elements,
+    /// one node each — is stored, streamed, compared and freed by loops:
+    /// committing and retracting it leaves the session working.
+    #[test]
+    fn a_request_line_sized_list_commits_and_retracts() {
+        let service = Service::new();
+        let session = service.open_session(Arc::new(NullSink));
+        let sink = CollectSink::new();
+        let watcher = service.open_session(sink.clone());
+        session.execute_line("materialize(big, keys(1)).").unwrap();
+        watcher.execute_line(".subscribe big").unwrap();
+
+        let items = (crate::service::MAX_LINE_BYTES - 64) / 2;
+        let mut literal = String::with_capacity(2 * items + 2);
+        literal.push('[');
+        for i in 0..items {
+            literal.push(char::from(b'0' + (i % 10) as u8));
+            literal.push(if i + 1 < items { ',' } else { ']' });
+        }
+        let insert = format!("+big(1, {literal}).");
+        assert!(insert.len() <= crate::service::MAX_LINE_BYTES);
+        session.execute_line(&insert).unwrap();
+        let events = sink.drain();
+        assert_eq!(events.len(), 1);
+        let stored = events[0]
+            .delta
+            .tuple
+            .get(1)
+            .and_then(Value::as_list)
+            .unwrap();
+        assert_eq!(stored.len(), items);
+        assert_eq!(events[0].delta.tuple.to_string().len(), 3 * items + 5);
+        drop(events);
+
+        session
+            .execute_line(&format!("-big(1, {literal})."))
+            .unwrap();
+        let events = sink.drain();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].delta.sign, Sign::Delete);
+        drop(events);
+        let Response::Rows { rows, .. } = session.execute_line("?- big(_, _).").unwrap() else {
+            panic!()
+        };
+        assert!(rows.is_empty());
+        session.execute_line("+big(2, [1, 2]).").unwrap();
+        let Response::Rows { rows, .. } = session.execute_line("?- big(2, _).").unwrap() else {
+            panic!()
+        };
+        assert_eq!(rows.len(), 1);
+    }
+
     #[test]
     fn dump_and_fingerprint_agree() {
         let service = Service::from_program(&programs::shortest_path("")).unwrap();

@@ -1,31 +1,36 @@
-//! The heap census as a deterministic test: how many allocator calls a
-//! derivation costs, and how many live allocations and bytes a stored
-//! tuple costs once the network is quiet.
+//! The heap census as a deterministic test: how many allocator calls and
+//! requested bytes a derivation costs, how many live allocations and bytes
+//! a stored tuple costs once the network is quiet, and how high the live
+//! bytes rose on the way there.
 //!
 //! Input: hop-count `shortest_path` with aggregate selections on the
 //! seeded 52-node `TransitStubConfig::medium()` overlay, one executor
 //! thread, run to quiescence — `converge_dense`'s shape at a third of its
-//! size. The allocator below counts only the thread running the test and
-//! only while it is marked as measuring, so the harness's own threads and
+//! size. The allocator below counts per thread, and only while the thread
+//! is marked as measuring, so the harness's own threads, other tests and
 //! everything before the first mark stay out of the numbers; with one
 //! executor thread the whole engine runs on that thread. Every quantity is
 //! a count of calls or of requested bytes, never a time, and the input is
-//! seeded, so the three ratios repeat exactly from run to run and are held
+//! seeded, so the five ratios repeat exactly from run to run and are held
 //! to budgets of measured value + 10 %. A change that makes a tuple cost
-//! another allocation fails here before it shows up as `peak_rss_mb`.
+//! another allocation fails here before it shows up as `peak_rss_mb`; the
+//! peak is the committed form of a census taken at the live-heap peak of a
+//! round, where the derivations in flight are.
 //!
 //! Run with `--nocapture` to see the ratios, and under them what the
 //! relations' own structures hold by component — slab, primary index, each
 //! secondary index, dictionary — summed over the nodes from
 //! `Store::heap_bytes()` (capacities, so no sampling): the number a storage
 //! change is to be read against. When the ratios were set (release build; a
-//! debug build's `check_invariants` adds 5 % to the first):
+//! debug build's `check_invariants` adds 5 % to the first two):
 //!
-//! | | before lent buffers and one-allocation tuples | after | aggregate views hold outputs only | key-bound re-derivation plans | fingerprint → slot tables |
-//! |---|---|---|---|---|---|
-//! | allocator calls per derivation | 18.234 | 4.705 | 4.597 | 4.191 | 3.789 |
-//! | live allocations per stored tuple | 10.462 | 4.524 | 4.260 | 3.936 | 2.635 |
-//! | live bytes per stored tuple | 1946.1 | 1070.9 | 961.1 | 932.4 | 732.2 |
+//! | | before lent buffers and one-allocation tuples | after | aggregate views hold outputs only | key-bound re-derivation plans | fingerprint → slot tables | shared list tails |
+//! |---|---|---|---|---|---|---|
+//! | allocator calls per derivation | 18.234 | 4.705 | 4.597 | 4.191 | 3.789 | 3.681 |
+//! | requested bytes per derivation | | | | | 635.7 | 582.4 |
+//! | live allocations per stored tuple | 10.462 | 4.524 | 4.260 | 3.936 | 2.635 | 2.413 |
+//! | live bytes per stored tuple | 1946.1 | 1070.9 | 961.1 | 932.4 | 732.2 | 704.4 |
+//! | peak live bytes per stored tuple | | | | | 1147.9 | 1031.9 |
 //!
 //! The fourth column's live figures are the two indexes only the old
 //! re-derivation probed (`path[1]`, `path_sp2_xd[1]`) leaving every node.
@@ -35,71 +40,114 @@
 //! one-row bucket is 16 bytes in its table and no allocation, no table
 //! entry carries a 40-byte key, and the four signatures that bind a whole
 //! primary key (`link[0,1]`, `link[0,1,2]`, `spCost[0,1]`, `spCost[0,1,2]`)
-//! are answered by the primary index and never built.
+//! are answered by the primary index and never built. The sixth is
+//! `Value::List` as a persistent list: `f_cons` adds one 72-byte node to
+//! the path it extends instead of copying it (`nil` is no allocation at
+//! all), and an aggregate view keys each group by the head tuple it holds
+//! instead of a copied key vector. A path's tail outlives the path when a
+//! longer path still shares it, which costs fewer bytes than the copies did.
 
 use ndlog_core::{plan, DistributedEngine, EngineConfig};
+use ndlog_lang::value::FxBuild;
 use ndlog_lang::{programs, Value};
 use ndlog_net::gtitm::{generate, TransitStubConfig};
 use ndlog_net::overlay::{Overlay, OverlayConfig};
 use ndlog_net::topology::Metric;
+use ndlog_runtime::expr::eval_builtin;
 use ndlog_runtime::Tuple;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
+use std::hash::BuildHasher;
 
 /// Allocator calls (`alloc` + `realloc`) per derivation during the run.
-const MAX_ALLOCS_PER_DERIVATION: f64 = 4.17;
+const MAX_ALLOCS_PER_DERIVATION: f64 = 4.05;
+/// Requested bytes (`alloc` sizes + `realloc` growth) per derivation.
+const MAX_REQUESTED_BYTES_PER_DERIVATION: f64 = 641.0;
 /// Live allocations per stored tuple at quiescence.
-const MAX_LIVE_ALLOCS_PER_TUPLE: f64 = 2.90;
+const MAX_LIVE_ALLOCS_PER_TUPLE: f64 = 2.66;
 /// Live requested bytes per stored tuple at quiescence.
-const MAX_LIVE_BYTES_PER_TUPLE: f64 = 805.0;
+const MAX_LIVE_BYTES_PER_TUPLE: f64 = 775.0;
+/// The high-water mark of live requested bytes, per stored tuple.
+const MAX_PEAK_BYTES_PER_TUPLE: f64 = 1136.0;
 
 struct Counting;
 
-thread_local! {
-    /// Set on the measuring thread between the two marks. Const-initialized
-    /// and without a destructor, so reading it inside the allocator neither
-    /// allocates nor registers anything.
-    static MEASURING: Cell<bool> = const { Cell::new(false) };
+/// What the measuring thread allocated between the two marks.
+struct Counts {
+    measuring: Cell<bool>,
+    /// `alloc` + `realloc` calls.
+    calls: Cell<u64>,
+    /// Bytes requested by `alloc`, and by `realloc` beyond the old size.
+    requested: Cell<u64>,
+    /// Allocations made and not yet freed.
+    live: Cell<i64>,
+    /// Requested bytes of those allocations.
+    live_bytes: Cell<i64>,
+    /// The highest `live_bytes` has been.
+    peak_bytes: Cell<i64>,
 }
 
-/// `alloc` + `realloc` calls.
-static CALLS: AtomicU64 = AtomicU64::new(0);
-/// Allocations made and not yet freed.
-static LIVE: AtomicI64 = AtomicI64::new(0);
-/// Requested bytes of those allocations.
-static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
+thread_local! {
+    /// Per thread, so tests running side by side count apart. Const
+    /// initialized and without a destructor, so touching it inside the
+    /// allocator neither allocates nor registers anything.
+    static COUNTS: Counts = const {
+        Counts {
+            measuring: Cell::new(false),
+            calls: Cell::new(0),
+            requested: Cell::new(0),
+            live: Cell::new(0),
+            live_bytes: Cell::new(0),
+            peak_bytes: Cell::new(0),
+        }
+    };
+}
 
-fn measuring() -> bool {
-    MEASURING.with(Cell::get)
+impl Counts {
+    /// Count one allocator call that changed the live set by `allocations`
+    /// and `bytes`.
+    fn record(&self, allocations: i64, bytes: i64) {
+        if !self.measuring.get() {
+            return;
+        }
+        self.calls.set(self.calls.get() + 1);
+        self.requested
+            .set(self.requested.get() + bytes.max(0).unsigned_abs());
+        self.live.set(self.live.get() + allocations);
+        self.live_bytes.set(self.live_bytes.get() + bytes);
+        self.peak_bytes
+            .set(self.peak_bytes.get().max(self.live_bytes.get()));
+    }
+
+    fn free(&self, bytes: i64) {
+        if self.measuring.get() {
+            self.live.set(self.live.get() - 1);
+            self.live_bytes.set(self.live_bytes.get() - bytes);
+        }
+    }
+}
+
+/// Start (`true`) or stop counting on this thread.
+fn mark(measuring: bool) {
+    COUNTS.with(|c| c.measuring.set(measuring));
 }
 
 // SAFETY: every method forwards to `System` unchanged; the counters are
 // statistics that publish no other data.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if measuring() {
-            CALLS.fetch_add(1, Relaxed);
-            LIVE.fetch_add(1, Relaxed);
-            LIVE_BYTES.fetch_add(layout.size() as i64, Relaxed);
-        }
+        COUNTS.with(|c| c.record(1, layout.size() as i64));
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        if measuring() {
-            LIVE.fetch_sub(1, Relaxed);
-            LIVE_BYTES.fetch_sub(layout.size() as i64, Relaxed);
-        }
+        COUNTS.with(|c| c.free(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if measuring() {
-            CALLS.fetch_add(1, Relaxed);
-            LIVE_BYTES.fetch_add(new_size as i64 - layout.size() as i64, Relaxed);
-        }
+        COUNTS.with(|c| c.record(0, new_size as i64 - layout.size() as i64));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -118,7 +166,7 @@ fn allocations_per_derivation_and_per_stored_tuple_stay_in_budget() {
 
     // First mark: everything the engine allocates from here on is counted,
     // nothing allocated before is freed inside the window.
-    MEASURING.with(|m| m.set(true));
+    mark(true);
     let mut engine = DistributedEngine::new(overlay.graph.clone(), &[query_plan], config).unwrap();
     for l in overlay.links() {
         let cost = l.cost(Metric::HopCount);
@@ -129,14 +177,21 @@ fn allocations_per_derivation_and_per_stored_tuple_stay_in_budget() {
         ]);
         engine.insert_base(l.src, "link", link).unwrap();
     }
-    let calls_before = CALLS.load(Relaxed);
+    let (calls_before, requested_before) = COUNTS.with(|c| (c.calls.get(), c.requested.get()));
     let derivations_before = engine.computation_stats().derivations;
     let report = engine.run_to_quiescence().unwrap();
-    let calls = CALLS.load(Relaxed) - calls_before;
-    let derivations = engine.computation_stats().derivations - derivations_before;
-    let (live, live_bytes) = (LIVE.load(Relaxed), LIVE_BYTES.load(Relaxed));
     // Second mark.
-    MEASURING.with(|m| m.set(false));
+    mark(false);
+    let (calls, requested, live, live_bytes, peak_bytes) = COUNTS.with(|c| {
+        (
+            c.calls.get() - calls_before,
+            c.requested.get() - requested_before,
+            c.live.get(),
+            c.live_bytes.get(),
+            c.peak_bytes.get(),
+        )
+    });
+    let derivations = engine.computation_stats().derivations - derivations_before;
 
     assert!(report.quiesced);
     let n = overlay.node_count();
@@ -145,11 +200,17 @@ fn allocations_per_derivation_and_per_stored_tuple_stay_in_budget() {
     assert!(derivations > 0 && stored > 0);
 
     let per_derivation = calls as f64 / derivations as f64;
+    let requested_per_derivation = requested as f64 / derivations as f64;
     let live_per_tuple = live as f64 / stored as f64;
     let bytes_per_tuple = live_bytes as f64 / stored as f64;
+    let peak_per_tuple = peak_bytes as f64 / stored as f64;
     println!("{calls} allocator calls / {derivations} derivations = {per_derivation:.3}");
+    println!(
+        "{requested} requested bytes / {derivations} derivations = {requested_per_derivation:.1}"
+    );
     println!("{live} live allocations / {stored} stored tuples = {live_per_tuple:.3}");
     println!("{live_bytes} live bytes / {stored} stored tuples = {bytes_per_tuple:.1}");
+    println!("{peak_bytes} peak live bytes / {stored} stored tuples = {peak_per_tuple:.1}");
 
     // What of that the relations' own structures hold, by component.
     let mut components: BTreeMap<String, usize> = BTreeMap::new();
@@ -182,6 +243,10 @@ fn allocations_per_derivation_and_per_stored_tuple_stay_in_budget() {
         "{per_derivation:.3} allocator calls per derivation, budget {MAX_ALLOCS_PER_DERIVATION}"
     );
     assert!(
+        requested_per_derivation <= MAX_REQUESTED_BYTES_PER_DERIVATION,
+        "{requested_per_derivation:.1} requested bytes per derivation, budget {MAX_REQUESTED_BYTES_PER_DERIVATION}"
+    );
+    assert!(
         live_per_tuple <= MAX_LIVE_ALLOCS_PER_TUPLE,
         "{live_per_tuple:.3} live allocations per stored tuple, budget {MAX_LIVE_ALLOCS_PER_TUPLE}"
     );
@@ -189,4 +254,58 @@ fn allocations_per_derivation_and_per_stored_tuple_stay_in_budget() {
         bytes_per_tuple <= MAX_LIVE_BYTES_PER_TUPLE,
         "{bytes_per_tuple:.1} live bytes per stored tuple, budget {MAX_LIVE_BYTES_PER_TUPLE}"
     );
+    assert!(
+        peak_per_tuple <= MAX_PEAK_BYTES_PER_TUPLE,
+        "{peak_per_tuple:.1} peak live bytes per stored tuple, budget {MAX_PEAK_BYTES_PER_TUPLE}"
+    );
+}
+
+/// Extending a path vector is one node whatever its length, and reading
+/// its length, wire size or hash allocates nothing: what lets a derivation
+/// of `path` cost the same at hop 1 and hop 100.
+#[test]
+fn extending_a_list_is_one_allocation_and_reading_it_none() {
+    let list = Value::list((0..1000).map(Value::Int).collect());
+    let snoc_built = (0..1000).fold(Value::nil(), |list, i| {
+        eval_builtin("f_append", &[list, Value::Int(i)]).unwrap()
+    });
+    let cons_args = [Value::addr(7u32), list.clone()];
+    let append_args = [snoc_built.clone(), Value::addr(7u32)];
+    // (allocator calls, requested bytes) of `f`.
+    let allocations = |f: &dyn Fn()| {
+        mark(true);
+        let before = COUNTS.with(|c| (c.calls.get(), c.requested.get()));
+        f();
+        let after = COUNTS.with(|c| (c.calls.get(), c.requested.get()));
+        mark(false);
+        (after.0 - before.0, after.1 - before.1)
+    };
+    let allocator_calls = |f: &dyn Fn()| allocations(f).0;
+    // One node, not a copy of 1000 elements (24 kB).
+    const ONE_NODE: u64 = 128;
+    let cons = || drop(eval_builtin("f_cons", &cons_args).unwrap());
+    let (calls, bytes) = allocations(&cons);
+    assert!(
+        calls == 1 && bytes <= ONE_NODE,
+        "f_cons: {calls} calls, {bytes} B"
+    );
+    let append = || drop(eval_builtin("f_append", &append_args).unwrap());
+    let (calls, bytes) = allocations(&append);
+    assert!(
+        calls == 1 && bytes <= ONE_NODE,
+        "f_append: {calls} calls, {bytes} B"
+    );
+    let size = || drop(eval_builtin("f_size", std::slice::from_ref(&list)).unwrap());
+    assert_eq!(allocator_calls(&size), 0, "f_size");
+    let len = || assert_eq!(snoc_built.as_list().unwrap().len(), 1000);
+    assert_eq!(allocator_calls(&len), 0, "len");
+    let wire_size = || assert_eq!(list.wire_size(), snoc_built.wire_size());
+    assert_eq!(allocator_calls(&wire_size), 0, "wire_size");
+    let hash = || {
+        let fx = FxBuild::default();
+        assert_eq!(fx.hash_one(&list), fx.hash_one(&snoc_built));
+        let sip = std::collections::hash_map::RandomState::new();
+        assert_eq!(sip.hash_one(&list), sip.hash_one(&snoc_built));
+    };
+    assert_eq!(allocator_calls(&hash), 0, "hashing");
 }
