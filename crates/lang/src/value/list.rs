@@ -370,10 +370,10 @@ mod tests {
 
     #[test]
     fn a_node_is_one_value_and_four_words() {
-        // With the reference counts, one 72-byte allocation per element.
-        assert_eq!(std::mem::size_of::<Node>(), 56);
+        // With the reference counts, one 64-byte allocation per element.
+        assert_eq!(std::mem::size_of::<Node>(), 48);
         assert_eq!(std::mem::size_of::<List>(), 8);
-        assert_eq!(std::mem::size_of::<Value>(), 24);
+        assert_eq!(std::mem::size_of::<Value>(), 16);
     }
 
     #[test]

@@ -219,7 +219,7 @@ mod tests {
         let tuple = || {
             Tuple::new(vec![
                 Value::addr(0u32),
-                Value::Str("two\nlines \\ slash".into()),
+                Value::str("two\nlines \\ slash"),
                 Value::Float(5.0),
             ])
         };

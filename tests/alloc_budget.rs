@@ -17,20 +17,23 @@
 //! peak is the committed form of a census taken at the live-heap peak of a
 //! round, where the derivations in flight are.
 //!
-//! Run with `--nocapture` to see the ratios, and under them what the
-//! relations' own structures hold by component — slab, primary index, each
-//! secondary index, dictionary — summed over the nodes from
-//! `Store::heap_bytes()` (capacities, so no sampling): the number a storage
-//! change is to be read against. When the ratios were set (release build; a
-//! debug build's `check_invariants` adds 5 % to the first two):
+//! Run with `--nocapture` to see the ratios; under them, the ten size
+//! classes holding the most live bytes at that peak (exact requested sizes
+//! up to 512 B, powers of two above), as counts and bytes, with how many of
+//! each are left at quiescence; and what the relations' own structures
+//! hold by component — slab, primary index, each secondary index,
+//! dictionary — summed over the nodes from `Store::heap_bytes()`
+//! (capacities, so no sampling): the number a storage change is to be read
+//! against. When the ratios were set (release build; a debug build's
+//! `check_invariants` adds 5–8 % to the first two):
 //!
-//! | | before lent buffers and one-allocation tuples | after | aggregate views hold outputs only | key-bound re-derivation plans | fingerprint → slot tables | shared list tails |
-//! |---|---|---|---|---|---|---|
-//! | allocator calls per derivation | 18.234 | 4.705 | 4.597 | 4.191 | 3.789 | 3.681 |
-//! | requested bytes per derivation | | | | | 635.7 | 582.4 |
-//! | live allocations per stored tuple | 10.462 | 4.524 | 4.260 | 3.936 | 2.635 | 2.413 |
-//! | live bytes per stored tuple | 1946.1 | 1070.9 | 961.1 | 932.4 | 732.2 | 704.4 |
-//! | peak live bytes per stored tuple | | | | | 1147.9 | 1031.9 |
+//! | | before lent buffers and one-allocation tuples | after | aggregate views hold outputs only | key-bound re-derivation plans | fingerprint → slot tables | shared list tails | 16-byte values |
+//! |---|---|---|---|---|---|---|---|
+//! | allocator calls per derivation | 18.234 | 4.705 | 4.597 | 4.191 | 3.789 | 3.681 | 3.681 |
+//! | requested bytes per derivation | | | | | 635.7 | 582.4 | 479.8 |
+//! | live allocations per stored tuple | 10.462 | 4.524 | 4.260 | 3.936 | 2.635 | 2.413 | 2.418 |
+//! | live bytes per stored tuple | 1946.1 | 1070.9 | 961.1 | 932.4 | 732.2 | 704.4 | 602.3 |
+//! | peak live bytes per stored tuple | | | | | 1147.9 | 1031.9 | 853.2 |
 //!
 //! The fourth column's live figures are the two indexes only the old
 //! re-derivation probed (`path[1]`, `path_sp2_xd[1]`) leaving every node.
@@ -41,20 +44,31 @@
 //! entry carries a 40-byte key, and the four signatures that bind a whole
 //! primary key (`link[0,1]`, `link[0,1,2]`, `spCost[0,1]`, `spCost[0,1,2]`)
 //! are answered by the primary index and never built. The sixth is
-//! `Value::List` as a persistent list: `f_cons` adds one 72-byte node to
-//! the path it extends instead of copying it (`nil` is no allocation at
-//! all), and an aggregate view keys each group by the head tuple it holds
-//! instead of a copied key vector. A path's tail outlives the path when a
-//! longer path still shares it, which costs fewer bytes than the copies did.
+//! `Value::List` as a persistent list: `f_cons` adds one node to the path
+//! it extends instead of copying it (`nil` is no allocation at all), and an
+//! aggregate view keys each group by the head tuple it holds instead of a
+//! copied key vector. A path's tail outlives the path when a longer path
+//! still shares it, which costs fewer bytes than the copies did. The
+//! seventh is a `Value` of 16 bytes instead of 24 (a string is one pointer
+//! to a shared `Box<str>`, and so is a relation name): a 5-ary `path` tuple
+//! is 96 bytes instead of 136, a list node 64 instead of 72, a dictionary
+//! entry 24 instead of 32, and a `TupleDelta` 32 instead of 40. Each
+//! relation name is a second allocation, hence the 0.005 more live
+//! allocations per stored tuple.
+//!
+//! Beside it, two smaller pins: extending a path vector is one allocator
+//! call, and a request line of `MAX_LINE_BYTES` makes the parser hold a
+//! bounded multiple of its size.
 
 use ndlog_core::{plan, DistributedEngine, EngineConfig};
 use ndlog_lang::value::FxBuild;
-use ndlog_lang::{programs, Value};
+use ndlog_lang::{parse_command, programs, Command, Value};
 use ndlog_net::gtitm::{generate, TransitStubConfig};
 use ndlog_net::overlay::{Overlay, OverlayConfig};
 use ndlog_net::topology::Metric;
 use ndlog_runtime::expr::eval_builtin;
 use ndlog_runtime::Tuple;
+use ndlog_serve::service::MAX_LINE_BYTES;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -63,15 +77,64 @@ use std::hash::BuildHasher;
 /// Allocator calls (`alloc` + `realloc`) per derivation during the run.
 const MAX_ALLOCS_PER_DERIVATION: f64 = 4.05;
 /// Requested bytes (`alloc` sizes + `realloc` growth) per derivation.
-const MAX_REQUESTED_BYTES_PER_DERIVATION: f64 = 641.0;
+const MAX_REQUESTED_BYTES_PER_DERIVATION: f64 = 528.0;
 /// Live allocations per stored tuple at quiescence.
 const MAX_LIVE_ALLOCS_PER_TUPLE: f64 = 2.66;
 /// Live requested bytes per stored tuple at quiescence.
-const MAX_LIVE_BYTES_PER_TUPLE: f64 = 775.0;
+const MAX_LIVE_BYTES_PER_TUPLE: f64 = 663.0;
 /// The high-water mark of live requested bytes, per stored tuple.
-const MAX_PEAK_BYTES_PER_TUPLE: f64 = 1136.0;
+const MAX_PEAK_BYTES_PER_TUPLE: f64 = 939.0;
+/// Live requested bytes a parsed request line holds, per byte of the line.
+const MAX_LIVE_BYTES_PER_LINE_BYTE: f64 = 35.2;
+/// The high-water mark of live requested bytes while parsing a request
+/// line, per byte of the line.
+const MAX_PEAK_BYTES_PER_LINE_BYTE: f64 = 96.8;
 
 struct Counting;
+
+/// Census size classes: one per exact requested size up to 512 B, then one
+/// per power of two, `(2ᵏ⁻¹, 2ᵏ]` for `k` from 10 to 64.
+const EXACT_CLASSES: usize = 513;
+const CLASSES: usize = EXACT_CLASSES + 55;
+
+fn size_class(size: usize) -> usize {
+    if size < EXACT_CLASSES {
+        size
+    } else {
+        let k = usize::BITS - (size - 1).leading_zeros();
+        EXACT_CLASSES + k as usize - 10
+    }
+}
+
+fn class_label(class: usize) -> String {
+    if class < EXACT_CLASSES {
+        format!("{class} B")
+    } else {
+        format!("≤ 2^{} B", class - EXACT_CLASSES + 10)
+    }
+}
+
+/// The live allocations of one size class, and what they were at the
+/// high-water mark of live bytes.
+struct Class {
+    /// Live allocations and their requested bytes.
+    live: Cell<(i64, i64)>,
+    /// `live` as it was at high-water mark number `at`, kept from the
+    /// class's first change after that mark; a class unchanged since the
+    /// latest mark is still at its value there.
+    at_peak: Cell<(i64, i64)>,
+    at: Cell<u64>,
+}
+
+impl Class {
+    const fn new() -> Class {
+        Class {
+            live: Cell::new((0, 0)),
+            at_peak: Cell::new((0, 0)),
+            at: Cell::new(0),
+        }
+    }
+}
 
 /// What the measuring thread allocated between the two marks.
 struct Counts {
@@ -86,6 +149,11 @@ struct Counts {
     live_bytes: Cell<i64>,
     /// The highest `live_bytes` has been.
     peak_bytes: Cell<i64>,
+    /// How many times `peak_bytes` has risen: the number of the latest
+    /// high-water mark.
+    peaks: Cell<u64>,
+    /// The live set by size class.
+    classes: [Class; CLASSES],
 }
 
 thread_local! {
@@ -100,31 +168,71 @@ thread_local! {
             live: Cell::new(0),
             live_bytes: Cell::new(0),
             peak_bytes: Cell::new(0),
+            peaks: Cell::new(0),
+            classes: [const { Class::new() }; CLASSES],
         }
     };
 }
 
 impl Counts {
-    /// Count one allocator call that changed the live set by `allocations`
-    /// and `bytes`.
-    fn record(&self, allocations: i64, bytes: i64) {
-        if !self.measuring.get() {
-            return;
+    fn alloc(&self, size: usize) {
+        if self.measuring.get() {
+            self.calls.set(self.calls.get() + 1);
+            self.requested.set(self.requested.get() + size as u64);
+            self.change(1, size);
         }
-        self.calls.set(self.calls.get() + 1);
-        self.requested
-            .set(self.requested.get() + bytes.max(0).unsigned_abs());
-        self.live.set(self.live.get() + allocations);
-        self.live_bytes.set(self.live_bytes.get() + bytes);
-        self.peak_bytes
-            .set(self.peak_bytes.get().max(self.live_bytes.get()));
     }
 
-    fn free(&self, bytes: i64) {
+    fn dealloc(&self, size: usize) {
         if self.measuring.get() {
-            self.live.set(self.live.get() - 1);
-            self.live_bytes.set(self.live_bytes.get() - bytes);
+            self.change(-1, size);
         }
+    }
+
+    fn realloc(&self, old: usize, new: usize) {
+        if self.measuring.get() {
+            self.calls.set(self.calls.get() + 1);
+            self.requested
+                .set(self.requested.get() + new.saturating_sub(old) as u64);
+            self.change(-1, old);
+            self.change(1, new);
+        }
+    }
+
+    /// Add `allocations` live allocations of `size` bytes (remove, when
+    /// negative), raising the high-water mark if the live bytes pass it.
+    fn change(&self, allocations: i64, size: usize) {
+        let bytes = allocations * size as i64;
+        let class = &self.classes[size_class(size)];
+        let live = class.live.get();
+        if class.at.get() != self.peaks.get() {
+            class.at_peak.set(live);
+            class.at.set(self.peaks.get());
+        }
+        class.live.set((live.0 + allocations, live.1 + bytes));
+        self.live.set(self.live.get() + allocations);
+        self.live_bytes.set(self.live_bytes.get() + bytes);
+        if self.live_bytes.get() > self.peak_bytes.get() {
+            self.peak_bytes.set(self.live_bytes.get());
+            self.peaks.set(self.peaks.get() + 1);
+        }
+    }
+
+    /// Each size class's live allocations and bytes at the latest
+    /// high-water mark.
+    fn at_peak(&self) -> Vec<(usize, (i64, i64))> {
+        let latest = self.peaks.get();
+        (0..CLASSES)
+            .map(|i| {
+                let class = &self.classes[i];
+                let at_peak = if class.at.get() == latest {
+                    class.at_peak.get()
+                } else {
+                    class.live.get()
+                };
+                (i, at_peak)
+            })
+            .collect()
     }
 }
 
@@ -137,17 +245,17 @@ fn mark(measuring: bool) {
 // statistics that publish no other data.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        COUNTS.with(|c| c.record(1, layout.size() as i64));
+        COUNTS.with(|c| c.alloc(layout.size()));
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        COUNTS.with(|c| c.free(layout.size() as i64));
+        COUNTS.with(|c| c.dealloc(layout.size()));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        COUNTS.with(|c| c.record(0, new_size as i64 - layout.size() as i64));
+        COUNTS.with(|c| c.realloc(layout.size(), new_size));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -211,6 +319,22 @@ fn allocations_per_derivation_and_per_stored_tuple_stay_in_budget() {
     println!("{live} live allocations / {stored} stored tuples = {live_per_tuple:.3}");
     println!("{live_bytes} live bytes / {stored} stored tuples = {bytes_per_tuple:.1}");
     println!("{peak_bytes} peak live bytes / {stored} stored tuples = {peak_per_tuple:.1}");
+
+    // Who held the peak: the ten size classes with the most live bytes at
+    // the high-water mark, and how many of each are left at quiescence.
+    let (mut at_peak, quiescent) = COUNTS.with(|c| {
+        let quiescent: Vec<i64> = c.classes.iter().map(|class| class.live.get().0).collect();
+        (c.at_peak(), quiescent)
+    });
+    at_peak.sort_by_key(|&(class, (_, bytes))| (std::cmp::Reverse(bytes), class));
+    println!("live at the peak, top 10 size classes:");
+    for &(class, (count, bytes)) in at_peak.iter().take(10) {
+        println!(
+            "  {bytes:>9} B in {count:>6} × {:<10} ({} left at quiescence)",
+            class_label(class),
+            quiescent[class]
+        );
+    }
 
     // What of that the relations' own structures hold, by component.
     let mut components: BTreeMap<String, usize> = BTreeMap::new();
@@ -281,8 +405,9 @@ fn extending_a_list_is_one_allocation_and_reading_it_none() {
         (after.0 - before.0, after.1 - before.1)
     };
     let allocator_calls = |f: &dyn Fn()| allocations(f).0;
-    // One node, not a copy of 1000 elements (24 kB).
-    const ONE_NODE: u64 = 128;
+    // One node — 48 bytes and two reference counts — not a copy of 1000
+    // elements (16 kB).
+    const ONE_NODE: u64 = 64;
     let cons = || drop(eval_builtin("f_cons", &cons_args).unwrap());
     let (calls, bytes) = allocations(&cons);
     assert!(
@@ -308,4 +433,57 @@ fn extending_a_list_is_one_allocation_and_reading_it_none() {
         assert_eq!(sip.hash_one(&list), sip.hash_one(&snoc_built));
     };
     assert_eq!(allocator_calls(&hash), 0, "hashing");
+}
+
+/// What one request line can make the parser hold: a `+big(1, [0,1,…]).`
+/// line of `MAX_LINE_BYTES`, one-digit elements, parsed on the measuring
+/// thread. Live bytes once the command is built (one list node per
+/// element, two line bytes) and the high-water mark on the way (the
+/// lexer's tokens, two per element, beside the list being built), each per
+/// byte of the line.
+#[test]
+fn a_request_line_costs_a_bounded_multiple_of_its_bytes() {
+    let items = (MAX_LINE_BYTES - 11) / 2;
+    let mut line = String::with_capacity(MAX_LINE_BYTES);
+    line.push_str("+big(1, [");
+    for i in 0..items {
+        line.push(char::from(b'0' + (i % 10) as u8));
+        line.push(if i + 1 < items { ',' } else { ']' });
+    }
+    line.push_str(").");
+    while line.len() < MAX_LINE_BYTES {
+        line.push(' ');
+    }
+    assert_eq!(line.len(), MAX_LINE_BYTES);
+
+    let (live_before, peak_before) = COUNTS.with(|c| {
+        c.peak_bytes.set(c.live_bytes.get());
+        (c.live_bytes.get(), c.peak_bytes.get())
+    });
+    mark(true);
+    let command = parse_command(&line).unwrap();
+    mark(false);
+    let (live, peak) = COUNTS.with(|c| {
+        (
+            c.live_bytes.get() - live_before,
+            c.peak_bytes.get() - peak_before,
+        )
+    });
+    let Some(Command::Update(update)) = &command else {
+        panic!("not an update")
+    };
+    assert_eq!(update.tuples[0][1].as_list().map(|l| l.len()), Some(items));
+
+    let live_per_byte = live as f64 / MAX_LINE_BYTES as f64;
+    let peak_per_byte = peak as f64 / MAX_LINE_BYTES as f64;
+    println!("{live} live bytes / {MAX_LINE_BYTES} line bytes = {live_per_byte:.1}");
+    println!("{peak} peak live bytes / {MAX_LINE_BYTES} line bytes = {peak_per_byte:.1}");
+    assert!(
+        live_per_byte <= MAX_LIVE_BYTES_PER_LINE_BYTE,
+        "{live_per_byte:.1} live bytes per line byte, budget {MAX_LIVE_BYTES_PER_LINE_BYTE}"
+    );
+    assert!(
+        peak_per_byte <= MAX_PEAK_BYTES_PER_LINE_BYTE,
+        "{peak_per_byte:.1} peak live bytes per line byte, budget {MAX_PEAK_BYTES_PER_LINE_BYTE}"
+    );
 }
