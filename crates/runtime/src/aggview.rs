@@ -32,17 +32,22 @@
 //! the downstream `shortestPath` rule react to improvements); a rebuild
 //! emits the insertion alone, the pass having retracted the old output.
 //!
-//! Extra body atoms (e.g. the `magicDst(@D)` literal in rule SP3-SD) act as
-//! *guards*: a source delta only feeds the aggregate when the guard atoms
-//! have matches in the local store. Guards are intended for static "magic"
-//! tables seeded before execution; retroactive changes to guard relations
-//! do not replay previously-skipped source tuples.
+//! A source tuple feeds its group only when it matches the source atom —
+//! its constants, and equal values wherever the atom repeats a variable —
+//! and every extra body atom (e.g. the `magicDst(@D)` literal in rule
+//! SP3-SD), a *guard*, has a match in the local store. Both are compiled
+//! once, by [`AggregateView::from_rule`], into column checks: the source
+//! atom's into `(column, expected)` pairs, each guard's into a membership
+//! probe on its constant columns and the columns whose variables the
+//! source atom binds. An insertion and a group rebuild run the same
+//! checks; a source atom of distinct variables and no guards checks
+//! nothing. Guards are intended for static "magic" tables seeded before
+//! execution; retroactive changes to guard relations do not replay
+//! previously-skipped source tuples.
 
-use crate::expr::Bindings;
 use crate::index::JoinStats;
 use crate::intern::FxBuild;
 use crate::store::Store;
-use crate::strand::bind_atom;
 use crate::tuple::{RelName, Tuple, TupleDelta};
 use ndlog_lang::{AggFunc, Atom, Literal, Rule, Term, Value};
 use std::borrow::Borrow;
@@ -60,6 +65,32 @@ enum KeyField {
     Const(Value),
 }
 
+/// The value a checked column must hold, read off the source tuple.
+#[derive(Debug, Clone, PartialEq)]
+enum Expected {
+    Const(Value),
+    /// The value of this column of the source tuple.
+    Col(usize),
+}
+
+impl Expected {
+    fn value<'a>(&'a self, source: &'a [Value]) -> &'a Value {
+        match self {
+            Expected::Const(c) => c,
+            Expected::Col(col) => &source[*col],
+        }
+    }
+}
+
+/// A guard atom compiled to one membership probe: the `cols` of
+/// `relation` must hold `key`, resolved against the source tuple.
+#[derive(Debug, Clone)]
+struct Guard {
+    relation: String,
+    cols: Vec<usize>,
+    key: Vec<Expected>,
+}
+
 /// An incrementally maintained aggregate view.
 #[derive(Debug, Clone)]
 pub struct AggregateView {
@@ -74,8 +105,12 @@ pub struct AggregateView {
     key_fields: Vec<KeyField>,
     /// The head position of the aggregate value.
     agg_pos: usize,
-    source_atom: Atom,
-    guards: Vec<Atom>,
+    source_arity: usize,
+    /// What the source atom demands of a tuple beyond its arity: a
+    /// constant column, or a repeated variable's later column equal to its
+    /// first.
+    source_checks: Vec<(usize, Expected)>,
+    guards: Vec<Guard>,
     /// The head tuple currently derived for each group, hashed and compared
     /// on its fields but the aggregate: the group's key is the output
     /// itself, not a copy of it. Never iterated: nothing observable depends
@@ -259,6 +294,12 @@ impl AggregateView {
                 rule.label
             ));
         }
+        if rule.body_atoms().any(Atom::has_aggregate) {
+            return Err(format!(
+                "rule {}: aggregates may only appear in the head",
+                rule.label
+            ));
+        }
         let body_atoms: Vec<&Atom> = rule.body_atoms().collect();
         let providers: Vec<&Atom> = body_atoms
             .iter()
@@ -275,12 +316,7 @@ impl AggregateView {
                 rule.label
             ));
         }
-        let source = providers[0].clone();
-        let guards: Vec<Atom> = body_atoms
-            .into_iter()
-            .filter(|a| a.name != source.name || **a != source)
-            .cloned()
-            .collect();
+        let source = providers[0];
         let col_of = |var: &str| -> Option<usize> {
             source.args.iter().position(|t| t.var_name() == Some(var))
         };
@@ -290,6 +326,44 @@ impl AggregateView {
                 rule.label
             )
         })?;
+        let source_checks = source
+            .args
+            .iter()
+            .enumerate()
+            .filter_map(|(col, term)| match term {
+                Term::Const(c) => Some((col, Expected::Const(c.clone()))),
+                Term::Var(v) => col_of(&v.name)
+                    .filter(|&first| first != col)
+                    .map(|first| (col, Expected::Col(first))),
+                Term::Agg(_) => None,
+            })
+            .collect();
+        // A guard probes its constants and the variables the source atom
+        // binds; its other variables match anything.
+        let guards = body_atoms
+            .into_iter()
+            .filter(|a| a.name != source.name || *a != source)
+            .map(|guard| {
+                let (mut cols, mut key) = (Vec::new(), Vec::new());
+                for (col, term) in guard.args.iter().enumerate() {
+                    let expected = match term {
+                        Term::Const(c) => Expected::Const(c.clone()),
+                        Term::Var(v) => match col_of(&v.name) {
+                            Some(source_col) => Expected::Col(source_col),
+                            None => continue,
+                        },
+                        Term::Agg(_) => continue,
+                    };
+                    cols.push(col);
+                    key.push(expected);
+                }
+                Guard {
+                    relation: guard.name.clone(),
+                    cols,
+                    key,
+                }
+            })
+            .collect();
 
         let mut key_fields = Vec::with_capacity(rule.head.arity() - 1);
         let mut group_cols = Vec::new();
@@ -319,7 +393,8 @@ impl AggregateView {
             group_cols,
             key_fields,
             agg_pos: agg_positions[0],
-            source_atom: source,
+            source_arity: source.arity(),
+            source_checks,
             guards,
             groups: HashSet::default(),
         })
@@ -405,8 +480,8 @@ impl AggregateView {
     }
 
     /// The aggregate of one group over the tuples currently stored in the
-    /// source relation (guards included); `None` when the group has no
-    /// stored input.
+    /// source relation that the view admits; `None` when the group has no
+    /// admitted input.
     fn fold_group(&self, store: &Store, key: &[Value], stats: &mut JoinStats) -> Option<Value> {
         let relation = store.relation(&self.source_relation)?;
         // Probe on the (sorted, deduplicated) group columns; verify the
@@ -424,7 +499,7 @@ impl AggregateView {
         relation
             .lookup(&cols, &vals, u64::MAX, stats)
             .map(|stored| &stored.tuple)
-            .filter(|tuple| in_group(tuple) && self.guards_satisfied(store, tuple))
+            .filter(|tuple| in_group(tuple) && self.admits(store, tuple))
             .filter_map(|tuple| tuple.get(self.value_col))
             .fold(None, |aggregate, value| {
                 Some(combine(self.func, aggregate.as_ref(), value))
@@ -464,10 +539,13 @@ impl AggregateView {
     /// every guard atom's constants plus the columns whose variables the
     /// source atom binds, and the source relation's group columns (used by
     /// [`AggregateView::rebuild_group`] during the DRed re-derive phase).
-    /// Declared up front (like strand probe plans) so these checks run as
+    /// Declared up front (like strand probe stages) so these checks run as
     /// index probes instead of relation scans.
     pub fn index_requirements(&self) -> Vec<(String, Vec<usize>)> {
-        let mut out = self.guard_index_requirements();
+        let guards = self.guards.iter().filter(|guard| !guard.cols.is_empty());
+        let mut out: Vec<_> = guards
+            .map(|guard| (guard.relation.clone(), guard.cols.clone()))
+            .collect();
         let group_sig: std::collections::BTreeSet<usize> =
             self.group_cols.iter().copied().collect();
         if !group_sig.is_empty() {
@@ -479,62 +557,24 @@ impl AggregateView {
         out
     }
 
-    /// The guard-atom half of [`AggregateView::index_requirements`].
-    fn guard_index_requirements(&self) -> Vec<(String, Vec<usize>)> {
-        let mut source_vars: std::collections::BTreeSet<&str> = std::collections::BTreeSet::new();
-        for term in &self.source_atom.args {
-            if let Term::Var(v) = term {
-                source_vars.insert(v.name.as_str());
-            }
-        }
-        self.guards
-            .iter()
-            .filter_map(|guard| {
-                let cols: Vec<usize> = guard
-                    .args
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(i, t)| match t {
-                        Term::Const(_) => Some(i),
-                        Term::Var(v) if source_vars.contains(v.name.as_str()) => Some(i),
-                        _ => None,
-                    })
-                    .collect();
-                (!cols.is_empty()).then(|| (guard.name.clone(), cols))
-            })
-            .collect()
-    }
-
-    fn guards_satisfied(&self, store: &Store, source_tuple: &Tuple) -> bool {
-        if self.guards.is_empty() {
-            return true;
-        }
-        let mut env = Bindings::new();
-        if !bind_atom(&self.source_atom, source_tuple, &mut env) {
+    /// Whether a source tuple feeds its group: it matches the source atom
+    /// and every guard has a match in `store`.
+    fn admits(&self, store: &Store, source_tuple: &Tuple) -> bool {
+        let fields = source_tuple.values();
+        if fields.len() != self.source_arity
+            || !self
+                .source_checks
+                .iter()
+                .all(|(col, want)| fields[*col] == *want.value(fields))
+        {
             return false;
         }
         self.guards.iter().all(|guard| {
-            let Some(relation) = store.relation(&guard.name) else {
+            let Some(relation) = store.relation(&guard.relation) else {
                 return false;
             };
-            let mut cols = Vec::new();
-            let mut vals = Vec::new();
-            for (i, t) in guard.args.iter().enumerate() {
-                match t {
-                    Term::Const(c) => {
-                        cols.push(i);
-                        vals.push(c.clone());
-                    }
-                    Term::Var(v) => {
-                        if let Some(val) = env.get(&v.name) {
-                            cols.push(i);
-                            vals.push(val.clone());
-                        }
-                    }
-                    Term::Agg(_) => {}
-                }
-            }
-            relation.contains_match(&cols, &vals, u64::MAX)
+            let key: Vec<Value> = guard.key.iter().map(|e| e.value(fields).clone()).collect();
+            relation.contains_match(&guard.cols, &key, u64::MAX)
         })
     }
 
@@ -543,7 +583,7 @@ impl AggregateView {
     /// aggregate is unchanged, otherwise the retraction of its old output
     /// (if it had one) and the assertion of the new.
     pub fn apply(&mut self, store: &Store, relation: &str, inserted: &Tuple) -> Vec<TupleDelta> {
-        if relation != self.source_relation || !self.guards_satisfied(store, inserted) {
+        if relation != self.source_relation || !self.admits(store, inserted) {
             return Vec::new();
         }
         let Some(value) = inserted.get(self.value_col) else {
@@ -758,6 +798,39 @@ mod tests {
         assert!(v.apply(&store, "pathDst", &pd(2, 0, 4.0)).is_empty());
     }
 
+    /// `obs(@S, A, C)` at node 0.
+    fn obs(a: i64, c: i64) -> Tuple {
+        Tuple::new(vec![Value::addr(0u32), Value::Int(a), Value::Int(c)])
+    }
+
+    #[test]
+    fn a_source_constant_selects_the_inputs_without_a_guard() {
+        let mut v = view("c cnt(@S, count<C>) :- obs(@S, 1, C).");
+        let mut store = Store::new();
+        for (a, c) in [(1, 5), (2, 7), (1, 9)] {
+            insert(&mut store, &mut v, obs(a, c));
+        }
+        assert_eq!(v.current_for(&obs(1, 0)), Some(Value::Int(2)));
+        // A rebuild folds the same inputs.
+        let rebuilt = remove(&mut store, &mut v, obs(1, 9)).unwrap();
+        assert_eq!(rebuilt.tuple.get(1), Some(&Value::Int(1)));
+    }
+
+    #[test]
+    fn a_repeated_source_variable_selects_the_inputs_without_a_guard() {
+        let mut v = view("m same(@S, max<C>) :- obs(@S, C, C).");
+        let mut store = Store::new();
+        for (a, c) in [(1, 5), (2, 7), (1, 9)] {
+            assert!(insert(&mut store, &mut v, obs(a, c)).is_empty());
+        }
+        assert_eq!(v.group_count(), 0);
+        let out = insert(&mut store, &mut v, obs(4, 4));
+        assert_eq!(out[0].tuple.get(1), Some(&Value::Int(4)));
+        // A rebuild folds the same inputs: none is left.
+        assert_eq!(remove(&mut store, &mut v, obs(4, 4)), None);
+        assert_eq!(v.group_count(), 0);
+    }
+
     #[test]
     fn malformed_rules_are_rejected() {
         let reject = |src: &str| {
@@ -780,6 +853,10 @@ mod tests {
         assert!(
             reject("a x(@S, D, min<C>) :- p(@S, C).").is_err(),
             "head variable missing from source"
+        );
+        assert!(
+            reject("a x(@S, min<C>) :- p(@S, C), q(@S, max<D>).").is_err(),
+            "aggregate in the body"
         );
     }
 

@@ -1,18 +1,14 @@
 //! Batch-delta strand evaluation: slot-compiled rules over flat, reusable
-//! environment buffers.
+//! environment buffers — the one way a strand fires.
 //!
-//! [`crate::strand::CompiledStrand::fire`] evaluates one trigger delta at a
-//! time, carrying its binding environments as `BTreeMap<String, Value>`s —
-//! every join candidate clones a whole map (tree nodes *and* `String`
-//! keys), which is the dominant per-tuple constant the profiles show once
-//! index probing has removed the join-selectivity cost. This module is the
-//! vectorized alternative: at compile time every variable of a rule gets a
-//! fixed **slot**, terms and expressions are rewritten to slot references,
-//! and at run time a whole batch of trigger deltas is drained through the
-//! rule's stages using two flat row arenas (`rows` / `next`, `width` slots
-//! per row) of a reusable [`BatchScratch`]. Extending an environment is a
-//! row copy into the arena; no per-environment `Vec`, map or `String` is
-//! ever allocated.
+//! At compile time every variable of a rule gets a fixed **slot**, terms
+//! and expressions are rewritten to slot references, and every non-trigger
+//! atom becomes a probe stage on the columns bound before it runs. At run
+//! time a whole batch of trigger deltas is drained through the rule's
+//! stages using two flat row arenas (`rows` / `next`, `width` slots per
+//! row) of a reusable [`BatchScratch`]. Extending an environment is a row
+//! copy into the arena; no per-environment `Vec`, map or `String` is ever
+//! allocated.
 //!
 //! # Who owns the buffers
 //!
@@ -67,24 +63,26 @@
 //! skips the grouping — the per-event distributed workload fires mostly
 //! one-delta batches.
 //!
-//! # Equivalence contract
+//! # What the oracle checks
 //!
 //! For every trigger `i` of the batch, the derivations in
-//! [`BatchOutput::for_trigger`] are exactly (same tuples, same order) what
-//! `fire(store, trigger_i, seq_limit_i)` returns against the same store:
-//! stages process rows in trigger order and extensions are appended
-//! stably, so rows stay grouped by trigger and ordered exactly as the
-//! nested tuple-at-a-time loops would have produced them. Join statistics
-//! are identical in *logical* terms — one logical probe (or scan) and the
-//! full bucket's `tuples_examined` are recorded per environment per atom,
-//! exactly like the tuple path. Only `distinct_probes` (the bucket
-//! lookups actually executed) differs: batch firing reports one per
-//! distinct key per atom, the tuple path one per environment. The only
-//! other caller-visible
-//! divergence is *error selection* when several triggers of one batch
-//! fail: stages run batch-wide, so the first error in stage order may
-//! belong to a later trigger than the first error in trigger order (the
-//! run still fails with an `EvalError` either way, and engines treat
+//! [`BatchOutput::for_trigger`] are the derivations of that trigger fired
+//! alone against the same store with its own `seq_limit`: one per
+//! combination of visible stored tuples that joins it and passes every
+//! assignment and filter, in body order. Stages process rows in trigger
+//! order and extensions are appended stably, so rows stay grouped by
+//! trigger and ordered as nested per-trigger loops would produce them.
+//! The naive evaluator of the dev-only `ndlog-oracle` crate, which shares
+//! no code with this module, is the reference: `strand.rs`'s table test
+//! compares every trigger's derivations with its `fire_one`, and
+//! `tests/properties.rs` whole stores with its fixpoint. Join statistics
+//! are *logical*: one logical probe (or scan) and the full bucket's
+//! `tuples_examined` are recorded per row per atom, whichever arm runs;
+//! only `distinct_probes` (the bucket lookups actually executed) shrinks
+//! with grouping, to one per distinct key per atom. When several triggers
+//! of one batch fail, stages run batch-wide, so the error reported may
+//! belong to a later trigger than the first failing one in trigger order
+//! (the run fails with an `EvalError` either way, and engines treat
 //! post-error state as unspecified).
 
 use crate::expr::{eval_binop, eval_builtin, EvalError};
@@ -92,7 +90,7 @@ use crate::index::JoinStats;
 use crate::intern::FxBuild;
 use crate::relation::StoredTuple;
 use crate::store::Store;
-use crate::strand::{ColumnSource, Derivation, ProbePlan};
+use crate::strand::Derivation;
 use crate::subplan::ProbeCache;
 use crate::tuple::{RelName, Sign, Tuple, TupleDelta};
 use ndlog_lang::seminaive::DeltaRule;
@@ -136,7 +134,7 @@ enum SlotExpr {
     /// error message.
     Slot(usize, String),
     /// A variable that is never bound anywhere in the rule: evaluating it
-    /// is always an error, exactly like the map-based path.
+    /// is always an error.
     Unbound(String),
     Binary(ndlog_lang::BinOp, Box<SlotExpr>, Box<SlotExpr>),
     Call(String, Vec<SlotExpr>),
@@ -155,7 +153,7 @@ enum HeadSource {
     Cand(usize),
     Unbound(String),
     /// Aggregate head terms are maintained by `AggregateView`, never fired
-    /// through strands; raise the same error the tuple path does.
+    /// through strands: projecting one is an error.
     Aggregate,
 }
 
@@ -163,17 +161,17 @@ enum HeadSource {
 #[derive(Debug, Clone, PartialEq)]
 struct ProbeStage {
     relation: String,
-    /// Sorted bound columns to probe on (empty = full scan); mirrors the
-    /// strand's [`ProbePlan`].
+    /// Sorted bound columns to probe on (empty = full scan): constants,
+    /// and variables an earlier literal bound.
     cols: Vec<usize>,
     /// Value per probe column, parallel to `cols`.
     key: Vec<SlotSource>,
     /// Expected candidate arity.
     arity: usize,
     /// What the probe key leaves of the atom (the relation's lookup
-    /// enforces every probed column, so re-checking them per candidate
-    /// would be redundant work the tuple path still performs): the
-    /// `(column, slot)` pairs that bind the atom's fresh variables …
+    /// enforces every probed column, so nothing re-checks them per
+    /// candidate): the `(column, slot)` pairs that bind the atom's fresh
+    /// variables …
     binds: Vec<(usize, usize)>,
     /// … and, for a variable the atom repeats, the `(column, column)`
     /// pairs a candidate must hold equal values in. Any slot bound by an
@@ -181,8 +179,7 @@ struct ProbeStage {
     /// joins depends on the key and the candidate alone — never on the
     /// row that asks.
     same: Vec<(usize, usize)>,
-    /// The atom mentions an aggregate term: no candidate can match
-    /// (exactly `bind_atom`'s behaviour).
+    /// The atom mentions an aggregate term: no candidate can match.
     reject_all: bool,
 }
 
@@ -197,7 +194,11 @@ enum Stage {
         prebound: bool,
         expr: SlotExpr,
     },
-    Filter(SlotExpr),
+    Filter {
+        expr: SlotExpr,
+        /// The filter's source text, for the type-error message.
+        text: String,
+    },
 }
 
 /// A slot-compiled rule strand.
@@ -472,12 +473,10 @@ impl BatchOutput {
     }
 }
 
-/// Compile a delta rule against its probe plans (parallel to the rule's
-/// body literals, as produced by the strand compiler).
-pub(crate) fn compile(rule: &DeltaRule, plans: &[Option<ProbePlan>]) -> BatchPlan {
+/// Compile a delta rule: slots for the trigger atom's variables first,
+/// then each literal's in body order.
+pub(crate) fn compile(rule: &DeltaRule) -> BatchPlan {
     let body = &rule.rule.body;
-    // Slot allocation follows the same walk as probe-plan compilation:
-    // trigger vars first, then each literal in body order.
     let mut slots: BTreeMap<String, usize> = BTreeMap::new();
     let mut slot_of = |name: &str, slots: &mut BTreeMap<String, usize>| -> usize {
         if let Some(&s) = slots.get(name) {
@@ -503,22 +502,21 @@ pub(crate) fn compile(rule: &DeltaRule, plans: &[Option<ProbePlan>]) -> BatchPla
         }
         match literal {
             Literal::Atom(atom) => {
-                let plan = plans.get(idx).and_then(Option::as_ref);
-                let (cols, key) = match plan {
-                    Some(plan) => (
-                        plan.cols.clone(),
-                        plan.sources
-                            .iter()
-                            .map(|src| match src {
-                                ColumnSource::Const(c) => SlotSource::Const(c.clone()),
-                                ColumnSource::Var(name) => {
-                                    SlotSource::Slot(*slots.get(name).expect("plan vars are bound"))
-                                }
-                            })
-                            .collect(),
-                    ),
-                    None => (Vec::new(), Vec::new()),
-                };
+                // Probe on every column bound before the atom runs; the
+                // first occurrence of a variable the atom repeats is not.
+                let (mut cols, mut key) = (Vec::new(), Vec::new());
+                for (col, term) in atom.args.iter().enumerate() {
+                    let source = match term {
+                        Term::Const(c) => SlotSource::Const(c.clone()),
+                        Term::Var(v) => match slots.get(&v.name) {
+                            Some(&slot) => SlotSource::Slot(slot),
+                            None => continue,
+                        },
+                        Term::Agg(_) => continue,
+                    };
+                    cols.push(col);
+                    key.push(source);
+                }
                 let (ops, reject_all) = compile_atom_ops(atom, &cols, &mut slots, &mut slot_of);
                 let (mut binds, mut same) = (Vec::new(), Vec::new());
                 for op in ops {
@@ -552,9 +550,10 @@ pub(crate) fn compile(rule: &DeltaRule, plans: &[Option<ProbePlan>]) -> BatchPla
                     expr,
                 });
             }
-            Literal::Filter(expr) => {
-                stages.push(Stage::Filter(compile_expr(expr, &slots)));
-            }
+            Literal::Filter(expr) => stages.push(Stage::Filter {
+                expr: compile_expr(expr, &slots),
+                text: expr.to_string(),
+            }),
         }
     }
 
@@ -698,15 +697,16 @@ fn eval_slot(expr: &SlotExpr, row: &[Option<Value>]) -> Result<Value, EvalError>
     }
 }
 
-/// Coerce a filter result to a boolean with the same truthiness rules as
-/// the map-based path.
-fn eval_slot_bool(expr: &SlotExpr, row: &[Option<Value>]) -> Result<bool, EvalError> {
+/// Evaluate a filter to a boolean. Numbers are truthy when non-zero,
+/// matching the paper's `f_member(P, S) = 0` idiom; anything else is a
+/// type error naming the filter (`text`).
+fn eval_filter(expr: &SlotExpr, text: &str, row: &[Option<Value>]) -> Result<bool, EvalError> {
     match eval_slot(expr, row)? {
         Value::Bool(b) => Ok(b),
         Value::Int(i) => Ok(i != 0),
         Value::Float(f) => Ok(f != 0.0),
         _ => Err(EvalError::TypeMismatch {
-            context: "boolean filter in batch stage".into(),
+            context: format!("boolean filter `{text}`"),
         }),
     }
 }
@@ -764,7 +764,7 @@ struct Firing<'a, 'r> {
 impl ProbeStage {
     /// Whether a raw candidate of the lookup joins, whichever row asks. An
     /// aggregate-term atom rejects every candidate — after its lookup ran,
-    /// so the probe accounting matches `bind_atom`'s tuple path exactly.
+    /// so its probes are counted like any other.
     fn accepts(&self, candidate: &StoredTuple) -> bool {
         let fields = candidate.tuple.values();
         !self.reject_all
@@ -867,15 +867,21 @@ impl ProbeStage {
 }
 
 impl BatchPlan {
-    /// The head relation's shared name.
-    pub(crate) fn head_relation(&self) -> &RelName {
-        &self.head_relation
+    /// The `(relation, cols)` of every probe stage that binds a column, in
+    /// body order.
+    pub(crate) fn index_requirements(&self) -> Vec<(String, Vec<usize>)> {
+        let probes = self.stages.iter().filter_map(|stage| match stage {
+            Stage::Probe(probe) if !probe.cols.is_empty() => {
+                Some((probe.relation.clone(), probe.cols.clone()))
+            }
+            _ => None,
+        });
+        probes.collect()
     }
 
     /// Drain a whole batch of trigger deltas through the compiled stages,
     /// with key-grouped probe sharing (one index lookup per distinct probe
-    /// key per atom). See the module docs for the equivalence contract
-    /// with the tuple-at-a-time `fire` path.
+    /// key per atom). See the module docs for what the oracle checks.
     ///
     /// `cache`, when armed, extends the sharing across rules: probe stages
     /// whose `(relation, cols)` signature the cache carries fetch their
@@ -975,7 +981,7 @@ impl BatchPlan {
                     row[*slot] = Some(value);
                     Ok(true)
                 })?,
-                Stage::Filter(expr) => rows.retain(|row| eval_slot_bool(expr, row))?,
+                Stage::Filter { expr, text } => rows.retain(|row| eval_filter(expr, text, row))?,
             }
         }
         match last {

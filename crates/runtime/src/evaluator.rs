@@ -23,7 +23,7 @@ use crate::fixpoint::{LocalFixpoint, SiteHook};
 use crate::store::Store;
 use crate::strand::CompiledStrand;
 use crate::tuple::{Tuple, TupleDelta};
-use ndlog_lang::{Program, Rule};
+use ndlog_lang::{Program, Rule, Term};
 use ndlog_net::NodeAddr;
 use std::sync::Arc;
 
@@ -79,8 +79,11 @@ impl Evaluator {
             .iter()
             .filter(|r| r.is_fact())
             .map(|r| {
-                let tuple = crate::strand::project_head(&r.head, &Default::default())
-                    .map_err(|e| format!("fact {} is not ground: {e}", r.label))?;
+                let constant = |term: &Term| match term {
+                    Term::Const(c) => Ok(c.clone()),
+                    _ => Err(format!("fact {} is not ground: {term}", r.label)),
+                };
+                let tuple = r.head.args.iter().map(constant).collect::<Result<_, _>>()?;
                 Ok(TupleDelta::insert(r.head.name.clone(), tuple))
             })
             .collect::<Result<Vec<_>, String>>()?;
@@ -106,13 +109,6 @@ impl Evaluator {
     /// store order.
     pub fn drain_tap(&mut self) -> Vec<TupleDelta> {
         self.fixpoint.tap_mut().drain()
-    }
-
-    /// Tuple-at-a-time evaluation when `false`: the differential-test
-    /// oracle of `tests/properties.rs`; no production caller sets this.
-    #[doc(hidden)]
-    pub fn set_batching(&mut self, on: bool) {
-        self.fixpoint.batching = on;
     }
 
     /// Advance the logical clock (for soft-state expiry).

@@ -1,17 +1,14 @@
-//! Expression evaluation: variable bindings, arithmetic, comparisons and
-//! the builtin `f_*` functions used by NDlog programs.
+//! Expression evaluation: arithmetic, comparisons and the builtin `f_*`
+//! functions used by NDlog programs, over values a compiled strand
+//! resolved from its slots.
 //!
 //! The builtins cover what the paper's programs need — path-vector
 //! construction and inspection (`f_cons`, `f_append`, `f_concat`,
 //! `f_member`, `f_size`, `f_first`, `f_last`) — plus a handful of numeric
 //! helpers.
 
-use ndlog_lang::{BinOp, Expr, Value};
-use std::collections::BTreeMap;
+use ndlog_lang::{BinOp, Value};
 use std::fmt;
-
-/// Variable bindings accumulated while evaluating a rule body.
-pub type Bindings = BTreeMap<String, Value>;
 
 /// Errors raised while evaluating expressions.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,43 +53,8 @@ impl fmt::Display for EvalError {
 
 impl std::error::Error for EvalError {}
 
-/// Evaluate an expression under the given bindings.
-pub fn eval(expr: &Expr, bindings: &Bindings) -> Result<Value, EvalError> {
-    match expr {
-        Expr::Const(v) => Ok(v.clone()),
-        Expr::Var(name) => bindings
-            .get(name)
-            .cloned()
-            .ok_or_else(|| EvalError::UnboundVariable(name.clone())),
-        Expr::Binary(op, l, r) => {
-            let lv = eval(l, bindings)?;
-            let rv = eval(r, bindings)?;
-            eval_binop(*op, &lv, &rv)
-        }
-        Expr::Call(name, args) => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval(a, bindings)?);
-            }
-            eval_builtin(name, &vals)
-        }
-    }
-}
-
-/// Evaluate an expression and coerce the result to a boolean (used for
-/// filter literals). Numbers are truthy when non-zero, matching the paper's
-/// `f_member(P, S) = 0` idiom.
-pub fn eval_bool(expr: &Expr, bindings: &Bindings) -> Result<bool, EvalError> {
-    match eval(expr, bindings)? {
-        Value::Bool(b) => Ok(b),
-        Value::Int(i) => Ok(i != 0),
-        Value::Float(f) => Ok(f != 0.0),
-        _ => Err(EvalError::TypeMismatch {
-            context: format!("boolean filter `{expr}`"),
-        }),
-    }
-}
-
+/// Apply a binary operator. Arithmetic on two integers stays an integer
+/// when the result is integral.
 pub(crate) fn eval_binop(op: BinOp, l: &Value, r: &Value) -> Result<Value, EvalError> {
     use BinOp::*;
     match op {
@@ -233,60 +195,33 @@ pub fn eval_builtin<'a>(name: &str, args: &'a [Value]) -> Result<Value, EvalErro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ndlog_lang::Expr;
-
-    fn bind(pairs: &[(&str, Value)]) -> Bindings {
-        pairs
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.clone()))
-            .collect()
-    }
 
     #[test]
     fn arithmetic_preserves_integer_type() {
-        let b = bind(&[("A", Value::Int(2)), ("B", Value::Int(3))]);
-        let e = Expr::bin(BinOp::Add, Expr::var("A"), Expr::var("B"));
-        assert_eq!(eval(&e, &b).unwrap(), Value::Int(5));
-        let e = Expr::bin(BinOp::Add, Expr::var("A"), Expr::Const(Value::Float(0.5)));
-        assert_eq!(eval(&e, &b).unwrap(), Value::Float(2.5));
-        let e = Expr::bin(BinOp::Div, Expr::var("B"), Expr::var("A"));
-        assert_eq!(eval(&e, &b).unwrap(), Value::Float(1.5));
+        let (two, three) = (Value::Int(2), Value::Int(3));
+        assert_eq!(eval_binop(BinOp::Add, &two, &three), Ok(Value::Int(5)));
+        let half = Value::Float(0.5);
+        assert_eq!(eval_binop(BinOp::Add, &two, &half), Ok(Value::Float(2.5)));
+        assert_eq!(eval_binop(BinOp::Div, &three, &two), Ok(Value::Float(1.5)));
     }
 
     #[test]
     fn division_by_zero_errors() {
-        let e = Expr::bin(BinOp::Div, Expr::val(1i64), Expr::val(0i64));
-        assert_eq!(eval(&e, &Bindings::new()), Err(EvalError::DivisionByZero));
+        assert_eq!(
+            eval_binop(BinOp::Div, &Value::Int(1), &Value::Int(0)),
+            Err(EvalError::DivisionByZero)
+        );
     }
 
     #[test]
     fn comparisons_and_booleans() {
-        let b = bind(&[("C", Value::Float(3.0))]);
-        let lt = Expr::bin(BinOp::Lt, Expr::var("C"), Expr::val(5i64));
-        assert_eq!(eval(&lt, &b).unwrap(), Value::Bool(true));
-        assert!(eval_bool(&lt, &b).unwrap());
-        let and = Expr::bin(BinOp::And, lt.clone(), Expr::Const(Value::Bool(false)));
-        assert_eq!(eval(&and, &b).unwrap(), Value::Bool(false));
-        let or = Expr::bin(BinOp::Or, Expr::Const(Value::Bool(false)), lt);
-        assert_eq!(eval(&or, &b).unwrap(), Value::Bool(true));
+        let lt = eval_binop(BinOp::Lt, &Value::Float(3.0), &Value::Int(5)).unwrap();
+        assert_eq!(lt, Value::Bool(true));
+        let no = Value::Bool(false);
+        assert_eq!(eval_binop(BinOp::And, &lt, &no), Ok(Value::Bool(false)));
+        assert_eq!(eval_binop(BinOp::Or, &no, &lt), Ok(Value::Bool(true)));
+        assert!(eval_binop(BinOp::And, &lt, &Value::Int(1)).is_err());
     }
-
-    #[test]
-    fn numeric_truthiness_for_filters() {
-        // f_member(...) == 0 style: integers are truthy when non-zero.
-        assert!(eval_bool(&Expr::val(1i64), &Bindings::new()).unwrap());
-        assert!(!eval_bool(&Expr::val(0i64), &Bindings::new()).unwrap());
-        assert!(eval_bool(&Expr::Const(Value::str("x")), &Bindings::new()).is_err());
-    }
-
-    #[test]
-    fn unbound_variable_reported() {
-        assert_eq!(
-            eval(&Expr::var("X"), &Bindings::new()),
-            Err(EvalError::UnboundVariable("X".into()))
-        );
-    }
-
     #[test]
     fn path_vector_builtins() {
         let a0 = Value::addr(0u32);
@@ -363,15 +298,8 @@ mod tests {
 
     #[test]
     fn nested_call_evaluation() {
-        let b = bind(&[
-            ("S", Value::addr(1u32)),
-            (
-                "P2",
-                Value::list(vec![Value::addr(2u32), Value::addr(3u32)]),
-            ),
-        ]);
-        let e = Expr::call("f_cons", vec![Expr::var("S"), Expr::var("P2")]);
-        let v = eval(&e, &b).unwrap();
+        let p2 = Value::list(vec![Value::addr(2u32), Value::addr(3u32)]);
+        let v = eval_builtin("f_cons", &[Value::addr(1u32), p2]).unwrap();
         assert_eq!(v.as_list().unwrap().len(), 3);
         assert_eq!(v.as_list().unwrap().first(), Some(&Value::addr(1u32)));
     }

@@ -136,18 +136,18 @@ pub struct EvalStats {
     /// Total deltas processed: consumed triggers plus DRed removals.
     pub tuples_processed: usize,
     /// Joins answered by a secondary-index probe, counted per binding
-    /// environment (one per trigger per atom). Identical across
-    /// tuple-at-a-time and batch evaluation.
+    /// environment (one per trigger per atom), however the triggers were
+    /// batched.
     pub logical_probes: usize,
     /// Index bucket lookups actually executed. Key-grouped batch probing
-    /// answers every same-key trigger of a batch with one lookup, so this
-    /// is `≤ logical_probes`; the tuple-at-a-time path reports the two
-    /// counters equal.
+    /// answers every same-key trigger of a batch with one lookup, and the
+    /// cross-rule cache every same-key stage of a round, so this is
+    /// `≤ logical_probes`; the two are equal only where nothing was shared.
     pub distinct_probes: usize,
     /// Joins that fell back to scanning a relation.
     pub scans: usize,
     /// Stored tuples examined across all joins — the computation-overhead
-    /// counterpart of the paper's communication metrics. With probe plans
+    /// counterpart of the paper's communication metrics. With probe stages
     /// this grows with the number of matches, not with relation sizes.
     pub tuples_examined: usize,
 }
@@ -236,15 +236,11 @@ pub struct LocalFixpoint {
     /// distinct `(relation, cols, key)` lookup of a round executes once
     /// across every strand sharing it.
     shared_sigs: Vec<(String, Vec<usize>)>,
-    /// Fire whole rounds through the batch plans (the default). Off = the
-    /// tuple-at-a-time reference of `tests/properties.rs`; consulted only
-    /// where a round's derivations are computed.
-    pub(crate) batching: bool,
 }
 
 impl LocalFixpoint {
     /// A driver over `store` for the given strands and aggregate views.
-    /// Builds every secondary index the compiled probe plans and the
+    /// Builds every secondary index the strands' probe stages and the
     /// views' guard checks need, once, before any tuple arrives.
     pub fn new(
         mut store: Store,
@@ -267,7 +263,6 @@ impl LocalFixpoint {
             tap: DeltaTap::new(),
             stats: EvalStats::default(),
             shared_sigs,
-            batching: true,
         }
     }
 
@@ -501,18 +496,15 @@ impl LocalFixpoint {
 
     /// Compute the derivations of `round` (applied-but-unfired insertion
     /// deltas) into `buffers.per_trigger`, per trigger, in exactly the
-    /// order the tuple-at-a-time loop ingests them (strands in declaration
-    /// order per trigger), and return how many triggers fired. Every
+    /// order firing the triggers one at a time would ingest them (strands
+    /// in declaration order per trigger), and return how many triggers fired. Every
     /// trigger joins with its own apply timestamp as the visibility limit.
     /// Triggers whose tuple is no longer stored — over-deleted or replaced
     /// since being queued — yield nothing: the consequences are moot, and
     /// a re-derived tuple fires through its own queued insert.
     ///
     /// All of `round` fires against one store snapshot through the batch
-    /// plans — except in the tuple-at-a-time reference mode, where only
-    /// the head trigger fires, through the
-    /// [`CompiledStrand::fire_counted`] interpreter, so the caller ingests
-    /// its derivations before the next trigger sees the store.
+    /// plans.
     fn fire_batch_round(
         &mut self,
         round: &[(TupleDelta, u64)],
@@ -520,48 +512,24 @@ impl LocalFixpoint {
     ) -> Result<usize, EvalError> {
         let mut joins = JoinStats::default();
         let forward = self.strands.iter().filter(|s| !s.is_rederivation());
-        let fired = if self.batching {
-            // Whether a trigger is still stored cannot change mid-round:
-            // any removal interrupts the round for a DRed pass before the
-            // next trigger is consumed.
-            buffers.live.clear();
-            let stored = round.iter().map(|(delta, _)| self.is_stored(delta));
-            buffers.live.extend(stored);
-            // Arm the cross-rule probe cache for this round when the plan
-            // found shared signatures: the store is frozen until every
-            // strand of the round has fired (ingestion happens after the
-            // round), so cached candidate sets stay valid for exactly the
-            // cache's lifetime.
-            let cache = (!self.shared_sigs.is_empty()).then(|| ProbeCache::new(&self.shared_sigs));
-            let triggers = round.iter().map(|(delta, seq)| BatchTrigger {
-                delta,
-                seq_limit: *seq,
-            });
-            buffers.fire_round(&self.store, forward, triggers, &mut joins, cache)?;
-            round.len()
-        } else {
-            let (delta, seq) = &round[0];
-            if buffers.per_trigger.is_empty() {
-                buffers.per_trigger.push(Vec::new());
-            }
-            let derived = &mut buffers.per_trigger[0];
-            let triggered = forward.filter(|s| s.trigger_relation() == delta.relation);
-            if self.is_stored(delta) {
-                for strand in triggered {
-                    match strand.fire_counted(&self.store, delta, *seq, &mut joins) {
-                        Ok(fired) => derived.extend(fired),
-                        // A failed firing hands the buffers back empty too.
-                        Err(e) => {
-                            derived.clear();
-                            return Err(e);
-                        }
-                    }
-                }
-            }
-            1
-        };
+        // Whether a trigger is still stored cannot change mid-round: any
+        // removal interrupts the round for a DRed pass before the next
+        // trigger is consumed.
+        buffers.live.clear();
+        let stored = round.iter().map(|(delta, _)| self.is_stored(delta));
+        buffers.live.extend(stored);
+        // Arm the cross-rule probe cache for this round when the plan found
+        // shared signatures: the store is frozen until every strand of the
+        // round has fired (ingestion happens after the round), so cached
+        // candidate sets stay valid for exactly the cache's lifetime.
+        let cache = (!self.shared_sigs.is_empty()).then(|| ProbeCache::new(&self.shared_sigs));
+        let triggers = round.iter().map(|(delta, seq)| BatchTrigger {
+            delta,
+            seq_limit: *seq,
+        });
+        buffers.fire_round(&self.store, forward, triggers, &mut joins, cache)?;
         self.stats.absorb_joins(joins);
-        Ok(fired)
+        Ok(round.len())
     }
 
     fn is_stored(&self, delta: &TupleDelta) -> bool {

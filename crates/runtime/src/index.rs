@@ -6,7 +6,8 @@
 //! indexes every such join is a full scan — O(|relation|) work per binding
 //! environment — which makes per-delta work quadratic-ish on the hot path
 //! of every experiment. This module provides the storage half of the fix
-//! (the compilation half is [`crate::strand::ProbePlan`]):
+//! (the compilation half is each strand's probe stages, see
+//! [`crate::strand`]):
 //!
 //! * an [`IndexSignature`] names a set of columns that a join binds to
 //!   concrete values (a *bound-column signature*, the same notion index-
@@ -65,13 +66,11 @@
 //!
 //! [`JoinStats`] counts probes at two granularities: `logical_probes` is
 //! the number of binding environments answered by an index (one per
-//! trigger per atom — the historical notion, preserved so differential
-//! tests can compare evaluation modes), while `distinct_probes` is the
-//! number of bucket lookups actually executed. The batch path's
-//! key-grouped probe sharing ([`crate::batch`]) answers a whole group of
+//! trigger per atom, however the triggers are batched), while
+//! `distinct_probes` is the number of bucket lookups actually executed.
+//! Key-grouped probe sharing ([`crate::batch`]) answers a whole group of
 //! same-key environments with one bucket lookup, so `distinct_probes ≤
-//! logical_probes` there; the tuple-at-a-time path performs one lookup per
-//! environment, so the two counters coincide.
+//! logical_probes`; a lone environment's lookup counts once in each.
 
 use crate::intern::{table_bytes, Prehashed};
 use std::collections::hash_map::Entry;
@@ -90,11 +89,11 @@ use std::ops::Range;
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JoinStats {
     /// Binding environments answered by an index probe (per trigger per
-    /// atom — identical across batch and tuple-at-a-time firing).
+    /// atom, however the triggers are batched).
     pub logical_probes: usize,
-    /// Bucket lookups actually executed. Equal to `logical_probes` on the
-    /// tuple-at-a-time path; `≤ logical_probes` on the key-grouped batch
-    /// path, which probes each distinct key once per atom per batch.
+    /// Bucket lookups actually executed: `≤ logical_probes`, since the
+    /// key-grouped batch path probes each distinct key once per atom per
+    /// batch.
     pub distinct_probes: usize,
     /// Joins that fell back to scanning the relation (no bound columns, or
     /// no index declared for the signature), counted per environment.

@@ -4,8 +4,9 @@
 //! NDlog program over its local state:
 //!
 //! * [`tuple`] — tuples and signed tuple deltas;
-//! * [`expr`] — expression evaluation and the builtin `f_*` functions
-//!   (path-vector construction, membership tests, arithmetic);
+//! * [`expr`] — operators and the builtin `f_*` functions (path-vector
+//!   construction, membership tests, arithmetic) that compiled strands
+//!   evaluate;
 //! * [`relation`] — stored relations with primary keys, derivation counts
 //!   (the count algorithm for deletions), per-tuple timestamps and optional
 //!   soft-state TTLs; each tuple is stored once, in a slab slot, and the
@@ -30,11 +31,11 @@
 //!   `materialize` declarations;
 //! * [`strand`] — compiled rule strands (the unit of execution in P2's
 //!   dataflow, Figures 3 and 5) and their firing logic;
-//! * [`batch`] — batch-delta evaluation: slot-compiled strand plans fired
-//!   over whole delta batches through flat reusable buffers, the
-//!   allocation-free twin of the tuple-at-a-time path; every join goes
-//!   through its one probe routine, and the buffers are one
-//!   [`EvalBuffers`] value that a run borrows from whoever drives it;
+//! * [`batch`] — batch-delta evaluation, the one way a strand fires:
+//!   slot-compiled strand plans fired over whole delta batches through
+//!   flat reusable buffers; every join goes through its one probe routine,
+//!   and the buffers are one [`EvalBuffers`] value that a run borrows from
+//!   whoever drives it;
 //! * [`aggview`] — incremental maintenance of aggregate rules
 //!   (`min<C>`-style heads): a view holds each group's current output and
 //!   nothing else, combines insertions into it, and is rebuilt per group
@@ -62,9 +63,10 @@
 //! run reports this layer as `runtime.*` (`scans`, `logical_probes`,
 //! `distinct_probes`, `tuples_examined` among them) on all four
 //! workloads. That the access paths are the intended ones is pinned
-//! by exact counts, not by timing: `strand.rs`'s unit tests assert
-//! `scans == 0` on the probe plan, "four triggers over two distinct keys
-//! probe twice" and `shared_key_batch_probes_the_index_exactly_once`;
+//! by exact counts, not by timing: `strand.rs`'s unit tests pin every
+//! rule shape's logical probes, scans and examined tuples, "four triggers
+//! over two distinct keys probe twice" and
+//! `shared_key_batch_probes_the_index_exactly_once`;
 //! `tests/indexed_joins.rs` asserts the same of the distributed engine.
 //!
 //! **Who owns what.** A site's [`fixpoint::LocalFixpoint`] owns its state —
@@ -143,20 +145,21 @@
 //!   `core.arena_demand_bytes` / `core.arena_allocated_bytes`.
 //!
 //! Probe accounting is two-counter ([`index::JoinStats`]):
-//! `logical_probes` counts per binding environment (identical across
-//! batch and tuple-at-a-time firing of the same triggers against the same
-//! store — what differential tests compare) and `distinct_probes` counts
-//! bucket lookups actually executed (`≤ logical` under grouping; both
-//! deterministic, so they participate in the cross-thread
-//! bitwise-identity checks). Batch evaluation is semantics-identical to
-//! tuple-at-a-time firing, which survives only as the oracle of
-//! `tests/properties.rs`: stores are identical and statistics equal
-//! except for probe accounting — a batch fires every queued delta against
-//! one store snapshot, so `tuples_examined` can differ (buckets probed
-//! before, rather than after, a sibling delta's insertions are
-//! PSN-invisible either way but still counted), and a batch invalidated
-//! by a mid-batch removal re-fires its remainder, re-counting those
-//! probes.
+//! `logical_probes` counts per binding environment (the same however the
+//! triggers are batched) and `distinct_probes` counts bucket lookups
+//! actually executed (`≤ logical` under grouping; both deterministic, so
+//! they participate in the cross-thread bitwise-identity checks). A round
+//! fires every queued delta against one store snapshot, so
+//! `tuples_examined` counts buckets probed before, rather than after, a
+//! sibling delta's insertions (PSN-invisible either way), and a round
+//! invalidated by a mid-round removal re-fires its remainder, re-counting
+//! those probes.
+//!
+//! This crate has one evaluator. Its reference is the naive, stratified,
+//! bottom-up evaluator of the dev-only `ndlog-oracle` crate, which shares
+//! no code with it: the strand table test compares each trigger's
+//! derivations with the oracle's, and `tests/properties.rs` compares whole
+//! stores, derivation counts included.
 
 // A helper that needs more than seven arguments is missing a struct; an
 // `allow` cannot wave it through.
@@ -180,12 +183,12 @@ pub mod tuple;
 pub use aggview::AggregateView;
 pub use batch::{BatchOutput, BatchScratch, BatchTrigger, EvalBuffers};
 pub use evaluator::{EvalStats, Evaluator, Strategy};
-pub use expr::{Bindings, EvalError};
+pub use expr::EvalError;
 pub use index::IndexSignature;
 pub use intern::ValueId;
 pub use relation::{HeapBytes, InsertOutcome, Relation, RelationSchema};
 pub use store::Store;
-pub use strand::{ColumnSource, CompiledStrand, Derivation, JoinStats, ProbePlan};
+pub use strand::{CompiledStrand, Derivation, JoinStats};
 pub use subplan::{shared_signatures, ProbeCache};
 pub use tap::DeltaTap;
 pub use tuple::{RelName, Sign, Tuple, TupleDelta};

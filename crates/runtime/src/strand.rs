@@ -15,28 +15,27 @@
 //! counts — which SN/BSN over-counting and primary-key replacements can
 //! make inexact — are deliberately never consulted on the deletion path.
 //!
-//! # Probe plans
+//! # Probe stages
 //!
-//! Joining an atom used to mean scanning its whole relation once per
-//! binding environment. Compilation now analyzes, per body atom, which of
-//! its columns are already bound when the join runs — constants, variables
-//! bound by the trigger atom, by earlier atoms, or by earlier assignments —
-//! and records the result as a fixed [`ProbePlan`]. At runtime the plan
-//! resolves its bound columns against the environment and probes the
-//! relation's secondary index for that signature (see [`crate::index`]),
-//! touching only the matching tuples; the full scan survives solely as the
-//! fallback for atoms with no bound columns (a genuine cross product) or
-//! relations without the declared index. [`CompiledStrand::index_requirements`]
-//! exposes every signature a strand needs so stores build each index once
+//! A strand has one compiled form, the slot plan of [`crate::batch`].
+//! Compilation walks the body in firing order and, for every non-trigger
+//! atom, records which of its columns are already bound when the join runs
+//! — constants, and variables bound by the trigger atom, by earlier atoms
+//! or by earlier assignments — as that atom's probe stage. At run time the
+//! stage resolves those columns against each row and probes the relation's
+//! secondary index for that signature (see [`crate::index`]), touching only
+//! the matching tuples; the full scan survives solely as the fallback for
+//! atoms with no bound columns (a genuine cross product) or relations
+//! without the declared index. [`CompiledStrand::index_requirements`]
+//! exposes every signature a strand probes so stores build each index once
 //! per program, not per join.
 
-use crate::expr::{eval, eval_bool, Bindings, EvalError};
+use crate::expr::EvalError;
 use crate::store::Store;
-use crate::tuple::{Tuple, TupleDelta};
+use crate::tuple::TupleDelta;
 use ndlog_lang::seminaive::{delta_rewrite_full, DeltaRule};
-use ndlog_lang::{Atom, Literal, Program, Term, Value};
+use ndlog_lang::Program;
 use ndlog_net::NodeAddr;
-use std::collections::BTreeSet;
 
 /// A derivation produced by firing a strand.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,42 +48,13 @@ pub struct Derivation {
     pub location: Option<NodeAddr>,
 }
 
-/// How one bound column of a probe obtains its value at runtime.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ColumnSource {
-    /// The atom carries a constant in this column.
-    Const(Value),
-    /// The column's variable is bound by the environment (trigger atom,
-    /// an earlier atom, or an earlier assignment).
-    Var(String),
-}
-
-/// A precompiled access path for one body atom: the columns that are
-/// provably bound when the join runs, and how to resolve each one.
-///
-/// `cols` is sorted ascending and `sources` is parallel to it, so the
-/// resolved values line up with the relation's index on the same
-/// signature.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ProbePlan {
-    /// Sorted bound-column indexes (the index signature to probe).
-    pub cols: Vec<usize>,
-    /// Value source per bound column, parallel to `cols`.
-    pub sources: Vec<ColumnSource>,
-}
-
 pub use crate::index::JoinStats;
 
 /// A compiled rule strand.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledStrand {
     rule: DeltaRule,
-    /// Per body literal: the probe plan for non-trigger atoms with at least
-    /// one bound column, `None` for the trigger, non-atom literals and
-    /// genuinely unbound atoms.
-    plans: Vec<Option<ProbePlan>>,
-    /// The slot-compiled twin of the rule, used by the batch-delta path
-    /// ([`CompiledStrand::fire_batch`]).
+    /// The slot-compiled rule ([`CompiledStrand::fire_batch`]).
     batch: crate::batch::BatchPlan,
     /// A key-bound re-derivation plan ([`crate::dred::rederivation_plan`]):
     /// fired by DRed passes with over-deleted tuples of its own head
@@ -93,19 +63,16 @@ pub struct CompiledStrand {
 }
 
 impl CompiledStrand {
-    /// Compile a delta rule into a strand, deriving a probe plan for every
-    /// non-trigger body atom and a slot-compiled batch plan over the same
-    /// plans.
+    /// Compile a delta rule into a strand: its slot plan, with a probe
+    /// stage for every non-trigger body atom.
     pub fn new(rule: DeltaRule) -> Self {
         Self::compile(rule, false)
     }
 
     pub(crate) fn compile(rule: DeltaRule, rederives: bool) -> Self {
-        let plans = compile_probe_plans(&rule);
-        let batch = crate::batch::compile(&rule, &plans);
+        let batch = crate::batch::compile(&rule);
         CompiledStrand {
             rule,
-            plans,
             batch,
             rederives,
         }
@@ -130,24 +97,11 @@ impl CompiledStrand {
         self.rederives
     }
 
-    /// The probe plans, parallel to the rule's body literals (useful for
-    /// inspection in tests and planners).
-    pub fn probe_plans(&self) -> &[Option<ProbePlan>] {
-        &self.plans
-    }
-
-    /// Every (relation, bound-column signature) this strand probes. Stores
-    /// declare these up front so each index is built once per program.
+    /// Every (relation, bound-column signature) this strand probes, in
+    /// body order. Stores declare these up front so each index is built
+    /// once per program.
     pub fn index_requirements(&self) -> Vec<(String, Vec<usize>)> {
-        let mut out = Vec::new();
-        for (idx, plan) in self.plans.iter().enumerate() {
-            let (Some(plan), Some(Literal::Atom(atom))) = (plan, self.rule.rule.body.get(idx))
-            else {
-                continue;
-            };
-            out.push((atom.name.clone(), plan.cols.clone()));
-        }
-        out
+        self.batch.index_requirements()
     }
 
     /// The strand identifier (e.g. `sp2b-1`).
@@ -170,119 +124,19 @@ impl CompiledStrand {
         &self.rule.rule.head.name
     }
 
-    /// Fire the strand with a trigger delta.
-    ///
-    /// `seq_limit` bounds which stored tuples the joins may see: pipelined
-    /// semi-naive evaluation passes the trigger tuple's timestamp so that
-    /// joins only match "same or older" tuples (Section 3.3.2, the
-    /// book-keeping that guarantees no repeated inferences); the
-    /// unrestricted evaluators pass `u64::MAX`.
-    pub fn fire(
-        &self,
-        store: &Store,
-        trigger: &TupleDelta,
-        seq_limit: u64,
-    ) -> Result<Vec<Derivation>, EvalError> {
-        let mut stats = JoinStats::default();
-        self.fire_counted(store, trigger, seq_limit, &mut stats)
-    }
-
-    /// [`CompiledStrand::fire`] with join accounting: probe/scan/examined
-    /// counters are accumulated into `stats`.
-    pub fn fire_counted(
-        &self,
-        store: &Store,
-        trigger: &TupleDelta,
-        seq_limit: u64,
-        stats: &mut JoinStats,
-    ) -> Result<Vec<Derivation>, EvalError> {
-        debug_assert_eq!(trigger.relation, self.rule.trigger_relation);
-        let rule = &self.rule.rule;
-        let Literal::Atom(trigger_atom) = &rule.body[self.rule.trigger] else {
-            return Ok(Vec::new());
-        };
-
-        // Bind the trigger atom against the delta tuple.
-        let mut initial = Bindings::new();
-        if !bind_atom(trigger_atom, &trigger.tuple, &mut initial) {
-            return Ok(Vec::new());
-        }
-
-        // Process the remaining literals in body order.
-        let mut envs = vec![initial];
-        for (idx, literal) in rule.body.iter().enumerate() {
-            if idx == self.rule.trigger {
-                continue;
-            }
-            if envs.is_empty() {
-                return Ok(Vec::new());
-            }
-            match literal {
-                Literal::Atom(atom) => {
-                    envs = probe_atom(
-                        store,
-                        atom,
-                        self.plans[idx].as_ref(),
-                        &envs,
-                        seq_limit,
-                        stats,
-                    );
-                }
-                Literal::Assign(assign) => {
-                    let mut next = Vec::with_capacity(envs.len());
-                    for mut env in envs {
-                        let value = eval(&assign.expr, &env)?;
-                        match env.get(&assign.var) {
-                            Some(existing) if *existing == value => next.push(env),
-                            Some(_) => {} // bound to a different value: drop
-                            None => {
-                                env.insert(assign.var.clone(), value);
-                                next.push(env);
-                            }
-                        }
-                    }
-                    envs = next;
-                }
-                Literal::Filter(expr) => {
-                    let mut next = Vec::with_capacity(envs.len());
-                    for env in envs {
-                        if eval_bool(expr, &env)? {
-                            next.push(env);
-                        }
-                    }
-                    envs = next;
-                }
-            }
-        }
-
-        // Project the head for every surviving binding.
-        let mut out = Vec::with_capacity(envs.len());
-        for env in envs {
-            let tuple = project_head(&rule.head, &env)?;
-            let location = tuple.location();
-            out.push(Derivation {
-                delta: TupleDelta {
-                    relation: self.batch.head_relation().clone(),
-                    tuple,
-                    sign: trigger.sign,
-                },
-                location,
-            });
-        }
-        Ok(out)
-    }
-
     /// Fire the strand with a whole batch of trigger deltas through the
     /// slot-compiled plan and flat reusable buffers of [`crate::batch`],
     /// with **key-grouped probe sharing**: each distinct probe key of the
     /// batch is looked up once per atom and the match set broadcast to
     /// every same-key trigger. Per trigger, the derivations (grouped in
-    /// `out`) are identical to calling [`CompiledStrand::fire_counted`]
-    /// with that trigger and its `seq_limit` against the same store, and
-    /// so are the *logical* join statistics (`logical_probes`, `scans`,
-    /// `tuples_examined`); only `distinct_probes` shrinks to the number of
-    /// bucket lookups actually executed. See the [`crate::batch`] module
-    /// docs for the exact equivalence contract.
+    /// `out`) are those of firing that trigger alone with its `seq_limit`
+    /// against the same store: pipelined semi-naive evaluation passes the
+    /// trigger tuple's timestamp so that joins only match "same or older"
+    /// tuples (Section 3.3.2, the book-keeping that guarantees no repeated
+    /// inferences); DRed passes `u64::MAX`. So are the *logical* join
+    /// statistics (`logical_probes`, `scans`, `tuples_examined`); only
+    /// `distinct_probes` counts the bucket lookups actually executed. See
+    /// the [`crate::batch`] module docs for what the oracle checks.
     ///
     /// With a cross-rule probe `cache` ([`crate::subplan`]), probe stages
     /// whose `(relation, cols)` signature is armed in it fetch their
@@ -309,178 +163,41 @@ impl CompiledStrand {
     }
 }
 
-/// Bind an atom's terms against a concrete tuple, extending `env`.
-/// Returns false if the tuple does not match (wrong arity, constant
-/// mismatch, or inconsistent repeated variables).
-pub fn bind_atom(atom: &Atom, tuple: &Tuple, env: &mut Bindings) -> bool {
-    if atom.arity() != tuple.arity() {
-        return false;
-    }
-    for (term, value) in atom.args.iter().zip(tuple.values()) {
-        match term {
-            Term::Const(c) => {
-                if c != value {
-                    return false;
-                }
-            }
-            Term::Var(v) => match env.get(&v.name) {
-                Some(bound) if bound != value => return false,
-                Some(_) => {}
-                None => {
-                    env.insert(v.name.clone(), value.clone());
-                }
-            },
-            Term::Agg(_) => return false,
-        }
-    }
-    true
-}
-
-/// Compile the probe plans for a delta rule: walk the body in firing order
-/// tracking which variables are bound, and record the bound columns of
-/// every non-trigger atom.
-fn compile_probe_plans(rule: &DeltaRule) -> Vec<Option<ProbePlan>> {
-    let body = &rule.rule.body;
-    let mut plans: Vec<Option<ProbePlan>> = vec![None; body.len()];
-    let mut bound: BTreeSet<String> = BTreeSet::new();
-    if let Some(Literal::Atom(trigger_atom)) = body.get(rule.trigger) {
-        collect_vars(trigger_atom, &mut bound);
-    }
-    for (idx, literal) in body.iter().enumerate() {
-        if idx == rule.trigger {
-            continue;
-        }
-        match literal {
-            Literal::Atom(atom) => {
-                let mut cols = Vec::new();
-                let mut sources = Vec::new();
-                for (i, term) in atom.args.iter().enumerate() {
-                    match term {
-                        Term::Const(c) => {
-                            cols.push(i);
-                            sources.push(ColumnSource::Const(c.clone()));
-                        }
-                        Term::Var(v) if bound.contains(&v.name) => {
-                            cols.push(i);
-                            sources.push(ColumnSource::Var(v.name.clone()));
-                        }
-                        // Unbound variables (including the first occurrence
-                        // of a variable repeated within this atom) and
-                        // aggregate terms are matched residually by
-                        // `bind_atom`.
-                        Term::Var(_) | Term::Agg(_) => {}
-                    }
-                }
-                if !cols.is_empty() {
-                    plans[idx] = Some(ProbePlan { cols, sources });
-                }
-                collect_vars(atom, &mut bound);
-            }
-            Literal::Assign(assign) => {
-                bound.insert(assign.var.clone());
-            }
-            Literal::Filter(_) => {}
-        }
-    }
-    plans
-}
-
-/// Add every variable an atom mentions to `bound`.
-fn collect_vars(atom: &Atom, bound: &mut BTreeSet<String>) {
-    for term in &atom.args {
-        if let Term::Var(v) = term {
-            bound.insert(v.name.clone());
-        }
-    }
-}
-
-/// Join an atom against the store for every environment, producing the
-/// extended environments. Uses the precompiled probe plan (index probe on
-/// the bound-column signature) when available, falling back to a residual
-/// scan otherwise.
-fn probe_atom(
-    store: &Store,
-    atom: &Atom,
-    plan: Option<&ProbePlan>,
-    envs: &[Bindings],
-    seq_limit: u64,
-    stats: &mut JoinStats,
-) -> Vec<Bindings> {
-    let Some(relation) = store.relation(&atom.name) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    let mut key: Vec<Value> = Vec::new();
-    for env in envs {
-        let resolved = match plan {
-            Some(plan) => {
-                key.clear();
-                plan.sources.iter().all(|source| match source {
-                    ColumnSource::Const(c) => {
-                        key.push(c.clone());
-                        true
-                    }
-                    ColumnSource::Var(name) => match env.get(name) {
-                        Some(v) => {
-                            key.push(v.clone());
-                            true
-                        }
-                        None => false,
-                    },
-                })
-            }
-            None => false,
-        };
-        // With a resolved plan, probe (or residual-scan) on its bound
-        // columns; otherwise — no bound columns, or an unresolvable plan,
-        // which compilation rules out — fall back to a full scan, with
-        // `bind_atom` enforcing all residual constraints either way.
-        let cols: &[usize] = if resolved {
-            &plan.expect("resolved implies a plan").cols
-        } else {
-            key.clear();
-            &[]
-        };
-        for candidate in relation.lookup(cols, &key, seq_limit, stats) {
-            let mut extended = env.clone();
-            if bind_atom(atom, &candidate.tuple, &mut extended) {
-                out.push(extended);
-            }
-        }
-    }
-    out
-}
-
-/// Project a head atom into a tuple under the given bindings.
-pub fn project_head(head: &Atom, env: &Bindings) -> Result<Tuple, EvalError> {
-    let mut values = Vec::with_capacity(head.arity());
-    for term in &head.args {
-        match term {
-            Term::Const(c) => values.push(c.clone()),
-            Term::Var(v) => values.push(
-                env.get(&v.name)
-                    .cloned()
-                    .ok_or_else(|| EvalError::UnboundVariable(v.name.clone()))?,
-            ),
-            Term::Agg(_) => {
-                return Err(EvalError::TypeMismatch {
-                    context: "aggregate heads are maintained by AggregateView, not strands".into(),
-                })
-            }
-        }
-    }
-    Ok(Tuple::new(values))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::{BatchOutput, BatchScratch, BatchTrigger};
     use crate::relation::RelationSchema;
+    use crate::tuple::Tuple;
     use ndlog_lang::seminaive::delta_rewrite_full;
     use ndlog_lang::{parse_program, Value};
 
     fn addr(i: u32) -> Value {
         Value::addr(i)
+    }
+
+    /// Fire `strand` with one trigger, as a batch of one.
+    fn fire(
+        strand: &CompiledStrand,
+        store: &Store,
+        delta: &TupleDelta,
+        seq_limit: u64,
+    ) -> Result<Vec<Derivation>, EvalError> {
+        fire_with_stats(strand, store, delta, seq_limit, &mut JoinStats::default())
+    }
+
+    /// [`fire`], accumulating the join statistics into `stats`.
+    fn fire_with_stats(
+        strand: &CompiledStrand,
+        store: &Store,
+        delta: &TupleDelta,
+        seq_limit: u64,
+        stats: &mut JoinStats,
+    ) -> Result<Vec<Derivation>, EvalError> {
+        let triggers = [BatchTrigger { delta, seq_limit }];
+        let (mut scratch, mut out) = (BatchScratch::default(), BatchOutput::default());
+        strand.fire_batch(store, &triggers, stats, &mut scratch, &mut out, None)?;
+        Ok(out.all().to_vec())
     }
 
     /// Build a store + strands for a small program.
@@ -507,7 +224,7 @@ mod tests {
         assert_eq!(strand.head_relation(), "path");
 
         let link = TupleDelta::insert("link", Tuple::new(vec![addr(0), addr(1), Value::Int(5)]));
-        let derivations = strand.fire(&store, &link, u64::MAX).unwrap();
+        let derivations = fire(strand, &store, &link, u64::MAX).unwrap();
         assert_eq!(derivations.len(), 1);
         let d = &derivations[0];
         assert_eq!(d.delta.relation, "path");
@@ -524,7 +241,7 @@ mod tests {
     fn deletion_trigger_produces_deletion_derivation() {
         let (store, strands) = setup(ONE_HOP);
         let link = TupleDelta::delete("link", Tuple::new(vec![addr(0), addr(1), Value::Int(5)]));
-        let derivations = strands[0].fire(&store, &link, u64::MAX).unwrap();
+        let derivations = fire(&strands[0], &store, &link, u64::MAX).unwrap();
         assert_eq!(derivations.len(), 1);
         assert_eq!(derivations[0].delta.sign, crate::tuple::Sign::Delete);
     }
@@ -554,7 +271,7 @@ mod tests {
             .find(|s| s.trigger_relation() == "link")
             .unwrap();
         let link = TupleDelta::insert("link", Tuple::new(vec![addr(0), addr(1), Value::Int(4)]));
-        let out = link_strand.fire(&store, &link, u64::MAX).unwrap();
+        let out = fire(link_strand, &store, &link, u64::MAX).unwrap();
         assert_eq!(out.len(), 1);
         let t = &out[0].delta.tuple;
         assert_eq!(t.get(0), Some(&addr(0)));
@@ -585,7 +302,7 @@ mod tests {
             .unwrap();
         // link 0 -> 1 would close the cycle 0 -> 1 -> 0; f_member filters it.
         let link = TupleDelta::insert("link", Tuple::new(vec![addr(0), addr(1), Value::Int(4)]));
-        let out = link_strand.fire(&store, &link, u64::MAX).unwrap();
+        let out = fire(link_strand, &store, &link, u64::MAX).unwrap();
         assert!(out.is_empty());
     }
 
@@ -610,7 +327,7 @@ mod tests {
                 Value::Int(3),
             ]),
         );
-        let out = path_strand.fire(&store, &p12, u64::MAX).unwrap();
+        let out = fire(path_strand, &store, &p12, u64::MAX).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].delta.tuple.get(4), Some(&Value::Int(7)));
     }
@@ -643,9 +360,9 @@ mod tests {
         // Firing with the link's own (older) timestamp must not see the
         // newer path tuple — that derivation belongs to the path-triggered
         // strand, which is exactly how PSN avoids duplicate inferences.
-        let out = link_strand.fire(&store, &link, link_effect.seq).unwrap();
+        let out = fire(link_strand, &store, &link, link_effect.seq).unwrap();
         assert!(out.is_empty());
-        let out = link_strand.fire(&store, &link, u64::MAX).unwrap();
+        let out = fire(link_strand, &store, &link, u64::MAX).unwrap();
         assert_eq!(out.len(), 1);
     }
 
@@ -654,12 +371,11 @@ mod tests {
         let (store, strands) = setup("r1 hit(@S) :- probe(@S, 7).");
         let strand = &strands[0];
         let ok = TupleDelta::insert("probe", Tuple::new(vec![addr(3), Value::Int(7)]));
-        assert_eq!(strand.fire(&store, &ok, u64::MAX).unwrap().len(), 1);
+        assert_eq!(fire(strand, &store, &ok, u64::MAX).unwrap().len(), 1);
         let miss = TupleDelta::insert("probe", Tuple::new(vec![addr(3), Value::Int(8)]));
-        assert!(strand.fire(&store, &miss, u64::MAX).unwrap().is_empty());
+        assert!(fire(strand, &store, &miss, u64::MAX).unwrap().is_empty());
         let wrong_arity = TupleDelta::insert("probe", Tuple::new(vec![addr(3)]));
-        assert!(strand
-            .fire(&store, &wrong_arity, u64::MAX)
+        assert!(fire(strand, &store, &wrong_arity, u64::MAX)
             .unwrap()
             .is_empty());
     }
@@ -669,9 +385,9 @@ mod tests {
         let (store, strands) = setup("r1 selfloop(@S) :- edge(@S, @S).");
         let strand = &strands[0];
         let hit = TupleDelta::insert("edge", Tuple::new(vec![addr(1), addr(1)]));
-        assert_eq!(strand.fire(&store, &hit, u64::MAX).unwrap().len(), 1);
+        assert_eq!(fire(strand, &store, &hit, u64::MAX).unwrap().len(), 1);
         let miss = TupleDelta::insert("edge", Tuple::new(vec![addr(1), addr(2)]));
-        assert!(strand.fire(&store, &miss, u64::MAX).unwrap().is_empty());
+        assert!(fire(strand, &store, &miss, u64::MAX).unwrap().is_empty());
     }
 
     #[test]
@@ -681,9 +397,9 @@ mod tests {
         let (store, strands) = setup("r1 out(@S, C) :- q(@S, C), C := 5.");
         let strand = &strands[0];
         let hit = TupleDelta::insert("q", Tuple::new(vec![addr(0), Value::Int(5)]));
-        assert_eq!(strand.fire(&store, &hit, u64::MAX).unwrap().len(), 1);
+        assert_eq!(fire(strand, &store, &hit, u64::MAX).unwrap().len(), 1);
         let miss = TupleDelta::insert("q", Tuple::new(vec![addr(0), Value::Int(6)]));
-        assert!(strand.fire(&store, &miss, u64::MAX).unwrap().is_empty());
+        assert!(fire(strand, &store, &miss, u64::MAX).unwrap().is_empty());
     }
 
     #[test]
@@ -697,14 +413,6 @@ mod tests {
         // exactly its first column bound (Z), everything else free.
         let reqs = link_strand.index_requirements();
         assert_eq!(reqs, vec![("path".to_string(), vec![0])]);
-        let plan = link_strand
-            .probe_plans()
-            .iter()
-            .flatten()
-            .next()
-            .expect("the path atom has a plan");
-        assert_eq!(plan.cols, vec![0]);
-        assert_eq!(plan.sources, vec![ColumnSource::Var("Z".to_string())]);
 
         // Triggered by path, the #link(@S,@Z,C1) atom has column 1 bound.
         let path_strand = strands
@@ -755,22 +463,20 @@ mod tests {
         let link = TupleDelta::insert("link", Tuple::new(vec![addr(0), addr(1), Value::Int(4)]));
 
         let mut scan_stats = JoinStats::default();
-        let scanned = link_strand
-            .fire_counted(&store, &link, u64::MAX, &mut scan_stats)
-            .unwrap();
+        let scanned =
+            fire_with_stats(link_strand, &store, &link, u64::MAX, &mut scan_stats).unwrap();
         assert!(scan_stats.scans > 0 && scan_stats.logical_probes == 0);
 
         store.declare_indexes(strands.iter());
         let mut probe_stats = JoinStats::default();
-        let probed = link_strand
-            .fire_counted(&store, &link, u64::MAX, &mut probe_stats)
-            .unwrap();
+        let probed =
+            fire_with_stats(link_strand, &store, &link, u64::MAX, &mut probe_stats).unwrap();
         assert_eq!(scanned, probed);
         assert_eq!(probed.len(), 28);
         assert!(probe_stats.logical_probes > 0 && probe_stats.scans == 0);
         assert_eq!(
             probe_stats.logical_probes, probe_stats.distinct_probes,
-            "tuple-at-a-time probes are never shared"
+            "a lone trigger shares its probe with nothing"
         );
         assert!(
             probe_stats.tuples_examined <= scan_stats.tuples_examined,
@@ -797,6 +503,9 @@ mod tests {
         keys: [usize; 2],
         /// Derivations per trigger of the whole batch.
         derived: Vec<usize>,
+        /// Logical probes, scans and tuples examined by the one-trigger
+        /// batch and by the whole batch, cache or no cache.
+        joins: [[usize; 3]; 2],
     }
 
     fn int(i: i64) -> Value {
@@ -861,6 +570,7 @@ mod tests {
                 ],
                 keys: [1, 2],
                 derived: vec![10, 9, 0, 5],
+                joins: [[1, 0, 10], [4, 0, 30]],
             },
             Case {
                 shape: "no non-trigger literal",
@@ -874,6 +584,7 @@ mod tests {
                 ],
                 keys: [0, 0],
                 derived: vec![1, 1, 1],
+                joins: [[0, 0, 0], [0, 0, 0]],
             },
             Case {
                 shape: "last literal a probe",
@@ -883,6 +594,7 @@ mod tests {
                 batch: over_t(),
                 keys: [1, 2],
                 derived: vec![3, 1, 2, 0],
+                joins: [[1, 0, 3], [4, 0, 8]],
             },
             Case {
                 shape: "probe then filter",
@@ -897,6 +609,7 @@ mod tests {
                 ],
                 keys: [1, 2],
                 derived: vec![2, 0, 2, 1],
+                joins: [[1, 0, 3], [4, 0, 8]],
             },
             Case {
                 shape: "probe then fresh assignment",
@@ -906,6 +619,7 @@ mod tests {
                 batch: over_t(),
                 keys: [1, 2],
                 derived: vec![3, 1, 2, 0],
+                joins: [[1, 0, 3], [4, 0, 8]],
             },
             Case {
                 shape: "probe then pre-bound assignment",
@@ -920,6 +634,7 @@ mod tests {
                 ],
                 keys: [1, 2],
                 derived: vec![1, 1, 0, 1],
+                joins: [[1, 0, 3], [4, 0, 10]],
             },
             Case {
                 // The second probe's keys are the first one's matches:
@@ -943,6 +658,7 @@ mod tests {
                 ],
                 keys: [1 + 3, 2 + 4],
                 derived: vec![3, 1, 2, 0],
+                joins: [[4, 0, 6], [12, 0, 16]],
             },
             Case {
                 shape: "within-atom repeated variable",
@@ -962,6 +678,7 @@ mod tests {
                 ],
                 keys: [1, 2],
                 derived: vec![2, 1, 1, 0],
+                joins: [[1, 0, 3], [4, 0, 8]],
             },
             Case {
                 // A constant in the probed atom is part of the probe key;
@@ -983,6 +700,7 @@ mod tests {
                 ],
                 keys: [1, 2],
                 derived: vec![3, 1, 2, 0, 0],
+                joins: [[1, 0, 3], [4, 0, 8]],
             },
             Case {
                 // Nothing can match an aggregate term, but the lookups
@@ -994,6 +712,7 @@ mod tests {
                 batch: over_t(),
                 keys: [1, 2],
                 derived: vec![0, 0, 0, 0],
+                joins: [[1, 0, 3], [4, 0, 8]],
             },
             Case {
                 shape: "probe of an undeclared relation",
@@ -1003,6 +722,7 @@ mod tests {
                 batch: over_t(),
                 keys: [0, 0],
                 derived: vec![0, 0, 0, 0],
+                joins: [[0, 0, 0], [0, 0, 0]],
             },
             Case {
                 // No bound column, no probe plan: every row scans.
@@ -1022,20 +742,22 @@ mod tests {
                 ],
                 keys: [0, 0],
                 derived: vec![3, 3, 2, 0],
+                joins: [[0, 1, 3], [0, 4, 12]],
             },
         ]
     }
 
-    /// Every arm of the batch path's one probe loop against the
-    /// interpreter: each rule shape, as a one-trigger batch (a lone row
-    /// takes one plain lookup) and as a batch over two keys with mixed
-    /// signs and visibility limits (the key-grouped arm), without a
-    /// cross-rule cache and with one armed for everything the strand
-    /// probes (the grouped arm even for a lone row), all through one lent
-    /// set of buffers.
+    /// Every arm of the batch path's one probe loop against the naive
+    /// oracle: each rule shape, as a one-trigger batch (a lone row takes
+    /// one plain lookup) and as a batch over two keys with mixed signs and
+    /// visibility limits (the key-grouped arm), without a cross-rule cache
+    /// and with one armed for everything the strand probes (the grouped arm
+    /// even for a lone row), all through one lent set of buffers. Per
+    /// trigger, the derivations are `ndlog_oracle::fire_one`'s; the join
+    /// counts are pinned.
     #[test]
     fn fire_batch_matches_fire_per_trigger() {
-        use crate::batch::{BatchTrigger, EvalBuffers};
+        use crate::batch::EvalBuffers;
         use crate::subplan::ProbeCache;
         let mut lent = EvalBuffers::default();
         for case in cases() {
@@ -1048,12 +770,20 @@ mod tests {
                 store = Store::new();
                 store.ensure(RelationSchema::new(case.trigger));
             }
+            let mut stored = Vec::new();
             for (relation, tuple) in case.stored.into_iter().flatten() {
-                store.apply(&TupleDelta::insert(relation, tuple));
+                let seq = store
+                    .apply(&TupleDelta::insert(relation, tuple.clone()))
+                    .seq;
+                stored.push((relation, tuple.values().to_vec(), seq));
             }
             let strand = strands
                 .iter()
                 .find(|s| s.trigger_relation() == case.trigger)
+                .unwrap();
+            let rule = delta_rewrite_full(&parse_program(case.rule).unwrap())
+                .into_iter()
+                .find(|rule| rule.trigger_relation == case.trigger)
                 .unwrap();
             let deltas: Vec<(TupleDelta, u64)> = case
                 .batch
@@ -1069,25 +799,21 @@ mod tests {
                 })
                 .collect();
             let armed = strand.index_requirements();
+            // What each trigger derives, by the oracle, sorted.
+            let expected: Vec<Vec<Vec<Value>>> = deltas
+                .iter()
+                .map(|(delta, seq_limit)| {
+                    let trigger = delta.tuple.values();
+                    let mut rows = ndlog_oracle::fire_one(&rule, trigger, &stored, *seq_limit);
+                    rows.as_mut().unwrap().sort();
+                    rows.unwrap()
+                })
+                .collect();
+            let derived: Vec<usize> = expected.iter().map(Vec::len).collect();
+            assert_eq!(derived, case.derived, "{shape}");
 
-            for (batch, keys) in [(&deltas[..1], case.keys[0]), (&deltas[..], case.keys[1])] {
-                // The interpreter, one trigger at a time.
-                let mut reference_stats = JoinStats::default();
-                let reference: Vec<Vec<Derivation>> = batch
-                    .iter()
-                    .map(|(delta, seq_limit)| {
-                        strand
-                            .fire_counted(&store, delta, *seq_limit, &mut reference_stats)
-                            .unwrap()
-                    })
-                    .collect();
-                let derived: Vec<usize> = reference.iter().map(Vec::len).collect();
-                assert_eq!(derived, case.derived[..batch.len()], "{shape}");
-                assert_eq!(
-                    reference_stats.distinct_probes, reference_stats.logical_probes,
-                    "{shape}: tuple-at-a-time probes are never shared"
-                );
-
+            let batches = [&deltas[..1], &deltas[..]];
+            for (n, batch) in batches.into_iter().enumerate() {
                 let triggers: Vec<BatchTrigger> = batch
                     .iter()
                     .map(|(delta, seq_limit)| BatchTrigger {
@@ -1106,23 +832,26 @@ mod tests {
                         strand
                             .fire_batch(&store, &triggers, &mut stats, scratch, out, cache.as_mut())
                             .unwrap();
-                        for (i, expected) in reference.iter().enumerate() {
-                            assert_eq!(out.for_trigger(i), &expected[..], "{what}, trigger {i}");
+                        for (i, (delta, _)) in batch.iter().enumerate() {
+                            let fired = out.for_trigger(i);
+                            let mut rows: Vec<Vec<Value>> = fired
+                                .iter()
+                                .map(|d| d.delta.tuple.values().to_vec())
+                                .collect();
+                            rows.sort();
+                            assert_eq!(rows, expected[i], "{what}, trigger {i}");
+                            for d in fired {
+                                assert_eq!(d.delta.sign, delta.sign, "{what}, trigger {i}");
+                                assert_eq!(d.location, d.delta.tuple.location(), "{what}");
+                            }
                         }
                         out.drain_into(|_, _| ());
                         assert!(lent.holds_only_capacity(), "{what}");
-                        // Grouped firing preserves the logical accounting
-                        // exactly; only the executed lookups shrink.
-                        assert_eq!(
-                            stats.logical_probes, reference_stats.logical_probes,
-                            "{what}"
-                        );
-                        assert_eq!(stats.scans, reference_stats.scans, "{what}");
-                        assert_eq!(
-                            stats.tuples_examined, reference_stats.tuples_examined,
-                            "{what}"
-                        );
-                        let executed = if firing == 0 { keys } else { 0 };
+                        // Grouping and caching never change the logical
+                        // accounting; only the executed lookups shrink.
+                        let logical = [stats.logical_probes, stats.scans, stats.tuples_examined];
+                        assert_eq!(logical, case.joins[n], "{what}");
+                        let executed = if firing == 0 { case.keys[n] } else { 0 };
                         assert_eq!(stats.distinct_probes, executed, "{what}, firing {firing}");
                     }
                 }
@@ -1132,7 +861,6 @@ mod tests {
 
     #[test]
     fn shared_key_batch_probes_the_index_exactly_once() {
-        use crate::batch::{BatchOutput, BatchScratch, BatchTrigger};
         let (mut store, strands) = setup(TWO_HOP);
         store.declare_indexes(strands.iter());
         for d in 2..7u32 {
@@ -1182,28 +910,10 @@ mod tests {
         // Every member received the full broadcast match set, identical to
         // firing it alone.
         for (i, delta) in deltas.iter().enumerate() {
-            let reference = link_strand.fire(&store, delta, u64::MAX).unwrap();
+            let reference = fire(link_strand, &store, delta, u64::MAX).unwrap();
             assert_eq!(out.for_trigger(i), &reference[..]);
             assert_eq!(out.for_trigger(i).len(), 5);
         }
-    }
-
-    #[test]
-    fn fire_batch_reports_unbound_head_variables() {
-        use crate::batch::{BatchOutput, BatchScratch, BatchTrigger};
-        let (store, strands) = setup("r1 out(@S, X) :- q(@S, C).");
-        let d = TupleDelta::insert("q", Tuple::new(vec![addr(0), Value::Int(1)]));
-        let triggers = [BatchTrigger {
-            delta: &d,
-            seq_limit: u64::MAX,
-        }];
-        let mut stats = JoinStats::default();
-        let mut scratch = BatchScratch::default();
-        let mut out = BatchOutput::default();
-        assert!(matches!(
-            strands[0].fire_batch(&store, &triggers, &mut stats, &mut scratch, &mut out, None),
-            Err(EvalError::UnboundVariable(v)) if v == "X"
-        ));
     }
 
     #[test]
@@ -1221,7 +931,7 @@ mod tests {
             .find(|s| s.trigger_relation() == "q")
             .unwrap();
         let d = TupleDelta::insert("q", Tuple::new(vec![addr(0), Value::Int(1)]));
-        assert!(strand.fire(&store, &d, u64::MAX).unwrap().is_empty());
+        assert!(fire(strand, &store, &d, u64::MAX).unwrap().is_empty());
     }
 
     #[test]
@@ -1230,8 +940,34 @@ mod tests {
         let (store, strands) = setup("r1 out(@S, X) :- q(@S, C).");
         let d = TupleDelta::insert("q", Tuple::new(vec![addr(0), Value::Int(1)]));
         assert!(matches!(
-            strands[0].fire(&store, &d, u64::MAX),
+            fire(&strands[0], &store, &d, u64::MAX),
             Err(EvalError::UnboundVariable(v)) if v == "X"
         ));
+    }
+
+    #[test]
+    fn a_filter_is_truthy_or_its_type_error_names_it() {
+        let (store, strands) = setup("r1 out(@S) :- q(@S, V), V.");
+        let q = |v: Value| TupleDelta::insert("q", Tuple::new(vec![addr(0), v]));
+        let passes = |v: Value| {
+            !fire(&strands[0], &store, &q(v), u64::MAX)
+                .unwrap()
+                .is_empty()
+        };
+        assert!(passes(Value::Bool(true)) && passes(Value::Int(-2)) && passes(Value::Float(0.5)));
+        assert!(
+            !passes(Value::Bool(false)) && !passes(Value::Int(0)) && !passes(Value::Float(0.0))
+        );
+        let failed = fire(&strands[0], &store, &q(Value::str("yes")), u64::MAX);
+        assert_eq!(
+            failed.unwrap_err().to_string(),
+            "type mismatch in boolean filter `V`"
+        );
+        // A variable no literal binds fails where it is read.
+        let (store, strands) = setup("r1 out(@S) :- q(@S, V), X.");
+        assert_eq!(
+            fire(&strands[0], &store, &q(Value::Int(1)), u64::MAX),
+            Err(EvalError::UnboundVariable("X".into()))
+        );
     }
 }

@@ -1,4 +1,4 @@
-//! Randomized delete/insert churn versus a from-scratch oracle.
+//! Randomized delete/insert churn versus the naive oracle's fixpoint.
 //!
 //! Section 4's update model (and Section 6.5's bursty experiments) applies
 //! periodic bursts of base-tuple changes to a quiesced store. With DRed
@@ -6,7 +6,8 @@
 //! strategy: an SN or BSN initial run may over-count derivations (no
 //! Theorem-2 guarantee) and primary-key replacements fold counts away, but
 //! the over-delete/re-derive pass never consults a count, so incremental
-//! results must equal a from-scratch evaluation after every burst.
+//! results must equal a from-scratch evaluation of the surviving links —
+//! the fixpoint of `ndlog-oracle`'s naive evaluator — after every burst.
 //!
 //! The workload mirrors `ndlog_core::UpdateWorkload` at the evaluator
 //! level: each burst touches a random subset of the (bidirectional) links —
@@ -24,6 +25,7 @@ use ndlog_lang::{programs, Program, Value};
 use ndlog_net::gtitm::{generate, TransitStubConfig};
 use ndlog_net::overlay::{Overlay, OverlayConfig};
 use ndlog_net::topology::Metric;
+use ndlog_oracle::Oracle;
 use ndlog_runtime::{EvalStats, Evaluator, Strategy, Tuple, TupleDelta};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -104,8 +106,9 @@ fn burst(rng: &mut StdRng, base: &mut BTreeMap<(u32, u32), f64>) -> Vec<(bool, u
 }
 
 /// Sorted tuple set of a relation.
-fn snapshot(eval: &Evaluator, relation: &str) -> BTreeSet<Tuple> {
-    eval.results(relation).into_iter().collect()
+fn snapshot(eval: &Evaluator, relation: &str) -> BTreeSet<Vec<Value>> {
+    let tuples = eval.results(relation).into_iter();
+    tuples.map(|t| t.values().to_vec()).collect()
 }
 
 /// A program under churn and how its layers compare against the oracle.
@@ -139,38 +142,37 @@ fn cases() -> [Case; 2] {
 }
 
 impl Case {
-    fn best_costs(&self, eval: &Evaluator) -> BTreeSet<(Value, Value, Value)> {
-        let (relation, cost) = self.best;
-        let project = |t: Tuple| {
-            let at = |col| t.get(col).unwrap().clone();
-            (at(0), at(1), at(cost))
-        };
-        eval.results(relation).into_iter().map(project).collect()
+    /// The (source, destination, cost) of every tuple in `tuples`.
+    fn best_costs(&self, tuples: BTreeSet<Vec<Value>>) -> BTreeSet<(Value, Value, Value)> {
+        let project = |t: Vec<Value>| (t[0].clone(), t[1].clone(), t[self.best.1].clone());
+        tuples.into_iter().map(project).collect()
     }
 
-    /// Every layer of `incremental` must equal a from-scratch PSN
-    /// evaluation over `base`.
-    fn assert_matches_scratch(
+    /// Every layer of `incremental` must equal the oracle's fixpoint over
+    /// `base`.
+    fn assert_matches_oracle(
         &self,
         incremental: &Evaluator,
         base: &BTreeMap<(u32, u32), f64>,
         context: &str,
     ) {
-        let mut scratch = Evaluator::new(&self.program).unwrap();
-        load(&mut scratch, base);
-        scratch.run(Strategy::Pipelined).unwrap();
+        let links = base
+            .iter()
+            .flat_map(|(&(a, b), &c)| [link(a, b, c), link(b, a, c)]);
+        let input = links.map(|t| ("link".to_string(), t.values().to_vec()));
+        let oracle = Oracle::run(&self.program, input).unwrap();
         for relation in self.exact {
             assert_eq!(
                 snapshot(incremental, relation),
-                snapshot(&scratch, relation),
-                "{context}: incremental {relation} diverged from from-scratch"
+                oracle.tuples(relation),
+                "{context}: incremental {relation} diverged from the oracle"
             );
         }
+        let best = self.best.0;
         assert_eq!(
-            self.best_costs(incremental),
-            self.best_costs(&scratch),
-            "{context}: incremental {} costs diverged from from-scratch",
-            self.best.0
+            self.best_costs(snapshot(incremental, best)),
+            self.best_costs(oracle.tuples(best)),
+            "{context}: incremental {best} costs diverged from the oracle"
         );
     }
 }
@@ -212,7 +214,7 @@ fn churn_matches_from_scratch_for_every_strategy() {
                     }
                     let context =
                         format!("{}, seed {seed}, {strategy:?}, burst {round}", case.best.0);
-                    case.assert_matches_scratch(&incremental, &base, &context);
+                    case.assert_matches_oracle(&incremental, &base, &context);
                 }
             }
         }
@@ -291,7 +293,7 @@ fn batched_bursts_match_from_scratch() {
                         "{}, seed {seed}, {strategy:?}, batched burst {round}",
                         case.best.0
                     );
-                    case.assert_matches_scratch(&incremental, &base, &context);
+                    case.assert_matches_oracle(&incremental, &base, &context);
                 }
             }
         }
