@@ -1044,7 +1044,7 @@ fn adversity_converged(
 
 /// Run the soft-state shortest-path query across a loss-rate × churn grid
 /// of deterministic fault plans: every cell suffers random message loss,
-/// duplication and jitter until [`ADVERSITY_FAULTS_END_S`], plus zero or
+/// duplication and jitter until `ADVERSITY_FAULTS_END_S`, plus zero or
 /// more crash/rejoin waves taking down ~10% of the overlay, while periodic
 /// refresh re-announces seed facts so lost state heals by TTL turnover.
 /// Each cell runs at 1 and 2 executor threads and checks bitwise identity,

@@ -10,7 +10,7 @@
 //!
 //! | module | role |
 //! |---|---|
-//! | [`plan`] | the query planner: program → [`plan::QueryPlan`] |
+//! | [`mod@plan`] | the query planner: program → [`plan::QueryPlan`] |
 //! | [`node`] | a single node's engine: store, strands, views, PSN queue, aggregate selections, outbound buffering |
 //! | [`engine`] | the distributed executor: event loop, messaging, convergence/result tracking |
 //! | [`exec`] | parallel epoch executor: worker pool, node sharding, deterministic merge |

@@ -208,7 +208,7 @@ impl NodeEngine {
         let mut views = Vec::new();
         let mut selections = Vec::new();
         for plan in plans {
-            store.add_program(&plan.program);
+            store.add_program(&plan.program)?;
             for rule in &plan.aggregate_rules {
                 views.push(AggregateView::from_rule(rule)?);
             }

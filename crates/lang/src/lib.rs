@@ -22,7 +22,7 @@
 //! | [`ast`] | programs, rules, literals, atoms, terms, expressions |
 //! | [`lexer`] / [`parser`] | text syntax → AST |
 //! | [`interactive`] | the shell/service command dialect (`+`, `-`, `?-`, meta) |
-//! | [`validate`] | the four NDlog syntactic constraints of Definition 6 |
+//! | [`mod@validate`] | the four NDlog syntactic constraints of Definition 6 |
 //! | [`localize`] | the rule-localization rewrite of Algorithm 2 |
 //! | [`seminaive`] | the semi-naive delta rewrite (rule strands) |
 //! | [`magic`] | magic-sets rewriting (Section 5.1.2) |

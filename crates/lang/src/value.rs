@@ -19,8 +19,8 @@
 //! word — an address, an `i64`, an `f64`, a `bool`, a list's one node
 //! pointer — and a string is one pointer too, to a shared `Box<str>`,
 //! rather than the two-word `Arc<str>` that would make every field 24
-//! bytes. That is 8 bytes less per field of every tuple, list node,
-//! dictionary entry and message payload, paid for by a second allocation
+//! bytes. That is 8 bytes less per field of every tuple, list node and
+//! message payload, paid for by a second allocation
 //! per string built; strings come from parsed literals only, never from a
 //! derivation.
 
@@ -329,8 +329,8 @@ impl From<&str> for Value {
 /// would its hash, while a table takes its bucket from the low bits.
 ///
 /// It digests list elements into [`List`]'s content hash, and the runtime's
-/// relation dictionaries and fingerprint tables hash with it, so two runs of
-/// one input build identical tables and take the same time. No seed also
+/// fingerprint tables hash stored values with it, so two runs of one input
+/// build identical tables and take the same time. No seed also
 /// means no defence against values crafted to collide: simulated engines
 /// hash values they derived themselves; `ndlog serve` stores what its
 /// clients send, and bounding what one client can cost is the serve item of

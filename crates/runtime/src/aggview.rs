@@ -46,9 +46,9 @@
 //! previously-skipped source tuples.
 
 use crate::index::JoinStats;
-use crate::intern::FxBuild;
 use crate::store::Store;
 use crate::tuple::{RelName, Tuple, TupleDelta};
+use ndlog_lang::value::FxBuild;
 use ndlog_lang::{AggFunc, Atom, Literal, Rule, Term, Value};
 use std::borrow::Borrow;
 use std::collections::{BTreeMap, HashSet};

@@ -27,7 +27,7 @@
 //!
 //! # One probe routine, two sinks
 //!
-//! Every join of every strand goes through [`ProbeStage::probe`] — the one
+//! Every join of every strand goes through `ProbeStage::probe` — the one
 //! place that looks a relation up, and so the one place a probe timer or a
 //! change to probing has to touch. It finds each row's candidates, applies
 //! the row's trigger's `seq_limit`, and hands every surviving `(row,
@@ -37,7 +37,7 @@
 //! rule's last stage (the common single-join shape) gets the sink that
 //! projects the head tuple straight from `(row, candidate)`, so no output
 //! arena is materialized for it: the head template reads each column from
-//! the row or from the candidate ([`HeadSource`]), and a rule whose last
+//! the row or from the candidate (`HeadSource`), and a rule whose last
 //! stage is not a probe projects through the same template with no
 //! candidate columns in it.
 //!
@@ -56,7 +56,7 @@
 //! and the candidate: any slot bound by an earlier stage is part of the
 //! probe key, so all that is left to check is the candidate's arity and,
 //! for a variable the atom repeats, that two of the candidate's own
-//! columns agree ([`ProbeStage::same`]) — two rows with equal keys accept
+//! columns agree (`ProbeStage::same`) — two rows with equal keys accept
 //! exactly the same candidates. A lone row without a cache has nothing to
 //! share and its grouped accounting (one logical, one distinct probe)
 //! would equal a plain lookup's exactly, so it takes one plain lookup and
@@ -87,13 +87,13 @@
 
 use crate::expr::{eval_binop, eval_builtin, EvalError};
 use crate::index::JoinStats;
-use crate::intern::FxBuild;
 use crate::relation::StoredTuple;
 use crate::store::Store;
 use crate::strand::Derivation;
 use crate::subplan::ProbeCache;
 use crate::tuple::{RelName, Sign, Tuple, TupleDelta};
 use ndlog_lang::seminaive::DeltaRule;
+use ndlog_lang::value::FxBuild;
 use ndlog_lang::{Atom, Expr, Literal, Term, Value};
 use std::collections::{BTreeMap, HashMap};
 
@@ -291,7 +291,7 @@ struct KeyGroups {
     /// runs of one input build the same table. Group numbering is
     /// first-occurrence order and every observable is addressed through
     /// it, so nothing depends on hashing or iteration order — which
-    /// [`ProbeStage::probe`] relies on when it walks the map.
+    /// `ProbeStage::probe` relies on when it walks the map.
     map: HashMap<Box<[Value]>, u32, FxBuild>,
     /// Per group: the `(start, end)` range of its shared match set in the
     /// flat match buffer.
@@ -1064,7 +1064,7 @@ mod tests {
     /// A store with its indexes and the strand `trigger` fires.
     fn setup(src: &str, trigger: &str) -> (Store, CompiledStrand) {
         let program = parse_program(src).unwrap();
-        let mut store = Store::for_program(&program);
+        let mut store = Store::for_program(&program).unwrap();
         let strands: Vec<CompiledStrand> = delta_rewrite_full(&program)
             .into_iter()
             .map(CompiledStrand::new)

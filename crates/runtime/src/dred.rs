@@ -393,7 +393,7 @@ mod tests {
 
     fn setup(src: &str) -> (Store, Vec<CompiledStrand>) {
         let program = parse_program(src).unwrap();
-        let mut store = Store::for_program(&program);
+        let mut store = Store::for_program(&program).unwrap();
         let strands = CompiledStrand::compile_program(&program);
         store.declare_indexes(strands.iter());
         (store, strands)

@@ -89,7 +89,7 @@ impl Evaluator {
             .collect::<Result<Vec<_>, String>>()?;
 
         Ok(Evaluator {
-            fixpoint: LocalFixpoint::new(Store::for_program(program), Arc::new(strands), views),
+            fixpoint: LocalFixpoint::new(Store::for_program(program)?, Arc::new(strands), views),
             buffers: EvalBuffers::default(),
             base_facts,
         })

@@ -13,9 +13,9 @@
 //!   concrete values (a *bound-column signature*, the same notion index-
 //!   driven homomorphism search uses for conceptual-graph matching);
 //! * a `SlotTable` files each row of a relation under one projection of its
-//!   column ids — the primary key for the primary index, a signature's
-//!   columns for a secondary index — so a probe touches exactly the rows
-//!   carrying the probed projection;
+//!   values — the primary key for the primary index, a signature's columns
+//!   for a secondary index — so a probe touches exactly the rows carrying
+//!   the probed projection;
 //! * [`crate::relation::Relation`] maintains its tables incrementally on
 //!   insert, key-replacement, deletion and soft-state expiry, and answers
 //!   [`crate::relation::Relation::probe`] in O(matches).
@@ -28,13 +28,14 @@
 //!
 //! # Fingerprint → slots, verified against the slab
 //!
-//! A table stores no value, no tuple and no id. It maps the 64-bit Fx
-//! fingerprint of a projection ([`crate::intern::fingerprint`]) to the slab
-//! slots of the rows carrying it: a lone slot sits inline in the 16-byte
-//! map entry — every primary entry, and every one-row bucket — and only a
-//! fingerprint shared by several rows owns a vector. The projection itself
-//! is written down once, in the `ids` the slab row already holds, and every
-//! hit is checked against it: the table's operations take a `same`
+//! A table stores no value and no tuple. It maps the 64-bit Fx fingerprint
+//! of a projection's values (`fingerprint`, through `Value`'s `Hash`, which
+//! reads a list's cached hash: O(1) per column) to the slab slots of the
+//! rows carrying it: a lone slot sits inline in the 16-byte map entry —
+//! every primary entry, and every one-row bucket — and only a fingerprint
+//! shared by several rows owns a vector. The projection itself is written
+//! down once, in the tuple the slab row holds, and every hit is checked
+//! against it by `Value` equality: the table's operations take a `same`
 //! predicate telling whether the row in a slot carries the projection being
 //! filed or probed. Two projections with one fingerprint therefore share a
 //! map entry but never an answer — their slots form separate contiguous
@@ -43,18 +44,22 @@
 //! contiguous, a vector whose first and last rows pass `same` is one run:
 //! the usual, collision-free probe reads two rows however long its bucket.
 //!
-//! A run that loses its last slot is gone with it — nothing of a departed
-//! row stays behind in any table, which is what lets the dictionary free an
-//! id when the last row holding it goes.
+//! A run that loses its last slot is gone with it: nothing of a departed
+//! row stays behind in any table.
+//!
+//! Values that are equal hash equally — `Int(3)` and `Float(3.0)` are one
+//! key — and the fingerprints use `FxHasher`
+//! ([`ndlog_lang::value::FxHasher`]), which is seedless, so two runs of one
+//! input build identical tables and take the same time.
 //!
 //! # Run order is by key value
 //!
 //! The slots of a run are kept in the order of their rows' primary-key
 //! *values* — the order a `BTreeMap<Vec<Value>, _>` over the relation would
-//! give — never in id or slot order. Probe order decides the order strands
+//! give — never in slot order. Probe order decides the order strands
 //! derive tuples in, hence which of two same-key derivations lands first,
 //! which message carries what, and every deterministic count the
-//! differential tests and the benchmark compare; ids, slots and
+//! differential tests and the benchmark compare; slots and
 //! fingerprint collisions depend on insertion and deletion history, which
 //! differs between the centralized evaluator, a node engine and a
 //! from-scratch oracle holding the same tuples. The relation supplies the
@@ -72,11 +77,51 @@
 //! same-key environments with one bucket lookup, so `distinct_probes ≤
 //! logical_probes`; a lone environment's lookup counts once in each.
 
-use crate::intern::{table_bytes, Prehashed};
+use ndlog_lang::value::FxHasher;
+use ndlog_lang::Value;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ops::Range;
+
+/// The 64-bit Fx fingerprint of a projection's values: what the primary
+/// index and every secondary index file a row's slot under. Two projections
+/// can share one — every table hit is verified against the values of the
+/// row in the slab — so a collision costs a comparison, never a wrong
+/// answer.
+pub(crate) fn fingerprint<'v>(values: impl Iterator<Item = &'v Value>) -> u64 {
+    let mut hasher = FxHasher::default();
+    values.for_each(|value| value.hash(&mut hasher));
+    hasher.finish()
+}
+
+/// Hasher of the fingerprint-keyed tables: the key is a hash already.
+#[derive(Debug, Clone, Copy, Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("fingerprint tables are keyed by u64");
+    }
+    fn write_u64(&mut self, fingerprint: u64) {
+        self.0 = fingerprint;
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Heap bytes of a hash table, from its capacity: one control byte and one
+/// entry per bucket, buckets a power of two at most 7/8 full.
+fn table_bytes<K, V, S>(map: &HashMap<K, V, S>) -> usize {
+    match map.capacity() {
+        0 => 0,
+        capacity => {
+            let buckets = (capacity * 8).div_ceil(7).next_power_of_two();
+            buckets * (std::mem::size_of::<(K, V)>() + 1)
+        }
+    }
+}
 
 /// Join-level counters accumulated while firing strands: how many joins
 /// went through an index probe vs. a scan, how many bucket lookups were
@@ -156,10 +201,10 @@ enum Slots {
     Many(u32),
 }
 
-/// A hash table from the fingerprint of an id projection to the slab slots
-/// of the rows carrying it, each run in primary-key value order (see the
-/// module docs). The table never sees an id: `same(slot)` tells whether the
-/// row in `slot` carries the projection an operation is about.
+/// A hash table from the fingerprint of a projection to the slab slots of
+/// the rows carrying it, each run in primary-key value order (see the
+/// module docs). The table never sees a value: `same(slot)` tells whether
+/// the row in `slot` carries the projection an operation is about.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SlotTable {
     map: HashMap<u64, Slots, BuildHasherDefault<Prehashed>>,
@@ -419,6 +464,29 @@ mod tests {
             });
             check.unwrap();
         }
+    }
+
+    #[test]
+    fn fingerprints_are_seedless_and_spread_float_bit_patterns() {
+        let hash = |v: &Value| fingerprint(std::iter::once(v));
+        assert_eq!(hash(&Value::Int(3)), hash(&Value::Float(3.0)));
+        assert_eq!(hash(&Value::str("abc")), hash(&Value::str("abc")));
+        // Small integers hash through their f64 bits, whose low 32+ bits
+        // are zero: the bits the table uses — the low ones for the bucket,
+        // the top seven for the tag — must still vary.
+        let distinct = |part: fn(u64) -> u64| {
+            let parts: std::collections::BTreeSet<u64> =
+                (0..256).map(|i| part(hash(&Value::Int(i)))).collect();
+            parts.len()
+        };
+        assert!(distinct(|h| h & 0xff) > 128);
+        assert!(distinct(|h| h >> 57) > 64);
+        // A projection is its columns in order.
+        let (one, two) = (Value::Int(1), Value::Int(2));
+        assert_ne!(
+            fingerprint([&one, &two].into_iter()),
+            fingerprint([&two, &one].into_iter())
+        );
     }
 
     #[test]

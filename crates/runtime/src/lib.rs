@@ -3,29 +3,25 @@
 //! This crate implements everything a node needs to evaluate a (localized)
 //! NDlog program over its local state:
 //!
-//! * [`tuple`] — tuples and signed tuple deltas;
+//! * [`mod@tuple`] — tuples and signed tuple deltas;
 //! * [`expr`] — operators and the builtin `f_*` functions (path-vector
 //!   construction, membership tests, arithmetic) that compiled strands
 //!   evaluate;
 //! * [`relation`] — stored relations with primary keys, derivation counts
 //!   (the count algorithm for deletions), per-tuple timestamps and optional
-//!   soft-state TTLs; each tuple is stored once, in a slab slot, and the
-//!   primary index, every secondary index and the cached key order refer
-//!   to it by slot; a lookup that binds the whole primary key is answered
-//!   by the primary index, and no secondary index is built for it;
-//! * [`intern`] — the relation-local [`Value`](ndlog_lang::Value)
-//!   dictionary behind that layout: id equality is exactly value equality,
-//!   ids are reference counted and freed with the last row holding them
-//!   (the dictionary tracks stored data, not history), there is no global
-//!   table and no lock, and because nothing observable is ever ordered by
-//!   id or slot, results do not depend on insertion history or thread
+//!   soft-state TTLs; each tuple is stored once, in a slab slot that holds
+//!   nothing else, and the primary index, every secondary index and the
+//!   cached key order refer to it by slot; a lookup that binds the whole
+//!   primary key is answered by the primary index, and no secondary index
+//!   is built for it; because nothing observable is ever ordered by slot
+//!   or fingerprint, results do not depend on insertion history or thread
 //!   schedule — the determinism guarantee the parallel engine relies on;
 //! * [`index`] — the one table type behind the primary index and the
 //!   secondary hash indexes over bound-column signatures, maintained
 //!   incrementally so joins probe in O(matches) instead of scanning: the
-//!   fingerprint of an id projection maps to slab slots in primary-key
-//!   value order, a lone slot inline, every hit verified against the ids
-//!   the slab row holds, so index maintenance hashes and moves `u32`s,
+//!   fingerprint of a projection's values maps to slab slots in
+//!   primary-key value order, a lone slot inline, every hit verified by
+//!   value equality against the tuple the slab row holds, so a table
 //!   stores no key and never clones a value;
 //! * [`store`] — a node's collection of relations, built from a program's
 //!   `materialize` declarations;
@@ -82,8 +78,9 @@
 //! ([`Tuple`] is an `Arc<[Value]>`, built at its exact size where it is
 //! constructed), extending a list value is one more (a path vector shares
 //! its tail with the path it extends: `ndlog_lang::value::List`), a stored
-//! row adds none (column ids sit inline for ≤ 8 columns, and a row alone
-//! under its fingerprint sits inline in every table that files it), and a
+//! row adds none (its slab slot is the tuple pointer and its bookkeeping,
+//! and a row alone under its fingerprint sits inline in every table that
+//! files it), and a
 //! relation's name is a shared [`RelName`] that strands and views hold once
 //! and deltas clone by reference count. `tests/alloc_budget.rs` holds the
 //! resulting allocator calls and requested bytes per derivation, and live
@@ -104,15 +101,16 @@
 //!   an option — and feeds either the next row arena or, for a rule's
 //!   last stage, head projection.
 //! * **Slot tables over a slab** ([`relation`], [`index`]): a stored
-//!   tuple lives once, in a slab slot beside the dictionary ids of its
-//!   columns; the primary index files the slot under the fingerprint of
-//!   the key columns' ids and a secondary index under that of its
-//!   signature's, a bucket being the slot itself or a `Vec<u32>` of slots,
-//!   so insertion, duplicate detection, membership, deletion and residual
-//!   filtering hash and compare `u32`s, and a probe hit is one slab access
-//!   from its `StoredTuple`. Buckets and ordered reads keep primary-key
-//!   *value* order — never id, slot or fingerprint order, which depend on
-//!   history — so probe order, derivation order and every deterministic
+//!   tuple lives once, in a slab slot that is its `StoredTuple` (48 bytes);
+//!   the primary index files the slot under the fingerprint of the key
+//!   columns' values and a secondary index under that of its signature's,
+//!   a bucket being the slot itself or a `Vec<u32>` of slots, every hit
+//!   verified by value equality against the slab row (O(1) per column, a
+//!   list caching its hash and comparing only up to a shared tail), and a
+//!   probe hit is one slab access from its tuple. Buckets and ordered reads
+//!   keep primary-key *value* order — never slot or fingerprint order,
+//!   which depend on history — so probe order, derivation order and every
+//!   deterministic
 //!   count are those of an ordered map; the order of a whole relation is a
 //!   sorted slot list cached until the next membership change.
 //! * **Cross-rule shared subplans** ([`subplan`]): planning fingerprints
@@ -172,7 +170,6 @@ pub mod evaluator;
 pub mod expr;
 pub mod fixpoint;
 pub mod index;
-pub mod intern;
 pub mod relation;
 pub mod store;
 pub mod strand;
@@ -185,7 +182,6 @@ pub use batch::{BatchOutput, BatchScratch, BatchTrigger, EvalBuffers};
 pub use evaluator::{EvalStats, Evaluator, Strategy};
 pub use expr::EvalError;
 pub use index::IndexSignature;
-pub use intern::ValueId;
 pub use relation::{HeapBytes, InsertOutcome, Relation, RelationSchema};
 pub use store::Store;
 pub use strand::{CompiledStrand, Derivation, JoinStats};

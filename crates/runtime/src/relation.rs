@@ -19,21 +19,21 @@
 //!
 //! A stored tuple lives once, in a slab: a `Vec` of rows addressed by a
 //! `u32` slot, freed slots reused through a free list. A row is its
-//! [`StoredTuple`] plus the ids of its columns in the relation's own value
-//! dictionary ([`crate::intern`]), held inline in the slot: beyond the
-//! tuple itself — one allocation, fields and reference count together — a
-//! stored row of the usual ≤ 8 columns carries no allocation of its own.
-//! Those ids are the only copy of the row's key and of every projection of
-//! it. Everything else refers to the row by slot:
+//! [`StoredTuple`] and nothing else — 48 bytes in the slot, and beyond the
+//! tuple itself (one allocation, fields and reference count together) no
+//! allocation of its own. The tuple is the only copy of the row's key and
+//! of every projection of it; only this module knows how a projection is
+//! read off it. Everything else refers to the row by slot:
 //!
 //! * the **primary index** and every **secondary index** are one kind of
-//!   table ([`crate::index`]): the 64-bit fingerprint of an id projection —
-//!   the key columns', a declared bound-column signature's — maps to the
-//!   slots of the rows carrying it, a lone slot inline in the 16-byte
-//!   entry, and every hit is verified against the ids in the slab row. So
-//!   insertion, duplicate detection, membership, deletion and probing hash
-//!   and compare `u32`s — no key is cloned, boxed or stored twice, no path
-//!   vector compared element by element — and two projections sharing a
+//!   table ([`crate::index`]): the 64-bit fingerprint of a projection's
+//!   values — the key columns', a declared bound-column signature's — maps
+//!   to the slots of the rows carrying it, a lone slot inline in the
+//!   16-byte entry, and every hit is verified by `Value` equality against
+//!   the tuple in the slab row. A value hashes and compares in O(1) but
+//!   for a list that differs from the one it meets — a list caches its
+//!   hash, and two lists compare only up to the tail they share — so no
+//!   key is cloned, boxed or stored twice, and two projections sharing a
 //!   fingerprint cost a comparison, never a wrong answer. The tables are
 //!   maintained on every mutation — insertion, key replacement, deletion,
 //!   expiry — so [`Relation::probe`] answers an equality lookup in
@@ -47,16 +47,17 @@
 //!
 //! Observable order is always primary-key *value* order — the order a
 //! `BTreeMap<Vec<Value>, _>` gives — in ordered reads and inside every
-//! bucket alike; ids, slots and fingerprints depend on history and are
-//! never exposed (see [`crate::index`] for why that matters).
+//! bucket alike; slots and fingerprints depend on history and are never
+//! exposed (see [`crate::index`] for why that matters).
 //!
 //! # Access paths
 //!
 //! The data model stores one tuple per primary key, so a lookup whose bound
 //! columns include the whole key can match one row at most, and the primary
-//! index finds it: [`Relation::lookup`] resolves the key columns' values,
-//! takes the one slot filed under them and checks the leftover bound
-//! columns on that row's ids. "The whole key" is the declared key columns;
+//! index finds it: [`Relation::lookup`] fingerprints the key columns'
+//! values, takes the one slot filed under them and checks the leftover
+//! bound columns on that row's tuple. "The whole key" is the declared key
+//! columns;
 //! a relation that declares none keys each row by all of its columns,
 //! however many it has, and its lookups all take the path below. A
 //! key-bound lookup is accounted exactly as the probe of a secondary index
@@ -71,16 +72,15 @@
 //! the most columns wins, with the smallest bucket breaking ties and
 //! signature order breaking exact ties (so the choice never depends on
 //! index declaration order), and any leftover bound columns enforced
-//! residually by comparing the candidate row's ids. [`Relation::lookup_n`]
+//! residually by comparing the candidate row's values. [`Relation::lookup_n`]
 //! is the grouped-probe entry point: one bucket lookup answers `members`
 //! same-key environments, with the per-environment (`logical`) accounting
 //! preserved via a multiplier.
 //!
-//! [`Relation::heap_bytes`] reports what the slab, the primary index, each
-//! secondary index and the dictionary hold, from their capacities.
+//! [`Relation::heap_bytes`] reports what the slab, the primary index and
+//! each secondary index hold, from their capacities.
 
-use crate::index::{IndexSignature, JoinStats, SecondaryIndex, SlotTable};
-use crate::intern::{fingerprint, Dictionary, IdBuf, ValueId};
+use crate::index::{fingerprint, IndexSignature, JoinStats, SecondaryIndex, SlotTable};
 use crate::tuple::Tuple;
 use ndlog_lang::Value;
 use serde::{Deserialize, Serialize};
@@ -118,6 +118,19 @@ impl RelationSchema {
     pub fn with_ttl_seconds(mut self, seconds: f64) -> Self {
         self.ttl_micros = Some((seconds * 1_000_000.0) as u64);
         self
+    }
+
+    /// Why a tuple of `arity` columns cannot be stored under this schema:
+    /// it lacks a declared key column. A relation stores its tuples by key,
+    /// so such a tuple is refused where it enters the system, never handed
+    /// to [`Relation::insert`] or [`Relation::delete`].
+    pub fn lacks_key(&self, arity: usize) -> Option<String> {
+        let column = self.key_columns.iter().find(|&&c| c >= arity)?;
+        Some(format!(
+            "`{}` has {arity} column(s) but its primary key includes column {}",
+            self.name,
+            column + 1
+        ))
     }
 
     /// The primary key of a tuple under this schema.
@@ -169,24 +182,14 @@ pub enum DeleteOutcome {
     NotFound,
 }
 
-/// One slab entry: a stored tuple and the dictionary ids of its columns,
-/// inline in the slot.
-#[derive(Debug, Clone)]
-struct Row {
-    stored: StoredTuple,
-    ids: IdBuf,
-}
-
 /// A stored relation (see the module docs for the layout).
 #[derive(Debug, Clone)]
 pub struct Relation {
     schema: RelationSchema,
-    /// The values of every stored column, by id, reference counted.
-    dict: Dictionary,
     /// The slab: `rows[slot]` is `None` while the slot is on `free`.
-    rows: Vec<Option<Row>>,
+    rows: Vec<Option<StoredTuple>>,
     free: Vec<u32>,
-    /// Every row filed by the ids of its key columns: runs of one slot.
+    /// Every row filed by the values of its key columns: runs of one slot.
     primary: SlotTable,
     /// Secondary indexes, one per declared bound-column signature that
     /// does not bind the whole primary key.
@@ -208,9 +211,12 @@ pub struct Relation {
     lossy_replacements: u64,
 }
 
-/// The primary-key columns of a row — of its values or of its ids: the
-/// declared ones in declaration order, or every column when none is.
-fn key_of<'a, T>(key_columns: &'a [usize], row: &'a [T]) -> impl ExactSizeIterator<Item = &'a T> {
+/// The primary-key values of a row: its declared key columns in declaration
+/// order, or every column when none is.
+fn key_of<'a>(
+    key_columns: &'a [usize],
+    row: &'a [Value],
+) -> impl ExactSizeIterator<Item = &'a Value> + Clone {
     let n = if key_columns.is_empty() {
         row.len()
     } else {
@@ -221,39 +227,44 @@ fn key_of<'a, T>(key_columns: &'a [usize], row: &'a [T]) -> impl ExactSizeIterat
 
 /// Compare two rows by primary key, as `key_of(a).cmp(&key_of(b))` on the
 /// schema would.
-fn cmp_rows(key_columns: &[usize], a: &Row, b: &Row) -> Ordering {
-    let (a, b) = (a.stored.tuple.values(), b.stored.tuple.values());
+fn cmp_rows(key_columns: &[usize], a: &StoredTuple, b: &StoredTuple) -> Ordering {
+    let (a, b) = (a.tuple.values(), b.tuple.values());
     key_of(key_columns, a).cmp(key_of(key_columns, b))
 }
 
-fn live(rows: &[Option<Row>], slot: u32) -> &Row {
+fn live(rows: &[Option<StoredTuple>], slot: u32) -> &StoredTuple {
     rows[slot as usize].as_ref().expect("slot is live")
 }
 
-/// Whether the row in `slot` has exactly `key` as the ids of its key
+/// Whether the row in `slot` has exactly `key` as the values of its key
 /// columns: the verification behind every primary-index hit.
-fn has_key(rows: &[Option<Row>], key_columns: &[usize], slot: u32, key: &[ValueId]) -> bool {
-    key_of(key_columns, &live(rows, slot).ids).eq(key)
+fn has_key<'v>(
+    rows: &[Option<StoredTuple>],
+    key_columns: &[usize],
+    slot: u32,
+    key: impl Iterator<Item = &'v Value>,
+) -> bool {
+    key_of(key_columns, live(rows, slot).tuple.values()).eq(key)
 }
 
-/// The ids of a row at the columns of a signature it covers.
+/// The values of a row at the columns of a signature it covers.
 fn project<'a>(
     cols: &'a [usize],
-    ids: &'a [ValueId],
-) -> impl ExactSizeIterator<Item = ValueId> + 'a {
-    cols.iter().map(|&c| ids[c])
+    row: &'a [Value],
+) -> impl ExactSizeIterator<Item = &'a Value> + Clone {
+    cols.iter().map(|&c| &row[c])
 }
 
 /// Whether the row in `slot` — filed in the index on `cols`, so covering
 /// them — carries `projection` in those columns: the verification behind
 /// every secondary-index hit.
-fn projects_as(
-    rows: &[Option<Row>],
+fn projects_as<'v>(
+    rows: &[Option<StoredTuple>],
     cols: &[usize],
     slot: u32,
-    projection: impl Iterator<Item = ValueId>,
+    projection: impl Iterator<Item = &'v Value>,
 ) -> bool {
-    project(cols, &live(rows, slot).ids).eq(projection)
+    project(cols, live(rows, slot).tuple.values()).eq(projection)
 }
 
 impl Relation {
@@ -270,7 +281,6 @@ impl Relation {
     pub fn with_fingerprints(schema: RelationSchema, squash: fn(u64) -> u64) -> Self {
         Relation {
             schema,
-            dict: Dictionary::default(),
             rows: Vec::new(),
             free: Vec::new(),
             primary: SlotTable::default(),
@@ -296,28 +306,17 @@ impl Relation {
         self.primary.len() == 0
     }
 
-    /// Number of distinct values the relation's dictionary holds: the
-    /// values of the tuples stored now, not of every tuple ever stored.
-    pub fn dictionary_len(&self) -> usize {
-        self.dict.len()
-    }
-
-    /// What the tables file a projection under.
-    fn fingerprint(&self, ids: impl Iterator<Item = ValueId>) -> u64 {
-        (self.squash)(fingerprint(ids))
+    /// What the tables file the projection `values` yields under.
+    fn fingerprint<'v>(&self, values: impl Iterator<Item = &'v Value>) -> u64 {
+        (self.squash)(fingerprint(values))
     }
 
     /// The primary index's run — one slot or none — for the key whose
-    /// values `key` yields. Read-only: a key value without an id means no
-    /// such row.
-    fn key_run<'v>(&self, key: impl ExactSizeIterator<Item = &'v Value>) -> &[u32] {
-        let Some(key) = self.dict.lookup_all(key) else {
-            return &[];
-        };
+    /// values `key` yields.
+    fn key_run<'v>(&self, key: impl Iterator<Item = &'v Value> + Clone) -> &[u32] {
         let (rows, key_columns) = (&self.rows, &self.schema.key_columns);
-        let same = |slot| has_key(rows, key_columns, slot, &key);
-        self.primary
-            .run(self.fingerprint(key.iter().copied()), same)
+        let same = |slot| has_key(rows, key_columns, slot, key.clone());
+        self.primary.run(self.fingerprint(key.clone()), same)
     }
 
     /// The slot holding the tuple with `tuple`'s primary key.
@@ -331,7 +330,7 @@ impl Relation {
     /// (a pointer comparison when `tuple` is a clone of the stored one).
     fn slot_of(&self, tuple: &Tuple) -> Option<u32> {
         self.slot_by_key_of(tuple).filter(|&slot| {
-            self.schema.key_columns.is_empty() || live(&self.rows, slot).stored.tuple == *tuple
+            self.schema.key_columns.is_empty() || live(&self.rows, slot).tuple == *tuple
         })
     }
 
@@ -343,13 +342,13 @@ impl Relation {
     /// The stored tuple with the same primary key as `tuple`, if any.
     pub fn get_by_key_of(&self, tuple: &Tuple) -> Option<&StoredTuple> {
         self.slot_by_key_of(tuple)
-            .map(|slot| &live(&self.rows, slot).stored)
+            .map(|slot| live(&self.rows, slot))
     }
 
     /// Look up by an explicit key.
     pub fn get(&self, key: &[Value]) -> Option<&StoredTuple> {
         let slot = *self.key_run(key.iter()).first()?;
-        Some(&live(&self.rows, slot).stored)
+        Some(live(&self.rows, slot))
     }
 
     /// Compare the rows in two live slots by primary key.
@@ -379,30 +378,23 @@ impl Relation {
     /// Iterate over stored tuples in no particular order, without sorting
     /// anything: for readers that filter first and order the survivors.
     pub fn iter_unordered(&self) -> impl Iterator<Item = &StoredTuple> {
-        self.rows.iter().flatten().map(|row| &row.stored)
+        self.rows.iter().flatten()
     }
 
     /// Walk `slots`, yielding the rows visible at or before `seq_limit`
-    /// that carry `bound`'s value in each of its columns. The values are
-    /// resolved to ids once, here, and candidates are compared by id; a
-    /// value without an id is stored in no row and rules every slot out.
+    /// that carry `bound`'s value in each of its columns.
     fn matches<'r, 'b>(
         &'r self,
-        mut slots: &'r [u32],
+        slots: &'r [u32],
         bound: impl Iterator<Item = (usize, &'b Value)>,
         seq_limit: u64,
     ) -> Matches<'r> {
-        let residual: Option<Vec<(usize, ValueId)>> = bound
-            .map(|(col, value)| Some((col, self.dict.lookup(value)?)))
-            .collect();
-        if residual.is_none() {
-            slots = &[];
-        }
+        let residual = bound.map(|(col, value)| (col, value.clone()));
         Matches {
             rows: &self.rows,
             slots: slots.iter(),
             seq_limit,
-            residual: residual.unwrap_or_default(),
+            residual: residual.collect(),
         }
     }
 
@@ -477,21 +469,15 @@ impl Relation {
     /// Heap bytes the relation's own structures hold, by component, from
     /// their capacities (see [`HeapBytes`]).
     pub fn heap_bytes(&self) -> HeapBytes {
-        let wide = |row: &Row| match &row.ids {
-            IdBuf::Inline(..) => 0,
-            IdBuf::Heap(ids) => ids.capacity() * std::mem::size_of::<ValueId>(),
-        };
         let order = self.order.get().map_or(0, Vec::capacity);
         let secondary = self.indexes.iter();
         HeapBytes {
-            slab: self.rows.capacity() * std::mem::size_of::<Option<Row>>()
-                + self.rows.iter().flatten().map(wide).sum::<usize>()
+            slab: self.rows.capacity() * std::mem::size_of::<Option<StoredTuple>>()
                 + (self.free.capacity() + order) * 4,
             primary: self.primary.heap_bytes(),
             secondary: secondary
                 .map(|index| (index.signature.clone(), index.table.heap_bytes()))
                 .collect(),
-            dictionary: self.dict.heap_bytes(),
         }
     }
 
@@ -535,12 +521,9 @@ impl Relation {
         let Some(&slot) = run.first() else {
             return &[];
         };
-        let ids = &live(&self.rows, slot).ids;
+        let row = &live(&self.rows, slot).tuple;
         let leftover = |col: &usize| !key_columns.contains(col);
-        let carried = |(&col, value): (&usize, &Value)| {
-            let held = ids.get(col);
-            held.is_some_and(|&id| self.dict.lookup(value) == Some(id))
-        };
+        let carried = |(&col, value): (&usize, &Value)| row.get(col) == Some(value);
         let bound = cols.iter().zip(key);
         if bound.filter(|(col, _)| leftover(col)).all(carried) {
             run
@@ -550,8 +533,7 @@ impl Relation {
     }
 
     /// The bucket of `index` a lookup binding `cols` to `key` probes
-    /// (`index`'s signature must be covered by `cols`). A probe value
-    /// without an id is stored in no row: the bucket is empty.
+    /// (`index`'s signature must be covered by `cols`).
     fn probe_bucket<'r>(
         &'r self,
         index: &'r SecondaryIndex,
@@ -562,12 +544,8 @@ impl Relation {
         let bound = sig
             .iter()
             .map(|c| &key[cols.binary_search(c).expect("covered signature")]);
-        let Some(ids) = self.dict.lookup_all(bound) else {
-            return &[];
-        };
-        let same = |slot| projects_as(&self.rows, sig, slot, ids.iter().copied());
-        let fingerprint = self.fingerprint(ids.iter().copied());
-        index.table.run(fingerprint, same)
+        let same = |slot| projects_as(&self.rows, sig, slot, bound.clone());
+        index.table.run(self.fingerprint(bound.clone()), same)
     }
 
     /// Choose the cheapest declared index that can serve an equality
@@ -606,7 +584,7 @@ impl Relation {
     /// *cost-based* choice among the declared indexes: any index whose
     /// signature is a subset of `cols` can serve it; the most selective
     /// candidate wins (most bound columns, then smallest bucket, then
-    /// signature order — see [`Relation::best_index`]), with the
+    /// signature order — see `Relation::best_index`), with the
     /// signature-leftover columns checked residually on each probed row.
     /// Only when no index covers any bound column does the lookup fall
     /// back to an equivalent residual scan — `cols` may be empty for a
@@ -711,23 +689,23 @@ impl Relation {
     /// exactly the soft-state refresh behaviour of Section 4.2.
     pub fn insert(&mut self, tuple: Tuple, seq: u64, now_micros: u64) -> InsertOutcome {
         let expires_at = self.schema.ttl_micros.map(|ttl| now_micros + ttl);
-        // The one interning of this tuple.
-        let ids = self.dict.acquire_all(tuple.values());
-        let key_columns = &self.schema.key_columns;
-        let key = IdBuf::collect(key_of(key_columns, &ids).copied());
-        let filed_under = self.fingerprint(key.iter().copied());
+        // Scoped: `key` borrows `tuple`, which a new row takes below.
+        let (filed_under, found) = {
+            let key_columns = &self.schema.key_columns;
+            let key = key_of(key_columns, tuple.values());
+            let filed_under = self.fingerprint(key.clone());
+            let same = |slot| has_key(&self.rows, key_columns, slot, key.clone());
+            let found = self.primary.run(filed_under, same).first().copied();
+            (filed_under, found)
+        };
         let fresh = |tuple| StoredTuple {
             tuple,
             count: 1,
             seq,
             expires_at,
         };
-        let same = |slot| has_key(&self.rows, key_columns, slot, &key);
-        let Some(&slot) = self.primary.run(filed_under, same).first() else {
-            let row = Some(Row {
-                stored: fresh(tuple),
-                ids,
-            });
+        let Some(slot) = found else {
+            let row = Some(fresh(tuple));
             let slot = match self.free.pop() {
                 Some(slot) => {
                     self.rows[slot as usize] = row;
@@ -746,40 +724,36 @@ impl Relation {
             return InsertOutcome::New;
         };
         let existing = self.rows[slot as usize].as_mut().expect("slot is live");
-        if *existing.ids == *ids {
+        if existing.tuple == tuple {
             // Duplicate derivation: count bump and soft-state refresh,
-            // indexes untouched, the ids just acquired handed back.
-            existing.stored.count += 1;
+            // indexes untouched.
+            existing.count += 1;
             if expires_at.is_some() {
-                existing.stored.expires_at = expires_at;
+                existing.expires_at = expires_at;
             }
-            self.dict.release_all(tuple.values(), &ids);
             return InsertOutcome::Duplicate;
         }
-        // Primary-key replacement, in the same slot: the key ids, hence
-        // the primary entry and the slot's place in key order, stay.
-        self.lossy_replacements += existing.stored.count;
+        // Primary-key replacement, in the same slot: the key, hence the
+        // primary entry and the slot's place in key order, stays.
+        self.lossy_replacements += existing.count;
         self.unfile(slot);
         let existing = self.rows[slot as usize].as_mut().expect("slot is live");
-        let old = std::mem::replace(&mut existing.stored, fresh(tuple)).tuple;
-        let old_ids = std::mem::replace(&mut existing.ids, ids);
+        let old = std::mem::replace(existing, fresh(tuple)).tuple;
         self.file(slot);
-        self.dict.release_all(old.values(), &old_ids);
         InsertOutcome::Replaced(old)
     }
 
-    /// Take the row in `slot` out of the slab, the primary index, every
-    /// secondary index and the dictionary.
+    /// Take the row in `slot` out of the slab, the primary index and every
+    /// secondary index.
     fn evict(&mut self, slot: u32) -> Tuple {
         self.unfile(slot);
         let row = self.rows[slot as usize].take().expect("slot is live");
-        let key = key_of(&self.schema.key_columns, &row.ids).copied();
+        let key = key_of(&self.schema.key_columns, row.tuple.values());
         // Runs of the primary index are one slot: no neighbour to ask.
         self.primary.unfile(self.fingerprint(key), slot, |_| false);
-        self.dict.release_all(row.stored.tuple.values(), &row.ids);
         self.free.push(slot);
         self.order.take();
-        row.stored.tuple
+        row.tuple
     }
 
     /// Delete (one derivation of) a tuple.
@@ -788,8 +762,8 @@ impl Relation {
             return DeleteOutcome::NotFound;
         };
         let existing = self.rows[slot as usize].as_mut().expect("slot is live");
-        if existing.stored.count > 1 {
-            existing.stored.count -= 1;
+        if existing.count > 1 {
+            existing.count -= 1;
             DeleteOutcome::Decremented
         } else {
             self.evict(slot);
@@ -815,7 +789,7 @@ impl Relation {
         if self.schema.ttl_micros.is_none() {
             return Vec::new();
         }
-        let due = |row: &Row| row.stored.expires_at.is_some_and(|t| t <= now_micros);
+        let due = |row: &StoredTuple| row.expires_at.is_some_and(|t| t <= now_micros);
         let mut expired: Vec<u32> = (0u32..)
             .zip(&self.rows)
             .filter(|(_, row)| row.as_ref().is_some_and(due))
@@ -825,103 +799,109 @@ impl Relation {
         expired.into_iter().map(|slot| self.evict(slot)).collect()
     }
 
-    /// Check that slab, primary index, secondary indexes, cached order and
-    /// dictionary reference counts describe the same set of rows, and that
-    /// every table files each row under its fingerprint, runs contiguous
-    /// and in key order. For tests and debug assertions: O(stored data).
+    /// Check that slab, primary index, secondary indexes and cached order
+    /// describe the same set of rows, and that every table files each row
+    /// under the fingerprint of its projection, runs contiguous and in key
+    /// order. For tests and debug assertions: O(stored data).
     pub fn check_invariants(&self) -> Result<(), String> {
         let ensure = |holds: bool, what: &dyn Fn() -> String| {
             let name = &self.schema.name;
             (holds.then_some(())).ok_or_else(|| format!("relation {name}: {}", what()))
         };
-        let row_in = |slot: u32| self.rows.get(slot as usize).and_then(Option::as_ref);
-        let ascending = |slots: &[u32]| {
-            let ordered = |w: &[u32]| self.cmp_slots(w[0], w[1]) == Ordering::Less;
-            slots.iter().all(|&s| row_in(s).is_some()) && slots.windows(2).all(ordered)
-        };
         let rows = self.rows.iter().flatten().count();
         let slab = rows == self.primary.len()
             && rows + self.free.len() == self.rows.len()
-            && self.free.iter().all(|&slot| row_in(slot).is_none());
+            && self.free.iter().all(|&slot| self.row_in(slot).is_none());
         ensure(slab, &|| {
             let (keys, free, slots) = (self.primary.len(), &self.free, self.rows.len());
             format!("slab: {rows} rows, {keys} keys, free {free:?} of {slots} slots")
         })?;
-        let mut held = vec![0u32; self.dict.id_space()];
         for row in self.rows.iter().flatten() {
-            let values = row.stored.tuple.values();
-            let sound = row.stored.count > 0
-                && values.len() == row.ids.len()
-                && values
-                    .iter()
-                    .zip(row.ids.iter())
-                    .all(|(value, id)| self.dict.lookup(value) == Some(*id));
-            ensure(sound, &|| format!("row {row:?}"))?;
-            for id in row.ids.iter() {
-                held[id.raw() as usize] += 1;
-            }
+            ensure(row.count > 0, &|| format!("row {row:?}"))?;
         }
-        self.dict
-            .check(&held)
-            .or_else(|what| ensure(false, &|| format!("dictionary: {what}")))?;
-        // A table files every row covering `cols` under the fingerprint of
-        // its projection, same projections side by side in key order.
-        let check_table = |table: &SlotTable, cols: &dyn Fn(&Row) -> Option<IdBuf>| {
-            let filable = self.rows.iter().flatten().filter(|row| cols(row).is_some());
-            if table.len() != filable.count() {
-                return Err(format!("{} rows filed", table.len()));
-            }
-            table.check(|filed_under, slots| {
-                let projection = |&slot: &u32| row_in(slot).and_then(cols);
-                let same = |a: &u32, b: &u32| projection(a).as_deref() == projection(b).as_deref();
-                let at_home = |ids: IdBuf| self.fingerprint(ids.iter().copied()) == filed_under;
-                let sound =
-                    |run: &[u32]| projection(&run[0]).is_some_and(at_home) && ascending(run);
-                let count = slots.chunk_by(same).count();
-                // One projection in two runs takes a third between them.
-                let split = count > 2 && {
-                    let mut runs: Vec<IdBuf> = slots
-                        .chunk_by(same)
-                        .map(|run| projection(&run[0]))
-                        .collect::<Option<_>>()
-                        .unwrap_or_default();
-                    runs.sort_unstable_by(|a, b| a[..].cmp(&b[..]));
-                    runs.windows(2).any(|w| *w[0] == *w[1])
-                };
-                if slots.chunk_by(same).all(sound) && !split {
-                    Ok(count)
-                } else {
-                    Err(format!("fingerprint {filed_under:#x} files {slots:?}"))
-                }
-            })
-        };
-        let key = |row: &Row| {
-            Some(IdBuf::collect(
-                key_of(&self.schema.key_columns, &row.ids).copied(),
-            ))
-        };
-        check_table(&self.primary, &key)
-            .and_then(|()| {
-                let lone = self.primary.run_count() == self.primary.len();
-                lone.then_some(())
-                    .ok_or_else(|| "two rows share a key".to_string())
-            })
-            .or_else(|what| ensure(false, &|| format!("primary index: {what}")))?;
+        let key_columns = &self.schema.key_columns;
+        self.check_table(&self.primary, |row| {
+            Some(key_of(key_columns, row.tuple.values()))
+        })
+        .and_then(|()| {
+            let lone = self.primary.run_count() == self.primary.len();
+            lone.then_some(())
+                .ok_or_else(|| "two rows share a key".to_string())
+        })
+        .or_else(|what| ensure(false, &|| format!("primary index: {what}")))?;
         for SecondaryIndex { signature, table } in &self.indexes {
             let sig = signature.columns();
-            let projection = |row: &Row| {
-                let covered = sig.iter().all(|&c| c < row.ids.len());
-                covered.then(|| IdBuf::collect(project(sig, &row.ids)))
-            };
-            check_table(table, &projection)
-                .or_else(|what| ensure(false, &|| format!("index {sig:?}: {what}")))?;
+            self.check_table(table, |row| {
+                let covered = sig.iter().all(|&c| c < row.tuple.arity());
+                covered.then(|| project(sig, row.tuple.values()))
+            })
+            .or_else(|what| ensure(false, &|| format!("index {sig:?}: {what}")))?;
             ensure(!self.binds_key(sig), &|| {
                 format!("index {sig:?} binds the whole primary key")
             })?;
         }
         let order = self.order.get();
-        let fresh = order.is_none_or(|order| order.len() == rows && ascending(order));
+        let fresh = order.is_none_or(|order| order.len() == rows && self.ascending(order));
         ensure(fresh, &|| format!("cached order is stale: {order:?}"))
+    }
+
+    /// The row in `slot`, if there is such a slot and it is live.
+    fn row_in(&self, slot: u32) -> Option<&StoredTuple> {
+        self.rows.get(slot as usize).and_then(Option::as_ref)
+    }
+
+    /// Whether `slots` are live and in strictly ascending key order.
+    fn ascending(&self, slots: &[u32]) -> bool {
+        let ordered = |w: &[u32]| self.cmp_slots(w[0], w[1]) == Ordering::Less;
+        slots.iter().all(|&s| self.row_in(s).is_some()) && slots.windows(2).all(ordered)
+    }
+
+    /// Check that `table` files every row `projection` covers under the
+    /// fingerprint of its projection, same projections side by side in key
+    /// order. Allocates nothing per row: it runs at every quiescence of a
+    /// debug build.
+    fn check_table<'r, P>(
+        &'r self,
+        table: &SlotTable,
+        projection: impl Fn(&'r StoredTuple) -> Option<P>,
+    ) -> Result<(), String>
+    where
+        P: Iterator<Item = &'r Value> + Clone,
+    {
+        let filable = self
+            .rows
+            .iter()
+            .flatten()
+            .filter(|row| projection(row).is_some());
+        if table.len() != filable.count() {
+            return Err(format!("{} rows filed", table.len()));
+        }
+        table.check(|filed_under, slots| {
+            let projection = |&slot: &u32| self.row_in(slot).and_then(&projection);
+            let same = |a: &u32, b: &u32| {
+                let both = projection(a).zip(projection(b));
+                both.is_some_and(|(a, b)| a.eq(b))
+            };
+            let at_home = |values: P| self.fingerprint(values) == filed_under;
+            let sound =
+                |run: &[u32]| projection(&run[0]).is_some_and(at_home) && self.ascending(run);
+            let count = slots.chunk_by(same).count();
+            // One projection in two runs takes a third between them.
+            let split = count > 2 && {
+                let mut runs: Vec<P> = slots
+                    .chunk_by(same)
+                    .map(|run| projection(&run[0]))
+                    .collect::<Option<_>>()
+                    .unwrap_or_default();
+                runs.sort_unstable_by(|a, b| a.clone().cmp(b.clone()));
+                runs.windows(2).any(|w| w[0].clone().eq(w[1].clone()))
+            };
+            if slots.chunk_by(same).all(sound) && !split {
+                Ok(count)
+            } else {
+                Err(format!("fingerprint {filed_under:#x} files {slots:?}"))
+            }
+        })
     }
 }
 
@@ -930,52 +910,48 @@ impl Relation {
 /// column (shorter arity) — it stays unindexed and unreachable by probes on
 /// this signature, matching residual-scan semantics.
 fn filing<'a>(
-    rows: &'a [Option<Row>],
+    rows: &'a [Option<StoredTuple>],
     squash: fn(u64) -> u64,
     cols: &'a [usize],
     slot: u32,
 ) -> Option<(u64, impl Fn(u32) -> bool + 'a)> {
-    let ids = &live(rows, slot).ids;
+    let row = live(rows, slot).tuple.values();
     // The columns are sorted: the last is the widest.
-    let covered = cols.last().is_some_and(|&widest| widest < ids.len());
-    let filed_under = || squash(fingerprint(project(cols, ids)));
-    let same = move |other| projects_as(rows, cols, other, project(cols, ids));
+    let covered = cols.last().is_some_and(|&widest| widest < row.len());
+    let filed_under = || squash(fingerprint(project(cols, row)));
+    let same = move |other| projects_as(rows, cols, other, project(cols, row));
     covered.then(|| (filed_under(), same))
 }
 
 /// Heap bytes held by a relation's own structures, by component, computed
 /// from capacities. The tuples themselves (one allocation each, shared
-/// with the deltas that carried them) and the values the dictionary maps
-/// are not the relation's to count.
+/// with the deltas that carried them) are not the relation's to count.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HeapBytes {
-    /// The slab of rows with their inline ids, the ids of rows wider than
-    /// eight columns, the free list and the cached key order.
+    /// The slab of rows, the free list and the cached key order.
     pub slab: usize,
     /// The primary index.
     pub primary: usize,
     /// Each secondary index.
     pub secondary: Vec<(IndexSignature, usize)>,
-    /// The value dictionary's map, reference counts and free list.
-    pub dictionary: usize,
 }
 
 impl HeapBytes {
     /// All components together.
     pub fn total(&self) -> usize {
         let secondary = self.secondary.iter().map(|(_, bytes)| bytes);
-        self.slab + self.primary + self.dictionary + secondary.sum::<usize>()
+        self.slab + self.primary + secondary.sum::<usize>()
     }
 }
 
 /// The iterator behind every filtered read: walk a bucket — or, for a
 /// scan, the whole relation in key order — yielding the rows that are
-/// visible and whose ids pass the residual columns.
+/// visible and carry the residual columns' values.
 struct Matches<'r> {
-    rows: &'r [Option<Row>],
+    rows: &'r [Option<StoredTuple>],
     slots: std::slice::Iter<'r, u32>,
     seq_limit: u64,
-    residual: Vec<(usize, ValueId)>,
+    residual: Vec<(usize, Value)>,
 }
 
 impl<'r> Iterator for Matches<'r> {
@@ -986,10 +962,11 @@ impl<'r> Iterator for Matches<'r> {
             .by_ref()
             .map(|&slot| live(rows, slot))
             .find(|row| {
-                row.stored.seq <= seq_limit
-                    && residual.iter().all(|&(c, id)| row.ids.get(c) == Some(&id))
+                row.seq <= seq_limit
+                    && residual
+                        .iter()
+                        .all(|(c, value)| row.tuple.get(*c) == Some(value))
             })
-            .map(|row| &row.stored)
     }
 }
 
@@ -1412,7 +1389,7 @@ mod tests {
             r.insert(t(&[i, i % 10]), i as u64 + 1, 0);
         }
         let heap = r.heap_bytes();
-        assert!(heap.slab >= 100 * std::mem::size_of::<Option<Row>>());
+        assert!(heap.slab >= 100 * std::mem::size_of::<Option<StoredTuple>>());
         // A hundred lone slots: 16 bytes and a control byte each, at most
         // 7/8 full; ten buckets of ten own a vector each.
         assert!(heap.primary >= 100 * 17 && heap.primary <= 256 * 17);
@@ -1421,11 +1398,7 @@ mod tests {
         };
         assert_eq!(signature.columns(), &[1]);
         assert!(*bytes >= 10 * (17 + 24 + 40), "{bytes}");
-        assert!(heap.dictionary > 0);
-        assert_eq!(
-            heap.total(),
-            heap.slab + heap.primary + bytes + heap.dictionary
-        );
+        assert_eq!(heap.total(), heap.slab + heap.primary + bytes);
     }
 
     #[test]
@@ -1501,16 +1474,13 @@ mod tests {
     }
 
     #[test]
-    fn dictionary_tracks_stored_data_not_history() {
+    fn freed_slots_serve_the_next_wave() {
         let mut r = Relation::new(RelationSchema::new("path").with_keys(vec![0, 1]));
         r.ensure_index(&[0]);
         r.insert(path_tuple(-1), 1, 0);
-        let start = r.dictionary_len();
-        assert_eq!(start, 3);
         for i in 0..10_000 {
             assert_eq!(r.insert(path_tuple(i), i as u64 + 2, 0), InsertOutcome::New);
         }
-        assert!(r.dictionary_len() > 10_000, "every path vector is distinct");
         for i in 0..10_000 {
             // Half by the count algorithm, half outright.
             if i % 2 == 0 {
@@ -1519,22 +1489,22 @@ mod tests {
                 assert!(r.remove(&path_tuple(i)));
             }
         }
-        assert_eq!(r.dictionary_len(), start, "released ids are freed");
         assert_eq!(r.len(), 1);
+        assert_eq!(r.free.len(), 10_000, "every departed row's slot is free");
         r.check_invariants().unwrap();
-        // Freed slots and ids are handed out again: a second wave of the
-        // same size grows neither the slab nor the id space.
-        let (slots, ids) = (r.rows.len(), r.dict.id_space());
+        // Freed slots are handed out again: a second wave of the same size
+        // does not grow the slab.
+        let slots = r.rows.len();
         for i in 0..10_000 {
             r.insert(path_tuple(i + 20_000), i as u64 + 20_000, 0);
         }
         assert_eq!(r.rows.len(), slots);
-        assert_eq!(r.dict.id_space(), ids);
+        assert!(r.free.is_empty());
         r.check_invariants().unwrap();
     }
 
     #[test]
-    fn replacement_releases_the_old_values_and_keeps_the_slot() {
+    fn replacement_keeps_the_slot() {
         let mut r = keyed_relation();
         r.ensure_index(&[1]);
         r.insert(t(&[1, 10]), 1, 0);
@@ -1544,25 +1514,9 @@ mod tests {
             InsertOutcome::Replaced(_)
         ));
         assert_eq!(r.slot_of(&t(&[1, 20])), Some(slot));
-        assert_eq!(r.dictionary_len(), 2, "10 went with the old tuple");
-        assert_eq!(r.dict.lookup(&Value::Int(10)), None);
+        assert_eq!(r.rows.len(), 1);
+        assert!(probed(&r, &[1], &[10], u64::MAX).is_empty());
         r.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn relations_share_no_dictionary() {
-        // Two engines' worth of relations: building one leaves the other's
-        // dictionary empty, dropping it leaves nothing behind to look at.
-        let mut a = keyed_relation();
-        let b = keyed_relation();
-        a.insert(t(&[1, 10]), 1, 0);
-        assert_eq!(a.dictionary_len(), 2);
-        assert_eq!(b.dictionary_len(), 0);
-        assert!(!b.contains(&t(&[1, 10])));
-        drop(a);
-        let mut c = keyed_relation();
-        c.insert(t(&[5, 50]), 1, 0);
-        assert_eq!(c.dict.lookup(&Value::Int(5)).map(ValueId::raw), Some(0));
     }
 
     #[test]
@@ -1649,14 +1603,12 @@ mod tests {
         for i in 0..6 {
             r.insert(t(&[i % 2, i]), i as u64 + 1, 0);
         }
-        // Absent from the dictionary altogether: still one logical and one
-        // distinct probe, nothing examined, and no id is assigned.
-        let before = r.dictionary_len();
+        // Stored in no row at all: still one logical and one distinct
+        // probe, nothing examined.
         let mut stats = JoinStats::default();
         assert!(lookup_all(&r, &[0], &[77], &mut stats).is_empty());
         assert_eq!((stats.logical_probes, stats.distinct_probes), (1, 1));
         assert_eq!((stats.scans, stats.tuples_examined), (0, 0));
-        assert_eq!(r.dictionary_len(), before);
         // Absent only in the residual column: the bucket is examined.
         let mut stats = JoinStats::default();
         assert!(lookup_all(&r, &[0, 1], &[1, 77], &mut stats).is_empty());
@@ -1685,16 +1637,6 @@ mod tests {
         let mut leaked_row = r.clone();
         leaked_row.free.push(0);
         assert!(leaked_row.check_invariants().is_err());
-        let mut lost_reference = r.clone();
-        let row = lost_reference.rows[0].clone().unwrap();
-        lost_reference
-            .dict
-            .release_all(row.stored.tuple.values(), &row.ids);
-        let err = lost_reference.check_invariants().unwrap_err();
-        assert!(
-            err.contains("dictionary") || err.contains("is not id"),
-            "{err}"
-        );
         let mut unfiled = r.clone();
         let (fingerprint, same) = filing(&r.rows, r.squash, &[1], 1).unwrap();
         assert!(unfiled.indexes[0].table.unfile(fingerprint, 1, same));

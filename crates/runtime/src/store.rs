@@ -51,17 +51,18 @@ impl Store {
 
     /// Build a store with a relation for every table declaration and every
     /// relation mentioned by the program (derived relations default to
-    /// all-columns primary keys).
-    pub fn for_program(program: &Program) -> Self {
+    /// all-columns primary keys); see [`Store::add_program`] for the error.
+    pub fn for_program(program: &Program) -> Result<Self, String> {
         let mut store = Store::new();
-        store.add_program(program);
-        store
+        store.add_program(program)?;
+        Ok(store)
     }
 
     /// Add the relations of a program to an existing store (used when one
     /// node runs several concurrent queries). Existing relations keep their
-    /// schemas.
-    pub fn add_program(&mut self, program: &Program) {
+    /// schemas. A rule head or fact with fewer columns than its relation's
+    /// declared key is an error: nothing it derives could be stored.
+    pub fn add_program(&mut self, program: &Program) -> Result<(), String> {
         for decl in &program.tables {
             if self.relations.contains_key(&decl.name) {
                 continue;
@@ -85,6 +86,14 @@ impl Store {
                 self.ensure(RelationSchema::new(name));
             }
         }
+        for rule in &program.rules {
+            let schema = self.relations[&rule.head.name].schema();
+            if let Some(why) = schema.lacks_key(rule.head.args.len()) {
+                let kind = if rule.is_fact() { "fact" } else { "rule" };
+                return Err(format!("{kind} {}: {why}", rule.label));
+            }
+        }
+        Ok(())
     }
 
     /// Ensure a relation with the given schema exists (no-op if present).
@@ -267,7 +276,7 @@ mod tests {
     #[test]
     fn for_program_creates_all_relations() {
         let p = programs::shortest_path("");
-        let store = Store::for_program(&p);
+        let store = Store::for_program(&p).unwrap();
         for name in ["link", "path", "spCost", "shortestPath"] {
             assert!(store.relation(name).is_some(), "missing {name}");
         }
@@ -276,6 +285,28 @@ mod tests {
             store.relation("path").unwrap().schema().key_columns,
             vec![0, 1, 3]
         );
+    }
+
+    #[test]
+    fn heads_shorter_than_their_key_are_refused() {
+        let parse = |src: &str| ndlog_lang::parse_program(src).unwrap();
+        let short_head = parse("materialize(r, keys(2)). r1 r(X) :- s(X).");
+        let err = Store::for_program(&short_head).unwrap_err();
+        assert_eq!(
+            err,
+            "rule r1: `r` has 1 column(s) but its primary key includes column 2"
+        );
+        assert_eq!(crate::Evaluator::new(&short_head).err(), Some(err));
+        let err = Store::for_program(&parse("materialize(r, keys(1,3)). r(1, 2).")).unwrap_err();
+        assert!(err.starts_with("fact r1: `r` has 2 column(s)"), "{err}");
+        assert!(err.ends_with("column 3"), "{err}");
+        // As long as the key, or keyed on all columns: stored as usual.
+        let long_enough = parse("materialize(r, keys(2)). r(1, 2). s(1). r(X, X) :- s(X).");
+        Store::for_program(&long_enough).unwrap();
+        let mut store = Store::new();
+        store.ensure(RelationSchema::new("r").with_keys(vec![1]));
+        let err = store.add_program(&parse("r(1).")).unwrap_err();
+        assert!(err.contains("column 2"), "a key declared before: {err}");
     }
 
     #[test]

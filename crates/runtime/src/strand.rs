@@ -203,7 +203,7 @@ mod tests {
     /// Build a store + strands for a small program.
     fn setup(src: &str) -> (Store, Vec<CompiledStrand>) {
         let program = parse_program(src).unwrap();
-        let store = Store::for_program(&program);
+        let store = Store::for_program(&program).unwrap();
         let strands = delta_rewrite_full(&program)
             .into_iter()
             .map(CompiledStrand::new)

@@ -28,9 +28,9 @@
 //! armed runs stay bitwise deterministic across executor thread counts.
 
 use crate::index::JoinStats;
-use crate::intern::FxBuild;
 use crate::relation::{Relation, StoredTuple};
 use crate::strand::CompiledStrand;
+use ndlog_lang::value::FxBuild;
 use ndlog_lang::Value;
 use std::collections::{BTreeMap, HashMap};
 

@@ -304,6 +304,15 @@ mod tests {
         assert_eq!(std::mem::size_of::<TupleDelta>(), 32);
     }
 
+    /// A slab slot of a relation is its stored tuple and nothing else: the
+    /// tuple pointer, count, timestamp and expiry, `None` in the pointer's
+    /// niche.
+    #[test]
+    fn a_slab_slot_is_six_words() {
+        type Slot = Option<crate::relation::StoredTuple>;
+        assert_eq!(std::mem::size_of::<Slot>(), 48);
+    }
+
     #[test]
     fn tuple_macro() {
         let tup = tuple![ndlog_net::NodeAddr(1), 5i64, "hi"];

@@ -1,11 +1,11 @@
 //! The TCP front end: one thread per connection, all connections sharing
-//! one [`Service`](crate::Service).
+//! one [`Service`].
 //!
 //! The unit of the write path is a **frame**: all the lines one commit
 //! owes one connection (or one subscribe snapshot, one program-change
 //! diff, one command reply). Everything a connection is sent — replies
 //! from its own thread *and* the `delta` frames other sessions' commits
-//! produce — goes through its [`Outbox`]: one mutex over the rendered but
+//! produce — goes through its `Outbox`: one mutex over the rendered but
 //! unwritten bytes and the socket's write half. Queueing appends under
 //! that mutex and does nothing else (it is all a commit does to a
 //! connection while it holds the engine lock). Flushing happens after the

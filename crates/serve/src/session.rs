@@ -1,7 +1,7 @@
 //! The shared session layer behind both front ends (REPL and TCP).
 //!
 //! One [`Service`] owns one incremental engine (an
-//! [`Evaluator`](ndlog_runtime::Evaluator)) behind a mutex. Any number of
+//! [`Evaluator`]) behind a mutex. Any number of
 //! [`Session`]s execute interactive commands against it; every committed
 //! update batch advances the service **epoch** by one, and everything a
 //! command observes — query rows, dumps, subscription snapshots — is read
@@ -410,6 +410,17 @@ impl Core {
     }
 
     fn commit(&mut self, session: u64, deltas: Vec<TupleDelta>) -> Result<Response, ServeError> {
+        // A tuple the store could not key is refused before anything is
+        // applied: the batch commits whole or not at all.
+        let store = self.eval.store();
+        for delta in &deltas {
+            let schema = store.relation(&delta.relation).map(|r| r.schema());
+            if let Some(why) = schema.and_then(|s| s.lacks_key(delta.tuple.arity())) {
+                return Err(ServeError::new(format!(
+                    "{delta}: {why}; nothing committed"
+                )));
+            }
+        }
         let n = deltas.len();
         let stats = self
             .eval
@@ -1015,6 +1026,43 @@ mod tests {
             panic!()
         };
         assert_eq!(rows.len(), 1);
+    }
+
+    /// A tuple or a rule head with fewer columns than its relation's key is
+    /// refused with an error before it reaches the store: nothing commits,
+    /// the epoch stays, and every session keeps working.
+    #[test]
+    fn tuples_and_heads_shorter_than_the_key_are_refused() {
+        let service = Service::new();
+        let session = service.open_session(Arc::new(NullSink));
+        session
+            .execute_line("materialize(r, infinity, infinity, keys(2)).")
+            .unwrap();
+        session.execute_line("materialize(s, keys(1)).").unwrap();
+        let epoch = service.epoch();
+        let refused = |line: &str| {
+            let err = session.execute_line(line).unwrap_err().to_string();
+            assert!(err.contains("`r` has 1 column(s)"), "{line}: {err}");
+            assert!(err.contains("column 2"), "{line}: {err}");
+            assert_eq!(service.epoch(), epoch, "{line}");
+        };
+        refused("+r(1).");
+        refused("-r(1).");
+        refused("+r[(1, 2), (3)].");
+        refused("r1 r(@X) :- s(@X).");
+        let short = TupleDelta::insert("r", Tuple::new(vec![Value::Int(1)]));
+        assert!(session.apply_batch(vec![short]).is_err());
+        assert_eq!(service.epoch(), epoch);
+        assert!(service.commit_log().is_empty());
+        session.execute_line("+s(1).").unwrap();
+        assert_eq!(service.epoch(), epoch + 1);
+
+        let other = service.open_session(Arc::new(NullSink));
+        other.execute_line("+r(1, 2).").unwrap();
+        let Response::Rows { rows, .. } = other.execute_line("?- r(X, Y).").unwrap() else {
+            panic!()
+        };
+        assert_eq!(rows, [Tuple::new(vec![Value::Int(1), Value::Int(2)])]);
     }
 
     #[test]
