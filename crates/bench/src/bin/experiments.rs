@@ -19,6 +19,8 @@
 //! oracle or differs between executor thread counts). Wall-clock
 //! performance is measured by `benchmark/`, not here.
 
+#![forbid(unsafe_code)]
+
 use ndlog_bench::experiments::{
     adversity, aggregate_selections, incremental_updates, incremental_updates_interleaved,
     magic_sets, message_sharing, periodic_aggregate_selections, ADVERSITY_SEED,

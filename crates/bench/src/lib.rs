@@ -22,6 +22,8 @@
 //! table on stdout. Nothing here reads a clock: wall-clock performance is
 //! measured by the standalone `benchmark/` package (`BENCHMARK.json`).
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod testbed;
 

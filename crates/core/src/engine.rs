@@ -68,10 +68,6 @@ pub struct EngineConfig {
     /// many OS threads per epoch; results are bit-for-bit identical at
     /// every thread count (see [`crate::exec`]).
     pub parallelism: usize,
-    /// Per-event delivery when `false`: the differential-test oracle of
-    /// `tests/coalescing.rs`; no production caller sets this.
-    #[doc(hidden)]
-    pub coalesce_deliveries: bool,
     /// Deterministic fault plan attached to the simulator (loss, jitter,
     /// duplication, partitions, crash/rejoin waves). `None` keeps the
     /// reliable network of all previous experiments.
@@ -111,7 +107,6 @@ impl Default for EngineConfig {
             max_seconds: 600.0,
             blocked_propagation: BTreeMap::new(),
             parallelism: 1,
-            coalesce_deliveries: true,
             fault: None,
             refresh: None,
         }
@@ -151,7 +146,7 @@ pub struct DeliveryStats {
 
 impl DeliveryStats {
     /// Mean number of deliveries merged into one receive batch (1.0 when
-    /// coalescing is off or no two deliveries were adjacent).
+    /// no two deliveries were adjacent).
     pub fn mean_batch_width(&self) -> f64 {
         if self.receive_batches == 0 {
             0.0
@@ -239,8 +234,6 @@ pub struct DistributedEngine {
     /// The evaluation buffers of the sequential inject path (the epoch
     /// loop's belong to the executor's lanes).
     buffers: EvalBuffers,
-    /// Delivery-coalescing mode, kept for executor rebuilds.
-    coalesce: bool,
     delivery_stats: DeliveryStats,
     /// Base facts per node, remembered for refresh re-announcement and
     /// crash rejoin (tracked only when a fault plan or refresh driver is
@@ -302,10 +295,8 @@ impl DistributedEngine {
             flush_pending: BTreeSet::new(),
             sharing_enabled,
             max_seconds: config.max_seconds,
-            executor: EpochExecutor::new(config.parallelism, sharing_enabled)
-                .coalescing(config.coalesce_deliveries),
+            executor: EpochExecutor::new(config.parallelism, sharing_enabled),
             buffers: EvalBuffers::default(),
-            coalesce: config.coalesce_deliveries,
             delivery_stats: DeliveryStats::default(),
             seeds: BTreeMap::new(),
             refresh: config.refresh,
@@ -326,7 +317,7 @@ impl DistributedEngine {
     /// that many OS threads per epoch. Safe to flip between runs —
     /// results are bit-for-bit identical either way.
     pub fn set_parallelism(&mut self, threads: usize) {
-        self.executor = EpochExecutor::new(threads, self.sharing_enabled).coalescing(self.coalesce);
+        self.executor = EpochExecutor::new(threads, self.sharing_enabled);
     }
 
     /// Delivery/receive-batch counters accumulated by the event loop (the

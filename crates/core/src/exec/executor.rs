@@ -29,9 +29,9 @@
 //!    [`EvalBuffers`], which the executor keeps for its lifetime: the
 //!    buffers' high-water mark is paid once per lane, not once per node,
 //!    and since they carry capacity only, never state, which lane ran
-//!    which node stays unobservable. Under **delivery coalescing**, a run of
-//!    consecutive deliveries to the same node is merged into one receive
-//!    batch: every payload is ingested, then a single
+//!    which node stays unobservable. Under **delivery coalescing**, the
+//!    only schedule, a run of consecutive deliveries to the same node is
+//!    merged into one receive batch: every payload is ingested, then one
 //!    `set_time`/`expire_soft_state`/`process` runs at the run's *last*
 //!    `(time, seq)`, handing `fire_batch` one wide delta batch instead of
 //!    many single-row rounds (the whole point of the key-grouped probe
@@ -67,12 +67,11 @@
 //! pure function of the epoch's per-node task sequences, which are fixed
 //! before any lane runs — it never depends on lane assignment or timing.
 //! Coalescing *is* a different evaluation schedule than per-event delivery
-//! (a merged batch processes at its last member's timestamp, so sends
-//! merge and traffic traces differ between the two). The per-event
-//! schedule survives only as a test oracle: under either schedule any
-//! thread count is bit-for-bit identical to `threads = 1`, and both reach
-//! the same fixpoint on the result relations (see the `coalescing`
-//! integration test).
+//! would be (a merged batch processes at its last member's timestamp, so
+//! sends merge and traffic traces differ), but not a different fixpoint:
+//! the `coalescing` integration test checks the result relations against
+//! Dijkstra and against the centralized SN, BSN and PSN fixpoints, at 1, 2
+//! and 4 threads.
 //!
 //! On an evaluation error the guarantee is narrower (see [`EpochResult`]):
 //! the error surfaced is the one the sequential loop would have hit first,
@@ -258,7 +257,7 @@ pub struct EpochResult {
     pub deliveries: u64,
     /// Number of receive batches those deliveries were processed in
     /// (`deliveries / receive_batches` is the mean receive-batch width the
-    /// coalescer achieved; equal to `deliveries` when coalescing is off).
+    /// coalescer achieved).
     pub receive_batches: u64,
 }
 
@@ -275,9 +274,6 @@ pub struct EpochExecutor {
     /// Message-sharing mode of the owning engine, needed to pre-compute
     /// outbound wire sizes in the lanes.
     sharing_enabled: bool,
-    /// Merge consecutive same-node deliveries into one receive batch
-    /// (default on; see the module docs).
-    coalesce: bool,
 }
 
 impl EpochExecutor {
@@ -294,17 +290,7 @@ impl EpochExecutor {
             threads,
             lane_buffers: (0..threads).map(|_| Mutex::default()).collect(),
             sharing_enabled,
-            coalesce: true,
         }
-    }
-
-    /// Per-event delivery when `false`: the differential-test oracle
-    /// behind `EngineConfig::coalesce_deliveries`; no production caller
-    /// passes `false`.
-    #[doc(hidden)]
-    pub fn coalescing(mut self, on: bool) -> EpochExecutor {
-        self.coalesce = on;
-        self
     }
 
     /// The configured worker count.
@@ -353,14 +339,13 @@ impl EpochExecutor {
 
         let lanes = self.threads;
         let sharing = self.sharing_enabled;
-        let coalesce = self.coalesce;
         let mut results: Vec<LaneResult> = (0..lanes).map(|_| LaneResult::default()).collect();
         let queue = &queue;
         let run_lane = |slot: &mut LaneResult, buffers: &Mutex<EvalBuffers>| {
             let mut buffers = buffers
                 .lock()
                 .expect("an earlier epoch's lane panicked mid-evaluation");
-            *slot = drain_lane(queue, sharing, coalesce, &mut buffers);
+            *slot = drain_lane(queue, sharing, &mut buffers);
         };
         match &self.pool {
             Some(pool) => {
@@ -439,9 +424,9 @@ impl LaneResult {
 
 /// One lane's share of an epoch: steal per-node work items from the shared
 /// queue until it is dry, mirroring the sequential engine's per-event
-/// recipe exactly and pre-serializing each outcome's effects. With
-/// `coalesce` on, a run of consecutive deliveries to the node is ingested
-/// back to back and processed once at the run's last `(time, seq)` — the
+/// recipe exactly and pre-serializing each outcome's effects. A run of
+/// consecutive deliveries to the node is ingested back to back and
+/// processed once at the run's last `(time, seq)` — the
 /// merge structure depends only on the node's task sequence, never on lane
 /// assignment, so it is identical at every thread count. A task error
 /// stops that *node* (its remaining tasks are skipped, as the sequential
@@ -451,7 +436,6 @@ impl LaneResult {
 fn drain_lane(
     queue: &WorkQueue<(&mut NodeEngine, Vec<NodeTask>)>,
     sharing_enabled: bool,
-    coalesce: bool,
     buffers: &mut EvalBuffers,
 ) -> LaneResult {
     let mut lane = LaneResult::default();
@@ -465,24 +449,22 @@ fn drain_lane(
                     let (mut time, mut seq) = (task.time, task.seq);
                     lane.deliveries += 1;
                     lane.receive_batches += 1;
-                    if coalesce {
-                        // Extend the receive batch over the consecutive
-                        // deliveries that follow; a flush timer ends it.
-                        while matches!(
-                            tasks.peek(),
-                            Some(NodeTask {
-                                action: NodeAction::Deliver(_),
-                                ..
-                            })
-                        ) {
-                            let next = tasks.next().expect("peeked task exists");
-                            let NodeAction::Deliver(payload) = next.action else {
-                                unreachable!("peek guaranteed a delivery");
-                            };
-                            node.receive(payload);
-                            (time, seq) = (next.time, next.seq);
-                            lane.deliveries += 1;
-                        }
+                    // Extend the receive batch over the consecutive
+                    // deliveries that follow; a flush timer ends it.
+                    while matches!(
+                        tasks.peek(),
+                        Some(NodeTask {
+                            action: NodeAction::Deliver(_),
+                            ..
+                        })
+                    ) {
+                        let next = tasks.next().expect("peeked task exists");
+                        let NodeAction::Deliver(payload) = next.action else {
+                            unreachable!("peek guaranteed a delivery");
+                        };
+                        node.receive(payload);
+                        (time, seq) = (next.time, next.seq);
+                        lane.deliveries += 1;
                     }
                     node.set_time(time);
                     node.expire_soft_state(time);
@@ -787,18 +769,6 @@ mod tests {
         assert_eq!((result.outcomes[0].time, result.outcomes[0].seq), (1002, 2));
         assert_eq!(result.deliveries, 3);
         assert_eq!(result.receive_batches, 1);
-        assert_eq!(nodes[&NodeAddr(0)].store().count("path"), 3);
-    }
-
-    #[test]
-    fn coalescing_off_restores_per_event_outcomes() {
-        let executor = EpochExecutor::new(1, false).coalescing(false);
-        let mut nodes = make_nodes(1);
-        let result = executor.run_epoch(&mut nodes, same_node_deliveries());
-        assert!(result.error.is_none());
-        assert_eq!(result.outcomes.len(), 3);
-        assert_eq!(result.deliveries, 3);
-        assert_eq!(result.receive_batches, 3);
         assert_eq!(nodes[&NodeAddr(0)].store().count("path"), 3);
     }
 

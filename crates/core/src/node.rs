@@ -775,5 +775,21 @@ mod tests {
                 ("route_dv2_xd", &[&[0, 1]]),
             ])
         );
+        // What `route_sparse_1k` runs: the source-routing pipeline's output,
+        // `magicSrc` guarding sd1 and `magicDst` guarding sd4. Both magic
+        // tables are keyed on their one column, so their probes take the
+        // primary index and build nothing.
+        use ndlog_lang::optimizer::{optimize, PassSet};
+        let pipeline = programs::source_routing_pipeline("").with_passes(PassSet::ALL);
+        let base = programs::shortest_path_source_routing_base("");
+        let routing = optimize(&base, &pipeline).unwrap().program;
+        assert_eq!(
+            declared_indexes(&routing),
+            sigs(&[
+                ("link", &[&[0]]),
+                ("pathDst", &[&[0], &[0, 1], &[0, 1, 4], &[1]]),
+                ("spCost", &[&[0]]),
+            ])
+        );
     }
 }

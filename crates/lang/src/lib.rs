@@ -51,12 +51,14 @@
 //! [`programs`] are *derived* through this pipeline rather than written by
 //! hand, and the experiment/serve layers use the same entry point, so
 //! optimized and unoptimized executions differ only by the pipeline
-//! configuration. Plan-time decisions that need runtime statistics —
-//! cost-based join ranking, shared-subplan detection — live downstream in
-//! `ndlog-core`/`ndlog-runtime`.
+//! configuration. Nothing downstream revisits these decisions with runtime
+//! statistics: a join's access path is fixed by the bound columns the
+//! rewritten body leaves it (see `ndlog-runtime`'s relation docs).
 //!
 //! The execution engines live in `ndlog-runtime` (single node) and
 //! `ndlog-core` (distributed).
+
+#![forbid(unsafe_code)]
 
 pub mod aggsel;
 pub mod ast;

@@ -36,9 +36,8 @@
 //! binding pattern) of every magic rewrite, so experiment tables and the
 //! serve layer can display what the pipeline actually did. Downstream, the
 //! planner (`ndlog-core`) consumes the optimized program exactly like a
-//! hand-written one; plan-time shared-subplan detection and the
-//! stats-driven cost model live there, closer to the runtime statistics
-//! they feed on.
+//! hand-written one, and the runtime gives each join the one access path
+//! its bound columns declare — no cost model ranks them afterwards.
 
 use crate::ast::{Program, TableDecl};
 use crate::error::LangError;

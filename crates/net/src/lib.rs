@@ -38,6 +38,8 @@
 //! sequential order, keeping multi-threaded runs bit-for-bit identical to
 //! single-threaded ones.
 
+#![forbid(unsafe_code)]
+
 pub mod address;
 pub mod fault;
 pub mod gtitm;

@@ -22,6 +22,8 @@
 //!
 //! What ignoring keys means for a comparison is [`Oracle::agrees`].
 
+#![forbid(unsafe_code)]
+
 use ndlog_lang::seminaive::DeltaRule;
 use ndlog_lang::{AggFunc, Atom, BinOp, Expr, Literal, Program, Rule, Term, Value};
 use std::collections::{BTreeMap, BTreeSet};

@@ -41,27 +41,26 @@
 //! stage is not a probe projects through the same template with no
 //! candidate columns in it.
 //!
-//! The routine has two arms and picks between them from what it can
-//! observe, never from an option. Real delta batches are key-skewed: path
+//! The routine has two arms and picks between them from the batch alone,
+//! never from an option. Real delta batches are key-skewed: path
 //! exploration and flooding dissemination hand a strand hundreds of
-//! triggers that probe the same join key. With more than one row — or with
-//! a cross-rule [`ProbeCache`] armed, which is where a lone row's probe can
-//! still be shared with other strands of the round — the rows are
-//! partitioned by probe-key value (first-occurrence order, so the grouping
-//! is deterministic), **one** lookup runs per distinct key
-//! ([`crate::relation::Relation::lookup_n`], or the cache), the residual
-//! checks run once per candidate, and the shared match set is broadcast to
-//! every member through offset ranges into a flat match buffer. This is
-//! sound because a probe stage's match set depends only on the probe key
-//! and the candidate: any slot bound by an earlier stage is part of the
-//! probe key, so all that is left to check is the candidate's arity and,
-//! for a variable the atom repeats, that two of the candidate's own
-//! columns agree (`ProbeStage::same`) — two rows with equal keys accept
-//! exactly the same candidates. A lone row without a cache has nothing to
-//! share and its grouped accounting (one logical, one distinct probe)
-//! would equal a plain lookup's exactly, so it takes one plain lookup and
-//! skips the grouping — the per-event distributed workload fires mostly
-//! one-delta batches.
+//! triggers that probe the same join key. With more than one row the rows
+//! are partitioned by probe-key value (first-occurrence order, so the
+//! grouping is deterministic), **one** lookup runs per distinct key
+//! ([`crate::relation::Relation::lookup_n`]), the residual checks run once
+//! per candidate, and the shared match set is broadcast to every member
+//! through offset ranges into a flat match buffer. This is sound because a
+//! probe stage's match set depends only on the probe key and the
+//! candidate: any slot bound by an earlier stage is part of the probe key,
+//! so all that is left to check is the candidate's arity and, for a
+//! variable the atom repeats, that two of the candidate's own columns
+//! agree (`ProbeStage::same`) — two rows with equal keys accept exactly the
+//! same candidates. A lone row has nothing to share and its grouped
+//! accounting (one logical, one distinct probe) would equal a plain
+//! lookup's exactly, so it takes one plain lookup and skips the grouping.
+//! Either way the lookup takes the one access path the relation declared
+//! for the stage's bound columns: the primary index, the secondary index on
+//! exactly those columns, or a scan (see [`crate::relation`]).
 //!
 //! # What the oracle checks
 //!
@@ -90,7 +89,6 @@ use crate::index::JoinStats;
 use crate::relation::StoredTuple;
 use crate::store::Store;
 use crate::strand::Derivation;
-use crate::subplan::ProbeCache;
 use crate::tuple::{RelName, Sign, Tuple, TupleDelta};
 use ndlog_lang::seminaive::DeltaRule;
 use ndlog_lang::value::FxBuild;
@@ -379,13 +377,12 @@ impl EvalBuffers {
     /// `self.per_trigger` by position in `round`: per trigger, strands in
     /// the given order, exactly what firing the triggers one at a time
     /// yields. A failed round hands the buffers back empty.
-    pub(crate) fn fire_round<'r, 'a>(
+    pub(crate) fn fire_round<'a>(
         &mut self,
-        store: &'r Store,
+        store: &Store,
         strands: impl Iterator<Item = &'a crate::strand::CompiledStrand>,
         round: impl Iterator<Item = BatchTrigger<'a>> + Clone,
         stats: &mut JoinStats,
-        mut cache: Option<ProbeCache<'r>>,
     ) -> Result<(), EvalError> {
         let fired = self.live.len();
         if self.per_trigger.len() < fired {
@@ -405,8 +402,7 @@ impl EvalBuffers {
                 continue;
             }
             let (scratch, out) = (&mut self.scratch, &mut self.out);
-            if let Err(e) = strand.fire_batch(store, &triggers, stats, scratch, out, cache.as_mut())
-            {
+            if let Err(e) = strand.fire_batch(store, &triggers, stats, scratch, out) {
                 self.per_trigger[..fired].iter_mut().for_each(Vec::clear);
                 return Err(e);
             }
@@ -748,13 +744,12 @@ fn apply_ops(ops: &[BindOp], tuple: &Tuple, row: &mut [Option<Value>]) -> bool {
 }
 
 /// What the stages of one firing share: the store and triggers they read,
-/// the statistics they report to, the cross-rule probe cache if one is
-/// armed, and the match buffer of the probe routine's shared arm.
+/// the statistics they report to, and the match buffer of the probe
+/// routine's shared arm.
 struct Firing<'a, 'r> {
     store: &'r Store,
     triggers: &'a [BatchTrigger<'a>],
     stats: &'a mut JoinStats,
-    cache: Option<&'a mut ProbeCache<'r>>,
     /// Group `g`'s matches live at `KeyGroups::ranges[g]`. Borrows the
     /// store, so it cannot live in the reusable scratch; it reaches
     /// steady-state capacity after the first probe stage.
@@ -782,15 +777,10 @@ impl ProbeStage {
     /// visibility on behalf of all its members (the multiplier keeps the
     /// per-member logical accounting) and the visibility filter is applied
     /// per member afterwards, because members may carry different
-    /// `seq_limit`s. When the armed [`ProbeCache`] carries this stage's
-    /// `(relation, cols)` signature the raw candidates come through it —
-    /// one real lookup per distinct key per *round* instead of per strand
-    /// — and the stage-specific arity and residual checks still run here
-    /// (see [`crate::subplan`] for the soundness and statistics contract).
-    /// The map's iteration order only decides where each group's span
-    /// lands in the match buffer; every observable (stat sums, the span
-    /// each `ranges[g]` addresses, within-group candidate order) is
-    /// independent of it.
+    /// `seq_limit`s. The map's iteration order only decides where each
+    /// group's span lands in the match buffer; every observable (stat sums,
+    /// the span each `ranges[g]` addresses, within-group candidate order)
+    /// is independent of it.
     fn probe<'r>(
         &self,
         rows: &Rows,
@@ -802,7 +792,6 @@ impl ProbeStage {
             store,
             triggers,
             stats,
-            cache,
             matches,
         } = firing;
         let Some(stored) = store.relation(&self.relation) else {
@@ -811,7 +800,7 @@ impl ProbeStage {
         if rows.len() == 0 {
             return Ok(());
         }
-        if rows.len() == 1 && cache.is_none() {
+        if rows.len() == 1 {
             let (row, origin) = rows.get(0);
             build_probe_key(&self.key, row, &mut groups.key);
             let seq_limit = triggers[origin as usize].seq_limit;
@@ -836,17 +825,8 @@ impl ProbeStage {
         for (key, &g) in map.iter() {
             let members = sizes[g as usize] as usize;
             let start = matches.len();
-            let cached = match cache.as_deref_mut() {
-                Some(c) => c.probe(stored, &self.relation, &self.cols, key, members, stats),
-                None => None,
-            };
-            match cached {
-                Some(raw) => matches.extend(raw.iter().copied().filter(|c| self.accepts(c))),
-                None => {
-                    let raw = stored.lookup_n(&self.cols, key, u64::MAX, members, stats);
-                    matches.extend(raw.filter(|c| self.accepts(c)));
-                }
-            }
+            let raw = stored.lookup_n(&self.cols, key, u64::MAX, members, stats);
+            matches.extend(raw.filter(|c| self.accepts(c)));
             ranges[g as usize] = (
                 u32::try_from(start).expect("match buffer fits u32"),
                 u32::try_from(matches.len()).expect("match buffer fits u32"),
@@ -882,29 +862,19 @@ impl BatchPlan {
     /// Drain a whole batch of trigger deltas through the compiled stages,
     /// with key-grouped probe sharing (one index lookup per distinct probe
     /// key per atom). See the module docs for what the oracle checks.
-    ///
-    /// `cache`, when armed, extends the sharing across rules: probe stages
-    /// whose `(relation, cols)` signature the cache carries fetch their
-    /// raw candidates through it, one real lookup per distinct key per
-    /// *round* instead of per strand ([`crate::subplan`]) — single-row
-    /// batches included, which are most of what the per-event distributed
-    /// workload fires and exactly the probes cross-rule sharing answers
-    /// for free.
-    pub(crate) fn fire_batch<'r>(
+    pub(crate) fn fire_batch(
         &self,
-        store: &'r Store,
+        store: &Store,
         triggers: &[BatchTrigger],
         stats: &mut JoinStats,
         scratch: &mut BatchScratch,
         out: &mut BatchOutput,
-        cache: Option<&mut ProbeCache<'r>>,
     ) -> Result<(), EvalError> {
         out.clear();
         let firing = Firing {
             store,
             triggers,
             stats,
-            cache,
             matches: Vec::new(),
         };
         let result = self.fire_rows(firing, scratch, out);
@@ -1096,7 +1066,7 @@ mod tests {
         let mut stats = JoinStats::default();
         let EvalBuffers { scratch, out, .. } = buffers;
         let result = strand
-            .fire_batch(store, &triggers, &mut stats, scratch, out, None)
+            .fire_batch(store, &triggers, &mut stats, scratch, out)
             .map(|()| {
                 let mut per_trigger = vec![Vec::new(); deltas.len()];
                 out.drain_into(|i, derivation| per_trigger[i].push(derivation));

@@ -253,7 +253,7 @@ pub fn over_delete(
             if triggers.is_empty() {
                 continue;
             }
-            strand.fire_batch(store, &triggers, stats, scratch, out, None)?;
+            strand.fire_batch(store, &triggers, stats, scratch, out)?;
             out.drain_into(|_, derivation| match (self_addr, derivation.location) {
                 (Some(me), Some(dest)) if dest != me => {
                     remote.push((dest, derivation.delta));
@@ -371,7 +371,7 @@ pub fn rederive(
         delta,
         seq_limit: u64::MAX,
     });
-    buffers.fire_round(store, plans, round, stats, None)?;
+    buffers.fire_round(store, plans, round, stats)?;
     let derived = buffers.per_trigger[..candidates.len()].iter_mut();
     let restored = derived
         .flat_map(|derived| derived.drain(..))

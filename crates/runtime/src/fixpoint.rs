@@ -68,7 +68,6 @@ use crate::dred;
 use crate::expr::EvalError;
 use crate::store::{ApplyEffect, Change, Store};
 use crate::strand::{CompiledStrand, JoinStats};
-use crate::subplan::ProbeCache;
 use crate::tap::DeltaTap;
 use crate::tuple::{Sign, TupleDelta};
 use ndlog_net::NodeAddr;
@@ -140,9 +139,9 @@ pub struct EvalStats {
     /// batched.
     pub logical_probes: usize,
     /// Index bucket lookups actually executed. Key-grouped batch probing
-    /// answers every same-key trigger of a batch with one lookup, and the
-    /// cross-rule cache every same-key stage of a round, so this is
-    /// `≤ logical_probes`; the two are equal only where nothing was shared.
+    /// answers every same-key trigger of a batch with one lookup, so this
+    /// is `≤ logical_probes`; the two are equal only where nothing was
+    /// shared.
     pub distinct_probes: usize,
     /// Joins that fell back to scanning a relation.
     pub scans: usize,
@@ -230,12 +229,6 @@ pub struct LocalFixpoint {
     tap: DeltaTap,
     /// Cumulative evaluation statistics.
     stats: EvalStats,
-    /// Probe signatures shared by two or more strands
-    /// ([`crate::subplan::shared_signatures`], computed once at plan
-    /// time). Non-empty arms a per-round cross-rule [`ProbeCache`], so each
-    /// distinct `(relation, cols, key)` lookup of a round executes once
-    /// across every strand sharing it.
-    shared_sigs: Vec<(String, Vec<usize>)>,
 }
 
 impl LocalFixpoint {
@@ -253,7 +246,6 @@ impl LocalFixpoint {
                 store.declare_index(&relation, &cols);
             }
         }
-        let shared_sigs = crate::subplan::shared_signatures(&strands);
         LocalFixpoint {
             store,
             strands,
@@ -262,7 +254,6 @@ impl LocalFixpoint {
             pending_deletes: Vec::new(),
             tap: DeltaTap::new(),
             stats: EvalStats::default(),
-            shared_sigs,
         }
     }
 
@@ -504,7 +495,8 @@ impl LocalFixpoint {
     /// a re-derived tuple fires through its own queued insert.
     ///
     /// All of `round` fires against one store snapshot through the batch
-    /// plans.
+    /// plans, each probe stage through the one access path its relation
+    /// declared for it.
     fn fire_batch_round(
         &mut self,
         round: &[(TupleDelta, u64)],
@@ -518,16 +510,11 @@ impl LocalFixpoint {
         buffers.live.clear();
         let stored = round.iter().map(|(delta, _)| self.is_stored(delta));
         buffers.live.extend(stored);
-        // Arm the cross-rule probe cache for this round when the plan found
-        // shared signatures: the store is frozen until every strand of the
-        // round has fired (ingestion happens after the round), so cached
-        // candidate sets stay valid for exactly the cache's lifetime.
-        let cache = (!self.shared_sigs.is_empty()).then(|| ProbeCache::new(&self.shared_sigs));
         let triggers = round.iter().map(|(delta, seq)| BatchTrigger {
             delta,
             seq_limit: *seq,
         });
-        buffers.fire_round(&self.store, forward, triggers, &mut joins, cache)?;
+        buffers.fire_round(&self.store, forward, triggers, &mut joins)?;
         self.stats.absorb_joins(joins);
         Ok(round.len())
     }

@@ -17,8 +17,9 @@
 //!   for a secondary index — so a probe touches exactly the rows carrying
 //!   the probed projection;
 //! * [`crate::relation::Relation`] maintains its tables incrementally on
-//!   insert, key-replacement, deletion and soft-state expiry, and answers
-//!   [`crate::relation::Relation::probe`] in O(matches).
+//!   insert, key-replacement, deletion and soft-state expiry, and answers a
+//!   [`crate::relation::Relation::lookup`] on exactly an indexed signature
+//!   in O(matches).
 //!
 //! Secondary indexes are declared once per program (the evaluator and the
 //! per-node engines collect every compiled strand's signatures up front),
@@ -180,16 +181,6 @@ impl IndexSignature {
     /// equivalent to a full scan; never materialized).
     pub fn is_empty(&self) -> bool {
         self.0.is_empty()
-    }
-
-    /// Whether every column of this signature appears in `cols` (which
-    /// must be sorted ascending): an index on this signature can serve a
-    /// lookup binding `cols`, with the leftover columns checked residually.
-    pub fn is_covered_by(&self, cols: &[usize]) -> bool {
-        // Both sides are sorted ascending, so a single forward pass over
-        // `cols` suffices.
-        let mut cols = cols.iter();
-        self.0.iter().all(|&col| cols.by_ref().any(|&c| c == col))
     }
 }
 
@@ -496,15 +487,6 @@ mod tests {
         assert!(!sig.is_empty());
         assert!(IndexSignature::new(&[]).is_empty());
         assert_eq!(IndexSignature::new(&[1, 0]), IndexSignature::new(&[0, 1]));
-    }
-
-    #[test]
-    fn signature_coverage() {
-        let sig = IndexSignature::new(&[0, 2]);
-        assert!(sig.is_covered_by(&[0, 1, 2]));
-        assert!(sig.is_covered_by(&[0, 2]));
-        assert!(!sig.is_covered_by(&[0, 1]));
-        assert!(!sig.is_covered_by(&[2]));
     }
 
     #[test]

@@ -87,7 +87,7 @@
 //! allocations, live bytes and peak live bytes per stored tuple to budgets,
 //! as exact counts.
 //!
-//! Three optimizations stack on the batch path:
+//! Two optimizations stack on the batch path:
 //!
 //! * **Key-grouped probe sharing** ([`batch`]): a delta batch's rows are
 //!   partitioned by probe-key value per body atom, each distinct key is
@@ -96,10 +96,10 @@
 //!   group member through offset ranges into a flat match buffer. Real
 //!   workloads (path exploration, flooding) are heavily key-skewed, so
 //!   this removes most bucket lookups and candidate materializations.
-//!   One routine does all probing — the shared arm above, a plain lookup
-//!   for a lone row, chosen from the batch and the armed cache, never by
-//!   an option — and feeds either the next row arena or, for a rule's
-//!   last stage, head projection.
+//!   One routine does all probing — the shared arm above, or one plain
+//!   lookup for a lone row, chosen from the batch, never by an option —
+//!   and feeds either the next row arena or, for a rule's last stage,
+//!   head projection.
 //! * **Slot tables over a slab** ([`relation`], [`index`]): a stored
 //!   tuple lives once, in a slab slot that is its `StoredTuple` (48 bytes);
 //!   the primary index files the slot under the fingerprint of the key
@@ -112,17 +112,10 @@
 //!   which depend on history — so probe order, derivation order and every
 //!   deterministic
 //!   count are those of an ordered map; the order of a whole relation is a
-//!   sorted slot list cached until the next membership change.
-//! * **Cross-rule shared subplans** ([`subplan`]): planning fingerprints
-//!   every join stage's probe as a `(relation, bound-column signature)`
-//!   with [`subplan::shared_signatures`]; when two or more stages across
-//!   the program share a fingerprint, a round-scoped
-//!   [`subplan::ProbeCache`] memoizes the raw candidate rows per probed
-//!   key, so later strands of the same round reuse the first bucket walk
-//!   instead of repeating it (residual and visibility checks replay per
-//!   consumer). The store is frozen for the round, so cached candidate
-//!   sets stay exact — `distinct_probes` drops while every logical
-//!   counter is unchanged.
+//!   sorted slot list cached until the next membership change. Every join
+//!   has one access path, fixed when the store declares its indexes: the
+//!   primary index when the probe binds the whole key, else the secondary
+//!   index on exactly its bound columns, else a residual scan.
 //!
 //! Two more optimizations live a layer up, in the distributed engine
 //! (`ndlog-core`), but exist to feed this crate's batch path:
@@ -131,9 +124,10 @@
 //!   epoch executor merges consecutive same-node message deliveries into
 //!   one receive batch, so a node ingests every payload of the run and
 //!   calls `process` once — handing [`batch`] one wide delta batch
-//!   instead of many single-delta batches. `tests/coalescing.rs` checks
-//!   it against per-event delivery; the benchmark reports the achieved
-//!   width as `core.receive_batch_width`.
+//!   instead of many single-delta batches. It is the only schedule;
+//!   `tests/coalescing.rs` checks its fixpoint against Dijkstra and the
+//!   centralized SN/BSN/PSN fixpoints, and the benchmark reports the
+//!   achieved width as `core.receive_batch_width`.
 //! * **Wire-buffer arenas** (`ndlog-core`'s `exec::arena` module): the
 //!   `Vec<TupleDelta>` payload buffers that carry deltas between nodes
 //!   circulate through a per-node pool — rented at the send path,
@@ -162,6 +156,7 @@
 // A helper that needs more than seven arguments is missing a struct; an
 // `allow` cannot wave it through.
 #![forbid(clippy::too_many_arguments)]
+#![forbid(unsafe_code)]
 
 pub mod aggview;
 pub mod batch;
@@ -173,7 +168,6 @@ pub mod index;
 pub mod relation;
 pub mod store;
 pub mod strand;
-pub mod subplan;
 pub mod tap;
 pub mod tuple;
 
@@ -185,6 +179,5 @@ pub use index::IndexSignature;
 pub use relation::{HeapBytes, InsertOutcome, Relation, RelationSchema};
 pub use store::Store;
 pub use strand::{CompiledStrand, Derivation, JoinStats};
-pub use subplan::{shared_signatures, ProbeCache};
 pub use tap::DeltaTap;
 pub use tuple::{RelName, Sign, Tuple, TupleDelta};

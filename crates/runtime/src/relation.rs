@@ -36,14 +36,15 @@
 //!   key is cloned, boxed or stored twice, and two projections sharing a
 //!   fingerprint cost a comparison, never a wrong answer. The tables are
 //!   maintained on every mutation — insertion, key replacement, deletion,
-//!   expiry — so [`Relation::probe`] answers an equality lookup in
-//!   O(matches) instead of the O(|relation|) of [`Relation::scan_match`];
-//! * **ordered reads** — [`Relation::iter`], [`Relation::scan_match`], the
-//!   scan arm of [`Relation::lookup`], [`Relation::expire`] — walk a list
-//!   of slots sorted by primary-key value, built on first use and kept
-//!   until the next membership change, so a relation that stopped changing
-//!   is sorted once; [`Relation::iter_unordered`] is the borrow for readers
-//!   that filter first and order their own result.
+//!   expiry — so [`Relation::lookup`] answers an equality lookup on an
+//!   indexed signature in O(matches) instead of the O(|relation|) of a
+//!   scan;
+//! * **ordered reads** — [`Relation::iter`], the scan path of
+//!   [`Relation::lookup`], [`Relation::expire`] — walk a list of slots
+//!   sorted by primary-key value, built on first use and kept until the
+//!   next membership change, so a relation that stopped changing is sorted
+//!   once; [`Relation::iter_unordered`] is the borrow for readers that
+//!   filter first and order their own result.
 //!
 //! Observable order is always primary-key *value* order — the order a
 //! `BTreeMap<Vec<Value>, _>` gives — in ordered reads and inside every
@@ -52,30 +53,34 @@
 //!
 //! # Access paths
 //!
-//! The data model stores one tuple per primary key, so a lookup whose bound
-//! columns include the whole key can match one row at most, and the primary
-//! index finds it: [`Relation::lookup`] fingerprints the key columns'
-//! values, takes the one slot filed under them and checks the leftover
-//! bound columns on that row's tuple. "The whole key" is the declared key
-//! columns;
-//! a relation that declares none keys each row by all of its columns,
-//! however many it has, and its lookups all take the path below. A
-//! key-bound lookup is accounted exactly as the probe of a secondary index
-//! on its bound columns would be (one probe, the row examined if that
-//! index's bucket would have held it), and [`Relation::ensure_index`]
-//! builds nothing for a signature that binds the whole key:
-//! [`Relation::index_signatures`] lists the secondary indexes that exist,
-//! not every signature the plans declared.
+//! A lookup binds a sorted set of columns to values, and takes exactly one
+//! of three paths, decided by those columns and the indexes the relation
+//! declared — never by the data or by a ranking:
 //!
-//! For any other lookup, when several declared signatures can serve it,
-//! [`Relation::lookup`] makes a cost-based choice: the candidate binding
-//! the most columns wins, with the smallest bucket breaking ties and
-//! signature order breaking exact ties (so the choice never depends on
-//! index declaration order), and any leftover bound columns enforced
-//! residually by comparing the candidate row's values. [`Relation::lookup_n`]
-//! is the grouped-probe entry point: one bucket lookup answers `members`
-//! same-key environments, with the per-environment (`logical`) accounting
-//! preserved via a multiplier.
+//! 1. **The primary index**, when the bound columns include the whole
+//!    primary key. The data model stores one tuple per key, so such a
+//!    lookup matches one row at most: [`Relation::lookup`] fingerprints the
+//!    key columns' values, takes the one slot filed under them and checks
+//!    the leftover bound columns on that row's tuple. "The whole key" is the
+//!    declared key columns; a relation that declares none keys each row by
+//!    all of its columns, however many it has, and its lookups take the
+//!    paths below. A key-bound lookup is accounted exactly as the probe of
+//!    a secondary index on its bound columns would be (one probe, the row
+//!    examined if that index's bucket would have held it), and
+//!    [`Relation::ensure_index`] builds nothing for a signature that binds
+//!    the whole key: [`Relation::index_signatures`] lists the secondary
+//!    indexes that exist, not every signature the plans declared.
+//! 2. **The secondary index on exactly the bound columns**, when one was
+//!    declared: the bucket under the bound values' fingerprint is the
+//!    answer, nothing left to check.
+//! 3. **A residual scan** otherwise: every row in key order, each bound
+//!    column compared. The engines declare an index for every signature a
+//!    plan probes, so for them this is the path of an atom with no bound
+//!    column (a genuine cross product) alone.
+//!
+//! [`Relation::lookup_n`] is the grouped-probe entry point: one bucket
+//! lookup answers `members` same-key environments, with the
+//! per-environment (`logical`) accounting preserved via a multiplier.
 //!
 //! [`Relation::heap_bytes`] reports what the slab, the primary index and
 //! each secondary index hold, from their capacities.
@@ -398,20 +403,6 @@ impl Relation {
         }
     }
 
-    /// Iterate over tuples matching equality constraints on the given
-    /// columns, visible at or before `seq_limit`.
-    ///
-    /// This is the residual full-scan path; joins with bound columns should
-    /// go through [`Relation::probe`] instead.
-    pub fn scan_match<'r>(
-        &'r self,
-        bound: &[(usize, Value)],
-        seq_limit: u64,
-    ) -> impl Iterator<Item = &'r StoredTuple> + use<'r> {
-        let bound = bound.iter().map(|(col, value)| (*col, value));
-        self.matches(self.ordered(), bound, seq_limit)
-    }
-
     /// Whether binding `cols` (sorted, deduplicated) binds the primary key
     /// of every stored row, so that the primary index answers the lookup:
     /// the relation declares key columns and they are all among `cols`.
@@ -455,17 +446,6 @@ impl Relation {
         self.indexes.iter().map(|index| &index.signature)
     }
 
-    /// Live statistics for every secondary index:
-    /// `(signature, distinct keys, indexed entries)`. Distinct keys is the
-    /// bucket count — the number of different probe-key values currently
-    /// stored — so `entries / distinct` is the average matches per probe,
-    /// the quantity cost-based join ordering ranks plans by.
-    pub fn index_stats(&self) -> impl Iterator<Item = (&IndexSignature, usize, usize)> {
-        self.indexes
-            .iter()
-            .map(|ix| (&ix.signature, ix.table.run_count(), ix.table.len()))
-    }
-
     /// Heap bytes the relation's own structures hold, by component, from
     /// their capacities (see [`HeapBytes`]).
     pub fn heap_bytes(&self) -> HeapBytes {
@@ -479,35 +459,6 @@ impl Relation {
                 .map(|index| (index.signature.clone(), index.table.heap_bytes()))
                 .collect(),
         }
-    }
-
-    /// Probe the relation on `cols` (which must be sorted and
-    /// deduplicated, with `key` holding the bound values in the same
-    /// order) for tuples visible at or before `seq_limit`, in deterministic
-    /// primary-key order: through the primary index when `cols` bind the
-    /// whole primary key, else through the secondary index on exactly
-    /// `cols`.
-    ///
-    /// Returns `None` when neither exists — the caller falls back to
-    /// [`Relation::scan_match`].
-    pub fn probe<'r>(
-        &'r self,
-        cols: &[usize],
-        key: &[Value],
-        seq_limit: u64,
-    ) -> Option<impl Iterator<Item = &'r StoredTuple> + use<'r>> {
-        debug_assert!(
-            cols.windows(2).all(|w| w[0] < w[1]),
-            "probe columns must be sorted"
-        );
-        let run = if self.binds_key(cols) {
-            self.key_probe(cols, key)
-        } else {
-            let mut indexes = self.indexes.iter();
-            let index = indexes.find(|index| index.signature.columns() == cols)?;
-            self.probe_bucket(index, cols, key)
-        };
-        Some(self.matches(run, std::iter::empty(), seq_limit))
     }
 
     /// What the index on exactly `cols` would hold for `key`, had
@@ -532,64 +483,23 @@ impl Relation {
         }
     }
 
-    /// The bucket of `index` a lookup binding `cols` to `key` probes
-    /// (`index`'s signature must be covered by `cols`).
-    fn probe_bucket<'r>(
-        &'r self,
-        index: &'r SecondaryIndex,
-        cols: &[usize],
-        key: &[Value],
-    ) -> &'r [u32] {
+    /// The bucket the secondary index on exactly the bound columns holds
+    /// for `key`, their values in column order.
+    fn bucket<'r>(&'r self, index: &'r SecondaryIndex, key: &[Value]) -> &'r [u32] {
         let sig = index.signature.columns();
-        let bound = sig
-            .iter()
-            .map(|c| &key[cols.binary_search(c).expect("covered signature")]);
-        let same = |slot| projects_as(&self.rows, sig, slot, bound.clone());
-        index.table.run(self.fingerprint(bound.clone()), same)
+        let same = |slot| projects_as(&self.rows, sig, slot, key.iter());
+        index.table.run(self.fingerprint(key.iter()), same)
     }
 
-    /// Choose the cheapest declared index that can serve an equality
-    /// lookup on `cols`/`key`: among the indexes whose signature is a
-    /// subset of the bound columns, pick the most selective one — most
-    /// bound columns first, smallest bucket (estimated matches) as the
-    /// tie-breaker. Returns the index together with the bucket the key
-    /// selects in it. Exact ties (same bound-column count *and* same
-    /// bucket size) resolve by signature order — a property of the indexes
-    /// themselves, never of the order they happened to be declared in — so
-    /// the choice is deterministic across engines even when construction
-    /// paths declare the same signatures differently.
-    ///
-    /// This runs once per join environment: losing candidates are rejected
-    /// on signature length alone, and only the finalists with the longest
-    /// covered signature — usually one, an exact match — look their bucket
-    /// up.
-    fn best_index(&self, cols: &[usize], key: &[Value]) -> Option<(&SecondaryIndex, &[u32])> {
-        let covered = |index: &&SecondaryIndex| index.signature.is_covered_by(cols);
-        let width = |index: &SecondaryIndex| index.signature.columns().len();
-        let widest = self.indexes.iter().filter(covered).map(width).max()?;
-        self.indexes
-            .iter()
-            .filter(|index| width(index) == widest && covered(index))
-            .map(|index| (index, self.probe_bucket(index, cols, key)))
-            .min_by_key(|(index, bucket)| (bucket.len(), &index.signature))
-    }
-
-    /// The single access-path chooser behind every join. A lookup whose
-    /// `cols` (sorted, with `key` holding the bound values in the same
-    /// order) bind the whole primary key goes to the primary index: it
-    /// finds the one row with that key and checks the leftover bound
-    /// columns on it, and is accounted exactly as the probe of an index on
-    /// `cols` it stands in for — one probe, the row examined if that
-    /// index's bucket would have held it. Any other lookup is a
-    /// *cost-based* choice among the declared indexes: any index whose
-    /// signature is a subset of `cols` can serve it; the most selective
-    /// candidate wins (most bound columns, then smallest bucket, then
-    /// signature order — see `Relation::best_index`), with the
-    /// signature-leftover columns checked residually on each probed row.
-    /// Only when no index covers any bound column does the lookup fall
-    /// back to an equivalent residual scan — `cols` may be empty for a
-    /// genuine cross product. The chosen path and the tuples examined are
-    /// recorded in `stats` up front; iteration is lazy.
+    /// The lookup behind every join: the tuples visible at or before
+    /// `seq_limit` that carry `key` in `cols` (sorted and deduplicated,
+    /// `key` holding the bound values in the same order), in primary-key
+    /// order, through the one access path those columns have (see the
+    /// module docs): the primary index when they bind the whole primary
+    /// key, else the secondary index on exactly `cols`, else a residual
+    /// scan — `cols` may be empty for a genuine cross product. The path and
+    /// the tuples examined are recorded in `stats` up front; iteration is
+    /// lazy.
     pub fn lookup<'r>(
         &'r self,
         cols: &[usize],
@@ -617,30 +527,32 @@ impl Relation {
         stats: &mut JoinStats,
     ) -> impl Iterator<Item = &'r StoredTuple> + use<'r> {
         debug_assert!(members >= 1, "a lookup serves at least one environment");
-        // The slots to walk and the bound columns they already satisfy;
-        // the rest are enforced residually (none for a key probe or an
-        // exact-signature match, all of them for a scan).
+        debug_assert!(
+            cols.windows(2).all(|w| w[0] < w[1]),
+            "lookup columns must be sorted"
+        );
         let probed = if self.binds_key(cols) {
-            Some((self.key_probe(cols, key), cols))
+            Some(self.key_probe(cols, key))
         } else {
-            let best = self.best_index(cols, key);
-            best.map(|(index, bucket)| (bucket, index.signature.columns()))
+            let mut indexes = self.indexes.iter();
+            let index = indexes.find(|index| index.signature.columns() == cols);
+            index.map(|index| self.bucket(index, key))
         };
-        let (slots, satisfied) = match probed {
-            Some(probed) => {
+        // The slots to walk and the bound columns left to compare on
+        // them: none after a probe, every one in a scan.
+        let (slots, residual) = match probed {
+            Some(slots) => {
                 stats.logical_probes += members;
                 stats.distinct_probes += 1;
-                probed
+                (slots, &[][..])
             }
             None => {
                 stats.scans += members;
-                (self.ordered(), &[][..])
+                (self.ordered(), cols)
             }
         };
         stats.tuples_examined += slots.len() * members;
-        let residual = cols.iter().copied().zip(key);
-        let residual = residual.filter(|(col, _)| !satisfied.contains(col));
-        self.matches(slots, residual, seq_limit)
+        self.matches(slots, residual.iter().copied().zip(key), seq_limit)
     }
 
     /// Existence variant of [`Relation::lookup`]: whether any tuple visible
@@ -1093,18 +1005,19 @@ mod tests {
     }
 
     #[test]
-    fn scan_match_respects_bindings_and_seq() {
+    fn scans_respect_bindings_and_seq() {
         let mut r = Relation::new(RelationSchema::new("r"));
         r.insert(t(&[1, 10]), 1, 0);
         r.insert(t(&[1, 20]), 2, 0);
         r.insert(t(&[2, 30]), 3, 0);
-        let bound = vec![(0usize, Value::Int(1))];
-        let hits: Vec<_> = r.scan_match(&bound, u64::MAX).collect();
-        assert_eq!(hits.len(), 2);
-        let hits: Vec<_> = r.scan_match(&bound, 1).collect();
-        assert_eq!(hits.len(), 1, "seq limit hides newer tuples");
-        let unbound: Vec<_> = r.scan_match(&[], u64::MAX).collect();
-        assert_eq!(unbound.len(), 3);
+        let mut stats = JoinStats::default();
+        let one = [Value::Int(1)];
+        assert_eq!(r.lookup(&[0], &one, u64::MAX, &mut stats).count(), 2);
+        let hits = r.lookup(&[0], &one, 1, &mut stats).count();
+        assert_eq!(hits, 1, "seq limit hides newer tuples");
+        assert_eq!(r.lookup(&[], &[], u64::MAX, &mut stats).count(), 3);
+        assert_eq!((stats.scans, stats.logical_probes), (3, 0));
+        assert_eq!(stats.tuples_examined, 9, "every row, every scan");
     }
 
     #[test]
@@ -1131,12 +1044,23 @@ mod tests {
         assert!(r.expire(u64::MAX).is_empty());
     }
 
+    /// The rows of a lookup that an index must answer: one probe, no scan.
     fn probed(r: &Relation, cols: &[usize], key: &[i64], seq_limit: u64) -> Vec<Tuple> {
         let key: Vec<Value> = key.iter().map(|&v| Value::Int(v)).collect();
-        r.probe(cols, &key, seq_limit)
-            .expect("index exists")
-            .map(|s| s.tuple.clone())
-            .collect()
+        let mut stats = JoinStats::default();
+        let rows = r.lookup(cols, &key, seq_limit, &mut stats);
+        let rows = rows.map(|s| s.tuple.clone()).collect();
+        assert_eq!((stats.logical_probes, stats.scans), (1, 0), "{cols:?}");
+        rows
+    }
+
+    /// The rows carrying `key` in `cols`, found by walking every row.
+    fn filtered(r: &Relation, cols: &[usize], key: &[i64]) -> Vec<Tuple> {
+        let carries = |s: &&StoredTuple| {
+            let mut bound = cols.iter().zip(key);
+            bound.all(|(&c, &v)| s.tuple.get(c) == Some(&Value::Int(v)))
+        };
+        r.iter().filter(carries).map(|s| s.tuple.clone()).collect()
     }
 
     #[test]
@@ -1146,17 +1070,16 @@ mod tests {
         for i in 0..10 {
             r.insert(t(&[i, i % 3]), i as u64 + 1, 0);
         }
-        let bound = vec![(1usize, Value::Int(2))];
-        let scanned: Vec<Tuple> = r
-            .scan_match(&bound, u64::MAX)
-            .map(|s| s.tuple.clone())
-            .collect();
+        let scanned = filtered(&r, &[1], &[2]);
         assert_eq!(probed(&r, &[1], &[2], u64::MAX), scanned);
         assert_eq!(scanned.len(), 3);
         // Probes respect the PSN visibility limit like scans do.
         assert_eq!(probed(&r, &[1], &[2], 3).len(), 1);
-        // Missing signature returns None so callers can fall back.
-        assert!(r.probe(&[0], &[Value::Int(1)], u64::MAX).is_none());
+        // An undeclared signature scans.
+        let mut stats = JoinStats::default();
+        let hits = r.lookup(&[0], &[Value::Int(1)], u64::MAX, &mut stats);
+        assert_eq!(hits.count(), 1);
+        assert_eq!((stats.scans, stats.tuples_examined), (1, 10));
     }
 
     #[test]
@@ -1241,56 +1164,29 @@ mod tests {
     }
 
     #[test]
-    fn subset_index_serves_wider_bindings() {
-        // Only [0] is indexed, but the lookup binds columns 0 and 1: the
-        // access path must still be a probe (with column 1 checked
-        // residually), not a full scan.
+    fn only_the_exact_signature_serves_a_lookup() {
+        // [0] and [1] are indexed, but the lookup binds columns 0 and 1:
+        // no index is on exactly those, so it scans.
         let mut r = Relation::new(RelationSchema::new("r"));
         r.ensure_index(&[0]);
+        r.ensure_index(&[1]);
         for i in 0..20 {
             r.insert(t(&[i % 4, i % 2, i]), i as u64 + 1, 0);
         }
         let mut stats = JoinStats::default();
         let hits = lookup_all(&r, &[0, 1], &[1, 1], &mut stats);
-        assert_eq!(stats.logical_probes, 1);
-        assert_eq!(stats.distinct_probes, 1);
-        assert_eq!(stats.scans, 0);
-        assert_eq!(stats.tuples_examined, 5, "the [0]-bucket for value 1");
-        let bound = vec![(0usize, Value::Int(1)), (1usize, Value::Int(1))];
-        let scanned: Vec<Tuple> = r
-            .scan_match(&bound, u64::MAX)
-            .map(|s| s.tuple.clone())
-            .collect();
-        assert_eq!(hits, scanned, "residual filtering matches the scan");
-        assert!(!hits.is_empty());
-    }
-
-    #[test]
-    fn most_selective_candidate_wins() {
-        // Two single-column candidates: column 0 is highly skewed (one big
-        // bucket), column 1 is nearly unique. The cost-based choice must
-        // probe the column-1 index — the smaller bucket.
-        let mut r = Relation::new(RelationSchema::new("r"));
-        r.ensure_index(&[0]);
-        r.ensure_index(&[1]);
-        for i in 0..50 {
-            r.insert(t(&[0, i, i * 10]), i as u64 + 1, 0);
-        }
-        let mut stats = JoinStats::default();
-        let hits = lookup_all(&r, &[0, 1], &[0, 7], &mut stats);
-        assert_eq!(hits, vec![t(&[0, 7, 70])]);
-        assert_eq!(stats.logical_probes, 1);
-        assert_eq!(
-            stats.tuples_examined, 1,
-            "the unique column-1 bucket, not the 50-tuple column-0 bucket"
-        );
-
-        // And a composite index beats both single-column candidates.
-        r.ensure_index(&[0, 1]);
-        let mut stats = JoinStats::default();
-        let hits = lookup_all(&r, &[0, 1], &[0, 7], &mut stats);
-        assert_eq!(hits, vec![t(&[0, 7, 70])]);
-        assert_eq!(stats.tuples_examined, 1);
+        assert_eq!(hits, filtered(&r, &[0, 1], &[1, 1]));
+        assert_eq!(hits.len(), 5);
+        let scan = JoinStats {
+            logical_probes: 0,
+            distinct_probes: 0,
+            scans: 1,
+            tuples_examined: 20,
+        };
+        assert_eq!(stats, scan);
+        // Declared, the composite index answers alone.
+        r.ensure_index(&[1, 0]);
+        assert_eq!(probed(&r, &[0, 1], &[1, 1], u64::MAX), hits);
     }
 
     #[test]
@@ -1307,32 +1203,6 @@ mod tests {
         assert_eq!(stats.scans, 1);
         assert_eq!(stats.logical_probes, 0);
         assert_eq!(stats.distinct_probes, 0);
-    }
-
-    #[test]
-    fn tied_candidates_resolve_by_signature_order() {
-        // Two single-column candidates with identical bucket estimates:
-        // the tie must break on the signatures themselves ([0] < [1]), not
-        // on declaration order, so every engine picks the same access path.
-        let build = |first: usize, second: usize| {
-            let mut r = Relation::new(RelationSchema::new("r"));
-            r.ensure_index(&[first]);
-            r.ensure_index(&[second]);
-            for i in 0..12 {
-                // Both columns split the relation into equal-size buckets.
-                r.insert(t(&[i % 3, i % 3, i]), i as u64 + 1, 0);
-            }
-            r
-        };
-        let key = [Value::Int(1), Value::Int(1)];
-        for r in [build(0, 1), build(1, 0)] {
-            let (chosen, _) = r.best_index(&[0, 1], &key).expect("candidates exist");
-            assert_eq!(
-                chosen.signature.columns(),
-                &[0],
-                "exact ties resolve to the smaller signature"
-            );
-        }
     }
 
     #[test]
@@ -1370,14 +1240,16 @@ mod tests {
         assert!(lookup_all(&r, &[0, 1, 5], &[1, 7, 1], &mut stats).is_empty());
         assert!(lookup_all(&r, &[0, 1], &[2, 7], &mut stats).is_empty());
         assert_eq!((stats.logical_probes, stats.tuples_examined), (4, 0));
-        // Grouped, invisible, and through `probe`.
+        // Grouped and invisible.
         let key = [Value::Int(1), Value::Int(7)];
         let mut stats = JoinStats::default();
         assert_eq!(r.lookup_n(&[0, 1], &key, 3, 4, &mut stats).count(), 0);
         assert_eq!((stats.logical_probes, stats.distinct_probes), (4, 1));
         assert_eq!(stats.tuples_examined, 4, "examined, then hidden by seq");
-        assert_eq!(probed(&r, &[0, 1], &[1, 7], u64::MAX), [t(&[1, 7, 1])]);
-        assert!(r.probe(&[1], &[Value::Int(7)], u64::MAX).is_none());
+        // Part of the key, undeclared: a scan.
+        let mut stats = JoinStats::default();
+        assert_eq!(lookup_all(&r, &[1], &[7], &mut stats), [t(&[1, 7, 1])]);
+        assert_eq!((stats.scans, stats.logical_probes), (1, 0));
     }
 
     #[test]
@@ -1435,13 +1307,13 @@ mod tests {
     #[test]
     fn index_ignores_short_tuples() {
         // Heterogeneous arities sharing a relation: tuples lacking the
-        // indexed column are unreachable by probes, matching scan_match.
+        // indexed column are unreachable by probes, as by scans.
         let mut r = Relation::new(RelationSchema::new("r"));
         r.ensure_index(&[2]);
         r.insert(t(&[1]), 1, 0);
         r.insert(t(&[1, 2, 3]), 2, 0);
         assert_eq!(probed(&r, &[2], &[3], u64::MAX), vec![t(&[1, 2, 3])]);
-        let filed = |r: &Relation| r.index_stats().map(|(_, _, n)| n).sum::<usize>();
+        let filed = |r: &Relation| r.indexes[0].table.len();
         assert_eq!(filed(&r), 1, "rows lacking the column are skipped");
         r.remove(&t(&[1]));
         assert_eq!((r.len(), filed(&r)), (1, 1));
@@ -1609,15 +1481,13 @@ mod tests {
         assert!(lookup_all(&r, &[0], &[77], &mut stats).is_empty());
         assert_eq!((stats.logical_probes, stats.distinct_probes), (1, 1));
         assert_eq!((stats.scans, stats.tuples_examined), (0, 0));
-        // Absent only in the residual column: the bucket is examined.
+        // Scanned: absent in one column, or stored there but in another
+        // row than the first column's value; every row is examined.
         let mut stats = JoinStats::default();
         assert!(lookup_all(&r, &[0, 1], &[1, 77], &mut stats).is_empty());
-        assert_eq!((stats.logical_probes, stats.tuples_examined), (1, 3));
-        // Stored in the residual column, but of another bucket's row.
-        let mut stats = JoinStats::default();
         assert!(lookup_all(&r, &[0, 1], &[1, 2], &mut stats).is_empty());
-        assert_eq!(stats.tuples_examined, 3);
-        // A residual column beyond the rows' arity matches nothing.
+        assert_eq!((stats.scans, stats.tuples_examined), (2, 12));
+        // A bound column beyond the rows' arity matches nothing.
         assert!(lookup_all(&r, &[0, 5], &[1, 1], &mut stats).is_empty());
     }
 

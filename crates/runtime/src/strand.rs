@@ -22,13 +22,15 @@
 //! atom, records which of its columns are already bound when the join runs
 //! — constants, and variables bound by the trigger atom, by earlier atoms
 //! or by earlier assignments — as that atom's probe stage. At run time the
-//! stage resolves those columns against each row and probes the relation's
-//! secondary index for that signature (see [`crate::index`]), touching only
-//! the matching tuples; the full scan survives solely as the fallback for
-//! atoms with no bound columns (a genuine cross product) or relations
-//! without the declared index. [`CompiledStrand::index_requirements`]
-//! exposes every signature a strand probes so stores build each index once
-//! per program, not per join.
+//! stage resolves those columns against each row and looks them up through
+//! the one access path the relation has for that signature (see
+//! [`crate::relation`]): the primary index when they bind the whole primary
+//! key, else the secondary index on exactly those columns, touching only the
+//! matching tuples; the full scan survives solely as the fallback for atoms
+//! with no bound columns (a genuine cross product) or relations without the
+//! declared index. [`CompiledStrand::index_requirements`] exposes every
+//! signature a strand probes so stores build each index once per program,
+//! not per join.
 
 use crate::expr::EvalError;
 use crate::store::Store;
@@ -137,29 +139,18 @@ impl CompiledStrand {
     /// statistics (`logical_probes`, `scans`, `tuples_examined`); only
     /// `distinct_probes` counts the bucket lookups actually executed. See
     /// the [`crate::batch`] module docs for what the oracle checks.
-    ///
-    /// With a cross-rule probe `cache` ([`crate::subplan`]), probe stages
-    /// whose `(relation, cols)` signature is armed in it fetch their
-    /// candidates through it, so a `(relation, cols, key)` bucket lookup
-    /// executes once per round no matter how many strands share it.
-    /// Derivations and the logical join statistics are unchanged; only
-    /// `distinct_probes` shrinks further (cache hits execute no lookup),
-    /// and single-trigger batches also take the grouped arm so their
-    /// probes participate in the sharing.
-    pub fn fire_batch<'r>(
+    pub fn fire_batch(
         &self,
-        store: &'r Store,
+        store: &Store,
         triggers: &[crate::batch::BatchTrigger],
         stats: &mut JoinStats,
         scratch: &mut crate::batch::BatchScratch,
         out: &mut crate::batch::BatchOutput,
-        cache: Option<&mut crate::subplan::ProbeCache<'r>>,
     ) -> Result<(), EvalError> {
         debug_assert!(triggers
             .iter()
             .all(|t| t.delta.relation == self.rule.trigger_relation));
-        self.batch
-            .fire_batch(store, triggers, stats, scratch, out, cache)
+        self.batch.fire_batch(store, triggers, stats, scratch, out)
     }
 }
 
@@ -196,7 +187,7 @@ mod tests {
     ) -> Result<Vec<Derivation>, EvalError> {
         let triggers = [BatchTrigger { delta, seq_limit }];
         let (mut scratch, mut out) = (BatchScratch::default(), BatchOutput::default());
-        strand.fire_batch(store, &triggers, stats, &mut scratch, &mut out, None)?;
+        strand.fire_batch(store, &triggers, stats, &mut scratch, &mut out)?;
         Ok(out.all().to_vec())
     }
 
@@ -499,12 +490,12 @@ mod tests {
         batch: Vec<(crate::tuple::Sign, Tuple, u64)>,
         /// Distinct (probe stage, key) pairs the one-trigger batch and the
         /// whole batch look up in an index — what `distinct_probes` must
-        /// read, cache or no cache.
+        /// read.
         keys: [usize; 2],
         /// Derivations per trigger of the whole batch.
         derived: Vec<usize>,
         /// Logical probes, scans and tuples examined by the one-trigger
-        /// batch and by the whole batch, cache or no cache.
+        /// batch and by the whole batch.
         joins: [[usize; 3]; 2],
     }
 
@@ -747,18 +738,15 @@ mod tests {
         ]
     }
 
-    /// Every arm of the batch path's one probe loop against the naive
+    /// Both arms of the batch path's one probe loop against the naive
     /// oracle: each rule shape, as a one-trigger batch (a lone row takes
     /// one plain lookup) and as a batch over two keys with mixed signs and
-    /// visibility limits (the key-grouped arm), without a cross-rule cache
-    /// and with one armed for everything the strand probes (the grouped arm
-    /// even for a lone row), all through one lent set of buffers. Per
-    /// trigger, the derivations are `ndlog_oracle::fire_one`'s; the join
-    /// counts are pinned.
+    /// visibility limits (the key-grouped arm), all through one lent set of
+    /// buffers. Per trigger, the derivations are `ndlog_oracle::fire_one`'s;
+    /// the join counts are pinned.
     #[test]
     fn fire_batch_matches_fire_per_trigger() {
         use crate::batch::EvalBuffers;
-        use crate::subplan::ProbeCache;
         let mut lent = EvalBuffers::default();
         for case in cases() {
             let shape = case.shape;
@@ -798,7 +786,6 @@ mod tests {
                     (delta, seq_limit)
                 })
                 .collect();
-            let armed = strand.index_requirements();
             // What each trigger derives, by the oracle, sorted.
             let expected: Vec<Vec<Vec<Value>>> = deltas
                 .iter()
@@ -821,40 +808,32 @@ mod tests {
                         seq_limit: *seq_limit,
                     })
                     .collect();
-                for cached in [false, true] {
-                    let what = format!("{shape}, {} trigger(s), cache: {cached}", batch.len());
-                    let mut cache = cached.then(|| ProbeCache::new(&armed));
-                    // A second firing through the same cache finds every
-                    // key already fetched.
-                    for firing in 0..1 + usize::from(cached) {
-                        let mut stats = JoinStats::default();
-                        let EvalBuffers { scratch, out, .. } = &mut lent;
-                        strand
-                            .fire_batch(&store, &triggers, &mut stats, scratch, out, cache.as_mut())
-                            .unwrap();
-                        for (i, (delta, _)) in batch.iter().enumerate() {
-                            let fired = out.for_trigger(i);
-                            let mut rows: Vec<Vec<Value>> = fired
-                                .iter()
-                                .map(|d| d.delta.tuple.values().to_vec())
-                                .collect();
-                            rows.sort();
-                            assert_eq!(rows, expected[i], "{what}, trigger {i}");
-                            for d in fired {
-                                assert_eq!(d.delta.sign, delta.sign, "{what}, trigger {i}");
-                                assert_eq!(d.location, d.delta.tuple.location(), "{what}");
-                            }
-                        }
-                        out.drain_into(|_, _| ());
-                        assert!(lent.holds_only_capacity(), "{what}");
-                        // Grouping and caching never change the logical
-                        // accounting; only the executed lookups shrink.
-                        let logical = [stats.logical_probes, stats.scans, stats.tuples_examined];
-                        assert_eq!(logical, case.joins[n], "{what}");
-                        let executed = if firing == 0 { case.keys[n] } else { 0 };
-                        assert_eq!(stats.distinct_probes, executed, "{what}, firing {firing}");
+                let what = format!("{shape}, {} trigger(s)", batch.len());
+                let mut stats = JoinStats::default();
+                let EvalBuffers { scratch, out, .. } = &mut lent;
+                strand
+                    .fire_batch(&store, &triggers, &mut stats, scratch, out)
+                    .unwrap();
+                for (i, (delta, _)) in batch.iter().enumerate() {
+                    let fired = out.for_trigger(i);
+                    let mut rows: Vec<Vec<Value>> = fired
+                        .iter()
+                        .map(|d| d.delta.tuple.values().to_vec())
+                        .collect();
+                    rows.sort();
+                    assert_eq!(rows, expected[i], "{what}, trigger {i}");
+                    for d in fired {
+                        assert_eq!(d.delta.sign, delta.sign, "{what}, trigger {i}");
+                        assert_eq!(d.location, d.delta.tuple.location(), "{what}");
                     }
                 }
+                out.drain_into(|_, _| ());
+                assert!(lent.holds_only_capacity(), "{what}");
+                // Grouping never changes the logical accounting; only the
+                // executed lookups shrink.
+                let logical = [stats.logical_probes, stats.scans, stats.tuples_examined];
+                assert_eq!(logical, case.joins[n], "{what}");
+                assert_eq!(stats.distinct_probes, case.keys[n], "{what}");
             }
         }
     }
@@ -900,7 +879,7 @@ mod tests {
         let mut scratch = BatchScratch::default();
         let mut out = BatchOutput::default();
         link_strand
-            .fire_batch(&store, &triggers, &mut stats, &mut scratch, &mut out, None)
+            .fire_batch(&store, &triggers, &mut stats, &mut scratch, &mut out)
             .unwrap();
         assert_eq!(
             stats.distinct_probes, 1,

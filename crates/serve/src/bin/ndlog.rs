@@ -1,6 +1,8 @@
 //! The `ndlog` command: interactive shell, network service and CI smoke
 //! test over the shared session layer.
 
+#![forbid(unsafe_code)]
+
 use ndlog_serve::client::ScriptClient;
 use ndlog_serve::{repl, service, Service};
 use std::sync::Arc;

@@ -65,6 +65,8 @@
 //! performance is measured by the `serve_mixed` workload of the
 //! standalone `benchmark/` package.
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod error;
 pub mod protocol;

@@ -422,10 +422,20 @@ impl Core {
             }
         }
         let n = deltas.len();
-        let stats = self
-            .eval
-            .update_batch(deltas.clone())
-            .map_err(|e| ServeError::new(format!("evaluation error: {e}")))?;
+        let stats = match self.eval.update_batch(deltas.clone()) {
+            Ok(stats) => stats,
+            Err(e) => {
+                // The batch is half-applied: put back the engine the commit
+                // log describes, as a rebuild would, with no epoch and no
+                // frame for the failed batch.
+                self.eval = self.replayed(&self.program).map_err(|restore| {
+                    ServeError::new(format!("evaluation error: {e}; {restore}"))
+                })?;
+                return Err(ServeError::new(format!(
+                    "evaluation error: {e}; nothing committed"
+                )));
+            }
+        };
         self.epoch += 1;
         self.commits.push(CommittedBatch {
             session,
@@ -550,20 +560,20 @@ impl Core {
         fresh_label_in(&self.program)
     }
 
-    /// Swap in an extended program: re-run the optimizer pipeline over the
-    /// whole extended program (the same entry the initial load used, so a
-    /// mid-session rule gets the load-time plan), rebuild a fresh engine,
-    /// replay the commit log (incremental == from-scratch, so the store
-    /// including derivation counts is exactly as if the program had always
-    /// been this one), and send subscribers the net visibility diff.
-    fn rebuild(&mut self, program: Program, what: String) -> Result<Response, ServeError> {
-        let before = self.subscribed_visible();
-        let optimized = optimize(&program, &self.pipeline)
+    /// A fresh engine for `program`, its tap watching what the current
+    /// one's watches: the optimizer pipeline over the whole program (the
+    /// same entry the initial load used, so a mid-session rule gets the
+    /// load-time plan), its fixpoint, then the commit log replayed — the
+    /// store, derivation counts included, is exactly as if the program had
+    /// always been this one and only the logged batches had arrived. The
+    /// replay's transitions are drained: they are not what subscribers
+    /// should see.
+    fn replayed(&self, program: &Program) -> Result<Evaluator, ServeError> {
+        let optimized = optimize(program, &self.pipeline)
             .map_err(|e| ServeError::new(format!("optimizer failed: {e}")))?;
         let mut eval = Evaluator::new(&optimized.program).map_err(ServeError::new)?;
-        let watched: Vec<String> = self.eval.tap().subscribed().map(str::to_string).collect();
-        for relation in &watched {
-            eval.tap_mut().subscribe(relation.clone());
+        for relation in self.eval.tap().subscribed() {
+            eval.tap_mut().subscribe(relation.to_string());
         }
         eval.run(Strategy::Pipelined)
             .map_err(|e| ServeError::new(format!("fixpoint failed: {e}")))?;
@@ -571,11 +581,16 @@ impl Core {
             eval.update_batch(batch.deltas.clone())
                 .map_err(|e| ServeError::new(format!("replaying the commit log failed: {e}")))?;
         }
-        // The replay's transition noise is not what subscribers should
-        // see — the net effect of the program change is the before/after
-        // diff, delivered below as one epoch.
         eval.drain_tap();
-        self.eval = eval;
+        Ok(eval)
+    }
+
+    /// Swap in an extended program: rebuild a fresh engine for it over the
+    /// commit log, and send subscribers the net visibility diff as one
+    /// epoch.
+    fn rebuild(&mut self, program: Program, what: String) -> Result<Response, ServeError> {
+        let before = self.subscribed_visible();
+        self.eval = self.replayed(&program)?;
         self.program = program;
         self.epoch += 1;
         let after = self.subscribed_visible();
@@ -1063,6 +1078,49 @@ mod tests {
             panic!()
         };
         assert_eq!(rows, [Tuple::new(vec![Value::Int(1), Value::Int(2)])]);
+    }
+
+    /// A batch whose evaluation fails commits nothing: store, epoch and
+    /// commit log stay as they were, no subscriber gets a frame, and the
+    /// next commit is the next epoch, its frame holding only its own
+    /// transitions.
+    #[test]
+    fn a_batch_that_fails_evaluation_commits_nothing() {
+        let service = Service::new();
+        let session = service.open_session(Arc::new(NullSink));
+        let sink = CollectSink::new();
+        let watcher = service.open_session(sink.clone());
+        session
+            .execute_line("r1 out(@S, C) :- src(@S, X), C := X + 1.")
+            .unwrap();
+        session.execute_line("+src(1, 2).").unwrap();
+        watcher.execute_line(".subscribe src").unwrap();
+        watcher.execute_line(".subscribe out").unwrap();
+        sink.drain();
+        let (epoch, fingerprint) = (service.epoch(), service.fingerprint());
+        let commits = service.commit_log().len();
+
+        let failed = session.execute_line("+src[(2, 5), (3, \"a\"), (4, 7)].");
+        let err = failed.unwrap_err().to_string();
+        assert!(err.contains("type mismatch"), "{err}");
+        assert!(err.ends_with("nothing committed"), "{err}");
+        assert_eq!(service.fingerprint(), fingerprint);
+        assert_eq!(service.epoch(), epoch);
+        assert_eq!(service.commit_log().len(), commits);
+        assert!(sink.drain().is_empty(), "no frame for a failed batch");
+
+        session.execute_line("+src(4, 7).").unwrap();
+        assert_eq!(service.epoch(), epoch + 1);
+        let events = sink.drain();
+        let tuples: Vec<String> = events.iter().map(|e| e.delta.tuple.to_string()).collect();
+        assert_eq!(tuples, ["(4, 7)", "(4, 8)"], "{events:?}");
+        assert!(events.iter().all(|e| e.epoch == epoch + 1));
+        // A rebuild replays exactly what was committed.
+        session.execute_line("r2 seen(@S) :- src(@S, X).").unwrap();
+        let Response::Rows { rows, .. } = session.execute_line("?- src(_, _).").unwrap() else {
+            panic!()
+        };
+        assert_eq!(rows.len(), 2, "{rows:?}");
     }
 
     #[test]

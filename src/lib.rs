@@ -16,6 +16,8 @@
 //! * [`serve`] — the interactive shell and line-protocol network service
 //!   with live incremental query subscriptions.
 
+#![forbid(unsafe_code)]
+
 pub use ndlog_core as core;
 pub use ndlog_lang as lang;
 pub use ndlog_net as net;

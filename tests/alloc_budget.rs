@@ -27,13 +27,13 @@
 //! set (release build; a debug build's `check_invariants` allocates nothing
 //! per row, so it reads the same):
 //!
-//! | | before lent buffers and one-allocation tuples | after | aggregate views hold outputs only | key-bound re-derivation plans | fingerprint → slot tables | shared list tails | 16-byte values | rows without ids |
-//! |---|---|---|---|---|---|---|---|---|
-//! | allocator calls per derivation | 18.234 | 4.705 | 4.597 | 4.191 | 3.789 | 3.681 | 3.681 | 3.637 |
-//! | requested bytes per derivation | | | | | 635.7 | 582.4 | 479.8 | 424.6 |
-//! | live allocations per stored tuple | 10.462 | 4.524 | 4.260 | 3.936 | 2.635 | 2.413 | 2.418 | 2.320 |
-//! | live bytes per stored tuple | 1946.1 | 1070.9 | 961.1 | 932.4 | 732.2 | 704.4 | 602.3 | 459.0 |
-//! | peak live bytes per stored tuple | | | | | 1147.9 | 1031.9 | 853.2 | 714.0 |
+//! | | before lent buffers and one-allocation tuples | after | aggregate views hold outputs only | key-bound re-derivation plans | fingerprint → slot tables | shared list tails | 16-byte values | rows without ids | no cross-rule probe cache |
+//! |---|---|---|---|---|---|---|---|---|---|
+//! | allocator calls per derivation | 18.234 | 4.705 | 4.597 | 4.191 | 3.789 | 3.681 | 3.681 | 3.637 | 3.403 |
+//! | requested bytes per derivation | | | | | 635.7 | 582.4 | 479.8 | 424.6 | 400.7 |
+//! | live allocations per stored tuple | 10.462 | 4.524 | 4.260 | 3.936 | 2.635 | 2.413 | 2.418 | 2.320 | 2.294 |
+//! | live bytes per stored tuple | 1946.1 | 1070.9 | 961.1 | 932.4 | 732.2 | 704.4 | 602.3 | 459.0 | 457.6 |
+//! | peak live bytes per stored tuple | | | | | 1147.9 | 1031.9 | 853.2 | 714.0 | 712.5 |
 //!
 //! The fourth column's live figures are the two indexes only the old
 //! re-derivation probed (`path[1]`, `path_sp2_xd[1]`) leaving every node.
@@ -59,7 +59,9 @@
 //! the store without its per-relation value dictionary: a slab slot is the
 //! stored tuple alone, 48 bytes instead of 88 (67.6 slab bytes per stored
 //! tuple instead of 123.6), and the tables fingerprint and verify the
-//! values themselves.
+//! values themselves. The ninth is every round firing without a
+//! cross-rule probe cache: no per-round key map and candidate vectors,
+//! and no per-node list of shared signatures (the live difference).
 //!
 //! Beside it, two smaller pins: extending a path vector is one allocator
 //! call, and a request line of `MAX_LINE_BYTES` makes the parser hold a
@@ -80,15 +82,15 @@ use std::collections::BTreeMap;
 use std::hash::BuildHasher;
 
 /// Allocator calls (`alloc` + `realloc`) per derivation during the run.
-const MAX_ALLOCS_PER_DERIVATION: f64 = 4.01;
+const MAX_ALLOCS_PER_DERIVATION: f64 = 3.75;
 /// Requested bytes (`alloc` sizes + `realloc` growth) per derivation.
-const MAX_REQUESTED_BYTES_PER_DERIVATION: f64 = 468.0;
+const MAX_REQUESTED_BYTES_PER_DERIVATION: f64 = 441.0;
 /// Live allocations per stored tuple at quiescence.
-const MAX_LIVE_ALLOCS_PER_TUPLE: f64 = 2.56;
+const MAX_LIVE_ALLOCS_PER_TUPLE: f64 = 2.53;
 /// Live requested bytes per stored tuple at quiescence.
-const MAX_LIVE_BYTES_PER_TUPLE: f64 = 505.0;
+const MAX_LIVE_BYTES_PER_TUPLE: f64 = 504.0;
 /// The high-water mark of live requested bytes, per stored tuple.
-const MAX_PEAK_BYTES_PER_TUPLE: f64 = 786.0;
+const MAX_PEAK_BYTES_PER_TUPLE: f64 = 784.0;
 /// Live requested bytes a parsed request line holds, per byte of the line.
 const MAX_LIVE_BYTES_PER_LINE_BYTE: f64 = 35.2;
 /// The high-water mark of live requested bytes while parsing a request

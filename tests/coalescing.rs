@@ -1,20 +1,19 @@
-//! Delivery-coalescing equivalence properties.
+//! Delivery-coalescing correctness properties.
 //!
 //! The epoch executor merges consecutive same-node deliveries into one
 //! receive batch (one `process` call over every payload of the run)
-//! instead of one `process` per message. Coalescing changes the *schedule*
-//! — message traces and probe counts differ from the per-event engine —
-//! but it must not change *results*. This test pins both halves of that
-//! contract on seeded random topologies:
+//! instead of one `process` per message. That is the engine's only
+//! delivery schedule; it changes message traces and probe counts relative
+//! to one `process` per message, but it must not change *results*. This
+//! test pins that contract on seeded random topologies against two
+//! independent references:
 //!
-//! * within each delivery mode, runs at 1, 2 and 4 executor threads are
-//!   bit-for-bit identical (stores, statistics, message trace);
-//! * across modes, the coalesced and per-event engines reach the same
-//!   `shortestPath` fixpoint, which matches the underlay's Dijkstra
-//!   distances everywhere and — on the sparse topology, where
-//!   selection-free evaluation is tractable — a centralized evaluation
-//!   over the same base facts under every strategy of Section 3: SN,
-//!   BSN and PSN.
+//! * runs at 1, 2 and 4 executor threads are bit-for-bit identical
+//!   (stores, statistics, message trace);
+//! * the `shortestPath` fixpoint matches the underlay's Dijkstra distances
+//!   everywhere and — on the sparse topology, where selection-free
+//!   evaluation is tractable — a centralized evaluation over the same base
+//!   facts under every strategy of Section 3: SN, BSN and PSN.
 
 use ndlog_core::consistency::{check_against_centralized, check_bitwise_identical};
 use ndlog_core::{plan, DistributedEngine, EngineConfig};
@@ -42,7 +41,7 @@ fn result_set(engine: &DistributedEngine) -> BTreeSet<Tuple> {
 }
 
 #[test]
-fn coalesced_delivery_is_equivalent_to_per_event_delivery() {
+fn coalesced_delivery_matches_dijkstra_and_the_centralized_fixpoints() {
     // (name, transit-stub shape, overlay neighbors, centralized
     // comparison feasible), regenerated per seed. The centralized
     // evaluator runs without aggregate selections and therefore
@@ -80,13 +79,12 @@ fn coalesced_delivery_is_equivalent_to_per_event_delivery() {
                 ));
             }
 
-            let run = |coalesce: bool, threads: usize| -> DistributedEngine {
+            let run = |threads: usize| -> DistributedEngine {
                 let program = programs::shortest_path("");
                 let query_plan = plan(&program).unwrap();
                 let mut config = EngineConfig::default();
                 config.node.aggregate_selections = true;
                 config.parallelism = threads;
-                config.coalesce_deliveries = coalesce;
                 let mut engine =
                     DistributedEngine::new(overlay.graph.clone(), &[query_plan], config).unwrap();
                 for l in overlay.links() {
@@ -103,70 +101,46 @@ fn coalesced_delivery_is_equivalent_to_per_event_delivery() {
                 engine
             };
 
-            let mut fixpoints = Vec::new();
-            for coalesce in [true, false] {
-                let mode = if coalesce { "coalesced" } else { "per-event" };
-                let baseline = run(coalesce, 1);
+            let baseline = run(1);
+            let delivery = baseline.delivery_stats();
+            assert!(delivery.deliveries > 0, "{name}/seed {seed}: no messages");
+            assert!(delivery.mean_batch_width() >= 1.0);
 
-                // Per-event delivery means one receive batch per message;
-                // coalescing can only widen batches.
-                let delivery = baseline.delivery_stats();
-                assert!(delivery.deliveries > 0, "{name}/seed {seed}: no messages");
-                if coalesce {
-                    assert!(delivery.mean_batch_width() >= 1.0);
-                } else {
-                    assert_eq!(delivery.deliveries, delivery.receive_batches);
-                }
-
-                // Within a mode, thread count must not change anything.
-                for threads in [2, 4] {
-                    let parallel = run(coalesce, threads);
-                    check_bitwise_identical(&baseline, &parallel).unwrap_or_else(|e| {
-                        panic!("{mode}, topology {name}, seed {seed:#x}, {threads} threads: {e}")
-                    });
-                }
-
-                // Each mode's fixpoint must match the centralized one
-                // (where tractable) and the underlay's Dijkstra costs.
-                if centralized_ok {
-                    check_against_centralized(
-                        &baseline,
-                        &programs::shortest_path(""),
-                        &base,
-                        "shortestPath",
-                    )
-                    .unwrap_or_else(|e| panic!("{mode}, topology {name}, seed {seed:#x}: {e}"));
-                }
-                for src in overlay.graph.nodes() {
-                    let oracle = overlay.graph.shortest_distances(src, Metric::Reliability);
-                    for (node, tuple) in baseline.results("shortestPath") {
-                        if node != src {
-                            continue;
-                        }
-                        let dst = tuple.get(1).unwrap().as_addr().unwrap();
-                        let cost = tuple.get(3).unwrap().as_f64().unwrap();
-                        assert!(
-                            (cost - oracle[dst.index()]).abs() < 1e-6,
-                            "{mode}, topology {name}, seed {seed:#x}: cost mismatch {src}->{dst}"
-                        );
-                    }
-                }
-                fixpoints.push(result_set(&baseline));
+            // Thread count must not change anything.
+            for threads in [2, 4] {
+                let parallel = run(threads);
+                check_bitwise_identical(&baseline, &parallel).unwrap_or_else(|e| {
+                    panic!("topology {name}, seed {seed:#x}, {threads} threads: {e}")
+                });
             }
 
-            // Across modes: different schedules, same fixpoint.
-            assert_eq!(
-                fixpoints[0], fixpoints[1],
-                "topology {name}, seed {seed:#x}: coalesced and per-event fixpoints differ"
-            );
+            // The fixpoint matches the underlay's Dijkstra costs…
+            for src in overlay.graph.nodes() {
+                let oracle = overlay.graph.shortest_distances(src, Metric::Reliability);
+                for (node, tuple) in baseline.results("shortestPath") {
+                    if node != src {
+                        continue;
+                    }
+                    let dst = tuple.get(1).unwrap().as_addr().unwrap();
+                    let cost = tuple.get(3).unwrap().as_f64().unwrap();
+                    assert!(
+                        (cost - oracle[dst.index()]).abs() < 1e-6,
+                        "topology {name}, seed {seed:#x}: cost mismatch {src}->{dst}"
+                    );
+                }
+            }
 
-            // And the centralized fixpoint itself is strategy-independent:
-            // SN, BSN and PSN all agree with what the distributed engines
-            // converged to (tie-free costs make the comparison exact).
+            // …and, where tractable, the centralized fixpoint, which is
+            // itself strategy-independent: SN, BSN and PSN all agree with
+            // what the distributed engine converged to (tie-free costs make
+            // the comparison exact).
             if !centralized_ok {
                 continue;
             }
             let program = programs::shortest_path("");
+            check_against_centralized(&baseline, &program, &base, "shortestPath")
+                .unwrap_or_else(|e| panic!("topology {name}, seed {seed:#x}: {e}"));
+            let distributed = result_set(&baseline);
             for strategy in [
                 Strategy::SemiNaive,
                 Strategy::Buffered { batch: 16 },
@@ -180,7 +154,7 @@ fn coalesced_delivery_is_equivalent_to_per_event_delivery() {
                 let central: BTreeSet<Tuple> =
                     evaluator.results("shortestPath").into_iter().collect();
                 assert_eq!(
-                    central, fixpoints[0],
+                    central, distributed,
                     "topology {name}, seed {seed:#x}: {strategy:?} centralized fixpoint \
                      differs from the distributed one"
                 );

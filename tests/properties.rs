@@ -17,10 +17,12 @@
 //!   over the one local fixpoint driver — agree on stores and statistics;
 //! * `Value` equality is the relation its ordering decides, and equal
 //!   values hash alike;
-//! * an integral `Float` prints byte-for-byte what `{:.1}` prints.
+//! * an integral `Float` prints byte-for-byte what `{:.1}` prints;
+//! * the canonical programs never scan: every join has its index.
 
 use ndlog_core::{plan, NodeConfig, NodeEngine};
 use ndlog_lang::localize::{is_localized, localize};
+use ndlog_lang::optimizer::{optimize, PassSet};
 use ndlog_lang::{parse_program, programs, Program, Value};
 use ndlog_net::NodeAddr;
 use ndlog_oracle::Oracle;
@@ -559,6 +561,45 @@ proptest! {
             let a: Vec<_> = eval.store().relation(name).unwrap().iter().collect();
             let b: Vec<_> = node.store().relation(name).unwrap().iter().collect();
             prop_assert_eq!(a, b, "relation {} diverges", name);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Every join of the canonical programs has the index its probe
+    /// declared: under SN and PSN, from scratch and through the deletion of
+    /// a link, the evaluator probes and never scans a relation.
+    #[test]
+    fn canonical_programs_never_scan(edges in edges_strategy(6, 10)) {
+        let pipeline = programs::source_routing_pipeline("").with_passes(PassSet::ALL);
+        let base = programs::shortest_path_source_routing_base("");
+        let canonical = [
+            programs::shortest_path(""),
+            programs::shortest_path_soft("", 60.0),
+            programs::distance_vector("", 4),
+            programs::reachability(""),
+            programs::shortest_path_magic_dst(""),
+            programs::shortest_path_source_routing(""),
+            optimize(&base, &pipeline).unwrap().program,
+        ];
+        let (a, b, c) = edges[0];
+        let removed = [link(a, b, f64::from(c)), link(b, a, f64::from(c))];
+        for (i, program) in canonical.iter().enumerate() {
+            for strategy in [EvalStrategy::SemiNaive, EvalStrategy::Pipelined] {
+                let mut eval = loaded(program, &edges, true);
+                for (magic, node) in [("magicSrc", a), ("magicDst", b)] {
+                    if eval.store().relation(magic).is_some() {
+                        eval.insert_fact(magic, Tuple::new(vec![Value::addr(node)]));
+                    }
+                }
+                let run = eval.run(strategy).unwrap();
+                let deletion = removed.iter().map(|t| TupleDelta::delete("link", t.clone()));
+                let deleted = eval.update_batch(deletion.collect()).unwrap();
+                prop_assert!(run.logical_probes > 0, "program {} probes nothing", i);
+                prop_assert_eq!((run.scans, deleted.scans), (0, 0), "program {} under {:?}", i, strategy);
+            }
         }
     }
 }
