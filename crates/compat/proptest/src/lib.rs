@@ -21,6 +21,8 @@
 //! failures reproducible and debuggable without proptest's machinery or
 //! any network access at build time.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Deterministic SplitMix64 generator used to produce test cases.

@@ -13,6 +13,8 @@
 //! equally deterministic and reproducible) topologies than they would with
 //! the real crate.
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 /// Types that can be sampled uniformly by [`Rng::random_range`].

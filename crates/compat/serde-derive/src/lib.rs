@@ -8,6 +8,8 @@
 //! `#[derive(Serialize, Deserialize)]` in the tree source-compatible with
 //! the real serde while requiring no network access to build.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::TokenStream;
 
 /// Accept and discard a `#[derive(Serialize)]` request.

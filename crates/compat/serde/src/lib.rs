@@ -15,6 +15,8 @@
 //! Replacing this with the real serde is a one-line edit to the workspace
 //! `[workspace.dependencies]` table; no source file needs to change.
 
+#![forbid(unsafe_code)]
+
 /// Marker stand-in for `serde::Serialize`; blanket-implemented for all types.
 pub trait Serialize {}
 impl<T: ?Sized> Serialize for T {}

@@ -20,11 +20,12 @@
 //! The event loop always runs in *epochs*: batches of events within a
 //! conservative lookahead window are evaluated by the [`crate::exec`]
 //! subsystem and their effects merged back in `(time, seq)` order. With
-//! [`EngineConfig::parallelism`] ≥ 2 the epoch's nodes are sharded across
-//! that many OS threads; with 1 thread the same dispatch runs inline on
-//! the caller. Either way a run is bit-for-bit identical across thread
-//! counts. Consecutive same-node deliveries within an epoch are merged
-//! into one receive batch, and the wire payload buffers circulate through
+//! [`EngineConfig::parallelism`] ≥ 2 an epoch with several active nodes
+//! runs them on up to that many lanes, the caller and scoped threads of
+//! that epoch; otherwise the same drain runs inline on the caller. Either
+//! way a run is bit-for-bit identical across thread counts. Consecutive
+//! same-node deliveries within an epoch are merged into one receive
+//! batch, and the wire payload buffers circulate through
 //! per-node arenas ([`crate::exec::arena`]) instead of being reallocated
 //! per message.
 
@@ -38,7 +39,7 @@ use ndlog_net::sim::{ms, to_seconds, SimTime};
 use ndlog_net::stats::NetStats;
 use ndlog_net::topology::Topology;
 use ndlog_net::{FaultPlan, FaultStats, Message, NodeAddr, SimConfig, Simulator};
-use ndlog_runtime::{EvalBuffers, EvalError, EvalStats, RelName, Sign, Tuple, TupleDelta};
+use ndlog_runtime::{EvalError, EvalStats, RelName, Sign, Tuple, TupleDelta};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -63,10 +64,11 @@ pub struct EngineConfig {
     /// Relations whose propagation is blocked at specific nodes (used by
     /// the query-result caching experiment).
     pub blocked_propagation: BTreeMap<String, BTreeSet<NodeAddr>>,
-    /// Number of executor threads (default 1 = epochs evaluated inline on
-    /// the caller). Any value ≥ 2 shards the simulated nodes across that
-    /// many OS threads per epoch; results are bit-for-bit identical at
-    /// every thread count (see [`crate::exec`]).
+    /// Number of executor lanes (default 1 = epochs evaluated inline on
+    /// the caller). With a value ≥ 2, each epoch's active nodes are pulled
+    /// by up to that many lanes: the caller plus threads scoped to the
+    /// epoch. Results are bit-for-bit identical at every thread count (see
+    /// [`crate::exec`]).
     pub parallelism: usize,
     /// Deterministic fault plan attached to the simulator (loss, jitter,
     /// duplication, partitions, crash/rejoin waves). `None` keeps the
@@ -198,7 +200,7 @@ pub struct ConvergenceReport {
 impl ConvergenceReport {
     /// Fraction of eventual results that had reached their final value by
     /// time `t` seconds (the y-axis of Figures 8 and 10).
-    pub fn completion_at(&self, t: f64) -> f64 {
+    fn completion_at(&self, t: f64) -> f64 {
         if self.total_results == 0 {
             return 0.0;
         }
@@ -229,11 +231,9 @@ pub struct DistributedEngine {
     flush_pending: BTreeSet<NodeAddr>,
     sharing_enabled: bool,
     max_seconds: f64,
-    /// Drives the epoch event loop (inline at 1 thread, pooled above).
+    /// Drives the epoch event loop, and lends its lane 0's evaluation
+    /// buffers to the inject path.
     executor: EpochExecutor,
-    /// The evaluation buffers of the sequential inject path (the epoch
-    /// loop's belong to the executor's lanes).
-    buffers: EvalBuffers,
     delivery_stats: DeliveryStats,
     /// Base facts per node, remembered for refresh re-announcement and
     /// crash rejoin (tracked only when a fault plan or refresh driver is
@@ -296,7 +296,6 @@ impl DistributedEngine {
             sharing_enabled,
             max_seconds: config.max_seconds,
             executor: EpochExecutor::new(config.parallelism, sharing_enabled),
-            buffers: EvalBuffers::default(),
             delivery_stats: DeliveryStats::default(),
             seeds: BTreeMap::new(),
             refresh: config.refresh,
@@ -310,14 +309,6 @@ impl DistributedEngine {
     /// The number of executor threads in effect (1 = inline epochs).
     pub fn parallelism(&self) -> usize {
         self.executor.threads()
-    }
-
-    /// Change the number of executor threads. `threads <= 1` evaluates
-    /// epochs inline on the caller; `threads >= 2` shards nodes across
-    /// that many OS threads per epoch. Safe to flip between runs —
-    /// results are bit-for-bit identical either way.
-    pub fn set_parallelism(&mut self, threads: usize) {
-        self.executor = EpochExecutor::new(threads, self.sharing_enabled);
     }
 
     /// Delivery/receive-batch counters accumulated by the event loop (the
@@ -502,15 +493,16 @@ impl DistributedEngine {
     /// Process a node to its local fixpoint at the current simulation time
     /// and ship its outbound batches: the clock advance and soft-state
     /// expiry of a delivery, then the node step every epoch lane runs
-    /// ([`node_step`]), so parallel runs stay bit-identical to sequential
-    /// ones.
+    /// ([`node_step`]) in lane 0's buffers, so parallel runs stay
+    /// bit-identical to sequential ones.
     fn process_node(&mut self, addr: NodeAddr) -> Result<(), EvalError> {
         let now = self.sim.now();
         let node = self.nodes.get_mut(&addr).expect("known node");
         node.set_time(now);
         node.expire_soft_state(now);
+        let buffers = self.executor.caller_buffers();
         // An injection is no simulator event, so it has no sequence number.
-        let outcome = node_step(node, now, 0, self.sharing_enabled, &mut self.buffers)?;
+        let outcome = node_step(node, now, 0, self.sharing_enabled, buffers)?;
         self.apply_effects(outcome);
         Ok(())
     }
@@ -627,7 +619,7 @@ impl DistributedEngine {
     /// network quiesces. Returns a report of the run so far.
     ///
     /// Drains the simulator in epochs, evaluates each on the executor
-    /// (inline at 1 thread, on the worker pool above), and replays the
+    /// (inline at 1 thread, on scoped lanes above), and replays the
     /// merged outcomes in `(time, seq)` order (see [`crate::exec`] for
     /// the full contract).
     pub fn run_until(&mut self, seconds: f64) -> Result<RunReport, EvalError> {
@@ -1099,19 +1091,6 @@ mod tests {
         let parallel = run(4);
         assert_eq!(shortest_cost(&parallel, 0, 1), 5.0);
         crate::consistency::check_bitwise_identical(&sequential, &parallel).unwrap();
-    }
-
-    #[test]
-    fn set_parallelism_flips_between_runs() {
-        let mut engine = build_parallel_engine(true, 1);
-        engine.run_until(0.001).unwrap();
-        engine.set_parallelism(4);
-        assert_eq!(engine.parallelism(), 4);
-        let report = engine.run_to_quiescence().unwrap();
-        assert!(report.quiesced);
-        assert_eq!(engine.result_count("shortestPath"), 12);
-        engine.set_parallelism(1);
-        assert_eq!(engine.parallelism(), 1);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! traffic of the pre-arena implementation, which grew a fresh `Vec` per
 //! message by pushing: for a payload of n deltas that is the whole
 //! doubling series 4 + 8 + … + next_pow2(n) backing allocations
-//! ([`unpooled_alloc_bytes`]), accounted when the payload is recycled.
+//! (`unpooled_alloc_bytes`), accounted when the payload is recycled.
 //! [`ArenaStats::allocated_bytes`] telescopes rented-out capacity against
 //! recycled capacity, which sums to the backing capacity the buffers end
 //! up with (growth of a pooled buffer *within* a rent shows up in its next
@@ -60,7 +60,7 @@ fn capacity_bytes(buf: &Vec<TupleDelta>) -> u64 {
 /// from the allocator for a payload of `len` deltas: the doubling series
 /// 4, 8, …, next_pow2(len) — every intermediate backing store is a real
 /// allocation (and a copy) the pool-free wire path performed.
-pub fn unpooled_alloc_bytes(len: usize) -> u64 {
+fn unpooled_alloc_bytes(len: usize) -> u64 {
     if len == 0 {
         return 0;
     }
@@ -86,7 +86,7 @@ pub struct ArenaStats {
     pub reuses: u64,
     /// Bytes the pre-arena per-message growth path would have requested
     /// from the allocator: Σ over recycled payloads of
-    /// [`unpooled_alloc_bytes`] of their length.
+    /// `unpooled_alloc_bytes` of their length.
     pub demand_bytes: u64,
     /// Capacity bytes handed out by `rent`.
     pub rented_capacity_bytes: u64,
@@ -104,21 +104,6 @@ impl ArenaStats {
     pub fn allocated_bytes(&self) -> u64 {
         self.recycled_capacity_bytes
             .saturating_sub(self.rented_capacity_bytes)
-    }
-
-    /// How many times smaller the pooled allocation volume is than the
-    /// per-message demand (`f64::INFINITY` when nothing was allocated).
-    pub fn reduction_factor(&self) -> f64 {
-        let allocated = self.allocated_bytes();
-        if allocated == 0 {
-            if self.demand_bytes == 0 {
-                1.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            self.demand_bytes as f64 / allocated as f64
-        }
     }
 
     /// Sum another arena's counters into this one.
@@ -220,7 +205,7 @@ mod tests {
         // len 8 → growth series 4 + 8 per pass, two passes.
         assert_eq!(stats.demand_bytes, 2 * unpooled_alloc_bytes(8));
         assert_eq!(unpooled_alloc_bytes(8), 12 * DELTA_BYTES);
-        assert!(stats.reduction_factor() > 1.0);
+        assert!(stats.demand_bytes > stats.allocated_bytes());
     }
 
     #[test]
@@ -260,10 +245,5 @@ mod tests {
         assert_eq!(total.rents, 1);
         assert!(total.allocated_bytes() > 0);
         assert_eq!(total.demand_bytes, unpooled_alloc_bytes(4));
-    }
-
-    #[test]
-    fn empty_stats_report_unity_reduction() {
-        assert_eq!(ArenaStats::default().reduction_factor(), 1.0);
     }
 }

@@ -16,17 +16,20 @@
 //!
 //! 1. group the epoch's [`NodeTask`]s by destination node, preserving
 //!    order;
-//! 2. put one work item per active node on a shared [`WorkQueue`] and let
-//!    every lane — the calling thread plus the reusable
-//!    [`WorkerPool`] — *steal* items until the queue is dry, so a lane
-//!    stuck on one expensive node never idles the others
-//!    ([`crate::exec::queue`]);
+//! 2. run `min(threads, active nodes)` lanes — lane 0 on the calling
+//!    thread, the others as [`std::thread::scope`] threads of this epoch —
+//!    that pull one item per active node from a shared iterator until it
+//!    is dry, so a lane stuck on one expensive node never idles the
+//!    others. Node state is partitioned, so any assignment of nodes to
+//!    lanes is correct; it only affects balance. One lane runs inline,
+//!    with no scope and no spawn;
 //! 3. each lane runs the sequential engine's per-event recipe for its
-//!    stolen nodes — `receive` → `set_time` → `expire_soft_state` →
+//!    nodes — `receive` → `set_time` → `expire_soft_state` →
 //!    `process` for deliveries, `flush` for flush timers — recording one
 //!    [`EpochOutcome`] per task *without* touching any shared mutable
 //!    state. Every node a lane evaluates is processed in that lane's own
-//!    [`EvalBuffers`], which the executor keeps for its lifetime: the
+//!    [`EvalBuffers`], which the executor keeps for its lifetime and lends
+//!    each lane as a plain `&mut`, so no lock guards them: the
 //!    buffers' high-water mark is paid once per lane, not once per node,
 //!    and since they carry capacity only, never state, which lane ran
 //!    which node stays unobservable. Under **delivery coalescing**, the
@@ -79,15 +82,14 @@
 //! state beyond that point is unspecified in both modes.
 
 use crate::engine::ResultRecord;
-use crate::exec::queue::WorkQueue;
-use crate::exec::worker::WorkerPool;
 use crate::node::{NodeEngine, ResultChange};
 use crate::sharing;
 use ndlog_net::sim::SimTime;
 use ndlog_net::NodeAddr;
 use ndlog_runtime::{EvalBuffers, EvalError, TupleDelta};
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
+use std::vec;
 
 /// What an epoch event asks a node to do.
 #[derive(Debug)]
@@ -261,41 +263,46 @@ pub struct EpochResult {
     pub receive_batches: u64,
 }
 
-/// The parallel epoch executor: a worker pool plus the dispatch/merge
-/// logic. Construction is cheap relative to a run; the pool threads live
-/// for the executor's lifetime.
+/// One active node's share of an epoch: its engine and its tasks in
+/// `(time, seq)` order.
+type WorkItem<'n> = (&'n mut NodeEngine, Vec<NodeTask>);
+
+/// The parallel epoch executor: the lanes' evaluation buffers plus the
+/// dispatch/merge logic. It holds no threads; an epoch with more than one
+/// lane spawns them for its own duration.
 pub struct EpochExecutor {
-    pool: Option<WorkerPool>,
-    threads: usize,
     /// One set of evaluation buffers per lane, reused across every node
-    /// and epoch the lane drains. Each lock is taken once per epoch, by the
-    /// one job of that lane.
-    lane_buffers: Vec<Mutex<EvalBuffers>>,
+    /// and epoch the lane drains; lane 0 runs on the caller.
+    lane_buffers: Vec<EvalBuffers>,
     /// Message-sharing mode of the owning engine, needed to pre-compute
     /// outbound wire sizes in the lanes.
     sharing_enabled: bool,
 }
 
 impl EpochExecutor {
-    /// An executor with `threads`-way parallelism: the calling thread
-    /// counts as one lane and a pool of `threads - 1` workers supplies the
-    /// rest. `threads <= 1` runs epochs inline on the caller's thread (no
-    /// pool), which exercises the same queue/steal/merge path and is
-    /// useful for differential testing. `sharing_enabled` selects the
-    /// wire-size accounting used to pre-serialize outbound batches.
+    /// An executor with up to `threads` lanes per epoch: the calling
+    /// thread is lane 0 and scoped threads supply the rest. `threads <= 1`
+    /// runs every epoch inline on the caller, through the same drain and
+    /// merge. `sharing_enabled` selects the wire-size accounting used to
+    /// pre-serialize outbound batches.
     pub fn new(threads: usize, sharing_enabled: bool) -> EpochExecutor {
-        let threads = threads.max(1);
         EpochExecutor {
-            pool: (threads > 1).then(|| WorkerPool::new(threads - 1)),
-            threads,
-            lane_buffers: (0..threads).map(|_| Mutex::default()).collect(),
+            lane_buffers: (0..threads.max(1))
+                .map(|_| EvalBuffers::default())
+                .collect(),
             sharing_enabled,
         }
     }
 
-    /// The configured worker count.
+    /// The configured lane count.
     pub fn threads(&self) -> usize {
-        self.threads
+        self.lane_buffers.len()
+    }
+
+    /// Lane 0's buffers, which the engine's inject path borrows between
+    /// epochs: lane 0 runs on the caller, so the two never overlap.
+    pub(crate) fn caller_buffers(&mut self) -> &mut EvalBuffers {
+        &mut self.lane_buffers[0]
     }
 
     /// Evaluate one epoch of tasks against the nodes, concurrently, and
@@ -303,7 +310,7 @@ impl EpochExecutor {
     /// docs for the determinism contract and [`EpochResult`] for the
     /// error-path guarantees).
     pub fn run_epoch(
-        &self,
+        &mut self,
         nodes: &mut BTreeMap<NodeAddr, NodeEngine>,
         tasks: Vec<NodeTask>,
     ) -> EpochResult {
@@ -322,7 +329,7 @@ impl EpochExecutor {
         }
 
         // One work item per active node, claimed dynamically by the lanes.
-        let mut items: Vec<(&mut NodeEngine, Vec<NodeTask>)> = Vec::with_capacity(by_node.len());
+        let mut items: Vec<WorkItem> = Vec::with_capacity(by_node.len());
         for (addr, engine) in nodes.iter_mut() {
             if let Some(tasks) = by_node.remove(addr) {
                 items.push((engine, tasks));
@@ -335,33 +342,27 @@ impl EpochExecutor {
             "epoch event for unknown node {:?}",
             by_node.keys().next()
         );
-        let queue = WorkQueue::new(items);
-
-        let lanes = self.threads;
+        let lanes = self.lane_buffers.len().min(items.len());
+        let queue = Mutex::new(items.into_iter());
         let sharing = self.sharing_enabled;
-        let mut results: Vec<LaneResult> = (0..lanes).map(|_| LaneResult::default()).collect();
-        let queue = &queue;
-        let run_lane = |slot: &mut LaneResult, buffers: &Mutex<EvalBuffers>| {
-            let mut buffers = buffers
-                .lock()
-                .expect("an earlier epoch's lane panicked mid-evaluation");
-            *slot = drain_lane(queue, sharing, &mut buffers);
-        };
-        match &self.pool {
-            Some(pool) => {
-                let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = results
-                    .iter_mut()
-                    .zip(&self.lane_buffers)
-                    .map(|(slot, buffers)| {
-                        let job: Box<dyn FnOnce() + Send + '_> =
-                            Box::new(move || run_lane(slot, buffers));
-                        job
-                    })
+        let mut buffers = self.lane_buffers.iter_mut();
+        let caller = buffers.next().expect("an executor has at least one lane");
+        let results = if lanes == 1 {
+            vec![drain_lane(&queue, sharing, caller)]
+        } else {
+            std::thread::scope(|scope| {
+                let queue = &queue;
+                let spawned: Vec<_> = buffers
+                    .take(lanes - 1)
+                    .map(|buffers| scope.spawn(move || drain_lane(queue, sharing, buffers)))
                     .collect();
-                pool.scope(jobs);
-            }
-            None => run_lane(&mut results[0], &self.lane_buffers[0]),
-        }
+                let mut results = vec![drain_lane(queue, sharing, caller)];
+                for lane in spawned {
+                    results.push(lane.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+                }
+                results
+            })
+        };
 
         // Deterministic merge: interleave all lanes' outcomes back into
         // global (time, seq) order. With failures, surface the earliest
@@ -422,8 +423,8 @@ impl LaneResult {
     }
 }
 
-/// One lane's share of an epoch: steal per-node work items from the shared
-/// queue until it is dry, mirroring the sequential engine's per-event
+/// One lane's share of an epoch: pull per-node work items from the shared
+/// iterator until it is dry, mirroring the sequential engine's per-event
 /// recipe exactly and pre-serializing each outcome's effects. A run of
 /// consecutive deliveries to the node is ingested back to back and
 /// processed once at the run's last `(time, seq)` — the
@@ -434,12 +435,15 @@ impl LaneResult {
 /// and the earliest failure by `(time, seq)` is reported alongside the
 /// collected outcomes.
 fn drain_lane(
-    queue: &WorkQueue<(&mut NodeEngine, Vec<NodeTask>)>,
+    queue: &Mutex<vec::IntoIter<WorkItem>>,
     sharing_enabled: bool,
     buffers: &mut EvalBuffers,
 ) -> LaneResult {
     let mut lane = LaneResult::default();
-    'nodes: while let Some((node, tasks)) = queue.pop() {
+    // The lock is held for the pop alone, which cannot panic, so it is
+    // never poisoned.
+    let pop = || queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+    'nodes: while let Some((node, tasks)) = pop() {
         let mut tasks = tasks.into_iter().peekable();
         while let Some(task) = tasks.next() {
             debug_assert_eq!(task.node, node.addr());
@@ -566,7 +570,7 @@ mod tests {
     #[test]
     fn outcomes_are_merged_in_time_seq_order() {
         for threads in [1, 2, 4] {
-            let executor = EpochExecutor::new(threads, false);
+            let mut executor = EpochExecutor::new(threads, false);
             let mut nodes = make_nodes(8);
             let result = executor.run_epoch(&mut nodes, deliveries(8));
             assert!(result.error.is_none());
@@ -586,27 +590,56 @@ mod tests {
         }
     }
 
+    /// What an epoch is observed by: each outcome's effects, each node's
+    /// `path` tuples and `EvalStats`, and the delivery counters.
+    type Observed = (
+        Vec<(
+            SimTime,
+            u64,
+            NodeAddr,
+            Vec<ResultRecord>,
+            Vec<OutboundBatch>,
+            bool,
+        )>,
+        Vec<(Vec<Tuple>, ndlog_runtime::EvalStats)>,
+        (u64, u64),
+    );
+
+    /// Run one epoch of `tasks` over `count` fresh nodes at `threads`.
+    fn observe_epoch(threads: usize, count: u32, tasks: Vec<NodeTask>) -> Observed {
+        let mut nodes = make_nodes(count);
+        let result = EpochExecutor::new(threads, false).run_epoch(&mut nodes, tasks);
+        assert!(result.error.is_none());
+        let effects = result.outcomes.into_iter();
+        let effects = effects.map(|o| (o.time, o.seq, o.node, o.records, o.sends, o.request_flush));
+        let stores = nodes
+            .values()
+            .map(|n| (n.store().tuples("path"), n.eval_stats()));
+        let counters = (result.deliveries, result.receive_batches);
+        (effects.collect(), stores.collect(), counters)
+    }
+
     #[test]
     fn thread_count_does_not_change_node_state_or_outcomes() {
-        let run = |threads: usize| {
-            let executor = EpochExecutor::new(threads, false);
-            let mut nodes = make_nodes(6);
-            let result = executor.run_epoch(&mut nodes, deliveries(6));
-            assert!(result.error.is_none());
-            let effects: Vec<_> = result
-                .outcomes
-                .iter()
-                .map(|o| (o.time, o.seq, o.node, o.sends.clone(), o.request_flush))
-                .collect();
-            let stores: Vec<_> = nodes
-                .values()
-                .map(|n| (n.store().tuples("path"), n.eval_stats()))
-                .collect();
-            (effects, stores)
-        };
-        let baseline = run(1);
-        assert_eq!(run(2), baseline);
-        assert_eq!(run(4), baseline);
+        let baseline = observe_epoch(1, 6, deliveries(6));
+        assert_eq!(observe_epoch(2, 6, deliveries(6)), baseline);
+        assert_eq!(observe_epoch(4, 6, deliveries(6)), baseline);
+    }
+
+    #[test]
+    fn one_active_node_at_four_threads_runs_inline() {
+        // One work item makes one lane: the caller drains it alone.
+        let baseline = observe_epoch(1, 4, same_node_deliveries());
+        assert_eq!(observe_epoch(4, 4, same_node_deliveries()), baseline);
+        assert_eq!(baseline.2, (3, 1), "three deliveries, one receive batch");
+    }
+
+    #[test]
+    fn fewer_active_nodes_than_threads_spawn_one_lane_per_node() {
+        // Three of six nodes are active: three lanes at four threads.
+        let baseline = observe_epoch(1, 6, deliveries(3));
+        assert_eq!(observe_epoch(4, 6, deliveries(3)), baseline);
+        assert_eq!(baseline.0.len(), 3);
     }
 
     #[test]
@@ -658,7 +691,7 @@ mod tests {
 
     #[test]
     fn pre_sized_sends_match_the_wire_accounting() {
-        let executor = EpochExecutor::new(2, false);
+        let mut executor = EpochExecutor::new(2, false);
         let mut nodes = make_nodes(4);
         let result = executor.run_epoch(&mut nodes, deliveries(4));
         assert!(result.error.is_none());
@@ -678,7 +711,7 @@ mod tests {
 
     #[test]
     fn empty_epoch_is_a_no_op() {
-        let executor = EpochExecutor::new(2, false);
+        let mut executor = EpochExecutor::new(2, false);
         let mut nodes = make_nodes(2);
         let result = executor.run_epoch(&mut nodes, Vec::new());
         assert!(result.outcomes.is_empty() && result.error.is_none());
@@ -696,7 +729,7 @@ mod tests {
                 .collect(),
         );
         for threads in [1, 2, 4] {
-            let executor = EpochExecutor::new(threads, false);
+            let mut executor = EpochExecutor::new(threads, false);
             let mut nodes: BTreeMap<NodeAddr, NodeEngine> = (0..2u32)
                 .map(|i| {
                     let engine = NodeEngine::new(
@@ -741,7 +774,7 @@ mod tests {
     }
 
     #[test]
-    fn inline_and_pooled_executors_report_threads() {
+    fn executors_report_their_lane_count() {
         assert_eq!(EpochExecutor::new(0, false).threads(), 1);
         assert_eq!(EpochExecutor::new(1, false).threads(), 1);
         assert_eq!(EpochExecutor::new(3, false).threads(), 3);
@@ -760,7 +793,7 @@ mod tests {
 
     #[test]
     fn consecutive_deliveries_coalesce_into_one_receive_batch() {
-        let executor = EpochExecutor::new(1, false);
+        let mut executor = EpochExecutor::new(1, false);
         let mut nodes = make_nodes(1);
         let result = executor.run_epoch(&mut nodes, same_node_deliveries());
         assert!(result.error.is_none());
@@ -774,7 +807,7 @@ mod tests {
 
     #[test]
     fn flush_timers_break_a_coalesced_run() {
-        let executor = EpochExecutor::new(1, false);
+        let mut executor = EpochExecutor::new(1, false);
         let plan = plan(&programs::shortest_path("")).unwrap();
         let strands = Arc::new(plan.strands.clone());
         let config = NodeConfig {

@@ -10,9 +10,7 @@
 //!
 //! | module | role |
 //! |---|---|
-//! | [`worker`] | reusable pool of long-lived `std` worker threads with scoped dispatch |
-//! | [`queue`] | shared work queue: lanes steal per-node items dynamically |
-//! | [`executor`] | per-epoch dispatch, delivery coalescing, effect pre-serialization and the deterministic `(time, seq)` merge |
+//! | [`executor`] | per-epoch scoped lanes pulling per-node items, delivery coalescing, effect pre-serialization and the deterministic `(time, seq)` merge |
 //! | [`arena`] | per-node pools recycling wire-payload buffers through the send → simulate → receive cycle |
 //!
 //! The engine drives it: [`crate::engine::DistributedEngine::run_until`]
@@ -20,7 +18,10 @@
 //! hands each epoch to the [`executor::EpochExecutor`], and replays the
 //! merged outcomes — pre-timestamped result records, pre-sized outbound
 //! batches, flush timers — back into the simulator in the exact order the
-//! sequential loop would have produced them. The formerly serial half of
+//! sequential loop would have produced them. The executor runs an epoch on
+//! the calling thread plus, when more than one node is active and more
+//! than one thread is configured, [`std::thread::scope`] threads that
+//! live for that epoch only. The formerly serial half of
 //! each epoch (rendering tracked changes into result records and walking
 //! every outbound tuple for wire-size accounting) is computed inside the
 //! lanes; the replay tail only appends buffers in `(time, seq)` order. A
@@ -30,11 +31,12 @@
 //!
 //! The lanes also own the memory evaluation runs in: a node engine keeps
 //! its state and nothing else, and each lane lends the one
-//! `ndlog_runtime::EvalBuffers` it holds for the executor's lifetime to
-//! every node it drains, in every epoch ([`executor`]). The buffers grow to
-//! the widest batch a lane has seen and carry capacity only, so their cost
-//! is per lane — not per simulated node, of which one process hosts
-//! hundreds — and lane assignment stays unobservable.
+//! `ndlog_runtime::EvalBuffers` the executor keeps for it to every node it
+//! drains, in every epoch ([`executor`]); lane 0's also serve the engine's
+//! inject path between epochs. The buffers grow to the widest batch a
+//! lane has seen and carry capacity only, so their cost is per lane — not
+//! per simulated node, of which one process hosts hundreds — and lane
+//! assignment stays unobservable.
 //!
 //! Two allocation-level optimizations ride on the same structure without
 //! weakening that contract. *Delivery coalescing* merges each run of
@@ -50,12 +52,9 @@
 
 pub mod arena;
 pub mod executor;
-pub mod queue;
-pub mod worker;
 
 pub use arena::{ArenaStats, DeltaArena};
 pub use executor::{
     outbound_batches, result_records, EpochExecutor, EpochOutcome, EpochResult, NodeAction,
     NodeTask, OutboundBatch,
 };
-pub use worker::WorkerPool;

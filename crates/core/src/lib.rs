@@ -13,11 +13,13 @@
 //! | [`mod@plan`] | the query planner: program → [`plan::QueryPlan`] |
 //! | [`node`] | a single node's engine: store, strands, views, PSN queue, aggregate selections, outbound buffering |
 //! | [`engine`] | the distributed executor: event loop, messaging, convergence/result tracking |
-//! | [`exec`] | parallel epoch executor: worker pool, node sharding, deterministic merge |
+//! | [`exec`] | parallel epoch executor: scoped lanes per epoch, deterministic merge |
 //! | [`sharing`] | opportunistic message sharing (Section 5.2) |
 //! | [`caching`] | query-result caching support for magic queries (Section 5.2) |
 //! | [`updates`] | bursty update workloads (Section 4 / Section 6.5) |
 //! | [`consistency`] | helpers to check distributed results against the centralized evaluator (Theorem 4) |
+
+#![forbid(unsafe_code)]
 
 pub mod caching;
 pub mod consistency;

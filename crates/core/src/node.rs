@@ -383,9 +383,9 @@ impl NodeEngine {
     }
 
     /// [`NodeEngine::process`] in the caller's evaluation buffers. A node
-    /// owns none: whoever drives many nodes — an executor lane, the
-    /// engine's inject path — keeps one set and lends it to each in turn,
-    /// and gets it back holding capacity only.
+    /// owns none: whoever drives many nodes — an executor lane, lane 0's
+    /// set also serving the engine's inject path — keeps one set and lends
+    /// it to each in turn, and gets it back holding capacity only.
     pub fn process_with(&mut self, buffers: &mut EvalBuffers) -> Result<ProcessOutput, EvalError> {
         self.fixpoint
             .run(Strategy::Pipelined, &mut self.site, buffers)?;

@@ -17,9 +17,9 @@
 //! that [`crate::fixpoint::LocalFixpoint::run`] *borrows* for the length of
 //! a run. The owner is whoever drives evaluation and outlives a run — an
 //! executor lane of `ndlog-core` (one value serves every node and epoch
-//! the lane drains), the centralized [`crate::Evaluator`], the distributed
-//! engine's sequential inject path. A process hosting hundreds of node
-//! engines therefore keeps as many high-water-mark buffers as it has
+//! the lane drains, and lane 0's also the distributed engine's inject
+//! path), the centralized [`crate::Evaluator`]. A process hosting hundreds
+//! of node engines therefore keeps as many high-water-mark buffers as it has
 //! lanes, not as it has nodes. The buffers carry capacity only: a firing
 //! leaves its scratch empty and its output is drained by whoever asked for
 //! it, on success and on error alike, so which buffers a run was lent is

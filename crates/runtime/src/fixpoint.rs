@@ -57,10 +57,10 @@
 //! The driver owns a site's *state* — store, views, queue, pending
 //! deletions, tap, statistics — and none of the buffers evaluation runs
 //! in: [`LocalFixpoint::run`] borrows an [`EvalBuffers`] from whoever
-//! drives it (an executor lane, the centralized evaluator, the engine's
-//! inject path; see [`crate::batch`]) and hands it back holding capacity
-//! only, so a process hosting hundreds of sites keeps one set of
-//! high-water-mark buffers per lane, not per site.
+//! drives it (an executor lane, which for lane 0 includes the engine's
+//! inject path, or the centralized evaluator; see [`crate::batch`]) and
+//! hands it back holding capacity only, so a process hosting hundreds of
+//! sites keeps one set of high-water-mark buffers per lane, not per site.
 
 use crate::aggview::AggregateView;
 use crate::batch::{BatchTrigger, EvalBuffers};
@@ -490,9 +490,10 @@ impl LocalFixpoint {
     /// order firing the triggers one at a time would ingest them (strands
     /// in declaration order per trigger), and return how many triggers fired. Every
     /// trigger joins with its own apply timestamp as the visibility limit.
-    /// Triggers whose tuple is no longer stored — over-deleted or replaced
-    /// since being queued — yield nothing: the consequences are moot, and
-    /// a re-derived tuple fires through its own queued insert.
+    /// Triggers whose row is no longer stored — over-deleted or replaced
+    /// since being queued, even if an equal tuple was stored again — yield
+    /// nothing: the consequences are moot, and a re-derived tuple fires
+    /// through its own queued insert.
     ///
     /// All of `round` fires against one store snapshot through the batch
     /// plans, each probe stage through the one access path its relation
@@ -504,11 +505,11 @@ impl LocalFixpoint {
     ) -> Result<usize, EvalError> {
         let mut joins = JoinStats::default();
         let forward = self.strands.iter().filter(|s| !s.is_rederivation());
-        // Whether a trigger is still stored cannot change mid-round: any
-        // removal interrupts the round for a DRed pass before the next
+        // Whether a trigger's row is still stored cannot change mid-round:
+        // any removal interrupts the round for a DRed pass before the next
         // trigger is consumed.
         buffers.live.clear();
-        let stored = round.iter().map(|(delta, _)| self.is_stored(delta));
+        let stored = round.iter().map(|(delta, seq)| self.is_stored(delta, *seq));
         buffers.live.extend(stored);
         let triggers = round.iter().map(|(delta, seq)| BatchTrigger {
             delta,
@@ -519,11 +520,16 @@ impl LocalFixpoint {
         Ok(round.len())
     }
 
-    fn is_stored(&self, delta: &TupleDelta) -> bool {
+    /// Whether the row instance `delta` was queued for is stored: the row
+    /// under its key carries the timestamp `seq` it was applied at (a
+    /// duplicate insert keeps it; a removal and a new insert do not) and
+    /// an equal tuple.
+    fn is_stored(&self, delta: &TupleDelta, seq: u64) -> bool {
         debug_assert_eq!(delta.sign, Sign::Insert);
         self.store
             .relation(&delta.relation)
-            .is_some_and(|r| r.contains(&delta.tuple))
+            .and_then(|r| r.get_by_key_of(&delta.tuple))
+            .is_some_and(|row| row.seq == seq && row.tuple == delta.tuple)
     }
 
     /// Run DRed passes until no removal is pending: over-delete the local

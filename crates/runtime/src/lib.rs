@@ -70,10 +70,11 @@
 //! [`fixpoint::LocalFixpoint::run`] borrows an [`EvalBuffers`] (row
 //! arenas, output buffer, per-round vectors) from its driver and hands it
 //! back holding capacity only. The drivers are the [`Evaluator`] (one
-//! engine, one set), each executor lane of `ndlog-core` (one set for every
-//! node and epoch the lane drains) and the distributed engine's inject
-//! path, so a process hosting hundreds of node engines pays the buffers'
-//! high-water mark once per lane, not once per node — at 150 nodes that
+//! engine, one set) and each executor lane of `ndlog-core` (one set for
+//! every node and epoch the lane drains; the distributed engine's inject
+//! path borrows lane 0's, the lane that runs on the caller), so a process
+//! hosting hundreds of node engines pays the buffers' high-water mark
+//! once per lane, not once per node — at 150 nodes that
 //! was half the live heap. A tuple is one allocation
 //! ([`Tuple`] is an `Arc<[Value]>`, built at its exact size where it is
 //! constructed), extending a list value is one more (a path vector shares

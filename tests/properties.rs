@@ -100,9 +100,6 @@ fn inputs(edges: &[(u32, u32, u8)], bidirectional: bool) -> [Vec<(u32, u32, u8)>
 /// compared with the oracle's, because after a primary-key replacement
 /// stored counts can overshoot the distinct derivations:
 ///
-/// * a tuple removed and inserted again before its first queued firing
-///   fires twice (`reachability`, links `(0,1,1)`, `(0,1,2)`, `(0,1,1)`:
-///   `reachable(0,1)` stored with count 2);
 /// * DRed's key-bound re-derivation sees applied-but-unfired tuples, whose
 ///   own firing then derives the same tuple again (`shortest_path` on the
 ///   triangle 0–1 cost 3, 0–2 and 2–1 cost 1: `shortestPath(0,1,[0,2,1],2)`
@@ -126,6 +123,24 @@ fn reached_by_removals(program: &Program, eval: &mut Evaluator) -> BTreeSet<Stri
             return reached;
         }
         reached.extend(grown);
+    }
+}
+
+/// A link replaced and stored again before its first queued firing fires
+/// once, as the row now stored: `reachable(0,1)` is derivable one way, and
+/// its stored count is 1 under every strategy.
+#[test]
+fn a_trigger_whose_row_was_replaced_fires_once() {
+    let program = programs::reachability("");
+    for strategy in [
+        EvalStrategy::Pipelined,
+        EvalStrategy::SemiNaive,
+        EvalStrategy::Buffered { batch: 2 },
+    ] {
+        let mut eval = loaded(&program, &[(0, 1, 1), (0, 1, 2), (0, 1, 1)], false);
+        eval.run(strategy).unwrap();
+        let once = vec![(vec![Value::addr(0u32), Value::addr(1u32)], 1)];
+        assert_eq!(stored(&eval, "reachable"), once, "{strategy:?}");
     }
 }
 
