@@ -29,6 +29,7 @@
 use crate::exec::arena::{ArenaStats, DeltaArena};
 use crate::plan::QueryPlan;
 use ndlog_lang::aggsel::AggSelectionSpec;
+use ndlog_lang::Value;
 use ndlog_net::sim::SimTime;
 use ndlog_net::NodeAddr;
 use ndlog_runtime::fixpoint::{LocalFixpoint, SiteHook};
@@ -122,14 +123,12 @@ impl SiteHook for NodeSite {
             return true;
         };
         let (Some(candidate), Some(current)) = (
-            delta.tuple.get(sel.value_col).and_then(|v| v.as_f64()),
-            views[*view_idx]
-                .current_for(&delta.tuple)
-                .and_then(|v| v.as_f64()),
+            delta.tuple.get(sel.value_col),
+            views[*view_idx].current_for(&delta.tuple),
         ) else {
             return true;
         };
-        if sel.is_better(candidate, current) {
+        if sel.is_better(candidate, &current) {
             return true;
         }
         self.pruned += 1;
@@ -185,7 +184,7 @@ impl NodeSite {
         self.selection_entry(relation).map(|(sel, _)| sel)
     }
 
-    fn group_key(&self, delta: &TupleDelta) -> Option<Vec<ndlog_lang::Value>> {
+    fn group_key(&self, delta: &TupleDelta) -> Option<Vec<Value>> {
         let sel = self.selection_for(&delta.relation)?;
         if sel.group_cols.iter().any(|&c| delta.tuple.get(c).is_none()) {
             return None;
@@ -367,7 +366,7 @@ impl NodeEngine {
 
     /// Returns the current aggregate value governing a selection relation
     /// group, if any (used by tests).
-    pub fn current_best(&self, relation: &str, tuple: &Tuple) -> Option<ndlog_lang::Value> {
+    pub fn current_best(&self, relation: &str, tuple: &Tuple) -> Option<Value> {
         self.site
             .selection_entry(relation)
             .and_then(|(_, idx)| self.fixpoint.views()[*idx].current_for(tuple))
@@ -416,7 +415,7 @@ impl NodeEngine {
         let site = &mut self.site;
         let held = std::mem::take(&mut site.held);
         // Group keys that contain any deletion are exempt from deduplication.
-        let mut has_delete: BTreeSet<(NodeAddr, RelName, Vec<ndlog_lang::Value>)> = BTreeSet::new();
+        let mut has_delete: BTreeSet<(NodeAddr, RelName, Vec<Value>)> = BTreeSet::new();
         for (dest, delta) in &held {
             if delta.sign == Sign::Delete {
                 if let Some(key) = site.group_key(delta) {
@@ -427,8 +426,7 @@ impl NodeEngine {
         // Decide each entry's fate: sent verbatim, or competing for best
         // insertion per (dest, relation, group).
         let mut verbatim = vec![false; held.len()];
-        let mut best: BTreeMap<(NodeAddr, RelName, Vec<ndlog_lang::Value>), (usize, f64)> =
-            BTreeMap::new();
+        let mut best: BTreeMap<(NodeAddr, RelName, Vec<Value>), (usize, &Value)> = BTreeMap::new();
         for (idx, (dest, delta)) in held.iter().enumerate() {
             let (Some(sel), Sign::Insert, Some(key)) = (
                 site.selection_for(&delta.relation),
@@ -439,17 +437,13 @@ impl NodeEngine {
                 continue;
             };
             let full_key = (*dest, delta.relation.clone(), key);
-            if has_delete.contains(&full_key) {
+            let value = delta.tuple.get(sel.value_col);
+            let Some(value) = value.filter(|_| !has_delete.contains(&full_key)) else {
                 verbatim[idx] = true;
                 continue;
-            }
-            let value = delta
-                .tuple
-                .get(sel.value_col)
-                .and_then(|v| v.as_f64())
-                .unwrap_or(f64::INFINITY);
+            };
             match best.get(&full_key) {
-                Some((_, current)) if !sel.is_better(value, *current) => {}
+                Some((_, current)) if !sel.is_better(value, current) => {}
                 _ => {
                     best.insert(full_key, (idx, value));
                 }
@@ -542,6 +536,37 @@ mod tests {
         let sp = node.store().tuples("shortestPath");
         assert_eq!(sp.len(), 1);
         assert_eq!(sp[0].get(3), Some(&Value::Float(2.0)));
+    }
+
+    #[test]
+    fn aggregate_selection_compares_costs_in_value_order() {
+        let config = NodeConfig {
+            aggregate_selections: true,
+            ..Default::default()
+        };
+        let mut node = make_node(0, config);
+        let path = |z: u32, c: i64| {
+            Tuple::new(vec![
+                addr(0),
+                addr(9),
+                addr(z),
+                Value::list(vec![addr(0), addr(z), addr(9)]),
+                Value::Int(c),
+            ])
+        };
+        // Two integer costs one f64 cannot tell apart: the second is still
+        // strictly better in the order the `min` view folds with.
+        let (big, bigger) = (1i64 << 53, (1i64 << 53) + 1);
+        node.receive(vec![TupleDelta::insert("path", path(1, bigger))]);
+        node.process().unwrap();
+        node.receive(vec![TupleDelta::insert("path", path(2, big))]);
+        node.process().unwrap();
+        assert_eq!(node.store().count("path"), 2);
+        assert_eq!(node.pruned(), 0);
+        assert_eq!(
+            node.current_best("path", &path(1, 0)),
+            Some(Value::Int(big))
+        );
     }
 
     #[test]

@@ -20,6 +20,7 @@
 //! timer).
 
 use crate::ast::{AggFunc, Program, Term};
+use crate::Value;
 use serde::{Deserialize, Serialize};
 
 /// An inferred aggregate selection: tuples of `relation` may be pruned when
@@ -42,8 +43,9 @@ pub struct AggSelectionSpec {
 
 impl AggSelectionSpec {
     /// Whether candidate value `candidate` is strictly better than the
-    /// current aggregate `current` under this selection's function.
-    pub fn is_better(&self, candidate: f64, current: f64) -> bool {
+    /// current aggregate `current` under this selection's function, in
+    /// [`Value`]'s order — the order the aggregate view folds with.
+    pub fn is_better(&self, candidate: &Value, current: &Value) -> bool {
         match self.func {
             AggFunc::Min => candidate < current,
             AggFunc::Max => candidate > current,
@@ -215,14 +217,20 @@ mod tests {
             value_col: 1,
             func: AggFunc::Min,
         };
-        assert!(min.is_better(1.0, 2.0));
-        assert!(!min.is_better(2.0, 2.0));
+        let (one, two, three) = (Value::Int(1), Value::Float(2.0), Value::Int(3));
+        assert!(min.is_better(&one, &two));
+        assert!(!min.is_better(&two, &two));
+        assert!(!min.is_better(&Value::Int(2), &two));
         let max = AggSelectionSpec {
             func: AggFunc::Max,
             ..min.clone()
         };
-        assert!(max.is_better(3.0, 2.0));
-        assert!(!max.is_better(2.0, 2.0));
+        assert!(max.is_better(&three, &two));
+        assert!(!max.is_better(&two, &two));
+        // Integers beyond 2^53 that one f64 cannot tell apart.
+        let (big, bigger) = (Value::Int(1 << 53), Value::Int((1 << 53) + 1));
+        assert!(min.is_better(&big, &bigger));
+        assert!(max.is_better(&bigger, &big));
     }
 
     #[test]

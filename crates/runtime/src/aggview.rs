@@ -22,10 +22,13 @@
 //!   the store, so it is a function of the group's stored contents, not of
 //!   arrival order.
 //! * A deletion cannot be handed to a view. The DRed pass ([`crate::dred`])
-//!   that removes source tuples from the store records the groups they
-//!   belonged to, and [`AggregateView::rebuild_group`] — the one fold over
-//!   the store, an index probe on the group columns — recomputes each such
-//!   group from its surviving inputs.
+//!   that removes source tuples from the store records the groups whose
+//!   output a removal can move ([`AggregateView::removal_can_move`]: for
+//!   `min`/`max`, a removal of the reigning best or of a tie with it; for
+//!   `count`/`sum`, any), and [`AggregateView::rebuild_group`] — the one
+//!   fold over the store, an index probe on the group columns — recomputes
+//!   each such group from its surviving inputs. A group whose extremum a
+//!   removal leaves standing is not touched.
 //!
 //! An insertion that changes a group's aggregate emits a deletion of the
 //! old aggregate tuple and an insertion of the new one (which is what lets
@@ -422,7 +425,8 @@ impl AggregateView {
     }
 
     /// Number of currently non-empty groups.
-    pub fn group_count(&self) -> usize {
+    #[cfg(test)]
+    fn group_count(&self) -> usize {
         self.groups.len()
     }
 
@@ -444,6 +448,22 @@ impl AggregateView {
         let group = Projected::of(&self.key_fields, source_tuple)?;
         let head = self.groups.get(&group as &dyn GroupFields)?;
         Some(&head.tuple)
+    }
+
+    /// Whether removing the source tuple `removed` can move its group's
+    /// output: for `min`/`max`, exactly when its value is not strictly worse
+    /// than the current aggregate in [`Value`]'s order (the order
+    /// `combine` folds with), so a removal of the reigning best or of a tie
+    /// can, and any other cannot; always for `count`/`sum`, and for a tuple
+    /// whose group has no output or that has no aggregated column.
+    pub fn removal_can_move(&self, removed: &Tuple) -> bool {
+        let output = self.current_output_for(removed);
+        let current = output.and_then(|head| head.get(self.agg_pos));
+        match (self.func, removed.get(self.value_col), current) {
+            (AggFunc::Min, Some(value), Some(best)) => value <= best,
+            (AggFunc::Max, Some(value), Some(best)) => value >= best,
+            _ => true,
+        }
     }
 
     /// The group key a source tuple belongs to, or `None` when the tuple

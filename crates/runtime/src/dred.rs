@@ -20,10 +20,14 @@
 //!    were actually removed from the store, mark the entire downstream
 //!    closure — every stored tuple reachable through a strand firing or an
 //!    aggregate view — and then remove every marked tuple outright,
-//!    *ignoring derivation counts*. While the closure runs, aggregate
-//!    groups are **pinned**: the views are not updated, so a cascade
-//!    cannot race past a pending retraction (the group's current output is
-//!    marked as-is and the group is recorded as dirty instead).
+//!    *ignoring derivation counts*. While the closure runs, the views are
+//!    not updated, so a cascade cannot race past a pending retraction: a
+//!    removal that can move its group's aggregate **pins** the group (its
+//!    current output is marked as-is and the group is recorded as dirty).
+//!    For `min`/`max` that is a removal of the reigning best or of a tie;
+//!    an input strictly worse than the group's output leaves it standing
+//!    and pins nothing, so its downstream tuples are neither retracted nor
+//!    re-derived.
 //! 2. **Re-derive** ([`rederive`] plus
 //!    [`crate::aggview::AggregateView::rebuild_group`]): each primary key
 //!    an over-deleted tuple vacated is refilled with whatever still derives
@@ -143,10 +147,20 @@ fn mark(
 /// the same instant — no localized program in this repository has one.
 ///
 /// Aggregate views are pinned for the duration: when a marked tuple feeds
-/// a view, the group's *current* output is marked (so downstream joins
-/// still retract against the not-yet-advanced aggregate) and the group is
-/// recorded as dirty for the rebuild in phase 2. A view holds nothing but
-/// those outputs, and a deletion reaches it only as that rebuild.
+/// a view and its removal can move the group's aggregate
+/// ([`AggregateView::removal_can_move`]), the group's *current* output is
+/// marked (so downstream joins still retract against the not-yet-advanced
+/// aggregate) and the group is recorded as dirty for the rebuild in phase
+/// 2. A view holds nothing but those outputs, and a deletion reaches it
+/// only as that rebuild. A `min` group is pinned exactly when the removed
+/// input's value is not strictly above the group's output — the reigning
+/// best, or a tie, was removed — and a `max` group mirrors that; `count`
+/// and `sum` groups are pinned on every removal. Skipping the rest is
+/// sound because a `min` output is the least of the group's stored,
+/// admitted inputs and the views stay frozen for the whole closure:
+/// removing an input strictly above it leaves the input that holds it in
+/// place, and if that input is removed later in the same pass, its own
+/// removal meets the check at equality and pins the group.
 ///
 /// `self_addr` is the evaluating node in distributed mode: derivations
 /// located elsewhere are collected in [`Marking::remote`] instead of being
@@ -210,10 +224,11 @@ pub fn over_delete(
         std::mem::swap(&mut wave, &mut frontier);
         let mut triggers: Vec<BatchTrigger> = Vec::new();
         // Aggregate views fed by a wave relation: pin the group (mark its
-        // current output as-is, defer the recomputation) and dirty it.
+        // current output as-is, defer the recomputation) and dirty it —
+        // unless the removal cannot move the group's aggregate.
         for delta in &wave {
             for (view_idx, view) in views.iter().enumerate() {
-                if view.source_relation() == delta.relation {
+                if view.source_relation() == delta.relation && view.removal_can_move(&delta.tuple) {
                     if let Some(key) = view.group_key(&delta.tuple) {
                         if let Some(out) = view.current_output(&key).cloned() {
                             mark(
@@ -535,6 +550,87 @@ mod tests {
             "temporarily restored seeds must leave the store again"
         );
         assert!(!store.relation("reach").unwrap().contains(&edge(1, 2)));
+    }
+
+    /// `obs(@0, Z, C)`: input `Z` of node 0's group, with value `C`.
+    fn obs(z: i64, c: i64) -> Tuple {
+        Tuple::new(vec![addr(0), Value::Int(z), Value::Int(c)])
+    }
+
+    /// Feed `obs(@0, Z, C)` for every `(Z, C)` of `inputs` to the view of
+    /// the aggregate `func` over `C`, storing its outputs, then remove
+    /// `obs(@0, removed)` and over-delete from it: the tuples the pass marked
+    /// beyond the seed, and the groups it dirtied.
+    fn remove_input(
+        func: &str,
+        inputs: &[(i64, i64)],
+        removed: (i64, i64),
+    ) -> (Vec<Tuple>, Vec<(usize, Vec<Value>)>) {
+        let program = parse_program(&format!("a best(@S, {func}<C>) :- obs(@S, Z, C).")).unwrap();
+        let mut view = AggregateView::from_rule(&program.rules[0]).unwrap();
+        let mut store = Store::new();
+        for &(z, c) in inputs {
+            store.apply(&TupleDelta::insert("obs", obs(z, c)));
+            for output in view.apply(&store, "obs", &obs(z, c)) {
+                store.apply(&output);
+            }
+        }
+        let seed = TupleDelta::delete("obs", obs(removed.0, removed.1));
+        store.apply(&seed);
+        let marking = over_delete(
+            &mut store,
+            &[],
+            std::slice::from_ref(&view),
+            vec![seed],
+            None,
+            &mut JoinStats::default(),
+            &mut Default::default(),
+        )
+        .unwrap();
+        let marked = marking.rederive_candidates().iter();
+        let marked = marked.map(|d| d.tuple.clone()).collect();
+        (marked, marking.dirty_groups)
+    }
+
+    /// The pin of node 0's group with output `best(@0, aggregate)`: the
+    /// output marked, the group dirty.
+    fn pinned(aggregate: Value) -> (Vec<Tuple>, Vec<(usize, Vec<Value>)>) {
+        let output = Tuple::new(vec![addr(0), aggregate]);
+        (vec![output], vec![(0, vec![addr(0)])])
+    }
+
+    const INPUTS: [(i64, i64); 3] = [(1, 5), (2, 3), (3, 8)];
+
+    #[test]
+    fn a_min_group_is_pinned_only_when_its_minimum_or_a_tie_is_removed() {
+        let untouched = (Vec::new(), Vec::new());
+        assert_eq!(remove_input("min", &INPUTS, (1, 5)), untouched);
+        assert_eq!(remove_input("min", &INPUTS, (3, 8)), untouched);
+        assert_eq!(remove_input("min", &INPUTS, (2, 3)), pinned(Value::Int(3)));
+        let tied = [(1, 5), (2, 3), (4, 3)];
+        assert_eq!(remove_input("min", &tied, (4, 3)), pinned(Value::Int(3)));
+        assert_eq!(remove_input("min", &tied, (2, 3)), pinned(Value::Int(3)));
+    }
+
+    #[test]
+    fn a_max_group_is_pinned_only_when_its_maximum_or_a_tie_is_removed() {
+        let untouched = (Vec::new(), Vec::new());
+        assert_eq!(remove_input("max", &INPUTS, (1, 5)), untouched);
+        assert_eq!(remove_input("max", &INPUTS, (2, 3)), untouched);
+        assert_eq!(remove_input("max", &INPUTS, (3, 8)), pinned(Value::Int(8)));
+        let tied = [(1, 8), (2, 3), (3, 8)];
+        assert_eq!(remove_input("max", &tied, (1, 8)), pinned(Value::Int(8)));
+        assert_eq!(remove_input("max", &tied, (3, 8)), pinned(Value::Int(8)));
+    }
+
+    #[test]
+    fn count_and_sum_groups_are_pinned_on_every_removal() {
+        for removed in INPUTS {
+            let count = pinned(Value::Int(3));
+            assert_eq!(remove_input("count", &INPUTS, removed), count);
+            let sum = pinned(Value::Float(16.0));
+            assert_eq!(remove_input("sum", &INPUTS, removed), sum);
+        }
     }
 
     #[test]

@@ -153,7 +153,7 @@ pub struct EvalStats {
 
 impl EvalStats {
     /// Fold join-level counters into the run statistics.
-    pub fn absorb_joins(&mut self, joins: JoinStats) {
+    fn absorb_joins(&mut self, joins: JoinStats) {
         self.logical_probes += joins.logical_probes;
         self.distinct_probes += joins.distinct_probes;
         self.scans += joins.scans;

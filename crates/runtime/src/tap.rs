@@ -12,10 +12,15 @@
 //! proves this property under churn for every strategy).
 //!
 //! A DRed pass may over-delete a tuple and re-derive it in the same batch;
-//! subscribers then see a `-t, +t` pair. That is deliberate: the tuple's
-//! supporting derivations really did vanish and reappear, and collapsing
-//! the pair would require withholding deltas until the batch ends, which
-//! the session layer — not the tap — is free to do.
+//! subscribers then see a `-t, +t` pair. Such pairs arise only where a
+//! removal could move an aggregate — a `min`/`max` group's reigning best,
+//! or a tie with it, was removed, or a `count`/`sum` input was — and the
+//! group's rebuild lands on the same output, or where the tuple's
+//! supporting derivations really did vanish and come back. A removal that
+//! leaves a group's extremum standing retracts nothing downstream of it
+//! (`tests/live_deltas.rs` checks this minimality under link re-costing).
+//! Collapsing the pairs that remain would require withholding deltas until
+//! the batch ends, which the session layer — not the tap — is free to do.
 //!
 //! The tap is embedded in [`Evaluator`](crate::Evaluator) and
 //! `NodeEngine`; with no subscribed relations it reduces to one empty-set
@@ -51,7 +56,8 @@ impl DeltaTap {
     }
 
     /// Is this relation being recorded?
-    pub fn is_subscribed(&self, relation: &str) -> bool {
+    #[cfg(test)]
+    fn is_subscribed(&self, relation: &str) -> bool {
         self.relations.contains(relation)
     }
 

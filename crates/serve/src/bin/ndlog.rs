@@ -82,7 +82,8 @@ fn main() {
 
 /// The scripted end-to-end session CI runs: load the shortest-path
 /// program over the wire, feed the figure-2 graph, query, subscribe,
-/// break a link, watch the retraction arrive, dump, quit.
+/// re-cost an off-route link twice and hear nothing, break a link, watch
+/// the retraction arrive, dump, quit.
 fn smoke(verbose: bool) -> Result<(), String> {
     let service = Service::new();
     let server = service::start(service, "127.0.0.1:0").map_err(|e| format!("bind: {e}"))?;
@@ -147,13 +148,31 @@ fn smoke(verbose: bool) -> Result<(), String> {
         return Err(format!("bad subscribe snapshot: {snapshot:?}"));
     }
 
+    /// Every delta the commit just made streamed, drained for 200 ms.
+    fn drain(client: &mut ScriptClient) -> Vec<ndlog_serve::client::DeltaLine> {
+        let mut deltas = client.take_deltas();
+        while let Ok(Some(d)) = client.recv_delta(Duration::from_millis(200)) {
+            deltas.push(d);
+        }
+        deltas
+    }
+
+    // Re-costing the off-route link a—b moves no shortest path, so the
+    // shortestPath subscription, the only one, stays silent: no unchanged
+    // route is retracted and re-asserted.
+    for cost in ["6.0", "5.0"] {
+        let recost = format!("+link[(@n0,@n1,{cost}),(@n1,@n0,{cost})].");
+        step(&mut client, verbose, &recost)?;
+        let deltas = drain(&mut client);
+        if !deltas.is_empty() {
+            return Err(format!("re-costing a—b to {cost} streamed {deltas:?}"));
+        }
+    }
+
     // Breaking a—c reroutes a→b; the live stream must carry the exact
     // retraction of the old shortest path.
     step(&mut client, verbose, "-link[(@n0,@n2,1.0),(@n2,@n0,1.0)].")?;
-    let mut deltas = client.take_deltas();
-    while let Ok(Some(d)) = client.recv_delta(Duration::from_millis(200)) {
-        deltas.push(d);
-    }
+    let deltas = drain(&mut client);
     if !deltas
         .iter()
         .any(|d| d.body.starts_with("-shortestPath(@n0, @n1,") && d.body.contains("2.0"))

@@ -6,7 +6,7 @@
 //! This is the subscription-level counterpart of `tests/churn.rs`: the
 //! same seeded workload and burst model, but instead of comparing the
 //! store against a from-scratch oracle, it checks the *stream* the store
-//! emitted on the way there. Two invariants:
+//! emitted on the way there. Three invariants:
 //!
 //! 1. **Alternation** — per tuple, the stream strictly alternates
 //!    insert/retract (no insert of a visible tuple, no retract of an
@@ -15,8 +15,13 @@
 //! 2. **Reconstruction** — folding the stream into a set from empty
 //!    yields exactly the relation's current contents at every burst
 //!    boundary (and after full teardown, exactly nothing).
+//! 3. **Minimality** — with distinct link costs, a batch of link
+//!    re-costings never retracts and then re-asserts the same aggregate or
+//!    best-route tuple: a deletion pins an aggregate group only when it
+//!    can move the group's extremum, so nothing downstream of an unmoved
+//!    best is retracted at all.
 
-use ndlog::lang::{programs, Value};
+use ndlog::lang::{programs, Program, Value};
 use ndlog::runtime::{DeltaTap, Evaluator, Sign, Strategy, Tuple, TupleDelta};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -238,5 +243,75 @@ fn subscription_stream_drains_on_full_teardown() {
             replica.is_empty(),
             "{strategy:?}: stream left a non-empty replica after full teardown: {replica:?}"
         );
+    }
+}
+
+/// Apply `recostings` keyed link re-costings, each one `update_batch` of
+/// both directions' new cost (the key replacement retracts the old), to
+/// `program` on a random 7-node graph with distinct continuous costs, and
+/// return every watched tuple some batch retracted and then re-asserted.
+fn reasserted(program: &Program, watched: [&str; 2], seed: u64, recostings: usize) -> Vec<String> {
+    const NODES: u32 = 7;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut links = Vec::new();
+    for a in 0..NODES {
+        for b in (a + 1)..NODES {
+            if b == a + 1 || rng.random_bool(0.4) {
+                links.push((a, b));
+            }
+        }
+    }
+    let mut eval = Evaluator::new(program).unwrap();
+    for relation in watched {
+        eval.tap_mut().subscribe(relation);
+    }
+    let cost = |rng: &mut StdRng| rng.random_range(1.0..10.0);
+    for &(a, b) in &links {
+        let c = cost(&mut rng);
+        eval.insert_fact("link", link(a, b, c));
+        eval.insert_fact("link", link(b, a, c));
+    }
+    eval.run(Strategy::Pipelined).unwrap();
+    eval.drain_tap();
+
+    let mut pairs = Vec::new();
+    for round in 0..recostings {
+        let (a, b) = links[rng.random_range(0..links.len())];
+        let c = cost(&mut rng);
+        let recost = [(a, b), (b, a)].map(|(s, d)| TupleDelta::insert("link", link(s, d, c)));
+        eval.update_batch(recost.to_vec()).unwrap();
+        let mut retracted = BTreeSet::new();
+        for event in eval.drain_tap() {
+            let key = (event.relation.to_string(), event.tuple.clone());
+            match event.sign {
+                Sign::Delete => {
+                    retracted.insert(key);
+                }
+                Sign::Insert if retracted.contains(&key) => {
+                    pairs.push(format!("seed {seed}, round {round}: -/+ {event}"));
+                }
+                Sign::Insert => {}
+            }
+        }
+    }
+    pairs
+}
+
+#[test]
+fn recosting_a_link_streams_no_retract_reassert_pairs() {
+    let programs = [
+        (programs::shortest_path(""), ["spCost", "shortestPath"]),
+        (programs::distance_vector("", 2), ["bestCost", "bestRoute"]),
+    ];
+    for (program, watched) in &programs {
+        for seed in [7u64, 42, 0xc0ffee, 2026] {
+            let pairs = reasserted(program, *watched, seed, 40);
+            assert!(
+                pairs.is_empty(),
+                "{watched:?}: {} retract/re-assert pairs, first {}",
+                pairs.len(),
+                pairs[0]
+            );
+        }
     }
 }
