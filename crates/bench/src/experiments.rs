@@ -9,8 +9,8 @@
 //! Every figure's plans compile through the optimizer pipeline at the
 //! caller's `passes` level (`PassSet::ALL` is the paper's configuration).
 
+use crate::caching::QueryCache;
 use crate::testbed::{Scale, SourceRoutingSetup, Testbed};
-use ndlog_core::caching::QueryCache;
 use ndlog_core::{sharing, EngineConfig, RefreshConfig, UpdateWorkload};
 use ndlog_lang::{PassSet, Value};
 use ndlog_net::sim::ms;
@@ -315,9 +315,8 @@ impl MagicSetsResult {
 
 /// The result tuple a completed query ships back to its source:
 /// `shortestPath(@D, @S, P, C)` with the path vector and hop-count cost.
-/// This is the same wire artifact [`sharing::result_wire_bytes`] sizes and
-/// [`QueryCache::record_result_delta`] caches, so byte accounting and cache
-/// population consume one object.
+/// This is the wire artifact [`sharing::result_wire_bytes`] sizes, so the
+/// result return is accounted with the engine's per-delta encoding.
 fn result_delta(path: &[NodeAddr]) -> TupleDelta {
     let hops = path.len() - 1;
     TupleDelta::insert(
@@ -331,28 +330,36 @@ fn result_delta(path: &[NodeAddr]) -> TupleDelta {
     )
 }
 
-/// Run one magic (source-routing) path query from `src` to `dst`, with
-/// exploration blocked at `blocked` nodes (cache hits). The plan and the
-/// magic seed tuples both come from the optimizer pipeline carried by
-/// `setup` — with magic disabled the pipeline yields no seeds and the query
-/// explores all-pairs. Returns the bytes spent, the discovered path (source
-/// first) if any, and the exploration state (`pathDst` tuples per node)
-/// used to combine partial explorations with cached suffixes.
+/// Run one magic (source-routing) path query from `src` to `dst`, where
+/// the `cached` nodes answer from their cache: their outgoing links are not
+/// loaded, so they forward no exploration (see [`crate::caching`]). The
+/// plan and the magic seed tuples both come from the optimizer pipeline
+/// carried by `setup` — with magic disabled the pipeline yields no seeds
+/// and the query explores all-pairs. Returns the bytes spent, the
+/// discovered path (source first) if any, and the exploration state
+/// (`pathDst` tuples per node) used to combine partial explorations with
+/// cached suffixes.
 fn run_magic_query(
     testbed: &Testbed,
     setup: &SourceRoutingSetup,
     src: NodeAddr,
     dst: NodeAddr,
-    blocked: BTreeMap<String, std::collections::BTreeSet<NodeAddr>>,
+    cached: &BTreeSet<NodeAddr>,
 ) -> (f64, Option<Vec<NodeAddr>>, Vec<(NodeAddr, Tuple)>) {
     let mut config = EngineConfig::default();
     config.node.aggregate_selections = true;
-    config.blocked_propagation = blocked;
     config.max_seconds = 60.0;
     let mut engine = testbed.engine(std::slice::from_ref(&setup.plan), config);
-    testbed
-        .load_links(&mut engine, "link", Metric::HopCount)
-        .expect("link loading");
+    for link in testbed.links.iter().filter(|l| !cached.contains(&l.src)) {
+        let cost = link.cost(Metric::HopCount);
+        engine
+            .insert_base(
+                link.src,
+                "link",
+                Testbed::link_tuple(link.src, link.dst, cost),
+            )
+            .expect("link loading");
+    }
     for (relation, values) in setup
         .pipeline
         .seeds_for("pathDst", Value::Addr(src))
@@ -397,7 +404,7 @@ fn run_magic_query(
 /// observes for small query counts.
 fn reconstruct_from_cache(
     exploration: &[(NodeAddr, Tuple)],
-    cache: &mut QueryCache,
+    cache: &QueryCache,
     src: NodeAddr,
     dst: NodeAddr,
 ) -> Option<Vec<NodeAddr>> {
@@ -422,12 +429,13 @@ fn reconstruct_from_cache(
             .get(4)
             .and_then(|v| v.as_f64())
             .unwrap_or(f64::INFINITY);
-        let Some(entry) = cache.lookup(node, dst) else {
+        let Some(suffix) = cache.lookup(node, dst) else {
             continue;
         };
-        let total = prefix_cost + entry.cost;
+        // Hop-count metric: the cached suffix costs one per hop.
+        let total = prefix_cost + (suffix.len() - 1) as f64;
         let mut full = prefix;
-        full.extend(entry.suffix.iter().skip(1));
+        full.extend(suffix.iter().skip(1));
         match &best {
             Some((cost, _)) if *cost <= total => {}
             _ => best = Some((total, full)),
@@ -485,7 +493,7 @@ pub fn magic_sets(
     for (label, dst_fraction, caching) in workloads {
         let mut rng = StdRng::seed_from_u64(0xf1611);
         let dst_pool = ((n as f64 * dst_fraction).round() as usize).max(1);
-        let mut cache = QueryCache::new();
+        let mut cache = QueryCache::default();
         let mut cumulative = Vec::with_capacity(max_queries);
         let mut total_bytes = 0.0f64;
         for _ in 0..max_queries {
@@ -494,24 +502,23 @@ pub fn magic_sets(
             if dst == src {
                 dst = NodeAddr(((dst.0 as usize + 1) % n) as u32);
             }
-            let blocked = if caching {
-                cache.blocked_map("pathDst", dst)
+            let cached = if caching {
+                cache.nodes_with_entry_for(dst)
             } else {
-                BTreeMap::new()
+                BTreeSet::new()
             };
             let (bytes, direct_path, exploration) =
-                run_magic_query(&testbed, &setup, src, dst, blocked);
+                run_magic_query(&testbed, &setup, src, dst, &cached);
             total_bytes += bytes;
 
             // Determine the answer path: either the exploration reached the
             // destination directly, or (with caching) a cache node on the
             // way answers with its cached suffix. Account the reverse-path
-            // result return, which is also what populates the caches — both
-            // from the same wire-format delta the engine would ship.
+            // result return, which is also what populates the caches.
             let path = if let Some(p) = direct_path {
                 Some(p)
             } else if caching {
-                reconstruct_from_cache(&exploration, &mut cache, src, dst)
+                reconstruct_from_cache(&exploration, &cache, src, dst)
             } else {
                 None
             };
@@ -522,7 +529,7 @@ pub fn magic_sets(
                     total_bytes +=
                         (path.len() - 1) as f64 * sharing::result_wire_bytes(&delta, header) as f64;
                     if caching {
-                        cache.record_result_delta(&delta, 2, 3);
+                        cache.record(path);
                     }
                 }
             }
@@ -761,7 +768,7 @@ impl IncrementalResult {
 /// Shared driver for Figures 13 and 14: run the Random-metric query to
 /// convergence, then apply update bursts separated by the given intervals
 /// (cycled) until `total_seconds` of simulated time have elapsed.
-pub fn incremental_updates_with_intervals(
+fn incremental_updates_with_intervals(
     scale: Scale,
     intervals: &[f64],
     total_seconds: f64,
@@ -1211,6 +1218,38 @@ mod tests {
         let msc10 = result.lines.iter().find(|l| l.label == "MSC-10%").unwrap();
         assert!(msc10.at(12) <= msc.at(12) * 1.05);
         assert!(!result.render().is_empty());
+    }
+
+    #[test]
+    fn a_cached_node_stores_explorations_but_forwards_none() {
+        let testbed = Testbed::new(Scale::Small);
+        let setup = Testbed::source_routing_setup(PassSet::ALL);
+        let src = NodeAddr(0);
+        let dst = NodeAddr(testbed.node_count() as u32 - 1);
+        let x = testbed
+            .overlay
+            .graph
+            .neighbors(src)
+            .find(|&n| n != dst)
+            .expect("the source has a neighbour besides the destination");
+        // A pathDst tuple's column 2 is the hop that forwarded it.
+        let forwarded_by_x = |exploration: &[(NodeAddr, Tuple)]| {
+            exploration
+                .iter()
+                .any(|(node, t)| *node != x && t.get(2) == Some(&Value::Addr(x)))
+        };
+
+        let (_, _, uncached) = run_magic_query(&testbed, &setup, src, dst, &BTreeSet::new());
+        assert!(forwarded_by_x(&uncached), "without a cache {x} forwards");
+
+        let (_, _, cached) = run_magic_query(&testbed, &setup, src, dst, &BTreeSet::from([x]));
+        assert!(
+            cached
+                .iter()
+                .any(|(node, t)| *node == x && t.get(1) == Some(&Value::Addr(src))),
+            "the exploration reaches the cached node"
+        );
+        assert!(!forwarded_by_x(&cached), "a cache hit forwards nothing");
     }
 
     #[test]

@@ -24,6 +24,7 @@
 
 #![forbid(unsafe_code)]
 
+mod caching;
 pub mod experiments;
 pub mod testbed;
 

@@ -34,7 +34,7 @@ pub enum Scale {
 
 impl Scale {
     /// The transit-stub generator configuration for this scale.
-    pub fn transit_stub(self) -> TransitStubConfig {
+    fn transit_stub(self) -> TransitStubConfig {
         match self {
             Scale::Paper => TransitStubConfig::paper(),
             Scale::Small => TransitStubConfig::small(),

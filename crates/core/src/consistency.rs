@@ -166,24 +166,6 @@ pub fn check_location_placement(
     Ok(count)
 }
 
-/// Convenience: the set of (source, destination, cost) triples of a
-/// shortest-path style relation, for comparisons in tests and experiments.
-pub fn path_costs(
-    engine: &DistributedEngine,
-    relation: &str,
-) -> BTreeSet<(NodeAddr, NodeAddr, String)> {
-    engine
-        .results(relation)
-        .into_iter()
-        .filter_map(|(_, t)| {
-            let s = t.get(0)?.as_addr()?;
-            let d = t.get(1)?.as_addr()?;
-            let c = t.values().last()?.to_string();
-            Some((s, d, c))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,14 +232,6 @@ mod tests {
             12
         );
         assert!(check_location_placement(&engine, "path").unwrap() > 0);
-    }
-
-    #[test]
-    fn path_costs_helper_extracts_triples() {
-        let (engine, _) = run_diamond(true);
-        let costs = path_costs(&engine, "shortestPath");
-        assert_eq!(costs.len(), 12);
-        assert!(costs.contains(&(NodeAddr(0), NodeAddr(1), "2.0".to_string())));
     }
 
     #[test]

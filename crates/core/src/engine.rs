@@ -61,9 +61,6 @@ pub struct EngineConfig {
     pub sim: SimConfig,
     /// Safety cap for [`DistributedEngine::run_to_quiescence`], in seconds.
     pub max_seconds: f64,
-    /// Relations whose propagation is blocked at specific nodes (used by
-    /// the query-result caching experiment).
-    pub blocked_propagation: BTreeMap<String, BTreeSet<NodeAddr>>,
     /// Number of executor lanes (default 1 = epochs evaluated inline on
     /// the caller). With a value ≥ 2, each epoch's active nodes are pulled
     /// by up to that many lanes: the caller plus threads scoped to the
@@ -107,7 +104,6 @@ impl Default for EngineConfig {
             node: NodeConfig::default(),
             sim: SimConfig::default(),
             max_seconds: 600.0,
-            blocked_propagation: BTreeMap::new(),
             parallelism: 1,
             fault: None,
             refresh: None,
@@ -272,12 +268,6 @@ impl DistributedEngine {
         for addr in graph.nodes() {
             let mut node_config = config.node.clone();
             node_config.tracked_relations = tracked.clone();
-            node_config.blocked_relations = config
-                .blocked_propagation
-                .iter()
-                .filter(|(_, nodes)| nodes.contains(&addr))
-                .map(|(rel, _)| rel.clone())
-                .collect();
             let engine = NodeEngine::new(addr, plans, Arc::clone(&strands), node_config)?;
             nodes.insert(addr, engine);
         }
@@ -1091,48 +1081,6 @@ mod tests {
         let parallel = run(4);
         assert_eq!(shortest_cost(&parallel, 0, 1), 5.0);
         crate::consistency::check_bitwise_identical(&sequential, &parallel).unwrap();
-    }
-
-    #[test]
-    fn blocked_propagation_limits_exploration() {
-        // Source-routing exploration from node 0; block pathDst propagation
-        // at node 1 and check node 3 (behind 1 on the line 0-2-1-3... use
-        // diamond: 3 is only reachable through 1) never learns a path.
-        let (graph, edges) = diamond();
-        let plan = plan(&programs::shortest_path_source_routing("")).unwrap();
-        let mut blocked = BTreeMap::new();
-        blocked.insert(
-            "pathDst".to_string(),
-            [NodeAddr(1)].into_iter().collect::<BTreeSet<_>>(),
-        );
-        let config = EngineConfig {
-            node: NodeConfig {
-                aggregate_selections: true,
-                ..Default::default()
-            },
-            blocked_propagation: blocked,
-            ..Default::default()
-        };
-        let mut engine = DistributedEngine::new(graph, &[plan], config).unwrap();
-        for (a, b, c) in edges {
-            engine
-                .insert_base(NodeAddr(a), "link", link_tuple(a, b, c))
-                .unwrap();
-            engine
-                .insert_base(NodeAddr(b), "link", link_tuple(b, a, c))
-                .unwrap();
-        }
-        engine
-            .insert_base(NodeAddr(0), "magicSrc", Tuple::new(vec![addr(0)]))
-            .unwrap();
-        engine
-            .insert_base(NodeAddr(3), "magicDst", Tuple::new(vec![addr(3)]))
-            .unwrap();
-        engine.run_to_quiescence().unwrap();
-        // Node 1 received exploration tuples but did not forward them, so
-        // node 3 has none.
-        assert!(engine.node(NodeAddr(1)).store().count("pathDst") > 0);
-        assert_eq!(engine.node(NodeAddr(3)).store().count("pathDst"), 0);
     }
 
     /// Build a soft-state diamond engine with the given fault plan and

@@ -15,13 +15,11 @@
 //! | [`engine`] | the distributed executor: event loop, messaging, convergence/result tracking |
 //! | [`exec`] | parallel epoch executor: scoped lanes per epoch, deterministic merge |
 //! | [`sharing`] | opportunistic message sharing (Section 5.2) |
-//! | [`caching`] | query-result caching support for magic queries (Section 5.2) |
 //! | [`updates`] | bursty update workloads (Section 4 / Section 6.5) |
 //! | [`consistency`] | helpers to check distributed results against the centralized evaluator (Theorem 4) |
 
 #![forbid(unsafe_code)]
 
-pub mod caching;
 pub mod consistency;
 pub mod engine;
 pub mod exec;

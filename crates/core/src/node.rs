@@ -21,10 +21,7 @@
 //!   (destination, group) is actually sent;
 //! * **opportunistic message sharing** (Section 5.2): all outbound tuples
 //!   are delayed briefly so the engine can combine tuples that share
-//!   attribute values into one message;
-//! * **propagation blocking**, used by the query-result caching experiment
-//!   to model a node answering from its cache instead of forwarding an
-//!   exploration.
+//!   attribute values into one message.
 
 use crate::exec::arena::{ArenaStats, DeltaArena};
 use crate::plan::QueryPlan;
@@ -40,8 +37,7 @@ use ndlog_runtime::{
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Per-node configuration (shared by all nodes in an experiment except for
-/// the blocked-relation set, which the caching experiment varies per node).
+/// Per-node configuration (shared by all nodes in an experiment).
 #[derive(Debug, Clone, Default)]
 pub struct NodeConfig {
     /// Enable aggregate-selection pruning.
@@ -52,9 +48,6 @@ pub struct NodeConfig {
     /// Delay all outbound tuples by this long to create message-sharing
     /// opportunities (Section 5.2; the paper uses 300 ms).
     pub sharing_delay: Option<SimTime>,
-    /// Relations whose outbound propagation from this node is suppressed
-    /// (query-result caching: this node answers from its cache instead).
-    pub blocked_relations: BTreeSet<String>,
     /// Relations whose changes should be reported to the distributed engine
     /// for convergence tracking.
     pub tracked_relations: BTreeSet<String>,
@@ -142,11 +135,8 @@ impl SiteHook for NodeSite {
     }
 
     /// Send a derivation headed at another node along its link, honoring
-    /// the blocked-relation set and the hold-for-flush buffers.
+    /// the hold-for-flush buffers.
     fn ship(&mut self, dest: NodeAddr, delta: TupleDelta) {
-        if self.config.blocked_relations.contains(&*delta.relation) {
-            return;
-        }
         let hold_for_sharing = self.config.sharing_delay.is_some();
         let hold_for_periodic =
             self.config.periodic_flush.is_some() && self.selection_for(&delta.relation).is_some();
@@ -365,8 +355,9 @@ impl NodeEngine {
     }
 
     /// Returns the current aggregate value governing a selection relation
-    /// group, if any (used by tests).
-    pub fn current_best(&self, relation: &str, tuple: &Tuple) -> Option<Value> {
+    /// group, if any.
+    #[cfg(test)]
+    fn current_best(&self, relation: &str, tuple: &Tuple) -> Option<Value> {
         self.site
             .selection_entry(relation)
             .and_then(|(_, idx)| self.fixpoint.views()[*idx].current_for(tuple))
@@ -704,24 +695,6 @@ mod tests {
         let flushed = node.flush();
         assert!(flushed.contains_key(&NodeAddr(1)));
         assert_eq!(node.flush_interval(), Some(300_000));
-    }
-
-    #[test]
-    fn blocked_relations_are_not_propagated() {
-        let config = NodeConfig {
-            blocked_relations: ["path_sp2_xd".to_string()].into_iter().collect(),
-            ..Default::default()
-        };
-        let mut node = make_node(0, config);
-        node.receive(vec![TupleDelta::insert("link", link(0, 1, 5.0))]);
-        let out = node.process().unwrap();
-        assert!(
-            !out.outbound
-                .values()
-                .flatten()
-                .any(|d| d.relation == "path_sp2_xd"),
-            "blocked relation must not leave the node"
-        );
     }
 
     #[test]

@@ -17,14 +17,10 @@
 //! what Figure 12 measures.
 //!
 //! This module is the **single** wire-size implementation: the epoch
-//! executor's [`OutboundBatch`] pre-sizing
+//! executor's `OutboundBatch` pre-sizing
 //! ([`crate::exec::executor::outbound_batches`]) calls
-//! [`plain_wire_size`]/[`combined_wire_size`], and the batch-level helpers
-//! ([`batch_payload`], [`batch_saving`], [`result_wire_bytes`]) let the
-//! experiment harness account traffic from those same pre-sized batches
-//! instead of re-deriving byte formulas of its own.
+//! [`plain_wire_size`]/[`combined_wire_size`].
 
-use crate::exec::executor::OutboundBatch;
 use ndlog_lang::Value;
 use ndlog_runtime::TupleDelta;
 use std::collections::BTreeMap;
@@ -74,28 +70,6 @@ pub fn combined_wire_size(deltas: &[TupleDelta]) -> usize {
     total
 }
 
-/// The byte saving (plain minus combined); zero when sharing finds nothing
-/// to combine.
-pub fn saving(deltas: &[TupleDelta]) -> usize {
-    plain_wire_size(deltas).saturating_sub(combined_wire_size(deltas))
-}
-
-/// Total payload bytes across a set of real, pre-sized outbound batches
-/// (as produced by [`crate::exec::executor::outbound_batches`]).
-pub fn batch_payload(batches: &[OutboundBatch]) -> usize {
-    batches.iter().map(|b| b.payload_bytes).sum()
-}
-
-/// Bytes sharing saved across real outbound batches: the plain encoding
-/// of each batch's deltas minus its pre-computed payload. Zero when the
-/// batches were sized with sharing disabled.
-pub fn batch_saving(batches: &[OutboundBatch]) -> usize {
-    batches
-        .iter()
-        .map(|b| plain_wire_size(&b.deltas).saturating_sub(b.payload_bytes))
-        .sum()
-}
-
 /// Wire bytes of shipping one tuple delta as its own message over a link,
 /// header included — the sizing result-return accounting uses, so harness
 /// formulas cannot drift from the engine's per-delta encoding.
@@ -134,13 +108,11 @@ mod tests {
         ];
         let plain = plain_wire_size(&deltas);
         let combined = combined_wire_size(&deltas);
-        assert!(combined < plain);
         // The shared prefix (two addresses + next hop + 3-element path
         // vector) is paid once instead of three times.
         assert!(
-            saving(&deltas) > plain / 3,
-            "saving {} vs plain {plain}",
-            saving(&deltas)
+            plain - combined > plain / 3,
+            "combined {combined} vs plain {plain}"
         );
     }
 
@@ -178,7 +150,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_helpers_account_real_outbound_batches() {
+    fn outbound_batches_are_sized_by_the_sharing_mode() {
         use crate::exec::executor::outbound_batches;
         use ndlog_net::NodeAddr;
 
@@ -189,16 +161,12 @@ mod tests {
         let mut outbound = BTreeMap::new();
         outbound.insert(NodeAddr(3), deltas.clone());
 
-        // Sized with sharing: the pre-computed payload is the combined
-        // encoding, and the saving helper recovers plain - combined.
+        // Sized with sharing the payload is the combined encoding, and
+        // without it the plain one.
         let shared = outbound_batches(true, outbound.clone());
-        assert_eq!(batch_payload(&shared), combined_wire_size(&deltas));
-        assert_eq!(batch_saving(&shared), saving(&deltas));
-
-        // Sized without sharing: payload is plain, saving is zero.
+        assert_eq!(shared[0].payload_bytes, combined_wire_size(&deltas));
         let plain = outbound_batches(false, outbound);
-        assert_eq!(batch_payload(&plain), plain_wire_size(&deltas));
-        assert_eq!(batch_saving(&plain), 0);
+        assert_eq!(plain[0].payload_bytes, plain_wire_size(&deltas));
     }
 
     #[test]

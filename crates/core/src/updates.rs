@@ -77,7 +77,8 @@ impl UpdateWorkload {
     }
 
     /// The current cost of a link (either direction), if known.
-    pub fn current_cost(&self, a: NodeAddr, b: NodeAddr) -> Option<f64> {
+    #[cfg(test)]
+    fn current_cost(&self, a: NodeAddr, b: NodeAddr) -> Option<f64> {
         self.costs.get(&canonical(a, b)).copied()
     }
 

@@ -112,11 +112,6 @@ impl Term {
         Term::Var(Variable::located(name))
     }
 
-    /// Convenience: a constant term.
-    pub fn val(v: impl Into<Value>) -> Term {
-        Term::Const(v.into())
-    }
-
     /// Convenience: an aggregate term.
     pub fn agg(func: AggFunc, var: impl Into<String>) -> Term {
         Term::Agg(Aggregate {
@@ -219,11 +214,6 @@ impl Expr {
     /// A variable expression.
     pub fn var(name: impl Into<String>) -> Expr {
         Expr::Var(name.into())
-    }
-
-    /// A constant expression.
-    pub fn val(v: impl Into<Value>) -> Expr {
-        Expr::Const(v.into())
     }
 
     /// A binary expression.
@@ -360,7 +350,7 @@ pub enum Literal {
 
 impl Literal {
     /// The atom inside, if this literal is a predicate.
-    pub fn as_atom(&self) -> Option<&Atom> {
+    fn as_atom(&self) -> Option<&Atom> {
         match self {
             Literal::Atom(a) => Some(a),
             _ => None,
@@ -504,34 +494,6 @@ impl Program {
             name: name.into(),
             ..Default::default()
         }
-    }
-
-    /// Names of relations that appear in some rule head (derived /
-    /// "intensional" relations).
-    pub fn intensional(&self) -> BTreeSet<String> {
-        self.rules
-            .iter()
-            .filter(|r| !r.is_fact())
-            .map(|r| r.head.name.clone())
-            .collect()
-    }
-
-    /// Names of relations that appear only in rule bodies or as facts
-    /// (stored / "extensional" relations).
-    pub fn extensional(&self) -> BTreeSet<String> {
-        let intensional = self.intensional();
-        let mut out = BTreeSet::new();
-        for r in &self.rules {
-            for a in r.body_atoms() {
-                if !intensional.contains(&a.name) {
-                    out.insert(a.name.clone());
-                }
-            }
-            if r.is_fact() {
-                out.insert(r.head.name.clone());
-            }
-        }
-        out
     }
 
     /// Names of relations used as link literals anywhere in the program.
@@ -774,8 +736,6 @@ mod tests {
     fn program_relation_classification() {
         let mut p = Program::new("sp");
         p.rules.push(sp2_rule());
-        assert!(p.intensional().contains("path"));
-        assert!(p.extensional().contains("link"));
         assert!(p.link_relations().contains("link"));
         assert_eq!(p.arity_of("path"), Some(5));
         assert_eq!(p.arity_of("link"), Some(3));
@@ -799,7 +759,7 @@ mod tests {
         let e = Expr::bin(
             BinOp::Add,
             Expr::var("A"),
-            Expr::call("f", vec![Expr::var("B"), Expr::val(1i64)]),
+            Expr::call("f", vec![Expr::var("B"), Expr::Const(Value::Int(1))]),
         );
         let vars = e.variables();
         assert!(vars.contains("A") && vars.contains("B"));

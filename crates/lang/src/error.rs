@@ -31,7 +31,7 @@ impl ParseError {
     ///   path(@S, @D :- link(@S, @D).
     ///               ^
     /// ```
-    pub fn snippet(&self, src: &str) -> Option<String> {
+    fn snippet(&self, src: &str) -> Option<String> {
         let line = src.lines().nth(self.line.checked_sub(1)?)?;
         // Columns are 1-based character offsets; pad with spaces, preserving
         // tabs so the caret stays aligned under tab-indented source.

@@ -120,8 +120,8 @@ pub enum Command {
 }
 
 /// Parse exactly one interactive command. Returns `Ok(None)` for blank or
-/// comment-only input; trailing tokens after the first command are an error
-/// (use [`parse_session`] for multi-statement scripts).
+/// comment-only input; trailing tokens after the first command are an
+/// error.
 pub fn parse_command(src: &str) -> Result<Option<Command>, ParseError> {
     let mut p = Parser::new(tokenize(src)?);
     let cmd = parse_next(&mut p)?;
@@ -132,16 +132,6 @@ pub fn parse_command(src: &str) -> Result<Option<Command>, ParseError> {
         )));
     }
     Ok(cmd)
-}
-
-/// Parse a sequence of interactive commands (a scripted session).
-pub fn parse_session(src: &str) -> Result<Vec<Command>, ParseError> {
-    let mut p = Parser::new(tokenize(src)?);
-    let mut commands = Vec::new();
-    while let Some(cmd) = parse_next(&mut p)? {
-        commands.push(cmd);
-    }
-    Ok(commands)
 }
 
 fn parse_next(p: &mut Parser) -> Result<Option<Command>, ParseError> {
@@ -566,19 +556,20 @@ mod tests {
     }
 
     #[test]
-    fn sessions_and_blank_input() {
+    fn every_command_kind_and_blank_input() {
         assert_eq!(parse_command("  % just a comment\n").unwrap(), None);
-        let cmds = parse_session(
-            "materialize(edge, keys(1,2)).\n\
-             +edge[(1,2), (2,3)].\n\
-             reach(A,B) :- edge(A,B).\n\
-             ?- reach(A,B).\n\
-             .subscribe reach\n\
-             -edge(1,2).\n\
-             .quit",
-        )
-        .unwrap();
-        assert_eq!(cmds.len(), 7);
+        let cmds: Vec<Command> = [
+            "materialize(edge, keys(1,2)).",
+            "+edge[(1,2), (2,3)].",
+            "reach(A,B) :- edge(A,B).",
+            "?- reach(A,B).",
+            ".subscribe reach",
+            "-edge(1,2).",
+            ".quit",
+        ]
+        .into_iter()
+        .map(|line| parse_command(line).unwrap().unwrap())
+        .collect();
         assert!(matches!(cmds[0], Command::Table(_)));
         assert!(matches!(cmds[1], Command::Update(_)));
         assert!(matches!(cmds[2], Command::Rule(_)));

@@ -80,7 +80,7 @@ pub use ast::{
     Variable,
 };
 pub use error::{LangError, ParseError, ValidationError};
-pub use interactive::{parse_command, parse_session, Command, MetaCommand};
+pub use interactive::{parse_command, Command, MetaCommand};
 pub use optimizer::{optimize, MagicSpec, Optimized, PassSet, Pipeline};
 pub use parser::parse_program;
 pub use validate::validate;

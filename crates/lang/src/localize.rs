@@ -52,7 +52,7 @@ pub fn localize(program: &Program) -> Result<Program, LangError> {
 }
 
 /// Localize a single rule, producing one or two rules.
-pub fn localize_rule(rule: &Rule) -> Result<Vec<Rule>, LangError> {
+fn localize_rule(rule: &Rule) -> Result<Vec<Rule>, LangError> {
     if rule.is_fact() || rule.is_local() {
         return Ok(vec![rule.clone()]);
     }

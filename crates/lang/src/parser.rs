@@ -34,16 +34,6 @@ pub fn parse_program(src: &str) -> Result<Program, ParseError> {
     Parser::new(tokens).parse_program()
 }
 
-/// Parse a single rule (convenience for tests and builders).
-pub fn parse_rule(src: &str) -> Result<Rule, ParseError> {
-    let program = parse_program(src)?;
-    program
-        .rules
-        .into_iter()
-        .next()
-        .ok_or_else(|| ParseError::new(1, 1, "expected a rule"))
-}
-
 pub(crate) struct Parser {
     tokens: Vec<Token>,
     pos: usize,
@@ -540,6 +530,16 @@ impl Parser {
 mod tests {
     use super::*;
     use crate::ast::{AggFunc, BinOp, Literal, Term};
+
+    /// The first rule of `src`.
+    fn parse_rule(src: &str) -> Result<Rule, ParseError> {
+        let program = parse_program(src)?;
+        program
+            .rules
+            .into_iter()
+            .next()
+            .ok_or_else(|| ParseError::new(1, 1, "expected a rule"))
+    }
 
     #[test]
     fn parses_shortest_path_program() {

@@ -87,7 +87,7 @@ pub fn shortest_path(suffix: &str) -> Program {
 /// The optimizer pipeline that derives the destination-constrained
 /// variant from [`shortest_path`]: one magic-sets rewrite binding the
 /// destination argument of `path`'s base rules.
-pub fn magic_dst_pipeline(suffix: &str) -> Pipeline {
+fn magic_dst_pipeline(suffix: &str) -> Pipeline {
     let r = ShortestPathRelations::new(suffix);
     Pipeline::new(
         vec![MagicSpec::new(
@@ -102,7 +102,7 @@ pub fn magic_dst_pipeline(suffix: &str) -> Pipeline {
 /// The destination-constrained variant (rule SP1-D of Section 5.1.2):
 /// identical to [`shortest_path`] except that 1-hop paths are only seeded
 /// towards destinations present in the `magicDst` table. Derived from
-/// [`shortest_path`] by running [`magic_dst_pipeline`] through the
+/// [`shortest_path`] by running `magic_dst_pipeline` through the
 /// optimizer rather than written by hand.
 pub fn shortest_path_magic_dst(suffix: &str) -> Program {
     optimize(&shortest_path(suffix), &magic_dst_pipeline(suffix))

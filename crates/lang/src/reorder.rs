@@ -30,7 +30,7 @@ pub enum BodyOrder {
 /// Reorder a rule's body predicates according to `order`. Assignments and
 /// filters keep their relative order and stay after all predicate atoms
 /// (they can only be evaluated once their inputs are bound).
-pub fn reorder_rule(rule: &Rule, order: BodyOrder) -> Rule {
+fn reorder_rule(rule: &Rule, order: BodyOrder) -> Rule {
     let mut links = Vec::new();
     let mut atoms = Vec::new();
     let mut constraints = Vec::new();

@@ -24,14 +24,11 @@
 //! semi-naive evaluation every tuple carries a local timestamp (sequence
 //! number) and joins only match tuples whose timestamp is not newer than
 //! the trigger's (Section 3.3.2), which guarantees no repeated inferences
-//! (Theorem 2). The rewrite here is therefore purely structural — it
-//! enumerates the strands; [`DeltaRule::older_only`] records which body
-//! positions the classic SN algorithm would restrict to "old" tuples, which
-//! the non-pipelined evaluator uses.
+//! (Theorem 2). The rewrite here is therefore purely structural: it
+//! enumerates the strands.
 
 use crate::ast::{Literal, Program, Rule};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// One rule strand: a rule plus the body literal that triggers it.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -45,73 +42,32 @@ pub struct DeltaRule {
     /// Strand identifier, e.g. `sp2b-1` for the first strand of rule
     /// `sp2b`, following the paper's naming (SP2-1 etc.).
     pub strand_id: String,
-    /// Body literal indexes that the textbook semi-naive algorithm joins
-    /// against *old* tuples only (those derived before the previous
-    /// iteration's deltas): the recursive predicates to the left of the
-    /// trigger.
-    pub older_only: Vec<usize>,
-}
-
-/// Generate rule strands for a program.
-///
-/// `dynamic` is the set of relation names whose updates should trigger
-/// strands. For classic semi-naive evaluation over static base data this is
-/// the set of recursive (intensional) predicates; for declarative
-/// networking, where base tuples (links) change during execution, it is
-/// every stored relation, which [`delta_rewrite_full`] provides.
-pub fn delta_rewrite(program: &Program, dynamic: &BTreeSet<String>) -> Vec<DeltaRule> {
-    let intensional = program.intensional();
-    let mut out = Vec::new();
-    for rule in &program.rules {
-        if rule.is_fact() {
-            continue;
-        }
-        let mut strand_no = 0;
-        for (idx, literal) in rule.body.iter().enumerate() {
-            let Literal::Atom(atom) = literal else {
-                continue;
-            };
-            if !dynamic.contains(&atom.name) {
-                continue;
-            }
-            strand_no += 1;
-            // Recursive predicates that appear before the trigger join
-            // against old tuples only (footnote 2 of the paper).
-            let older_only = rule
-                .body
-                .iter()
-                .enumerate()
-                .take(idx)
-                .filter_map(|(i, l)| match l {
-                    Literal::Atom(a) if intensional.contains(&a.name) => Some(i),
-                    _ => None,
-                })
-                .collect();
-            out.push(DeltaRule {
-                rule: rule.clone(),
-                trigger: idx,
-                trigger_relation: atom.name.clone(),
-                strand_id: format!("{}-{}", rule.label, strand_no),
-                older_only,
-            });
-        }
-    }
-    out
 }
 
 /// Generate rule strands triggered by *every* body predicate, which is what
 /// the distributed engine installs: in a dynamic network any stored
 /// relation (including `link`) can receive updates at any time.
 pub fn delta_rewrite_full(program: &Program) -> Vec<DeltaRule> {
-    let mut all: BTreeSet<String> = program.intensional();
-    all.extend(program.extensional());
-    delta_rewrite(program, &all)
-}
-
-/// Generate strands triggered only by recursive (intensional) predicates —
-/// the textbook semi-naive rewrite used for static base data.
-pub fn delta_rewrite_recursive(program: &Program) -> Vec<DeltaRule> {
-    delta_rewrite(program, &program.intensional())
+    let mut out = Vec::new();
+    for rule in program.rules.iter().filter(|r| !r.is_fact()) {
+        let atoms = rule
+            .body
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, literal)| match literal {
+                Literal::Atom(atom) => Some((idx, atom)),
+                _ => None,
+            });
+        for (strand_no, (idx, atom)) in atoms.enumerate() {
+            out.push(DeltaRule {
+                rule: rule.clone(),
+                trigger: idx,
+                trigger_relation: atom.name.clone(),
+                strand_id: format!("{}-{}", rule.label, strand_no + 1),
+            });
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -119,6 +75,7 @@ mod tests {
     use super::*;
     use crate::localize::localize;
     use crate::parser::parse_program;
+    use std::collections::BTreeSet;
 
     const SP: &str = r#"
         sp1 path(@S,@D,@D,P,C) :- #link(@S,@D,C), P := f_cons(S, f_cons(D, nil)).
@@ -129,20 +86,6 @@ mod tests {
     "#;
 
     #[test]
-    fn recursive_rewrite_matches_textbook() {
-        let p = parse_program(SP).unwrap();
-        let strands = delta_rewrite_recursive(&p);
-        // sp1: no recursive body predicate -> no strand.
-        // sp2: one (path). sp3: one (path). sp4: two (spCost, path).
-        assert_eq!(strands.len(), 4);
-        let sp2: Vec<_> = strands.iter().filter(|s| s.rule.label == "sp2").collect();
-        assert_eq!(sp2.len(), 1);
-        assert_eq!(sp2[0].trigger_relation, "path");
-        assert_eq!(sp2[0].strand_id, "sp2-1");
-        assert!(sp2[0].older_only.is_empty());
-    }
-
-    #[test]
     fn full_rewrite_triggers_on_base_relations_too() {
         let p = parse_program(SP).unwrap();
         let strands = delta_rewrite_full(&p);
@@ -151,30 +94,12 @@ mod tests {
         assert!(strands
             .iter()
             .any(|s| s.rule.label == "sp1" && s.trigger_relation == "link"));
-        assert!(strands
+        let sp2: Vec<_> = strands.iter().filter(|s| s.rule.label == "sp2").collect();
+        let sp2: Vec<_> = sp2
             .iter()
-            .any(|s| s.rule.label == "sp2" && s.trigger_relation == "link"));
-    }
-
-    #[test]
-    fn older_only_marks_left_recursive_predicates() {
-        // Non-linear rule: two recursive predicates.
-        let p = parse_program(
-            "t reach(@S,@D) :- reach(@S,@Z), reach2(@Z,@D). t2 reach2(@S,@D) :- reach(@S,@D).",
-        )
-        .unwrap();
-        let strands = delta_rewrite_recursive(&p);
-        let triggered_by_second: Vec<_> = strands
-            .iter()
-            .filter(|s| s.rule.label == "t" && s.trigger == 1)
+            .map(|s| (s.strand_id.as_str(), s.trigger, s.trigger_relation.as_str()))
             .collect();
-        assert_eq!(triggered_by_second.len(), 1);
-        assert_eq!(triggered_by_second[0].older_only, vec![0]);
-        let triggered_by_first: Vec<_> = strands
-            .iter()
-            .filter(|s| s.rule.label == "t" && s.trigger == 0)
-            .collect();
-        assert!(triggered_by_first[0].older_only.is_empty());
+        assert_eq!(sp2, [("sp2-1", 0, "link"), ("sp2-2", 1, "path")]);
     }
 
     #[test]

@@ -99,14 +99,6 @@ impl Value {
         }
     }
 
-    /// The boolean inside, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The list inside, if this is a list.
     pub fn as_list(&self) -> Option<&List> {
         match self {
@@ -531,7 +523,6 @@ mod tests {
         assert_eq!(Value::Int(7).as_f64(), Some(7.0));
         assert_eq!(Value::Float(2.5).as_f64(), Some(2.5));
         assert_eq!(Value::str("x").as_f64(), None);
-        assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert_eq!(Value::Int(1).as_int(), Some(1));
         assert!(Value::addr(0u32).is_addr());
         let l = Value::list(vec![Value::Int(1), Value::Int(2)]);

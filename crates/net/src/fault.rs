@@ -32,8 +32,8 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
-/// Random fault parameters for one directed link (or, as
-/// [`FaultPlan::default_faults`], for every link without an override).
+/// Random fault parameters, applied to every link as
+/// [`FaultPlan::default_faults`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct LinkFaults {
     /// Probability in `[0, 1]` that a message is dropped in flight.
@@ -88,7 +88,7 @@ pub struct Partition {
 impl Partition {
     /// Whether a message sent at `now` from `from` to `to` crosses the cut
     /// while the partition is active.
-    pub fn blocks(&self, now: SimTime, from: NodeAddr, to: NodeAddr) -> bool {
+    fn blocks(&self, now: SimTime, from: NodeAddr, to: NodeAddr) -> bool {
         now >= self.start
             && now < self.end
             && (self.side_a.contains(&from) != self.side_a.contains(&to))
@@ -109,7 +109,7 @@ pub struct Crash {
 
 impl Crash {
     /// Whether the node is down at time `t`.
-    pub fn down_at(&self, t: SimTime) -> bool {
+    fn down_at(&self, t: SimTime) -> bool {
         t >= self.at && t < self.rejoin_at
     }
 }
@@ -126,10 +126,8 @@ impl Crash {
 pub struct FaultPlan {
     /// Seed hashed into every per-message fault decision.
     pub seed: u64,
-    /// Faults applied to links without an override.
+    /// Faults applied to every link.
     pub default_faults: LinkFaults,
-    /// Per-directed-link overrides.
-    pub overrides: Vec<((NodeAddr, NodeAddr), LinkFaults)>,
     /// Scheduled partitions.
     pub partitions: Vec<Partition>,
     /// Scheduled crash/rejoin windows.
@@ -145,22 +143,15 @@ impl FaultPlan {
         FaultPlan {
             seed,
             default_faults: LinkFaults::NONE,
-            overrides: Vec::new(),
             partitions: Vec::new(),
             crashes: Vec::new(),
             active_until: SimTime::MAX,
         }
     }
 
-    /// Set the default per-link faults.
+    /// Set the random faults every link draws from.
     pub fn with_default_faults(mut self, faults: LinkFaults) -> Self {
         self.default_faults = faults;
-        self
-    }
-
-    /// Override the faults of one directed link.
-    pub fn with_link(mut self, from: NodeAddr, to: NodeAddr, faults: LinkFaults) -> Self {
-        self.overrides.push(((from, to), faults));
         self
     }
 
@@ -202,9 +193,6 @@ impl FaultPlan {
     /// surviving topology ill-defined for the convergence oracle).
     pub fn validate(&self) -> Result<(), String> {
         self.default_faults.validate("default faults")?;
-        for ((from, to), f) in &self.overrides {
-            f.validate(&format!("link {from} -> {to}"))?;
-        }
         for p in &self.partitions {
             if p.start >= p.end {
                 return Err(format!(
@@ -226,21 +214,7 @@ impl FaultPlan {
 
     /// Whether the plan injects anything at all.
     pub fn is_empty(&self) -> bool {
-        self.default_faults.is_none()
-            && self.overrides.iter().all(|(_, f)| f.is_none())
-            && self.partitions.is_empty()
-            && self.crashes.is_empty()
-    }
-
-    /// The faults in force on one directed link (last matching override
-    /// wins; otherwise the default).
-    pub fn link_faults(&self, from: NodeAddr, to: NodeAddr) -> LinkFaults {
-        self.overrides
-            .iter()
-            .rev()
-            .find(|((f, t), _)| *f == from && *t == to)
-            .map(|(_, faults)| *faults)
-            .unwrap_or(self.default_faults)
+        self.default_faults.is_none() && self.partitions.is_empty() && self.crashes.is_empty()
     }
 
     /// Whether `node` is inside any crash window at time `t`.
@@ -256,15 +230,6 @@ impl FaultPlan {
     /// Number of partitions whose window has fully elapsed by `now`.
     pub fn partitions_healed_by(&self, now: SimTime) -> u64 {
         self.partitions.iter().filter(|p| p.end <= now).count() as u64
-    }
-
-    /// The latest scheduled event in the plan: the end of the last
-    /// partition or rejoin window (random faults have no schedule of their
-    /// own). Drivers size their refresh horizon past this.
-    pub fn last_scheduled_event(&self) -> SimTime {
-        let p = self.partitions.iter().map(|p| p.end).max().unwrap_or(0);
-        let c = self.crashes.iter().map(|c| c.rejoin_at).max().unwrap_or(0);
-        p.max(c)
     }
 
     /// The per-message decision generator, keyed by `(time, seq, link)`
@@ -322,28 +287,9 @@ mod tests {
         let plan = FaultPlan::new(1);
         assert!(plan.is_empty());
         plan.validate().unwrap();
-        assert!(plan.link_faults(n(0), n(1)).is_none());
+        assert!(plan.default_faults.is_none());
         assert!(!plan.node_down_at(n(0), 0));
         assert!(!plan.partition_blocks(0, n(0), n(1)));
-    }
-
-    #[test]
-    fn overrides_shadow_the_default() {
-        let plan = FaultPlan::new(1)
-            .with_default_faults(LinkFaults {
-                loss: 0.1,
-                ..LinkFaults::NONE
-            })
-            .with_link(
-                n(0),
-                n(1),
-                LinkFaults {
-                    loss: 0.5,
-                    ..LinkFaults::NONE
-                },
-            );
-        assert_eq!(plan.link_faults(n(0), n(1)).loss, 0.5);
-        assert_eq!(plan.link_faults(n(1), n(0)).loss, 0.1);
     }
 
     #[test]
@@ -370,7 +316,6 @@ mod tests {
         assert!(plan.node_down_at(n(3), 79));
         assert!(!plan.node_down_at(n(3), 80));
         assert!(!plan.node_down_at(n(2), 60));
-        assert_eq!(plan.last_scheduled_event(), 80);
     }
 
     #[test]

@@ -88,16 +88,6 @@ pub struct TransitStub {
     pub stubs: Vec<Vec<Vec<NodeAddr>>>,
 }
 
-impl TransitStub {
-    /// All stub (non-transit) node addresses, in creation order.
-    pub fn stub_nodes(&self) -> Vec<NodeAddr> {
-        self.stubs
-            .iter()
-            .flat_map(|per_transit| per_transit.iter().flatten().copied())
-            .collect()
-    }
-}
-
 /// Generate a transit-stub topology.
 ///
 /// Transit nodes form a full mesh among themselves. Every stub node connects
@@ -189,7 +179,7 @@ mod tests {
         let ts = generate(&cfg);
         assert_eq!(ts.topology.node_count(), 100);
         assert_eq!(ts.transit.len(), 4);
-        assert_eq!(ts.stub_nodes().len(), 96);
+        assert_eq!(ts.stubs.iter().flatten().flatten().count(), 96);
         assert!(ts.topology.is_connected());
     }
 

@@ -259,7 +259,7 @@ impl<P: Clone> Simulator<P> {
                 return None;
             }
             if self.now < plan.active_until {
-                let faults = plan.link_faults(from, to);
+                let faults = plan.default_faults;
                 if !faults.is_none() {
                     let mut rng = plan.decision_rng(self.now, self.seq, from, to);
                     if faults.loss > 0.0 && rng.random_bool(faults.loss) {

@@ -14,7 +14,6 @@
 use crate::address::NodeAddr;
 use crate::sim::SimTime;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// A time series of average per-node bandwidth, in kilobytes per second.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -31,13 +30,6 @@ impl BandwidthSeries {
     pub fn peak(&self) -> f64 {
         self.points.iter().copied().fold(0.0, f64::max)
     }
-
-    /// The bucket midpoints in seconds, for plotting.
-    pub fn times(&self) -> Vec<f64> {
-        (0..self.points.len())
-            .map(|i| (i as f64 + 0.5) * self.bucket_seconds)
-            .collect()
-    }
 }
 
 /// Accumulated traffic statistics for a simulation run.
@@ -52,7 +44,6 @@ impl BandwidthSeries {
 pub struct NetStats {
     sends: Vec<SendRecord>,
     total_bytes: u64,
-    per_node_bytes: HashMap<NodeAddr, u64>,
     #[serde(default)]
     dropped: u64,
     #[serde(default)]
@@ -80,7 +71,6 @@ impl NetStats {
     /// Record that `node` put `bytes` on the wire at `time`.
     pub fn record_send(&mut self, time: SimTime, node: NodeAddr, bytes: usize) {
         self.total_bytes += bytes as u64;
-        *self.per_node_bytes.entry(node).or_insert(0) += bytes as u64;
         self.sends.push(SendRecord {
             time,
             node,
@@ -117,7 +107,8 @@ impl NetStats {
     }
 
     /// Jittered deliveries clamped by the FIFO link clock.
-    pub fn reorders(&self) -> u64 {
+    #[cfg(test)]
+    fn reorders(&self) -> u64 {
         self.reordered
     }
 
@@ -134,21 +125,6 @@ impl NetStats {
     /// Number of messages sent.
     pub fn message_count(&self) -> usize {
         self.sends.len()
-    }
-
-    /// Bytes sent by one node.
-    pub fn node_bytes(&self, node: NodeAddr) -> u64 {
-        self.per_node_bytes.get(&node).copied().unwrap_or(0)
-    }
-
-    /// The time of the last send, in seconds.
-    pub fn last_send_seconds(&self) -> f64 {
-        self.sends
-            .iter()
-            .map(|s| s.time)
-            .max()
-            .map(crate::sim::to_seconds)
-            .unwrap_or(0.0)
     }
 
     /// Average per-node bandwidth over time, in kBps, for `node_count`
@@ -198,9 +174,6 @@ impl NetStats {
     /// e.g. the No-Share line of Figure 12).
     pub fn merge(&mut self, other: &NetStats) {
         self.total_bytes += other.total_bytes;
-        for (node, bytes) in &other.per_node_bytes {
-            *self.per_node_bytes.entry(*node).or_insert(0) += bytes;
-        }
         self.sends.extend_from_slice(&other.sends);
         self.dropped += other.dropped;
         self.duplicated += other.duplicated;
@@ -220,8 +193,6 @@ mod tests {
         s.record_send(ms(10.0), NodeAddr(1), 1500);
         assert_eq!(s.total_bytes(), 2000);
         assert_eq!(s.message_count(), 2);
-        assert_eq!(s.node_bytes(NodeAddr(0)), 500);
-        assert_eq!(s.node_bytes(NodeAddr(2)), 0);
         assert!((s.total_mb() - 0.002).abs() < 1e-12);
     }
 
@@ -238,8 +209,6 @@ mod tests {
         assert_eq!(series.points[1], 0.0);
         assert!((series.points[2] - 10.0).abs() < 1e-9);
         assert!((series.peak() - 10.0).abs() < 1e-9);
-        assert_eq!(series.times().len(), 3);
-        assert!((series.times()[0] - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -262,7 +231,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.total_bytes(), 175);
         assert_eq!(a.message_count(), 3);
-        assert_eq!(a.node_bytes(NodeAddr(0)), 150);
     }
 
     #[test]
@@ -282,14 +250,6 @@ mod tests {
         assert_eq!(a.drops(), 2);
         assert_eq!(a.duplicates(), 2);
         assert_eq!(a.reorders(), 2);
-    }
-
-    #[test]
-    fn last_send_time() {
-        let mut s = NetStats::new();
-        assert_eq!(s.last_send_seconds(), 0.0);
-        s.record_send(ms(1234.0), NodeAddr(0), 1);
-        assert!((s.last_send_seconds() - 1.234).abs() < 1e-9);
     }
 
     #[test]

@@ -100,8 +100,6 @@ pub enum TopologyError {
     SelfLoop(NodeAddr),
     /// The link already exists.
     DuplicateLink(NodeAddr, NodeAddr),
-    /// The link does not exist.
-    NoSuchLink(NodeAddr, NodeAddr),
 }
 
 impl fmt::Display for TopologyError {
@@ -110,7 +108,6 @@ impl fmt::Display for TopologyError {
             TopologyError::UnknownNode(n) => write!(f, "unknown node {n}"),
             TopologyError::SelfLoop(n) => write!(f, "self-loop on node {n}"),
             TopologyError::DuplicateLink(a, b) => write!(f, "duplicate link {a} <-> {b}"),
-            TopologyError::NoSuchLink(a, b) => write!(f, "no link {a} <-> {b}"),
         }
     }
 }
@@ -202,22 +199,6 @@ impl Topology {
         self.adjacency.entry(a).or_default().insert(b);
         self.adjacency.entry(b).or_default().insert(a);
         Ok(())
-    }
-
-    /// Remove the link between `a` and `b`.
-    pub fn remove_link(&mut self, a: NodeAddr, b: NodeAddr) -> Result<LinkMetrics, TopologyError> {
-        let key = Self::canonical(a, b);
-        let m = self
-            .links
-            .remove(&key)
-            .ok_or(TopologyError::NoSuchLink(a, b))?;
-        if let Some(s) = self.adjacency.get_mut(&a) {
-            s.remove(&b);
-        }
-        if let Some(s) = self.adjacency.get_mut(&b) {
-            s.remove(&a);
-        }
-        Ok(m)
     }
 
     /// Metrics of the link between `a` and `b`, if it exists.
@@ -383,19 +364,6 @@ mod tests {
             t.add_link(NodeAddr(0), NodeAddr(5), m),
             Err(TopologyError::UnknownNode(NodeAddr(5)))
         );
-    }
-
-    #[test]
-    fn remove_link_updates_adjacency() {
-        let mut t = triangle();
-        t.remove_link(NodeAddr(0), NodeAddr(1)).unwrap();
-        assert!(!t.has_link(NodeAddr(0), NodeAddr(1)));
-        assert_eq!(t.degree(NodeAddr(0)), 1);
-        assert!(
-            t.is_connected(),
-            "triangle minus one edge is still connected"
-        );
-        assert!(t.remove_link(NodeAddr(0), NodeAddr(1)).is_err());
     }
 
     #[test]

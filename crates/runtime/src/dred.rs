@@ -344,7 +344,6 @@ pub fn rederivation_plan(program: &Program, rule: &Rule) -> CompiledStrand {
         trigger: 0,
         trigger_relation: head.name.clone(),
         strand_id: format!("{}-rederive", rule.label),
-        older_only: Vec::new(),
     };
     CompiledStrand::compile(rederive, true)
 }

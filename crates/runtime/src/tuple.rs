@@ -168,24 +168,6 @@ pub enum Sign {
     Delete,
 }
 
-impl Sign {
-    /// The opposite sign.
-    pub fn flip(self) -> Sign {
-        match self {
-            Sign::Insert => Sign::Delete,
-            Sign::Delete => Sign::Insert,
-        }
-    }
-
-    /// +1 for insert, -1 for delete.
-    pub fn factor(self) -> i64 {
-        match self {
-            Sign::Insert => 1,
-            Sign::Delete => -1,
-        }
-    }
-}
-
 /// A signed change to a relation: the unit that flows through rule strands,
 /// PSN queues and network messages.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -280,14 +262,6 @@ mod tests {
         assert_eq!(d.to_string(), "+link(@n0, 5)");
         let d = TupleDelta::delete("link", tup);
         assert_eq!(d.to_string(), "-link(@n0, 5)");
-    }
-
-    #[test]
-    fn sign_helpers() {
-        assert_eq!(Sign::Insert.flip(), Sign::Delete);
-        assert_eq!(Sign::Delete.flip(), Sign::Insert);
-        assert_eq!(Sign::Insert.factor(), 1);
-        assert_eq!(Sign::Delete.factor(), -1);
     }
 
     #[test]

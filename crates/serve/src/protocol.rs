@@ -29,13 +29,8 @@
 use crate::session::{DeltaEvent, Response};
 use std::fmt::Write;
 
-/// Escape a message onto one line (`\` → `\\`, newline → `\n`).
-pub fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    escape_into(&mut out, text);
-    out
-}
-
+/// Append `text` to `out` escaped onto one line (`\` → `\\`, newline →
+/// `\n`).
 fn escape_into(out: &mut String, text: &str) {
     for c in text.chars() {
         match c {
@@ -46,7 +41,7 @@ fn escape_into(out: &mut String, text: &str) {
     }
 }
 
-/// Undo [`escape`].
+/// Undo `escape_into`.
 pub fn unescape(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     let mut chars = text.chars();
@@ -142,18 +137,6 @@ fn single_line(write: impl FnOnce(&mut String)) -> String {
     line
 }
 
-/// [`write_response`]'s lines, one `String` each, terminators stripped.
-pub fn format_response(resp: &Response) -> Vec<String> {
-    let mut out = String::new();
-    write_response(&mut out, resp);
-    out.split_terminator('\n').map(str::to_string).collect()
-}
-
-/// [`write_error`]'s line, terminator stripped.
-pub fn format_error(err: &crate::ServeError) -> String {
-    single_line(|out| write_error(out, err))
-}
-
 /// [`write_event`]'s line, terminator stripped.
 pub fn format_event(event: &DeltaEvent) -> String {
     single_line(|out| write_event(out, event))
@@ -165,10 +148,23 @@ mod tests {
     use ndlog_lang::Value;
     use ndlog_runtime::{Tuple, TupleDelta};
 
+    /// [`write_response`]'s lines, one `String` each, terminators stripped.
+    fn format_response(resp: &Response) -> Vec<String> {
+        let mut out = String::new();
+        write_response(&mut out, resp);
+        out.split_terminator('\n').map(str::to_string).collect()
+    }
+
+    /// [`write_error`]'s line, terminator stripped.
+    fn format_error(err: &crate::ServeError) -> String {
+        single_line(|out| write_error(out, err))
+    }
+
     #[test]
     fn escape_round_trips() {
         for text in ["plain", "two\nlines", "back\\slash\nand\\nmore"] {
-            let escaped = escape(text);
+            let mut escaped = String::new();
+            escape_into(&mut escaped, text);
             assert!(!escaped.contains('\n'));
             assert_eq!(unescape(&escaped), text);
         }

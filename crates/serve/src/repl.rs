@@ -79,7 +79,7 @@ fn complete(buffer: &str) -> bool {
 /// Run the shell until EOF or `.quit`, reading from `input` and writing
 /// prompts/results to `output`. Split out from [`run`] so tests can drive
 /// it with in-memory buffers.
-pub fn run_on(
+fn run_on(
     service: &Arc<Service>,
     input: impl BufRead,
     mut output: impl Write,

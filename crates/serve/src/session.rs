@@ -36,7 +36,6 @@ use ndlog_lang::ast::{Atom, Program, Rule, TableDecl, Term};
 use ndlog_lang::interactive::{
     Command, MetaCommand, Op, SubscribeFilter, UnsubscribeTarget, Update,
 };
-use ndlog_lang::optimizer::{optimize, Pipeline};
 use ndlog_lang::{parse_command, parse_program, Value};
 use ndlog_runtime::{Evaluator, RelName, Strategy, Tuple, TupleDelta};
 use std::collections::{BTreeMap, BTreeSet};
@@ -170,12 +169,6 @@ struct Subscription {
 struct Core {
     /// The user-facing program (as typed/loaded — `.rules` shows this).
     program: Program,
-    /// The optimizer pipeline every engine build runs through. Initial
-    /// load and every interactive rebuild (rule/table addition, `.load`)
-    /// compile `optimize(program, pipeline)` — the same entry the batch
-    /// experiments use — so a rule added mid-session executes exactly the
-    /// plan it would have had at load time.
-    pipeline: Pipeline,
     eval: Evaluator,
     epoch: u64,
     commits: Vec<CommittedBatch>,
@@ -227,28 +220,13 @@ impl Service {
     /// A service preloaded with a program (its facts are in the initial
     /// fixpoint; the epoch starts at 0). No optimizer rewrites are applied.
     pub fn from_program(program: &Program) -> Result<Arc<Self>, ServeError> {
-        Self::from_program_with(program, Pipeline::identity())
-    }
-
-    /// A service preloaded with a program, compiled through an optimizer
-    /// pipeline. The pipeline is sticky: every later program change (rule
-    /// or table addition, `.load`) rebuilds through the same pipeline, so
-    /// mid-session additions execute the plans they would have had at load
-    /// time.
-    pub fn from_program_with(
-        program: &Program,
-        pipeline: Pipeline,
-    ) -> Result<Arc<Self>, ServeError> {
-        let optimized = optimize(program, &pipeline)
-            .map_err(|e| ServeError::new(format!("optimizer failed: {e}")))?;
-        let mut eval = Evaluator::new(&optimized.program).map_err(ServeError::new)?;
+        let mut eval = Evaluator::new(program).map_err(ServeError::new)?;
         eval.run(Strategy::Pipelined)
             .map_err(|e| ServeError::new(format!("initial fixpoint failed: {e}")))?;
         eval.drain_tap();
         Ok(Arc::new(Service {
             core: Mutex::new(Core {
                 program: program.clone(),
-                pipeline,
                 eval,
                 epoch: 0,
                 commits: Vec::new(),
@@ -561,17 +539,13 @@ impl Core {
     }
 
     /// A fresh engine for `program`, its tap watching what the current
-    /// one's watches: the optimizer pipeline over the whole program (the
-    /// same entry the initial load used, so a mid-session rule gets the
-    /// load-time plan), its fixpoint, then the commit log replayed — the
-    /// store, derivation counts included, is exactly as if the program had
-    /// always been this one and only the logged batches had arrived. The
-    /// replay's transitions are drained: they are not what subscribers
-    /// should see.
+    /// one's watches: the whole program's fixpoint, then the commit log
+    /// replayed — the store, derivation counts included, is exactly as if
+    /// the program had always been this one and only the logged batches
+    /// had arrived. The replay's transitions are drained: they are not what
+    /// subscribers should see.
     fn replayed(&self, program: &Program) -> Result<Evaluator, ServeError> {
-        let optimized = optimize(program, &self.pipeline)
-            .map_err(|e| ServeError::new(format!("optimizer failed: {e}")))?;
-        let mut eval = Evaluator::new(&optimized.program).map_err(ServeError::new)?;
+        let mut eval = Evaluator::new(program).map_err(ServeError::new)?;
         for relation in self.eval.tap().subscribed() {
             eval.tap_mut().subscribe(relation.to_string());
         }
@@ -622,14 +596,17 @@ impl Core {
         relation: String,
         filter: Option<SubscribeFilter>,
     ) -> Result<Response, ServeError> {
-        if let (Some(filter), Some(sample)) =
-            (filter.as_ref(), self.eval.store().tuples(&relation).first())
-        {
-            if filter.len() != sample.values().len() {
+        if let Some(filter) = &filter {
+            // The program's arity holds whether or not anything is stored
+            // yet; a relation it does not name is judged by a stored tuple.
+            let arity = self.program.arity_of(&relation).or_else(|| {
+                let stored = self.eval.store().tuples(&relation);
+                stored.first().map(|t| t.values().len())
+            });
+            if let Some(arity) = arity.filter(|&a| a != filter.len()) {
                 return Err(ServeError::new(format!(
-                    "subscribe pattern has {} column(s) but `{relation}` has {}",
+                    "subscribe pattern has {} column(s) but `{relation}` has {arity}",
                     filter.len(),
-                    sample.values().len()
                 )));
             }
         }
@@ -939,6 +916,29 @@ mod tests {
         assert!(watcher.execute_line(".unsubscribe 99").is_err());
     }
 
+    /// A pattern of the wrong width could never match; it is refused the
+    /// same way whether the relation is still empty or not.
+    #[test]
+    fn a_subscribe_pattern_of_the_wrong_arity_is_refused_even_when_empty() {
+        let program = ndlog_lang::parse_program(
+            "materialize(link, keys(1,2)). r1 reach(@A,@B) :- link(@A,@B,C).",
+        )
+        .unwrap();
+        let service = Service::from_program(&program).unwrap();
+        let session = service.open_session(Arc::new(NullSink));
+        let refusal = |line: &str| session.execute_line(line).unwrap_err().to_string();
+
+        let empty = refusal(".subscribe reach(@n0, _, _)");
+        assert_eq!(empty, "subscribe pattern has 3 column(s) but `reach` has 2");
+        session.execute_line("+link(@n0, @n1, 1.0).").unwrap();
+        assert_eq!(refusal(".subscribe reach(@n0, _, _)"), empty);
+
+        // A relation the program does not name is judged by what is stored.
+        session.execute_line("+extra(1, 2).").unwrap();
+        assert!(refusal(".subscribe extra(1)").contains("`extra` has 2"));
+        assert!(session.execute_line(".subscribe extra(1, _)").is_ok());
+    }
+
     #[test]
     fn interactive_program_growth_replays_the_commit_log() {
         let service = Service::new();
@@ -1143,30 +1143,22 @@ mod tests {
     }
 
     #[test]
-    fn rules_added_mid_session_match_load_time_optimization() {
-        use ndlog_lang::reorder::BodyOrder;
-
-        // A pipeline that actually rewrites the program: bodies are
-        // normalized link-last, so the shortest-path rules plan with a
-        // different join order than as written.
-        let pipeline = || Pipeline::new(Vec::new(), Some(BodyOrder::LinkLast));
+    fn rules_added_mid_session_match_the_load_time_fixpoint() {
         let full = programs::shortest_path("");
 
-        // Service A: the whole program compiled through the pipeline at
-        // load time.
-        let at_load = Service::from_program_with(&full, pipeline()).unwrap();
+        // Service A: the whole program at load time.
+        let at_load = Service::from_program(&full).unwrap();
         let a_session = figure2(&at_load);
         let a_sink = CollectSink::new();
         let a_watcher = at_load.open_session(a_sink.clone());
         a_watcher.execute_line(".subscribe shortestPath").unwrap();
 
-        // Service B: same pipeline but only the table declarations at load
-        // time; data arrives, a watcher subscribes, and the rules are added
-        // mid-session one at a time (each add rebuilds through the same
-        // pipeline).
+        // Service B: only the table declarations at load time; data
+        // arrives, a watcher subscribes, and the rules are added
+        // mid-session one at a time (each add rebuilds the engine).
         let mut base = full.clone();
         base.rules.clear();
-        let mid_session = Service::from_program_with(&base, pipeline()).unwrap();
+        let mid_session = Service::from_program(&base).unwrap();
         let b_session = figure2(&mid_session);
         let b_sink = CollectSink::new();
         let b_watcher = mid_session.open_session(b_sink.clone());

@@ -11,12 +11,16 @@
 //! 1. the unconstrained all-pairs shortest-path query (No-MS baseline);
 //! 2. the magic, top-down (source-routing) query constrained to one
 //!    (source, destination) pair — dramatically cheaper;
-//! 3. a second constrained query towards the same destination with the
-//!    query-result cache populated by the first — cheaper still, because
-//!    exploration stops at nodes that already know a path to the
-//!    destination.
+//! 3. a query towards the same destination from a source off the first
+//!    answer's path, with every node on that path holding the answer in its
+//!    cache — cheaper than the same query uncached, because exploration
+//!    stops at nodes that already know a path to the destination.
+//!
+//! The engine never caches: a node answering from its cache forwards no
+//! exploration, which the example models by not loading that node's
+//! outgoing links (the only rules that forward, `sd1` and `sd2`, join
+//! `#link` at the forwarding node).
 
-use ndlog_core::caching::QueryCache;
 use ndlog_core::{plan, DistributedEngine, EngineConfig};
 use ndlog_lang::{programs, Value};
 use ndlog_net::gtitm::{generate, TransitStubConfig};
@@ -24,10 +28,20 @@ use ndlog_net::overlay::{Overlay, OverlayConfig};
 use ndlog_net::topology::Metric;
 use ndlog_net::NodeAddr;
 use ndlog_runtime::Tuple;
-use std::collections::BTreeMap;
 
-fn load_links(engine: &mut DistributedEngine, overlay: &Overlay, relation: &str) {
-    for l in overlay.links() {
+/// Load every overlay link into `relation`, except those leaving a
+/// `cached` node.
+fn load_links(
+    engine: &mut DistributedEngine,
+    overlay: &Overlay,
+    relation: &str,
+    cached: &[NodeAddr],
+) {
+    for l in overlay
+        .links()
+        .into_iter()
+        .filter(|l| !cached.contains(&l.src))
+    {
         engine
             .insert_base(
                 l.src,
@@ -57,7 +71,7 @@ fn main() {
         config.clone(),
     )
     .unwrap();
-    load_links(&mut all_pairs, &overlay, "link");
+    load_links(&mut all_pairs, &overlay, "link", &[]);
     all_pairs.run_to_quiescence().unwrap();
     println!(
         "all-pairs (No-MS): {} results, {:.2} kB",
@@ -66,19 +80,17 @@ fn main() {
     );
 
     // 2. One constrained query: source 0, destination n-1.
-    let src = NodeAddr(0);
     let dst = NodeAddr((n - 1) as u32);
-    let run_constrained = |blocked: BTreeMap<String, std::collections::BTreeSet<NodeAddr>>| {
+    let run_constrained = |src: NodeAddr, cached: &[NodeAddr]| {
         let mut config = EngineConfig::default();
         config.node.aggregate_selections = true;
-        config.blocked_propagation = blocked;
         let mut engine = DistributedEngine::new(
             overlay.graph.clone(),
             &[plan(&programs::shortest_path_source_routing("")).unwrap()],
             config,
         )
         .unwrap();
-        load_links(&mut engine, &overlay, "link");
+        load_links(&mut engine, &overlay, "link", cached);
         engine
             .insert_base(src, "magicSrc", Tuple::new(vec![Value::Addr(src)]))
             .unwrap();
@@ -89,7 +101,8 @@ fn main() {
         engine
     };
 
-    let first = run_constrained(BTreeMap::new());
+    let src = NodeAddr(0);
+    let first = run_constrained(src, &[]);
     let result = first
         .results("shortestPath")
         .into_iter()
@@ -108,23 +121,27 @@ fn main() {
         first.stats().total_bytes() as f64 / 1000.0,
         first.stats().total_bytes() as f64 / all_pairs.stats().total_bytes() as f64 * 100.0
     );
+    assert!(path.len() >= 2, "the magic query finds a path");
 
-    // 3. Populate the cache from the first answer and re-run a query for
-    //    the same destination from a different source: exploration is cut
-    //    short at cached nodes.
-    let mut cache = QueryCache::new();
-    cache.record_result(&path, &vec![1.0; path.len().saturating_sub(1)]);
-    let blocked = cache.blocked_map("pathDst", dst);
+    // 3. Every node on the answer's path but the destination now caches its
+    //    suffix of it. Query the same destination from the first node off
+    //    that path, once without and once with those caches.
+    let cached = &path[..path.len() - 1];
+    let other = (0..n as u32)
+        .map(NodeAddr)
+        .find(|a| !path.contains(a))
+        .expect("some node is off the cached path");
     println!(
-        "cache holds entries for destination {dst} at {} node(s)",
-        cache.nodes_with_entry_for(dst).len()
+        "{} node(s) cache a path to {dst}; querying from {other}",
+        cached.len()
     );
-    let second = run_constrained(blocked);
+    let uncached = run_constrained(other, &[]).stats().total_bytes();
+    let with_cache = run_constrained(other, cached).stats().total_bytes();
     println!(
         "same-destination query with caching: {:.2} kB (vs {:.2} kB uncached)",
-        second.stats().total_bytes() as f64 / 1000.0,
-        first.stats().total_bytes() as f64 / 1000.0
+        with_cache as f64 / 1000.0,
+        uncached as f64 / 1000.0
     );
-    assert!(second.stats().total_bytes() <= first.stats().total_bytes());
-    println!("ok: caching never increases the communication of the constrained query");
+    assert!(with_cache > 0 && with_cache < uncached);
+    println!("ok: the cached query explores, and spends less than the uncached one");
 }
