@@ -253,10 +253,6 @@ impl DistributedEngine {
         let all_strands: Vec<_> = plans.iter().flat_map(|p| p.strands.clone()).collect();
         let strands = Arc::new(all_strands);
 
-        let mut tracked: BTreeSet<String> = config.node.tracked_relations.clone();
-        for plan in plans {
-            tracked.extend(plan.query_relations());
-        }
         let mut key_columns = BTreeMap::new();
         for plan in plans {
             for decl in &plan.program.tables {
@@ -266,9 +262,7 @@ impl DistributedEngine {
 
         let mut nodes = BTreeMap::new();
         for addr in graph.nodes() {
-            let mut node_config = config.node.clone();
-            node_config.tracked_relations = tracked.clone();
-            let engine = NodeEngine::new(addr, plans, Arc::clone(&strands), node_config)?;
+            let engine = NodeEngine::new(addr, plans, Arc::clone(&strands), config.node.clone())?;
             nodes.insert(addr, engine);
         }
 

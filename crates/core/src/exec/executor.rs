@@ -41,8 +41,10 @@
 //!    path). Flush timers break a run, so flush ordering relative to
 //!    deliveries is preserved;
 //! 4. **pre-serialization**: the lane also renders each outcome's effects
-//!    into their replay-ready form — tracked-relation changes become
-//!    timestamped [`ResultRecord`]s and each outbound batch's wire size is
+//!    into their replay-ready form — the tracked-relation changes the node
+//!    drained from its tap become timestamped [`ResultRecord`]s, the
+//!    derivations it drained from the lane's shipped list become outbound
+//!    batches, and each outbound batch's wire size is
 //!    computed up front ([`OutboundBatch`]) — so the serial replay tail
 //!    only appends records and pushes pre-sized messages;
 //! 5. merge: concatenate the lanes' outcome buffers and sort by the unique
@@ -82,7 +84,7 @@
 //! state beyond that point is unspecified in both modes.
 
 use crate::engine::ResultRecord;
-use crate::node::{NodeEngine, ResultChange};
+use crate::node::NodeEngine;
 use crate::sharing;
 use ndlog_net::sim::SimTime;
 use ndlog_net::NodeAddr;
@@ -168,7 +170,7 @@ pub fn outbound_batches(
 pub fn result_records(
     node: NodeAddr,
     time: SimTime,
-    changes: Vec<ResultChange>,
+    changes: Vec<TupleDelta>,
 ) -> Vec<ResultRecord> {
     changes
         .into_iter()

@@ -3,36 +3,38 @@
 //! Every network node runs the same plan over its own store. The engine is
 //! a wrapper over `ndlog_runtime::fixpoint` — the local loop the
 //! centralized evaluator also runs (pipelined semi-naive insertions, DRed
-//! deletions, aggregate views, soft-state clock) — plus what a node adds:
-//! derivations whose location specifier names another node are handed back
+//! deletions, aggregate views, soft-state clock), built here with this
+//! node's address and, when enabled, its aggregate selections — plus what a
+//! node adds: derivations whose location specifier names another node,
+//! which the loop leaves in the lent buffers' shipped list, are handed back
 //! to the distributed engine to be sent along the corresponding link
-//! (deletion derivations of a DRed over-delete included), changes to
-//! tracked relations are logged, and a crashed node loses its state.
+//! (deletion derivations of a DRed over-delete included), the loop's tap is
+//! the node's tracked-relation log, and a crashed node loses its state.
 //!
 //! The node also implements the per-node halves of the paper's
 //! optimizations:
 //!
-//! * **aggregate selections** (Section 5.1.1): an insertion into a relation
-//!   with an inferred monotonic aggregate selection is pruned unless it is
-//!   strictly better than the node's current aggregate for its group, so
-//!   only improvements are stored, extended and propagated;
-//! * **periodic aggregate selections**: outbound tuples of such relations
-//!   are buffered and, on a periodic flush, only the best tuple per
-//!   (destination, group) is actually sent;
+//! * **aggregate selections** (Section 5.1.1): the loop refuses an
+//!   insertion into a relation with an inferred monotonic aggregate
+//!   selection unless it is strictly better than the node's current
+//!   aggregate for its group, so only improvements are stored, extended
+//!   and propagated;
+//! * **periodic aggregate selections**: outbound tuples of the relations
+//!   the node prunes are buffered and, on a periodic flush, only the best
+//!   tuple per (destination, group) is actually sent;
 //! * **opportunistic message sharing** (Section 5.2): all outbound tuples
 //!   are delayed briefly so the engine can combine tuples that share
 //!   attribute values into one message.
 
 use crate::exec::arena::{ArenaStats, DeltaArena};
 use crate::plan::QueryPlan;
-use ndlog_lang::aggsel::AggSelectionSpec;
 use ndlog_lang::Value;
 use ndlog_net::sim::SimTime;
 use ndlog_net::NodeAddr;
-use ndlog_runtime::fixpoint::{LocalFixpoint, SiteHook};
+use ndlog_runtime::fixpoint::LocalFixpoint;
 use ndlog_runtime::{
-    AggregateView, CompiledStrand, DeltaTap, EvalBuffers, EvalError, EvalStats, RelName, Sign,
-    Store, Strategy, Tuple, TupleDelta,
+    AggregateView, CompiledStrand, EvalBuffers, EvalError, EvalStats, RelName, Sign, Store,
+    Strategy, Tuple, TupleDelta,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -42,26 +44,20 @@ use std::sync::Arc;
 pub struct NodeConfig {
     /// Enable aggregate-selection pruning.
     pub aggregate_selections: bool,
-    /// Buffer outbound tuples of selection relations and flush them
-    /// periodically (the *periodic aggregate selections* variant).
+    /// Buffer outbound tuples of the relations the node prunes and flush
+    /// them periodically, sending only the best per (destination, group):
+    /// the *periodic aggregate selections* variant of aggregate selection,
+    /// so it holds nothing unless `aggregate_selections` is set too (its
+    /// one caller, the aggregate-selections experiment, sets both).
     pub periodic_flush: Option<SimTime>,
     /// Delay all outbound tuples by this long to create message-sharing
     /// opportunities (Section 5.2; the paper uses 300 ms).
     pub sharing_delay: Option<SimTime>,
-    /// Relations whose changes should be reported to the distributed engine
-    /// for convergence tracking.
+    /// Relations whose visibility transitions every processing step
+    /// reports, beside each plan's query relations, for convergence
+    /// tracking. [`NodeEngine::new`] subscribes the node's tap to them,
+    /// moving the names out of the config.
     pub tracked_relations: BTreeSet<String>,
-}
-
-/// A change to a tracked relation, reported to the distributed engine.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResultChange {
-    /// Relation name, shared with the delta that caused the change.
-    pub relation: RelName,
-    /// The tuple that was inserted or deleted.
-    pub tuple: Tuple,
-    /// Insertion or deletion.
-    pub sign: Sign,
 }
 
 /// What one processing step produced.
@@ -69,8 +65,8 @@ pub struct ResultChange {
 pub struct ProcessOutput {
     /// Outbound deltas grouped by destination node.
     pub outbound: BTreeMap<NodeAddr, Vec<TupleDelta>>,
-    /// Changes to tracked relations.
-    pub changes: Vec<ResultChange>,
+    /// Visibility transitions of tracked relations, drained from the tap.
+    pub changes: Vec<TupleDelta>,
     /// Whether the node buffered outbound tuples and needs a flush timer.
     pub request_flush: bool,
 }
@@ -78,109 +74,15 @@ pub struct ProcessOutput {
 /// The per-node engine.
 pub struct NodeEngine {
     fixpoint: LocalFixpoint,
-    site: NodeSite,
-}
-
-/// What this node adds to the local loop: the [`SiteHook`] the fixpoint
-/// driver calls back into.
-struct NodeSite {
     addr: NodeAddr,
     config: NodeConfig,
-    /// (selection, index of the aggregate view that tracks its groups).
-    selections: Vec<(AggSelectionSpec, usize)>,
     /// Outbound deltas held for periodic flush / message sharing.
     held: Vec<(NodeAddr, TupleDelta)>,
-    /// What the current processing step has produced so far.
-    output: ProcessOutput,
-    /// Count of insertions pruned by aggregate selections.
-    pruned: u64,
     /// Pool of reusable wire-payload buffers: delivered payloads are
     /// recycled here after ingestion and the outbound path rents from it,
     /// so message buffers circulate instead of being reallocated (see
     /// `crate::exec::arena`).
     arena: DeltaArena,
-}
-
-impl SiteHook for NodeSite {
-    fn site(&self) -> Option<NodeAddr> {
-        Some(self.addr)
-    }
-
-    /// Aggregate-selection pruning: drop insertions that cannot improve
-    /// their group's aggregate.
-    fn admit(&mut self, store: &Store, views: &[AggregateView], delta: &TupleDelta) -> bool {
-        if !self.config.aggregate_selections || delta.sign != Sign::Insert {
-            return true;
-        }
-        let Some((sel, view_idx)) = self.selection_entry(&delta.relation) else {
-            return true;
-        };
-        let (Some(candidate), Some(current)) = (
-            delta.tuple.get(sel.value_col),
-            views[*view_idx].current_for(&delta.tuple),
-        ) else {
-            return true;
-        };
-        if sel.is_better(candidate, &current) {
-            return true;
-        }
-        self.pruned += 1;
-        // A re-announcement of the reigning best tuple is "not strictly
-        // better" too, but it must still reach the store, as the duplicate
-        // insertion it is, so its soft-state expiry moves forward;
-        // everything else is pruned outright.
-        store
-            .relation(&delta.relation)
-            .is_some_and(|r| r.contains(&delta.tuple))
-    }
-
-    /// Send a derivation headed at another node along its link, honoring
-    /// the hold-for-flush buffers.
-    fn ship(&mut self, dest: NodeAddr, delta: TupleDelta) {
-        let hold_for_sharing = self.config.sharing_delay.is_some();
-        let hold_for_periodic =
-            self.config.periodic_flush.is_some() && self.selection_for(&delta.relation).is_some();
-        if hold_for_sharing || hold_for_periodic {
-            self.held.push((dest, delta));
-            self.output.request_flush = true;
-        } else {
-            self.output
-                .outbound
-                .entry(dest)
-                .or_insert_with(|| self.arena.rent())
-                .push(delta);
-        }
-    }
-
-    fn changed(&mut self, delta: &TupleDelta) {
-        if self.config.tracked_relations.contains(&*delta.relation) {
-            self.output.changes.push(ResultChange {
-                relation: delta.relation.clone(),
-                tuple: delta.tuple.clone(),
-                sign: delta.sign,
-            });
-        }
-    }
-}
-
-impl NodeSite {
-    fn selection_entry(&self, relation: &str) -> Option<&(AggSelectionSpec, usize)> {
-        self.selections
-            .iter()
-            .find(|(sel, _)| sel.relation == relation)
-    }
-
-    fn selection_for(&self, relation: &str) -> Option<&AggSelectionSpec> {
-        self.selection_entry(relation).map(|(sel, _)| sel)
-    }
-
-    fn group_key(&self, delta: &TupleDelta) -> Option<Vec<Value>> {
-        let sel = self.selection_for(&delta.relation)?;
-        if sel.group_cols.iter().any(|&c| delta.tuple.get(c).is_none()) {
-            return None;
-        }
-        Some(delta.tuple.project(&sel.group_cols))
-    }
 }
 
 impl NodeEngine {
@@ -191,64 +93,41 @@ impl NodeEngine {
         addr: NodeAddr,
         plans: &[QueryPlan],
         strands: Arc<Vec<CompiledStrand>>,
-        config: NodeConfig,
+        mut config: NodeConfig,
     ) -> Result<Self, String> {
         let mut store = Store::new();
         let mut views = Vec::new();
-        let mut selections = Vec::new();
         for plan in plans {
             store.add_program(&plan.program)?;
             for rule in &plan.aggregate_rules {
                 views.push(AggregateView::from_rule(rule)?);
             }
         }
-        for plan in plans {
-            for sel in &plan.selections {
-                let Some(view_idx) = views
-                    .iter()
-                    .position(|v| *v.head_relation() == sel.aggregate_relation)
-                else {
-                    return Err(format!(
-                        "aggregate selection on {} has no matching aggregate view",
-                        sel.relation
-                    ));
-                };
-                selections.push((sel.clone(), view_idx));
-            }
+        let selections = if config.aggregate_selections {
+            plans.iter().flat_map(|p| p.selections.clone()).collect()
+        } else {
+            Vec::new()
+        };
+        let mut fixpoint = LocalFixpoint::new(store, strands, views, Some(addr), selections)?;
+        let tap = fixpoint.tap_mut();
+        for relation in std::mem::take(&mut config.tracked_relations) {
+            tap.subscribe(relation);
+        }
+        for relation in plans.iter().flat_map(QueryPlan::query_relations) {
+            tap.subscribe(relation);
         }
         Ok(NodeEngine {
-            fixpoint: LocalFixpoint::new(store, strands, views),
-            site: NodeSite {
-                addr,
-                config,
-                selections,
-                held: Vec::new(),
-                output: ProcessOutput::default(),
-                pruned: 0,
-                arena: DeltaArena::default(),
-            },
+            fixpoint,
+            addr,
+            config,
+            held: Vec::new(),
+            arena: DeltaArena::default(),
         })
     }
 
     /// This node's address.
     pub fn addr(&self) -> NodeAddr {
-        self.site.addr
-    }
-
-    /// The live-query delta tap for this node.
-    pub fn tap(&self) -> &DeltaTap {
-        self.fixpoint.tap()
-    }
-
-    /// Mutable access to the delta tap (subscribe/unsubscribe relations).
-    pub fn tap_mut(&mut self) -> &mut DeltaTap {
-        self.fixpoint.tap_mut()
-    }
-
-    /// Take the visibility transitions recorded at this node since the
-    /// last drain, in store order.
-    pub fn drain_tap(&mut self) -> Vec<TupleDelta> {
-        self.fixpoint.tap_mut().drain()
+        self.addr
     }
 
     /// The node's store (for inspection).
@@ -258,7 +137,7 @@ impl NodeEngine {
 
     /// Number of insertions pruned by aggregate selections so far.
     pub fn pruned(&self) -> u64 {
-        self.site.pruned
+        self.fixpoint.pruned()
     }
 
     /// Cumulative evaluation statistics: processed deltas, derivations, and
@@ -292,15 +171,15 @@ impl NodeEngine {
     pub fn receive(&mut self, mut deltas: Vec<TupleDelta>) {
         let payload_len = deltas.len();
         for delta in deltas.drain(..) {
-            self.fixpoint.ingest(delta, &mut self.site);
+            self.fixpoint.ingest(delta);
         }
-        self.site.arena.recycle(payload_len, deltas);
+        self.arena.recycle(payload_len, deltas);
     }
 
     /// This node's wire-buffer pool counters (meaningful summed across all
     /// nodes — buffers rent at senders and recycle at receivers).
     pub fn arena_stats(&self) -> ArenaStats {
-        self.site.arena.stats()
+        self.arena.stats()
     }
 
     /// Expire soft-state tuples; the expired tuples seed the next DRed
@@ -313,22 +192,15 @@ impl NodeEngine {
     /// Crash the node: all volatile state — stored tuples, aggregate-view
     /// groups, the evaluation queue, pending deletions and held outbound
     /// tuples — is lost, exactly as a process restart would lose it.
-    /// Tracked relations and tap subscribers see an explicit retraction of
-    /// every stored tuple so downstream result logs stay exact; sequence
-    /// numbers and the logical clock survive (a rejoining node must not
-    /// travel back in time). Returns the tracked-relation retractions.
-    pub fn crash_reset(&mut self) -> Vec<ResultChange> {
-        let names: Vec<RelName> = self.store().relation_names().map(RelName::from).collect();
-        for name in names {
-            for tuple in self.store().tuples(&name) {
-                let delta = TupleDelta::delete(name.clone(), tuple);
-                self.fixpoint.tap_mut().record(&delta);
-                self.site.changed(&delta);
-            }
-        }
+    /// Tracked relations see an explicit retraction of every stored tuple
+    /// so downstream result logs stay exact; sequence numbers and the
+    /// logical clock survive (a rejoining node must not travel back in
+    /// time). Returns the drained tap: those retractions, after whatever
+    /// it recorded before the crash.
+    pub fn crash_reset(&mut self) -> Vec<TupleDelta> {
         self.fixpoint.clear();
-        self.site.held.clear();
-        std::mem::take(&mut self.site.output.changes)
+        self.held.clear();
+        self.fixpoint.tap_mut().drain()
     }
 
     /// Queue every stored tuple for re-firing with its original stored
@@ -358,9 +230,8 @@ impl NodeEngine {
     /// group, if any.
     #[cfg(test)]
     fn current_best(&self, relation: &str, tuple: &Tuple) -> Option<Value> {
-        self.site
-            .selection_entry(relation)
-            .and_then(|(_, idx)| self.fixpoint.views()[*idx].current_for(tuple))
+        let (_, view) = self.fixpoint.selection(relation)?;
+        self.fixpoint.views()[*view].current_for(tuple)
     }
 
     /// Run queued work to a local fixpoint (pipelined semi-naive, consumed
@@ -375,21 +246,47 @@ impl NodeEngine {
     /// [`NodeEngine::process`] in the caller's evaluation buffers. A node
     /// owns none: whoever drives many nodes — an executor lane, lane 0's
     /// set also serving the engine's inject path — keeps one set and lends
-    /// it to each in turn, and gets it back holding capacity only.
+    /// it to each in turn, and gets it back holding capacity only: the
+    /// derivations the run shipped to other nodes are drained, in
+    /// derivation order, into the held buffer or the outbound batches, on
+    /// error too, so none reaches the next node the buffers serve.
     pub fn process_with(&mut self, buffers: &mut EvalBuffers) -> Result<ProcessOutput, EvalError> {
-        self.fixpoint
-            .run(Strategy::Pipelined, &mut self.site, buffers)?;
-        Ok(std::mem::take(&mut self.site.output))
+        let run = self.fixpoint.run(Strategy::Pipelined, buffers);
+        let mut output = ProcessOutput::default();
+        let hold_for_sharing = self.config.sharing_delay.is_some();
+        for (dest, delta) in buffers.drain_shipped() {
+            let hold_for_periodic = self.config.periodic_flush.is_some()
+                && self.fixpoint.selection(&delta.relation).is_some();
+            if hold_for_sharing || hold_for_periodic {
+                self.held.push((dest, delta));
+                output.request_flush = true;
+            } else {
+                output
+                    .outbound
+                    .entry(dest)
+                    .or_insert_with(|| self.arena.rent())
+                    .push(delta);
+            }
+        }
+        run?;
+        output.changes = self.fixpoint.tap_mut().drain();
+        Ok(output)
     }
 
     /// The flush interval currently in effect (sharing delay takes
     /// precedence over the periodic-selection interval when both are set,
     /// since it is the shorter-lived buffer in the paper's experiments).
     pub fn flush_interval(&self) -> Option<SimTime> {
-        self.site
-            .config
-            .sharing_delay
-            .or(self.site.config.periodic_flush)
+        self.config.sharing_delay.or(self.config.periodic_flush)
+    }
+
+    /// The group of a held delta of a relation the node prunes.
+    fn group_key(&self, delta: &TupleDelta) -> Option<Vec<Value>> {
+        let (sel, _) = self.fixpoint.selection(&delta.relation)?;
+        if sel.group_cols.iter().any(|&c| delta.tuple.get(c).is_none()) {
+            return None;
+        }
+        Some(delta.tuple.project(&sel.group_cols))
     }
 
     /// Flush held outbound tuples.
@@ -403,13 +300,12 @@ impl NodeEngine {
     /// *moved* out of the held buffer into arena-rented wire buffers — the
     /// flush tail allocates no tuples and clones no deltas.
     pub fn flush(&mut self) -> BTreeMap<NodeAddr, Vec<TupleDelta>> {
-        let site = &mut self.site;
-        let held = std::mem::take(&mut site.held);
+        let held = std::mem::take(&mut self.held);
         // Group keys that contain any deletion are exempt from deduplication.
         let mut has_delete: BTreeSet<(NodeAddr, RelName, Vec<Value>)> = BTreeSet::new();
         for (dest, delta) in &held {
             if delta.sign == Sign::Delete {
-                if let Some(key) = site.group_key(delta) {
+                if let Some(key) = self.group_key(delta) {
                     has_delete.insert((*dest, delta.relation.clone(), key));
                 }
             }
@@ -419,10 +315,10 @@ impl NodeEngine {
         let mut verbatim = vec![false; held.len()];
         let mut best: BTreeMap<(NodeAddr, RelName, Vec<Value>), (usize, &Value)> = BTreeMap::new();
         for (idx, (dest, delta)) in held.iter().enumerate() {
-            let (Some(sel), Sign::Insert, Some(key)) = (
-                site.selection_for(&delta.relation),
+            let (Some((sel, _)), Sign::Insert, Some(key)) = (
+                self.fixpoint.selection(&delta.relation),
                 delta.sign,
-                site.group_key(delta),
+                self.group_key(delta),
             ) else {
                 verbatim[idx] = true;
                 continue;
@@ -445,7 +341,7 @@ impl NodeEngine {
         for (idx, (dest, delta)) in held.into_iter().enumerate() {
             if verbatim[idx] || winners.contains(&idx) {
                 out.entry(dest)
-                    .or_insert_with(|| site.arena.rent())
+                    .or_insert_with(|| self.arena.rent())
                     .push(delta);
             }
         }
@@ -467,8 +363,18 @@ mod tests {
         Tuple::new(vec![addr(s), addr(d), Value::Float(c)])
     }
 
+    /// `path(S, 9, Z, [S, Z, 9], cost)`: a path from `s` to node 9 via `z`.
+    fn path(s: u32, z: u32, cost: impl Into<Value>) -> Tuple {
+        let vector = Value::list(vec![addr(s), addr(z), addr(9)]);
+        Tuple::new(vec![addr(s), addr(9), addr(z), vector, cost.into()])
+    }
+
     fn make_node(node: u32, config: NodeConfig) -> NodeEngine {
-        let plan = plan(&programs::shortest_path("")).unwrap();
+        node_running(&programs::shortest_path(""), node, config)
+    }
+
+    fn node_running(program: &ndlog_lang::Program, node: u32, config: NodeConfig) -> NodeEngine {
+        let plan = plan(program).unwrap();
         let strands = Arc::new(plan.strands.clone());
         NodeEngine::new(NodeAddr(node), &[plan], strands, config).unwrap()
     }
@@ -494,33 +400,24 @@ mod tests {
             ..Default::default()
         };
         let mut node = make_node(0, config);
-        let path = |z: u32, c: f64| {
-            Tuple::new(vec![
-                addr(0),
-                addr(9),
-                addr(z),
-                Value::list(vec![addr(0), addr(z), addr(9)]),
-                Value::Float(c),
-            ])
-        };
-        node.receive(vec![TupleDelta::insert("path", path(1, 5.0))]);
+        node.receive(vec![TupleDelta::insert("path", path(0, 1, 5.0))]);
         node.process().unwrap();
         assert_eq!(node.store().count("path"), 1);
         assert_eq!(
-            node.current_best("path", &path(1, 5.0)),
+            node.current_best("path", &path(0, 1, 5.0)),
             Some(Value::Float(5.0))
         );
         // A worse path for the same (S, D) group is pruned entirely.
-        node.receive(vec![TupleDelta::insert("path", path(2, 7.0))]);
+        node.receive(vec![TupleDelta::insert("path", path(0, 2, 7.0))]);
         node.process().unwrap();
         assert_eq!(node.store().count("path"), 1);
         assert_eq!(node.pruned(), 1);
         // A better one replaces the aggregate and is stored.
-        node.receive(vec![TupleDelta::insert("path", path(3, 2.0))]);
+        node.receive(vec![TupleDelta::insert("path", path(0, 3, 2.0))]);
         node.process().unwrap();
         assert_eq!(node.store().count("path"), 2);
         assert_eq!(
-            node.current_best("path", &path(1, 0.0)),
+            node.current_best("path", &path(0, 1, 0.0)),
             Some(Value::Float(2.0))
         );
         // The shortestPath result reflects the best cost.
@@ -536,26 +433,17 @@ mod tests {
             ..Default::default()
         };
         let mut node = make_node(0, config);
-        let path = |z: u32, c: i64| {
-            Tuple::new(vec![
-                addr(0),
-                addr(9),
-                addr(z),
-                Value::list(vec![addr(0), addr(z), addr(9)]),
-                Value::Int(c),
-            ])
-        };
         // Two integer costs one f64 cannot tell apart: the second is still
         // strictly better in the order the `min` view folds with.
         let (big, bigger) = (1i64 << 53, (1i64 << 53) + 1);
-        node.receive(vec![TupleDelta::insert("path", path(1, bigger))]);
+        node.receive(vec![TupleDelta::insert("path", path(0, 1, bigger))]);
         node.process().unwrap();
-        node.receive(vec![TupleDelta::insert("path", path(2, big))]);
+        node.receive(vec![TupleDelta::insert("path", path(0, 2, big))]);
         node.process().unwrap();
         assert_eq!(node.store().count("path"), 2);
         assert_eq!(node.pruned(), 0);
         assert_eq!(
-            node.current_best("path", &path(1, 0)),
+            node.current_best("path", &path(0, 1, 0i64)),
             Some(Value::Int(big))
         );
     }
@@ -563,49 +451,48 @@ mod tests {
     #[test]
     fn without_selections_all_paths_are_stored() {
         let mut node = make_node(0, NodeConfig::default());
-        let path = |z: u32, c: f64| {
-            Tuple::new(vec![
-                addr(0),
-                addr(9),
-                addr(z),
-                Value::list(vec![addr(0), addr(z), addr(9)]),
-                Value::Float(c),
-            ])
-        };
         node.receive(vec![
-            TupleDelta::insert("path", path(1, 5.0)),
-            TupleDelta::insert("path", path(2, 7.0)),
+            TupleDelta::insert("path", path(0, 1, 5.0)),
+            TupleDelta::insert("path", path(0, 2, 7.0)),
         ]);
         node.process().unwrap();
         assert_eq!(node.store().count("path"), 2);
         assert_eq!(node.pruned(), 0);
         assert_eq!(node.eval_stats().redundant_derivations, 0);
         // A second arrival of a stored path is a duplicate insertion.
-        node.receive(vec![TupleDelta::insert("path", path(1, 5.0))]);
+        node.receive(vec![TupleDelta::insert("path", path(0, 1, 5.0))]);
         node.process().unwrap();
         assert_eq!(node.store().count("path"), 2);
         assert_eq!(node.eval_stats().redundant_derivations, 1);
     }
 
     #[test]
-    fn tracked_relations_report_changes() {
+    fn a_reannounced_best_is_admitted_not_pruned() {
         let config = NodeConfig {
-            tracked_relations: ["shortestPath".to_string()].into_iter().collect(),
+            aggregate_selections: true,
             ..Default::default()
         };
         let mut node = make_node(0, config);
-        node.receive(vec![TupleDelta::insert("link", link(0, 1, 5.0))]);
-        let out = node.process().unwrap();
-        assert!(out
-            .changes
-            .iter()
-            .any(|c| c.relation == "shortestPath" && c.sign == Sign::Insert));
+        for _ in 0..2 {
+            node.receive(vec![TupleDelta::insert("path", path(0, 1, 5.0))]);
+            node.process().unwrap();
+        }
+        // The second arrival is not better than the reigning best, but it
+        // is that best: admitted as a duplicate, so nothing was refused.
+        assert_eq!(node.store().count("path"), 1);
+        assert_eq!(node.eval_stats().redundant_derivations, 1);
+        assert_eq!(node.pruned(), 0);
     }
 
     #[test]
-    fn tap_records_insert_and_retract_transitions() {
-        let mut node = make_node(0, NodeConfig::default());
-        node.tap_mut().subscribe("shortestPath");
+    fn tracked_relations_report_changes() {
+        // `path` is tracked by the config and `shortestPath` as the plan's
+        // query relation; `link` and `spCost` are not tracked.
+        let config = NodeConfig {
+            tracked_relations: ["path".to_string()].into_iter().collect(),
+            ..Default::default()
+        };
+        let mut node = make_node(0, config);
         node.receive(vec![
             TupleDelta::insert("link", link(0, 1, 5.0)),
             TupleDelta::insert(
@@ -613,22 +500,91 @@ mod tests {
                 Tuple::new(vec![addr(0), addr(1), Value::Float(5.0)]),
             ),
         ]);
-        node.process().unwrap();
-        let events = node.drain_tap();
-        assert!(events
+        let changes = node.process().unwrap().changes;
+        let reported = |relation: &str, sign: Sign| {
+            changes
+                .iter()
+                .any(|d| d.relation == *relation && d.sign == sign)
+        };
+        assert!(reported("shortestPath", Sign::Insert));
+        assert!(reported("path", Sign::Insert));
+        assert!(changes
             .iter()
-            .any(|d| d.relation == "shortestPath" && d.sign == Sign::Insert));
-        assert!(events.iter().all(|d| d.relation == "shortestPath"));
+            .all(|d| d.relation == "shortestPath" || d.relation == "path"));
 
         // Deleting the link retracts the derived shortest path: the
-        // subscriber sees the exact retraction, not a silent disappearance.
+        // tracked-relation log holds the exact retraction, not a silent
+        // disappearance.
         node.receive(vec![TupleDelta::delete("link", link(0, 1, 5.0))]);
-        node.process().unwrap();
-        let retractions = node.drain_tap();
+        let retractions = node.process().unwrap().changes;
         assert!(retractions
             .iter()
             .any(|d| d.relation == "shortestPath" && d.sign == Sign::Delete));
         assert!(node.store().tuples("shortestPath").is_empty());
+    }
+
+    #[test]
+    fn a_crash_retracts_every_tracked_tuple_once() {
+        let mut node = make_node(0, NodeConfig::default());
+        node.receive(vec![
+            TupleDelta::insert("link", link(0, 1, 5.0)),
+            TupleDelta::insert("link", link(0, 2, 1.0)),
+        ]);
+        node.process().unwrap();
+        let tracked = node.store().tuples("shortestPath");
+        assert_eq!(tracked.len(), 2);
+        assert!(node.store().count("link") > 0 && node.store().count("spCost") > 0);
+
+        // Exactly one retraction per stored `shortestPath` tuple, the
+        // plan's query relation, and none of the untracked `link`, `path`
+        // or `spCost` tuples the crash also loses.
+        let retracted = node.crash_reset();
+        let expected: Vec<TupleDelta> = tracked
+            .into_iter()
+            .map(|tuple| TupleDelta::delete("shortestPath", tuple))
+            .collect();
+        assert_eq!(retracted, expected);
+        assert_eq!(node.store().total_tuples(), 0);
+        let after = node.process().unwrap();
+        assert!(after.changes.is_empty() && after.outbound.is_empty());
+    }
+
+    #[test]
+    fn a_failed_run_leaks_no_shipped_derivation() {
+        // r1 ships `out` to node 3 in the first round; r2's local `b` fires
+        // r3 in a later round, whose filter is a type error on a string.
+        let program = ndlog_lang::parse_program(
+            r#"
+            materialize(link, keys(1,2)).
+            materialize(a, keys(1,2)).
+            materialize(b, keys(1,2)).
+            materialize(c, keys(1,2)).
+            materialize(out, keys(1,2)).
+            r1 out(@D, @S) :- #link(@S, @D), a(@S, N).
+            r2 b(@S, N) :- a(@S, N).
+            r3 c(@S, N) :- b(@S, N), N + 1 > 0.
+            "#,
+        )
+        .unwrap();
+        let mut failing = node_running(&program, 0, NodeConfig::default());
+        failing.receive(vec![
+            TupleDelta::insert("link", Tuple::new(vec![addr(0), addr(3)])),
+            TupleDelta::insert("a", Tuple::new(vec![addr(0), Value::str("x")])),
+        ]);
+        let mut buffers = EvalBuffers::default();
+        assert!(matches!(
+            failing.process_with(&mut buffers),
+            Err(EvalError::TypeMismatch { .. })
+        ));
+
+        // The next node the buffers serve sends only what it derived.
+        let mut next = make_node(5, NodeConfig::default());
+        next.receive(vec![TupleDelta::insert("link", link(5, 6, 1.0))]);
+        let out = next.process_with(&mut buffers).unwrap();
+        assert_eq!(out.outbound.keys().collect::<Vec<_>>(), [&NodeAddr(6)]);
+        assert!(out.outbound[&NodeAddr(6)]
+            .iter()
+            .all(|d| d.relation == "path_sp2_xd"));
     }
 
     #[test]
@@ -640,9 +596,7 @@ mod tests {
         };
         // This node (1) stores paths to destination 9 and ships extension
         // candidates to its neighbor 0.
-        let plan = plan(&programs::shortest_path("")).unwrap();
-        let strands = Arc::new(plan.strands.clone());
-        let mut node = NodeEngine::new(NodeAddr(1), &[plan], strands, config).unwrap();
+        let mut node = make_node(1, config);
         // Neighbor relationship: node 1 knows the reverse link and transfer
         // tuple for node 0.
         node.receive(vec![
@@ -655,18 +609,9 @@ mod tests {
         node.process().unwrap();
         // Two successively better paths to 9 (via different next hops, so no
         // primary-key replacement) arrive within one flush window.
-        let path = |z: u32, c: f64| {
-            Tuple::new(vec![
-                addr(1),
-                addr(9),
-                addr(z),
-                Value::list(vec![addr(1), addr(z), addr(9)]),
-                Value::Float(c),
-            ])
-        };
-        node.receive(vec![TupleDelta::insert("path", path(2, 5.0))]);
+        node.receive(vec![TupleDelta::insert("path", path(1, 2, 5.0))]);
         let out1 = node.process().unwrap();
-        node.receive(vec![TupleDelta::insert("path", path(3, 3.0))]);
+        node.receive(vec![TupleDelta::insert("path", path(1, 3, 3.0))]);
         let out2 = node.process().unwrap();
         // Nothing was sent immediately; a flush was requested.
         assert!(out1.outbound.is_empty() && out2.outbound.is_empty());
@@ -707,10 +652,7 @@ mod tests {
             "#,
         )
         .unwrap();
-        let plan = plan(&program).unwrap();
-        let strands = Arc::new(plan.strands.clone());
-        let mut node =
-            NodeEngine::new(NodeAddr(0), &[plan], strands, NodeConfig::default()).unwrap();
+        let mut node = node_running(&program, 0, NodeConfig::default());
         node.receive(vec![TupleDelta::insert(
             "ping",
             Tuple::new(vec![addr(0), addr(1)]),
@@ -725,9 +667,7 @@ mod tests {
 
     /// Every secondary index a node declares for `program`, per relation.
     fn declared_indexes(program: &ndlog_lang::Program) -> Vec<(String, Vec<Vec<usize>>)> {
-        let plan = plan(program).unwrap();
-        let strands = Arc::new(plan.strands.clone());
-        let node = NodeEngine::new(NodeAddr(0), &[plan], strands, NodeConfig::default()).unwrap();
+        let node = node_running(program, 0, NodeConfig::default());
         let store = node.store();
         let indexed = store.relation_names().filter_map(|name| {
             let relation = store.relation(name).unwrap();

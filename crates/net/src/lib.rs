@@ -27,9 +27,8 @@
 //!   docs for the full determinism contract.
 //!
 //! The simulator is deterministic given a seed, which makes every
-//! experiment in `ndlog-bench` repeatable bit-for-bit. Events can be
-//! consumed one at a time ([`sim::Simulator::next_event`]) or drained in
-//! *epochs* ([`sim::Simulator::drain_epoch`]): all events sharing the next
+//! experiment in `ndlog-bench` repeatable bit-for-bit. Events are drained
+//! in *epochs* ([`sim::Simulator::drain_epoch`]): all events sharing the next
 //! timestamp, or within a conservative lookahead window bounded by the
 //! minimum link propagation delay ([`sim::Simulator::min_link_delay`]).
 //! Epochs are what the parallel executor in `ndlog-core::exec` shards
@@ -53,6 +52,6 @@ pub use address::NodeAddr;
 pub use fault::{Crash, FaultPlan, FaultStats, LinkFaults, Partition};
 pub use message::{Message, Payload};
 pub use overlay::{Overlay, OverlayConfig, OverlayLink};
-pub use sim::{Event, EventKind, SimConfig, SimTime, Simulator, TimedEvent};
+pub use sim::{EventKind, SimConfig, SimTime, Simulator, TimedEvent};
 pub use stats::{BandwidthSeries, NetStats};
 pub use topology::{LinkMetrics, Topology, TopologyError};

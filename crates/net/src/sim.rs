@@ -50,19 +50,10 @@ pub enum EventKind<P> {
     Timer { node: NodeAddr, token: u64 },
 }
 
-/// An event popped from the simulator.
-#[derive(Debug, Clone)]
-pub struct Event<P> {
-    /// The time at which the event occurs.
-    pub time: SimTime,
-    /// The event itself.
-    pub kind: EventKind<P>,
-}
-
 /// An event drained as part of an epoch, carrying its queue sequence
 /// number. `(time, seq)` is a unique, totally ordered key that reproduces
-/// exactly the order [`Simulator::next_event`] would have popped the event
-/// in — parallel drivers use it to merge concurrently computed effects back
+/// exactly the order popping the queue one event at a time would yield —
+/// parallel drivers use it to merge concurrently computed effects back
 /// into the sequential order (see `ndlog_core::exec`).
 #[derive(Debug, Clone)]
 pub struct TimedEvent<P> {
@@ -346,13 +337,16 @@ impl<P: Clone> Simulator<P> {
     }
 
     /// Pop the next event, advancing simulation time. Returns `None` when
-    /// the simulation has quiesced (no events remain).
-    pub fn next_event(&mut self) -> Option<Event<P>> {
+    /// the simulation has quiesced (no events remain). The one-at-a-time
+    /// reference order that [`Simulator::drain_epoch`] is checked against.
+    #[cfg(test)]
+    fn next_event(&mut self) -> Option<TimedEvent<P>> {
         let Reverse(ev) = self.queue.pop()?;
         debug_assert!(ev.time >= self.now, "time must be monotonic");
         self.now = ev.time;
-        Some(Event {
+        Some(TimedEvent {
             time: ev.time,
+            seq: ev.seq,
             kind: ev.kind,
         })
     }
@@ -365,8 +359,8 @@ impl<P: Clone> Simulator<P> {
     /// Drain an *epoch*: every queued event whose timestamp falls in the
     /// half-open window `[t0, t0 + window)` — where `t0` is the earliest
     /// queued timestamp — and is not past `limit`. Events are returned in
-    /// exactly the `(time, seq)` order [`Simulator::next_event`] would have
-    /// popped them, and simulation time advances to `t0`.
+    /// exactly the `(time, seq)` order popping them one at a time would
+    /// yield, and simulation time advances to `t0`.
     ///
     /// A `window` of `0` or `1` yields single-timestamp epochs (all events
     /// sharing the next timestamp). Larger windows implement conservative
@@ -616,7 +610,7 @@ mod tests {
         let mut sequential = build();
         let mut popped = Vec::new();
         while let Some(ev) = sequential.next_event() {
-            popped.push(ev.time);
+            popped.push((ev.time, ev.seq));
         }
 
         let mut epochal = build();
@@ -631,7 +625,7 @@ mod tests {
                     .all(|w| (w[0].time, w[0].seq) < (w[1].time, w[1].seq)),
                 "epoch events are (time, seq)-ordered"
             );
-            drained.extend(epoch.iter().map(|e| e.time));
+            drained.extend(epoch.iter().map(|e| (e.time, e.seq)));
             epochs += 1;
         }
         assert_eq!(drained, popped);

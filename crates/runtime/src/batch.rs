@@ -12,8 +12,9 @@
 //!
 //! # Who owns the buffers
 //!
-//! Nobody who evaluates: the row arenas, the output buffer and the
-//! per-round vectors of the fixpoint loop are one [`EvalBuffers`] value
+//! Nobody who evaluates: the row arenas, the output buffer, the per-round
+//! vectors of the fixpoint loop and its list of shipped derivations are
+//! one [`EvalBuffers`] value
 //! that [`crate::fixpoint::LocalFixpoint::run`] *borrows* for the length of
 //! a run. The owner is whoever drives evaluation and outlives a run — an
 //! executor lane of `ndlog-core` (one value serves every node and epoch
@@ -21,9 +22,9 @@
 //! path), the centralized [`crate::Evaluator`]. A process hosting hundreds
 //! of node engines therefore keeps as many high-water-mark buffers as it has
 //! lanes, not as it has nodes. The buffers carry capacity only: a firing
-//! leaves its scratch empty and its output is drained by whoever asked for
-//! it, on success and on error alike, so which buffers a run was lent is
-//! unobservable.
+//! leaves its scratch empty, its output is drained by whoever asked for it
+//! and a run's shipped derivations by the node that ran, on success and on
+//! error alike, so which buffers a run was lent is unobservable.
 //!
 //! # One probe routine, two sinks
 //!
@@ -93,6 +94,7 @@ use crate::tuple::{RelName, Sign, Tuple, TupleDelta};
 use ndlog_lang::seminaive::DeltaRule;
 use ndlog_lang::value::FxBuild;
 use ndlog_lang::{Atom, Expr, Literal, Term, Value};
+use ndlog_net::NodeAddr;
 use std::collections::{BTreeMap, HashMap};
 
 /// One trigger delta of a batch with its join visibility limit (PSN passes
@@ -354,12 +356,17 @@ pub struct BatchOutput {
 
 /// The buffers a fixpoint run evaluates in, lent to it by whoever drives
 /// evaluation (see the module docs): the row arenas and output buffer of
-/// batch firing plus the per-round vectors of the fixpoint loop. Capacity
-/// only, never state.
+/// batch firing, the per-round vectors of the fixpoint loop, and the list
+/// of derivations shipped to other nodes. Capacity only, never state, apart
+/// from what a run shipped, which the site drains before it lends the
+/// buffers on.
 #[derive(Debug, Default)]
 pub struct EvalBuffers {
     pub(crate) scratch: BatchScratch,
     pub(crate) out: BatchOutput,
+    /// Derivations whose location is another node, with that node, in
+    /// derivation order.
+    pub(crate) shipped: Vec<(NodeAddr, TupleDelta)>,
     /// Per trigger of the round being fired: its derivations over every
     /// strand, in firing order. The inner vectors are drained as the round
     /// is consumed and keep their capacity for the next one.
@@ -371,6 +378,12 @@ pub struct EvalBuffers {
 }
 
 impl EvalBuffers {
+    /// Take the derivations the last run shipped to other nodes, in
+    /// derivation order.
+    pub fn drain_shipped(&mut self) -> std::vec::Drain<'_, (NodeAddr, TupleDelta)> {
+        self.shipped.drain(..)
+    }
+
     /// Fire each of `strands` over its share of `round` — the triggers of
     /// its trigger relation that the caller marked in `self.live` — as one
     /// batch against one store snapshot, and scatter the derivations into
@@ -1017,6 +1030,7 @@ impl EvalBuffers {
             && self.out.derivations.is_empty()
             && self.out.fields.is_empty()
             && self.per_trigger.iter().all(Vec::is_empty)
+            && self.shipped.is_empty()
     }
 }
 

@@ -55,9 +55,9 @@
 //! by updates, because no step ever consults a derivation count.
 //!
 //! In the distributed engine, the closure stops at the node boundary:
-//! derivations whose head is located at another node are collected as
-//! remote deletion deltas (shipped like any other derivation) instead of
-//! being marked locally, and the receiving node runs its own pass. This is
+//! derivations whose head is located at another node are appended to the
+//! buffers' shipped list, like any other derivation, instead of being
+//! marked locally, and the receiving node runs its own pass. This is
 //! sound for localized programs, where every rule body is single-site and
 //! a locally stored, locally derived tuple is locally re-derivable.
 
@@ -87,10 +87,6 @@ pub struct Marking {
     /// Aggregate-view groups whose pinned state must be rebuilt from the
     /// post-removal store: `(view index, group key)`, sorted.
     pub dirty_groups: Vec<(usize, Vec<Value>)>,
-    /// Deletion derivations whose head lives at another node (distributed
-    /// mode only): `(destination, delta)` in derivation order, to be
-    /// shipped like any forward-pass derivation.
-    pub remote: Vec<(NodeAddr, TupleDelta)>,
 }
 
 impl Marking {
@@ -163,8 +159,9 @@ fn mark(
 /// removal meets the check at equality and pins the group.
 ///
 /// `self_addr` is the evaluating node in distributed mode: derivations
-/// located elsewhere are collected in [`Marking::remote`] instead of being
-/// marked. Pass `None` in the centralized evaluator (everything is local).
+/// located elsewhere are appended to the buffers' shipped list, in
+/// derivation order, instead of being marked. Pass `None` in the
+/// centralized evaluator (everything is local).
 /// The waves fire through the caller's reusable buffers.
 pub fn over_delete(
     store: &mut Store,
@@ -175,7 +172,12 @@ pub fn over_delete(
     stats: &mut JoinStats,
     buffers: &mut EvalBuffers,
 ) -> Result<Marking, EvalError> {
-    let EvalBuffers { scratch, out, .. } = buffers;
+    let EvalBuffers {
+        scratch,
+        out,
+        shipped,
+        ..
+    } = buffers;
     let mut marked: BTreeSet<(RelName, Tuple)> = BTreeSet::new();
     let mut order: Vec<TupleDelta> = Vec::new();
     let mut frontier: Vec<TupleDelta> = Vec::new();
@@ -188,7 +190,6 @@ pub fn over_delete(
     }
     let seed_count = order.len();
     let mut dirty: BTreeSet<(usize, Vec<Value>)> = BTreeSet::new();
-    let mut remote: Vec<(NodeAddr, TupleDelta)> = Vec::new();
 
     // Restore absent seeds so the closure joins against the pre-deletion
     // database (see the doc comment). Seeds whose slot is occupied — an
@@ -270,9 +271,7 @@ pub fn over_delete(
             }
             strand.fire_batch(store, &triggers, stats, scratch, out)?;
             out.drain_into(|_, derivation| match (self_addr, derivation.location) {
-                (Some(me), Some(dest)) if dest != me => {
-                    remote.push((dest, derivation.delta));
-                }
+                (Some(me), Some(dest)) if dest != me => shipped.push((dest, derivation.delta)),
                 _ => mark(
                     store,
                     derivation.delta.relation,
@@ -303,7 +302,6 @@ pub fn over_delete(
         removed: order,
         seed_count,
         dirty_groups: dirty.into_iter().collect(),
-        remote,
     })
 }
 

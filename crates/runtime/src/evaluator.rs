@@ -3,7 +3,8 @@
 //! The [`Evaluator`] runs a complete NDlog program on a single node,
 //! ignoring locations (every relation is local). It is a wrapper over
 //! [`crate::fixpoint`] — the same loop every distributed node runs — with
-//! a no-op site hook, and exists for three purposes:
+//! no site and no aggregate selections, so nothing is shipped or pruned,
+//! and exists for three purposes:
 //!
 //! 1. as the reference implementation against which the distributed engine
 //!    is checked (Theorem 1: PSN computes the same fixpoint as SN);
@@ -19,32 +20,14 @@
 use crate::aggview::AggregateView;
 use crate::batch::EvalBuffers;
 use crate::expr::EvalError;
-use crate::fixpoint::{LocalFixpoint, SiteHook};
+use crate::fixpoint::LocalFixpoint;
 use crate::store::Store;
 use crate::strand::CompiledStrand;
 use crate::tuple::{Tuple, TupleDelta};
 use ndlog_lang::{Program, Rule, Term};
-use ndlog_net::NodeAddr;
 use std::sync::Arc;
 
 pub use crate::fixpoint::{EvalStats, Strategy};
-
-/// The centralized site: every relation is local, nothing is pruned,
-/// shipped or tracked.
-struct Centralized;
-
-impl SiteHook for Centralized {
-    fn site(&self) -> Option<NodeAddr> {
-        None
-    }
-    fn admit(&mut self, _: &Store, _: &[AggregateView], _: &TupleDelta) -> bool {
-        true
-    }
-    fn ship(&mut self, _: NodeAddr, _: TupleDelta) {
-        unreachable!("without a site no derivation is remote")
-    }
-    fn changed(&mut self, _: &TupleDelta) {}
-}
 
 /// A single-node NDlog evaluator.
 pub struct Evaluator {
@@ -89,7 +72,13 @@ impl Evaluator {
             .collect::<Result<Vec<_>, String>>()?;
 
         Ok(Evaluator {
-            fixpoint: LocalFixpoint::new(Store::for_program(program)?, Arc::new(strands), views),
+            fixpoint: LocalFixpoint::new(
+                Store::for_program(program)?,
+                Arc::new(strands),
+                views,
+                None,
+                Vec::new(),
+            )?,
             buffers: EvalBuffers::default(),
             base_facts,
         })
@@ -180,10 +169,9 @@ impl Evaluator {
     ) -> Result<EvalStats, EvalError> {
         let before = self.fixpoint.stats();
         for delta in external {
-            self.fixpoint.ingest(delta, &mut Centralized);
+            self.fixpoint.ingest(delta);
         }
-        self.fixpoint
-            .run(strategy, &mut Centralized, &mut self.buffers)?;
+        self.fixpoint.run(strategy, &mut self.buffers)?;
         Ok(self.fixpoint.stats() - before)
     }
 }

@@ -4,9 +4,13 @@
 //!
 //! [`LocalFixpoint`] is the one implementation of that loop. The
 //! centralized [`crate::Evaluator`] and `ndlog-core`'s per-node engine are
-//! both wrappers over it; what differs per site — aggregate-selection
-//! pruning, shipping derivations to other nodes, the tracked-relation log —
-//! goes through the statically dispatched [`SiteHook`].
+//! both wrappers over it, and what differs per site is data the loop is
+//! built with, not code it calls back into: the evaluating node (`None`
+//! for the evaluator, which ignores location specifiers) and the aggregate
+//! selections it prunes by (Section 5.1.1; none for the evaluator). A
+//! derivation located at another node is appended to the lent buffers'
+//! shipped list for the site to send, and the tap records every visibility
+//! transition of a subscribed relation — a node's tracked-relation log.
 //!
 //! The insert-only work queue holds deltas that have been applied to the
 //! store (and therefore have a timestamp) but whose strands have not
@@ -54,13 +58,14 @@
 //! look-ahead changes: derivations, their order and the store are those of
 //! the tuple-at-a-time loop for every prefix size.
 //!
-//! The driver owns a site's *state* — store, views, queue, pending
-//! deletions, tap, statistics — and none of the buffers evaluation runs
-//! in: [`LocalFixpoint::run`] borrows an [`EvalBuffers`] from whoever
+//! The driver owns a site's *state* — store, views, selections, queue,
+//! pending deletions, tap, statistics — and none of the buffers evaluation
+//! runs in: [`LocalFixpoint::run`] borrows an [`EvalBuffers`] from whoever
 //! drives it (an executor lane, which for lane 0 includes the engine's
 //! inject path, or the centralized evaluator; see [`crate::batch`]) and
-//! hands it back holding capacity only, so a process hosting hundreds of
-//! sites keeps one set of high-water-mark buffers per lane, not per site.
+//! hands it back holding capacity only, apart from the shipped derivations
+//! the site drains, so a process hosting hundreds of sites keeps one set of
+//! high-water-mark buffers per lane, not per site.
 
 use crate::aggview::AggregateView;
 use crate::batch::{BatchTrigger, EvalBuffers};
@@ -69,7 +74,8 @@ use crate::expr::EvalError;
 use crate::store::{ApplyEffect, Change, Store};
 use crate::strand::{CompiledStrand, JoinStats};
 use crate::tap::DeltaTap;
-use crate::tuple::{Sign, TupleDelta};
+use crate::tuple::{RelName, Sign, TupleDelta};
+use ndlog_lang::aggsel::AggSelectionSpec;
 use ndlog_net::NodeAddr;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -196,65 +202,79 @@ impl std::ops::Sub for EvalStats {
     }
 }
 
-/// What a site adds to the local loop. Implemented by exactly two types —
-/// the centralized evaluator's no-op and `ndlog-core`'s node site — and
-/// always a generic parameter, so the loop is monomorphized per site. Not
-/// an extension point.
-#[doc(hidden)]
-pub trait SiteHook {
-    /// The evaluating node; `None` when every relation is local (the
-    /// centralized evaluator ignores location specifiers).
-    fn site(&self) -> Option<NodeAddr>;
-    /// Whether `delta` may reach the store (aggregate-selection pruning).
-    fn admit(&mut self, store: &Store, views: &[AggregateView], delta: &TupleDelta) -> bool;
-    /// Take a derivation whose location is the node `dest != site()`.
-    fn ship(&mut self, dest: NodeAddr, delta: TupleDelta);
-    /// A visibility transition: `delta`'s tuple entered or left the store.
-    fn changed(&mut self, delta: &TupleDelta);
-}
-
 /// One site's evaluation state and the loop that drives it to a local
 /// fixpoint.
 pub struct LocalFixpoint {
     store: Store,
     strands: Arc<Vec<CompiledStrand>>,
     views: Vec<AggregateView>,
+    /// The evaluating node; `None` when every relation is local (the
+    /// centralized evaluator ignores location specifiers).
+    site: Option<NodeAddr>,
+    /// The aggregate selections this site prunes by, each with the index
+    /// of the view that tracks its groups; empty means no pruning.
+    selections: Vec<(AggSelectionSpec, usize)>,
+    /// Count of insertions refused by aggregate selections.
+    pruned: u64,
     /// Insert-only work queue: applied deltas whose strands have not fired.
     queue: VecDeque<(TupleDelta, u64)>,
     /// Tuples actually removed from the store, awaiting the next DRed
     /// over-delete/re-derive pass.
     pending_deletes: Vec<TupleDelta>,
-    /// Live-query hook: records visibility transitions of subscribed
-    /// relations (see [`crate::tap`]).
+    /// Records visibility transitions of subscribed relations (see
+    /// [`crate::tap`]).
     tap: DeltaTap,
     /// Cumulative evaluation statistics.
     stats: EvalStats,
 }
 
 impl LocalFixpoint {
-    /// A driver over `store` for the given strands and aggregate views.
+    /// A driver over `store` for the given strands and aggregate views,
+    /// evaluating at `site` and pruning by `selections` (Section 5.1.1),
+    /// each of which must name the aggregate view that tracks its groups.
     /// Builds every secondary index the strands' probe stages and the
     /// views' guard checks need, once, before any tuple arrives.
     pub fn new(
         mut store: Store,
         strands: Arc<Vec<CompiledStrand>>,
         views: Vec<AggregateView>,
-    ) -> Self {
+        site: Option<NodeAddr>,
+        selections: Vec<AggSelectionSpec>,
+    ) -> Result<Self, String> {
         store.declare_indexes(strands.iter());
         for view in &views {
             for (relation, cols) in view.index_requirements() {
                 store.declare_index(&relation, &cols);
             }
         }
-        LocalFixpoint {
+        let resolve = |sel: AggSelectionSpec| {
+            let view = views
+                .iter()
+                .position(|v| *v.head_relation() == sel.aggregate_relation);
+            let view = view.ok_or_else(|| {
+                format!(
+                    "aggregate selection on {} has no matching aggregate view",
+                    sel.relation
+                )
+            })?;
+            Ok((sel, view))
+        };
+        let selections = selections
+            .into_iter()
+            .map(resolve)
+            .collect::<Result<_, String>>()?;
+        Ok(LocalFixpoint {
             store,
             strands,
             views,
+            site,
+            selections,
+            pruned: 0,
             queue: VecDeque::new(),
             pending_deletes: Vec::new(),
             tap: DeltaTap::new(),
             stats: EvalStats::default(),
-        }
+        })
     }
 
     /// The store.
@@ -292,6 +312,19 @@ impl LocalFixpoint {
         self.stats
     }
 
+    /// The aggregate selection this site prunes `relation` by, with the
+    /// index of the view that tracks its groups.
+    pub fn selection(&self, relation: &str) -> Option<&(AggSelectionSpec, usize)> {
+        self.selections
+            .iter()
+            .find(|(sel, _)| sel.relation == relation)
+    }
+
+    /// Number of insertions refused by aggregate selections so far.
+    pub fn pruned(&self) -> u64 {
+        self.pruned
+    }
+
     /// Whether unprocessed work is queued.
     pub fn has_pending(&self) -> bool {
         !self.queue.is_empty() || !self.pending_deletes.is_empty()
@@ -317,9 +350,20 @@ impl LocalFixpoint {
     }
 
     /// Lose all volatile state — stored tuples, aggregate-view groups, the
-    /// queue and pending deletions. Sequence numbers and the logical clock
-    /// survive.
+    /// queue and pending deletions. Every stored tuple of a subscribed
+    /// relation leaves the store, so the tap records its retraction.
+    /// Sequence numbers and the logical clock survive.
     pub fn clear(&mut self) {
+        let names = self.store.relation_names();
+        let tracked: Vec<RelName> = names
+            .filter(|name| self.tap.is_subscribed(name))
+            .map(RelName::from)
+            .collect();
+        for name in tracked {
+            for tuple in self.store.tuples(&name) {
+                self.tap.record(&TupleDelta::delete(name.clone(), tuple));
+            }
+        }
         self.store.clear_tuples();
         self.queue.clear();
         self.pending_deletes.clear();
@@ -334,8 +378,8 @@ impl LocalFixpoint {
     /// deletions instead; the views are *not* fed deletions — the DRed
     /// pass rebuilds the affected groups from the store (group pinning).
     /// The delta is moved to where it ends up, never copied.
-    pub fn ingest<H: SiteHook>(&mut self, delta: TupleDelta, hook: &mut H) {
-        if !hook.admit(&self.store, &self.views, &delta) {
+    pub fn ingest(&mut self, delta: TupleDelta) {
+        if !self.admit(&delta) {
             return;
         }
         let ApplyEffect { change, seq } = self.store.apply(&delta);
@@ -352,20 +396,48 @@ impl LocalFixpoint {
                 }
             }
             Change::Removed => self.pending_deletes.push(delta),
-            Change::Inserted => self.inserted(delta, seq, hook),
+            Change::Inserted => self.inserted(delta, seq),
             Change::Replaced(old) => {
                 let old = TupleDelta::delete(delta.relation.clone(), old);
                 self.pending_deletes.push(old);
-                self.inserted(delta, seq, hook);
+                self.inserted(delta, seq);
             }
         }
     }
 
+    /// Aggregate-selection pruning: whether an insertion may reach the
+    /// store, which it may unless a selection's group already holds an
+    /// aggregate at least as good.
+    fn admit(&mut self, delta: &TupleDelta) -> bool {
+        let selection = self.selection(&delta.relation);
+        let Some((sel, view)) = selection.filter(|_| delta.sign == Sign::Insert) else {
+            return true;
+        };
+        let (Some(candidate), Some(current)) = (
+            delta.tuple.get(sel.value_col),
+            self.views[*view].current_for(&delta.tuple),
+        ) else {
+            return true;
+        };
+        if sel.is_better(candidate, &current) {
+            return true;
+        }
+        // A re-announcement of the reigning best tuple is "not strictly
+        // better" too, but it must still reach the store, as the duplicate
+        // insertion it is, so its soft-state expiry moves forward;
+        // everything else is pruned outright.
+        let stored = self
+            .store
+            .relation(&delta.relation)
+            .is_some_and(|r| r.contains(&delta.tuple));
+        self.pruned += u64::from(!stored);
+        stored
+    }
+
     /// A 0 → >0 visibility transition: `delta`'s tuple entered the store
     /// with timestamp `seq`.
-    fn inserted<H: SiteHook>(&mut self, delta: TupleDelta, seq: u64, hook: &mut H) {
+    fn inserted(&mut self, delta: TupleDelta, seq: u64) {
         self.tap.record(&delta);
-        hook.changed(&delta);
         // Aggregate views react to every real insertion of their source;
         // their outputs are local (aggregate rules are local rules) and are
         // ingested recursively.
@@ -375,7 +447,7 @@ impl LocalFixpoint {
         }
         self.queue.push_back((delta, seq));
         for out in view_outputs {
-            self.ingest(out, hook);
+            self.ingest(out);
         }
     }
 
@@ -408,13 +480,10 @@ impl LocalFixpoint {
     /// first (and whenever an insertion cascade causes further removals),
     /// so every retraction is handled by a DRed pass before dependent
     /// insertions fire. Evaluation happens in `buffers`, which the caller
-    /// lends for the run and gets back empty, whatever the outcome.
-    pub fn run<H: SiteHook>(
-        &mut self,
-        strategy: Strategy,
-        hook: &mut H,
-        buffers: &mut EvalBuffers,
-    ) -> Result<(), EvalError> {
+    /// lends for the run and gets back empty, whatever the outcome, apart
+    /// from the derivations located at other nodes: those are appended to
+    /// its shipped list, in derivation order, for the caller to drain.
+    pub fn run(&mut self, strategy: Strategy, buffers: &mut EvalBuffers) -> Result<(), EvalError> {
         let pipelined = strategy == Strategy::Pipelined;
         // The current round and how much of it has been consumed.
         let mut round: Vec<(TupleDelta, u64)> = Vec::new();
@@ -422,7 +491,7 @@ impl LocalFixpoint {
         // How many triggers fire ahead of consumption (see the module docs).
         let mut ahead = usize::MAX;
         loop {
-            self.drain_deletions(hook, buffers)?;
+            self.drain_deletions(buffers)?;
             if done == round.len() {
                 round.clear();
                 done = 0;
@@ -447,9 +516,11 @@ impl LocalFixpoint {
                 self.stats.tuples_processed += 1;
                 self.stats.derivations += derived.len();
                 for derivation in derived.drain(..) {
-                    match (hook.site(), derivation.location) {
-                        (Some(me), Some(dest)) if dest != me => hook.ship(dest, derivation.delta),
-                        _ => self.ingest(derivation.delta, hook),
+                    match (self.site, derivation.location) {
+                        (Some(me), Some(dest)) if dest != me => {
+                            buffers.shipped.push((dest, derivation.delta))
+                        }
+                        _ => self.ingest(derivation.delta),
                     }
                 }
                 // A removal among the deltas just ingested (a primary-key
@@ -540,20 +611,16 @@ impl LocalFixpoint {
     /// Remote over-deletions may over-approximate; the re-derive cascade
     /// re-ships the insertions that still hold, so the net effect at every
     /// receiver is exact.
-    fn drain_deletions<H: SiteHook>(
-        &mut self,
-        hook: &mut H,
-        buffers: &mut EvalBuffers,
-    ) -> Result<(), EvalError> {
+    fn drain_deletions(&mut self, buffers: &mut EvalBuffers) -> Result<(), EvalError> {
         while !self.pending_deletes.is_empty() {
             let seeds = std::mem::take(&mut self.pending_deletes);
             let mut joins = JoinStats::default();
-            let mut marking = dred::over_delete(
+            let marking = dred::over_delete(
                 &mut self.store,
                 &self.strands,
                 &self.views,
                 seeds,
-                hook.site(),
+                self.site,
                 &mut joins,
                 buffers,
             )?;
@@ -567,10 +634,6 @@ impl LocalFixpoint {
             // re-derived survivors come back through `ingest` as inserts.
             for removal in &marking.removed {
                 self.tap.record(removal);
-                hook.changed(removal);
-            }
-            for (dest, delta) in std::mem::take(&mut marking.remote) {
-                hook.ship(dest, delta);
             }
             // Rebuild every pinned group from the post-removal store; the
             // new aggregate outputs cascade like ordinary insertions.
@@ -590,7 +653,7 @@ impl LocalFixpoint {
             self.stats.derivations += inserts.len();
             self.stats.absorb_joins(joins);
             for delta in inserts {
-                self.ingest(delta, hook);
+                self.ingest(delta);
             }
         }
         Ok(())

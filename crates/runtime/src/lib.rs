@@ -66,10 +66,11 @@
 //! `tests/indexed_joins.rs` asserts the same of the distributed engine.
 //!
 //! **Who owns what.** A site's [`fixpoint::LocalFixpoint`] owns its state —
-//! store, views, queue — and no evaluation buffer:
-//! [`fixpoint::LocalFixpoint::run`] borrows an [`EvalBuffers`] (row
-//! arenas, output buffer, per-round vectors) from its driver and hands it
-//! back holding capacity only. The drivers are the [`Evaluator`] (one
+//! store, views, aggregate selections, queue, tap — and no evaluation
+//! buffer: [`fixpoint::LocalFixpoint::run`] borrows an [`EvalBuffers`] (row
+//! arenas, output buffer, per-round vectors, the list of derivations
+//! shipped to other nodes) from its driver and hands it back holding
+//! capacity only, once the site has drained what it shipped. The drivers are the [`Evaluator`] (one
 //! engine, one set) and each executor lane of `ndlog-core` (one set for
 //! every node and epoch the lane drains; the distributed engine's inject
 //! path borrows lane 0's, the lane that runs on the caller), so a process

@@ -22,9 +22,12 @@
 //! Collapsing the pairs that remain would require withholding deltas until
 //! the batch ends, which the session layer — not the tap — is free to do.
 //!
-//! The tap is embedded in [`Evaluator`](crate::Evaluator) and
-//! `NodeEngine`; with no subscribed relations it reduces to one empty-set
-//! membership probe per visibility change.
+//! The tap is embedded in every [`LocalFixpoint`](crate::fixpoint::LocalFixpoint),
+//! so in [`Evaluator`](crate::Evaluator) and `NodeEngine` alike; with no
+//! subscribed relations it reduces to one empty-set membership probe per
+//! visibility change. A node's tap is its tracked-relation log: `NodeEngine`
+//! subscribes it to the tracked relations and its plans' query relations,
+//! and every processing step and crash hands over what it drained.
 
 use crate::tuple::TupleDelta;
 use std::collections::BTreeSet;
@@ -56,8 +59,7 @@ impl DeltaTap {
     }
 
     /// Is this relation being recorded?
-    #[cfg(test)]
-    fn is_subscribed(&self, relation: &str) -> bool {
+    pub(crate) fn is_subscribed(&self, relation: &str) -> bool {
         self.relations.contains(relation)
     }
 
