@@ -95,6 +95,9 @@ pub enum MetaCommand {
     Relations,
     /// `.rules` — list the rules of the loaded program.
     Rules,
+    /// `.explain <rule label>` — how each compiled strand of the rule
+    /// runs: its trigger relation, then its stages in the order they run.
+    Explain(String),
     /// `.dump` — every stored tuple with its derivation count (the bitwise
     /// store fingerprint used by the consistency tests).
     Dump,
@@ -377,6 +380,18 @@ fn parse_meta(p: &mut Parser) -> Result<Command, ParseError> {
         },
         "rel" | "relations" => MetaCommand::Relations,
         "rule" | "rules" => MetaCommand::Rules,
+        "explain" => match p.peek_kind().clone() {
+            TokenKind::Ident(label) | TokenKind::Var(label) => {
+                p.advance();
+                MetaCommand::Explain(label)
+            }
+            other => {
+                return Err(p.error(format!(
+                    "`.explain` expects a rule label, found {}",
+                    other.describe()
+                )))
+            }
+        },
         "dump" => MetaCommand::Dump,
         "help" => MetaCommand::Help,
         "quit" | "exit" => MetaCommand::Quit,
@@ -515,6 +530,10 @@ mod tests {
         );
         assert_eq!(one(".rel"), Command::Meta(MetaCommand::Relations));
         assert_eq!(one(".rules"), Command::Meta(MetaCommand::Rules));
+        assert_eq!(
+            one(".explain sp2"),
+            Command::Meta(MetaCommand::Explain("sp2".into()))
+        );
         assert_eq!(one(".dump"), Command::Meta(MetaCommand::Dump));
         assert_eq!(one(".help"), Command::Meta(MetaCommand::Help));
         assert_eq!(one(".quit"), Command::Meta(MetaCommand::Quit));

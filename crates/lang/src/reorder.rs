@@ -28,8 +28,11 @@ pub enum BodyOrder {
 }
 
 /// Reorder a rule's body predicates according to `order`. Assignments and
-/// filters keep their relative order and stay after all predicate atoms
-/// (they can only be evaluated once their inputs are bound).
+/// filters keep their relative order and stay after all predicate atoms.
+/// That decides only the join order: where a constraint sits in the body
+/// does not decide where it runs, since the runtime's batch compiler places
+/// each filter right after whatever binds its inputs anyway — the trigger,
+/// a join or an assignment.
 fn reorder_rule(rule: &Rule, order: BodyOrder) -> Rule {
     let mut links = Vec::new();
     let mut atoms = Vec::new();

@@ -2,13 +2,14 @@
 //! environment buffers — the one way a strand fires.
 //!
 //! At compile time every variable of a rule gets a fixed **slot**, terms
-//! and expressions are rewritten to slot references, and every non-trigger
-//! atom becomes a probe stage on the columns bound before it runs. At run
-//! time a whole batch of trigger deltas is drained through the rule's
-//! stages using two flat row arenas (`rows` / `next`, `width` slots per
-//! row) of a reusable [`BatchScratch`]. Extending an environment is a row
-//! copy into the arena; no per-environment `Vec`, map or `String` is ever
-//! allocated.
+//! and expressions are rewritten to slot references, every non-trigger
+//! atom becomes a probe stage on the columns bound before it runs, and
+//! every assignment and filter becomes a *step* placed before the first
+//! probe or after one of them (see "Where a filter runs"). At run time a
+//! whole batch of trigger deltas is drained through the probes using two
+//! flat row arenas (`rows` / `next`, `width` slots per row) of a reusable
+//! [`BatchScratch`]. Extending an environment is a row copy into the arena;
+//! no per-environment `Vec`, map or `String` is ever allocated.
 //!
 //! # Who owns the buffers
 //!
@@ -26,21 +27,24 @@
 //! and a run's shipped derivations by the node that ran, on success and on
 //! error alike, so which buffers a run was lent is unobservable.
 //!
-//! # One probe routine, two sinks
+//! # One probe routine, three sinks
 //!
 //! Every join of every strand goes through `ProbeStage::probe` — the one
 //! place that looks a relation up, and so the one place a probe timer or a
 //! change to probing has to touch. It finds each row's candidates, applies
 //! the row's trigger's `seq_limit`, and hands every surviving `(row,
 //! origin, candidate)` — row-major, candidates in lookup order — to a
-//! monomorphized *sink*. A probe followed by further stages gets the sink
-//! that appends the extended row to the next arena. A probe that is its
-//! rule's last stage (the common single-join shape) gets the sink that
-//! projects the head tuple straight from `(row, candidate)`, so no output
-//! arena is materialized for it: the head template reads each column from
-//! the row or from the candidate (`HeadSource`), and a rule whose last
-//! stage is not a probe projects through the same template with no
-//! candidate columns in it.
+//! monomorphized *sink*, which runs the steps placed after the probe on
+//! the extended row before keeping it. A probe followed by another gets
+//! the sink that appends the extended row to the next arena and drops it
+//! again if a step rejects it. The last probe, when steps follow it, gets
+//! the sink that evaluates them in one reusable row of the scratch and
+//! projects the head tuple from it; with none after it (the common
+//! single-join shape), the sink that projects the head straight from
+//! `(row, candidate)`. Either way no output arena is materialized for the
+//! last probe: the head template reads each column from the row or from
+//! the candidate (`HeadSource`), and a rule with no probe projects through
+//! the same template with no candidate columns in it.
 //!
 //! The routine has two arms and picks between them from the batch alone,
 //! never from an option. Real delta batches are key-skewed: path
@@ -63,27 +67,73 @@
 //! for the stage's bound columns: the primary index, the secondary index on
 //! exactly those columns, or a scan (see [`crate::relation`]).
 //!
+//! # Where a filter runs
+//!
+//! A filter runs at the first stage boundary where every slot it reads is
+//! bound — by the trigger, an earlier probe or an earlier assignment — not
+//! where the body writes it, and the binding assignments it needs move up
+//! with it, just ahead of it, with the ones they read in turn. So `dv2`'s
+//! `route`-triggered strand runs `H := H2 + 1, H <= 2` on the trigger rows
+//! and probes `link` only for the triggers that pass, and the
+//! path-triggered strand of the localized `sp2b` checks `f_member(P2, S)`
+//! right after the `link` probe that binds `S`, before its second probe.
+//! The steps before the first probe run on the trigger rows in one
+//! `Rows::retain` pass; every other step runs in the sink of the probe it
+//! follows.
+//!
+//! Nothing else moves. An equality check (an assignment to a slot an
+//! earlier literal bound, such as a re-derivation plan's `P := f_cons(S,
+//! P2)`) and a binding assignment no moved filter reads stay in body order
+//! among the probes: moving them filters nothing, and it spends work on
+//! rows a selective probe would have dropped. A variant that hoisted every
+//! assignment made `f_cons` allocate for such rows and raised
+//! `converge_dense` `setup_s` by about 10 % (median 0.0158 → 0.0176 s,
+//! higher in 8 of 8 alternating pairs). A step that reads a variable the
+//! rule never binds (`SlotExpr::Unbound`) fails wherever it runs; it is a
+//! barrier nothing moves across.
+//!
+//! Placement changes no derivation and no order. A slot is written once,
+//! so a filter reads the same values wherever it runs and keeps the same
+//! rows; every probe still sees the rows that survive, in trigger order,
+//! and hands on each `(row, candidate)` in row-major, lookup order. What
+//! shrinks is the work spent on rows a filter rejects: their probes, the
+//! candidates examined for them and their row copies.
+//!
 //! # What the oracle checks
 //!
 //! For every trigger `i` of the batch, the derivations in
 //! [`BatchOutput::for_trigger`] are the derivations of that trigger fired
 //! alone against the same store with its own `seq_limit`: one per
 //! combination of visible stored tuples that joins it and passes every
-//! assignment and filter, in body order. Stages process rows in trigger
-//! order and extensions are appended stably, so rows stay grouped by
-//! trigger and ordered as nested per-trigger loops would produce them.
-//! The naive evaluator of the dev-only `ndlog-oracle` crate, which shares
-//! no code with this module, is the reference: `strand.rs`'s table test
-//! compares every trigger's derivations with its `fire_one`, and
+//! assignment and filter. Probes process rows in trigger order and
+//! extensions are appended stably, so rows stay grouped by trigger and
+//! ordered as nested per-trigger loops would produce them. The naive
+//! evaluator of the dev-only `ndlog-oracle` crate, which shares no code
+//! with this module, is the reference: `strand.rs`'s table test compares
+//! every trigger's derivations with its `fire_one`, and
 //! `tests/properties.rs` whole stores with its fixpoint. Join statistics
 //! are *logical*: one logical probe (or scan) and the full bucket's
 //! `tuples_examined` are recorded per row per atom, whichever arm runs;
 //! only `distinct_probes` (the bucket lookups actually executed) shrinks
-//! with grouping, to one per distinct key per atom. When several triggers
-//! of one batch fail, stages run batch-wide, so the error reported may
-//! belong to a later trigger than the first failing one in trigger order
-//! (the run fails with an `EvalError` either way, and engines treat
-//! post-error state as unspecified).
+//! with grouping, to one per distinct key per atom. A row a filter rejects
+//! before a probe records nothing for it.
+//!
+//! # Errors
+//!
+//! A filter raises its type error for every binding that reaches the
+//! stage it is placed at, whether or not a later atom would have matched:
+//! a mistyped filter on the trigger's own slots fails the firing even when
+//! the next atom matches nothing (`strand.rs`'s
+//! `a_filter_fails_where_it_is_placed`). Body order was never the rule's
+//! meaning — `ndlog_lang`'s predicate reordering already moves every
+//! constraint after all atoms — and the oracle, which follows body order,
+//! is the reference for derivations, not for errors. Each pass reports the
+//! first failing row, or `(row, candidate)` in row-major order; the steps
+//! before the first probe and each probe run batch-wide, so when several
+//! triggers of one batch fail, the error reported may belong to a later
+//! trigger than the first failing one in trigger order (the run fails
+//! with an `EvalError` either way, and engines treat post-error state as
+//! unspecified).
 
 use crate::expr::{eval_binop, eval_builtin, EvalError};
 use crate::index::JoinStats;
@@ -147,9 +197,8 @@ enum HeadSource {
     /// A slot of the row; the name survives only for the unbound-variable
     /// error message.
     Row(usize, String),
-    /// A column of the candidate of the rule's last stage, a probe, for
-    /// the slots that stage binds. Rules whose last stage is not a probe
-    /// have none.
+    /// A column of the candidate of the rule's last probe, for the slots
+    /// it binds, when no step follows that probe. Other rules have none.
     Cand(usize),
     Unbound(String),
     /// Aggregate head terms are maintained by `AggregateView`, never fired
@@ -181,16 +230,20 @@ struct ProbeStage {
     same: Vec<(usize, usize)>,
     /// The atom mentions an aggregate term: no candidate can match.
     reject_all: bool,
+    /// The steps placed between this probe and the next: they run in its
+    /// sink, on each extended row, before the row is kept.
+    then: Vec<Step>,
 }
 
-/// A non-trigger body literal, slot-compiled.
+/// An assignment or a filter, slot-compiled: what runs on one row.
 #[derive(Debug, Clone, PartialEq)]
-enum Stage {
-    Probe(ProbeStage),
+enum Step {
     Assign {
         slot: usize,
-        /// Statically known: is the slot already bound when this stage
-        /// runs? (Binding order is fixed at compile time.)
+        /// The assigned variable, for `.explain`.
+        var: String,
+        /// Is the slot already bound by an earlier literal of the body?
+        /// Then this is an equality check, and it never moves.
         prebound: bool,
         expr: SlotExpr,
     },
@@ -199,6 +252,12 @@ enum Stage {
         /// The filter's source text, for the type-error message.
         text: String,
     },
+}
+
+/// A non-trigger body literal, slot-compiled, before placement.
+enum Stage {
+    Probe(ProbeStage),
+    Step(Step),
 }
 
 /// A slot-compiled rule strand.
@@ -212,9 +271,13 @@ pub struct BatchPlan {
     trigger_ops: Vec<BindOp>,
     /// The trigger atom mentions an aggregate term: nothing can bind.
     trigger_rejects: bool,
-    /// In body order. When the last one is a probe, it projects the head
-    /// itself and `head` reads that probe's candidate.
-    stages: Vec<Stage>,
+    /// The steps placed before the first probe: they run on the trigger
+    /// rows.
+    before: Vec<Step>,
+    /// The probes in body order, each with the steps placed after it.
+    /// When the last one has none, it projects the head itself and `head`
+    /// reads its candidate.
+    probes: Vec<ProbeStage>,
     head: Vec<HeadSource>,
     /// The head relation's name, held once: every derivation clones it by
     /// reference count.
@@ -253,6 +316,12 @@ impl Rows {
         self.slots.extend_from_slice(row);
         self.origins.push(origin);
         &mut self.slots[start..]
+    }
+
+    /// Drop the last row.
+    fn pop(&mut self) {
+        self.slots.truncate(self.slots.len() - self.width);
+        self.origins.pop();
     }
 
     /// Keep the rows `keep` accepts (it may bind into them), in order.
@@ -322,14 +391,17 @@ impl KeyGroups {
     }
 }
 
-/// Reusable flat buffers for batch firing: the two row arenas the stages
-/// ping-pong between and the key-grouping buffers of the probe routine.
-/// One scratch serves any number of strands, batches and stores; buffers
-/// only grow.
+/// Reusable flat buffers for batch firing: the two row arenas the probes
+/// ping-pong between, the row the last probe's steps evaluate in, and the
+/// key-grouping buffers of the probe routine. One scratch serves any
+/// number of strands, batches and stores; buffers only grow.
 #[derive(Debug, Default)]
 pub struct BatchScratch {
     rows: Rows,
     next: Rows,
+    /// One extended row of the last probe, when steps follow it: each
+    /// (row, candidate) is evaluated here and the head projected from it.
+    fused: Vec<Option<Value>>,
     groups: KeyGroups,
 }
 
@@ -338,6 +410,7 @@ impl BatchScratch {
     fn clear(&mut self) {
         self.rows.clear();
         self.next.clear();
+        self.fused.clear();
         self.groups.key.clear();
         self.groups.map.clear();
     }
@@ -483,7 +556,7 @@ impl BatchOutput {
 }
 
 /// Compile a delta rule: slots for the trigger atom's variables first,
-/// then each literal's in body order.
+/// then each literal's in body order; then place its steps (`place`).
 pub(crate) fn compile(rule: &DeltaRule) -> BatchPlan {
     let body = &rule.rule.body;
     let mut slots: BTreeMap<String, usize> = BTreeMap::new();
@@ -547,32 +620,38 @@ pub(crate) fn compile(rule: &DeltaRule) -> BatchPlan {
                     binds,
                     same,
                     reject_all,
+                    then: Vec::new(),
                 }));
             }
             Literal::Assign(assign) => {
                 let prebound = slots.contains_key(&assign.var);
                 let expr = compile_expr(&assign.expr, &slots);
                 let slot = slot_of(&assign.var, &mut slots);
-                stages.push(Stage::Assign {
+                stages.push(Stage::Step(Step::Assign {
                     slot,
+                    var: assign.var.clone(),
                     prebound,
                     expr,
-                });
+                }));
             }
-            Literal::Filter(expr) => stages.push(Stage::Filter {
+            Literal::Filter(expr) => stages.push(Stage::Step(Step::Filter {
                 expr: compile_expr(expr, &slots),
                 text: expr.to_string(),
-            }),
+            })),
         }
     }
+    let width = slots.len();
+    let (before, probes) = place(stages, width);
 
-    // When the last stage is a probe, its binds are the only writes
-    // between the rows it reads and head projection, so a head column is
-    // either "read the row" or "read the candidate" (a bind only ever
-    // targets a slot no earlier stage bound, so the mapping is
+    // When the last probe has no step after it, its binds are the only
+    // writes between the rows it reads and head projection, so a head
+    // column is either "read the row" or "read the candidate" (a bind only
+    // ever targets a slot no earlier stage bound, so the mapping is
     // unambiguous).
-    let cand_col_of_slot: BTreeMap<usize, usize> = match stages.last() {
-        Some(Stage::Probe(probe)) => probe.binds.iter().map(|&(col, slot)| (slot, col)).collect(),
+    let cand_col_of_slot: BTreeMap<usize, usize> = match probes.last() {
+        Some(probe) if probe.then.is_empty() => {
+            probe.binds.iter().map(|&(col, slot)| (slot, col)).collect()
+        }
         _ => BTreeMap::new(),
     };
     let head: Vec<HeadSource> = rule
@@ -594,13 +673,134 @@ pub(crate) fn compile(rule: &DeltaRule) -> BatchPlan {
         .collect();
 
     BatchPlan {
-        width: slots.len(),
+        width,
         trigger_arity,
         trigger_ops,
         trigger_rejects,
-        stages,
+        before,
+        probes,
         head,
         head_relation: rule.rule.head.name.as_str().into(),
+    }
+}
+
+/// Place the body-order `stages` of a rule whose rows are `width` slots
+/// wide (see the module docs): every filter moves up to the first stage
+/// boundary where each slot it reads is bound, with the binding
+/// assignments that slot needs; nothing else moves, and nothing crosses a
+/// step that reads a never-bound variable. Returns the steps placed before
+/// the first probe and the probes, each with the steps placed after it.
+fn place(stages: Vec<Stage>, width: usize) -> (Vec<Step>, Vec<ProbeStage>) {
+    let n = stages.len();
+    // Per step: the slots it reads, and whether it is a barrier.
+    let mut reads: Vec<Vec<usize>> = Vec::with_capacity(n);
+    let mut barrier = vec![false; n];
+    // Per slot: the stage that binds it (`None`: the trigger does).
+    let mut binder: Vec<Option<usize>> = vec![None; width];
+    for (i, stage) in stages.iter().enumerate() {
+        let mut read = Vec::new();
+        match stage {
+            Stage::Probe(probe) => {
+                for &(_, slot) in &probe.binds {
+                    binder[slot] = Some(i);
+                }
+            }
+            Stage::Step(Step::Assign {
+                slot,
+                prebound,
+                expr,
+                ..
+            }) => {
+                barrier[i] = !expr_slots(expr, &mut read);
+                if !prebound {
+                    binder[*slot] = Some(i);
+                }
+            }
+            Stage::Step(Step::Filter { expr, .. }) => barrier[i] = !expr_slots(expr, &mut read),
+        }
+        reads.push(read);
+    }
+    let is_assign = |i: usize| matches!(stages[i], Stage::Step(Step::Assign { .. }));
+    // Per stage: the first boundary it may move up to, just past the last
+    // barrier before it. Boundary `b` lies before stage `b`.
+    let mut floor = vec![0; n];
+    for i in 1..n {
+        floor[i] = if barrier[i - 1] { i } else { floor[i - 1] };
+    }
+    // Per slot: the first boundary it can be bound at, with every binding
+    // assignment pulled up as far as its own inputs allow.
+    let mut ready = vec![0; width];
+    for (slot, binder) in binder.iter().enumerate() {
+        // Slots are numbered in binding order, so `ready` is final for
+        // every slot a binder reads.
+        ready[slot] = match *binder {
+            None => 0,
+            Some(i) if is_assign(i) && !barrier[i] => {
+                let inputs = reads[i].iter().map(|&s| ready[s]);
+                inputs.max().unwrap_or(0).max(floor[i])
+            }
+            Some(i) => i + 1,
+        };
+    }
+    // Per stage: the boundary it runs at, and whether it was placed there
+    // (a filter, or an assignment one needs) rather than left in place.
+    let mut at: Vec<usize> = (0..n).collect();
+    let mut placed = vec![false; n];
+    for j in 0..n {
+        if !matches!(stages[j], Stage::Step(Step::Filter { .. })) || barrier[j] {
+            continue;
+        }
+        let inputs = reads[j].iter().map(|&s| ready[s]);
+        let p = inputs.max().unwrap_or(0).max(floor[j]);
+        if p >= j {
+            continue;
+        }
+        (at[j], placed[j]) = (p, true);
+        let mut pending = reads[j].clone();
+        while let Some(slot) = pending.pop() {
+            // An assignment at or past `p` the filter needs runs at `p`,
+            // ahead of the filter; whatever binds before `p` stays put.
+            match binder[slot] {
+                Some(a) if at[a] > p || (at[a] == p && !placed[a]) => {
+                    debug_assert!(is_assign(a) && !barrier[a], "a probe binds before p");
+                    (at[a], placed[a]) = (p, true);
+                    pending.extend_from_slice(&reads[a]);
+                }
+                _ => {}
+            }
+        }
+    }
+    // Stable by boundary: what was placed at a boundary runs before the
+    // stage left there, in body order.
+    let mut order: Vec<(usize, bool, Stage)> = stages
+        .into_iter()
+        .enumerate()
+        .map(|(i, stage)| (at[i], !placed[i], stage))
+        .collect();
+    order.sort_by_key(|&(at, left, _)| (at, left));
+    let (mut before, mut probes) = (Vec::new(), Vec::<ProbeStage>::new());
+    for (_, _, stage) in order {
+        match (stage, probes.last_mut()) {
+            (Stage::Probe(probe), _) => probes.push(probe),
+            (Stage::Step(step), Some(probe)) => probe.then.push(step),
+            (Stage::Step(step), None) => before.push(step),
+        }
+    }
+    (before, probes)
+}
+
+/// Append the slots `expr` reads to `out`; false if it reads a variable
+/// the rule never binds.
+fn expr_slots(expr: &SlotExpr, out: &mut Vec<usize>) -> bool {
+    match expr {
+        SlotExpr::Const(_) => true,
+        SlotExpr::Slot(slot, _) => {
+            out.push(*slot);
+            true
+        }
+        SlotExpr::Unbound(_) => false,
+        SlotExpr::Binary(_, l, r) => expr_slots(l, out) & expr_slots(r, out),
+        SlotExpr::Call(_, args) => args.iter().fold(true, |ok, a| expr_slots(a, out) & ok),
     }
 }
 
@@ -720,6 +920,30 @@ fn eval_filter(expr: &SlotExpr, text: &str, row: &[Option<Value>]) -> Result<boo
     }
 }
 
+/// Run `steps` on `row` in order, binding into it: whether the row passes
+/// them all. An assignment to a bound slot is an equality check.
+fn run_steps(steps: &[Step], row: &mut [Option<Value>]) -> Result<bool, EvalError> {
+    for step in steps {
+        let passes = match step {
+            Step::Assign {
+                slot,
+                prebound: true,
+                expr,
+                ..
+            } => row[*slot].as_ref() == Some(&eval_slot(expr, row)?),
+            Step::Assign { slot, expr, .. } => {
+                row[*slot] = Some(eval_slot(expr, row)?);
+                true
+            }
+            Step::Filter { expr, text } => eval_filter(expr, text, row)?,
+        };
+        if !passes {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
 /// Resolve a probe stage's key for one row into `out` (cleared first).
 fn build_probe_key(key: &[SlotSource], row: &[Option<Value>], out: &mut Vec<Value>) {
     out.clear();
@@ -778,6 +1002,13 @@ impl ProbeStage {
         !self.reject_all
             && fields.len() == self.arity
             && self.same.iter().all(|&(a, b)| fields[a] == fields[b])
+    }
+
+    /// Write the slots this probe binds from `candidate` into `row`.
+    fn bind(&self, candidate: &StoredTuple, row: &mut [Option<Value>]) {
+        for &(col, slot) in &self.binds {
+            row[slot] = Some(candidate.tuple.values()[col].clone());
+        }
     }
 
     /// The one probe loop (see the module docs): hand `sink` every `(row,
@@ -863,13 +1094,37 @@ impl BatchPlan {
     /// The `(relation, cols)` of every probe stage that binds a column, in
     /// body order.
     pub(crate) fn index_requirements(&self) -> Vec<(String, Vec<usize>)> {
-        let probes = self.stages.iter().filter_map(|stage| match stage {
-            Stage::Probe(probe) if !probe.cols.is_empty() => {
-                Some((probe.relation.clone(), probe.cols.clone()))
-            }
-            _ => None,
-        });
-        probes.collect()
+        let probes = self.probes.iter().filter(|probe| !probe.cols.is_empty());
+        probes
+            .map(|probe| (probe.relation.clone(), probe.cols.clone()))
+            .collect()
+    }
+
+    /// The stages in the order they run, one phrase each: `probe link[1]`
+    /// (the relation and the columns it is looked up on; `scan right` when
+    /// none is bound), `filter (H <= 2)`, `assign C`, and `check P` for an
+    /// assignment to a variable already bound.
+    pub(crate) fn describe(&self) -> Vec<String> {
+        let step = |step: &Step| match step {
+            Step::Assign {
+                var,
+                prebound: true,
+                ..
+            } => format!("check {var}"),
+            Step::Assign { var, .. } => format!("assign {var}"),
+            Step::Filter { text, .. } => format!("filter {text}"),
+        };
+        let mut stages: Vec<String> = self.before.iter().map(step).collect();
+        for probe in &self.probes {
+            stages.push(if probe.cols.is_empty() {
+                format!("scan {}", probe.relation)
+            } else {
+                let cols: Vec<String> = probe.cols.iter().map(usize::to_string).collect();
+                format!("probe {}[{}]", probe.relation, cols.join(","))
+            });
+            stages.extend(probe.then.iter().map(step));
+        }
+        stages
     }
 
     /// Drain a whole batch of trigger deltas through the compiled stages,
@@ -907,7 +1162,12 @@ impl BatchPlan {
         scratch: &mut BatchScratch,
         out: &mut BatchOutput,
     ) -> Result<(), EvalError> {
-        let BatchScratch { rows, next, groups } = scratch;
+        let BatchScratch {
+            rows,
+            next,
+            fused,
+            groups,
+        } = scratch;
         let triggers = firing.triggers;
         let width = self.width;
         rows.width = width;
@@ -933,48 +1193,46 @@ impl BatchPlan {
             }
         }
 
-        // Process the stages in body order over the whole row set; a
-        // probe that comes last projects the head itself.
-        let (mid, last) = match self.stages.split_last() {
-            Some((Stage::Probe(probe), mid)) => (mid, Some(probe)),
-            _ => (&self.stages[..], None),
-        };
-        for stage in mid {
-            match stage {
-                Stage::Probe(probe) => {
+        // The steps placed before the first probe run on the trigger rows;
+        // those placed after a probe run in its sink, on each extended row
+        // before it is kept.
+        if !self.before.is_empty() {
+            rows.retain(|row| run_steps(&self.before, row))?;
+        }
+        match self.probes.split_last() {
+            None => {
+                for r in 0..rows.len() {
+                    let (row, origin) = rows.get(r);
+                    self.emit(row, &[], origin, triggers, out)?;
+                }
+            }
+            Some((last, mid)) => {
+                for probe in mid {
                     next.clear();
                     probe.probe(rows, groups, &mut firing, |row, origin, candidate| {
                         let extended = next.push(row, origin);
-                        for &(col, slot) in &probe.binds {
-                            extended[slot] = Some(candidate.tuple.values()[col].clone());
+                        probe.bind(candidate, extended);
+                        if !run_steps(&probe.then, extended)? {
+                            next.pop();
                         }
                         Ok(())
                     })?;
                     std::mem::swap(rows, next);
                 }
-                Stage::Assign {
-                    slot,
-                    prebound,
-                    expr,
-                } => rows.retain(|row| {
-                    let value = eval_slot(expr, row)?;
-                    if *prebound {
-                        return Ok(row[*slot].as_ref() == Some(&value));
-                    }
-                    row[*slot] = Some(value);
-                    Ok(true)
-                })?,
-                Stage::Filter { expr, text } => rows.retain(|row| eval_filter(expr, text, row))?,
-            }
-        }
-        match last {
-            Some(probe) => probe.probe(rows, groups, &mut firing, |row, origin, candidate| {
-                self.emit(row, candidate.tuple.values(), origin, triggers, out)
-            })?,
-            None => {
-                for r in 0..rows.len() {
-                    let (row, origin) = rows.get(r);
-                    self.emit(row, &[], origin, triggers, out)?;
+                if last.then.is_empty() {
+                    last.probe(rows, groups, &mut firing, |row, origin, candidate| {
+                        self.emit(row, candidate.tuple.values(), origin, triggers, out)
+                    })?;
+                } else {
+                    fused.resize(width, None);
+                    last.probe(rows, groups, &mut firing, |row, origin, candidate| {
+                        fused.clone_from_slice(row);
+                        last.bind(candidate, fused);
+                        if run_steps(&last.then, fused)? {
+                            self.emit(fused, &[], origin, triggers, out)?;
+                        }
+                        Ok(())
+                    })?;
                 }
             }
         }
@@ -983,8 +1241,8 @@ impl BatchPlan {
     }
 
     /// Project one head derivation from a surviving row and — when the
-    /// rule's last stage is a probe — that probe's candidate, under the
-    /// sign of the trigger the row descends from.
+    /// rule's last probe has no step after it — that probe's candidate,
+    /// under the sign of the trigger the row descends from.
     fn emit(
         &self,
         row: &[Option<Value>],
@@ -1020,11 +1278,17 @@ impl BatchPlan {
 impl EvalBuffers {
     /// Whether nothing but capacity is left in the buffers.
     pub(crate) fn holds_only_capacity(&self) -> bool {
-        let BatchScratch { rows, next, groups } = &self.scratch;
+        let BatchScratch {
+            rows,
+            next,
+            fused,
+            groups,
+        } = &self.scratch;
         rows.slots.is_empty()
             && rows.origins.is_empty()
             && next.slots.is_empty()
             && next.origins.is_empty()
+            && fused.is_empty()
             && groups.key.is_empty()
             && groups.map.is_empty()
             && self.out.derivations.is_empty()
@@ -1090,11 +1354,41 @@ mod tests {
     }
 
     #[test]
+    fn filters_move_up_with_the_assignments_they_read_and_nothing_else() {
+        let explain = |src: &str| setup(src, "q").1.explain();
+        // `X > 2` needs only the trigger and `X := V + 1`: both run before
+        // the probe; `Y`, which no filter reads, stays after it.
+        assert_eq!(
+            explain("r1 out(@S, Y) :- q(@S, V), t(@S, W), X := V + 1, Y := X + W, X > 2."),
+            "r1-1 q: assign X; filter (X > 2); probe t[0]; assign Y"
+        );
+        // A chain of assignments moves with the filter, to just after the
+        // probe that binds its input, ahead of the next probe.
+        assert_eq!(
+            explain(
+                "r1 out(@S, K) :- q(@S, V), t(@S, W), u(@S, K), A := W + 1, B := A * 2, B > 2."
+            ),
+            "r1-1 q: probe t[0]; assign A; assign B; filter (B > 2); probe u[0]"
+        );
+        // An equality check never moves; a filter may move past it.
+        assert_eq!(
+            explain("r1 out(@S, W) :- q(@S, V), t(@S, W), W := V + 1, V > 1."),
+            "r1-1 q: filter (V > 1); probe t[0]; check W"
+        );
+        // A step that reads a never-bound variable is a barrier.
+        assert_eq!(
+            explain("r1 out(@S) :- q(@S, V), t(@S, W), Z > 0, V > 1."),
+            "r1-1 q: probe t[0]; filter (Z > 0); filter (V > 1)"
+        );
+    }
+
+    #[test]
     fn lent_buffers_leak_nothing_between_firings() {
         // Three strands of different row widths over three stores: an
-        // eleven-slot join with filter and assignments (unfused head), a
-        // two-slot join that is its own last stage (fused head), and one
-        // whose head projection fails.
+        // eleven-slot join whose filter and assignments follow its probe
+        // (they run in the scratch's one extended row), a two-slot join
+        // that projects the head from its candidate, and one whose head
+        // projection fails.
         let (mut wide_store, wide) = setup(
             "sp2 path(@S,@D,@Z,P,C) :- #link(@S,@Z,C1), path(@Z,@D,@Z2,P2,C2),
                  f_member(P2, S) == 0, C := C1 + C2, P := f_cons(S, P2).",

@@ -54,31 +54,34 @@ impl fmt::Display for EvalError {
 impl std::error::Error for EvalError {}
 
 /// Apply a binary operator. Arithmetic on two integers stays an integer
-/// when the result is integral.
+/// where the exact result is one: checked `i64` arithmetic, and `/` only
+/// when the remainder is 0. An overflow, an inexact quotient or any other
+/// numeric operand gives a float — the rule of the oracle's `numeric`.
 pub(crate) fn eval_binop(op: BinOp, l: &Value, r: &Value) -> Result<Value, EvalError> {
     use BinOp::*;
     match op {
         Add | Sub | Mul | Div => {
             let (a, b) = numeric_pair(op, l, r)?;
-            let result = match op {
+            if op == Div && b == 0.0 {
+                return Err(EvalError::DivisionByZero);
+            }
+            if let (Value::Int(x), Value::Int(y)) = (l, r) {
+                let exact = match op {
+                    Add => x.checked_add(*y),
+                    Sub => x.checked_sub(*y),
+                    Mul => x.checked_mul(*y),
+                    _ => (x.checked_rem(*y) == Some(0)).then(|| x / y),
+                };
+                if let Some(exact) = exact {
+                    return Ok(Value::Int(exact));
+                }
+            }
+            Ok(Value::Float(match op {
                 Add => a + b,
                 Sub => a - b,
                 Mul => a * b,
-                Div => {
-                    if b == 0.0 {
-                        return Err(EvalError::DivisionByZero);
-                    }
-                    a / b
-                }
-                _ => unreachable!(),
-            };
-            // Preserve integer typing when both operands were integers and
-            // the result is integral.
-            if matches!((l, r), (Value::Int(_), Value::Int(_))) && result.fract() == 0.0 {
-                Ok(Value::Int(result as i64))
-            } else {
-                Ok(Value::Float(result))
-            }
+                _ => a / b,
+            }))
         }
         Eq => Ok(Value::Bool(l == r)),
         Ne => Ok(Value::Bool(l != r)),
@@ -203,6 +206,28 @@ mod tests {
         let half = Value::Float(0.5);
         assert_eq!(eval_binop(BinOp::Add, &two, &half), Ok(Value::Float(2.5)));
         assert_eq!(eval_binop(BinOp::Div, &three, &two), Ok(Value::Float(1.5)));
+    }
+
+    #[test]
+    fn integer_arithmetic_is_exact_or_a_float() {
+        // `Ok` for an integer result, `Err` for a float one.
+        let int = |op, a: i64, b: i64| match eval_binop(op, &Value::Int(a), &Value::Int(b)) {
+            Ok(Value::Int(i)) => Ok(i),
+            Ok(Value::Float(f)) => Err(f),
+            other => panic!("{other:?}"),
+        };
+        // Past 2^53 an f64 round trip would lose the low bit.
+        let above = (1i64 << 53) + 1;
+        assert_eq!(int(BinOp::Add, above, 0), Ok(above));
+        // Overflow is a float, not a saturated integer.
+        assert_eq!(int(BinOp::Add, i64::MAX, 1), Err(i64::MAX as f64 + 1.0));
+        let root = 3_037_000_500;
+        assert_eq!(int(BinOp::Mul, root, root), Err(root as f64 * root as f64));
+        assert_eq!(int(BinOp::Sub, i64::MIN, 1), Err(i64::MIN as f64 - 1.0));
+        // `/` stays an integer only when the remainder is 0.
+        assert_eq!(int(BinOp::Div, 6, 3), Ok(2));
+        assert_eq!(int(BinOp::Div, 7, 2), Err(3.5));
+        assert_eq!(int(BinOp::Div, i64::MIN, -1), Err(-(i64::MIN as f64)));
     }
 
     #[test]

@@ -89,8 +89,16 @@
 //! allocations, live bytes and peak live bytes per stored tuple to budgets,
 //! as exact counts.
 //!
-//! Two optimizations stack on the batch path:
+//! Three optimizations stack on the batch path:
 //!
+//! * **Filters run where their inputs are bound** ([`batch`]): each filter
+//!   of a strand is placed at the first stage that binds every slot it
+//!   reads, with the assignments it needs, and the steps after a probe run
+//!   inside that probe's sink on the extended row. A trigger a filter on
+//!   its own columns rejects is never probed for the next atom, and a row
+//!   is kept only once it has passed everything placed before the next
+//!   probe. Equality checks and assignments no moved filter reads keep
+//!   their body order; derivations and their order do not change.
 //! * **Key-grouped probe sharing** ([`batch`]): a delta batch's rows are
 //!   partitioned by probe-key value per body atom, each distinct key is
 //!   looked up once ([`relation::Relation::lookup_n`]), residual checks
@@ -100,7 +108,7 @@
 //!   this removes most bucket lookups and candidate materializations.
 //!   One routine does all probing — the shared arm above, or one plain
 //!   lookup for a lone row, chosen from the batch, never by an option —
-//!   and feeds either the next row arena or, for a rule's last stage,
+//!   and feeds either the next row arena or, for a rule's last probe,
 //!   head projection.
 //! * **Slot tables over a slab** ([`relation`], [`index`]): a stored
 //!   tuple lives once, in a slab slot that is its `StoredTuple` (48 bytes);

@@ -30,7 +30,10 @@
 //! with no bound columns (a genuine cross product) or relations without the
 //! declared index. [`CompiledStrand::index_requirements`] exposes every
 //! signature a strand probes so stores build each index once per program,
-//! not per join.
+//! not per join. Assignments and filters do not run in body order: each
+//! filter runs at the first probe that binds what it reads, or on the
+//! trigger rows (see [`crate::batch`]); [`CompiledStrand::explain`] shows
+//! where.
 
 use crate::expr::EvalError;
 use crate::store::Store;
@@ -104,6 +107,22 @@ impl CompiledStrand {
     /// once per program.
     pub fn index_requirements(&self) -> Vec<(String, Vec<usize>)> {
         self.batch.index_requirements()
+    }
+
+    /// One line saying how the strand runs: its identifier, the relation
+    /// whose deltas trigger it, then its stages in the order they run —
+    /// filters where their inputs are bound, not where the body writes them
+    /// (see [`crate::batch`]). For `dv2`'s `route`-triggered strand:
+    /// `dv2-2 route: assign H; filter (H <= 2); probe link[1]; assign C`.
+    pub fn explain(&self) -> String {
+        let stages = self.batch.describe();
+        let id = &self.rule.strand_id;
+        let trigger = &self.rule.trigger_relation;
+        if stages.is_empty() {
+            format!("{id} {trigger}")
+        } else {
+            format!("{id} {trigger}: {}", stages.join("; "))
+        }
     }
 
     /// The strand identifier (e.g. `sp2b-1`).
@@ -544,6 +563,13 @@ mod tests {
             })
             .collect();
         let link = |s: u32, z: u32, c: i64| tuple(&[addr(s), addr(z), int(c)]);
+        // route(@Z, @D, @D, C, H) and path(@Z, @D, @D, [Z, D], C).
+        let route =
+            |z: u32, d: u32, c: i64, h: i64| tuple(&[addr(z), addr(d), addr(d), int(c), int(h)]);
+        let path = |z: u32, d: u32, c: i64| {
+            let hops = Value::list(vec![addr(z), addr(d)]);
+            tuple(&[addr(z), addr(d), addr(d), hops, int(c)])
+        };
         vec![
             Case {
                 // A matching insert, a deletion, a dead-end link and a
@@ -735,6 +761,72 @@ mod tests {
                 derived: vec![3, 3, 2, 0],
                 joins: [[0, 1, 3], [0, 4, 12]],
             },
+            Case {
+                // `H <= 2` reads only the trigger and `H := H2 + 1`, so
+                // both run before `link` is probed: a trigger at two hops
+                // already probes nothing (the first alone, and the last).
+                shape: "filter placed above the probe",
+                rule: "dv2 route(@S,@D,@Z,C,H) :- #link(@S,@Z,C1), route(@Z,@D,@N,C2,H2),
+                    H := H2 + 1, H <= 2, C := C1 + C2.",
+                trigger: "route",
+                stored: Some(vec![
+                    ("link", link(0, 1, 5)),
+                    ("link", link(2, 1, 7)),
+                    ("link", link(3, 4, 1)),
+                ]),
+                batch: vec![
+                    (Insert, route(1, 9, 10, 2), ALL),
+                    (Insert, route(1, 9, 10, 1), ALL),
+                    (Delete, route(4, 8, 3, 1), ALL),
+                    (Insert, route(1, 7, 1, 1), 1),
+                    (Delete, route(4, 6, 2, 2), ALL),
+                ],
+                keys: [0, 2],
+                derived: vec![0, 2, 1, 1, 0],
+                joins: [[0, 0, 0], [3, 0, 5]],
+            },
+            Case {
+                // The path-triggered strand of sp2: the cycle filter reads
+                // S, which only the `link` probe binds, so it and both
+                // assignments trail the last probe.
+                shape: "filter and two assignments after the last probe",
+                rule: TWO_HOP,
+                trigger: "path",
+                stored: Some(vec![
+                    ("link", link(0, 1, 4)),
+                    ("link", link(2, 1, 1)),
+                    ("link", link(5, 1, 2)),
+                    ("link", link(1, 3, 6)),
+                ]),
+                batch: vec![
+                    (Insert, path(1, 2, 3), ALL),
+                    (Delete, path(3, 7, 1), ALL),
+                    (Insert, path(1, 9, 5), 2),
+                    (Insert, path(1, 0, 5), ALL),
+                ],
+                keys: [1, 2],
+                derived: vec![2, 1, 2, 2],
+                joins: [[1, 0, 3], [4, 0, 10]],
+            },
+            Case {
+                // Integer sums are exact past 2^53 and a float on overflow.
+                shape: "integer assignment past 2^53",
+                rule: "r1 sum(@S, C) :- a(@S, C1), b(@S, C2), C := C1 + C2.",
+                trigger: "a",
+                stored: Some(vec![
+                    ("b", tuple(&[addr(0), int(1)])),
+                    ("b", tuple(&[addr(0), int(1 << 53)])),
+                    ("b", tuple(&[addr(1), int(-1)])),
+                ]),
+                batch: vec![
+                    (Insert, tuple(&[addr(0), int(1 << 53)]), ALL),
+                    (Delete, tuple(&[addr(1), int(1 << 53)]), ALL),
+                    (Insert, tuple(&[addr(0), int(i64::MAX)]), ALL),
+                ],
+                keys: [1, 2],
+                derived: vec![2, 1, 2],
+                joins: [[1, 0, 2], [3, 0, 5]],
+            },
         ]
     }
 
@@ -836,6 +928,27 @@ mod tests {
                 assert_eq!(stats.distinct_probes, case.keys[n], "{what}");
             }
         }
+    }
+
+    /// A filter raises its type error for every binding that reaches the
+    /// stage it is placed at, whether or not a later atom would have
+    /// matched: one on the trigger's own slots runs before the join, so it
+    /// fails the firing even when nothing joins. The oracle follows body
+    /// order and never evaluates it then; the rule's meaning never depended
+    /// on where the body writes a constraint.
+    #[test]
+    fn a_filter_fails_where_it_is_placed() {
+        let src = "r1 out(@S, W) :- q(@S, V), t(@S, W), V.";
+        let (store, strands) = setup(src);
+        let q = TupleDelta::insert("q", Tuple::new(vec![addr(0), Value::str("yes")]));
+        let failed = fire(&strands[0], &store, &q, u64::MAX);
+        assert_eq!(
+            failed.unwrap_err().to_string(),
+            "type mismatch in boolean filter `V`"
+        );
+        let rule = &delta_rewrite_full(&parse_program(src).unwrap())[0];
+        let by_body_order = ndlog_oracle::fire_one(rule, q.tuple.values(), &[], u64::MAX);
+        assert_eq!(by_body_order, Ok(Vec::new()));
     }
 
     #[test]

@@ -81,9 +81,9 @@ fn main() {
 }
 
 /// The scripted end-to-end session CI runs: load the shortest-path
-/// program over the wire, feed the figure-2 graph, query, subscribe,
-/// re-cost an off-route link twice and hear nothing, break a link, watch
-/// the retraction arrive, dump, quit.
+/// program over the wire, explain its recursive rule, feed the figure-2
+/// graph, query, subscribe, re-cost an off-route link twice and hear
+/// nothing, break a link, watch the retraction arrive, dump, quit.
 fn smoke(verbose: bool) -> Result<(), String> {
     let service = Service::new();
     let server = service::start(service, "127.0.0.1:0").map_err(|e| format!("bind: {e}"))?;
@@ -121,6 +121,14 @@ fn smoke(verbose: bool) -> Result<(), String> {
 
     for line in program {
         step(&mut client, verbose, line)?;
+    }
+
+    // `.explain` lists both forward strands of sp2, each with its stages.
+    let reply = step(&mut client, verbose, ".explain sp2")?;
+    for strand in ["info sp2-1 link: probe path", "info sp2-2 path: probe link"] {
+        if !reply.payload.iter().any(|l| l.starts_with(strand)) {
+            return Err(format!("no `{strand}` in {:?}", reply.payload));
+        }
     }
     step(
         &mut client,

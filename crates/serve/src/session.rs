@@ -206,6 +206,7 @@ materialize(rel, keys(..)). declare a table (primary key, optional ttl)
 .unsubscribe <id|rel>       cancel subscriptions
 .rel                        list relations with tuple counts
 .rules                      show the loaded program
+.explain <rule label>       each strand of the rule: trigger, then stages as they run
 .dump                       every stored tuple with its derivation count
 .help                       this text
 .quit                       close the session";
@@ -342,6 +343,7 @@ impl Session {
                 MetaCommand::Unsubscribe(target) => core.unsubscribe(self.id, target),
                 MetaCommand::Relations => core.relations(),
                 MetaCommand::Rules => core.rules(),
+                MetaCommand::Explain(label) => core.explain(&label),
                 MetaCommand::Dump => {
                     let rows = core.dump_rows();
                     Ok(Response::Dump {
@@ -722,6 +724,33 @@ impl Core {
         } else {
             trimmed.to_string()
         }))
+    }
+
+    /// One line per compiled strand of rule `label`, re-derivation plan
+    /// included: its trigger relation, then its stages in the order they
+    /// run. An aggregate-headed rule or a fact compiles to none.
+    fn explain(&self, label: &str) -> Result<Response, ServeError> {
+        let Some(rule) = self.program.rule(label) else {
+            return Err(ServeError::new(format!("no rule labelled `{label}`")));
+        };
+        let strands = self.eval.strands().iter();
+        let lines: Vec<String> = strands
+            .filter(|strand| strand.rule_label() == label)
+            .map(|strand| strand.explain())
+            .collect();
+        let why = if rule.is_fact() {
+            " (a fact)"
+        } else if rule.head.has_aggregate() {
+            " (its aggregate view maintains the head)"
+        } else {
+            ""
+        };
+        let mut text = format!("rule {label}: {} strand(s){why}", lines.len());
+        for line in lines {
+            text.push('\n');
+            text.push_str(&line);
+        }
+        Ok(Response::Ok(text))
     }
 
     fn dump_rows(&self) -> Vec<(String, u64, Tuple)> {
@@ -1197,6 +1226,45 @@ mod tests {
         b_churn.sort();
         assert!(!a_churn.is_empty());
         assert_eq!(a_churn, b_churn);
+    }
+
+    #[test]
+    fn explain_shows_each_strand_with_its_filters_placed() {
+        let service = Service::from_program(&programs::distance_vector("", 2)).unwrap();
+        let session = service.open_session(Arc::new(NullSink));
+        let Response::Ok(text) = session.execute_line(".explain dv2").unwrap() else {
+            panic!("expected text")
+        };
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(
+            lines,
+            [
+                "rule dv2: 3 strand(s)",
+                "dv2-1 link: probe route[0]; assign H; filter (H <= 2); assign C",
+                "dv2-2 route: assign H; filter (H <= 2); probe link[1]; assign C",
+                "dv2-rederive route: probe link[0,1]; probe route[0,1]; \
+                 assign H; filter (H <= 2); check C",
+            ]
+        );
+        // The `route`-triggered strand checks the hop bound before it joins.
+        let route = lines[2];
+        let at = |stage: &str| route.find(stage).unwrap();
+        assert!(at("assign H") < at("filter (H <= 2)"));
+        assert!(at("filter (H <= 2)") < at("probe link[1]"));
+
+        let Response::Ok(text) = session.execute_line(".explain dv3").unwrap() else {
+            panic!("expected text")
+        };
+        assert_eq!(
+            text,
+            "rule dv3: 0 strand(s) (its aggregate view maintains the head)"
+        );
+        let err = session.execute_line(".explain dv9").unwrap_err();
+        assert_eq!(err.to_string(), "no rule labelled `dv9`");
+        let Response::Ok(help) = session.execute_line(".help").unwrap() else {
+            panic!("expected text")
+        };
+        assert!(help.contains(".explain <rule label>"));
     }
 
     #[test]
