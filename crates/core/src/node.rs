@@ -33,8 +33,8 @@ use ndlog_net::sim::SimTime;
 use ndlog_net::NodeAddr;
 use ndlog_runtime::fixpoint::LocalFixpoint;
 use ndlog_runtime::{
-    AggregateView, CompiledStrand, EvalBuffers, EvalError, EvalStats, RelName, Sign, Store,
-    Strategy, Tuple, TupleDelta,
+    CompiledStrand, EvalBuffers, EvalError, EvalStats, RelName, Sign, Store, Strategy, Tuple,
+    TupleDelta,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -88,7 +88,8 @@ pub struct NodeEngine {
 impl NodeEngine {
     /// Build a node engine for a set of plans (one per concurrent query).
     /// `strands` is the concatenation of all plans' strands, shared across
-    /// nodes.
+    /// nodes; so are the plans' aggregate views, which keep their state in
+    /// this node's store.
     pub fn new(
         addr: NodeAddr,
         plans: &[QueryPlan],
@@ -96,13 +97,11 @@ impl NodeEngine {
         mut config: NodeConfig,
     ) -> Result<Self, String> {
         let mut store = Store::new();
-        let mut views = Vec::new();
         for plan in plans {
             store.add_program(&plan.program)?;
-            for rule in &plan.aggregate_rules {
-                views.push(AggregateView::from_rule(rule)?);
-            }
         }
+        let views = plans.iter().flat_map(|plan| plan.views.iter().cloned());
+        let views = views.collect();
         let selections = if config.aggregate_selections {
             plans.iter().flat_map(|p| p.selections.clone()).collect()
         } else {
@@ -189,9 +188,10 @@ impl NodeEngine {
         self.fixpoint.expire_soft_state(now_micros);
     }
 
-    /// Crash the node: all volatile state — stored tuples, aggregate-view
-    /// groups, the evaluation queue, pending deletions and held outbound
-    /// tuples — is lost, exactly as a process restart would lose it.
+    /// Crash the node: all volatile state — stored tuples (aggregate-view
+    /// outputs included: the head relations are the views' only state),
+    /// the evaluation queue, pending deletions and held outbound tuples —
+    /// is lost, exactly as a process restart would lose it.
     /// Tracked relations see an explicit retraction of every stored tuple
     /// so downstream result logs stay exact; sequence numbers and the
     /// logical clock survive (a rejoining node must not travel back in
@@ -229,9 +229,9 @@ impl NodeEngine {
     /// Returns the current aggregate value governing a selection relation
     /// group, if any.
     #[cfg(test)]
-    fn current_best(&self, relation: &str, tuple: &Tuple) -> Option<Value> {
+    fn current_best(&self, relation: &str, tuple: &Tuple) -> Option<&Value> {
         let (_, view) = self.fixpoint.selection(relation)?;
-        self.fixpoint.views()[*view].current_for(tuple)
+        self.fixpoint.views()[*view].current_for(self.store(), tuple)
     }
 
     /// Run queued work to a local fixpoint (pipelined semi-naive, consumed
@@ -405,7 +405,7 @@ mod tests {
         assert_eq!(node.store().count("path"), 1);
         assert_eq!(
             node.current_best("path", &path(0, 1, 5.0)),
-            Some(Value::Float(5.0))
+            Some(&Value::Float(5.0))
         );
         // A worse path for the same (S, D) group is pruned entirely.
         node.receive(vec![TupleDelta::insert("path", path(0, 2, 7.0))]);
@@ -418,7 +418,7 @@ mod tests {
         assert_eq!(node.store().count("path"), 2);
         assert_eq!(
             node.current_best("path", &path(0, 1, 0.0)),
-            Some(Value::Float(2.0))
+            Some(&Value::Float(2.0))
         );
         // The shortestPath result reflects the best cost.
         let sp = node.store().tuples("shortestPath");
@@ -444,7 +444,7 @@ mod tests {
         assert_eq!(node.pruned(), 0);
         assert_eq!(
             node.current_best("path", &path(0, 1, 0i64)),
-            Some(Value::Int(big))
+            Some(&Value::Int(big))
         );
     }
 

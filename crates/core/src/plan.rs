@@ -5,8 +5,9 @@
 //! 1. **validate** the program against the NDlog constraints (Definition 6);
 //! 2. **localize** non-local link-restricted rules (Algorithm 2) so every
 //!    rule body is evaluable at a single node;
-//! 3. split off **aggregate rules** (maintained as incremental views) from
-//!    join rules;
+//! 3. compile the **aggregate rules** into incremental views, after the
+//!    schema checks every node's store makes (an aggregate head is keyed on
+//!    its group-by fields and derived by its rule alone);
 //! 4. apply the **semi-naive delta rewrite** to the join rules and compile
 //!    each delta rule into a [`CompiledStrand`], plus one key-bound
 //!    re-derivation plan per rule for the DRed deletion pass;
@@ -14,13 +15,15 @@
 //!    prune non-improving tuples when the optimization is enabled.
 //!
 //! The resulting [`QueryPlan`] is immutable and can be shared by every node
-//! in the network (each node keeps its own mutable store and view state).
+//! in the network (each node keeps its own mutable store; a view's state is
+//! its head relation in that store).
 
 use ndlog_lang::aggsel::{infer_aggregate_selections, AggSelectionSpec};
 use ndlog_lang::localize::localize;
 use ndlog_lang::validate::validate_strict;
 use ndlog_lang::{LangError, Program, Rule};
-use ndlog_runtime::CompiledStrand;
+use ndlog_runtime::{AggregateView, CompiledStrand, Store};
+use std::sync::Arc;
 
 /// An executable plan for one NDlog program.
 #[derive(Debug, Clone)]
@@ -32,8 +35,9 @@ pub struct QueryPlan {
     /// Compiled strands for the non-aggregate rules: the delta rewrite's,
     /// then one re-derivation plan per rule.
     pub strands: Vec<CompiledStrand>,
-    /// Aggregate rules, maintained as incremental views per node.
-    pub aggregate_rules: Vec<Rule>,
+    /// The aggregate rules' incremental views, one per rule, compiled once
+    /// and shared by every node.
+    pub views: Vec<Arc<AggregateView>>,
     /// Inferred aggregate selections (pruning opportunities).
     pub selections: Vec<AggSelectionSpec>,
 }
@@ -59,11 +63,13 @@ impl QueryPlan {
     }
 }
 
-/// Plan a program. Fails if the program violates the NDlog constraints or
-/// cannot be localized.
+/// Plan a program. Fails if the program violates the NDlog constraints,
+/// cannot be localized, fails a node store's schema checks
+/// ([`Store::add_program`]) or has an aggregate rule no view can maintain.
 pub fn plan(program: &Program) -> Result<QueryPlan, LangError> {
     validate_strict(program)?;
     let localized = localize(program)?;
+    Store::for_program(&localized).map_err(LangError::Rewrite)?;
 
     let (aggregate_rules, join_rules): (Vec<Rule>, Vec<Rule>) = localized
         .rules
@@ -74,6 +80,11 @@ pub fn plan(program: &Program) -> Result<QueryPlan, LangError> {
     let mut join_program = localized.clone();
     join_program.rules = join_rules;
     let strands = CompiledStrand::compile_program(&join_program);
+    let views = aggregate_rules
+        .iter()
+        .map(|rule| AggregateView::from_rule(rule).map(Arc::new))
+        .collect::<Result<_, String>>()
+        .map_err(LangError::Rewrite)?;
 
     let selections = infer_aggregate_selections(&localized);
 
@@ -85,7 +96,7 @@ pub fn plan(program: &Program) -> Result<QueryPlan, LangError> {
         },
         program: localized,
         strands,
-        aggregate_rules,
+        views,
         selections,
     })
 }
@@ -99,8 +110,8 @@ mod tests {
     fn shortest_path_plan_shape() {
         let plan = plan(&programs::shortest_path("")).unwrap();
         // sp3 is the only aggregate rule; sp1, sp2a, sp2b, sp4 become strands.
-        assert_eq!(plan.aggregate_rules.len(), 1);
-        assert_eq!(plan.aggregate_rules[0].label, "sp3");
+        assert_eq!(plan.views.len(), 1);
+        assert_eq!(plan.views[0].rule_label(), "sp3");
         assert!(plan.strands.len() >= 5);
         assert_eq!(plan.selections.len(), 1);
         assert_eq!(plan.selections[0].relation, "path");
@@ -117,6 +128,46 @@ mod tests {
         assert!(plan(&bad).is_err());
         let not_restricted = parse_program("a p(@S, C) :- q(@D, C), r(@S, C).").unwrap();
         assert!(plan(&not_restricted).is_err());
+    }
+
+    /// An aggregate head is keyed on its group-by fields and derived by its
+    /// rule alone; a program that says otherwise does not plan, and the
+    /// error names the rule.
+    #[test]
+    fn aggregate_heads_are_keyed_on_their_group_by_fields_and_derived_once() {
+        let refused = |src: &str| plan(&parse_program(src).unwrap()).unwrap_err().to_string();
+        const LOW: &str = "l low(@S, min<C>) :- obs(@S, K, C).";
+        let err = refused(&format!("materialize(low, keys(1,2)). {LOW}"));
+        let must = "rule l: aggregate head `low` must be keyed on its group-by fields";
+        assert!(
+            err.contains(&format!("{must}, keys(1), not keys(1,2)")),
+            "{err}"
+        );
+        let err = refused(&format!("materialize(low, infinity, infinity). {LOW}"));
+        assert!(
+            err.contains(&format!("{must}, keys(1), not all columns")),
+            "{err}"
+        );
+        let err = refused(&format!("{LOW} low(@1, 3)."));
+        assert!(
+            err.contains("`low` is derived by aggregate rule l alone"),
+            "{err}"
+        );
+        assert!(err.contains("fact "), "{err}");
+        let err = refused(&format!("{LOW} m low(@S, C) :- obs(@S, C, C)."));
+        assert!(
+            err.contains("rule m: `low` is derived by aggregate rule l alone"),
+            "{err}"
+        );
+        let err = refused(&format!("{LOW} m low(@S, max<C>) :- obs(@S, K, C)."));
+        assert!(
+            err.contains("rule m: `low` is derived by aggregate rule l alone"),
+            "{err}"
+        );
+        // Undeclared, or declared as the key it must be: planned.
+        let declared = plan(&parse_program(&format!("materialize(low, keys(1)). {LOW}")).unwrap());
+        assert_eq!(declared.unwrap().views.len(), 1);
+        assert_eq!(plan(&parse_program(LOW).unwrap()).unwrap().views.len(), 1);
     }
 
     #[test]

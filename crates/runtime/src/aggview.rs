@@ -10,14 +10,16 @@
 //! incremental aggregate views, following the techniques of Ramakrishnan et
 //! al. for incremental evaluation of queries with aggregation (Section 3.3
 //! and Section 4 of the paper), over the tables the node already stores. A
-//! view keeps what it emits, not what it reads: per group, the head tuple
-//! currently derived for it and nothing else — the tuple is also the
-//! group's key, hashed and compared on its fields but the aggregate. The
-//! group's inputs live once, in the store.
+//! view keeps no state of its own: its head relation is its state. An
+//! aggregate head is keyed on its group-by fields — every head field but
+//! the aggregate ([`Store::add_program`] gives it that key and refuses
+//! another) — and derived by its rule alone, so a group's current output is
+//! the head tuple stored under the group's key, read with one primary-key
+//! lookup. The group's inputs live once, in the store, too.
 //!
 //! * An insertion ([`AggregateView::apply`]) combines the new value with
 //!   the group's current aggregate — `min`/`max` by [`Value`]'s order,
-//!   `count` + 1 — after one hash lookup of the group, made on the source
+//!   `count` + 1 — read off the stored output, looked up on the source
 //!   tuple's group columns where they lie; `sum` re-folds the group from
 //!   the store, so it is a function of the group's stored contents, not of
 //!   arrival order.
@@ -51,25 +53,21 @@
 use crate::index::JoinStats;
 use crate::store::Store;
 use crate::tuple::{RelName, Tuple, TupleDelta};
-use ndlog_lang::value::FxBuild;
 use ndlog_lang::{AggFunc, Atom, Literal, Rule, Term, Value};
-use std::borrow::Borrow;
-use std::collections::{BTreeMap, HashSet};
-use std::hash::{Hash, Hasher};
+use std::collections::{BTreeMap, BTreeSet};
 
-/// A head field other than the aggregate: what identifies a group. The
-/// group-by fields, and constants, which every output of the view shares.
-#[derive(Debug, Clone, PartialEq)]
+/// A head field other than the aggregate: one column of the head
+/// relation's primary key, which identifies a group.
+#[derive(Debug)]
 enum KeyField {
-    /// The `index`-th group-by field, copied from source column `col`
-    /// (`group_cols[index] == col`).
-    Group { col: usize, index: usize },
-    /// A constant.
+    /// A group-by field, copied from this source column.
+    Group(usize),
+    /// A constant, which every output of the view shares.
     Const(Value),
 }
 
 /// The value a checked column must hold, read off the source tuple.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 enum Expected {
     Const(Value),
     /// The value of this column of the source tuple.
@@ -87,15 +85,17 @@ impl Expected {
 
 /// A guard atom compiled to one membership probe: the `cols` of
 /// `relation` must hold `key`, resolved against the source tuple.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Guard {
     relation: String,
     cols: Vec<usize>,
     key: Vec<Expected>,
 }
 
-/// An incrementally maintained aggregate view.
-#[derive(Debug, Clone)]
+/// An incrementally maintained aggregate view, compiled once per plan and
+/// shared by every site that runs it: it holds nothing that evaluation
+/// changes.
+#[derive(Debug)]
 pub struct AggregateView {
     rule_label: String,
     /// Held once; every output delta shares it.
@@ -103,8 +103,8 @@ pub struct AggregateView {
     source_relation: String,
     func: AggFunc,
     value_col: usize,
-    group_cols: Vec<usize>,
-    /// The head fields but the aggregate, in head order.
+    /// The head fields but the aggregate, in head order: the head
+    /// relation's primary key.
     key_fields: Vec<KeyField>,
     /// The head position of the aggregate value.
     agg_pos: usize,
@@ -114,11 +114,6 @@ pub struct AggregateView {
     /// first.
     source_checks: Vec<(usize, Expected)>,
     guards: Vec<Guard>,
-    /// The head tuple currently derived for each group, hashed and compared
-    /// on its fields but the aggregate: the group's key is the output
-    /// itself, not a copy of it. Never iterated: nothing observable depends
-    /// on its order.
-    groups: HashSet<Head, FxBuild>,
 }
 
 /// The aggregate of a group with aggregate `current` (`None`: no inputs
@@ -135,144 +130,6 @@ fn combine(func: AggFunc, current: Option<&Value>, value: &Value) -> Value {
             current.and_then(Value::as_f64).unwrap_or(0.0) + value.as_f64().unwrap_or(0.0),
         ),
     }
-}
-
-/// A group's identity — a view's head fields but the aggregate, in head
-/// order — wherever those fields lie: in a stored head tuple, in the
-/// columns of a source tuple, or in a caller's group-by key. The map hashes
-/// and compares the three alike, so looking a group up builds nothing.
-trait GroupFields {
-    fn len(&self) -> usize;
-    fn field(&self, i: usize) -> &Value;
-}
-
-impl<'a> dyn GroupFields + 'a {
-    fn iter(&self) -> impl Iterator<Item = &Value> {
-        (0..self.len()).map(|i| self.field(i))
-    }
-}
-
-impl Hash for dyn GroupFields + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.iter().for_each(|field| field.hash(state));
-    }
-}
-
-impl PartialEq for dyn GroupFields + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.iter().eq(other.iter())
-    }
-}
-
-impl Eq for dyn GroupFields + '_ {}
-
-/// What the map holds: a group's current head tuple, and where in it the
-/// aggregate lies. The position is the view's `agg_pos` in every entry — 8
-/// bytes per group that a `std` set makes each entry carry, since its `Hash`
-/// and `Eq` see the entry alone, not the view.
-#[derive(Debug, Clone)]
-struct Head {
-    tuple: Tuple,
-    agg_pos: usize,
-}
-
-impl GroupFields for Head {
-    fn len(&self) -> usize {
-        self.tuple.arity() - 1
-    }
-    fn field(&self, i: usize) -> &Value {
-        &self.tuple.values()[i + usize::from(i >= self.agg_pos)]
-    }
-}
-
-impl<'a> Borrow<dyn GroupFields + 'a> for Head {
-    fn borrow(&self) -> &(dyn GroupFields + 'a) {
-        self
-    }
-}
-
-impl Hash for Head {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        (self as &dyn GroupFields).hash(state);
-    }
-}
-
-impl PartialEq for Head {
-    fn eq(&self, other: &Self) -> bool {
-        (self as &dyn GroupFields) == (other as &dyn GroupFields)
-    }
-}
-
-impl Eq for Head {}
-
-/// The group of a source tuple, read off its columns.
-struct Projected<'a> {
-    fields: &'a [KeyField],
-    tuple: &'a Tuple,
-}
-
-impl<'a> Projected<'a> {
-    /// `None` when the tuple is too short to project (heterogeneous
-    /// hand-built stores).
-    fn of(fields: &'a [KeyField], tuple: &'a Tuple) -> Option<Self> {
-        let covered = fields.iter().all(|field| match field {
-            KeyField::Group { col, .. } => *col < tuple.arity(),
-            KeyField::Const(_) => true,
-        });
-        covered.then_some(Projected { fields, tuple })
-    }
-}
-
-impl GroupFields for Projected<'_> {
-    fn len(&self) -> usize {
-        self.fields.len()
-    }
-    fn field(&self, i: usize) -> &Value {
-        match &self.fields[i] {
-            KeyField::Group { col, .. } => &self.tuple.values()[*col],
-            KeyField::Const(c) => c,
-        }
-    }
-}
-
-/// A group named by its group-by fields alone.
-struct ByKey<'a> {
-    fields: &'a [KeyField],
-    key: &'a [Value],
-}
-
-impl<'a> ByKey<'a> {
-    /// `None` when `key` has not one value per group-by field.
-    fn of(fields: &'a [KeyField], key: &'a [Value]) -> Option<Self> {
-        let groups = fields
-            .iter()
-            .filter(|field| matches!(field, KeyField::Group { .. }))
-            .count();
-        (key.len() == groups).then_some(ByKey { fields, key })
-    }
-}
-
-impl GroupFields for ByKey<'_> {
-    fn len(&self) -> usize {
-        self.fields.len()
-    }
-    fn field(&self, i: usize) -> &Value {
-        match &self.fields[i] {
-            KeyField::Group { index, .. } => &self.key[*index],
-            KeyField::Const(c) => c,
-        }
-    }
-}
-
-/// The head tuple of a group with aggregate `agg_value`: one allocation,
-/// of exactly the tuple's size.
-fn head_tuple(agg_pos: usize, group: &dyn GroupFields, agg_value: &Value) -> Tuple {
-    let field = |i: usize| match i.cmp(&agg_pos) {
-        std::cmp::Ordering::Less => group.field(i).clone(),
-        std::cmp::Ordering::Equal => agg_value.clone(),
-        std::cmp::Ordering::Greater => group.field(i - 1).clone(),
-    };
-    (0..=group.len()).map(field).collect()
 }
 
 impl AggregateView {
@@ -369,7 +226,6 @@ impl AggregateView {
             .collect();
 
         let mut key_fields = Vec::with_capacity(rule.head.arity() - 1);
-        let mut group_cols = Vec::new();
         for term in &rule.head.args {
             match term {
                 Term::Agg(_) => {}
@@ -381,9 +237,7 @@ impl AggregateView {
                             rule.label, v.name
                         )
                     })?;
-                    let index = group_cols.len();
-                    group_cols.push(col);
-                    key_fields.push(KeyField::Group { col, index });
+                    key_fields.push(KeyField::Group(col));
                 }
             }
         }
@@ -393,13 +247,11 @@ impl AggregateView {
             source_relation: source.name.clone(),
             func: agg.func,
             value_col,
-            group_cols,
             key_fields,
             agg_pos: agg_positions[0],
             source_arity: source.arity(),
             source_checks,
             guards,
-            groups: HashSet::default(),
         })
     }
 
@@ -419,45 +271,49 @@ impl AggregateView {
         &self.rule_label
     }
 
-    /// The aggregate function.
-    pub fn func(&self) -> AggFunc {
-        self.func
+    /// The head relation's key of the group a source tuple belongs to, read
+    /// off the tuple's columns; `None` when the tuple is too short to be a
+    /// source tuple (heterogeneous hand-built stores).
+    fn key_in<'a>(&'a self, source: &'a Tuple) -> Option<impl Iterator<Item = &'a Value> + Clone> {
+        let fields = source.values();
+        let key = self.key_fields.iter().map(move |field| match field {
+            KeyField::Group(col) => &fields[*col],
+            KeyField::Const(c) => c,
+        });
+        (fields.len() >= self.source_arity).then_some(key)
     }
 
-    /// Number of currently non-empty groups.
-    #[cfg(test)]
-    fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Forget all group state (a node crash loses the view along with the
-    /// store it was built from; rejoin rebuilds both from scratch).
-    pub fn reset(&mut self) {
-        self.groups.clear();
-    }
-
-    /// Current aggregate value for the group a source tuple belongs to.
-    pub fn current_for(&self, source_tuple: &Tuple) -> Option<Value> {
-        let output = self.current_output_for(source_tuple)?;
-        output.get(self.agg_pos).cloned()
+    /// The head tuple currently derived for a group, named by its key: the
+    /// tuple stored under that key, found by one primary-key lookup on the
+    /// head relation, which allocates nothing.
+    fn current_output<'s, 'v>(
+        &self,
+        store: &'s Store,
+        key: impl IntoIterator<Item = &'v Value, IntoIter: Clone>,
+    ) -> Option<&'s Tuple> {
+        let head = store.relation(&self.head_relation)?;
+        Some(&head.get(key)?.tuple)
     }
 
     /// The head tuple currently derived for the group a source tuple
     /// belongs to, if any.
-    pub fn current_output_for(&self, source_tuple: &Tuple) -> Option<&Tuple> {
-        let group = Projected::of(&self.key_fields, source_tuple)?;
-        let head = self.groups.get(&group as &dyn GroupFields)?;
-        Some(&head.tuple)
+    pub fn current_output_for<'s>(&self, store: &'s Store, source: &Tuple) -> Option<&'s Tuple> {
+        self.current_output(store, self.key_in(source)?)
     }
 
-    /// Whether removing the source tuple `removed` can move its group's
-    /// output: for `min`/`max`, exactly when its value is not strictly worse
-    /// than the current aggregate in [`Value`]'s order (the order
-    /// `combine` folds with), so a removal of the reigning best or of a tie
-    /// can, and any other cannot; always for `count`/`sum`, and for a tuple
-    /// whose group has no output or that has no aggregated column.
-    pub fn removal_can_move(&self, removed: &Tuple) -> bool {
-        let output = self.current_output_for(removed);
+    /// Current aggregate value for the group a source tuple belongs to.
+    pub fn current_for<'s>(&self, store: &'s Store, source: &Tuple) -> Option<&'s Value> {
+        self.current_output_for(store, source)?.get(self.agg_pos)
+    }
+
+    /// Whether removing the source tuple `removed` can move `output`, its
+    /// group's current output ([`AggregateView::current_output_for`]): for
+    /// `min`/`max`, exactly when its value is not strictly worse than the
+    /// current aggregate in [`Value`]'s order (the order `combine` folds
+    /// with), so a removal of the reigning best or of a tie can, and any
+    /// other cannot; always for `count`/`sum`, and for a tuple whose group
+    /// has no output or that has no aggregated column.
+    pub fn removal_can_move(&self, output: Option<&Tuple>, removed: &Tuple) -> bool {
         let current = output.and_then(|head| head.get(self.agg_pos));
         match (self.func, removed.get(self.value_col), current) {
             (AggFunc::Min, Some(value), Some(best)) => value <= best,
@@ -466,56 +322,62 @@ impl AggregateView {
         }
     }
 
-    /// The group key a source tuple belongs to, or `None` when the tuple
-    /// is too short to project (heterogeneous hand-built stores).
+    /// The head relation's key of the group a source tuple belongs to, or
+    /// `None` when the tuple is too short to project (heterogeneous
+    /// hand-built stores).
     pub fn group_key(&self, source_tuple: &Tuple) -> Option<Vec<Value>> {
-        Projected::of(&self.key_fields, source_tuple)?;
-        Some(source_tuple.project(&self.group_cols))
-    }
-
-    /// The head tuple currently derived for a group, if any.
-    pub fn current_output(&self, key: &[Value]) -> Option<&Tuple> {
-        let group = ByKey::of(&self.key_fields, key)?;
-        let head = self.groups.get(&group as &dyn GroupFields)?;
-        Some(&head.tuple)
+        Some(self.key_in(source_tuple)?.cloned().collect())
     }
 
     /// Map a head (output) tuple back to its group key, or `None` when the
     /// tuple cannot be an output of this view (wrong arity or mismatched
     /// constants).
     pub fn output_group_key(&self, head_tuple: &Tuple) -> Option<Vec<Value>> {
-        if head_tuple.arity() != self.key_fields.len() + 1 {
+        let mut key = head_tuple.values().to_vec();
+        if key.len() != self.key_fields.len() + 1 {
             return None;
         }
-        let mut key = Vec::with_capacity(self.group_cols.len());
-        for (i, field) in self.key_fields.iter().enumerate() {
-            let value = &head_tuple.values()[i + usize::from(i >= self.agg_pos)];
-            match field {
-                KeyField::Group { .. } => key.push(value.clone()),
-                KeyField::Const(c) if c != value => return None,
-                KeyField::Const(_) => {}
-            }
-        }
-        Some(key)
+        key.remove(self.agg_pos);
+        let constants_match = self
+            .key_fields
+            .iter()
+            .zip(&key)
+            .all(|(field, value)| !matches!(field, KeyField::Const(c) if c != value));
+        constants_match.then_some(key)
+    }
+
+    /// The head tuple of the group with key `key` and aggregate
+    /// `aggregate`: one allocation, of exactly the tuple's size.
+    fn head_tuple<'v>(&self, key: impl IntoIterator<Item = &'v Value>, aggregate: &Value) -> Tuple {
+        let mut key = key.into_iter();
+        let field = |i: usize| match i == self.agg_pos {
+            true => aggregate,
+            false => key.next().expect("one value per key field"),
+        };
+        (0..=self.key_fields.len()).map(field).cloned().collect()
     }
 
     /// The aggregate of one group over the tuples currently stored in the
     /// source relation that the view admits; `None` when the group has no
     /// admitted input.
-    fn fold_group(&self, store: &Store, key: &[Value], stats: &mut JoinStats) -> Option<Value> {
+    fn fold_group<'v>(
+        &self,
+        store: &Store,
+        key: impl Iterator<Item = &'v Value> + Clone,
+        stats: &mut JoinStats,
+    ) -> Option<Value> {
         let relation = store.relation(&self.source_relation)?;
         // Probe on the (sorted, deduplicated) group columns; verify the
         // full group key residually to cover repeated group variables.
         let mut bound: BTreeMap<usize, Value> = BTreeMap::new();
-        for (col, val) in self.group_cols.iter().zip(key.iter()) {
-            bound.entry(*col).or_insert_with(|| val.clone());
+        for (field, val) in self.key_fields.iter().zip(key.clone()) {
+            if let KeyField::Group(col) = field {
+                bound.entry(*col).or_insert_with(|| val.clone());
+            }
         }
         let cols: Vec<usize> = bound.keys().copied().collect();
-        let vals: Vec<Value> = bound.values().cloned().collect();
-        let in_group = |tuple: &Tuple| {
-            let fields = self.group_cols.iter().map(|&c| tuple.get(c));
-            fields.eq(key.iter().map(Some))
-        };
+        let vals: Vec<Value> = bound.into_values().collect();
+        let in_group = |tuple: &Tuple| self.key_in(tuple).is_some_and(|k| k.eq(key.clone()));
         relation
             .lookup(&cols, &vals, u64::MAX, stats)
             .map(|stored| &stored.tuple)
@@ -526,32 +388,20 @@ impl AggregateView {
             })
     }
 
-    /// Recompute one group from the store and install the result as its
-    /// current output — how deletions reach a view. The DRed pass
-    /// ([`crate::dred`]) removes source tuples (and the group's head
-    /// output) from the store without telling the view, then calls this
-    /// for every group it touched; the new aggregate is returned as an
-    /// insertion delta for the caller to ingest (the old output is already
-    /// gone from the store). Returns `None`, and forgets the group, when
-    /// no input survives.
+    /// Recompute one group from the store — how deletions reach a view.
+    /// The DRed pass ([`crate::dred`]) removes source tuples (and the
+    /// group's head output) from the store, then calls this for every group
+    /// it touched; the new aggregate is returned as an insertion delta for
+    /// the caller to ingest (the old output is already gone from the
+    /// store). Returns `None` when no input survives.
     pub fn rebuild_group(
-        &mut self,
+        &self,
         store: &Store,
         key: &[Value],
         stats: &mut JoinStats,
     ) -> Option<TupleDelta> {
-        let aggregate = self.fold_group(store, key, stats);
-        let group = ByKey::of(&self.key_fields, key)?;
-        let group: &dyn GroupFields = &group;
-        let Some(aggregate) = aggregate else {
-            self.groups.remove(group);
-            return None;
-        };
-        let tuple = head_tuple(self.agg_pos, group, &aggregate);
-        self.groups.replace(Head {
-            tuple: tuple.clone(),
-            agg_pos: self.agg_pos,
-        });
+        let aggregate = self.fold_group(store, key.iter(), stats)?;
+        let tuple = self.head_tuple(key, &aggregate);
         Some(TupleDelta::insert(self.head_relation.clone(), tuple))
     }
 
@@ -566,8 +416,14 @@ impl AggregateView {
         let mut out: Vec<_> = guards
             .map(|guard| (guard.relation.clone(), guard.cols.clone()))
             .collect();
-        let group_sig: std::collections::BTreeSet<usize> =
-            self.group_cols.iter().copied().collect();
+        let group_sig: BTreeSet<usize> = self
+            .key_fields
+            .iter()
+            .filter_map(|field| match field {
+                KeyField::Group(col) => Some(*col),
+                KeyField::Const(_) => None,
+            })
+            .collect();
         if !group_sig.is_empty() {
             out.push((
                 self.source_relation.clone(),
@@ -598,46 +454,33 @@ impl AggregateView {
         })
     }
 
-    /// Feed the view a tuple that has just entered the store's `relation`,
-    /// returning the head deltas to propagate: nothing while the group's
-    /// aggregate is unchanged, otherwise the retraction of its old output
-    /// (if it had one) and the assertion of the new.
-    pub fn apply(&mut self, store: &Store, relation: &str, inserted: &Tuple) -> Vec<TupleDelta> {
+    /// The head deltas a tuple that has just entered the store's
+    /// `relation` calls for: nothing while its group's aggregate is
+    /// unchanged, otherwise the retraction of the group's stored output (if
+    /// it has one) and the assertion of the new. The view reads the store
+    /// and writes nothing; the caller ingests the deltas.
+    pub fn apply(&self, store: &Store, relation: &str, inserted: &Tuple) -> Vec<TupleDelta> {
         if relation != self.source_relation || !self.admits(store, inserted) {
             return Vec::new();
         }
-        let Some(value) = inserted.get(self.value_col) else {
+        let (Some(value), Some(key)) = (inserted.get(self.value_col), self.key_in(inserted)) else {
             return Vec::new();
         };
-        let Some(group) = Projected::of(&self.key_fields, inserted) else {
-            return Vec::new();
-        };
-        let group: &dyn GroupFields = &group;
-        let old_head = self.groups.get(group).map(|head| &head.tuple);
+        let old_head = self.current_output(store, key.clone());
         let aggregate = match self.func {
             // Float addition does not commute with arrival order.
-            AggFunc::Sum => {
-                let key = inserted.project(&self.group_cols);
-                self.fold_group(store, &key, &mut JoinStats::default())
-            }
+            AggFunc::Sum => self.fold_group(store, key.clone(), &mut JoinStats::default()),
             func => {
                 let current = old_head.and_then(|head| head.get(self.agg_pos));
                 Some(combine(func, current, value))
             }
         };
-        let new_head = aggregate.map(|v| head_tuple(self.agg_pos, group, &v));
+        let new_head = aggregate.map(|v| self.head_tuple(key, &v));
         if old_head == new_head.as_ref() {
             return Vec::new();
         }
-        let old_head = match &new_head {
-            Some(new) => self.groups.replace(Head {
-                tuple: new.clone(),
-                agg_pos: self.agg_pos,
-            }),
-            None => self.groups.take(group),
-        };
-        let old_head = old_head.map(|head| head.tuple);
-        let retract = old_head.map(|old| TupleDelta::delete(self.head_relation.clone(), old));
+        let retract =
+            old_head.map(|old| TupleDelta::delete(self.head_relation.clone(), old.clone()));
         let assert = new_head.map(|new| TupleDelta::insert(self.head_relation.clone(), new));
         retract.into_iter().chain(assert).collect()
     }
@@ -646,16 +489,35 @@ impl AggregateView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuple::Sign;
+    use crate::Evaluator;
     use ndlog_lang::parse_program;
 
-    fn view(src: &str) -> AggregateView {
-        let p = parse_program(src).unwrap();
-        AggregateView::from_rule(&p.rules[0]).unwrap()
+    const SP3: &str = "sp3 spCost(@S,@D,min<C>) :- path(@S,@D,@Z,P,C).";
+
+    /// An evaluator for `src`, every aggregate head subscribed on its tap:
+    /// a view's outputs enter the store the way they do in production.
+    fn evaluator(src: &str) -> Evaluator {
+        let mut eval = Evaluator::new(&parse_program(src).unwrap()).unwrap();
+        let views = eval.views().to_vec();
+        for view in views {
+            eval.tap_mut().subscribe(view.head_relation().to_string());
+        }
+        eval
     }
 
-    fn sp_cost_view() -> AggregateView {
-        view("sp3 spCost(@S,@D,min<C>) :- path(@S,@D,@Z,P,C).")
+    /// Apply one burst and run it to a fixpoint: the head relations'
+    /// visibility transitions, in the order the store made them.
+    fn burst(eval: &mut Evaluator, deltas: Vec<TupleDelta>) -> Vec<TupleDelta> {
+        eval.update_batch(deltas).unwrap();
+        eval.drain_tap()
+    }
+
+    fn insert(eval: &mut Evaluator, relation: &str, tuple: Tuple) -> Vec<TupleDelta> {
+        burst(eval, vec![TupleDelta::insert(relation, tuple)])
+    }
+
+    fn remove(eval: &mut Evaluator, relation: &str, tuple: Tuple) -> Vec<TupleDelta> {
+        burst(eval, vec![TupleDelta::delete(relation, tuple)])
     }
 
     fn path(s: u32, d: u32, z: u32, c: f64) -> Tuple {
@@ -668,154 +530,8 @@ mod tests {
         ])
     }
 
-    /// The path production takes for an insertion: the tuple enters the
-    /// store, then the view.
-    fn insert(store: &mut Store, v: &mut AggregateView, tuple: Tuple) -> Vec<TupleDelta> {
-        let relation = v.source_relation().to_string();
-        store.apply(&TupleDelta::insert(relation.as_str(), tuple.clone()));
-        v.apply(store, &relation, &tuple)
-    }
-
-    /// ... and for a removal: the tuple leaves the store, then its group is
-    /// rebuilt from what is left.
-    fn remove(store: &mut Store, v: &mut AggregateView, tuple: Tuple) -> Option<TupleDelta> {
-        store.apply(&TupleDelta::delete(v.source_relation(), tuple.clone()));
-        let key = v.group_key(&tuple).unwrap();
-        v.rebuild_group(store, &key, &mut JoinStats::default())
-    }
-
-    #[test]
-    fn min_improves_and_emits_replacement() {
-        let mut v = sp_cost_view();
-        let store = Store::new();
-        let out = v.apply(&store, "path", &path(0, 1, 1, 5.0));
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].sign, Sign::Insert);
-        assert_eq!(out[0].relation, "spCost");
-        assert_eq!(out[0].tuple.get(2), Some(&Value::Float(5.0)));
-
-        // A worse path does not change the aggregate.
-        let out = v.apply(&store, "path", &path(0, 1, 2, 9.0));
-        assert!(out.is_empty());
-
-        // A better path retracts the old aggregate and asserts the new one.
-        let out = v.apply(&store, "path", &path(0, 1, 3, 2.0));
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].sign, Sign::Delete);
-        assert_eq!(out[0].tuple.get(2), Some(&Value::Float(5.0)));
-        assert_eq!(out[1].sign, Sign::Insert);
-        assert_eq!(out[1].tuple.get(2), Some(&Value::Float(2.0)));
-        assert_eq!(v.group_count(), 1);
-        assert_eq!(v.current_for(&path(0, 1, 1, 0.0)), Some(Value::Float(2.0)));
-    }
-
-    #[test]
-    fn deletion_rederives_from_remaining_inputs() {
-        let mut v = sp_cost_view();
-        let mut store = Store::new();
-        insert(&mut store, &mut v, path(0, 1, 1, 5.0));
-        insert(&mut store, &mut v, path(0, 1, 2, 2.0));
-        assert_eq!(v.current_for(&path(0, 1, 1, 0.0)), Some(Value::Float(2.0)));
-        // Deleting the best path falls back to the next best.
-        let out = remove(&mut store, &mut v, path(0, 1, 2, 2.0)).unwrap();
-        assert_eq!(out.sign, Sign::Insert);
-        assert_eq!(out.tuple.get(2), Some(&Value::Float(5.0)));
-        assert_eq!(v.current_for(&path(0, 1, 1, 0.0)), Some(Value::Float(5.0)));
-        // Deleting the last input retracts the aggregate entirely.
-        assert_eq!(remove(&mut store, &mut v, path(0, 1, 1, 5.0)), None);
-        assert_eq!(v.current_for(&path(0, 1, 1, 0.0)), None);
-        assert_eq!(v.group_count(), 0);
-    }
-
-    #[test]
-    fn duplicate_values_are_multiset_counted() {
-        let mut v = sp_cost_view();
-        let mut store = Store::new();
-        insert(&mut store, &mut v, path(0, 1, 1, 3.0));
-        insert(&mut store, &mut v, path(0, 1, 2, 3.0));
-        let before = v.current_output_for(&path(0, 1, 1, 0.0)).cloned();
-        // Removing one of the two cost-3 paths keeps the aggregate at 3.
-        let out = remove(&mut store, &mut v, path(0, 1, 1, 3.0));
-        assert_eq!(out.map(|d| d.tuple), before);
-        assert_eq!(v.current_for(&path(0, 1, 1, 0.0)), Some(Value::Float(3.0)));
-        assert_eq!(remove(&mut store, &mut v, path(0, 1, 2, 3.0)), None);
-        assert_eq!(v.group_count(), 0);
-    }
-
-    #[test]
-    fn groups_are_independent() {
-        let mut v = sp_cost_view();
-        let store = Store::new();
-        let a = v.apply(&store, "path", &path(0, 1, 1, 5.0));
-        let b = v.apply(&store, "path", &path(0, 2, 1, 7.0));
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
-        assert_eq!(v.group_count(), 2);
-        assert_eq!(b[0].tuple.get(1), Some(&Value::addr(2u32)));
-    }
-
-    #[test]
-    fn deleting_unseen_value_is_ignored() {
-        let mut v = sp_cost_view();
-        let mut store = Store::new();
-        let best = insert(&mut store, &mut v, path(0, 1, 1, 5.0));
-        // A tuple the store never held leaves the group as it was.
-        let out = remove(&mut store, &mut v, path(0, 1, 9, 4.0));
-        assert_eq!(out.as_ref(), best.last());
-        assert_eq!(v.current_for(&path(0, 1, 1, 0.0)), Some(Value::Float(5.0)));
-    }
-
-    #[test]
-    fn max_count_and_sum_aggregates() {
-        let store = Store::new();
-        let mut vmax = view("m best(@S, max<C>) :- obs(@S, C).");
-        let obs = |s: u32, c: i64| Tuple::new(vec![Value::addr(s), Value::Int(c)]);
-        vmax.apply(&store, "obs", &obs(0, 3));
-        let out = vmax.apply(&store, "obs", &obs(0, 9));
-        assert_eq!(out[1].tuple.get(1), Some(&Value::Int(9)));
-
-        let mut vcount = view("c deg(@S, count<D>) :- edge(@S, @D).");
-        let edge = |s: u32, d: u32| Tuple::new(vec![Value::addr(s), Value::addr(d)]);
-        vcount.apply(&store, "edge", &edge(0, 1));
-        let out = vcount.apply(&store, "edge", &edge(0, 2));
-        assert_eq!(out[1].tuple.get(1), Some(&Value::Int(2)));
-
-        // A sum is folded from the store, so its inputs go there first.
-        let mut store = store;
-        let mut vsum = view("s total(@S, sum<C>) :- obs(@S, C).");
-        insert(&mut store, &mut vsum, obs(0, 3));
-        let out = insert(&mut store, &mut vsum, obs(0, 4));
-        assert_eq!(out[1].tuple.get(1), Some(&Value::Float(7.0)));
-    }
-
-    #[test]
-    fn guard_atoms_filter_source_deltas() {
-        let p = parse_program("sd3 spCost(@D,@S,min<C>) :- magicDst(@D), pathDst(@D,@S,@Z,P,C).")
-            .unwrap();
-        let mut v = AggregateView::from_rule(&p.rules[0]).unwrap();
-        assert_eq!(v.source_relation(), "pathDst");
-
-        let mut store = Store::new();
-        let pd = |d: u32, s: u32, c: f64| {
-            Tuple::new(vec![
-                Value::addr(d),
-                Value::addr(s),
-                Value::addr(s),
-                Value::nil(),
-                Value::Float(c),
-            ])
-        };
-        // No magicDst entry: the delta is filtered out.
-        assert!(v.apply(&store, "pathDst", &pd(1, 0, 4.0)).is_empty());
-        // Seed the magic table for destination 1 and retry.
-        store.apply(&TupleDelta::insert(
-            "magicDst",
-            Tuple::new(vec![Value::addr(1u32)]),
-        ));
-        let out = v.apply(&store, "pathDst", &pd(1, 0, 4.0));
-        assert_eq!(out.len(), 1);
-        // A different destination still has no magic entry.
-        assert!(v.apply(&store, "pathDst", &pd(2, 0, 4.0)).is_empty());
+    fn sp_cost(s: u32, d: u32, c: f64) -> Tuple {
+        Tuple::new(vec![Value::addr(s), Value::addr(d), Value::Float(c)])
     }
 
     /// `obs(@S, A, C)` at node 0.
@@ -823,32 +539,199 @@ mod tests {
         Tuple::new(vec![Value::addr(0u32), Value::Int(a), Value::Int(c)])
     }
 
+    /// `rel(@0, value)`.
+    fn at0(value: Value) -> Tuple {
+        Tuple::new(vec![Value::addr(0u32), value])
+    }
+
+    #[test]
+    fn min_improves_and_emits_replacement() {
+        let mut eval = evaluator(SP3);
+        let out = insert(&mut eval, "path", path(0, 1, 1, 5.0));
+        assert_eq!(out, [TupleDelta::insert("spCost", sp_cost(0, 1, 5.0))]);
+
+        // A worse path does not change the aggregate.
+        assert!(insert(&mut eval, "path", path(0, 1, 2, 9.0)).is_empty());
+
+        // A better path retracts the old aggregate and asserts the new one.
+        let better = path(0, 1, 3, 2.0);
+        let view = &eval.views()[0];
+        let out = view.apply(eval.store(), "path", &better);
+        let replacement = [
+            TupleDelta::delete("spCost", sp_cost(0, 1, 5.0)),
+            TupleDelta::insert("spCost", sp_cost(0, 1, 2.0)),
+        ];
+        assert_eq!(out, replacement);
+        let out = insert(&mut eval, "path", better);
+        assert_eq!(out, [replacement[1].clone(), replacement[0].clone()]);
+        assert_eq!(eval.results("spCost"), [sp_cost(0, 1, 2.0)]);
+        let view = &eval.views()[0];
+        let current = view.current_for(eval.store(), &path(0, 1, 1, 0.0));
+        assert_eq!(current, Some(&Value::Float(2.0)));
+    }
+
+    #[test]
+    fn deletion_rederives_from_remaining_inputs() {
+        let mut eval = evaluator(SP3);
+        insert(&mut eval, "path", path(0, 1, 1, 5.0));
+        insert(&mut eval, "path", path(0, 1, 2, 2.0));
+        assert_eq!(eval.results("spCost"), [sp_cost(0, 1, 2.0)]);
+        // Deleting the best path falls back to the next best.
+        let out = remove(&mut eval, "path", path(0, 1, 2, 2.0));
+        let fallback = [
+            TupleDelta::delete("spCost", sp_cost(0, 1, 2.0)),
+            TupleDelta::insert("spCost", sp_cost(0, 1, 5.0)),
+        ];
+        assert_eq!(out, fallback);
+        assert_eq!(eval.results("spCost"), [sp_cost(0, 1, 5.0)]);
+        // Deleting the last input retracts the aggregate entirely.
+        let out = remove(&mut eval, "path", path(0, 1, 1, 5.0));
+        assert_eq!(out, [TupleDelta::delete("spCost", sp_cost(0, 1, 5.0))]);
+        assert!(eval.results("spCost").is_empty());
+    }
+
+    #[test]
+    fn duplicate_values_are_multiset_counted() {
+        let mut eval = evaluator(SP3);
+        insert(&mut eval, "path", path(0, 1, 1, 3.0));
+        insert(&mut eval, "path", path(0, 1, 2, 3.0));
+        // Removing one of the two cost-3 paths keeps the aggregate at 3.
+        remove(&mut eval, "path", path(0, 1, 1, 3.0));
+        assert_eq!(eval.results("spCost"), [sp_cost(0, 1, 3.0)]);
+        remove(&mut eval, "path", path(0, 1, 2, 3.0));
+        assert!(eval.results("spCost").is_empty());
+    }
+
+    #[test]
+    fn groups_are_independent() {
+        let mut eval = evaluator(SP3);
+        let a = insert(&mut eval, "path", path(0, 1, 1, 5.0));
+        let b = insert(&mut eval, "path", path(0, 2, 1, 7.0));
+        assert_eq!(a, [TupleDelta::insert("spCost", sp_cost(0, 1, 5.0))]);
+        assert_eq!(b, [TupleDelta::insert("spCost", sp_cost(0, 2, 7.0))]);
+        assert_eq!(eval.results("spCost").len(), 2);
+    }
+
+    #[test]
+    fn deleting_unseen_value_is_ignored() {
+        let mut eval = evaluator(SP3);
+        insert(&mut eval, "path", path(0, 1, 1, 5.0));
+        // A tuple the store never held leaves the group as it was.
+        assert!(remove(&mut eval, "path", path(0, 1, 9, 4.0)).is_empty());
+        assert_eq!(eval.results("spCost"), [sp_cost(0, 1, 5.0)]);
+    }
+
+    #[test]
+    fn max_count_and_sum_aggregates() {
+        let mut eval = evaluator(
+            "m best(@S, max<C>) :- obs(@S, C).
+             s total(@S, sum<C>) :- obs(@S, C).
+             c deg(@S, count<D>) :- edge(@S, @D).",
+        );
+        for c in [3, 9, 4] {
+            insert(&mut eval, "obs", at0(Value::Int(c)));
+        }
+        assert_eq!(eval.results("best"), [at0(Value::Int(9))]);
+        assert_eq!(eval.results("total"), [at0(Value::Float(16.0))]);
+        let edge = |d: u32| Tuple::new(vec![Value::addr(0u32), Value::addr(d)]);
+        insert(&mut eval, "edge", edge(1));
+        insert(&mut eval, "edge", edge(2));
+        assert_eq!(eval.results("deg"), [at0(Value::Int(2))]);
+        remove(&mut eval, "edge", edge(1));
+        assert_eq!(eval.results("deg"), [at0(Value::Int(1))]);
+    }
+
+    #[test]
+    fn guard_atoms_filter_source_deltas() {
+        let mut eval =
+            evaluator("sd3 spCost(@D,@S,min<C>) :- magicDst(@D), pathDst(@D,@S,@Z,P,C).");
+        assert_eq!(eval.views()[0].source_relation(), "pathDst");
+        let pd = |d: u32, z: u32, c: f64| {
+            Tuple::new(vec![
+                Value::addr(d),
+                Value::addr(0u32),
+                Value::addr(z),
+                Value::nil(),
+                Value::Float(c),
+            ])
+        };
+        // No magicDst entry: the delta is filtered out.
+        assert!(insert(&mut eval, "pathDst", pd(1, 1, 4.0)).is_empty());
+        // Seed the magic table for destination 1 and retry.
+        insert(&mut eval, "magicDst", Tuple::new(vec![Value::addr(1u32)]));
+        let out = insert(&mut eval, "pathDst", pd(1, 2, 4.0));
+        assert_eq!(out, [TupleDelta::insert("spCost", sp_cost(1, 0, 4.0))]);
+        // A different destination still has no magic entry.
+        assert!(insert(&mut eval, "pathDst", pd(2, 1, 4.0)).is_empty());
+    }
+
     #[test]
     fn a_source_constant_selects_the_inputs_without_a_guard() {
-        let mut v = view("c cnt(@S, count<C>) :- obs(@S, 1, C).");
-        let mut store = Store::new();
+        let mut eval = evaluator("c cnt(@S, count<C>) :- obs(@S, 1, C).");
         for (a, c) in [(1, 5), (2, 7), (1, 9)] {
-            insert(&mut store, &mut v, obs(a, c));
+            insert(&mut eval, "obs", obs(a, c));
         }
-        assert_eq!(v.current_for(&obs(1, 0)), Some(Value::Int(2)));
+        assert_eq!(eval.results("cnt"), [at0(Value::Int(2))]);
         // A rebuild folds the same inputs.
-        let rebuilt = remove(&mut store, &mut v, obs(1, 9)).unwrap();
-        assert_eq!(rebuilt.tuple.get(1), Some(&Value::Int(1)));
+        remove(&mut eval, "obs", obs(1, 9));
+        assert_eq!(eval.results("cnt"), [at0(Value::Int(1))]);
     }
 
     #[test]
     fn a_repeated_source_variable_selects_the_inputs_without_a_guard() {
-        let mut v = view("m same(@S, max<C>) :- obs(@S, C, C).");
-        let mut store = Store::new();
+        let mut eval = evaluator("m same(@S, max<C>) :- obs(@S, C, C).");
         for (a, c) in [(1, 5), (2, 7), (1, 9)] {
-            assert!(insert(&mut store, &mut v, obs(a, c)).is_empty());
+            assert!(insert(&mut eval, "obs", obs(a, c)).is_empty());
         }
-        assert_eq!(v.group_count(), 0);
-        let out = insert(&mut store, &mut v, obs(4, 4));
-        assert_eq!(out[0].tuple.get(1), Some(&Value::Int(4)));
+        let out = insert(&mut eval, "obs", obs(4, 4));
+        assert_eq!(out, [TupleDelta::insert("same", at0(Value::Int(4)))]);
         // A rebuild folds the same inputs: none is left.
-        assert_eq!(remove(&mut store, &mut v, obs(4, 4)), None);
-        assert_eq!(v.group_count(), 0);
+        remove(&mut eval, "obs", obs(4, 4));
+        assert!(eval.results("same").is_empty());
+    }
+
+    /// A source tuple derived twice — by two rules in one burst — is one
+    /// input of its group: the duplicate refreshes the group's output and
+    /// moves nothing, and only the removal of its last support retracts it.
+    #[test]
+    fn a_source_derived_by_two_rules_is_one_input() {
+        let mut eval = evaluator(
+            "o1 obs(@S, K, C) :- a(@S, K, C).
+             o2 obs(@S, K, C) :- b(@S, K, C).
+             l low(@S, min<C>) :- obs(@S, K, C).
+             n cnt(@S, count<C>) :- obs(@S, K, C).",
+        );
+        let row = |k: i64, c: i64| obs(k, c);
+        let out = burst(
+            &mut eval,
+            vec![
+                TupleDelta::insert("a", row(1, 7)),
+                TupleDelta::insert("b", row(1, 7)),
+                TupleDelta::insert("a", row(2, 3)),
+            ],
+        );
+        assert_eq!(
+            eval.store()
+                .relation("obs")
+                .unwrap()
+                .get_by_key_of(&row(1, 7))
+                .unwrap()
+                .count,
+            2
+        );
+        assert_eq!(eval.results("low"), [at0(Value::Int(3))]);
+        assert_eq!(eval.results("cnt"), [at0(Value::Int(2))]);
+        assert!(out.contains(&TupleDelta::insert("low", at0(Value::Int(3)))));
+        remove(&mut eval, "a", row(2, 3));
+        assert_eq!(eval.results("low"), [at0(Value::Int(7))]);
+        assert_eq!(eval.results("cnt"), [at0(Value::Int(1))]);
+        // `b` still derives obs(1, 7).
+        remove(&mut eval, "a", row(1, 7));
+        assert_eq!(eval.results("low"), [at0(Value::Int(7))]);
+        assert_eq!(eval.results("cnt"), [at0(Value::Int(1))]);
+        remove(&mut eval, "b", row(1, 7));
+        assert!(eval.results("low").is_empty());
+        assert!(eval.results("cnt").is_empty());
     }
 
     #[test]
@@ -890,41 +773,38 @@ mod tests {
             fields.push(Value::Int(c));
             Tuple::new(fields)
         };
-        let mut nine = view("w x(@A,B,C,D,E,F,G,H,I,min<V>) :- p(@A,B,C,D,E,F,G,H,I,V).");
-        let mut two = sp_cost_view();
-        let store = Store::new();
+        let mut eval = evaluator(&format!(
+            "w x(@A,B,C,D,E,F,G,H,I,min<V>) :- p(@A,B,C,D,E,F,G,H,I,V). {SP3}"
+        ));
         for (v, c) in [(1, 7), (2, 9), (1, 4)] {
-            nine.apply(&store, "p", &wide(v, c));
+            insert(&mut eval, "p", wide(v, c));
         }
-        assert_eq!(nine.group_count(), 2);
-        assert_eq!(nine.current_for(&wide(1, 0)), Some(Value::Int(4)));
-        assert_eq!(nine.current_for(&wide(2, 0)), Some(Value::Int(9)));
-        assert_eq!(nine.current_for(&wide(3, 0)), None);
+        insert(&mut eval, "path", path(0, 1, 1, 5.0));
+        let (store, nine, two) = (eval.store(), &eval.views()[0], &eval.views()[1]);
+        assert_eq!(store.count("x"), 2);
+        assert_eq!(nine.current_for(store, &wide(1, 0)), Some(&Value::Int(4)));
+        assert_eq!(nine.current_for(store, &wide(2, 0)), Some(&Value::Int(9)));
+        assert_eq!(nine.current_for(store, &wide(3, 0)), None);
         let key = nine.group_key(&wide(2, 0)).unwrap();
         assert_eq!(key.len(), 9);
         assert_eq!(
-            nine.current_output(&key),
-            nine.current_output_for(&wide(2, 5))
+            nine.current_output(store, &key),
+            nine.current_output_for(store, &wide(2, 5))
         );
-        assert_eq!(
-            nine.output_group_key(nine.current_output(&key).unwrap()),
-            Some(key)
-        );
+        let output = nine.current_output(store, &key).unwrap();
+        assert_eq!(nine.output_group_key(output), Some(key));
 
-        two.apply(&store, "path", &path(0, 1, 1, 5.0));
         let short = Tuple::new(vec![Value::addr(0u32)]);
         assert_eq!(two.group_key(&short), None);
-        assert_eq!(two.current_for(&short), None);
-        assert_eq!(two.current_output_for(&short), None);
-        assert!(two.apply(&store, "path", &short).is_empty());
-        assert_eq!(two.group_count(), 1);
+        assert_eq!(two.current_for(store, &short), None);
+        assert_eq!(two.current_output_for(store, &short), None);
+        assert!(two.apply(store, "path", &short).is_empty());
     }
 
     #[test]
     fn other_relations_are_ignored() {
-        let mut v = sp_cost_view();
-        let store = Store::new();
-        let out = v.apply(&store, "link", &path(0, 1, 1, 5.0));
+        let eval = evaluator(SP3);
+        let out = eval.views()[0].apply(eval.store(), "link", &path(0, 1, 1, 5.0));
         assert!(out.is_empty());
     }
 }

@@ -20,10 +20,12 @@
 //!    were actually removed from the store, mark the entire downstream
 //!    closure — every stored tuple reachable through a strand firing or an
 //!    aggregate view — and then remove every marked tuple outright,
-//!    *ignoring derivation counts*. While the closure runs, the views are
-//!    not updated, so a cascade cannot race past a pending retraction: a
-//!    removal that can move its group's aggregate **pins** the group (its
-//!    current output is marked as-is and the group is recorded as dirty).
+//!    *ignoring derivation counts*. While the closure runs, no tuple leaves
+//!    the store, so a view's head relation — the only copy of its outputs
+//!    — is unchanged until the closure's end, and a cascade cannot race
+//!    past a pending retraction: a removal that can move its group's
+//!    aggregate **pins** the group (its stored output is marked as-is and
+//!    the group is recorded as dirty).
 //!    For `min`/`max` that is a removal of the reigning best or of a tie;
 //!    an input strictly worse than the group's output leaves it standing
 //!    and pins nothing, so its downstream tuples are neither retracted nor
@@ -72,6 +74,7 @@ use ndlog_lang::seminaive::DeltaRule;
 use ndlog_lang::{Atom, Literal, Program, Rule, Term, Value};
 use ndlog_net::NodeAddr;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// The result of the over-delete phase.
 #[derive(Debug, Default)]
@@ -144,18 +147,18 @@ fn mark(
 ///
 /// Aggregate views are pinned for the duration: when a marked tuple feeds
 /// a view and its removal can move the group's aggregate
-/// ([`AggregateView::removal_can_move`]), the group's *current* output is
+/// ([`AggregateView::removal_can_move`]), the group's *stored* output is
 /// marked (so downstream joins still retract against the not-yet-advanced
 /// aggregate) and the group is recorded as dirty for the rebuild in phase
-/// 2. A view holds nothing but those outputs, and a deletion reaches it
-/// only as that rebuild. A `min` group is pinned exactly when the removed
-/// input's value is not strictly above the group's output — the reigning
-/// best, or a tie, was removed — and a `max` group mirrors that; `count`
-/// and `sum` groups are pinned on every removal. Skipping the rest is
-/// sound because a `min` output is the least of the group's stored,
-/// admitted inputs and the views stay frozen for the whole closure:
-/// removing an input strictly above it leaves the input that holds it in
-/// place, and if that input is removed later in the same pass, its own
+/// 2. A view's outputs live only in its head relation, and a deletion
+/// reaches a view only as that rebuild. A `min` group is pinned exactly
+/// when the removed input's value is not strictly above the group's output
+/// — the reigning best, or a tie, was removed — and a `max` group mirrors
+/// that; `count` and `sum` groups are pinned on every removal. Skipping the
+/// rest is sound because a `min` output is the least of the group's stored,
+/// admitted inputs and the head relation is unchanged until the closure's
+/// end: removing an input strictly above it leaves the input that holds it
+/// in place, and if that input is removed later in the same pass, its own
 /// removal meets the check at equality and pins the group.
 ///
 /// `self_addr` is the evaluating node in distributed mode: derivations
@@ -166,7 +169,7 @@ fn mark(
 pub fn over_delete(
     store: &mut Store,
     strands: &[CompiledStrand],
-    views: &[AggregateView],
+    views: &[Arc<AggregateView>],
     seeds: Vec<TupleDelta>,
     self_addr: Option<NodeAddr>,
     stats: &mut JoinStats,
@@ -229,25 +232,28 @@ pub fn over_delete(
         // unless the removal cannot move the group's aggregate.
         for delta in &wave {
             for (view_idx, view) in views.iter().enumerate() {
-                if view.source_relation() == delta.relation && view.removal_can_move(&delta.tuple) {
-                    if let Some(key) = view.group_key(&delta.tuple) {
-                        if let Some(out) = view.current_output(&key).cloned() {
-                            mark(
-                                store,
-                                view.head_relation().clone(),
-                                out,
-                                &mut marked,
-                                &mut order,
-                                &mut frontier,
-                            );
+                if view.source_relation() == delta.relation {
+                    let output = view.current_output_for(store, &delta.tuple);
+                    if view.removal_can_move(output, &delta.tuple) {
+                        if let Some(key) = view.group_key(&delta.tuple) {
+                            if let Some(out) = output {
+                                mark(
+                                    store,
+                                    view.head_relation().clone(),
+                                    out.clone(),
+                                    &mut marked,
+                                    &mut order,
+                                    &mut frontier,
+                                );
+                            }
+                            dirty.insert((view_idx, key));
                         }
-                        dirty.insert((view_idx, key));
                     }
                 }
-                // A marked tuple *of* a view's head relation (e.g. an
-                // aggregate output retracted by a strand-derived deletion
-                // in an exotic program) also dirties its group, so the
-                // rebuild reconciles the view's notion of "current".
+                // A marked tuple *of* a view's head relation — a pinned
+                // output, or a seed: an output the view retracted, or one
+                // that expired — dirties its group, so the rebuild refills
+                // the group's key from its surviving inputs.
                 if *view.head_relation() == delta.relation {
                     if let Some(key) = view.output_group_key(&delta.tuple) {
                         dirty.insert((view_idx, key));
@@ -564,8 +570,8 @@ mod tests {
         removed: (i64, i64),
     ) -> (Vec<Tuple>, Vec<(usize, Vec<Value>)>) {
         let program = parse_program(&format!("a best(@S, {func}<C>) :- obs(@S, Z, C).")).unwrap();
-        let mut view = AggregateView::from_rule(&program.rules[0]).unwrap();
-        let mut store = Store::new();
+        let view = Arc::new(AggregateView::from_rule(&program.rules[0]).unwrap());
+        let mut store = Store::for_program(&program).unwrap();
         for &(z, c) in inputs {
             store.apply(&TupleDelta::insert("obs", obs(z, c)));
             for output in view.apply(&store, "obs", &obs(z, c)) {

@@ -52,10 +52,10 @@ impl Evaluator {
         plain_program.rules = plain_rules;
         let strands = CompiledStrand::compile_program(&plain_program);
 
-        let mut views = Vec::new();
-        for rule in &agg_rules {
-            views.push(AggregateView::from_rule(rule)?);
-        }
+        let views = agg_rules
+            .iter()
+            .map(|rule| AggregateView::from_rule(rule).map(Arc::new))
+            .collect::<Result<_, String>>()?;
 
         let base_facts = program
             .rules
@@ -124,6 +124,12 @@ impl Evaluator {
     /// The compiled strands (useful for inspection in tests).
     pub fn strands(&self) -> &[CompiledStrand] {
         self.fixpoint.strands()
+    }
+
+    /// The aggregate views, one per aggregate rule: each derives its head
+    /// relation alone.
+    pub fn views(&self) -> &[Arc<AggregateView>] {
+        self.fixpoint.views()
     }
 
     /// All tuples of a relation.
@@ -718,5 +724,29 @@ mod tests {
         eval.run(Strategy::Pipelined).unwrap();
         assert!(eval.tap().is_empty());
         assert!(eval.drain_tap().is_empty());
+    }
+
+    /// An aggregate head with no declared key is keyed on its group-by
+    /// fields: a view's new output replaces the old one, even when a
+    /// duplicate source insertion had raised the old one's count, so the
+    /// head holds the fixpoint's one tuple per group.
+    #[test]
+    fn an_undeclared_aggregate_head_holds_one_output_per_group() {
+        let program = parse_program("l low(@S, min<C>) :- obs(@S, K, C).").unwrap();
+        let mut eval = Evaluator::new(&program).unwrap();
+        let obs = |k: i64, c: i64| vec![Value::Int(1), Value::Int(k), Value::Int(c)];
+        for (k, c) in [(7, 200), (7, 200), (8, 5)] {
+            let delta = TupleDelta::insert("obs", Tuple::new(obs(k, c)));
+            eval.update(delta).unwrap();
+        }
+        let input = [obs(7, 200), obs(8, 5)].map(|row| ("obs".to_string(), row));
+        let oracle = ndlog_oracle::Oracle::run(&program, input).unwrap();
+        let low: Vec<Vec<Value>> = eval
+            .results("low")
+            .iter()
+            .map(|t| t.values().to_vec())
+            .collect();
+        assert_eq!(low, [vec![Value::Int(1), Value::Int(5)]]);
+        assert_eq!(oracle.agrees("low", &low), Ok(()));
     }
 }

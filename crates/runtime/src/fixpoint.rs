@@ -58,7 +58,7 @@
 //! look-ahead changes: derivations, their order and the store are those of
 //! the tuple-at-a-time loop for every prefix size.
 //!
-//! The driver owns a site's *state* — store, views, selections, queue,
+//! The driver owns a site's *state* — store, selections, queue,
 //! pending deletions, tap, statistics — and none of the buffers evaluation
 //! runs in: [`LocalFixpoint::run`] borrows an [`EvalBuffers`] from whoever
 //! drives it (an executor lane, which for lane 0 includes the engine's
@@ -207,7 +207,7 @@ impl std::ops::Sub for EvalStats {
 pub struct LocalFixpoint {
     store: Store,
     strands: Arc<Vec<CompiledStrand>>,
-    views: Vec<AggregateView>,
+    views: Vec<Arc<AggregateView>>,
     /// The evaluating node; `None` when every relation is local (the
     /// centralized evaluator ignores location specifiers).
     site: Option<NodeAddr>,
@@ -237,7 +237,7 @@ impl LocalFixpoint {
     pub fn new(
         mut store: Store,
         strands: Arc<Vec<CompiledStrand>>,
-        views: Vec<AggregateView>,
+        views: Vec<Arc<AggregateView>>,
         site: Option<NodeAddr>,
         selections: Vec<AggSelectionSpec>,
     ) -> Result<Self, String> {
@@ -293,7 +293,7 @@ impl LocalFixpoint {
     }
 
     /// The aggregate views.
-    pub fn views(&self) -> &[AggregateView] {
+    pub fn views(&self) -> &[Arc<AggregateView>] {
         &self.views
     }
 
@@ -349,8 +349,9 @@ impl LocalFixpoint {
         self.queue.push_back((delta, seq));
     }
 
-    /// Lose all volatile state — stored tuples, aggregate-view groups, the
-    /// queue and pending deletions. Every stored tuple of a subscribed
+    /// Lose all volatile state — stored tuples (the aggregate views' outputs
+    /// among them: a view keeps nothing else), the queue and pending
+    /// deletions. Every stored tuple of a subscribed
     /// relation leaves the store, so the tap records its retraction.
     /// Sequence numbers and the logical clock survive.
     pub fn clear(&mut self) {
@@ -367,9 +368,6 @@ impl LocalFixpoint {
         self.store.clear_tuples();
         self.queue.clear();
         self.pending_deletes.clear();
-        for view in &mut self.views {
-            view.reset();
-        }
     }
 
     /// Apply a delta to the store, feed aggregate views, and enqueue
@@ -377,6 +375,8 @@ impl LocalFixpoint {
     /// reached zero and the old halves of replacements) become pending
     /// deletions instead; the views are *not* fed deletions — the DRed
     /// pass rebuilds the affected groups from the store (group pinning).
+    /// A view's outputs enter the store here like any other delta: the
+    /// stored head relation is the only copy of them.
     /// The delta is moved to where it ends up, never copied.
     pub fn ingest(&mut self, delta: TupleDelta) {
         if !self.admit(&delta) {
@@ -415,11 +415,11 @@ impl LocalFixpoint {
         };
         let (Some(candidate), Some(current)) = (
             delta.tuple.get(sel.value_col),
-            self.views[*view].current_for(&delta.tuple),
+            self.views[*view].current_for(&self.store, &delta.tuple),
         ) else {
             return true;
         };
-        if sel.is_better(candidate, &current) {
+        if sel.is_better(candidate, current) {
             return true;
         }
         // A re-announcement of the reigning best tuple is "not strictly
@@ -442,7 +442,7 @@ impl LocalFixpoint {
         // their outputs are local (aggregate rules are local rules) and are
         // ingested recursively.
         let mut view_outputs = Vec::new();
-        for view in &mut self.views {
+        for view in &self.views {
             view_outputs.extend(view.apply(&self.store, &delta.relation, &delta.tuple));
         }
         self.queue.push_back((delta, seq));
@@ -452,27 +452,21 @@ impl LocalFixpoint {
     }
 
     /// A duplicate insertion of a view's source tuple keeps that group's
-    /// aggregate derivable, so the group's current output tuple must have
+    /// aggregate derivable, so the group's stored output tuple must have
     /// its soft-state expiry refreshed along with the source — the view
-    /// itself emits nothing while the best is unchanged. Only outputs
-    /// still present in the store are touched (a bare store insert here
-    /// would bypass the tracking/queueing bookkeeping).
+    /// itself emits nothing while the best is unchanged. The refresh is a
+    /// duplicate insertion of a stored tuple, so it changes nothing the
+    /// tracking/queueing bookkeeping would have to see.
     fn refresh_view_outputs(&mut self, delta: &TupleDelta) {
         for view in &self.views {
             if view.source_relation() != delta.relation {
                 continue;
             }
-            let Some(best) = view.current_output_for(&delta.tuple) else {
+            let Some(best) = view.current_output_for(&self.store, &delta.tuple) else {
                 continue;
             };
-            if self
-                .store
-                .relation(view.head_relation())
-                .is_some_and(|r| r.contains(best))
-            {
-                let refresh = TupleDelta::insert(view.head_relation().clone(), best.clone());
-                self.store.apply(&refresh);
-            }
+            let refresh = TupleDelta::insert(view.head_relation().clone(), best.clone());
+            self.store.apply(&refresh);
         }
     }
 

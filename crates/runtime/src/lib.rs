@@ -33,9 +33,10 @@
 //!   and the buffers are one [`EvalBuffers`] value that a run borrows from
 //!   whoever drives it;
 //! * [`aggview`] — incremental maintenance of aggregate rules
-//!   (`min<C>`-style heads): a view holds each group's current output and
-//!   nothing else, combines insertions into it, and is rebuilt per group
-//!   from the store by the DRed pass, which is how deletions reach it;
+//!   (`min<C>`-style heads): a view keeps no state — its head relation,
+//!   keyed on the group-by fields, holds each group's current output — and
+//!   combines insertions into the stored output, and the DRed pass rebuilds
+//!   a group from the store, which is how deletions reach it;
 //! * [`dred`] — DRed-style two-phase deletion maintenance (over-delete the
 //!   downstream closure in batched waves, then refill the vacated keys
 //!   through each rule's key-bound re-derivation plan, one batch per

@@ -350,9 +350,13 @@ impl Relation {
             .map(|slot| live(&self.rows, slot))
     }
 
-    /// Look up by an explicit key.
-    pub fn get(&self, key: &[Value]) -> Option<&StoredTuple> {
-        let slot = *self.key_run(key.iter()).first()?;
+    /// Look up by an explicit key, its values in key-column order: a slice,
+    /// or any iterator over values held elsewhere — nothing is allocated.
+    pub fn get<'v>(
+        &self,
+        key: impl IntoIterator<Item = &'v Value, IntoIter: Clone>,
+    ) -> Option<&StoredTuple> {
+        let slot = *self.key_run(key.into_iter()).first()?;
         Some(live(&self.rows, slot))
     }
 

@@ -3,7 +3,7 @@
 
 use crate::relation::{DeleteOutcome, HeapBytes, InsertOutcome, Relation, RelationSchema};
 use crate::tuple::{RelName, Sign, Tuple, TupleDelta};
-use ndlog_lang::Program;
+use ndlog_lang::{Program, Rule};
 use std::collections::BTreeMap;
 
 /// A collection of named relations plus the node-local timestamp counter
@@ -43,6 +43,12 @@ pub enum Change {
     Replaced(Tuple),
 }
 
+/// A primary key as a `materialize` declaration writes it.
+fn keys(cols: &[usize]) -> String {
+    let cols: Vec<String> = cols.iter().map(|col| (col + 1).to_string()).collect();
+    format!("keys({})", cols.join(","))
+}
+
 impl Store {
     /// An empty store.
     pub fn new() -> Self {
@@ -50,8 +56,8 @@ impl Store {
     }
 
     /// Build a store with a relation for every table declaration and every
-    /// relation mentioned by the program (derived relations default to
-    /// all-columns primary keys); see [`Store::add_program`] for the error.
+    /// relation mentioned by the program; see [`Store::add_program`] for
+    /// the keys an undeclared relation gets and for the errors.
     pub fn for_program(program: &Program) -> Result<Self, String> {
         let mut store = Store::new();
         store.add_program(program)?;
@@ -60,8 +66,17 @@ impl Store {
 
     /// Add the relations of a program to an existing store (used when one
     /// node runs several concurrent queries). Existing relations keep their
-    /// schemas. A rule head or fact with fewer columns than its relation's
-    /// declared key is an error: nothing it derives could be stored.
+    /// schemas. An undeclared relation is keyed on all its columns, except
+    /// an aggregate head, which is keyed on its group-by fields: every
+    /// position but the aggregate's.
+    ///
+    /// It is an error — the store could not hold what the program derives
+    /// as it derives it — when
+    /// * a rule head or fact has fewer columns than its relation's key;
+    /// * an aggregate head's relation is keyed otherwise: its view reads a
+    ///   group's output back by the group-by fields;
+    /// * a fact or another rule is headed by an aggregate head: the
+    ///   relation holds its view's outputs and nothing else.
     pub fn add_program(&mut self, program: &Program) -> Result<(), String> {
         for decl in &program.tables {
             if self.relations.contains_key(&decl.name) {
@@ -73,6 +88,18 @@ impl Store {
                 schema = schema.with_ttl_seconds(ttl);
             }
             self.ensure(schema);
+        }
+        // The first rule headed by each aggregate head, and its key.
+        let mut aggregates: BTreeMap<&str, (&Rule, Vec<usize>)> = BTreeMap::new();
+        for rule in program.rules.iter().filter(|r| r.head.has_aggregate()) {
+            let aggregate = rule.head.aggregate_positions();
+            let key: Vec<usize> = (0..rule.head.arity())
+                .filter(|col| !aggregate.contains(col))
+                .collect();
+            if !self.relations.contains_key(&rule.head.name) {
+                self.ensure(RelationSchema::new(&rule.head.name).with_keys(key.clone()));
+            }
+            aggregates.entry(&rule.head.name).or_insert((rule, key));
         }
         let mut names: Vec<String> = Vec::new();
         for rule in &program.rules {
@@ -87,10 +114,31 @@ impl Store {
             }
         }
         for rule in &program.rules {
-            let schema = self.relations[&rule.head.name].schema();
+            let kind = if rule.is_fact() { "fact" } else { "rule" };
+            let head = &rule.head.name;
+            let schema = self.relations[head].schema();
             if let Some(why) = schema.lacks_key(rule.head.args.len()) {
-                let kind = if rule.is_fact() { "fact" } else { "rule" };
                 return Err(format!("{kind} {}: {why}", rule.label));
+            }
+            let Some((view, key)) = aggregates.get(head.as_str()) else {
+                continue;
+            };
+            if !std::ptr::eq(*view, rule) {
+                return Err(format!(
+                    "{kind} {}: `{head}` is derived by aggregate rule {} alone",
+                    rule.label, view.label
+                ));
+            }
+            if key.is_empty() || schema.key_columns != *key {
+                let declared = match schema.key_columns.as_slice() {
+                    [] => "all columns".to_string(),
+                    cols => keys(cols),
+                };
+                return Err(format!(
+                    "rule {}: aggregate head `{head}` must be keyed on its group-by fields, {}, not {declared}",
+                    rule.label,
+                    keys(key)
+                ));
             }
         }
         Ok(())
@@ -307,6 +355,35 @@ mod tests {
         store.ensure(RelationSchema::new("r").with_keys(vec![1]));
         let err = store.add_program(&parse("r(1).")).unwrap_err();
         assert!(err.contains("column 2"), "a key declared before: {err}");
+    }
+
+    #[test]
+    fn an_aggregate_head_is_keyed_on_its_group_by_fields_and_derived_once() {
+        let parse = |src: &str| ndlog_lang::parse_program(src).unwrap();
+        const LOW: &str = "l low(@S, D, min<C>) :- obs(@S, D, C).";
+        let store = Store::for_program(&parse(LOW)).unwrap();
+        assert_eq!(store.relation("low").unwrap().schema().key_columns, [0, 1]);
+        let declared = parse(&format!("materialize(low, keys(1,2)). {LOW}"));
+        Store::for_program(&declared).unwrap();
+        let wrong = parse(&format!("materialize(low, keys(1)). {LOW}"));
+        let err = Store::for_program(&wrong).unwrap_err();
+        assert_eq!(
+            err,
+            "rule l: aggregate head `low` must be keyed on its group-by fields, keys(1,2), not keys(1)"
+        );
+        assert_eq!(crate::Evaluator::new(&wrong).err(), Some(err));
+        let err = Store::for_program(&parse(&format!("{LOW} low(1, 2, 3).")));
+        let err = err.unwrap_err();
+        assert!(err.starts_with("fact "), "{err}");
+        assert!(
+            err.ends_with("`low` is derived by aggregate rule l alone"),
+            "{err}"
+        );
+        let err = Store::for_program(&parse(&format!("m low(@S, D, C) :- obs(@S, D, C). {LOW}")));
+        let err = err.unwrap_err();
+        assert_eq!(err, "rule m: `low` is derived by aggregate rule l alone");
+        let err = Store::for_program(&parse("t total(sum<C>) :- obs(C).")).unwrap_err();
+        assert!(err.ends_with("keys(), not all columns"), "{err}");
     }
 
     #[test]

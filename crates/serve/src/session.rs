@@ -390,14 +390,23 @@ impl Core {
     }
 
     fn commit(&mut self, session: u64, deltas: Vec<TupleDelta>) -> Result<Response, ServeError> {
-        // A tuple the store could not key is refused before anything is
-        // applied: the batch commits whole or not at all.
+        // A tuple the store could not key, or one of a relation an
+        // aggregate view derives, is refused before anything is applied:
+        // the batch commits whole or not at all.
         let store = self.eval.store();
         for delta in &deltas {
             let schema = store.relation(&delta.relation).map(|r| r.schema());
             if let Some(why) = schema.and_then(|s| s.lacks_key(delta.tuple.arity())) {
                 return Err(ServeError::new(format!(
                     "{delta}: {why}; nothing committed"
+                )));
+            }
+            let mut views = self.eval.views().iter();
+            if let Some(view) = views.find(|v| *v.head_relation() == delta.relation) {
+                return Err(ServeError::new(format!(
+                    "{delta}: `{}` is derived by aggregate rule {} alone; nothing committed",
+                    delta.relation,
+                    view.rule_label()
                 )));
             }
         }
@@ -1107,6 +1116,47 @@ mod tests {
             panic!()
         };
         assert_eq!(rows, [Tuple::new(vec![Value::Int(1), Value::Int(2)])]);
+    }
+
+    /// A relation an aggregate view derives holds the view's outputs and
+    /// nothing else: an update naming it is refused with the rule that
+    /// derives it, nothing of its batch commits, and a rule headed by it
+    /// is refused too.
+    #[test]
+    fn a_relation_an_aggregate_view_derives_takes_no_updates() {
+        let service = Service::from_source("l low(@S, min<C>) :- obs(@S, K, C).").unwrap();
+        let session = service.open_session(Arc::new(NullSink));
+        session.execute_line("+obs(1, 7, 200).").unwrap();
+        let (epoch, fingerprint) = (service.epoch(), service.fingerprint());
+        for line in [
+            "+low(1, 99).",
+            "-low(1, 200).",
+            "+low[(1, 99), (2, 3)].",
+            "m low(@S, C) :- obs(@S, C, C).",
+        ] {
+            let err = session.execute_line(line).unwrap_err().to_string();
+            assert!(
+                err.contains("`low` is derived by aggregate rule l alone"),
+                "{line}: {err}"
+            );
+            assert_eq!(service.epoch(), epoch, "{line}");
+        }
+        let obs = Tuple::new(vec![Value::Int(1), Value::Int(8), Value::Int(5)]);
+        let low = Tuple::new(vec![Value::Int(1), Value::Int(99)]);
+        let mixed = vec![
+            TupleDelta::insert("obs", obs),
+            TupleDelta::insert("low", low),
+        ];
+        let err = session.apply_batch(mixed).unwrap_err().to_string();
+        assert!(err.ends_with("nothing committed"), "{err}");
+        assert_eq!(service.fingerprint(), fingerprint);
+        assert_eq!(service.commit_log().len(), 1);
+
+        session.execute_line("+obs(1, 8, 5).").unwrap();
+        let Response::Rows { rows, .. } = session.execute_line("?- low(S, C).").unwrap() else {
+            panic!()
+        };
+        assert_eq!(rows, [Tuple::new(vec![Value::Int(1), Value::Int(5)])]);
     }
 
     /// A batch whose evaluation fails commits nothing: store, epoch and

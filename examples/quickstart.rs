@@ -50,7 +50,7 @@ fn main() {
     println!(
         "planned {} rule strands, {rederive} re-derivation plan(s), {} aggregate view(s)",
         plan.strands.len() - rederive,
-        plan.aggregate_rules.len()
+        plan.views.len()
     );
 
     // 4. Build the network of Figure 2: a-b (5), a-c (1), c-b (1), b-d (1),

@@ -27,13 +27,13 @@
 //! set (release build; a debug build's `check_invariants` allocates nothing
 //! per row, so it reads the same):
 //!
-//! | | before lent buffers and one-allocation tuples | after | aggregate views hold outputs only | key-bound re-derivation plans | fingerprint → slot tables | shared list tails | 16-byte values | rows without ids | no cross-rule probe cache |
-//! |---|---|---|---|---|---|---|---|---|---|
-//! | allocator calls per derivation | 18.234 | 4.705 | 4.597 | 4.191 | 3.789 | 3.681 | 3.681 | 3.637 | 3.403 |
-//! | requested bytes per derivation | | | | | 635.7 | 582.4 | 479.8 | 424.6 | 400.7 |
-//! | live allocations per stored tuple | 10.462 | 4.524 | 4.260 | 3.936 | 2.635 | 2.413 | 2.418 | 2.320 | 2.294 |
-//! | live bytes per stored tuple | 1946.1 | 1070.9 | 961.1 | 932.4 | 732.2 | 704.4 | 602.3 | 459.0 | 457.6 |
-//! | peak live bytes per stored tuple | | | | | 1147.9 | 1031.9 | 853.2 | 714.0 | 712.5 |
+//! | | before lent buffers and one-allocation tuples | after | aggregate views hold outputs only | key-bound re-derivation plans | fingerprint → slot tables | shared list tails | 16-byte values | rows without ids | no cross-rule probe cache | head relation as view state |
+//! |---|---|---|---|---|---|---|---|---|---|---|
+//! | allocator calls per derivation | 18.234 | 4.705 | 4.597 | 4.191 | 3.789 | 3.681 | 3.681 | 3.637 | 3.403 | 3.390 |
+//! | requested bytes per derivation | | | | | 635.7 | 582.4 | 479.8 | 424.6 | 400.7 | 397.3 |
+//! | live allocations per stored tuple | 10.462 | 4.524 | 4.260 | 3.936 | 2.635 | 2.413 | 2.418 | 2.320 | 2.294 | 2.152 |
+//! | live bytes per stored tuple | 1946.1 | 1070.9 | 961.1 | 932.4 | 732.2 | 704.4 | 602.3 | 459.0 | 457.6 | 438.4 |
+//! | peak live bytes per stored tuple | | | | | 1147.9 | 1031.9 | 853.2 | 714.0 | 712.5 | 694.0 |
 //!
 //! The fourth column's live figures are the two indexes only the old
 //! re-derivation probed (`path[1]`, `path_sp2_xd[1]`) leaving every node.
@@ -61,7 +61,11 @@
 //! tuple instead of 123.6), and the tables fingerprint and verify the
 //! values themselves. The ninth is every round firing without a
 //! cross-rule probe cache: no per-round key map and candidate vectors,
-//! and no per-node list of shared signatures (the live difference).
+//! and no per-node list of shared signatures (the live difference). The
+//! tenth is an aggregate view with no state of its own: a group's output
+//! is read back from the head relation, so the per-node hash set of the
+//! outputs each view also stored is gone, and so is each node's compiled
+//! copy of the view — the plan compiles it once and every node shares it.
 //!
 //! Beside it, two smaller pins: extending a path vector is one allocator
 //! call, and a request line of `MAX_LINE_BYTES` makes the parser hold a

@@ -26,9 +26,7 @@ use ndlog_lang::optimizer::{optimize, PassSet};
 use ndlog_lang::{parse_program, programs, Program, Value};
 use ndlog_net::NodeAddr;
 use ndlog_oracle::Oracle;
-use ndlog_runtime::{
-    AggregateView, EvalStats, Evaluator, Sign, Strategy as EvalStrategy, Tuple, TupleDelta,
-};
+use ndlog_runtime::{EvalStats, Evaluator, Sign, Strategy as EvalStrategy, Tuple, TupleDelta};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -232,57 +230,72 @@ proptest! {
     }
 
     /// Aggregate views equal a from-scratch recomputation over whatever
-    /// inputs remain after a random insert/remove sequence, on the path
-    /// production takes: an insertion enters the store and then the views,
-    /// a removal leaves the store and then its group is rebuilt. Equal
-    /// values under distinct ids are the ties; groups empty out and refill.
+    /// inputs remain after a random sequence of insert/remove bursts, each
+    /// burst run through the `Evaluator`, so the views' outputs enter and
+    /// leave the store as in production. An input enters either directly
+    /// or as a `dup` tuple that two rules both turn into the same `obs`
+    /// tuple: a duplicate derivation. Equal values under distinct ids are
+    /// the ties; groups empty out and refill.
     #[test]
     fn aggregate_view_matches_recomputation(
-        ops in prop::collection::vec((0u32..4, 1i64..30, prop::bool::ANY), 1..40),
+        bursts in prop::collection::vec(
+            prop::collection::vec((0u32..4, 1i64..30, 0u8..3), 1..4),
+            1..15,
+        ),
     ) {
-        let mut views: Vec<AggregateView> = ["min", "max", "count", "sum"]
-            .iter()
-            .map(|func| {
-                let rule = format!("a best(@G, {func}<C>) :- obs(@G, I, C).");
-                AggregateView::from_rule(&parse_program(&rule).unwrap().rules[0]).unwrap()
-            })
-            .collect();
+        let program = parse_program(
+            "lo lo(@G, min<C>) :- obs(@G, I, C).
+             hi hi(@G, max<C>) :- obs(@G, I, C).
+             n n(@G, count<C>) :- obs(@G, I, C).
+             tot tot(@G, sum<C>) :- obs(@G, I, C).
+             d1 obs(@G, I, C) :- dup(@G, I, C).
+             d2 obs(@G, I, C) :- dup(@G, I, C).",
+        )
+        .unwrap();
+        let mut eval = Evaluator::new(&program).unwrap();
         let obs = |g: u32, id: usize, c: i64| {
             Tuple::new(vec![Value::addr(g), Value::Int(id as i64), Value::Int(c)])
         };
-        let mut store = ndlog_runtime::Store::new();
-        let mut live: Vec<(u32, usize, i64)> = Vec::new();
-        for (id, &(g, c, insert)) in ops.iter().enumerate() {
-            if insert {
-                live.push((g, id, c));
-                store.apply(&TupleDelta::insert("obs", obs(g, id, c)));
-                for view in &mut views {
-                    view.apply(&store, "obs", &obs(g, id, c));
+        // Every input still held: group, id, value and the relation it
+        // entered through.
+        let mut live: Vec<(u32, usize, i64, &str)> = Vec::new();
+        let mut id = 0;
+        for burst in &bursts {
+            let mut deltas = Vec::new();
+            for &(g, c, op) in burst {
+                id += 1;
+                if op < 2 {
+                    let relation = ["obs", "dup"][usize::from(op)];
+                    live.push((g, id, c, relation));
+                    deltas.push(TupleDelta::insert(relation, obs(g, id, c)));
+                    continue;
                 }
-                continue;
+                // Removing something never inserted must change nothing.
+                let pos = live.iter().position(|&(lg, _, lc, _)| lg == g && lc == c);
+                let (relation, tuple) = pos.map_or(("obs", obs(g, id, c)), |pos| {
+                    let (g, id, c, relation) = live.remove(pos);
+                    (relation, obs(g, id, c))
+                });
+                deltas.push(TupleDelta::delete(relation, tuple));
             }
-            // Removing something never inserted must change nothing.
-            let pos = live.iter().position(|&(lg, _, lc)| lg == g && lc == c);
-            let tuple = pos.map_or(obs(g, id, c), |pos| {
-                let (g, id, c) = live.remove(pos);
-                obs(g, id, c)
-            });
-            store.apply(&TupleDelta::delete("obs", tuple.clone()));
-            for view in &mut views {
-                let key = view.group_key(&tuple).unwrap();
-                view.rebuild_group(&store, &key, &mut Default::default());
-            }
+            eval.update_batch(deltas).unwrap();
         }
         for g in 0u32..4 {
-            let inputs = || live.iter().filter(|&&(lg, _, _)| lg == g).map(|&(_, _, c)| c);
+            let inputs = || live.iter().filter(|&&(lg, ..)| lg == g).map(|&(_, _, c, _)| c);
             let expected = [
                 inputs().min().map(Value::Int),
                 inputs().max().map(Value::Int),
                 (inputs().count() > 0).then(|| Value::Int(inputs().count() as i64)),
                 (inputs().count() > 0).then(|| Value::Float(inputs().sum::<i64>() as f64)),
             ];
-            for (view, expected) in views.iter().zip(expected) {
-                prop_assert_eq!(view.current_for(&obs(g, 0, 0)), expected, "{:?}", view.func());
+            for (head, expected) in ["lo", "hi", "n", "tot"].into_iter().zip(expected) {
+                let stored: Vec<Value> = eval
+                    .results(head)
+                    .iter()
+                    .filter(|t| t.get(0) == Some(&Value::addr(g)))
+                    .map(|t| t.values()[1].clone())
+                    .collect();
+                prop_assert_eq!(stored, Vec::from_iter(expected), "{}", head);
             }
         }
     }
