@@ -234,6 +234,81 @@ mod tests {
         assert!(check_location_placement(&engine, "path").unwrap() > 0);
     }
 
+    /// Source routing whose aggregate rule is guarded by `magicDst(@D)`:
+    /// the planner splits SD3, keeps the aggregate selection inferred on
+    /// `pathDst`, and the network matches the centralized fixpoint with the
+    /// guard seeded before the run, added after it and deleted again.
+    #[test]
+    fn a_guarded_aggregate_rule_matches_the_centralized_fixpoint() {
+        let program = ndlog_lang::parse_program(
+            "materialize(link, keys(1,2)).
+             materialize(pathDst, keys(1,2,4)).
+             materialize(shortestPath, keys(1,2)).
+             sd1 pathDst(@D,@S,@D,P,C) :- #link(@S,@D,C), P := f_append(f_cons(S, nil), D).
+             sd2 pathDst(@D,@S,@Z,P,C) :- #link(@Z,@D,C2), pathDst(@Z,@S,@Z1,P1,C1),
+                 f_member(P1, D) == 0, C := C1 + C2, P := f_append(P1, D).
+             sd3 spCost(@D,@S,min<C>) :- magicDst(@D), pathDst(@D,@S,@Z,P,C).
+             sd4 shortestPath(@D,@S,P,C) :- spCost(@D,@S,C), pathDst(@D,@S,@Z,P,C).",
+        )
+        .unwrap();
+        let plan = plan(&program).unwrap();
+        assert_eq!(plan.selections.len(), 1);
+        assert_eq!(plan.selections[0].relation, "pathDst");
+        assert_eq!(plan.views[0].source_relation(), "spCost_sd3_ag");
+
+        let mut graph = Topology::with_nodes(4);
+        let edges = [(0u32, 1u32, 5.0), (0, 2, 1.0), (2, 1, 1.0), (1, 3, 1.0)];
+        for &(a, b, _) in &edges {
+            graph
+                .add_link(NodeAddr(a), NodeAddr(b), LinkMetrics::uniform())
+                .unwrap();
+        }
+        let config = EngineConfig {
+            node: NodeConfig {
+                aggregate_selections: true,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let mut engine = DistributedEngine::new(graph, &[plan], config).unwrap();
+        let mut base = Vec::new();
+        for (a, b, c) in edges {
+            for (s, d) in [(a, b), (b, a)] {
+                let t = link_tuple(s, d, c);
+                engine.insert_base(NodeAddr(s), "link", t.clone()).unwrap();
+                base.push(("link".to_string(), t));
+            }
+        }
+        let magic = |d: u32| Tuple::new(vec![Value::addr(d)]);
+        engine
+            .insert_base(NodeAddr(1), "magicDst", magic(1))
+            .unwrap();
+        base.push(("magicDst".to_string(), magic(1)));
+        engine.run_to_quiescence().unwrap();
+        let check = |engine: &DistributedEngine, base: &[(String, Tuple)]| {
+            check_against_centralized(engine, &program, base, "spCost").unwrap();
+            check_against_centralized(engine, &program, base, "shortestPath").unwrap()
+        };
+        assert_eq!(check(&engine, &base), 3);
+
+        // A guard seeded after the paths to node 3 have converged.
+        engine
+            .insert_base(NodeAddr(3), "magicDst", magic(3))
+            .unwrap();
+        base.push(("magicDst".to_string(), magic(3)));
+        engine.run_to_quiescence().unwrap();
+        assert_eq!(check(&engine, &base), 6);
+
+        // A guard deleted again retracts its destination's results.
+        engine
+            .delete_base(NodeAddr(1), "magicDst", magic(1))
+            .unwrap();
+        base.retain(|(relation, t)| !(relation == "magicDst" && *t == magic(1)));
+        engine.run_to_quiescence().unwrap();
+        assert_eq!(check(&engine, &base), 3);
+        assert!(engine.pruned_total() > 0);
+    }
+
     #[test]
     fn mismatch_is_reported() {
         let (engine, base) = run_diamond(false);

@@ -221,8 +221,6 @@ impl ConvergenceReport {
 pub struct DistributedEngine {
     sim: Simulator<Vec<TupleDelta>>,
     nodes: BTreeMap<NodeAddr, NodeEngine>,
-    /// Declared primary keys per relation (for result tracking).
-    key_columns: BTreeMap<String, Vec<usize>>,
     result_log: Vec<ResultRecord>,
     flush_pending: BTreeSet<NodeAddr>,
     sharing_enabled: bool,
@@ -253,13 +251,6 @@ impl DistributedEngine {
         let all_strands: Vec<_> = plans.iter().flat_map(|p| p.strands.clone()).collect();
         let strands = Arc::new(all_strands);
 
-        let mut key_columns = BTreeMap::new();
-        for plan in plans {
-            for decl in &plan.program.tables {
-                key_columns.insert(decl.name.clone(), decl.key_columns.clone());
-            }
-        }
-
         let mut nodes = BTreeMap::new();
         for addr in graph.nodes() {
             let engine = NodeEngine::new(addr, plans, Arc::clone(&strands), config.node.clone())?;
@@ -274,7 +265,6 @@ impl DistributedEngine {
         Ok(DistributedEngine {
             sim,
             nodes,
-            key_columns,
             result_log: Vec::new(),
             flush_pending: BTreeSet::new(),
             sharing_enabled,
@@ -730,23 +720,15 @@ impl DistributedEngine {
     }
 
     /// Convergence metrics for a tracked relation, derived from the result
-    /// log: for every (node, primary key) the time of its last change is
-    /// its finalization time; results that end deleted are excluded.
+    /// log: for every (node, tuple) the time of its last change is its
+    /// finalization time; tuples that end deleted are excluded. Keyed by
+    /// the whole tuple, not its primary key: a replacement logs the new
+    /// tuple's insertion before the old one's removal (the removal comes
+    /// out of the DRed pass), and each keeps its own last change.
     pub fn convergence(&self, relation: &str) -> ConvergenceReport {
-        let key_cols = self.key_columns.get(relation).cloned().unwrap_or_default();
-        let key_of = |tuple: &Tuple| -> Vec<Value> {
-            if key_cols.is_empty() {
-                tuple.values().to_vec()
-            } else {
-                tuple.project(&key_cols)
-            }
-        };
-        let mut last: BTreeMap<(NodeAddr, Vec<Value>), (SimTime, Sign)> = BTreeMap::new();
+        let mut last: BTreeMap<(NodeAddr, &Tuple), (SimTime, Sign)> = BTreeMap::new();
         for record in self.result_log.iter().filter(|r| r.relation == relation) {
-            last.insert(
-                (record.node, key_of(&record.tuple)),
-                (record.time, record.sign),
-            );
+            last.insert((record.node, &record.tuple), (record.time, record.sign));
         }
         let mut finalization_times: Vec<f64> = last
             .values()
@@ -877,6 +859,40 @@ mod tests {
             series.windows(2).all(|w| w[0].1 <= w[1].1),
             "monotone completion"
         );
+    }
+
+    /// On a square with one hop per link, two-hop results are first
+    /// derived along one side and then replaced under their key by the
+    /// equal-cost path along the other, or the other way round: every
+    /// stored result is final, whichever way it arrived.
+    #[test]
+    fn convergence_counts_results_that_arrived_by_replacement() {
+        let mut graph = Topology::with_nodes(4);
+        let sides = [(0u32, 1u32), (1, 2), (2, 3), (3, 0)];
+        for (a, b) in sides {
+            graph
+                .add_link(NodeAddr(a), NodeAddr(b), LinkMetrics::uniform())
+                .unwrap();
+        }
+        let plan = plan(&programs::shortest_path("")).unwrap();
+        let config = EngineConfig {
+            node: NodeConfig {
+                aggregate_selections: false,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let mut engine = DistributedEngine::new(graph, &[plan], config).unwrap();
+        for (a, b) in sides {
+            for (s, d) in [(a, b), (b, a)] {
+                engine
+                    .insert_base(NodeAddr(s), "link", link_tuple(s, d, 1.0))
+                    .unwrap();
+            }
+        }
+        engine.run_to_quiescence().unwrap();
+        assert_eq!(engine.result_count("shortestPath"), 12);
+        assert_eq!(engine.convergence("shortestPath").total_results, 12);
     }
 
     #[test]

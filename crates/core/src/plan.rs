@@ -5,14 +5,20 @@
 //! 1. **validate** the program against the NDlog constraints (Definition 6);
 //! 2. **localize** non-local link-restricted rules (Algorithm 2) so every
 //!    rule body is evaluable at a single node;
-//! 3. compile the **aggregate rules** into incremental views, after the
-//!    schema checks every node's store makes (an aggregate head is keyed on
-//!    its group-by fields and derived by its rule alone);
-//! 4. apply the **semi-naive delta rewrite** to the join rules and compile
-//!    each delta rule into a [`CompiledStrand`], plus one key-bound
-//!    re-derivation plan per rule for the DRed deletion pass;
-//! 5. infer **aggregate selections** (Section 5.1.1) so the engine can
-//!    prune non-improving tuples when the optimization is enabled.
+//! 3. **compile** the localized program ([`compile`]): split every
+//!    aggregate rule not in normal form into a plain rule deriving the
+//!    relation of its body's matches and an aggregate rule folding that
+//!    relation ([`ndlog_lang::aggsplit`]), check the split program against
+//!    the schema every node's store holds (an aggregate head is keyed on
+//!    its group-by fields and derived by its rule alone), compile each
+//!    aggregate rule into an incremental view, and apply the **semi-naive
+//!    delta rewrite** to the plain rules, compiling each delta rule into a
+//!    [`CompiledStrand`], plus one key-bound re-derivation plan per rule
+//!    for the DRed deletion pass;
+//! 4. infer **aggregate selections** (Section 5.1.1) on the localized
+//!    program so the engine can prune non-improving tuples when the
+//!    optimization is enabled; a split keeps the source columns where they
+//!    were, so a selection names its view's columns either way.
 //!
 //! The resulting [`QueryPlan`] is immutable and can be shared by every node
 //! in the network (each node keeps its own mutable store; a view's state is
@@ -21,8 +27,8 @@
 use ndlog_lang::aggsel::{infer_aggregate_selections, AggSelectionSpec};
 use ndlog_lang::localize::localize;
 use ndlog_lang::validate::validate_strict;
-use ndlog_lang::{LangError, Program, Rule};
-use ndlog_runtime::{AggregateView, CompiledStrand, Store};
+use ndlog_lang::{LangError, Program};
+use ndlog_runtime::{compile, AggregateView, Compiled, CompiledStrand};
 use std::sync::Arc;
 
 /// An executable plan for one NDlog program.
@@ -30,7 +36,8 @@ use std::sync::Arc;
 pub struct QueryPlan {
     /// A short name (used in reports), taken from the program.
     pub name: String,
-    /// The localized program (table declarations, rules, queries).
+    /// The localized program with its aggregate rules in normal form (table
+    /// declarations, rules, queries): what every node's store is built for.
     pub program: Program,
     /// Compiled strands for the non-aggregate rules: the delta rewrite's,
     /// then one re-derivation plan per rule.
@@ -52,40 +59,21 @@ impl QueryPlan {
             .map(|q| q.name.clone())
             .collect()
     }
-
-    /// Primary-key columns declared for a relation (empty when keyed on all
-    /// columns or undeclared).
-    pub fn key_columns(&self, relation: &str) -> Vec<usize> {
-        self.program
-            .table_decl(relation)
-            .map(|d| d.key_columns.clone())
-            .unwrap_or_default()
-    }
 }
 
 /// Plan a program. Fails if the program violates the NDlog constraints,
-/// cannot be localized, fails a node store's schema checks
-/// ([`Store::add_program`]) or has an aggregate rule no view can maintain.
+/// cannot be localized, or is refused by [`compile`]: an aggregate rule no
+/// split or view can maintain, or a node store's schema checks
+/// ([`ndlog_runtime::Store::add_program`]).
 pub fn plan(program: &Program) -> Result<QueryPlan, LangError> {
     validate_strict(program)?;
     let localized = localize(program)?;
-    Store::for_program(&localized).map_err(LangError::Rewrite)?;
-
-    let (aggregate_rules, join_rules): (Vec<Rule>, Vec<Rule>) = localized
-        .rules
-        .iter()
-        .cloned()
-        .partition(|r| r.head.has_aggregate());
-
-    let mut join_program = localized.clone();
-    join_program.rules = join_rules;
-    let strands = CompiledStrand::compile_program(&join_program);
-    let views = aggregate_rules
-        .iter()
-        .map(|rule| AggregateView::from_rule(rule).map(Arc::new))
-        .collect::<Result<_, String>>()
-        .map_err(LangError::Rewrite)?;
-
+    let Compiled {
+        program: split,
+        strands,
+        views,
+        ..
+    } = compile(&localized).map_err(LangError::Rewrite)?;
     let selections = infer_aggregate_selections(&localized);
 
     Ok(QueryPlan {
@@ -94,7 +82,7 @@ pub fn plan(program: &Program) -> Result<QueryPlan, LangError> {
         } else {
             program.name.clone()
         },
-        program: localized,
+        program: split,
         strands,
         views,
         selections,
@@ -116,8 +104,6 @@ mod tests {
         assert_eq!(plan.selections.len(), 1);
         assert_eq!(plan.selections[0].relation, "path");
         assert_eq!(plan.query_relations(), vec!["shortestPath".to_string()]);
-        assert_eq!(plan.key_columns("shortestPath"), vec![0, 1]);
-        assert_eq!(plan.key_columns("unknown"), Vec::<usize>::new());
         // No strand is triggered by or derives an aggregate rule's head via joins.
         assert!(plan.strands.iter().all(|s| s.rule_label() != "sp3"));
     }

@@ -66,7 +66,9 @@ impl AggSelectionSpec {
 /// Rules whose aggregate input is assembled from several atoms (so no
 /// single relation can be pruned) yield no selection. Extra body atoms that
 /// merely filter groups (e.g. the `magicDst(@D)` literal of rule SP3-SD)
-/// do not prevent the selection.
+/// do not prevent the selection: the runtime splits such a rule
+/// ([`crate::aggsplit`]) into a view over a relation whose leading columns
+/// are the source atom's, so the selection's columns are the view's too.
 ///
 /// The pruning the engine performs on the source relation is safe when the
 /// source relation's non-optimal tuples are not needed elsewhere — true for

@@ -24,6 +24,7 @@
 //! | [`interactive`] | the shell/service command dialect (`+`, `-`, `?-`, meta) |
 //! | [`mod@validate`] | the four NDlog syntactic constraints of Definition 6 |
 //! | [`localize`] | the rule-localization rewrite of Algorithm 2 |
+//! | [`aggsplit`] | aggregate normal form: any other aggregate rule becomes a plain rule and an aggregate over its relation |
 //! | [`seminaive`] | the semi-naive delta rewrite (rule strands) |
 //! | [`magic`] | magic-sets rewriting (Section 5.1.2) |
 //! | [`reorder`] | predicate reordering: bottom-up ↔ top-down variants |
@@ -61,6 +62,7 @@
 #![forbid(unsafe_code)]
 
 pub mod aggsel;
+pub mod aggsplit;
 pub mod ast;
 pub mod error;
 pub mod interactive;

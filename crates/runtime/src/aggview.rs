@@ -37,24 +37,17 @@
 //! the downstream `shortestPath` rule react to improvements); a rebuild
 //! emits the insertion alone, the pass having retracted the old output.
 //!
-//! A source tuple feeds its group only when it matches the source atom —
-//! its constants, and equal values wherever the atom repeats a variable —
-//! and every extra body atom (e.g. the `magicDst(@D)` literal in rule
-//! SP3-SD), a *guard*, has a match in the local store. Both are compiled
-//! once, by [`AggregateView::from_rule`], into column checks: the source
-//! atom's into `(column, expected)` pairs, each guard's into a membership
-//! probe on its constant columns and the columns whose variables the
-//! source atom binds. An insertion and a group rebuild run the same
-//! checks; a source atom of distinct variables and no guards checks
-//! nothing. Guards are intended for static "magic" tables seeded before
-//! execution; retroactive changes to guard relations do not replay
-//! previously-skipped source tuples.
+//! A view folds one relation through one atom of distinct variables, the
+//! normal form of [`ndlog_lang::aggsplit`]; [`crate::compile`] splits any
+//! other aggregate rule into a plain rule, which strands and DRed maintain
+//! (guards, filters and assignments included), and an aggregate rule in
+//! that form over the plain rule's relation.
 
 use crate::index::JoinStats;
 use crate::store::Store;
 use crate::tuple::{RelName, Tuple, TupleDelta};
-use ndlog_lang::{AggFunc, Atom, Literal, Rule, Term, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use ndlog_lang::aggsplit::in_normal_form;
+use ndlog_lang::{AggFunc, Literal, Rule, Term, Value};
 
 /// A head field other than the aggregate: one column of the head
 /// relation's primary key, which identifies a group.
@@ -64,32 +57,6 @@ enum KeyField {
     Group(usize),
     /// A constant, which every output of the view shares.
     Const(Value),
-}
-
-/// The value a checked column must hold, read off the source tuple.
-#[derive(Debug)]
-enum Expected {
-    Const(Value),
-    /// The value of this column of the source tuple.
-    Col(usize),
-}
-
-impl Expected {
-    fn value<'a>(&'a self, source: &'a [Value]) -> &'a Value {
-        match self {
-            Expected::Const(c) => c,
-            Expected::Col(col) => &source[*col],
-        }
-    }
-}
-
-/// A guard atom compiled to one membership probe: the `cols` of
-/// `relation` must hold `key`, resolved against the source tuple.
-#[derive(Debug)]
-struct Guard {
-    relation: String,
-    cols: Vec<usize>,
-    key: Vec<Expected>,
 }
 
 /// An incrementally maintained aggregate view, compiled once per plan and
@@ -106,14 +73,12 @@ pub struct AggregateView {
     /// The head fields but the aggregate, in head order: the head
     /// relation's primary key.
     key_fields: Vec<KeyField>,
+    /// The distinct source columns the group-by fields copy, ascending,
+    /// each with the position in `key_fields` of a field copying it.
+    group_cols: Vec<(usize, usize)>,
     /// The head position of the aggregate value.
     agg_pos: usize,
     source_arity: usize,
-    /// What the source atom demands of a tuple beyond its arity: a
-    /// constant column, or a repeated variable's later column equal to its
-    /// first.
-    source_checks: Vec<(usize, Expected)>,
-    guards: Vec<Guard>,
 }
 
 /// The aggregate of a group with aggregate `current` (`None`: no inputs
@@ -133,125 +98,57 @@ fn combine(func: AggFunc, current: Option<&Value>, value: &Value) -> Value {
 }
 
 impl AggregateView {
-    /// Build a view from an aggregate rule. Returns an error message when
-    /// the rule does not have the supported shape (exactly one aggregate in
-    /// the head, a unique source atom providing the aggregated variable,
-    /// only predicate guards — no assignments or filters).
+    /// Build a view from an aggregate rule in normal form
+    /// ([`ndlog_lang::aggsplit::in_normal_form`]): exactly one aggregate in
+    /// the head, a body of one atom of distinct variables, and every other
+    /// head field a constant or one of those variables. Any other rule is
+    /// refused; [`crate::compile`] splits one into that form first.
     pub fn from_rule(rule: &Rule) -> Result<AggregateView, String> {
-        let agg_positions = rule.head.aggregate_positions();
-        if agg_positions.len() != 1 {
+        let &[agg_pos] = rule.head.aggregate_positions().as_slice() else {
             return Err(format!(
                 "rule {}: aggregate views require exactly one aggregate head argument",
                 rule.label
             ));
-        }
-        let Term::Agg(agg) = &rule.head.args[agg_positions[0]] else {
-            unreachable!("position came from aggregate_positions");
         };
-        if rule.body.iter().any(|l| !matches!(l, Literal::Atom(_))) {
+        let (Term::Agg(agg), [Literal::Atom(source)], true) = (
+            &rule.head.args[agg_pos],
+            rule.body.as_slice(),
+            in_normal_form(rule),
+        ) else {
             return Err(format!(
-                "rule {}: aggregate rules may not contain assignments or filters",
+                "rule {}: an aggregate view folds one body atom of distinct variables \
+                 that holds every head variable",
                 rule.label
             ));
-        }
-        if rule.body_atoms().any(Atom::has_aggregate) {
-            return Err(format!(
-                "rule {}: aggregates may only appear in the head",
-                rule.label
-            ));
-        }
-        let body_atoms: Vec<&Atom> = rule.body_atoms().collect();
-        let providers: Vec<&Atom> = body_atoms
-            .iter()
-            .copied()
-            .filter(|a| {
-                a.args
-                    .iter()
-                    .any(|t| t.var_name() == Some(agg.var.as_str()))
-            })
-            .collect();
-        if providers.len() != 1 {
-            return Err(format!(
-                "rule {}: the aggregated variable must be provided by exactly one body atom",
-                rule.label
-            ));
-        }
-        let source = providers[0];
-        let col_of = |var: &str| -> Option<usize> {
-            source.args.iter().position(|t| t.var_name() == Some(var))
         };
-        let value_col = col_of(&agg.var).ok_or_else(|| {
-            format!(
-                "rule {}: aggregated variable not in source atom",
-                rule.label
-            )
-        })?;
-        let source_checks = source
-            .args
-            .iter()
-            .enumerate()
-            .filter_map(|(col, term)| match term {
-                Term::Const(c) => Some((col, Expected::Const(c.clone()))),
-                Term::Var(v) => col_of(&v.name)
-                    .filter(|&first| first != col)
-                    .map(|first| (col, Expected::Col(first))),
-                Term::Agg(_) => None,
-            })
-            .collect();
-        // A guard probes its constants and the variables the source atom
-        // binds; its other variables match anything.
-        let guards = body_atoms
-            .into_iter()
-            .filter(|a| a.name != source.name || *a != source)
-            .map(|guard| {
-                let (mut cols, mut key) = (Vec::new(), Vec::new());
-                for (col, term) in guard.args.iter().enumerate() {
-                    let expected = match term {
-                        Term::Const(c) => Expected::Const(c.clone()),
-                        Term::Var(v) => match col_of(&v.name) {
-                            Some(source_col) => Expected::Col(source_col),
-                            None => continue,
-                        },
-                        Term::Agg(_) => continue,
-                    };
-                    cols.push(col);
-                    key.push(expected);
-                }
-                Guard {
-                    relation: guard.name.clone(),
-                    cols,
-                    key,
-                }
-            })
-            .collect();
-
-        let mut key_fields = Vec::with_capacity(rule.head.arity() - 1);
+        let col_of = |var: &str| -> usize {
+            let col = source.args.iter().position(|t| t.var_name() == Some(var));
+            col.expect("a rule in normal form binds every head variable in its atom")
+        };
+        let (mut key_fields, mut group_cols) = (Vec::new(), Vec::new());
         for term in &rule.head.args {
             match term {
                 Term::Agg(_) => {}
                 Term::Const(c) => key_fields.push(KeyField::Const(c.clone())),
                 Term::Var(v) => {
-                    let col = col_of(&v.name).ok_or_else(|| {
-                        format!(
-                            "rule {}: head variable {} not found in the source atom",
-                            rule.label, v.name
-                        )
-                    })?;
+                    let col = col_of(&v.name);
+                    group_cols.push((col, key_fields.len()));
                     key_fields.push(KeyField::Group(col));
                 }
             }
         }
+        group_cols.sort_unstable();
+        group_cols.dedup_by_key(|&mut (col, _)| col);
         Ok(AggregateView {
             rule_label: rule.label.clone(),
             head_relation: rule.head.name.as_str().into(),
             source_relation: source.name.clone(),
             func: agg.func,
-            value_col,
+            value_col: col_of(&agg.var),
             key_fields,
-            agg_pos: agg_positions[0],
+            group_cols,
+            agg_pos,
             source_arity: source.arity(),
-            source_checks,
-            guards,
         })
     }
 
@@ -272,15 +169,15 @@ impl AggregateView {
     }
 
     /// The head relation's key of the group a source tuple belongs to, read
-    /// off the tuple's columns; `None` when the tuple is too short to be a
-    /// source tuple (heterogeneous hand-built stores).
+    /// off the tuple's columns; `None` when the tuple has another arity
+    /// than the source atom, so is no input.
     fn key_in<'a>(&'a self, source: &'a Tuple) -> Option<impl Iterator<Item = &'a Value> + Clone> {
         let fields = source.values();
         let key = self.key_fields.iter().map(move |field| match field {
             KeyField::Group(col) => &fields[*col],
             KeyField::Const(c) => c,
         });
-        (fields.len() >= self.source_arity).then_some(key)
+        (fields.len() == self.source_arity).then_some(key)
     }
 
     /// The head tuple currently derived for a group, named by its key: the
@@ -323,8 +220,8 @@ impl AggregateView {
     }
 
     /// The head relation's key of the group a source tuple belongs to, or
-    /// `None` when the tuple is too short to project (heterogeneous
-    /// hand-built stores).
+    /// `None` when the tuple is no input (another arity than the source
+    /// atom).
     pub fn group_key(&self, source_tuple: &Tuple) -> Option<Vec<Value>> {
         Some(self.key_in(source_tuple)?.cloned().collect())
     }
@@ -358,30 +255,26 @@ impl AggregateView {
     }
 
     /// The aggregate of one group over the tuples currently stored in the
-    /// source relation that the view admits; `None` when the group has no
-    /// admitted input.
+    /// source relation; `None` when the group has no input. The group
+    /// columns are distinct source columns, so one probe on them finds
+    /// exactly the group's inputs.
     fn fold_group<'v>(
         &self,
         store: &Store,
-        key: impl Iterator<Item = &'v Value> + Clone,
+        key: impl Iterator<Item = &'v Value>,
         stats: &mut JoinStats,
     ) -> Option<Value> {
         let relation = store.relation(&self.source_relation)?;
-        // Probe on the (sorted, deduplicated) group columns; verify the
-        // full group key residually to cover repeated group variables.
-        let mut bound: BTreeMap<usize, Value> = BTreeMap::new();
-        for (field, val) in self.key_fields.iter().zip(key.clone()) {
-            if let KeyField::Group(col) = field {
-                bound.entry(*col).or_insert_with(|| val.clone());
-            }
-        }
-        let cols: Vec<usize> = bound.keys().copied().collect();
-        let vals: Vec<Value> = bound.into_values().collect();
-        let in_group = |tuple: &Tuple| self.key_in(tuple).is_some_and(|k| k.eq(key.clone()));
+        let key: Vec<&Value> = key.collect();
+        let group = self
+            .group_cols
+            .iter()
+            .map(|&(col, at)| (col, key[at].clone()));
+        let (cols, vals): (Vec<usize>, Vec<Value>) = group.unzip();
         relation
             .lookup(&cols, &vals, u64::MAX, stats)
             .map(|stored| &stored.tuple)
-            .filter(|tuple| in_group(tuple) && self.admits(store, tuple))
+            .filter(|tuple| tuple.arity() == self.source_arity)
             .filter_map(|tuple| tuple.get(self.value_col))
             .fold(None, |aggregate, value| {
                 Some(combine(self.func, aggregate.as_ref(), value))
@@ -405,53 +298,14 @@ impl AggregateView {
         Some(TupleDelta::insert(self.head_relation.clone(), tuple))
     }
 
-    /// The (relation, bound-column signature) pairs this view probes:
-    /// every guard atom's constants plus the columns whose variables the
-    /// source atom binds, and the source relation's group columns (used by
-    /// [`AggregateView::rebuild_group`] during the DRed re-derive phase).
-    /// Declared up front (like strand probe stages) so these checks run as
-    /// index probes instead of relation scans.
-    pub fn index_requirements(&self) -> Vec<(String, Vec<usize>)> {
-        let guards = self.guards.iter().filter(|guard| !guard.cols.is_empty());
-        let mut out: Vec<_> = guards
-            .map(|guard| (guard.relation.clone(), guard.cols.clone()))
-            .collect();
-        let group_sig: BTreeSet<usize> = self
-            .key_fields
-            .iter()
-            .filter_map(|field| match field {
-                KeyField::Group(col) => Some(*col),
-                KeyField::Const(_) => None,
-            })
-            .collect();
-        if !group_sig.is_empty() {
-            out.push((
-                self.source_relation.clone(),
-                group_sig.into_iter().collect(),
-            ));
-        }
-        out
-    }
-
-    /// Whether a source tuple feeds its group: it matches the source atom
-    /// and every guard has a match in `store`.
-    fn admits(&self, store: &Store, source_tuple: &Tuple) -> bool {
-        let fields = source_tuple.values();
-        if fields.len() != self.source_arity
-            || !self
-                .source_checks
-                .iter()
-                .all(|(col, want)| fields[*col] == *want.value(fields))
-        {
-            return false;
-        }
-        self.guards.iter().all(|guard| {
-            let Some(relation) = store.relation(&guard.relation) else {
-                return false;
-            };
-            let key: Vec<Value> = guard.key.iter().map(|e| e.value(fields).clone()).collect();
-            relation.contains_match(&guard.cols, &key, u64::MAX)
-        })
+    /// The (relation, bound-column signature) this view probes, if any: the
+    /// source relation's group columns, which
+    /// [`AggregateView::rebuild_group`] and a `sum` insertion look a group
+    /// up on. Declared up front (like strand probe stages) so the fold is an
+    /// index probe instead of a relation scan.
+    pub fn index_requirements(&self) -> Option<(String, Vec<usize>)> {
+        let cols: Vec<usize> = self.group_cols.iter().map(|&(col, _)| col).collect();
+        (!cols.is_empty()).then(|| (self.source_relation.clone(), cols))
     }
 
     /// The head deltas a tuple that has just entered the store's
@@ -460,7 +314,7 @@ impl AggregateView {
     /// it has one) and the assertion of the new. The view reads the store
     /// and writes nothing; the caller ingests the deltas.
     pub fn apply(&self, store: &Store, relation: &str, inserted: &Tuple) -> Vec<TupleDelta> {
-        if relation != self.source_relation || !self.admits(store, inserted) {
+        if relation != self.source_relation {
             return Vec::new();
         }
         let (Some(value), Some(key)) = (inserted.get(self.value_col), self.key_in(inserted)) else {
@@ -641,11 +495,14 @@ mod tests {
         assert_eq!(eval.results("deg"), [at0(Value::Int(1))]);
     }
 
+    /// A guard is part of the split rule's body, so it is maintained like
+    /// any join input: one that arrives after the source admits it, and
+    /// one that leaves retracts what it admitted.
     #[test]
     fn guard_atoms_filter_source_deltas() {
         let mut eval =
             evaluator("sd3 spCost(@D,@S,min<C>) :- magicDst(@D), pathDst(@D,@S,@Z,P,C).");
-        assert_eq!(eval.views()[0].source_relation(), "pathDst");
+        assert_eq!(eval.views()[0].source_relation(), "spCost_sd3_ag");
         let pd = |d: u32, z: u32, c: f64| {
             Tuple::new(vec![
                 Value::addr(d),
@@ -655,14 +512,26 @@ mod tests {
                 Value::Float(c),
             ])
         };
+        let magic = || Tuple::new(vec![Value::addr(1u32)]);
         // No magicDst entry: the delta is filtered out.
         assert!(insert(&mut eval, "pathDst", pd(1, 1, 4.0)).is_empty());
-        // Seed the magic table for destination 1 and retry.
-        insert(&mut eval, "magicDst", Tuple::new(vec![Value::addr(1u32)]));
-        let out = insert(&mut eval, "pathDst", pd(1, 2, 4.0));
+        // A late guard admits the path already stored.
+        let out = insert(&mut eval, "magicDst", magic());
         assert_eq!(out, [TupleDelta::insert("spCost", sp_cost(1, 0, 4.0))]);
+        let out = insert(&mut eval, "pathDst", pd(1, 2, 3.0));
+        assert_eq!(
+            out,
+            [
+                TupleDelta::insert("spCost", sp_cost(1, 0, 3.0)),
+                TupleDelta::delete("spCost", sp_cost(1, 0, 4.0)),
+            ]
+        );
         // A different destination still has no magic entry.
         assert!(insert(&mut eval, "pathDst", pd(2, 1, 4.0)).is_empty());
+        // Deleting the guard retracts its group's output.
+        let out = remove(&mut eval, "magicDst", magic());
+        assert_eq!(out, [TupleDelta::delete("spCost", sp_cost(1, 0, 3.0))]);
+        assert!(eval.results("spCost").is_empty());
     }
 
     #[test]

@@ -410,9 +410,9 @@ mod tests {
     }
 
     fn setup(src: &str) -> (Store, Vec<CompiledStrand>) {
-        let program = parse_program(src).unwrap();
-        let mut store = Store::for_program(&program).unwrap();
-        let strands = CompiledStrand::compile_program(&program);
+        let crate::Compiled {
+            mut store, strands, ..
+        } = crate::compile(&parse_program(src).unwrap()).unwrap();
         store.declare_indexes(strands.iter());
         (store, strands)
     }

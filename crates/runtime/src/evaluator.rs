@@ -19,15 +19,63 @@
 
 use crate::aggview::AggregateView;
 use crate::batch::EvalBuffers;
+use crate::dred::rederivation_plan;
 use crate::expr::EvalError;
 use crate::fixpoint::LocalFixpoint;
 use crate::store::Store;
 use crate::strand::CompiledStrand;
 use crate::tuple::{Tuple, TupleDelta};
+use ndlog_lang::aggsplit::split_aggregates;
+use ndlog_lang::seminaive::delta_rewrite_full;
 use ndlog_lang::{Program, Rule, Term};
 use std::sync::Arc;
 
 pub use crate::fixpoint::{EvalStats, Strategy};
+
+/// A program compiled for evaluation: what [`Evaluator::new`] and
+/// `ndlog-core`'s planner build a site from.
+pub struct Compiled {
+    /// The program every aggregate rule of which is in normal form
+    /// ([`ndlog_lang::aggsplit`]): the input with each other aggregate rule
+    /// split in two. A store is built for this program.
+    pub program: Program,
+    /// A store for `program`, its schema checked by [`Store::add_program`].
+    pub store: Store,
+    /// What fires for the plain rules, compiled once per program and shared
+    /// by every site running it: the strands of the full delta rewrite,
+    /// then one re-derivation plan per rule.
+    pub strands: Vec<CompiledStrand>,
+    /// One incremental view per aggregate rule.
+    pub views: Vec<Arc<AggregateView>>,
+}
+
+/// Compile a program: split its aggregate rules into normal form
+/// ([`ndlog_lang::aggsplit::split_aggregates`]), build and check a store
+/// for the split program, and compile every aggregate rule into a view and
+/// every other rule into the strands of the full delta rewrite and one
+/// re-derivation plan. Fails when the split, the store's schema checks or
+/// a view refuses the program.
+pub fn compile(program: &Program) -> Result<Compiled, String> {
+    let program = split_aggregates(program)?;
+    let store = Store::for_program(&program)?;
+    let (aggregates, plain): (Vec<&Rule>, Vec<&Rule>) =
+        program.rules.iter().partition(|r| r.head.has_aggregate());
+    let views = aggregates
+        .into_iter()
+        .map(|rule| AggregateView::from_rule(rule).map(Arc::new))
+        .collect::<Result<_, String>>()?;
+    let forward = delta_rewrite_full(&program).into_iter();
+    let forward = forward.filter(|delta| !delta.rule.head.has_aggregate());
+    let rederive = plain.into_iter().filter(|rule| !rule.is_fact());
+    let rederive = rederive.map(|rule| rederivation_plan(&program, rule));
+    let strands = forward.map(CompiledStrand::new).chain(rederive).collect();
+    Ok(Compiled {
+        program,
+        store,
+        strands,
+        views,
+    })
+}
 
 /// A single-node NDlog evaluator.
 pub struct Evaluator {
@@ -39,23 +87,15 @@ pub struct Evaluator {
 }
 
 impl Evaluator {
-    /// Build an evaluator for a program. Aggregate-headed rules become
-    /// incremental views; every other rule becomes a set of strands.
+    /// Build an evaluator for a program ([`compile`]): aggregate rules
+    /// become incremental views, every other rule a set of strands.
     pub fn new(program: &Program) -> Result<Self, String> {
-        let (agg_rules, plain_rules): (Vec<Rule>, Vec<Rule>) = program
-            .rules
-            .iter()
-            .cloned()
-            .partition(|r| r.head.has_aggregate());
-
-        let mut plain_program = program.clone();
-        plain_program.rules = plain_rules;
-        let strands = CompiledStrand::compile_program(&plain_program);
-
-        let views = agg_rules
-            .iter()
-            .map(|rule| AggregateView::from_rule(rule).map(Arc::new))
-            .collect::<Result<_, String>>()?;
+        let Compiled {
+            store,
+            strands,
+            views,
+            ..
+        } = compile(program)?;
 
         let base_facts = program
             .rules
@@ -72,13 +112,7 @@ impl Evaluator {
             .collect::<Result<Vec<_>, String>>()?;
 
         Ok(Evaluator {
-            fixpoint: LocalFixpoint::new(
-                Store::for_program(program)?,
-                Arc::new(strands),
-                views,
-                None,
-                Vec::new(),
-            )?,
+            fixpoint: LocalFixpoint::new(store, Arc::new(strands), views, None, Vec::new())?,
             buffers: EvalBuffers::default(),
             base_facts,
         })
@@ -748,5 +782,71 @@ mod tests {
             .collect();
         assert_eq!(low, [vec![Value::Int(1), Value::Int(5)]]);
         assert_eq!(oracle.agrees("low", &low), Ok(()));
+    }
+
+    /// `src` run through `updates`, one update at a time: its `low`
+    /// tuples, checked against the oracle's fixpoint over the `obs` and
+    /// `ok` tuples the evaluator ends with.
+    fn low_after(src: &str, updates: &[(Sign, &str, Vec<Value>)]) -> Vec<Vec<Value>> {
+        let program = parse_program(src).unwrap();
+        let mut eval = Evaluator::new(&program).unwrap();
+        for (sign, relation, row) in updates {
+            let tuple = Tuple::new(row.clone());
+            let delta = match sign {
+                Sign::Insert => TupleDelta::insert(*relation, tuple),
+                Sign::Delete => TupleDelta::delete(*relation, tuple),
+            };
+            eval.update(delta).unwrap();
+        }
+        let rows = |relation: &str| -> Vec<Vec<Value>> {
+            let tuples = eval.results(relation).into_iter();
+            tuples.map(|t| t.values().to_vec()).collect()
+        };
+        let input = ["obs", "ok"].into_iter().flat_map(|relation| {
+            rows(relation)
+                .into_iter()
+                .map(move |row| (relation.to_string(), row))
+        });
+        let oracle = ndlog_oracle::Oracle::run(&program, input).unwrap();
+        let low = rows("low");
+        assert_eq!(oracle.agrees("low", &low), Ok(()), "{src}");
+        low
+    }
+
+    const GUARDED: &str = "l low(@S, min<C>) :- obs(@S, C), ok(@S).";
+
+    #[test]
+    fn a_guard_that_arrives_after_its_source_admits_it() {
+        let (obs, ok) = (vec![Value::Int(1), Value::Int(7)], vec![Value::Int(1)]);
+        let low = low_after(
+            GUARDED,
+            &[(Sign::Insert, "obs", obs.clone()), (Sign::Insert, "ok", ok)],
+        );
+        assert_eq!(low, [obs]);
+    }
+
+    #[test]
+    fn a_deleted_guard_retracts_what_it_admitted() {
+        let (obs, ok) = (vec![Value::Int(1), Value::Int(7)], vec![Value::Int(1)]);
+        let low = low_after(
+            GUARDED,
+            &[
+                (Sign::Insert, "ok", ok.clone()),
+                (Sign::Insert, "obs", obs),
+                (Sign::Delete, "ok", ok),
+            ],
+        );
+        assert!(low.is_empty());
+    }
+
+    #[test]
+    fn an_aggregate_rule_with_a_filter_is_maintained() {
+        let obs = |c: i64| vec![Value::Int(1), Value::Int(c)];
+        let src = "l2 low(@S, min<C>) :- obs(@S, C), C > 4.";
+        let inserts = [3, 9, 5].map(|c| (Sign::Insert, "obs", obs(c)));
+        assert_eq!(low_after(src, &inserts), [obs(5)]);
+        let mut updates = inserts.to_vec();
+        updates.push((Sign::Delete, "obs", obs(5)));
+        assert_eq!(low_after(src, &updates), [obs(9)]);
     }
 }

@@ -233,7 +233,7 @@ impl LocalFixpoint {
     /// evaluating at `site` and pruning by `selections` (Section 5.1.1),
     /// each of which must name the aggregate view that tracks its groups.
     /// Builds every secondary index the strands' probe stages and the
-    /// views' guard checks need, once, before any tuple arrives.
+    /// views' group folds need, once, before any tuple arrives.
     pub fn new(
         mut store: Store,
         strands: Arc<Vec<CompiledStrand>>,
@@ -243,7 +243,7 @@ impl LocalFixpoint {
     ) -> Result<Self, String> {
         store.declare_indexes(strands.iter());
         for view in &views {
-            for (relation, cols) in view.index_requirements() {
+            if let Some((relation, cols)) = view.index_requirements() {
                 store.declare_index(&relation, &cols);
             }
         }

@@ -33,7 +33,8 @@
 //!   and the buffers are one [`EvalBuffers`] value that a run borrows from
 //!   whoever drives it;
 //! * [`aggview`] — incremental maintenance of aggregate rules
-//!   (`min<C>`-style heads): a view keeps no state — its head relation,
+//!   (`min<C>`-style heads): a view folds one relation through one atom
+//!   of distinct variables and keeps no state — its head relation,
 //!   keyed on the group-by fields, holds each group's current output — and
 //!   combines insertions into the stored output, and the DRed pass rebuilds
 //!   a group from the store, which is how deletions reach it;
@@ -48,7 +49,10 @@
 //!   semi-naive (SN, Algorithm 1), buffered semi-naive (BSN) and pipelined
 //!   semi-naive (PSN, Algorithm 3) — as its round policies, and the
 //!   derivation statistics used to validate Theorems 1 and 2;
-//! * [`evaluator`] — the centralized wrapper over [`fixpoint`].
+//! * [`evaluator`] — the centralized wrapper over [`fixpoint`], and
+//!   [`compile`], the one compile step it and `ndlog-core`'s planner share:
+//!   split the aggregate rules into normal form (`ndlog_lang::aggsplit`),
+//!   check the store's schema, compile strands and views.
 //!
 //! The distributed engine (`ndlog-core`) wraps the same driver per node and
 //! adds the network, optimizations and update handling.
@@ -184,7 +188,7 @@ pub mod tuple;
 
 pub use aggview::AggregateView;
 pub use batch::{BatchOutput, BatchScratch, BatchTrigger, EvalBuffers};
-pub use evaluator::{EvalStats, Evaluator, Strategy};
+pub use evaluator::{compile, Compiled, EvalStats, Evaluator, Strategy};
 pub use expr::EvalError;
 pub use index::IndexSignature;
 pub use relation::{HeapBytes, InsertOutcome, Relation, RelationSchema};

@@ -559,15 +559,6 @@ impl Relation {
         self.matches(slots, residual.iter().copied().zip(key), seq_limit)
     }
 
-    /// Existence variant of [`Relation::lookup`]: whether any tuple visible
-    /// at or before `seq_limit` matches the equality constraints, via an
-    /// index probe when the signature is declared.
-    pub fn contains_match(&self, cols: &[usize], key: &[Value], seq_limit: u64) -> bool {
-        self.lookup(cols, key, seq_limit, &mut JoinStats::default())
-            .next()
-            .is_some()
-    }
-
     /// Derivation counts lost to primary-key replacements so far (see the
     /// field documentation).
     pub fn lossy_replacements(&self) -> u64 {

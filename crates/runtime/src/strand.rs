@@ -38,8 +38,7 @@
 use crate::expr::EvalError;
 use crate::store::Store;
 use crate::tuple::TupleDelta;
-use ndlog_lang::seminaive::{delta_rewrite_full, DeltaRule};
-use ndlog_lang::Program;
+use ndlog_lang::seminaive::DeltaRule;
 use ndlog_net::NodeAddr;
 
 /// A derivation produced by firing a strand.
@@ -81,19 +80,6 @@ impl CompiledStrand {
             batch,
             rederives,
         }
-    }
-
-    /// Everything that fires for `program`'s rules (none of them
-    /// aggregate-headed): the strands of the full delta rewrite, then one
-    /// re-derivation plan per rule. Compiled once per program; every site
-    /// running it shares the result.
-    pub fn compile_program(program: &Program) -> Vec<CompiledStrand> {
-        let forward = delta_rewrite_full(program)
-            .into_iter()
-            .map(CompiledStrand::new);
-        let rules = program.rules.iter().filter(|rule| !rule.is_fact());
-        let rederive = rules.map(|rule| crate::dred::rederivation_plan(program, rule));
-        forward.chain(rederive).collect()
     }
 
     /// Whether this is a re-derivation plan, not a strand of the delta

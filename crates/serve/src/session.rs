@@ -401,15 +401,8 @@ impl Core {
                     "{delta}: {why}; nothing committed"
                 )));
             }
-            let mut views = self.eval.views().iter();
-            if let Some(view) = views.find(|v| *v.head_relation() == delta.relation) {
-                return Err(ServeError::new(format!(
-                    "{delta}: `{}` is derived by aggregate rule {} alone; nothing committed",
-                    delta.relation,
-                    view.rule_label()
-                )));
-            }
         }
+        refuse_view_head_updates(&self.eval, &deltas, "nothing committed")?;
         let n = deltas.len();
         let stats = match self.eval.update_batch(deltas.clone()) {
             Ok(stats) => stats,
@@ -554,9 +547,12 @@ impl Core {
     /// replayed — the store, derivation counts included, is exactly as if
     /// the program had always been this one and only the logged batches
     /// had arrived. The replay's transitions are drained: they are not what
-    /// subscribers should see.
+    /// subscribers should see. A program that makes a relation the log
+    /// updates an aggregate head is refused.
     fn replayed(&self, program: &Program) -> Result<Evaluator, ServeError> {
         let mut eval = Evaluator::new(program).map_err(ServeError::new)?;
+        let logged = self.commits.iter().flat_map(|batch| &batch.deltas);
+        refuse_view_head_updates(&eval, logged, "the commit log holds it; nothing changed")?;
         for relation in self.eval.tap().subscribed() {
             eval.tap_mut().subscribe(relation.to_string());
         }
@@ -737,7 +733,8 @@ impl Core {
 
     /// One line per compiled strand of rule `label`, re-derivation plan
     /// included: its trigger relation, then its stages in the order they
-    /// run. An aggregate-headed rule or a fact compiles to none.
+    /// run. A fact compiles to none, and so does an aggregate rule, unless
+    /// it was split (`ndlog_lang::aggsplit`): then its plain rule's strands.
     fn explain(&self, label: &str) -> Result<Response, ServeError> {
         let Some(rule) = self.program.rule(label) else {
             return Err(ServeError::new(format!("no rule labelled `{label}`")));
@@ -775,6 +772,26 @@ impl Core {
         rows.sort();
         rows
     }
+}
+
+/// Refuse `deltas` when one updates a relation an aggregate view of `eval`
+/// derives: a view's head relation holds its outputs alone.
+fn refuse_view_head_updates<'d>(
+    eval: &Evaluator,
+    deltas: impl IntoIterator<Item = &'d TupleDelta>,
+    outcome: &str,
+) -> Result<(), ServeError> {
+    for delta in deltas {
+        let mut views = eval.views().iter();
+        if let Some(view) = views.find(|v| *v.head_relation() == delta.relation) {
+            return Err(ServeError::new(format!(
+                "{delta}: `{}` is derived by aggregate rule {} alone; {outcome}",
+                delta.relation,
+                view.rule_label()
+            )));
+        }
+    }
+    Ok(())
 }
 
 fn fresh_label_in(program: &Program) -> String {
@@ -1157,6 +1174,68 @@ mod tests {
             panic!()
         };
         assert_eq!(rows, [Tuple::new(vec![Value::Int(1), Value::Int(5)])]);
+    }
+
+    /// A rule that would make a relation the commit log updates an
+    /// aggregate head is refused, and nothing changes; the log is never
+    /// replayed onto a view's head relation.
+    #[test]
+    fn a_rule_over_a_relation_the_log_updates_is_refused() {
+        let service = Service::new();
+        let session = service.open_session(Arc::new(NullSink));
+        session.execute_line("+low(1, 99).").unwrap();
+        session.execute_line("+obs(1, 5).").unwrap();
+        let (epoch, fingerprint) = (service.epoch(), service.fingerprint());
+        let err = session
+            .execute_line("l low(@S, min<C>) :- obs(@S, C).")
+            .unwrap_err()
+            .to_string();
+        let refused = "+low(1, 99): `low` is derived by aggregate rule l alone; \
+                       the commit log holds it; nothing changed";
+        assert_eq!(err, refused);
+        assert_eq!(service.epoch(), epoch);
+        assert_eq!(service.fingerprint(), fingerprint);
+        assert_eq!(service.commit_log().len(), 2);
+        let Response::Ok(rules) = session.execute_line(".rules").unwrap() else {
+            panic!("expected text")
+        };
+        assert_eq!(rules, "(empty program)");
+        // A head relation the log never updated takes the rule.
+        session
+            .execute_line("l high(@S, max<C>) :- obs(@S, C).")
+            .unwrap();
+        let Response::Rows { rows, .. } = session.execute_line("?- high(S, C).").unwrap() else {
+            panic!()
+        };
+        assert_eq!(rows, [Tuple::new(vec![Value::Int(1), Value::Int(5)])]);
+    }
+
+    /// An aggregate rule with a guard is split: `.dump` shows the relation
+    /// the split adds, `.explain` lists the plain rule's strands, and the
+    /// guard is maintained whenever it arrives or leaves.
+    #[test]
+    fn a_split_aggregate_rule_shows_its_relation_and_strands() {
+        let service = Service::from_source("l low(@S, min<C>) :- obs(@S, C), ok(@S).").unwrap();
+        let session = service.open_session(Arc::new(NullSink));
+        session.execute_line("+obs(1, 7).").unwrap();
+        session.execute_line("+ok(1).").unwrap();
+        let low = |rows: &[(String, u64, Tuple)]| -> Vec<Tuple> {
+            let low = rows.iter().filter(|(relation, ..)| relation == "low");
+            low.map(|(_, _, tuple)| tuple.clone()).collect()
+        };
+        let rows = service.fingerprint();
+        assert_eq!(low(&rows), [Tuple::new(vec![Value::Int(1), Value::Int(7)])]);
+        assert!(rows.iter().any(|(relation, ..)| relation == "low_l_ag"));
+        let Response::Ok(text) = session.execute_line(".explain l").unwrap() else {
+            panic!("expected text")
+        };
+        let first = text.lines().next().unwrap();
+        assert_eq!(
+            first,
+            "rule l: 3 strand(s) (its aggregate view maintains the head)"
+        );
+        session.execute_line("-ok(1).").unwrap();
+        assert!(low(&service.fingerprint()).is_empty());
     }
 
     /// A batch whose evaluation fails commits nothing: store, epoch and

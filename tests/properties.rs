@@ -300,6 +300,76 @@ proptest! {
         }
     }
 
+    /// Aggregate rules of every shape agree with the naive oracle, which
+    /// runs the program as written while the engine runs it split into
+    /// normal form (`ndlog_lang::aggsplit`): plain `min`/`max`/`count`/
+    /// `sum`, a guard atom, a filter, a source constant, a repeated source
+    /// variable and a head variable bound by an assignment. Bursts insert
+    /// and delete `obs` inputs and `ok` guards; after every burst — its
+    /// deletions through one DRed pass, then its insertions run under SN,
+    /// BSN or PSN — every relation of the program agrees with the oracle's
+    /// fixpoint over the `obs` and `ok` tuples stored.
+    #[test]
+    fn aggregate_rules_match_the_oracle(
+        bursts in prop::collection::vec(
+            prop::collection::vec((0u8..4, 0u32..2, 0i64..4, 0i64..8), 1..6),
+            1..8,
+        ),
+    ) {
+        let program = parse_program(
+            "lo lo(@S, min<C>) :- obs(@S, K, C).
+             hi hi(@S, max<C>) :- obs(@S, K, C).
+             n n(@S, count<C>) :- obs(@S, K, C).
+             tot tot(@S, sum<C>) :- obs(@S, K, C).
+             g glo(@S, min<C>) :- obs(@S, K, C), ok(@S, K).
+             f fhi(@S, max<C>) :- obs(@S, K, C), C > 3.
+             k kn(@S, count<C>) :- obs(@S, 1, C).
+             r rlo(@S, min<C>) :- obs(@S, C, C).
+             a band(@S, B, count<C>) :- obs(@S, K, C), B := C - K.",
+        )
+        .unwrap();
+        let mut relations: BTreeSet<&str> = BTreeSet::new();
+        for rule in &program.rules {
+            relations.insert(&rule.head.name);
+            relations.extend(rule.body_atoms().map(|a| a.name.as_str()));
+        }
+        let rows = |eval: &Evaluator, relation: &str| -> Vec<Vec<Value>> {
+            stored(eval, relation).into_iter().map(|(row, _)| row).collect()
+        };
+        for strategy in [
+            EvalStrategy::SemiNaive,
+            EvalStrategy::Buffered { batch: 2 },
+            EvalStrategy::Pipelined,
+        ] {
+            let mut eval = Evaluator::new(&program).unwrap();
+            for (n, burst) in bursts.iter().enumerate() {
+                let mut deletions = Vec::new();
+                for &(op, s, k, c) in burst {
+                    let (relation, row) = match op {
+                        0 | 1 => ("obs", vec![Value::addr(s), Value::Int(k), Value::Int(c)]),
+                        _ => ("ok", vec![Value::addr(s), Value::Int(k)]),
+                    };
+                    if op % 2 == 0 {
+                        eval.insert_fact(relation, Tuple::new(row));
+                    } else {
+                        deletions.push(TupleDelta::delete(relation, Tuple::new(row)));
+                    }
+                }
+                eval.update_batch(deletions).unwrap();
+                eval.run(strategy).unwrap();
+                let input = ["obs", "ok"].into_iter().flat_map(|relation| {
+                    let tuples = rows(&eval, relation).into_iter();
+                    tuples.map(move |row| (relation.to_string(), row))
+                });
+                let oracle = Oracle::run(&program, input).unwrap();
+                for &relation in &relations {
+                    let agrees = oracle.agrees(relation, &rows(&eval, relation));
+                    prop_assert_eq!(agrees, Ok(()), "{:?} after burst {}", strategy, n);
+                }
+            }
+        }
+    }
+
     /// Pretty-printing then re-parsing a program yields the same rules.
     #[test]
     fn parser_display_roundtrip(seed in 0u32..4) {
