@@ -14,10 +14,11 @@
 //! ```
 //!
 //! Figures 7/8 and 9/10 come from the same runs, so either name prints both
-//! series. Tables go to stdout and are deterministic; the exit status is
-//! the only gate (`adversity` exits 1 when a cell misses the Dijkstra
-//! oracle or differs between executor thread counts). Wall-clock
-//! performance is measured by `benchmark/`, not here.
+//! series. Tables go to stdout and are deterministic: the stdout of
+//! `all small` and `adversity small` is committed under `ledger/`
+//! (`sh ledger/update.sh` rewrites it), and `adversity` exits 1 when a cell
+//! misses the Dijkstra oracle or differs between executor thread counts.
+//! Wall-clock performance is measured by `benchmark/`, not here.
 
 #![forbid(unsafe_code)]
 

@@ -1143,8 +1143,8 @@ pub fn adversity(scale: Scale, seed: u64) -> AdversityResult {
                 converged,
                 identical,
                 convergence_seconds: engine.convergence(&sp_rel).convergence_seconds,
-                messages: report.messages,
-                total_mb: report.total_mb,
+                messages: engine.stats().message_count(),
+                total_mb: engine.stats().total_mb(),
                 refresh_mb: engine.stats().mb_in_window(last_fault_s, f64::INFINITY),
                 dropped: engine.fault_stats().dropped,
                 dropped_inserts: repair.dropped_inserts,

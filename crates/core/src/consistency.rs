@@ -67,8 +67,8 @@ pub fn check_against_centralized(
 /// Check that two engines reached *bit-for-bit identical* states: same
 /// nodes, same stores (every relation's tuples with their derivation
 /// counts, timestamps and expiry times), same per-node evaluation
-/// statistics, same network statistics (the full per-send message trace)
-/// and same result logs.
+/// statistics, same network statistics (the full per-send message trace),
+/// same fault counters and same result logs.
 ///
 /// This is the oracle of the parallel-executor determinism tests: an
 /// engine run with `parallelism = N` must pass against the same scenario
@@ -131,6 +131,13 @@ pub fn check_bitwise_identical(a: &DistributedEngine, b: &DistributedEngine) -> 
             b.stats().total_bytes()
         ));
     }
+    if a.fault_stats() != b.fault_stats() {
+        return Err(format!(
+            "fault statistics differ: {:?} vs {:?}",
+            a.fault_stats(),
+            b.fault_stats()
+        ));
+    }
     if a.result_log() != b.result_log() {
         return Err(format!(
             "result logs differ: {} vs {} records",
@@ -173,13 +180,25 @@ mod tests {
     use crate::node::NodeConfig;
     use crate::plan::plan;
     use ndlog_lang::{programs, Value};
+    use ndlog_net::sim::ms;
     use ndlog_net::topology::{LinkMetrics, Topology};
+    use ndlog_net::FaultPlan;
 
     fn link_tuple(s: u32, d: u32, c: f64) -> Tuple {
         Tuple::new(vec![Value::addr(s), Value::addr(d), Value::Float(c)])
     }
 
     fn run_diamond(aggregate_selections: bool) -> (DistributedEngine, Vec<(String, Tuple)>) {
+        run_diamond_with(EngineConfig {
+            node: NodeConfig {
+                aggregate_selections,
+                ..Default::default()
+            },
+            ..Default::default()
+        })
+    }
+
+    fn run_diamond_with(config: EngineConfig) -> (DistributedEngine, Vec<(String, Tuple)>) {
         let mut graph = Topology::with_nodes(4);
         let edges = [(0u32, 1u32, 5.0), (0, 2, 1.0), (2, 1, 1.0), (1, 3, 1.0)];
         for &(a, b, _) in &edges {
@@ -188,13 +207,6 @@ mod tests {
                 .unwrap();
         }
         let plan = plan(&programs::shortest_path("")).unwrap();
-        let config = EngineConfig {
-            node: NodeConfig {
-                aggregate_selections,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
         let mut engine = DistributedEngine::new(graph, &[plan], config).unwrap();
         let mut base = Vec::new();
         for (a, b, c) in edges {
@@ -222,6 +234,24 @@ mod tests {
         let program = programs::shortest_path("");
         let count = check_against_centralized(&engine, &program, &base, "shortestPath").unwrap();
         assert_eq!(count, 12);
+    }
+
+    /// A partition whose side is every node cuts nothing, so a run that
+    /// carries it matches a run without it in everything but the fault
+    /// ledger, where the partition counts as healed; the identity check
+    /// must still tell the two apart.
+    #[test]
+    fn bitwise_identity_compares_the_fault_ledger() {
+        let (plain, _) = run_diamond_with(EngineConfig::default());
+        let everyone = (0..4).map(NodeAddr);
+        let (cut_nothing, _) = run_diamond_with(EngineConfig {
+            fault: Some(FaultPlan::new(1).with_partition(0, ms(1.0), everyone)),
+            ..Default::default()
+        });
+        assert_eq!(plain.stats(), cut_nothing.stats());
+        assert_eq!(cut_nothing.fault_stats().partitions_healed, 1);
+        let err = check_bitwise_identical(&plain, &cut_nothing).unwrap_err();
+        assert!(err.starts_with("fault statistics differ"), "{err}");
     }
 
     #[test]

@@ -169,17 +169,14 @@ pub struct ResultRecord {
     pub sign: Sign,
 }
 
-/// Summary of a run segment.
-#[derive(Debug, Clone, PartialEq)]
+/// How a run segment ended. The engine keeps every count of the run
+/// itself: simulation time is [`DistributedEngine::now_seconds`], and the
+/// messages and megabytes sent so far are `stats().message_count()` and
+/// `stats().total_mb()`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunReport {
     /// Whether the network quiesced before the time cap.
     pub quiesced: bool,
-    /// Simulation time at the end of the segment, in seconds.
-    pub seconds: f64,
-    /// Total messages sent so far.
-    pub messages: usize,
-    /// Total megabytes sent so far.
-    pub total_mb: f64,
 }
 
 /// Convergence metrics for one tracked relation.
@@ -590,7 +587,7 @@ impl DistributedEngine {
     }
 
     /// Process events until the simulation time exceeds `seconds` or the
-    /// network quiesces. Returns a report of the run so far.
+    /// network quiesces, and report whether it did.
     ///
     /// Drains the simulator in epochs, evaluates each on the executor
     /// (inline at 1 thread, on scoped lanes above), and replays the
@@ -681,25 +678,15 @@ impl DistributedEngine {
                 return Err(error);
             }
         }
-        Ok(self.report(quiesced))
+        Ok(RunReport { quiesced })
     }
 
     /// Run until no events remain (or the configured time cap is reached).
     pub fn run_to_quiescence(&mut self) -> Result<RunReport, EvalError> {
-        let report = self.run_until(self.max_seconds)?;
+        self.run_until(self.max_seconds)?;
         Ok(RunReport {
             quiesced: self.sim.peek_time().is_none(),
-            ..report
         })
-    }
-
-    fn report(&self, quiesced: bool) -> RunReport {
-        RunReport {
-            quiesced,
-            seconds: self.now_seconds(),
-            messages: self.sim.stats().message_count(),
-            total_mb: self.sim.stats().total_mb(),
-        }
     }
 
     /// All stored tuples of a relation across the network, tagged with the
@@ -817,8 +804,8 @@ mod tests {
         let mut engine = build_engine(true);
         let report = engine.run_to_quiescence().unwrap();
         assert!(report.quiesced);
-        assert!(report.messages > 0);
-        assert!(report.total_mb > 0.0);
+        assert!(engine.stats().message_count() > 0);
+        assert!(engine.stats().total_mb() > 0.0);
         // All-pairs results are stored at their source nodes.
         assert_eq!(engine.result_count("shortestPath"), 12);
         assert_eq!(shortest_cost(&engine, 0, 1), 2.0);
@@ -840,6 +827,43 @@ mod tests {
         // ...but pruning strictly reduces the bytes on the wire.
         assert!(with.stats().total_bytes() <= without.stats().total_bytes());
         assert!(with.pruned_total() > 0);
+    }
+
+    /// `low`'s aggregate over `obs` is guarded by `ok` on a column outside
+    /// the group, so no selection is inferred: pruning `obs(@n0,7,20)`
+    /// against the best that `ok(@n0,8)` admitted would leave nothing
+    /// stored once that guard is deleted.
+    #[test]
+    fn a_guard_outside_the_group_leaves_nothing_to_prune() {
+        let program =
+            ndlog_lang::parse_program("l low(@S, min<C>) :- obs(@S, K, C), ok(@S, K).").unwrap();
+        let row = |values: &[i64]| {
+            let values = values.iter().map(|&v| Value::Int(v));
+            Tuple::new(std::iter::once(addr(0)).chain(values).collect())
+        };
+        let run = |aggregate_selections| {
+            let config = EngineConfig {
+                node: NodeConfig {
+                    aggregate_selections,
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            let plan = plan(&program).unwrap();
+            let mut engine =
+                DistributedEngine::new(Topology::with_nodes(1), &[plan], config).unwrap();
+            let n0 = NodeAddr(0);
+            engine.insert_base(n0, "ok", row(&[8])).unwrap();
+            engine.insert_base(n0, "obs", row(&[8, 9])).unwrap();
+            engine.insert_base(n0, "obs", row(&[7, 20])).unwrap();
+            engine.insert_base(n0, "ok", row(&[7])).unwrap();
+            engine.delete_base(n0, "ok", row(&[8])).unwrap();
+            assert!(engine.run_to_quiescence().unwrap().quiesced);
+            (engine.results("low"), engine.pruned_total())
+        };
+        let stored = vec![(NodeAddr(0), row(&[20]))];
+        assert_eq!(run(false), (stored.clone(), 0));
+        assert_eq!(run(true), (stored, 0));
     }
 
     #[test]

@@ -61,14 +61,19 @@ impl AggSelectionSpec {
 /// `agg(@G1, ..., Gk, FUNC<V>) :- ..., src(...), ...` where:
 /// * the aggregate function is monotonic (`min` or `max`),
 /// * exactly one body atom (`src`) contains the aggregated variable,
-/// * every group variable also appears as an argument of that atom.
+/// * every group variable also appears as an argument of that atom,
+/// * no other body atom reads a column of `src` outside the group.
 ///
 /// Rules whose aggregate input is assembled from several atoms (so no
 /// single relation can be pruned) yield no selection. Extra body atoms that
-/// merely filter groups (e.g. the `magicDst(@D)` literal of rule SP3-SD)
-/// do not prevent the selection: the runtime splits such a rule
-/// ([`crate::aggsplit`]) into a view over a relation whose leading columns
-/// are the source atom's, so the selection's columns are the view's too.
+/// merely filter groups (e.g. the `magicDst(@D)` literal of rule SP3-SD,
+/// which reads only the group column `D`) do not prevent the selection: the
+/// runtime splits such a rule ([`crate::aggsplit`]) into a view over a
+/// relation whose leading columns are the source atom's, so the
+/// selection's columns are the view's too. An atom that reads another
+/// column admits some `src` tuples of a group and not others (the `ok(@S,
+/// K)` of `low(@S, min<C>) :- obs(@S, K, C), ok(@S, K)`), so a tuple could
+/// be pruned against a best that only a since-deleted guard admitted.
 ///
 /// The pruning the engine performs on the source relation is safe when the
 /// source relation's non-optimal tuples are not needed elsewhere — true for
@@ -134,7 +139,17 @@ pub fn infer_aggregate_selections(program: &Program) -> Vec<AggSelectionSpec> {
                 Term::Const(_) => {}
             }
         }
-        if !ok {
+        // Whether an atom other than `src` reads `var`.
+        let read_elsewhere = |var: &str| {
+            let others = body_atoms.iter().filter(|a| !std::ptr::eq(**a, src));
+            others
+                .flat_map(|a| &a.args)
+                .any(|t| t.var_name() == Some(var))
+        };
+        let guarded = src.args.iter().enumerate().any(|(col, term)| {
+            !group_cols.contains(&col) && term.var_name().is_some_and(read_elsewhere)
+        });
+        if !ok || guarded {
             continue;
         }
         if let Some((value_col, func)) = value {
@@ -201,6 +216,22 @@ mod tests {
         assert_eq!(sels[0].relation, "pathDst");
         assert_eq!(sels[0].group_cols, vec![0, 1]);
         assert_eq!(sels[0].value_col, 4);
+    }
+
+    #[test]
+    fn a_guard_on_a_column_outside_the_group_blocks_inference() {
+        // `ok` reads `obs`'s column 1, which is not a group column: a
+        // guard admits some of a group's tuples and not others.
+        let p = parse_program("l low(@S, min<C>) :- obs(@S, K, C), ok(@S, K).").unwrap();
+        assert!(infer_aggregate_selections(&p).is_empty());
+        // A guard reading only the group column keeps the selection.
+        let p = parse_program("l low(@S, min<C>) :- obs(@S, K, C), ok(@S).").unwrap();
+        let sels = infer_aggregate_selections(&p);
+        assert_eq!(sels.len(), 1);
+        assert_eq!(
+            (sels[0].group_cols.as_slice(), sels[0].value_col),
+            (&[0][..], 2)
+        );
     }
 
     #[test]

@@ -253,9 +253,10 @@ fn mix(seed: u64, time: u64, seq: u64, from: u64, to: u64) -> u64 {
     h
 }
 
-/// Counts of injected faults, surfaced next to `NetStats` /
-/// `DeliveryStats`. The simulator fills the injection counters; the
-/// engine's fault report adds the healing side (refresh repairs).
+/// Counts of injected faults: the simulator's only fault ledger, kept
+/// apart from the traffic [`crate::NetStats`] records. The simulator fills
+/// it as it sends; the engine's fault report adds the healing side
+/// (refresh repairs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FaultStats {
     /// Messages dropped for any reason (loss, partition or crash window).
@@ -270,6 +271,9 @@ pub struct FaultStats {
     pub duplicated: u64,
     /// Messages that drew nonzero jitter.
     pub delayed: u64,
+    /// Of `delayed`: messages whose jittered arrival the per-link FIFO
+    /// clock clamped, because they would have overtaken an earlier one.
+    pub reordered: u64,
     /// Partitions whose scheduled window has fully elapsed.
     pub partitions_healed: u64,
 }

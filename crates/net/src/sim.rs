@@ -6,8 +6,7 @@
 //! * per-link propagation latency (from [`LinkMetrics::latency_ms`]),
 //! * per-link transmission delay (`bytes * 8 / bandwidth`),
 //! * **FIFO delivery per directed link** — the precondition of Theorem 4
-//!   (distributed eventual consistency). FIFO can be disabled to exercise
-//!   the negative case in tests,
+//!   (distributed eventual consistency), always on,
 //! * timers, used by the engine for periodic aggregate-selection flushes,
 //!   message-sharing delays, soft-state refresh and update bursts.
 //!
@@ -66,17 +65,12 @@ pub struct TimedEvent<P> {
     pub kind: EventKind<P>,
 }
 
-/// Configuration of the simulator.
+/// Configuration of the simulator. Links are always FIFO per direction
+/// (the precondition of Theorem 4), and a message between nodes that are
+/// not linked in the overlay panics: link-restricted NDlog programs never
+/// send one, so catching it is a correctness check on the engine.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Enforce FIFO ordering per directed link (default true). Disabling it
-    /// models a network that can reorder messages, which breaks the
-    /// precondition of Theorem 4.
-    pub fifo_links: bool,
-    /// If set, messages between nodes that are *not* linked in the overlay
-    /// are rejected with a panic. Link-restricted NDlog programs never do
-    /// this; catching it is a correctness check on the engine.
-    pub enforce_link_restriction: bool,
     /// Fixed per-message protocol overhead in bytes (headers), added to the
     /// payload size for both delay and bandwidth accounting.
     pub header_bytes: usize,
@@ -84,11 +78,7 @@ pub struct SimConfig {
 
 impl Default for SimConfig {
     fn default() -> Self {
-        SimConfig {
-            fifo_links: true,
-            enforce_link_restriction: true,
-            header_bytes: 28,
-        }
+        SimConfig { header_bytes: 28 }
     }
 }
 
@@ -130,7 +120,6 @@ pub struct Simulator<P> {
     now: SimTime,
     seq: u64,
     stats: NetStats,
-    dropped: u64,
     fault: Option<FaultPlan>,
     fault_stats: FaultStats,
 }
@@ -147,7 +136,6 @@ impl<P: Clone> Simulator<P> {
             now: 0,
             seq: 0,
             stats: NetStats::new(),
-            dropped: 0,
             fault: None,
             fault_stats: FaultStats::default(),
         }
@@ -193,12 +181,6 @@ impl<P: Clone> Simulator<P> {
         &self.stats
     }
 
-    /// Number of messages dropped because they were sent over a missing
-    /// link while `enforce_link_restriction` was disabled.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Number of events still queued.
     pub fn pending(&self) -> usize {
         self.queue.len()
@@ -212,25 +194,21 @@ impl<P: Clone> Simulator<P> {
 
     /// Send a message from `message.from` to `message.to` at the current
     /// simulation time. Returns the scheduled delivery time, or `None` if
-    /// the message was dropped — over a missing link (with enforcement
-    /// disabled) or by the attached fault plan (loss draw, active
+    /// the attached fault plan dropped the message (loss draw, active
     /// partition, or receiver down on arrival). Dropped messages still
     /// appear in the send trace: the sender paid for the bytes, and the
-    /// trace must stay identical across thread counts.
+    /// trace must stay identical across thread counts. Panics when `from`
+    /// and `to` are not linked.
     pub fn send(&mut self, message: Message<P>) -> Option<SimTime> {
         let Message {
             from, to, bytes, ..
         } = message;
         let wire_bytes = bytes + self.config.header_bytes;
         let Some(metrics) = self.topology.link(from, to).copied() else {
-            if self.config.enforce_link_restriction {
-                panic!(
-                    "message sent over non-existent link {from} -> {to}: \
-                     link-restriction violated by the engine"
-                );
-            }
-            self.dropped += 1;
-            return None;
+            panic!(
+                "message sent over non-existent link {from} -> {to}: \
+                 link-restriction violated by the engine"
+            );
         };
         let propagation = ms(metrics.latency_ms);
         let transmission =
@@ -244,7 +222,6 @@ impl<P: Clone> Simulator<P> {
         if let Some(plan) = &self.fault {
             if plan.partition_blocks(self.now, from, to) {
                 self.stats.record_send(self.now, from, wire_bytes);
-                self.stats.record_drop();
                 self.fault_stats.dropped += 1;
                 self.fault_stats.partition_drops += 1;
                 return None;
@@ -255,7 +232,6 @@ impl<P: Clone> Simulator<P> {
                     let mut rng = plan.decision_rng(self.now, self.seq, from, to);
                     if faults.loss > 0.0 && rng.random_bool(faults.loss) {
                         self.stats.record_send(self.now, from, wire_bytes);
-                        self.stats.record_drop();
                         self.fault_stats.dropped += 1;
                         self.fault_stats.loss_drops += 1;
                         return None;
@@ -274,23 +250,20 @@ impl<P: Clone> Simulator<P> {
         // Jitter only ever *adds* delay, so the epoch executor's
         // conservative lookahead bound (min link propagation) stays safe.
         let mut arrival = self.now + propagation + transmission + jitter;
-        if self.config.fifo_links {
-            let clock = self.link_clock.entry((from, to)).or_insert(0);
-            if arrival < *clock {
-                arrival = *clock;
-                if jitter > 0 {
-                    // The jittered message would have overtaken an earlier
-                    // one; FIFO clamped it back into order.
-                    self.stats.record_reorder();
-                }
+        let clock = self.link_clock.entry((from, to)).or_insert(0);
+        if arrival < *clock {
+            arrival = *clock;
+            if jitter > 0 {
+                // The jittered message would have overtaken an earlier
+                // one; FIFO clamped it back into order.
+                self.fault_stats.reordered += 1;
             }
-            // Strictly increasing so two messages on a link never tie.
-            *clock = arrival + 1;
         }
+        // Strictly increasing so two messages on a link never tie.
+        *clock = arrival + 1;
         if let Some(plan) = &self.fault {
             if plan.node_down_at(to, arrival) || plan.node_down_at(from, self.now) {
                 self.stats.record_send(self.now, from, wire_bytes);
-                self.stats.record_drop();
                 self.fault_stats.dropped += 1;
                 self.fault_stats.crash_drops += 1;
                 return None;
@@ -302,20 +275,14 @@ impl<P: Clone> Simulator<P> {
             self.push(arrival, EventKind::Delivery(message));
             // The extra copy trails the original on the same link, subject
             // to the same FIFO clock and crash windows.
-            let mut dup_arrival = arrival;
-            if self.config.fifo_links {
-                let clock = self.link_clock.entry((from, to)).or_insert(0);
-                if dup_arrival < *clock {
-                    dup_arrival = *clock;
-                }
-                *clock = dup_arrival + 1;
-            }
+            let clock = self.link_clock.entry((from, to)).or_insert(0);
+            let dup_arrival = arrival.max(*clock);
+            *clock = dup_arrival + 1;
             let receiver_down = self
                 .fault
                 .as_ref()
                 .is_some_and(|plan| plan.node_down_at(to, dup_arrival));
             if !receiver_down {
-                self.stats.record_duplicate();
                 self.fault_stats.duplicated += 1;
                 self.push(dup_arrival, EventKind::Delivery(copy));
             }
@@ -453,13 +420,8 @@ mod tests {
 
     #[test]
     fn delivery_includes_propagation_and_transmission() {
-        let mut sim: Simulator<u32> = Simulator::new(
-            two_node_topology(10.0),
-            SimConfig {
-                header_bytes: 0,
-                ..Default::default()
-            },
-        );
+        let mut sim: Simulator<u32> =
+            Simulator::new(two_node_topology(10.0), SimConfig { header_bytes: 0 });
         // 1000 bytes at 8 Mbps = 1 ms transmission; 10 ms propagation.
         let at = sim
             .send(Message::new(NodeAddr(0), NodeAddr(1), 1000, 7))
@@ -500,13 +462,8 @@ mod tests {
     fn fifo_prevents_overtaking_of_large_messages() {
         // First message is huge (long transmission), second is tiny. With
         // FIFO the tiny one must not arrive before the huge one.
-        let mut sim: Simulator<&'static str> = Simulator::new(
-            two_node_topology(1.0),
-            SimConfig {
-                header_bytes: 0,
-                ..Default::default()
-            },
-        );
+        let mut sim: Simulator<&'static str> =
+            Simulator::new(two_node_topology(1.0), SimConfig { header_bytes: 0 });
         let t_big = sim
             .send(Message::new(NodeAddr(0), NodeAddr(1), 1_000_000, "big"))
             .unwrap();
@@ -514,23 +471,6 @@ mod tests {
             .send(Message::new(NodeAddr(0), NodeAddr(1), 1, "small"))
             .unwrap();
         assert!(t_small > t_big, "FIFO must prevent overtaking");
-
-        // Same scenario without FIFO: the small message may overtake.
-        let mut sim2: Simulator<&'static str> = Simulator::new(
-            two_node_topology(1.0),
-            SimConfig {
-                fifo_links: false,
-                header_bytes: 0,
-                ..Default::default()
-            },
-        );
-        let t_big = sim2
-            .send(Message::new(NodeAddr(0), NodeAddr(1), 1_000_000, "big"))
-            .unwrap();
-        let t_small = sim2
-            .send(Message::new(NodeAddr(0), NodeAddr(1), 1, "small"))
-            .unwrap();
-        assert!(t_small < t_big, "without FIFO the small message overtakes");
     }
 
     #[test]
@@ -538,21 +478,6 @@ mod tests {
     fn sending_over_missing_link_panics_when_enforced() {
         let mut sim: Simulator<u32> = Simulator::new(Topology::with_nodes(3), SimConfig::default());
         sim.send(Message::new(NodeAddr(0), NodeAddr(2), 10, 1));
-    }
-
-    #[test]
-    fn sending_over_missing_link_drops_when_not_enforced() {
-        let mut sim: Simulator<u32> = Simulator::new(
-            Topology::with_nodes(3),
-            SimConfig {
-                enforce_link_restriction: false,
-                ..Default::default()
-            },
-        );
-        assert!(sim
-            .send(Message::new(NodeAddr(0), NodeAddr(2), 10, 1))
-            .is_none());
-        assert_eq!(sim.dropped(), 1);
     }
 
     #[test]
@@ -573,13 +498,8 @@ mod tests {
 
     #[test]
     fn stats_account_for_header_bytes() {
-        let mut sim: Simulator<u32> = Simulator::new(
-            two_node_topology(1.0),
-            SimConfig {
-                header_bytes: 28,
-                ..Default::default()
-            },
-        );
+        let mut sim: Simulator<u32> =
+            Simulator::new(two_node_topology(1.0), SimConfig { header_bytes: 28 });
         sim.send(Message::new(NodeAddr(0), NodeAddr(1), 100, 0));
         assert_eq!(sim.stats().total_bytes(), 128);
         assert_eq!(sim.stats().message_count(), 1);
@@ -677,13 +597,8 @@ mod tests {
     fn fault_loss_is_deterministic_and_traced() {
         use crate::fault::{FaultPlan, LinkFaults};
         let build = || {
-            let mut sim: Simulator<u32> = Simulator::new(
-                two_node_topology(5.0),
-                SimConfig {
-                    header_bytes: 0,
-                    ..Default::default()
-                },
-            );
+            let mut sim: Simulator<u32> =
+                Simulator::new(two_node_topology(5.0), SimConfig { header_bytes: 0 });
             sim.set_fault_plan(FaultPlan::new(0xfa17).with_default_faults(LinkFaults {
                 loss: 0.5,
                 ..LinkFaults::NONE
@@ -710,10 +625,9 @@ mod tests {
             "loss draws must replay from the seed"
         );
         assert_eq!(fault_a, fault_b);
-        assert_eq!(net_a, net_b, "fault counters participate in the trace");
+        assert_eq!(net_a, net_b, "the send trace replays from the seed");
         assert!(fault_a.dropped > 0 && fault_a.dropped < 64, "~50% loss");
         assert_eq!(fault_a.dropped, fault_a.loss_drops);
-        assert_eq!(net_a.drops(), fault_a.dropped);
         // Dropped messages still appear in the send trace: sender paid.
         assert_eq!(net_a.message_count(), 64);
     }
@@ -737,7 +651,6 @@ mod tests {
         }
         assert_eq!(payloads, vec![7, 7]);
         assert_eq!(sim.fault_stats().duplicated, 1);
-        assert_eq!(sim.stats().duplicates(), 1);
         // The duplicate is network-level: the sender paid for one message.
         assert_eq!(sim.stats().message_count(), 1);
     }
@@ -745,13 +658,8 @@ mod tests {
     #[test]
     fn fault_jitter_only_adds_delay() {
         use crate::fault::{FaultPlan, LinkFaults};
-        let mut sim: Simulator<u32> = Simulator::new(
-            two_node_topology(5.0),
-            SimConfig {
-                header_bytes: 0,
-                ..Default::default()
-            },
-        );
+        let mut sim: Simulator<u32> =
+            Simulator::new(two_node_topology(5.0), SimConfig { header_bytes: 0 });
         sim.set_fault_plan(FaultPlan::new(3).with_default_faults(LinkFaults {
             jitter_ms: 20.0,
             ..LinkFaults::NONE
@@ -765,6 +673,33 @@ mod tests {
             assert!(at >= base, "jitter never delivers early");
         }
         assert!(sim.fault_stats().delayed > 0);
+    }
+
+    #[test]
+    fn a_fifo_clamped_jittered_send_counts_as_reordered() {
+        use crate::fault::{FaultPlan, LinkFaults};
+        let mut sim: Simulator<u32> =
+            Simulator::new(two_node_topology(5.0), SimConfig { header_bytes: 0 });
+        sim.set_fault_plan(FaultPlan::new(3).with_default_faults(LinkFaults {
+            jitter_ms: 20.0,
+            ..LinkFaults::NONE
+        }))
+        .unwrap();
+        // Back-to-back sends on one link: a send that draws less jitter
+        // than the one before it would overtake it, and FIFO clamps it to
+        // one microsecond past the previous arrival.
+        let (mut last, mut clamped) = (0, 0);
+        for i in 0..32 {
+            let at = sim
+                .send(Message::new(NodeAddr(0), NodeAddr(1), 100, i))
+                .unwrap();
+            assert!(at > last, "FIFO keeps arrivals in send order");
+            clamped += u64::from(at == last + 1);
+            last = at;
+        }
+        let stats = sim.fault_stats();
+        assert!(stats.reordered > 0, "some jittered send was clamped");
+        assert_eq!(stats.reordered, clamped);
     }
 
     #[test]

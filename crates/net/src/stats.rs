@@ -9,7 +9,9 @@
 //! [`NetStats`] accumulates per-send records and produces both: a
 //! [`BandwidthSeries`] of per-node kBps bucketed over time, and aggregate
 //! totals. Convergence bookkeeping (when each result first became final) is
-//! kept by the engine; this module only deals with traffic.
+//! kept by the engine, and injected faults (drops, duplicates, reorders) by
+//! the simulator's [`crate::FaultStats`]; this module only deals with
+//! traffic.
 
 use crate::address::NodeAddr;
 use crate::sim::SimTime;
@@ -37,19 +39,12 @@ impl BandwidthSeries {
 /// `PartialEq` compares the full per-send trace (time, sender and bytes of
 /// every message, in send order), which is how the determinism tests prove
 /// a parallel epoch run produced a byte-identical message trace to the
-/// sequential engine. The fault counters (drops, duplicates, reorders)
-/// participate in the comparison too, so fault-injected runs are
-/// fingerprintable exactly like reliable ones.
+/// sequential engine. A dropped message is in the trace (its sender paid
+/// for it); a duplicate is not (the network made it).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct NetStats {
     sends: Vec<SendRecord>,
     total_bytes: u64,
-    #[serde(default)]
-    dropped: u64,
-    #[serde(default)]
-    duplicated: u64,
-    #[serde(default)]
-    reordered: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -76,40 +71,6 @@ impl NetStats {
             node,
             bytes: bytes as u64,
         });
-    }
-
-    /// Record a message dropped in flight (fault injection: loss,
-    /// partition cut or crashed receiver).
-    pub fn record_drop(&mut self) {
-        self.dropped += 1;
-    }
-
-    /// Record an extra in-flight copy created by a duplication fault.
-    pub fn record_duplicate(&mut self) {
-        self.duplicated += 1;
-    }
-
-    /// Record a delivery whose jittered arrival had to be clamped by the
-    /// per-link FIFO clock (it would otherwise have overtaken an earlier
-    /// message).
-    pub fn record_reorder(&mut self) {
-        self.reordered += 1;
-    }
-
-    /// Messages dropped in flight by fault injection.
-    pub fn drops(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Extra copies created by duplication faults.
-    pub fn duplicates(&self) -> u64 {
-        self.duplicated
-    }
-
-    /// Jittered deliveries clamped by the FIFO link clock.
-    #[cfg(test)]
-    fn reorders(&self) -> u64 {
-        self.reordered
     }
 
     /// Total bytes sent by all nodes.
@@ -175,9 +136,6 @@ impl NetStats {
     pub fn merge(&mut self, other: &NetStats) {
         self.total_bytes += other.total_bytes;
         self.sends.extend_from_slice(&other.sends);
-        self.dropped += other.dropped;
-        self.duplicated += other.duplicated;
-        self.reordered += other.reordered;
     }
 }
 
@@ -231,25 +189,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.total_bytes(), 175);
         assert_eq!(a.message_count(), 3);
-    }
-
-    #[test]
-    fn fault_counters_participate_in_equality_and_merge() {
-        let mut a = NetStats::new();
-        let mut b = NetStats::new();
-        assert_eq!(a, b);
-        a.record_drop();
-        a.record_duplicate();
-        a.record_reorder();
-        assert_ne!(a, b, "fault counters must fingerprint the trace");
-        b.record_drop();
-        b.record_duplicate();
-        b.record_reorder();
-        assert_eq!(a, b);
-        a.merge(&b);
-        assert_eq!(a.drops(), 2);
-        assert_eq!(a.duplicates(), 2);
-        assert_eq!(a.reorders(), 2);
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //! (guards, filters and assignments included), and an aggregate rule in
 //! that form over the plain rule's relation.
 
-use crate::index::JoinStats;
+use crate::index::EvalStats;
 use crate::store::Store;
 use crate::tuple::{RelName, Tuple, TupleDelta};
 use ndlog_lang::aggsplit::in_normal_form;
@@ -262,7 +262,7 @@ impl AggregateView {
         &self,
         store: &Store,
         key: impl Iterator<Item = &'v Value>,
-        stats: &mut JoinStats,
+        stats: &mut EvalStats,
     ) -> Option<Value> {
         let relation = store.relation(&self.source_relation)?;
         let key: Vec<&Value> = key.collect();
@@ -291,7 +291,7 @@ impl AggregateView {
         &self,
         store: &Store,
         key: &[Value],
-        stats: &mut JoinStats,
+        stats: &mut EvalStats,
     ) -> Option<TupleDelta> {
         let aggregate = self.fold_group(store, key.iter(), stats)?;
         let tuple = self.head_tuple(key, &aggregate);
@@ -323,7 +323,7 @@ impl AggregateView {
         let old_head = self.current_output(store, key.clone());
         let aggregate = match self.func {
             // Float addition does not commute with arrival order.
-            AggFunc::Sum => self.fold_group(store, key.clone(), &mut JoinStats::default()),
+            AggFunc::Sum => self.fold_group(store, key.clone(), &mut EvalStats::default()),
             func => {
                 let current = old_head.and_then(|head| head.get(self.agg_pos));
                 Some(combine(func, current, value))

@@ -111,7 +111,8 @@
 //! evaluator of the dev-only `ndlog-oracle` crate, which shares no code
 //! with this module, is the reference: `strand.rs`'s table test compares
 //! every trigger's derivations with its `fire_one`, and
-//! `tests/properties.rs` whole stores with its fixpoint. Join statistics
+//! `tests/properties.rs` whole stores with its fixpoint. A firing counts
+//! its joins straight into the caller's [`crate::EvalStats`], and they
 //! are *logical*: one logical probe (or scan) and the full bucket's
 //! `tuples_examined` are recorded per row per atom, whichever arm runs;
 //! only `distinct_probes` (the bucket lookups actually executed) shrinks
@@ -136,7 +137,7 @@
 //! unspecified).
 
 use crate::expr::{eval_binop, eval_builtin, EvalError};
-use crate::index::JoinStats;
+use crate::index::EvalStats;
 use crate::relation::StoredTuple;
 use crate::store::Store;
 use crate::strand::Derivation;
@@ -468,7 +469,7 @@ impl EvalBuffers {
         store: &Store,
         strands: impl Iterator<Item = &'a crate::strand::CompiledStrand>,
         round: impl Iterator<Item = BatchTrigger<'a>> + Clone,
-        stats: &mut JoinStats,
+        stats: &mut EvalStats,
     ) -> Result<(), EvalError> {
         let fired = self.live.len();
         if self.per_trigger.len() < fired {
@@ -986,7 +987,7 @@ fn apply_ops(ops: &[BindOp], tuple: &Tuple, row: &mut [Option<Value>]) -> bool {
 struct Firing<'a, 'r> {
     store: &'r Store,
     triggers: &'a [BatchTrigger<'a>],
-    stats: &'a mut JoinStats,
+    stats: &'a mut EvalStats,
     /// Group `g`'s matches live at `KeyGroups::ranges[g]`. Borrows the
     /// store, so it cannot live in the reusable scratch; it reaches
     /// steady-state capacity after the first probe stage.
@@ -1134,7 +1135,7 @@ impl BatchPlan {
         &self,
         store: &Store,
         triggers: &[BatchTrigger],
-        stats: &mut JoinStats,
+        stats: &mut EvalStats,
         scratch: &mut BatchScratch,
         out: &mut BatchOutput,
     ) -> Result<(), EvalError> {
@@ -1325,7 +1326,7 @@ mod tests {
         (store, strand)
     }
 
-    type Fired = (Result<Vec<Vec<Derivation>>, EvalError>, JoinStats);
+    type Fired = (Result<Vec<Vec<Derivation>>, EvalError>, EvalStats);
 
     /// One firing in `buffers`, its output drained per trigger.
     fn fire(
@@ -1341,7 +1342,7 @@ mod tests {
                 seq_limit: u64::MAX,
             })
             .collect();
-        let mut stats = JoinStats::default();
+        let mut stats = EvalStats::default();
         let EvalBuffers { scratch, out, .. } = buffers;
         let result = strand
             .fire_batch(store, &triggers, &mut stats, scratch, out)

@@ -66,7 +66,7 @@
 use crate::aggview::AggregateView;
 use crate::batch::{BatchTrigger, EvalBuffers};
 use crate::expr::EvalError;
-use crate::index::JoinStats;
+use crate::index::EvalStats;
 use crate::store::Store;
 use crate::strand::CompiledStrand;
 use crate::tuple::{RelName, Sign, Tuple, TupleDelta};
@@ -172,7 +172,7 @@ pub fn over_delete(
     views: &[Arc<AggregateView>],
     seeds: Vec<TupleDelta>,
     self_addr: Option<NodeAddr>,
-    stats: &mut JoinStats,
+    stats: &mut EvalStats,
     buffers: &mut EvalBuffers,
 ) -> Result<Marking, EvalError> {
     let EvalBuffers {
@@ -375,7 +375,7 @@ pub fn rederive(
     store: &Store,
     strands: &[CompiledStrand],
     candidates: &[TupleDelta],
-    stats: &mut JoinStats,
+    stats: &mut EvalStats,
     buffers: &mut EvalBuffers,
 ) -> Result<Vec<TupleDelta>, EvalError> {
     let vacant = |candidate: &TupleDelta| {
@@ -423,8 +423,8 @@ mod tests {
         store: &Store,
         strands: &[CompiledStrand],
         candidates: &[(&str, Tuple)],
-    ) -> (Vec<Tuple>, JoinStats) {
-        let (mut stats, mut buffers) = <(JoinStats, EvalBuffers)>::default();
+    ) -> (Vec<Tuple>, EvalStats) {
+        let (mut stats, mut buffers) = <(EvalStats, EvalBuffers)>::default();
         let candidates: Vec<TupleDelta> = candidates
             .iter()
             .map(|(relation, tuple)| TupleDelta::delete(*relation, tuple.clone()))
@@ -462,7 +462,7 @@ mod tests {
         // Remove edge(1,2) as the caller (store.apply) would, then run the
         // closure from it.
         store.apply(&TupleDelta::delete("edge", edge(1, 2)));
-        let mut stats = JoinStats::default();
+        let mut stats = EvalStats::default();
         let marking = over_delete(
             &mut store,
             &strands,
@@ -496,7 +496,7 @@ mod tests {
         store.apply(&TupleDelta::insert("reach", edge(0, 1)));
         store.apply(&TupleDelta::insert("reach", edge(0, 1)));
         store.apply(&TupleDelta::delete("edge", edge(0, 1)));
-        let mut stats = JoinStats::default();
+        let mut stats = EvalStats::default();
         let marking = over_delete(
             &mut store,
             &strands,
@@ -530,7 +530,7 @@ mod tests {
         }
         store.apply(&TupleDelta::delete("edge", edge(0, 1)));
         store.apply(&TupleDelta::delete("reach", edge(1, 2)));
-        let mut stats = JoinStats::default();
+        let mut stats = EvalStats::default();
         over_delete(
             &mut store,
             &strands,
@@ -586,7 +586,7 @@ mod tests {
             std::slice::from_ref(&view),
             vec![seed],
             None,
-            &mut JoinStats::default(),
+            &mut EvalStats::default(),
             &mut Default::default(),
         )
         .unwrap();
@@ -706,7 +706,7 @@ mod tests {
         assert!(restored.is_empty());
         assert_eq!(
             stats,
-            JoinStats::default(),
+            EvalStats::default(),
             "a skipped candidate fires nothing"
         );
     }

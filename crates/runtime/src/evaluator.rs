@@ -22,6 +22,7 @@ use crate::batch::EvalBuffers;
 use crate::dred::rederivation_plan;
 use crate::expr::EvalError;
 use crate::fixpoint::LocalFixpoint;
+use crate::index::EvalStats;
 use crate::store::Store;
 use crate::strand::CompiledStrand;
 use crate::tuple::{Tuple, TupleDelta};
@@ -30,7 +31,7 @@ use ndlog_lang::seminaive::delta_rewrite_full;
 use ndlog_lang::{Program, Rule, Term};
 use std::sync::Arc;
 
-pub use crate::fixpoint::{EvalStats, Strategy};
+pub use crate::fixpoint::Strategy;
 
 /// A program compiled for evaluation: what [`Evaluator::new`] and
 /// `ndlog-core`'s planner build a site from.

@@ -71,8 +71,9 @@ use crate::aggview::AggregateView;
 use crate::batch::{BatchTrigger, EvalBuffers};
 use crate::dred;
 use crate::expr::EvalError;
+use crate::index::EvalStats;
 use crate::store::{ApplyEffect, Change, Store};
-use crate::strand::{CompiledStrand, JoinStats};
+use crate::strand::CompiledStrand;
 use crate::tap::DeltaTap;
 use crate::tuple::{RelName, Sign, TupleDelta};
 use ndlog_lang::aggsel::AggSelectionSpec;
@@ -108,96 +109,6 @@ impl Strategy {
             Strategy::Buffered { batch } => queued.min(batch.max(1)),
             Strategy::SemiNaive => queued,
             Strategy::Pipelined => queued.min(ahead),
-        }
-    }
-}
-
-/// Statistics of an evaluation run.
-///
-/// One counting rule for every site: `iterations`, `tuples_processed` and
-/// the derivation counters are counted when work is *consumed* — once per
-/// trigger taken off the queue (per round instead, for `iterations` under
-/// SN/BSN) and once per tuple a DRed pass removes — never when a delta is
-/// enqueued, so a trigger that a crash wipes from the queue is not counted
-/// and one that a refresh re-queues is counted again.
-///
-/// The four join counters are counted when a join *runs*, which includes
-/// the look-ahead firings a removal then discarded (see the module docs):
-/// they measure work done, not work used. The excess is bounded — a
-/// look-ahead prefix is at most twice the triggers the loop last consumed
-/// without interruption — and deterministic for a given input.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EvalStats {
-    /// Number of iterations (SN/BSN) or processed tuples (PSN); tuples
-    /// removed by DRed deletion passes count here too.
-    pub iterations: usize,
-    /// Derivations produced: every head tuple a consumed trigger's strands
-    /// derived (shipped to another node or ingested locally), plus the
-    /// re-derivation and group-rebuild insertions of DRed passes.
-    pub derivations: usize,
-    /// Insertions whose tuple was already stored (the duplicate
-    /// inferences that Theorem 2 is about minimizing).
-    pub redundant_derivations: usize,
-    /// Total deltas processed: consumed triggers plus DRed removals.
-    pub tuples_processed: usize,
-    /// Joins answered by a secondary-index probe, counted per binding
-    /// environment (one per trigger per atom), however the triggers were
-    /// batched.
-    pub logical_probes: usize,
-    /// Index bucket lookups actually executed. Key-grouped batch probing
-    /// answers every same-key trigger of a batch with one lookup, so this
-    /// is `≤ logical_probes`; the two are equal only where nothing was
-    /// shared.
-    pub distinct_probes: usize,
-    /// Joins that fell back to scanning a relation.
-    pub scans: usize,
-    /// Stored tuples examined across all joins — the computation-overhead
-    /// counterpart of the paper's communication metrics. With probe stages
-    /// this grows with the number of matches, not with relation sizes.
-    pub tuples_examined: usize,
-}
-
-impl EvalStats {
-    /// Fold join-level counters into the run statistics.
-    fn absorb_joins(&mut self, joins: JoinStats) {
-        self.logical_probes += joins.logical_probes;
-        self.distinct_probes += joins.distinct_probes;
-        self.scans += joins.scans;
-        self.tuples_examined += joins.tuples_examined;
-    }
-}
-
-impl std::ops::AddAssign for EvalStats {
-    fn add_assign(&mut self, other: EvalStats) {
-        self.iterations += other.iterations;
-        self.derivations += other.derivations;
-        self.redundant_derivations += other.redundant_derivations;
-        self.tuples_processed += other.tuples_processed;
-        self.logical_probes += other.logical_probes;
-        self.distinct_probes += other.distinct_probes;
-        self.scans += other.scans;
-        self.tuples_examined += other.tuples_examined;
-    }
-}
-
-/// The counter-wise difference of two cumulative snapshots (e.g. "work
-/// attributable to the update bursts" = after − before). Saturates at zero.
-impl std::ops::Sub for EvalStats {
-    type Output = EvalStats;
-    fn sub(self, earlier: EvalStats) -> EvalStats {
-        EvalStats {
-            iterations: self.iterations.saturating_sub(earlier.iterations),
-            derivations: self.derivations.saturating_sub(earlier.derivations),
-            redundant_derivations: self
-                .redundant_derivations
-                .saturating_sub(earlier.redundant_derivations),
-            tuples_processed: self
-                .tuples_processed
-                .saturating_sub(earlier.tuples_processed),
-            logical_probes: self.logical_probes.saturating_sub(earlier.logical_probes),
-            distinct_probes: self.distinct_probes.saturating_sub(earlier.distinct_probes),
-            scans: self.scans.saturating_sub(earlier.scans),
-            tuples_examined: self.tuples_examined.saturating_sub(earlier.tuples_examined),
         }
     }
 }
@@ -568,7 +479,6 @@ impl LocalFixpoint {
         round: &[(TupleDelta, u64)],
         buffers: &mut EvalBuffers,
     ) -> Result<usize, EvalError> {
-        let mut joins = JoinStats::default();
         let forward = self.strands.iter().filter(|s| !s.is_rederivation());
         // Whether a trigger's row is still stored cannot change mid-round:
         // any removal interrupts the round for a DRed pass before the next
@@ -580,8 +490,7 @@ impl LocalFixpoint {
             delta,
             seq_limit: *seq,
         });
-        buffers.fire_round(&self.store, forward, triggers, &mut joins)?;
-        self.stats.absorb_joins(joins);
+        buffers.fire_round(&self.store, forward, triggers, &mut self.stats)?;
         Ok(round.len())
     }
 
@@ -608,14 +517,13 @@ impl LocalFixpoint {
     fn drain_deletions(&mut self, buffers: &mut EvalBuffers) -> Result<(), EvalError> {
         while !self.pending_deletes.is_empty() {
             let seeds = std::mem::take(&mut self.pending_deletes);
-            let mut joins = JoinStats::default();
             let marking = dred::over_delete(
                 &mut self.store,
                 &self.strands,
                 &self.views,
                 seeds,
                 self.site,
-                &mut joins,
+                &mut self.stats,
                 buffers,
             )?;
             // Each removal is one processed delta (and one PSN-style
@@ -633,7 +541,11 @@ impl LocalFixpoint {
             // new aggregate outputs cascade like ordinary insertions.
             let mut inserts: Vec<TupleDelta> = Vec::new();
             for (view_idx, key) in &marking.dirty_groups {
-                inserts.extend(self.views[*view_idx].rebuild_group(&self.store, key, &mut joins));
+                inserts.extend(self.views[*view_idx].rebuild_group(
+                    &self.store,
+                    key,
+                    &mut self.stats,
+                ));
             }
             // One-step re-derivation of the over-deleted tuples; survivors
             // restored further downstream come from the insert cascade.
@@ -641,11 +553,10 @@ impl LocalFixpoint {
                 &self.store,
                 &self.strands,
                 marking.rederive_candidates(),
-                &mut joins,
+                &mut self.stats,
                 buffers,
             )?);
             self.stats.derivations += inserts.len();
-            self.stats.absorb_joins(joins);
             for delta in inserts {
                 self.ingest(delta);
             }

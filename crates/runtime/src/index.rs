@@ -70,7 +70,7 @@
 //!
 //! # Probe accounting
 //!
-//! [`JoinStats`] counts probes at two granularities: `logical_probes` is
+//! [`EvalStats`] counts probes at two granularities: `logical_probes` is
 //! the number of binding environments answered by an index (one per
 //! trigger per atom, however the triggers are batched), while
 //! `distinct_probes` is the number of bucket lookups actually executed.
@@ -124,37 +124,87 @@ fn table_bytes<K, V, S>(map: &HashMap<K, V, S>) -> usize {
     }
 }
 
-/// Join-level counters accumulated while firing strands: how many joins
-/// went through an index probe vs. a scan, how many bucket lookups were
-/// actually executed, and how many stored tuples were examined in total.
-/// `tuples_examined` is the paper's computation-overhead proxy: with
-/// indexes it is proportional to the number of matches rather than the
-/// relation size, and it is counted per *logical* probe (a shared bucket
-/// lookup still charges every group member), so it is identical whether or
-/// not probes are grouped.
+/// Statistics of an evaluation run: every join site counts into it
+/// directly.
+///
+/// One counting rule for every site: `iterations`, `tuples_processed` and
+/// the derivation counters are counted when work is *consumed* — once per
+/// trigger taken off the queue (per round instead, for `iterations` under
+/// SN/BSN) and once per tuple a DRed pass removes — never when a delta is
+/// enqueued, so a trigger that a crash wipes from the queue is not counted
+/// and one that a refresh re-queues is counted again.
+///
+/// The four join counters are counted when a join *runs*, which includes
+/// the look-ahead firings a removal then discarded (see
+/// [`crate::fixpoint`]): they measure work done, not work used. The excess
+/// is bounded — a look-ahead prefix is at most twice the triggers the loop
+/// last consumed without interruption — and deterministic for a given
+/// input.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct JoinStats {
+pub struct EvalStats {
+    /// Number of iterations (SN/BSN) or processed tuples (PSN); tuples
+    /// removed by DRed deletion passes count here too.
+    pub iterations: usize,
+    /// Derivations produced: every head tuple a consumed trigger's strands
+    /// derived (shipped to another node or ingested locally), plus the
+    /// re-derivation and group-rebuild insertions of DRed passes.
+    pub derivations: usize,
+    /// Insertions whose tuple was already stored (the duplicate
+    /// inferences that Theorem 2 is about minimizing).
+    pub redundant_derivations: usize,
+    /// Total deltas processed: consumed triggers plus DRed removals.
+    pub tuples_processed: usize,
     /// Binding environments answered by an index probe (per trigger per
     /// atom, however the triggers are batched).
     pub logical_probes: usize,
     /// Bucket lookups actually executed: `≤ logical_probes`, since the
     /// key-grouped batch path probes each distinct key once per atom per
-    /// batch.
+    /// batch; the two are equal only where nothing was shared.
     pub distinct_probes: usize,
     /// Joins that fell back to scanning the relation (no bound columns, or
     /// no index declared for the signature), counted per environment.
     pub scans: usize,
     /// Stored tuples examined across all probes and scans, counted per
-    /// environment.
+    /// environment — the paper's computation-overhead proxy, the
+    /// counterpart of its communication metrics. With indexes it grows
+    /// with the number of matches rather than the relation size, and a
+    /// shared bucket lookup still charges every group member, so it is
+    /// identical whether or not probes are grouped.
     pub tuples_examined: usize,
 }
 
-impl std::ops::AddAssign for JoinStats {
-    fn add_assign(&mut self, other: JoinStats) {
+impl std::ops::AddAssign for EvalStats {
+    fn add_assign(&mut self, other: EvalStats) {
+        self.iterations += other.iterations;
+        self.derivations += other.derivations;
+        self.redundant_derivations += other.redundant_derivations;
+        self.tuples_processed += other.tuples_processed;
         self.logical_probes += other.logical_probes;
         self.distinct_probes += other.distinct_probes;
         self.scans += other.scans;
         self.tuples_examined += other.tuples_examined;
+    }
+}
+
+/// The counter-wise difference of two cumulative snapshots (e.g. "work
+/// attributable to the update bursts" = after − before). Saturates at zero.
+impl std::ops::Sub for EvalStats {
+    type Output = EvalStats;
+    fn sub(self, earlier: EvalStats) -> EvalStats {
+        EvalStats {
+            iterations: self.iterations.saturating_sub(earlier.iterations),
+            derivations: self.derivations.saturating_sub(earlier.derivations),
+            redundant_derivations: self
+                .redundant_derivations
+                .saturating_sub(earlier.redundant_derivations),
+            tuples_processed: self
+                .tuples_processed
+                .saturating_sub(earlier.tuples_processed),
+            logical_probes: self.logical_probes.saturating_sub(earlier.logical_probes),
+            distinct_probes: self.distinct_probes.saturating_sub(earlier.distinct_probes),
+            scans: self.scans.saturating_sub(earlier.scans),
+            tuples_examined: self.tuples_examined.saturating_sub(earlier.tuples_examined),
+        }
     }
 }
 

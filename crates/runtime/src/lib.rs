@@ -151,10 +151,10 @@
 //!   reports demanded vs actually-allocated buffer bytes as
 //!   `core.arena_demand_bytes` / `core.arena_allocated_bytes`.
 //!
-//! Probe accounting is two-counter ([`index::JoinStats`]):
-//! `logical_probes` counts per binding environment (the same however the
-//! triggers are batched) and `distinct_probes` counts bucket lookups
-//! actually executed (`≤ logical` under grouping; both deterministic, so
+//! Probe accounting is two-counter, in the [`EvalStats`] every join site
+//! counts into directly: `logical_probes` counts per binding environment
+//! (the same however the triggers are batched) and `distinct_probes`
+//! counts bucket lookups actually executed (`≤ logical` under grouping; both deterministic, so
 //! they participate in the cross-thread bitwise-identity checks). A round
 //! fires every queued delta against one store snapshot, so
 //! `tuples_examined` counts buckets probed before, rather than after, a
@@ -188,11 +188,11 @@ pub mod tuple;
 
 pub use aggview::AggregateView;
 pub use batch::{BatchOutput, BatchScratch, BatchTrigger, EvalBuffers};
-pub use evaluator::{compile, Compiled, EvalStats, Evaluator, Strategy};
+pub use evaluator::{compile, Compiled, Evaluator, Strategy};
 pub use expr::EvalError;
-pub use index::IndexSignature;
+pub use index::{EvalStats, IndexSignature};
 pub use relation::{HeapBytes, InsertOutcome, Relation, RelationSchema};
 pub use store::Store;
-pub use strand::{CompiledStrand, Derivation, JoinStats};
+pub use strand::{CompiledStrand, Derivation};
 pub use tap::DeltaTap;
 pub use tuple::{RelName, Sign, Tuple, TupleDelta};

@@ -85,7 +85,7 @@
 //! [`Relation::heap_bytes`] reports what the slab, the primary index and
 //! each secondary index hold, from their capacities.
 
-use crate::index::{fingerprint, IndexSignature, JoinStats, SecondaryIndex, SlotTable};
+use crate::index::{fingerprint, EvalStats, IndexSignature, SecondaryIndex, SlotTable};
 use crate::tuple::Tuple;
 use ndlog_lang::Value;
 use serde::{Deserialize, Serialize};
@@ -205,15 +205,6 @@ pub struct Relation {
     /// The live slots in primary-key value order, built on first ordered
     /// read and dropped by the next membership change.
     order: OnceLock<Vec<u32>>,
-    /// Derivation counts folded away by primary-key replacements. While
-    /// this is zero the count algorithm is exact for tuples of this
-    /// relation; once it is positive a count-trusting deletion could leave
-    /// a key underivable even though alternative derivations exist. The
-    /// engines no longer trust counts on the deletion path at all — every
-    /// actual removal runs a DRed over-delete/re-derive pass (see
-    /// `ndlog_runtime::dred`) — so this counter survives purely as
-    /// diagnostics for count-exactness assertions in tests.
-    lossy_replacements: u64,
 }
 
 /// The primary-key values of a row: its declared key columns in declaration
@@ -292,7 +283,6 @@ impl Relation {
             indexes: Vec::new(),
             squash,
             order: OnceLock::new(),
-            lossy_replacements: 0,
         }
     }
 
@@ -509,7 +499,7 @@ impl Relation {
         cols: &[usize],
         key: &[Value],
         seq_limit: u64,
-        stats: &mut JoinStats,
+        stats: &mut EvalStats,
     ) -> impl Iterator<Item = &'r StoredTuple> + use<'r> {
         self.lookup_n(cols, key, seq_limit, 1, stats)
     }
@@ -528,7 +518,7 @@ impl Relation {
         key: &[Value],
         seq_limit: u64,
         members: usize,
-        stats: &mut JoinStats,
+        stats: &mut EvalStats,
     ) -> impl Iterator<Item = &'r StoredTuple> + use<'r> {
         debug_assert!(members >= 1, "a lookup serves at least one environment");
         debug_assert!(
@@ -557,12 +547,6 @@ impl Relation {
         };
         stats.tuples_examined += slots.len() * members;
         self.matches(slots, residual.iter().copied().zip(key), seq_limit)
-    }
-
-    /// Derivation counts lost to primary-key replacements so far (see the
-    /// field documentation).
-    pub fn lossy_replacements(&self) -> u64 {
-        self.lossy_replacements
     }
 
     /// File the row in `slot` in every secondary index, at its place in
@@ -642,7 +626,6 @@ impl Relation {
         }
         // Primary-key replacement, in the same slot: the key, hence the
         // primary entry and the slot's place in key order, stays.
-        self.lossy_replacements += existing.count;
         self.unfile(slot);
         let existing = self.rows[slot as usize].as_mut().expect("slot is live");
         let old = std::mem::replace(existing, fresh(tuple)).tuple;
@@ -960,11 +943,10 @@ mod tests {
     #[test]
     fn overdelete_then_rederive_restores_counts_exactly_once() {
         // The count-accounting contract behind the DRed pass: `remove`
-        // discards a tuple *and* its (possibly inflated or lossy)
-        // derivation count, so a subsequent re-derivation re-inserts the
-        // survivor with a fresh count of exactly 1 — restored once, not
-        // once per stale count — and a single deletion then suffices to
-        // retract it again.
+        // discards a tuple *and* its (possibly inflated) derivation count,
+        // so a subsequent re-derivation re-inserts the survivor with a
+        // fresh count of exactly 1 — restored once, not once per stale
+        // count — and a single deletion then suffices to retract it again.
         let mut r = keyed_relation();
         r.insert(t(&[1, 10]), 1, 0);
         r.insert(t(&[1, 10]), 2, 0); // an SN/BSN-style over-count
@@ -974,7 +956,6 @@ mod tests {
             r.insert(t(&[1, 20]), 3, 0),
             InsertOutcome::Replaced(t(&[1, 10]))
         );
-        assert_eq!(r.lossy_replacements(), 2);
         assert_eq!(r.get_by_key_of(&t(&[1, 20])).unwrap().count, 1);
         // ...and an over-delete removes outright, count notwithstanding.
         r.insert(t(&[1, 20]), 4, 0);
@@ -1005,7 +986,7 @@ mod tests {
         r.insert(t(&[1, 10]), 1, 0);
         r.insert(t(&[1, 20]), 2, 0);
         r.insert(t(&[2, 30]), 3, 0);
-        let mut stats = JoinStats::default();
+        let mut stats = EvalStats::default();
         let one = [Value::Int(1)];
         assert_eq!(r.lookup(&[0], &one, u64::MAX, &mut stats).count(), 2);
         let hits = r.lookup(&[0], &one, 1, &mut stats).count();
@@ -1042,7 +1023,7 @@ mod tests {
     /// The rows of a lookup that an index must answer: one probe, no scan.
     fn probed(r: &Relation, cols: &[usize], key: &[i64], seq_limit: u64) -> Vec<Tuple> {
         let key: Vec<Value> = key.iter().map(|&v| Value::Int(v)).collect();
-        let mut stats = JoinStats::default();
+        let mut stats = EvalStats::default();
         let rows = r.lookup(cols, &key, seq_limit, &mut stats);
         let rows = rows.map(|s| s.tuple.clone()).collect();
         assert_eq!((stats.logical_probes, stats.scans), (1, 0), "{cols:?}");
@@ -1071,7 +1052,7 @@ mod tests {
         // Probes respect the PSN visibility limit like scans do.
         assert_eq!(probed(&r, &[1], &[2], 3).len(), 1);
         // An undeclared signature scans.
-        let mut stats = JoinStats::default();
+        let mut stats = EvalStats::default();
         let hits = r.lookup(&[0], &[Value::Int(1)], u64::MAX, &mut stats);
         assert_eq!(hits.count(), 1);
         assert_eq!((stats.scans, stats.tuples_examined), (1, 10));
@@ -1123,7 +1104,6 @@ mod tests {
             "old projection entry is gone"
         );
         assert_eq!(probed(&r, &[1], &[20], u64::MAX), vec![t(&[1, 20])]);
-        assert_eq!(r.lossy_replacements(), 1);
     }
 
     #[test]
@@ -1151,7 +1131,7 @@ mod tests {
         assert!(probed(&r, &[0], &[1], u64::MAX).is_empty());
     }
 
-    fn lookup_all(r: &Relation, cols: &[usize], key: &[i64], stats: &mut JoinStats) -> Vec<Tuple> {
+    fn lookup_all(r: &Relation, cols: &[usize], key: &[i64], stats: &mut EvalStats) -> Vec<Tuple> {
         let key: Vec<Value> = key.iter().map(|&v| Value::Int(v)).collect();
         r.lookup(cols, &key, u64::MAX, stats)
             .map(|s| s.tuple.clone())
@@ -1168,15 +1148,16 @@ mod tests {
         for i in 0..20 {
             r.insert(t(&[i % 4, i % 2, i]), i as u64 + 1, 0);
         }
-        let mut stats = JoinStats::default();
+        let mut stats = EvalStats::default();
         let hits = lookup_all(&r, &[0, 1], &[1, 1], &mut stats);
         assert_eq!(hits, filtered(&r, &[0, 1], &[1, 1]));
         assert_eq!(hits.len(), 5);
-        let scan = JoinStats {
+        let scan = EvalStats {
             logical_probes: 0,
             distinct_probes: 0,
             scans: 1,
             tuples_examined: 20,
+            ..EvalStats::default()
         };
         assert_eq!(stats, scan);
         // Declared, the composite index answers alone.
@@ -1192,7 +1173,7 @@ mod tests {
             r.insert(t(&[i, i, i]), i as u64 + 1, 0);
         }
         // The lookup binds only columns the index does not cover.
-        let mut stats = JoinStats::default();
+        let mut stats = EvalStats::default();
         let hits = lookup_all(&r, &[0], &[3], &mut stats);
         assert_eq!(hits, vec![t(&[3, 3, 3])]);
         assert_eq!(stats.scans, 1);
@@ -1212,24 +1193,25 @@ mod tests {
             r.insert(t(&[i % 3, i, i % 2]), i as u64 + 1, 0);
         }
         // Exactly the key: one probe, the one row examined.
-        let mut stats = JoinStats::default();
+        let mut stats = EvalStats::default();
         assert_eq!(
             lookup_all(&r, &[0, 1], &[1, 7], &mut stats),
             [t(&[1, 7, 1])]
         );
-        let one_probe = JoinStats {
+        let one_probe = EvalStats {
             logical_probes: 1,
             distinct_probes: 1,
             scans: 0,
             tuples_examined: 1,
+            ..EvalStats::default()
         };
         assert_eq!(stats, one_probe);
         // The key and a column that matches, then one that does not: the
         // index on all three would not have held the row, nothing examined.
-        let mut stats = JoinStats::default();
+        let mut stats = EvalStats::default();
         assert_eq!(lookup_all(&r, &[0, 1, 2], &[1, 7, 1], &mut stats).len(), 1);
         assert_eq!(stats, one_probe);
-        let mut stats = JoinStats::default();
+        let mut stats = EvalStats::default();
         assert!(lookup_all(&r, &[0, 1, 2], &[1, 7, 0], &mut stats).is_empty());
         assert!(lookup_all(&r, &[0, 1, 2], &[1, 7, 99], &mut stats).is_empty());
         assert!(lookup_all(&r, &[0, 1, 5], &[1, 7, 1], &mut stats).is_empty());
@@ -1237,12 +1219,12 @@ mod tests {
         assert_eq!((stats.logical_probes, stats.tuples_examined), (4, 0));
         // Grouped and invisible.
         let key = [Value::Int(1), Value::Int(7)];
-        let mut stats = JoinStats::default();
+        let mut stats = EvalStats::default();
         assert_eq!(r.lookup_n(&[0, 1], &key, 3, 4, &mut stats).count(), 0);
         assert_eq!((stats.logical_probes, stats.distinct_probes), (4, 1));
         assert_eq!(stats.tuples_examined, 4, "examined, then hidden by seq");
         // Part of the key, undeclared: a scan.
-        let mut stats = JoinStats::default();
+        let mut stats = EvalStats::default();
         assert_eq!(lookup_all(&r, &[1], &[7], &mut stats), [t(&[1, 7, 1])]);
         assert_eq!((stats.scans, stats.logical_probes), (1, 0));
     }
@@ -1276,12 +1258,12 @@ mod tests {
             r.insert(t(&[i % 4, i]), i as u64 + 1, 0);
         }
         let key = [Value::Int(1)];
-        let mut grouped = JoinStats::default();
+        let mut grouped = EvalStats::default();
         let shared: Vec<Tuple> = r
             .lookup_n(&[0], &key, u64::MAX, 5, &mut grouped)
             .map(|s| s.tuple.clone())
             .collect();
-        let mut single = JoinStats::default();
+        let mut single = EvalStats::default();
         for _ in 0..5 {
             let hits: Vec<Tuple> = r
                 .lookup(&[0], &key, u64::MAX, &mut single)
@@ -1395,7 +1377,7 @@ mod tests {
         assert_eq!(r.insert(float_key.clone(), 2, 0), InsertOutcome::Duplicate);
         assert!(r.contains(&float_key));
         assert_eq!(r.get(&[Value::Float(3.0)]).unwrap().tuple, t(&[3, 1]));
-        let mut stats = JoinStats::default();
+        let mut stats = EvalStats::default();
         let hits: Vec<_> = r
             .lookup(&[0], &[Value::Float(3.0)], u64::MAX, &mut stats)
             .collect();
@@ -1472,13 +1454,13 @@ mod tests {
         }
         // Stored in no row at all: still one logical and one distinct
         // probe, nothing examined.
-        let mut stats = JoinStats::default();
+        let mut stats = EvalStats::default();
         assert!(lookup_all(&r, &[0], &[77], &mut stats).is_empty());
         assert_eq!((stats.logical_probes, stats.distinct_probes), (1, 1));
         assert_eq!((stats.scans, stats.tuples_examined), (0, 0));
         // Scanned: absent in one column, or stored there but in another
         // row than the first column's value; every row is examined.
-        let mut stats = JoinStats::default();
+        let mut stats = EvalStats::default();
         assert!(lookup_all(&r, &[0, 1], &[1, 77], &mut stats).is_empty());
         assert!(lookup_all(&r, &[0, 1], &[1, 2], &mut stats).is_empty());
         assert_eq!((stats.scans, stats.tuples_examined), (2, 12));

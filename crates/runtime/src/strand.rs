@@ -36,6 +36,7 @@
 //! where.
 
 use crate::expr::EvalError;
+use crate::index::EvalStats;
 use crate::store::Store;
 use crate::tuple::TupleDelta;
 use ndlog_lang::seminaive::DeltaRule;
@@ -51,8 +52,6 @@ pub struct Derivation {
     /// plain-Datalog test programs).
     pub location: Option<NodeAddr>,
 }
-
-pub use crate::index::JoinStats;
 
 /// A compiled rule strand.
 #[derive(Debug, Clone, PartialEq)]
@@ -148,7 +147,7 @@ impl CompiledStrand {
         &self,
         store: &Store,
         triggers: &[crate::batch::BatchTrigger],
-        stats: &mut JoinStats,
+        stats: &mut EvalStats,
         scratch: &mut crate::batch::BatchScratch,
         out: &mut crate::batch::BatchOutput,
     ) -> Result<(), EvalError> {
@@ -179,7 +178,7 @@ mod tests {
         delta: &TupleDelta,
         seq_limit: u64,
     ) -> Result<Vec<Derivation>, EvalError> {
-        fire_with_stats(strand, store, delta, seq_limit, &mut JoinStats::default())
+        fire_with_stats(strand, store, delta, seq_limit, &mut EvalStats::default())
     }
 
     /// [`fire`], accumulating the join statistics into `stats`.
@@ -188,7 +187,7 @@ mod tests {
         store: &Store,
         delta: &TupleDelta,
         seq_limit: u64,
-        stats: &mut JoinStats,
+        stats: &mut EvalStats,
     ) -> Result<Vec<Derivation>, EvalError> {
         let triggers = [BatchTrigger { delta, seq_limit }];
         let (mut scratch, mut out) = (BatchScratch::default(), BatchOutput::default());
@@ -458,13 +457,13 @@ mod tests {
             .unwrap();
         let link = TupleDelta::insert("link", Tuple::new(vec![addr(0), addr(1), Value::Int(4)]));
 
-        let mut scan_stats = JoinStats::default();
+        let mut scan_stats = EvalStats::default();
         let scanned =
             fire_with_stats(link_strand, &store, &link, u64::MAX, &mut scan_stats).unwrap();
         assert!(scan_stats.scans > 0 && scan_stats.logical_probes == 0);
 
         store.declare_indexes(strands.iter());
-        let mut probe_stats = JoinStats::default();
+        let mut probe_stats = EvalStats::default();
         let probed =
             fire_with_stats(link_strand, &store, &link, u64::MAX, &mut probe_stats).unwrap();
         assert_eq!(scanned, probed);
@@ -887,7 +886,7 @@ mod tests {
                     })
                     .collect();
                 let what = format!("{shape}, {} trigger(s)", batch.len());
-                let mut stats = JoinStats::default();
+                let mut stats = EvalStats::default();
                 let EvalBuffers { scratch, out, .. } = &mut lent;
                 strand
                     .fire_batch(&store, &triggers, &mut stats, scratch, out)
@@ -974,7 +973,7 @@ mod tests {
                 seq_limit: u64::MAX,
             })
             .collect();
-        let mut stats = JoinStats::default();
+        let mut stats = EvalStats::default();
         let mut scratch = BatchScratch::default();
         let mut out = BatchOutput::default();
         link_strand

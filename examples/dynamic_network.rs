@@ -60,11 +60,11 @@ fn main() {
             )
             .expect("insert link");
     }
-    let initial = engine.run_to_quiescence().expect("initial run");
+    engine.run_to_quiescence().expect("initial run");
     println!(
         "initial convergence: {:.2} s simulated, {} messages, {:.2} kB",
-        initial.seconds,
-        initial.messages,
+        engine.now_seconds(),
+        engine.stats().message_count(),
         engine.stats().total_bytes() as f64 / 1000.0
     );
     println!(

@@ -84,14 +84,14 @@ fn main() {
                 .expect("base insert");
         }
     }
-    let report = engine.run_to_quiescence().expect("run");
+    engine.run_to_quiescence().expect("run");
 
     // 6. Inspect the results: shortestPath tuples live at their source node.
     let names = ["a", "b", "c", "d", "e"];
     println!(
         "\nconverged in {:.3} s (simulated), {} messages, {:.1} kB total",
-        report.seconds,
-        report.messages,
+        engine.now_seconds(),
+        engine.stats().message_count(),
         engine.stats().total_bytes() as f64 / 1000.0
     );
     let mut results = engine.results("shortestPath");

@@ -100,7 +100,9 @@ fn main() {
     assert!(report.quiesced, "hit the time cap before quiescing");
     println!(
         "quiesced after {:.2} s simulated, {} messages, {:.2} MB",
-        report.seconds, report.messages, report.total_mb
+        engine.now_seconds(),
+        engine.stats().message_count(),
+        engine.stats().total_mb()
     );
 
     let stats = engine.fault_stats();

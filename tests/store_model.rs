@@ -6,7 +6,7 @@
 //! way — a `BTreeMap<Vec<Value>, StoredTuple>` and linear scans. After
 //! every step the two must agree on the operation's outcome, on `iter()`
 //! order, on every keyed read, and on the result order **and** the
-//! `JoinStats` of `lookup_n` for a spread of probes — random ones, and ones
+//! `EvalStats` of `lookup_n` for a spread of probes — random ones, and ones
 //! aimed at the primary key: exactly the key, the key plus a column whose
 //! value matches or not, every column of a keyless relation (an ordinary
 //! index probe: only declared key columns send a lookup to the primary
@@ -34,8 +34,7 @@
 use ndlog_lang::value::List;
 use ndlog_lang::Value;
 use ndlog_runtime::relation::{DeleteOutcome, StoredTuple};
-use ndlog_runtime::JoinStats;
-use ndlog_runtime::{InsertOutcome, Relation, RelationSchema, Tuple};
+use ndlog_runtime::{EvalStats, InsertOutcome, Relation, RelationSchema, Tuple};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BTreeSet};
@@ -45,7 +44,6 @@ struct Model {
     schema: RelationSchema,
     rows: BTreeMap<Vec<Value>, StoredTuple>,
     signatures: BTreeSet<Vec<usize>>,
-    lossy: u64,
 }
 
 impl Model {
@@ -63,10 +61,7 @@ impl Model {
                 row.expires_at = expires_at.or(row.expires_at);
                 InsertOutcome::Duplicate
             }
-            Some(row) => {
-                self.lossy += row.count;
-                InsertOutcome::Replaced(std::mem::replace(row, fresh).tuple)
-            }
+            Some(row) => InsertOutcome::Replaced(std::mem::replace(row, fresh).tuple),
             None => {
                 self.rows.insert(self.schema.key_of(&tuple), fresh);
                 InsertOutcome::New
@@ -114,7 +109,7 @@ impl Model {
         key: &[Value],
         seq_limit: u64,
         members: usize,
-        stats: &mut JoinStats,
+        stats: &mut EvalStats,
     ) -> Vec<&StoredTuple> {
         let bound = |row: &StoredTuple| {
             let mut columns = cols.iter().zip(key);
@@ -243,7 +238,6 @@ fn compare_reads(rng: &mut StdRng, relation: &Relation, model: &Model, context: 
         .unwrap_or_else(|e| panic!("{context}: {e}"));
     assert_eq!(relation.len(), model.rows.len(), "{context}: len");
     assert_eq!(relation.is_empty(), model.rows.is_empty());
-    assert_eq!(relation.lossy_replacements(), model.lossy, "{context}");
     // Key order, down to representation (Int(3) vs Float(3.0)) and
     // bookkeeping.
     assert_eq!(
@@ -342,7 +336,7 @@ fn compare_lookup(
         rng.random_range(0..200u64)
     };
     let members = rng.random_range(1..4usize);
-    let (mut got_stats, mut want_stats) = (JoinStats::default(), JoinStats::default());
+    let (mut got_stats, mut want_stats) = (EvalStats::default(), EvalStats::default());
     let got = relation.lookup_n(cols, key, seq_limit, members, &mut got_stats);
     let want = model.lookup_n(cols, key, seq_limit, members, &mut want_stats);
     let probe = format!("{context}: lookup_n({cols:?}, {key:?}, {seq_limit}, {members})");
@@ -365,7 +359,6 @@ fn run_sequence(seed: u64, shape: &Shape, steps: usize, squash: fn(u64) -> u64) 
         schema: shape.schema.clone(),
         rows: BTreeMap::new(),
         signatures: BTreeSet::new(),
-        lossy: 0,
     };
     for cols in shape.declared {
         let built = !model.binds_key(cols);
