@@ -71,9 +71,10 @@ use crate::store::Store;
 use crate::strand::CompiledStrand;
 use crate::tuple::{RelName, Sign, Tuple, TupleDelta};
 use ndlog_lang::seminaive::DeltaRule;
+use ndlog_lang::value::FxBuild;
 use ndlog_lang::{Atom, Literal, Program, Rule, Term, Value};
 use ndlog_net::NodeAddr;
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 
 /// The result of the over-delete phase.
@@ -106,7 +107,7 @@ fn mark(
     store: &Store,
     relation: RelName,
     tuple: Tuple,
-    marked: &mut BTreeSet<(RelName, Tuple)>,
+    marked: &mut HashSet<(RelName, Tuple), FxBuild>,
     order: &mut Vec<TupleDelta>,
     frontier: &mut Vec<TupleDelta>,
 ) {
@@ -181,7 +182,8 @@ pub fn over_delete(
         shipped,
         ..
     } = buffers;
-    let mut marked: BTreeSet<(RelName, Tuple)> = BTreeSet::new();
+    // Only membership is read: `order` keeps the discovery order.
+    let mut marked: HashSet<(RelName, Tuple), FxBuild> = HashSet::default();
     let mut order: Vec<TupleDelta> = Vec::new();
     let mut frontier: Vec<TupleDelta> = Vec::new();
     for seed in seeds {

@@ -262,11 +262,14 @@ pub(crate) struct SlotTable {
 /// The part of `slots` that is the run `same` recognizes: empty, at the
 /// end, when there is none.
 fn run_in(slots: &[u32], same: impl Fn(u32) -> bool) -> Range<usize> {
-    let (Some(&first), Some(&last)) = (slots.first(), slots.last()) else {
-        return 0..0;
+    // Runs are contiguous: both ends in the run means all of it is. A lone
+    // slot — every primary-index entry — is checked once.
+    let whole = match *slots {
+        [] => return 0..0,
+        [only] => same(only),
+        [first, .., last] => same(first) && same(last),
     };
-    // Runs are contiguous: both ends in the run means all of it is.
-    if same(first) && same(last) {
+    if whole {
         return 0..slots.len();
     }
     let Some(start) = slots.iter().position(|&slot| same(slot)) else {
@@ -528,6 +531,22 @@ mod tests {
             fingerprint([&one, &two].into_iter()),
             fingerprint([&two, &one].into_iter())
         );
+    }
+
+    #[test]
+    fn a_whole_run_is_recognised_by_its_ends_and_a_lone_slot_once() {
+        let calls = std::cell::Cell::new(0);
+        let counted = |slots: &[u32]| {
+            calls.set(0);
+            let range = run_in(slots, |_| {
+                calls.set(calls.get() + 1);
+                true
+            });
+            (range, calls.get())
+        };
+        assert_eq!(counted(&[4]), (0..1, 1));
+        assert_eq!(counted(&[4, 5, 6]), (0..3, 2));
+        assert_eq!(counted(&[]), (0..0, 0));
     }
 
     #[test]

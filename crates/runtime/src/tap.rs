@@ -5,22 +5,29 @@
 //! a tuple's derivation count rises from zero, a delete event when it
 //! falls back to zero. Duplicate derivations and stale deletions (count
 //! changes that do not cross zero) are absorbed before they reach
-//! the tap, and a keyed replacement appears as the delete of the old tuple
-//! followed by the insert of the new winner — so per tuple the stream is a
-//! strictly alternating `+t, -t, +t, …`, and replaying it from an empty
-//! set reconstructs the relation bit-for-bit (`tests/live_deltas.rs`
-//! proves this property under churn for every strategy).
+//! the tap, so per tuple the stream is a strictly alternating
+//! `+t, -t, +t, …`, and replaying it from an empty set reconstructs the
+//! relation bit-for-bit (`tests/live_deltas.rs` proves this property under
+//! churn for every strategy). A keyed replacement appears as the insert of
+//! the new winner, when it takes the key, followed by the delete of the old
+//! tuple, which the DRed pass records later: a consumer that indexes the
+//! raw stream by primary key must not apply it in order.
 //!
 //! A DRed pass may over-delete a tuple and re-derive it in the same batch;
-//! subscribers then see a `-t, +t` pair. Such pairs arise only where a
+//! the tap then records a `-t, +t` pair. Such pairs arise only where a
 //! removal could move an aggregate — a `min`/`max` group's reigning best,
 //! or a tie with it, was removed, or a `count`/`sum` input was — and the
 //! group's rebuild lands on the same output, or where the tuple's
 //! supporting derivations really did vanish and come back. A removal that
 //! leaves a group's extremum standing retracts nothing downstream of it
 //! (`tests/live_deltas.rs` checks this minimality under link re-costing).
-//! Collapsing the pairs that remain would require withholding deltas until
-//! the batch ends, which the session layer — not the tap — is free to do.
+//!
+//! The tap records every transition, pairs and tuples a batch asserts and
+//! then retracts included: the tests and a node's tracked-relation log
+//! read them. The `serve` session layer streams each commit's net change
+//! instead — per tuple its last transition, if it differs from the state
+//! before the first, retractions first — so its subscribers see no pair, no
+//! such transient tuple, and a replacement's old tuple before its new one.
 //!
 //! The tap is embedded in every [`LocalFixpoint`](crate::fixpoint::LocalFixpoint),
 //! so in [`Evaluator`](crate::Evaluator) and `NodeEngine` alike; with no
@@ -125,6 +132,24 @@ mod tests {
         assert!(!tap.unsubscribe("p"));
         tap.record(&delta("p", 2));
         assert_eq!(tap.drain().len(), 1);
+    }
+
+    /// A keyed replacement is recorded new-then-old: the winner takes the
+    /// key at once, and the DRed pass retracts the tuple it displaced.
+    #[test]
+    fn a_keyed_replacement_records_the_insert_before_the_delete() {
+        let program =
+            ndlog_lang::parse_program("materialize(best, keys(1)). r1 best(@S, C) :- q(@S, C).")
+                .unwrap();
+        let mut eval = crate::Evaluator::new(&program).unwrap();
+        eval.tap_mut().subscribe("best");
+        let q = |cost: i64| Tuple::new(vec![Value::addr(1u32), Value::Int(cost)]);
+        for cost in [5, 3] {
+            eval.update_batch(vec![TupleDelta::insert("q", q(cost))])
+                .unwrap();
+        }
+        let events: Vec<String> = eval.drain_tap().iter().map(|d| d.to_string()).collect();
+        assert_eq!(events, ["+best(@n1, 5)", "+best(@n1, 3)", "-best(@n1, 5)"]);
     }
 
     #[test]

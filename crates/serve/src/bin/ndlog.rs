@@ -83,7 +83,8 @@ fn main() {
 /// The scripted end-to-end session CI runs: load the shortest-path
 /// program over the wire, explain its recursive rule, feed the figure-2
 /// graph, query, subscribe, re-cost an off-route link twice and hear
-/// nothing, break a link, watch the retraction arrive, dump, quit.
+/// nothing, re-cost an on-route link and hear only its net change, break a
+/// link, watch the retraction arrive, dump, quit.
 fn smoke(verbose: bool) -> Result<(), String> {
     let service = Service::new();
     let server = service::start(service, "127.0.0.1:0").map_err(|e| format!("bind: {e}"))?;
@@ -176,6 +177,22 @@ fn smoke(verbose: bool) -> Result<(), String> {
             return Err(format!("re-costing a—b to {cost} streamed {deltas:?}"));
         }
     }
+
+    // Cheapening a—c to 0.5 re-costs every route through it. The frame is
+    // the commit's net change: 12 retractions, then the 12 routes that
+    // replace them — none of the routes evaluation passed through on the
+    // way, such as b→a over the direct link at 5.0.
+    step(&mut client, verbose, "+link[(@n0,@n2,0.5),(@n2,@n0,0.5)].")?;
+    let deltas = drain(&mut client);
+    let signs: String = deltas.iter().map(|d| &d.body[..1]).collect();
+    if signs != format!("{}{}", "-".repeat(12), "+".repeat(12)) {
+        return Err(format!("re-costing a—c to 0.5 streamed {deltas:?}"));
+    }
+    if let Some(transient) = deltas.iter().find(|d| d.body.contains("[@n1, @n0], 5.0")) {
+        return Err(format!("the frame holds a transient route: {transient:?}"));
+    }
+    step(&mut client, verbose, "+link[(@n0,@n2,1.0),(@n2,@n0,1.0)].")?;
+    drain(&mut client);
 
     // Breaking a—c reroutes a→b; the live stream must carry the exact
     // retraction of the old shortest path.

@@ -23,6 +23,11 @@
 //! never inside another frame — a reply's payload lines and terminator
 //! are one frame too, so a `delta` line can precede or follow a reply but
 //! not split it.
+//! A commit's frame is its net change: it names a tuple at most once, only
+//! if the commit moved it (no tuple the commit asserted and retracted on
+//! the way, no route retracted and re-asserted), and puts every `-` line
+//! before every `+` line, so a client that indexes rows by primary key can
+//! apply a frame line by line.
 //! Embedded newlines in `err`/`info` text are escaped as `\n` so the
 //! line framing survives multi-line caret snippets.
 

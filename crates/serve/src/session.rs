@@ -12,11 +12,14 @@
 //! **Live queries.** `.subscribe rel` registers the session's
 //! [`EventSink`] for a relation (optionally with a bound-column filter).
 //! The subscriber first receives the relation's current contents as
-//! insert events at the current epoch, then the exact insert/retract
-//! stream produced by the incremental maintenance machinery (the
-//! [`DeltaTap`](ndlog_runtime::DeltaTap) visibility transitions), tagged
-//! with the epoch that produced them. Everything one commit owes one
-//! subscription — a *frame* — is handed to its sink in one
+//! insert events at the current epoch, then, per commit, the commit's net
+//! change, tagged with the epoch that produced it: of the
+//! [`DeltaTap`](ndlog_runtime::DeltaTap) visibility transitions the
+//! incremental maintenance recorded, each tuple's last one if it differs
+//! from the tuple's state before the commit, retractions first. A commit
+//! holds the engine lock, so no reader observes the states in between.
+//! Everything one commit owes one subscription — a *frame* — is handed to
+//! its sink in one
 //! [`EventSink::deliver`] call while the engine lock is held, so every
 //! subscriber's frames queue up in commit order; the sinks a command
 //! touched are then [`EventSink::flush`]ed after the lock is released, so
@@ -36,9 +39,10 @@ use ndlog_lang::ast::{Atom, Program, Rule, TableDecl, Term};
 use ndlog_lang::interactive::{
     Command, MetaCommand, Op, SubscribeFilter, UnsubscribeTarget, Update,
 };
+use ndlog_lang::value::FxBuild;
 use ndlog_lang::{parse_command, parse_program, Value};
-use ndlog_runtime::{Evaluator, RelName, Strategy, Tuple, TupleDelta};
-use std::collections::{BTreeMap, BTreeSet};
+use ndlog_runtime::{Evaluator, RelName, Sign, Strategy, Tuple, TupleDelta};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
 
 /// A live-query event: one exact insert/retract delta of a subscribed
@@ -202,7 +206,7 @@ const HELP: &str = "\
 head :- body.               add a rule (also with a leading +)
 materialize(rel, keys(..)). declare a table (primary key, optional ttl)
 .load \"file\"                load an NDlog program file
-.subscribe rel[(pattern)]   live insert/retract deltas, optionally filtered
+.subscribe rel[(pattern)]   live net change per commit, retracts first; optional filter
 .unsubscribe <id|rel>       cancel subscriptions
 .rel                        list relations with tuple counts
 .rules                      show the loaded program
@@ -424,8 +428,9 @@ impl Core {
             epoch: self.epoch,
             deltas,
         });
-        // The tap's recorded visibility transitions, in store order.
-        let deltas = self.eval.drain_tap();
+        // The tap recorded every visibility transition; subscribers get
+        // the commit's net change.
+        let deltas = net_change(self.eval.drain_tap());
         self.deliver_frames(&deltas);
         Ok(Response::Ok(format!(
             "applied {n} update(s); epoch {}; {} derivation(s)",
@@ -774,6 +779,37 @@ impl Core {
     }
 }
 
+/// The net change of one commit's visibility transitions, `events` in
+/// store order. A commit is atomic, so only its end state is observable:
+/// per tuple, its last transition is kept if it differs from the state
+/// before its first one (a tuple asserted then retracted, or retracted
+/// then re-asserted, leaves nothing). The retractions come first, then the
+/// assertions, each group in store order, so a keyed replacement's old
+/// tuple leaves before its new one arrives. O(events).
+fn net_change(events: Vec<TupleDelta>) -> Vec<TupleDelta> {
+    // (relation, tuple) → (sign of its first transition, index of its last).
+    let mut span: HashMap<(&str, &Tuple), (Sign, usize), FxBuild> =
+        HashMap::with_capacity_and_hasher(events.len(), FxBuild::default());
+    for (at, delta) in events.iter().enumerate() {
+        span.entry((&delta.relation, &delta.tuple))
+            .and_modify(|(_, last)| *last = at)
+            .or_insert((delta.sign, at));
+    }
+    // The state before the first transition is its opposite, the state
+    // after the last is its sign: they differ when the signs agree.
+    let mut keep = vec![false; events.len()];
+    for (first, last) in span.into_values() {
+        keep[last] = events[last].sign == first;
+    }
+    let (mut retracted, asserted): (Vec<TupleDelta>, Vec<TupleDelta>) = events
+        .into_iter()
+        .zip(keep)
+        .filter_map(|(delta, keep)| keep.then_some(delta))
+        .partition(|delta| delta.sign == Sign::Delete);
+    retracted.extend(asserted);
+    retracted
+}
+
 /// Refuse `deltas` when one updates a relation an aggregate view of `eval`
 /// derives: a view's head relation holds its outputs alone.
 fn refuse_view_head_updates<'d>(
@@ -860,7 +896,6 @@ fn atom_matches(atom: &Atom, tuple: &Tuple) -> bool {
 mod tests {
     use super::*;
     use ndlog_lang::programs;
-    use ndlog_runtime::Sign;
 
     fn figure2(service: &Arc<Service>) -> Session {
         let session = service.open_session(Arc::new(NullSink));
@@ -1279,6 +1314,70 @@ mod tests {
             panic!()
         };
         assert_eq!(rows.len(), 2, "{rows:?}");
+    }
+
+    /// A commit's frame is its net change. On the triangle 0–1 cost 1,
+    /// 1–2 cost 1, 0–2 cost 3, re-costing 0–1 to 2 makes DRed over-delete
+    /// the routes through it, and the tap records 18 transitions on the
+    /// way: `bestRoute(@n0, @n0, @n2, 6.0)` and two more routes no state
+    /// either side of the commit holds, asserted and retracted, and
+    /// `bestRoute(@n1, @n1, @n2, 2.0)` retracted and re-asserted. The frame
+    /// names none of them, and each best route that moved is retracted
+    /// before its replacement is asserted.
+    #[test]
+    fn a_commit_streams_its_net_change_retractions_first() {
+        let service = Service::from_program(&programs::distance_vector("", 2)).unwrap();
+        let session = service.open_session(Arc::new(NullSink));
+        session
+            .execute_line(
+                "+link[(@n0,@n1,1.0),(@n1,@n0,1.0),(@n1,@n2,1.0),(@n2,@n1,1.0),\
+                           (@n0,@n2,3.0),(@n2,@n0,3.0)].",
+            )
+            .unwrap();
+        let sink = CollectSink::new();
+        let watcher = service.open_session(sink.clone());
+        watcher.execute_line(".subscribe bestRoute").unwrap();
+        sink.drain();
+
+        session
+            .execute_line("+link[(@n0,@n1,2.0),(@n1,@n0,2.0)].")
+            .unwrap();
+        let frame: Vec<String> = sink.drain().iter().map(|e| e.delta.to_string()).collect();
+        assert_eq!(
+            frame,
+            [
+                "-bestRoute(@n0, @n1, @n1, 1.0)",
+                "-bestRoute(@n1, @n0, @n0, 1.0)",
+                "-bestRoute(@n0, @n0, @n1, 2.0)",
+                "-bestRoute(@n0, @n2, @n1, 2.0)",
+                "-bestRoute(@n2, @n0, @n1, 2.0)",
+                "+bestRoute(@n0, @n1, @n1, 2.0)",
+                "+bestRoute(@n0, @n2, @n1, 3.0)",
+                "+bestRoute(@n0, @n0, @n1, 4.0)",
+                "+bestRoute(@n1, @n0, @n0, 2.0)",
+                "+bestRoute(@n2, @n0, @n1, 3.0)",
+            ]
+        );
+    }
+
+    #[test]
+    fn net_change_keeps_a_tuples_last_transition_when_it_moved() {
+        let tuple = |v: i64| Tuple::new(vec![Value::Int(v)]);
+        let (ins, del) = (TupleDelta::insert, TupleDelta::delete);
+        let events = vec![
+            ins("p", tuple(1)), // asserted, then retracted: nothing
+            ins("q", tuple(1)), // another relation: kept
+            del("p", tuple(2)), // retracted, re-asserted, retracted: kept
+            del("p", tuple(1)),
+            ins("p", tuple(2)),
+            del("p", tuple(3)), // retracted, then re-asserted: nothing
+            ins("p", tuple(3)),
+            del("p", tuple(2)),
+            ins("p", tuple(4)),
+        ];
+        let net: Vec<String> = net_change(events).iter().map(ToString::to_string).collect();
+        assert_eq!(net, ["-p(2)", "+q(1)", "+p(4)"]);
+        assert!(net_change(Vec::new()).is_empty());
     }
 
     #[test]
