@@ -54,6 +54,8 @@ pub struct MetricRun {
     pub completion: Vec<(f64, f64)>,
     /// Insertions pruned by aggregate selections.
     pub pruned: u64,
+    /// Stored tuples aggregate selections kept from firing.
+    pub superseded: u64,
     /// Messages sent.
     pub messages: usize,
     /// Aggregate computation overhead across all nodes (probe/scan and
@@ -104,6 +106,7 @@ fn run_metric_query(
         bandwidth,
         completion: conv.completion_series(COMPLETION_STEP_S),
         pruned: engine.pruned_total(),
+        superseded: engine.superseded_total(),
         messages: engine.stats().message_count(),
         computation: engine.computation_stats(),
     }
@@ -145,13 +148,14 @@ impl AggregateSelectionsResult {
         let _ = writeln!(out, "optimizer passes: {}", self.optimizer);
         let _ = writeln!(
             out,
-            "{:<14} {:>12} {:>10} {:>12} {:>10} {:>10} {:>10} {:>10} {:>10} {:>12}",
+            "{:<14} {:>12} {:>10} {:>12} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>12}",
             "metric",
             "converge(s)",
             "MB",
             "peak kBps",
             "messages",
             "pruned",
+            "superseded",
             "probes",
             "distinct",
             "scans",
@@ -160,13 +164,14 @@ impl AggregateSelectionsResult {
         for r in &self.runs {
             let _ = writeln!(
                 out,
-                "{:<14} {:>12.2} {:>10.2} {:>12.2} {:>10} {:>10} {:>10} {:>10} {:>10} {:>12}",
+                "{:<14} {:>12.2} {:>10.2} {:>12.2} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>12}",
                 r.metric.label(),
                 r.convergence_seconds,
                 r.total_mb,
                 r.peak_kbps,
                 r.messages,
                 r.pruned,
+                r.superseded,
                 r.computation.logical_probes,
                 r.computation.distinct_probes,
                 r.computation.scans,

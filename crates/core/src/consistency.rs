@@ -11,6 +11,7 @@
 //! matters.
 
 use crate::engine::DistributedEngine;
+use crate::node::NodeEngine;
 use ndlog_lang::Program;
 use ndlog_net::NodeAddr;
 use ndlog_runtime::{Evaluator, Strategy, Tuple};
@@ -67,7 +68,8 @@ pub fn check_against_centralized(
 /// Check that two engines reached *bit-for-bit identical* states: same
 /// nodes, same stores (every relation's tuples with their derivation
 /// counts, timestamps and expiry times), same per-node evaluation
-/// statistics, same network statistics (the full per-send message trace),
+/// statistics and aggregate-selection counters (pruned and superseded
+/// tuples), same network statistics (the full per-send message trace),
 /// same fault counters and same result logs.
 ///
 /// This is the oracle of the parallel-executor determinism tests: an
@@ -90,6 +92,15 @@ pub fn check_bitwise_identical(a: &DistributedEngine, b: &DistributedEngine) -> 
                 "evaluation statistics differ at node {addr}: {:?} vs {:?}",
                 node_a.eval_stats(),
                 node_b.eval_stats()
+            ));
+        }
+        let selection_counts = |node: &NodeEngine| (node.pruned(), node.superseded());
+        if selection_counts(node_a) != selection_counts(node_b) {
+            return Err(format!(
+                "aggregate-selection counters (pruned, superseded) differ at node {addr}: \
+                 {:?} vs {:?}",
+                selection_counts(node_a),
+                selection_counts(node_b)
             ));
         }
         let store_a = node_a.store();
@@ -252,6 +263,23 @@ mod tests {
         assert_eq!(cut_nothing.fault_stats().partitions_healed, 1);
         let err = check_bitwise_identical(&plain, &cut_nothing).unwrap_err();
         assert!(err.starts_with("fault statistics differ"), "{err}");
+    }
+
+    /// A path no better than node 0's route to node 3 is pruned on
+    /// arrival: it changes no store, statistic or message, so only the
+    /// selection counters tell the two runs apart.
+    #[test]
+    fn bitwise_identity_compares_the_selection_counters() {
+        let (plain, _) = run_diamond(true);
+        let (mut pruned_one, _) = run_diamond(true);
+        let a = |i: u32| Value::addr(i);
+        let vector = Value::list(vec![a(0), a(1), a(3)]);
+        let worse = Tuple::new(vec![a(0), a(3), a(1), vector, Value::Float(99.0)]);
+        pruned_one.insert_base(NodeAddr(0), "path", worse).unwrap();
+        assert_eq!(plain.stats(), pruned_one.stats());
+        assert_eq!(pruned_one.pruned_total(), plain.pruned_total() + 1);
+        let err = check_bitwise_identical(&plain, &pruned_one).unwrap_err();
+        assert!(err.starts_with("aggregate-selection counters"), "{err}");
     }
 
     #[test]

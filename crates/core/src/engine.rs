@@ -364,6 +364,12 @@ impl DistributedEngine {
         self.nodes.values().map(NodeEngine::pruned).sum()
     }
 
+    /// Total stored tuples aggregate selections kept from firing across
+    /// all nodes (their group bettered them before they fired).
+    pub fn superseded_total(&self) -> u64 {
+        self.nodes.values().map(NodeEngine::superseded).sum()
+    }
+
     /// Aggregate evaluation statistics across all nodes: processed deltas,
     /// derivations and the probe/scan/tuples-examined counters — with
     /// probes split into per-environment `logical_probes` and actually

@@ -17,8 +17,9 @@
 //! * **aggregate selections** (Section 5.1.1): the loop refuses an
 //!   insertion into a relation with an inferred monotonic aggregate
 //!   selection unless it is strictly better than the node's current
-//!   aggregate for its group, so only improvements are stored, extended
-//!   and propagated;
+//!   aggregate for its group, and fires a stored one only if its group has
+//!   not bettered it since (a receive batch is ingested whole before any of
+//!   it fires), so only improvements are stored, extended and propagated;
 //! * **periodic aggregate selections**: outbound tuples of the relations
 //!   the node prunes are buffered and, on a periodic flush, only the best
 //!   tuple per (destination, group) is actually sent;
@@ -42,7 +43,9 @@ use std::sync::Arc;
 /// Per-node configuration (shared by all nodes in an experiment).
 #[derive(Debug, Clone, Default)]
 pub struct NodeConfig {
-    /// Enable aggregate-selection pruning.
+    /// Enable aggregate-selection pruning, at admission (an insertion no
+    /// better than its group's aggregate is not stored) and at firing (a
+    /// stored tuple its group has strictly bettered since does not fire).
     pub aggregate_selections: bool,
     /// Buffer outbound tuples of the relations the node prunes and flush
     /// them periodically, sending only the best per (destination, group):
@@ -137,6 +140,12 @@ impl NodeEngine {
     /// Number of insertions pruned by aggregate selections so far.
     pub fn pruned(&self) -> u64 {
         self.fixpoint.pruned()
+    }
+
+    /// Number of stored tuples aggregate selections kept from firing so
+    /// far, because their group bettered them before they fired.
+    pub fn superseded(&self) -> u64 {
+        self.fixpoint.superseded()
     }
 
     /// Cumulative evaluation statistics: processed deltas, derivations, and
@@ -484,6 +493,66 @@ mod tests {
         assert_eq!(node.pruned(), 0);
     }
 
+    /// Node 1 with neighbour 0 (the link and its transfer tuple), pruning
+    /// by aggregate selections, flushing periodically if `periodic_flush`
+    /// says so: every path to 9 it fires yields an extension for 0.
+    fn node_extending_to_0(periodic_flush: Option<SimTime>) -> NodeEngine {
+        let config = NodeConfig {
+            aggregate_selections: true,
+            periodic_flush,
+            ..Default::default()
+        };
+        let mut node = make_node(1, config);
+        node.receive(vec![
+            TupleDelta::insert("link", link(1, 0, 1.0)),
+            TupleDelta::insert(
+                "path_sp2_xd",
+                Tuple::new(vec![addr(1), addr(0), Value::Float(1.0)]),
+            ),
+        ]);
+        node.process().unwrap();
+        node
+    }
+
+    /// The costs of the paths `out` ships to node 0.
+    fn shipped_path_costs(out: &ProcessOutput) -> Vec<&Value> {
+        let to_0 = out.outbound.get(&NodeAddr(0)).into_iter().flatten();
+        let paths = to_0.filter(|d| d.relation == "path");
+        paths.map(|d| d.tuple.get(4).unwrap()).collect()
+    }
+
+    /// How many paths to node 9 `node` stores.
+    fn paths_to_9(node: &NodeEngine) -> usize {
+        let paths = node.store().tuples("path").into_iter();
+        paths.filter(|t| t.get(1) == Some(&addr(9))).count()
+    }
+
+    #[test]
+    fn a_path_its_group_bettered_in_the_same_batch_does_not_fire() {
+        // Worse first: both are admitted, but by the time the batch fires
+        // the worse one's group holds the better cost.
+        let mut node = node_extending_to_0(None);
+        node.receive(vec![
+            TupleDelta::insert("path", path(1, 2, 5.0)),
+            TupleDelta::insert("path", path(1, 3, 3.0)),
+        ]);
+        let out = node.process().unwrap();
+        assert_eq!(shipped_path_costs(&out), [&Value::Float(4.0)]);
+        assert_eq!(paths_to_9(&node), 2);
+        assert_eq!((node.pruned(), node.superseded()), (0, 1));
+
+        // Better first: the worse one never reaches the store.
+        let mut node = node_extending_to_0(None);
+        node.receive(vec![
+            TupleDelta::insert("path", path(1, 3, 3.0)),
+            TupleDelta::insert("path", path(1, 2, 5.0)),
+        ]);
+        let out = node.process().unwrap();
+        assert_eq!(shipped_path_costs(&out), [&Value::Float(4.0)]);
+        assert_eq!(paths_to_9(&node), 1);
+        assert_eq!((node.pruned(), node.superseded()), (1, 0));
+    }
+
     #[test]
     fn tracked_relations_report_changes() {
         // `path` is tracked by the config and `shortestPath` as the plan's
@@ -589,24 +658,7 @@ mod tests {
 
     #[test]
     fn periodic_flush_holds_and_dedups_outbound_paths() {
-        let config = NodeConfig {
-            aggregate_selections: true,
-            periodic_flush: Some(100_000),
-            ..Default::default()
-        };
-        // This node (1) stores paths to destination 9 and ships extension
-        // candidates to its neighbor 0.
-        let mut node = make_node(1, config);
-        // Neighbor relationship: node 1 knows the reverse link and transfer
-        // tuple for node 0.
-        node.receive(vec![
-            TupleDelta::insert("link", link(1, 0, 1.0)),
-            TupleDelta::insert(
-                "path_sp2_xd",
-                Tuple::new(vec![addr(1), addr(0), Value::Float(1.0)]),
-            ),
-        ]);
-        node.process().unwrap();
+        let mut node = node_extending_to_0(Some(100_000));
         // Two successively better paths to 9 (via different next hops, so no
         // primary-key replacement) arrive within one flush window.
         node.receive(vec![TupleDelta::insert("path", path(1, 2, 5.0))]);

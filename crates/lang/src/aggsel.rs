@@ -15,9 +15,11 @@
 //! before being propagated over the network.
 //!
 //! This module infers such opportunities from the program text; the
-//! distributed engine in `ndlog-core` enforces them (including the
-//! *periodic* variant that buffers improvements and flushes them on a
-//! timer).
+//! distributed engine in `ndlog-core` enforces them at admission (a tuple
+//! no better than its group's aggregate is not stored) and at firing (a
+//! stored tuple its group has strictly bettered since its admission does
+//! not fire), including the *periodic* variant that buffers improvements
+//! and flushes them on a timer.
 
 use crate::ast::{AggFunc, Program, Term};
 use crate::Value;

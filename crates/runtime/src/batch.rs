@@ -445,8 +445,12 @@ pub struct EvalBuffers {
     /// strand, in firing order. The inner vectors are drained as the round
     /// is consumed and keep their capacity for the next one.
     pub(crate) per_trigger: Vec<Vec<Derivation>>,
-    /// Per trigger of the round: is its tuple still stored?
+    /// Per trigger of the round: does it fire — is its row still stored
+    /// and, in a relation the site prunes, not bettered by its group?
     pub(crate) live: Vec<bool>,
+    /// Per trigger of the round: is it stored but bettered by its group's
+    /// aggregate, so it does not fire?
+    pub(crate) superseded: Vec<bool>,
     /// Per trigger of one strand's batch: its position in the round.
     pub(crate) indices: Vec<usize>,
 }

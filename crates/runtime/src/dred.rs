@@ -124,6 +124,15 @@ fn mark(
     }
 }
 
+/// Whether `relation` stores a tuple other than `tuple` under `tuple`'s
+/// primary key.
+fn holds_another(store: &Store, relation: &str, tuple: &Tuple) -> bool {
+    store
+        .relation(relation)
+        .and_then(|r| r.get_by_key_of(tuple))
+        .is_some_and(|row| row.tuple != *tuple)
+}
+
 /// Phase 1: over-delete the downstream closure of `seeds`.
 ///
 /// `seeds` are deletion deltas for tuples the caller has **already
@@ -253,10 +262,14 @@ pub fn over_delete(
                     }
                 }
                 // A marked tuple *of* a view's head relation — a pinned
-                // output, or a seed: an output the view retracted, or one
-                // that expired — dirties its group, so the rebuild refills
-                // the group's key from its surviving inputs.
-                if *view.head_relation() == delta.relation {
+                // output, or a seed that expired — dirties its group, so
+                // the rebuild refills the group's key from its surviving
+                // inputs. An output the view itself retracted does not:
+                // its key already holds the view's new output, which a
+                // rebuild would only fold again and re-insert unchanged.
+                if *view.head_relation() == delta.relation
+                    && !holds_another(store, &delta.relation, &delta.tuple)
+                {
                     if let Some(key) = view.output_group_key(&delta.tuple) {
                         dirty.insert((view_idx, key));
                     }
@@ -636,6 +649,45 @@ mod tests {
             let sum = pinned(Value::Float(16.0));
             assert_eq!(remove_input("sum", &INPUTS, removed), sum);
         }
+    }
+
+    #[test]
+    fn a_replaced_output_dirties_nothing_and_an_expired_one_its_group() {
+        let program = parse_program("a best(@S, min<C>) :- obs(@S, Z, C).").unwrap();
+        let view = Arc::new(AggregateView::from_rule(&program.rules[0]).unwrap());
+        let mut store = Store::for_program(&program).unwrap();
+        // Over-delete from `seed`, already removed: the groups it dirtied.
+        let dirtied = |store: &mut Store, seed: TupleDelta| {
+            let marking = over_delete(
+                store,
+                &[],
+                std::slice::from_ref(&view),
+                vec![seed],
+                None,
+                &mut EvalStats::default(),
+                &mut Default::default(),
+            )
+            .unwrap();
+            assert!(marking.rederive_candidates().is_empty());
+            marking.dirty_groups
+        };
+        let mut outputs = Vec::new();
+        for (z, c) in [(1, 5), (2, 3)] {
+            store.apply(&TupleDelta::insert("obs", obs(z, c)));
+            outputs = view.apply(&store, "obs", &obs(z, c));
+            for output in &outputs {
+                store.apply(output);
+            }
+        }
+        // The view retracted `best(@0, 5)` and stored `best(@0, 3)` under
+        // its key: nothing is left to rebuild.
+        let [replaced, new] = <[TupleDelta; 2]>::try_from(outputs).unwrap();
+        assert_eq!(replaced.tuple, Tuple::new(vec![addr(0), Value::Int(5)]));
+        assert_eq!(dirtied(&mut store, replaced), []);
+        // An expired output leaves its key empty: its group is rebuilt.
+        let expired = TupleDelta::delete("best", new.tuple);
+        store.apply(&expired);
+        assert_eq!(dirtied(&mut store, expired), [(0, vec![addr(0)])]);
     }
 
     #[test]

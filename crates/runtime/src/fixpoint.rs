@@ -8,6 +8,11 @@
 //! built with, not code it calls back into: the evaluating node (`None`
 //! for the evaluator, which ignores location specifiers) and the aggregate
 //! selections it prunes by (Section 5.1.1; none for the evaluator). A
+//! selection prunes twice: at admission, an insertion no better than its
+//! group's aggregate never reaches the store (a re-announced stored tuple
+//! excepted), and at firing, a stored trigger its group has strictly
+//! bettered since its admission — a receive batch is ingested whole before
+//! any of it fires — is consumed without firing. A
 //! derivation located at another node is appended to the lent buffers'
 //! shipped list for the site to send, and the tap records every visibility
 //! transition of a subscribed relation — a node's tracked-relation log.
@@ -56,7 +61,11 @@
 //! `bestCost`-style keyed winners are replaced all the way through,
 //! quadratic in its size. Which triggers share a batch is all the
 //! look-ahead changes: derivations, their order and the store are those of
-//! the tuple-at-a-time loop for every prefix size.
+//! the tuple-at-a-time loop for every prefix size, save one thing. Pruning
+//! at firing reads the store as the prefix found it, so a trigger whose
+//! group a sibling's derivation bettered earlier in the same prefix still
+//! fires, where the tuple-at-a-time loop would not have fired it; which
+//! triggers do is as deterministic as the prefix sizes themselves.
 //!
 //! The driver owns a site's *state* — store, selections, queue,
 //! pending deletions, tap, statistics — and none of the buffers evaluation
@@ -77,6 +86,7 @@ use crate::strand::CompiledStrand;
 use crate::tap::DeltaTap;
 use crate::tuple::{RelName, Sign, TupleDelta};
 use ndlog_lang::aggsel::AggSelectionSpec;
+use ndlog_lang::Value;
 use ndlog_net::NodeAddr;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -127,6 +137,9 @@ pub struct LocalFixpoint {
     selections: Vec<(AggSelectionSpec, usize)>,
     /// Count of insertions refused by aggregate selections.
     pruned: u64,
+    /// Count of stored triggers that did not fire because their group's
+    /// aggregate had bettered them since they were admitted.
+    superseded: u64,
     /// Insert-only work queue: applied deltas whose strands have not fired.
     queue: VecDeque<(TupleDelta, u64)>,
     /// Tuples actually removed from the store, awaiting the next DRed
@@ -181,6 +194,7 @@ impl LocalFixpoint {
             site,
             selections,
             pruned: 0,
+            superseded: 0,
             queue: VecDeque::new(),
             pending_deletes: Vec::new(),
             tap: DeltaTap::new(),
@@ -234,6 +248,13 @@ impl LocalFixpoint {
     /// Number of insertions refused by aggregate selections so far.
     pub fn pruned(&self) -> u64 {
         self.pruned
+    }
+
+    /// Number of stored triggers aggregate selections kept from firing so
+    /// far: their group's aggregate became strictly better between their
+    /// admission and their turn to fire.
+    pub fn superseded(&self) -> u64 {
+        self.superseded
     }
 
     /// Whether unprocessed work is queued.
@@ -320,23 +341,20 @@ impl LocalFixpoint {
     /// store, which it may unless a selection's group already holds an
     /// aggregate at least as good.
     fn admit(&mut self, delta: &TupleDelta) -> bool {
-        let selection = self.selection(&delta.relation);
-        let Some((sel, view)) = selection.filter(|_| delta.sign == Sign::Insert) else {
+        if delta.sign == Sign::Delete {
             return true;
-        };
-        let (Some(candidate), Some(current)) = (
-            delta.tuple.get(sel.value_col),
-            self.views[*view].current_for(&self.store, &delta.tuple),
-        ) else {
+        }
+        let Some((sel, candidate, current)) = self.against_best(delta) else {
             return true;
         };
         if sel.is_better(candidate, current) {
             return true;
         }
-        // A re-announcement of the reigning best tuple is "not strictly
-        // better" too, but it must still reach the store, as the duplicate
-        // insertion it is, so its soft-state expiry moves forward;
-        // everything else is pruned outright.
+        // A re-announcement of any stored tuple — the reigning best or an
+        // alternative admitted before the group bettered it — is "not
+        // strictly better" too, but it still reaches the store, as the
+        // duplicate insertion it is, so its soft-state expiry moves
+        // forward; everything else is pruned outright.
         let stored = self
             .store
             .relation(&delta.relation)
@@ -437,6 +455,10 @@ impl LocalFixpoint {
                     break;
                 }
             }
+            // A superseded trigger counts when consumed: one the
+            // interruption sends back is checked again when it re-fires.
+            let skipped = &buffers.superseded[..consumed];
+            self.superseded += skipped.iter().filter(|&&s| s).count() as u64;
             // What the interruption left unconsumed is stale.
             buffers.per_trigger[consumed..fired]
                 .iter_mut()
@@ -469,7 +491,12 @@ impl LocalFixpoint {
     /// Triggers whose row is no longer stored — over-deleted or replaced
     /// since being queued, even if an equal tuple was stored again — yield
     /// nothing: the consequences are moot, and a re-derived tuple fires
-    /// through its own queued insert.
+    /// through its own queued insert. Nor do triggers of a relation the
+    /// site prunes whose group's aggregate is strictly better than their
+    /// value (flagged in `buffers.superseded`): aggregate selections prune
+    /// at firing as at admission, because a receive batch is ingested
+    /// whole before any of it fires and a tuple admitted early in it may be
+    /// bettered later in it.
     ///
     /// All of `round` fires against one store snapshot through the batch
     /// plans, each probe stage through the one access path its relation
@@ -484,8 +511,13 @@ impl LocalFixpoint {
         // any removal interrupts the round for a DRed pass before the next
         // trigger is consumed.
         buffers.live.clear();
-        let stored = round.iter().map(|(delta, seq)| self.is_stored(delta, *seq));
-        buffers.live.extend(stored);
+        buffers.superseded.clear();
+        for (delta, seq) in round {
+            let stored = self.is_stored(delta, *seq);
+            let superseded = stored && self.is_superseded(delta);
+            buffers.live.push(stored && !superseded);
+            buffers.superseded.push(superseded);
+        }
         let triggers = round.iter().map(|(delta, seq)| BatchTrigger {
             delta,
             seq_limit: *seq,
@@ -504,6 +536,29 @@ impl LocalFixpoint {
             .relation(&delta.relation)
             .and_then(|r| r.get_by_key_of(&delta.tuple))
             .is_some_and(|row| row.seq == seq && row.tuple == delta.tuple)
+    }
+
+    /// Whether aggregate selections keep `delta` from firing: the site
+    /// prunes its relation and its group's current aggregate is strictly
+    /// better than its value — the comparison `admit` makes, with the two
+    /// values swapped. A tie fires, and so does every trigger under an
+    /// aggregate that never prunes (`count`, `sum`).
+    fn is_superseded(&self, delta: &TupleDelta) -> bool {
+        self.against_best(delta)
+            .is_some_and(|(sel, value, current)| value != current && !sel.is_better(value, current))
+    }
+
+    /// The selection this site prunes `delta`'s relation by, with `delta`'s
+    /// aggregated value and its group's current aggregate; `None` when no
+    /// selection prunes the relation or the group has no aggregate yet.
+    fn against_best<'a>(
+        &'a self,
+        delta: &'a TupleDelta,
+    ) -> Option<(&'a AggSelectionSpec, &'a Value, &'a Value)> {
+        let (sel, view) = self.selection(&delta.relation)?;
+        let value = delta.tuple.get(sel.value_col)?;
+        let current = self.views[*view].current_for(&self.store, &delta.tuple)?;
+        Some((sel, value, current))
     }
 
     /// Run DRed passes until no removal is pending: over-delete the local

@@ -22,7 +22,7 @@ use ndlog_net::gtitm::{generate, TransitStubConfig};
 use ndlog_net::overlay::{Overlay, OverlayConfig};
 use ndlog_net::topology::Metric;
 use ndlog_runtime::{Evaluator, Strategy, Tuple};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn link(a: ndlog_net::NodeAddr, b: ndlog_net::NodeAddr, c: f64) -> Tuple {
     Tuple::new(vec![Value::Addr(a), Value::Addr(b), Value::Float(c)])
@@ -114,21 +114,35 @@ fn coalesced_delivery_matches_dijkstra_and_the_centralized_fixpoints() {
                 });
             }
 
-            // The fixpoint matches the underlay's Dijkstra costs…
+            // The fixpoint holds exactly one route per ordered pair the
+            // underlay's Dijkstra reaches, at its cost, and no other…
+            let mut costs: BTreeMap<_, Vec<f64>> = BTreeMap::new();
+            for (node, tuple) in baseline.results("shortestPath") {
+                let dst = tuple.get(1).unwrap().as_addr().unwrap();
+                let cost = tuple.get(3).unwrap().as_f64().unwrap();
+                costs.entry((node, dst)).or_default().push(cost);
+            }
             for src in overlay.graph.nodes() {
                 let oracle = overlay.graph.shortest_distances(src, Metric::Reliability);
-                for (node, tuple) in baseline.results("shortestPath") {
-                    if node != src {
-                        continue;
-                    }
-                    let dst = tuple.get(1).unwrap().as_addr().unwrap();
-                    let cost = tuple.get(3).unwrap().as_f64().unwrap();
+                for dst in overlay.graph.nodes().filter(|&dst| dst != src) {
+                    let found = costs.remove(&(src, dst)).unwrap_or_default();
+                    let expected = oracle[dst.index()];
+                    let matches = match found[..] {
+                        [] => expected.is_infinite(),
+                        [cost] => (cost - expected).abs() < 1e-6,
+                        _ => false,
+                    };
                     assert!(
-                        (cost - oracle[dst.index()]).abs() < 1e-6,
-                        "topology {name}, seed {seed:#x}: cost mismatch {src}->{dst}"
+                        matches,
+                        "topology {name}, seed {seed:#x}: {src}->{dst} holds {found:?}, \
+                         Dijkstra {expected}"
                     );
                 }
             }
+            assert!(
+                costs.is_empty(),
+                "topology {name}, seed {seed:#x}: {costs:?}"
+            );
 
             // …and, where tractable, the centralized fixpoint, which is
             // itself strategy-independent: SN, BSN and PSN all agree with

@@ -82,31 +82,51 @@ fn theorem4_static_network_reaches_the_centralized_fixpoint() {
 
 #[test]
 fn theorem4_with_aggregate_selections_costs_match() {
-    // With pruning on, the engine stores fewer path tuples, but the final
-    // shortest-path *costs* still match the centralized fixpoint.
+    // With pruning on, the engine stores fewer path tuples, but every
+    // ordered pair of the connected overlay still ends with exactly one
+    // shortest path, at the centralized fixpoint's cost, whatever the
+    // executor's thread count.
     let overlay = small_overlay();
+    let nodes: Vec<_> = overlay.graph.nodes().collect();
     let program = programs::shortest_path("");
-    let query_plan = plan(&program).unwrap();
-    let mut config = EngineConfig::default();
-    config.node.aggregate_selections = true;
-    let mut engine = DistributedEngine::new(overlay.graph.clone(), &[query_plan], config).unwrap();
-    for l in overlay.links() {
-        engine
-            .insert_base(l.src, "link", link(l.src, l.dst, l.cost(Metric::Latency)))
-            .unwrap();
-    }
-    engine.run_to_quiescence().unwrap();
+    for threads in [1, 2, 4] {
+        let mut config = EngineConfig::default();
+        config.node.aggregate_selections = true;
+        config.parallelism = threads;
+        let query_plan = plan(&program).unwrap();
+        let mut engine =
+            DistributedEngine::new(overlay.graph.clone(), &[query_plan], config).unwrap();
+        for l in overlay.links() {
+            engine
+                .insert_base(l.src, "link", link(l.src, l.dst, l.cost(Metric::Latency)))
+                .unwrap();
+        }
+        engine.run_to_quiescence().unwrap();
 
-    for src in overlay.graph.nodes() {
-        let oracle = overlay.graph.shortest_distances(src, Metric::Latency);
+        let mut costs: BTreeMap<_, Vec<f64>> = BTreeMap::new();
         for (node, tuple) in engine.results("shortestPath") {
-            if node != src {
-                continue;
-            }
             let dst = tuple.get(1).unwrap().as_addr().unwrap();
             let cost = tuple.get(3).unwrap().as_f64().unwrap();
-            assert!((cost - oracle[dst.index()]).abs() < 1e-6);
+            costs.entry((node, dst)).or_default().push(cost);
         }
+        for &src in &nodes {
+            let oracle = overlay.graph.shortest_distances(src, Metric::Latency);
+            for &dst in nodes.iter().filter(|&&dst| dst != src) {
+                assert!(oracle[dst.index()].is_finite(), "{src} cannot reach {dst}");
+                let found = costs.remove(&(src, dst)).unwrap_or_default();
+                assert_eq!(
+                    found.len(),
+                    1,
+                    "{threads} threads: {src} -> {dst}: {found:?}"
+                );
+                let off = (found[0] - oracle[dst.index()]).abs();
+                assert!(off < 1e-6, "{threads} threads: {src} -> {dst} off by {off}");
+            }
+        }
+        assert!(
+            costs.is_empty(),
+            "{threads} threads: stray results {costs:?}"
+        );
     }
 }
 
