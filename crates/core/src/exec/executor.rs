@@ -34,12 +34,21 @@
 //!    and since they carry capacity only, never state, which lane ran
 //!    which node stays unobservable. Under **delivery coalescing**, the
 //!    only schedule, a run of consecutive deliveries to the same node is
-//!    merged into one receive batch: every payload is ingested, then one
+//!    merged into one receive batch: the node is handed every payload of
+//!    the run at once ([`NodeEngine::receive_batch`]), then one
 //!    `set_time`/`expire_soft_state`/`process` runs at the run's *last*
 //!    `(time, seq)`, handing `fire_batch` one wide delta batch instead of
 //!    many single-row rounds (the whole point of the key-grouped probe
-//!    path). Flush timers break a run, so flush ordering relative to
-//!    deliveries is preserved;
+//!    path). The batch is ingested as its net change: a tuple the node
+//!    stores that one message of the run deletes and a later one
+//!    re-inserts unchanged — a re-costing whose deletion and re-insertion
+//!    travel apart — is left alone instead of being removed and
+//!    cascaded. The rule reads the receiver's store, so it is the
+//!    receiver's to apply: a sender cannot know whether the deletion
+//!    removes anything there, and when it does not, the re-insertion is a
+//!    fresh announcement its aggregate selections must judge. Flush
+//!    timers break a run, so flush ordering relative to deliveries is
+//!    preserved;
 //! 4. **pre-serialization**: the lane also renders each outcome's effects
 //!    into their replay-ready form — the tracked-relation changes the node
 //!    drained from its tap become timestamped [`ResultRecord`]s, the
@@ -428,8 +437,8 @@ impl LaneResult {
 /// One lane's share of an epoch: pull per-node work items from the shared
 /// iterator until it is dry, mirroring the sequential engine's per-event
 /// recipe exactly and pre-serializing each outcome's effects. A run of
-/// consecutive deliveries to the node is ingested back to back and
-/// processed once at the run's last `(time, seq)` — the
+/// consecutive deliveries to the node is handed to it as one receive batch
+/// and processed once at the run's last `(time, seq)` — the
 /// merge structure depends only on the node's task sequence, never on lane
 /// assignment, so it is identical at every thread count. A task error
 /// stops that *node* (its remaining tasks are skipped, as the sequential
@@ -442,6 +451,8 @@ fn drain_lane(
     buffers: &mut EvalBuffers,
 ) -> LaneResult {
     let mut lane = LaneResult::default();
+    // The payloads of the current receive batch, reused across batches.
+    let mut run: Vec<Vec<TupleDelta>> = Vec::new();
     // The lock is held for the pop alone, which cannot panic, so it is
     // never poisoned.
     let pop = || queue.lock().unwrap_or_else(PoisonError::into_inner).next();
@@ -451,7 +462,7 @@ fn drain_lane(
             debug_assert_eq!(task.node, node.addr());
             match task.action {
                 NodeAction::Deliver(payload) => {
-                    node.receive(payload);
+                    run.push(payload);
                     let (mut time, mut seq) = (task.time, task.seq);
                     lane.deliveries += 1;
                     lane.receive_batches += 1;
@@ -468,10 +479,11 @@ fn drain_lane(
                         let NodeAction::Deliver(payload) = next.action else {
                             unreachable!("peek guaranteed a delivery");
                         };
-                        node.receive(payload);
+                        run.push(payload);
                         (time, seq) = (next.time, next.seq);
                         lane.deliveries += 1;
                     }
+                    node.receive_batch(&mut run);
                     node.set_time(time);
                     node.expire_soft_state(time);
                     match node_step(node, time, seq, sharing_enabled, buffers) {

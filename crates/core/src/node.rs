@@ -171,17 +171,34 @@ impl NodeEngine {
     }
 
     /// Accept deltas arriving from the network (or from local base-data
-    /// changes). They are applied to the store and queued; call
-    /// [`NodeEngine::process`] to run them to a local fixpoint. The
-    /// drained payload buffer is recycled into this node's arena, closing
-    /// the zero-copy loop: the vector allocated by some sender's outbound
-    /// path becomes one of this node's future outbound batches.
+    /// changes) as one receive batch: [`NodeEngine::receive_batch`] of a
+    /// single payload.
     pub fn receive(&mut self, mut deltas: Vec<TupleDelta>) {
-        let payload_len = deltas.len();
-        for delta in deltas.drain(..) {
-            self.fixpoint.ingest(delta);
-        }
-        self.arena.recycle(payload_len, deltas);
+        let arena = &mut self.arena;
+        let batch = std::slice::from_mut(&mut deltas);
+        self.fixpoint
+            .ingest_batch(batch, |len, buffer| arena.recycle(len, buffer));
+    }
+
+    /// Accept the payloads of a run of consecutive deliveries, in arrival
+    /// order, as one receive batch. The batch is ingested as its net change
+    /// (`LocalFixpoint::ingest_batch`): a tuple this node stores that the
+    /// batch deletes and then re-asserts — a sender's re-costing that
+    /// shipped the deletion and the identical re-insertion in two messages
+    /// — is left alone rather than removed, pruned against the aggregate it
+    /// just left and cascaded to the neighbours. Only the receiver can
+    /// apply that rule, because it reads what the receiver stores. The
+    /// rest is applied to the store and queued; call
+    /// [`NodeEngine::process`] to run it to a local fixpoint. Each drained
+    /// payload buffer is recycled into this node's arena, closing the
+    /// zero-copy loop: the vector allocated by some sender's outbound path
+    /// becomes one of this node's future outbound batches. `payloads` is
+    /// left empty, its capacity kept.
+    pub fn receive_batch(&mut self, payloads: &mut Vec<Vec<TupleDelta>>) {
+        let arena = &mut self.arena;
+        self.fixpoint
+            .ingest_batch(payloads, |len, buffer| arena.recycle(len, buffer));
+        payloads.clear();
     }
 
     /// This node's wire-buffer pool counters (meaningful summed across all
@@ -551,6 +568,25 @@ mod tests {
         assert_eq!(shipped_path_costs(&out), [&Value::Float(4.0)]);
         assert_eq!(paths_to_9(&node), 1);
         assert_eq!((node.pruned(), node.superseded()), (1, 0));
+    }
+
+    #[test]
+    fn a_batch_that_deletes_and_reasserts_its_best_keeps_it() {
+        // A re-costing upstream ships the deletion and the identical
+        // re-insertion of the stored best in two messages that arrive in
+        // one receive batch: together they change nothing.
+        let mut node = node_extending_to_0(None);
+        node.receive(vec![TupleDelta::insert("path", path(1, 3, 3.0))]);
+        node.process().unwrap();
+        node.receive_batch(&mut vec![
+            vec![TupleDelta::delete("path", path(1, 3, 3.0))],
+            vec![TupleDelta::insert("path", path(1, 3, 3.0))],
+        ]);
+        let out = node.process().unwrap();
+        assert_eq!(paths_to_9(&node), 1);
+        assert!(node.store().tuples("path").contains(&path(1, 3, 3.0)));
+        assert_eq!(node.pruned(), 0);
+        assert!(out.outbound.is_empty(), "{:?}", out.outbound);
     }
 
     #[test]

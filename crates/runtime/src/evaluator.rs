@@ -196,22 +196,26 @@ impl Evaluator {
     /// deltas one [`Evaluator::update`] at a time, but the burst enters
     /// the engine as one delta batch: removals seed a single DRed pass and
     /// insertions amortize their strand firings — the churn shape one
-    /// simulator epoch delivers to a node.
+    /// simulator epoch delivers to a node. The batch is ingested as its net
+    /// change ([`LocalFixpoint::ingest_batch`]): a stored hard-state tuple
+    /// the burst deletes and then re-inserts, with nothing else under its
+    /// key in between, is left alone — no store write, no tap transition,
+    /// no DRed pass — where one update at a time would remove it, cascade
+    /// the removal and derive it all again.
     pub fn update_batch(&mut self, deltas: Vec<TupleDelta>) -> Result<EvalStats, EvalError> {
         self.process(deltas, Strategy::Pipelined)
     }
 
-    /// Ingest the external deltas and run to fixpoint; the statistics of
-    /// this call alone are returned.
+    /// Ingest the external deltas as one batch and run to fixpoint; the
+    /// statistics of this call alone are returned.
     fn process(
         &mut self,
-        external: Vec<TupleDelta>,
+        mut external: Vec<TupleDelta>,
         strategy: Strategy,
     ) -> Result<EvalStats, EvalError> {
         let before = self.fixpoint.stats();
-        for delta in external {
-            self.fixpoint.ingest(delta);
-        }
+        let batch = std::slice::from_mut(&mut external);
+        self.fixpoint.ingest_batch(batch, |_, _| {});
         self.fixpoint.run(strategy, &mut self.buffers)?;
         Ok(self.fixpoint.stats() - before)
     }
@@ -849,5 +853,34 @@ mod tests {
         let mut updates = inserts.to_vec();
         updates.push((Sign::Delete, "obs", obs(5)));
         assert_eq!(low_after(src, &updates), [obs(9)]);
+    }
+
+    #[test]
+    fn a_batch_that_deletes_and_reinserts_a_stored_fact_changes_nothing() {
+        let program = programs::shortest_path("");
+        let mut eval = Evaluator::new(&program).unwrap();
+        let names: Vec<String> = eval.store().relation_names().map(String::from).collect();
+        for name in &names {
+            eval.tap_mut().subscribe(name.as_str());
+        }
+        load_figure2_links(&mut eval, "link");
+        eval.run(Strategy::Pipelined).unwrap();
+        eval.drain_tap();
+        // Every row with its count, timestamp and expiry.
+        let rows = |eval: &Evaluator| -> Vec<Vec<crate::relation::StoredTuple>> {
+            let rows = |name: &String| eval.store().relation(name).unwrap().iter().cloned();
+            names.iter().map(|name| rows(name).collect()).collect()
+        };
+        let before = rows(&eval);
+
+        let stats = eval
+            .update_batch(vec![
+                TupleDelta::delete("link", link(0, 2, 1.0)),
+                TupleDelta::insert("link", link(0, 2, 1.0)),
+            ])
+            .unwrap();
+        assert_eq!(stats.iterations, 0);
+        assert_eq!(rows(&eval), before);
+        assert!(eval.drain_tap().is_empty());
     }
 }

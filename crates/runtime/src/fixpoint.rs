@@ -17,6 +17,20 @@
 //! shipped list for the site to send, and the tap records every visibility
 //! transition of a subscribed relation — a node's tracked-relation log.
 //!
+//! A receive batch enters through [`LocalFixpoint::ingest_batch`] as its
+//! net change. A stored hard-state tuple that the batch deletes and later
+//! re-inserts unchanged, with no other delta under its key in between, is
+//! left alone: an update is a deletion followed by an insertion (Section
+//! 4), so the pair changes nothing, whereas ingesting it would remove the
+//! tuple, judge the re-insertion against the aggregate the tuple just
+//! left (its group is rebuilt only by the next DRed pass), and cascade
+//! the removal to every neighbour. The rule reads the receiving store, so
+//! only a receiver can apply it: a sender cannot know whether its
+//! deletion removes anything, and when it does not, the insertion is a
+//! fresh announcement the selections must judge. A soft-state pair is
+//! ingested, since its re-insertion refreshes the expiry. Every other
+//! delta is ingested on its own, in arrival order.
+//!
 //! The insert-only work queue holds deltas that have been applied to the
 //! store (and therefore have a timestamp) but whose strands have not
 //! fired. Deletions never enter the queue: every delta whose application
@@ -84,11 +98,12 @@ use crate::index::EvalStats;
 use crate::store::{ApplyEffect, Change, Store};
 use crate::strand::CompiledStrand;
 use crate::tap::DeltaTap;
-use crate::tuple::{RelName, Sign, TupleDelta};
+use crate::tuple::{RelName, Sign, Tuple, TupleDelta};
 use ndlog_lang::aggsel::AggSelectionSpec;
 use ndlog_lang::Value;
 use ndlog_net::NodeAddr;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 /// Which evaluation strategy to use: the round policy of the one loop.
@@ -302,6 +317,102 @@ impl LocalFixpoint {
         self.pending_deletes.clear();
     }
 
+    /// Ingest one receive batch — the payloads in order — as its net
+    /// change. A deletion of a tuple the store holds at that point in the
+    /// batch, of a hard-state relation, whose next delta under the same
+    /// primary key later in the batch is an identical insertion, cancels
+    /// with that insertion: neither reaches the store, the views, the tap,
+    /// the queue or a DRed pass, since "−D, +D" of a stored D changes
+    /// nothing (an update is a deletion followed by an insertion, Section
+    /// 4). Every other delta is ingested on its own, in arrival order; in a
+    /// batch without both signs, that is every delta. Each payload's
+    /// buffer goes to `drained`, emptied, with the number of deltas it
+    /// carried, as soon as the batch is done with it.
+    ///
+    /// The rule reads this store, so it is applied where the batch is
+    /// received, never by a sender: a deletion of a tuple not stored is a
+    /// no-op, and the insertion after it a fresh announcement that
+    /// aggregate selections must judge again. A soft-state pair is ingested,
+    /// because its re-insertion moves the tuple's expiry forward.
+    /// Cancelling spares a selection from judging the re-insertion against
+    /// the aggregate of the tuple just deleted — its group is rebuilt only
+    /// by the next DRed pass — which would prune a tuple its sender still
+    /// derives.
+    pub fn ingest_batch(
+        &mut self,
+        payloads: &mut [Vec<TupleDelta>],
+        mut drained: impl FnMut(usize, Vec<TupleDelta>),
+    ) {
+        let signs = || payloads.iter().flatten().map(|d| d.sign);
+        let nets = signs().any(|s| s == Sign::Insert) && signs().any(|s| s == Sign::Delete);
+        // Where the insertions that cancelled an earlier deletion sit, as
+        // (payload, offset), nearest first.
+        let mut cancelled = BinaryHeap::new();
+        for p in 0..payloads.len() {
+            let (current, later) = payloads.split_at_mut(p + 1);
+            let payload = &mut current[p];
+            let len = payload.len();
+            let mut deltas = payload.drain(..);
+            let mut offset = 0;
+            while let Some(delta) = deltas.next() {
+                let at = (p, offset);
+                offset += 1;
+                if cancelled.peek() == Some(&Reverse(at)) {
+                    cancelled.pop();
+                    continue;
+                }
+                let reasserted = if nets {
+                    let ahead = (offset..).zip(deltas.as_slice()).map(|(i, d)| (d, (p, i)));
+                    let beyond = (p + 1..)
+                        .zip(&*later)
+                        .flat_map(|(q, payload)| (0..).zip(payload).map(move |(i, d)| (d, (q, i))));
+                    self.reassertion(&delta, ahead.chain(beyond))
+                } else {
+                    None
+                };
+                match reasserted {
+                    Some(at) => cancelled.push(Reverse(at)),
+                    None => self.ingest(delta),
+                }
+            }
+            drop(deltas);
+            drained(len, std::mem::take(payload));
+        }
+        debug_assert!(cancelled.is_empty());
+    }
+
+    /// Where `delta`, a deletion of a stored hard-state tuple, is re-inserted
+    /// among the deltas that follow it in its batch, each given with its
+    /// (payload, offset): the position of the first delta under the same
+    /// primary key, if that is an insertion of the identical tuple. `None`
+    /// for any other delta.
+    fn reassertion<'a>(
+        &self,
+        delta: &TupleDelta,
+        following: impl Iterator<Item = (&'a TupleDelta, (usize, usize))>,
+    ) -> Option<(usize, usize)> {
+        if delta.sign != Sign::Delete {
+            return None;
+        }
+        let relation = self.store.relation(&delta.relation)?;
+        let schema = relation.schema();
+        if schema.ttl_micros.is_some() || !relation.contains(&delta.tuple) {
+            return None;
+        }
+        let (tuple, key) = (&delta.tuple, &schema.key_columns);
+        let same_key = |other: &Tuple| {
+            if key.is_empty() {
+                other == tuple
+            } else {
+                key.iter().all(|&c| other.get(c) == tuple.get(c))
+            }
+        };
+        let mut same =
+            following.filter(|(d, _)| d.relation == delta.relation && same_key(&d.tuple));
+        let (next, at) = same.next()?;
+        (next.sign == Sign::Insert && next.tuple == *tuple).then_some(at)
+    }
+
     /// Apply a delta to the store, feed aggregate views, and enqueue
     /// whatever actually changed. Actual removals (deletions whose count
     /// reached zero and the old halves of replacements) become pending
@@ -310,7 +421,7 @@ impl LocalFixpoint {
     /// A view's outputs enter the store here like any other delta: the
     /// stored head relation is the only copy of them.
     /// The delta is moved to where it ends up, never copied.
-    pub fn ingest(&mut self, delta: TupleDelta) {
+    fn ingest(&mut self, delta: TupleDelta) {
         if !self.admit(&delta) {
             return;
         }
