@@ -185,8 +185,8 @@ impl NodeEngine {
     /// (`LocalFixpoint::ingest_batch`): a tuple this node stores that the
     /// batch deletes and then re-asserts — a sender's re-costing that
     /// shipped the deletion and the identical re-insertion in two messages
-    /// — is left alone rather than removed, pruned against the aggregate it
-    /// just left and cascaded to the neighbours. Only the receiver can
+    /// — is left alone rather than removed, cascaded to the neighbours
+    /// and re-derived. Only the receiver can
     /// apply that rule, because it reads what the receiver stores. The
     /// rest is applied to the store and queued; call
     /// [`NodeEngine::process`] to run it to a local fixpoint. Each drained
@@ -540,8 +540,13 @@ mod tests {
 
     /// How many paths to node 9 `node` stores.
     fn paths_to_9(node: &NodeEngine) -> usize {
+        stored_paths_to_9(node).len()
+    }
+
+    /// The paths to node 9 `node` stores.
+    fn stored_paths_to_9(node: &NodeEngine) -> Vec<Tuple> {
         let paths = node.store().tuples("path").into_iter();
-        paths.filter(|t| t.get(1) == Some(&addr(9))).count()
+        paths.filter(|t| t.get(1) == Some(&addr(9))).collect()
     }
 
     #[test]
@@ -587,6 +592,95 @@ mod tests {
         assert!(node.store().tuples("path").contains(&path(1, 3, 3.0)));
         assert_eq!(node.pruned(), 0);
         assert!(out.outbound.is_empty(), "{:?}", out.outbound);
+    }
+
+    /// `path(0, 9, 1, [0, 1, z, 9], cost)`: node 0's extension of the path
+    /// to 9 via `z` that node 1 stores.
+    fn extension(z: u32, cost: f64) -> Tuple {
+        let vector = Value::list(vec![addr(0), addr(1), addr(z), addr(9)]);
+        Tuple::new(vec![addr(0), addr(9), addr(1), vector, Value::Float(cost)])
+    }
+
+    #[test]
+    fn a_pair_it_cannot_cancel_keeps_its_path() {
+        // A second deletion of the stored best sits between its deletion
+        // and its re-insertion, so the pair is ingested as deltas of their
+        // own: the re-insertion waits for the deletion's DRed pass instead
+        // of being pruned against the cost it re-asserts.
+        let mut node = node_extending_to_0(None);
+        node.receive(vec![TupleDelta::insert("path", path(1, 3, 3.0))]);
+        node.process().unwrap();
+        node.receive(vec![
+            TupleDelta::delete("path", path(1, 3, 3.0)),
+            TupleDelta::delete("path", path(1, 3, 3.0)),
+            TupleDelta::insert("path", path(1, 3, 3.0)),
+        ]);
+        let out = node.process().unwrap();
+        assert_eq!(stored_paths_to_9(&node), [path(1, 3, 3.0)]);
+        assert_eq!(node.pruned(), 0);
+        assert_eq!(
+            out.outbound[&NodeAddr(0)],
+            [
+                TupleDelta::delete("path", extension(3, 4.0)),
+                TupleDelta::insert("path", extension(3, 4.0)),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_path_kept_through_a_cancelled_pair_survives_its_recosting() {
+        // The stored best is kept through a cancelled deletion and
+        // re-insertion; a later batch re-costs the same path upward, as its
+        // deletion and its replacement under the one key. The replacement
+        // is judged against the group its deletion leaves, not against the
+        // cost it replaces.
+        let mut node = node_extending_to_0(None);
+        node.receive(vec![TupleDelta::insert("path", path(1, 3, 3.0))]);
+        node.process().unwrap();
+        node.receive_batch(&mut vec![
+            vec![TupleDelta::delete("path", path(1, 3, 3.0))],
+            vec![TupleDelta::insert("path", path(1, 3, 3.0))],
+        ]);
+        node.process().unwrap();
+        node.receive_batch(&mut vec![
+            vec![TupleDelta::delete("path", path(1, 3, 3.0))],
+            vec![TupleDelta::insert("path", path(1, 3, 5.0))],
+        ]);
+        let out = node.process().unwrap();
+        assert_eq!(stored_paths_to_9(&node), [path(1, 3, 5.0)]);
+        assert_eq!(node.pruned(), 0);
+        assert_eq!(
+            out.outbound[&NodeAddr(0)],
+            [
+                TupleDelta::delete("path", extension(3, 4.0)),
+                TupleDelta::insert("path", extension(3, 6.0)),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_batch_that_deletes_its_best_judges_an_alternative_against_the_rebuilt_group() {
+        // A tie of the deleted best, and a worse path, each arriving in the
+        // deletion's batch: either is the best of what the deletion leaves.
+        for cost in [3.0, 5.0] {
+            let mut node = node_extending_to_0(None);
+            node.receive(vec![TupleDelta::insert("path", path(1, 3, 3.0))]);
+            node.process().unwrap();
+            node.receive(vec![
+                TupleDelta::delete("path", path(1, 3, 3.0)),
+                TupleDelta::insert("path", path(1, 2, cost)),
+            ]);
+            let out = node.process().unwrap();
+            assert_eq!(stored_paths_to_9(&node), [path(1, 2, cost)]);
+            assert_eq!(node.pruned(), 0);
+            assert_eq!(
+                out.outbound[&NodeAddr(0)],
+                [
+                    TupleDelta::delete("path", extension(3, 4.0)),
+                    TupleDelta::insert("path", extension(2, cost + 1.0)),
+                ]
+            );
+        }
     }
 
     #[test]

@@ -198,6 +198,14 @@ impl AggregateView {
         self.current_output(store, self.key_in(source)?)
     }
 
+    /// Whether two source tuples belong to the same group.
+    pub fn same_group(&self, a: &Tuple, b: &Tuple) -> bool {
+        match (self.key_in(a), self.key_in(b)) {
+            (Some(a), Some(b)) => a.eq(b),
+            _ => false,
+        }
+    }
+
     /// Current aggregate value for the group a source tuple belongs to.
     pub fn current_for<'s>(&self, store: &'s Store, source: &Tuple) -> Option<&'s Value> {
         self.current_output_for(store, source)?.get(self.agg_pos)

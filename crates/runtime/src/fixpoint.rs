@@ -10,9 +10,11 @@
 //! selections it prunes by (Section 5.1.1; none for the evaluator). A
 //! selection prunes twice: at admission, an insertion no better than its
 //! group's aggregate never reaches the store (a re-announced stored tuple
-//! excepted), and at firing, a stored trigger its group has strictly
-//! bettered since its admission — a receive batch is ingested whole before
-//! any of it fires — is consumed without firing. A
+//! excepted; an insertion whose group a pending removal can move waits for
+//! the DRed pass that rebuilds the group, and is judged against that), and
+//! at firing, a stored trigger its group has strictly bettered since its
+//! admission — a receive batch is ingested whole before any of it fires —
+//! is consumed without firing. A
 //! derivation located at another node is appended to the lent buffers'
 //! shipped list for the site to send, and the tap records every visibility
 //! transition of a subscribed relation — a node's tracked-relation log.
@@ -22,14 +24,16 @@
 //! re-inserts unchanged, with no other delta under its key in between, is
 //! left alone: an update is a deletion followed by an insertion (Section
 //! 4), so the pair changes nothing, whereas ingesting it would remove the
-//! tuple, judge the re-insertion against the aggregate the tuple just
-//! left (its group is rebuilt only by the next DRed pass), and cascade
-//! the removal to every neighbour. The rule reads the receiving store, so
-//! only a receiver can apply it: a sender cannot know whether its
-//! deletion removes anything, and when it does not, the insertion is a
+//! tuple, over-delete its downstream closure, ship those deletions to
+//! every neighbour and re-derive it all. The rule reads the receiving
+//! store, so only a receiver can apply it: a sender cannot know whether
+//! its deletion removes anything, and when it does not, the insertion is a
 //! fresh announcement the selections must judge. A soft-state pair is
 //! ingested, since its re-insertion refreshes the expiry. Every other
-//! delta is ingested on its own, in arrival order.
+//! delta is ingested on its own, in arrival order. Cancelling only spares
+//! work: a pair ingested as two deltas ends in the same store, because the
+//! re-insertion waits for the deletion's DRed pass before a selection
+//! judges it.
 //!
 //! The insert-only work queue holds deltas that have been applied to the
 //! store (and therefore have a timestamp) but whose strands have not
@@ -82,7 +86,7 @@
 //! triggers do is as deterministic as the prefix sizes themselves.
 //!
 //! The driver owns a site's *state* — store, selections, queue,
-//! pending deletions, tap, statistics — and none of the buffers evaluation
+//! pending DRed input, tap, statistics — and none of the buffers evaluation
 //! runs in: [`LocalFixpoint::run`] borrows an [`EvalBuffers`] from whoever
 //! drives it (an executor lane, which for lane 0 includes the engine's
 //! inject path, or the centralized evaluator; see [`crate::batch`]) and
@@ -138,6 +142,16 @@ impl Strategy {
     }
 }
 
+/// What aggregate selections make of an insertion (`LocalFixpoint::admit`).
+enum Admission {
+    /// It reaches the store.
+    Admit,
+    /// It is refused: its group holds an aggregate at least as good.
+    Prune,
+    /// It waits for the next DRed pass to rebuild its group.
+    Defer,
+}
+
 /// One site's evaluation state and the loop that drives it to a local
 /// fixpoint.
 pub struct LocalFixpoint {
@@ -157,9 +171,14 @@ pub struct LocalFixpoint {
     superseded: u64,
     /// Insert-only work queue: applied deltas whose strands have not fired.
     queue: VecDeque<(TupleDelta, u64)>,
-    /// Tuples actually removed from the store, awaiting the next DRed
-    /// over-delete/re-derive pass.
-    pending_deletes: Vec<TupleDelta>,
+    /// The input of the next DRed over-delete/re-derive pass: the tuples
+    /// actually removed from the store, which seed it, and the insertions
+    /// whose admission waits for it (`admit` defers an insertion when a
+    /// pending removal can move its group's aggregate, whose stored output
+    /// is stale until the pass rebuilds it). An insertion is here only
+    /// beside a removal, so this is empty exactly when no removal is
+    /// pending.
+    pending: Vec<TupleDelta>,
     /// Records visibility transitions of subscribed relations (see
     /// [`crate::tap`]).
     tap: DeltaTap,
@@ -211,7 +230,7 @@ impl LocalFixpoint {
             pruned: 0,
             superseded: 0,
             queue: VecDeque::new(),
-            pending_deletes: Vec::new(),
+            pending: Vec::new(),
             tap: DeltaTap::new(),
             stats: EvalStats::default(),
         })
@@ -274,7 +293,7 @@ impl LocalFixpoint {
 
     /// Whether unprocessed work is queued.
     pub fn has_pending(&self) -> bool {
-        !self.queue.is_empty() || !self.pending_deletes.is_empty()
+        !self.queue.is_empty() || !self.pending.is_empty()
     }
 
     /// Advance the logical clock (for soft-state expiry).
@@ -287,7 +306,7 @@ impl LocalFixpoint {
     /// authoritative — never re-derived).
     pub fn expire_soft_state(&mut self, now_micros: u64) {
         let deltas = self.store.expire(now_micros);
-        self.pending_deletes.extend(deltas);
+        self.pending.extend(deltas);
     }
 
     /// Queue an already-stored tuple for (re-)firing with its stored
@@ -314,7 +333,7 @@ impl LocalFixpoint {
         }
         self.store.clear_tuples();
         self.queue.clear();
-        self.pending_deletes.clear();
+        self.pending.clear();
     }
 
     /// Ingest one receive batch — the payloads in order — as its net
@@ -334,10 +353,11 @@ impl LocalFixpoint {
     /// no-op, and the insertion after it a fresh announcement that
     /// aggregate selections must judge again. A soft-state pair is ingested,
     /// because its re-insertion moves the tuple's expiry forward.
-    /// Cancelling spares a selection from judging the re-insertion against
-    /// the aggregate of the tuple just deleted — its group is rebuilt only
-    /// by the next DRed pass — which would prune a tuple its sender still
-    /// derives.
+    /// Cancelling spares the deletion's DRed pass — the over-deleted
+    /// closure, the deletions shipped to the neighbours and everything
+    /// re-derived and re-shipped after it — and nothing else: a pair left
+    /// uncancelled ends in the same store, since its re-insertion waits for
+    /// that pass before a selection judges it.
     pub fn ingest_batch(
         &mut self,
         payloads: &mut [Vec<TupleDelta>],
@@ -386,6 +406,16 @@ impl LocalFixpoint {
     /// (payload, offset): the position of the first delta under the same
     /// primary key, if that is an insertion of the identical tuple. `None`
     /// for any other delta.
+    ///
+    /// The scan stops at the first delta under the key, so its cost is the
+    /// distance to it, or the rest of the batch when there is none: a batch
+    /// of n deltas costs O(n²) comparisons at worst. That assumes batches
+    /// of a few hundred deltas. On `churn_dred` (39 nodes, seed 1) a
+    /// cancelled pair sits 38 deltas apart at the median and 163 at most;
+    /// a commit of `Evaluator::update_batch` puts each replacement right
+    /// after its deletion. Wider batches would want a per-batch index of
+    /// positions by relation and key, built only when the batch holds both
+    /// signs.
     fn reassertion<'a>(
         &self,
         delta: &TupleDelta,
@@ -422,8 +452,10 @@ impl LocalFixpoint {
     /// stored head relation is the only copy of them.
     /// The delta is moved to where it ends up, never copied.
     fn ingest(&mut self, delta: TupleDelta) {
-        if !self.admit(&delta) {
-            return;
+        match self.admit(&delta) {
+            Admission::Admit => {}
+            Admission::Prune => return,
+            Admission::Defer => return self.pending.push(delta),
         }
         let ApplyEffect { change, seq } = self.store.apply(&delta);
         match change {
@@ -438,28 +470,34 @@ impl LocalFixpoint {
                     self.refresh_view_outputs(&delta);
                 }
             }
-            Change::Removed => self.pending_deletes.push(delta),
+            Change::Removed => self.pending.push(delta),
             Change::Inserted => self.inserted(delta, seq),
             Change::Replaced(old) => {
                 let old = TupleDelta::delete(delta.relation.clone(), old);
-                self.pending_deletes.push(old);
+                self.pending.push(old);
                 self.inserted(delta, seq);
             }
         }
     }
 
     /// Aggregate-selection pruning: whether an insertion may reach the
-    /// store, which it may unless a selection's group already holds an
-    /// aggregate at least as good.
-    fn admit(&mut self, delta: &TupleDelta) -> bool {
+    /// store now, which it may unless a selection's group already holds an
+    /// aggregate at least as good. A group whose aggregate a pending
+    /// removal can move judges nothing until the DRed pass has rebuilt it:
+    /// its stored output may still be the removed tuple's value, and
+    /// pruning against it would refuse what the rebuilt group admits — the
+    /// same path re-costed upward, shipped as its deletion and its
+    /// re-insertion, or a tie of a deleted best. The insertion waits for
+    /// the pass instead, as if the removal had arrived in an earlier batch.
+    fn admit(&mut self, delta: &TupleDelta) -> Admission {
         if delta.sign == Sign::Delete {
-            return true;
+            return Admission::Admit;
         }
         let Some((sel, candidate, current)) = self.against_best(delta) else {
-            return true;
+            return Admission::Admit;
         };
         if sel.is_better(candidate, current) {
-            return true;
+            return Admission::Admit;
         }
         // A re-announcement of any stored tuple — the reigning best or an
         // alternative admitted before the group bettered it — is "not
@@ -470,8 +508,40 @@ impl LocalFixpoint {
             .store
             .relation(&delta.relation)
             .is_some_and(|r| r.contains(&delta.tuple));
-        self.pruned += u64::from(!stored);
-        stored
+        if stored {
+            Admission::Admit
+        } else if self.awaits_rebuild(delta) {
+            Admission::Defer
+        } else {
+            self.pruned += 1;
+            Admission::Prune
+        }
+    }
+
+    /// Whether a removal awaiting the next DRed pass can move the aggregate
+    /// of `delta`'s group under the selection that prunes its relation —
+    /// the condition on which that pass pins and rebuilds the group.
+    /// Most calls find no pending removal of the group, so the group's
+    /// output is looked up only once one is found.
+    fn awaits_rebuild(&self, delta: &TupleDelta) -> bool {
+        let Some((_, view)) = self.selection(&delta.relation) else {
+            return false;
+        };
+        let view = &self.views[*view];
+        let mut removals = self
+            .pending
+            .iter()
+            .filter(|removed| {
+                removed.sign == Sign::Delete
+                    && removed.relation == delta.relation
+                    && view.same_group(&removed.tuple, &delta.tuple)
+            })
+            .peekable();
+        if removals.peek().is_none() {
+            return false;
+        }
+        let output = view.current_output_for(&self.store, &delta.tuple);
+        removals.any(|removed| view.removal_can_move(output, &removed.tuple))
     }
 
     /// A 0 → >0 visibility transition: `delta`'s tuple entered the store
@@ -562,7 +632,7 @@ impl LocalFixpoint {
                 // firings: they re-fire against the post-DRed store,
                 // exactly where the tuple-at-a-time loop would have fired
                 // them.
-                if !self.pending_deletes.is_empty() {
+                if !self.pending.is_empty() {
                     break;
                 }
             }
@@ -575,7 +645,7 @@ impl LocalFixpoint {
                 .iter_mut()
                 .for_each(Vec::clear);
             done += consumed;
-            ahead = if self.pending_deletes.is_empty() {
+            ahead = if self.pending.is_empty() {
                 ahead.saturating_mul(2)
             } else {
                 consumed
@@ -675,14 +745,17 @@ impl LocalFixpoint {
     /// Run DRed passes until no removal is pending: over-delete the local
     /// downstream closure of the pending seeds (shipping deletion
     /// derivations headed at other nodes), rebuild the pinned aggregate
-    /// groups, and ingest the re-derivation insertions (which may replace
-    /// keyed tuples and thereby queue further seeds — hence the loop).
+    /// groups, and ingest the re-derivation insertions, then the insertions
+    /// deferred for the pass (either may replace keyed tuples and thereby
+    /// queue further seeds — hence the loop).
     /// Remote over-deletions may over-approximate; the re-derive cascade
     /// re-ships the insertions that still hold, so the net effect at every
     /// receiver is exact.
     fn drain_deletions(&mut self, buffers: &mut EvalBuffers) -> Result<(), EvalError> {
-        while !self.pending_deletes.is_empty() {
-            let seeds = std::mem::take(&mut self.pending_deletes);
+        while !self.pending.is_empty() {
+            let mut seeds = std::mem::take(&mut self.pending);
+            let deferred: Vec<TupleDelta> =
+                seeds.extract_if(.., |d| d.sign == Sign::Insert).collect();
             let marking = dred::over_delete(
                 &mut self.store,
                 &self.strands,
@@ -724,6 +797,11 @@ impl LocalFixpoint {
             )?);
             self.stats.derivations += inserts.len();
             for delta in inserts {
+                self.ingest(delta);
+            }
+            // The insertions held back for this pass are judged against the
+            // groups it rebuilt.
+            for delta in deferred {
                 self.ingest(delta);
             }
         }

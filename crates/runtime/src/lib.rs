@@ -145,9 +145,8 @@
 //!   achieved width as `core.receive_batch_width`. The node hands the run
 //!   to [`fixpoint::LocalFixpoint::ingest_batch`], which ingests it as its
 //!   net change: a stored hard-state tuple one message deletes and a later
-//!   one re-inserts unchanged is left alone, not removed, pruned against
-//!   the aggregate it just left and cascaded through DRed to the
-//!   neighbours. The rule reads the receiver's store, so it lives at the
+//!   one re-inserts unchanged is left alone, not removed, cascaded
+//!   through DRed to the neighbours and re-derived. The rule reads the receiver's store, so it lives at the
 //!   receiver, never at a sender. On `churn_dred`, whose re-costings ship
 //!   such pairs, it lowered `wire_mb` by about 7 % and `net.messages` by
 //!   about a quarter; a batch without both signs is ingested delta by

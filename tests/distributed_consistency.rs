@@ -194,6 +194,55 @@ fn bursty_updates_converge_to_the_final_state() {
         .expect("eventual consistency after bursts");
 }
 
+#[test]
+fn bursty_rising_and_falling_costs_keep_a_route_for_every_pair() {
+    // `examples/dynamic_network.rs`'s run: the paper's ±10 % re-costing
+    // bursts with aggregate selections on, where a node often receives a
+    // path's deletion and its re-costed replacement, or its deletion and a
+    // tie, in one receive batch. Each insertion is judged against the group
+    // the deletion leaves, so every ordered pair still holds a shortest
+    // path at the end. Which path it holds may still be suboptimal, and on
+    // other overlays a pair can still lose its route, when a best that
+    // pruned the alternatives is over-deleted and nothing sends them again
+    // (ROADMAP, "Aggregate selections that survive deletions").
+    let ts = generate(&TransitStubConfig::small());
+    let overlay_config = OverlayConfig {
+        neighbors_per_node: 2,
+        seed: 0xc0ffee,
+    };
+    let overlay = Overlay::random_neighbors(&ts.topology, &overlay_config);
+    let links = overlay.links();
+    let nodes: Vec<_> = overlay.graph.nodes().collect();
+    let query_plan = plan(&programs::shortest_path("")).unwrap();
+    let mut config = EngineConfig::default();
+    config.node.aggregate_selections = true;
+    let mut engine = DistributedEngine::new(overlay.graph.clone(), &[query_plan], config).unwrap();
+    let metric = Metric::Latency;
+    for l in &links {
+        engine
+            .insert_base(l.src, "link", link(l.src, l.dst, l.cost(metric)))
+            .unwrap();
+    }
+    engine.run_to_quiescence().unwrap();
+    let mut workload = UpdateWorkload::paper(&links, metric, 42);
+    for _ in 0..3 {
+        for update in workload.burst() {
+            engine.apply_link_update("link", &update).unwrap();
+        }
+        assert!(engine.run_to_quiescence().unwrap().quiesced);
+    }
+    let mut routes: BTreeMap<_, usize> = BTreeMap::new();
+    for (node, tuple) in engine.results("shortestPath") {
+        let dst = tuple.get(1).unwrap().as_addr().unwrap();
+        *routes.entry((node, dst)).or_default() += 1;
+    }
+    for &src in &nodes {
+        for &dst in nodes.iter().filter(|&&dst| dst != src) {
+            assert_eq!(routes.get(&(src, dst)), Some(&1), "{src} -> {dst}");
+        }
+    }
+}
+
 /// Determinism property of the parallel epoch executor: across seeds ×
 /// topologies, evaluating with 1, 2 and 4 executor threads produces final
 /// stores, network statistics (`NetStats`, i.e. the full message trace)
