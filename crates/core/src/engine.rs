@@ -593,106 +593,136 @@ impl DistributedEngine {
     }
 
     /// Process events until the simulation time exceeds `seconds` or the
-    /// network quiesces, and report whether it did.
+    /// network quiesces, and report whether it did. Once every event at or
+    /// before `seconds` has run, the clock reads `seconds`: what is
+    /// injected next is sent then, not at the time of the last event.
     ///
     /// Drains the simulator in epochs, evaluates each on the executor
     /// (inline at 1 thread, on scoped lanes above), and replays the
     /// merged outcomes in `(time, seq)` order (see [`crate::exec`] for
     /// the full contract).
     pub fn run_until(&mut self, seconds: f64) -> Result<RunReport, EvalError> {
-        self.ensure_fault_timers();
         let limit = ms(seconds * 1000.0);
-        let window = self.epoch_window();
-        let mut quiesced = true;
-        while let Some(next) = self.sim.peek_time() {
-            if next > limit {
-                quiesced = false;
-                break;
-            }
-            let mut tasks = Vec::new();
-            for event in self.sim.drain_epoch(window, limit) {
-                match event.kind {
-                    ndlog_net::EventKind::Delivery(message) => tasks.push(NodeTask {
-                        time: event.time,
-                        seq: event.seq,
-                        node: message.to,
-                        action: NodeAction::Deliver(message.payload),
-                    }),
-                    ndlog_net::EventKind::Timer { node, token } if token == FLUSH_TOKEN => tasks
-                        .push(NodeTask {
-                            time: event.time,
-                            seq: event.seq,
-                            node,
-                            action: NodeAction::Flush,
-                        }),
-                    ndlog_net::EventKind::Timer { node, token } if token == CRASH_TOKEN => tasks
-                        .push(NodeTask {
-                            time: event.time,
-                            seq: event.seq,
-                            node,
-                            action: NodeAction::Crash,
-                        }),
-                    ndlog_net::EventKind::Timer { node, token }
-                        if token == REJOIN_TOKEN || token == REFRESH_TOKEN =>
-                    {
-                        if token == REFRESH_TOKEN {
-                            // Reschedule the next tick while inside the
-                            // horizon. This happens on the serial dispatch
-                            // path, so the timer schedule is identical at
-                            // every thread count.
-                            if let Some(refresh) = self.refresh {
-                                let next_tick = event.time + ms(refresh.interval_seconds * 1000.0);
-                                if next_tick <= ms(refresh.horizon_seconds * 1000.0) {
-                                    self.sim.schedule_timer(next_tick, node, REFRESH_TOKEN);
-                                }
-                            }
-                            // A tick landing inside the node's down window
-                            // is lost with the node; the rejoin timer
-                            // repopulates it.
-                            if self
-                                .sim
-                                .fault_plan()
-                                .is_some_and(|p| p.node_down_at(node, event.time))
-                            {
-                                continue;
-                            }
-                        }
-                        let seeds = self.seeds.get(&node).cloned().unwrap_or_default();
-                        self.refresh_ticks += 1;
-                        self.refresh_reannounced += seeds.len() as u64;
-                        tasks.push(NodeTask {
-                            time: event.time,
-                            seq: event.seq,
-                            node,
-                            action: NodeAction::Refresh(seeds),
-                        });
-                    }
-                    ndlog_net::EventKind::Timer { .. } => {}
-                }
-            }
-            let result = self.executor.run_epoch(&mut self.nodes, tasks);
-            self.delivery_stats.deliveries += result.deliveries;
-            self.delivery_stats.receive_batches += result.receive_batches;
-            for outcome in result.outcomes {
-                self.sim.advance_to(outcome.time);
-                self.apply_effects(outcome);
-            }
-            if let Some(error) = result.error {
-                // The effects preceding the failing event were replayed
-                // above, matching the sequential loop's state at its first
-                // error (see `exec::executor::EpochResult`).
-                return Err(error);
-            }
-        }
-        Ok(RunReport { quiesced })
+        let report = self.run_events(limit)?;
+        self.sim.advance_to(limit);
+        Ok(report)
     }
 
-    /// Run until no events remain (or the configured time cap is reached).
-    pub fn run_to_quiescence(&mut self) -> Result<RunReport, EvalError> {
-        self.run_until(self.max_seconds)?;
+    /// Run every event at or before `limit`, leaving the clock at the last.
+    fn run_events(&mut self, limit: SimTime) -> Result<RunReport, EvalError> {
+        while self.next_epoch(limit)? {}
         Ok(RunReport {
             quiesced: self.sim.peek_time().is_none(),
         })
+    }
+
+    /// Run the next epoch, if an event within the configured time cap is
+    /// queued, and report whether one was:
+    /// [`DistributedEngine::run_to_quiescence`] one epoch at a time, for a
+    /// caller that looks at the network between epochs. The epochs, hence
+    /// every count, are those of the whole run.
+    pub fn run_epoch(&mut self) -> Result<bool, EvalError> {
+        self.next_epoch(ms(self.max_seconds * 1000.0))
+    }
+
+    /// If an event at or before `limit` is queued, drain one epoch from the
+    /// queue, none of it past `limit`, evaluate it, replay its outcomes and
+    /// return `true`.
+    fn next_epoch(&mut self, limit: SimTime) -> Result<bool, EvalError> {
+        self.ensure_fault_timers();
+        if self.sim.peek_time().is_none_or(|next| next > limit) {
+            return Ok(false);
+        }
+        let window = self.epoch_window();
+        let mut tasks = Vec::new();
+        for event in self.sim.drain_epoch(window, limit) {
+            match event.kind {
+                ndlog_net::EventKind::Delivery(message) => tasks.push(NodeTask {
+                    time: event.time,
+                    seq: event.seq,
+                    node: message.to,
+                    action: NodeAction::Deliver(message.payload),
+                }),
+                ndlog_net::EventKind::Timer { node, token } if token == FLUSH_TOKEN => {
+                    tasks.push(NodeTask {
+                        time: event.time,
+                        seq: event.seq,
+                        node,
+                        action: NodeAction::Flush,
+                    })
+                }
+                ndlog_net::EventKind::Timer { node, token } if token == CRASH_TOKEN => {
+                    tasks.push(NodeTask {
+                        time: event.time,
+                        seq: event.seq,
+                        node,
+                        action: NodeAction::Crash,
+                    })
+                }
+                ndlog_net::EventKind::Timer { node, token }
+                    if token == REJOIN_TOKEN || token == REFRESH_TOKEN =>
+                {
+                    if token == REFRESH_TOKEN {
+                        // Reschedule the next tick while inside the
+                        // horizon. This happens on the serial dispatch
+                        // path, so the timer schedule is identical at
+                        // every thread count.
+                        if let Some(refresh) = self.refresh {
+                            let next_tick = event.time + ms(refresh.interval_seconds * 1000.0);
+                            if next_tick <= ms(refresh.horizon_seconds * 1000.0) {
+                                self.sim.schedule_timer(next_tick, node, REFRESH_TOKEN);
+                            }
+                        }
+                        // A tick landing inside the node's down window
+                        // is lost with the node; the rejoin timer
+                        // repopulates it.
+                        if self
+                            .sim
+                            .fault_plan()
+                            .is_some_and(|p| p.node_down_at(node, event.time))
+                        {
+                            continue;
+                        }
+                    }
+                    let seeds = self.seeds.get(&node).cloned().unwrap_or_default();
+                    self.refresh_ticks += 1;
+                    self.refresh_reannounced += seeds.len() as u64;
+                    tasks.push(NodeTask {
+                        time: event.time,
+                        seq: event.seq,
+                        node,
+                        action: NodeAction::Refresh(seeds),
+                    });
+                }
+                ndlog_net::EventKind::Timer { .. } => {}
+            }
+        }
+        let result = self.executor.run_epoch(&mut self.nodes, tasks);
+        self.delivery_stats.deliveries += result.deliveries;
+        self.delivery_stats.receive_batches += result.receive_batches;
+        for outcome in result.outcomes {
+            self.sim.advance_to(outcome.time);
+            self.apply_effects(outcome);
+        }
+        if let Some(error) = result.error {
+            // The effects preceding the failing event were replayed
+            // above, matching the sequential loop's state at its first
+            // error (see `exec::executor::EpochResult`).
+            return Err(error);
+        }
+        Ok(true)
+    }
+
+    /// Run until no events remain (or the configured time cap is reached),
+    /// leaving the clock at the last event.
+    pub fn run_to_quiescence(&mut self) -> Result<RunReport, EvalError> {
+        self.run_events(ms(self.max_seconds * 1000.0))
+    }
+
+    /// The payloads of the messages in flight, in no particular order: what
+    /// a heap census reads their capacity against their length in.
+    pub fn payloads_in_flight(&self) -> impl Iterator<Item = &Vec<TupleDelta>> {
+        self.sim.payloads_in_flight()
     }
 
     /// All stored tuples of a relation across the network, tagged with the
@@ -979,6 +1009,35 @@ mod tests {
         let report = engine.run_to_quiescence().unwrap();
         assert!(report.quiesced);
         assert_eq!(engine.result_count("shortestPath"), 12);
+    }
+
+    /// An idle `run_until(t)` ends at `t`, so what is injected after it is
+    /// sent at `t`; `run_to_quiescence` ends at the last event.
+    #[test]
+    fn an_idle_run_until_moves_the_clock_to_its_limit() {
+        let (graph, edges) = diamond();
+        let plan = plan(&programs::shortest_path("")).unwrap();
+        let mut engine = DistributedEngine::new(graph, &[plan], EngineConfig::default()).unwrap();
+        for (a, b, c) in edges {
+            engine
+                .insert_base(NodeAddr(a), "link", link_tuple(a, b, c))
+                .unwrap();
+        }
+        assert!(engine.run_to_quiescence().unwrap().quiesced);
+        let quiet = engine.now_seconds();
+        assert!(quiet > 0.0 && quiet < 1.0, "{quiet}");
+        assert!(engine.run_until(10.0).unwrap().quiesced);
+        assert_eq!(engine.now_seconds(), 10.0);
+        assert!(engine.run_until(4.0).unwrap().quiesced);
+        assert_eq!(engine.now_seconds(), 10.0, "the clock never goes back");
+        let sent = engine.stats().total_bytes();
+        engine
+            .delete_base(NodeAddr(0), "link", link_tuple(0, 1, 5.0))
+            .unwrap();
+        assert!(engine.run_to_quiescence().unwrap().quiesced);
+        assert!(engine.stats().total_bytes() > sent, "the deletion was sent");
+        // Sent at 10 s, it arrives a 2 ms link later.
+        assert!(engine.now_seconds() >= 10.002, "{}", engine.now_seconds());
     }
 
     #[test]

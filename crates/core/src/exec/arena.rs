@@ -32,15 +32,17 @@
 //! reports the two as `core.arena_demand_bytes` and
 //! `core.arena_allocated_bytes`.
 //!
-//! A buffer goes back to the pool no larger than twice the payload it just
-//! carried ([`DeltaArena::recycle`]). Payload sizes are mixed — a burst of
-//! 30 deltas, then a trickle of 13 — and most buffers spend their life not
-//! in a pool but in the simulator's queue, as a message in flight: a pool
-//! of high-water-mark buffers means every queued message holds the largest
-//! payload its buffer ever carried. Recycled capacity is recorded after the
-//! shrink, so the telescoped sum stays exactly Σ over distinct buffers of
-//! their final capacity; what a shrunken buffer grows again on a later,
-//! larger rent is allocator traffic that sum does not see.
+//! A payload's buffer holds exactly its payload. A sender knows every
+//! delta of a message before it rents the buffer, so it asks for that many
+//! ([`DeltaArena::rent`]): the pool hands out the smallest buffer that
+//! fits, shrunk to the payload, or grows one that does not, and
+//! [`DeltaArena::recycle`] keeps a buffer at the length it carried. Most
+//! buffers spend their life not in a pool but in the simulator's queue, as
+//! a message in flight, so every slot beyond the payload would be held for
+//! a link's whole delay. A resized buffer's capacity is recorded when it
+//! is recycled, so the telescoped sum stays exactly Σ over distinct
+//! buffers of their final capacity; the resizing itself is allocator
+//! traffic that sum does not see.
 
 use ndlog_runtime::TupleDelta;
 
@@ -124,34 +126,47 @@ pub struct DeltaArena {
 }
 
 impl DeltaArena {
-    /// Take a buffer for a new outbound batch: a pooled one when
-    /// available, else a fresh (zero-capacity) vector.
-    pub fn rent(&mut self) -> Vec<TupleDelta> {
+    /// Take a buffer for a payload of `len` deltas, its capacity exactly
+    /// `len`: the smallest pooled buffer that holds that many, shrunk to
+    /// it; failing that the largest pooled one, grown to it; failing that
+    /// a fresh one.
+    pub fn rent(&mut self, len: usize) -> Vec<TupleDelta> {
         self.stats.rents += 1;
-        match self.free.pop() {
-            Some(buf) => {
-                self.stats.reuses += 1;
-                self.stats.rented_capacity_bytes += capacity_bytes(&buf);
-                buf
-            }
-            None => Vec::new(),
-        }
+        let fits = (0..self.free.len()).filter(|&i| self.free[i].capacity() >= len);
+        let chosen = fits
+            .min_by_key(|&i| self.free[i].capacity())
+            .or_else(|| (0..self.free.len()).max_by_key(|&i| self.free[i].capacity()));
+        let Some(i) = chosen else {
+            return Vec::with_capacity(len);
+        };
+        let mut buf = self.free.swap_remove(i);
+        self.stats.reuses += 1;
+        self.stats.rented_capacity_bytes += capacity_bytes(&buf);
+        buf.shrink_to(len);
+        buf.reserve_exact(len);
+        buf
     }
 
-    /// Return a payload buffer to the pool, shrunk to at most twice the
-    /// payload it carried. `payload_len` is the number of deltas the
-    /// buffer carried over the wire (receivers drain the buffer before
-    /// returning it, so the length cannot be read off the buffer itself
-    /// here) — it is what the demand accounting records, and what the next
-    /// payload through this buffer is sized by.
+    /// Return a payload buffer to the pool, at the capacity of the payload
+    /// it carried. `payload_len` is the number of deltas the buffer carried
+    /// over the wire (receivers drain the buffer before returning it, so
+    /// the length cannot be read off the buffer itself here) — it is what
+    /// the demand accounting records.
     pub fn recycle(&mut self, payload_len: usize, mut buf: Vec<TupleDelta>) {
         self.stats.demand_bytes += unpooled_alloc_bytes(payload_len);
         buf.clear();
-        buf.shrink_to(2 * payload_len);
+        buf.shrink_to(payload_len);
         self.stats.recycled_capacity_bytes += capacity_bytes(&buf);
         if buf.capacity() > 0 && self.free.len() < MAX_POOLED {
             self.free.push(buf);
         }
+    }
+
+    /// Bytes of capacity the pool holds: its list and the idle buffers.
+    pub fn pooled_bytes(&self) -> usize {
+        let buffers: usize = self.free.iter().map(Vec::capacity).sum();
+        self.free.capacity() * std::mem::size_of::<Vec<TupleDelta>>()
+            + buffers * std::mem::size_of::<TupleDelta>()
     }
 
     /// This arena's accumulated counters.
@@ -173,16 +188,21 @@ mod tests {
     #[test]
     fn buffers_circulate_through_the_pool() {
         let mut arena = DeltaArena::default();
-        let mut buf = arena.rent();
+        let mut buf = arena.rent(10);
         assert_eq!(arena.stats().rents, 1);
         assert_eq!(arena.stats().reuses, 0);
+        assert_eq!(buf.capacity(), 10);
         buf.extend((0..10).map(delta));
-        let cap = buf.capacity();
-        let len = buf.len();
-        arena.recycle(len, buf);
+        let backing = buf.as_ptr();
+        arena.recycle(10, buf);
 
-        let reused = arena.rent();
-        assert_eq!(reused.capacity(), cap, "the same backing store comes back");
+        let reused = arena.rent(10);
+        assert_eq!(
+            reused.as_ptr(),
+            backing,
+            "the same backing store comes back"
+        );
+        assert_eq!(reused.capacity(), 10);
         assert!(reused.is_empty());
         assert_eq!(arena.stats().reuses, 1);
     }
@@ -192,11 +212,11 @@ mod tests {
         let mut arena = DeltaArena::default();
         // One buffer, recycled twice at the same capacity: allocated bytes
         // equal its final capacity, demand counts both passes.
-        let mut buf = arena.rent();
+        let mut buf = arena.rent(8);
         buf.extend((0..8).map(delta));
         let cap_bytes = buf.capacity() as u64 * DELTA_BYTES;
         arena.recycle(8, buf);
-        let mut buf = arena.rent();
+        let mut buf = arena.rent(8);
         buf.extend((0..8).map(delta));
         arena.recycle(8, buf);
 
@@ -209,27 +229,33 @@ mod tests {
     }
 
     #[test]
-    fn a_recycled_buffer_is_at_most_twice_its_payload() {
+    fn a_rented_buffer_holds_exactly_its_payload() {
         let mut arena = DeltaArena::default();
-        let mut buf = arena.rent();
-        buf.extend((0..30).map(delta));
-        arena.recycle(30, buf);
-        // The 30-slot buffer carries 13 deltas next: it returns with room
-        // for 26, and the accounting follows it down.
-        let mut buf = arena.rent();
-        assert!(buf.capacity() >= 30);
-        buf.extend((0..13).map(delta));
-        arena.recycle(13, buf);
-        let buf = arena.rent();
-        assert!((13..=26).contains(&buf.capacity()), "{}", buf.capacity());
-        let final_capacity = capacity_bytes(&buf);
-        arena.recycle(13, buf);
+        let rented: Vec<_> = [30, 13, 5].map(|len| (len, arena.rent(len))).into();
+        for (len, mut buf) in rented {
+            buf.extend((0..len as u32).map(delta));
+            arena.recycle(len, buf);
+        }
+        // Pooled: 30, 13 and 5 slots. A payload of 12 takes the 13-slot
+        // buffer, shrunk to 12, and leaves the others alone.
+        let buf = arena.rent(12);
+        assert_eq!(buf.capacity(), 12);
+        let mut pooled: Vec<usize> = arena.free.iter().map(Vec::capacity).collect();
+        pooled.sort_unstable();
+        assert_eq!(pooled, [5, 30]);
+        arena.recycle(12, buf);
+        // A payload of 40 fits none: the largest, 30, grows to it.
+        let buf = arena.rent(40);
+        assert_eq!(buf.capacity(), 40);
+        let mut pooled: Vec<usize> = arena.free.iter().map(Vec::capacity).collect();
+        pooled.sort_unstable();
+        assert_eq!(pooled, [5, 12]);
+        // A buffer recycled below its capacity keeps only what it carried,
+        // and the accounting follows it down.
+        arena.recycle(7, buf);
+        assert!(arena.free.iter().any(|b| b.capacity() == 7));
+        let final_capacity: u64 = arena.free.iter().map(capacity_bytes).sum();
         assert_eq!(arena.stats().allocated_bytes(), final_capacity);
-        // A buffer within twice its payload is left alone.
-        let buf = arena.rent();
-        let before = buf.capacity();
-        arena.recycle(before / 2, buf);
-        assert_eq!(arena.rent().capacity(), before);
     }
 
     #[test]
@@ -237,7 +263,7 @@ mod tests {
         // Rent at node A, recycle at node B — only the sum is meaningful.
         let mut a = DeltaArena::default();
         let mut b = DeltaArena::default();
-        let mut buf = a.rent();
+        let mut buf = a.rent(4);
         buf.extend((0..4).map(delta));
         b.recycle(4, buf);
         let mut total = a.stats();

@@ -33,6 +33,6 @@ pub use engine::{
     RefreshConfig, RunReport,
 };
 pub use exec::{ArenaStats, EpochExecutor};
-pub use node::{NodeConfig, NodeEngine};
+pub use node::{KeptCapacity, NodeConfig, NodeEngine};
 pub use plan::{plan, QueryPlan};
 pub use updates::{LinkUpdate, UpdateWorkload};

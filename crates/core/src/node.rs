@@ -74,6 +74,19 @@ pub struct ProcessOutput {
     pub request_flush: bool,
 }
 
+/// Bytes of capacity a node keeps between runs beside its store, by buffer.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KeptCapacity {
+    /// The evaluation queue.
+    pub queue: usize,
+    /// The pending deletions.
+    pub pending: usize,
+    /// Outbound deltas held for a flush.
+    pub held: usize,
+    /// The payload-buffer pool.
+    pub pooled: usize,
+}
+
 /// The per-node engine.
 pub struct NodeEngine {
     fixpoint: LocalFixpoint,
@@ -207,6 +220,16 @@ impl NodeEngine {
         self.arena.stats()
     }
 
+    /// What this node's buffers keep between runs, empty or not.
+    pub fn kept_capacity(&self) -> KeptCapacity {
+        KeptCapacity {
+            queue: self.fixpoint.queue_bytes(),
+            pending: self.fixpoint.pending_bytes(),
+            held: self.held.capacity() * std::mem::size_of::<(NodeAddr, TupleDelta)>(),
+            pooled: self.arena.pooled_bytes(),
+        }
+    }
+
     /// Expire soft-state tuples; the expired tuples seed the next DRed
     /// pass (they are already removed from the store, and an expiry is
     /// authoritative — never re-derived).
@@ -280,18 +303,31 @@ impl NodeEngine {
         let run = self.fixpoint.run(Strategy::Pipelined, buffers);
         let mut output = ProcessOutput::default();
         let hold_for_sharing = self.config.sharing_delay.is_some();
-        for (dest, delta) in buffers.drain_shipped() {
-            let hold_for_periodic = self.config.periodic_flush.is_some()
-                && self.fixpoint.selection(&delta.relation).is_some();
-            if hold_for_sharing || hold_for_periodic {
+        let holds = |delta: &TupleDelta| {
+            hold_for_sharing
+                || (self.config.periodic_flush.is_some()
+                    && self.fixpoint.selection(&delta.relation).is_some())
+        };
+        // The shipped list is complete: rent each destination's buffer at
+        // exactly the number of deltas it will carry.
+        let shipped = buffers.drain_shipped();
+        for (dest, delta) in shipped.as_slice() {
+            if !holds(delta) {
+                output.outbound.entry(*dest).or_default();
+            }
+        }
+        for (dest, buffer) in &mut output.outbound {
+            let to_dest = shipped.as_slice().iter().filter(|(to, _)| to == dest);
+            let len = to_dest.filter(|(_, delta)| !holds(delta)).count();
+            *buffer = self.arena.rent(len);
+        }
+        for (dest, delta) in shipped {
+            if holds(&delta) {
                 self.held.push((dest, delta));
                 output.request_flush = true;
             } else {
-                output
-                    .outbound
-                    .entry(dest)
-                    .or_insert_with(|| self.arena.rent())
-                    .push(delta);
+                let buffer = output.outbound.get_mut(&dest).expect("rented above");
+                buffer.push(delta);
             }
         }
         run?;
@@ -363,12 +399,22 @@ impl NodeEngine {
             }
         }
         let winners: BTreeSet<usize> = best.into_values().map(|(idx, _)| idx).collect();
-        let mut out: BTreeMap<NodeAddr, Vec<TupleDelta>> = BTreeMap::new();
+        let sent = |idx: usize| verbatim[idx] || winners.contains(&idx);
+        // Every survivor is known: rent each destination's buffer at
+        // exactly the number of deltas it will carry.
+        let mut lens: BTreeMap<NodeAddr, usize> = BTreeMap::new();
+        for (idx, (dest, _)) in held.iter().enumerate() {
+            if sent(idx) {
+                *lens.entry(*dest).or_default() += 1;
+            }
+        }
+        let mut out: BTreeMap<NodeAddr, Vec<TupleDelta>> = lens
+            .into_iter()
+            .map(|(dest, len)| (dest, self.arena.rent(len)))
+            .collect();
         for (idx, (dest, delta)) in held.into_iter().enumerate() {
-            if verbatim[idx] || winners.contains(&idx) {
-                out.entry(dest)
-                    .or_insert_with(|| self.arena.rent())
-                    .push(delta);
+            if sent(idx) {
+                out.get_mut(&dest).expect("rented above").push(delta);
             }
         }
         out

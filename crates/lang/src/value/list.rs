@@ -29,6 +29,20 @@ fn mul_mod(a: u64, b: u64) -> u64 {
     reduce((product as u64 & MODULUS) + (product >> 61) as u64)
 }
 
+/// `BASE` to the power `n`, by square-and-multiply: what an element added
+/// at the front of a list of length `n` multiplies its digest by.
+fn base_power(mut n: usize) -> u64 {
+    let (mut power, mut square) = (1, BASE);
+    while n > 0 {
+        if n & 1 == 1 {
+            power = mul_mod(power, square);
+        }
+        square = mul_mod(square, square);
+        n >>= 1;
+    }
+    power
+}
+
 /// An element's digest: its seedless hash as a residue.
 fn digest(item: &Value) -> u64 {
     let hash = FxBuild::default().hash_one(item);
@@ -56,9 +70,10 @@ fn digest(item: &Value) -> u64 {
 /// where `d` is an element's [`FxHasher`](super::FxHasher) digest and `B` a
 /// fixed base. It depends on the element sequence only, not on the order
 /// the nodes were added in, and each direction updates it in O(1): adding
-/// `x` at the back maps `h` to `h·B + d(x)`, at the front to `d(x)·Bⁿ + h`
-/// with `Bⁿ` cached beside it. The modulus is prime: modulo 2⁶⁴ the
-/// Thue–Morse sequences collide for every base.
+/// `x` at the back maps `h` to `h·B + d(x)`, at the front to `d(x)·Bⁿ + h`,
+/// `Bⁿ` computed from the cached length in O(log n) multiplications. The
+/// modulus is prime: modulo 2⁶⁴ the Thue–Morse sequences collide for every
+/// base.
 ///
 /// # Sharing
 ///
@@ -80,9 +95,6 @@ struct Node {
     /// The content hash of the list this node heads, with [`BACK`] set when
     /// `item` is that list's last element rather than its first.
     tagged_hash: u64,
-    /// `BASE` to the power of the length: what an element added at the front
-    /// of this list multiplies its digest by.
-    power: u64,
     len: u32,
     /// `2 + Σ item.wire_size()`, saturating at `u32::MAX` — a size no
     /// message can have.
@@ -148,7 +160,7 @@ impl List {
     /// This list with `item` in front of it (`f_cons`): one allocation,
     /// sharing every node of `self`.
     pub fn cons(&self, item: Value) -> List {
-        let power = self.head().map_or(1, |node| node.power);
+        let power = base_power(self.len());
         let hash = reduce(mul_mod(digest(&item), power) + self.content_hash());
         self.link(item, hash)
     }
@@ -163,12 +175,10 @@ impl List {
     fn link(&self, item: Value, tagged_hash: u64) -> List {
         let len = u32::try_from(self.len() + 1).expect("fewer than 2³² list nodes");
         let wire = u32::try_from(self.wire_size() + item.wire_size()).unwrap_or(u32::MAX);
-        let power = mul_mod(self.head().map_or(1, |node| node.power), BASE);
         List(Some(Arc::new(Node {
             item,
             rest: self.clone(),
             tagged_hash,
-            power,
             len,
             wire,
         })))
@@ -369,11 +379,21 @@ mod tests {
     }
 
     #[test]
-    fn a_node_is_one_value_and_four_words() {
-        // With the reference counts, one 64-byte allocation per element.
-        assert_eq!(std::mem::size_of::<Node>(), 48);
+    fn a_node_is_one_value_and_three_words() {
+        // With the reference counts, one 56-byte allocation per element:
+        // a 64-byte chunk under glibc, where 64 bytes would take 80.
+        assert_eq!(std::mem::size_of::<Node>(), 40);
         assert_eq!(std::mem::size_of::<List>(), 8);
         assert_eq!(std::mem::size_of::<Value>(), 16);
+    }
+
+    #[test]
+    fn powers_of_the_base_are_repeated_products() {
+        let mut expected = 1;
+        for n in 0..200 {
+            assert_eq!(base_power(n), expected, "B^{n}");
+            expected = mul_mod(expected, BASE);
+        }
     }
 
     #[test]

@@ -186,6 +186,16 @@ impl<P: Clone> Simulator<P> {
         self.queue.len()
     }
 
+    /// The payloads of the messages in flight, in no particular order.
+    pub fn payloads_in_flight(&self) -> impl Iterator<Item = &P> {
+        self.queue
+            .iter()
+            .filter_map(|Reverse(event)| match &event.kind {
+                EventKind::Delivery(message) => Some(&message.payload),
+                EventKind::Timer { .. } => None,
+            })
+    }
+
     fn push(&mut self, time: SimTime, kind: EventKind<P>) {
         let seq = self.seq;
         self.seq += 1;

@@ -99,15 +99,19 @@ use crate::batch::{BatchTrigger, EvalBuffers};
 use crate::dred;
 use crate::expr::EvalError;
 use crate::index::EvalStats;
+use crate::relation::Relation;
 use crate::store::{ApplyEffect, Change, Store};
 use crate::strand::CompiledStrand;
 use crate::tap::DeltaTap;
 use crate::tuple::{RelName, Sign, Tuple, TupleDelta};
 use ndlog_lang::aggsel::AggSelectionSpec;
+use ndlog_lang::value::FxBuild;
 use ndlog_lang::Value;
 use ndlog_net::NodeAddr;
+use std::cell::Cell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::Arc;
 
 /// Which evaluation strategy to use: the round policy of the one loop.
@@ -336,6 +340,16 @@ impl LocalFixpoint {
         self.pending.clear();
     }
 
+    /// Bytes of capacity the work queue keeps between runs.
+    pub fn queue_bytes(&self) -> usize {
+        self.queue.capacity() * std::mem::size_of::<(TupleDelta, u64)>()
+    }
+
+    /// Bytes of capacity the pending deletions keep between runs.
+    pub fn pending_bytes(&self) -> usize {
+        self.pending.capacity() * std::mem::size_of::<TupleDelta>()
+    }
+
     /// Ingest one receive batch — the payloads in order — as its net
     /// change. A deletion of a tuple the store holds at that point in the
     /// batch, of a hard-state relation, whose next delta under the same
@@ -344,7 +358,12 @@ impl LocalFixpoint {
     /// the queue or a DRed pass, since "−D, +D" of a stored D changes
     /// nothing (an update is a deletion followed by an insertion, Section
     /// 4). Every other delta is ingested on its own, in arrival order; in a
-    /// batch without both signs, that is every delta. Each payload's
+    /// batch without both signs, that is every delta. A batch with both
+    /// signs and at least `CHAINED_BATCH` (128) deltas is first read once
+    /// from the back, chaining each delta to the next one under its
+    /// relation and key; a narrower one is scanned, fewer than 128
+    /// comparisons per deletion. Either way the batch costs O(n), however
+    /// far apart a pair sits. Each payload's
     /// buffer goes to `drained`, emptied, with the number of deltas it
     /// carried, as soon as the batch is done with it.
     ///
@@ -361,37 +380,51 @@ impl LocalFixpoint {
     pub fn ingest_batch(
         &mut self,
         payloads: &mut [Vec<TupleDelta>],
-        mut drained: impl FnMut(usize, Vec<TupleDelta>),
+        drained: impl FnMut(usize, Vec<TupleDelta>),
     ) {
+        self.ingest_netted(payloads, drained, CHAINED_BATCH);
+    }
+
+    /// [`LocalFixpoint::ingest_batch`], finding re-assertions through key
+    /// chains in a batch of at least `chained_batch` deltas; returns how
+    /// many deltas the searches compared against a deletion's key.
+    fn ingest_netted(
+        &mut self,
+        payloads: &mut [Vec<TupleDelta>],
+        mut drained: impl FnMut(usize, Vec<TupleDelta>),
+        chained_batch: usize,
+    ) -> usize {
         let signs = || payloads.iter().flatten().map(|d| d.sign);
         let nets = signs().any(|s| s == Sign::Insert) && signs().any(|s| s == Sign::Delete);
-        // Where the insertions that cancelled an earlier deletion sit, as
-        // (payload, offset), nearest first.
+        let wide = payloads.iter().map(Vec::len).sum::<usize>() >= chained_batch;
+        let chains = (nets && wide).then(|| KeyChains::new(&self.store, payloads));
+        let comparisons = Cell::new(0);
+        // The batch positions of the insertions that cancelled an earlier
+        // deletion, nearest first.
         let mut cancelled = BinaryHeap::new();
+        let mut position = 0;
         for p in 0..payloads.len() {
             let (current, later) = payloads.split_at_mut(p + 1);
             let payload = &mut current[p];
             let len = payload.len();
             let mut deltas = payload.drain(..);
-            let mut offset = 0;
             while let Some(delta) = deltas.next() {
-                let at = (p, offset);
-                offset += 1;
+                let at = position;
+                position += 1;
                 if cancelled.peek() == Some(&Reverse(at)) {
                     cancelled.pop();
                     continue;
                 }
-                let reasserted = if nets {
-                    let ahead = (offset..).zip(deltas.as_slice()).map(|(i, d)| (d, (p, i)));
-                    let beyond = (p + 1..)
-                        .zip(&*later)
-                        .flat_map(|(q, payload)| (0..).zip(payload).map(move |(i, d)| (d, (q, i))));
-                    self.reassertion(&delta, ahead.chain(beyond))
-                } else {
-                    None
+                let following = Following {
+                    at,
+                    ahead: deltas.as_slice(),
+                    later,
+                    chains: chains.as_ref(),
+                    comparisons: &comparisons,
                 };
-                match reasserted {
-                    Some(at) => cancelled.push(Reverse(at)),
+                let reasserted = nets.then(|| self.reassertion(&delta, following));
+                match reasserted.flatten() {
+                    Some(reinsertion) => cancelled.push(Reverse(reinsertion)),
                     None => self.ingest(delta),
                 }
             }
@@ -399,28 +432,17 @@ impl LocalFixpoint {
             drained(len, std::mem::take(payload));
         }
         debug_assert!(cancelled.is_empty());
+        comparisons.get()
     }
 
     /// Where `delta`, a deletion of a stored hard-state tuple, is re-inserted
-    /// among the deltas that follow it in its batch, each given with its
-    /// (payload, offset): the position of the first delta under the same
-    /// primary key, if that is an insertion of the identical tuple. `None`
-    /// for any other delta.
-    ///
-    /// The scan stops at the first delta under the key, so its cost is the
-    /// distance to it, or the rest of the batch when there is none: a batch
-    /// of n deltas costs O(n²) comparisons at worst. That assumes batches
-    /// of a few hundred deltas. On `churn_dred` (39 nodes, seed 1) a
-    /// cancelled pair sits 38 deltas apart at the median and 163 at most;
-    /// a commit of `Evaluator::update_batch` puts each replacement right
-    /// after its deletion. Wider batches would want a per-batch index of
-    /// positions by relation and key, built only when the batch holds both
-    /// signs.
-    fn reassertion<'a>(
-        &self,
-        delta: &TupleDelta,
-        following: impl Iterator<Item = (&'a TupleDelta, (usize, usize))>,
-    ) -> Option<(usize, usize)> {
+    /// among the deltas that follow it in its batch: the batch position of
+    /// the next delta under the same primary key, if that is an insertion
+    /// of the identical tuple. `None` for any other delta. A search compares
+    /// at most [`CHAINED_BATCH`] deltas in a narrow batch, and in a wide one
+    /// follows the key chains, one delta but for a fingerprint collision:
+    /// a batch costs O(n) either way.
+    fn reassertion(&self, delta: &TupleDelta, following: Following<'_>) -> Option<usize> {
         if delta.sign != Sign::Delete {
             return None;
         }
@@ -437,10 +459,10 @@ impl LocalFixpoint {
                 key.iter().all(|&c| other.get(c) == tuple.get(c))
             }
         };
-        let mut same =
-            following.filter(|(d, _)| d.relation == delta.relation && same_key(&d.tuple));
-        let (next, at) = same.next()?;
-        (next.sign == Sign::Insert && next.tuple == *tuple).then_some(at)
+        let (position, next) = following
+            .candidates()
+            .find(|(_, d)| d.relation == delta.relation && same_key(&d.tuple))?;
+        (next.sign == Sign::Insert && next.tuple == *tuple).then_some(position)
     }
 
     /// Apply a delta to the store, feed aggregate views, and enqueue
@@ -806,5 +828,243 @@ impl LocalFixpoint {
             }
         }
         Ok(())
+    }
+}
+
+/// The narrowest receive batch whose re-assertions are found through key
+/// chains. A narrower batch with both signs scans, for each deletion of a
+/// stored tuple, the deltas after it until one under its key — at most
+/// this many comparisons per deletion, and no allocation. On `churn_dred`
+/// (seed 1) half the batches with both signs hold two deltas and 1 % of
+/// their deltas sit in batches of 256 or more; chaining every batch cost
+/// ≈ 5 % of `op_p50_ms`.
+const CHAINED_BATCH: usize = 128;
+
+/// Where each delta of a receive batch is followed by the next one under
+/// the same relation and primary key. One pass from the back files every
+/// delta of a stored relation by a fingerprint of the relation and its key
+/// values and links it to the nearest later delta with the same
+/// fingerprint, so the next delta under a key is the first of its chain
+/// whose key is equal — the first one, but for a collision. Built only for
+/// a batch holding both signs and at least [`CHAINED_BATCH`] deltas.
+struct KeyChains {
+    /// The batch position of each payload's first delta.
+    starts: Vec<usize>,
+    /// By batch position, the nearest later position with the same
+    /// fingerprint.
+    next: Vec<Option<u32>>,
+}
+
+impl KeyChains {
+    fn new(store: &Store, payloads: &[Vec<TupleDelta>]) -> KeyChains {
+        let starts: Vec<usize> = payloads
+            .iter()
+            .scan(0, |start, payload| {
+                let this = *start;
+                *start += payload.len();
+                Some(this)
+            })
+            .collect();
+        let total = payloads.iter().map(Vec::len).sum();
+        let total32 = u32::try_from(total).expect("fewer than 2³² deltas in a batch");
+        let mut next = vec![None; total];
+        let mut nearest: HashMap<u64, u32, FxBuild> =
+            HashMap::with_capacity_and_hasher(total, FxBuild::default());
+        let from_the_back = (0..total32).rev().zip(payloads.iter().flatten().rev());
+        // Deltas come in runs of one relation: look it up once per run. A
+        // relation is filed by its address in the store, which stands for
+        // its name.
+        let mut current: Option<(&RelName, Option<&Relation>)> = None;
+        for (position, delta) in from_the_back {
+            let relation = match current {
+                Some((name, relation)) if *name == delta.relation => relation,
+                _ => {
+                    let relation = store.relation(&delta.relation);
+                    current = Some((&delta.relation, relation));
+                    relation
+                }
+            };
+            let Some(relation) = relation else {
+                continue;
+            };
+            let mut hasher = FxBuild::default().build_hasher();
+            std::ptr::hash(relation, &mut hasher);
+            let key = &relation.schema().key_columns;
+            if key.is_empty() {
+                delta.tuple.values().hash(&mut hasher);
+            } else {
+                key.iter()
+                    .for_each(|&c| delta.tuple.get(c).hash(&mut hasher));
+            }
+            next[position as usize] = nearest.insert(hasher.finish(), position);
+        }
+        KeyChains { starts, next }
+    }
+}
+
+/// The deltas after batch position `at`: the rest of its payload and the
+/// payloads after it, with the batch's key chains if it has them.
+struct Following<'a> {
+    at: usize,
+    ahead: &'a [TupleDelta],
+    later: &'a [Vec<TupleDelta>],
+    chains: Option<&'a KeyChains>,
+    /// Deltas compared against a deletion's key so far.
+    comparisons: &'a Cell<usize>,
+}
+
+impl<'a> Following<'a> {
+    /// The deltas that may be the next under the key of the delta at `at`,
+    /// nearest first, with their batch positions, each counted as a
+    /// comparison: those its chain leads to, or without chains all of them.
+    fn candidates(self) -> impl Iterator<Item = (usize, &'a TupleDelta)> {
+        let Following {
+            at,
+            ahead,
+            later,
+            chains,
+            comparisons,
+        } = self;
+        let scanned = chains
+            .is_none()
+            .then(|| (at + 1..).zip(ahead.iter().chain(later.iter().flatten())));
+        let chained = chains.map(|chains| {
+            let step = |&position: &usize| chains.next[position].map(|next| next as usize);
+            std::iter::successors(step(&at), step).map(move |position| {
+                let delta = if position <= at + ahead.len() {
+                    &ahead[position - at - 1]
+                } else {
+                    let payload = chains.starts.partition_point(|&start| start <= position) - 1;
+                    let offset = chains.starts.len() - later.len();
+                    &later[payload - offset][position - chains.starts[payload]]
+                };
+                (position, delta)
+            })
+        });
+        let candidates = scanned.into_iter().flatten();
+        let candidates = candidates.chain(chained.into_iter().flatten());
+        candidates.inspect(|_| comparisons.set(comparisons.get() + 1))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::relation::RelationSchema;
+
+    fn row(key: i64, value: i64) -> Tuple {
+        Tuple::new(vec![Value::Int(key), Value::Int(value)])
+    }
+
+    /// A site storing `r(k, 0)` for every `k < n`, `r` keyed on its first
+    /// field.
+    fn storing(n: i64) -> LocalFixpoint {
+        let mut store = Store::new();
+        store.ensure(RelationSchema::new("r").with_keys(vec![0]));
+        let mut fixpoint = LocalFixpoint::new(store, Arc::default(), Vec::new(), None, Vec::new())
+            .expect("no strands");
+        let mut facts = (0..n).map(|k| TupleDelta::insert("r", row(k, 0))).collect();
+        fixpoint.ingest_batch(std::slice::from_mut(&mut facts), |_, _| {});
+        fixpoint
+    }
+
+    /// Ingest `batch` as two payloads, chained from `chained_batch` deltas;
+    /// the key comparisons it cost.
+    fn comparisons(
+        fixpoint: &mut LocalFixpoint,
+        mut batch: Vec<TupleDelta>,
+        chained_batch: usize,
+    ) -> usize {
+        let second = batch.split_off(batch.len() / 2);
+        fixpoint.ingest_netted(&mut [batch, second], |_, _| {}, chained_batch)
+    }
+
+    /// n deletions of stored tuples that no insertion re-asserts: a scan of
+    /// the rest of the batch per deletion compares n²/2 deltas; the key
+    /// chains of a wide batch compare none, and one per deletion when a
+    /// replacement under its key follows.
+    #[test]
+    fn searching_a_batch_for_re_assertions_is_linear() {
+        for n in [128, 256, 512] {
+            let unmatched = || {
+                let deletions = (0..n).map(|k| TupleDelta::delete("r", row(k, 0)));
+                deletions
+                    .chain([TupleDelta::insert("r", row(n, 0))])
+                    .collect()
+            };
+            let mut fixpoint = storing(n);
+            assert_eq!(comparisons(&mut fixpoint, unmatched(), CHAINED_BATCH), 0);
+            assert_eq!(fixpoint.store().tuples("r"), [row(n, 0)]);
+            let scanned = comparisons(&mut storing(n), unmatched(), usize::MAX);
+            assert_eq!(scanned, (n * (n + 1) / 2) as usize, "n = {n}");
+
+            let mut fixpoint = storing(n);
+            let deletions = (0..n).map(|k| TupleDelta::delete("r", row(k, 0)));
+            let replacements = (0..n).map(|k| TupleDelta::insert("r", row(k, 1)));
+            let batch = deletions.chain(replacements).collect();
+            let chained = comparisons(&mut fixpoint, batch, CHAINED_BATCH);
+            assert_eq!(chained, n as usize, "n = {n}");
+            let replaced: Vec<_> = (0..n).map(|k| row(k, 1)).collect();
+            assert_eq!(fixpoint.store().tuples("r"), replaced);
+        }
+    }
+
+    /// Chained or scanned, a batch ends in the same store with the same
+    /// counts: random batches of deletions and insertions over a few keys,
+    /// stored or not, split into payloads at random.
+    #[test]
+    fn chains_find_what_a_scan_finds() {
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut draw = |below: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % below) as i64
+        };
+        for _ in 0..200 {
+            let deltas: Vec<TupleDelta> = (0..draw(40))
+                .map(|_| {
+                    let tuple = row(draw(6), draw(3));
+                    if draw(2) == 0 {
+                        TupleDelta::delete("r", tuple)
+                    } else {
+                        TupleDelta::insert("r", tuple)
+                    }
+                })
+                .collect();
+            let cut = draw(deltas.len() as u64 + 1) as usize;
+            let ends = [0, usize::MAX].map(|chained_batch| {
+                let mut fixpoint = storing(4);
+                let (first, second) = deltas.split_at(cut);
+                let mut payloads = [first.to_vec(), second.to_vec()];
+                fixpoint.ingest_netted(&mut payloads, |_, _| {}, chained_batch);
+                let relation = fixpoint.store().relation("r").unwrap();
+                let rows: Vec<_> = relation.iter().cloned().collect();
+                (rows, fixpoint.pending.clone(), fixpoint.queue.clone())
+            });
+            assert_eq!(ends[0], ends[1], "{deltas:?} cut at {cut}");
+        }
+    }
+
+    /// A re-assertion found along a chain cancels with its deletion, also
+    /// across payloads and past deltas under other keys.
+    #[test]
+    fn a_chain_finds_the_re_assertion_in_a_later_payload() {
+        let mut fixpoint = storing(3);
+        let seq = |f: &LocalFixpoint, k| {
+            let stored = f.store().relation("r").unwrap().get(&[Value::Int(k)]);
+            stored.map(|s| s.seq)
+        };
+        let before = seq(&fixpoint, 1);
+        let batch = vec![
+            TupleDelta::delete("r", row(1, 0)),
+            TupleDelta::delete("r", row(0, 0)),
+            TupleDelta::insert("r", row(2, 5)),
+            TupleDelta::insert("r", row(1, 0)),
+        ];
+        assert_eq!(comparisons(&mut fixpoint, batch, 0), 1);
+        // Left alone: the row kept its timestamp.
+        assert_eq!(seq(&fixpoint, 1), before);
+        assert_eq!(fixpoint.store().tuples("r"), [row(1, 0), row(2, 5)]);
     }
 }

@@ -149,15 +149,20 @@
 //!   through DRed to the neighbours and re-derived. The rule reads the receiver's store, so it lives at the
 //!   receiver, never at a sender. On `churn_dred`, whose re-costings ship
 //!   such pairs, it lowered `wire_mb` by about 7 % and `net.messages` by
-//!   about a quarter; a batch without both signs is ingested delta by
-//!   delta, as before, and `tests/net_change.rs` holds batches to the same
+//!   about a quarter. A wide batch holding both signs finds each
+//!   deletion's next delta under its key through key chains built in one
+//!   pass, a narrow one by a scan of fewer than 128 deltas, so either
+//!   costs O(n); one without both signs is ingested delta by delta, as
+//!   before, and `tests/net_change.rs` holds batches to the same
 //!   stores as one update per delta.
 //! * **Wire-buffer arenas** (`ndlog-core`'s `exec::arena` module): the
 //!   `Vec<TupleDelta>` payload buffers that carry deltas between nodes
 //!   circulate through a per-node pool — rented at the send path,
 //!   recycled when the receiver drains them — so steady-state messaging
-//!   reuses buffers instead of allocating per message. The benchmark
-//!   reports demanded vs actually-allocated buffer bytes as
+//!   reuses buffers instead of allocating per message. A sender rents
+//!   each buffer once its payload is complete, at exactly its length, so
+//!   a message waiting out a link's delay holds no spare slots. The
+//!   benchmark reports demanded vs actually-allocated buffer bytes as
 //!   `core.arena_demand_bytes` / `core.arena_allocated_bytes`.
 //!
 //! Probe accounting is two-counter, in the [`EvalStats`] every join site
