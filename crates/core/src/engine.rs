@@ -25,12 +25,10 @@
 //! that epoch; otherwise the same drain runs inline on the caller. Either
 //! way a run is bit-for-bit identical across thread counts. Consecutive
 //! same-node deliveries within an epoch are merged into one receive
-//! batch, and the wire payload buffers circulate through
-//! per-node arenas ([`crate::exec::arena`]) instead of being reallocated
-//! per message.
+//! batch, whose payloads are freed once ingested.
 
 use crate::exec::executor::node_step;
-use crate::exec::{ArenaStats, EpochExecutor, EpochOutcome, NodeAction, NodeTask, OutboundBatch};
+use crate::exec::{EpochExecutor, EpochOutcome, NodeAction, NodeTask, OutboundBatch};
 use crate::node::{NodeConfig, NodeEngine};
 use crate::plan::QueryPlan;
 use crate::updates::LinkUpdate;
@@ -286,17 +284,6 @@ impl DistributedEngine {
     /// coalescer's receive-batch-width statistic).
     pub fn delivery_stats(&self) -> DeliveryStats {
         self.delivery_stats
-    }
-
-    /// Wire-buffer arena counters summed over all nodes: the per-message
-    /// allocation demand vs. the backing capacity the pools actually
-    /// created (see [`crate::exec::arena`]).
-    pub fn arena_stats(&self) -> ArenaStats {
-        let mut total = ArenaStats::default();
-        for node in self.nodes.values() {
-            total.absorb(node.arena_stats());
-        }
-        total
     }
 
     /// Current simulation time in seconds.
@@ -770,6 +757,7 @@ impl DistributedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::ArenaStats;
     use crate::plan::plan;
     use ndlog_lang::programs;
     use ndlog_net::topology::LinkMetrics;
@@ -848,6 +836,50 @@ mod tests {
         assert_eq!(shortest_cost(&engine, 0, 3), 3.0);
         assert_eq!(shortest_cost(&engine, 3, 0), 3.0);
         assert_eq!(shortest_cost(&engine, 2, 3), 2.0);
+    }
+
+    /// Each payload is booked once, where it is made: summed over the
+    /// nodes, the ledger counts every message sent, no reused buffer, the
+    /// bytes of the deltas the payloads carry, and the backing stores that
+    /// growing each payload by `push` allocates. A payload made in an epoch
+    /// is delivered in a later one (the conservative window), so it is in
+    /// flight at the boundary after it is made; as many sightings as
+    /// messages means each payload was read at exactly one boundary.
+    #[test]
+    fn the_ledger_books_each_payload_once_at_its_length() {
+        const DELTA_BYTES: u64 = std::mem::size_of::<TupleDelta>() as u64;
+        let mut engine = build_engine(true);
+        let (mut sightings, mut deltas, mut grown) = (0, 0, 0);
+        let mut read = |engine: &DistributedEngine| {
+            for payload in engine.payloads_in_flight() {
+                assert_eq!(payload.capacity(), payload.len());
+                sightings += 1;
+                deltas += payload.len() as u64;
+                let mut pushed = Vec::new();
+                for delta in payload {
+                    let capacity = pushed.capacity();
+                    pushed.push(delta.clone());
+                    if pushed.capacity() != capacity {
+                        grown += pushed.capacity() as u64 * DELTA_BYTES;
+                    }
+                }
+            }
+        };
+        read(&engine);
+        while engine.run_epoch().unwrap() {
+            read(&engine);
+        }
+        let messages = engine.stats().message_count();
+        assert!(messages > 0);
+        assert_eq!(sightings, messages);
+        let mut ledger = ArenaStats::default();
+        for (_, node) in engine.nodes() {
+            ledger.absorb(node.arena_stats());
+        }
+        assert_eq!(ledger.rents, messages as u64);
+        assert_eq!(ledger.reuses, 0);
+        assert_eq!(ledger.allocated_bytes(), deltas * DELTA_BYTES);
+        assert_eq!(ledger.demand_bytes, grown);
     }
 
     #[test]

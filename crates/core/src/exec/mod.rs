@@ -11,7 +11,6 @@
 //! | module | role |
 //! |---|---|
 //! | [`executor`] | per-epoch scoped lanes pulling per-node items, delivery coalescing, effect pre-serialization and the deterministic `(time, seq)` merge |
-//! | [`arena`] | per-node pools recycling wire-payload buffers through the send → simulate → receive cycle |
 //!
 //! The engine drives it: [`crate::engine::DistributedEngine::run_until`]
 //! drains the simulator in epochs ([`ndlog_net::Simulator::drain_epoch`]),
@@ -38,22 +37,17 @@
 //! per simulated node, of which one process hosts hundreds — and lane
 //! assignment stays unobservable.
 //!
-//! Two allocation-level optimizations ride on the same structure without
-//! weakening that contract. *Delivery coalescing* merges each run of
-//! consecutive same-node deliveries within an epoch into one receive
-//! batch, so `NodeEngine::process` fires the strands' batch plans over
-//! wide delta batches instead of single-row rounds; the merge structure is
-//! fixed before lanes run, so it is thread-count invariant (see
-//! [`executor`]). *Wire-buffer pooling* ([`arena`]) recycles every
-//! delivered payload vector back into the receiving node's pool, from
-//! which the node's own send path rents its next outbound batches —
-//! payload buffers move end to end (node → simulator → node) and are
-//! reused instead of reallocated.
+//! *Delivery coalescing* rides on the same structure without weakening
+//! that contract: it merges each run of consecutive same-node deliveries
+//! within an epoch into one receive batch, so `NodeEngine::process` fires
+//! the strands' batch plans over wide delta batches instead of single-row
+//! rounds; the merge structure is fixed before lanes run, so it is
+//! thread-count invariant (see [`executor`]). A payload buffer moves end
+//! to end (node → simulator → node) and is never copied: the sender makes
+//! it at exactly its length and the receiver frees it once ingested.
 
-pub mod arena;
 pub mod executor;
 
-pub use arena::{ArenaStats, DeltaArena};
 pub use executor::{
     outbound_batches, result_records, EpochExecutor, EpochOutcome, EpochResult, NodeAction,
     NodeTask, OutboundBatch,

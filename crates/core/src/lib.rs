@@ -32,7 +32,7 @@ pub use engine::{
     ConvergenceReport, DeliveryStats, DistributedEngine, EngineConfig, FaultRepairReport,
     RefreshConfig, RunReport,
 };
-pub use exec::{ArenaStats, EpochExecutor};
-pub use node::{KeptCapacity, NodeConfig, NodeEngine};
+pub use exec::EpochExecutor;
+pub use node::{ArenaStats, KeptCapacity, NodeConfig, NodeEngine};
 pub use plan::{plan, QueryPlan};
 pub use updates::{LinkUpdate, UpdateWorkload};

@@ -27,7 +27,6 @@
 //!   are delayed briefly so the engine can combine tuples that share
 //!   attribute values into one message.
 
-use crate::exec::arena::{ArenaStats, DeltaArena};
 use crate::plan::QueryPlan;
 use ndlog_lang::Value;
 use ndlog_net::sim::SimTime;
@@ -83,8 +82,52 @@ pub struct KeptCapacity {
     pub pending: usize,
     /// Outbound deltas held for a flush.
     pub held: usize,
-    /// The payload-buffer pool.
-    pub pooled: usize,
+}
+
+/// The wire payloads a node made, booked where each is made. A payload is
+/// a fresh allocation of exactly the deltas it carries, and its receiver
+/// frees it once the batch is ingested.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ArenaStats {
+    /// Payloads made.
+    pub rents: u64,
+    /// Payloads that reused an earlier buffer: none, since each is made
+    /// fresh.
+    pub reuses: u64,
+    /// Bytes the payloads would have requested had each grown from empty
+    /// by `push`: per payload of n deltas, the doubling series of backing
+    /// stores 4, 8, …, next_pow2(n) deltas.
+    pub demand_bytes: u64,
+    /// Bytes of the payloads made.
+    payload_bytes: u64,
+}
+
+impl ArenaStats {
+    /// Bytes of the payloads made, each allocated at its length.
+    pub fn allocated_bytes(&self) -> u64 {
+        self.payload_bytes
+    }
+
+    /// Sum another node's counters into this one.
+    pub fn absorb(&mut self, other: ArenaStats) {
+        self.rents += other.rents;
+        self.reuses += other.reuses;
+        self.demand_bytes += other.demand_bytes;
+        self.payload_bytes += other.payload_bytes;
+    }
+
+    /// A payload of `len` deltas, booked here: a fresh buffer with room for
+    /// exactly that many.
+    fn payload(&mut self, len: usize) -> Vec<TupleDelta> {
+        const DELTA_BYTES: usize = std::mem::size_of::<TupleDelta>();
+        // Grown from empty by `push`, a payload of `len` deltas would have
+        // taken backing stores of 4, 8, …, next_pow2(len) slots.
+        let grown = 2 * len.next_power_of_two().max(4) - 4;
+        self.rents += 1;
+        self.demand_bytes += (grown * DELTA_BYTES) as u64;
+        self.payload_bytes += (len * DELTA_BYTES) as u64;
+        Vec::with_capacity(len)
+    }
 }
 
 /// The per-node engine.
@@ -94,11 +137,8 @@ pub struct NodeEngine {
     config: NodeConfig,
     /// Outbound deltas held for periodic flush / message sharing.
     held: Vec<(NodeAddr, TupleDelta)>,
-    /// Pool of reusable wire-payload buffers: delivered payloads are
-    /// recycled here after ingestion and the outbound path rents from it,
-    /// so message buffers circulate instead of being reallocated (see
-    /// `crate::exec::arena`).
-    arena: DeltaArena,
+    /// The payloads this node made.
+    ledger: ArenaStats,
 }
 
 impl NodeEngine {
@@ -136,7 +176,7 @@ impl NodeEngine {
             addr,
             config,
             held: Vec::new(),
-            arena: DeltaArena::default(),
+            ledger: ArenaStats::default(),
         })
     }
 
@@ -187,10 +227,8 @@ impl NodeEngine {
     /// changes) as one receive batch: [`NodeEngine::receive_batch`] of a
     /// single payload.
     pub fn receive(&mut self, mut deltas: Vec<TupleDelta>) {
-        let arena = &mut self.arena;
-        let batch = std::slice::from_mut(&mut deltas);
         self.fixpoint
-            .ingest_batch(batch, |len, buffer| arena.recycle(len, buffer));
+            .ingest_batch(std::slice::from_mut(&mut deltas));
     }
 
     /// Accept the payloads of a run of consecutive deliveries, in arrival
@@ -202,22 +240,17 @@ impl NodeEngine {
     /// and re-derived. Only the receiver can
     /// apply that rule, because it reads what the receiver stores. The
     /// rest is applied to the store and queued; call
-    /// [`NodeEngine::process`] to run it to a local fixpoint. Each drained
-    /// payload buffer is recycled into this node's arena, closing the
-    /// zero-copy loop: the vector allocated by some sender's outbound path
-    /// becomes one of this node's future outbound batches. `payloads` is
-    /// left empty, its capacity kept.
+    /// [`NodeEngine::process`] to run it to a local fixpoint. Each payload
+    /// buffer is freed once ingested; `payloads` is left empty, its
+    /// capacity kept.
     pub fn receive_batch(&mut self, payloads: &mut Vec<Vec<TupleDelta>>) {
-        let arena = &mut self.arena;
-        self.fixpoint
-            .ingest_batch(payloads, |len, buffer| arena.recycle(len, buffer));
+        self.fixpoint.ingest_batch(payloads);
         payloads.clear();
     }
 
-    /// This node's wire-buffer pool counters (meaningful summed across all
-    /// nodes — buffers rent at senders and recycle at receivers).
+    /// The payloads this node has made so far.
     pub fn arena_stats(&self) -> ArenaStats {
-        self.arena.stats()
+        self.ledger
     }
 
     /// What this node's buffers keep between runs, empty or not.
@@ -226,7 +259,6 @@ impl NodeEngine {
             queue: self.fixpoint.queue_bytes(),
             pending: self.fixpoint.pending_bytes(),
             held: self.held.capacity() * std::mem::size_of::<(NodeAddr, TupleDelta)>(),
-            pooled: self.arena.pooled_bytes(),
         }
     }
 
@@ -308,8 +340,11 @@ impl NodeEngine {
                 || (self.config.periodic_flush.is_some()
                     && self.fixpoint.selection(&delta.relation).is_some())
         };
-        // The shipped list is complete: rent each destination's buffer at
-        // exactly the number of deltas it will carry.
+        // The shipped list is complete: make each destination's payload at
+        // exactly the number of deltas it will carry. A destination is a
+        // neighbour, of which a node has a handful, so each is counted by a
+        // scan of the list: a map of counts would be one more allocation
+        // per step.
         let shipped = buffers.drain_shipped();
         for (dest, delta) in shipped.as_slice() {
             if !holds(delta) {
@@ -319,14 +354,14 @@ impl NodeEngine {
         for (dest, buffer) in &mut output.outbound {
             let to_dest = shipped.as_slice().iter().filter(|(to, _)| to == dest);
             let len = to_dest.filter(|(_, delta)| !holds(delta)).count();
-            *buffer = self.arena.rent(len);
+            *buffer = self.ledger.payload(len);
         }
         for (dest, delta) in shipped {
             if holds(&delta) {
                 self.held.push((dest, delta));
                 output.request_flush = true;
             } else {
-                let buffer = output.outbound.get_mut(&dest).expect("rented above");
+                let buffer = output.outbound.get_mut(&dest).expect("made above");
                 buffer.push(delta);
             }
         }
@@ -359,8 +394,8 @@ impl NodeEngine {
     /// group are flushed verbatim to preserve FIFO correctness.
     ///
     /// Decisions are made over borrowed entries, then the survivors are
-    /// *moved* out of the held buffer into arena-rented wire buffers — the
-    /// flush tail allocates no tuples and clones no deltas.
+    /// *moved* out of the held buffer into payloads made at their length —
+    /// the flush tail allocates no tuples and clones no deltas.
     pub fn flush(&mut self) -> BTreeMap<NodeAddr, Vec<TupleDelta>> {
         let held = std::mem::take(&mut self.held);
         // Group keys that contain any deletion are exempt from deduplication.
@@ -400,7 +435,7 @@ impl NodeEngine {
         }
         let winners: BTreeSet<usize> = best.into_values().map(|(idx, _)| idx).collect();
         let sent = |idx: usize| verbatim[idx] || winners.contains(&idx);
-        // Every survivor is known: rent each destination's buffer at
+        // Every survivor is known: make each destination's payload at
         // exactly the number of deltas it will carry.
         let mut lens: BTreeMap<NodeAddr, usize> = BTreeMap::new();
         for (idx, (dest, _)) in held.iter().enumerate() {
@@ -410,11 +445,11 @@ impl NodeEngine {
         }
         let mut out: BTreeMap<NodeAddr, Vec<TupleDelta>> = lens
             .into_iter()
-            .map(|(dest, len)| (dest, self.arena.rent(len)))
+            .map(|(dest, len)| (dest, self.ledger.payload(len)))
             .collect();
         for (idx, (dest, delta)) in held.into_iter().enumerate() {
             if sent(idx) {
-                out.get_mut(&dest).expect("rented above").push(delta);
+                out.get_mut(&dest).expect("made above").push(delta);
             }
         }
         out

@@ -215,7 +215,7 @@ impl Evaluator {
     ) -> Result<EvalStats, EvalError> {
         let before = self.fixpoint.stats();
         let batch = std::slice::from_mut(&mut external);
-        self.fixpoint.ingest_batch(batch, |_, _| {});
+        self.fixpoint.ingest_batch(batch);
         self.fixpoint.run(strategy, &mut self.buffers)?;
         Ok(self.fixpoint.stats() - before)
     }

@@ -364,8 +364,7 @@ impl LocalFixpoint {
     /// relation and key; a narrower one is scanned, fewer than 128
     /// comparisons per deletion. Either way the batch costs O(n), however
     /// far apart a pair sits. Each payload's
-    /// buffer goes to `drained`, emptied, with the number of deltas it
-    /// carried, as soon as the batch is done with it.
+    /// buffer is freed as soon as the batch is done with it.
     ///
     /// The rule reads this store, so it is applied where the batch is
     /// received, never by a sender: a deletion of a tuple not stored is a
@@ -377,23 +376,14 @@ impl LocalFixpoint {
     /// re-derived and re-shipped after it — and nothing else: a pair left
     /// uncancelled ends in the same store, since its re-insertion waits for
     /// that pass before a selection judges it.
-    pub fn ingest_batch(
-        &mut self,
-        payloads: &mut [Vec<TupleDelta>],
-        drained: impl FnMut(usize, Vec<TupleDelta>),
-    ) {
-        self.ingest_netted(payloads, drained, CHAINED_BATCH);
+    pub fn ingest_batch(&mut self, payloads: &mut [Vec<TupleDelta>]) {
+        self.ingest_netted(payloads, CHAINED_BATCH);
     }
 
     /// [`LocalFixpoint::ingest_batch`], finding re-assertions through key
     /// chains in a batch of at least `chained_batch` deltas; returns how
     /// many deltas the searches compared against a deletion's key.
-    fn ingest_netted(
-        &mut self,
-        payloads: &mut [Vec<TupleDelta>],
-        mut drained: impl FnMut(usize, Vec<TupleDelta>),
-        chained_batch: usize,
-    ) -> usize {
+    fn ingest_netted(&mut self, payloads: &mut [Vec<TupleDelta>], chained_batch: usize) -> usize {
         let signs = || payloads.iter().flatten().map(|d| d.sign);
         let nets = signs().any(|s| s == Sign::Insert) && signs().any(|s| s == Sign::Delete);
         let wide = payloads.iter().map(Vec::len).sum::<usize>() >= chained_batch;
@@ -406,7 +396,6 @@ impl LocalFixpoint {
         for p in 0..payloads.len() {
             let (current, later) = payloads.split_at_mut(p + 1);
             let payload = &mut current[p];
-            let len = payload.len();
             let mut deltas = payload.drain(..);
             while let Some(delta) = deltas.next() {
                 let at = position;
@@ -429,7 +418,7 @@ impl LocalFixpoint {
                 }
             }
             drop(deltas);
-            drained(len, std::mem::take(payload));
+            *payload = Vec::new();
         }
         debug_assert!(cancelled.is_empty());
         comparisons.get()
@@ -964,7 +953,7 @@ mod tests {
         let mut fixpoint = LocalFixpoint::new(store, Arc::default(), Vec::new(), None, Vec::new())
             .expect("no strands");
         let mut facts = (0..n).map(|k| TupleDelta::insert("r", row(k, 0))).collect();
-        fixpoint.ingest_batch(std::slice::from_mut(&mut facts), |_, _| {});
+        fixpoint.ingest_batch(std::slice::from_mut(&mut facts));
         fixpoint
     }
 
@@ -976,7 +965,7 @@ mod tests {
         chained_batch: usize,
     ) -> usize {
         let second = batch.split_off(batch.len() / 2);
-        fixpoint.ingest_netted(&mut [batch, second], |_, _| {}, chained_batch)
+        fixpoint.ingest_netted(&mut [batch, second], chained_batch)
     }
 
     /// n deletions of stored tuples that no insertion re-asserts: a scan of
@@ -1037,7 +1026,7 @@ mod tests {
                 let mut fixpoint = storing(4);
                 let (first, second) = deltas.split_at(cut);
                 let mut payloads = [first.to_vec(), second.to_vec()];
-                fixpoint.ingest_netted(&mut payloads, |_, _| {}, chained_batch);
+                fixpoint.ingest_netted(&mut payloads, chained_batch);
                 let relation = fixpoint.store().relation("r").unwrap();
                 let rows: Vec<_> = relation.iter().cloned().collect();
                 (rows, fixpoint.pending.clone(), fixpoint.queue.clone())

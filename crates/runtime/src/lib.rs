@@ -155,14 +155,12 @@
 //!   costs O(n); one without both signs is ingested delta by delta, as
 //!   before, and `tests/net_change.rs` holds batches to the same
 //!   stores as one update per delta.
-//! * **Wire-buffer arenas** (`ndlog-core`'s `exec::arena` module): the
-//!   `Vec<TupleDelta>` payload buffers that carry deltas between nodes
-//!   circulate through a per-node pool — rented at the send path,
-//!   recycled when the receiver drains them — so steady-state messaging
-//!   reuses buffers instead of allocating per message. A sender rents
-//!   each buffer once its payload is complete, at exactly its length, so
-//!   a message waiting out a link's delay holds no spare slots. The
-//!   benchmark reports demanded vs actually-allocated buffer bytes as
+//! * **Wire buffers**: the `Vec<TupleDelta>` payload that carries deltas
+//!   between nodes comes from the allocator. A sender makes each one once
+//!   its payload is complete, at exactly its length, so a message waiting
+//!   out a link's delay holds no spare slots, and the receiver frees it as
+//!   soon as the batch is ingested. The benchmark reports the payload
+//!   bytes a push-grown buffer would have requested against those made as
 //!   `core.arena_demand_bytes` / `core.arena_allocated_bytes`.
 //!
 //! Probe accounting is two-counter, in the [`EvalStats`] every join site

@@ -27,13 +27,13 @@
 //! set (release build; a debug build's `check_invariants` allocates nothing
 //! per row, so it reads the same):
 //!
-//! | | before lent buffers and one-allocation tuples | after | aggregate views hold outputs only | key-bound re-derivation plans | fingerprint → slot tables | shared list tails | 16-byte values | rows without ids | no cross-rule probe cache | head relation as view state | payloads at their length, 56-byte list nodes |
-//! |---|---|---|---|---|---|---|---|---|---|---|---|
-//! | allocator calls per derivation | 18.234 | 4.705 | 4.597 | 4.191 | 3.789 | 3.681 | 3.681 | 3.637 | 3.403 | 3.390 | 3.289 |
-//! | requested bytes per derivation | | | | | 635.7 | 582.4 | 479.8 | 424.6 | 400.7 | 397.3 | 385.0 |
-//! | live allocations per stored tuple | 10.462 | 4.524 | 4.260 | 3.936 | 2.635 | 2.413 | 2.418 | 2.320 | 2.294 | 2.152 | 2.151 |
-//! | live bytes per stored tuple | 1946.1 | 1070.9 | 961.1 | 932.4 | 732.2 | 704.4 | 602.3 | 459.0 | 457.6 | 438.4 | 416.3 |
-//! | peak live bytes per stored tuple | | | | | 1147.9 | 1031.9 | 853.2 | 714.0 | 712.5 | 694.0 | 617.0 |
+//! | | before lent buffers and one-allocation tuples | after | aggregate views hold outputs only | key-bound re-derivation plans | fingerprint → slot tables | shared list tails | 16-byte values | rows without ids | no cross-rule probe cache | head relation as view state | payloads at their length, 56-byte list nodes | no payload pool |
+//! |---|---|---|---|---|---|---|---|---|---|---|---|---|
+//! | allocator calls per derivation | 18.234 | 4.705 | 4.597 | 4.191 | 3.789 | 3.681 | 3.681 | 3.637 | 3.403 | 3.390 | 3.289 | 3.289 |
+//! | requested bytes per derivation | | | | | 635.7 | 582.4 | 479.8 | 424.6 | 400.7 | 397.3 | 385.0 | 392.1 |
+//! | live allocations per stored tuple | 10.462 | 4.524 | 4.260 | 3.936 | 2.635 | 2.413 | 2.418 | 2.320 | 2.294 | 2.152 | 2.151 | 2.028 |
+//! | live bytes per stored tuple | 1946.1 | 1070.9 | 961.1 | 932.4 | 732.2 | 704.4 | 602.3 | 459.0 | 457.6 | 438.4 | 416.3 | 375.3 |
+//! | peak live bytes per stored tuple | | | | | 1147.9 | 1031.9 | 853.2 | 714.0 | 712.5 | 694.0 | 617.0 | 615.0 |
 //!
 //! The fourth column's live figures are the two indexes only the old
 //! re-derivation probed (`path[1]`, `path_sp2_xd[1]`) leaving every node.
@@ -71,12 +71,18 @@
 //! the hash base (40 bytes, a 56-byte request instead of 64: 394.6
 //! requested bytes per derivation, 652.1 at the peak, alone) and a payload
 //! buffer rented at exactly its payload's length (the rest, and the 0.071
-//! fewer allocator calls: a payload no longer grows by pushing). The census
-//! run goes one epoch at a time so that, outside the count, it reads at the
-//! epoch boundary where the most bytes are live the payloads in flight —
-//! their deltas against their buffers' slots, which must be equal — and
-//! what the nodes keep between runs: queue, pending deletions, held
-//! deltas, payload pool.
+//! fewer allocator calls: a payload no longer grows by pushing). The
+//! twelfth is the wire path without a payload pool: a sender allocates
+//! each payload at its length and its receiver frees it once ingested, so
+//! the idle buffers the nodes pooled at quiescence (408 064 bytes, 40.7
+//! per stored tuple) are gone. A fresh payload requests all its bytes
+//! where a pooled buffer was resized to it (the requested bytes), in one
+//! allocator call where the resize was one (95 448 calls, 9 fewer). The
+//! census run goes one epoch at a time so that, outside the count, it
+//! reads at the epoch boundary where the most bytes are live the payloads
+//! in flight — their deltas against their buffers' slots, which must be
+//! equal — and what the nodes keep between runs: queue, pending
+//! deletions, held deltas.
 //!
 //! Beside it, two smaller pins: extending a path vector is one allocator
 //! call, and a request line of `MAX_LINE_BYTES` makes the parser hold a
@@ -103,7 +109,7 @@ const MAX_REQUESTED_BYTES_PER_DERIVATION: f64 = 423.5;
 /// Live allocations per stored tuple at quiescence.
 const MAX_LIVE_ALLOCS_PER_TUPLE: f64 = 2.53;
 /// Live requested bytes per stored tuple at quiescence.
-const MAX_LIVE_BYTES_PER_TUPLE: f64 = 458.0;
+const MAX_LIVE_BYTES_PER_TUPLE: f64 = 412.9;
 /// The high-water mark of live requested bytes, per stored tuple.
 const MAX_PEAK_BYTES_PER_TUPLE: f64 = 679.0;
 /// Live requested bytes a parsed request line holds, per byte of the line.
@@ -389,7 +395,6 @@ fn allocations_per_derivation_and_per_stored_tuple_stay_in_budget() {
         ("queue", boundary.kept.queue, quiescent_kept.queue),
         ("pending", boundary.kept.pending, quiescent_kept.pending),
         ("held", boundary.kept.held, quiescent_kept.held),
-        ("payload pool", boundary.kept.pooled, quiescent_kept.pooled),
     ] {
         println!("  {there:>9} / {quiet:>9} B {buffer}");
     }
@@ -487,7 +492,6 @@ fn kept(engine: &DistributedEngine) -> KeptCapacity {
         sum.queue += kept.queue;
         sum.pending += kept.pending;
         sum.held += kept.held;
-        sum.pooled += kept.pooled;
     }
     sum
 }
