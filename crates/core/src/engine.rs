@@ -37,7 +37,7 @@ use ndlog_net::sim::{ms, to_seconds, SimTime};
 use ndlog_net::stats::NetStats;
 use ndlog_net::topology::Topology;
 use ndlog_net::{FaultPlan, FaultStats, Message, NodeAddr, SimConfig, Simulator};
-use ndlog_runtime::{EvalError, EvalStats, RelName, Sign, Tuple, TupleDelta};
+use ndlog_runtime::{EvalError, EvalStats, LookAhead, RelName, Sign, Tuple, TupleDelta};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -357,6 +357,15 @@ impl DistributedEngine {
         self.nodes.values().map(NodeEngine::superseded).sum()
     }
 
+    /// What the look-ahead fired and discarded, summed over all nodes.
+    pub fn look_ahead_total(&self) -> LookAhead {
+        let mut total = LookAhead::default();
+        self.nodes
+            .values()
+            .for_each(|node| total += node.look_ahead());
+        total
+    }
+
     /// Aggregate evaluation statistics across all nodes: processed deltas,
     /// derivations and the probe/scan/tuples-examined counters — with
     /// probes split into per-environment `logical_probes` and actually
@@ -432,7 +441,8 @@ impl DistributedEngine {
             .nodes
             .get_mut(&node)
             .unwrap_or_else(|| panic!("unknown node {node}"));
-        engine.receive(vec![delta]);
+        let buffers = self.executor.caller_buffers();
+        engine.receive_batch(std::slice::from_mut(&mut vec![delta]), buffers);
         self.process_node(node)
     }
 

@@ -483,7 +483,8 @@ fn drain_lane(
                         (time, seq) = (next.time, next.seq);
                         lane.deliveries += 1;
                     }
-                    node.receive_batch(&mut run);
+                    node.receive_batch(&mut run, buffers);
+                    run.clear();
                     node.set_time(time);
                     node.expire_soft_state(time);
                     match node_step(node, time, seq, sharing_enabled, buffers) {
@@ -521,7 +522,9 @@ fn drain_lane(
                 NodeAction::Refresh(seeds) => {
                     node.set_time(task.time);
                     node.expire_soft_state(task.time);
-                    node.receive(seeds);
+                    run.push(seeds);
+                    node.receive_batch(&mut run, buffers);
+                    run.clear();
                     node.refresh_refire();
                     match node_step(node, task.time, task.seq, sharing_enabled, buffers) {
                         Ok(outcome) => lane.outcomes.push(outcome),

@@ -33,8 +33,8 @@ use ndlog_net::sim::SimTime;
 use ndlog_net::NodeAddr;
 use ndlog_runtime::fixpoint::LocalFixpoint;
 use ndlog_runtime::{
-    CompiledStrand, EvalBuffers, EvalError, EvalStats, RelName, Sign, Store, Strategy, Tuple,
-    TupleDelta,
+    CompiledStrand, EvalBuffers, EvalError, EvalStats, LookAhead, RelName, Sign, Store, Strategy,
+    Tuple, TupleDelta,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -201,6 +201,13 @@ impl NodeEngine {
         self.fixpoint.superseded()
     }
 
+    /// What the node's look-ahead has fired and discarded so far: a
+    /// trigger fired ahead of a removal that interrupted its round is
+    /// discarded and fired again.
+    pub fn look_ahead(&self) -> LookAhead {
+        self.fixpoint.look_ahead()
+    }
+
     /// Cumulative evaluation statistics: processed deltas, derivations, and
     /// the probe/scan/tuples-examined counters that quantify computation
     /// overhead (the per-node counterpart of the network byte accounting).
@@ -225,10 +232,11 @@ impl NodeEngine {
 
     /// Accept deltas arriving from the network (or from local base-data
     /// changes) as one receive batch: [`NodeEngine::receive_batch`] of a
-    /// single payload.
+    /// single payload, queued in capacity of the node's own.
     pub fn receive(&mut self, mut deltas: Vec<TupleDelta>) {
+        let payloads = std::slice::from_mut(&mut deltas);
         self.fixpoint
-            .ingest_batch(std::slice::from_mut(&mut deltas));
+            .ingest_batch(payloads, &mut EvalBuffers::default());
     }
 
     /// Accept the payloads of a run of consecutive deliveries, in arrival
@@ -240,12 +248,12 @@ impl NodeEngine {
     /// and re-derived. Only the receiver can
     /// apply that rule, because it reads what the receiver stores. The
     /// rest is applied to the store and queued; call
-    /// [`NodeEngine::process`] to run it to a local fixpoint. Each payload
-    /// buffer is freed once ingested; `payloads` is left empty, its
-    /// capacity kept.
-    pub fn receive_batch(&mut self, payloads: &mut Vec<Vec<TupleDelta>>) {
-        self.fixpoint.ingest_batch(payloads);
-        payloads.clear();
+    /// [`NodeEngine::process_with`] to run it to a local fixpoint in the
+    /// same `buffers`, whose work-queue capacity the batch is queued in:
+    /// the node keeps none once the run is done. Each payload buffer is
+    /// freed once ingested, and left empty.
+    pub fn receive_batch(&mut self, payloads: &mut [Vec<TupleDelta>], buffers: &mut EvalBuffers) {
+        self.fixpoint.ingest_batch(payloads, buffers);
     }
 
     /// The payloads this node has made so far.
@@ -253,7 +261,9 @@ impl NodeEngine {
         self.ledger
     }
 
-    /// What this node's buffers keep between runs, empty or not.
+    /// What this node's buffers keep between runs, empty or not. The work
+    /// queue's capacity goes back to the lent buffers after every run that
+    /// empties it.
     pub fn kept_capacity(&self) -> KeptCapacity {
         KeptCapacity {
             queue: self.fixpoint.queue_bytes(),
@@ -664,10 +674,13 @@ mod tests {
         let mut node = node_extending_to_0(None);
         node.receive(vec![TupleDelta::insert("path", path(1, 3, 3.0))]);
         node.process().unwrap();
-        node.receive_batch(&mut vec![
-            vec![TupleDelta::delete("path", path(1, 3, 3.0))],
-            vec![TupleDelta::insert("path", path(1, 3, 3.0))],
-        ]);
+        node.receive_batch(
+            &mut [
+                vec![TupleDelta::delete("path", path(1, 3, 3.0))],
+                vec![TupleDelta::insert("path", path(1, 3, 3.0))],
+            ],
+            &mut EvalBuffers::default(),
+        );
         let out = node.process().unwrap();
         assert_eq!(paths_to_9(&node), 1);
         assert!(node.store().tuples("path").contains(&path(1, 3, 3.0)));
@@ -718,15 +731,21 @@ mod tests {
         let mut node = node_extending_to_0(None);
         node.receive(vec![TupleDelta::insert("path", path(1, 3, 3.0))]);
         node.process().unwrap();
-        node.receive_batch(&mut vec![
-            vec![TupleDelta::delete("path", path(1, 3, 3.0))],
-            vec![TupleDelta::insert("path", path(1, 3, 3.0))],
-        ]);
+        node.receive_batch(
+            &mut [
+                vec![TupleDelta::delete("path", path(1, 3, 3.0))],
+                vec![TupleDelta::insert("path", path(1, 3, 3.0))],
+            ],
+            &mut EvalBuffers::default(),
+        );
         node.process().unwrap();
-        node.receive_batch(&mut vec![
-            vec![TupleDelta::delete("path", path(1, 3, 3.0))],
-            vec![TupleDelta::insert("path", path(1, 3, 5.0))],
-        ]);
+        node.receive_batch(
+            &mut [
+                vec![TupleDelta::delete("path", path(1, 3, 3.0))],
+                vec![TupleDelta::insert("path", path(1, 3, 5.0))],
+            ],
+            &mut EvalBuffers::default(),
+        );
         let out = node.process().unwrap();
         assert_eq!(stored_paths_to_9(&node), [path(1, 3, 5.0)]);
         assert_eq!(node.pruned(), 0);

@@ -320,7 +320,10 @@ impl AggregateView {
     /// `relation` calls for: nothing while its group's aggregate is
     /// unchanged, otherwise the retraction of the group's stored output (if
     /// it has one) and the assertion of the new. The view reads the store
-    /// and writes nothing; the caller ingests the deltas.
+    /// and writes nothing; the caller ingests the deltas. The new aggregate
+    /// is compared with the stored output's before anything is built, so
+    /// an insertion that leaves its group's aggregate where it was
+    /// allocates nothing.
     pub fn apply(&self, store: &Store, relation: &str, inserted: &Tuple) -> Vec<TupleDelta> {
         if relation != self.source_relation {
             return Vec::new();
@@ -329,18 +332,25 @@ impl AggregateView {
             return Vec::new();
         };
         let old_head = self.current_output(store, key.clone());
+        let current = old_head.and_then(|head| head.get(self.agg_pos));
         let aggregate = match self.func {
             // Float addition does not commute with arrival order.
             AggFunc::Sum => self.fold_group(store, key.clone(), &mut EvalStats::default()),
-            func => {
-                let current = old_head.and_then(|head| head.get(self.agg_pos));
-                Some(combine(func, current, value))
-            }
+            func => Some(combine(func, current, value)),
         };
-        let new_head = aggregate.map(|v| self.head_tuple(key, &v));
-        if old_head == new_head.as_ref() {
+        // The stored output lies under the group's key, so it is the head
+        // tuple of the new aggregate exactly when it has that tuple's arity
+        // and aggregate.
+        let unchanged = match (old_head, &aggregate) {
+            (Some(old), Some(new)) => {
+                old.arity() == self.key_fields.len() + 1 && current == Some(new)
+            }
+            (old, new) => old.is_none() && new.is_none(),
+        };
+        if unchanged {
             return Vec::new();
         }
+        let new_head = aggregate.map(|v| self.head_tuple(key, &v));
         let retract =
             old_head.map(|old| TupleDelta::delete(self.head_relation.clone(), old.clone()));
         let assert = new_head.map(|new| TupleDelta::insert(self.head_relation.clone(), new));

@@ -8,16 +8,20 @@
 //! probe or after one of them (see "Where a filter runs"). At run time a
 //! whole batch of trigger deltas is drained through the probes using two
 //! flat row arenas (`rows` / `next`, `width` slots per row) of a reusable
-//! [`BatchScratch`]. Extending an environment is a row copy into the arena;
-//! no per-environment `Vec`, map or `String` is ever allocated.
+//! [`BatchScratch`]. Extending an environment for the next probe is a row
+//! copy into the arena; the last probe extends nothing, and a firing copies
+//! a value only into the head tuple it derives. No per-environment `Vec`,
+//! map or `String` is ever allocated.
 //!
 //! # Who owns the buffers
 //!
-//! Nobody who evaluates: the row arenas, the output buffer, the per-round
-//! vectors of the fixpoint loop and its list of shipped derivations are
-//! one [`EvalBuffers`] value
-//! that [`crate::fixpoint::LocalFixpoint::run`] *borrows* for the length of
-//! a run. The owner is whoever drives evaluation and outlives a run — an
+//! Nobody who evaluates: the row arenas, the last probe's locals, the
+//! key-grouping table and the match list of the probe routine, the output
+//! buffer, the trigger lists of a round and of an over-delete wave, the
+//! fixpoint loop's round, per-round vectors and work-queue capacity, and
+//! its list of shipped derivations are one [`EvalBuffers`] value that
+//! [`crate::fixpoint::LocalFixpoint::run`] *borrows* for the length of a
+//! run. The owner is whoever drives evaluation and outlives a run — an
 //! executor lane of `ndlog-core` (one value serves every node and epoch
 //! the lane drains, and lane 0's also the distributed engine's inject
 //! path), the centralized [`crate::Evaluator`]. A process hosting hundreds
@@ -25,26 +29,44 @@
 //! lanes, not as it has nodes. The buffers carry capacity only: a firing
 //! leaves its scratch empty, its output is drained by whoever asked for it
 //! and a run's shipped derivations by the node that ran, on success and on
-//! error alike, so which buffers a run was lent is unobservable.
+//! error alike, so which buffers a run was lent is unobservable. Three of
+//! them would borrow what a firing reads if they held references, and hold
+//! numbers or nothing instead: the match list holds slot numbers of the
+//! probed relation (`Relation::row` reads them back),
+//! the grouping table holds row and group numbers and reads each group's
+//! key off its first row, and a trigger list is lent empty and given back
+//! empty (`lend_triggers` / `return_triggers`), so the crate's
+//! `forbid(unsafe_code)` stands.
 //!
-//! # One probe routine, three sinks
+//! # One probe routine, two sinks
 //!
 //! Every join of every strand goes through `ProbeStage::probe` — the one
 //! place that looks a relation up, and so the one place a probe timer or a
 //! change to probing has to touch. It finds each row's candidates, applies
 //! the row's trigger's `seq_limit`, and hands every surviving `(row,
 //! origin, candidate)` — row-major, candidates in lookup order — to a
-//! monomorphized *sink*, which runs the steps placed after the probe on
-//! the extended row before keeping it. A probe followed by another gets
-//! the sink that appends the extended row to the next arena and drops it
-//! again if a step rejects it. The last probe, when steps follow it, gets
-//! the sink that evaluates them in one reusable row of the scratch and
-//! projects the head tuple from it; with none after it (the common
-//! single-join shape), the sink that projects the head straight from
-//! `(row, candidate)`. Either way no output arena is materialized for the
-//! last probe: the head template reads each column from the row or from
-//! the candidate (`HeadSource`), and a rule with no probe projects through
-//! the same template with no candidate columns in it.
+//! monomorphized *sink*, which runs the steps placed after the probe
+//! before the row goes on. A probe followed by another gets the sink that
+//! appends the extended row to the next arena, binds the candidate's
+//! columns into it, runs the steps on it and drops it again if one
+//! rejects it. The last probe gets the sink that works on the row and the
+//! candidate where they lie: it runs the steps placed after the probe and
+//! projects the head tuple, reading every value in place. Each read was
+//! resolved when the plan compiled (`Place`): a slot bound before the
+//! probe is read off the row, one the probe binds off the candidate's
+//! column, and one its steps assign off the sink's *locals*, the only
+//! slots it writes. So a candidate a step rejects costs its steps and
+//! nothing else — in `dv2`'s `link`-triggered strand, whose `route`
+//! candidates mostly fail `H <= 2`, no row is copied and no column bound
+//! for them — and no output arena is materialized for the last probe. A rule
+//! with no probe projects its head from the trigger row through the same
+//! reads.
+//!
+//! Expressions evaluate over borrowed values: a constant or a read is a
+//! reference to where the value lies, and only an operator's or a
+//! builtin's result is a new value, so reading a path vector, comparing
+//! it or testing it with `f_member` clones nothing. A call's builtin was
+//! resolved from its name when the plan compiled ([`crate::expr`]).
 //!
 //! The routine has two arms and picks between them from the batch alone,
 //! never from an option. Real delta batches are key-skewed: path
@@ -60,9 +82,14 @@
 //! so all that is left to check is the candidate's arity and, for a
 //! variable the atom repeats, that two of the candidate's own columns
 //! agree (`ProbeStage::same`) — two rows with equal keys accept exactly the
-//! same candidates. A lone row has nothing to share and its grouped
-//! accounting (one logical, one distinct probe) would equal a plain
-//! lookup's exactly, so it takes one plain lookup and skips the grouping.
+//! same candidates. The grouping table is keyed by the Fx fingerprint of a
+//! row's key values, in buckets chained through their groups; a row joins
+//! the first group whose fingerprint matches and whose key, read off the
+//! group's first row, compares equal, so no key is boxed or copied and the
+//! table costs what the batch is wide. A lone row has nothing to share and
+//! its grouped accounting (one logical, one distinct probe) would equal a
+//! plain lookup's exactly, so it takes one plain lookup and skips the
+//! grouping.
 //! Either way the lookup takes the one access path the relation declared
 //! for the stage's bound columns: the primary index, the secondary index on
 //! exactly those columns, or a scan (see [`crate::relation`]).
@@ -136,17 +163,17 @@
 //! with an `EvalError` either way, and engines treat post-error state as
 //! unspecified).
 
-use crate::expr::{eval_binop, eval_builtin, EvalError};
-use crate::index::EvalStats;
-use crate::relation::StoredTuple;
+use crate::expr::{eval_binop, Builtin, EvalError};
+use crate::index::{fingerprint, EvalStats};
+use crate::relation::{Relation, StoredTuple};
 use crate::store::Store;
 use crate::strand::Derivation;
 use crate::tuple::{RelName, Sign, Tuple, TupleDelta};
 use ndlog_lang::seminaive::DeltaRule;
-use ndlog_lang::value::FxBuild;
 use ndlog_lang::{Atom, Expr, Literal, Term, Value};
 use ndlog_net::NodeAddr;
-use std::collections::{BTreeMap, HashMap};
+use std::borrow::Cow;
+use std::collections::{BTreeMap, VecDeque};
 
 /// One trigger delta of a batch with its join visibility limit (PSN passes
 /// the tuple's own timestamp; SN/BSN pass the iteration limit).
@@ -177,30 +204,44 @@ enum BindOp {
     CheckSlot(usize, usize),
 }
 
-/// An expression with variables resolved to slots at compile time.
+/// Where a value that a step or a head column reads lies when it runs,
+/// resolved when the plan compiles (see "One probe routine, two sinks").
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Place {
+    /// A slot of the environment the running steps bind into: the row
+    /// itself for the steps on the trigger rows and after a probe that is
+    /// not the last, the sink's locals in the last probe's sink.
+    Local(usize),
+    /// A slot of the row the last probe extends, bound before that probe.
+    Row(usize),
+    /// A column of the last probe's candidate.
+    Cand(usize),
+}
+
+/// An expression with variables resolved to places at compile time.
 #[derive(Debug, Clone, PartialEq)]
 enum SlotExpr {
     Const(Value),
-    /// A slot reference; the name survives only for the unbound-variable
-    /// error message.
-    Slot(usize, String),
+    /// A read; the name survives only for the unbound-variable error
+    /// message.
+    Read(Place, String),
     /// A variable that is never bound anywhere in the rule: evaluating it
     /// is always an error.
     Unbound(String),
     Binary(ndlog_lang::BinOp, Box<SlotExpr>, Box<SlotExpr>),
-    Call(String, Vec<SlotExpr>),
+    /// A builtin call: the builtin its name resolved to (`None` when no
+    /// builtin has that name, an error when evaluated) and the name as
+    /// written, for error messages.
+    Call(Option<Builtin>, String, Vec<SlotExpr>),
 }
 
 /// A head column source: where [`BatchPlan::emit`] reads the column from.
 #[derive(Debug, Clone, PartialEq)]
 enum HeadSource {
     Const(Value),
-    /// A slot of the row; the name survives only for the unbound-variable
-    /// error message.
-    Row(usize, String),
-    /// A column of the candidate of the rule's last probe, for the slots
-    /// it binds, when no step follows that probe. Other rules have none.
-    Cand(usize),
+    /// A read; the name survives only for the unbound-variable error
+    /// message.
+    Read(Place, String),
     Unbound(String),
     /// Aggregate head terms are maintained by `AggregateView`, never fired
     /// through strands: projecting one is an error.
@@ -239,13 +280,21 @@ struct ProbeStage {
 /// An assignment or a filter, slot-compiled: what runs on one row.
 #[derive(Debug, Clone, PartialEq)]
 enum Step {
+    /// An assignment to a variable no earlier literal bound: it binds the
+    /// variable's slot.
     Assign {
         slot: usize,
         /// The assigned variable, for `.explain`.
         var: String,
-        /// Is the slot already bound by an earlier literal of the body?
-        /// Then this is an equality check, and it never moves.
-        prebound: bool,
+        expr: SlotExpr,
+    },
+    /// An assignment to a variable an earlier literal of the body bound:
+    /// an equality check of the value at `place` against the expression.
+    /// It never moves.
+    Check {
+        place: Place,
+        /// The checked variable, for `.explain`.
+        var: String,
         expr: SlotExpr,
     },
     Filter {
@@ -275,9 +324,8 @@ pub struct BatchPlan {
     /// The steps placed before the first probe: they run on the trigger
     /// rows.
     before: Vec<Step>,
-    /// The probes in body order, each with the steps placed after it.
-    /// When the last one has none, it projects the head itself and `head`
-    /// reads its candidate.
+    /// The probes in body order, each with the steps placed after it. The
+    /// last one's steps, and the head, read their places where they lie.
     probes: Vec<ProbeStage>,
     head: Vec<HeadSource>,
     /// The head relation's name, held once: every derivation clones it by
@@ -348,61 +396,154 @@ impl Rows {
     }
 }
 
-/// The key-grouping buffers of the probe routine's shared arm.
-#[derive(Debug, Default)]
+/// An empty bucket of [`KeyGroups::heads`].
+const NO_GROUP: u32 = u32::MAX;
+
+/// The key-grouping buffers of the probe routine's shared arm: integers,
+/// apart from the one probe key being looked up, so they hold nothing
+/// between firings but capacity.
+#[derive(Debug)]
 struct KeyGroups {
-    /// The probe key being resolved.
+    /// The probe key being looked up.
     key: Vec<Value>,
     /// Per row: the probe-key group it belongs to.
     group_of: Vec<u32>,
     /// Per group: its member count (the lookup's multiplier).
     sizes: Vec<u32>,
-    /// Probe key → group index, under the crate's seedless hasher so two
-    /// runs of one input build the same table. Group numbering is
-    /// first-occurrence order and every observable is addressed through
-    /// it, so nothing depends on hashing or iteration order — which
-    /// `ProbeStage::probe` relies on when it walks the map.
-    map: HashMap<Box<[Value]>, u32, FxBuild>,
-    /// Per group: the `(start, end)` range of its shared match set in the
-    /// flat match buffer.
+    /// Per group: its first row, whose values are the group's key — a
+    /// group's key is read where it lies, never copied into the table.
+    first: Vec<u32>,
+    /// Per group: the fingerprint of its key.
+    fingerprints: Vec<u64>,
+    /// Per group: the next group filed in the same bucket, or `NO_GROUP`.
+    chain: Vec<u32>,
+    /// Per bucket, the last group filed in it, or `NO_GROUP`: a table of
+    /// twice as many buckets as the batch has rows, a power of two, indexed
+    /// by a fingerprint's top bits and rebuilt per probe stage, so it costs
+    /// what the batch is wide, never what the widest batch was.
+    heads: Vec<u32>,
+    /// Per group: the `(start, end)` range of its shared match set in
+    /// `matches`.
     ranges: Vec<(u32, u32)>,
+    /// The matches of every group, as slots of the probed relation: slot
+    /// numbers, not references, so the buffer outlives the store borrow
+    /// of one firing and is lent like the others.
+    matches: Vec<u32>,
+    /// What a fingerprint goes through before it is filed: the identity,
+    /// but for tests that make every key collide.
+    squash: fn(u64) -> u64,
+}
+
+impl Default for KeyGroups {
+    fn default() -> Self {
+        KeyGroups {
+            key: Vec::new(),
+            group_of: Vec::new(),
+            sizes: Vec::new(),
+            first: Vec::new(),
+            fingerprints: Vec::new(),
+            chain: Vec::new(),
+            heads: Vec::new(),
+            ranges: Vec::new(),
+            matches: Vec::new(),
+            squash: |fingerprint| fingerprint,
+        }
+    }
+}
+
+/// The values of a probe key for one row, read where they lie.
+fn key_values<'a>(
+    key: &'a [SlotSource],
+    row: &'a [Option<Value>],
+) -> impl Iterator<Item = &'a Value> + Clone {
+    key.iter().map(move |src| match src {
+        SlotSource::Const(c) => c,
+        SlotSource::Slot(s) => row[*s].as_ref().expect("probe-key slots are bound"),
+    })
 }
 
 impl KeyGroups {
-    /// Partition `rows` by probe-key value, numbering the groups in
-    /// first-occurrence order (the hash map is only a dedup aid).
+    /// Partition `rows` (two or more) by probe-key value, numbering the
+    /// groups in first-occurrence order. A row joins the group of the
+    /// first earlier row whose key fingerprints and compares equal to its
+    /// own; nothing observable depends on fingerprints or bucket order.
     fn partition(&mut self, key: &[SlotSource], rows: &Rows) {
         self.group_of.clear();
         self.sizes.clear();
-        self.map.clear();
+        self.first.clear();
+        self.fingerprints.clear();
+        self.chain.clear();
+        let bits = (2 * rows.len()).next_power_of_two().trailing_zeros().max(1);
+        self.heads.clear();
+        self.heads.resize(1 << bits, NO_GROUP);
         for r in 0..rows.len() {
-            build_probe_key(key, rows.get(r).0, &mut self.key);
-            let g = match self.map.get(self.key.as_slice()) {
-                Some(&g) => g,
-                None => {
-                    let g = u32::try_from(self.sizes.len()).expect("group count fits u32");
-                    self.map.insert(self.key.as_slice().into(), g);
-                    self.sizes.push(0);
-                    g
+            let row = rows.get(r).0;
+            let fingerprint = (self.squash)(fingerprint(key_values(key, row)));
+            let bucket = (fingerprint >> (u64::BITS - bits)) as usize;
+            let mut g = self.heads[bucket];
+            while g != NO_GROUP {
+                let first = rows.get(self.first[g as usize] as usize).0;
+                if self.fingerprints[g as usize] == fingerprint
+                    && key_values(key, first).eq(key_values(key, row))
+                {
+                    break;
                 }
-            };
+                g = self.chain[g as usize];
+            }
+            if g == NO_GROUP {
+                g = u32::try_from(self.sizes.len()).expect("group count fits u32");
+                self.sizes.push(0);
+                self.first
+                    .push(u32::try_from(r).expect("row count fits u32"));
+                self.fingerprints.push(fingerprint);
+                self.chain.push(self.heads[bucket]);
+                self.heads[bucket] = g;
+            }
             self.sizes[g as usize] += 1;
             self.group_of.push(g);
+        }
+    }
+
+    /// Look every group's key up once, on behalf of all its members, and
+    /// keep the candidates `probe` accepts, at unrestricted visibility:
+    /// members may carry different `seq_limit`s, so visibility is applied
+    /// per member afterwards.
+    fn look_up(
+        &mut self,
+        probe: &ProbeStage,
+        stored: &Relation,
+        rows: &Rows,
+        stats: &mut EvalStats,
+    ) {
+        self.matches.clear();
+        self.ranges.clear();
+        for (&first, &members) in self.first.iter().zip(&self.sizes) {
+            build_probe_key(&probe.key, rows.get(first as usize).0, &mut self.key);
+            let start = self.matches.len();
+            let raw =
+                stored.lookup_slots(&probe.cols, &self.key, u64::MAX, members as usize, stats);
+            let accepted = raw.filter(|(_, candidate)| probe.accepts(candidate));
+            self.matches.extend(accepted.map(|(slot, _)| slot));
+            self.ranges.push((
+                u32::try_from(start).expect("match buffer fits u32"),
+                u32::try_from(self.matches.len()).expect("match buffer fits u32"),
+            ));
         }
     }
 }
 
 /// Reusable flat buffers for batch firing: the two row arenas the probes
-/// ping-pong between, the row the last probe's steps evaluate in, and the
+/// ping-pong between, the locals the last probe's steps assign, and the
 /// key-grouping buffers of the probe routine. One scratch serves any
 /// number of strands, batches and stores; buffers only grow.
 #[derive(Debug, Default)]
 pub struct BatchScratch {
     rows: Rows,
     next: Rows,
-    /// One extended row of the last probe, when steps follow it: each
-    /// (row, candidate) is evaluated here and the head projected from it.
-    fused: Vec<Option<Value>>,
+    /// The slots the last probe's steps assign, `width` wide: each
+    /// candidate's steps write theirs here and the head reads them back;
+    /// every other slot stays `None`.
+    locals: Vec<Option<Value>>,
     groups: KeyGroups,
 }
 
@@ -411,9 +552,8 @@ impl BatchScratch {
     fn clear(&mut self) {
         self.rows.clear();
         self.next.clear();
-        self.fused.clear();
+        self.locals.clear();
         self.groups.key.clear();
-        self.groups.map.clear();
     }
 }
 
@@ -429,8 +569,9 @@ pub struct BatchOutput {
 }
 
 /// The buffers a fixpoint run evaluates in, lent to it by whoever drives
-/// evaluation (see the module docs): the row arenas and output buffer of
-/// batch firing, the per-round vectors of the fixpoint loop, and the list
+/// evaluation (see the module docs): the row arenas, match and grouping
+/// buffers and output buffer of batch firing, the trigger lists and
+/// per-round vectors of the fixpoint loop and of a DRed pass, and the list
 /// of derivations shipped to other nodes. Capacity only, never state, apart
 /// from what a run shipped, which the site drains before it lends the
 /// buffers on.
@@ -453,6 +594,29 @@ pub struct EvalBuffers {
     pub(crate) superseded: Vec<bool>,
     /// Per trigger of one strand's batch: its position in the round.
     pub(crate) indices: Vec<usize>,
+    /// The capacity of one strand's trigger list, empty between firings
+    /// (see [`lend_triggers`]).
+    pub(crate) triggers: Vec<BatchTrigger<'static>>,
+    /// The capacity of a site's work queue, which a site borrows while it
+    /// has work (see [`crate::fixpoint::LocalFixpoint::run`]).
+    pub(crate) queue: VecDeque<(TupleDelta, u64)>,
+    /// The round of the fixpoint loop being consumed.
+    pub(crate) round: Vec<(TupleDelta, u64)>,
+}
+
+/// A trigger list over deltas the caller holds, in the capacity `spare`
+/// keeps between firings; `spare` is left empty until
+/// [`return_triggers`] gives the capacity back.
+pub(crate) fn lend_triggers<'a>(spare: &mut Vec<BatchTrigger<'static>>) -> Vec<BatchTrigger<'a>> {
+    std::mem::take(spare)
+}
+
+/// Give a lent trigger list's capacity back to `spare`. Emptied, the list
+/// borrows nothing, and collecting it into a vector of a type of the same
+/// size reuses its allocation.
+pub(crate) fn return_triggers(spare: &mut Vec<BatchTrigger<'static>>, mut lent: Vec<BatchTrigger>) {
+    lent.clear();
+    *spare = lent.into_iter().map(|_| unreachable!("emptied")).collect();
 }
 
 impl EvalBuffers {
@@ -479,7 +643,8 @@ impl EvalBuffers {
         if self.per_trigger.len() < fired {
             self.per_trigger.resize_with(fired, Vec::new);
         }
-        let mut triggers: Vec<BatchTrigger> = Vec::new();
+        let mut triggers = lend_triggers(&mut self.triggers);
+        let mut result = Ok(());
         for strand in strands {
             triggers.clear();
             self.indices.clear();
@@ -495,11 +660,13 @@ impl EvalBuffers {
             let (scratch, out) = (&mut self.scratch, &mut self.out);
             if let Err(e) = strand.fire_batch(store, &triggers, stats, scratch, out) {
                 self.per_trigger[..fired].iter_mut().for_each(Vec::clear);
-                return Err(e);
+                result = Err(e);
+                break;
             }
             out.drain_into(|local, d| self.per_trigger[self.indices[local]].push(d));
         }
-        Ok(())
+        return_triggers(&mut self.triggers, triggers);
+        result
     }
 }
 
@@ -561,7 +728,8 @@ impl BatchOutput {
 }
 
 /// Compile a delta rule: slots for the trigger atom's variables first,
-/// then each literal's in body order; then place its steps (`place`).
+/// then each literal's in body order; then place its steps (`place`) and
+/// resolve where the last probe's steps and the head read (`resolve_last`).
 pub(crate) fn compile(rule: &DeltaRule) -> BatchPlan {
     let body = &rule.rule.body;
     let mut slots: BTreeMap<String, usize> = BTreeMap::new();
@@ -629,14 +797,19 @@ pub(crate) fn compile(rule: &DeltaRule) -> BatchPlan {
                 }));
             }
             Literal::Assign(assign) => {
-                let prebound = slots.contains_key(&assign.var);
                 let expr = compile_expr(&assign.expr, &slots);
-                let slot = slot_of(&assign.var, &mut slots);
-                stages.push(Stage::Step(Step::Assign {
-                    slot,
-                    var: assign.var.clone(),
-                    prebound,
-                    expr,
+                let var = assign.var.clone();
+                stages.push(Stage::Step(match slots.get(&assign.var) {
+                    Some(&slot) => Step::Check {
+                        place: Place::Local(slot),
+                        var,
+                        expr,
+                    },
+                    None => Step::Assign {
+                        slot: slot_of(&assign.var, &mut slots),
+                        var,
+                        expr,
+                    },
                 }));
             }
             Literal::Filter(expr) => stages.push(Stage::Step(Step::Filter {
@@ -646,20 +819,9 @@ pub(crate) fn compile(rule: &DeltaRule) -> BatchPlan {
         }
     }
     let width = slots.len();
-    let (before, probes) = place(stages, width);
+    let (before, mut probes) = place(stages, width);
 
-    // When the last probe has no step after it, its binds are the only
-    // writes between the rows it reads and head projection, so a head
-    // column is either "read the row" or "read the candidate" (a bind only
-    // ever targets a slot no earlier stage bound, so the mapping is
-    // unambiguous).
-    let cand_col_of_slot: BTreeMap<usize, usize> = match probes.last() {
-        Some(probe) if probe.then.is_empty() => {
-            probe.binds.iter().map(|&(col, slot)| (slot, col)).collect()
-        }
-        _ => BTreeMap::new(),
-    };
-    let head: Vec<HeadSource> = rule
+    let mut head: Vec<HeadSource> = rule
         .rule
         .head
         .args
@@ -667,15 +829,15 @@ pub(crate) fn compile(rule: &DeltaRule) -> BatchPlan {
         .map(|term| match term {
             Term::Const(c) => HeadSource::Const(c.clone()),
             Term::Var(v) => match slots.get(&v.name) {
-                Some(s) => match cand_col_of_slot.get(s) {
-                    Some(&col) => HeadSource::Cand(col),
-                    None => HeadSource::Row(*s, v.name.clone()),
-                },
+                Some(&s) => HeadSource::Read(Place::Local(s), v.name.clone()),
                 None => HeadSource::Unbound(v.name.clone()),
             },
             Term::Agg(_) => HeadSource::Aggregate,
         })
         .collect();
+    if let Some(last) = probes.last_mut() {
+        resolve_last(last, &mut head);
+    }
 
     BatchPlan {
         width,
@@ -686,6 +848,42 @@ pub(crate) fn compile(rule: &DeltaRule) -> BatchPlan {
         probes,
         head,
         head_relation: rule.rule.head.name.as_str().into(),
+    }
+}
+
+/// Resolve the reads of the last probe's steps and of the head to where
+/// each value lies in that probe's sink: a slot the probe binds is a
+/// column of its candidate, one its steps assign is one of the sink's
+/// locals, and any other was bound before the probe, in the row it
+/// extends. A slot is bound once, so the mapping is unambiguous.
+fn resolve_last(last: &mut ProbeStage, head: &mut [HeadSource]) {
+    let mut place_of: BTreeMap<usize, Place> = BTreeMap::new();
+    for &(col, slot) in &last.binds {
+        place_of.insert(slot, Place::Cand(col));
+    }
+    for step in &last.then {
+        if let Step::Assign { slot, .. } = step {
+            place_of.insert(*slot, Place::Local(*slot));
+        }
+    }
+    let resolve = &mut |place: &mut Place| {
+        if let Place::Local(slot) = *place {
+            *place = place_of.get(&slot).copied().unwrap_or(Place::Row(slot));
+        }
+    };
+    for step in &mut last.then {
+        match step {
+            Step::Assign { expr, .. } | Step::Filter { expr, .. } => expr.places(resolve),
+            Step::Check { place, expr, .. } => {
+                resolve(place);
+                expr.places(resolve);
+            }
+        }
+    }
+    for source in head {
+        if let HeadSource::Read(place, _) = source {
+            resolve(place);
+        }
     }
 }
 
@@ -710,18 +908,13 @@ fn place(stages: Vec<Stage>, width: usize) -> (Vec<Step>, Vec<ProbeStage>) {
                     binder[slot] = Some(i);
                 }
             }
-            Stage::Step(Step::Assign {
-                slot,
-                prebound,
-                expr,
-                ..
-            }) => {
+            Stage::Step(Step::Assign { slot, expr, .. }) => {
                 barrier[i] = !expr_slots(expr, &mut read);
-                if !prebound {
-                    binder[*slot] = Some(i);
-                }
+                binder[*slot] = Some(i);
             }
-            Stage::Step(Step::Filter { expr, .. }) => barrier[i] = !expr_slots(expr, &mut read),
+            Stage::Step(Step::Check { expr, .. } | Step::Filter { expr, .. }) => {
+                barrier[i] = !expr_slots(expr, &mut read)
+            }
         }
         reads.push(read);
     }
@@ -795,17 +988,19 @@ fn place(stages: Vec<Stage>, width: usize) -> (Vec<Step>, Vec<ProbeStage>) {
 }
 
 /// Append the slots `expr` reads to `out`; false if it reads a variable
-/// the rule never binds.
+/// the rule never binds. Placement runs before any read is resolved, so
+/// every read is still a slot of the environment.
 fn expr_slots(expr: &SlotExpr, out: &mut Vec<usize>) -> bool {
     match expr {
         SlotExpr::Const(_) => true,
-        SlotExpr::Slot(slot, _) => {
+        SlotExpr::Read(Place::Local(slot), _) => {
             out.push(*slot);
             true
         }
+        SlotExpr::Read(..) => unreachable!("reads are resolved after placement"),
         SlotExpr::Unbound(_) => false,
         SlotExpr::Binary(_, l, r) => expr_slots(l, out) & expr_slots(r, out),
-        SlotExpr::Call(_, args) => args.iter().fold(true, |ok, a| expr_slots(a, out) & ok),
+        SlotExpr::Call(_, _, args) => args.iter().fold(true, |ok, a| expr_slots(a, out) & ok),
     }
 }
 
@@ -859,12 +1054,13 @@ fn compile_atom_ops(
     (ops, rejects)
 }
 
-/// Resolve an expression's variables against the slots bound so far.
+/// Resolve an expression's variables against the slots bound so far, and
+/// its calls to builtins.
 fn compile_expr(expr: &Expr, slots: &BTreeMap<String, usize>) -> SlotExpr {
     match expr {
         Expr::Const(v) => SlotExpr::Const(v.clone()),
         Expr::Var(name) => match slots.get(name) {
-            Some(&s) => SlotExpr::Slot(s, name.clone()),
+            Some(&s) => SlotExpr::Read(Place::Local(s), name.clone()),
             None => SlotExpr::Unbound(name.clone()),
         },
         Expr::Binary(op, l, r) => SlotExpr::Binary(
@@ -873,74 +1069,121 @@ fn compile_expr(expr: &Expr, slots: &BTreeMap<String, usize>) -> SlotExpr {
             Box::new(compile_expr(r, slots)),
         ),
         Expr::Call(name, args) => SlotExpr::Call(
+            Builtin::resolve(name),
             name.clone(),
             args.iter().map(|a| compile_expr(a, slots)).collect(),
         ),
     }
 }
 
-fn eval_slot(expr: &SlotExpr, row: &[Option<Value>]) -> Result<Value, EvalError> {
-    match expr {
-        SlotExpr::Const(v) => Ok(v.clone()),
-        SlotExpr::Slot(slot, name) => row[*slot]
-            .clone()
-            .ok_or_else(|| EvalError::UnboundVariable(name.clone())),
-        SlotExpr::Unbound(name) => Err(EvalError::UnboundVariable(name.clone())),
+impl SlotExpr {
+    /// Apply `f` to every place the expression reads.
+    fn places(&mut self, f: &mut impl FnMut(&mut Place)) {
+        match self {
+            SlotExpr::Read(place, _) => f(place),
+            SlotExpr::Binary(_, l, r) => {
+                l.places(f);
+                r.places(f);
+            }
+            SlotExpr::Call(_, _, args) => args.iter_mut().for_each(|a| a.places(f)),
+            SlotExpr::Const(_) | SlotExpr::Unbound(_) => {}
+        }
+    }
+}
+
+/// What steps and head columns read from (see [`Place`]): the row the last
+/// probe extends, that probe's candidate, and the environment the steps
+/// bind into. Where steps run on a row, that row is `locals` and the other
+/// two are empty.
+#[derive(Clone, Copy)]
+struct Env<'a> {
+    row: &'a [Option<Value>],
+    cand: &'a [Value],
+    locals: &'a [Option<Value>],
+}
+
+impl<'a> Env<'a> {
+    fn get(self, place: Place) -> Option<&'a Value> {
+        match place {
+            Place::Local(slot) => self.locals[slot].as_ref(),
+            Place::Row(slot) => self.row[slot].as_ref(),
+            Place::Cand(col) => Some(&self.cand[col]),
+        }
+    }
+}
+
+/// Evaluate an expression over values read where they lie: a constant or
+/// a read is borrowed, and only an operator's or a builtin's result is a
+/// new value.
+fn eval<'a>(expr: &'a SlotExpr, env: Env<'a>) -> Result<Cow<'a, Value>, EvalError> {
+    Ok(match expr {
+        SlotExpr::Const(v) => Cow::Borrowed(v),
+        SlotExpr::Read(place, name) => Cow::Borrowed(
+            env.get(*place)
+                .ok_or_else(|| EvalError::UnboundVariable(name.clone()))?,
+        ),
+        SlotExpr::Unbound(name) => return Err(EvalError::UnboundVariable(name.clone())),
         SlotExpr::Binary(op, l, r) => {
-            let lv = eval_slot(l, row)?;
-            let rv = eval_slot(r, row)?;
-            eval_binop(*op, &lv, &rv)
+            let (l, r) = (eval(l, env)?, eval(r, env)?);
+            Cow::Owned(eval_binop(*op, &l, &r)?)
         }
         // Every builtin takes one or two arguments: evaluate them into a
         // fixed array, not a vector.
-        SlotExpr::Call(name, args) if args.len() <= 2 => {
-            const UNSET: Value = Value::Bool(false);
-            let mut vals = [UNSET; 2];
+        SlotExpr::Call(builtin, name, args) if args.len() <= 2 => {
+            const UNSET: Cow<'static, Value> = Cow::Owned(Value::Bool(false));
+            let mut vals: [Cow<'a, Value>; 2] = [UNSET; 2];
             for (val, a) in vals.iter_mut().zip(args) {
-                *val = eval_slot(a, row)?;
+                *val = eval(a, env)?;
             }
-            eval_builtin(name, &vals[..args.len()])
+            Cow::Owned(call(*builtin, name, &vals[..args.len()])?)
         }
-        SlotExpr::Call(name, args) => {
-            let mut vals = Vec::with_capacity(args.len());
-            for a in args {
-                vals.push(eval_slot(a, row)?);
-            }
-            eval_builtin(name, &vals)
+        SlotExpr::Call(builtin, name, args) => {
+            let vals = args.iter().map(|a| eval(a, env));
+            let vals: Vec<Cow<Value>> = vals.collect::<Result<_, _>>()?;
+            Cow::Owned(call(*builtin, name, &vals)?)
         }
-    }
+    })
+}
+
+/// Apply a resolved builtin — or fail as the unknown function `name`.
+fn call(builtin: Option<Builtin>, name: &str, args: &[Cow<Value>]) -> Result<Value, EvalError> {
+    let builtin = builtin.ok_or_else(|| EvalError::UnknownFunction(name.to_string()))?;
+    builtin.call(name, args)
 }
 
 /// Evaluate a filter to a boolean. Numbers are truthy when non-zero,
 /// matching the paper's `f_member(P, S) = 0` idiom; anything else is a
 /// type error naming the filter (`text`).
-fn eval_filter(expr: &SlotExpr, text: &str, row: &[Option<Value>]) -> Result<bool, EvalError> {
-    match eval_slot(expr, row)? {
-        Value::Bool(b) => Ok(b),
-        Value::Int(i) => Ok(i != 0),
-        Value::Float(f) => Ok(f != 0.0),
+fn eval_filter(expr: &SlotExpr, text: &str, env: Env) -> Result<bool, EvalError> {
+    match eval(expr, env)?.as_ref() {
+        Value::Bool(b) => Ok(*b),
+        Value::Int(i) => Ok(*i != 0),
+        Value::Float(f) => Ok(*f != 0.0),
         _ => Err(EvalError::TypeMismatch {
             context: format!("boolean filter `{text}`"),
         }),
     }
 }
 
-/// Run `steps` on `row` in order, binding into it: whether the row passes
-/// them all. An assignment to a bound slot is an equality check.
-fn run_steps(steps: &[Step], row: &mut [Option<Value>]) -> Result<bool, EvalError> {
+/// Run `steps` in order over `row` and `cand`, binding into `locals`:
+/// whether the row passes them all. Where the steps run on a row, that row
+/// is `locals` and the other two are empty (see [`Place`]).
+fn run_steps(
+    steps: &[Step],
+    row: &[Option<Value>],
+    cand: &[Value],
+    locals: &mut [Option<Value>],
+) -> Result<bool, EvalError> {
     for step in steps {
+        let env = Env { row, cand, locals };
         let passes = match step {
-            Step::Assign {
-                slot,
-                prebound: true,
-                expr,
-                ..
-            } => row[*slot].as_ref() == Some(&eval_slot(expr, row)?),
             Step::Assign { slot, expr, .. } => {
-                row[*slot] = Some(eval_slot(expr, row)?);
+                let value = eval(expr, env)?.into_owned();
+                locals[*slot] = Some(value);
                 true
             }
-            Step::Filter { expr, text } => eval_filter(expr, text, row)?,
+            Step::Check { place, expr, .. } => env.get(*place) == Some(eval(expr, env)?.as_ref()),
+            Step::Filter { expr, text } => eval_filter(expr, text, env)?,
         };
         if !passes {
             return Ok(false);
@@ -952,12 +1195,7 @@ fn run_steps(steps: &[Step], row: &mut [Option<Value>]) -> Result<bool, EvalErro
 /// Resolve a probe stage's key for one row into `out` (cleared first).
 fn build_probe_key(key: &[SlotSource], row: &[Option<Value>], out: &mut Vec<Value>) {
     out.clear();
-    for src in key {
-        match src {
-            SlotSource::Const(c) => out.push(c.clone()),
-            SlotSource::Slot(s) => out.push(row[*s].clone().expect("probe-key slots are bound")),
-        }
-    }
+    out.extend(key_values(key, row).cloned());
 }
 
 /// Apply the trigger atom's ops to a delta tuple against a blank row whose
@@ -986,16 +1224,13 @@ fn apply_ops(ops: &[BindOp], tuple: &Tuple, row: &mut [Option<Value>]) -> bool {
 }
 
 /// What the stages of one firing share: the store and triggers they read,
-/// the statistics they report to, and the match buffer of the probe
+/// the statistics they report to, and the grouping buffers of the probe
 /// routine's shared arm.
-struct Firing<'a, 'r> {
-    store: &'r Store,
+struct Firing<'a> {
+    store: &'a Store,
     triggers: &'a [BatchTrigger<'a>],
     stats: &'a mut EvalStats,
-    /// Group `g`'s matches live at `KeyGroups::ranges[g]`. Borrows the
-    /// store, so it cannot live in the reusable scratch; it reaches
-    /// steady-state capacity after the first probe stage.
-    matches: Vec<&'r StoredTuple>,
+    groups: &'a mut KeyGroups,
 }
 
 impl ProbeStage {
@@ -1009,39 +1244,36 @@ impl ProbeStage {
             && self.same.iter().all(|&(a, b)| fields[a] == fields[b])
     }
 
-    /// Write the slots this probe binds from `candidate` into `row`.
-    fn bind(&self, candidate: &StoredTuple, row: &mut [Option<Value>]) {
+    /// Write the slots this probe binds from the candidate's values into
+    /// `row`: how a probe that is not the last extends a row.
+    fn bind(&self, candidate: &[Value], row: &mut [Option<Value>]) {
         for &(col, slot) in &self.binds {
-            row[slot] = Some(candidate.tuple.values()[col].clone());
+            row[slot] = Some(candidate[col].clone());
         }
     }
 
     /// The one probe loop (see the module docs): hand `sink` every `(row,
-    /// origin, candidate)` of `rows` that joins and is visible at the
-    /// origin's `seq_limit`, row-major, candidates in lookup order — the
-    /// order per-row probing produces, whichever arm runs. A relation the
-    /// store does not hold joins nothing.
+    /// origin, candidate values)` of `rows` that joins and is visible at
+    /// the origin's `seq_limit`, row-major, candidates in lookup order —
+    /// the order per-row probing produces, whichever arm runs. A relation
+    /// the store does not hold joins nothing.
     ///
     /// In the shared arm, each distinct key's lookup runs at unrestricted
     /// visibility on behalf of all its members (the multiplier keeps the
     /// per-member logical accounting) and the visibility filter is applied
     /// per member afterwards, because members may carry different
-    /// `seq_limit`s. The map's iteration order only decides where each
-    /// group's span lands in the match buffer; every observable (stat sums,
-    /// the span each `ranges[g]` addresses, within-group candidate order)
-    /// is independent of it.
-    fn probe<'r>(
+    /// `seq_limit`s.
+    fn probe(
         &self,
         rows: &Rows,
-        groups: &mut KeyGroups,
-        firing: &mut Firing<'_, 'r>,
-        mut sink: impl FnMut(&[Option<Value>], u32, &'r StoredTuple) -> Result<(), EvalError>,
+        firing: &mut Firing,
+        mut sink: impl FnMut(&[Option<Value>], u32, &[Value]) -> Result<(), EvalError>,
     ) -> Result<(), EvalError> {
         let Firing {
             store,
             triggers,
             stats,
-            matches,
+            groups,
         } = firing;
         let Some(stored) = store.relation(&self.relation) else {
             return Ok(());
@@ -1055,39 +1287,21 @@ impl ProbeStage {
             let seq_limit = triggers[origin as usize].seq_limit;
             for candidate in stored.lookup(&self.cols, &groups.key, seq_limit, stats) {
                 if self.accepts(candidate) {
-                    sink(row, origin, candidate)?;
+                    sink(row, origin, candidate.tuple.values())?;
                 }
             }
             return Ok(());
         }
         groups.partition(&self.key, rows);
-        let KeyGroups {
-            group_of,
-            sizes,
-            map,
-            ranges,
-            ..
-        } = groups;
-        matches.clear();
-        ranges.clear();
-        ranges.resize(sizes.len(), (0, 0));
-        for (key, &g) in map.iter() {
-            let members = sizes[g as usize] as usize;
-            let start = matches.len();
-            let raw = stored.lookup_n(&self.cols, key, u64::MAX, members, stats);
-            matches.extend(raw.filter(|c| self.accepts(c)));
-            ranges[g as usize] = (
-                u32::try_from(start).expect("match buffer fits u32"),
-                u32::try_from(matches.len()).expect("match buffer fits u32"),
-            );
-        }
-        for (r, &g) in group_of.iter().enumerate() {
+        groups.look_up(self, stored, rows, stats);
+        for (r, &g) in groups.group_of.iter().enumerate() {
             let (row, origin) = rows.get(r);
             let seq_limit = triggers[origin as usize].seq_limit;
-            let (start, end) = ranges[g as usize];
-            for &candidate in &matches[start as usize..end as usize] {
+            let (start, end) = groups.ranges[g as usize];
+            for &slot in &groups.matches[start as usize..end as usize] {
+                let candidate = stored.row(slot);
                 if candidate.seq <= seq_limit {
-                    sink(row, origin, candidate)?;
+                    sink(row, origin, candidate.tuple.values())?;
                 }
             }
         }
@@ -1111,11 +1325,7 @@ impl BatchPlan {
     /// assignment to a variable already bound.
     pub(crate) fn describe(&self) -> Vec<String> {
         let step = |step: &Step| match step {
-            Step::Assign {
-                var,
-                prebound: true,
-                ..
-            } => format!("check {var}"),
+            Step::Check { var, .. } => format!("check {var}"),
             Step::Assign { var, .. } => format!("assign {var}"),
             Step::Filter { text, .. } => format!("filter {text}"),
         };
@@ -1144,13 +1354,7 @@ impl BatchPlan {
         out: &mut BatchOutput,
     ) -> Result<(), EvalError> {
         out.clear();
-        let firing = Firing {
-            store,
-            triggers,
-            stats,
-            matches: Vec::new(),
-        };
-        let result = self.fire_rows(firing, scratch, out);
+        let result = self.fire_rows(store, triggers, stats, scratch, out);
         // Only capacity outlives a firing: the scratch is handed back
         // empty, and so is the output of a failed one.
         scratch.clear();
@@ -1163,17 +1367,18 @@ impl BatchPlan {
     /// [`BatchPlan::fire_batch`] over an empty scratch and output.
     fn fire_rows(
         &self,
-        mut firing: Firing,
+        store: &Store,
+        triggers: &[BatchTrigger],
+        stats: &mut EvalStats,
         scratch: &mut BatchScratch,
         out: &mut BatchOutput,
     ) -> Result<(), EvalError> {
         let BatchScratch {
             rows,
             next,
-            fused,
+            locals,
             groups,
         } = scratch;
-        let triggers = firing.triggers;
         let width = self.width;
         rows.width = width;
         next.width = width;
@@ -1200,58 +1405,59 @@ impl BatchPlan {
 
         // The steps placed before the first probe run on the trigger rows;
         // those placed after a probe run in its sink, on each extended row
-        // before it is kept.
+        // before it is kept — or, after the last probe, on the row and the
+        // candidate where they lie, before the head is projected.
         if !self.before.is_empty() {
-            rows.retain(|row| run_steps(&self.before, row))?;
+            rows.retain(|row| run_steps(&self.before, &[], &[], row))?;
         }
-        match self.probes.split_last() {
-            None => {
-                for r in 0..rows.len() {
-                    let (row, origin) = rows.get(r);
-                    self.emit(row, &[], origin, triggers, out)?;
-                }
+        let Some((last, mid)) = self.probes.split_last() else {
+            for r in 0..rows.len() {
+                let (row, origin) = rows.get(r);
+                let env = Env {
+                    row: &[],
+                    cand: &[],
+                    locals: row,
+                };
+                self.emit(env, origin, triggers, out)?;
             }
-            Some((last, mid)) => {
-                for probe in mid {
-                    next.clear();
-                    probe.probe(rows, groups, &mut firing, |row, origin, candidate| {
-                        let extended = next.push(row, origin);
-                        probe.bind(candidate, extended);
-                        if !run_steps(&probe.then, extended)? {
-                            next.pop();
-                        }
-                        Ok(())
-                    })?;
-                    std::mem::swap(rows, next);
+            out.start_through(triggers.len());
+            return Ok(());
+        };
+        let mut firing = Firing {
+            store,
+            triggers,
+            stats,
+            groups,
+        };
+        for probe in mid {
+            next.clear();
+            probe.probe(rows, &mut firing, |row, origin, cand| {
+                let extended = next.push(row, origin);
+                probe.bind(cand, extended);
+                if !run_steps(&probe.then, &[], &[], extended)? {
+                    next.pop();
                 }
-                if last.then.is_empty() {
-                    last.probe(rows, groups, &mut firing, |row, origin, candidate| {
-                        self.emit(row, candidate.tuple.values(), origin, triggers, out)
-                    })?;
-                } else {
-                    fused.resize(width, None);
-                    last.probe(rows, groups, &mut firing, |row, origin, candidate| {
-                        fused.clone_from_slice(row);
-                        last.bind(candidate, fused);
-                        if run_steps(&last.then, fused)? {
-                            self.emit(fused, &[], origin, triggers, out)?;
-                        }
-                        Ok(())
-                    })?;
-                }
-            }
+                Ok(())
+            })?;
+            std::mem::swap(rows, next);
         }
+        locals.resize(width, None);
+        last.probe(rows, &mut firing, |row, origin, cand| {
+            if run_steps(&last.then, row, cand, locals)? {
+                let env = Env { row, cand, locals };
+                self.emit(env, origin, triggers, out)?;
+            }
+            Ok(())
+        })?;
         out.start_through(triggers.len());
         Ok(())
     }
 
-    /// Project one head derivation from a surviving row and — when the
-    /// rule's last probe has no step after it — that probe's candidate,
-    /// under the sign of the trigger the row descends from.
+    /// Project one head derivation, reading each column where it lies in
+    /// `env`, under the sign of the trigger the row descends from.
     fn emit(
         &self,
-        row: &[Option<Value>],
-        candidate: &[Value],
+        env: Env,
         origin: u32,
         triggers: &[BatchTrigger],
         out: &mut BatchOutput,
@@ -1261,10 +1467,10 @@ impl BatchPlan {
         for source in &self.head {
             out.fields.push(match source {
                 HeadSource::Const(c) => c.clone(),
-                HeadSource::Row(slot, name) => row[*slot]
-                    .clone()
-                    .ok_or_else(|| EvalError::UnboundVariable(name.clone()))?,
-                HeadSource::Cand(col) => candidate[*col].clone(),
+                HeadSource::Read(place, name) => env
+                    .get(*place)
+                    .ok_or_else(|| EvalError::UnboundVariable(name.clone()))?
+                    .clone(),
                 HeadSource::Unbound(name) => return Err(EvalError::UnboundVariable(name.clone())),
                 HeadSource::Aggregate => {
                     return Err(EvalError::TypeMismatch {
@@ -1286,16 +1492,18 @@ impl EvalBuffers {
         let BatchScratch {
             rows,
             next,
-            fused,
+            locals,
             groups,
         } = &self.scratch;
         rows.slots.is_empty()
             && rows.origins.is_empty()
             && next.slots.is_empty()
             && next.origins.is_empty()
-            && fused.is_empty()
+            && locals.is_empty()
             && groups.key.is_empty()
-            && groups.map.is_empty()
+            && self.triggers.is_empty()
+            && self.queue.is_empty()
+            && self.round.is_empty()
             && self.out.derivations.is_empty()
             && self.out.fields.is_empty()
             && self.per_trigger.iter().all(Vec::is_empty)
@@ -1458,5 +1666,66 @@ mod tests {
         let (derived, _) = fire(&narrow_store, &narrow, &narrow_batch, &mut lent);
         let derived: Vec<usize> = derived.unwrap().iter().map(Vec::len).collect();
         assert_eq!(derived, [3, 0, 3, 3]);
+    }
+
+    #[test]
+    fn a_call_no_builtin_names_fails_only_when_evaluated() {
+        // The name resolves to no builtin when the plan compiles; the plan
+        // still compiles, and a firing fails only for a row that reaches
+        // the call — after its arguments are evaluated, as by name.
+        let (mut store, strand) = setup(
+            "r1 out(@S, X) :- q(@S, V), t(@S, W), X := f_nosuch(V, W).",
+            "q",
+        );
+        store.apply(&TupleDelta::insert(
+            "t",
+            Tuple::new(vec![addr(0), Value::Int(1)]),
+        ));
+        let q = |s: u32| TupleDelta::insert("q", Tuple::new(vec![addr(s), Value::Int(2)]));
+        let mut buffers = EvalBuffers::default();
+        let (unmatched, _) = fire(&store, &strand, &[q(1)], &mut buffers);
+        assert_eq!(unmatched.unwrap(), [Vec::new()]);
+        let (failed, _) = fire(&store, &strand, &[q(1), q(0)], &mut buffers);
+        assert_eq!(
+            failed.unwrap_err(),
+            EvalError::UnknownFunction("f_nosuch".into())
+        );
+        assert!(buffers.holds_only_capacity());
+    }
+
+    #[test]
+    fn probe_keys_on_one_fingerprint_keep_their_groups_apart() {
+        // Every probe key of the batch files under fingerprint 0, so each
+        // new key walks the whole collision chain and compares against
+        // every group's first row: the groups, their shared lookups and
+        // what each trigger derives are those of distinct fingerprints.
+        let (mut store, strand) = setup(
+            "j1 out(@S, V, W) :- probe(@S, K), big(@S, K, V), big(@S, V, W).",
+            "probe",
+        );
+        for i in 0..12u32 {
+            let (k, v) = (i64::from(i % 4), i64::from(i % 3));
+            let big = Tuple::new(vec![addr(0), Value::Int(k), Value::Int(v)]);
+            store.apply(&TupleDelta::insert("big", big));
+        }
+        let probe = |k: i64| TupleDelta::insert("probe", Tuple::new(vec![addr(0), Value::Int(k)]));
+        // Keys 0 … 3 hold three rows each, 5 and 9 none; 2 and 0 repeat.
+        let batch = [2, 0, 5, 2, 1, 9, 0, 3].map(probe);
+        let mut colliding = EvalBuffers::default();
+        colliding.scratch.groups.squash = |_| 0;
+        let through_one_chain = fire(&store, &strand, &batch, &mut colliding);
+        let through_fingerprints = fire(&store, &strand, &batch, &mut EvalBuffers::default());
+        assert_eq!(through_one_chain, through_fingerprints);
+        assert!(colliding.holds_only_capacity());
+        let (derived, stats) = through_one_chain;
+        let derived: Vec<usize> = derived.unwrap().iter().map(Vec::len).collect();
+        // Each `big(0, K, V)` match leads on to the three rows under V.
+        assert_eq!(derived, [9, 9, 0, 9, 9, 0, 9, 9]);
+        // One lookup per distinct key of each probe: six keys of the
+        // first, and the three values V takes for the second.
+        assert_eq!(
+            (stats.logical_probes, stats.distinct_probes),
+            (8 + 18, 6 + 3)
+        );
     }
 }

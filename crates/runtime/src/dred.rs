@@ -64,7 +64,7 @@
 //! a locally stored, locally derived tuple is locally re-derivable.
 
 use crate::aggview::AggregateView;
-use crate::batch::{BatchTrigger, EvalBuffers};
+use crate::batch::{lend_triggers, return_triggers, BatchTrigger, EvalBuffers};
 use crate::expr::EvalError;
 use crate::index::EvalStats;
 use crate::store::Store;
@@ -189,6 +189,7 @@ pub fn over_delete(
         scratch,
         out,
         shipped,
+        triggers: spare,
         ..
     } = buffers;
     // Only membership is read: `order` keeps the discovery order.
@@ -237,7 +238,6 @@ pub fn over_delete(
     while !frontier.is_empty() {
         wave.clear();
         std::mem::swap(&mut wave, &mut frontier);
-        let mut triggers: Vec<BatchTrigger> = Vec::new();
         // Aggregate views fed by a wave relation: pin the group (mark its
         // current output as-is, defer the recomputation) and dirty it —
         // unless the removal cannot move the group's aggregate.
@@ -276,7 +276,10 @@ pub fn over_delete(
                 }
             }
         }
-        // One over-delete step through every strand, wave-batched.
+        // One over-delete step through every strand, wave-batched, its
+        // trigger list in the lent buffers' capacity.
+        let mut triggers = lend_triggers(spare);
+        let mut result = Ok(());
         for strand in strands.iter().filter(|s| !s.is_rederivation()) {
             triggers.clear();
             triggers.extend(
@@ -290,7 +293,10 @@ pub fn over_delete(
             if triggers.is_empty() {
                 continue;
             }
-            strand.fire_batch(store, &triggers, stats, scratch, out)?;
+            result = strand.fire_batch(store, &triggers, stats, scratch, out);
+            if result.is_err() {
+                break;
+            }
             out.drain_into(|_, derivation| match (self_addr, derivation.location) {
                 (Some(me), Some(dest)) if dest != me => shipped.push((dest, derivation.delta)),
                 _ => mark(
@@ -303,6 +309,8 @@ pub fn over_delete(
                 ),
             });
         }
+        return_triggers(spare, triggers);
+        result?;
     }
 
     // The restored seeds go back out before the removal phase.

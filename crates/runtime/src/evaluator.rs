@@ -21,7 +21,7 @@ use crate::aggview::AggregateView;
 use crate::batch::EvalBuffers;
 use crate::dred::rederivation_plan;
 use crate::expr::EvalError;
-use crate::fixpoint::LocalFixpoint;
+use crate::fixpoint::{LocalFixpoint, LookAhead};
 use crate::index::EvalStats;
 use crate::store::Store;
 use crate::strand::CompiledStrand;
@@ -167,6 +167,11 @@ impl Evaluator {
         self.fixpoint.views()
     }
 
+    /// What the fixpoint loop's look-ahead has fired and discarded so far.
+    pub fn look_ahead(&self) -> LookAhead {
+        self.fixpoint.look_ahead()
+    }
+
     /// All tuples of a relation.
     pub fn results(&self, relation: &str) -> Vec<Tuple> {
         self.store().tuples(relation)
@@ -215,7 +220,7 @@ impl Evaluator {
     ) -> Result<EvalStats, EvalError> {
         let before = self.fixpoint.stats();
         let batch = std::slice::from_mut(&mut external);
-        self.fixpoint.ingest_batch(batch);
+        self.fixpoint.ingest_batch(batch, &mut self.buffers);
         self.fixpoint.run(strategy, &mut self.buffers)?;
         Ok(self.fixpoint.stats() - before)
     }

@@ -1,13 +1,18 @@
 //! Expression evaluation: arithmetic, comparisons and the builtin `f_*`
-//! functions used by NDlog programs, over values a compiled strand
-//! resolved from its slots.
+//! functions used by NDlog programs, over values a compiled strand reads
+//! where they lie — in a row, a stored tuple or a result just computed.
 //!
 //! The builtins cover what the paper's programs need — path-vector
 //! construction and inspection (`f_cons`, `f_append`, `f_concat`,
 //! `f_member`, `f_size`, `f_first`, `f_last`) — plus a handful of numeric
-//! helpers.
+//! helpers. They form the `Builtin` enum: a strand resolves each call's
+//! name to a variant once, when it is compiled, and evaluation matches on
+//! the variant; [`eval_builtin`] resolves a name per call, for callers
+//! outside a strand. A name no variant has stays a call, whose evaluation
+//! fails with [`EvalError::UnknownFunction`].
 
 use ndlog_lang::{BinOp, Value};
+use std::borrow::Borrow;
 use std::fmt;
 
 /// Errors raised while evaluating expressions.
@@ -109,90 +114,106 @@ fn numeric_pair(op: BinOp, l: &Value, r: &Value) -> Result<(f64, f64), EvalError
     }
 }
 
-/// Evaluate a builtin function. Builtin names may be written with or
-/// without the `f_` prefix.
-pub fn eval_builtin<'a>(name: &str, args: &'a [Value]) -> Result<Value, EvalError> {
-    let short = name.strip_prefix("f_").unwrap_or(name);
-    let arity = |expected: usize| -> Result<(), EvalError> {
-        if args.len() == expected {
-            Ok(())
-        } else {
-            Err(EvalError::WrongArity {
-                function: name.to_string(),
-                expected,
-                found: args.len(),
-            })
-        }
-    };
-    // Lists are read in place; the error string exists only on failure.
-    let as_list = |v: &'a Value| {
-        v.as_list().ok_or_else(|| EvalError::TypeMismatch {
-            context: format!("{name} expects a list argument"),
+/// A builtin function, resolved from its name once, when a strand is
+/// compiled: evaluation matches on the variant, never on the name. The
+/// variants cover what the paper's programs call — path-vector
+/// construction (`f_cons`, with the paper's `f_concatPath` as its alias,
+/// `f_append`, `f_concat`) and inspection (`f_member`, `f_size`,
+/// `f_first`, `f_last`) — and the scalar `f_min` / `f_max`. A name that
+/// resolves to none stays a call, which fails with
+/// [`EvalError::UnknownFunction`] when it is evaluated, as it always has.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Builtin {
+    Cons,
+    Append,
+    Concat,
+    Member,
+    Size,
+    First,
+    Last,
+    Min,
+    Max,
+}
+
+impl Builtin {
+    /// The builtin a call names, with or without the `f_` prefix.
+    pub(crate) fn resolve(name: &str) -> Option<Builtin> {
+        Some(match name.strip_prefix("f_").unwrap_or(name) {
+            "cons" | "concatPath" => Builtin::Cons,
+            "append" => Builtin::Append,
+            "concat" => Builtin::Concat,
+            "member" => Builtin::Member,
+            "size" => Builtin::Size,
+            "first" => Builtin::First,
+            "last" => Builtin::Last,
+            "min" => Builtin::Min,
+            "max" => Builtin::Max,
+            _ => return None,
         })
-    };
-    // A list a builtin builds shares the list it extends: one node per
-    // element added, whatever the length.
-    match short {
-        // f_cons(x, list) -> [x | list]
-        "cons" | "concatPath" => {
-            arity(2)?;
-            Ok(Value::List(as_list(&args[1])?.cons(args[0].clone())))
-        }
-        // f_append(list, x) -> list ++ [x]
-        "append" => {
-            arity(2)?;
-            Ok(Value::List(as_list(&args[0])?.snoc(args[1].clone())))
-        }
-        // f_concat(list, list) -> list ++ list
-        "concat" => {
-            arity(2)?;
-            Ok(Value::List(as_list(&args[0])?.concat(as_list(&args[1])?)))
-        }
-        // f_member(list, x) -> 1 if x in list else 0
-        "member" => {
-            arity(2)?;
-            let list = as_list(&args[0])?;
-            Ok(Value::Int(i64::from(list.contains(&args[1]))))
-        }
-        // f_size(list) -> length
-        "size" => {
-            arity(1)?;
-            Ok(Value::Int(as_list(&args[0])?.len() as i64))
-        }
-        // f_first(list) / f_last(list)
-        "first" => {
-            arity(1)?;
-            let first = as_list(&args[0])?.first().cloned();
-            first.ok_or_else(|| EvalError::TypeMismatch {
-                context: "f_first of empty list".into(),
-            })
-        }
-        "last" => {
-            arity(1)?;
-            let last = as_list(&args[0])?.last().cloned();
-            last.ok_or_else(|| EvalError::TypeMismatch {
-                context: "f_last of empty list".into(),
-            })
-        }
-        // f_min(a, b) / f_max(a, b) on scalars
-        "min" => {
-            arity(2)?;
-            Ok(if args[0] <= args[1] {
-                args[0].clone()
-            } else {
-                args[1].clone()
-            })
-        }
-        "max" => {
-            arity(2)?;
-            Ok(if args[0] >= args[1] {
-                args[0].clone()
-            } else {
-                args[1].clone()
-            })
-        }
-        _ => Err(EvalError::UnknownFunction(name.to_string())),
     }
+
+    /// How many arguments it takes.
+    fn arity(self) -> usize {
+        match self {
+            Builtin::Size | Builtin::First | Builtin::Last => 1,
+            _ => 2,
+        }
+    }
+
+    /// Apply it to `args`, values held anywhere — a row, a stored tuple, a
+    /// result just computed — and read where they lie: only what the
+    /// result is built from is cloned. `name` is the call as written, for
+    /// error messages.
+    pub(crate) fn call<V: Borrow<Value>>(self, name: &str, args: &[V]) -> Result<Value, EvalError> {
+        if args.len() != self.arity() {
+            return Err(EvalError::WrongArity {
+                function: name.to_string(),
+                expected: self.arity(),
+                found: args.len(),
+            });
+        }
+        let arg = |i: usize| -> &Value { args[i].borrow() };
+        // Lists are read in place; the error string exists only on failure.
+        let as_list = |i: usize| {
+            arg(i).as_list().ok_or_else(|| EvalError::TypeMismatch {
+                context: format!("{name} expects a list argument"),
+            })
+        };
+        let empty = |which: &str| EvalError::TypeMismatch {
+            context: format!("f_{which} of empty list"),
+        };
+        // A list a builtin builds shares the list it extends: one node per
+        // element added, whatever the length.
+        Ok(match self {
+            // f_cons(x, list) -> [x | list]
+            Builtin::Cons => Value::List(as_list(1)?.cons(arg(0).clone())),
+            // f_append(list, x) -> list ++ [x]
+            Builtin::Append => Value::List(as_list(0)?.snoc(arg(1).clone())),
+            // f_concat(list, list) -> list ++ list
+            Builtin::Concat => Value::List(as_list(0)?.concat(as_list(1)?)),
+            // f_member(list, x) -> 1 if x in list else 0
+            Builtin::Member => Value::Int(i64::from(as_list(0)?.contains(arg(1)))),
+            // f_size(list) -> length
+            Builtin::Size => Value::Int(as_list(0)?.len() as i64),
+            // f_first(list) / f_last(list)
+            Builtin::First => as_list(0)?.first().cloned().ok_or_else(|| empty("first"))?,
+            Builtin::Last => as_list(0)?.last().cloned().ok_or_else(|| empty("last"))?,
+            // f_min(a, b) / f_max(a, b) on scalars
+            Builtin::Min if arg(0) <= arg(1) => arg(0).clone(),
+            Builtin::Max if arg(0) >= arg(1) => arg(0).clone(),
+            Builtin::Min | Builtin::Max => arg(1).clone(),
+        })
+    }
+}
+
+/// Evaluate a builtin function by name. Builtin names may be written with
+/// or without the `f_` prefix (see `Builtin`); a compiled strand resolves
+/// the name once instead.
+pub fn eval_builtin(name: &str, args: &[Value]) -> Result<Value, EvalError> {
+    let builtin = Builtin::resolve(name);
+    builtin
+        .ok_or_else(|| EvalError::UnknownFunction(name.to_string()))?
+        .call(name, args)
 }
 
 #[cfg(test)]

@@ -75,7 +75,8 @@
 //! interrupted round consumed, doubling after every prefix consumed whole.
 //! A prefix is at most twice what the loop last got through, so the
 //! firings a run discards are bounded by a constant times the triggers it
-//! consumes; firing the whole queue ahead made a bulk load, whose
+//! consumes ([`LocalFixpoint::look_ahead`] counts both); firing the whole
+//! queue ahead made a bulk load, whose
 //! `bestCost`-style keyed winners are replaced all the way through,
 //! quadratic in its size. Which triggers share a batch is all the
 //! look-ahead changes: derivations, their order and the store are those of
@@ -92,7 +93,12 @@
 //! inject path, or the centralized evaluator; see [`crate::batch`]) and
 //! hands it back holding capacity only, apart from the shipped derivations
 //! the site drains, so a process hosting hundreds of sites keeps one set of
-//! high-water-mark buffers per lane, not per site.
+//! high-water-mark buffers per lane, not per site. That holds for the work
+//! queue too: its contents are the site's, its capacity the buffers'. A
+//! receive batch ingested with the buffers the run that follows is lent
+//! ([`LocalFixpoint::ingest_batch`]) is queued in their capacity, and a run
+//! that empties the queue hands the capacity back, so a site at rest keeps
+//! no queue.
 
 use crate::aggview::AggregateView;
 use crate::batch::{BatchTrigger, EvalBuffers};
@@ -156,6 +162,26 @@ enum Admission {
     Defer,
 }
 
+/// What the look-ahead of [`LocalFixpoint::run`] spent: the triggers it
+/// fired, and how many of them it discarded unconsumed because a removal
+/// interrupted their round — each of those fires again against the
+/// post-pass store, so its probes are paid twice. Deterministic, and kept
+/// out of [`EvalStats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LookAhead {
+    /// Triggers fired, consumed or not.
+    pub fired: u64,
+    /// Triggers fired ahead and then discarded.
+    pub discarded: u64,
+}
+
+impl std::ops::AddAssign for LookAhead {
+    fn add_assign(&mut self, other: LookAhead) {
+        self.fired += other.fired;
+        self.discarded += other.discarded;
+    }
+}
+
 /// One site's evaluation state and the loop that drives it to a local
 /// fixpoint.
 pub struct LocalFixpoint {
@@ -173,7 +199,12 @@ pub struct LocalFixpoint {
     /// Count of stored triggers that did not fire because their group's
     /// aggregate had bettered them since they were admitted.
     superseded: u64,
+    /// What the look-ahead fired and discarded.
+    look_ahead: LookAhead,
     /// Insert-only work queue: applied deltas whose strands have not fired.
+    /// Its capacity is the lent buffers' while there is work and goes back
+    /// to them once the work is done (`adopt_queue` / `release_queue`), so
+    /// a site at rest keeps none.
     queue: VecDeque<(TupleDelta, u64)>,
     /// The input of the next DRed over-delete/re-derive pass: the tuples
     /// actually removed from the store, which seed it, and the insertions
@@ -233,6 +264,7 @@ impl LocalFixpoint {
             selections,
             pruned: 0,
             superseded: 0,
+            look_ahead: LookAhead::default(),
             queue: VecDeque::new(),
             pending: Vec::new(),
             tap: DeltaTap::new(),
@@ -293,6 +325,11 @@ impl LocalFixpoint {
     /// admission and their turn to fire.
     pub fn superseded(&self) -> u64 {
         self.superseded
+    }
+
+    /// What the look-ahead has fired and discarded so far.
+    pub fn look_ahead(&self) -> LookAhead {
+        self.look_ahead
     }
 
     /// Whether unprocessed work is queued.
@@ -364,7 +401,9 @@ impl LocalFixpoint {
     /// relation and key; a narrower one is scanned, fewer than 128
     /// comparisons per deletion. Either way the batch costs O(n), however
     /// far apart a pair sits. Each payload's
-    /// buffer is freed as soon as the batch is done with it.
+    /// buffer is freed as soon as the batch is done with it. What the batch
+    /// queues goes into the queue capacity `buffers` lend, which the
+    /// [`LocalFixpoint::run`] that follows hands back.
     ///
     /// The rule reads this store, so it is applied where the batch is
     /// received, never by a sender: a deletion of a tuple not stored is a
@@ -376,8 +415,29 @@ impl LocalFixpoint {
     /// re-derived and re-shipped after it — and nothing else: a pair left
     /// uncancelled ends in the same store, since its re-insertion waits for
     /// that pass before a selection judges it.
-    pub fn ingest_batch(&mut self, payloads: &mut [Vec<TupleDelta>]) {
+    pub fn ingest_batch(&mut self, payloads: &mut [Vec<TupleDelta>], buffers: &mut EvalBuffers) {
+        self.adopt_queue(buffers);
         self.ingest_netted(payloads, CHAINED_BATCH);
+    }
+
+    /// Move the queued work into the queue capacity `buffers` lend, when
+    /// that is the larger.
+    fn adopt_queue(&mut self, buffers: &mut EvalBuffers) {
+        if buffers.queue.capacity() > self.queue.capacity() {
+            let queued = std::mem::replace(&mut self.queue, std::mem::take(&mut buffers.queue));
+            self.queue.extend(queued);
+        }
+    }
+
+    /// Hand an emptied queue's capacity to `buffers`, when it is the
+    /// larger: the site keeps none, and the buffers keep the widest run's.
+    fn release_queue(&mut self, buffers: &mut EvalBuffers) {
+        if self.queue.is_empty() {
+            let queue = std::mem::take(&mut self.queue);
+            if queue.capacity() > buffers.queue.capacity() {
+                buffers.queue = queue;
+            }
+        }
     }
 
     /// [`LocalFixpoint::ingest_batch`], finding re-assertions through key
@@ -597,11 +657,29 @@ impl LocalFixpoint {
     /// insertions fire. Evaluation happens in `buffers`, which the caller
     /// lends for the run and gets back empty, whatever the outcome, apart
     /// from the derivations located at other nodes: those are appended to
-    /// its shipped list, in derivation order, for the caller to drain.
+    /// its shipped list, in derivation order, for the caller to drain. The
+    /// work queue runs in the buffers' queue capacity, which they get back
+    /// once the queue is empty.
     pub fn run(&mut self, strategy: Strategy, buffers: &mut EvalBuffers) -> Result<(), EvalError> {
+        self.adopt_queue(buffers);
+        let mut round = std::mem::take(&mut buffers.round);
+        let result = self.run_rounds(strategy, &mut round, buffers);
+        round.clear();
+        buffers.round = round;
+        self.release_queue(buffers);
+        result
+    }
+
+    /// [`LocalFixpoint::run`] with `round`, empty, as the buffer of the
+    /// round being consumed.
+    fn run_rounds(
+        &mut self,
+        strategy: Strategy,
+        round: &mut Vec<(TupleDelta, u64)>,
+        buffers: &mut EvalBuffers,
+    ) -> Result<(), EvalError> {
         let pipelined = strategy == Strategy::Pipelined;
-        // The current round and how much of it has been consumed.
-        let mut round: Vec<(TupleDelta, u64)> = Vec::new();
+        // How much of the current round has been consumed.
         let mut done = 0;
         // How many triggers fire ahead of consumption (see the module docs).
         let mut ahead = usize::MAX;
@@ -651,6 +729,10 @@ impl LocalFixpoint {
             // interruption sends back is checked again when it re-fires.
             let skipped = &buffers.superseded[..consumed];
             self.superseded += skipped.iter().filter(|&&s| s).count() as u64;
+            self.look_ahead += LookAhead {
+                fired: fired as u64,
+                discarded: (fired - consumed) as u64,
+            };
             // What the interruption left unconsumed is stale.
             buffers.per_trigger[consumed..fired]
                 .iter_mut()
@@ -953,7 +1035,10 @@ mod tests {
         let mut fixpoint = LocalFixpoint::new(store, Arc::default(), Vec::new(), None, Vec::new())
             .expect("no strands");
         let mut facts = (0..n).map(|k| TupleDelta::insert("r", row(k, 0))).collect();
-        fixpoint.ingest_batch(std::slice::from_mut(&mut facts));
+        fixpoint.ingest_batch(
+            std::slice::from_mut(&mut facts),
+            &mut EvalBuffers::default(),
+        );
         fixpoint
     }
 

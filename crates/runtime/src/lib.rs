@@ -99,7 +99,9 @@
 //! * **Filters run where their inputs are bound** ([`batch`]): each filter
 //!   of a strand is placed at the first stage that binds every slot it
 //!   reads, with the assignments it needs, and the steps after a probe run
-//!   inside that probe's sink on the extended row. A trigger a filter on
+//!   inside that probe's sink: on the extended row, or, after a rule's
+//!   last probe, on the row and the candidate where they lie, writing only
+//!   the slots they assign. A trigger a filter on
 //!   its own columns rejects is never probed for the next atom, and a row
 //!   is kept only once it has passed everything placed before the next
 //!   probe. Equality checks and assignments no moved filter reads keep
@@ -114,7 +116,8 @@
 //!   One routine does all probing — the shared arm above, or one plain
 //!   lookup for a lone row, chosen from the batch, never by an option —
 //!   and feeds either the next row arena or, for a rule's last probe,
-//!   head projection.
+//!   head projection, which copies each value straight from where it lies
+//!   into the derived tuple.
 //! * **Slot tables over a slab** ([`relation`], [`index`]): a stored
 //!   tuple lives once, in a slab slot that is its `StoredTuple` (48 bytes);
 //!   the primary index files the slot under the fingerprint of the key
@@ -202,6 +205,7 @@ pub use aggview::AggregateView;
 pub use batch::{BatchOutput, BatchScratch, BatchTrigger, EvalBuffers};
 pub use evaluator::{compile, Compiled, Evaluator, Strategy};
 pub use expr::EvalError;
+pub use fixpoint::LookAhead;
 pub use index::{EvalStats, IndexSignature};
 pub use relation::{HeapBytes, InsertOutcome, Relation, RelationSchema};
 pub use store::Store;

@@ -371,7 +371,8 @@ impl Relation {
 
     /// Iterate over stored tuples in key order (deterministic).
     pub fn iter(&self) -> impl Iterator<Item = &StoredTuple> {
-        self.matches(self.ordered(), std::iter::empty(), u64::MAX)
+        let rows = self.matches(self.ordered(), std::iter::empty(), u64::MAX);
+        rows.map(|(_, row)| row)
     }
 
     /// Iterate over stored tuples in no particular order, without sorting
@@ -520,6 +521,21 @@ impl Relation {
         members: usize,
         stats: &mut EvalStats,
     ) -> impl Iterator<Item = &'r StoredTuple> + use<'r> {
+        let matches = self.lookup_slots(cols, key, seq_limit, members, stats);
+        matches.map(|(_, row)| row)
+    }
+
+    /// [`Relation::lookup_n`], each match with the slot it lies in, which
+    /// [`Relation::row`] reads back: a list of matches kept across lookups
+    /// is a list of slot numbers.
+    pub(crate) fn lookup_slots<'r>(
+        &'r self,
+        cols: &[usize],
+        key: &[Value],
+        seq_limit: u64,
+        members: usize,
+        stats: &mut EvalStats,
+    ) -> impl Iterator<Item = (u32, &'r StoredTuple)> + use<'r> {
         debug_assert!(members >= 1, "a lookup serves at least one environment");
         debug_assert!(
             cols.windows(2).all(|w| w[0] < w[1]),
@@ -547,6 +563,12 @@ impl Relation {
         };
         stats.tuples_examined += slots.len() * members;
         self.matches(slots, residual.iter().copied().zip(key), seq_limit)
+    }
+
+    /// The row in `slot`, a slot a lookup yielded and no change to the
+    /// relation has freed since.
+    pub(crate) fn row(&self, slot: u32) -> &StoredTuple {
+        live(&self.rows, slot)
     }
 
     /// File the row in `slot` in every secondary index, at its place in
@@ -845,13 +867,13 @@ struct Matches<'r> {
 }
 
 impl<'r> Iterator for Matches<'r> {
-    type Item = &'r StoredTuple;
-    fn next(&mut self) -> Option<&'r StoredTuple> {
+    type Item = (u32, &'r StoredTuple);
+    fn next(&mut self) -> Option<(u32, &'r StoredTuple)> {
         let (rows, seq_limit, residual) = (self.rows, self.seq_limit, &self.residual);
         self.slots
             .by_ref()
-            .map(|&slot| live(rows, slot))
-            .find(|row| {
+            .map(|&slot| (slot, live(rows, slot)))
+            .find(|(_, row)| {
                 row.seq <= seq_limit
                     && residual
                         .iter()

@@ -501,6 +501,10 @@ mod tests {
         /// Logical probes, scans and tuples examined by the one-trigger
         /// batch and by the whole batch.
         joins: [[usize; 3]; 2],
+        /// The trigger the oracle fails on, and the error the whole batch's
+        /// firing reports; that trigger's `derived` entry is 0, and the
+        /// one-trigger batch must not reach it.
+        fails: Option<(usize, &'static str)>,
     }
 
     fn int(i: i64) -> Value {
@@ -573,6 +577,7 @@ mod tests {
                 keys: [1, 2],
                 derived: vec![10, 9, 0, 5],
                 joins: [[1, 0, 10], [4, 0, 30]],
+                fails: None,
             },
             Case {
                 shape: "no non-trigger literal",
@@ -587,6 +592,7 @@ mod tests {
                 keys: [0, 0],
                 derived: vec![1, 1, 1],
                 joins: [[0, 0, 0], [0, 0, 0]],
+                fails: None,
             },
             Case {
                 shape: "last literal a probe",
@@ -597,6 +603,7 @@ mod tests {
                 keys: [1, 2],
                 derived: vec![3, 1, 2, 0],
                 joins: [[1, 0, 3], [4, 0, 8]],
+                fails: None,
             },
             Case {
                 shape: "probe then filter",
@@ -612,6 +619,7 @@ mod tests {
                 keys: [1, 2],
                 derived: vec![2, 0, 2, 1],
                 joins: [[1, 0, 3], [4, 0, 8]],
+                fails: None,
             },
             Case {
                 shape: "probe then fresh assignment",
@@ -622,6 +630,7 @@ mod tests {
                 keys: [1, 2],
                 derived: vec![3, 1, 2, 0],
                 joins: [[1, 0, 3], [4, 0, 8]],
+                fails: None,
             },
             Case {
                 shape: "probe then pre-bound assignment",
@@ -637,6 +646,7 @@ mod tests {
                 keys: [1, 2],
                 derived: vec![1, 1, 0, 1],
                 joins: [[1, 0, 3], [4, 0, 10]],
+                fails: None,
             },
             Case {
                 // The second probe's keys are the first one's matches:
@@ -661,6 +671,7 @@ mod tests {
                 keys: [1 + 3, 2 + 4],
                 derived: vec![3, 1, 2, 0],
                 joins: [[4, 0, 6], [12, 0, 16]],
+                fails: None,
             },
             Case {
                 shape: "within-atom repeated variable",
@@ -681,6 +692,7 @@ mod tests {
                 keys: [1, 2],
                 derived: vec![2, 1, 1, 0],
                 joins: [[1, 0, 3], [4, 0, 8]],
+                fails: None,
             },
             Case {
                 // A constant in the probed atom is part of the probe key;
@@ -703,6 +715,7 @@ mod tests {
                 keys: [1, 2],
                 derived: vec![3, 1, 2, 0, 0],
                 joins: [[1, 0, 3], [4, 0, 8]],
+                fails: None,
             },
             Case {
                 // Nothing can match an aggregate term, but the lookups
@@ -715,6 +728,7 @@ mod tests {
                 keys: [1, 2],
                 derived: vec![0, 0, 0, 0],
                 joins: [[1, 0, 3], [4, 0, 8]],
+                fails: None,
             },
             Case {
                 shape: "probe of an undeclared relation",
@@ -725,6 +739,7 @@ mod tests {
                 keys: [0, 0],
                 derived: vec![0, 0, 0, 0],
                 joins: [[0, 0, 0], [0, 0, 0]],
+                fails: None,
             },
             Case {
                 // No bound column, no probe plan: every row scans.
@@ -745,6 +760,7 @@ mod tests {
                 keys: [0, 0],
                 derived: vec![3, 3, 2, 0],
                 joins: [[0, 1, 3], [0, 4, 12]],
+                fails: None,
             },
             Case {
                 // `H <= 2` reads only the trigger and `H := H2 + 1`, so
@@ -769,6 +785,7 @@ mod tests {
                 keys: [0, 2],
                 derived: vec![0, 2, 1, 1, 0],
                 joins: [[0, 0, 0], [3, 0, 5]],
+                fails: None,
             },
             Case {
                 // The path-triggered strand of sp2: the cycle filter reads
@@ -792,6 +809,7 @@ mod tests {
                 keys: [1, 2],
                 derived: vec![2, 1, 2, 2],
                 joins: [[1, 0, 3], [4, 0, 10]],
+                fails: None,
             },
             Case {
                 // Integer sums are exact past 2^53 and a float on overflow.
@@ -811,6 +829,66 @@ mod tests {
                 keys: [1, 2],
                 derived: vec![2, 1, 2],
                 joins: [[1, 0, 2], [3, 0, 5]],
+                fails: None,
+            },
+            Case {
+                // A re-derivation plan's shape: the trigger binds `X`, so
+                // `X := W + 1` checks the trigger's slot against what the
+                // last probe's candidate computes. Trigger 2 sees only the
+                // two oldest rows under its key.
+                shape: "pre-bound check against a candidate column",
+                rule: "r1 out(@S, X) :- q(@S, K, X), t(@S, K, W), X := W + 1.",
+                trigger: "q",
+                stored: Some(t()),
+                batch: vec![
+                    (Insert, q(0, 1, 101), ALL),
+                    (Delete, q(0, 2, 201), ALL),
+                    (Insert, q(0, 1, 103), 2),
+                    (Insert, q(0, 1, 102), ALL),
+                ],
+                keys: [1, 2],
+                derived: vec![1, 1, 0, 1],
+                joins: [[1, 0, 3], [4, 0, 10]],
+                fails: None,
+            },
+            Case {
+                // `X` and `Y` are locals of the last probe's sink: `Y`
+                // reads `X`, the filter reads `Y`, and the head reads `Y`.
+                shape: "a chain of locals the head reads",
+                rule: "r1 out(@S, Y) :- q(@S, K, V), t(@S, K, W), X := W + V, Y := X * 2, Y > 200.",
+                trigger: "q",
+                stored: Some(t()),
+                batch: vec![
+                    (Insert, q(0, 1, 10), ALL),
+                    (Delete, q(0, 2, 20), ALL),
+                    (Insert, q(0, 1, 0), 2),
+                    (Delete, q(0, 2, 21), 2),
+                ],
+                keys: [1, 2],
+                derived: vec![3, 1, 1, 0],
+                joins: [[1, 0, 3], [4, 0, 8]],
+                fails: None,
+            },
+            Case {
+                // The filter reads `W` off the candidate: a string there is
+                // its type error, raised for the second trigger, which the
+                // oracle fails on too.
+                shape: "a filter failing on a candidate column",
+                rule: "r1 out(@S, W) :- q(@S, K, V), t(@S, K, W), W.",
+                trigger: "q",
+                stored: Some(vec![
+                    ("t", tuple(&[addr(0), int(1), int(1)])),
+                    ("t", tuple(&[addr(0), int(2), Value::str("no")])),
+                ]),
+                batch: vec![
+                    (Insert, q(0, 1, 0), ALL),
+                    (Delete, q(0, 2, 0), ALL),
+                    (Insert, q(0, 1, 1), ALL),
+                ],
+                keys: [1, 2],
+                derived: vec![1, 0, 1],
+                joins: [[1, 0, 1], [3, 0, 3]],
+                fails: Some((1, "type mismatch in boolean filter `W`")),
             },
         ]
     }
@@ -863,14 +941,19 @@ mod tests {
                     (delta, seq_limit)
                 })
                 .collect();
-            // What each trigger derives, by the oracle, sorted.
+            // What each trigger derives, by the oracle, sorted; nothing
+            // for the trigger it fails on.
             let expected: Vec<Vec<Vec<Value>>> = deltas
                 .iter()
-                .map(|(delta, seq_limit)| {
+                .enumerate()
+                .map(|(i, (delta, seq_limit))| {
                     let trigger = delta.tuple.values();
-                    let mut rows = ndlog_oracle::fire_one(&rule, trigger, &stored, *seq_limit);
-                    rows.as_mut().unwrap().sort();
-                    rows.unwrap()
+                    let rows = ndlog_oracle::fire_one(&rule, trigger, &stored, *seq_limit);
+                    let fails = case.fails.is_some_and(|(at, _)| at == i);
+                    assert_eq!(rows.is_err(), fails, "{shape}, trigger {i}: {rows:?}");
+                    let mut rows = rows.unwrap_or_default();
+                    rows.sort();
+                    rows
                 })
                 .collect();
             let derived: Vec<usize> = expected.iter().map(Vec::len).collect();
@@ -888,10 +971,20 @@ mod tests {
                 let what = format!("{shape}, {} trigger(s)", batch.len());
                 let mut stats = EvalStats::default();
                 let EvalBuffers { scratch, out, .. } = &mut lent;
-                strand
-                    .fire_batch(&store, &triggers, &mut stats, scratch, out)
-                    .unwrap();
-                for (i, (delta, _)) in batch.iter().enumerate() {
+                let fired = strand.fire_batch(&store, &triggers, &mut stats, scratch, out);
+                // A failed firing derives nothing.
+                let succeeded = match case.fails {
+                    Some((at, error)) if at < batch.len() => {
+                        assert_eq!(fired.unwrap_err().to_string(), error, "{what}");
+                        assert!(out.all().is_empty(), "{what}");
+                        &[][..]
+                    }
+                    _ => {
+                        fired.unwrap();
+                        batch
+                    }
+                };
+                for (i, (delta, _)) in succeeded.iter().enumerate() {
                     let fired = out.for_trigger(i);
                     let mut rows: Vec<Vec<Value>> = fired
                         .iter()
